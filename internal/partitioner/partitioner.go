@@ -253,12 +253,23 @@ func StratumMix(a *Assignment, assign []int, k int) [][]float64 {
 }
 
 // RecordsOf serializes partition j of the corpus in placement order,
-// one length-prefixed record per element (the §IV storage layout).
+// one length-prefixed record per element (the §IV storage layout). The
+// records share one arena sized up front, so a partition costs two
+// allocations however many records it holds; each record is cut with
+// its capacity clamped to its length, so appending to one reallocates
+// instead of overwriting its neighbour.
 func RecordsOf(c pivots.Corpus, a *Assignment, j int) [][]byte {
 	part := a.Parts[j]
+	total := 0
+	for _, r := range part {
+		total += c.RecordSize(r)
+	}
+	arena := make([]byte, 0, total)
 	out := make([][]byte, len(part))
 	for i, r := range part {
-		out[i] = c.AppendRecord(nil, r)
+		lo := len(arena)
+		arena = c.AppendRecord(arena, r)
+		out[i] = arena[lo:len(arena):len(arena)]
 	}
 	return out
 }

@@ -221,9 +221,10 @@ func (k *KVStore) WritePartition(id int, records [][]byte) error {
 	if err != nil {
 		return err
 	}
-	keyArg := []byte(k.key(id))
-	args := make([][]byte, 1, 256)
-	args[0] = keyArg
+	// args is reused across batches; the largest batch holds at most
+	// every record plus the key.
+	args := make([][]byte, 1, 1+len(records))
+	args[0] = []byte(k.key(id))
 	payload := 0
 	sendBatch := func() error {
 		if len(args) == 1 {

@@ -71,6 +71,9 @@ type Corpus interface {
 	// AppendRecord serializes record i in the length-prefixed wire
 	// layout and returns the extended buffer.
 	AppendRecord(dst []byte, i int) []byte
+	// RecordSize returns len(AppendRecord(nil, i)) without encoding, so
+	// a caller can size one buffer for many records.
+	RecordSize(i int) int
 }
 
 // ---------------------------------------------------------------------------
@@ -380,6 +383,9 @@ func (c *TreeCorpus) AppendRecord(dst []byte, i int) []byte {
 	return dst
 }
 
+// RecordSize implements Corpus.
+func (c *TreeCorpus) RecordSize(i int) int { return 8 + 8*len(c.Trees[i].Parent) }
+
 // DecodeTreeRecord parses one length-prefixed tree record from buf,
 // returning the tree and the remaining buffer.
 func DecodeTreeRecord(buf []byte) (Tree, []byte, error) {
@@ -532,6 +538,9 @@ func (c *GraphCorpus) AppendRecord(dst []byte, i int) []byte {
 	return dst
 }
 
+// RecordSize implements Corpus.
+func (c *GraphCorpus) RecordSize(i int) int { return 12 + 4*len(c.G.Adj[i]) }
+
 // DecodeGraphRecord parses one vertex record, returning the vertex ID,
 // its adjacency list and the remaining buffer.
 func DecodeGraphRecord(buf []byte) (uint32, []uint32, []byte, error) {
@@ -646,6 +655,9 @@ func (c *TextCorpus) AppendRecord(dst []byte, i int) []byte {
 	}
 	return dst
 }
+
+// RecordSize implements Corpus.
+func (c *TextCorpus) RecordSize(i int) int { return 8 + 4*len(c.Docs[i].Terms) }
 
 // DecodeTextRecord parses one document record, returning the document
 // and the remaining buffer.

@@ -104,3 +104,15 @@ func (c *DynamicCorpus) AppendRecord(dst []byte, i int) []byte {
 	}
 	return dst
 }
+
+// RecordSize implements pivots.Corpus.
+func (c *DynamicCorpus) RecordSize(i int) int {
+	b := c.base.Len()
+	if i < b {
+		return c.base.RecordSize(i)
+	}
+	if raw := c.raws[i-b]; raw != nil {
+		return len(raw)
+	}
+	return 4 + 8*len(c.items[i-b])
+}

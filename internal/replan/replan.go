@@ -231,7 +231,7 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 		}
 	}
 	// Initial placement: every record is a placement, no migrations.
-	if _, err := l.migrate(nil); err != nil {
+	if err := l.migrate(nil); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -272,12 +272,17 @@ func (l *Loop) installFull(plan *core.Plan) error {
 // cycle. raw, when non-nil, is the record's length-prefixed wire form
 // (see DynamicCorpus.Append). Returns the stratum the record joined.
 func (l *Loop) Ingest(items []sketch.Item, weight int, raw []byte) (int, error) {
-	sk := l.hasher.Sketch(items)
-	stratum, _, err := l.tracker.Ingest(sk)
+	// The corpus validates the record before the tracker counts it: a
+	// lone-stratum refreeze trusts the tracker's counters to hold exactly
+	// the stratum's members (see replanIncremental). The tracker itself
+	// only rejects a sketch of the wrong width, which the loop's own
+	// hasher cannot produce.
+	idx, err := l.corpus.Append(items, weight, raw)
 	if err != nil {
 		return 0, err
 	}
-	idx, err := l.corpus.Append(items, weight, raw)
+	sk := l.hasher.Sketch(items)
+	stratum, _, err := l.tracker.Ingest(sk)
 	if err != nil {
 		return 0, err
 	}
@@ -331,12 +336,10 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 		}
 	}
 
-	applied, err := l.migrate(rep)
-	if err != nil {
+	if err := l.migrate(rep); err != nil {
 		l.reg.Counter("replan_migration_aborts_total").Inc()
 		return nil, err
 	}
-	_ = applied
 	rep.Converged = rep.MovesDeferred == 0
 	rep.Elapsed = time.Since(t0)
 
@@ -357,10 +360,46 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 // replanIncremental runs the dirty-strata path: sub-cluster only the
 // drifted strata, re-profile only stale samples, re-solve the LP warm,
 // and install a minimal-movement target.
+//
+// A lone dirty stratum is counted once, not re-clustered. Sub-clustering
+// its members into K = 1 is the identity on membership, and the center
+// k-modes converges to is the top-L of the members' per-attribute value
+// counts — which the drift tracker already holds, because it counted
+// every member at the last freeze and every ingest since. So the
+// stratification needs no work before sizing, and the refreeze reads
+// the new center off the tracker's counters instead of recounting the
+// stratum. The general path stays for MaxIter = 1: k-modes never
+// updates a center then, so K = 1 returns its seed record, not the
+// top-L.
 func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
-	if err := l.restratify(dirty); err != nil {
+	sub := l.cfg.Core.Stratifier.Cluster
+	lone := len(dirty) == 1 && len(l.st.Members[dirty[0]]) > 0 && sub.MaxIter != 1
+	if !lone {
+		if err := l.restratify(dirty); err != nil {
+			return err
+		}
+	}
+	if err := l.resize(n, rep); err != nil {
 		return err
 	}
+	if lone {
+		s := dirty[0]
+		center, err := l.tracker.RefreezeMode(s, sub.L)
+		if err != nil {
+			return err
+		}
+		l.st.Centers[s] = center
+	} else if err := l.tracker.Reset(l.st, dirty); err != nil {
+		return err
+	}
+	l.cfg.FrontierCache.Invalidate()
+	return nil
+}
+
+// resize re-derives partition sizes for the current membership at n
+// records — re-profile, fit, LP — and installs the plan and a
+// minimal-movement target for them.
+func (l *Loop) resize(n int, rep *CycleReport) error {
 	var sizes []int
 	if l.cfg.Core.Strategy == core.Stratified {
 		sizes = partitioner.EqualSizes(n, l.p)
@@ -398,10 +437,6 @@ func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
 	l.plan.Assign = l.target
 	l.lastSizes = append(l.lastSizes[:0], sizes...)
 	l.lastN = n
-	if err := l.tracker.Reset(l.st, dirty); err != nil {
-		return err
-	}
-	l.cfg.FrontierCache.Invalidate()
 	return nil
 }
 
@@ -696,7 +731,7 @@ func applyOps(actual *partitioner.Assignment, ops []partitioner.Move) (*partitio
 // affected partition through an epoch transaction: all staged writes
 // must succeed before any becomes visible. rep may be nil (initial
 // placement at construction).
-func (l *Loop) migrate(rep *CycleReport) (int, error) {
+func (l *Loop) migrate(rep *CycleReport) error {
 	n := l.corpus.Len()
 	placements, moves := diffMoves(l.actual, l.target, n)
 	applied := moves
@@ -710,17 +745,17 @@ func (l *Loop) migrate(rep *CycleReport) (int, error) {
 	}
 	ops := append(append([]partitioner.Move(nil), placements...), applied...)
 	if len(ops) == 0 {
-		return 0, nil
+		return nil
 	}
 	next, affected := applyOps(l.actual, ops)
 	if l.store != nil {
 		if err := l.writeAffected(next, affected); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	l.actual = next
 	l.pending = nil
-	return len(applied), nil
+	return nil
 }
 
 // writeAffected stages every affected partition's new contents at the
@@ -750,11 +785,7 @@ func (l *Loop) writeAffected(next *partitioner.Assignment, affected map[int]stru
 	_, err := parallel.ForErr(len(groups), l.cfg.Core.Workers, func(lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {
 			for _, j := range groups[gi] {
-				records := make([][]byte, len(next.Parts[j]))
-				for i, r := range next.Parts[j] {
-					records[i] = l.corpus.AppendRecord(nil, r)
-				}
-				if err := txn.Write(j, records); err != nil {
+				if err := txn.Write(j, partitioner.RecordsOf(l.corpus, next, j)); err != nil {
 					return err
 				}
 			}

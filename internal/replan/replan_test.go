@@ -1,6 +1,8 @@
 package replan
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
@@ -411,4 +413,233 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(base, cl, weightProfile(base), Config{Core: cfg, Drift: strata.DriftConfig{Threshold: -1}}); err == nil {
 		t.Error("negative threshold accepted")
 	}
+}
+
+// referenceCycle is Loop.Cycle without the count-once shortcut: a lone
+// dirty stratum goes through restratify (strata.Cluster at K = 1) and
+// tracker.Reset, exactly as two or more dirty strata do. It is the
+// oracle TestLoneStratumRefreezeMatchesRecluster holds Cycle to.
+func referenceCycle(l *Loop) (*CycleReport, error) {
+	dirty := l.tracker.DirtyStrata()
+	if len(dirty) != 1 || l.k == 1 {
+		return l.Cycle()
+	}
+	rep := &CycleReport{Kind: CycleIncremental, Dirty: dirty}
+	if err := l.restratify(dirty); err != nil {
+		return nil, err
+	}
+	if err := l.resize(l.corpus.Len(), rep); err != nil {
+		return nil, err
+	}
+	if err := l.tracker.Reset(l.st, dirty); err != nil {
+		return nil, err
+	}
+	if err := l.migrate(rep); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// uniformTopicDocs builds n documents over the given number of topics,
+// all documents of a topic identical: every center row freezes with one
+// candidate value, so the tracker's scan matrix starts narrower than L.
+func uniformTopicDocs(n, topics int) ([]pivots.Doc, int) {
+	docs := make([]pivots.Doc, n)
+	for i := range docs {
+		terms := make([]uint32, 10)
+		for k := range terms {
+			terms[k] = uint32(100*(i%topics) + k)
+		}
+		docs[i] = pivots.Doc{Terms: terms}
+	}
+	return docs, 100 * topics
+}
+
+// TestLoneStratumRefreezeMatchesRecluster drives two loops over the same
+// seeded drift sequence — Cycle on one, referenceCycle on the other —
+// and requires identical strata, sizes, placement, stored bytes and
+// tracker state after every cycle. Traffic mixes cycles that drift one
+// stratum (again and again), cycles that drift several, and quiet ones.
+func TestLoneStratumRefreezeMatchesRecluster(t *testing.T) {
+	rcv1, rcv1Vocab := replanDocs(t)
+	uniform, uniformVocab := uniformTopicDocs(640, 4)
+	scenarios := []struct {
+		name    string
+		docs    []pivots.Doc
+		vocab   int
+		maxIter int
+		// narrow: every center freezes with one-value rows, so the first
+		// top-L refreeze must widen the tracker's scan matrix. kmodesSeed
+		// 2 is one that seeds a center in each of the four topics.
+		narrow     bool
+		kmodesSeed int64
+	}{
+		{"rcv1", rcv1, rcv1Vocab, 0, false, 7},
+		{"rcv1-maxiter2", rcv1, rcv1Vocab, 2, false, 7},
+		// MaxIter 1 never updates a center: Cycle must keep the general
+		// path, whose K = 1 center is the seed record.
+		{"rcv1-maxiter1", rcv1, rcv1Vocab, 1, false, 7},
+		{"uniform-narrow-rows", uniform, uniformVocab, 0, true, 2},
+	}
+	const cycles = 48
+	for _, sc := range scenarios {
+		for _, seed := range []int64{1, 2, 3} {
+			newLoop := func() *Loop {
+				base, err := pivots.NewTextCorpus(sc.docs, sc.vocab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := loopCoreConfig(2)
+				cfg.Stratifier.Cluster.MaxIter = sc.maxIter
+				cfg.Stratifier.Cluster.Seed = sc.kmodesSeed
+				l, err := New(base, paperCluster(t, 4), affineProfile(), Config{
+					Core:             cfg,
+					Drift:            strata.DriftConfig{Threshold: 1e-6},
+					MaxMovesPerCycle: 25,
+					Store:            partitioner.NewMemoryStore(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return l
+			}
+			got, want := newLoop(), newLoop()
+			for s, c := range got.st.Centers {
+				if sc.narrow && maxCenterRow(c) != 1 {
+					t.Fatalf("%s: stratum %d froze with a %d-value row, want 1", sc.name, s, maxCenterRow(c))
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			var lone, several, clean, widened int
+			for c := 0; c < cycles; c++ {
+				// Per cycle: how many strata the traffic aims at. A target
+				// gets copies of one of its base documents with half the
+				// terms replaced by terms no document has.
+				targets := 1
+				switch r := rng.Intn(10); {
+				case r == 0:
+					targets = 0
+				case r >= 5:
+					targets = 2 + rng.Intn(2)
+				}
+				k := want.tracker.K()
+				for _, s := range rng.Perm(k)[:targets] {
+					var pool []int
+					for _, r := range want.st.Members[s] {
+						if r < len(sc.docs) {
+							pool = append(pool, r)
+						}
+					}
+					if len(pool) == 0 {
+						continue
+					}
+					terms := sc.docs[pool[rng.Intn(len(pool))]].Terms
+					items := alienItems(c*k+s, len(terms))
+					for i, term := range terms {
+						if i%2 == 1 {
+							items[i] = sketch.Item(term)
+						}
+					}
+					for m := 5 + rng.Intn(10); m > 0; m-- {
+						sg, err := got.Ingest(append([]sketch.Item(nil), items...), len(items), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sw, err := want.Ingest(append([]sketch.Item(nil), items...), len(items), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if sg != sw {
+							t.Fatalf("%s seed %d cycle %d: ingest landed in stratum %d, reference %d", sc.name, seed, c, sg, sw)
+						}
+					}
+				}
+				repGot, err := got.Cycle()
+				if err != nil {
+					t.Fatal(err)
+				}
+				repWant, err := referenceCycle(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := fmt.Sprintf("%s seed %d cycle %d (dirty %v)", sc.name, seed, c, repWant.Dirty)
+				if repGot.Kind != repWant.Kind || !reflect.DeepEqual(repGot.Dirty, repWant.Dirty) {
+					t.Fatalf("%s: cycle was %v over %v, reference %v", at, repGot.Kind, repGot.Dirty, repWant.Kind)
+				}
+				switch {
+				case len(repWant.Dirty) == 1:
+					lone++
+					row := maxCenterRow(got.st.Centers[repWant.Dirty[0]])
+					if sc.maxIter == 1 && row != 1 {
+						t.Fatalf("%s: MaxIter 1 refroze to a top-L center", at)
+					}
+					if row > 1 {
+						widened++
+					}
+				case len(repWant.Dirty) > 1:
+					several++
+				default:
+					clean++
+				}
+				gs, ws := got.Plan().Strat, want.Plan().Strat
+				if !reflect.DeepEqual(gs.Members, ws.Members) {
+					t.Fatalf("%s: Members differ", at)
+				}
+				if !reflect.DeepEqual(gs.Centers, ws.Centers) {
+					t.Fatalf("%s: Centers differ", at)
+				}
+				if !reflect.DeepEqual(gs.Assign, ws.Assign) {
+					t.Fatalf("%s: Assign differs", at)
+				}
+				if !reflect.DeepEqual(gs.WeightTotals, ws.WeightTotals) {
+					t.Fatalf("%s: WeightTotals %v, reference %v", at, gs.WeightTotals, ws.WeightTotals)
+				}
+				if !reflect.DeepEqual(got.Plan().Sizes, want.Plan().Sizes) {
+					t.Fatalf("%s: Sizes %v, reference %v", at, got.Plan().Sizes, want.Plan().Sizes)
+				}
+				if !reflect.DeepEqual(got.Actual(), want.Actual()) {
+					t.Fatalf("%s: Actual differs", at)
+				}
+				gt, wt := got.Tracker(), want.Tracker()
+				for s := 0; s < wt.K(); s++ {
+					if gt.Drift(s) != wt.Drift(s) || gt.Added(s) != wt.Added(s) {
+						t.Fatalf("%s: stratum %d drift %v added %d, reference %v / %d",
+							at, s, gt.Drift(s), gt.Added(s), wt.Drift(s), wt.Added(s))
+					}
+				}
+				if !reflect.DeepEqual(gt.DirtyStrata(), wt.DirtyStrata()) {
+					t.Fatalf("%s: DirtyStrata %v, reference %v", at, gt.DirtyStrata(), wt.DirtyStrata())
+				}
+				if !reflect.DeepEqual(gt, wt) {
+					t.Fatalf("%s: tracker internals differ", at)
+				}
+			}
+			if lone < 10 || several < 3 || clean < 1 || (sc.narrow && widened == 0) {
+				t.Errorf("%s seed %d: %d lone (%d to a wider row), %d multi-stratum, %d clean cycles — the sequence exercised too little",
+					sc.name, seed, lone, widened, several, clean)
+			}
+			for j := 0; j < got.Store().P(); j++ {
+				g, err := got.Store().ReadPartition(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want.Store().ReadPartition(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("%s seed %d: stored partition %d differs", sc.name, seed, j)
+				}
+			}
+		}
+	}
+}
+
+// maxCenterRow is the longest candidate row of one center.
+func maxCenterRow(c strata.Center) int {
+	l := 0
+	for _, row := range c.Values {
+		l = max(l, len(row))
+	}
+	return l
 }

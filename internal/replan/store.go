@@ -9,13 +9,22 @@ import (
 )
 
 // EpochStore layers commit-or-abort cutover on any partitioner.Store.
-// Each logical partition j is stored under epoch-addressed ids
-// (epoch·p + j in the base store); reads always serve the last
-// committed epoch. A migration stages every affected partition at its
-// next epoch and flips the committed pointers only after all staged
-// writes succeeded — a write failure (dead worker, partitioned network)
-// leaves every partition readable at its previous epoch, with no
-// partial cutover.
+// Each logical partition j owns two slots in the base store, ids j and
+// p + j; epoch e of j lives in slot e mod 2, and reads always serve the
+// last committed epoch. A migration stages every affected partition at
+// its next epoch — in the slot the committed epoch does not occupy —
+// and flips the committed pointers only after all staged writes
+// succeeded. A write failure (dead worker, partitioned network) tears
+// at most that other slot: every partition stays readable at its
+// previous epoch, with no partial cutover, and the next stage rewrites
+// the torn slot from scratch (WritePartition replaces). The slot a
+// stage writes is the one epoch e-1 was superseded in, so the base
+// holds two copies of a partition at most, however many epochs pass.
+//
+// The price of reclaiming is that a read is only stable across one
+// later transaction: records returned for epoch e may alias storage
+// the stage of epoch e+2 overwrites. One control loop drives the store,
+// so reads and stages do not overlap.
 //
 // The epoch pointers live in memory: the store's crash-consistency is
 // that of its base (a restarted process re-places from the plan), but a
@@ -72,8 +81,11 @@ func (s *EpochStore) ReadPartition(j int) ([][]byte, error) {
 	if e < 0 {
 		return nil, fmt.Errorf("replan: partition %d not placed yet", j)
 	}
-	return s.base.ReadPartition(e*s.p + j)
+	return s.base.ReadPartition(s.slot(e, j))
 }
+
+// slot returns the base id holding epoch e (≥ 0) of partition j.
+func (s *EpochStore) slot(e, j int) int { return (e%2)*s.p + j }
 
 // WritePartition stages and commits one partition in a single step —
 // the degenerate one-partition transaction, making EpochStore itself a
@@ -94,7 +106,7 @@ func (s *EpochStore) WritePartition(j int, records [][]byte) error {
 // groups isolates every partition.
 func (s *EpochStore) WriteGroup(j int) int {
 	s.mu.Lock()
-	id := (s.epoch[j] + 1) * s.p + j
+	id := s.slot(s.epoch[j]+1, j)
 	s.mu.Unlock()
 	if g, ok := s.base.(partitioner.WriteGrouper); ok {
 		return g.WriteGroup(id)
@@ -122,13 +134,14 @@ type EpochTxn struct {
 }
 
 // Write stages partition j's new contents at epoch[j]+1 in the base
-// store. The committed epoch keeps serving reads until Commit.
+// store, replacing what epoch[j]-1 left in that slot. The committed
+// epoch keeps serving reads until Commit.
 func (t *EpochTxn) Write(j int, records [][]byte) error {
 	if err := t.s.checkPart(j); err != nil {
 		return err
 	}
 	t.s.mu.Lock()
-	id := (t.s.epoch[j] + 1) * t.s.p + j
+	id := t.s.slot(t.s.epoch[j]+1, j)
 	t.s.mu.Unlock()
 	if err := t.s.base.WritePartition(id, records); err != nil {
 		return fmt.Errorf("replan: staging partition %d: %w", j, err)

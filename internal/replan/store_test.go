@@ -3,6 +3,7 @@ package replan
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"pareto/internal/partitioner"
@@ -191,6 +192,70 @@ func TestEpochStoreManyEpochs(t *testing.T) {
 		assertPartition(t, st, j, [][]byte{[]byte(fmt.Sprintf("e9-p%d", j))})
 		if st.Epoch(j) != 9 {
 			t.Errorf("partition %d at epoch %d, want 9", j, st.Epoch(j))
+		}
+	}
+}
+
+// idRecorder is a MemoryStore that remembers every id ever written.
+type idRecorder struct {
+	*partitioner.MemoryStore
+	mu  sync.Mutex
+	ids map[int]struct{}
+}
+
+func (r *idRecorder) WritePartition(id int, records [][]byte) error {
+	r.mu.Lock()
+	r.ids[id] = struct{}{}
+	r.mu.Unlock()
+	return r.MemoryStore.WritePartition(id, records)
+}
+
+// TestEpochStoreReclaimsSupersededEpochs is the epoch-leak regression:
+// however many transactions commit (and abort in between), the base
+// only ever sees the 2p slot ids, so a stage's replace reclaims the
+// epoch before last instead of every epoch living forever.
+func TestEpochStoreReclaimsSupersededEpochs(t *testing.T) {
+	const p, epochs = 3, 50
+	base := &idRecorder{MemoryStore: partitioner.NewMemoryStore(), ids: make(map[int]struct{})}
+	st, err := NewEpochStore(base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := func(e, j int) [][]byte { return [][]byte{[]byte(fmt.Sprintf("e%d-p%d", e, j))} }
+	for e := 0; e < epochs; e++ {
+		if e%7 == 3 {
+			// An abandoned stage in between tears only the staging slot.
+			dead := st.Begin()
+			if err := dead.Write(e%p, recs(0xdd)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		txn := st.Begin()
+		for j := 0; j < p; j++ {
+			// Partition 0 sits out the odd transactions, so slots of
+			// different partitions are at different parities.
+			if j == 0 && e%2 == 1 {
+				continue
+			}
+			if err := txn.Write(j, content(e, j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		txn.Commit()
+		for j := 0; j < p; j++ {
+			want := e
+			if j == 0 && e%2 == 1 {
+				want = e - 1
+			}
+			assertPartition(t, st, j, content(want, j))
+		}
+	}
+	if len(base.ids) > 2*p {
+		t.Errorf("%d transactions wrote %d distinct base ids, want at most 2p = %d", epochs, len(base.ids), 2*p)
+	}
+	for id := range base.ids {
+		if id < 0 || id >= 2*p {
+			t.Errorf("base id %d outside the two slots [0, %d)", id, 2*p)
 		}
 	}
 }

@@ -79,3 +79,18 @@ func (f *freqCounters) clearStratum(stratum int) {
 		clear(f.counts[base+a])
 	}
 }
+
+// modeCenter builds stratum's composite center from its counters: per
+// attribute, the top-l values (count desc, value asc). One arena backs
+// all candidate rows; the full slice expressions keep rows from
+// aliasing each other. sel is the caller's selection scratch.
+func (f *freqCounters) modeCenter(stratum, l int, sel *[]valCount) Center {
+	vals := make([][]uint64, f.width)
+	arena := make([]uint64, 0, f.width*l)
+	for a := range vals {
+		lo := len(arena)
+		arena = appendTopL(arena, f.row(stratum, a), l, sel)
+		vals[a] = arena[lo:len(arena):len(arena)]
+	}
+	return Center{Values: vals}
+}

@@ -204,13 +204,7 @@ func (d *DriftTracker) Reset(st *Stratification, strata []int) error {
 	if len(st.Sketches) > 0 && len(st.Sketches[0]) != d.width {
 		return fmt.Errorf("strata: reset sketch width %d, tracker width %d", len(st.Sketches[0]), d.width)
 	}
-	// A new center row can exceed the frozen scan matrix's L; regrow
-	// once and re-flatten everything.
-	if l := maxCenterRow(st.Centers); l > d.l {
-		d.l = l
-		d.flat = make([]uint64, d.k*d.width*d.l)
-		flattenCenters(d.flat, d.centers, d.width, d.l)
-	}
+	d.growFlat(maxCenterRow(st.Centers))
 	for _, s := range strata {
 		if s < 0 || s >= d.k {
 			return fmt.Errorf("strata: reset stratum %d out of range [0, %d)", s, d.k)
@@ -219,11 +213,57 @@ func (d *DriftTracker) Reset(st *Stratification, strata []int) error {
 		for _, i := range st.Members[s] {
 			d.counters.add(st.Sketches[i], s)
 		}
-		d.centers[s] = st.Centers[s]
-		flattenCenters(d.flat[s*d.width*d.l:(s+1)*d.width*d.l], st.Centers[s:s+1], d.width, d.l)
-		d.base[s] = len(st.Members[s])
-		d.added[s] = 0
-		d.cov0[s] = d.coverage(s)
+		d.freeze(s, st.Centers[s], len(st.Members[s]))
 	}
 	return nil
+}
+
+// growFlat widens the frozen scan matrix when a new center row exceeds
+// its L, re-flattening every center at the new stride.
+func (d *DriftTracker) growFlat(l int) {
+	if l <= d.l {
+		return
+	}
+	d.l = l
+	d.flat = make([]uint64, d.k*d.width*d.l)
+	flattenCenters(d.flat, d.centers, d.width, d.l)
+}
+
+// freeze installs center as stratum s's frozen center over counters
+// that already hold exactly its members, and restarts its baselines.
+func (d *DriftTracker) freeze(s int, center Center, members int) {
+	d.centers[s] = center
+	stride := d.width * d.l
+	flattenCenters(d.flat[s*stride:(s+1)*stride], d.centers[s:s+1], d.width, d.l)
+	d.base[s] = members
+	d.added[s] = 0
+	d.cov0[s] = d.coverage(s)
+}
+
+// RefreezeMode refreezes stratum s against the mode of its own members:
+// the new center holds, per attribute, the top-l values of the counters
+// the tracker already keeps for s, which count exactly the members s
+// had at its last freeze plus everything ingested into it since. That
+// is the center compositeKModes converges to when it clusters those
+// members into one stratum (Config.L = l, MaxIter ≠ 1), so the caller
+// gets what Cluster followed by Reset would produce — the returned
+// center, the same counters, baselines restarted — in O(width ×
+// distinct values) instead of three passes over the members. The
+// stratum must be non-empty.
+func (d *DriftTracker) RefreezeMode(s, l int) (Center, error) {
+	if s < 0 || s >= d.k {
+		return Center{}, fmt.Errorf("strata: refreeze stratum %d out of range [0, %d)", s, d.k)
+	}
+	if l < 1 {
+		return Center{}, fmt.Errorf("strata: refreeze with L = %d, need ≥ 1", l)
+	}
+	members := d.base[s] + int(d.added[s])
+	if members == 0 {
+		return Center{}, fmt.Errorf("strata: refreeze of empty stratum %d", s)
+	}
+	var sel []valCount
+	center := d.counters.modeCenter(s, l, &sel)
+	d.growFlat(maxCenterRow([]Center{center}))
+	d.freeze(s, center, members)
+	return center, nil
 }

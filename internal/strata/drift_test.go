@@ -2,6 +2,8 @@ package strata
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pareto/internal/sketch"
@@ -287,5 +289,97 @@ func TestDriftAssignMatchesStratifier(t *testing.T) {
 	}
 	if stratum != 1 || miss != 4 {
 		t.Fatalf("Ingest = (%d, %d), want (1, 4) by lowest-index tie-break", stratum, miss)
+	}
+}
+
+// TestRefreezeModeMatchesClusterAndReset is the contract of the
+// count-once refreeze: over seeded streams, RefreezeMode(s, l) returns
+// the center Cluster gives for stratum s's members at K = 1 and leaves
+// the tracker deep-equal to one that went through Reset on the
+// re-clustered stratification — counters, frozen centers, scan matrix
+// and baselines alike. Values come from a small universe so counts tie
+// and the top-L order matters; l varies across rounds so the scan
+// matrix both regrows (l above the frozen row) and keeps a wider stride
+// than a later center needs.
+func TestRefreezeModeMatchesClusterAndReset(t *testing.T) {
+	const k, width = 3, 8
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		st, centerSketch := driftFixture(t, k, width, 4)
+		got, err := NewDriftTracker(st, DriftConfig{Threshold: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewDriftTracker(st, DriftConfig{Threshold: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round, l := range []int{2, 1, 5, 3, 3, 1} {
+			for i := 0; i < 30; i++ {
+				// Near one center, with a few coordinates drawn from a
+				// shared pool of five values per attribute.
+				rec := centerSketch[rng.Intn(k)].Clone()
+				for m := rng.Intn(4); m > 0; m-- {
+					a := rng.Intn(width)
+					rec[a] = uint64(5000 + 10*a + rng.Intn(5))
+				}
+				s, _, err := got.Ingest(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s2, _, _ := want.Ingest(rec); s2 != s {
+					t.Fatalf("seed %d round %d: trackers diverged on ingest (%d vs %d)", seed, round, s, s2)
+				}
+				st.Members[s] = append(st.Members[s], len(st.Sketches))
+				st.Sketches = append(st.Sketches, rec)
+				st.Assign = append(st.Assign, s)
+			}
+			s := round % k
+			sub := make([]sketch.Sketch, len(st.Members[s]))
+			for i, r := range st.Members[s] {
+				sub[i] = st.Sketches[r]
+			}
+			res, err := Cluster(sub, Config{K: 1, L: l, Seed: seed, MaxIter: 2 * (round % 2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Members[0]) != len(sub) {
+				t.Fatalf("K = 1 kept %d of %d members", len(res.Members[0]), len(sub))
+			}
+			st.Centers[s] = res.Centers[0]
+			if err := want.Reset(st, []int{s}); err != nil {
+				t.Fatal(err)
+			}
+			center, err := got.RefreezeMode(s, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(center, res.Centers[0]) {
+				t.Fatalf("seed %d round %d (L = %d): center %v, Cluster gives %v", seed, round, l, center, res.Centers[0])
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d (L = %d): tracker differs from one that went through Reset", seed, round, l)
+			}
+		}
+	}
+}
+
+func TestRefreezeModeErrors(t *testing.T) {
+	st, _ := driftFixture(t, 2, 4, 2)
+	st.Members[1] = nil
+	st.Assign = st.Assign[:2]
+	st.Sketches = st.Sketches[:2]
+	d, err := NewDriftTracker(st, DriftConfig{Threshold: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RefreezeMode(2, 3); err == nil {
+		t.Error("out-of-range stratum accepted")
+	}
+	if _, err := d.RefreezeMode(0, 0); err == nil {
+		t.Error("L = 0 accepted")
+	}
+	if _, err := d.RefreezeMode(1, 3); err == nil {
+		t.Error("empty stratum accepted")
 	}
 }

@@ -443,7 +443,6 @@ func (st *clusterState) nearestMask(s sketch.Sketch, matchCounts []int) (best, b
 // function of the counters (count desc, value asc), so the rebuild
 // would produce the same values.
 func (st *clusterState) updateCenters(centers []Center, assign []int) {
-	width, l := st.width, st.l
 	if st.fresh {
 		st.fresh = false
 		for i, s := range st.sketches {
@@ -467,16 +466,7 @@ func (st *clusterState) updateCenters(centers []Center, assign []int) {
 			continue
 		}
 		st.dirty[c] = false
-		// One arena backs all of this center's candidate rows; the
-		// full slice expressions keep rows from aliasing each other.
-		vals := make([][]uint64, width)
-		arena := make([]uint64, 0, width*l)
-		for a := 0; a < width; a++ {
-			lo := len(arena)
-			arena = appendTopL(arena, st.counters.row(c, a), l, &st.sel)
-			vals[a] = arena[lo:len(arena):len(arena)]
-		}
-		centers[c] = Center{Values: vals}
+		centers[c] = st.counters.modeCenter(c, st.l, &st.sel)
 	}
 }
 
