@@ -1,7 +1,11 @@
 package frontier
 
 import (
+	"fmt"
+	"math"
+	"os"
 	"testing"
+	"time"
 
 	"pareto/internal/opt"
 )
@@ -53,4 +57,46 @@ func BenchmarkFrontier(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestWarmSweepCostFloor enforces what the shared vertex factorization
+// bought: a serial 64×41 warm sweep — one cold solve and 40 re-solves,
+// most of which take no pivot — costs at most 3× one cold Solve of the
+// same LP (≈ 2× as recorded in BENCH_planner.json; 4.5× when every
+// re-solve refactorized its unchanged basis twice). It is a timing
+// assertion, so it only runs when PARETO_FRONTIER_COST_CHECK=1 asks
+// for it (the CI bench-smoke job does).
+func TestWarmSweepCostFloor(t *testing.T) {
+	if os.Getenv("PARETO_FRONTIER_COST_CHECK") == "" {
+		t.Skip("set PARETO_FRONTIER_COST_CHECK=1 to enforce the warm-sweep cost floor")
+	}
+	const ceiling, rounds = 3.0, 20
+	nodes := PaperModels(benchNodes)
+	total := 1_000_000
+	alphas := benchAlphas()
+	prob, err := opt.SizingLP(nodes, total, alphas[0], opt.Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Interleave the two sides and keep each one's best round, so a
+	// noisy-neighbor episode cannot penalize one side only.
+	sweep, cold := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < rounds; i++ {
+		t0 := time.Now()
+		if _, err := Sweep(nodes, total, Config{Alphas: alphas, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		sweep = min(sweep, time.Since(t0))
+		t0 = time.Now()
+		if _, err := prob.NewSolver().Solve(); err != nil {
+			t.Fatal(err)
+		}
+		cold = min(cold, time.Since(t0))
+	}
+	ratio := float64(sweep) / float64(cold)
+	msg := fmt.Sprintf("warm 64×41 sweep %v, one cold solve %v: %.1f× (ceiling %.0f×)", sweep, cold, ratio, ceiling)
+	t.Log(msg)
+	if ratio > ceiling {
+		t.Errorf("warm sweep over the cost ceiling: %s", msg)
+	}
 }

@@ -12,8 +12,9 @@
 // basis across solves, so moving to the next α is a primal-simplex
 // re-optimization from the previous vertex: a handful of pivots
 // instead of a full two-phase solve. Sweep chains re-solves within
-// each worker's contiguous α range; at 64 nodes × 41 α values the
-// warm sweep is >5× faster than cold solving (BenchmarkFrontier).
+// contiguous α ranges, one cold solve per range; at 64 nodes × 41 α
+// values the warm sweep is >20× faster than cold solving
+// (BenchmarkFrontier).
 //
 // # Determinism and cold equivalence
 //
@@ -190,6 +191,8 @@ type Config struct {
 	// are canonical (ascending α).
 	Alphas []float64
 	// Workers bounds enumeration parallelism; ≤ 0 means GOMAXPROCS.
+	// Sweep runs at most this many warm chains and never one shorter
+	// than minChainAlphas, so short ladders are solved serially.
 	Workers int
 	// Axes is the objective vector for dominance filtering; empty
 	// means DefaultAxes.
@@ -316,8 +319,19 @@ func validateSweep(nodes []opt.NodeModel, total int, cfg Config) (alphas []float
 	return out, cons, nil
 }
 
+// minChainAlphas is the fewest α values Sweep gives one warm chain. A
+// chain opens with a cold two-phase solve, and at 64 nodes that one
+// solve costs about as much as 50 of the warm re-solves that follow it
+// (TestWarmSweepCostFloor logs both: ≈ 0.47 ms cold, ≈ 0.85 ms for the
+// whole 41-α sweep, so ≈ 9.5 µs per re-solve): a second chain on a
+// shorter ladder spends more on its cold solve than it takes off the
+// first chain's wall time.
+const minChainAlphas = 64
+
 // Sweep samples the frontier at cfg.Alphas with warm-started solves
-// chained inside each worker's contiguous α range, then canonicalizes
+// chained inside contiguous α ranges — at most cfg.Workers of them, and
+// none shorter than minChainAlphas, so a ladder of up to 127 values is
+// one chain and one cold solve at any worker count — then canonicalizes
 // (ascending α, adjacent duplicates collapsed — the opt.Frontier
 // contract) and dominance-filters over cfg.Axes. The embedded
 // FrontierPoints are bit-identical to cold opt.Frontier output at any
@@ -336,21 +350,22 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 
 	n := len(alphas)
 	pts := make([]Point, n)
-	// parallel.ForErr hands each chunk [lo,hi) to one worker goroutine.
-	// A fresh chain per chunk keeps the warm-start sequence (cold at
-	// alphas[lo], warm for the rest) deterministic for a given (n,
-	// workers) split, and bit-identity with cold solves makes the
-	// assembled points independent of the split entirely.
-	chainAt := make([]*chain, n) // chunk-start slot → its chain, for stats
-	_, err = parallel.ForErr(n, cfg.Workers, func(lo, hi int) error {
-		c := &chain{nodes: nodes, total: total, cons: cons}
-		chainAt[lo] = c
-		for i := lo; i < hi; i++ {
-			plan, sol, err := c.solve(alphas[i])
-			if err != nil {
-				return err
+	// Each chain takes one contiguous α range: cold at its first α, warm
+	// for the rest. Bit-identity with cold solves makes the assembled
+	// points independent of the split; only Stats see it.
+	k := parallel.Workers(n/minChainAlphas, cfg.Workers)
+	chains := make([]*chain, k)
+	_, err = parallel.ForErr(k, k, func(lo, hi int) error {
+		for c := lo; c < hi; c++ {
+			ch := &chain{nodes: nodes, total: total, cons: cons}
+			chains[c] = ch
+			for i := c * n / k; i < (c+1)*n/k; i++ {
+				plan, sol, err := ch.solve(alphas[i])
+				if err != nil {
+					return err
+				}
+				pts[i] = newPoint(nodes, alphas[i], plan, sol, axes)
 			}
-			pts[i] = newPoint(nodes, alphas[i], plan, sol, axes)
 		}
 		return nil
 	})
@@ -358,10 +373,8 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Points: canonicalize(pts, tol)}
-	for _, c := range chainAt {
-		if c != nil {
-			c.addTo(&res.Stats)
-		}
+	for _, ch := range chains {
+		ch.addTo(&res.Stats)
 	}
 	finish(res, nodes, axes, start, cfg.Telemetry, "sweep")
 	return res, nil

@@ -110,6 +110,34 @@ func TestSweepWarmStartsPayOff(t *testing.T) {
 	}
 }
 
+func TestSweepOneColdSolvePerChain(t *testing.T) {
+	// A chain's first solve is its only cold one, so cold solves count
+	// chains: one for any ladder of at most minChainAlphas values no
+	// matter how many workers are offered (the 41-α request a default
+	// GOMAXPROCS-wide service gets must not pay a cold solve per core),
+	// and never more than Workers above that.
+	nodes := PaperModels(16)
+	for _, n := range []int{2, 11, 41, minChainAlphas, 2*minChainAlphas - 1, 2 * minChainAlphas, 5*minChainAlphas + 7} {
+		for _, w := range []int{0, 1, 2, 3, 16} {
+			res, err := Sweep(nodes, 1_000_000, Config{Alphas: UniformAlphas(n), Workers: w})
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, w, err)
+			}
+			cold := res.Stats.Solves - res.Stats.WarmSolves
+			if res.Stats.Solves != n {
+				t.Errorf("n=%d workers=%d: %d solves", n, w, res.Stats.Solves)
+			}
+			offered := w
+			if w <= 0 {
+				offered = runtime.GOMAXPROCS(0)
+			}
+			if want := min(offered, max(1, n/minChainAlphas)); cold != want {
+				t.Errorf("n=%d workers=%d: %d cold solves, want %d", n, w, cold, want)
+			}
+		}
+	}
+}
+
 func dedupAlphas(alphas []float64) []float64 {
 	seen := map[float64]bool{}
 	var out []float64
@@ -297,4 +325,3 @@ func TestUniformAlphas(t *testing.T) {
 		t.Errorf("n<2 must clamp to the two endpoints, got %v", got)
 	}
 }
-

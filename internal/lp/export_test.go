@@ -1,0 +1,20 @@
+package lp
+
+import "testing"
+
+// Test-only exports for sizing_test.go, which lives in package lp_test
+// because it needs internal/opt and internal/frontier — importers of
+// this package.
+
+// CheckOptimal runs the optimality oracle on a result of s under obj.
+func CheckOptimal(t testing.TB, s *Solver, obj []float64, sol *Solution) {
+	t.Helper()
+	checkOptimal(t, s.p, obj, sol, s.Basis())
+}
+
+// CheckAgainstReference holds sol.X against the Gauss–Jordan reference
+// extraction at s's basis and returns the reference.
+func CheckAgainstReference(t testing.TB, s *Solver, sol *Solution) []float64 {
+	t.Helper()
+	return checkAgainstReference(t, s, sol)
+}

@@ -24,6 +24,19 @@
 // solution still satisfies every constraint), so a re-solve is
 // typically a handful of pivots instead of a full two-phase run.
 // Solution reports Iterations and whether the solve was warm.
+//
+// # One factorization per vertex
+//
+// The pivoted tableau carries the float drift of its whole pivot
+// history, so neither the optimality verdict nor the reported solution
+// is read from it. Both come from one LU factorization of the basis
+// matrix gathered from the never-pivoted constraint rows (factor): the
+// duals that certify optimality (exactEntering) and the primal values
+// that become Solution.X (extract) are two pairs of triangular solves
+// against it. The factorization is a pure function of the basis set
+// and the model, and it is kept until a pivot, a rebuild or a model
+// rewrite changes either — most warm re-solves along an α ladder take
+// no pivot at all and pay for the triangular solves only.
 package lp
 
 import (
@@ -184,28 +197,37 @@ type Solver struct {
 	posCol, negCol []int
 	slackCol       []int
 	artCol         []int
-	bcols          []int // extraction scratch: sorted basis columns
 
 	t tableau
 
 	// a0/b0 snapshot the normalized constraint rows (nonnegative RHS,
 	// slack/surplus/artificial columns in place) before any pivoting.
-	// They serve two drift-free roles: solution extraction solves
-	// A0_B·x_B = b0 with a deterministic elimination order, so two
-	// solves ending at the same optimal basis produce bit-identical
-	// solutions regardless of pivot path; and optimality certification
-	// recomputes reduced costs from the same original data
-	// (exactEntering), so the maintained tableau's accumulated float
-	// drift can cost extra pivots but never certify a suboptimal basis.
+	// The vertex factorization below is gathered from them, which makes
+	// everything derived from it drift-free: two solves ending at the
+	// same optimal basis produce bit-identical solutions regardless of
+	// pivot path, and the maintained tableau's accumulated float drift
+	// can cost extra pivots but never certify a suboptimal basis.
 	// Together these are the warm-started frontier sweep's
 	// cold-equivalence guarantee.
 	a0, b0 []float64
 	// sobj is the current objective mapped onto solver columns.
 	sobj []float64
-	// xcols holds per-solver-column values during extraction.
+
+	// lu is the canonical factorization of the current vertex:
+	// P·B = L·U in place (L unit-diagonal below, U on and above the
+	// diagonal), where B is a0 restricted to the basis columns in
+	// ascending order (bcols) and perm is P. luOK is false when B is
+	// numerically singular. The factorization stands until t.moved
+	// says the basis or the model changed (see factor).
+	lu    []float64
+	bcols []int
+	perm  []int
+	luOK  bool
+	// tri is the triangular solves' work vector; y holds the duals.
+	tri, y []float64
+	// xcols holds per-solver-column values during extraction and the
+	// certified reduced-cost row during exactEntering.
 	xcols []float64
-	// gaussA/gaussY are the m×m basis system and its RHS.
-	gaussA, gaussY []float64
 }
 
 // NewSolver creates a reusable solver for the problem's current
@@ -255,15 +277,17 @@ func (s *Solver) build() {
 
 	if !s.built {
 		// Slab 1: all integer state. Slab 2: all float state.
-		ints := make([]int, 2*p.numVars+2*m+m+m)
+		ints := make([]int, 2*p.numVars+5*m+total)
 		s.posCol, ints = ints[:p.numVars], ints[p.numVars:]
 		s.negCol, ints = ints[:p.numVars], ints[p.numVars:]
 		s.slackCol, ints = ints[:m], ints[m:]
 		s.artCol, ints = ints[:m], ints[m:]
-		basis := ints[:m]
-		s.bcols = ints[m : m+m]
+		basis, ints := ints[:m], ints[m:]
+		s.bcols, ints = ints[:m], ints[m:]
+		s.perm, ints = ints[:m], ints[m:]
+		nz := ints[:0:total]
 
-		floats := make([]float64, 2*(m*total)+2*m+4*total+m*m+m)
+		floats := make([]float64, 2*(m*total)+2*m+3*total+m*m+2*m)
 		a := floats[:m*total]
 		floats = floats[m*total:]
 		s.a0, floats = floats[:m*total], floats[m*total:]
@@ -272,10 +296,11 @@ func (s *Solver) build() {
 		red, floats := floats[:total], floats[total:]
 		s.sobj, floats = floats[:total], floats[total:]
 		s.xcols, floats = floats[:total], floats[total:]
-		s.gaussA, floats = floats[:m*m], floats[m*m:]
-		s.gaussY = floats[:m]
+		s.lu, floats = floats[:m*m], floats[m*m:]
+		s.tri, floats = floats[:m], floats[m:]
+		s.y = floats[:m]
 
-		s.t = tableau{m: m, stride: total, a: a, b: bvec, basis: basis, red: red}
+		s.t = tableau{m: m, stride: total, a: a, b: bvec, basis: basis, red: red, nz: nz}
 		s.built = true
 	} else {
 		// Rewind a previous solve: clear the matrix slab; every other
@@ -285,6 +310,7 @@ func (s *Solver) build() {
 	s.m, s.ncols, s.total, s.nArt = m, ncols, total, nArt
 	s.t.n = total
 	s.t.pivots = 0
+	s.t.moved = true
 	s.ready = false
 
 	col := 0
@@ -345,8 +371,8 @@ func (s *Solver) build() {
 			t.basis[r] = s.slackCol[r] // LE slack with +1 coefficient
 		}
 	}
-	// Snapshot the normalized pre-pivot system for deterministic
-	// solution extraction.
+	// Snapshot the normalized pre-pivot system for the vertex
+	// factorization.
 	copy(s.a0, t.a)
 	copy(s.b0, t.b)
 }
@@ -549,6 +575,7 @@ func (s *Solver) ReSolveModel(objective []float64, updates []ConstraintUpdate) (
 			row[s.artCol[r]] = 1
 		}
 	}
+	t.moved = true // the factorization was gathered from the old rows
 	if !s.refactorize() {
 		return s.coldSolve(objective)
 	}
@@ -584,17 +611,7 @@ func (s *Solver) refactorize() bool {
 	m := s.m
 	copy(t.a, s.a0)
 	copy(t.b, s.b0)
-	bcols := s.bcols
-	copy(bcols, t.basis)
-	for i := 1; i < m; i++ {
-		v := bcols[i]
-		j := i - 1
-		for j >= 0 && bcols[j] > v {
-			bcols[j+1] = bcols[j]
-			j--
-		}
-		bcols[j+1] = v
-	}
+	bcols := s.sortBasis()
 	pivots := t.pivots
 	assigned := make([]bool, m)
 	for k := 0; k < m; k++ {
@@ -642,24 +659,12 @@ func (s *Solver) setObjective(obj []float64) {
 	}
 }
 
-// extract materializes the optimal solution from the current basis.
-//
-// Rather than reading the pivoted tableau's RHS — whose low-order bits
-// depend on the entire pivot history — it re-solves the m×m basis
-// system A0_B·x_B = b0 against the original normalized rows with a
-// deterministic elimination order (columns sorted ascending, partial
-// pivoting with lowest-row tie-break). The extracted solution is
-// therefore a pure function of the basis *set*: a warm re-solve and a
-// cold solve that end at the same basis yield bit-identical X. Falls
-// back to the tableau RHS if the basis system is numerically singular.
-func (s *Solver) extract(obj []float64, iters int, warm bool) *Solution {
-	t := &s.t
-	m := s.m
-	clear(s.xcols)
+// sortBasis writes the basis columns into s.bcols in ascending order
+// (insertion sort: deterministic, allocation-free, m is tiny).
+func (s *Solver) sortBasis() []int {
 	bcols := s.bcols
-	copy(bcols, t.basis)
-	// Insertion sort: deterministic, allocation-free, m is tiny.
-	for i := 1; i < m; i++ {
+	copy(bcols, s.t.basis)
+	for i := 1; i < len(bcols); i++ {
 		v := bcols[i]
 		j := i - 1
 		for j >= 0 && bcols[j] > v {
@@ -668,9 +673,99 @@ func (s *Solver) extract(obj []float64, iters int, warm bool) *Solution {
 		}
 		bcols[j+1] = v
 	}
-	if s.solveBasisSystem() {
-		for k := 0; k < m; k++ {
-			s.xcols[bcols[k]] = s.gaussY[k]
+	return bcols
+}
+
+// factor makes s.lu the factorization of the current vertex and
+// reports whether the basis matrix is nonsingular. It refactorizes
+// only when t.moved says something changed since the last call: any
+// tableau.pivot (the basis set), build (everything) or ReSolveModel's
+// rewrite of a0/b0 (the model). The pivot counter cannot serve as the
+// key — refactorize restores it after re-deriving the tableau.
+func (s *Solver) factor() bool {
+	if s.t.moved {
+		s.t.moved = false
+		s.luOK = s.factorize()
+	}
+	return s.luOK
+}
+
+// factorize computes P·B = L·U in place in s.lu, where B is a0
+// restricted to the basis columns in ascending order: partial pivoting
+// with lowest-row tie-break, so the factors are a pure function of the
+// basis *set* and the model, never of the pivot path that reached the
+// basis. Row updates walk only the nonzero columns of the pivot row —
+// basis matrices here are mostly slack columns. Returns false on a
+// numerically singular matrix.
+func (s *Solver) factorize() bool {
+	m := s.m
+	A, perm, bcols := s.lu, s.perm, s.sortBasis()
+	for r := 0; r < m; r++ {
+		src := s.a0[r*s.total : r*s.total+s.total]
+		dst := A[r*m : r*m+m]
+		for k, col := range bcols {
+			dst[k] = src[col]
+		}
+		perm[r] = r
+	}
+	for col := 0; col < m; col++ {
+		piv := -1
+		best := 1e-12
+		for r := col; r < m; r++ {
+			if v := math.Abs(A[r*m+col]); v > best {
+				best = v
+				piv = r
+			}
+		}
+		if piv < 0 {
+			return false
+		}
+		pr := A[col*m : col*m+m]
+		if piv != col {
+			sw := A[piv*m : piv*m+m]
+			for j := range pr {
+				pr[j], sw[j] = sw[j], pr[j]
+			}
+			perm[col], perm[piv] = perm[piv], perm[col]
+		}
+		nz := s.t.nz[:0]
+		for j := col + 1; j < m; j++ {
+			if pr[j] != 0 {
+				nz = append(nz, j)
+			}
+		}
+		inv := 1 / pr[col]
+		for r := col + 1; r < m; r++ {
+			ar := A[r*m : r*m+m]
+			if ar[col] == 0 {
+				continue
+			}
+			f := ar[col] * inv
+			ar[col] = f
+			for _, j := range nz {
+				ar[j] -= f * pr[j]
+			}
+		}
+	}
+	return true
+}
+
+// extract materializes the optimal solution from the current basis.
+//
+// Rather than reading the pivoted tableau's RHS — whose low-order bits
+// depend on the entire pivot history — it solves B·x_B = b0 against
+// the vertex factorization (the one exactEntering just certified the
+// basis with): L·z = P·b0 forward, U·x_B = z backward. The extracted
+// solution is therefore a pure function of the basis *set*: a warm
+// re-solve and a cold solve that end at the same basis yield
+// bit-identical X. Falls back to the tableau RHS if the basis matrix
+// is numerically singular.
+func (s *Solver) extract(obj []float64, iters int, warm bool) *Solution {
+	t := &s.t
+	clear(s.xcols)
+	if s.factor() && s.solvePrimal() {
+		for k, col := range s.bcols {
+			s.xcols[col] = s.tri[k]
 		}
 	} else {
 		// Singular basis matrix (degenerate float corner): fall back to
@@ -695,65 +790,27 @@ func (s *Solver) extract(obj []float64, iters int, warm bool) *Solution {
 	return &Solution{X: x, Objective: objVal, Iterations: iters, Warm: warm}
 }
 
-// solveBasisSystem solves gaussA·y = gaussY in place, where gaussA is
-// the basis matrix gathered from the original rows (columns s.bcols,
-// sorted). Gaussian elimination with partial pivoting, ties broken by
-// lowest row index — fully deterministic. Returns false on a
-// numerically singular matrix.
-func (s *Solver) solveBasisSystem() bool {
-	m := s.m
-	if m == 0 {
-		return true
-	}
-	A, y := s.gaussA, s.gaussY
+// solvePrimal solves B·x = b0 against s.lu, leaving in s.tri[k] the
+// value of basis column bcols[k]. Both triangular solves read their
+// factor row by row. Returns false on a non-finite result (an
+// overflowed elimination), which the caller treats as singular.
+func (s *Solver) solvePrimal() bool {
+	m, A, z := s.m, s.lu, s.tri
 	for r := 0; r < m; r++ {
-		row := s.a0[r*s.total : r*s.total+s.total]
-		for k := 0; k < m; k++ {
-			A[r*m+k] = row[s.bcols[k]]
+		sum := s.b0[s.perm[r]]
+		for c, l := range A[r*m : r*m+r] {
+			sum -= l * z[c]
 		}
-		y[r] = s.b0[r]
+		z[r] = sum
 	}
-	for col := 0; col < m; col++ {
-		piv := -1
-		best := 1e-12
-		for r := col; r < m; r++ {
-			if v := math.Abs(A[r*m+col]); v > best {
-				best = v
-				piv = r
-			}
+	for r := m - 1; r >= 0; r-- {
+		row := A[r*m : r*m+m]
+		sum := z[r]
+		for c := r + 1; c < m; c++ {
+			sum -= row[c] * z[c]
 		}
-		if piv < 0 {
-			return false
-		}
-		if piv != col {
-			for j := col; j < m; j++ {
-				A[col*m+j], A[piv*m+j] = A[piv*m+j], A[col*m+j]
-			}
-			y[col], y[piv] = y[piv], y[col]
-		}
-		inv := 1 / A[col*m+col]
-		for j := col; j < m; j++ {
-			A[col*m+j] *= inv
-		}
-		y[col] *= inv
-		for r := 0; r < m; r++ {
-			if r == col {
-				continue
-			}
-			f := A[r*m+col]
-			if f == 0 {
-				continue
-			}
-			for j := col; j < m; j++ {
-				A[r*m+j] -= f * A[col*m+j]
-			}
-			y[r] -= f * y[col]
-		}
-	}
-	// y[k] is now the value of basis column bcols[k]. Reject wildly
-	// non-finite results (overflowed elimination) as singular.
-	for k := 0; k < m; k++ {
-		if math.IsNaN(y[k]) || math.IsInf(y[k], 0) {
+		z[r] = sum / row[r]
+		if math.IsNaN(z[r]) || math.IsInf(z[r], 0) {
 			return false
 		}
 	}
@@ -761,10 +818,9 @@ func (s *Solver) solveBasisSystem() bool {
 }
 
 // exactEntering certifies optimality against the original constraint
-// data: it factorizes the current basis matrix from a0 (LU with
-// partial pivoting, lowest-row tie-break — deterministic), solves
-// Bᵀ·y = c_B for the duals, recomputes every active column's reduced
-// cost c_j − yᵀ·a0_j, and returns the Bland-smallest column that still
+// data: with the vertex factorization P·B = L·U it solves Bᵀ·y = c_B
+// for the duals, recomputes every active column's reduced cost
+// c_j − yᵀ·a0_j, and returns the Bland-smallest column that still
 // improves, or −1 when the basis is genuinely optimal (or the basis
 // matrix is numerically singular, in which case the maintained
 // tableau's verdict stands).
@@ -778,89 +834,65 @@ func (s *Solver) solveBasisSystem() bool {
 func (s *Solver) exactEntering(obj []float64) int {
 	t := &s.t
 	m := s.m
-	if m == 0 {
+	if m == 0 || !s.factor() {
 		return -1
 	}
-	A, perm := s.gaussA, s.bcols
-	for r := 0; r < m; r++ {
-		row := s.a0[r*s.total : r*s.total+s.total]
-		for k := 0; k < m; k++ {
-			A[r*m+k] = row[t.basis[k]]
-		}
-		perm[r] = r
-	}
-	// LU factorization P·B = L·U in place (L unit-diagonal below, U on
-	// and above the diagonal).
-	for col := 0; col < m; col++ {
-		piv := -1
-		best := 1e-12
-		for r := col; r < m; r++ {
-			if v := math.Abs(A[r*m+col]); v > best {
-				best = v
-				piv = r
-			}
-		}
-		if piv < 0 {
-			return -1
-		}
-		if piv != col {
-			for j := 0; j < m; j++ {
-				A[col*m+j], A[piv*m+j] = A[piv*m+j], A[col*m+j]
-			}
-			perm[col], perm[piv] = perm[piv], perm[col]
-		}
-		inv := 1 / A[col*m+col]
-		for r := col + 1; r < m; r++ {
-			f := A[r*m+col] * inv
-			if f == 0 {
-				continue
-			}
-			A[r*m+col] = f
-			for j := col + 1; j < m; j++ {
-				A[r*m+j] -= f * A[col*m+j]
-			}
+	// Bᵀ = Uᵀ·Lᵀ·P: solve Uᵀ·a = c_B (forward), Lᵀ·w = a (backward),
+	// then y[perm[r]] = w[r]. Both solves run column-oriented over the
+	// transposed factor, i.e. along the rows lu is stored by, and skip
+	// the zero multipliers a slack-heavy c_B is full of.
+	A, v := s.lu, s.tri
+	for k, col := range s.bcols {
+		v[k] = 0
+		if col < len(obj) {
+			v[k] = obj[col]
 		}
 	}
-	// Solve Bᵀy = c_B, where c_B[k] = obj[basis[k]]. With P·B = L·U:
-	// Bᵀ = Uᵀ·Lᵀ·P, so solve Uᵀ·a = c_B (forward), Lᵀ·w = a
-	// (backward), then y[perm[r]] = w[r].
-	v := s.gaussY
-	for k := 0; k < m; k++ {
-		if bi := t.basis[k]; bi >= 0 && bi < len(obj) {
-			v[k] = obj[bi]
-		} else {
-			v[k] = 0
+	for c := 0; c < m; c++ {
+		row := A[c*m : c*m+m]
+		a := v[c] / row[c]
+		v[c] = a
+		if a == 0 {
+			continue
+		}
+		for r := c + 1; r < m; r++ {
+			v[r] -= row[r] * a
 		}
 	}
-	for r := 0; r < m; r++ {
-		sum := v[r]
-		for c := 0; c < r; c++ {
-			sum -= A[c*m+r] * v[c]
+	for c := m - 1; c > 0; c-- {
+		w := v[c]
+		if w == 0 {
+			continue
 		}
-		v[r] = sum / A[r*m+r]
+		for r, l := range A[c*m : c*m+c] {
+			v[r] -= l * w
+		}
 	}
-	for r := m - 1; r >= 0; r-- {
-		sum := v[r]
-		for c := r + 1; c < m; c++ {
-			sum -= A[c*m+r] * v[c]
-		}
-		v[r] = sum
+	y := s.y
+	for r, pr := range s.perm {
+		y[pr] = v[r]
 	}
-	y := s.xcols[:m] // xcols is free outside extract
-	for r := 0; r < m; r++ {
-		y[perm[r]] = v[r]
+	// Drift-free reduced costs, accumulated row-major over a0 (for each
+	// column the rows are still subtracted in ascending order), then
+	// Bland's scan over the active columns.
+	red := s.xcols[:t.n] // xcols is free outside extract; obj spans t.n
+	copy(red, obj)
+	for r, yr := range y {
+		if yr == 0 {
+			continue
+		}
+		for j, a := range s.a0[r*s.total : r*s.total+t.n] {
+			red[j] -= yr * a
+		}
 	}
-	// Bland scan over active columns with drift-free reduced costs.
-	for j := 0; j < t.n; j++ {
-		var c float64
-		if j < len(obj) {
-			c = obj[j]
-		}
-		red := c
-		for r := 0; r < m; r++ {
-			red -= y[r] * s.a0[r*s.total+j]
-		}
-		if red < -eps {
+	return firstImproving(red)
+}
+
+// firstImproving returns the smallest column whose reduced cost is
+// below −eps (Bland's entering rule), or −1.
+func firstImproving(red []float64) int {
+	for j, v := range red {
+		if v < -eps {
 			return j
 		}
 	}
@@ -882,6 +914,12 @@ type tableau struct {
 	red []float64
 	// pivots counts Gauss–Jordan pivots across all optimize calls.
 	pivots int
+	// moved is set by every pivot (and by the Solver when it rebuilds or
+	// rewrites the model): the vertex is no longer the one the Solver
+	// last factorized. Solver.factor clears it.
+	moved bool
+	// nz is scratch for the nonzero columns of a pivot row.
+	nz []int
 }
 
 // row returns the full backing row r (stride wide).
@@ -895,13 +933,18 @@ func (t *tableau) arow(r int) []float64 {
 }
 
 // pivot performs a Gauss–Jordan pivot on (row, col) and updates basis.
-// Only active columns are touched.
+// Only active columns are touched, and of those only the pivot row's
+// nonzeros: a sizing LP's pivot row is under a third full, and a zero
+// there leaves the column unchanged in every other row.
 func (t *tableau) pivot(row, col int) {
 	pr := t.arow(row)
-	pv := pr[col]
-	inv := 1 / pv
-	for j := range pr {
-		pr[j] *= inv
+	inv := 1 / pr[col]
+	nz := t.nz[:0]
+	for j, v := range pr {
+		if v != 0 {
+			pr[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
 	t.b[row] *= inv
 	pr[col] = 1 // kill residual rounding
@@ -914,7 +957,7 @@ func (t *tableau) pivot(row, col int) {
 		if f == 0 {
 			continue
 		}
-		for j := range ar {
+		for _, j := range nz {
 			ar[j] -= f * pr[j]
 		}
 		ar[col] = 0
@@ -922,6 +965,7 @@ func (t *tableau) pivot(row, col int) {
 	}
 	t.basis[row] = col
 	t.pivots++
+	t.moved = true
 }
 
 // recomputeReduced rebuilds the reduced-cost row and the objective
@@ -976,24 +1020,15 @@ func (t *tableau) optimize(obj []float64, cert *Solver) (float64, error) {
 	sinceRefresh := 0
 	const maxIter = 100000
 	for iter := 0; iter < maxIter; iter++ {
-		// Entering column: smallest index with reduced cost < −eps.
-		enter := -1
-		for j := range red {
-			if red[j] < -eps {
-				enter = j
-				break
-			}
-		}
+		enter := firstImproving(red)
 		if enter < 0 {
 			// No candidate under the maintained costs: confirm against a
-			// fresh rebuild before declaring optimality.
-			z = t.recomputeReduced(obj)
-			sinceRefresh = 0
-			for j := range red {
-				if red[j] < -eps {
-					enter = j
-					break
-				}
+			// fresh rebuild before declaring optimality — unless no pivot
+			// has run since the last one, which would rebuild the same row.
+			if sinceRefresh > 0 {
+				z = t.recomputeReduced(obj)
+				sinceRefresh = 0
+				enter = firstImproving(red)
 			}
 			if enter < 0 && cert != nil {
 				// The maintained tableau says optimal; make the verdict

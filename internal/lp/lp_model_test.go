@@ -1,8 +1,11 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -96,6 +99,7 @@ func TestReSolveModelMatchesColdSizing(t *testing.T) {
 		if sol.Warm {
 			warmCount++
 		}
+		checkOptimal(t, prob, newObj, sol, sv.Basis())
 
 		coldProb, _ := sizingProblem(t, slopes, intercepts, alpha)
 		coldProb.obj = newObj
@@ -233,6 +237,7 @@ func TestReSolveModelGeneralChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		checkOptimal(t, prob, obj, sol, sv.Basis())
 		coldProb, _ := build(a, b, c)
 		coldProb.cons[1].coeffs[1] = ups[1].Coeffs[1]
 		cold, err := coldProb.Solve()
@@ -298,4 +303,154 @@ func TestReSolveModelValidation(t *testing.T) {
 	if sol.Warm || math.Abs(sol.X[0]-4) > 1e-9 {
 		t.Fatalf("cold fallback: warm=%v x=%v, want cold x=4", sol.Warm, sol.X[0])
 	}
+}
+
+// freshSolve solves p's current model under obj on a new Solver: the
+// answer no retained state can have touched.
+func freshSolve(t *testing.T, p *Problem, obj []float64) *Solution {
+	t.Helper()
+	cp := mustProblem(t, obj)
+	copy(cp.free, p.free)
+	for _, c := range p.cons {
+		addCon(t, cp, c.coeffs, c.op, c.rhs)
+	}
+	sol, err := cp.NewSolver().Solve()
+	if err != nil {
+		t.Fatalf("fresh solve: %v", err)
+	}
+	return sol
+}
+
+func sameAnswer(t *testing.T, label string, got, want *Solution) {
+	t.Helper()
+	if !reflect.DeepEqual(got.X, want.X) || got.Objective != want.Objective {
+		t.Errorf("%s: X %v objective %v, a fresh solver gives X %v objective %v",
+			label, got.X, got.Objective, want.X, want.Objective)
+	}
+}
+
+// TestFactorizationNeverStale walks the ways the retained vertex
+// factorization could outlive the vertex or the model it was computed
+// for; every answer must equal a fresh Solver's bit for bit.
+func TestFactorizationNeverStale(t *testing.T) {
+	t.Run("model rewritten under an unchanged basis set", func(t *testing.T) {
+		// refactorize re-derives the tableau with m pivots and then
+		// restores the pivot counter, so counter and basis set both read
+		// "nothing happened" while a0/b0 hold new coefficients.
+		slopes := []float64{4, 3, 2, 1, 4.1, 3.1, 2.1, 1.1}
+		intercepts := []float64{0, 0.05, 0.1, 0.15, 0, 0.05, 0.1, 0.15}
+		prob, obj := sizingProblem(t, slopes, intercepts, 0.9)
+		sv := prob.NewSolver()
+		if _, err := sv.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		sol, err := sv.ReSolve(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswer(t, "ReSolve", sol, freshSolve(t, prob, obj))
+		before, pivots := sortedInts(sv.Basis()), sv.t.pivots
+		for i := range slopes {
+			slopes[i] *= 1.001
+			intercepts[i] *= 0.999
+		}
+		sol, err = sv.ReSolveModel(obj, sizingUpdates(len(slopes), slopes, intercepts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Warm || sol.Iterations != 0 || sv.t.pivots != pivots || !reflect.DeepEqual(sortedInts(sv.Basis()), before) {
+			t.Fatalf("warm=%v iterations=%d pivots %d→%d basis %v→%v: the update no longer keeps the vertex, pick a smaller one",
+				sol.Warm, sol.Iterations, pivots, sv.t.pivots, before, sortedInts(sv.Basis()))
+		}
+		sameAnswer(t, "ReSolveModel", sol, freshSolve(t, prob, obj))
+		checkOptimal(t, prob, obj, sol, sv.Basis())
+	})
+
+	t.Run("warm to cold through build", func(t *testing.T) {
+		prob := mustProblem(t, []float64{-1, -2})
+		addCon(t, prob, []float64{1, 1}, LE, 10)
+		addCon(t, prob, []float64{0, 1}, LE, 20)
+		sv := prob.NewSolver()
+		if _, err := sv.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		// x₂ ≤ 4 cuts the retained vertex (0, 10) off: cold rebuild.
+		obj := []float64{-1, -2}
+		sol, err := sv.ReSolveModel(obj, []ConstraintUpdate{{Row: 1, Coeffs: []float64{0, 1}, RHS: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Warm {
+			t.Fatal("an infeasible retained basis must force a cold solve")
+		}
+		sameAnswer(t, "cold fallback", sol, freshSolve(t, prob, obj))
+		obj = []float64{1, -1}
+		if sol, err = sv.ReSolve(obj); err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Warm {
+			t.Error("ReSolve after the rebuild ran cold")
+		}
+		sameAnswer(t, "ReSolve after the rebuild", sol, freshSolve(t, prob, obj))
+	})
+
+	t.Run("unbounded then bounded", func(t *testing.T) {
+		prob := mustProblem(t, []float64{1, 1})
+		addCon(t, prob, []float64{1, 0}, LE, 4)
+		addCon(t, prob, []float64{1, 1}, GE, 1)
+		sv := prob.NewSolver()
+		if _, err := sv.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		// x₂ is unbounded above; whatever pivots ran before simplex saw
+		// that have moved the vertex.
+		if _, err := sv.ReSolve([]float64{0, -1}); !errors.Is(err, ErrUnbounded) {
+			t.Fatalf("err = %v, want ErrUnbounded", err)
+		}
+		obj := []float64{-1, 1}
+		sol, err := sv.ReSolve(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Warm {
+			t.Error("basis lost after the unbounded re-solve")
+		}
+		sameAnswer(t, "ReSolve after ErrUnbounded", sol, freshSolve(t, prob, obj))
+		checkOptimal(t, prob, obj, sol, sv.Basis())
+	})
+
+	t.Run("singular basis matrix", func(t *testing.T) {
+		// B = [[1e-7, 0], [1, 1e-7]] is reachable by simplex (both tableau
+		// pivots are 1e-7 > eps) but partial pivoting meets 1e-14 on the
+		// second column: no factorization, so optimality rests on the
+		// tableau's verdict and X on the tableau's right-hand side.
+		prob := mustProblem(t, []float64{-1e8, -1})
+		addCon(t, prob, []float64{1e-7, 0}, LE, 1)
+		addCon(t, prob, []float64{1, 1e-7}, LE, 2e7)
+		sv := prob.NewSolver()
+		sol, err := sv.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.luOK {
+			t.Fatal("basis matrix factorized; the case no longer reaches the fallback")
+		}
+		if !approx(sol.X[0], 1e7, 1) || !approx(sol.X[1], 1e14, 1e7) {
+			t.Errorf("X = %v, want [1e7 1e14] from the tableau", sol.X)
+		}
+		sameAnswer(t, "Solve", sol, freshSolve(t, prob, prob.obj))
+		again, err := sv.ReSolve(prob.obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Warm || again.Iterations != 0 {
+			t.Errorf("ReSolve at the optimum: warm=%v iterations=%d", again.Warm, again.Iterations)
+		}
+		sameAnswer(t, "ReSolve", again, sol)
+	})
+}
+
+func sortedInts(v []int) []int {
+	sort.Ints(v)
+	return v
 }

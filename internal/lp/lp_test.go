@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 )
@@ -333,7 +334,8 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 			addCon(t, p, coeffs, LE, 50)
 			cons = append(cons, constraint{coeffs, LE, 50})
 		}
-		s, err := p.Solve()
+		sv := p.NewSolver()
+		s, err := sv.Solve()
 		want, feasible := bruteForce(obj, cons)
 		if !feasible {
 			if !errors.Is(err, ErrInfeasible) {
@@ -348,6 +350,7 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 		if !approx(s.Objective, want, 1e-5) {
 			t.Errorf("trial %d: solver %v, brute force %v", trial, s.Objective, want)
 		}
+		checkOptimal(t, p, obj, s, sv.Basis())
 	}
 }
 
@@ -490,5 +493,185 @@ func BenchmarkSolve16Nodes(b *testing.B) {
 		if _, err := p.Solve(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// referenceX is the extraction the solver used before the vertex
+// factorization served both jobs, kept here as the reference: it
+// gathers the basis matrix from a0 (columns ascending), solves
+// B·x_B = b0 by Gauss–Jordan elimination with partial pivoting
+// (lowest-row tie-break), and maps x_B back to problem coordinates.
+// Returns false on a numerically singular basis matrix.
+func referenceX(s *Solver) ([]float64, bool) {
+	m := s.m
+	bcols := append([]int(nil), s.t.basis...)
+	sort.Ints(bcols)
+	A := make([]float64, m*m)
+	y := make([]float64, m)
+	for r := 0; r < m; r++ {
+		for k, col := range bcols {
+			A[r*m+k] = s.a0[r*s.total+col]
+		}
+		y[r] = s.b0[r]
+	}
+	for col := 0; col < m; col++ {
+		piv := -1
+		best := 1e-12
+		for r := col; r < m; r++ {
+			if v := math.Abs(A[r*m+col]); v > best {
+				best = v
+				piv = r
+			}
+		}
+		if piv < 0 {
+			return nil, false
+		}
+		if piv != col {
+			for j := col; j < m; j++ {
+				A[col*m+j], A[piv*m+j] = A[piv*m+j], A[col*m+j]
+			}
+			y[col], y[piv] = y[piv], y[col]
+		}
+		inv := 1 / A[col*m+col]
+		for j := col; j < m; j++ {
+			A[col*m+j] *= inv
+		}
+		y[col] *= inv
+		for r := 0; r < m; r++ {
+			if r == col {
+				continue
+			}
+			f := A[r*m+col]
+			if f == 0 {
+				continue
+			}
+			for j := col; j < m; j++ {
+				A[r*m+j] -= f * A[col*m+j]
+			}
+			y[r] -= f * y[col]
+		}
+	}
+	xcols := make([]float64, s.total)
+	for k, col := range bcols {
+		if math.IsNaN(y[k]) || math.IsInf(y[k], 0) {
+			return nil, false
+		}
+		xcols[col] = y[k]
+	}
+	x := make([]float64, s.p.numVars)
+	for i := range x {
+		x[i] = xcols[s.posCol[i]]
+		if s.negCol[i] >= 0 {
+			x[i] -= xcols[s.negCol[i]]
+		}
+	}
+	return x, true
+}
+
+// checkAgainstReference holds sol.X, extracted from the vertex
+// factorization, against referenceX at the solver's current basis —
+// they may differ in rounding only, 1e-12 relative to the largest
+// component — and returns the reference.
+func checkAgainstReference(t testing.TB, s *Solver, sol *Solution) []float64 {
+	t.Helper()
+	ref, ok := referenceX(s)
+	if !ok {
+		t.Fatal("reference extraction found the basis matrix singular")
+	}
+	scale := 1.0
+	for _, v := range ref {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for i := range ref {
+		if d := math.Abs(sol.X[i] - ref[i]); d > 1e-12*scale {
+			t.Errorf("X[%d] = %v, Gauss–Jordan reference %v (|Δ| %.3g > 1e-12·%.3g)", i, sol.X[i], ref[i], d, scale)
+		}
+	}
+	return ref
+}
+
+func TestExtractionMatchesGaussJordanReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	check := func(name string, p *Problem, objs [][]float64) {
+		t.Helper()
+		s := p.NewSolver()
+		sol, err := s.Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkAgainstReference(t, s, sol)
+		checkOptimal(t, p, p.obj, sol, s.Basis())
+		for _, obj := range objs {
+			if sol, err = s.ReSolve(obj); err != nil {
+				t.Fatalf("%s: ReSolve: %v", name, err)
+			}
+			checkAgainstReference(t, s, sol)
+			checkOptimal(t, p, obj, sol, s.Basis())
+		}
+	}
+	// Paper-shaped: the α ladder over seeded node counts and totals.
+	for trial := 0; trial < 10; trial++ {
+		p := 2 + rng.Intn(40)
+		var objs [][]float64
+		for _, alpha := range alphaLadder {
+			objs = append(objs, paperObj(p, alpha))
+		}
+		check("paper", paperLP(p, 0.5, 1e3+rng.Float64()*1e6), objs)
+	}
+	// Degenerate: several constraints meet at the optimal vertex, and
+	// one row repeats another (an artificial stays basic at zero).
+	for trial := 0; trial < 10; trial++ {
+		n := 3 + rng.Intn(3)
+		obj := make([]float64, n)
+		ones := make([]float64, n)
+		for i := range obj {
+			obj[i] = -1 - math.Round(rng.Float64()*4)
+			ones[i] = 1
+		}
+		p := mustProblem(t, obj)
+		for i := 0; i < n; i++ {
+			row := make([]float64, n)
+			row[i] = 1
+			addCon(t, p, row, LE, 4)
+			row[(i+1)%n] = 1
+			addCon(t, p, row, LE, 8)
+		}
+		addCon(t, p, ones, EQ, float64(4*n))
+		addCon(t, p, ones, EQ, float64(4*n))
+		reobj := make([]float64, n)
+		for i := range reobj {
+			reobj[i] = math.Round(rng.Float64()*10 - 5)
+		}
+		check("degenerate", p, [][]float64{reobj})
+	}
+	// Free variables, mixed operators, negative right-hand sides.
+	for trial := 0; trial < 20; trial++ {
+		n := 3 + rng.Intn(3)
+		obj := make([]float64, n)
+		for i := range obj {
+			obj[i] = math.Round(rng.Float64()*10-5) / 2
+		}
+		p := mustProblem(t, obj)
+		if err := p.SetFree(n - 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ { // a box keeps every objective bounded
+			row := make([]float64, n)
+			row[i] = 1
+			addCon(t, p, row, LE, 10+math.Round(rng.Float64()*10))
+			addCon(t, p, row, GE, -math.Round(rng.Float64()*5)*float64(i/(n-1)))
+		}
+		for c := 0; c < 2; c++ {
+			row := make([]float64, n)
+			for i := range row {
+				row[i] = math.Round(rng.Float64()*8-2) / 2
+			}
+			addCon(t, p, row, LE, 5+math.Round(rng.Float64()*20))
+		}
+		reobj := make([]float64, n)
+		for i := range reobj {
+			reobj[i] = math.Round(rng.Float64()*10-5) / 2
+		}
+		check("free", p, [][]float64{reobj})
 	}
 }

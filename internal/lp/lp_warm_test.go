@@ -191,6 +191,7 @@ func TestReSolveRandomObjectives(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d obj %d: ReSolve: %v", trial, k, err)
 			}
+			checkOptimal(t, p, obj, ws, s.Basis())
 			cp := mustProblem(t, obj)
 			for _, c := range p.cons {
 				addCon(t, cp, c.coeffs, c.op, c.rhs)

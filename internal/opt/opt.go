@@ -214,27 +214,29 @@ func buildSizingLP(nodes []NodeModel, total int, alpha, vScale, eScale float64, 
 	if err != nil {
 		return nil, fmt.Errorf("opt: %w", err)
 	}
+	// One scratch row, cleared between constraints: AddConstraint copies.
+	row := make([]float64, p+1)
 	for i, n := range nodes {
 		// m_i·total·s_i − v ≤ −c_i
-		row := make([]float64, p+1)
+		clear(row)
 		row[i] = n.Time.Slope * float64(total)
 		row[p] = -1
 		if err := prob.AddConstraint(row, lp.LE, -n.Time.Intercept); err != nil {
 			return nil, fmt.Errorf("opt: %w", err)
 		}
 		if cons.MinSize > 0 {
-			floor := make([]float64, p+1)
-			floor[i] = 1
-			if err := prob.AddConstraint(floor, lp.GE, cons.MinSize/float64(total)); err != nil {
+			clear(row)
+			row[i] = 1
+			if err := prob.AddConstraint(row, lp.GE, cons.MinSize/float64(total)); err != nil {
 				return nil, fmt.Errorf("opt: %w", err)
 			}
 		}
 	}
-	sum := make([]float64, p+1)
-	for i := 0; i < p; i++ {
-		sum[i] = 1
+	for i := range row {
+		row[i] = 1
 	}
-	if err := prob.AddConstraint(sum, lp.EQ, 1); err != nil {
+	row[p] = 0
+	if err := prob.AddConstraint(row, lp.EQ, 1); err != nil {
 		return nil, fmt.Errorf("opt: %w", err)
 	}
 	return prob, nil
