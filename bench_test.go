@@ -399,7 +399,7 @@ func BenchmarkAblationExactFrontier(b *testing.B) {
 	}
 	b.Run("sampled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts, err := opt.Frontier(nodes, 1_000_000, opt.DefaultAlphaSweep())
+			pts, err := Frontier(nodes, 1_000_000, DefaultAlphaSweep())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -408,7 +408,7 @@ func BenchmarkAblationExactFrontier(b *testing.B) {
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts, err := opt.ExactFrontier(nodes, 1_000_000, 1e-6)
+			pts, err := ExactFrontier(nodes, 1_000_000, 1e-6)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -48,6 +48,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -58,7 +59,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1, fig2, fig3, fig4, table2, table3, fig5, fig6, all)")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(bench.Experiments(), ", ")+", all)")
 		scale    = flag.String("scale", "small", "dataset scale: small | paper")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		snapshot = flag.String("snapshot", "", "write the final telemetry snapshot as JSON to this file (\"-\" = stdout)")
@@ -70,17 +71,17 @@ func main() {
 		fTotal       = flag.Int("frontier-total", 1_000_000, "frontier: total data units to partition")
 		serve        = flag.String("serve", "", "serve /frontier and telemetry on this address (e.g. :8080) after printing")
 
-		simMode       = flag.Bool("sim", false, "run the discrete-event cluster simulator instead of experiments")
-		simNodes      = flag.Int("sim-nodes", 16, "sim: number of paper-shaped nodes")
-		simPolicy     = flag.String("sim-policy", "greedy-stealing", "sim: scheduling policy (round-robin, least-loaded, weighted-scoring, greedy-stealing)")
-		simArrivals   = flag.String("sim-arrivals", "poisson", "sim: arrival process (poisson, uniform, bursty)")
-		simRate       = flag.Float64("sim-rate", 100, "sim: mean arrival rate, tasks per virtual second")
-		simDuration   = flag.Float64("sim-duration", 600, "sim: arrival window, virtual seconds")
-		simCost       = flag.Float64("sim-cost", 2e5, "sim: mean abstract cost per task")
-		simOffset     = flag.Float64("sim-offset", 0, "sim: start offset into the solar traces, seconds")
-		simSeed       = flag.Int64("sim-seed", 1, "sim: workload generator seed")
-		simTrace      = flag.String("sim-trace", "", "sim: replay a recorded JSONL task trace instead of generating")
-		simDecisions  = flag.String("sim-decisions", "", "sim: write the per-decision trace to this JSONL file (\"-\" = stdout)")
+		simMode      = flag.Bool("sim", false, "run the discrete-event cluster simulator instead of experiments")
+		simNodes     = flag.Int("sim-nodes", 16, "sim: number of paper-shaped nodes")
+		simPolicy    = flag.String("sim-policy", "greedy-stealing", "sim: scheduling policy (round-robin, least-loaded, weighted-scoring, greedy-stealing)")
+		simArrivals  = flag.String("sim-arrivals", "poisson", "sim: arrival process (poisson, uniform, bursty)")
+		simRate      = flag.Float64("sim-rate", 100, "sim: mean arrival rate, tasks per virtual second")
+		simDuration  = flag.Float64("sim-duration", 600, "sim: arrival window, virtual seconds")
+		simCost      = flag.Float64("sim-cost", 2e5, "sim: mean abstract cost per task")
+		simOffset    = flag.Float64("sim-offset", 0, "sim: start offset into the solar traces, seconds")
+		simSeed      = flag.Int64("sim-seed", 1, "sim: workload generator seed")
+		simTrace     = flag.String("sim-trace", "", "sim: replay a recorded JSONL task trace instead of generating")
+		simDecisions = flag.String("sim-decisions", "", "sim: write the per-decision trace to this JSONL file (\"-\" = stdout)")
 
 		replanMode      = flag.Bool("replan", false, "drive the incremental online replanning loop instead of experiments")
 		replanRecords   = flag.Int("replan-records", 50_000, "replan: seed corpus size in records")

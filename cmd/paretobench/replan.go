@@ -104,7 +104,7 @@ func runReplan(opts replanOpts) error {
 		opts.records, opts.topics, opts.nodes, coldPlan.Round(time.Millisecond))
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "cycle\tkind\tdirty\tlp\tprofile runs\tcache hits\tplaced\tmoved\tdeferred\telapsed")
+	fmt.Fprintln(w, "cycle\tkind\tdirty\tlp\tprofile runs\tplaced\tmoved\tdeferred\telapsed")
 	var incTotal time.Duration
 	var incCycles int
 	for c := 1; c <= opts.cycles; c++ {
@@ -124,9 +124,9 @@ func runReplan(opts replanOpts) error {
 				lp = "warm"
 			}
 		}
-		fmt.Fprintf(w, "%d\t%s\t%d/%d\t%s\t%d\t%d\t%d\t%d\t%d\t%v\n",
+		fmt.Fprintf(w, "%d\t%s\t%d/%d\t%s\t%d\t%d\t%d\t%d\t%v\n",
 			c, rep.Kind, len(rep.Dirty), l.Tracker().K(), lp,
-			rep.ProfileRuns, rep.ProfileCacheHits, rep.Placements,
+			rep.ProfileRuns, rep.Placements,
 			rep.MovesApplied, rep.MovesDeferred, rep.Elapsed.Round(time.Microsecond))
 		if rep.Kind == replan.CycleIncremental {
 			incTotal += rep.Elapsed

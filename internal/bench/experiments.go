@@ -7,7 +7,6 @@ import (
 
 	"pareto/internal/cluster"
 	"pareto/internal/core"
-	"pareto/internal/opt"
 	"pareto/internal/strata"
 	"pareto/internal/telemetry"
 )
@@ -64,9 +63,10 @@ func DefaultOptions() Options {
 	return Options{Alpha: 0.995, TraceOffset: 12 * 3600, MinPartitionFrac: 0.25}
 }
 
-// strategiesFor returns the paper's three strategies at the given α.
-func strategiesFor(w Workload, o Options) []core.Config {
-	base := core.Config{
+// baseConfig is the pipeline configuration every experiment shares for
+// a workload; callers set Strategy (and Alpha) on a copy.
+func baseConfig(w Workload, o Options) core.Config {
+	return core.Config{
 		Scheme:              w.Scheme(),
 		Stratifier:          o.Stratifier,
 		SampleSeed:          o.Seed,
@@ -75,6 +75,11 @@ func strategiesFor(w Workload, o Options) []core.Config {
 		MinPartitionRecords: w.MinPartitionRecords(),
 		Telemetry:           o.Telemetry,
 	}
+}
+
+// strategiesFor returns the paper's three strategies at the given α.
+func strategiesFor(w Workload, o Options) []core.Config {
+	base := baseConfig(w, o)
 	strat := base
 	strat.Strategy = core.Stratified
 	het := base
@@ -162,15 +167,7 @@ func MeasureFrontier(w Workload, cl *cluster.Cluster, alphas []float64, o Option
 		return nil, errNoWorkload
 	}
 	rows := make([]FrontierRow, 0, len(alphas)+1)
-	base := core.Config{
-		Scheme:              w.Scheme(),
-		Stratifier:          o.Stratifier,
-		SampleSeed:          o.Seed,
-		TraceOffset:         o.TraceOffset,
-		MinPartitionFrac:    o.MinPartitionFrac,
-		MinPartitionRecords: w.MinPartitionRecords(),
-		Telemetry:           o.Telemetry,
-	}
+	base := baseConfig(w, o)
 	for _, a := range alphas {
 		cfg := base
 		if a >= 1 {
@@ -198,28 +195,6 @@ func MeasureFrontier(w Workload, cl *cluster.Cluster, alphas []float64, o Option
 	}
 	rows = append(rows, FrontierRow{Alpha: -1, TimeSec: row.TimeSec, DirtyJ: row.DirtyJ, Baseline: true})
 	return rows, nil
-}
-
-// PredictFrontier returns the modeler's predicted frontier without
-// executing the workload per α — one profile pass, many LP solves.
-// It is the cheap companion to MeasureFrontier.
-func PredictFrontier(w Workload, cl *cluster.Cluster, alphas []float64, o Options) ([]opt.FrontierPoint, error) {
-	if w == nil {
-		return nil, errNoWorkload
-	}
-	cfg := core.Config{
-		Strategy:    core.HetAware,
-		Scheme:      w.Scheme(),
-		Stratifier:  o.Stratifier,
-		SampleSeed:  o.Seed,
-		TraceOffset: o.TraceOffset,
-		Telemetry:   o.Telemetry,
-	}
-	plan, err := core.BuildPlan(w.Corpus(), cl, w.Profile, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return opt.Frontier(plan.Models, w.Corpus().Len(), alphas)
 }
 
 // Improvement returns the relative reduction of b versus a: (a−b)/a.

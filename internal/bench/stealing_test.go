@@ -6,6 +6,7 @@ import (
 	"pareto/internal/core"
 	"pareto/internal/datasets"
 	"pareto/internal/pivots"
+	"pareto/internal/sampling"
 )
 
 func TestStealingScheduleBalancesButInflatesWork(t *testing.T) {
@@ -99,7 +100,18 @@ func TestStealingScheduleGreedyProperty(t *testing.T) {
 	}
 }
 
-func TestMeasureOverhead(t *testing.T) {
+// countedProfile counts Profile calls on the workload it wraps.
+type countedProfile struct {
+	Workload
+	calls int
+}
+
+func (c *countedProfile) Profile(indices []int) (float64, error) {
+	c.calls++
+	return c.Workload.Profile(indices)
+}
+
+func TestPlanOverhead(t *testing.T) {
 	cfg := datasets.RCV1Like(0.0006)
 	docs, _, err := datasets.GenerateText(cfg)
 	if err != nil {
@@ -109,33 +121,48 @@ func TestMeasureOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &TextMining{Docs: corpus, SupportFrac: 0.15, MaxLen: 2}
+	w := &countedProfile{Workload: &TextMining{Docs: corpus, SupportFrac: 0.15, MaxLen: 2}}
 	cl := tinyCluster(t, 4)
 	o := DefaultOptions()
-	ov, err := MeasureOverhead(w, cl, o)
+	sum, wall, makespan, err := planOverhead(w, cl, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov.Stratify <= 0 || ov.Profile <= 0 || ov.Optimize <= 0 {
-		t.Errorf("phase durations: %+v", ov)
+	stages := make(map[string]float64)
+	total := 0.0
+	for _, st := range sum.Stages {
+		stages[st.Name] = st.Ms
+		total += st.Ms
 	}
-	if ov.StratifyStats.Iterations == 0 || ov.StratifyStats.SketchTime <= 0 {
-		t.Errorf("stratify breakdown missing: %+v", ov.StratifyStats)
+	for _, name := range []string{"stratify", "profile", "optimize"} {
+		if stages[name] <= 0 {
+			t.Errorf("stage %q took %v ms: %+v", name, stages[name], sum.Stages)
+		}
 	}
-	if ov.StratifyStats.SketchTime+ov.StratifyStats.ClusterTime > ov.Stratify {
-		t.Errorf("stage breakdown %v+%v exceeds phase total %v",
-			ov.StratifyStats.SketchTime, ov.StratifyStats.ClusterTime, ov.Stratify)
+	if sum.StratifyIterations == 0 || sum.StratifySketchMs <= 0 {
+		t.Errorf("stratify breakdown missing: %+v", sum)
 	}
-	if ov.Total != ov.Stratify+ov.Profile+ov.Optimize {
-		t.Error("total does not add up")
+	if sum.StratifySketchMs+sum.StratifyClusterMs > stages["stratify"] {
+		t.Errorf("stage breakdown %v+%v ms exceeds the stratify stage's %v ms",
+			sum.StratifySketchMs, sum.StratifyClusterMs, stages["stratify"])
 	}
-	if ov.JobTimeSec <= 0 {
+	if wallMs := float64(wall.Nanoseconds()) / 1e6; total > wallMs {
+		t.Errorf("stages sum to %v ms, more than the plan's %v ms wall-clock", total, wallMs)
+	}
+	if makespan <= 0 {
 		t.Error("no job time")
 	}
-	if ov.String() == "" {
-		t.Error("empty rendering")
+	// The plan the report times is the plan it runs: one BuildPlan, so one
+	// profile call per rung of the sample ladder.
+	ladder, err := sampling.ScheduleWithFloor(corpus.Len(),
+		sampling.DefaultMinFrac, sampling.DefaultMaxFrac, sampling.DefaultSteps, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := MeasureOverhead(nil, cl, o); err == nil {
+	if w.calls != len(ladder) {
+		t.Errorf("%d profile calls for a %d-rung ladder: the report planned more than once", w.calls, len(ladder))
+	}
+	if _, _, _, err := planOverhead(nil, cl, o); err == nil {
 		t.Error("nil workload accepted")
 	}
 }

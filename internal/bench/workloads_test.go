@@ -198,7 +198,4 @@ func TestRunStrategyNilWorkload(t *testing.T) {
 	if _, err := MeasureFrontier(nil, cl, []float64{1}, DefaultOptions()); err == nil {
 		t.Error("nil workload accepted by MeasureFrontier")
 	}
-	if _, err := PredictFrontier(nil, cl, []float64{1}, DefaultOptions()); err == nil {
-		t.Error("nil workload accepted by PredictFrontier")
-	}
 }

@@ -351,21 +351,11 @@ func (c *Cluster) recordRun(res *Result) {
 	reg.Counter("cluster_runs_total").Inc()
 }
 
-// ProfileAll runs the progressive-sampling loop on every node
-// concurrently: for each scheduled sample size, runSample executes the
-// real algorithm on a representative sample and returns its abstract
-// cost; the node's speed converts cost to simulated seconds, and a
-// linear utility function is fitted per node (paper §III-A). The
-// returned models are ready for the Pareto modeler, with dirty rates
-// taken over [offset, offset+window) of each node's trace.
-func (c *Cluster) ProfileAll(sizes []int, runSample func(size int) (float64, error), offset, window float64) ([]opt.NodeModel, error) {
-	return c.ProfileAllWithRates(sizes, runSample, c.DirtyRates(offset, window))
-}
-
 // DirtyRates computes every node's dirty-rate constant k_i (paper
-// §III-B) over [offset, offset+window) of its trace. Split out of
-// ProfileAll so planners can overlap the trace integration with sample
-// drawing and profiling — the two touch disjoint data.
+// §III-B) over [offset, offset+window) of its trace. It is separate
+// from ProfileAllWithRates because the rates depend on the traces
+// alone: a planner integrates them while it stratifies, a replanning
+// loop once.
 func (c *Cluster) DirtyRates(offset, window float64) []float64 {
 	rates := make([]float64, len(c.Nodes))
 	var wg sync.WaitGroup
@@ -380,8 +370,13 @@ func (c *Cluster) DirtyRates(offset, window float64) []float64 {
 	return rates
 }
 
-// ProfileAllWithRates is ProfileAll with precomputed dirty rates
-// (typically from a DirtyRates call overlapped with sample profiling).
+// ProfileAllWithRates runs the progressive-sampling loop on every node
+// concurrently: for each scheduled sample size, runSample executes the
+// real algorithm on a representative sample and returns its abstract
+// cost; the node's speed converts cost to simulated seconds, and a
+// linear utility function is fitted per node (paper §III-A). The
+// returned models are ready for the Pareto modeler, each paired with
+// its node's dirty rate from rates (see DirtyRates).
 func (c *Cluster) ProfileAllWithRates(sizes []int, runSample func(size int) (float64, error), rates []float64) ([]opt.NodeModel, error) {
 	if len(rates) != len(c.Nodes) {
 		return nil, fmt.Errorf("cluster: %d dirty rates for %d nodes", len(rates), len(c.Nodes))

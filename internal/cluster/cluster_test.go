@@ -147,9 +147,9 @@ func TestProfileAllLearnsSpeedHeterogeneity(t *testing.T) {
 	c := testCluster(t, 4)
 	// A perfectly linear workload: cost = 100 units per record.
 	sizes := []int{100, 500, 1000, 5000, 10000}
-	models, err := c.ProfileAll(sizes, func(sz int) (float64, error) {
+	models, err := c.ProfileAllWithRates(sizes, func(sz int) (float64, error) {
 		return float64(sz) * 100, nil
-	}, 0, 3600)
+	}, c.DirtyRates(0, 3600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestProfileAllLearnsSpeedHeterogeneity(t *testing.T) {
 func TestProfileAllErrorPropagation(t *testing.T) {
 	c := testCluster(t, 2)
 	boom := errors.New("sample failed")
-	_, err := c.ProfileAll([]int{1, 2}, func(int) (float64, error) { return 0, boom }, 0, 100)
+	_, err := c.ProfileAllWithRates([]int{1, 2}, func(int) (float64, error) { return 0, boom }, c.DirtyRates(0, 100))
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
@@ -344,17 +344,17 @@ func TestMultiNodeErrorsAggregated(t *testing.T) {
 		t.Errorf("error does not name both nodes: %q", msg)
 	}
 
-	// ProfileAll aggregates the same way. The sample function runs
-	// concurrently across nodes, so the counter must be atomic.
+	// ProfileAllWithRates aggregates the same way. The sample function
+	// runs concurrently across nodes, so the counter must be atomic.
 	var fails atomic.Int64
-	_, err = c.ProfileAll([]int{1, 2}, func(int) (float64, error) {
+	_, err = c.ProfileAllWithRates([]int{1, 2}, func(int) (float64, error) {
 		return 0, fmt.Errorf("sample run %d failed", fails.Add(1))
-	}, 0, 100)
+	}, c.DirtyRates(0, 100))
 	if err == nil {
-		t.Fatal("ProfileAll swallowed failures")
+		t.Fatal("ProfileAllWithRates swallowed failures")
 	}
 	joined, ok := err.(interface{ Unwrap() []error })
 	if !ok || len(joined.Unwrap()) != 3 {
-		t.Errorf("ProfileAll error not a 3-node join: %v", err)
+		t.Errorf("ProfileAllWithRates error not a 3-node join: %v", err)
 	}
 }

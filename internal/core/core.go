@@ -178,6 +178,56 @@ type Plan struct {
 	CorpusWeight int
 }
 
+// Resolve is the single place the planning rule's defaults live: it
+// returns cfg with every value BuildPlan's stages read filled in for a
+// corpus of n records on p nodes, and rejects a configuration no stage
+// could run — before any stage has. Several strata per partition
+// (K = min(4p, n)), L = 3, the stratifier's workers from Workers, α = 1
+// unless the strategy is Het-Energy-Aware, a one-hour dirty-rate window
+// and the paper's sample ladder. It is idempotent, so a caller that must
+// not let K follow a growing corpus (internal/replan) resolves once on
+// its base corpus and hands the result to every later BuildPlan.
+func Resolve(cfg Config, n, p int, profile ProfileFunc) (Config, error) {
+	switch cfg.Strategy {
+	case Stratified, HetAware:
+		cfg.Alpha = 1
+	case HetEnergyAware:
+		if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
+			return cfg, fmt.Errorf("core: Het-Energy-Aware needs alpha in (0,1), got %v", cfg.Alpha)
+		}
+	default:
+		return cfg, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
+	}
+	if cfg.Strategy != Stratified && profile == nil {
+		return cfg, fmt.Errorf("core: strategy %v requires a profile function", cfg.Strategy)
+	}
+	if cfg.Stratifier.Cluster.K == 0 {
+		cfg.Stratifier.Cluster.K = min(4*p, n)
+	}
+	if cfg.Stratifier.Cluster.L == 0 {
+		cfg.Stratifier.Cluster.L = 3
+	}
+	// One knob bounds the whole planner: unless the stratifier was given
+	// its own worker count, it inherits Config.Workers (both treat 0 as
+	// GOMAXPROCS, and stratification is worker-count independent anyway).
+	if cfg.Stratifier.Cluster.Workers == 0 {
+		cfg.Stratifier.Cluster.Workers = cfg.Workers
+	}
+	if cfg.ProfileMinFrac == 0 {
+		cfg.ProfileMinFrac = sampling.DefaultMinFrac
+	}
+	if cfg.ProfileMaxFrac == 0 {
+		cfg.ProfileMaxFrac = sampling.DefaultMaxFrac
+	}
+	if cfg.ProfileSteps == 0 {
+		cfg.ProfileSteps = sampling.DefaultSteps
+	}
+	if cfg.Window <= 0 {
+		cfg.Window = 3600
+	}
+	return cfg, nil
+}
+
 // BuildPlan runs the full pipeline for the corpus on the cluster.
 // profile may be nil for the Stratified baseline (which skips
 // components I/II); it is required for the heterogeneity-aware
@@ -191,24 +241,23 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 	}
 	n := corpus.Len()
 	p := cl.P()
-	if cfg.Stratifier.Cluster.K == 0 {
-		// A sensible default: several strata per partition.
-		cfg.Stratifier.Cluster.K = 4 * p
-		if cfg.Stratifier.Cluster.K > n {
-			cfg.Stratifier.Cluster.K = n
-		}
+	cfg, err := Resolve(cfg, n, p, profile)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Stratifier.Cluster.L == 0 {
-		cfg.Stratifier.Cluster.L = 3
-	}
-	// One knob bounds the whole planner: unless the stratifier was given
-	// its own worker count, it inherits Config.Workers (both treat 0 as
-	// GOMAXPROCS, and stratification is worker-count independent anyway).
-	if cfg.Stratifier.Cluster.Workers == 0 {
-		cfg.Stratifier.Cluster.Workers = cfg.Workers
+	het := cfg.Strategy != Stratified
+
+	// The dirty rates depend on the traces alone, so their integration
+	// starts now and overlaps the scan and stratify stages; the profile
+	// stage joins it. The channel is buffered so the sender never leaks
+	// when an earlier stage fails.
+	var ratesCh chan []float64
+	if het {
+		ratesCh = make(chan []float64, 1)
+		go func() { ratesCh <- cl.DirtyRates(cfg.TraceOffset, cfg.Window) }()
 	}
 
-	plan := &Plan{Strategy: cfg.Strategy, Scheme: cfg.Scheme}
+	plan := &Plan{Strategy: cfg.Strategy, Alpha: cfg.Alpha, Scheme: cfg.Scheme}
 	root := cfg.Telemetry.StartSpan("plan")
 	defer root.End()
 	if reg := cfg.Telemetry; reg != nil {
@@ -294,29 +343,13 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 		return nil, err
 	}
 
-	switch cfg.Strategy {
-	case Stratified:
-		plan.Alpha = 1
+	if !het {
 		plan.Sizes = partitioner.EqualSizes(n, p)
-	case HetAware, HetEnergyAware:
-		alpha := 1.0
-		if cfg.Strategy == HetEnergyAware {
-			alpha = cfg.Alpha
-			if alpha <= 0 || alpha >= 1 {
-				return nil, fmt.Errorf("core: Het-Energy-Aware needs alpha in (0,1), got %v", alpha)
-			}
-		}
-		plan.Alpha = alpha
-		if profile == nil {
-			return nil, fmt.Errorf("core: strategy %v requires a profile function", cfg.Strategy)
-		}
+	} else {
 		if err := stage("profile", func() (time.Duration, error) {
-			models, busy, err := profileCluster(corpus, cl, st, profile, cfg)
-			if err != nil {
-				return busy, err
-			}
+			models, busy, err := ProfileModels(cl, st.Members, n, <-ratesCh, profile, cfg)
 			plan.Models = models
-			return busy, nil
+			return busy, err
 		}); err != nil {
 			return nil, err
 		}
@@ -324,16 +357,9 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 			var oplan *opt.Plan
 			var err error
 			if cfg.Normalized {
-				oplan, err = opt.OptimizeNormalized(plan.Models, n, alpha)
+				oplan, err = opt.OptimizeNormalized(plan.Models, n, cfg.Alpha)
 			} else {
-				cons := opt.Constraints{}
-				if cfg.MinPartitionFrac > 0 {
-					cons.MinSize = cfg.MinPartitionFrac * float64(n) / float64(p)
-				}
-				if cfg.MinPartitionRecords > cons.MinSize {
-					cons.MinSize = cfg.MinPartitionRecords
-				}
-				oplan, err = opt.OptimizeWithConstraints(plan.Models, n, alpha, cons)
+				oplan, err = opt.OptimizeWithConstraints(plan.Models, n, cfg.Alpha, SizingConstraints(cfg, n, p))
 			}
 			if err != nil {
 				return 0, fmt.Errorf("core: optimizing: %w", err)
@@ -344,8 +370,6 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 		}); err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
 	}
 
 	// Component V: place.
@@ -362,51 +386,35 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 	return plan, nil
 }
 
-// profileCluster runs components I and II: representative progressive
-// samples through the real workload on every node, least-squares time
-// fits, and trace-derived dirty rates. It also returns the summed busy
-// time of its parallel sections for the stage's ParallelMs audit.
+// ProfileModels is the profile stage — components I and II: one
+// representative sample per rung of the ladder for n records, drawn
+// from the strata in members and run through the real workload, then a
+// least-squares time fit per node paired with that node's dirty rate.
+// cfg must come from Resolve. It also returns the summed busy time of
+// its parallel sections for the stage's ParallelMs audit.
 //
-// Concurrency layout: the energy-trace integration (dirty rates, which
-// touches only the cluster's traces) overlaps with the sample work on
-// its own goroutine; sample drawing fans out across sizes (each size's
-// RNG is seeded independently as SampleSeed+size, so draws are
-// index-addressed and bit-identical at any worker count); profile
-// evaluation fans out only when Config.ProfileParallel declares the
-// user's ProfileFunc thread-safe.
-func profileCluster(corpus pivots.Corpus, cl *cluster.Cluster, st *strata.Stratification, profile ProfileFunc, cfg Config) ([]opt.NodeModel, time.Duration, error) {
-	minFrac, maxFrac, steps := cfg.ProfileMinFrac, cfg.ProfileMaxFrac, cfg.ProfileSteps
-	if minFrac == 0 {
-		minFrac = sampling.DefaultMinFrac
-	}
-	if maxFrac == 0 {
-		maxFrac = sampling.DefaultMaxFrac
-	}
-	if steps == 0 {
-		steps = sampling.DefaultSteps
-	}
-	sizes, err := sampling.ScheduleWithFloor(corpus.Len(), minFrac, maxFrac, steps, cfg.ProfileMinRecords)
+// rates are the cluster's DirtyRates over cfg's trace window; they are
+// an input because they do not depend on the corpus, so BuildPlan
+// integrates the traces while it stratifies and a replanning loop
+// integrates them once.
+//
+// Sample drawing fans out across sizes (each size's RNG is seeded
+// independently as SampleSeed+size, so draws are index-addressed and
+// bit-identical at any worker count); profile evaluation fans out only
+// when Config.ProfileParallel declares the user's ProfileFunc
+// thread-safe.
+func ProfileModels(cl *cluster.Cluster, members [][]int, n int, rates []float64, profile ProfileFunc, cfg Config) ([]opt.NodeModel, time.Duration, error) {
+	sizes, err := sampling.ScheduleWithFloor(n, cfg.ProfileMinFrac, cfg.ProfileMaxFrac, cfg.ProfileSteps, cfg.ProfileMinRecords)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: profiling schedule: %w", err)
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 3600
-	}
-	// Kick off the trace integration now; it is joined right before the
-	// model fit needs the rates. The channel is buffered so the sender
-	// never leaks even if an error path returns early.
-	ratesCh := make(chan []float64, 1)
-	go func() { ratesCh <- cl.DirtyRates(cfg.TraceOffset, window) }()
-
 	// Draw one representative sample per scheduled size; every node
 	// profiles on the same sample, so differences are pure hardware.
 	idxs := make([][]int, len(sizes))
-	costs := make([]float64, len(sizes))
 	busy, err := parallel.ForErr(len(sizes), cfg.Workers, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			s := sizes[i]
-			idx, err := strata.StratifiedSample(st.Members, s, cfg.SampleSeed+int64(s))
+			idx, err := strata.StratifiedSample(members, s, cfg.SampleSeed+int64(s))
 			if err != nil {
 				return fmt.Errorf("core: sampling %d records: %w", s, err)
 			}
@@ -421,6 +429,7 @@ func profileCluster(corpus pivots.Corpus, cl *cluster.Cluster, st *strata.Strati
 	if cfg.ProfileParallel {
 		profWorkers = cfg.Workers
 	}
+	costs := make([]float64, len(sizes))
 	profBusy, err := parallel.ForErr(len(sizes), profWorkers, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			cost, err := profile(idxs[i])
@@ -445,11 +454,31 @@ func profileCluster(corpus pivots.Corpus, cl *cluster.Cluster, st *strata.Strati
 			return 0, fmt.Errorf("core: no cached cost for sample size %d", sz)
 		}
 		return c, nil
-	}, <-ratesCh)
+	}, rates)
 	if err != nil {
 		return nil, busy, fmt.Errorf("core: fitting node models: %w", err)
 	}
 	return models, busy, nil
+}
+
+// SizingConstraints derives the optimize stage's partition floor at n
+// records on p nodes: the larger of MinPartitionFrac of the equal share
+// and MinPartitionRecords, capped at the equal share n/p. Whether a
+// floor exists does not depend on n, so a sizing LP built from it keeps
+// its row layout as a corpus grows (the property opt.SizingUpdates
+// requires).
+func SizingConstraints(cfg Config, n, p int) opt.Constraints {
+	cons := opt.Constraints{}
+	if cfg.MinPartitionFrac > 0 {
+		cons.MinSize = cfg.MinPartitionFrac * float64(n) / float64(p)
+	}
+	if cfg.MinPartitionRecords > cons.MinSize {
+		cons.MinSize = cfg.MinPartitionRecords
+	}
+	if share := float64(n) / float64(p); cons.MinSize > share {
+		cons.MinSize = share
+	}
+	return cons
 }
 
 // RunPartition is the executable form of one node's share: the record

@@ -63,13 +63,25 @@ func TestBuildPlanValidation(t *testing.T) {
 	if _, err := BuildPlan(corpus, nil, nil, Config{}); err == nil {
 		t.Error("nil cluster accepted")
 	}
-	if _, err := BuildPlan(corpus, cl, nil, Config{Strategy: HetAware}); err == nil {
+	// Argument errors are rejected before any stage runs: a stratifier
+	// that is ever called fails the test.
+	noStage := func(pivots.Corpus, strata.StratifierConfig) (*strata.Stratification, error) {
+		t.Error("a pipeline stage ran before the configuration was validated")
+		return nil, errors.New("unreachable")
+	}
+	if _, err := BuildPlan(corpus, cl, nil, Config{Strategy: HetAware, DistStratify: noStage}); err == nil {
 		t.Error("HetAware without profile accepted")
 	}
-	if _, err := BuildPlan(corpus, cl, linearProfile(corpus), Config{Strategy: HetEnergyAware, Alpha: 0}); err == nil {
-		t.Error("HetEnergyAware with alpha 0 accepted")
+	if _, err := BuildPlan(corpus, cl, nil, Config{Strategy: HetEnergyAware, Alpha: 0.5, DistStratify: noStage}); err == nil {
+		t.Error("HetEnergyAware without profile accepted")
 	}
-	if _, err := BuildPlan(corpus, cl, nil, Config{Strategy: Strategy(99)}); err == nil {
+	for _, alpha := range []float64{0, 1, -0.5, 1.5} {
+		cfg := Config{Strategy: HetEnergyAware, Alpha: alpha, DistStratify: noStage}
+		if _, err := BuildPlan(corpus, cl, linearProfile(corpus), cfg); err == nil {
+			t.Errorf("HetEnergyAware with alpha %v accepted", alpha)
+		}
+	}
+	if _, err := BuildPlan(corpus, cl, nil, Config{Strategy: Strategy(99), DistStratify: noStage}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }

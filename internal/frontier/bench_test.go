@@ -44,7 +44,7 @@ func BenchmarkFrontier(b *testing.B) {
 	b.Run("cold64x41", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := opt.Frontier(nodes, total, alphas); err != nil {
+			if _, err := coldFrontier(nodes, total, alphas); err != nil {
 				b.Fatal(err)
 			}
 		}

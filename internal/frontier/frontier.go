@@ -21,9 +21,12 @@
 // The lp solver extracts solutions from the basis *set* against the
 // original constraint rows, so a warm re-solve is bit-identical to a
 // cold solve that reaches the same basis, and plans are recomputed
-// from rounded integer sizes. Sweep output is therefore deep-equal to
-// opt.Frontier and Exact to opt.ExactFrontier, at any worker count —
-// pinned by TestSweepEquivalentToColdFrontier under -race.
+// from rounded integer sizes. Sweep and Exact output is therefore
+// deep-equal, at any worker count, to enumerating with one independent
+// opt.Optimize per α — the cold path this package replaced, kept as the
+// test reference in cold_test.go and pinned by
+// TestSweepEquivalentToColdFrontier and
+// TestExactEquivalentToColdExactFrontier under -race.
 //
 // # Non-convexity
 //
@@ -200,8 +203,7 @@ type Config struct {
 	// Constraints are passed through to the sizing LP.
 	Constraints opt.Constraints
 	// Tol is the point-coincidence tolerance: dedup for Sweep (default
-	// 1e-9, matching opt.Frontier) and breakpoint convergence for
-	// Exact (default 1e-6, matching opt.ExactFrontier).
+	// 1e-9) and breakpoint convergence for Exact (default 1e-6).
 	Tol float64
 	// Telemetry receives frontier_* metrics when non-nil.
 	Telemetry *telemetry.Registry
@@ -223,8 +225,8 @@ func (c Config) axes() []Axis {
 type Result struct {
 	// Points is the canonical point list (ascending α, adjacent
 	// duplicates collapsed), including dominated samples with their
-	// flag set — the embedded FrontierPoints are exactly what the cold
-	// opt.Frontier / opt.ExactFrontier paths produce.
+	// flag set — the embedded FrontierPoints are exactly what cold
+	// per-α opt.Optimize solves produce.
 	Points []Point
 	// Stats is the solve-effort accounting.
 	Stats Stats
@@ -332,10 +334,10 @@ const minChainAlphas = 64
 // chained inside contiguous α ranges — at most cfg.Workers of them, and
 // none shorter than minChainAlphas, so a ladder of up to 127 values is
 // one chain and one cold solve at any worker count — then canonicalizes
-// (ascending α, adjacent duplicates collapsed — the opt.Frontier
-// contract) and dominance-filters over cfg.Axes. The embedded
-// FrontierPoints are bit-identical to cold opt.Frontier output at any
-// worker count.
+// (ascending α, adjacent duplicates collapsed — the
+// opt.CanonicalizeFrontier contract) and dominance-filters over
+// cfg.Axes. The embedded FrontierPoints are bit-identical to cold
+// per-α solves at any worker count.
 func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	start := time.Now()
 	alphas, cons, err := validateSweep(nodes, total, cfg)
@@ -442,19 +444,25 @@ func finish(res *Result, nodes []opt.NodeModel, axes []Axis, start time.Time, re
 	}
 }
 
-// exactMaxDepth mirrors opt's bisection depth budget: the 1e-9 α-width
-// floor converges first from [0,1], so exhaustion means an incomplete
-// frontier and is surfaced via opt.ErrTruncated.
-const exactMaxDepth = 40
+// exactMaxDepth bounds Exact's recursion. With the 1e-9 α-width
+// convergence floor a bisection from [0,1] bottoms out near depth 30, so
+// 40 is a pure safety net: exhaustion with differing endpoints means an
+// incomplete frontier and is surfaced via opt.ErrTruncated. A variable
+// (not a const) so tests can lower it to exercise the truncation path.
+var exactMaxDepth = 40
 
 // Exact enumerates every distinct frontier vertex by recursive α
-// bisection (the opt.ExactFrontier algorithm) with warm-started
-// solves: the recursion carries a solver chain down its in-order
-// walk, and when cfg.Workers > 1 the top levels of the recursion tree
-// fork into goroutines, each subtree chaining its own solver. Spawn
-// depth is a pure function of Workers, so chains — and therefore
-// Stats — are deterministic, and bit-identity makes the points
-// deep-equal to cold opt.ExactFrontier regardless of parallelism.
+// bisection with warm-started solves: the scalarized LP is piecewise
+// constant in its optimal vertex as α varies, so whenever the solutions
+// at two α values differ, some breakpoint lies between them. An interval
+// narrower than 1e-9 in α whose endpoints still differ is converged.
+//
+// The recursion carries a solver chain down its in-order walk, and when
+// cfg.Workers > 1 the top levels of the recursion tree fork into
+// goroutines, each subtree chaining its own solver. Spawn depth is a
+// pure function of Workers, so chains — and therefore Stats — are
+// deterministic, and bit-identity makes the points deep-equal to a cold
+// bisection regardless of parallelism.
 func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	start := time.Now()
 	_, cons, err := validateSweep(nodes, total, cfg)
@@ -558,8 +566,8 @@ type subResult struct {
 }
 
 // mergeSub assembles an in-order subtree result: left points, the
-// midpoint (if distinct from both interval endpoints — the
-// opt.ExactFrontier inclusion rule), then right points.
+// midpoint (if distinct from both interval endpoints), then right
+// points.
 func mergeSub(left subResult, mid Point, right subResult, same func(a, b Point) bool, a, b Point) subResult {
 	out := subResult{
 		pts:       left.pts,

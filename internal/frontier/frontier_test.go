@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -25,13 +26,13 @@ func workerCounts() []int {
 func TestSweepEquivalentToColdFrontier(t *testing.T) {
 	// The tentpole guarantee: warm-started parallel sweeps produce
 	// FrontierPoints deep-equal (bit-identical floats included) to the
-	// cold-solve opt.Frontier path, at every worker count. Run under
+	// cold-solve reference (cold_test.go), at every worker count. Run under
 	// -race this also exercises the chunked chain scheduling.
 	for _, p := range []int{8, 16, 64} {
 		nodes := PaperModels(p)
 		total := 1_000_000
 		alphas := denseAlphas()
-		cold, err := opt.Frontier(nodes, total, alphas)
+		cold, err := coldFrontier(nodes, total, alphas)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func TestExactEquivalentToColdExactFrontier(t *testing.T) {
 	for _, p := range []int{8, 16} {
 		nodes := PaperModels(p)
 		total := 500_000
-		cold, err := opt.ExactFrontier(nodes, total, 1e-6)
+		cold, err := coldExactFrontier(nodes, total, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,6 +78,37 @@ func TestExactEquivalentToColdExactFrontier(t *testing.T) {
 			}
 			if res.Stats.Solves < len(cold) {
 				t.Errorf("p=%d workers=%d: stats report %d solves for %d points", p, w, res.Stats.Solves, len(cold))
+			}
+		}
+	}
+}
+
+func TestExactFrontierSurfacesTruncation(t *testing.T) {
+	// With the production depth budget the 1e-9 α-width floor converges
+	// first and truncation is unreachable; shrink the budgets to prove
+	// both enumerators report exhaustion rather than swallow it.
+	savedCold, savedWarm := bisectMaxDepth, exactMaxDepth
+	bisectMaxDepth, exactMaxDepth = 0, 0
+	defer func() { bisectMaxDepth, exactMaxDepth = savedCold, savedWarm }()
+	nodes := PaperModels(4)
+	cold, err := coldExactFrontier(nodes, 200000, 1e-6)
+	if !errors.Is(err, opt.ErrTruncated) {
+		t.Fatalf("cold err = %v, want ErrTruncated", err)
+	}
+	if len(cold) < 2 {
+		t.Errorf("truncated cold frontier must still return the points found, got %d", len(cold))
+	}
+	for _, w := range workerCounts() {
+		res, err := Exact(nodes, 200000, Config{Workers: w})
+		if !errors.Is(err, opt.ErrTruncated) {
+			t.Fatalf("workers=%d: err = %v, want ErrTruncated", w, err)
+		}
+		if res == nil || len(res.Points) != len(cold) {
+			t.Fatalf("workers=%d: truncated enumeration must still return the points found: %+v", w, res)
+		}
+		for i := range cold {
+			if !reflect.DeepEqual(res.Points[i].FrontierPoint, cold[i]) {
+				t.Errorf("workers=%d: truncated point %d diverges from the cold reference", w, i)
 			}
 		}
 	}

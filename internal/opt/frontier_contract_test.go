@@ -1,12 +1,11 @@
 package opt
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
 
-// Satellite coverage for the frontier ordering/truncation contract and
+// Satellite coverage for the frontier canonicalization contract and
 // Dominates edge cases.
 
 func TestDominatesTies(t *testing.T) {
@@ -79,57 +78,6 @@ func TestCanonicalizeFrontier(t *testing.T) {
 	_ = CanonicalizeFrontier(in, 1e-9)
 	if in[0].Alpha != 0.9 {
 		t.Error("CanonicalizeFrontier mutated its input")
-	}
-}
-
-func TestFrontierOrderIndependent(t *testing.T) {
-	// The canonical ordering contract: the same α set in any input
-	// order yields deep-equal output.
-	nodes := paperNodes()
-	desc := DefaultAlphaSweep()
-	asc := make([]float64, len(desc))
-	for i, a := range desc {
-		asc[len(desc)-1-i] = a
-	}
-	fromDesc, err := Frontier(nodes, 150000, desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromAsc, err := Frontier(nodes, 150000, asc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromDesc, fromAsc) {
-		t.Error("Frontier output depends on input α order")
-	}
-	for i := 1; i < len(fromDesc); i++ {
-		if fromDesc[i].Alpha <= fromDesc[i-1].Alpha {
-			t.Fatalf("not ascending at %d", i)
-		}
-	}
-}
-
-func TestExactFrontierSurfacesTruncation(t *testing.T) {
-	// With the production depth budget the 1e-9 α-width floor converges
-	// first and truncation is unreachable; shrink the budget to prove
-	// exhaustion is reported rather than swallowed.
-	saved := bisectMaxDepth
-	bisectMaxDepth = 0
-	defer func() { bisectMaxDepth = saved }()
-	nodes := paperNodes()
-	pts, err := ExactFrontier(nodes, 200000, 1e-6)
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
-	}
-	if len(pts) < 2 {
-		t.Errorf("truncated frontier must still return the points found, got %d", len(pts))
-	}
-}
-
-func TestExactFrontierNotTruncatedAtDefaultDepth(t *testing.T) {
-	nodes := paperNodes()
-	if _, err := ExactFrontier(nodes, 200000, 1e-6); err != nil {
-		t.Fatalf("default-depth bisection must converge without truncation: %v", err)
 	}
 }
 

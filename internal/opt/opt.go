@@ -509,7 +509,8 @@ type FrontierPoint struct {
 
 // SamePoint reports whether two frontier points coincide in objective
 // space up to the relative tolerance tol (scales taken from a). It is
-// the dedup predicate both Frontier and ExactFrontier use.
+// the dedup predicate both frontier enumerators (internal/frontier's
+// Sweep and Exact) use.
 func SamePoint(a, b FrontierPoint, tol float64) bool {
 	scaleT := math.Max(math.Abs(a.Makespan), 1)
 	scaleE := math.Max(math.Abs(a.DirtyEnergy), 1)
@@ -520,7 +521,7 @@ func SamePoint(a, b FrontierPoint, tol float64) bool {
 // CanonicalizeFrontier sorts points by ascending α (energy-lean →
 // time-lean) and drops adjacent points that coincide in objective
 // space up to tol (SamePoint), keeping the lowest-α representative.
-// Both Frontier and ExactFrontier return canonicalized output; apply
+// The frontier enumerators return output in this canonical form; apply
 // it to hand-assembled point lists before comparing against them.
 func CanonicalizeFrontier(pts []FrontierPoint, tol float64) []FrontierPoint {
 	out := make([]FrontierPoint, len(pts))
@@ -535,123 +536,13 @@ func CanonicalizeFrontier(pts []FrontierPoint, tol float64) []FrontierPoint {
 	return dedup
 }
 
-// frontierDedupTol is the relative tolerance Frontier uses when
-// deduplicating adjacent sample points. Plan metrics are recomputed
-// from integer sizes, so identical plans compare bitwise equal and the
-// tolerance only needs to absorb nothing — it exists for symmetry with
-// ExactFrontier's tol parameter.
-const frontierDedupTol = 1e-9
-
-// Frontier sweeps the scalarization weight over the given α values and
-// returns the sampled Pareto points, as in the paper's Figures 5 and 6.
-//
-// Regardless of the order alphas are given in (DefaultAlphaSweep is
-// descending), the result is canonical: ascending α with adjacent
-// duplicates (same makespan and dirty energy within 1e-9 relative)
-// collapsed to their lowest-α representative — the same ordering
-// contract ExactFrontier has. Callers that need one point per input α
-// should call Optimize per value instead.
-func Frontier(nodes []NodeModel, total int, alphas []float64) ([]FrontierPoint, error) {
-	if len(alphas) == 0 {
-		return nil, errors.New("opt: empty alpha sweep")
-	}
-	pts := make([]FrontierPoint, 0, len(alphas))
-	for _, a := range alphas {
-		plan, err := Optimize(nodes, total, a)
-		if err != nil {
-			return nil, fmt.Errorf("opt: frontier at alpha %v: %w", a, err)
-		}
-		pts = append(pts, FrontierPoint{Alpha: a, Makespan: plan.Makespan, DirtyEnergy: plan.DirtyEnergy, Plan: plan})
-	}
-	return CanonicalizeFrontier(pts, frontierDedupTol), nil
-}
-
-// ErrTruncated reports that ExactFrontier's recursive bisection hit
-// its depth limit between two α values whose vertices still differ:
-// the returned frontier may be missing breakpoints inside that
-// interval. The points found so far are still returned alongside the
-// error; callers that can tolerate a partial frontier may use them.
+// ErrTruncated reports that an exact frontier enumeration's recursive
+// α bisection (internal/frontier.Exact) hit its depth limit between two
+// α values whose vertices still differ: the returned frontier may be
+// missing breakpoints inside that interval. The points found so far are
+// still returned alongside the error; callers that can tolerate a
+// partial frontier may use them.
 var ErrTruncated = errors.New("opt: frontier bisection truncated at depth limit")
-
-// bisectMaxDepth bounds ExactFrontier's recursion. With the 1e-9
-// α-width convergence floor a bisection from [0,1] bottoms out near
-// depth 30, so 40 is a pure safety net — but if it ever fires with
-// differing endpoints the frontier is incomplete, and that is now
-// surfaced as ErrTruncated instead of silently swallowed. A variable
-// (not a const) so tests can lower it to exercise the truncation path.
-var bisectMaxDepth = 40
-
-// ExactFrontier enumerates the Pareto frontier's vertex points exactly
-// (up to tol in objective space, default 1e-6) by recursive α
-// bisection: the scalarized LP is piecewise constant in its optimal
-// vertex as α varies, so whenever the solutions at two α values
-// differ, some breakpoint lies between them. Unlike Frontier, which
-// samples a fixed α ladder and can miss segments, this finds every
-// distinct vertex.
-//
-// The result is canonical: ascending α, adjacent duplicates collapsed
-// (the ordering contract shared with Frontier). An interval narrower
-// than 1e-9 in α whose endpoints still differ is converged, not
-// truncated — both endpoint vertices are already in the output and
-// bisection always drives adjacent-vertex intervals to that floor. If
-// the recursion instead exhausts its depth budget with differing
-// endpoints, the points found so far are returned together with an
-// error wrapping ErrTruncated.
-func ExactFrontier(nodes []NodeModel, total int, tol float64) ([]FrontierPoint, error) {
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	solve := func(alpha float64) (FrontierPoint, error) {
-		plan, err := Optimize(nodes, total, alpha)
-		if err != nil {
-			return FrontierPoint{}, err
-		}
-		return FrontierPoint{Alpha: alpha, Makespan: plan.Makespan, DirtyEnergy: plan.DirtyEnergy, Plan: plan}, nil
-	}
-	lo, err := solve(0)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := solve(1)
-	if err != nil {
-		return nil, err
-	}
-	var out []FrontierPoint
-	truncated := false
-	var rec func(a, b FrontierPoint, depth int) error
-	rec = func(a, b FrontierPoint, depth int) error {
-		if SamePoint(a, b, tol) || b.Alpha-a.Alpha < 1e-9 {
-			return nil
-		}
-		if depth > bisectMaxDepth {
-			truncated = true
-			return nil
-		}
-		mid, err := solve((a.Alpha + b.Alpha) / 2)
-		if err != nil {
-			return err
-		}
-		if err := rec(a, mid, depth+1); err != nil {
-			return err
-		}
-		if !SamePoint(mid, a, tol) && !SamePoint(mid, b, tol) {
-			out = append(out, mid)
-		}
-		return rec(mid, b, depth+1)
-	}
-	out = append(out, lo)
-	if err := rec(lo, hi, 0); err != nil {
-		return nil, err
-	}
-	if !SamePoint(lo, hi, tol) {
-		out = append(out, hi)
-	}
-	pts := CanonicalizeFrontier(out, tol)
-	if truncated {
-		return pts, fmt.Errorf("opt: exact frontier incomplete beyond depth %d: %w", bisectMaxDepth, ErrTruncated)
-	}
-	return pts, nil
-}
 
 // DefaultAlphaSweep returns the α ladder used by the frontier figures:
 // dense near 1 (where the interesting tradeoffs live, given the raw

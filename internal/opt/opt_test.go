@@ -143,53 +143,6 @@ func TestAlphaZeroPilesOnGreenestNode(t *testing.T) {
 	}
 }
 
-func TestFrontierMonotonicity(t *testing.T) {
-	nodes := paperNodes()
-	pts, err := Frontier(nodes, 200000, DefaultAlphaSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Canonical output: ascending α, adjacent duplicates collapsed — so
-	// at most one point per sweep value, strictly increasing α, and
-	// every surviving point distinct from its neighbor.
-	if len(pts) < 2 || len(pts) > len(DefaultAlphaSweep()) {
-		t.Fatalf("%d points from a %d-value sweep", len(pts), len(DefaultAlphaSweep()))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Alpha <= pts[i-1].Alpha {
-			t.Fatalf("α not ascending at %d: %v after %v", i, pts[i].Alpha, pts[i-1].Alpha)
-		}
-		if SamePoint(pts[i-1], pts[i], frontierDedupTol) {
-			t.Errorf("adjacent duplicate survived dedup at α=%v", pts[i].Alpha)
-		}
-	}
-	// As α increases: makespan non-increasing, energy non-decreasing.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Makespan > pts[i-1].Makespan+1e-6 {
-			t.Errorf("makespan increased with α at α=%v: %v → %v",
-				pts[i].Alpha, pts[i-1].Makespan, pts[i].Makespan)
-		}
-		if pts[i].DirtyEnergy < pts[i-1].DirtyEnergy-1e-6 {
-			t.Errorf("energy decreased with α at α=%v: %v → %v",
-				pts[i].Alpha, pts[i-1].DirtyEnergy, pts[i].DirtyEnergy)
-		}
-	}
-	// No point on the frontier may dominate another (Pareto property).
-	for i := range pts {
-		for j := range pts {
-			if i != j && Dominates(pts[i], pts[j]) && Dominates(pts[j], pts[i]) {
-				t.Errorf("mutual domination between %d and %d", i, j)
-			}
-		}
-	}
-}
-
-func TestFrontierEmptySweep(t *testing.T) {
-	if _, err := Frontier(paperNodes(), 100, nil); err == nil {
-		t.Error("empty sweep accepted")
-	}
-}
-
 func TestEqualSizedBaselineIsDominated(t *testing.T) {
 	// The stratified baseline (equal sizes) must sit above the
 	// frontier, as in Fig 5: some frontier point dominates it.
@@ -201,13 +154,13 @@ func TestEqualSizedBaselineIsDominated(t *testing.T) {
 		x[i] = float64(per)
 	}
 	base := FrontierPoint{Makespan: makespanOf(nodes, x), DirtyEnergy: energyOf(nodes, x)}
-	pts, err := Frontier(nodes, total, DefaultAlphaSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
 	dominated := false
-	for _, p := range pts {
-		if Dominates(p, base) {
+	for _, a := range DefaultAlphaSweep() {
+		plan, err := Optimize(nodes, total, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Dominates(FrontierPoint{Makespan: plan.Makespan, DirtyEnergy: plan.DirtyEnergy}, base) {
 			dominated = true
 			break
 		}
@@ -437,72 +390,5 @@ func TestConstrainedEnergyObjectiveStillTrades(t *testing.T) {
 	}
 	if hea.Sizes[3] < 5000 {
 		t.Errorf("floor violated under energy objective: %v", hea.Sizes)
-	}
-}
-
-func TestExactFrontier(t *testing.T) {
-	nodes := paperNodes()
-	total := 200000
-	pts, err := ExactFrontier(nodes, total, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) < 2 {
-		t.Fatalf("frontier has %d points, want ≥ 2 (both extremes)", len(pts))
-	}
-	// Ordered by α: makespan non-increasing as α rises, energy
-	// non-decreasing; all points mutually non-dominated.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Alpha <= pts[i-1].Alpha {
-			t.Errorf("alphas not ascending at %d", i)
-		}
-		if pts[i].Makespan > pts[i-1].Makespan+1e-6 {
-			t.Errorf("makespan rose with alpha at %d", i)
-		}
-		if pts[i].DirtyEnergy < pts[i-1].DirtyEnergy-1e-6 {
-			t.Errorf("energy fell with alpha at %d", i)
-		}
-	}
-	for i := range pts {
-		for j := range pts {
-			if i != j && Dominates(pts[i], pts[j]) {
-				t.Errorf("frontier point %d dominates point %d", i, j)
-			}
-		}
-	}
-	// Every sampled sweep point must be weakly dominated by (or equal
-	// to) some exact frontier point — the exact set is complete.
-	sweep, err := Frontier(nodes, total, DefaultAlphaSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sweep {
-		ok := false
-		for _, p := range pts {
-			if p.Makespan <= s.Makespan+1e-6 && p.DirtyEnergy <= s.DirtyEnergy+1e-6 {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Errorf("sweep point α=%v (t=%v e=%v) not covered by exact frontier",
-				s.Alpha, s.Makespan, s.DirtyEnergy)
-		}
-	}
-}
-
-func TestExactFrontierDegenerate(t *testing.T) {
-	// All nodes identical in both objectives: the frontier is a single
-	// point.
-	nodes := []NodeModel{
-		{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 100},
-		{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 100},
-	}
-	pts, err := ExactFrontier(nodes, 1000, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 1 {
-		t.Errorf("degenerate frontier has %d points: %+v", len(pts), pts)
 	}
 }

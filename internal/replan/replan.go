@@ -3,8 +3,8 @@ package replan
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"pareto/internal/cluster"
@@ -15,7 +15,6 @@ import (
 	"pareto/internal/parallel"
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
-	"pareto/internal/sampling"
 	"pareto/internal/sketch"
 	"pareto/internal/strata"
 	"pareto/internal/telemetry"
@@ -59,7 +58,7 @@ const (
 	// still places pending ingests and drains deferred moves.
 	CycleClean CycleKind = iota
 	// CycleIncremental re-stratified only the dirty strata, re-profiled
-	// stale samples and re-solved the LP warm.
+	// at the new corpus size and re-solved the LP warm.
 	CycleIncremental
 	// CycleFull re-ran the whole pipeline: every stratum was dirty, so
 	// the cycle is by definition a cold full replan.
@@ -92,10 +91,13 @@ type CycleReport struct {
 	// two-phase simplex from scratch.
 	LPSolved bool
 	LPWarm   bool
-	// ProfileRuns counts profile-function evaluations this cycle;
-	// ProfileCacheHits counts sample sizes whose cost was reused from a
-	// previous cycle because the drawn sample was identical.
-	ProfileRuns      int
+	// ProfileRuns counts the incremental path's profile-function
+	// evaluations, one per rung of the sample ladder. (A full cycle's
+	// evaluations happen inside core.BuildPlan and are not counted.)
+	ProfileRuns int
+	// ProfileCacheHits is never set: the (size, sample-hash) cost memo it
+	// counted is gone. The field stays only because benchmark/replan.go
+	// reads it; retire it with that benchmark row.
 	ProfileCacheHits int
 	// Placements counts newly ingested records placed this cycle.
 	Placements int
@@ -110,16 +112,6 @@ type CycleReport struct {
 	Elapsed time.Duration
 }
 
-type costKey struct {
-	size int
-	hash uint64
-}
-
-// maxCostCache bounds the profile-cost memo; past it the memo resets
-// wholesale (entries are only ever reused across adjacent cycles, so a
-// reset costs at most one ladder of re-profiles).
-const maxCostCache = 1024
-
 // Loop is the online replanning control loop. It is not safe for
 // concurrent use: one goroutine owns ingest and cycles, which is the
 // deployment shape (a single controller per cluster).
@@ -130,7 +122,6 @@ type Loop struct {
 	corpus  *DynamicCorpus
 	hasher  *sketch.Hasher
 	reg     *telemetry.Registry
-	alpha   float64
 	k       int
 	p       int
 
@@ -151,7 +142,6 @@ type Loop struct {
 	lastN     int
 
 	rates        []float64
-	costCache    map[costKey]float64
 	corpusWeight int
 }
 
@@ -178,17 +168,12 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	if err != nil {
 		return nil, err
 	}
-	// Freeze the stratifier geometry BuildPlan would otherwise default
-	// per call: the loop's K must not drift as the corpus grows.
+	// Resolve once, on the base corpus: this freezes the stratifier
+	// geometry BuildPlan would otherwise default per call, so the loop's K
+	// does not drift as the corpus grows.
 	p := cl.P()
-	if cfg.Core.Stratifier.Cluster.K == 0 {
-		cfg.Core.Stratifier.Cluster.K = min(4*p, base.Len())
-	}
-	if cfg.Core.Stratifier.Cluster.L == 0 {
-		cfg.Core.Stratifier.Cluster.L = 3
-	}
-	if cfg.Core.Stratifier.Cluster.Workers == 0 {
-		cfg.Core.Stratifier.Cluster.Workers = cfg.Core.Workers
+	if cfg.Core, err = core.Resolve(cfg.Core, base.Len(), p, profile); err != nil {
+		return nil, err
 	}
 	width := cfg.Core.Stratifier.SketchWidth
 	if width <= 0 {
@@ -198,23 +183,10 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	if err != nil {
 		return nil, fmt.Errorf("replan: %w", err)
 	}
-	alpha := 1.0
-	if cfg.Core.Strategy == core.HetEnergyAware {
-		alpha = cfg.Core.Alpha
-		if alpha <= 0 || alpha >= 1 {
-			return nil, fmt.Errorf("replan: Het-Energy-Aware needs alpha in (0,1), got %v", alpha)
-		}
-	}
-	window := cfg.Core.Window
-	if window <= 0 {
-		window = 3600
-	}
-
 	l := &Loop{
 		cfg: cfg, cl: cl, profile: profile, corpus: corpus,
-		hasher: hasher, reg: cfg.Telemetry, alpha: alpha, p: p,
-		rates:     cl.DirtyRates(cfg.Core.TraceOffset, window),
-		costCache: make(map[costKey]float64),
+		hasher: hasher, reg: cfg.Telemetry, p: p,
+		rates: cl.DirtyRates(cfg.Core.TraceOffset, cfg.Core.Window),
 	}
 	plan, err := core.BuildPlan(corpus, cl, profile, cfg.Core)
 	if err != nil {
@@ -358,8 +330,8 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 }
 
 // replanIncremental runs the dirty-strata path: sub-cluster only the
-// drifted strata, re-profile only stale samples, re-solve the LP warm,
-// and install a minimal-movement target.
+// drifted strata, run core's profile stage over the new membership,
+// re-solve the LP warm, and install a minimal-movement target.
 //
 // A lone dirty stratum is counted once, not re-clustered. Sub-clustering
 // its members into K = 1 is the identity on membership, and the center
@@ -397,8 +369,9 @@ func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
 }
 
 // resize re-derives partition sizes for the current membership at n
-// records — re-profile, fit, LP — and installs the plan and a
-// minimal-movement target for them.
+// records — core's profile stage against the dirty rates integrated
+// once at construction (fixed offset and window), then the LP — and
+// installs the plan and a minimal-movement target for them.
 func (l *Loop) resize(n int, rep *CycleReport) error {
 	var sizes []int
 	if l.cfg.Core.Strategy == core.Stratified {
@@ -406,10 +379,16 @@ func (l *Loop) resize(n int, rep *CycleReport) error {
 		l.plan.Strat = l.st
 		l.plan.Sizes = sizes
 	} else {
-		models, err := l.reprofile(n, rep)
+		var runs atomic.Int64
+		counted := func(idx []int) (float64, error) {
+			runs.Add(1)
+			return l.profile(idx)
+		}
+		models, _, err := core.ProfileModels(l.cl, l.st.Members, n, l.rates, counted, l.cfg.Core)
 		if err != nil {
 			return err
 		}
+		rep.ProfileRuns = int(runs.Load())
 		sol, err := l.resolveLP(models, n)
 		if err != nil {
 			return err
@@ -422,11 +401,11 @@ func (l *Loop) resize(n int, rep *CycleReport) error {
 			l.reg.Counter("replan_lp_cold_total").Inc()
 		}
 		x := opt.UnitsFromShares(sol.X[:l.p], n)
-		oplan := opt.PlanFromX(models, n, l.alpha, x)
+		oplan := opt.PlanFromX(models, n, l.cfg.Core.Alpha, x)
 		l.shares = append([]float64(nil), sol.X[:l.p]...)
 		sizes = oplan.Sizes
 		l.plan = &core.Plan{
-			Strategy: l.cfg.Core.Strategy, Alpha: l.alpha,
+			Strategy: l.cfg.Core.Strategy, Alpha: l.cfg.Core.Alpha,
 			Strat: l.st, Models: models, Sizes: sizes, Optimized: oplan,
 			Scheme: l.cfg.Core.Scheme, CorpusWeight: l.corpusWeight,
 		}
@@ -486,114 +465,15 @@ func (l *Loop) restratify(dirty []int) error {
 	return nil
 }
 
-// reprofile rebuilds the node models for the current membership,
-// re-running the profile function only for sample sizes whose drawn
-// sample actually changed; unchanged samples reuse the memoized cost,
-// and the trace-derived dirty rates (fixed offset and window) are
-// computed once at construction. This is the "only affected
-// (workload, node) pairs" economy: the workload axis is pruned by the
-// sample memo, the node axis by the rate cache — the per-node
-// least-squares fit itself is trivial.
-func (l *Loop) reprofile(n int, rep *CycleReport) ([]opt.NodeModel, error) {
-	cfg := l.cfg.Core
-	minFrac, maxFrac, steps := cfg.ProfileMinFrac, cfg.ProfileMaxFrac, cfg.ProfileSteps
-	if minFrac == 0 {
-		minFrac = sampling.DefaultMinFrac
-	}
-	if maxFrac == 0 {
-		maxFrac = sampling.DefaultMaxFrac
-	}
-	if steps == 0 {
-		steps = sampling.DefaultSteps
-	}
-	sizes, err := sampling.ScheduleWithFloor(n, minFrac, maxFrac, steps, cfg.ProfileMinRecords)
-	if err != nil {
-		return nil, fmt.Errorf("replan: profiling schedule: %w", err)
-	}
-	if len(l.costCache) > maxCostCache {
-		clear(l.costCache)
-	}
-	costBySize := make(map[int]float64, len(sizes))
-	for _, s := range sizes {
-		if _, ok := costBySize[s]; ok {
-			continue
-		}
-		idx, err := strata.StratifiedSample(l.st.Members, s, cfg.SampleSeed+int64(s))
-		if err != nil {
-			return nil, fmt.Errorf("replan: sampling %d records: %w", s, err)
-		}
-		key := costKey{size: s, hash: hashSample(idx)}
-		if c, ok := l.costCache[key]; ok {
-			rep.ProfileCacheHits++
-			l.reg.Counter("replan_profile_cache_hits_total").Inc()
-			costBySize[s] = c
-			continue
-		}
-		c, err := l.profile(idx)
-		if err != nil {
-			return nil, fmt.Errorf("replan: profiling sample of %d: %w", s, err)
-		}
-		rep.ProfileRuns++
-		l.reg.Counter("replan_profile_cache_misses_total").Inc()
-		l.costCache[key] = c
-		costBySize[s] = c
-	}
-	models, err := l.cl.ProfileAllWithRates(sizes, func(sz int) (float64, error) {
-		c, ok := costBySize[sz]
-		if !ok {
-			return 0, fmt.Errorf("replan: no cached cost for sample size %d", sz)
-		}
-		return c, nil
-	}, l.rates)
-	if err != nil {
-		return nil, fmt.Errorf("replan: fitting node models: %w", err)
-	}
-	return models, nil
-}
-
-// hashSample fingerprints a drawn sample (FNV-1a over the indices); the
-// cost memo keys on (size, fingerprint) so a hash collision would also
-// need an exact size match to alias.
-func hashSample(idx []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, i := range idx {
-		v := uint64(i)
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(v >> (8 * b))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
-// consFor mirrors BuildPlan's optimize-stage constraint derivation at
-// the current corpus size. Whether floors exist is size-independent
-// (either MinPartitionFrac or MinPartitionRecords is set, or neither),
-// so the LP's row layout is stable across cycles — the property
-// SizingUpdates requires.
-func (l *Loop) consFor(n int) opt.Constraints {
-	cons := opt.Constraints{}
-	if f := l.cfg.Core.MinPartitionFrac; f > 0 {
-		cons.MinSize = f * float64(n) / float64(l.p)
-	}
-	if r := l.cfg.Core.MinPartitionRecords; r > cons.MinSize {
-		cons.MinSize = r
-	}
-	return cons
-}
-
 // resolveLP solves the sizing LP at the freshly fitted models: warm
 // from the retained basis when one exists (re-pricing it against the
 // new coefficients via ReSolveModel, which itself falls back cold if
 // the basis went infeasible), cold otherwise.
 func (l *Loop) resolveLP(models []opt.NodeModel, n int) (*lp.Solution, error) {
-	cons := l.consFor(n)
-	if cap := float64(n) / float64(l.p); cons.MinSize > cap {
-		cons.MinSize = cap
-	}
+	cons := core.SizingConstraints(l.cfg.Core, n, l.p)
+	alpha := l.cfg.Core.Alpha
 	if l.solver == nil {
-		prob, err := opt.SizingLP(models, n, l.alpha, cons)
+		prob, err := opt.SizingLP(models, n, alpha, cons)
 		if err != nil {
 			return nil, fmt.Errorf("replan: %w", err)
 		}
@@ -605,7 +485,7 @@ func (l *Loop) resolveLP(models []opt.NodeModel, n int) (*lp.Solution, error) {
 		}
 		return sol, nil
 	}
-	obj := opt.SizingObjective(models, n, l.alpha)
+	obj := opt.SizingObjective(models, n, alpha)
 	ups := opt.SizingUpdates(models, n, cons)
 	sol, err := l.solver.ReSolveModel(obj, ups)
 	if err != nil {

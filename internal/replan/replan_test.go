@@ -251,6 +251,76 @@ func TestIncrementalCycleWarmLP(t *testing.T) {
 	}
 }
 
+// TestIncrementalCycleIsColdPipelineOverLoopStrata ties the incremental
+// path to the cold one: after every drifting incremental cycle — the
+// cold-LP first one and the warm re-solves after it — a cold
+// core.BuildPlan over the live corpus, handed the loop's strata in place
+// of stratifying, must reproduce the loop's models, sizes and makespan.
+// (TestAllDirtyCycleBitIdenticalToCold covers only the CycleFull branch,
+// which is BuildPlan.)
+func TestIncrementalCycleIsColdPipelineOverLoopStrata(t *testing.T) {
+	docs, vocab := replanDocs(t)
+	base, err := pivots.NewTextCorpus(docs, vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"affine", "weight"} {
+		// The weight profile reads whatever corpus live holds: the base
+		// while New plans, the loop's growing corpus afterwards. Its noisy
+		// intercept may clamp to zero and force an LP re-solve cold, so
+		// only the exactly affine profile is held to warm re-solves.
+		var live pivots.Corpus = base
+		profile := affineProfile()
+		if name == "weight" {
+			profile = func(indices []int) (float64, error) { return weightProfile(live)(indices) }
+		}
+		cl := paperCluster(t, 4)
+		l, err := New(base, cl, profile, Config{
+			Core:  loopCoreConfig(2),
+			Drift: strata.DriftConfig{Threshold: 1e-9},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = l.Corpus()
+		for cycle := 1; cycle <= 6; cycle++ {
+			for i := 0; i < 12; i++ {
+				if _, err := l.Ingest(alienItems(cycle, 6), 6+cycle, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := l.Cycle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Kind != CycleIncremental {
+				t.Fatalf("%s cycle %d: took the %v path", name, cycle, rep.Kind)
+			}
+			if name == "affine" && rep.LPWarm != (cycle > 1) {
+				t.Fatalf("affine cycle %d: warm LP %v, want cold first and warm after", cycle, rep.LPWarm)
+			}
+			got := l.Plan()
+			cfg := loopCoreConfig(2)
+			cfg.DistStratify = func(pivots.Corpus, strata.StratifierConfig) (*strata.Stratification, error) {
+				return got.Strat, nil
+			}
+			cold, err := core.BuildPlan(l.Corpus(), cl, profile, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Models, cold.Models) {
+				t.Errorf("%s cycle %d: models differ from the cold pipeline:\nloop %+v\ncold %+v", name, cycle, got.Models, cold.Models)
+			}
+			if !reflect.DeepEqual(got.Sizes, cold.Sizes) {
+				t.Errorf("%s cycle %d: sizes %v, cold pipeline %v", name, cycle, got.Sizes, cold.Sizes)
+			}
+			if got.Optimized.Makespan != cold.Optimized.Makespan {
+				t.Errorf("%s cycle %d: makespan %v, cold pipeline %v", name, cycle, got.Optimized.Makespan, cold.Optimized.Makespan)
+			}
+		}
+	}
+}
+
 // TestMoveBudgetAndDeferredDrain asserts MaxMovesPerCycle is never
 // exceeded and that deferred moves drain to convergence across cycles,
 // with the store following every committed step.

@@ -155,12 +155,46 @@ var Execute = core.Execute
 // FrontierPoint is one point of a time/dirty-energy Pareto frontier.
 type FrontierPoint = opt.FrontierPoint
 
+// Frontier samples the Pareto frontier at the given α values and returns
+// the points in canonical form: ascending α, adjacent duplicates (same
+// makespan and dirty energy within 1e-9 relative) collapsed to their
+// lowest-α representative, whatever order alphas came in. Callers that
+// need one point per input α should optimize per value instead. It is
+// FrontierSweep without the solve statistics and the dominance flags.
+func Frontier(nodes []NodeModel, total int, alphas []float64) ([]FrontierPoint, error) {
+	if len(alphas) == 0 {
+		return nil, errors.New("pareto: empty alpha sweep")
+	}
+	res, err := frontier.Sweep(nodes, total, frontier.Config{Alphas: alphas})
+	return frontierPoints(res), err
+}
+
+// ExactFrontier enumerates every frontier vertex (up to tol in objective
+// space, default 1e-6) by α bisection, in the same canonical form —
+// unlike Frontier, which samples a fixed α ladder and can miss segments.
+// If the bisection exhausts its depth budget the points found so far are
+// returned with an error wrapping opt.ErrTruncated. It is FrontierExact
+// without the solve statistics and the dominance flags.
+func ExactFrontier(nodes []NodeModel, total int, tol float64) ([]FrontierPoint, error) {
+	res, err := frontier.Exact(nodes, total, frontier.Config{Tol: tol})
+	return frontierPoints(res), err
+}
+
+// frontierPoints strips an enumeration down to its canonical 2-D point
+// list (dominated samples included); nil for a failed enumeration.
+func frontierPoints(res *FrontierResult) []FrontierPoint {
+	if res == nil {
+		return nil
+	}
+	pts := make([]FrontierPoint, len(res.Points))
+	for i, p := range res.Points {
+		pts[i] = p.FrontierPoint
+	}
+	return pts
+}
+
 // Advanced modeler entry points.
 var (
-	// Frontier samples the Pareto frontier at the given α values.
-	Frontier = opt.Frontier
-	// ExactFrontier enumerates every frontier vertex by α bisection.
-	ExactFrontier = opt.ExactFrontier
 	// SelectNodes chooses which p nodes of a larger pool host
 	// partitions (the geo-distributed deployment of paper §II).
 	SelectNodes = opt.SelectNodes
@@ -170,8 +204,8 @@ var (
 
 // Warm-started frontier enumeration (internal/frontier): sweeps and
 // exact bisections that reuse one simplex basis across α values,
-// produce bit-identical results to the cold Frontier/ExactFrontier
-// paths, and can be served over HTTP.
+// produce bit-identical results to solving every α cold, and can be
+// served over HTTP. Frontier and ExactFrontier above run on it.
 type (
 	// FrontierConfig configures a warm-started enumeration (α samples,
 	// workers, objective axes, telemetry).

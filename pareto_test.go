@@ -152,6 +152,13 @@ func TestFacadeModelerReExports(t *testing.T) {
 	}
 }
 
+func TestFrontierEmptySweep(t *testing.T) {
+	nodes := []NodeModel{{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 300}}
+	if _, err := Frontier(nodes, 100, nil); err == nil {
+		t.Error("empty sweep accepted")
+	}
+}
+
 func TestFrameworkNormalizedMode(t *testing.T) {
 	fw, corpus := quickFramework(t)
 	fw.TraceOffset = 12 * 3600
