@@ -6,6 +6,8 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"pareto/internal/cluster"
+	"pareto/internal/energy"
 	"pareto/internal/sim"
 )
 
@@ -31,7 +33,7 @@ type simOpts struct {
 func runSim(opts simOpts) error {
 	// Size the solar traces to cover the run window with a day of slack.
 	hours := int((opts.offset+opts.duration)/3600) + 48
-	nodes, rate, err := sim.PaperNodes(opts.nodes, 172, hours)
+	cl, err := cluster.PaperCluster(opts.nodes, energy.DefaultPanel(), 172, hours)
 	if err != nil {
 		return err
 	}
@@ -68,8 +70,7 @@ func runSim(opts simOpts) error {
 	}
 	start := time.Now()
 	res, err := sim.Run(sim.Config{
-		Nodes:           nodes,
-		CostRate:        rate,
+		Cluster:         cl,
 		Offset:          opts.offset,
 		Policy:          policy,
 		RecordDecisions: opts.decisions != "",
@@ -83,9 +84,9 @@ func runSim(opts simOpts) error {
 	const wh = 1.0 / 3600
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "node\ttasks\tbusy s\tgreen Wh\tdirty Wh\t")
-	for i := range nodes {
+	for i := range cl.Nodes {
 		fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\t%.2f\t\n",
-			nodes[i].Name, res.NodeTasks[i], res.NodeTimes[i],
+			cl.Nodes[i].Name, res.NodeTasks[i], res.NodeTimes[i],
 			res.NodeGreen[i]*wh, res.NodeDirty[i]*wh)
 	}
 	tw.Flush()

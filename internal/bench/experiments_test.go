@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"regexp"
 	"testing"
 
 	"pareto/internal/core"
@@ -234,5 +236,47 @@ func TestImprovement(t *testing.T) {
 	}
 	if Improvement(10, 5) != 0.5 {
 		t.Error("halving is 50%")
+	}
+}
+
+// docs/results-small.txt is `paretobench -exp all -scale small` as
+// recorded; every experiment is seeded, so each block under an
+// `=== id (…) ===` header must come back byte for byte. overhead is
+// left out: it prints wall-clock stage timings.
+func TestSmallScaleMatchesRecorded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every small-scale experiment in short mode")
+	}
+	recorded, err := os.ReadFile("../../docs/results-small.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := regexp.MustCompile(`(?m)^=== (\w+) \(.*\) ===\n`)
+	blocks := make(map[string]string)
+	heads := header.FindAllSubmatchIndex(recorded, -1)
+	for i, h := range heads {
+		end := len(recorded)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		blocks[string(recorded[h[2]:h[3]])] = string(recorded[h[1]:end])
+	}
+	for _, id := range Experiments() {
+		if id == "overhead" {
+			continue
+		}
+		want, ok := blocks[id]
+		if !ok {
+			t.Errorf("%s: no recorded block", id)
+			continue
+		}
+		rep, err := RunExperiment(id, SmallScale())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		// paretobench prints Text and then a newline.
+		if got := rep.Text + "\n"; got != want {
+			t.Errorf("%s differs from docs/results-small.txt:\n--- got\n%s--- recorded\n%s", id, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pareto/internal/cluster"
+	"pareto/internal/sim"
 	"pareto/internal/workloads/apriori"
 )
 
@@ -19,6 +20,18 @@ type StealingResult struct {
 	// Candidates is the global candidate count its fragmentation
 	// produced (versus the framework's stratified partitions).
 	Candidates int
+}
+
+// stealingSchedule simulates an idealized work-stealing execution of
+// the chunks on cl: every chunk is queued at the job's start and
+// sim.GreedyStealing hands the next one to whichever node frees up
+// first.
+func stealingSchedule(cl *cluster.Cluster, chunkCosts []float64, offset float64) (*sim.Result, error) {
+	tasks := make([]sim.Task, len(chunkCosts))
+	for i, cost := range chunkCosts {
+		tasks[i] = sim.Task{Cost: cost, Pin: -1}
+	}
+	return sim.Run(sim.Config{Cluster: cl, Offset: offset, Policy: &sim.GreedyStealing{}}, tasks)
 }
 
 // RunWorkStealingMining executes the partitioned text-mining job under
@@ -61,7 +74,7 @@ func RunWorkStealingMining(w *TextMining, cl *cluster.Cluster, chunksPerNode int
 		locals[ci] = pr
 		costs1[ci] = pr.Cost
 	}
-	res1, err := cl.StealingSchedule(costs1, offset)
+	res1, err := stealingSchedule(cl, costs1, offset)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +94,7 @@ func RunWorkStealingMining(w *TextMining, cl *cluster.Cluster, chunksPerNode int
 		_, cost := apriori.CountPass(chunk, cands)
 		costs2[ci] = cost
 	}
-	res2, err := cl.StealingSchedule(costs2, offset+res1.Makespan)
+	res2, err := stealingSchedule(cl, costs2, offset+res1.Makespan)
 	if err != nil {
 		return nil, err
 	}

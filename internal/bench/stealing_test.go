@@ -48,7 +48,7 @@ func TestStealingScheduleBalancesButInflatesWork(t *testing.T) {
 
 func TestStealingScheduleValidation(t *testing.T) {
 	cl := tinyCluster(t, 2)
-	if _, err := cl.StealingSchedule([]float64{-1}, 0); err == nil {
+	if _, err := stealingSchedule(cl, []float64{-1}, 0); err == nil {
 		t.Error("negative chunk cost accepted")
 	}
 	cfg := datasets.RCV1Like(0.0003)
@@ -75,7 +75,7 @@ func TestStealingScheduleGreedyProperty(t *testing.T) {
 	for i := range costs {
 		costs[i] = 1e6
 	}
-	res, err := cl.StealingSchedule(costs, 0)
+	res, err := stealingSchedule(cl, costs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

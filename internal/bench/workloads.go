@@ -165,7 +165,7 @@ func (w *TextMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 		}
 	}
 	falsePos = len(cands) - final
-	combined := combineResults(res1, res2)
+	combined := res1.Add(res2)
 	quality := map[string]float64{
 		"candidates":      float64(len(cands)),
 		"frequent":        float64(final),
@@ -306,7 +306,7 @@ func (w *TreeMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 			final++
 		}
 	}
-	combined := combineResults(res1, res2)
+	combined := res1.Add(res2)
 	quality := map[string]float64{
 		"candidates":      float64(len(cands)),
 		"frequent":        float64(final),
@@ -526,25 +526,6 @@ func (w *LZ77Compression) Run(cl *cluster.Cluster, assign *partitioner.Assignmen
 		ratio = raw / comp
 	}
 	return res, map[string]float64{"compression-ratio": ratio}, nil
-}
-
-// combineResults adds two phase results (phase 2 starts after phase 1's
-// barrier, so makespans add).
-func combineResults(a, b *cluster.Result) *cluster.Result {
-	out := &cluster.Result{
-		NodeTimes: make([]float64, len(a.NodeTimes)),
-		NodeCosts: make([]float64, len(a.NodeCosts)),
-		NodeDirty: make([]float64, len(a.NodeDirty)),
-	}
-	for i := range a.NodeTimes {
-		out.NodeTimes[i] = a.NodeTimes[i] + b.NodeTimes[i]
-		out.NodeCosts[i] = a.NodeCosts[i] + b.NodeCosts[i]
-		out.NodeDirty[i] = a.NodeDirty[i] + b.NodeDirty[i]
-	}
-	out.Makespan = a.Makespan + b.Makespan
-	out.DirtyEnergy = a.DirtyEnergy + b.DirtyEnergy
-	out.TotalEnergy = a.TotalEnergy + b.TotalEnergy
-	return out
 }
 
 // errNoWorkload guards experiment entry points.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"testing"
 
 	"pareto/internal/cluster"
@@ -175,18 +176,52 @@ func TestRunWithEmptyPartitions(t *testing.T) {
 func TestCombineResults(t *testing.T) {
 	a := &cluster.Result{
 		NodeTimes: []float64{1, 2}, NodeCosts: []float64{10, 20},
-		NodeDirty: []float64{5, 6}, Makespan: 2, DirtyEnergy: 11, TotalEnergy: 30,
+		NodeDirty: []float64{5, 6}, NodeGreen: []float64{10, 9}, NodeWallSec: []float64{0.5, 0.25},
+		Makespan: 2, DirtyEnergy: 11, GreenEnergy: 19, TotalEnergy: 30, WallSec: 0.5,
 	}
 	b := &cluster.Result{
 		NodeTimes: []float64{3, 1}, NodeCosts: []float64{30, 10},
-		NodeDirty: []float64{1, 1}, Makespan: 3, DirtyEnergy: 2, TotalEnergy: 10,
+		NodeDirty: []float64{1, 1}, NodeGreen: []float64{6, 2}, NodeWallSec: []float64{0.25, 1},
+		Makespan: 3, DirtyEnergy: 2, GreenEnergy: 8, TotalEnergy: 10, WallSec: 1,
 	}
-	c := combineResults(a, b)
+	c := a.Add(b)
 	if c.Makespan != 5 || c.DirtyEnergy != 13 || c.TotalEnergy != 40 {
 		t.Errorf("combined %+v", c)
 	}
 	if c.NodeTimes[0] != 4 || c.NodeCosts[1] != 30 || c.NodeDirty[0] != 6 {
 		t.Errorf("per-node combine wrong: %+v", c)
+	}
+	if c.GreenEnergy != 27 || c.NodeGreen[0] != 16 || c.NodeGreen[1] != 11 {
+		t.Errorf("green energy lost in the sum: %+v", c)
+	}
+	if c.WallSec != 1.5 || c.NodeWallSec[0] != 0.75 || c.NodeWallSec[1] != 1.25 {
+		t.Errorf("wall clock lost in the sum: %+v", c)
+	}
+	if c.GreenEnergy+c.DirtyEnergy != c.TotalEnergy {
+		t.Errorf("green %v + dirty %v != total %v", c.GreenEnergy, c.DirtyEnergy, c.TotalEnergy)
+	}
+
+	// A real two-phase job at noon: the combined result must carry the
+	// green share both phases booked.
+	cfg := datasets.RCV1Like(0.0003)
+	docs, _, err := datasets.GenerateText(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &TextMining{Docs: corpus, SupportFrac: 0.2, MaxLen: 2}
+	res, _, err := w.Run(tinyCluster(t, 3), evenAssignment(corpus.Len(), 3), 12*3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GreenEnergy <= 0 || len(res.NodeGreen) != 3 || res.WallSec <= 0 || len(res.NodeWallSec) != 3 {
+		t.Errorf("two-phase run lost green or wall-clock fields: %+v", res)
+	}
+	if diff := math.Abs(res.GreenEnergy + res.DirtyEnergy - res.TotalEnergy); diff > 1e-9*res.TotalEnergy {
+		t.Errorf("green %v + dirty %v != total %v", res.GreenEnergy, res.DirtyEnergy, res.TotalEnergy)
 	}
 }
 

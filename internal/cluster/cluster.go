@@ -12,6 +12,13 @@
 // the property the busy loops created — identical work takes k× longer
 // on a 1/k-speed node — while making every experiment deterministic
 // and machine-independent.
+//
+// This package owns how cost becomes seconds and joules: ServiceTime
+// is the only cost→seconds expression and Account the only energy
+// booking. RunDetailed executes one real task per node and books it;
+// internal/sim schedules task streams in virtual time (queues,
+// policies, work stealing) and books its busy spans through the same
+// two functions.
 package cluster
 
 import (
@@ -142,9 +149,9 @@ func HomogeneousCluster(p int, panel energy.Panel, dayOfYear, hours int) (*Clust
 
 // Validate checks the cluster's calibration: a positive finite
 // CostRate and positive finite per-node speeds. Run, RunDetailed,
-// StealingSchedule, and ProfileAllWithRates validate on entry so a
-// mutated or hand-built cluster fails loudly instead of silently
-// propagating Inf/NaN times into Makespan and the energy totals.
+// sim.Run, and ProfileAllWithRates validate on entry so a mutated or
+// hand-built cluster fails loudly instead of silently propagating
+// Inf/NaN times into Makespan and the energy totals.
 func (c *Cluster) Validate() error {
 	if len(c.Nodes) == 0 {
 		return errors.New("cluster: no nodes")
@@ -160,19 +167,25 @@ func (c *Cluster) Validate() error {
 	return nil
 }
 
+// ServiceTime converts a task's demand into seconds on a node of the
+// given speed: cost/(speed × costRate) for the speed-scaled work, plus
+// the speed-independent fixed seconds. A non-positive cost, or a
+// non-positive (or NaN) denominator, contributes zero scaled time
+// rather than Inf/NaN; Validate surfaces the misconfiguration as an
+// error.
+func ServiceTime(speed, costRate, cost, fixed float64) float64 {
+	svc := 0.0
+	if cost > 0 {
+		if denom := speed * costRate; denom > 0 {
+			svc = cost / denom
+		}
+	}
+	return svc + fixed
+}
+
 // SimTime converts an abstract cost into simulated seconds on node i.
-// A non-positive (or NaN) Speed or CostRate contributes zero time
-// rather than Inf/NaN; callers that bypass Run/StealingSchedule should
-// Validate first to surface the misconfiguration as an error.
 func (c *Cluster) SimTime(node int, cost float64) float64 {
-	if cost <= 0 {
-		return 0
-	}
-	denom := c.Nodes[node].Speed * c.CostRate
-	if !(denom > 0) {
-		return 0
-	}
-	return cost / denom
+	return ServiceTime(c.Nodes[node].Speed, c.CostRate, cost, 0)
 }
 
 // Task is one node's share of a job: it performs the real computation
@@ -198,8 +211,9 @@ type Result struct {
 	NodeTimes []float64
 	// NodeCosts[i] is the abstract cost node i reported.
 	NodeCosts []float64
-	// Makespan is the maximum node time — the job's completion time,
-	// all nodes starting together.
+	// Makespan is the job's completion time: the latest end of any
+	// node's busy span (the maximum node time when all nodes start
+	// together).
 	Makespan float64
 	// NodeDirty[i] is node i's dirty energy in joules over its busy time.
 	NodeDirty []float64
@@ -295,41 +309,96 @@ func (c *Cluster) RunDetailed(offset float64, tasks []DetailedTask) (*Result, er
 	if err := joinNodeErrs("task", errs); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		NodeTimes:   make([]float64, len(tasks)),
-		NodeCosts:   make([]float64, len(tasks)),
-		NodeDirty:   make([]float64, len(tasks)),
-		NodeGreen:   make([]float64, len(tasks)),
-		NodeWallSec: wallSec,
+	costs := make([]float64, len(tasks))
+	busy := make([]float64, len(tasks))
+	spans := make([][]Span, len(tasks))
+	for i, rep := range reports {
+		if !finiteNonNeg(rep.Cost) || !finiteNonNeg(rep.FixedSeconds) {
+			return nil, fmt.Errorf("cluster: node %d reported cost %v and fixed seconds %v, want finite >= 0", i, rep.Cost, rep.FixedSeconds)
+		}
+		costs[i] = rep.Cost
+		busy[i] = ServiceTime(c.Nodes[i].Speed, c.CostRate, rep.Cost, rep.FixedSeconds)
+		spans[i] = []Span{{End: busy[i]}}
 	}
-	for i := range tasks {
-		if reports[i].FixedSeconds < 0 {
-			return nil, fmt.Errorf("cluster: node %d reported negative fixed seconds", i)
-		}
-		t := c.SimTime(i, reports[i].Cost) + reports[i].FixedSeconds
-		res.NodeTimes[i] = t
-		res.NodeCosts[i] = reports[i].Cost
-		if t > res.Makespan {
-			res.Makespan = t
-		}
+	res := c.Account(offset, costs, busy, spans)
+	res.NodeWallSec = wallSec
+	res.WallSec = time.Since(runStart).Seconds()
+	c.recordRun(res)
+	return res, nil
+}
+
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// Span is one contiguous busy stretch on a node's timeline, in seconds
+// relative to the job's start.
+type Span struct {
+	Start, End float64
+}
+
+// Account books an executed schedule into a Result: node i reported
+// costs[i], was busy for busy[i] seconds in total, and drew power over
+// spans[i] (disjoint, ascending; idle gaps between them are charged
+// nothing). offset places the job's start within the traces. Nodes are
+// booked in index order, which fixes the summation order of the
+// totals. busy is an input rather than Σ(End − Start) because a
+// scheduler accumulates it as a running sum of service times, which
+// rounds differently. The result keeps costs and busy as its
+// NodeCosts/NodeTimes.
+func (c *Cluster) Account(offset float64, costs, busy []float64, spans [][]Span) *Result {
+	res := &Result{
+		NodeTimes: busy,
+		NodeCosts: costs,
+		NodeDirty: make([]float64, len(c.Nodes)),
+		NodeGreen: make([]float64, len(c.Nodes)),
+	}
+	for i := range c.Nodes {
 		watts := c.Nodes[i].Power.Watts()
-		res.TotalEnergy += watts * t
-		d := energy.DirtyEnergy(watts, c.Nodes[i].Trace, offset, t)
+		res.TotalEnergy += watts * busy[i]
+		var d float64
+		for _, s := range spans[i] {
+			d += energy.DirtyEnergy(watts, c.Nodes[i].Trace, offset+s.Start, s.End-s.Start)
+			if s.End > res.Makespan {
+				res.Makespan = s.End
+			}
+		}
 		res.NodeDirty[i] = d
 		res.DirtyEnergy += d
 		// Green = draw the trace covered. DirtyEnergy floors per-step
 		// surplus at zero, so the difference is never negative; clamp
 		// anyway against float round-off.
-		green := watts*t - d
+		green := watts*busy[i] - d
 		if green < 0 {
 			green = 0
 		}
 		res.NodeGreen[i] = green
 		res.GreenEnergy += green
 	}
-	res.WallSec = time.Since(runStart).Seconds()
-	c.recordRun(res)
-	return res, nil
+	return res
+}
+
+// Add returns the result of running b after a's barrier: phase two
+// starts when phase one's last node finishes, so makespans, busy
+// times, energies and wall clocks all add.
+func (a *Result) Add(b *Result) *Result {
+	sum := func(x, y []float64) []float64 {
+		out := make([]float64, len(x))
+		for i := range x {
+			out[i] = x[i] + y[i]
+		}
+		return out
+	}
+	return &Result{
+		NodeTimes:   sum(a.NodeTimes, b.NodeTimes),
+		NodeCosts:   sum(a.NodeCosts, b.NodeCosts),
+		Makespan:    a.Makespan + b.Makespan,
+		NodeDirty:   sum(a.NodeDirty, b.NodeDirty),
+		DirtyEnergy: a.DirtyEnergy + b.DirtyEnergy,
+		TotalEnergy: a.TotalEnergy + b.TotalEnergy,
+		NodeGreen:   sum(a.NodeGreen, b.NodeGreen),
+		GreenEnergy: a.GreenEnergy + b.GreenEnergy,
+		NodeWallSec: sum(a.NodeWallSec, b.NodeWallSec),
+		WallSec:     a.WallSec + b.WallSec,
+	}
 }
 
 // recordRun folds one job execution into the cumulative telemetry:

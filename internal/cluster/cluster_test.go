@@ -143,6 +143,34 @@ func TestRunErrorPropagation(t *testing.T) {
 	}
 }
 
+// A task's report comes from outside the model. One that no execution
+// could produce must fail the run and name its node, not reach
+// Makespan and the energy totals as NaN or Inf.
+func TestRunDetailedRejectsImpossibleReports(t *testing.T) {
+	c := testCluster(t, 4)
+	for name, rep := range map[string]TaskReport{
+		"nan cost":   {Cost: math.NaN()},
+		"+inf cost":  {Cost: math.Inf(1)},
+		"-inf cost":  {Cost: math.Inf(-1)},
+		"neg cost":   {Cost: -5},
+		"nan fixed":  {Cost: 1e6, FixedSeconds: math.NaN()},
+		"+inf fixed": {Cost: 1e6, FixedSeconds: math.Inf(1)},
+		"-inf fixed": {Cost: 1e6, FixedSeconds: math.Inf(-1)},
+		"neg fixed":  {Cost: 1e6, FixedSeconds: -0.5},
+	} {
+		rep := rep
+		tasks := make([]DetailedTask, 4)
+		tasks[0] = func() (TaskReport, error) { return TaskReport{Cost: 1e6, FixedSeconds: 1}, nil }
+		tasks[2] = func() (TaskReport, error) { return rep, nil }
+		res, err := c.RunDetailed(0, tasks)
+		if err == nil {
+			t.Errorf("%s: accepted, makespan %v total energy %v", name, res.Makespan, res.TotalEnergy)
+		} else if !strings.Contains(err.Error(), "node 2") {
+			t.Errorf("%s: error %q does not name node 2", name, err)
+		}
+	}
+}
+
 func TestProfileAllLearnsSpeedHeterogeneity(t *testing.T) {
 	c := testCluster(t, 4)
 	// A perfectly linear workload: cost = 100 units per record.
@@ -174,58 +202,6 @@ func TestProfileAllErrorPropagation(t *testing.T) {
 	}
 }
 
-// Zero or negative CostRate/Speed used to slip through SimTime as an
-// unchecked division, silently propagating Inf/NaN into Makespan and
-// the energy totals. Both constructors must yield Validate-clean
-// clusters, and every execution entry point must reject a corrupted
-// one loudly.
-func TestValidateGuardsCalibration(t *testing.T) {
-	for name, build := range map[string]func() (*Cluster, error){
-		"paper":       func() (*Cluster, error) { return PaperCluster(8, energy.DefaultPanel(), 172, 24) },
-		"homogeneous": func() (*Cluster, error) { return HomogeneousCluster(8, energy.DefaultPanel(), 172, 24) },
-	} {
-		c, err := build()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := c.Validate(); err != nil {
-			t.Errorf("%s: fresh cluster invalid: %v", name, err)
-		}
-	}
-
-	corruptions := map[string]func(*Cluster){
-		"zero rate":  func(c *Cluster) { c.CostRate = 0 },
-		"neg rate":   func(c *Cluster) { c.CostRate = -1e6 },
-		"nan rate":   func(c *Cluster) { c.CostRate = math.NaN() },
-		"inf rate":   func(c *Cluster) { c.CostRate = math.Inf(1) },
-		"zero speed": func(c *Cluster) { c.Nodes[1].Speed = 0 },
-		"neg speed":  func(c *Cluster) { c.Nodes[0].Speed = -3 },
-		"nan speed":  func(c *Cluster) { c.Nodes[2].Speed = math.NaN() },
-	}
-	for name, corrupt := range corruptions {
-		c := testCluster(t, 4)
-		corrupt(c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: Validate passed", name)
-			continue
-		}
-		if _, err := c.Run(0, []Task{
-			func() (float64, error) { return 1e6, nil }, nil, nil, nil,
-		}); err == nil {
-			t.Errorf("%s: Run accepted corrupted cluster", name)
-		}
-		if _, err := c.StealingSchedule([]float64{1e6}, 0); err == nil {
-			t.Errorf("%s: StealingSchedule accepted corrupted cluster", name)
-		}
-		if _, err := c.ProfileAllWithRates([]int{1, 2}, func(int) (float64, error) { return 1, nil }, make([]float64, 4)); err == nil {
-			t.Errorf("%s: ProfileAllWithRates accepted corrupted cluster", name)
-		}
-	}
-	if err := (&Cluster{CostRate: 1}).Validate(); err == nil {
-		t.Error("empty cluster validated")
-	}
-}
-
 // SimTime on a corrupted cluster must contribute zero time, never
 // Inf/NaN — the belt to Validate's suspenders for callers that hit
 // SimTime directly.
@@ -247,36 +223,6 @@ func TestSimTimeGuardsDivision(t *testing.T) {
 	c.Nodes[0].Speed = -2
 	if got := c.SimTime(0, 1e6); got != 0 {
 		t.Errorf("negative Speed SimTime = %v, want 0", got)
-	}
-}
-
-// StealingSchedule now reports green energy alongside dirty, matching
-// RunDetailed's accounting.
-func TestStealingScheduleGreenAccounting(t *testing.T) {
-	c := testCluster(t, 4)
-	costs := make([]float64, 40)
-	for i := range costs {
-		costs[i] = 1e6
-	}
-	res, err := c.StealingSchedule(costs, 12*3600) // noon
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GreenEnergy <= 0 {
-		t.Error("noon run reported no green energy")
-	}
-	var sum float64
-	for i, g := range res.NodeGreen {
-		if g < 0 {
-			t.Errorf("node %d green %v < 0", i, g)
-		}
-		sum += g
-	}
-	if math.Abs(sum-res.GreenEnergy) > 1e-9 {
-		t.Error("per-node green does not sum to total")
-	}
-	if math.Abs(res.GreenEnergy+res.DirtyEnergy-res.TotalEnergy) > 1e-6 {
-		t.Errorf("green %v + dirty %v != total %v", res.GreenEnergy, res.DirtyEnergy, res.TotalEnergy)
 	}
 }
 

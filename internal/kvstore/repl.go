@@ -505,11 +505,11 @@ func (s *Server) serveReplSync(conn net.Conn, br *bufio.Reader, args [][]byte) {
 // stream-decoding loop from the session lets tests feed it arbitrary
 // byte prefixes without a network or a server.
 type replStreamHandler struct {
-	preRead  func()                                        // arm a read deadline
+	preRead  func()                                          // arm a read deadline
 	apply    func(id cmdID, cmd string, args [][]byte) error // one data record
-	advance  func(off int64)                               // cursor moved past a record
-	ping     func(durOff int64)                            // REPLPING heartbeat
-	batchEnd func(off int64) error                         // read buffer drained (ack point)
+	advance  func(off int64)                                 // cursor moved past a record
+	ping     func(durOff int64)                              // REPLPING heartbeat
+	batchEnd func(off int64) error                           // read buffer drained (ack point)
 }
 
 // replApply decodes replication stream frames from br (whose bytes are

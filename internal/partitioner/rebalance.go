@@ -81,8 +81,8 @@ func Rebalance(a *Assignment, newSizes []int) (*Assignment, []Move, error) {
 // GroupMoves splits a move list into per-write-group runs, keyed by
 // groupOf over each move's destination partition (pass a
 // WriteGrouper's WriteGroup). Replaying a migration through a store
-// whose partitions share clients (KVStore, KVBlobStore) must not
-// interleave two destinations of one client in separate pipelines;
+// whose partitions share clients (KVStore) must not interleave two
+// destinations of one client in separate pipelines;
 // grouping lets the migrator run groups concurrently while keeping
 // each group's writes a single sequential stream. Within each group
 // the input order is preserved — Rebalance emits moves sorted by

@@ -283,145 +283,6 @@ func (k *KVStore) ReadPartition(id int) ([][]byte, error) {
 	return els, nil
 }
 
-// KVBlobStore materializes each partition as ONE string value: the
-// records concatenated in order. Records carry their own 4-byte length
-// prefixes (the §IV storage layout, exactly what DiskStore writes), so
-// the blob is self-delimiting and a partition round-trips in O(1)
-// commands — and a whole placement in O(stores) commands via MSET.
-type KVBlobStore struct {
-	clients   []kvstore.KV
-	keyPrefix string
-}
-
-// NewKVBlobStore builds a blob-mode store over per-partition clients.
-func NewKVBlobStore(clients []*kvstore.Client, keyPrefix string) (*KVBlobStore, error) {
-	return NewKVBlobStoreKV(asKVs(clients), keyPrefix)
-}
-
-// NewKVBlobStoreKV is NewKVBlobStore over any KV implementations.
-func NewKVBlobStoreKV(clients []kvstore.KV, keyPrefix string) (*KVBlobStore, error) {
-	if len(clients) == 0 {
-		return nil, errors.New("partitioner: no kv clients")
-	}
-	if keyPrefix == "" {
-		keyPrefix = "partition"
-	}
-	return &KVBlobStore{clients: clients, keyPrefix: keyPrefix}, nil
-}
-
-func (k *KVBlobStore) key(id int) string {
-	return k.keyPrefix + ":" + strconv.Itoa(id)
-}
-
-func (k *KVBlobStore) clientFor(id int) (kvstore.KV, error) {
-	if id < 0 {
-		return nil, fmt.Errorf("partitioner: partition id %d", id)
-	}
-	return k.clients[id%len(k.clients)], nil
-}
-
-func concatRecords(records [][]byte) []byte {
-	total := 0
-	for _, r := range records {
-		total += len(r)
-	}
-	blob := make([]byte, 0, total)
-	for _, r := range records {
-		blob = append(blob, r...)
-	}
-	return blob
-}
-
-// WritePartition implements Store: one SET of the concatenated blob.
-func (k *KVBlobStore) WritePartition(id int, records [][]byte) error {
-	c, err := k.clientFor(id)
-	if err != nil {
-		return err
-	}
-	if err := c.Set(k.key(id), concatRecords(records)); err != nil {
-		return fmt.Errorf("partitioner: writing partition %d: %w", id, err)
-	}
-	return nil
-}
-
-// ReadPartition implements Store: one GET, then the self-delimiting
-// blob splits back into records.
-func (k *KVBlobStore) ReadPartition(id int) ([][]byte, error) {
-	c, err := k.clientFor(id)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := c.Get(k.key(id))
-	if err != nil {
-		if errors.Is(err, kvstore.ErrNil) {
-			return nil, fmt.Errorf("partitioner: partition %d not found", id)
-		}
-		return nil, fmt.Errorf("partitioner: reading partition %d: %w", id, err)
-	}
-	return splitRecords(blob)
-}
-
-// WritePartitions implements BulkStore: partitions are grouped by
-// hosting client and each group lands in a single MSET, so a whole
-// placement costs one command per store instance. Blob concatenation
-// is chunked across workers (index-addressed), and the per-client
-// MSETs fan out concurrently — they ride independent connections. On
-// failure the error of the lowest-indexed failing client is returned,
-// deterministically.
-func (k *KVBlobStore) WritePartitions(ids []int, records [][][]byte) error {
-	if len(ids) != len(records) {
-		return fmt.Errorf("partitioner: %d ids, %d record lists", len(ids), len(records))
-	}
-	for _, id := range ids {
-		if id < 0 {
-			return fmt.Errorf("partitioner: partition id %d", id)
-		}
-	}
-	blobs := make([][]byte, len(ids))
-	parallel.For(len(ids), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			blobs[i] = concatRecords(records[i])
-		}
-	})
-	// Group in input order per client index, so each client's MSET sees
-	// the same key order regardless of worker count.
-	keysByClient := make([][]string, len(k.clients))
-	valsByClient := make([][][]byte, len(k.clients))
-	for i, id := range ids {
-		ci := id % len(k.clients)
-		keysByClient[ci] = append(keysByClient[ci], k.key(id))
-		valsByClient[ci] = append(valsByClient[ci], blobs[i])
-	}
-	errs := make([]error, len(k.clients))
-	var wg sync.WaitGroup
-	for ci := range k.clients {
-		if len(keysByClient[ci]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			errs[ci] = k.clients[ci].MSet(keysByClient[ci], valsByClient[ci])
-		}(ci)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("partitioner: bulk writing partitions: %w", err)
-		}
-	}
-	return nil
-}
-
-// BulkStore is implemented by stores that can place many partitions in
-// one batched round trip; Place uses it when available.
-type BulkStore interface {
-	Store
-	// WritePartitions stores records[i] as partition ids[i], replacing
-	// any previous content.
-	WritePartitions(ids []int, records [][][]byte) error
-}
-
 // WriteGrouper is implemented by stores whose WritePartition calls may
 // run concurrently across groups: writes to partitions with different
 // WriteGroup values are independent, while writes within one group must
@@ -433,8 +294,8 @@ type WriteGrouper interface {
 }
 
 // Place serializes every partition of the assignment from the corpus
-// and writes it to the store — through the store's bulk path when it
-// has one. Equivalent to PlaceParallel with the default worker count.
+// and writes it to the store. Equivalent to PlaceParallel with the
+// default worker count.
 func Place(c pivots.Corpus, a *Assignment, st Store) error {
 	return PlaceParallel(c, a, st, 0)
 }
@@ -443,8 +304,8 @@ func Place(c pivots.Corpus, a *Assignment, st Store) error {
 // GOMAXPROCS). Record serialization always fans out — it only reads
 // the corpus and writes index-addressed slots, so the serialized bytes
 // are identical at any worker count. The store writes fan out per
-// WriteGroup when the store declares one (bulk stores batch instead);
-// otherwise they run sequentially, since an arbitrary Store's
+// WriteGroup when the store declares one; otherwise they run
+// sequentially, since an arbitrary Store's
 // concurrency contract is unknown. On failure the error of the
 // lowest-numbered failing group is returned, deterministically.
 func PlaceParallel(c pivots.Corpus, a *Assignment, st Store, workers int) error {
@@ -455,16 +316,6 @@ func PlaceParallel(c pivots.Corpus, a *Assignment, st Store, workers int) error 
 			recs[j] = RecordsOf(c, a, j)
 		}
 	})
-	if bs, ok := st.(BulkStore); ok {
-		ids := make([]int, p)
-		for j := range ids {
-			ids[j] = j
-		}
-		if err := bs.WritePartitions(ids, recs); err != nil {
-			return fmt.Errorf("partitioner: placing partitions: %w", err)
-		}
-		return nil
-	}
 	gr, ok := st.(WriteGrouper)
 	if !ok {
 		for j := 0; j < p; j++ {

@@ -203,129 +203,6 @@ func TestNewKVStoreValidation(t *testing.T) {
 	}
 }
 
-func TestKVBlobStoreRoundtrip(t *testing.T) {
-	// Place on a BulkStore takes the MSET fast path; the result must be
-	// indistinguishable from per-partition writes.
-	st, err := NewKVBlobStore(testClients(t, 2), "blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundtripStore(t, st)
-	// Rewriting must replace, not append.
-	if err := st.WritePartition(0, [][]byte{{1, 0, 0, 0, 5}}); err != nil {
-		t.Fatal(err)
-	}
-	records, err := st.ReadPartition(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 1 || !bytes.Equal(records[0], []byte{1, 0, 0, 0, 5}) {
-		t.Errorf("rewrite left %v", records)
-	}
-}
-
-func TestKVBlobStoreMatchesMemoryStore(t *testing.T) {
-	// Blob placement and in-memory placement of the same assignment
-	// must yield record-for-record identical partitions.
-	corpus := testCorpus(t)
-	a := testAssignment()
-	mem := NewMemoryStore()
-	if err := Place(corpus, a, mem); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := NewKVBlobStore(testClients(t, 2), "blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Place(corpus, a, blob); err != nil {
-		t.Fatal(err)
-	}
-	for j := range a.Parts {
-		want, err := mem.ReadPartition(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := blob.ReadPartition(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("partition %d: %d records, want %d", j, len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("partition %d record %d differs from memory store", j, i)
-			}
-		}
-	}
-}
-
-func TestKVBlobStoreErrors(t *testing.T) {
-	if _, err := NewKVBlobStore(nil, "x"); err == nil {
-		t.Error("no clients accepted")
-	}
-	st, err := NewKVBlobStore(testClients(t, 1), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.key(0) != "partition:0" {
-		t.Errorf("default prefix key %q", st.key(0))
-	}
-	if _, err := st.ReadPartition(7); err == nil {
-		t.Error("missing partition read succeeded")
-	}
-	if _, err := st.clientFor(-1); err == nil {
-		t.Error("negative partition accepted")
-	}
-	if err := st.WritePartitions([]int{0}, nil); err == nil {
-		t.Error("mismatched ids/records accepted")
-	}
-}
-
-// countingBulkStore wraps MemoryStore to prove Place prefers the bulk
-// path when the store offers one.
-type countingBulkStore struct {
-	*MemoryStore
-	bulkCalls   int
-	singleCalls int
-}
-
-func (c *countingBulkStore) WritePartition(id int, records [][]byte) error {
-	c.singleCalls++
-	return c.MemoryStore.WritePartition(id, records)
-}
-
-func (c *countingBulkStore) WritePartitions(ids []int, records [][][]byte) error {
-	c.bulkCalls++
-	for i, id := range ids {
-		if err := c.MemoryStore.WritePartition(id, records[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func TestPlaceUsesBulkPath(t *testing.T) {
-	st := &countingBulkStore{MemoryStore: NewMemoryStore()}
-	if err := Place(testCorpus(t), testAssignment(), st); err != nil {
-		t.Fatal(err)
-	}
-	if st.bulkCalls != 1 || st.singleCalls != 0 {
-		t.Errorf("bulk=%d single=%d, want 1/0", st.bulkCalls, st.singleCalls)
-	}
-	// Content placed via the bulk path must be intact.
-	a := testAssignment()
-	for j := range a.Parts {
-		recs, err := st.ReadPartition(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != len(a.Parts[j]) {
-			t.Errorf("partition %d has %d records, want %d", j, len(recs), len(a.Parts[j]))
-		}
-	}
-}
-
 func TestSplitRecords(t *testing.T) {
 	// Two records back to back.
 	buf := []byte{2, 0, 0, 0, 10, 11, 1, 0, 0, 0, 99}

@@ -3,17 +3,16 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"pareto/internal/cluster"
 )
 
 // benchWorkload builds a ~halfMillion-task stream sized so the 16-node
 // paper cluster runs at ~90% utilization: capacity is
 // Σspeed × rate = 40e6 cost/s, demand is 72 tasks/s × 5e5 cost.
-func benchWorkload(b *testing.B) ([]Node, float64, []Task) {
+func benchWorkload(b *testing.B) (*cluster.Cluster, []Task) {
 	b.Helper()
-	nodes, rate, err := PaperNodes(16, 172, 48)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cl := paperCluster(b, 16, 172)
 	tasks, err := Generate(GenConfig{
 		Process:    Poisson,
 		Rate:       72,
@@ -25,7 +24,7 @@ func benchWorkload(b *testing.B) ([]Node, float64, []Task) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return nodes, rate, tasks
+	return cl, tasks
 }
 
 // BenchmarkSimMillionEvents drives ~1M events (half a million tasks,
@@ -34,7 +33,7 @@ func benchWorkload(b *testing.B) ([]Node, float64, []Task) {
 // is 1M events/sec single-core; CI archives the number in
 // BENCH_sim.json via cmd/benchjson.
 func BenchmarkSimMillionEvents(b *testing.B) {
-	nodes, rate, tasks := benchWorkload(b)
+	cl, tasks := benchWorkload(b)
 	for _, name := range []string{"least-loaded", "greedy-stealing"} {
 		b.Run(name, func(b *testing.B) {
 			pol, err := PolicyByName(name)
@@ -44,7 +43,7 @@ func BenchmarkSimMillionEvents(b *testing.B) {
 			b.ResetTimer()
 			var events int64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: pol}, tasks)
+				res, err := Run(Config{Cluster: cl, Policy: pol}, tasks)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,14 +67,11 @@ func BenchmarkSimScaleNodes(b *testing.B) {
 	}
 	for _, p := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("nodes=%d", p), func(b *testing.B) {
-			nodes, rate, err := PaperNodes(p, 172, 48)
-			if err != nil {
-				b.Fatal(err)
-			}
+			cl := paperCluster(b, p, 172)
 			b.ResetTimer()
 			var events int64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: &GreedyStealing{}}, tasks)
+				res, err := Run(Config{Cluster: cl, Policy: &GreedyStealing{}}, tasks)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -24,10 +24,7 @@ func resultBytes(t *testing.T, res *Result) []byte {
 // this under -race as well): the engine is single-threaded and the
 // (time, seq) order leaves nothing to the runtime scheduler.
 func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	nodes, rate, err := PaperNodes(8, 172, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := paperCluster(t, 8, 172)
 	tasks, err := Generate(GenConfig{Process: Bursty, Rate: 60, Duration: 40, CostMean: 3e5, CostSpread: 0.6, FixedSec: 0.002, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +34,7 @@ func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{Nodes: nodes, CostRate: rate, Offset: 6 * 3600, Policy: pol, RecordDecisions: true}, tasks)
+		res, err := Run(Config{Cluster: cl, Offset: 6 * 3600, Policy: pol, RecordDecisions: true}, tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,10 +57,7 @@ func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // The full pipeline — generator → sim → decision trace — must be a
 // pure function of the seed for every policy and process.
 func TestRunDeterministicPerPolicyAndProcess(t *testing.T) {
-	nodes, rate, err := PaperNodes(5, 200, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := paperCluster(t, 5, 200)
 	for _, proc := range []string{Poisson, Uniform, Bursty} {
 		tasks, err := Generate(GenConfig{Process: proc, Rate: 30, Duration: 25, CostMean: 4e5, CostSpread: 0.3, Seed: 13})
 		if err != nil {
@@ -76,7 +70,7 @@ func TestRunDeterministicPerPolicyAndProcess(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: pol, RecordDecisions: true}, tasks)
+				res, err := Run(Config{Cluster: cl, Policy: pol, RecordDecisions: true}, tasks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,16 +88,13 @@ func TestRunDeterministicPerPolicyAndProcess(t *testing.T) {
 // result when arrivals are distinct: Run sorts stably by arrival, so
 // the input permutation is irrelevant.
 func TestRunInputOrderIrrelevantForDistinctArrivals(t *testing.T) {
-	nodes, rate, err := PaperNodes(4, 172, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := paperCluster(t, 4, 172)
 	tasks, err := Generate(GenConfig{Process: Poisson, Rate: 50, Duration: 10, CostMean: 2e5, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(ts []Task) []byte {
-		res, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: &GreedyStealing{}, RecordDecisions: true}, ts)
+		res, err := Run(Config{Cluster: cl, Policy: &GreedyStealing{}, RecordDecisions: true}, ts)
 		if err != nil {
 			t.Fatal(err)
 		}

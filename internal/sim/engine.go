@@ -1,21 +1,21 @@
-// Package sim is a deterministic discrete-event cluster simulator: a
+// Package sim is the framework's only virtual-time scheduler: a
+// deterministic discrete-event simulator of a cluster.Cluster with a
 // shared virtual clock, a binary-heap event queue ordered by
-// (time, seq), node models derived from internal/cluster, seeded
-// arrival-process workload generators plus recorded-trace replay, and
-// pluggable scheduling policies with optional per-decision traces.
+// (time, seq), seeded arrival-process workload generators plus
+// recorded-trace replay, and pluggable scheduling policies with
+// optional per-decision traces.
 //
 // Where internal/cluster executes one real goroutine per node and a
 // single batch of tasks, sim advances a virtual clock over millions of
 // events in a fraction of a second, so cluster-sizing and green-energy
 // what-if studies (thousands of heterogeneous nodes, diurnal solar
-// windows, arrival bursts) become cheap. The two share semantics
-// exactly: a task's service time is cost/(speed·rate) plus
-// speed-independent fixed seconds — the same float expression as
-// cluster.SimTime + TaskReport — and green/dirty energy integrates the
-// same internal/energy traces over the node's virtual busy intervals.
-// Equivalence tests pin both: a single-batch sim run reproduces
-// Cluster.RunDetailed bit-for-bit, and the greedy-stealing policy
-// reproduces Cluster.StealingSchedule bit-for-bit.
+// windows, arrival bursts) become cheap. The execution model itself
+// lives in internal/cluster and sim only calls it: a task's service
+// time is cluster.ServiceTime, and green/dirty energy is booked by
+// Cluster.Account over the node's virtual busy spans. So a
+// single-batch sim run reproduces Cluster.RunDetailed bit-for-bit, and
+// the greedy-stealing policy reproduces the closed-form list schedule
+// the equivalence tests keep as their reference.
 package sim
 
 // eventKind discriminates the two event types in the engine.

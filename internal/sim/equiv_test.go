@@ -1,22 +1,74 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pareto/internal/cluster"
 	"pareto/internal/energy"
 )
 
-// equivCluster builds the shared fixture both sides of the equivalence
-// tests run against.
-func equivCluster(t *testing.T, p int) *cluster.Cluster {
-	t.Helper()
-	c, err := cluster.PaperCluster(p, energy.DefaultPanel(), 172, 48)
-	if err != nil {
-		t.Fatal(err)
+// referenceStealingSchedule is the closed-form greedy list scheduler
+// that used to be Cluster.StealingSchedule, kept as the reference
+// GreedyStealing under Run is held to: chunks are assigned in order to
+// whichever node becomes free first, ties to the fastest node. It
+// writes out its own service-time division and energy accounting, so
+// it shares no arithmetic with cluster.ServiceTime or Cluster.Account.
+func referenceStealingSchedule(c *cluster.Cluster, chunkCosts []float64, offset float64) (*cluster.Result, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
-	return c
+	for i, cost := range chunkCosts {
+		if cost < 0 {
+			return nil, fmt.Errorf("cluster: chunk %d has negative cost", i)
+		}
+	}
+	finish := make([]float64, len(c.Nodes))
+	res := &cluster.Result{
+		NodeTimes: make([]float64, len(c.Nodes)),
+		NodeCosts: make([]float64, len(c.Nodes)),
+		NodeDirty: make([]float64, len(c.Nodes)),
+		NodeGreen: make([]float64, len(c.Nodes)),
+	}
+	order := make([]int, len(c.Nodes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return c.Nodes[order[a]].Speed > c.Nodes[order[b]].Speed
+	})
+	for _, cost := range chunkCosts {
+		best := order[0]
+		for _, i := range order {
+			if finish[i] < finish[best] {
+				best = i
+			}
+		}
+		if cost > 0 {
+			finish[best] += cost / (c.Nodes[best].Speed * c.CostRate)
+		}
+		res.NodeCosts[best] += cost
+	}
+	for i, t := range finish {
+		res.NodeTimes[i] = t
+		if t > res.Makespan {
+			res.Makespan = t
+		}
+		watts := c.Nodes[i].Power.Watts()
+		res.TotalEnergy += watts * t
+		d := energy.DirtyEnergy(watts, c.Nodes[i].Trace, offset, t)
+		res.NodeDirty[i] = d
+		res.DirtyEnergy += d
+		green := watts*t - d
+		if green < 0 {
+			green = 0
+		}
+		res.NodeGreen[i] = green
+		res.GreenEnergy += green
+	}
+	return res, nil
 }
 
 // chunkFixtures are shared chunk-cost workloads: uniform chunks, a
@@ -33,13 +85,13 @@ func chunkFixtures() map[string][]float64 {
 		ramp[i] = float64(i+1) * 1e4
 	}
 	return map[string][]float64{
-		"uniform":   {1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6},
-		"heavy":     {8e6, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5, 4e6, 2e6, 1e5, 1e5},
-		"ramp":      ramp,
-		"random":    random,
-		"single":    {4e6},
-		"zeros":     {0, 1e6, 0, 2e6, 0},
-		"empty":     {},
+		"uniform": {1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6},
+		"heavy":   {8e6, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5, 1e5, 4e6, 2e6, 1e5, 1e5},
+		"ramp":    ramp,
+		"random":  random,
+		"single":  {4e6},
+		"zeros":   {0, 1e6, 0, 2e6, 0},
+		"empty":   {},
 	}
 }
 
@@ -52,19 +104,16 @@ func bitEq(t *testing.T, what string, a, b float64) {
 	}
 }
 
-// The sim's greedy-stealing policy must reproduce StealingSchedule —
-// makespan, per-node times/costs, and all energy totals — bit for bit
-// on shared chunk-cost fixtures, at several cluster sizes and offsets.
+// The sim's greedy-stealing policy must reproduce the reference
+// schedule — makespan, per-node times/costs, and all energy totals —
+// bit for bit on shared chunk-cost fixtures, at several cluster sizes
+// and offsets.
 func TestGreedyStealingMatchesStealingScheduleBitIdentical(t *testing.T) {
 	for _, p := range []int{1, 4, 8, 13} {
-		c := equivCluster(t, p)
-		nodes, rate, err := FromCluster(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := paperCluster(t, p, 172)
 		for name, costs := range chunkFixtures() {
 			for _, offset := range []float64{0, 12 * 3600, 30 * 3600} {
-				want, err := c.StealingSchedule(costs, offset)
+				want, err := referenceStealingSchedule(c, costs, offset)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +121,7 @@ func TestGreedyStealingMatchesStealingScheduleBitIdentical(t *testing.T) {
 				for i, cost := range costs {
 					tasks[i] = Task{Arrival: 0, Cost: cost, Pin: -1}
 				}
-				got, err := Run(Config{Nodes: nodes, CostRate: rate, Offset: offset, Policy: &GreedyStealing{}}, tasks)
+				got, err := Run(Config{Cluster: c, Offset: offset, Policy: &GreedyStealing{}}, tasks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,11 +146,7 @@ func TestGreedyStealingMatchesStealingScheduleBitIdentical(t *testing.T) {
 // including the fixed-seconds (speed-independent) component.
 func TestSingleBatchMatchesRunDetailedBitIdentical(t *testing.T) {
 	for _, p := range []int{1, 4, 8} {
-		c := equivCluster(t, p)
-		nodes, rate, err := FromCluster(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := paperCluster(t, p, 172)
 		rng := rand.New(rand.NewSource(int64(p)))
 		reports := make([]cluster.TaskReport, p)
 		for i := range reports {
@@ -132,7 +177,7 @@ func TestSingleBatchMatchesRunDetailedBitIdentical(t *testing.T) {
 				}
 				tasks = append(tasks, Task{Arrival: 0, Cost: reports[i].Cost, Fixed: reports[i].FixedSeconds, Pin: i})
 			}
-			got, err := Run(Config{Nodes: nodes, CostRate: rate, Offset: offset}, tasks)
+			got, err := Run(Config{Cluster: c, Offset: offset}, tasks)
 			if err != nil {
 				t.Fatal(err)
 			}

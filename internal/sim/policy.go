@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"sort"
+
+	"pareto/internal/cluster"
 )
 
 // NodeState is the live view of one node that policies read at each
@@ -128,18 +130,25 @@ func (p *WeightedScoring) score(now float64, t Task, n *NodeState) float64 {
 	if wait < 0 {
 		wait = 0
 	}
-	return p.WaitWeight*wait + p.ServiceWeight*serviceTime(n.Speed, p.rate, t)
+	return p.WaitWeight*wait + p.ServiceWeight*cluster.ServiceTime(n.Speed, p.rate, t.Cost, t.Fixed)
 }
 
-// GreedyStealing is the event-driven port of Cluster.StealingSchedule:
-// each task goes to the node that will be free of its assigned work
-// soonest, ties to the fastest node (who wins the race for the queue
-// in a real stealing runtime). On a single batch of chunk costs it
-// reproduces StealingSchedule bit-for-bit — same comparisons in the
-// same order — which the equivalence tests pin.
+// GreedyStealing simulates an idealized work-stealing execution (paper
+// §I's strawman): the job is pre-split into many chunks, and whenever
+// a node goes idle it grabs the next unprocessed chunk — classical
+// greedy list scheduling. Each task goes to the node that will be free
+// of its assigned work soonest, ties to the fastest node (who wins the
+// race for the queue in a real stealing runtime).
+//
+// Work stealing balances *sizes* perfectly as chunk granularity grows —
+// but it is payload-oblivious: for analytics workloads the per-chunk
+// costs themselves inflate when content is fragmented arbitrarily
+// (e.g. candidate-pattern explosion in partitioned frequent pattern
+// mining), which is exactly the effect the paper's stratified
+// partitioning avoids. bench.RunWorkStealingMining pairs this policy
+// with real workload chunk costs to reproduce that comparison.
 type GreedyStealing struct {
-	// order visits nodes fastest-first (stable by speed), mirroring
-	// StealingSchedule's tie-break.
+	// order visits nodes fastest-first (stable by speed).
 	order []int
 }
 

@@ -8,18 +8,16 @@ import (
 	"time"
 
 	"pareto/internal/cluster"
-	"pareto/internal/energy"
 	"pareto/internal/telemetry"
 )
 
 // Config parameterizes one simulation run.
 type Config struct {
-	// Nodes are the simulated cluster's node models (FromCluster,
-	// PaperNodes, or hand-built).
-	Nodes []Node
-	// CostRate is the cluster's cost→time calibration: abstract cost
-	// units a speed-1.0 node retires per second.
-	CostRate float64
+	// Cluster is the cluster to simulate: node speeds, power draws and
+	// traces, and the cost→time calibration. When its Telemetry is
+	// non-nil the run accrues sim_* counters, energy gauges and the
+	// queueing-delay histogram into it.
+	Cluster *cluster.Cluster
 	// Offset is the run's start position (seconds) within the energy
 	// traces, as in Cluster.Run.
 	Offset float64
@@ -31,11 +29,6 @@ type Config struct {
 	// comparison. Costs O(tasks × nodes) memory — leave off for
 	// million-task sweeps.
 	RecordDecisions bool
-	// Telemetry, when non-nil, accrues sim_* counters, energy gauges,
-	// and the queueing-delay histogram into the registry. nil disables
-	// instrumentation (same nil-safe pattern as the rest of the
-	// framework).
-	Telemetry *telemetry.Registry
 }
 
 // Decision is one routing choice: which node got which task, when, and
@@ -124,12 +117,6 @@ func (h *waitHist) snapshot() telemetry.HistogramSnapshot {
 	return s
 }
 
-// interval is one contiguous busy stretch on a node's virtual
-// timeline, in seconds relative to the run start.
-type interval struct {
-	start, end float64
-}
-
 // Run simulates the task stream over the configured nodes and returns
 // the aggregated result. Deterministic: identical configs and
 // workloads produce identical Results (modulo WallSec) and identical
@@ -140,25 +127,23 @@ type interval struct {
 // Tasks are sorted stably by arrival (ties keep input order). Each
 // arrival is routed — by its Pin if ≥ 0, else by the policy — onto a
 // node's FIFO queue; service starts when the node drains its backlog
-// and lasts cost/(speed·rate) + fixed virtual seconds. Energy per node
-// integrates the green trace over each merged busy interval, so idle
-// gaps (night work waiting on bursts, say) are charged nothing.
+// and lasts cluster.ServiceTime virtual seconds. Cluster.Account books
+// each node's merged busy spans, so idle gaps (night work waiting on
+// bursts, say) are charged nothing.
 func Run(cfg Config, tasks []Task) (*Result, error) {
 	runStart := time.Now()
-	if len(cfg.Nodes) == 0 {
-		return nil, errors.New("sim: no nodes")
+	cl := cfg.Cluster
+	if cl == nil {
+		return nil, errors.New("sim: no cluster")
 	}
-	if !(cfg.CostRate > 0) || math.IsInf(cfg.CostRate, 1) {
-		return nil, fmt.Errorf("sim: cost rate %v, want finite > 0", cfg.CostRate)
+	if err := cl.Validate(); err != nil {
+		return nil, err
 	}
 	if math.IsNaN(cfg.Offset) || math.IsInf(cfg.Offset, 0) {
 		return nil, fmt.Errorf("sim: offset %v, want finite", cfg.Offset)
 	}
-	for i := range cfg.Nodes {
-		if s := cfg.Nodes[i].Speed; !(s > 0) || math.IsInf(s, 1) {
-			return nil, fmt.Errorf("sim: node %d speed %v, want finite > 0", i, s)
-		}
-		if w := cfg.Nodes[i].Watts; !(w >= 0) || math.IsInf(w, 1) {
+	for i := range cl.Nodes {
+		if w := cl.Nodes[i].Power.Watts(); !(w >= 0) || math.IsInf(w, 1) {
 			return nil, fmt.Errorf("sim: node %d watts %v, want finite >= 0", i, w)
 		}
 	}
@@ -174,8 +159,8 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		if !(t.Fixed >= 0) || math.IsInf(t.Fixed, 1) {
 			return nil, fmt.Errorf("sim: task %d fixed %v, want finite >= 0", i, t.Fixed)
 		}
-		if t.Pin >= len(cfg.Nodes) {
-			return nil, fmt.Errorf("sim: task %d pinned to node %d of %d", i, t.Pin, len(cfg.Nodes))
+		if t.Pin >= len(cl.Nodes) {
+			return nil, fmt.Errorf("sim: task %d pinned to node %d of %d", i, t.Pin, len(cl.Nodes))
 		}
 		if t.Pin < 0 {
 			needPolicy = true
@@ -192,22 +177,19 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 	copy(sorted, tasks)
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Arrival < sorted[b].Arrival })
 
-	states := make([]NodeState, len(cfg.Nodes))
+	states := make([]NodeState, len(cl.Nodes))
 	for i := range states {
-		states[i] = NodeState{ID: i, Speed: cfg.Nodes[i].Speed}
+		states[i] = NodeState{ID: i, Speed: cl.Nodes[i].Speed}
 	}
 	policyName := ""
 	if cfg.Policy != nil {
-		cfg.Policy.Reset(states, cfg.CostRate)
+		cfg.Policy.Reset(states, cl.CostRate)
 		policyName = cfg.Policy.Name()
 	}
 
-	type nodeRun struct {
-		intervals []interval
-		cost      float64
-		tasks     int
-	}
-	runs := make([]nodeRun, len(cfg.Nodes))
+	costs := make([]float64, len(cl.Nodes))
+	spans := make([][]cluster.Span, len(cl.Nodes))
+	nodeTasks := make([]int, len(cl.Nodes))
 
 	var q eventQueue
 	var seq uint64
@@ -222,9 +204,9 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		sched(sorted[0].Arrival, evArrival, 0, -1)
 	}
 
-	waitObs := cfg.Telemetry.Histogram("sim_wait_us", waitBounds)
+	waitObs := cl.Telemetry.Histogram("sim_wait_us", waitBounds)
 	var wh waitHist
-	var waitSum, waitMax, makespan float64
+	var waitSum, waitMax float64
 	var decisions []Decision
 	var decSeq uint64
 	var events int64
@@ -256,8 +238,7 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 			decSeq++
 		}
 		st := &states[n]
-		run := &runs[n]
-		svc := serviceTime(st.Speed, cfg.CostRate, *t)
+		svc := cluster.ServiceTime(st.Speed, cl.CostRate, t.Cost, t.Fixed)
 		begin := st.Backlog
 		if begin < now {
 			begin = now
@@ -266,19 +247,16 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		st.Backlog = fin
 		st.Pending++
 		st.Busy += svc
-		run.cost += t.Cost
-		run.tasks++
-		// Back-to-back tasks share one busy interval: begin equals the
+		costs[n] += t.Cost
+		nodeTasks[n]++
+		// Back-to-back tasks share one busy span: begin equals the
 		// previous finish exactly, so contiguous stretches merge and the
 		// energy integration sees the same [start, start+busy) window a
 		// batch run would.
-		if k := len(run.intervals); k > 0 && run.intervals[k-1].end == begin {
-			run.intervals[k-1].end = fin
+		if sp := spans[n]; len(sp) > 0 && sp[len(sp)-1].End == begin {
+			sp[len(sp)-1].End = fin
 		} else {
-			run.intervals = append(run.intervals, interval{start: begin, end: fin})
-		}
-		if fin > makespan {
-			makespan = fin
+			spans[n] = append(sp, cluster.Span{Start: begin, End: fin})
 		}
 		w := begin - now
 		waitSum += w
@@ -291,47 +269,25 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		sched(fin, evDone, e.task, n)
 	}
 
+	busy := make([]float64, len(cl.Nodes))
+	for i := range states {
+		busy[i] = states[i].Busy
+	}
 	res := &Result{
-		Result: cluster.Result{
-			NodeTimes: make([]float64, len(cfg.Nodes)),
-			NodeCosts: make([]float64, len(cfg.Nodes)),
-			NodeDirty: make([]float64, len(cfg.Nodes)),
-			NodeGreen: make([]float64, len(cfg.Nodes)),
-			Makespan:  makespan,
-		},
+		Result:     *cl.Account(cfg.Offset, costs, busy, spans),
 		Policy:     policyName,
 		Tasks:      len(sorted),
 		Events:     events,
-		NodeTasks:  make([]int, len(cfg.Nodes)),
+		NodeTasks:  nodeTasks,
 		Wait:       wh.snapshot(),
 		MaxWaitSec: waitMax,
 		Decisions:  decisions,
-	}
-	for i := range cfg.Nodes {
-		busy := states[i].Busy
-		res.NodeTimes[i] = busy
-		res.NodeCosts[i] = runs[i].cost
-		res.NodeTasks[i] = runs[i].tasks
-		watts := cfg.Nodes[i].Watts
-		res.TotalEnergy += watts * busy
-		var d float64
-		for _, iv := range runs[i].intervals {
-			d += energy.DirtyEnergy(watts, cfg.Nodes[i].Trace, cfg.Offset+iv.start, iv.end-iv.start)
-		}
-		res.NodeDirty[i] = d
-		res.DirtyEnergy += d
-		green := watts*busy - d
-		if green < 0 {
-			green = 0
-		}
-		res.NodeGreen[i] = green
-		res.GreenEnergy += green
 	}
 	if len(sorted) > 0 {
 		res.MeanWaitSec = waitSum / float64(len(sorted))
 	}
 	res.WallSec = time.Since(runStart).Seconds()
-	recordRun(cfg.Telemetry, res, decSeq)
+	recordRun(cl.Telemetry, res, decSeq)
 	return res, nil
 }
 

@@ -4,29 +4,42 @@ import (
 	"math"
 	"testing"
 
+	"pareto/internal/cluster"
+	"pareto/internal/energy"
 	"pareto/internal/telemetry"
 )
 
+// paperCluster builds a p-node paper-shaped cluster with 48h traces
+// starting at dayOfYear.
+func paperCluster(tb testing.TB, p, dayOfYear int) *cluster.Cluster {
+	tb.Helper()
+	c, err := cluster.PaperCluster(p, energy.DefaultPanel(), dayOfYear, 48)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // fourNodes returns the paper-shaped 4-node testbed (speeds 4/3/2/1)
 // with 48h traces from the summer solstice.
-func fourNodes(t *testing.T) ([]Node, float64) {
-	t.Helper()
-	nodes, rate, err := PaperNodes(4, 172, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nodes, rate
+func fourNodes(t *testing.T) *cluster.Cluster {
+	return paperCluster(t, 4, 172)
+}
+
+// oneNode is a single-node cluster made of node i of cl.
+func oneNode(cl *cluster.Cluster, i int) *cluster.Cluster {
+	return &cluster.Cluster{Nodes: cl.Nodes[i : i+1], CostRate: cl.CostRate}
 }
 
 func TestRunSingleBatchBasics(t *testing.T) {
-	nodes, rate := fourNodes(t)
+	cl := fourNodes(t)
 	// One task per node, pinned: 4e6 on speed 4 → 1 s, 2e6 on speed 1 → 2 s.
 	tasks := []Task{
 		{Cost: 4e6, Pin: 0},
 		{Cost: 3e6, Pin: 1},
 		{Cost: 2e6, Pin: 3},
 	}
-	res, err := Run(Config{Nodes: nodes, CostRate: rate, Offset: 12 * 3600}, tasks)
+	res, err := Run(Config{Cluster: cl, Offset: 12 * 3600}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +72,13 @@ func TestRunSingleBatchBasics(t *testing.T) {
 // A saturated single node must serialize tasks: completions stack,
 // queueing delay grows linearly, and the busy interval is contiguous.
 func TestRunQueueingOnOneNode(t *testing.T) {
-	nodes, rate := fourNodes(t)
-	one := []Node{nodes[3]} // speed 1: 1e6 cost = 1 s
+	cl := fourNodes(t)
+	one := oneNode(cl, 3) // speed 1: 1e6 cost = 1 s
 	var tasks []Task
 	for i := 0; i < 5; i++ {
 		tasks = append(tasks, Task{Arrival: 0, Cost: 1e6, Pin: 0})
 	}
-	res, err := Run(Config{Nodes: one, CostRate: rate}, tasks)
+	res, err := Run(Config{Cluster: one}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +102,13 @@ func TestRunQueueingOnOneNode(t *testing.T) {
 // noon, with the night one fully dirty and the noon one mostly green,
 // must not be billed as one contiguous stretch.
 func TestRunIdleGapSplitsEnergyIntervals(t *testing.T) {
-	nodes, rate := fourNodes(t)
-	one := []Node{nodes[0]} // speed 4: 4e6 = 1 s
+	cl := fourNodes(t)
+	one := oneNode(cl, 0) // speed 4: 4e6 = 1 s
 	tasks := []Task{
-		{Arrival: 0, Cost: 4e6, Pin: 0},             // midnight: all dirty
-		{Arrival: 12 * 3600, Cost: 4e6, Pin: 0},     // noon: some green
+		{Arrival: 0, Cost: 4e6, Pin: 0},         // midnight: all dirty
+		{Arrival: 12 * 3600, Cost: 4e6, Pin: 0}, // noon: some green
 	}
-	res, err := Run(Config{Nodes: one, CostRate: rate}, tasks)
+	res, err := Run(Config{Cluster: one}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +130,7 @@ func TestRunIdleGapSplitsEnergyIntervals(t *testing.T) {
 }
 
 func TestRunPoliciesRouteSanely(t *testing.T) {
-	nodes, rate := fourNodes(t)
+	cl := fourNodes(t)
 	tasks, err := Generate(GenConfig{Process: Poisson, Rate: 40, Duration: 30, CostMean: 2e5, CostSpread: 0.5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +140,7 @@ func TestRunPoliciesRouteSanely(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: pol}, tasks)
+		res, err := Run(Config{Cluster: cl, Policy: pol}, tasks)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -172,14 +185,14 @@ func TestRunPoliciesRouteSanely(t *testing.T) {
 // on a 4/3/2/1 cluster under sustained load they should hand the
 // speed-4 node more work than the speed-1 node.
 func TestRunHeterogeneityAwarePoliciesLoadFastNodes(t *testing.T) {
-	nodes, rate := fourNodes(t)
+	cl := fourNodes(t)
 	tasks, err := Generate(GenConfig{Process: Uniform, Rate: 30, Duration: 60, CostMean: 2e5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"weighted-scoring", "greedy-stealing"} {
 		pol, _ := PolicyByName(name)
-		res, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: pol}, tasks)
+		res, err := Run(Config{Cluster: cl, Policy: pol}, tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,13 +203,13 @@ func TestRunHeterogeneityAwarePoliciesLoadFastNodes(t *testing.T) {
 }
 
 func TestRunDecisionTrace(t *testing.T) {
-	nodes, rate := fourNodes(t)
+	cl := fourNodes(t)
 	tasks := []Task{
 		{Arrival: 0, Cost: 1e6, Pin: -1},
 		{Arrival: 0, Cost: 1e6, Pin: 2}, // pinned: no decision recorded
 		{Arrival: 0.5, Cost: 1e6, Pin: -1},
 	}
-	res, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: &RoundRobin{}, RecordDecisions: true}, tasks)
+	res, err := Run(Config{Cluster: cl, Policy: &RoundRobin{}, RecordDecisions: true}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +234,11 @@ func TestRunDecisionTrace(t *testing.T) {
 }
 
 func TestRunTelemetry(t *testing.T) {
-	nodes, rate := fourNodes(t)
+	cl := fourNodes(t)
 	reg := telemetry.NewRegistry()
+	cl.Telemetry = reg
 	tasks := []Task{{Cost: 4e6, Pin: -1}, {Cost: 4e6, Pin: -1}}
-	if _, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: LeastLoaded{}, Telemetry: reg}, tasks); err != nil {
+	if _, err := Run(Config{Cluster: cl, Policy: LeastLoaded{}}, tasks); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -241,30 +255,38 @@ func TestRunTelemetry(t *testing.T) {
 		t.Errorf("wait histogram %v", snap.Histograms)
 	}
 	// Nil registry: same run must work untouched.
-	if _, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: LeastLoaded{}}, tasks); err != nil {
+	cl.Telemetry = nil
+	if _, err := Run(Config{Cluster: cl, Policy: LeastLoaded{}}, tasks); err != nil {
 		t.Fatalf("nil-telemetry run: %v", err)
 	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	nodes, rate := fourNodes(t)
+	cl := fourNodes(t)
 	ok := []Task{{Cost: 1, Pin: 0}}
+	hand := func(speed, watts float64) *cluster.Cluster {
+		return &cluster.Cluster{
+			Nodes:    []cluster.NodeSpec{{Speed: speed, Power: energy.PowerModel{BaseWatts: watts}}},
+			CostRate: cl.CostRate,
+		}
+	}
 	cases := map[string]struct {
 		cfg   Config
 		tasks []Task
 	}{
-		"no nodes":        {Config{CostRate: rate}, ok},
-		"zero rate":       {Config{Nodes: nodes}, ok},
-		"nan rate":        {Config{Nodes: nodes, CostRate: math.NaN()}, ok},
-		"inf offset":      {Config{Nodes: nodes, CostRate: rate, Offset: math.Inf(1)}, ok},
-		"bad speed":       {Config{Nodes: []Node{{Speed: 0, Watts: 1}}, CostRate: rate}, ok},
-		"bad watts":       {Config{Nodes: []Node{{Speed: 1, Watts: -1}}, CostRate: rate}, ok},
-		"neg arrival":     {Config{Nodes: nodes, CostRate: rate}, []Task{{Arrival: -1, Pin: 0}}},
-		"nan arrival":     {Config{Nodes: nodes, CostRate: rate}, []Task{{Arrival: math.NaN(), Pin: 0}}},
-		"neg cost":        {Config{Nodes: nodes, CostRate: rate}, []Task{{Cost: -1, Pin: 0}}},
-		"neg fixed":       {Config{Nodes: nodes, CostRate: rate}, []Task{{Fixed: -1, Pin: 0}}},
-		"pin overflow":    {Config{Nodes: nodes, CostRate: rate}, []Task{{Pin: 4}}},
-		"unpinned no pol": {Config{Nodes: nodes, CostRate: rate}, []Task{{Pin: -1}}},
+		"no cluster":      {Config{}, ok},
+		"no nodes":        {Config{Cluster: &cluster.Cluster{CostRate: cl.CostRate}}, ok},
+		"zero rate":       {Config{Cluster: &cluster.Cluster{Nodes: cl.Nodes}}, ok},
+		"nan rate":        {Config{Cluster: &cluster.Cluster{Nodes: cl.Nodes, CostRate: math.NaN()}}, ok},
+		"inf offset":      {Config{Cluster: cl, Offset: math.Inf(1)}, ok},
+		"bad speed":       {Config{Cluster: hand(0, 1)}, ok},
+		"bad watts":       {Config{Cluster: hand(1, -1)}, ok},
+		"neg arrival":     {Config{Cluster: cl}, []Task{{Arrival: -1, Pin: 0}}},
+		"nan arrival":     {Config{Cluster: cl}, []Task{{Arrival: math.NaN(), Pin: 0}}},
+		"neg cost":        {Config{Cluster: cl}, []Task{{Cost: -1, Pin: 0}}},
+		"neg fixed":       {Config{Cluster: cl}, []Task{{Fixed: -1, Pin: 0}}},
+		"pin overflow":    {Config{Cluster: cl}, []Task{{Pin: 4}}},
+		"unpinned no pol": {Config{Cluster: cl}, []Task{{Pin: -1}}},
 	}
 	for name, c := range cases {
 		if _, err := Run(c.cfg, c.tasks); err == nil {
@@ -272,7 +294,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		}
 	}
 	// Empty workload is fine: a zero result, not an error.
-	res, err := Run(Config{Nodes: nodes, CostRate: rate, Policy: &RoundRobin{}}, nil)
+	res, err := Run(Config{Cluster: cl, Policy: &RoundRobin{}}, nil)
 	if err != nil || res.Makespan != 0 || res.Events != 0 {
 		t.Errorf("empty workload: %+v, %v", res, err)
 	}
