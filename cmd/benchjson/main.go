@@ -22,9 +22,10 @@
 // gomaxprocs is parsed from the -N suffix go test appends when the
 // benchmark ran with GOMAXPROCS != 1 (absent suffix = 1). ops_per_sec
 // prefers an explicit "ops/s" custom metric (b.ReportMetric) and falls
-// back to 1e9 / ns_per_op. Non-benchmark lines (goos/pkg headers, PASS,
-// custom metrics with other units) pass through untouched to stderr so
-// piping through benchjson never hides test output.
+// back to 1e9 / ns_per_op. Any other custom metric lands under
+// "metrics" by its unit ("shipped_B/op": 15080). Every input line
+// passes through untouched to stderr so piping through benchjson never
+// hides test output.
 package main
 
 import (
@@ -45,6 +46,8 @@ type benchResult struct {
 	BytesPerOp int64   `json:"bytes_per_op"`
 	AllocsPer  int64   `json:"allocs_per_op"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
+	// Metrics holds the b.ReportMetric values of any other unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {
@@ -119,6 +122,11 @@ func parseBenchLine(line string) (benchResult, bool) {
 			r.AllocsPer = int64(v)
 		case "ops/s":
 			r.OpsPerSec = v
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[fields[i+1]] = v
 		}
 	}
 	if r.NsPerOp == 0 {

@@ -104,14 +104,18 @@ func runReplan(opts replanOpts) error {
 		opts.records, opts.topics, opts.nodes, coldPlan.Round(time.Millisecond))
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "cycle\tkind\tdirty\tlp\tprofile runs\tplaced\tmoved\tdeferred\telapsed")
+	fmt.Fprintln(w, "cycle\tkind\tdirty\tlp\tprofile runs\tplaced\tmoved\tdeferred\tshipped\telapsed")
 	var incTotal time.Duration
 	var incCycles int
+	// ingested and shipped are bytes: what the rounds added to the corpus
+	// and what their cycles handed the store.
+	var ingested, shipped int
 	for c := 1; c <= opts.cycles; c++ {
 		for i := 0; i < opts.batch; i++ {
 			if _, err := l.Ingest(driftItems(c), 6, nil); err != nil {
 				return err
 			}
+			ingested += l.Corpus().RecordSize(l.Len() - 1)
 		}
 		rep, err := l.Cycle()
 		if err != nil {
@@ -124,10 +128,12 @@ func runReplan(opts replanOpts) error {
 				lp = "warm"
 			}
 		}
-		fmt.Fprintf(w, "%d\t%s\t%d/%d\t%s\t%d\t%d\t%d\t%d\t%v\n",
+		fmt.Fprintf(w, "%d\t%s\t%d/%d\t%s\t%d\t%d\t%d\t%d\t%d rec %d B\t%v\n",
 			c, rep.Kind, len(rep.Dirty), l.Tracker().K(), lp,
 			rep.ProfileRuns, rep.Placements,
-			rep.MovesApplied, rep.MovesDeferred, rep.Elapsed.Round(time.Microsecond))
+			rep.MovesApplied, rep.MovesDeferred,
+			rep.RecordsShipped, rep.BytesShipped, rep.Elapsed.Round(time.Microsecond))
+		shipped += rep.BytesShipped
 		if rep.Kind == replan.CycleIncremental {
 			incTotal += rep.Elapsed
 			incCycles++
@@ -160,8 +166,12 @@ func runReplan(opts replanOpts) error {
 		fmt.Printf("mean incremental cycle: %v  (%.1fx faster than full replan)\n",
 			mean.Round(time.Microsecond), float64(fullReplan)/float64(mean))
 	}
+	if ingested > 0 {
+		fmt.Printf("shipped %d B to the store for %d B ingested over the %d rounds: %.2fx\n",
+			shipped, ingested, opts.cycles, float64(shipped)/float64(ingested))
+	}
 	snap := reg.Snapshot()
-	fmt.Printf("telemetry: cycles=%d incremental=%d full=%d clean=%d lp_warm=%d lp_cold=%d moves_applied=%d moves_deferred=%d aborts=%d\n",
+	fmt.Printf("telemetry: cycles=%d incremental=%d full=%d clean=%d lp_warm=%d lp_cold=%d moves_applied=%d moves_deferred=%d shipped_records=%d shipped_bytes=%d aborts=%d\n",
 		snap.Counters["replan_cycles_total"],
 		snap.Counters["replan_cycles_incremental_total"],
 		snap.Counters["replan_cycles_full_total"],
@@ -170,6 +180,8 @@ func runReplan(opts replanOpts) error {
 		snap.Counters["replan_lp_cold_total"],
 		snap.Counters["replan_moves_applied_total"],
 		snap.Counters["replan_moves_deferred_total"],
+		snap.Counters["replan_shipped_records_total"],
+		snap.Counters["replan_shipped_bytes_total"],
 		snap.Counters["replan_migration_aborts_total"])
 	return nil
 }

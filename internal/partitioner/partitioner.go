@@ -253,20 +253,25 @@ func StratumMix(a *Assignment, assign []int, k int) [][]float64 {
 }
 
 // RecordsOf serializes partition j of the corpus in placement order,
-// one length-prefixed record per element (the §IV storage layout). The
-// records share one arena sized up front, so a partition costs two
+// one length-prefixed record per element (the §IV storage layout).
+func RecordsOf(c pivots.Corpus, a *Assignment, j int) [][]byte {
+	return EncodeRecords(c, a.Parts[j])
+}
+
+// EncodeRecords is RecordsOf over any run of record indices — a whole
+// partition, or the suffix of one that a migration rewrites. The
+// records share one arena sized up front, so a run costs two
 // allocations however many records it holds; each record is cut with
 // its capacity clamped to its length, so appending to one reallocates
 // instead of overwriting its neighbour.
-func RecordsOf(c pivots.Corpus, a *Assignment, j int) [][]byte {
-	part := a.Parts[j]
+func EncodeRecords(c pivots.Corpus, records []int) [][]byte {
 	total := 0
-	for _, r := range part {
+	for _, r := range records {
 		total += c.RecordSize(r)
 	}
 	arena := make([]byte, 0, total)
-	out := make([][]byte, len(part))
-	for i, r := range part {
+	out := make([][]byte, len(records))
+	for i, r := range records {
 		lo := len(arena)
 		arena = c.AppendRecord(arena, r)
 		out[i] = arena[lo:len(arena):len(arena)]

@@ -2,6 +2,7 @@ package partitioner_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"pareto/internal/datasets"
@@ -93,6 +94,11 @@ func TestRecordsOfMatchesPerRecordEncoding(t *testing.T) {
 				if cap(recs[i]) != len(recs[i]) {
 					t.Fatalf("%s partition %d record %d: cap %d > len %d", name, j, i, cap(recs[i]), len(recs[i]))
 				}
+			}
+			// A suffix of the partition encodes to the same records.
+			from := len(recs) / 3
+			if tail := partitioner.EncodeRecords(c, a.Parts[j][from:]); !reflect.DeepEqual(tail, recs[from:]) {
+				t.Fatalf("%s partition %d: records from %d on encode differently alone", name, j, from)
 			}
 			if len(recs) > 1 {
 				next := append([]byte(nil), recs[1]...)

@@ -92,7 +92,7 @@ func benchIngest(b testing.TB, l *Loop, gen int) {
 const benchIncrementalThreshold = 5e-5
 
 // benchCycle runs one cycle, which must take the given path.
-func benchCycle(b testing.TB, l *Loop, want CycleKind) {
+func benchCycle(b testing.TB, l *Loop, want CycleKind) *CycleReport {
 	b.Helper()
 	rep, err := l.Cycle()
 	if err != nil {
@@ -104,17 +104,23 @@ func benchCycle(b testing.TB, l *Loop, want CycleKind) {
 	if want == CycleIncremental && 10*len(rep.Dirty) >= l.Tracker().K() {
 		b.Fatalf("%d/%d strata dirty, want <10%%", len(rep.Dirty), l.Tracker().K())
 	}
+	return rep
 }
 
 // benchCycles times b.N cycles of the given kind; the batch each one
-// reacts to is ingested outside the timer.
+// reacts to is ingested outside the timer. A loop with a store also
+// reports the bytes a cycle handed it (shipped_B/op; a batch is 5,200).
 func benchCycles(b *testing.B, l *Loop, want CycleKind) {
+	shipped := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		benchIngest(b, l, i+1)
 		b.StartTimer()
-		benchCycle(b, l, want)
+		shipped += benchCycle(b, l, want).BytesShipped
+	}
+	if l.Store() != nil {
+		b.ReportMetric(float64(shipped)/float64(b.N), "shipped_B/op")
 	}
 }
 
@@ -129,8 +135,9 @@ func BenchmarkReplanIncremental(b *testing.B) {
 }
 
 // BenchmarkReplanIncrementalStore is the same cycle migrating through a
-// MemoryStore, so the write half — encoding every affected partition
-// and staging it through the epoch store — has a row too.
+// MemoryStore, so the write half — encoding the changed suffix of every
+// affected partition and staging it through the epoch store — has a row
+// too.
 func BenchmarkReplanIncrementalStore(b *testing.B) {
 	benchCycles(b, benchLoop(b, benchIncrementalThreshold, partitioner.NewMemoryStore()), CycleIncremental)
 }

@@ -105,6 +105,11 @@ type CycleReport struct {
 	// records against MaxMovesPerCycle.
 	MovesApplied  int
 	MovesDeferred int
+	// RecordsShipped/BytesShipped count what the cycle's stage handed to
+	// the base store: the rewritten suffix of every affected partition,
+	// not the partitions (zero without a store).
+	RecordsShipped int
+	BytesShipped   int
 	// Converged is true when the live placement reached the installed
 	// target this cycle (no deferred moves remain).
 	Converged bool
@@ -323,6 +328,8 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 	reg.Counter("replan_placements_total").Add(int64(rep.Placements))
 	reg.Counter("replan_moves_applied_total").Add(int64(rep.MovesApplied))
 	reg.Counter("replan_moves_deferred_total").Add(int64(rep.MovesDeferred))
+	reg.Counter("replan_shipped_records_total").Add(int64(rep.RecordsShipped))
+	reg.Counter("replan_shipped_bytes_total").Add(int64(rep.BytesShipped))
 	if reg != nil {
 		reg.Histogram("replan_cycle_ns", telemetry.WideLatencyBuckets()).Observe(rep.Elapsed.Nanoseconds())
 	}
@@ -607,10 +614,10 @@ func applyOps(actual *partitioner.Assignment, ops []partitioner.Move) (*partitio
 }
 
 // migrate moves the live placement toward the installed target under
-// the move budget and, when a store is configured, rewrites every
-// affected partition through an epoch transaction: all staged writes
-// must succeed before any becomes visible. rep may be nil (initial
-// placement at construction).
+// the move budget and, when a store is configured, ships what changed
+// in every affected partition through an epoch transaction: all staged
+// writes must succeed before any becomes visible. rep may be nil
+// (initial placement at construction).
 func (l *Loop) migrate(rep *CycleReport) error {
 	n := l.corpus.Len()
 	placements, moves := diffMoves(l.actual, l.target, n)
@@ -629,8 +636,12 @@ func (l *Loop) migrate(rep *CycleReport) error {
 	}
 	next, affected := applyOps(l.actual, ops)
 	if l.store != nil {
-		if err := l.writeAffected(next, affected); err != nil {
+		records, bytes, err := l.writeAffected(next, affected)
+		if err != nil {
 			return err
+		}
+		if rep != nil {
+			rep.RecordsShipped, rep.BytesShipped = records, bytes
 		}
 	}
 	l.actual = next
@@ -638,12 +649,16 @@ func (l *Loop) migrate(rep *CycleReport) error {
 	return nil
 }
 
-// writeAffected stages every affected partition's new contents at the
-// next epoch — grouped by the store's write groups, groups in parallel,
-// each group's writes sequential — and commits only if all writes
-// succeeded. On error nothing is committed: reads keep serving the
-// previous epoch and the caller's assignment stays unchanged.
-func (l *Loop) writeAffected(next *partitioner.Assignment, affected map[int]struct{}) error {
+// writeAffected stages what changed in every affected partition —
+// grouped by the store's write groups, groups in parallel, each group's
+// writes sequential — and commits only if all writes succeeded. applyOps
+// keeps the survivors of a partition in order and appends arrivals, so
+// what changed is everything past the common prefix of the old and new
+// contents, widened to the offset the store rewrites from (SuffixStart);
+// only that suffix is encoded and shipped. On error nothing is
+// committed: reads keep serving the previous contents and the caller's
+// assignment stays unchanged. Returns the records and bytes shipped.
+func (l *Loop) writeAffected(next *partitioner.Assignment, affected map[int]struct{}) (records, bytes int, err error) {
 	parts := make([]int, 0, len(affected))
 	for j := range affected {
 		parts = append(parts, j)
@@ -662,10 +677,16 @@ func (l *Loop) writeAffected(next *partitioner.Assignment, affected map[int]stru
 		groups[gi] = append(groups[gi], j)
 	}
 	txn := l.store.Begin()
-	_, err := parallel.ForErr(len(groups), l.cfg.Core.Workers, func(lo, hi int) error {
+	_, err = parallel.ForErr(len(groups), l.cfg.Core.Workers, func(lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {
 			for _, j := range groups[gi] {
-				if err := txn.Write(j, partitioner.RecordsOf(l.corpus, next, j)); err != nil {
+				old, part := l.actual.Parts[j], next.Parts[j]
+				common := 0
+				for common < len(old) && common < len(part) && old[common] == part[common] {
+					common++
+				}
+				keep := l.store.SuffixStart(j, common, len(part))
+				if err := txn.WriteSuffix(j, keep, partitioner.EncodeRecords(l.corpus, part[keep:])); err != nil {
 					return err
 				}
 			}
@@ -673,10 +694,11 @@ func (l *Loop) writeAffected(next *partitioner.Assignment, affected map[int]stru
 		return nil
 	})
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	txn.Commit()
-	return nil
+	records, bytes = txn.Shipped()
+	return records, bytes, nil
 }
 
 // Plan returns the currently installed plan. The stratification it

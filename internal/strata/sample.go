@@ -62,6 +62,7 @@ func StratifiedSample(members [][]int, size int, seed int64) ([]int, error) {
 	}
 	// Sample without replacement within each stratum.
 	out := make([]int, 0, size)
+	var scratch []int
 	for s, m := range members {
 		q := quota[s]
 		if q == 0 {
@@ -71,10 +72,29 @@ func StratifiedSample(members [][]int, size int, seed int64) ([]int, error) {
 			out = append(out, m...)
 			continue
 		}
-		perm := rng.Perm(len(m))[:q]
-		for _, i := range perm {
+		scratch = permInto(rng, scratch, len(m))
+		for _, i := range scratch[:q] {
 			out = append(out, m[i])
 		}
 	}
 	return out, nil
+}
+
+// permInto is rng.Perm(n) written into buf, which is grown only when n
+// outgrows it: the same inside-out shuffle, so the same draws from rng
+// and the same permutation, without an n-int allocation per call. Step
+// i reads buf[j] for some j ≤ i; below i that was written by this pass,
+// and at j = i the next line overwrites it, so what an earlier, larger
+// permutation left in buf does not matter.
+func permInto(rng *rand.Rand, buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+	return buf
 }

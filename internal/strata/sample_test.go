@@ -2,6 +2,7 @@ package strata
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"pareto/internal/sketch"
@@ -97,6 +98,89 @@ func TestStratifiedSampleDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed gave different samples")
+		}
+	}
+}
+
+// TestPermIntoMatchesRandPerm holds the scratch-reusing shuffle to
+// rand.Perm: for every (seed, size, quota) the first quota entries are
+// equal and the generator is left in the same state, with one scratch
+// carried through all of them — the sizes go down as well as up, so
+// most permutations are written over what a larger one left behind.
+func TestPermIntoMatchesRandPerm(t *testing.T) {
+	var scratch []int
+	triples := 0
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, n := range []int{1000, 1, 2, 17, 256, 999, 0, 64, 4096, 63} {
+			for _, q := range []int{0, 1, n / 3, n} {
+				if q > n {
+					continue
+				}
+				ref, rng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want := ref.Perm(n)[:q]
+				scratch = permInto(rng, scratch, n)
+				if len(scratch) != n {
+					t.Fatalf("seed %d n %d: permInto returned %d entries", seed, n, len(scratch))
+				}
+				for i, w := range want {
+					if scratch[i] != w {
+						t.Fatalf("seed %d n %d quota %d: entry %d is %d, rand.Perm has %d", seed, n, q, i, scratch[i], w)
+					}
+				}
+				if a, b := ref.Int63(), rng.Int63(); a != b {
+					t.Fatalf("seed %d n %d: generator state differs after the shuffle", seed, n)
+				}
+				triples++
+			}
+		}
+	}
+	if triples < 100 {
+		t.Fatalf("only %d (seed, size, quota) triples", triples)
+	}
+}
+
+// TestStratifiedSampleMatchesRandPerm draws through StratifiedSample's
+// own strata loop: a big stratum first, so the smaller ones reuse its
+// scratch, against rand.Perm per stratum from one generator.
+func TestStratifiedSampleMatchesRandPerm(t *testing.T) {
+	sizes := []int{500, 20, 130, 7, 300}
+	members := make([][]int, len(sizes))
+	next := 0
+	for s, n := range sizes {
+		for i := 0; i < n; i++ {
+			members[s] = append(members[s], next)
+			next += 3
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		const size = 96
+		got, err := StratifiedSample(members, size, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var want []int
+		at := 0
+		for _, m := range members {
+			// The strata hold 52.2, 2.1, 13.6, 0.7 and 31.3 % of the
+			// records: whatever the rounding, each quota is how many of
+			// the sample's entries fall in the stratum's index range.
+			q := 0
+			for at+q < len(got) && got[at+q] >= m[0] && got[at+q] <= m[len(m)-1] {
+				q++
+			}
+			for _, i := range rng.Perm(len(m))[:q] {
+				want = append(want, m[i])
+			}
+			at += q
+		}
+		if len(got) != size || len(want) != size {
+			t.Fatalf("seed %d: sample of %d, reference of %d, want %d", seed, len(got), len(want), size)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: sample entry %d is %d, rand.Perm per stratum gives %d", seed, i, got[i], want[i])
+			}
 		}
 	}
 }
