@@ -3,6 +3,8 @@ package frontier
 import (
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
@@ -57,6 +59,36 @@ func BenchmarkFrontier(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFrontierService times one /frontier?alphas=41 request
+// against the Service in-process (httptest recorder, no socket) at the
+// BenchmarkFrontier scale. hit is the reply memo's path: key, lookup,
+// one Write. miss moves the source's total by one unit per iteration,
+// so every fingerprint is new and every request enumerates, encodes
+// and stores — warm64x41/serial plus the JSON encode — which is the
+// cost the end-to-end benchmark's timed loop no longer sees.
+func BenchmarkFrontierService(b *testing.B) {
+	for _, want := range []string{"hit", "miss"} {
+		b.Run(want, func(b *testing.B) {
+			src := &StaticSource{Nodes: PaperModels(benchNodes), Total: 1_000_000}
+			svc := NewService(src, Config{Workers: 1})
+			req := httptest.NewRequest(http.MethodGet, "/frontier?alphas=41", nil)
+			svc.ServeHTTP(httptest.NewRecorder(), req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if want == "miss" {
+					src.Total++
+				}
+				rec := httptest.NewRecorder()
+				svc.ServeHTTP(rec, req)
+				if got := rec.Header().Get("X-Frontier-Cache"); rec.Code != http.StatusOK || got != want {
+					b.Fatalf("status %d, X-Frontier-Cache %q, want %s", rec.Code, got, want)
+				}
+			}
+		})
+	}
 }
 
 // TestWarmSweepCostFloor enforces what the shared vertex factorization

@@ -1,103 +1,97 @@
-// Frontier enumeration cache. Repeat /frontier queries against an
-// unchanged plan re-run the whole α sweep for bit-identical output;
-// the cache memoizes enumerations keyed by an exact fingerprint of
-// everything the result is a function of — the model source (node
-// fits, dirty rates, total units) and the request parameters (mode,
-// α list, tolerance, constraints, axes). Worker count is deliberately
-// excluded: enumeration results are bit-identical at any parallelism.
-// The replanning loop invalidates the cache whenever it installs new
-// models, so a cached frontier can never outlive the plan it was
-// enumerated from.
+// Reply memo. Between two replans the models do not change, so a
+// repeated /frontier question has the same answer, and the Service
+// keeps the encoded reply bytes of its recent enumerations: a repeat
+// costs a key, a map lookup and one Write. Keys are exact — the
+// Fingerprint of the models the ModelSource returned for this request
+// plus every request parameter the bytes depend on — so new models are
+// a new key, an old entry can never be served for them, and nothing is
+// ever invalidated: entries no request can reach any more age out
+// FIFO. Only the Service has a memo; Sweep and Exact always enumerate.
 package frontier
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"sync"
 
 	"pareto/internal/opt"
+	"pareto/internal/parallel"
 	"pareto/internal/telemetry"
 )
 
-// DefaultCacheSize bounds a Cache's entries when NewCache is given a
-// nonpositive size.
-const DefaultCacheSize = 64
+// The memo holds at most memoEntries replies and memoBytes of keys
+// plus bodies, evicting oldest first. A reply over a quarter of the
+// budget (a 100,000-α sweep) is served and not kept, so one huge
+// request cannot flush every small one.
+const (
+	memoEntries = 64
+	memoBytes   = 16 << 20
+)
 
-// Cache memoizes frontier enumerations. Safe for concurrent use.
-// Cached Results are shared — callers must treat them as immutable,
-// which every enumeration consumer already does.
-type Cache struct {
-	reg *telemetry.Registry
+// replyMemo is a Service's bounded FIFO of encoded replies. Safe for
+// concurrent use; stored bodies are never written to again.
+type replyMemo struct {
+	budget       int // memoBytes; tests lower it
+	hits, misses *telemetry.Counter
+	held         *telemetry.Gauge
 
 	mu      sync.Mutex
-	max     int
-	entries map[string]cacheEntry
+	entries map[string][]byte
 	order   []string // insertion order, for FIFO eviction
+	bytes   int
 }
 
-type cacheEntry struct {
-	res       *Result
-	truncated bool
-}
-
-// NewCache creates a cache holding at most max enumerations (FIFO
-// eviction; max ≤ 0 means DefaultCacheSize). reg, when non-nil,
-// receives frontier_cache_hits / frontier_cache_misses /
-// frontier_cache_invalidations counters.
-func NewCache(max int, reg *telemetry.Registry) *Cache {
-	if max <= 0 {
-		max = DefaultCacheSize
+// newReplyMemo creates an empty memo. reg, when non-nil, receives the
+// frontier_cache_hits / frontier_cache_misses counters and the
+// frontier_cache_bytes gauge (bytes held against the budget).
+func newReplyMemo(reg *telemetry.Registry) *replyMemo {
+	return &replyMemo{
+		budget:  memoBytes,
+		hits:    reg.Counter("frontier_cache_hits"),
+		misses:  reg.Counter("frontier_cache_misses"),
+		held:    reg.Gauge("frontier_cache_bytes"),
+		entries: make(map[string][]byte),
 	}
-	return &Cache{reg: reg, max: max, entries: make(map[string]cacheEntry)}
 }
 
-// Invalidate drops every cached enumeration. Called when new models
-// are installed (replanning) so stale frontiers cannot be served.
-func (c *Cache) Invalidate() {
-	if c == nil {
+// get returns the reply stored under key, counting a hit or a miss.
+func (m *replyMemo) get(key string) ([]byte, bool) {
+	m.mu.Lock()
+	body, ok := m.entries[key]
+	m.mu.Unlock()
+	if ok {
+		m.hits.Inc()
+	} else {
+		m.misses.Inc()
+	}
+	return body, ok
+}
+
+// put keeps a copy of body under key, evicting oldest entries until
+// both bounds hold. The first reply stored under a key stays: of two
+// concurrent misses the later one is served its own bytes, and every
+// hit after them sees the earlier one's.
+func (m *replyMemo) put(key string, body []byte) {
+	size := len(key) + len(body)
+	if size > m.budget/4 {
 		return
 	}
-	c.mu.Lock()
-	clear(c.entries)
-	c.order = c.order[:0]
-	c.mu.Unlock()
-	c.reg.Counter("frontier_cache_invalidations").Inc()
-}
-
-// Len returns the number of cached enumerations.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// lookup returns the cached enumeration for key, counting a hit or
-// miss.
-func (c *Cache) lookup(key string) (*Result, bool, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if ok {
-		c.reg.Counter("frontier_cache_hits").Inc()
-		return e.res, e.truncated, true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.entries[key]; ok {
+		return
 	}
-	c.reg.Counter("frontier_cache_misses").Inc()
-	return nil, false, false
-}
-
-// store caches an enumeration under key, evicting the oldest entry
-// past capacity.
-func (c *Cache) store(key string, res *Result, truncated bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; !ok {
-		c.order = append(c.order, key)
-		for len(c.order) > c.max {
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
-		}
+	for len(m.order) >= memoEntries || m.bytes+size > m.budget {
+		oldest := m.order[0]
+		m.order = m.order[1:]
+		m.bytes -= len(oldest) + len(m.entries[oldest])
+		delete(m.entries, oldest)
 	}
-	c.entries[key] = cacheEntry{res: res, truncated: truncated}
+	m.entries[key] = bytes.Clone(body)
+	m.order = append(m.order, key)
+	m.bytes += size
+	m.held.Set(int64(m.bytes))
 }
 
 // Fingerprint returns an exact textual fingerprint of a model source:
@@ -119,27 +113,27 @@ func Fingerprint(nodes []opt.NodeModel, total int) string {
 	return string(buf)
 }
 
-// cacheKey extends a model fingerprint with every request parameter
-// the enumeration depends on.
-func cacheKey(fp string, exact bool, cfg Config) string {
+// memoKey extends a model fingerprint with every per-request parameter
+// the reply bytes depend on: mode, all=, tolerance, the α list, and
+// the resolved worker count — it decides how Sweep and Exact split
+// into chains, which stats and each point's warm/pivots record (a
+// short ladder runs one chain at any count; keying on the count costs
+// it a spurious miss, never a wrong hit). Axes and constraints are
+// fixed per Service, whose memo this is, so they are not in the key.
+func memoKey(fp string, exact, all bool, cfg Config) string {
 	buf := make([]byte, 0, len(fp)+64+len(cfg.Alphas)*17)
 	buf = append(buf, fp...)
-	if exact {
-		buf = append(buf, ";exact;"...)
-	} else {
-		buf = append(buf, ";sweep;"...)
-	}
-	buf = strconv.AppendUint(buf, math.Float64bits(cfg.Tol), 16)
 	buf = append(buf, ';')
-	buf = strconv.AppendUint(buf, math.Float64bits(cfg.Constraints.MinSize), 16)
+	buf = strconv.AppendBool(buf, exact)
+	buf = append(buf, ';')
+	buf = strconv.AppendBool(buf, all)
+	buf = append(buf, ';')
+	buf = strconv.AppendInt(buf, int64(parallel.Workers(math.MaxInt, cfg.Workers)), 16)
+	buf = append(buf, ';')
+	buf = strconv.AppendUint(buf, math.Float64bits(cfg.Tol), 16)
 	for _, a := range cfg.Alphas {
 		buf = append(buf, ',')
 		buf = strconv.AppendUint(buf, math.Float64bits(a), 16)
-	}
-	buf = append(buf, ';')
-	for _, ax := range cfg.axes() {
-		buf = append(buf, ax.Name...)
-		buf = append(buf, ',')
 	}
 	return string(buf)
 }

@@ -207,11 +207,6 @@ type Config struct {
 	Tol float64
 	// Telemetry receives frontier_* metrics when non-nil.
 	Telemetry *telemetry.Registry
-	// Cache, when non-nil, memoizes service enumerations keyed by the
-	// model-source fingerprint and request parameters (see cache.go).
-	// Only the HTTP Service consults it; direct Sweep/Exact calls
-	// always enumerate.
-	Cache *Cache
 }
 
 func (c Config) axes() []Axis {
@@ -285,12 +280,14 @@ func (c *chain) addTo(st *Stats) {
 	st.WarmPivots += c.warmPivots
 }
 
+// ErrBadRequest marks an enumeration refused for its inputs (models
+// opt.ValidateModels rejects, an α outside [0,1], a negative MinSize)
+// rather than failed while solving; the Service answers it with 400.
+var ErrBadRequest = errors.New("frontier: bad request")
+
 func validateSweep(nodes []opt.NodeModel, total int, cfg Config) (alphas []float64, cons opt.Constraints, err error) {
-	if len(nodes) == 0 {
-		return nil, cons, errors.New("frontier: no nodes")
-	}
-	if total <= 0 {
-		return nil, cons, fmt.Errorf("frontier: total data units %d, need ≥ 1", total)
+	if err := opt.ValidateModels(nodes, total); err != nil {
+		return nil, cons, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	alphas = cfg.Alphas
 	if len(alphas) == 0 {
@@ -303,7 +300,7 @@ func validateSweep(nodes []opt.NodeModel, total int, cfg Config) (alphas []float
 	out := sorted[:0]
 	for i, a := range sorted {
 		if a < 0 || a > 1 || math.IsNaN(a) {
-			return nil, cons, fmt.Errorf("frontier: alpha %v out of [0,1]", a)
+			return nil, cons, fmt.Errorf("%w: alpha %v out of [0,1]", ErrBadRequest, a)
 		}
 		if i > 0 && a == sorted[i-1] {
 			continue
@@ -312,7 +309,7 @@ func validateSweep(nodes []opt.NodeModel, total int, cfg Config) (alphas []float
 	}
 	cons = cfg.Constraints
 	if cons.MinSize < 0 {
-		return nil, cons, fmt.Errorf("frontier: negative MinSize %v", cons.MinSize)
+		return nil, cons, fmt.Errorf("%w: negative MinSize %v", ErrBadRequest, cons.MinSize)
 	}
 	// Mirror OptimizeWithConstraints' cap so results match the cold path.
 	if cap := float64(total) / float64(len(nodes)); cons.MinSize > cap {

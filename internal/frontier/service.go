@@ -10,6 +10,7 @@
 package frontier
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,16 +48,21 @@ func (s StaticSource) FrontierModels() ([]opt.NodeModel, int, error) {
 //	tol=T             coincidence/convergence tolerance
 //	workers=W         parallelism bound
 //	all=1             include dominated points (flagged) in the output
+//
+// A request whose models and parameters equal an earlier one's is
+// answered from the reply memo (cache.go) with that reply's bytes; the
+// X-Frontier-Cache header says hit or miss.
 type Service struct {
 	source ModelSource
 	cfg    Config
+	memo   *replyMemo
 }
 
 // NewService creates a frontier service over the given source. cfg
 // supplies defaults (axes, telemetry, base α sweep) that requests can
 // override.
 func NewService(source ModelSource, cfg Config) *Service {
-	return &Service{source: source, cfg: cfg}
+	return &Service{source: source, cfg: cfg, memo: newReplyMemo(cfg.Telemetry)}
 }
 
 // Mount registers the service at /frontier on the given mux (typically
@@ -170,49 +176,47 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Serve memoized points when the model fingerprint and request
-	// parameters match a previous enumeration; replanning invalidates
-	// the cache when it installs new models.
-	var key string
-	if cfg.Cache != nil {
-		key = cacheKey(Fingerprint(nodes, total), exact, cfg)
-		if res, truncated, ok := cfg.Cache.lookup(key); ok {
-			writeFrontierJSON(w, res, nodes, total, exact, truncated, includeAll, cfg)
-			return
-		}
-	}
-
-	var res *Result
-	if exact {
-		res, err = Exact(nodes, total, cfg)
-	} else {
-		res, err = Sweep(nodes, total, cfg)
-	}
-	truncated := false
-	if err != nil {
-		if !errors.Is(err, opt.ErrTruncated) {
+	// The models are read on every request, so the key follows them:
+	// after a replan the same URL is a different key.
+	key := memoKey(Fingerprint(nodes, total), exact, includeAll, cfg)
+	body, hit := s.memo.get(key)
+	state := "hit"
+	if !hit {
+		state = "miss"
+		if body, err = encodeReply(nodes, total, exact, includeAll, cfg); err != nil {
 			status := http.StatusInternalServerError
-			if strings.Contains(err.Error(), "out of [0,1]") || strings.Contains(err.Error(), "need ≥ 1") {
+			if errors.Is(err, ErrBadRequest) {
 				status = http.StatusBadRequest
 			}
 			http.Error(w, err.Error(), status)
 			return
 		}
-		// A truncated exact frontier is still served, flagged.
-		truncated = true
+		s.memo.put(key, body)
 	}
-	if cfg.Cache != nil {
-		cfg.Cache.store(key, res, truncated)
-	}
-	writeFrontierJSON(w, res, nodes, total, exact, truncated, includeAll, cfg)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("X-Frontier-Cache", state)
+	_, _ = w.Write(body) // a failed write is the caller hanging up
 }
 
-// writeFrontierJSON renders an enumeration (fresh or cached) as the
-// /frontier response. Stats always describe the enumeration that
-// produced the points — a cache hit reports the original solve effort,
-// not zero work.
-func writeFrontierJSON(w http.ResponseWriter, res *Result, nodes []opt.NodeModel, total int, exact, truncated, includeAll bool, cfg Config) {
-
+// encodeReply enumerates and renders the /frontier reply. It encodes
+// into memory, so a reply that cannot be encoded (an Axis evaluating to
+// NaN) is an error here, not a broken body after a 200. Stats describe
+// the enumeration that produced the points; the memo serves these
+// bytes again as they are, so on a hit elapsed_ms is this run's.
+func encodeReply(nodes []opt.NodeModel, total int, exact, includeAll bool, cfg Config) ([]byte, error) {
+	var res *Result
+	var err error
+	if exact {
+		res, err = Exact(nodes, total, cfg)
+	} else {
+		res, err = Sweep(nodes, total, cfg)
+	}
+	// A truncated exact frontier is still served, flagged.
+	truncated := errors.Is(err, opt.ErrTruncated)
+	if err != nil && !truncated {
+		return nil, err
+	}
 	resp := responseJSON{
 		Nodes:     len(nodes),
 		Total:     total,
@@ -247,11 +251,11 @@ func writeFrontierJSON(w http.ResponseWriter, res *Result, nodes []opt.NodeModel
 			Dominated:   p.Dominated,
 		})
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(resp); err != nil {
-		// Headers are gone; nothing to do but note it for debugging.
-		fmt.Fprintf(w, "\n// encode error: %v\n", err)
+		return nil, fmt.Errorf("frontier: encode reply: %w", err)
 	}
+	return buf.Bytes(), nil
 }

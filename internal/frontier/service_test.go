@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -112,6 +113,75 @@ func TestServiceErrors(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", url, rec.Code)
 		}
+	}
+}
+
+// TestServiceRejectsBadModels: what opt.Optimize refuses, Sweep and
+// Exact refuse too — as ErrBadRequest, which the service answers with
+// 400 and does not memoize.
+func TestServiceRejectsBadModels(t *testing.T) {
+	good := PaperModels(4)
+	with := func(mutate func(n *opt.NodeModel)) []opt.NodeModel {
+		nodes := append([]opt.NodeModel(nil), good...)
+		mutate(&nodes[2])
+		return nodes
+	}
+	for _, tc := range []struct {
+		name  string
+		nodes []opt.NodeModel
+		total int
+	}{
+		{"no nodes", nil, 1000},
+		{"zero total", good, 0},
+		{"negative slope", with(func(n *opt.NodeModel) { n.Time.Slope = -1e-6 }), 1000},
+		{"NaN slope", with(func(n *opt.NodeModel) { n.Time.Slope = math.NaN() }), 1000},
+		{"negative intercept", with(func(n *opt.NodeModel) { n.Time.Intercept = -0.1 }), 1000},
+		{"NaN intercept", with(func(n *opt.NodeModel) { n.Time.Intercept = math.NaN() }), 1000},
+		{"negative dirty rate", with(func(n *opt.NodeModel) { n.DirtyRate = -1 }), 1000},
+		{"NaN dirty rate", with(func(n *opt.NodeModel) { n.DirtyRate = math.NaN() }), 1000},
+	} {
+		if _, err := Sweep(tc.nodes, tc.total, Config{}); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: Sweep error %v, want ErrBadRequest", tc.name, err)
+		}
+		if _, err := Exact(tc.nodes, tc.total, Config{}); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: Exact error %v, want ErrBadRequest", tc.name, err)
+		}
+		if _, err := opt.Optimize(tc.nodes, tc.total, 1); err == nil {
+			t.Errorf("%s: opt.Optimize accepts it", tc.name)
+		}
+		svc := NewService(StaticSource{Nodes: tc.nodes, Total: tc.total}, Config{})
+		for _, url := range []string{"/frontier?alphas=5", "/frontier?exact=1"} {
+			if rec, _ := getFrontier(t, svc, url); rec.Code != http.StatusBadRequest {
+				t.Errorf("%s: %s: status %d, want 400", tc.name, url, rec.Code)
+			}
+		}
+		if len(svc.memo.entries) != 0 {
+			t.Errorf("%s: an error reply was memoized", tc.name)
+		}
+	}
+	if _, err := Sweep(good, 1000, Config{Constraints: opt.Constraints{MinSize: -1}}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("negative MinSize: Sweep error %v, want ErrBadRequest", err)
+	}
+}
+
+// TestServiceEncodeFailure: a reply that cannot be encoded (an axis
+// evaluating to NaN) is a clean 500 with nothing of the JSON body
+// written, and is not memoized.
+func TestServiceEncodeFailure(t *testing.T) {
+	nan := Axis{Name: "nan", Eval: func([]opt.NodeModel, *opt.Plan) float64 { return math.NaN() }}
+	svc := NewService(StaticSource{Nodes: PaperModels(4), Total: 10_000}, Config{Axes: []Axis{MakespanAxis(), nan}})
+	rec, _ := getFrontier(t, svc, "/frontier?alphas=5")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); !strings.HasPrefix(body, "frontier: encode reply:") || strings.Contains(body, "{") {
+		t.Errorf("body %q, want only the encode error", body)
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("content type %q", ct)
+	}
+	if len(svc.memo.entries) != 0 {
+		t.Error("a failed reply was memoized")
 	}
 }
 

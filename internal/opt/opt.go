@@ -56,24 +56,35 @@ type Plan struct {
 	Alpha float64
 }
 
-func validate(nodes []NodeModel, total int, alpha float64) error {
+// ValidateModels rejects inputs no sizing LP can be built from: no
+// nodes, a total below 1, or a negative or NaN slope, intercept or
+// dirty rate. It is the one model check: Optimize and its variants
+// apply it, and so does internal/frontier before it enumerates.
+func ValidateModels(nodes []NodeModel, total int) error {
 	if len(nodes) == 0 {
 		return errors.New("opt: no nodes")
 	}
 	if total <= 0 {
 		return fmt.Errorf("opt: total data units %d, need ≥ 1", total)
 	}
-	if alpha < 0 || alpha > 1 {
-		return fmt.Errorf("opt: alpha %v out of [0,1]", alpha)
-	}
 	for i, n := range nodes {
-		if n.Time.Slope < 0 || n.Time.Intercept < 0 {
-			return fmt.Errorf("opt: node %d has negative time model (%v, %v); clamp fits first",
+		if !(n.Time.Slope >= 0 && n.Time.Intercept >= 0) {
+			return fmt.Errorf("opt: node %d has negative or NaN time model (%v, %v); clamp fits first",
 				i, n.Time.Slope, n.Time.Intercept)
 		}
-		if n.DirtyRate < 0 {
-			return fmt.Errorf("opt: node %d has negative dirty rate %v", i, n.DirtyRate)
+		if !(n.DirtyRate >= 0) {
+			return fmt.Errorf("opt: node %d has negative or NaN dirty rate %v", i, n.DirtyRate)
 		}
+	}
+	return nil
+}
+
+func validate(nodes []NodeModel, total int, alpha float64) error {
+	if err := ValidateModels(nodes, total); err != nil {
+		return err
+	}
+	if alpha < 0 || alpha > 1 {
+		return fmt.Errorf("opt: alpha %v out of [0,1]", alpha)
 	}
 	return nil
 }

@@ -42,6 +42,10 @@ func TestOptimizeValidation(t *testing.T) {
 	if _, err := Optimize(bad2, 100, 1); err == nil {
 		t.Error("negative dirty rate accepted")
 	}
+	nan := []NodeModel{{Time: sampling.LinearFit{Slope: 1, Intercept: math.NaN()}}}
+	if _, err := Optimize(nan, 100, 1); err == nil {
+		t.Error("NaN intercept accepted")
+	}
 }
 
 func TestOptimizeSizesSumToTotal(t *testing.T) {

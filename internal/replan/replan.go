@@ -9,7 +9,6 @@ import (
 
 	"pareto/internal/cluster"
 	"pareto/internal/core"
-	"pareto/internal/frontier"
 	"pareto/internal/lp"
 	"pareto/internal/opt"
 	"pareto/internal/parallel"
@@ -40,10 +39,6 @@ type Config struct {
 	// migrates data through. It is wrapped in an EpochStore so a failed
 	// migration never tears the readable state.
 	Store partitioner.Store
-	// FrontierCache, when non-nil, is invalidated whenever a cycle
-	// installs new models, so cached enumerations never outlive the
-	// plan they came from.
-	FrontierCache *frontier.Cache
 	// Telemetry receives the replan_* counters, gauges and the cycle
 	// latency histogram.
 	Telemetry *telemetry.Registry
@@ -239,7 +234,6 @@ func (l *Loop) installFull(plan *core.Plan) error {
 	l.lastSizes = append([]int(nil), plan.Sizes...)
 	l.lastN = l.corpus.Len()
 	l.corpusWeight = plan.CorpusWeight
-	l.cfg.FrontierCache.Invalidate()
 	return nil
 }
 
@@ -371,7 +365,6 @@ func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
 	} else if err := l.tracker.Reset(l.st, dirty); err != nil {
 		return err
 	}
-	l.cfg.FrontierCache.Invalidate()
 	return nil
 }
 
