@@ -6,7 +6,7 @@
 // Usage:
 //
 //	kvstored -addr 127.0.0.1:6379
-//	kvstored -addr 127.0.0.1:6379 -listeners 4 -shards 64
+//	kvstored -addr 127.0.0.1:6379 -shards 64
 //	kvstored -addr 127.0.0.1:6379 -snapshot s.pkvs -aof s.aof -aof-sync 2ms
 //	kvstored -addr 127.0.0.1:7001 -cluster-slots 0-511@127.0.0.1:7001,512-1023@127.0.0.1:7002
 //	kvstored -addr 127.0.0.1:6379 -metrics-addr 127.0.0.1:9100
@@ -41,7 +41,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6380", "listen address")
-	listeners := flag.Int("listeners", 1, "accept loops (SO_REUSEPORT listeners where supported)")
 	shards := flag.Int("shards", 0, "engine shard count, rounded up to a power of two (0 = scale with GOMAXPROCS)")
 	snapshot := flag.String("snapshot", "", "snapshot file: loaded at start, written by SAVE/BGREWRITEAOF and on shutdown")
 	aof := flag.String("aof", "", "append-only command log: replayed after the snapshot at start, group-commit fsynced at runtime")
@@ -99,13 +98,12 @@ func main() {
 		}
 		fmt.Printf("kvstored metrics on http://%s/metrics\n", metricsSrv.Addr)
 	}
-	bound, err := srv.ListenN(*addr, *listeners)
+	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kvstored: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("kvstored listening on %s (%d accept loops, %d engine shards)\n",
-		bound, *listeners, srv.Engine().NumShards())
+	fmt.Printf("kvstored listening on %s (%d engine shards)\n", bound, srv.Engine().NumShards())
 	if *replicaOf != "" {
 		// The advertised address is what a failover can promote; prefer
 		// the cluster identity, fall back to the bound address.

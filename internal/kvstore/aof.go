@@ -588,7 +588,7 @@ func ReplayAOFSince(path string, e *Engine, mark AOFMark) (int, AOFMark, error) 
 			}
 			return n, AOFMark{Gen: gen, Off: end}, fmt.Errorf("kvstore: aof replay at record %d: %w", n+1, err)
 		}
-		if rep := e.Do(cmd, args...); rep.Type == ErrorReply {
+		if rep := e.doID(cb.id, cmd, args); rep.Type == ErrorReply {
 			return n, AOFMark{Gen: gen, Off: end}, fmt.Errorf("kvstore: aof replay at record %d: %s", n+1, rep.Str)
 		}
 		n++

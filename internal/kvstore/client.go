@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,6 +27,8 @@ import (
 // retried — a failure after the request may have been written is
 // ambiguous — and surface ErrNotRetryable so the caller decides.
 type Client struct {
+	keyed
+
 	mu   sync.Mutex
 	conn net.Conn
 	r    *bufio.Reader
@@ -41,12 +42,15 @@ type Client struct {
 
 	// pending counts commands written but not yet read (pipelining).
 	pending int
-	// buffered holds pipelined replies drained early by Do; Flush
+	// buffered holds pipelined replies drained early by Do; FlushInto
 	// returns them ahead of freshly read ones so no reply is lost.
 	buffered []Reply
 	// broken marks the connection dead; the next immediate command
 	// re-dials before writing.
 	broken bool
+	// closed is set by Close and never cleared: a closed client refuses
+	// every command with ErrClientClosed instead of re-dialing.
+	closed bool
 }
 
 // Options tunes a Client's fault-tolerance behavior. The zero value
@@ -95,6 +99,11 @@ func (o *Options) normalize() {
 // idempotent unit, e.g. DEL + re-push a whole list).
 var ErrNotRetryable = errors.New("kvstore: command not retryable")
 
+// ErrClientClosed is returned by every command issued after Close, on a
+// Client or on a ClusterClient and its pooled connections: a closed
+// client never re-dials.
+var ErrClientClosed = errors.New("kvstore: client closed")
+
 // KV is the store-client surface shared by *Client (one store) and
 // *ClusterClient (a slot-routed pool over many stores). Everything
 // above the wire — distrib's shipping paths, the partitioner's stores,
@@ -103,8 +112,6 @@ var ErrNotRetryable = errors.New("kvstore: command not retryable")
 type KV interface {
 	Get(key string) ([]byte, error)
 	Set(key string, val []byte) error
-	MSet(keys []string, vals [][]byte) error
-	MGet(keys ...string) ([][]byte, error)
 	Del(keys ...string) (int64, error)
 	Incr(key string) (int64, error)
 	RPush(key string, vals ...[]byte) (int64, error)
@@ -125,17 +132,6 @@ type Pipe interface {
 	Expect(total int)
 	Send(cmd string, args ...[]byte) error
 	Finish() ([]Reply, error)
-	FinishInto(dst []Reply) ([]Reply, error)
-	Reuse(dst []Reply)
-}
-
-// idempotent lists the commands safe to blindly re-send: re-executing
-// them converges to the same store state and reply semantics.
-var idempotent = map[string]bool{
-	"GET": true, "SET": true, "MGET": true, "MSET": true,
-	"DEL": true, "EXISTS": true,
-	"LLEN": true, "LRANGE": true, "LINDEX": true, "STRLEN": true,
-	"PING": true, "ECHO": true, "DBSIZE": true,
 }
 
 // Dial connects to a store at addr with the given timeout, with no
@@ -155,6 +151,8 @@ func DialOptions(addr string, timeout time.Duration, opts Options) (*Client, err
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		metrics:     newClientMetrics(opts.Telemetry),
 	}
+	// One store owns every key: routing a one-key command is just Do.
+	c.keyed.route = func(_, cmd string, args [][]byte) (Reply, error) { return c.Do(cmd, args...) }
 	conn, err := c.dial()
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: dial %s: %w", addr, err)
@@ -230,13 +228,15 @@ func (c *Client) backoff(attempt int) {
 	time.Sleep(d)
 }
 
-// Close closes the connection.
+// Close closes the connection for good: every later command, Send and
+// FlushInto returns ErrClientClosed without dialing.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn == nil {
+	if c.closed || c.conn == nil {
 		return nil
 	}
+	c.closed = true
 	return c.conn.Close()
 }
 
@@ -259,7 +259,7 @@ func (c *Client) exchange(cmd string, args [][]byte) (Reply, error) {
 		return Reply{}, err
 	}
 	// Drain earlier pipelined replies; they belong to the active
-	// pipeline, so keep them for its Flush instead of discarding.
+	// pipeline, so keep them for its FlushInto instead of discarding.
 	for c.pending > 0 {
 		c.armDeadline()
 		rep, err := ReadReply(c.r)
@@ -281,7 +281,7 @@ func (c *Client) exchange(cmd string, args [][]byte) (Reply, error) {
 
 // Do sends one command and waits for its reply (flushing any pipelined
 // commands first so ordering is preserved; their replies are buffered
-// for the pipeline's Flush, not discarded). Idempotent commands are
+// for the pipeline's FlushInto, not discarded). Idempotent commands are
 // retried per Options when the connection fails — unless pipelined
 // commands are in flight, whose replies a re-sent command could never
 // recover.
@@ -303,6 +303,9 @@ func (c *Client) Do(cmd string, args ...[]byte) (Reply, error) {
 
 // doLocked is Do's body; the caller holds c.mu.
 func (c *Client) doLocked(cmd string, args [][]byte) (Reply, error) {
+	if c.closed {
+		return Reply{}, ErrClientClosed
+	}
 	if c.pending > 0 {
 		return c.exchange(cmd, args)
 	}
@@ -310,7 +313,7 @@ func (c *Client) doLocked(cmd string, args [][]byte) (Reply, error) {
 	if err == nil || c.opts.MaxRetries <= 0 {
 		return rep, err
 	}
-	if !idempotent[strings.ToUpper(cmd)] {
+	if !cmdTable[lookupCmd(cmd)].idempotent {
 		return Reply{}, fmt.Errorf("kvstore: %s failed (%v): %w", cmd, err, ErrNotRetryable)
 	}
 	for attempt := 1; attempt <= c.opts.MaxRetries; attempt++ {
@@ -326,16 +329,23 @@ func (c *Client) doLocked(cmd string, args [][]byte) (Reply, error) {
 	return Reply{}, fmt.Errorf("kvstore: %s failed after %d retries: %w", cmd, c.opts.MaxRetries, err)
 }
 
-// Send enqueues a command without reading its reply; Flush collects
+// Send enqueues a command without reading its reply; FlushInto collects
 // all outstanding replies in order. This is the pipelining primitive.
+// A command larger than the write buffer is written through here, so
+// Send arms the per-operation deadline like every other network
+// operation.
 func (c *Client) Send(cmd string, args ...[]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClientClosed
+	}
 	if c.broken {
 		if err := c.reconnect(); err != nil {
 			return err
 		}
 	}
+	c.armDeadline()
 	if err := WriteCommand(c.w, cmd, args...); err != nil {
 		c.markBroken()
 		return err
@@ -344,27 +354,19 @@ func (c *Client) Send(cmd string, args ...[]byte) error {
 	return nil
 }
 
-// Flush pushes buffered commands to the server and reads every
-// outstanding reply, in command order (including replies a concurrent
-// Do already drained). Pipelined commands are not retried: on a
-// connection failure the pipeline's replies are lost, the error is
-// returned, and the caller re-issues the batch (idempotent as a unit,
-// e.g. DEL + re-push). The returned replies are freshly allocated and
-// owned by the caller.
-func (c *Client) Flush() ([]Reply, error) {
-	return c.FlushInto(nil)
-}
-
-// FlushInto is Flush appending into dst, reusing its capacity — both
-// the slice and, when slots are recycled from a previous batch, each
-// Reply's Bulk/Array buffers.
-//
-// Ownership: replies appended by FlushInto (and any bulk payloads
-// reachable through recycled slots) are valid until dst is passed to
-// another FlushInto/FinishInto call; copy anything retained longer.
+// FlushInto pushes buffered commands to the server and appends every
+// outstanding reply to dst, in command order (including replies a
+// concurrent Do already drained). Pipelined commands are not retried:
+// on a connection failure the pipeline's replies are lost, the error
+// is returned, and the caller re-issues the batch (idempotent as a
+// unit, e.g. DEL + re-push). The appended replies are freshly
+// allocated and owned by the caller.
 func (c *Client) FlushInto(dst []Reply) ([]Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return dst, ErrClientClosed
+	}
 	if c.metrics != nil && c.pending > 0 {
 		c.metrics.pipelineDepth.Observe(int64(c.pending))
 	}
@@ -377,16 +379,12 @@ func (c *Client) FlushInto(dst []Reply) ([]Reply, error) {
 	c.buffered = nil
 	for c.pending > 0 {
 		c.armDeadline()
-		i := len(dst)
-		if cap(dst) > i {
-			dst = dst[:i+1] // expose the recycled slot, buffers intact
-		} else {
-			dst = append(dst, Reply{})
-		}
-		if err := ReadReplyInto(c.r, &dst[i], MaxBulkLen); err != nil {
+		rep, err := ReadReply(c.r)
+		if err != nil {
 			c.markBroken()
-			return dst[:i], err
+			return dst, err
 		}
+		dst = append(dst, rep)
 		c.pending--
 	}
 	return dst, nil
@@ -395,13 +393,33 @@ func (c *Client) FlushInto(dst []Reply) ([]Reply, error) {
 // ErrNil is returned by typed helpers when the key does not exist.
 var ErrNil = errors.New("kvstore: nil reply")
 
-// Get fetches a string key; ErrNil if absent.
-func (c *Client) Get(key string) ([]byte, error) {
-	rep, err := c.Do("GET", []byte(key))
+// keyed is the typed one-key command set, written once and embedded in
+// both Client and ClusterClient. The two differ in exactly one thing —
+// how a command reaches the store that owns its key — and that is
+// route: Client hands it to its one connection, ClusterClient to the
+// key's slot owner.
+type keyed struct {
+	route func(key, cmd string, args [][]byte) (Reply, error)
+}
+
+// call routes cmd key rest... and folds an error reply into the error.
+func (k keyed) call(cmd, key string, rest ...[]byte) (Reply, error) {
+	args := make([][]byte, 1, 1+len(rest))
+	args[0] = []byte(key)
+	rep, err := k.route(key, cmd, append(args, rest...))
 	if err != nil {
-		return nil, err
+		return Reply{}, err
 	}
 	if err := rep.Err(); err != nil {
+		return Reply{}, err
+	}
+	return rep, nil
+}
+
+// Get fetches a string key; ErrNil if absent.
+func (k keyed) Get(key string) ([]byte, error) {
+	rep, err := k.call("GET", key)
+	if err != nil {
 		return nil, err
 	}
 	if rep.Type == NullBulk {
@@ -411,100 +429,36 @@ func (c *Client) Get(key string) ([]byte, error) {
 }
 
 // Set stores a string key.
-func (c *Client) Set(key string, val []byte) error {
-	rep, err := c.Do("SET", []byte(key), val)
-	if err != nil {
-		return err
-	}
-	return rep.Err()
-}
-
-// MSet stores keys[i] ← vals[i] in one round trip (the bulk
-// materialization primitive: a whole placement's partitions land in
-// O(stores) commands instead of O(records)).
-func (c *Client) MSet(keys []string, vals [][]byte) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("kvstore: mset with %d keys, %d values", len(keys), len(vals))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	args := make([][]byte, 0, 2*len(keys))
-	for i, k := range keys {
-		args = append(args, []byte(k), vals[i])
-	}
-	rep, err := c.Do("MSET", args...)
-	if err != nil {
-		return err
-	}
-	return rep.Err()
-}
-
-// MGet fetches many string keys in one round trip; a missing (or
-// non-string) key yields a nil entry.
-func (c *Client) MGet(keys ...string) ([][]byte, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	args := make([][]byte, len(keys))
-	for i, k := range keys {
-		args[i] = []byte(k)
-	}
-	rep, err := c.Do("MGET", args...)
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	if len(rep.Array) != len(keys) {
-		return nil, fmt.Errorf("kvstore: mget returned %d of %d values", len(rep.Array), len(keys))
-	}
-	out := make([][]byte, len(keys))
-	for i, el := range rep.Array {
-		if el.Type == BulkString {
-			out[i] = el.Bulk
-		}
-	}
-	return out, nil
+func (k keyed) Set(key string, val []byte) error {
+	_, err := k.call("SET", key, val)
+	return err
 }
 
 // Incr atomically increments a counter key and returns the new value.
-func (c *Client) Incr(key string) (int64, error) {
-	rep, err := c.Do("INCR", []byte(key))
-	if err != nil {
-		return 0, err
-	}
-	if err := rep.Err(); err != nil {
-		return 0, err
-	}
-	return rep.Int, nil
+func (k keyed) Incr(key string) (int64, error) {
+	rep, err := k.call("INCR", key)
+	return rep.Int, err
 }
 
 // RPush appends values to a list and returns the new length.
-func (c *Client) RPush(key string, vals ...[]byte) (int64, error) {
-	args := make([][]byte, 0, len(vals)+1)
-	args = append(args, []byte(key))
-	args = append(args, vals...)
-	rep, err := c.Do("RPUSH", args...)
-	if err != nil {
-		return 0, err
-	}
-	if err := rep.Err(); err != nil {
-		return 0, err
-	}
-	return rep.Int, nil
+func (k keyed) RPush(key string, vals ...[]byte) (int64, error) {
+	rep, err := k.call("RPUSH", key, vals...)
+	return rep.Int, err
+}
+
+// LLen returns a list's length.
+func (k keyed) LLen(key string) (int64, error) {
+	rep, err := k.call("LLEN", key)
+	return rep.Int, err
 }
 
 // LRange fetches list elements in [start, stop] (inclusive, negative
-// indices count from the end, as in Redis).
-func (c *Client) LRange(key string, start, stop int64) ([][]byte, error) {
-	rep, err := c.Do("LRANGE", []byte(key),
+// indices count from the end, as in Redis). The elements are freshly
+// allocated and may be retained.
+func (k keyed) LRange(key string, start, stop int64) ([][]byte, error) {
+	rep, err := k.call("LRANGE", key,
 		[]byte(strconv.FormatInt(start, 10)), []byte(strconv.FormatInt(stop, 10)))
 	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
 		return nil, err
 	}
 	out := make([][]byte, len(rep.Array))
@@ -516,38 +470,19 @@ func (c *Client) LRange(key string, start, stop int64) ([][]byte, error) {
 
 // LRangeChunked streams a list through fn in bounded LRANGE windows of
 // at most window elements, so a huge list (a recovery re-read of a
-// whole shard) never materializes in memory at once. fn's batch is
-// owned by fn for the duration of the call only as far as the slice
-// header goes — the element payloads are freshly allocated and may be
-// retained. A non-nil error from fn stops the scan and is returned.
-func (c *Client) LRangeChunked(key string, window int64, fn func(batch [][]byte) error) error {
-	if window < 1 {
-		return fmt.Errorf("kvstore: lrange window %d, need ≥ 1", window)
-	}
-	for start := int64(0); ; start += window {
-		batch, err := c.LRange(key, start, start+window-1)
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := fn(batch); err != nil {
-			return err
-		}
-		if int64(len(batch)) < window {
-			return nil
-		}
-	}
+// whole shard) never materializes in memory at once. A non-nil error
+// from fn stops the scan and is returned.
+func (k keyed) LRangeChunked(key string, window int64, fn func(batch [][]byte) error) error {
+	_, err := k.LRangeFrom(key, 0, window, fn)
+	return err
 }
 
 // LRangeFrom reads a list from the given start index in fixed-size
 // windows, calling fn with each non-empty batch, and returns the index
-// one past the last element read. Unlike LRangeChunked it does not
-// restart at the head, so a stream consumer can tail a list producers
-// keep RPUSHing to: persist the returned cursor and pass it back as
-// start on the next poll.
-func (c *Client) LRangeFrom(key string, start, window int64, fn func(batch [][]byte) error) (int64, error) {
+// one past the last element read. A stream consumer can tail a list
+// producers keep RPUSHing to: persist the returned cursor and pass it
+// back as start on the next poll.
+func (k keyed) LRangeFrom(key string, start, window int64, fn func(batch [][]byte) error) (int64, error) {
 	if window < 1 {
 		return start, fmt.Errorf("kvstore: lrange window %d, need ≥ 1", window)
 	}
@@ -555,7 +490,7 @@ func (c *Client) LRangeFrom(key string, start, window int64, fn func(batch [][]b
 		start = 0
 	}
 	for {
-		batch, err := c.LRange(key, start, start+window-1)
+		batch, err := k.LRange(key, start, start+window-1)
 		if err != nil {
 			return start, err
 		}
@@ -570,18 +505,6 @@ func (c *Client) LRangeFrom(key string, start, window int64, fn func(batch [][]b
 			return start, nil
 		}
 	}
-}
-
-// LLen returns a list's length.
-func (c *Client) LLen(key string) (int64, error) {
-	rep, err := c.Do("LLEN", []byte(key))
-	if err != nil {
-		return 0, err
-	}
-	if err := rep.Err(); err != nil {
-		return 0, err
-	}
-	return rep.Int, nil
 }
 
 // Del removes keys, returning how many existed.
@@ -626,7 +549,6 @@ type Pipeline struct {
 	c       *Client
 	width   int
 	queued  int
-	sent    int
 	replies []Reply
 }
 
@@ -665,18 +587,17 @@ func (p *Pipeline) Send(cmd string, args ...[]byte) error {
 		return err
 	}
 	p.queued++
-	p.sent++
 	if p.queued >= p.width {
-		return p.flushInto()
+		return p.flush()
 	}
 	return nil
 }
 
-func (p *Pipeline) flushInto() error {
-	// First flush with no Expect hint: preallocate from the send count
-	// so far, the best lower bound available.
-	if p.replies == nil && p.sent > 0 {
-		p.replies = make([]Reply, 0, p.sent)
+func (p *Pipeline) flush() error {
+	// First flush with no Expect hint: size the accumulator for what is
+	// in flight, the best lower bound available.
+	if p.replies == nil {
+		p.replies = make([]Reply, 0, p.queued)
 	}
 	reps, err := p.c.FlushInto(p.replies)
 	p.replies = reps
@@ -690,41 +611,11 @@ func (p *Pipeline) flushInto() error {
 // belong to the caller; the pipeline forgets it and a subsequent batch
 // on the same pipeline starts a fresh accumulation.
 func (p *Pipeline) Finish() ([]Reply, error) {
+	var err error
 	if p.queued > 0 {
-		if err := p.flushInto(); err != nil {
-			out := p.replies
-			p.replies = nil
-			p.sent = 0
-			return out, err
-		}
+		err = p.flush()
 	}
 	out := p.replies
 	p.replies = nil
-	p.sent = 0
-	return out, nil
-}
-
-// FinishInto is Finish appending into dst (reusing its capacity): a
-// retry loop that ships batch after batch can recycle one reply slice
-// — and, through FlushInto's slot reuse, the bulk buffers inside it —
-// instead of allocating a fresh accumulation per attempt.
-//
-// Ownership: the returned slice is valid until it is recycled into
-// another FinishInto/FlushInto call. For zero-copy reuse across
-// batches, seed the pipeline with it *before* the first Send via
-// p.Reuse(dst); FinishInto alone reuses dst for replies accumulated
-// after auto-flushed ones are copied over (cheap: Reply headers only).
-func (p *Pipeline) FinishInto(dst []Reply) ([]Reply, error) {
-	out := append(dst[:0], p.replies...)
-	p.replies = out
-	reps, err := p.Finish()
-	return reps, err
-}
-
-// Reuse seeds the pipeline's reply accumulator with dst[:0], recycling
-// the slice and the Reply buffers inside it for the next batch. Call
-// between batches, never with commands in flight.
-func (p *Pipeline) Reuse(dst []Reply) {
-	p.replies = dst[:0]
-	p.sent = 0
+	return out, err
 }

@@ -3,6 +3,7 @@ package kvstore_test
 import (
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,5 +248,142 @@ func TestBarrierAbort(t *testing.T) {
 	// Sticky: a later Await on the same name aborts immediately.
 	if err := bw.Await(); !errors.Is(err, kvstore.ErrBarrierAborted) {
 		t.Fatalf("second Await: got %v, want ErrBarrierAborted", err)
+	}
+}
+
+// TestSendArmsDeadline: a pipelined command larger than the 64 KiB
+// write buffer is written through by Send itself, so Send must arm the
+// per-operation deadline — otherwise the write runs under the previous
+// operation's deadline, long expired after any pause.
+func TestSendArmsDeadline(t *testing.T) {
+	srv := kvstore.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const opTimeout = 50 * time.Millisecond
+	c, err := kvstore.DialOptions(addr, time.Second, kvstore.Options{OpTimeout: opTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(opTimeout + 70*time.Millisecond) // the Ping's deadline is now in the past
+	p, err := c.NewPipeline(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Send("RPUSH", []byte("big"), make([]byte, 256<<10)); err != nil {
+		t.Fatalf("Send of a command larger than the write buffer after an idle pause: %v", err)
+	}
+	reps, err := p.Finish()
+	if err != nil || len(reps) != 1 || reps[0].Int != 1 {
+		t.Fatalf("Finish = %v, %v; want one reply of 1", reps, err)
+	}
+}
+
+// countingDialer counts the connections a client opens.
+func countingDialer(dials *atomic.Int64) func(string, time.Duration) (net.Conn, error) {
+	return func(addr string, timeout time.Duration) (net.Conn, error) {
+		dials.Add(1)
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+}
+
+// TestClosedClientStaysClosed: with retries on, a command after Close
+// used to re-dial and succeed, so a command racing ClusterClient.Close
+// leaked a connection. A closed client — dialed directly or pooled by a
+// cluster client — answers ErrClientClosed and dials nothing.
+func TestClosedClientStaysClosed(t *testing.T) {
+	srv := kvstore.NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.SetClusterSlots(addr, kvstore.SplitSlots([]string{addr})); err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	opts := retryOpts()
+	opts.Dialer = countingDialer(&dials)
+
+	c, err := kvstore.DialOptions(addr, time.Second, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dials.Load()
+	closedOps := map[string]func() error{
+		"Get":       func() error { _, err := c.Get("k"); return err },
+		"Incr":      func() error { _, err := c.Incr("n"); return err },
+		"Del":       func() error { _, err := c.Del("k"); return err },
+		"Ping":      c.Ping,
+		"Send":      func() error { return c.Send("GET", []byte("k")) },
+		"FlushInto": func() error { _, err := c.FlushInto(nil); return err },
+	}
+	for name, op := range closedOps {
+		if err := op(); !errors.Is(err, kvstore.ErrClientClosed) {
+			t.Errorf("%s on a closed Client: %v, want ErrClientClosed", name, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if got := dials.Load(); got != before {
+		t.Errorf("closed Client dialed %d more connection(s)", got-before)
+	}
+
+	cc, err := kvstore.DialCluster([]string{addr}, time.Second, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cc.Get("k"); err != nil || string(got) != "v" {
+		t.Fatalf("cluster Get = %q, %v", got, err)
+	}
+	// A pipeline created before Close still holds the pooled connection
+	// — the command racing Close.
+	p, err := cc.Pipe(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Send("GET", []byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before = dials.Load()
+	if err := p.Send("GET", []byte("k")); !errors.Is(err, kvstore.ErrClientClosed) {
+		t.Errorf("Send on a pooled connection after ClusterClient.Close: %v, want ErrClientClosed", err)
+	}
+	pooledOps := map[string]func() error{
+		"Get":  func() error { _, err := cc.Get("k"); return err },
+		"Del":  func() error { _, err := cc.Del("k"); return err },
+		"Ping": cc.Ping,
+		"Do":   func() error { _, err := cc.Do("DBSIZE"); return err },
+		"Pipe": func() error {
+			p, err := cc.Pipe(4)
+			if err != nil {
+				return err
+			}
+			return p.Send("GET", []byte("k"))
+		},
+	}
+	for name, op := range pooledOps {
+		if err := op(); !errors.Is(err, kvstore.ErrClientClosed) {
+			t.Errorf("%s after ClusterClient.Close: %v, want ErrClientClosed", name, err)
+		}
+	}
+	if got := dials.Load(); got != before {
+		t.Errorf("closed ClusterClient dialed %d more connection(s)", got-before)
 	}
 }

@@ -1,9 +1,8 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,10 +18,14 @@ import (
 //
 // The slot table is primed from any reachable seed via CLUSTER SLOTS
 // and repaired lazily: a MOVED reply rewrites the one slot it names, a
-// missing owner triggers a full refresh. Multi-key commands (MSET,
-// MGET, DEL) are split by owner and merged back in argument order.
+// missing owner triggers a full refresh. The typed one-key commands are
+// the embedded set Client shares, routed by doKey; the multi-key DEL is
+// split by owner.
 type ClusterClient struct {
+	keyed
+
 	mu      sync.Mutex
+	closed  bool // set by Close: no connection is dialed afterwards
 	timeout time.Duration
 	opts    Options
 	copts   ClusterOptions
@@ -48,13 +51,19 @@ type ClusterClient struct {
 }
 
 // maxRedirects bounds a doKey MOVED chase; a table more than a few
-// hops stale means the cluster map is cyclic garbage.
-const maxRedirects = 4
+// hops stale means the cluster map is cyclic garbage. Hops after the
+// first sleep hopBackoff, doubling up to maxHopBackoff — a flapping
+// failover makes clients wait, not spin.
+const (
+	maxRedirects  = 4
+	hopBackoff    = 2 * time.Millisecond
+	maxHopBackoff = 250 * time.Millisecond
+)
 
 // ClusterOptions extends per-store client Options with cluster-level
 // behavior: heartbeat failure detection, automatic failover, and bounds
 // on redirect chasing. The zero value disables the heartbeat and
-// reproduces DialCluster's routing behavior (plus default hop backoff).
+// reproduces DialCluster's routing behavior.
 type ClusterOptions struct {
 	// Client configures each per-store connection (timeouts, retries,
 	// fault-injection dialer, telemetry).
@@ -77,11 +86,6 @@ type ClusterOptions struct {
 	// RouteDeadline bounds one routed command's total wall clock across
 	// redirect hops and error retries. 0 = no deadline (hop cap only).
 	RouteDeadline time.Duration
-	// HopBackoff is the initial sleep between routing hops, doubling per
-	// hop up to MaxHopBackoff — a flapping failover makes clients wait,
-	// not spin. ≤ 0 = 2ms / 250ms.
-	HopBackoff    time.Duration
-	MaxHopBackoff time.Duration
 }
 
 func (o *ClusterOptions) normalize() {
@@ -90,12 +94,6 @@ func (o *ClusterOptions) normalize() {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 500 * time.Millisecond
-	}
-	if o.HopBackoff <= 0 {
-		o.HopBackoff = 2 * time.Millisecond
-	}
-	if o.MaxHopBackoff <= 0 {
-		o.MaxHopBackoff = 250 * time.Millisecond
 	}
 }
 
@@ -128,6 +126,7 @@ func DialClusterOptions(seeds []string, timeout time.Duration, copts ClusterOpti
 		failovers:     reg.Counter("kv_cluster_client_failovers_total"),
 		failoverMs:    reg.Gauge("kv_cluster_failover_last_ms"),
 	}
+	cc.keyed.route = cc.doKey
 	if err := cc.refresh(); err != nil {
 		cc.Close()
 		return nil, err
@@ -246,11 +245,16 @@ func (cc *ClusterClient) Slots() []SlotRange {
 	return t.ranges()
 }
 
-// clientFor returns (dialing on demand) the pooled connection to addr.
+// clientFor returns (dialing on demand) the pooled connection to addr;
+// after Close it returns ErrClientClosed and dials nothing.
 func (cc *ClusterClient) clientFor(addr string) (*Client, error) {
 	cc.mu.Lock()
 	c, ok := cc.conns[addr]
+	closed := cc.closed
 	cc.mu.Unlock()
+	if closed {
+		return nil, ErrClientClosed
+	}
 	if ok {
 		return c, nil
 	}
@@ -262,6 +266,10 @@ func (cc *ClusterClient) clientFor(addr string) (*Client, error) {
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
+	if cc.closed { // Close ran during the dial: do not leak the connection
+		fresh.Close()
+		return nil, ErrClientClosed
+	}
 	if c, ok := cc.conns[addr]; ok { // raced: keep the winner
 		fresh.Close()
 		return c, nil
@@ -467,9 +475,12 @@ func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 	if d := cc.copts.RouteDeadline; d > 0 {
 		deadline = time.Now().Add(d)
 	}
-	backoff := cc.copts.HopBackoff
+	backoff := hopBackoff
 	var lastErr error
 	for hop := 0; hop <= maxRedirects; hop++ {
+		if errors.Is(lastErr, ErrClientClosed) {
+			return Reply{}, ErrClientClosed
+		}
 		if hop > 0 {
 			d := backoff
 			if !deadline.IsZero() {
@@ -482,8 +493,8 @@ func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 				}
 			}
 			time.Sleep(d)
-			if backoff *= 2; backoff > cc.copts.MaxHopBackoff {
-				backoff = cc.copts.MaxHopBackoff
+			if backoff *= 2; backoff > maxHopBackoff {
+				backoff = maxHopBackoff
 			}
 		}
 		if addr == "" {
@@ -506,7 +517,7 @@ func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 		rep, err := c.Do(cmd, args...)
 		if err != nil {
 			lastErr = err
-			if !idempotent[strings.ToUpper(cmd)] {
+			if !cmdTable[lookupCmd(cmd)].idempotent {
 				// The command may have reached the dead owner; re-sending
 				// elsewhere could double-apply it. Same contract as
 				// Client's ErrNotRetryable.
@@ -530,182 +541,14 @@ func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 // Do routes by the command's first key; keyless commands go to an
 // arbitrary node.
 func (cc *ClusterClient) Do(cmd string, args ...[]byte) (Reply, error) {
-	id := lookupCmd(cmd)
-	if first := firstKeyArg(id); first >= 0 && len(args) > first {
-		return cc.doKey(string(args[first]), cmd, args)
+	if cmdTable[lookupCmd(cmd)].keys != noKeys && len(args) > 0 {
+		return cc.doKey(string(args[0]), cmd, args)
 	}
 	c, err := cc.anyClient()
 	if err != nil {
 		return Reply{}, err
 	}
 	return c.Do(cmd, args...)
-}
-
-// Get fetches a string key; ErrNil if absent.
-func (cc *ClusterClient) Get(key string) ([]byte, error) {
-	rep, err := cc.doKey(key, "GET", [][]byte{[]byte(key)})
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	if rep.Type == NullBulk {
-		return nil, ErrNil
-	}
-	return rep.Bulk, nil
-}
-
-// Set stores a string key.
-func (cc *ClusterClient) Set(key string, val []byte) error {
-	rep, err := cc.doKey(key, "SET", [][]byte{[]byte(key), val})
-	if err != nil {
-		return err
-	}
-	return rep.Err()
-}
-
-// Incr atomically increments a counter key on its owning store.
-func (cc *ClusterClient) Incr(key string) (int64, error) {
-	rep, err := cc.doKey(key, "INCR", [][]byte{[]byte(key)})
-	if err != nil {
-		return 0, err
-	}
-	if err := rep.Err(); err != nil {
-		return 0, err
-	}
-	return rep.Int, nil
-}
-
-// RPush appends values to a list on its owning store.
-func (cc *ClusterClient) RPush(key string, vals ...[]byte) (int64, error) {
-	args := make([][]byte, 0, len(vals)+1)
-	args = append(args, []byte(key))
-	args = append(args, vals...)
-	rep, err := cc.doKey(key, "RPUSH", args)
-	if err != nil {
-		return 0, err
-	}
-	if err := rep.Err(); err != nil {
-		return 0, err
-	}
-	return rep.Int, nil
-}
-
-// LRange fetches list elements in [start, stop] from the key's owner.
-func (cc *ClusterClient) LRange(key string, start, stop int64) ([][]byte, error) {
-	rep, err := cc.doKey(key, "LRANGE", [][]byte{
-		[]byte(key),
-		[]byte(strconv.FormatInt(start, 10)),
-		[]byte(strconv.FormatInt(stop, 10)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(rep.Array))
-	for i, el := range rep.Array {
-		out[i] = el.Bulk
-	}
-	return out, nil
-}
-
-// LRangeChunked streams a list in bounded windows, as Client's.
-func (cc *ClusterClient) LRangeChunked(key string, window int64, fn func(batch [][]byte) error) error {
-	if window < 1 {
-		return fmt.Errorf("kvstore: lrange window %d, need ≥ 1", window)
-	}
-	for start := int64(0); ; start += window {
-		batch, err := cc.LRange(key, start, start+window-1)
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := fn(batch); err != nil {
-			return err
-		}
-		if int64(len(batch)) < window {
-			return nil
-		}
-	}
-}
-
-// LLen returns a list's length from the key's owner.
-func (cc *ClusterClient) LLen(key string) (int64, error) {
-	rep, err := cc.doKey(key, "LLEN", [][]byte{[]byte(key)})
-	if err != nil {
-		return 0, err
-	}
-	if err := rep.Err(); err != nil {
-		return 0, err
-	}
-	return rep.Int, nil
-}
-
-// MSet splits the batch by slot owner and issues one MSET per store.
-// Atomicity is per store, not cluster-wide — same as issuing the
-// groups yourself.
-func (cc *ClusterClient) MSet(keys []string, vals [][]byte) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("kvstore: mset with %d keys, %d values", len(keys), len(vals))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	groups, err := cc.groupByOwner(keys)
-	if err != nil {
-		return err
-	}
-	for addr, idx := range groups {
-		c, err := cc.clientFor(addr)
-		if err != nil {
-			return err
-		}
-		gk := make([]string, len(idx))
-		gv := make([][]byte, len(idx))
-		for i, j := range idx {
-			gk[i], gv[i] = keys[j], vals[j]
-		}
-		if err := c.MSet(gk, gv); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MGet splits the fetch by slot owner and merges values back into
-// argument order; a missing key yields a nil entry.
-func (cc *ClusterClient) MGet(keys ...string) ([][]byte, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	groups, err := cc.groupByOwner(keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(keys))
-	for addr, idx := range groups {
-		c, err := cc.clientFor(addr)
-		if err != nil {
-			return nil, err
-		}
-		gk := make([]string, len(idx))
-		for i, j := range idx {
-			gk[i] = keys[j]
-		}
-		vals, err := c.MGet(gk...)
-		if err != nil {
-			return nil, err
-		}
-		for i, j := range idx {
-			out[j] = vals[i]
-		}
-	}
-	return out, nil
 }
 
 // Del removes keys across their owners, returning how many existed.
@@ -718,16 +561,12 @@ func (cc *ClusterClient) Del(keys ...string) (int64, error) {
 		return 0, err
 	}
 	var n int64
-	for addr, idx := range groups {
+	for addr, group := range groups {
 		c, err := cc.clientFor(addr)
 		if err != nil {
 			return n, err
 		}
-		gk := make([]string, len(idx))
-		for i, j := range idx {
-			gk[i] = keys[j]
-		}
-		m, err := c.Del(gk...)
+		m, err := c.Del(group...)
 		n += m
 		if err != nil {
 			return n, err
@@ -736,19 +575,19 @@ func (cc *ClusterClient) Del(keys ...string) (int64, error) {
 	return n, nil
 }
 
-// groupByOwner maps owner address → indices into keys, refreshing the
-// table once if any slot is unassigned.
-func (cc *ClusterClient) groupByOwner(keys []string) (map[string][]int, error) {
+// groupByOwner splits keys by owner address, refreshing the table once
+// if any slot is unassigned.
+func (cc *ClusterClient) groupByOwner(keys []string) (map[string][]string, error) {
 	for attempt := 0; ; attempt++ {
-		groups := make(map[string][]int)
+		groups := make(map[string][]string)
 		stale := false
-		for i, k := range keys {
+		for _, k := range keys {
 			addr := cc.ownerOf(SlotForKey(k))
 			if addr == "" {
 				stale = true
 				break
 			}
-			groups[addr] = append(groups[addr], i)
+			groups[addr] = append(groups[addr], k)
 		}
 		if !stale {
 			return groups, nil
@@ -785,7 +624,9 @@ func (cc *ClusterClient) Ping() error {
 	return nil
 }
 
-// Close stops the heartbeat and closes every pooled connection.
+// Close stops the heartbeat and closes every pooled connection; later
+// commands, through the cluster client or a connection it pooled,
+// return ErrClientClosed.
 func (cc *ClusterClient) Close() error {
 	if cc.hbStop != nil {
 		select {
@@ -796,6 +637,7 @@ func (cc *ClusterClient) Close() error {
 		cc.hbWG.Wait()
 	}
 	cc.mu.Lock()
+	cc.closed = true
 	conns := cc.conns
 	cc.conns = make(map[string]*Client)
 	cc.mu.Unlock()
@@ -827,12 +669,11 @@ func (cc *ClusterClient) Pipe(width int) (Pipe, error) {
 // — the caller sees the redirect error and re-issues the batch, the
 // same contract as a broken-connection pipeline retry.
 type ClusterPipeline struct {
-	cc     *ClusterClient
-	width  int
-	pipes  map[string]*Pipeline
-	order  []string // owner addr per command, in send order
-	hint   int
-	merged []Reply // reusable merge buffer (Reuse)
+	cc    *ClusterClient
+	width int
+	pipes map[string]*Pipeline
+	order []string // owner addr per command, in send order
+	hint  int
 }
 
 // Expect hints the batch's total command count; each owner pipeline is
@@ -854,12 +695,10 @@ func (cp *ClusterPipeline) Expect(total int) {
 // commands are rejected — there is no single node whose reply could
 // take a deterministic position in the merged order.
 func (cp *ClusterPipeline) Send(cmd string, args ...[]byte) error {
-	id := lookupCmd(cmd)
-	first := firstKeyArg(id)
-	if first < 0 || len(args) <= first {
+	if cmdTable[lookupCmd(cmd)].keys == noKeys || len(args) == 0 {
 		return fmt.Errorf("kvstore: cluster pipeline cannot route keyless command %s", cmd)
 	}
-	slot := slotForKeyBytes(args[first])
+	slot := slotForKeyBytes(args[0])
 	addr := cp.cc.ownerOf(slot)
 	if addr == "" {
 		if err := cp.cc.refresh(); err != nil {
@@ -891,15 +730,8 @@ func (cp *ClusterPipeline) Send(cmd string, args ...[]byte) error {
 }
 
 // Finish drains every owner pipeline and merges the replies back into
-// global send order, reusing a Reuse-seeded merge buffer if present.
+// global send order. The returned slice belongs to the caller.
 func (cp *ClusterPipeline) Finish() ([]Reply, error) {
-	out := cp.merged
-	cp.merged = nil
-	return cp.FinishInto(out)
-}
-
-// FinishInto is Finish appending into dst, reusing its capacity.
-func (cp *ClusterPipeline) FinishInto(dst []Reply) ([]Reply, error) {
 	results := make(map[string][]Reply, len(cp.pipes))
 	var firstErr error
 	for addr, p := range cp.pipes {
@@ -909,7 +741,7 @@ func (cp *ClusterPipeline) FinishInto(dst []Reply) ([]Reply, error) {
 		}
 		results[addr] = reps
 	}
-	out := dst[:0]
+	out := make([]Reply, 0, len(cp.order))
 	cursor := make(map[string]int, len(results))
 	for _, addr := range cp.order {
 		reps := results[addr]
@@ -932,14 +764,5 @@ func (cp *ClusterPipeline) FinishInto(dst []Reply) ([]Reply, error) {
 		cursor[addr] = i + 1
 	}
 	cp.order = cp.order[:0]
-	// Ownership matches Pipeline.Finish: the returned slice belongs to
-	// the caller; it only comes back to us through an explicit Reuse.
-	cp.merged = nil
 	return out, firstErr
-}
-
-// Reuse seeds the merge buffer with dst[:0] for the next batch.
-func (cp *ClusterPipeline) Reuse(dst []Reply) {
-	cp.merged = dst[:0]
-	cp.order = cp.order[:0]
 }

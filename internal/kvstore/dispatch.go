@@ -1,13 +1,12 @@
 package kvstore
 
-// Command dispatch. The wire hands the server a command name whose
-// case is whatever the client chose; dispatching through
-// strings.ToUpper would allocate for every non-uppercase spelling on
-// the hot path. Instead every command name is resolved once into a
-// small integer cmdID by case-folding into a stack buffer and
-// switching on it — the compiler turns `switch string(buf)` against
-// constant cases into allocation-free comparisons — and both the
-// engine and the server's telemetry classification dispatch on the ID.
+// The command table. Everything the store knows about a command apart
+// from what it does to the engine — its wire name, the telemetry label
+// it counts under, whether the append-only log must record it, whether
+// a client may blindly re-send it, and which of its arguments are keys
+// — is one row here. The server, the AOF, the cluster slot check and
+// both clients read the row; adding a command is one row plus one
+// Engine.doID case.
 
 // cmdID identifies one wire command (or cmdNone for an unknown name).
 type cmdID uint8
@@ -18,8 +17,6 @@ const (
 	cmdEcho
 	cmdSet
 	cmdGet
-	cmdMSet
-	cmdMGet
 	cmdDel
 	cmdExists
 	cmdIncr
@@ -52,14 +49,86 @@ const (
 	numCmdIDs
 )
 
+// keyArgs says which arguments of a command are keys — what the
+// cluster slot check must own and what a routing client hashes.
+type keyArgs uint8
+
+const (
+	noKeys  keyArgs = iota // keyless: always local, routed to any node
+	oneKey                 // args[0] is the key, the rest is payload
+	allKeys                // every argument is a key (DEL, EXISTS)
+)
+
+// cmdSpec is one row of the command table.
+type cmdSpec struct {
+	name string // canonical upper-case wire name
+	// class is the kv_server_commands_total{cmd=…} label. INCR/INCRBY
+	// share one, as do FLUSHDB/FLUSHALL and SAVE/BGREWRITEAOF (both are
+	// persistence rewrites).
+	class string
+	// writes marks a command that mutates the engine: the set the
+	// append-only log must record for replay to reconstruct the store,
+	// and the set a read-only replica refuses.
+	writes bool
+	// idempotent marks a command safe to blindly re-send: re-executing
+	// it converges to the same store state and reply semantics.
+	idempotent bool
+	keys       keyArgs
+}
+
+var cmdTable = [numCmdIDs]cmdSpec{
+	cmdNone:         {class: "other"},
+	cmdPing:         {name: "PING", class: "ping", idempotent: true},
+	cmdEcho:         {name: "ECHO", class: "echo", idempotent: true},
+	cmdSet:          {name: "SET", class: "set", writes: true, idempotent: true, keys: oneKey},
+	cmdGet:          {name: "GET", class: "get", idempotent: true, keys: oneKey},
+	cmdDel:          {name: "DEL", class: "del", writes: true, idempotent: true, keys: allKeys},
+	cmdExists:       {name: "EXISTS", class: "exists", idempotent: true, keys: allKeys},
+	cmdIncr:         {name: "INCR", class: "incr", writes: true, keys: oneKey},
+	cmdIncrBy:       {name: "INCRBY", class: "incr", writes: true, keys: oneKey},
+	cmdAppend:       {name: "APPEND", class: "append", writes: true, keys: oneKey},
+	cmdStrlen:       {name: "STRLEN", class: "strlen", idempotent: true, keys: oneKey},
+	cmdRPush:        {name: "RPUSH", class: "rpush", writes: true, keys: oneKey},
+	cmdLPush:        {name: "LPUSH", class: "lpush", writes: true, keys: oneKey},
+	cmdLLen:         {name: "LLEN", class: "llen", idempotent: true, keys: oneKey},
+	cmdLIndex:       {name: "LINDEX", class: "lindex", idempotent: true, keys: oneKey},
+	cmdLRange:       {name: "LRANGE", class: "lrange", idempotent: true, keys: oneKey},
+	cmdFlushDB:      {name: "FLUSHDB", class: "flush", writes: true},
+	cmdFlushAll:     {name: "FLUSHALL", class: "flush", writes: true},
+	cmdDBSize:       {name: "DBSIZE", class: "dbsize", idempotent: true},
+	cmdInfo:         {name: "INFO", class: "info"},
+	cmdSave:         {name: "SAVE", class: "save"},
+	cmdBGRewriteAOF: {name: "BGREWRITEAOF", class: "save"},
+	cmdCluster:      {name: "CLUSTER", class: "other"},
+	cmdReplSync:     {name: "REPLSYNC", class: "other"},
+	cmdReplPing:     {name: "REPLPING", class: "other"},
+	cmdReplAck:      {name: "REPLACK", class: "other"},
+	cmdReplInfo:     {name: "REPLINFO", class: "other"},
+	cmdReplTakeover: {name: "REPLTAKEOVER", class: "other"},
+	cmdReplicaOf:    {name: "REPLICAOF", class: "other"},
+}
+
 // maxCmdNameLen bounds the fold buffer; the longest command name is
 // BGREWRITEAOF (12 bytes).
 const maxCmdNameLen = 16
 
-// lookupCmd resolves a command name of any case to its cmdID without
-// allocating. Unknown names (and names longer than any known command)
-// map to cmdNone.
-func lookupCmd(cmd string) cmdID {
+// cmdsByLen indexes the table by name length; it is derived from the
+// table once, so the table stays the only list of commands. No length
+// has more than seven commands, so a lookup is a few short compares.
+var cmdsByLen = func() (byLen [maxCmdNameLen + 1][]cmdID) {
+	for id := cmdNone + 1; id < numCmdIDs; id++ {
+		n := len(cmdTable[id].name)
+		byLen[n] = append(byLen[n], id)
+	}
+	return byLen
+}()
+
+// lookupCmd resolves a command name of any case — a client's string or
+// the wire's bytes — to its cmdID without allocating: the name is
+// case-folded into a stack buffer and compared with the table's names
+// of the same length. Unknown names (and names longer than any known
+// command) map to cmdNone.
+func lookupCmd[T string | []byte](cmd T) cmdID {
 	if len(cmd) > maxCmdNameLen {
 		return cmdNone
 	}
@@ -71,109 +140,11 @@ func lookupCmd(cmd string) cmdID {
 		}
 		buf[i] = c
 	}
-	switch string(buf[:len(cmd)]) {
-	case "GET":
-		return cmdGet
-	case "SET":
-		return cmdSet
-	case "MGET":
-		return cmdMGet
-	case "MSET":
-		return cmdMSet
-	case "DEL":
-		return cmdDel
-	case "EXISTS":
-		return cmdExists
-	case "INCR":
-		return cmdIncr
-	case "INCRBY":
-		return cmdIncrBy
-	case "APPEND":
-		return cmdAppend
-	case "STRLEN":
-		return cmdStrlen
-	case "RPUSH":
-		return cmdRPush
-	case "LPUSH":
-		return cmdLPush
-	case "LLEN":
-		return cmdLLen
-	case "LINDEX":
-		return cmdLIndex
-	case "LRANGE":
-		return cmdLRange
-	case "PING":
-		return cmdPing
-	case "ECHO":
-		return cmdEcho
-	case "FLUSHDB":
-		return cmdFlushDB
-	case "FLUSHALL":
-		return cmdFlushAll
-	case "DBSIZE":
-		return cmdDBSize
-	case "INFO":
-		return cmdInfo
-	case "SAVE":
-		return cmdSave
-	case "BGREWRITEAOF":
-		return cmdBGRewriteAOF
-	case "CLUSTER":
-		return cmdCluster
-	case "REPLSYNC":
-		return cmdReplSync
-	case "REPLPING":
-		return cmdReplPing
-	case "REPLACK":
-		return cmdReplAck
-	case "REPLINFO":
-		return cmdReplInfo
-	case "REPLTAKEOVER":
-		return cmdReplTakeover
-	case "REPLICAOF":
-		return cmdReplicaOf
+	for _, id := range cmdsByLen[len(cmd)] {
+		// The first-byte test settles most candidates without a call.
+		if name := cmdTable[id].name; name[0] == buf[0] && name == string(buf[:len(cmd)]) {
+			return id
+		}
 	}
 	return cmdNone
-}
-
-// cmdWrites reports whether a command mutates the engine — the set the
-// append-only log must record for replay to reconstruct the store.
-func cmdWrites(id cmdID) bool {
-	switch id {
-	case cmdSet, cmdMSet, cmdDel, cmdIncr, cmdIncrBy, cmdAppend,
-		cmdRPush, cmdLPush, cmdFlushDB, cmdFlushAll:
-		return true
-	}
-	return false
-}
-
-// firstKeyArg returns the index of the command's first key argument,
-// or -1 for keyless commands (PING, DBSIZE, FLUSH*, INFO, …). For
-// multi-key commands this is the routing key; allKeyArgs enumerates
-// the rest.
-func firstKeyArg(id cmdID) int {
-	switch id {
-	case cmdGet, cmdSet, cmdDel, cmdExists, cmdIncr, cmdIncrBy,
-		cmdAppend, cmdStrlen, cmdRPush, cmdLPush, cmdLLen, cmdLIndex,
-		cmdLRange, cmdMGet, cmdMSet:
-		return 0
-	}
-	return -1
-}
-
-// keyArgStride describes how a command's arguments enumerate keys:
-// (first, stride, count=all remaining). stride 0 means exactly one key
-// at the first position; 1 means every argument is a key (DEL, EXISTS,
-// MGET); 2 means every other argument starting at first (MSET).
-func keyArgStride(id cmdID) (first, stride int) {
-	switch id {
-	case cmdDel, cmdExists, cmdMGet:
-		return 0, 1
-	case cmdMSet:
-		return 0, 2
-	case cmdGet, cmdSet, cmdIncr, cmdIncrBy, cmdAppend, cmdStrlen,
-		cmdRPush, cmdLPush, cmdLLen, cmdLIndex, cmdLRange:
-		return 0, 0
-	}
-	return -1, 0
 }

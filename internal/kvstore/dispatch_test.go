@@ -6,23 +6,57 @@ import (
 	"testing"
 )
 
-func TestLookupCmdFoldsCase(t *testing.T) {
-	cases := map[string]cmdID{
-		"GET": cmdGet, "get": cmdGet, "GeT": cmdGet,
-		"SET": cmdSet, "set": cmdSet,
-		"MSET": cmdMSet, "mget": cmdMGet,
-		"INCRBY": cmdIncrBy, "incrby": cmdIncrBy,
-		"BGREWRITEAOF": cmdBGRewriteAOF, "bgrewriteaof": cmdBGRewriteAOF,
-		"CLUSTER": cmdCluster, "cluster": cmdCluster,
-		"FLUSHALL": cmdFlushAll, "flushall": cmdFlushAll,
-		"nope":                             cmdNone,
-		"":                                 cmdNone,
-		strings.Repeat("G", maxCmdNameLen): cmdNone, // too long, no panic
-		"GETT":                             cmdNone, // prefix of nothing
+// The command table is the single source of truth for everything the
+// store knows about a command; these tests walk every row.
+
+// mixedCase alternates the case of name's letters: "GET" → "gEt".
+func mixedCase(name string) string {
+	b := []byte(strings.ToLower(name))
+	for i := 1; i < len(b); i += 2 {
+		b[i] -= 'a' - 'A'
 	}
-	for cmd, want := range cases {
-		if got := lookupCmd(cmd); got != want {
-			t.Errorf("lookupCmd(%q) = %v, want %v", cmd, got, want)
+	return string(b)
+}
+
+// TestLookupCmdFoldsCase: every row's name resolves back to its own ID
+// in upper, lower and mixed case, as a string and as wire bytes,
+// without allocating; anything else is cmdNone.
+func TestLookupCmdFoldsCase(t *testing.T) {
+	seen := make(map[string]cmdID)
+	for id := cmdNone + 1; id < numCmdIDs; id++ {
+		name := cmdTable[id].name
+		if name == "" || name != strings.ToUpper(name) || len(name) > maxCmdNameLen {
+			t.Fatalf("row %d: name %q is not a canonical upper-case name within %d bytes", id, name, maxCmdNameLen)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("rows %d and %d share the name %q", prev, id, name)
+		}
+		seen[name] = id
+		for _, spelling := range []string{name, strings.ToLower(name), mixedCase(name)} {
+			if got := lookupCmd(spelling); got != id {
+				t.Errorf("lookupCmd(%q) = %d, want %d", spelling, got, id)
+			}
+			wire := []byte(spelling)
+			if got := lookupCmd(wire); got != id {
+				t.Errorf("lookupCmd([]byte(%q)) = %d, want %d", spelling, got, id)
+			}
+			if n := testing.AllocsPerRun(100, func() { lookupCmd(spelling); lookupCmd(wire) }); n != 0 {
+				t.Errorf("lookupCmd(%q): %.1f allocs/op, want 0", spelling, n)
+			}
+		}
+	}
+	if cmdTable[cmdNone].name != "" {
+		t.Errorf("cmdNone is named %q", cmdTable[cmdNone].name)
+	}
+	for _, cmd := range []string{
+		"nope", "",
+		strings.Repeat("G", maxCmdNameLen),   // fits the fold buffer, matches nothing
+		strings.Repeat("G", maxCmdNameLen+1), // too long, no panic
+		"GETT", "GE",                         // near misses
+		"MSET", "MGET", // cut: an old AOF holding one fails replay loudly
+	} {
+		if got := lookupCmd(cmd); got != cmdNone {
+			t.Errorf("lookupCmd(%q) = %d, want cmdNone", cmd, got)
 		}
 	}
 }
@@ -113,42 +147,86 @@ func TestShardingPreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestKeyArgStride pins which arguments the slot check and the routing
+// clients treat as keys, for every row.
 func TestKeyArgStride(t *testing.T) {
-	cases := []struct {
-		cmd           string
-		first, stride int
-	}{
-		{"GET", 0, 0},
-		{"SET", 0, 0},
-		{"DEL", 0, 1},
-		{"MGET", 0, 1},
-		{"EXISTS", 0, 1},
-		{"MSET", 0, 2},
-		{"PING", -1, 0},
-		{"INFO", -1, 0},
-		{"CLUSTER", -1, 0},
-		{"FLUSHALL", -1, 0},
+	want := map[string]keyArgs{
+		"GET": oneKey, "SET": oneKey, "INCR": oneKey, "INCRBY": oneKey,
+		"APPEND": oneKey, "STRLEN": oneKey, "RPUSH": oneKey, "LPUSH": oneKey,
+		"LLEN": oneKey, "LINDEX": oneKey, "LRANGE": oneKey,
+		"DEL": allKeys, "EXISTS": allKeys,
 	}
-	for _, tc := range cases {
-		first, stride := keyArgStride(lookupCmd(tc.cmd))
-		if first != tc.first || stride != tc.stride {
-			t.Errorf("keyArgStride(%s) = (%d, %d), want (%d, %d)",
-				tc.cmd, first, stride, tc.first, tc.stride)
+	for id := cmdNone; id < numCmdIDs; id++ {
+		spec := cmdTable[id]
+		w, keyed := want[spec.name]
+		if !keyed {
+			w = noKeys // PING, DBSIZE, FLUSH*, INFO, CLUSTER, REPL*, unknown
+		}
+		if spec.keys != w {
+			t.Errorf("%q: keys = %d, want %d", spec.name, spec.keys, w)
 		}
 	}
 }
 
+// TestCmdWritesClassification: writes is exactly the set the AOF must
+// log (and a replica must refuse), and nothing that is not safe to
+// re-send is marked idempotent.
 func TestCmdWritesClassification(t *testing.T) {
-	writes := []string{"SET", "MSET", "DEL", "INCR", "INCRBY", "APPEND", "RPUSH", "LPUSH", "FLUSHDB", "FLUSHALL"}
-	reads := []string{"GET", "MGET", "EXISTS", "STRLEN", "LRANGE", "LLEN", "PING", "ECHO", "DBSIZE", "INFO", "SAVE", "CLUSTER"}
-	for _, c := range writes {
-		if !cmdWrites(lookupCmd(c)) {
-			t.Errorf("%s not classified as a write — it would escape the AOF", c)
+	writes := map[string]bool{
+		"SET": true, "DEL": true, "INCR": true, "INCRBY": true, "APPEND": true,
+		"RPUSH": true, "LPUSH": true, "FLUSHDB": true, "FLUSHALL": true,
+	}
+	idempotent := map[string]bool{
+		"GET": true, "SET": true, "DEL": true, "EXISTS": true,
+		"LLEN": true, "LRANGE": true, "LINDEX": true, "STRLEN": true,
+		"PING": true, "ECHO": true, "DBSIZE": true,
+	}
+	for id := cmdNone; id < numCmdIDs; id++ {
+		spec := cmdTable[id]
+		if spec.writes != writes[spec.name] {
+			t.Errorf("%q: writes = %v — a write missing here escapes the AOF, a read here bloats it", spec.name, spec.writes)
+		}
+		if spec.idempotent != idempotent[spec.name] {
+			t.Errorf("%q: idempotent = %v, want %v", spec.name, spec.idempotent, idempotent[spec.name])
 		}
 	}
-	for _, c := range reads {
-		if cmdWrites(lookupCmd(c)) {
-			t.Errorf("%s classified as a write — it would bloat the AOF", c)
+	for _, name := range []string{"INCR", "INCRBY", "APPEND", "RPUSH", "LPUSH"} {
+		if cmdTable[lookupCmd(name)].idempotent {
+			t.Errorf("%s marked idempotent: a retry would double-apply it", name)
 		}
+	}
+}
+
+// TestCmdClass pins the kv_server_commands_total{cmd=…} label of every
+// row: dashboards and the benchmark sum over these names.
+func TestCmdClass(t *testing.T) {
+	shared := map[string]string{
+		"INCRBY": "incr", "FLUSHDB": "flush", "FLUSHALL": "flush", "BGREWRITEAOF": "save",
+		"CLUSTER": "other", "REPLSYNC": "other", "REPLPING": "other", "REPLACK": "other",
+		"REPLINFO": "other", "REPLTAKEOVER": "other", "REPLICAOF": "other", "": "other",
+	}
+	labels := make(map[string]bool)
+	for id := cmdNone; id < numCmdIDs; id++ {
+		spec := cmdTable[id]
+		want, ok := shared[spec.name]
+		if !ok {
+			want = strings.ToLower(spec.name) // every other command counts under its own name
+		}
+		if spec.class != want {
+			t.Errorf("%q: class = %q, want %q", spec.name, spec.class, want)
+		}
+		labels[spec.class] = true
+	}
+	// The label set of the parent commit, less mget and mset.
+	for _, l := range []string{"get", "set", "del", "exists", "incr", "append", "strlen",
+		"rpush", "lpush", "llen", "lindex", "lrange", "ping", "echo", "flush", "dbsize",
+		"info", "save", "other"} {
+		if !labels[l] {
+			t.Errorf("label %q lost", l)
+		}
+		delete(labels, l)
+	}
+	if len(labels) != 0 {
+		t.Errorf("new labels %v", labels)
 	}
 }

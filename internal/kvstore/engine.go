@@ -14,7 +14,7 @@ import (
 // arena) may reuse argument buffers the moment Do returns, so every
 // command that retains bytes copies them into engine-owned memory
 // first — keys via string(...) conversion, values via explicit copies
-// in set/mset/rpush/lpush/append. Commands that only read arguments
+// in set/rpush/lpush/append. Commands that only read arguments
 // (INCRBY, LRANGE bounds, …) parse before returning; replies echoing
 // an argument (PING/ECHO) alias it and must be consumed before the
 // caller recycles its buffer.
@@ -136,23 +136,6 @@ func (e *Engine) doID(id cmdID, cmd string, args [][]byte) Reply {
 			return wrongArgs("get")
 		}
 		return e.get(string(args[0]))
-	case cmdMSet:
-		if len(args) == 0 || len(args)%2 != 0 {
-			return wrongArgs("mset")
-		}
-		for i := 0; i < len(args); i += 2 {
-			e.set(string(args[i]), args[i+1])
-		}
-		return okReply()
-	case cmdMGet:
-		if len(args) == 0 {
-			return wrongArgs("mget")
-		}
-		out := make([]Reply, len(args))
-		for i, k := range args {
-			out[i] = e.mgetOne(string(k))
-		}
-		return Reply{Type: Array, Array: out}
 	case cmdDel:
 		if len(args) == 0 {
 			return wrongArgs("del")
@@ -262,22 +245,6 @@ func (e *Engine) get(key string) Reply {
 	if _, isList := s.lists[key]; isList {
 		return wrongType()
 	}
-	v, ok := s.strings[key]
-	if !ok {
-		return nilReply()
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return bulkReply(out)
-}
-
-// mgetOne is get with MGET's forgiving semantics: a missing key or a
-// key of the wrong type yields a null bulk, never an error (as in
-// Redis).
-func (e *Engine) mgetOne(key string) Reply {
-	s := e.shardFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	v, ok := s.strings[key]
 	if !ok {
 		return nilReply()

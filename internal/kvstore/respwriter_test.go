@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 )
 
 // goldenReplyBytes renders replies through the golden WriteReply
@@ -197,64 +195,5 @@ func TestServerLargeBulkThroughWritev(t *testing.T) {
 		if !bytes.Equal(el.Bulk, want[5+i]) {
 			t.Fatalf("windowed element %d corrupted", i)
 		}
-	}
-}
-
-// N accept loops must all serve: with ListenN(addr, 4), many
-// concurrent connections all complete a write/read round trip.
-func TestServerListenNServesAllLoops(t *testing.T) {
-	srv := NewServer(nil)
-	addr, err := srv.ListenN("127.0.0.1:0", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const conns = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, conns)
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := Dial(addr, 2*time.Second)
-			if err != nil {
-				errs <- fmt.Errorf("conn %d dial: %w", i, err)
-				return
-			}
-			defer c.Close()
-			key := fmt.Sprintf("ln:%d", i)
-			if err := c.Set(key, []byte(key)); err != nil {
-				errs <- fmt.Errorf("conn %d set: %w", i, err)
-				return
-			}
-			got, err := c.Get(key)
-			if err != nil || string(got) != key {
-				errs <- fmt.Errorf("conn %d get = %q, %v", i, got, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if got := srv.Engine().Size(); got != conns {
-		t.Errorf("engine holds %d keys, want %d", got, conns)
-	}
-}
-
-func TestServerListenNClampsBadCount(t *testing.T) {
-	// n < 1 clamps to a single accept loop rather than failing: the
-	// degenerate configuration is still a working server.
-	srv := NewServer(nil)
-	addr, err := srv.ListenN("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := dialTest(t, addr)
-	if err := c.Ping(); err != nil {
-		t.Error(err)
 	}
 }

@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,11 +9,10 @@ import (
 
 // Scaling benchmark for the multi-core data plane: many concurrent
 // clients, each driving a deep pipeline of alternating SET/GET over
-// its own connection, against a server with GOMAXPROCS-scaled shards
-// and one accept loop per core. Aggregate ops/sec is the paper's
-// "heavy traffic" axis — run it at GOMAXPROCS=1 vs N to measure how
-// the shard mask, lock striping, and writev reply batching convert
-// cores into throughput.
+// its own connection, against a server with GOMAXPROCS-scaled shards.
+// Aggregate ops/sec is the paper's "heavy traffic" axis — run it at
+// GOMAXPROCS=1 vs N to measure how the shard mask, lock striping, and
+// writev reply batching convert cores into throughput.
 //
 //	go test ./internal/kvstore -bench ServerPipelinedSetGet -cpu 1,4,8
 
@@ -22,9 +20,8 @@ import (
 // throughput across GOMAXPROCS-many concurrent connections.
 func BenchmarkServerPipelinedSetGet(b *testing.B) {
 	const pipeWidth = 64
-	procs := runtime.GOMAXPROCS(0)
 	srv := NewServer(NewEngineShards(0))
-	addr, err := srv.ListenN("127.0.0.1:0", procs)
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +49,6 @@ func BenchmarkServerPipelinedSetGet(b *testing.B) {
 			b.Error(err)
 			return
 		}
-		var reps []Reply
 		keys := make([][]byte, 16)
 		for k := range keys {
 			keys[k] = []byte(fmt.Sprintf("bench:%d:%d", id, k))
@@ -73,18 +69,16 @@ func BenchmarkServerPipelinedSetGet(b *testing.B) {
 			i++
 			queued++
 			if queued >= 2*pipeWidth {
-				if reps, err = p.FinishInto(reps[:0]); err != nil {
+				if _, err = p.Finish(); err != nil {
 					b.Error(err)
 					return
 				}
-				p.Reuse(reps)
 				queued = 0
 			}
 		}
-		if reps, err = p.FinishInto(reps[:0]); err != nil {
+		if _, err = p.Finish(); err != nil {
 			b.Error(err)
 		}
-		_ = reps
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")

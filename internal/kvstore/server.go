@@ -374,51 +374,30 @@ func (s *Server) rewritePersistence() Reply {
 // Listen binds the address (e.g. "127.0.0.1:0") and starts accepting
 // in a background goroutine. It returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
-	return s.ListenN(addr, 1)
-}
-
-// ListenN binds n listeners to the same address (SO_REUSEPORT where
-// the platform supports it, so the kernel load-balances incoming
-// connections across n independent accept queues; elsewhere n accept
-// goroutines share one listener) and starts an accept loop per
-// listener slot. It returns the bound address.
-func (s *Server) ListenN(addr string, n int) (string, error) {
-	if n < 1 {
-		n = 1
-	}
-	lns, err := listenN(addr, n)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("kvstore: listen %s: %w", addr, err)
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		for _, ln := range lns {
-			ln.Close()
-		}
+		ln.Close()
 		return "", errors.New("kvstore: server already closed")
 	}
-	s.listeners = append(s.listeners, lns...)
-	reg := s.telemetry
+	s.listeners = append(s.listeners, ln)
 	s.mu.Unlock()
-	// n accept loops even when the platform only gave one listener:
-	// loop i draws from listener i%len(lns).
-	for i := 0; i < n; i++ {
-		acc := reg.Counter(fmt.Sprintf(`kv_server_accepts_total{listener="%d"}`, i))
-		s.wg.Add(1)
-		go s.acceptLoop(lns[i%len(lns)], acc)
-	}
-	return lns[0].Addr().String(), nil
+	s.wg.Add(1)
+	go s.acceptLoop(ln)
+	return ln.Addr().String(), nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener, accepts *telemetry.Counter) {
+func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		accepts.Inc()
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -526,7 +505,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if stats != nil {
 			stats.begin()
 		}
-		id := lookupCmd(cmd)
+		id := cb.id
 		if id == cmdReplSync {
 			// The connection becomes a replication stream: flush anything
 			// pipelined ahead of the handshake, then hand the conn (and
@@ -548,7 +527,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			}
 		}
-		if !handled && cmdWrites(id) && s.role.Load() == int32(roleReplica) {
+		writes := cmdTable[id].writes
+		if !handled && writes && s.role.Load() == int32(roleReplica) {
 			// Replicas apply writes only from the replication stream; a
 			// client write here would silently diverge from the primary.
 			reply = errReply("READONLY You can't write against a read only replica.")
@@ -558,7 +538,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			reply, handled = s.handleServerCommand(id, args)
 		}
 		if !handled {
-			if aof != nil && cmdWrites(id) {
+			if aof != nil && writes {
 				// Shared persistence lock across apply + append: a
 				// rewrite can never snapshot between the two and then
 				// double-apply the record on restart.
@@ -580,7 +560,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		if stats != nil {
-			stats.observe(classOfID(id), reply.Type == ErrorReply)
+			stats.observe(id, reply.Type == ErrorReply)
 		}
 		// PING/ECHO replies alias the parse arena, recycled on the next
 		// ReadCommandInto — copy them; everything else may ride

@@ -106,7 +106,7 @@ func TestServerPipelining(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps, err := c.Flush()
+	reps, err := c.FlushInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func BenchmarkServerPipelinedSet(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := c.Flush(); err != nil {
+		if _, err := c.FlushInto(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -329,33 +329,6 @@ func BenchmarkServerUnpipelinedSet(b *testing.B) {
 		if err := c.Set("k", val); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestClientMSetMGetOverWire(t *testing.T) {
-	addr, _ := startServer(t)
-	c := dialTest(t, addr)
-	keys := []string{"m1", "m2", "m3"}
-	vals := [][]byte{[]byte("alpha"), []byte(""), []byte("gamma")}
-	if err := c.MSet(keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.MGet("m1", "missing", "m3", "m2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]byte{[]byte("alpha"), nil, []byte("gamma"), []byte("")}
-	if len(got) != len(want) {
-		t.Fatalf("MGET returned %d values, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if (got[i] == nil) != (want[i] == nil) || !bytes.Equal(got[i], want[i]) {
-			t.Errorf("MGET[%d] = %q (nil=%v), want %q", i, got[i], got[i] == nil, want[i])
-		}
-	}
-	// Arity mismatch is a client-side error, caught before the wire.
-	if err := c.MSet([]string{"a"}, nil); err == nil {
-		t.Error("mismatched MSet accepted")
 	}
 }
 
@@ -411,46 +384,5 @@ func TestClientLRangeChunked(t *testing.T) {
 		return sentinel
 	}); !errors.Is(err, sentinel) {
 		t.Errorf("callback error surfaced as %v", err)
-	}
-}
-
-func TestPipelineFinishIntoReuse(t *testing.T) {
-	addr, _ := startServer(t)
-	c := dialTest(t, addr)
-	p, err := c.NewPipeline(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round 1: fill a reply slice.
-	for i := 0; i < 20; i++ {
-		if err := p.Send("SET", []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reps, err := p.FinishInto(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 20 {
-		t.Fatalf("round 1: %d replies, want 20", len(reps))
-	}
-	// Round 2: the same backing slice is recycled.
-	p.Reuse(reps)
-	for i := 0; i < 20; i++ {
-		if err := p.Send("GET", []byte(fmt.Sprintf("k%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reps2, err := p.FinishInto(reps[:0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps2) != 20 {
-		t.Fatalf("round 2: %d replies, want 20", len(reps2))
-	}
-	for i, r := range reps2 {
-		if string(r.Bulk) != "v" {
-			t.Errorf("reply %d = %q, want v", i, r.Bulk)
-		}
 	}
 }

@@ -189,15 +189,16 @@ type clusterConfig struct {
 // Unassigned slots answer CLUSTERDOWN. ok=false means the command is
 // local and should proceed.
 func (cc *clusterConfig) checkSlots(id cmdID, args [][]byte) (Reply, bool) {
-	first, stride := keyArgStride(id)
-	if first < 0 || len(args) == 0 {
+	which := cmdTable[id].keys
+	if which == noKeys || len(args) == 0 {
 		return Reply{}, false // keyless command: always local
 	}
-	if stride == 0 {
-		return cc.checkKey(args[0])
+	keys := args
+	if which == oneKey {
+		keys = args[:1]
 	}
-	for i := first; i < len(args); i += stride {
-		if rep, moved := cc.checkKey(args[i]); moved {
+	for _, k := range keys {
+		if rep, moved := cc.checkKey(k); moved {
 			return rep, true
 		}
 	}

@@ -57,26 +57,9 @@ func BenchmarkWriteCommand(b *testing.B) {
 	}
 }
 
-// BenchmarkReadCommand is the seed parse path: fresh argument slices
-// per command.
-func BenchmarkReadCommand(b *testing.B) {
-	wire := commandWire(b, "SET", []byte("bench:key"), bytes.Repeat([]byte("v"), 64))
-	rd := bytes.NewReader(wire)
-	br := bufio.NewReader(rd)
-	b.SetBytes(int64(len(wire)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(wire)
-		br.Reset(rd)
-		if _, _, err := ReadCommand(br); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReadCommandInto is the pooled parse path: one reusable
-// arena across all commands. Steady state must be allocation-free.
+// BenchmarkReadCommandInto is the command decoder — parse plus the one
+// name resolution the server dispatches on — over one reusable arena.
+// Steady state must be allocation-free.
 func BenchmarkReadCommandInto(b *testing.B) {
 	wire := commandWire(b, "SET", []byte("bench:key"), bytes.Repeat([]byte("v"), 64))
 	rd := bytes.NewReader(wire)
@@ -94,8 +77,8 @@ func BenchmarkReadCommandInto(b *testing.B) {
 	}
 }
 
-// BenchmarkReadReply / BenchmarkReadReplyInto: same contrast on the
-// client's reply parse path, over a 64-byte bulk string.
+// BenchmarkReadReply is the reply decoder over a 64-byte bulk string:
+// one allocation, the payload the caller keeps.
 func BenchmarkReadReply(b *testing.B) {
 	wire := []byte("$64\r\n" + string(bytes.Repeat([]byte("v"), 64)) + "\r\n")
 	rd := bytes.NewReader(wire)
@@ -112,25 +95,9 @@ func BenchmarkReadReply(b *testing.B) {
 	}
 }
 
-func BenchmarkReadReplyInto(b *testing.B) {
-	wire := []byte("$64\r\n" + string(bytes.Repeat([]byte("v"), 64)) + "\r\n")
-	rd := bytes.NewReader(wire)
-	br := bufio.NewReader(rd)
-	var rep Reply
-	b.SetBytes(int64(len(wire)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(wire)
-		br.Reset(rd)
-		if err := ReadReplyInto(br, &rep, MaxBulkLen); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // runPipelined drives one command per op through a width-128 pipeline,
-// finishing (and recycling the reply slice) every batch.
+// finishing every batch the way the shipping paths do: Expect, Send,
+// Finish, replies owned by the caller.
 func runPipelined(b *testing.B, c *Client, send func(p *Pipeline, i int) error) {
 	b.Helper()
 	p, err := c.NewPipeline(128)
@@ -138,13 +105,12 @@ func runPipelined(b *testing.B, c *Client, send func(p *Pipeline, i int) error) 
 		b.Fatal(err)
 	}
 	const batch = 1024
-	reps := make([]Reply, 0, batch)
 	for done := 0; done < b.N; {
 		n := batch
 		if b.N-done < n {
 			n = b.N - done
 		}
-		p.Reuse(reps)
+		p.Expect(n)
 		for j := 0; j < n; j++ {
 			if err := send(p, done+j); err != nil {
 				b.Fatal(err)
@@ -159,12 +125,11 @@ func runPipelined(b *testing.B, c *Client, send func(p *Pipeline, i int) error) 
 				b.Fatal(err)
 			}
 		}
-		reps = out[:0]
 		done += n
 	}
 }
 
-// BenchmarkPipelinedSET: 64-byte SETs over loopback, pooled end to end.
+// BenchmarkPipelinedSET: 64-byte SETs over loopback.
 func BenchmarkPipelinedSET(b *testing.B) {
 	c := benchServerClient(b)
 	key := []byte("bench:set")
@@ -177,8 +142,8 @@ func BenchmarkPipelinedSET(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelinedGET: 64-byte GETs over loopback; reply slot
-// recycling keeps the bulk buffer alive across ops.
+// BenchmarkPipelinedGET: 64-byte GETs over loopback; every reply's
+// payload is a fresh allocation the caller keeps.
 func BenchmarkPipelinedGET(b *testing.B) {
 	c := benchServerClient(b)
 	if err := c.Set("bench:get", bytes.Repeat([]byte("v"), 64)); err != nil {
@@ -231,7 +196,6 @@ func BenchmarkRPUSHBatched(b *testing.B) {
 	perCmd := (1 << 20) / benchRecordSize
 	args := make([][]byte, 1, perCmd+1)
 	args[0] = key
-	reps := make([]Reply, 0, 8)
 	b.SetBytes(benchRecordSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -244,7 +208,6 @@ func BenchmarkRPUSHBatched(b *testing.B) {
 		for j := 0; j < n; j++ {
 			args = append(args, rec)
 		}
-		p.Reuse(reps)
 		if err := p.Send("RPUSH", args...); err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +220,6 @@ func BenchmarkRPUSHBatched(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		reps = out[:0]
 		done += n
 	}
 }
