@@ -22,11 +22,10 @@ import (
 	"pareto/internal/kvstore"
 	"pareto/internal/opt"
 	"pareto/internal/sampling"
+	"pareto/internal/sketch"
 	"pareto/internal/strata"
 	"pareto/internal/workloads/graphcomp"
 	"pareto/internal/workloads/lz77"
-
-	"pareto/internal/sketch"
 )
 
 // reportStrategyMetrics derives the paper's headline numbers from a
@@ -173,41 +172,6 @@ func BenchmarkFig6SupportSweep(b *testing.B) {
 // Ablations (DESIGN.md §5)
 // ---------------------------------------------------------------------------
 
-// BenchmarkAblationPolyRegression compares linear vs degree-4 utility
-// functions on noisy progressive samples (the §III-D argument for
-// linear models): it reports each model's extrapolation error at 50×
-// the largest sample.
-func BenchmarkAblationPolyRegression(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	truth := func(x float64) float64 { return 0.004*x + 2 }
-	for i := 0; i < b.N; i++ {
-		var pts []sampling.Point
-		for _, x := range []float64{500, 1000, 2000, 4000, 8000, 20000} {
-			pts = append(pts, sampling.Point{X: x, Y: truth(x) * (1 + rng.NormFloat64()*0.05)})
-		}
-		lin, err := sampling.FitLinear(pts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pol, err := sampling.FitPoly(pts, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := 1e6
-		linErr := abs(lin.Predict(x)-truth(x)) / truth(x)
-		polErr := abs(pol.Predict(x)-truth(x)) / truth(x)
-		b.ReportMetric(100*linErr, "linear-extrap-err-%")
-		b.ReportMetric(100*polErr, "poly4-extrap-err-%")
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // BenchmarkAblationKModesL sweeps the composite center width L: larger
 // L reduces the zero-match mismatch cost at modest extra compute.
 func BenchmarkAblationKModesL(b *testing.B) {
@@ -239,7 +203,7 @@ func plantedSketchesForBench(n, width, k int, noise float64) []sketch.Sketch {
 	}
 	out := make([]sketch.Sketch, n)
 	for i := range out {
-		s := protos[i%k].Clone()
+		s := append(sketch.Sketch(nil), protos[i%k]...)
 		for a := range s {
 			if rng.Float64() < noise {
 				s[a] = rng.Uint64()
@@ -248,34 +212,6 @@ func plantedSketchesForBench(n, width, k int, noise float64) []sketch.Sketch {
 		out[i] = s
 	}
 	return out
-}
-
-// BenchmarkAblationSimplexVsWaterfill compares the general LP against
-// the α=1 analytic water-filling solver (they must agree; the LP costs
-// more but handles every α).
-func BenchmarkAblationSimplexVsWaterfill(b *testing.B) {
-	nodes := make([]opt.NodeModel, 16)
-	rng := rand.New(rand.NewSource(5))
-	for i := range nodes {
-		nodes[i] = opt.NodeModel{
-			Time:      sampling.LinearFit{Slope: 0.0001 + rng.Float64()*0.001, Intercept: rng.Float64()},
-			DirtyRate: rng.Float64() * 400,
-		}
-	}
-	b.Run("simplex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := opt.Optimize(nodes, 1_000_000, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("waterfill", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := opt.WaterFill(nodes, 1_000_000); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationPipelineWidth measures kvstore write throughput at
@@ -379,7 +315,7 @@ func BenchmarkAblationResidualCode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ratio = graphcomp.Ratio(graphcomp.RawBits(ids, g.Adj), enc.CompressedBits())
+				ratio = float64(graphcomp.RawBits(ids, g.Adj)) / float64(enc.BitLen)
 			}
 			b.ReportMetric(ratio, "ratio")
 		})
@@ -417,44 +353,6 @@ func BenchmarkAblationExactFrontier(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationWorkStealing contrasts the framework's Het-Aware
-// partitioning with the idealized work-stealing strawman of §I on
-// partitioned text mining: stealing balances machine load but its
-// payload-oblivious fragmentation inflates the candidate space.
-func BenchmarkAblationWorkStealing(b *testing.B) {
-	cfg := datasets.RCV1Like(0.0008)
-	docs, _, err := datasets.GenerateText(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	corpus, err := NewTextCorpus(docs, cfg.VocabSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := &bench.TextMining{Docs: corpus, SupportFrac: 0.15, MaxLen: 2}
-	cl, err := PaperCluster(8, DefaultPanel(), 172, 48)
-	if err != nil {
-		b.Fatal(err)
-	}
-	o := bench.DefaultOptions()
-	for i := 0; i < b.N; i++ {
-		het, err := bench.RunStrategy(w, cl, core.Config{
-			Strategy: core.HetAware, Scheme: w.Scheme(),
-			TraceOffset: o.TraceOffset, MinPartitionFrac: o.MinPartitionFrac,
-		}, o.TraceOffset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steal, err := bench.RunWorkStealingMining(w, cl, 2, o.TraceOffset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(het.Quality["candidates"], "hetaware-candidates")
-		b.ReportMetric(float64(steal.Candidates), "stealing-candidates")
-		b.ReportMetric(100*bench.Improvement(steal.TimeSec, het.TimeSec), "hetaware-vs-stealing-time-%")
-	}
-}
-
 // BenchmarkAblationLZ77Window sweeps the LZ77 window size on
 // structured record data.
 func BenchmarkAblationLZ77Window(b *testing.B) {
@@ -473,7 +371,7 @@ func BenchmarkAblationLZ77Window(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ratio = enc.Ratio()
+				ratio = float64(enc.RawLen) / float64(len(enc.Data))
 			}
 			b.ReportMetric(ratio, "ratio")
 		})

@@ -148,10 +148,11 @@ func HomogeneousCluster(p int, panel energy.Panel, dayOfYear, hours int) (*Clust
 }
 
 // Validate checks the cluster's calibration: a positive finite
-// CostRate and positive finite per-node speeds. Run, RunDetailed,
-// sim.Run, and ProfileAllWithRates validate on entry so a mutated or
-// hand-built cluster fails loudly instead of silently propagating
-// Inf/NaN times into Makespan and the energy totals.
+// CostRate, positive finite per-node speeds and a finite, non-negative
+// draw per node. Run, RunDetailed, sim.Run, and ProfileAllWithRates
+// validate on entry so a mutated or hand-built cluster fails loudly
+// instead of silently propagating Inf/NaN times into Makespan, or a
+// NaN or negative wattage into the energy totals Account books.
 func (c *Cluster) Validate() error {
 	if len(c.Nodes) == 0 {
 		return errors.New("cluster: no nodes")
@@ -162,6 +163,9 @@ func (c *Cluster) Validate() error {
 	for i := range c.Nodes {
 		if s := c.Nodes[i].Speed; !(s > 0) || math.IsInf(s, 1) {
 			return fmt.Errorf("cluster: node %d Speed %v, want finite > 0", i, s)
+		}
+		if w := c.Nodes[i].Power.Watts(); !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("cluster: node %d watts %v, want finite >= 0", i, w)
 		}
 	}
 	return nil

@@ -140,7 +140,9 @@ func TestStealingScheduleGreenAccounting(t *testing.T) {
 
 // Zero or negative CostRate/Speed used to slip through SimTime as an
 // unchecked division, silently propagating Inf/NaN into Makespan and
-// the energy totals. Both constructors must yield Validate-clean
+// the energy totals, and a NaN or negative wattage was booked as
+// energy by every entry point but sim.Run, which carried its own
+// check. Both constructors must yield Validate-clean
 // clusters, and every execution entry point must reject a corrupted
 // one loudly.
 func TestValidateGuardsCalibration(t *testing.T) {
@@ -165,13 +167,15 @@ func TestValidateGuardsCalibration(t *testing.T) {
 		"zero speed": func(c *cluster.Cluster) { c.Nodes[1].Speed = 0 },
 		"neg speed":  func(c *cluster.Cluster) { c.Nodes[0].Speed = -3 },
 		"nan speed":  func(c *cluster.Cluster) { c.Nodes[2].Speed = math.NaN() },
+		"nan watts":  func(c *cluster.Cluster) { c.Nodes[1].Power.BaseWatts = math.NaN() },
+		"neg watts":  func(c *cluster.Cluster) { c.Nodes[3].Power = energy.PowerModel{BaseWatts: -1} },
+		"inf watts":  func(c *cluster.Cluster) { c.Nodes[0].Power.PerCoreWatts = math.Inf(1) },
 	}
 	for name, corrupt := range corruptions {
 		c := stealCluster(t)
 		corrupt(c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate passed", name)
-			continue
 		}
 		if _, err := c.Run(0, []cluster.Task{
 			func() (float64, error) { return 1e6, nil }, nil, nil, nil,

@@ -73,15 +73,6 @@ type Config struct {
 	Scheme partitioner.Scheme
 	// Stratifier configures sketching and compositeKModes.
 	Stratifier strata.StratifierConfig
-	// ProfileMinFrac/ProfileMaxFrac/ProfileSteps define the
-	// progressive-sampling ladder (defaults: 0.05%–2% in 6 steps).
-	ProfileMinFrac float64
-	ProfileMaxFrac float64
-	ProfileSteps   int
-	// ProfileMinRecords floors the sample sizes so support-scaled
-	// mining never profiles in its degenerate tiny-sample regime.
-	// 0 means sampling.DefaultMinRecords.
-	ProfileMinRecords int
 	// MinPartitionFrac, if positive, floors every optimized partition
 	// at this fraction of the equal share N/p. Scaled-support mining
 	// degenerates on starved partitions (local threshold of a couple
@@ -103,12 +94,12 @@ type Config struct {
 	TraceOffset float64
 	Window      float64
 	// DistStratify, when set, is tried first for component III — e.g.
-	// a closure over distrib.Stratify running across real workers. If
-	// it fails (dead store, partitioned network, unrecoverable worker
-	// loss), BuildPlan degrades gracefully to the in-process
-	// stratifier and records the degradation on the Plan and in its
-	// Summary, so an operator can see the run did not exercise the
-	// distributed path.
+	// a closure over distrib.StratifyDetailed running across real
+	// workers. If it fails (dead store, partitioned network,
+	// unrecoverable worker loss), BuildPlan degrades gracefully to the
+	// in-process stratifier and records the degradation on the Plan and
+	// in its Summary, so an operator can see the run did not exercise
+	// the distributed path.
 	DistStratify func(c pivots.Corpus, cfg strata.StratifierConfig) (*strata.Stratification, error)
 	// Telemetry, when non-nil, records a "plan" span with one child per
 	// pipeline stage (scan, stratify, profile, optimize, place) plus
@@ -116,18 +107,12 @@ type Config struct {
 	// the Plan regardless (they are one clock pair per stage).
 	Telemetry *telemetry.Registry
 	// Workers bounds the goroutines the planner's parallel stages use
-	// (corpus scan, sample drawing, and — when ProfileParallel is set —
-	// profile evaluation). ≤ 0 means GOMAXPROCS. Plans are bit-identical
-	// at every value: parallel stages are chunked and index-addressed,
-	// never order-sensitive.
+	// (corpus scan, stratification, sample drawing). ≤ 0 means
+	// GOMAXPROCS. Plans are bit-identical at every value: parallel
+	// stages are chunked and index-addressed, never order-sensitive.
+	// The caller's ProfileFunc is always called from one goroutine at a
+	// time: BuildPlan cannot know whether it is thread-safe.
 	Workers int
-	// ProfileParallel opts the user's ProfileFunc into concurrent
-	// evaluation across sample sizes. Off by default because BuildPlan
-	// cannot know whether an arbitrary ProfileFunc is thread-safe; set
-	// it only when the function may be called from multiple goroutines
-	// at once. Sample *drawing* is always parallel — it touches only
-	// planner-owned state.
-	ProfileParallel bool
 }
 
 // StageTiming is one pipeline stage's wall-clock duration, collected
@@ -183,8 +168,9 @@ type Plan struct {
 // corpus of n records on p nodes, and rejects a configuration no stage
 // could run — before any stage has. Several strata per partition
 // (K = min(4p, n)), L = 3, the stratifier's workers from Workers, α = 1
-// unless the strategy is Het-Energy-Aware, a one-hour dirty-rate window
-// and the paper's sample ladder. It is idempotent, so a caller that must
+// unless the strategy is Het-Energy-Aware and a one-hour dirty-rate
+// window (the sample ladder is sampling.ScheduleWithFloor's, a function
+// of n alone). It is idempotent, so a caller that must
 // not let K follow a growing corpus (internal/replan) resolves once on
 // its base corpus and hands the result to every later BuildPlan.
 func Resolve(cfg Config, n, p int, profile ProfileFunc) (Config, error) {
@@ -212,15 +198,6 @@ func Resolve(cfg Config, n, p int, profile ProfileFunc) (Config, error) {
 	// GOMAXPROCS, and stratification is worker-count independent anyway).
 	if cfg.Stratifier.Cluster.Workers == 0 {
 		cfg.Stratifier.Cluster.Workers = cfg.Workers
-	}
-	if cfg.ProfileMinFrac == 0 {
-		cfg.ProfileMinFrac = sampling.DefaultMinFrac
-	}
-	if cfg.ProfileMaxFrac == 0 {
-		cfg.ProfileMaxFrac = sampling.DefaultMaxFrac
-	}
-	if cfg.ProfileSteps == 0 {
-		cfg.ProfileSteps = sampling.DefaultSteps
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 3600
@@ -400,11 +377,10 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 //
 // Sample drawing fans out across sizes (each size's RNG is seeded
 // independently as SampleSeed+size, so draws are index-addressed and
-// bit-identical at any worker count); profile evaluation fans out only
-// when Config.ProfileParallel declares the user's ProfileFunc
-// thread-safe.
+// bit-identical at any worker count); profile evaluation is serial,
+// because the caller's ProfileFunc need not be thread-safe.
 func ProfileModels(cl *cluster.Cluster, members [][]int, n int, rates []float64, profile ProfileFunc, cfg Config) ([]opt.NodeModel, time.Duration, error) {
-	sizes, err := sampling.ScheduleWithFloor(n, cfg.ProfileMinFrac, cfg.ProfileMaxFrac, cfg.ProfileSteps, cfg.ProfileMinRecords)
+	sizes, err := sampling.ScheduleWithFloor(n)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: profiling schedule: %w", err)
 	}
@@ -425,12 +401,8 @@ func ProfileModels(cl *cluster.Cluster, members [][]int, n int, rates []float64,
 	if err != nil {
 		return nil, busy, err
 	}
-	profWorkers := 1
-	if cfg.ProfileParallel {
-		profWorkers = cfg.Workers
-	}
 	costs := make([]float64, len(sizes))
-	profBusy, err := parallel.ForErr(len(sizes), profWorkers, func(lo, hi int) error {
+	profBusy, err := parallel.ForErr(len(sizes), 1, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			cost, err := profile(idxs[i])
 			if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -288,8 +289,8 @@ func TestPlanSummaryRoundtrip(t *testing.T) {
 	if err := sum.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPlanSummary(&buf)
-	if err != nil {
+	var back PlanSummary
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Strategy != sum.Strategy || back.Sizes[0] != sum.Sizes[0] ||
@@ -312,9 +313,6 @@ func TestPlanSummaryRoundtrip(t *testing.T) {
 	var nilPlan *Plan
 	if _, err := nilPlan.Summary(); err == nil {
 		t.Error("nil plan summarized")
-	}
-	if _, err := ReadPlanSummary(bytes.NewReader([]byte("{bad"))); err == nil {
-		t.Error("bad JSON accepted")
 	}
 }
 

@@ -26,27 +26,26 @@ func TestBuildPlanDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(workers int, parallelProfile bool) *Plan {
+	build := func(workers int) *Plan {
 		t.Helper()
 		corpus, err := pivots.NewTreeCorpusParallel(trees, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan, err := BuildPlan(corpus, cl, linearProfile(corpus), Config{
-			Strategy:        HetEnergyAware,
-			Alpha:           0.999,
-			SampleSeed:      7,
-			Workers:         workers,
-			ProfileParallel: parallelProfile,
+			Strategy:   HetEnergyAware,
+			Alpha:      0.999,
+			SampleSeed: 7,
+			Workers:    workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return plan
 	}
-	ref := build(1, false)
+	ref := build(1)
 	for _, w := range []int{4, runtime.NumCPU()} {
-		got := build(w, true)
+		got := build(w)
 		if !reflect.DeepEqual(got.Sizes, ref.Sizes) {
 			t.Errorf("workers=%d: Sizes = %v, want %v", w, got.Sizes, ref.Sizes)
 		}
@@ -77,7 +76,7 @@ func BenchmarkBuildPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, workers int, parallelProfile bool) {
+	run := func(b *testing.B, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			corpus, err := pivots.NewTreeCorpusParallel(trees, workers)
@@ -85,16 +84,15 @@ func BenchmarkBuildPlan(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := BuildPlan(corpus, cl, linearProfile(corpus), Config{
-				Strategy:        HetEnergyAware,
-				Alpha:           0.999,
-				SampleSeed:      7,
-				Workers:         workers,
-				ProfileParallel: parallelProfile,
+				Strategy:   HetEnergyAware,
+				Alpha:      0.999,
+				SampleSeed: 7,
+				Workers:    workers,
 			}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("seq", func(b *testing.B) { run(b, 1, false) })
-	b.Run("par", func(b *testing.B) { run(b, 0, true) })
+	b.Run("seq", func(b *testing.B) { run(b, 1) })
+	b.Run("par", func(b *testing.B) { run(b, 0) })
 }

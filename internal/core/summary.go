@@ -112,12 +112,3 @@ func (s *PlanSummary) WriteJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// ReadPlanSummary parses an indented-JSON summary.
-func ReadPlanSummary(r io.Reader) (*PlanSummary, error) {
-	var s PlanSummary
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("core: decoding plan summary: %w", err)
-	}
-	return &s, nil
-}

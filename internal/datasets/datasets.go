@@ -14,7 +14,6 @@
 package datasets
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -434,7 +433,3 @@ func TextStats(name string, docs []pivots.Doc, vocab int) Stats {
 	}
 	return Stats{Name: name, Kind: pivots.TextData, Records: len(docs), Units: terms, VocabOrN: vocab}
 }
-
-// ErrScale guards against nonsensical scale factors in helpers that
-// accept one.
-var ErrScale = errors.New("datasets: scale must be in (0, 1]")

@@ -64,7 +64,7 @@ func TestDistributedOverSlotCluster(t *testing.T) {
 		Cluster:     strata.Config{K: 6, L: 3, Seed: 11},
 		Seed:        5,
 	}
-	dist, err := Stratify(master, workers, corpus, opts)
+	dist, _, err := StratifyDetailed(master, workers, corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestDistributedAfterFailover(t *testing.T) {
 		Cluster:     strata.Config{K: 6, L: 3, Seed: 11},
 		Seed:        5,
 	}
-	dist, err := Stratify(master, workers, corpus, opts)
+	dist, _, err := StratifyDetailed(master, workers, corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestDistributedClusterValidation(t *testing.T) {
 	corpus := testCorpus(t, 0.0003)
 	_, workers := startSlotCluster(t, 2, 2)
 	var nilMaster *kvstore.ClusterClient
-	if _, err := Stratify(nilMaster, workers, corpus, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
+	if _, _, err := StratifyDetailed(nilMaster, workers, corpus, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
 		t.Error("typed-nil cluster master accepted")
 	}
 }

@@ -181,17 +181,6 @@ type Report struct {
 	WorkerErrs []error
 }
 
-// Failures counts workers that ended with an error.
-func (r *Report) Failures() int {
-	n := 0
-	for _, err := range r.WorkerErrs {
-		if err != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // isNilKV reports whether a generically typed client is nil — either
 // the interface itself or a typed-nil pointer inside it, which a plain
 // == nil against the type parameter cannot see.
@@ -229,12 +218,7 @@ func appendSketchRecord(buf []byte, idx int, s sketch.Sketch) ([]byte, error) {
 	return buf, nil
 }
 
-// encodeSketchRecord is appendSketchRecord into fresh memory.
-func encodeSketchRecord(idx int, s sketch.Sketch) ([]byte, error) {
-	return appendSketchRecord(nil, idx, s)
-}
-
-// decodeSketchRecord reverses encodeSketchRecord.
+// decodeSketchRecord reverses appendSketchRecord.
 func decodeSketchRecord(buf []byte, width int) (int, sketch.Sketch, error) {
 	if len(buf) != 4+8*width {
 		return 0, nil, fmt.Errorf("distrib: sketch record of %d bytes, want %d", len(buf), 4+8*width)
@@ -269,25 +253,20 @@ func decodeAssignment(buf []byte) []int {
 	return out
 }
 
-// Stratify runs the §IV distributed stratification. workers[i] is the
-// store connection worker i uses (they may point at the same server or
-// different ones — every key this package writes lives on the master's
-// server, reachable through any client handed in). master is the
-// coordinator's own connection. Worker i sketches the contiguous shard
-// i of the corpus; shards are computed internally.
+// StratifyDetailed runs the §IV distributed stratification and reports
+// which fault-recovery paths fired (shard recoveries, worker failures,
+// barrier aborts). workers[i] is the store connection worker i uses
+// (they may point at the same server or different ones — every key
+// this package writes lives on the master's server, reachable through
+// any client handed in). master is the coordinator's own connection.
+// Worker i sketches the contiguous shard i of the corpus; shards are
+// computed internally.
 //
 // The client type is generic over kvstore.KV, so existing
 // []*kvstore.Client call sites compile unchanged while a slot-routed
 // []*kvstore.ClusterClient points the identical protocol at a
 // partitioned cluster — the run's keys spread across slot owners, and
 // no shipping or barrier code changes.
-func Stratify[C kvstore.KV](master C, workers []C, corpus pivots.Corpus, o Options) (*strata.Stratification, error) {
-	st, _, err := StratifyDetailed(master, workers, corpus, o)
-	return st, err
-}
-
-// StratifyDetailed is Stratify plus a Report of which fault-recovery
-// paths fired (shard recoveries, worker failures, barrier aborts).
 func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus, o Options) (*strata.Stratification, *Report, error) {
 	if isNilKV(master) || len(workers) == 0 {
 		return nil, nil, errors.New("distrib: need a master client and at least one worker")

@@ -58,7 +58,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		Cluster:     strata.Config{K: 6, L: 3, Seed: 11},
 		Seed:        5,
 	}
-	dist, err := Stratify(master, workers, corpus, opts)
+	dist, _, err := StratifyDetailed(master, workers, corpus, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 func TestDistributedSingleWorker(t *testing.T) {
 	corpus := testCorpus(t, 0.0003)
 	master, workers := startStore(t, 1)
-	dist, err := Stratify(master, workers, corpus, Options{
+	dist, _, err := StratifyDetailed(master, workers, corpus, Options{
 		Cluster: strata.Config{K: 4, L: 2, Seed: 3},
 		Seed:    9,
 	})
@@ -101,16 +101,16 @@ func TestDistributedSingleWorker(t *testing.T) {
 func TestDistributedValidation(t *testing.T) {
 	corpus := testCorpus(t, 0.0003)
 	master, workers := startStore(t, 2)
-	if _, err := Stratify(nil, workers, corpus, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
+	if _, _, err := StratifyDetailed(nil, workers, corpus, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
 		t.Error("nil master accepted")
 	}
-	if _, err := Stratify(master, nil, corpus, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
+	if _, _, err := StratifyDetailed(master, nil, corpus, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
 		t.Error("no workers accepted")
 	}
-	if _, err := Stratify(master, workers, nil, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
+	if _, _, err := StratifyDetailed(master, workers, nil, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
 		t.Error("nil corpus accepted")
 	}
-	if _, err := Stratify(master, workers, corpus, Options{Cluster: strata.Config{K: 0, L: 1}}); err == nil {
+	if _, _, err := StratifyDetailed(master, workers, corpus, Options{Cluster: strata.Config{K: 0, L: 1}}); err == nil {
 		t.Error("K=0 accepted (cluster config must validate)")
 	}
 }
@@ -122,7 +122,7 @@ func TestDistributedMoreWorkersThanRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	master, workers := startStore(t, 5) // some shards empty
-	dist, err := Stratify(master, workers, corpus, Options{
+	dist, _, err := StratifyDetailed(master, workers, corpus, Options{
 		Cluster: strata.Config{K: 2, L: 1, Seed: 1},
 		Seed:    2,
 	})
@@ -136,7 +136,7 @@ func TestDistributedMoreWorkersThanRecords(t *testing.T) {
 
 func TestSketchRecordRoundtrip(t *testing.T) {
 	s := sketch.Sketch{1, 2, 1 << 60}
-	enc, err := encodeSketchRecord(42, s)
+	enc, err := appendSketchRecord(nil, 42, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestSketchRecordRoundtrip(t *testing.T) {
 
 func TestSketchRecordRejectsWireOverflow(t *testing.T) {
 	s := sketch.Sketch{1}
-	if _, err := encodeSketchRecord(-1, s); err == nil {
+	if _, err := appendSketchRecord(nil, -1, s); err == nil {
 		t.Error("negative index accepted")
 	}
 	if big := int(int64(1) << 32); big > 0 { // skip on 32-bit int
-		if _, err := encodeSketchRecord(big, s); err == nil {
+		if _, err := appendSketchRecord(nil, big, s); err == nil {
 			t.Error("index past uint32 accepted")
 		}
 	}

@@ -71,7 +71,7 @@ func shipShardPerRecord(c *kvstore.Client, corpus pivots.Corpus, hasher *sketch.
 		return err
 	}
 	for r := lo; r < hi; r++ {
-		enc, err := encodeSketchRecord(r, hasher.Sketch(corpus.ItemSet(r)))
+		enc, err := appendSketchRecord(nil, r, hasher.Sketch(corpus.ItemSet(r)))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"errors"
 	"testing"
 
 	"pareto/internal/strata"
@@ -23,7 +24,7 @@ func TestDistributedStatsAndTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Failures() != 0 {
+	if errors.Join(report.WorkerErrs...) != nil {
 		t.Fatalf("worker failures: %v", report.WorkerErrs)
 	}
 	if dist.Stats.SketchTime <= 0 {

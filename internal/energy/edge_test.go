@@ -40,16 +40,13 @@ func TestZeroIrradianceWindow(t *testing.T) {
 }
 
 // TestTraceHoldPastEnd: offsets beyond the trace hold the final step's
-// power, consistently across PowerAt, Energy and DirtyEnergy.
+// power, consistently across Energy and DirtyEnergy.
 func TestTraceHoldPastEnd(t *testing.T) {
 	// A synthetic trace makes the held value unambiguous.
 	tr := &Trace{StepSeconds: 3600, Power: []float64{0, 100, 250}}
-	end := tr.Duration()
+	end := float64(len(tr.Power)) * tr.StepSeconds
 	last := tr.Power[len(tr.Power)-1]
 
-	if got := tr.PowerAt(end + 5000); got != last {
-		t.Errorf("PowerAt past end = %v, want %v", got, last)
-	}
 	const dur = 1800.0
 	if got, want := tr.Energy(end+7200, dur), last*dur; got != want {
 		t.Errorf("Energy past end = %v, want %v", got, want)
@@ -83,7 +80,7 @@ func TestTraceGenerationWrapsYear(t *testing.T) {
 	}
 	// Day two of the trace is day 1 of the next year: the sun still
 	// rises — some mid-trace step must carry power.
-	if tr.Peak() <= 0 {
+	if peak(tr) <= 0 {
 		t.Error("no daylight across the year boundary")
 	}
 	again, err := GenerateTrace(loc, DefaultPanel(), 365, 72)
@@ -161,9 +158,6 @@ func TestNegativeOffsets(t *testing.T) {
 	tr := &Trace{StepSeconds: 3600, Power: []float64{200, 200, 200}}
 	const watts = 300.0
 
-	if got := tr.PowerAt(-500); got != tr.Power[0] {
-		t.Errorf("PowerAt(-500) = %v, want clamp to first step %v", got, tr.Power[0])
-	}
 	// Window entirely before the trace.
 	if got := tr.Energy(-7200, 3600); got != 0 {
 		t.Errorf("pre-trace green = %v, want 0", got)

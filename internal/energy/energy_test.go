@@ -120,8 +120,8 @@ func TestGenerateTraceShape(t *testing.T) {
 	if len(tr.Power) != 48 {
 		t.Fatalf("trace length %d", len(tr.Power))
 	}
-	if tr.Duration() != 48*3600 {
-		t.Errorf("duration %v", tr.Duration())
+	if tr.StepSeconds != 3600 {
+		t.Errorf("step %v s, want hourly", tr.StepSeconds)
 	}
 	// Nights dark, days lit.
 	if tr.Power[2] != 0 {
@@ -130,8 +130,8 @@ func TestGenerateTraceShape(t *testing.T) {
 	if tr.Power[12] <= 0 {
 		t.Errorf("noon power %v, want > 0", tr.Power[12])
 	}
-	if tr.Peak() <= 0 || tr.Peak() > 1100*3.0*0.20*0.85 {
-		t.Errorf("peak %v implausible", tr.Peak())
+	if p := peak(tr); p <= 0 || p > 1100*3.0*0.20*0.85 {
+		t.Errorf("peak %v implausible", p)
 	}
 }
 
@@ -169,15 +169,32 @@ func TestTraceEnergyIntegration(t *testing.T) {
 	}
 }
 
+// TestTracePowerAt reads the green power at an offset as the mean over
+// one second there: steps are looked up by offset ÷ StepSeconds, the
+// last step is held past the end, and there is no supply before the
+// trace starts.
 func TestTracePowerAt(t *testing.T) {
 	tr := &Trace{StepSeconds: 3600, Power: []float64{10, 20}}
-	if tr.PowerAt(-5) != 10 || tr.PowerAt(0) != 10 || tr.PowerAt(3600) != 20 || tr.PowerAt(1e9) != 20 {
-		t.Error("PowerAt clamping wrong")
+	at := func(offset float64) float64 { return tr.MeanPower(offset, 1) }
+	if at(-5) != 0 || at(0) != 10 || at(3599) != 10 || at(3600) != 20 || at(1e9) != 20 {
+		t.Errorf("power at -5, 0, 3599, 3600, 1e9 s = %v %v %v %v %v, want 0 10 10 20 20",
+			at(-5), at(0), at(3599), at(3600), at(1e9))
 	}
 	empty := &Trace{StepSeconds: 3600}
-	if empty.PowerAt(0) != 0 {
-		t.Error("empty trace PowerAt must be 0")
+	if empty.MeanPower(0, 1) != 0 {
+		t.Error("empty trace must supply 0")
 	}
+}
+
+// peak returns the maximum step power in the trace.
+func peak(t *Trace) float64 {
+	p := 0.0
+	for _, v := range t.Power {
+		if v > p {
+			p = v
+		}
+	}
+	return p
 }
 
 func TestMachineTypes(t *testing.T) {
@@ -187,8 +204,8 @@ func TestMachineTypes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pm.Validate(); err != nil {
-			t.Errorf("type %d invalid: %v", typ, err)
+		if pm.Cores != 5-typ {
+			t.Errorf("type %d has %d cores, want %d", typ, pm.Cores, 5-typ)
 		}
 		if w := pm.Watts(); w != wantWatts[typ-1] {
 			t.Errorf("type %d watts %v, want %v (paper §V-A)", typ, w, wantWatts[typ-1])
@@ -199,9 +216,6 @@ func TestMachineTypes(t *testing.T) {
 	}
 	if _, err := MachineType(5); err == nil {
 		t.Error("type 5 accepted")
-	}
-	if err := (PowerModel{Cores: 0}).Validate(); err == nil {
-		t.Error("0-core model accepted")
 	}
 }
 
@@ -251,7 +265,7 @@ func TestLocationHeterogeneity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		means[i] = tr.MeanPower(0, tr.Duration())
+		means[i] = tr.MeanPower(0, 7*24*3600)
 	}
 	for i := 0; i < len(means); i++ {
 		for j := i + 1; j < len(means); j++ {

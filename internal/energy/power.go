@@ -22,14 +22,6 @@ func (p PowerModel) Watts() float64 {
 	return p.BaseWatts + p.PerCoreWatts*float64(p.Cores)
 }
 
-// Validate checks the model parameters.
-func (p PowerModel) Validate() error {
-	if p.BaseWatts < 0 || p.PerCoreWatts < 0 || p.Cores < 1 {
-		return fmt.Errorf("energy: invalid power model %+v", p)
-	}
-	return nil
-}
-
 // Paper §V-A constants: Intel Xeon processor power and the HP SL base.
 const (
 	// XeonWatts is the per-processor power used in §V-A.

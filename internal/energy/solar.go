@@ -226,28 +226,6 @@ func GenerateTrace(loc Location, panel Panel, dayOfYear, hours int) (*Trace, err
 	return tr, nil
 }
 
-// Duration returns the trace length in seconds.
-func (t *Trace) Duration() float64 {
-	return float64(len(t.Power)) * t.StepSeconds
-}
-
-// PowerAt returns the green power (W) available at offset seconds from
-// the trace start. Offsets beyond the trace clamp to the final step;
-// negative offsets clamp to the first.
-func (t *Trace) PowerAt(offset float64) float64 {
-	if len(t.Power) == 0 {
-		return 0
-	}
-	i := int(offset / t.StepSeconds)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(t.Power) {
-		i = len(t.Power) - 1
-	}
-	return t.Power[i]
-}
-
 // Energy integrates green energy (joules) over [from, from+dur)
 // seconds, interpolating partial steps.
 func (t *Trace) Energy(from, dur float64) float64 {
@@ -290,15 +268,4 @@ func (t *Trace) MeanPower(from, dur float64) float64 {
 		return 0
 	}
 	return t.Energy(from, dur) / dur
-}
-
-// Peak returns the maximum step power in the trace.
-func (t *Trace) Peak() float64 {
-	p := 0.0
-	for _, v := range t.Power {
-		if v > p {
-			p = v
-		}
-	}
-	return p
 }

@@ -182,25 +182,6 @@ func (p Plan) Wrapper() func(net.Conn) net.Conn {
 	}
 }
 
-// Listener wraps ln so every accepted connection carries the plan's
-// faults (with sequential connection ids).
-func (p Plan) Listener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, wrap: p.Wrapper()}
-}
-
-type faultListener struct {
-	net.Listener
-	wrap func(net.Conn) net.Conn
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.wrap(conn), nil
-}
-
 // faultConn is one wrapped connection. The mutex guards only the fault
 // decision (op counter + PRNG); the I/O itself runs unlocked so
 // concurrent Read/Write behave like the underlying conn.

@@ -157,3 +157,22 @@ func TestDelayPasses(t *testing.T) {
 		t.Errorf("delay not applied: %v", d)
 	}
 }
+
+// Listener wraps ln so every accepted connection carries the plan's
+// faults (with sequential connection ids).
+func (p Plan) Listener(ln net.Listener) net.Listener {
+	return &faultListener{Listener: ln, wrap: p.Wrapper()}
+}
+
+type faultListener struct {
+	net.Listener
+	wrap func(net.Conn) net.Conn
+}
+
+func (l *faultListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.wrap(conn), nil
+}

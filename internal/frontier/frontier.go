@@ -91,40 +91,6 @@ func NodeSecondsAxis() Axis {
 	}}
 }
 
-// PeakShareAxis is the largest partition's share of the total — a
-// skew/robustness axis (1/p is perfectly balanced, 1.0 is fully
-// consolidated).
-func PeakShareAxis() Axis {
-	return Axis{Name: "peak_share", Eval: func(_ []opt.NodeModel, p *opt.Plan) float64 {
-		total, peak := 0, 0
-		for _, s := range p.Sizes {
-			total += s
-			if s > peak {
-				peak = s
-			}
-		}
-		if total == 0 {
-			return 0
-		}
-		return float64(peak) / float64(total)
-	}}
-}
-
-// TotalEnergyAxis is total (dirty + green) energy in joules under
-// per-node full-power draws, watts[i] being node i's total power.
-func TotalEnergyAxis(watts []float64) Axis {
-	return Axis{Name: "total_energy_j", Eval: func(nodes []opt.NodeModel, p *opt.Plan) float64 {
-		var e float64
-		for i, n := range nodes {
-			if p.Sizes[i] <= 0 || i >= len(watts) {
-				continue
-			}
-			e += watts[i] * n.Time.Predict(float64(p.Sizes[i]))
-		}
-		return e
-	}}
-}
-
 // DefaultAxes is the standard objective vector: makespan, dirty
 // energy, and total node-seconds.
 func DefaultAxes() []Axis {

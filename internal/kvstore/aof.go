@@ -510,17 +510,6 @@ func (a *AOF) abandon() {
 	a.mu.Unlock()
 }
 
-// ReplayAOF applies every complete command in the log at path to the
-// engine, in order, stopping cleanly at a truncated tail (a record cut
-// off mid-write by a crash loses only itself — it was never
-// acknowledged, because acknowledgment waits for fsync). Returns the
-// number of commands applied. A missing file replays zero commands
-// and returns os.ErrNotExist wrapped for the caller to ignore.
-func ReplayAOF(path string, e *Engine) (int, error) {
-	n, _, err := ReplayAOFSince(path, e, AOFMark{})
-	return n, err
-}
-
 // countingReader counts bytes drawn from the underlying reader, so the
 // replay loop can locate the end of the last complete record even
 // through bufio's read-ahead.
@@ -535,17 +524,24 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReplayAOFSince is ReplayAOF starting after mark: when mark names the
-// log's own generation, replay resumes at mark.Off — the records
-// before it are already inside the snapshot that carried the mark — and
-// a mark from another generation (or the zero mark) replays the whole
-// log. The returned mark holds the log's generation and the byte
-// offset just past the last complete record: the truncation point for
-// torn-tail recovery (EnableAOF truncates there before reopening for
-// append, so new records never land behind unparseable bytes). A file
-// shorter than its header replays nothing with end offset zero —
-// nothing in it was ever acknowledged, since the first record fsync
-// would have made the header durable too.
+// ReplayAOFSince applies every complete command in the log at path to
+// the engine, in order, stopping cleanly at a truncated tail (a record
+// cut off mid-write by a crash loses only itself — it was never
+// acknowledged, because acknowledgment waits for fsync), and returns
+// the number of commands applied. A missing file replays zero commands
+// and returns os.ErrNotExist wrapped for the caller to ignore.
+//
+// Replay starts after mark: when mark names the log's own generation,
+// it resumes at mark.Off — the records before it are already inside
+// the snapshot that carried the mark — and a mark from another
+// generation (or the zero mark) replays the whole log. The returned
+// mark holds the log's generation and the byte offset just past the
+// last complete record: the truncation point for torn-tail recovery
+// (EnableAOF truncates there before reopening for append, so new
+// records never land behind unparseable bytes). A file shorter than
+// its header replays nothing with end offset zero — nothing in it was
+// ever acknowledged, since the first record fsync would have made the
+// header durable too.
 func ReplayAOFSince(path string, e *Engine, mark AOFMark) (int, AOFMark, error) {
 	f, err := os.Open(path)
 	if err != nil {

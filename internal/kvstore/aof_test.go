@@ -42,7 +42,7 @@ func TestAOFReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.aof")
 	writeAOFRecords(t, path, 20)
 	e := NewEngine()
-	n, err := ReplayAOF(path, e)
+	n, _, err := ReplayAOFSince(path, e, AOFMark{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAOFReplayTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := NewEngine()
-		n, err := ReplayAOF(path, e)
+		n, _, err := ReplayAOFSince(path, e, AOFMark{})
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -99,7 +99,7 @@ func TestAOFReplayTruncatedTail(t *testing.T) {
 
 func TestAOFReplayMissingFile(t *testing.T) {
 	e := NewEngine()
-	if _, err := ReplayAOF(filepath.Join(t.TempDir(), "nope.aof"), e); !os.IsNotExist(err) {
+	if _, _, err := ReplayAOFSince(filepath.Join(t.TempDir(), "nope.aof"), e, AOFMark{}); !os.IsNotExist(err) {
 		t.Fatalf("err = %v, want not-exist", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestAOFConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine()
-	n, err := ReplayAOF(path, e)
+	n, _, err := ReplayAOFSince(path, e, AOFMark{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAOFAckedWritesSurviveCrash(t *testing.T) {
 	}
 
 	e := NewEngine()
-	if _, err := ReplayAOF(crashed, e); err != nil {
+	if _, _, err := ReplayAOFSince(crashed, e, AOFMark{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -280,7 +280,7 @@ func TestAOFTornTailTruncatedOnRestart(t *testing.T) {
 	// Lifetime 3: the log must replay end-to-end without a protocol
 	// error — the torn record did not poison the bytes behind it.
 	e := NewEngine()
-	n, err := ReplayAOF(path, e)
+	n, _, err := ReplayAOFSince(path, e, AOFMark{})
 	if err != nil {
 		t.Fatalf("replay after append-past-torn-tail: %v", err)
 	}

@@ -507,8 +507,12 @@ func (k keyed) LRangeFrom(key string, start, window int64, fn func(batch [][]byt
 	}
 }
 
-// Del removes keys, returning how many existed.
+// Del removes keys, returning how many existed. No keys is 0 without a
+// round trip (the server would answer an arity error).
 func (c *Client) Del(keys ...string) (int64, error) {
+	if len(keys) == 0 {
+		return 0, nil
+	}
 	args := make([][]byte, len(keys))
 	for i, k := range keys {
 		args[i] = []byte(k)

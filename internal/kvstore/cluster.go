@@ -223,19 +223,6 @@ func parseSlotsEntries(rep Reply) ([]slotsEntry, error) {
 	return out, nil
 }
 
-// parseSlotsReply decodes a CLUSTER SLOTS reply down to its ranges.
-func parseSlotsReply(rep Reply) ([]SlotRange, error) {
-	entries, err := parseSlotsEntries(rep)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SlotRange, len(entries))
-	for i, e := range entries {
-		out[i] = e.SlotRange
-	}
-	return out, nil
-}
-
 // Slots returns the client's current view of the slot map as maximal
 // contiguous ranges.
 func (cc *ClusterClient) Slots() []SlotRange {
@@ -553,9 +540,6 @@ func (cc *ClusterClient) Do(cmd string, args ...[]byte) (Reply, error) {
 
 // Del removes keys across their owners, returning how many existed.
 func (cc *ClusterClient) Del(keys ...string) (int64, error) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
 	groups, err := cc.groupByOwner(keys)
 	if err != nil {
 		return 0, err

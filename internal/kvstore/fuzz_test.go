@@ -224,6 +224,6 @@ func TestSnapshotRandomBytes(t *testing.T) {
 			buf[j] = byte(rng.Intn(256))
 		}
 		e := NewEngine()
-		_ = e.ReadSnapshot(bytes.NewReader(buf)) // must not panic or hang
+		_, _ = e.ReadSnapshotMark(bytes.NewReader(buf)) // must not panic or hang
 	}
 }

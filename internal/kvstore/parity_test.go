@@ -96,6 +96,8 @@ func kvScript(kv storeClient) []string {
 
 	n, err = kv.Del("s", "l", "missing", "n")
 	note("Del", n, err)
+	n, err = kv.Del()
+	note("Del no keys", n, err)
 	note("Close", nil, kv.Close())
 	_, err = kv.Get("s")
 	note("Get after Close", nil, err)

@@ -171,10 +171,6 @@ func WriteCommand(w *bufio.Writer, name string, args ...[]byte) error {
 	return nil
 }
 
-func writeArrayHeader(w *bufio.Writer, n int) error {
-	return writeLen(w, '*', n)
-}
-
 func writeBulk(w *bufio.Writer, b []byte) error {
 	if err := writeLen(w, '$', len(b)); err != nil {
 		return err
@@ -183,60 +179,6 @@ func writeBulk(w *bufio.Writer, b []byte) error {
 		return err
 	}
 	return writeCRLF(w)
-}
-
-// WriteReply encodes a Reply in RESP framing.
-func WriteReply(w *bufio.Writer, r Reply) error {
-	switch r.Type {
-	case SimpleString:
-		if err := w.WriteByte('+'); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(r.Str); err != nil {
-			return err
-		}
-		return writeCRLF(w)
-	case ErrorReply:
-		if err := w.WriteByte('-'); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(r.Str); err != nil {
-			return err
-		}
-		return writeCRLF(w)
-	case Integer:
-		if err := w.WriteByte(':'); err != nil {
-			return err
-		}
-		if r.Int < 0 {
-			if _, err := w.WriteString(strconv.FormatInt(r.Int, 10)); err != nil {
-				return err
-			}
-		} else if err := writeUint(w, uint64(r.Int)); err != nil {
-			return err
-		}
-		return writeCRLF(w)
-	case BulkString:
-		return writeBulk(w, r.Bulk)
-	case NullBulk:
-		_, err := w.WriteString("$-1\r\n")
-		return err
-	case Array:
-		if err := writeArrayHeader(w, len(r.Array)); err != nil {
-			return err
-		}
-		for _, el := range r.Array {
-			if err := WriteReply(w, el); err != nil {
-				return err
-			}
-		}
-		return nil
-	case NullArray:
-		_, err := w.WriteString("*-1\r\n")
-		return err
-	default:
-		return fmt.Errorf("%w: unknown reply type %d", ErrProtocol, int(r.Type))
-	}
 }
 
 // parseLen parses the payload of a bulk or array length header (the

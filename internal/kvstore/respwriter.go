@@ -14,8 +14,9 @@ import (
 // on a *net.TCPConn that is a single writev(2) call for a 64-deep
 // pipeline's worth of replies, instead of a buffer copy per payload.
 //
-// Framing is byte-identical to WriteReply: the client-side golden
-// tests cover both paths against the same expected bytes.
+// Framing is byte-identical to WriteReply, the bufio encoder kept in
+// resp_golden_test.go as the reference: the golden tests hold both
+// against the same expected bytes.
 type respWriter struct {
 	dst io.Writer
 
@@ -92,7 +93,7 @@ func (w *respWriter) writeReply(r Reply, forceCopy bool) {
 	case NullArray:
 		w.arena = append(w.arena, "*-1\r\n"...)
 	default:
-		// Mirror WriteReply's refusal, as framing corruption: emit an
+		// An unknown type would corrupt the framing: emit an
 		// error reply so the client fails loudly rather than desyncing.
 		w.arena = append(w.arena, "-ERR unencodable reply\r\n"...)
 	}

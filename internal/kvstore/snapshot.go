@@ -31,18 +31,13 @@ const (
 // ErrBadSnapshot reports a corrupt or incompatible snapshot image.
 var ErrBadSnapshot = errors.New("kvstore: bad snapshot")
 
-// WriteSnapshot serializes every key to w. The engine remains usable
-// during the write, but the snapshot is only guaranteed to be a
+// WriteSnapshotMark serializes every key to w. The engine remains
+// usable during the write, but the snapshot is only guaranteed to be a
 // consistent point-in-time image per shard (shards are locked one at a
 // time, matching Redis's relaxed BGSAVE semantics under concurrent
-// writers).
-func (e *Engine) WriteSnapshot(w io.Writer) error {
-	return e.WriteSnapshotMark(w, AOFMark{})
-}
-
-// WriteSnapshotMark is WriteSnapshot with an embedded AOF watermark:
-// the (generation, offset) position of the command log this snapshot
-// supersedes. Engines persisting without an AOF pass the zero mark.
+// writers). mark is the embedded AOF watermark: the (generation,
+// offset) position of the command log this snapshot supersedes.
+// Engines persisting without an AOF pass the zero mark.
 func (e *Engine) WriteSnapshotMark(w io.Writer, mark AOFMark) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
@@ -110,15 +105,9 @@ func (e *Engine) WriteSnapshotMark(w io.Writer, mark AOFMark) error {
 	return bw.Flush()
 }
 
-// ReadSnapshot replaces the engine's contents with the image from r.
-func (e *Engine) ReadSnapshot(r io.Reader) error {
-	_, err := e.ReadSnapshotMark(r)
-	return err
-}
-
-// ReadSnapshotMark is ReadSnapshot returning the AOF watermark the
-// image carries (the zero mark for version-1 images and for snapshots
-// written without an AOF).
+// ReadSnapshotMark replaces the engine's contents with the image from
+// r and returns the AOF watermark the image carries (the zero mark for
+// version-1 images and for snapshots written without an AOF).
 func (e *Engine) ReadSnapshotMark(r io.Reader) (AOFMark, error) {
 	var mark AOFMark
 	br := bufio.NewReaderSize(r, 64<<10)
@@ -203,18 +192,13 @@ func (e *Engine) ReadSnapshotMark(r io.Reader) (AOFMark, error) {
 	}
 }
 
-// SaveSnapshotFile atomically writes the snapshot to path
-// (write-to-temp + fsync + rename + directory fsync).
-func (e *Engine) SaveSnapshotFile(path string) error {
-	return e.SaveSnapshotFileMark(path, AOFMark{})
-}
-
-// SaveSnapshotFileMark is SaveSnapshotFile with an embedded AOF
-// watermark. The image is fsynced before the rename and the directory
-// after it: callers truncate the AOF the moment this returns, so the
-// rename must never become durable ahead of the bytes it points at —
-// otherwise a power cut could leave an empty log and a missing
-// snapshot.
+// SaveSnapshotFileMark atomically writes the snapshot, with its
+// embedded AOF watermark, to path (write-to-temp + fsync + rename +
+// directory fsync). The image is fsynced before the rename and the
+// directory after it: callers truncate the AOF the moment this
+// returns, so the rename must never become durable ahead of the bytes
+// it points at — otherwise a power cut could leave an empty log and a
+// missing snapshot.
 func (e *Engine) SaveSnapshotFileMark(path string, mark AOFMark) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".pkvs-*")
@@ -253,15 +237,10 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// LoadSnapshotFile loads a snapshot from path; a missing file leaves
-// the engine empty and returns os.ErrNotExist.
-func (e *Engine) LoadSnapshotFile(path string) error {
-	_, err := e.LoadSnapshotFileMark(path)
-	return err
-}
-
-// LoadSnapshotFileMark is LoadSnapshotFile returning the AOF watermark
-// the image carries, for the caller to hand to ReplayAOFSince.
+// LoadSnapshotFileMark loads a snapshot from path and returns the AOF
+// watermark the image carries, for the caller to hand to
+// ReplayAOFSince; a missing file leaves the engine empty and returns
+// os.ErrNotExist.
 func (e *Engine) LoadSnapshotFileMark(path string) (AOFMark, error) {
 	f, err := os.Open(path)
 	if err != nil {

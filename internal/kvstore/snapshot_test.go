@@ -56,12 +56,12 @@ func enginesEqual(t *testing.T, a, b *Engine) {
 func TestSnapshotRoundtrip(t *testing.T) {
 	src := populatedEngine()
 	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
+	if err := src.WriteSnapshotMark(&buf, AOFMark{}); err != nil {
 		t.Fatal(err)
 	}
 	dst := NewEngine()
 	dst.Do("SET", []byte("stale"), []byte("gone")) // must be flushed
-	if err := dst.ReadSnapshot(&buf); err != nil {
+	if _, err := dst.ReadSnapshotMark(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if rep := dst.Do("GET", []byte("stale")); rep.Type != NullBulk {
@@ -74,7 +74,7 @@ func TestSnapshotFileAtomicity(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.pkvs")
 	src := populatedEngine()
-	if err := src.SaveSnapshotFile(path); err != nil {
+	if err := src.SaveSnapshotFileMark(path, AOFMark{}); err != nil {
 		t.Fatal(err)
 	}
 	// No temp litter.
@@ -86,7 +86,7 @@ func TestSnapshotFileAtomicity(t *testing.T) {
 		t.Errorf("%d files in snapshot dir, want 1", len(entries))
 	}
 	dst := NewEngine()
-	if err := dst.LoadSnapshotFile(path); err != nil {
+	if _, err := dst.LoadSnapshotFileMark(path); err != nil {
 		t.Fatal(err)
 	}
 	enginesEqual(t, src, dst)
@@ -94,7 +94,7 @@ func TestSnapshotFileAtomicity(t *testing.T) {
 
 func TestSnapshotLoadMissingFile(t *testing.T) {
 	e := NewEngine()
-	err := e.LoadSnapshotFile(filepath.Join(t.TempDir(), "nope.pkvs"))
+	_, err := e.LoadSnapshotFileMark(filepath.Join(t.TempDir(), "nope.pkvs"))
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("err = %v, want ErrNotExist", err)
 	}
@@ -111,7 +111,7 @@ func TestSnapshotCorruptImages(t *testing.T) {
 	}
 	for i, img := range cases {
 		e := NewEngine()
-		if err := e.ReadSnapshot(bytes.NewReader(img)); err == nil {
+		if _, err := e.ReadSnapshotMark(bytes.NewReader(img)); err == nil {
 			t.Errorf("case %d: corrupt snapshot accepted", i)
 		}
 	}
@@ -196,7 +196,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := e.WriteSnapshot(&buf); err != nil {
+		if err := e.WriteSnapshotMark(&buf, AOFMark{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,3 +18,14 @@ func CheckAgainstReference(t testing.TB, s *Solver, sol *Solution) []float64 {
 	t.Helper()
 	return checkAgainstReference(t, s, sol)
 }
+
+// Basis returns a copy of the current basis assignment (solver column
+// basic in each row), for introspection and tests.
+func (s *Solver) Basis() []int {
+	if !s.built {
+		return nil
+	}
+	out := make([]int, s.m)
+	copy(out, s.t.basis)
+	return out
+}

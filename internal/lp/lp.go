@@ -10,9 +10,8 @@
 // whose dimensions are tiny (one variable per node plus v), so a dense
 // tableau with Bland's anti-cycling rule is both simple and exact
 // enough. The solver is nevertheless a complete general-purpose LP
-// implementation: ≤ / = / ≥ constraints, free variables (internally
-// split into positive and negative parts), infeasibility and
-// unboundedness detection.
+// implementation over nonnegative variables: ≤ / = / ≥ constraints,
+// infeasibility and unboundedness detection.
 //
 // # Warm starts
 //
@@ -84,13 +83,12 @@ type constraint struct {
 }
 
 // Problem is a linear program: minimize Objective·x subject to the
-// added constraints, with every variable nonnegative unless marked
-// free. The zero Problem is unusable; create with NewProblem.
+// added constraints, with every variable nonnegative. The zero Problem
+// is unusable; create with NewProblem.
 type Problem struct {
 	numVars int
 	obj     []float64
 	cons    []constraint
-	free    []bool
 }
 
 // NewProblem creates a minimization problem over numVars variables
@@ -101,27 +99,7 @@ func NewProblem(objective []float64) (*Problem, error) {
 	}
 	obj := make([]float64, len(objective))
 	copy(obj, objective)
-	return &Problem{
-		numVars: len(objective),
-		obj:     obj,
-		free:    make([]bool, len(objective)),
-	}, nil
-}
-
-// NumVars returns the variable count.
-func (p *Problem) NumVars() int { return p.numVars }
-
-// NumConstraints returns the constraint count.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
-// SetFree marks variable i as unrestricted in sign. Internally it is
-// split into x⁺ − x⁻ during solving.
-func (p *Problem) SetFree(i int) error {
-	if i < 0 || i >= p.numVars {
-		return fmt.Errorf("lp: SetFree(%d) out of range [0,%d)", i, p.numVars)
-	}
-	p.free[i] = true
-	return nil
+	return &Problem{numVars: len(objective), obj: obj}, nil
 }
 
 // AddConstraint appends the constraint coeffs·x op rhs. The coefficient
@@ -193,10 +171,10 @@ type Solver struct {
 	m, ncols, total int
 	nArt            int
 
-	// Column mapping from problem variables to solver columns.
-	posCol, negCol []int
-	slackCol       []int
-	artCol         []int
+	// Variable i is solver column i; each row's slack/surplus and
+	// artificial columns follow.
+	slackCol []int
+	artCol   []int
 
 	t tableau
 
@@ -246,14 +224,7 @@ func (s *Solver) build() {
 	m := len(p.cons)
 
 	// Pre-pass: count solver columns without allocating. Column layout:
-	// for each var i, posCol[i]; for free vars also negCol[i]
-	// (coefficient −1×); then slack/surplus columns; then artificials.
-	nFree := 0
-	for _, f := range p.free {
-		if f {
-			nFree++
-		}
-	}
+	// one per variable; then slack/surplus columns; then artificials.
 	nSlack, nArt := 0, 0
 	for _, c := range p.cons {
 		op := c.op
@@ -272,14 +243,12 @@ func (s *Solver) build() {
 			nArt++
 		}
 	}
-	ncols := p.numVars + nFree + nSlack
+	ncols := p.numVars + nSlack
 	total := ncols + nArt
 
 	if !s.built {
 		// Slab 1: all integer state. Slab 2: all float state.
-		ints := make([]int, 2*p.numVars+5*m+total)
-		s.posCol, ints = ints[:p.numVars], ints[p.numVars:]
-		s.negCol, ints = ints[:p.numVars], ints[p.numVars:]
+		ints := make([]int, 5*m+total)
 		s.slackCol, ints = ints[:m], ints[m:]
 		s.artCol, ints = ints[:m], ints[m:]
 		basis, ints := ints[:m], ints[m:]
@@ -313,29 +282,12 @@ func (s *Solver) build() {
 	s.t.moved = true
 	s.ready = false
 
-	col := 0
-	for i := 0; i < p.numVars; i++ {
-		s.posCol[i] = col
-		col++
-		if p.free[i] {
-			s.negCol[i] = col
-			col++
-		} else {
-			s.negCol[i] = -1
-		}
-	}
-
 	t := &s.t
 	// Build rows directly into the flat tableau with nonnegative RHS.
-	slack, art := p.numVars+nFree, ncols
+	slack, art := p.numVars, ncols
 	for r, c := range p.cons {
 		row := t.row(r)
-		for i, v := range c.coeffs {
-			row[s.posCol[i]] = v
-			if s.negCol[i] >= 0 {
-				row[s.negCol[i]] = -v
-			}
-		}
+		copy(row, c.coeffs)
 		op, b := c.op, c.rhs
 		if b < 0 {
 			for j := range row {
@@ -544,12 +496,7 @@ func (s *Solver) ReSolveModel(objective []float64, updates []ConstraintUpdate) (
 		c := p.cons[r]
 		row := s.a0[r*s.total : r*s.total+s.total]
 		clear(row)
-		for i, v := range c.coeffs {
-			row[s.posCol[i]] = v
-			if s.negCol[i] >= 0 {
-				row[s.negCol[i]] = -v
-			}
-		}
+		copy(row, c.coeffs)
 		op, b := c.op, c.rhs
 		if b < 0 {
 			for j := 0; j < s.ncols; j++ {
@@ -637,26 +584,11 @@ func (s *Solver) refactorize() bool {
 	return true
 }
 
-// Basis returns a copy of the current basis assignment (solver column
-// basic in each row), for introspection and tests.
-func (s *Solver) Basis() []int {
-	if !s.built {
-		return nil
-	}
-	out := make([]int, s.m)
-	copy(out, s.t.basis)
-	return out
-}
-
-// setObjective maps a problem-coordinate objective onto solver columns.
+// setObjective maps a problem-coordinate objective onto solver columns:
+// the variables' coefficients, then zero for every slack and artificial.
 func (s *Solver) setObjective(obj []float64) {
 	clear(s.sobj)
-	for i := 0; i < s.p.numVars; i++ {
-		s.sobj[s.posCol[i]] += obj[i]
-		if s.negCol[i] >= 0 {
-			s.sobj[s.negCol[i]] -= obj[i]
-		}
-	}
+	copy(s.sobj, obj[:s.p.numVars])
 }
 
 // sortBasis writes the basis columns into s.bcols in ascending order
@@ -777,12 +709,7 @@ func (s *Solver) extract(obj []float64, iters int, warm bool) *Solution {
 		}
 	}
 	x := make([]float64, s.p.numVars)
-	for i := 0; i < s.p.numVars; i++ {
-		x[i] = s.xcols[s.posCol[i]]
-		if s.negCol[i] >= 0 {
-			x[i] -= s.xcols[s.negCol[i]]
-		}
-	}
+	copy(x, s.xcols)
 	objVal := 0.0
 	for i, v := range x {
 		objVal += obj[i] * v

@@ -10,7 +10,7 @@ import (
 )
 
 // sizingProblem builds the partition-sizing LP shape over p nodes:
-// variables s_0..s_{p-1}, v (free); rows m_i·s_i − v ≤ −c_i, then
+// variables s_0..s_{p-1}, v; rows m_i·s_i − v ≤ −c_i, then
 // Σs = 1. Returns the problem and the scalarized objective.
 func sizingProblem(t *testing.T, slopes, intercepts []float64, alpha float64) (*Problem, []float64) {
 	t.Helper()
@@ -22,9 +22,6 @@ func sizingProblem(t *testing.T, slopes, intercepts []float64, alpha float64) (*
 	obj[p] = alpha
 	prob, err := NewProblem(obj)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prob.SetFree(p); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < p; i++ {
@@ -194,17 +191,13 @@ func TestReSolveModelSignFlipFallsBack(t *testing.T) {
 }
 
 // TestReSolveModelGeneralChain exercises warm model re-solves on a
-// general LP with ≤/≥/= rows and a free variable, against cold
-// reference solves.
+// general LP with ≤/≥/= rows, against cold reference solves.
 func TestReSolveModelGeneralChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	build := func(a, b, c float64) (*Problem, []float64) {
 		obj := []float64{1, 2, 0.5}
 		prob, err := NewProblem(obj)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := prob.SetFree(2); err != nil {
 			t.Fatal(err)
 		}
 		if err := prob.AddConstraint([]float64{1, 1, 1}, GE, a); err != nil {
@@ -310,7 +303,6 @@ func TestReSolveModelValidation(t *testing.T) {
 func freshSolve(t *testing.T, p *Problem, obj []float64) *Solution {
 	t.Helper()
 	cp := mustProblem(t, obj)
-	copy(cp.free, p.free)
 	for _, c := range p.cons {
 		addCon(t, cp, c.coeffs, c.op, c.rhs)
 	}

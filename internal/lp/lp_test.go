@@ -47,9 +47,6 @@ func TestNewProblemValidation(t *testing.T) {
 	if err := p.AddConstraint([]float64{1}, Op(9), 1); err == nil {
 		t.Error("bad op accepted")
 	}
-	if err := p.SetFree(5); err == nil {
-		t.Error("SetFree out of range accepted")
-	}
 }
 
 func TestTextbookMaximization(t *testing.T) {
@@ -126,21 +123,18 @@ func TestNegativeRHSNormalization(t *testing.T) {
 }
 
 func TestFreeVariable(t *testing.T) {
-	// min y s.t. y ≥ x − 4, y ≥ −x, x ≤ 10.  With x,y free this is the
-	// classic V: optimum at x=2, y=−2.
-	p := mustProblem(t, []float64{0, 1})
-	if err := p.SetFree(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetFree(1); err != nil {
-		t.Fatal(err)
-	}
-	addCon(t, p, []float64{-1, 1}, GE, -4) // y − x ≥ −4
-	addCon(t, p, []float64{1, 1}, GE, 0)   // y + x ≥ 0
-	addCon(t, p, []float64{1, 0}, LE, 10)
+	// min y s.t. y ≥ x − 4, y ≥ −x, x ≤ 10 with x, y unrestricted in
+	// sign is the classic V: optimum at x=2, y=−2. Every Problem
+	// variable is nonnegative, so a caller that needs a free one splits
+	// it itself: x = x⁺ − x⁻, y = y⁺ − y⁻ over columns (x⁺, x⁻, y⁺, y⁻).
+	p := mustProblem(t, []float64{0, 0, 1, -1})
+	addCon(t, p, []float64{-1, 1, 1, -1}, GE, -4) // y − x ≥ −4
+	addCon(t, p, []float64{1, -1, 1, -1}, GE, 0)  // y + x ≥ 0
+	addCon(t, p, []float64{1, -1, 0, 0}, LE, 10)
 	s := solve(t, p)
-	if !approx(s.X[1], -2, 1e-6) {
-		t.Errorf("y = %v, want −2 (x=%v)", s.X[1], s.X[0])
+	x, y := s.X[0]-s.X[1], s.X[2]-s.X[3]
+	if !approx(y, -2, 1e-6) || !approx(x, 2, 1e-6) {
+		t.Errorf("(x, y) = (%v, %v), want (2, −2)", x, y)
 	}
 }
 
@@ -357,9 +351,6 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	p := mustProblem(t, []float64{1, 2})
 	addCon(t, p, []float64{1, 1}, LE, 5)
-	if p.NumVars() != 2 || p.NumConstraints() != 1 {
-		t.Error("accessors wrong")
-	}
 	if LE.String() != "<=" || EQ.String() != "=" || GE.String() != ">=" {
 		t.Error("op strings wrong")
 	}
@@ -558,14 +549,7 @@ func referenceX(s *Solver) ([]float64, bool) {
 		}
 		xcols[col] = y[k]
 	}
-	x := make([]float64, s.p.numVars)
-	for i := range x {
-		x[i] = xcols[s.posCol[i]]
-		if s.negCol[i] >= 0 {
-			x[i] -= xcols[s.negCol[i]]
-		}
-	}
-	return x, true
+	return xcols[:s.p.numVars], true
 }
 
 // checkAgainstReference holds sol.X, extracted from the vertex
@@ -644,7 +628,7 @@ func TestExtractionMatchesGaussJordanReference(t *testing.T) {
 		}
 		check("degenerate", p, [][]float64{reobj})
 	}
-	// Free variables, mixed operators, negative right-hand sides.
+	// Mixed operators, negative right-hand sides.
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + rng.Intn(3)
 		obj := make([]float64, n)
@@ -652,9 +636,6 @@ func TestExtractionMatchesGaussJordanReference(t *testing.T) {
 			obj[i] = math.Round(rng.Float64()*10-5) / 2
 		}
 		p := mustProblem(t, obj)
-		if err := p.SetFree(n - 1); err != nil {
-			t.Fatal(err)
-		}
 		for i := 0; i < n; i++ { // a box keeps every objective bounded
 			row := make([]float64, n)
 			row[i] = 1
@@ -672,6 +653,6 @@ func TestExtractionMatchesGaussJordanReference(t *testing.T) {
 		for i := range reobj {
 			reobj[i] = math.Round(rng.Float64()*10-5) / 2
 		}
-		check("free", p, [][]float64{reobj})
+		check("mixed", p, [][]float64{reobj})
 	}
 }

@@ -19,9 +19,9 @@ import (
 //     and the primal and dual objectives agree.
 //
 // The standard form is rebuilt here from the documented column layout
-// (a variable's column, then its negative part if free; slacks in row
-// order; artificials in row order; rows with a negative right-hand
-// side negated), which is also what gives Solver.Basis() its meaning.
+// (one column per variable; slacks in row order; artificials in row
+// order; rows with a negative right-hand side negated), which is also
+// what gives Solver.Basis() its meaning.
 // Warm = cold then rests on a certificate per answer, not on two code
 // paths agreeing with each other.
 func checkOptimal(t testing.TB, p *Problem, obj []float64, sol *Solution, basis []int) {
@@ -41,7 +41,7 @@ func checkOptimal(t testing.TB, p *Problem, obj []float64, sol *Solution, basis 
 
 	// Primal feasibility, in problem coordinates.
 	for i, v := range sol.X {
-		if !p.free[i] && v < -tol {
+		if v < -tol {
 			t.Errorf("oracle: x[%d] = %v violates x ≥ 0", i, v)
 		}
 	}
@@ -65,16 +65,7 @@ func checkOptimal(t testing.TB, p *Problem, obj []float64, sol *Solution, basis 
 	}
 
 	// Standard form: columns, costs, the point's value on every column.
-	col := make([]int, p.numVars) // variable → its (positive) column
-	n := 0
-	for i := range col {
-		col[i] = n
-		n++
-		if p.free[i] {
-			n++
-		}
-	}
-	nStruct := n
+	nStruct := p.numVars // variable i is column i
 	// Normalize each row to a nonnegative right-hand side (≤ ↔ ≥ on a
 	// sign flip) and count the slack and artificial columns.
 	sign := make([]float64, m)
@@ -105,21 +96,14 @@ func checkOptimal(t testing.TB, p *Problem, obj []float64, sol *Solution, basis 
 	cost := make([]float64, total)
 	x := make([]float64, total)
 	for i, v := range sol.X {
-		cost[col[i]] = obj[i]
-		x[col[i]] = v
-		if p.free[i] {
-			cost[col[i]+1] = -obj[i]
-			x[col[i]], x[col[i]+1] = math.Max(v, 0), math.Max(-v, 0)
-		}
+		cost[i] = obj[i]
+		x[i] = v
 	}
 	slack, art := nStruct, nReal
 	for r, c := range p.cons {
 		A[r] = make([]float64, total)
 		for i, a := range c.coeffs {
-			A[r][col[i]] = sign[r] * a
-			if p.free[i] {
-				A[r][col[i]+1] = -sign[r] * a
-			}
+			A[r][i] = sign[r] * a
 		}
 		b[r] = sign[r] * c.rhs
 		switch ops[r] {

@@ -4,3 +4,14 @@ package opt
 // tests (package opt_test), which must import internal/frontier and so
 // cannot live in package opt.
 var PaperNodes = paperNodes
+
+// Dominates reports whether point a Pareto-dominates point b (no worse
+// in both objectives, strictly better in at least one). It is the
+// predicate this package's tests assert frontiers with; the frontier
+// enumerators filter with internal/frontier's N-axis DominatesVec.
+func Dominates(a, b FrontierPoint) bool {
+	const tol = 1e-9
+	noWorse := a.Makespan <= b.Makespan+tol && a.DirtyEnergy <= b.DirtyEnergy+tol
+	better := a.Makespan < b.Makespan-tol || a.DirtyEnergy < b.DirtyEnergy-tol
+	return noWorse && better
+}

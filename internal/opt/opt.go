@@ -438,78 +438,6 @@ func RoundToTotal(x []float64, total int) []int {
 	return sizes
 }
 
-// WaterFill solves the α = 1 special case analytically: choose T so
-// that Σ_i max(0, (T − c_i)/m_i) = N, the classical water-filling
-// balance where every loaded node finishes at exactly T. It requires
-// every slope positive and is used to cross-validate the simplex
-// solution. Returns the fractional allocation and T.
-func WaterFill(nodes []NodeModel, total int) ([]float64, float64, error) {
-	if len(nodes) == 0 {
-		return nil, 0, errors.New("opt: no nodes")
-	}
-	if total <= 0 {
-		return nil, 0, errors.New("opt: total must be positive")
-	}
-	for i, n := range nodes {
-		if n.Time.Slope <= 0 {
-			return nil, 0, fmt.Errorf("opt: WaterFill needs positive slopes; node %d has %v", i, n.Time.Slope)
-		}
-	}
-	capacity := func(T float64) float64 {
-		var s float64
-		for _, n := range nodes {
-			if T > n.Time.Intercept {
-				s += (T - n.Time.Intercept) / n.Time.Slope
-			}
-		}
-		return s
-	}
-	lo, hi := 0.0, 0.0
-	for _, n := range nodes {
-		if n.Time.Intercept > lo {
-			lo = n.Time.Intercept
-		}
-	}
-	hi = lo + 1
-	for capacity(hi) < float64(total) {
-		hi *= 2
-	}
-	lo = 0
-	for iter := 0; iter < 200; iter++ {
-		mid := (lo + hi) / 2
-		if capacity(mid) < float64(total) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	T := (lo + hi) / 2
-	x := make([]float64, len(nodes))
-	for i, n := range nodes {
-		if T > n.Time.Intercept {
-			x[i] = (T - n.Time.Intercept) / n.Time.Slope
-		}
-	}
-	// Normalize tiny binary-search residue onto the most-loaded node,
-	// so an idle node (intercept above the water level) never receives
-	// a sliver of load that would make its intercept the bottleneck.
-	var sum float64
-	best := 0
-	for i, v := range x {
-		sum += v
-		if v > x[best] {
-			best = i
-		}
-	}
-	if diff := float64(total) - sum; diff != 0 {
-		x[best] += diff
-		if x[best] < 0 {
-			x[best] = 0
-		}
-	}
-	return x, T, nil
-}
-
 // FrontierPoint is one α sample of the Pareto frontier.
 type FrontierPoint struct {
 	Alpha       float64
@@ -560,13 +488,4 @@ var ErrTruncated = errors.New("opt: frontier bisection truncated at depth limit"
 // objective scales) and sparse toward 0.
 func DefaultAlphaSweep() []float64 {
 	return []float64{1.0, 0.9999, 0.9995, 0.999, 0.995, 0.99, 0.95, 0.9, 0.5, 0.1, 0.0}
-}
-
-// Dominates reports whether point a Pareto-dominates point b (no worse
-// in both objectives, strictly better in at least one).
-func Dominates(a, b FrontierPoint) bool {
-	const tol = 1e-9
-	noWorse := a.Makespan <= b.Makespan+tol && a.DirtyEnergy <= b.DirtyEnergy+tol
-	better := a.Makespan < b.Makespan-tol || a.DirtyEnergy < b.DirtyEnergy-tol
-	return noWorse && better
 }

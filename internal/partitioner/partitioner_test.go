@@ -277,3 +277,23 @@ func TestSchemeString(t *testing.T) {
 		t.Error("unknown scheme must print")
 	}
 }
+
+// StratumMix returns, for each partition, the fraction of its records
+// drawn from each stratum — the quantity Representative placement
+// equalizes across partitions. assign maps record → stratum.
+func StratumMix(a *Assignment, assign []int, k int) [][]float64 {
+	mix := make([][]float64, len(a.Parts))
+	for j, part := range a.Parts {
+		counts := make([]float64, k)
+		for _, r := range part {
+			counts[assign[r]]++
+		}
+		if len(part) > 0 {
+			for s := range counts {
+				counts[s] /= float64(len(part))
+			}
+		}
+		mix[j] = counts
+	}
+	return mix
+}

@@ -1,8 +1,6 @@
 package partitioner
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Move describes one record's migration between partitions.
 type Move struct {
@@ -76,43 +74,4 @@ func Rebalance(a *Assignment, newSizes []int) (*Assignment, []Move, error) {
 		return nil, nil, fmt.Errorf("partitioner: %d surplus records unplaced", len(surplus)-si)
 	}
 	return out, moves, nil
-}
-
-// GroupMoves splits a move list into per-write-group runs, keyed by
-// groupOf over each move's destination partition (pass a
-// WriteGrouper's WriteGroup). Replaying a migration through a store
-// whose partitions share clients (KVStore) must not interleave two
-// destinations of one client in separate pipelines;
-// grouping lets the migrator run groups concurrently while keeping
-// each group's writes a single sequential stream. Within each group
-// the input order is preserved — Rebalance emits moves sorted by
-// destination (underfull partitions fill ascending), so each group's
-// run stays destination-clustered. Groups are returned in first-use
-// order; the concatenation of all groups is a permutation of moves.
-func GroupMoves(moves []Move, groupOf func(partition int) int) [][]Move {
-	var groups [][]Move
-	index := make(map[int]int)
-	for _, mv := range moves {
-		g := groupOf(mv.To)
-		gi, ok := index[g]
-		if !ok {
-			gi = len(groups)
-			index[g] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], mv)
-	}
-	return groups
-}
-
-// MinMoves returns the information-theoretic minimum number of record
-// moves to go from the old sizes to the new: Σ_j max(0, old_j − new_j).
-func MinMoves(oldSizes, newSizes []int) int {
-	n := 0
-	for j := range oldSizes {
-		if j < len(newSizes) && oldSizes[j] > newSizes[j] {
-			n += oldSizes[j] - newSizes[j]
-		}
-	}
-	return n
 }

@@ -129,68 +129,14 @@ func TestRebalanceRandomizedMinimality(t *testing.T) {
 	}
 }
 
-// TestGroupMovesByDestinationClient checks GroupMoves partitions a
-// Rebalance move list per write group without reordering within a
-// group, so migration replays as one sequential pipeline per client.
-func TestGroupMovesByDestinationClient(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	const n, p, clients = 300, 8, 3
-	a := &Assignment{Parts: make([][]int, p)}
-	for r := 0; r < n; r++ {
-		j := rng.Intn(p)
-		a.Parts[j] = append(a.Parts[j], r)
-	}
-	newSizes := make([]int, p)
-	left := n
-	for j := 0; j < p-1; j++ {
-		newSizes[j] = rng.Intn(left + 1)
-		left -= newSizes[j]
-	}
-	newSizes[p-1] = left
-	_, moves, err := Rebalance(a, newSizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groupOf := func(part int) int { return part % clients }
-	groups := GroupMoves(moves, groupOf)
-
-	total := 0
-	for _, g := range groups {
-		if len(g) == 0 {
-			t.Fatal("empty group emitted")
-		}
-		want := groupOf(g[0].To)
-		for _, mv := range g {
-			if groupOf(mv.To) != want {
-				t.Fatalf("group mixes write groups %d and %d", want, groupOf(mv.To))
-			}
-		}
-		total += len(g)
-	}
-	if total != len(moves) {
-		t.Fatalf("groups hold %d moves, want %d", total, len(moves))
-	}
-	// Within a group the original order is preserved: Rebalance emits
-	// moves with ascending destinations, so each group's destinations
-	// are ascending too — one forward pass per client pipeline.
-	seen := map[int]int{} // move key → global index
-	for i, mv := range moves {
-		seen[mv.Record] = i
-	}
-	for _, g := range groups {
-		last := -1
-		for _, mv := range g {
-			if gi := seen[mv.Record]; gi < last {
-				t.Fatalf("group reordered move of record %d", mv.Record)
-			} else {
-				last = gi
-			}
-			if last >= 0 && mv.To < g[0].To {
-				t.Fatalf("group destinations not ascending: %d before %d", g[0].To, mv.To)
-			}
+// MinMoves returns the information-theoretic minimum number of record
+// moves to go from the old sizes to the new: Σ_j max(0, old_j − new_j).
+func MinMoves(oldSizes, newSizes []int) int {
+	n := 0
+	for j := range oldSizes {
+		if j < len(newSizes) && oldSizes[j] > newSizes[j] {
+			n += oldSizes[j] - newSizes[j]
 		}
 	}
-	if GroupMoves(nil, groupOf) != nil {
-		t.Fatal("GroupMoves(nil) should be nil")
-	}
+	return n
 }

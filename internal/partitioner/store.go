@@ -116,12 +116,6 @@ func (d *DiskStore) ReadPartition(id int) ([][]byte, error) {
 	return splitRecords(buf)
 }
 
-// SplitRecords cuts a concatenation of length-prefixed records back
-// into individual records (headers retained) — the inverse of writing
-// a partition as one blob. Exported for stores layered on top of the
-// partition format, e.g. the replanner's epoch-addressed store.
-func SplitRecords(buf []byte) ([][]byte, error) { return splitRecords(buf) }
-
 // splitRecords cuts a concatenation of length-prefixed records back
 // into individual records (headers retained).
 func splitRecords(buf []byte) ([][]byte, error) {

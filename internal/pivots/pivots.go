@@ -7,9 +7,13 @@
 // just a set of uint64 items, so sketching, stratification and
 // partitioning run in a domain-independent way:
 //
-//   - Trees are encoded as Prüfer sequences for storage, and pivots
-//     (a, p, q) — "a is the least common ancestor of p and q" — are
-//     extracted from the tree structure over node labels.
+//   - Trees are stored as their parent array and label array (the
+//     record AppendRecord writes; nodes are in topological order, so
+//     the parent array alone fixes the shape). Tree.Pivots walks the
+//     children lists that array implies: for every node a and every
+//     consecutive pair of its children (p, q), a is the least common
+//     ancestor of p and q, which gives the pivot (a, p, q) over node
+//     labels; parent–child edges are added so chains have pivots too.
 //   - Graph vertices use their adjacency list (set of neighbors) as
 //     the pivot set.
 //   - Text documents use their set of word (term) identifiers.
@@ -154,165 +158,11 @@ func (t *Tree) Pivots() []sketch.Item {
 	return out
 }
 
-// PruferEncode computes the Prüfer sequence of the tree viewed as an
-// unrooted tree on nodes 0..n−1. The sequence has length n−2 and,
-// together with n, uniquely identifies the tree structure (labels are
-// carried separately). Trees with fewer than 3 nodes encode to an
-// empty sequence.
-func PruferEncode(parent []int32) ([]int32, error) {
-	n := len(parent)
-	if n == 0 {
-		return nil, errors.New("pivots: cannot Prüfer-encode empty tree")
-	}
-	if n <= 2 {
-		return []int32{}, nil
-	}
-	deg := make([]int32, n)
-	for i := 1; i < n; i++ {
-		if parent[i] < 0 || int(parent[i]) >= n {
-			return nil, fmt.Errorf("pivots: node %d has out-of-range parent %d", i, parent[i])
-		}
-		deg[i]++
-		deg[parent[i]]++
-	}
-	// The classical algorithm repeatedly removes the smallest-ID leaf
-	// and records its remaining neighbor. A moving pointer plus leaf
-	// cascade keeps the whole encode O(n).
-	removed := make([]bool, n)
-	adj := make([][]int32, n)
-	for i := 1; i < n; i++ {
-		p := parent[i]
-		adj[i] = append(adj[i], p)
-		adj[p] = append(adj[p], int32(i))
-	}
-	seq := make([]int32, 0, n-2)
-	ptr := int32(0)
-	var leaf int32 = -1
-	for len(seq) < n-2 {
-		if leaf < 0 {
-			for deg[ptr] != 1 || removed[ptr] {
-				ptr++
-			}
-			leaf = ptr
-		}
-		// Record the single unremoved neighbor of the leaf.
-		var nb int32 = -1
-		for _, u := range adj[leaf] {
-			if !removed[u] {
-				nb = u
-				break
-			}
-		}
-		if nb < 0 {
-			return nil, errors.New("pivots: malformed tree during Prüfer encode")
-		}
-		seq = append(seq, nb)
-		removed[leaf] = true
-		deg[nb]--
-		if deg[nb] == 1 && nb < ptr {
-			leaf = nb // cascade: the neighbor became the smallest leaf
-		} else {
-			leaf = -1
-		}
-	}
-	return seq, nil
-}
-
-// PruferDecode reconstructs the unrooted tree edges from a Prüfer
-// sequence over n nodes and re-roots it at node 0, returning a parent
-// array in which children always have larger BFS order than parents is
-// NOT guaranteed — the parent array is valid (Parent[0] = −1, acyclic)
-// but node numbering is preserved from the sequence universe.
-func PruferDecode(seq []int32, n int) ([]int32, error) {
-	if n <= 0 {
-		return nil, errors.New("pivots: PruferDecode needs n ≥ 1")
-	}
-	if n == 1 {
-		return []int32{-1}, nil
-	}
-	if len(seq) != n-2 {
-		return nil, fmt.Errorf("pivots: Prüfer sequence length %d, want %d", len(seq), n-2)
-	}
-	deg := make([]int32, n)
-	for i := range deg {
-		deg[i] = 1
-	}
-	for _, v := range seq {
-		if v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("pivots: Prüfer entry %d out of range [0,%d)", v, n)
-		}
-		deg[v]++
-	}
-	adj := make([][]int32, n)
-	addEdge := func(a, b int32) {
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	ptr := int32(0)
-	leaf := int32(-1)
-	for _, v := range seq {
-		if leaf < 0 {
-			for deg[ptr] != 1 {
-				ptr++
-			}
-			leaf = ptr
-		}
-		addEdge(leaf, v)
-		deg[leaf]--
-		deg[v]--
-		if deg[v] == 1 && v < ptr {
-			leaf = v
-		} else {
-			leaf = -1
-		}
-	}
-	// Two nodes of degree 1 remain; connect them.
-	var last [2]int32
-	k := 0
-	for i := int32(0); i < int32(n); i++ {
-		if deg[i] == 1 {
-			last[k] = i
-			k++
-			if k == 2 {
-				break
-			}
-		}
-	}
-	if k != 2 {
-		return nil, errors.New("pivots: malformed Prüfer sequence")
-	}
-	addEdge(last[0], last[1])
-	// Root at 0 via BFS.
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[0] = -1
-	queue := []int32{0}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range adj[v] {
-			if parent[u] == -2 {
-				parent[u] = v
-				queue = append(queue, u)
-			}
-		}
-	}
-	for i := range parent {
-		if parent[i] == -2 {
-			return nil, errors.New("pivots: Prüfer decode produced a disconnected graph")
-		}
-	}
-	return parent, nil
-}
-
 // TreeCorpus is a collection of trees with cached pivot sets.
 type TreeCorpus struct {
 	Trees []Tree
 
-	items      [][]sketch.Item
-	totalNodes int
+	items [][]sketch.Item
 }
 
 // NewTreeCorpus validates every tree and precomputes pivot sets,
@@ -327,23 +177,18 @@ func NewTreeCorpus(trees []Tree) (*TreeCorpus, error) {
 // identical at every worker count.
 func NewTreeCorpusParallel(trees []Tree, workers int) (*TreeCorpus, error) {
 	c := &TreeCorpus{Trees: trees, items: make([][]sketch.Item, len(trees))}
-	var total atomic.Int64
 	_, err := parallel.ForErr(len(trees), workers, func(lo, hi int) error {
-		nodes := 0
 		for i := lo; i < hi; i++ {
 			if err := trees[i].Validate(); err != nil {
 				return fmt.Errorf("tree %d: %w", i, err)
 			}
 			c.items[i] = trees[i].Pivots()
-			nodes += trees[i].NumNodes()
 		}
-		total.Add(int64(nodes))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.totalNodes = int(total.Load())
 	return c, nil
 }
 
@@ -358,10 +203,6 @@ func (c *TreeCorpus) ItemSet(i int) []sketch.Item { return c.items[i] }
 
 // Weight returns the node count of tree i.
 func (c *TreeCorpus) Weight(i int) int { return c.Trees[i].NumNodes() }
-
-// TotalNodes returns the node count across all trees, computed once at
-// construction (the planner queries it per plan, not per record).
-func (c *TreeCorpus) TotalNodes() int { return c.totalNodes }
 
 // AppendRecord serializes tree i as:
 //
@@ -459,8 +300,7 @@ func (g *Graph) Validate() error {
 type GraphCorpus struct {
 	G *Graph
 
-	items    [][]sketch.Item
-	numEdges int
+	items [][]sketch.Item
 }
 
 // NewGraphCorpus validates the graph and caches per-vertex pivot sets
@@ -477,9 +317,7 @@ func NewGraphCorpus(g *Graph) (*GraphCorpus, error) {
 func NewGraphCorpusParallel(g *Graph, workers int) (*GraphCorpus, error) {
 	n := uint32(len(g.Adj))
 	c := &GraphCorpus{G: g, items: make([][]sketch.Item, len(g.Adj))}
-	var edges atomic.Int64
 	_, err := parallel.ForErr(len(g.Adj), workers, func(lo, hi int) error {
-		cnt := 0
 		for v := lo; v < hi; v++ {
 			nbrs := g.Adj[v]
 			set := make([]sketch.Item, len(nbrs))
@@ -493,22 +331,14 @@ func NewGraphCorpusParallel(g *Graph, workers int) (*GraphCorpus, error) {
 				set[i] = sketch.Item(u)
 			}
 			c.items[v] = set
-			cnt += len(nbrs)
 		}
-		edges.Add(int64(cnt))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.numEdges = int(edges.Load())
 	return c, nil
 }
-
-// NumEdges returns the total directed edge count, computed once at
-// construction (Graph.NumEdges rescans the adjacency table; the corpus
-// caches the sum the same way TreeCorpus caches TotalNodes).
-func (c *GraphCorpus) NumEdges() int { return c.numEdges }
 
 // Kind returns GraphData.
 func (c *GraphCorpus) Kind() Kind { return GraphData }
@@ -579,8 +409,7 @@ type TextCorpus struct {
 	Docs      []Doc
 	VocabSize int
 
-	items      [][]sketch.Item
-	totalTerms int
+	items [][]sketch.Item
 }
 
 // NewTextCorpus validates term ordering/range and caches item sets,
@@ -598,9 +427,7 @@ func NewTextCorpusParallel(docs []Doc, vocabSize, workers int) (*TextCorpus, err
 		return nil, errors.New("pivots: vocabSize must be positive")
 	}
 	c := &TextCorpus{Docs: docs, VocabSize: vocabSize, items: make([][]sketch.Item, len(docs))}
-	var terms atomic.Int64
 	_, err := parallel.ForErr(len(docs), workers, func(lo, hi int) error {
-		cnt := 0
 		for d := lo; d < hi; d++ {
 			doc := docs[d]
 			set := make([]sketch.Item, len(doc.Terms))
@@ -614,21 +441,14 @@ func NewTextCorpusParallel(docs []Doc, vocabSize, workers int) (*TextCorpus, err
 				set[i] = sketch.Item(t)
 			}
 			c.items[d] = set
-			cnt += len(doc.Terms)
 		}
-		terms.Add(int64(cnt))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.totalTerms = int(terms.Load())
 	return c, nil
 }
-
-// TotalTerms returns the summed distinct-term count across documents,
-// computed once at construction.
-func (c *TextCorpus) TotalTerms() int { return c.totalTerms }
 
 // Kind returns TextData.
 func (c *TextCorpus) Kind() Kind { return TextData }

@@ -1,43 +1,11 @@
 package pivots
 
 import (
-	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"pareto/internal/sketch"
 )
-
-// randomParentArray builds a random valid parent array (parent[i] < i).
-func randomParentArray(rng *rand.Rand, n int) []int32 {
-	p := make([]int32, n)
-	p[0] = -1
-	for i := 1; i < n; i++ {
-		p[i] = int32(rng.Intn(i))
-	}
-	return p
-}
-
-// edgeSet canonicalizes a parent array into a sorted list of
-// undirected edges for structural comparison.
-func edgeSet(parent []int32) [][2]int32 {
-	var es [][2]int32
-	for i := 1; i < len(parent); i++ {
-		a, b := int32(i), parent[i]
-		if a > b {
-			a, b = b, a
-		}
-		es = append(es, [2]int32{a, b})
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
-		}
-		return es[i][1] < es[j][1]
-	})
-	return es
-}
 
 func TestTreeValidate(t *testing.T) {
 	good := Tree{Parent: []int32{-1, 0, 0, 1}, Label: []uint32{1, 2, 3, 4}}
@@ -55,89 +23,6 @@ func TestTreeValidate(t *testing.T) {
 		if err := tr.Validate(); err == nil {
 			t.Errorf("bad tree %d accepted", i)
 		}
-	}
-}
-
-func TestPruferKnownSequence(t *testing.T) {
-	// Star on 4 nodes centered at 0: every removal records 0.
-	star := []int32{-1, 0, 0, 0}
-	seq, err := PruferEncode(star)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, []int32{0, 0}) {
-		t.Errorf("star Prüfer = %v, want [0 0]", seq)
-	}
-	// Path 0-1-2-3: leaves removed 0 (records 1), then 1 (records 2).
-	path := []int32{-1, 0, 1, 2}
-	seq, err = PruferEncode(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, []int32{1, 2}) {
-		t.Errorf("path Prüfer = %v, want [1 2]", seq)
-	}
-}
-
-func TestPruferSmallTrees(t *testing.T) {
-	for _, p := range [][]int32{{-1}, {-1, 0}} {
-		seq, err := PruferEncode(p)
-		if err != nil {
-			t.Fatalf("encode %v: %v", p, err)
-		}
-		if len(seq) != 0 {
-			t.Errorf("tree of %d nodes: sequence %v, want empty", len(p), seq)
-		}
-		dec, err := PruferDecode(seq, len(p))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(edgeSet(dec), edgeSet(p)) {
-			t.Errorf("roundtrip changed edges: %v vs %v", dec, p)
-		}
-	}
-}
-
-func TestPruferRoundtripRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 3 + rng.Intn(60)
-		p := randomParentArray(rng, n)
-		seq, err := PruferEncode(p)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		if len(seq) != n-2 {
-			t.Fatalf("sequence length %d, want %d", len(seq), n-2)
-		}
-		dec, err := PruferDecode(seq, n)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(edgeSet(dec), edgeSet(p)) {
-			t.Fatalf("trial %d: edge sets differ\n in: %v\nout: %v", trial, p, dec)
-		}
-	}
-}
-
-func TestPruferDecodeErrors(t *testing.T) {
-	if _, err := PruferDecode(nil, 0); err == nil {
-		t.Error("n=0 must fail")
-	}
-	if _, err := PruferDecode([]int32{0}, 4); err == nil {
-		t.Error("wrong sequence length must fail")
-	}
-	if _, err := PruferDecode([]int32{9, 0}, 4); err == nil {
-		t.Error("out-of-range entry must fail")
-	}
-}
-
-func TestPruferEncodeErrors(t *testing.T) {
-	if _, err := PruferEncode(nil); err == nil {
-		t.Error("empty tree must fail")
-	}
-	if _, err := PruferEncode([]int32{-1, 7, 0}); err == nil {
-		t.Error("out-of-range parent must fail")
 	}
 }
 
@@ -212,9 +97,6 @@ func TestTreeCorpus(t *testing.T) {
 	}
 	if c.Weight(0) != 3 || c.Weight(1) != 2 {
 		t.Errorf("weights = %d,%d", c.Weight(0), c.Weight(1))
-	}
-	if c.TotalNodes() != 5 {
-		t.Errorf("TotalNodes = %d", c.TotalNodes())
 	}
 	if len(c.ItemSet(0)) == 0 {
 		t.Error("empty item set")

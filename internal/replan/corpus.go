@@ -60,9 +60,6 @@ func (c *DynamicCorpus) Append(items []sketch.Item, weight int, raw []byte) (int
 	return c.base.Len() + len(c.items) - 1, nil
 }
 
-// Appended returns how many records have been appended past the base.
-func (c *DynamicCorpus) Appended() int { return len(c.items) }
-
 // Kind implements pivots.Corpus.
 func (c *DynamicCorpus) Kind() pivots.Kind { return c.base.Kind() }
 

@@ -38,8 +38,8 @@ func TestDynamicCorpusIndexing(t *testing.T) {
 	if idx != 10 {
 		t.Errorf("first append got index %d, want 10", idx)
 	}
-	if dyn.Len() != 11 || dyn.Appended() != 1 {
-		t.Errorf("len %d appended %d", dyn.Len(), dyn.Appended())
+	if dyn.Len() != 11 || len(dyn.items) != 1 {
+		t.Errorf("len %d appended %d", dyn.Len(), len(dyn.items))
 	}
 	// Base indices are untouched; the appended index serves its own data.
 	if got := dyn.ItemSet(3); len(got) != 3 || got[0] != base.ItemSet(3)[0] {

@@ -127,7 +127,7 @@ func TestMigrationAbortMidCycleKeepsPreviousEpoch(t *testing.T) {
 	}
 
 	// Snapshot the committed state before the doomed cycle.
-	p := l.Store().P()
+	p := l.Store().p
 	before := make([][][]byte, p)
 	for j := 0; j < p; j++ {
 		recs, err := l.Store().ReadPartition(j)
@@ -262,7 +262,7 @@ func TestMigrationSurvivesDropChaos(t *testing.T) {
 	if err := l.Actual().Validate(full.Len()); err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < l.Store().P(); j++ {
+	for j := 0; j < l.Store().p; j++ {
 		recs, err := l.Store().ReadPartition(j)
 		if err != nil {
 			t.Fatal(err)

@@ -31,9 +31,6 @@ type Tailer struct {
 	cursor int64
 }
 
-// Cursor returns the index one past the last list element consumed.
-func (t *Tailer) Cursor() int64 { return t.cursor }
-
 // Poll reads every record appended to the list since the last poll and
 // ingests each into the loop. Returns how many records were ingested.
 // On a decode or ingest error the cursor stops before the bad element,

@@ -701,9 +701,6 @@ func (l *Loop) Plan() *core.Plan { return l.plan }
 // Actual returns the live (committed) placement. Read-only.
 func (l *Loop) Actual() *partitioner.Assignment { return l.actual }
 
-// Target returns the installed target placement. Read-only.
-func (l *Loop) Target() *partitioner.Assignment { return l.target }
-
 // Store returns the epoch store the loop migrates through (nil when no
 // base store was configured).
 func (l *Loop) Store() *EpochStore { return l.store }

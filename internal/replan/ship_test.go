@@ -35,7 +35,7 @@ func TestAppendOnlyCyclesShipWhatChanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := l.Store().P()
+	p := l.Store().p
 	placedBytes, _ := base.live(-1, p)
 	placedHanded := base.handed
 	ingested, shipped, shippedRecords := 0, 0, 0
@@ -124,7 +124,7 @@ func TestTornSuffixStageKeepsPreviousContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := l.Store().P()
+	p := l.Store().p
 	ingest := func(gen int) {
 		for i := 0; i < 40; i++ {
 			if _, err := l.Ingest(alienItems(gen, 6), 6, nil); err != nil {

@@ -81,16 +81,6 @@ func NewEpochStore(base partitioner.Store, p int) (*EpochStore, error) {
 	return &EpochStore{base: base, p: p, parts: parts}, nil
 }
 
-// P returns the logical partition count.
-func (s *EpochStore) P() int { return s.p }
-
-// Epoch returns partition j's committed epoch (-1 before first commit).
-func (s *EpochStore) Epoch(j int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parts[j].epoch
-}
-
 func (s *EpochStore) checkPart(j int) error {
 	if j < 0 || j >= s.p {
 		return fmt.Errorf("replan: partition %d out of [0,%d)", j, s.p)

@@ -58,8 +58,8 @@ func TestEpochStoreCommitFlipsReads(t *testing.T) {
 	txn.Commit()
 	for j := 0; j < 3; j++ {
 		assertPartition(t, st, j, recs(byte(j)))
-		if st.Epoch(j) != 0 {
-			t.Errorf("partition %d at epoch %d, want 0", j, st.Epoch(j))
+		if st.parts[j].epoch != 0 {
+			t.Errorf("partition %d at epoch %d, want 0", j, st.parts[j].epoch)
 		}
 	}
 	// A second committed transaction over a subset advances only that
@@ -71,8 +71,8 @@ func TestEpochStoreCommitFlipsReads(t *testing.T) {
 	txn.Commit()
 	assertPartition(t, st, 0, recs(0))
 	assertPartition(t, st, 1, recs(42))
-	if st.Epoch(0) != 0 || st.Epoch(1) != 1 {
-		t.Errorf("epochs %d/%d, want 0/1", st.Epoch(0), st.Epoch(1))
+	if st.parts[0].epoch != 0 || st.parts[1].epoch != 1 {
+		t.Errorf("epochs %d/%d, want 0/1", st.parts[0].epoch, st.parts[1].epoch)
 	}
 }
 
@@ -194,8 +194,8 @@ func TestEpochStoreManyEpochs(t *testing.T) {
 	}
 	for j := 0; j < 2; j++ {
 		assertPartition(t, st, j, [][]byte{[]byte(fmt.Sprintf("e9-p%d", j))})
-		if st.Epoch(j) != 9 {
-			t.Errorf("partition %d at epoch %d, want 9", j, st.Epoch(j))
+		if st.parts[j].epoch != 9 {
+			t.Errorf("partition %d at epoch %d, want 9", j, st.parts[j].epoch)
 		}
 	}
 }
@@ -583,8 +583,8 @@ func TestEpochStoreTruncationWritesNothing(t *testing.T) {
 		t.Errorf("truncation made %d base-store calls", got-calls)
 	}
 	assertPartition(t, st, 1, all[:10])
-	if st.Epoch(1) != 2 {
-		t.Errorf("epoch %d after three commits, want 2", st.Epoch(1))
+	if st.parts[1].epoch != 2 {
+		t.Errorf("epoch %d after three commits, want 2", st.parts[1].epoch)
 	}
 	// The dropped segment's id is the next stage's.
 	if err := st.WritePartition(1, all[:11]); err != nil {

@@ -59,8 +59,8 @@ func TestTailerFeedsLoopFromKVStream(t *testing.T) {
 	if n != want {
 		t.Fatalf("Poll ingested %d records, want %d", n, want)
 	}
-	if tl.Cursor() != int64(want) {
-		t.Fatalf("cursor = %d, want %d", tl.Cursor(), want)
+	if tl.cursor != int64(want) {
+		t.Fatalf("cursor = %d, want %d", tl.cursor, want)
 	}
 	if l.Len() != full.Len() {
 		t.Fatalf("loop corpus has %d records, want %d", l.Len(), full.Len())
@@ -87,12 +87,12 @@ func TestTailerFeedsLoopFromKVStream(t *testing.T) {
 	if _, err := client.RPush(key, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	before := tl.Cursor()
+	before := tl.cursor
 	if _, err := tl.Poll(l); err == nil {
 		t.Fatal("Poll decoded a corrupt record")
 	}
-	if tl.Cursor() != before {
-		t.Fatalf("cursor advanced past corrupt record: %d → %d", before, tl.Cursor())
+	if tl.cursor != before {
+		t.Fatalf("cursor advanced past corrupt record: %d → %d", before, tl.cursor)
 	}
 
 	// Kind mismatch is rejected up front.

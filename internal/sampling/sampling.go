@@ -8,7 +8,8 @@
 // every node, records (sample size, execution time) pairs, and fits a
 // per-node linear model f_i(x) = m_i·x + c_i. The paper argues (§III-D)
 // that higher-order polynomial fits are statistically unaffordable at
-// these sample counts; PolyFit exists to reproduce that ablation.
+// these sample counts; polyfit_test.go keeps a polynomial fit to
+// reproduce that ablation, and nothing else runs it.
 package sampling
 
 import (
@@ -17,92 +18,39 @@ import (
 	"math"
 )
 
-// DefaultSchedule bounds from the paper: samples from 0.05% to 2% of
-// the input, in DefaultSteps geometric steps.
+// The ladder's constants: samples from 0.05% to 2% of the input (the
+// paper's bounds) in DefaultSteps geometric steps, and never fewer
+// than DefaultMinRecords records.
 const (
-	DefaultMinFrac = 0.0005
-	DefaultMaxFrac = 0.02
-	DefaultSteps   = 6
+	DefaultMinFrac    = 0.0005
+	DefaultMaxFrac    = 0.02
+	DefaultSteps      = 6
+	DefaultMinRecords = 64
 )
 
-// Schedule returns a strictly increasing ladder of sample sizes for a
-// dataset of n records, spanning [minFrac, maxFrac] geometrically in
-// the given number of steps. Every size is at least 1 and at most n;
-// consecutive duplicates (tiny n) are collapsed.
-func Schedule(n int, minFrac, maxFrac float64, steps int) ([]int, error) {
-	if n <= 0 {
-		return nil, errors.New("sampling: schedule needs n ≥ 1")
-	}
-	if steps < 2 {
-		return nil, errors.New("sampling: schedule needs ≥ 2 steps")
-	}
-	if minFrac <= 0 || maxFrac > 1 || minFrac >= maxFrac {
-		return nil, fmt.Errorf("sampling: bad fraction range [%v, %v]", minFrac, maxFrac)
-	}
-	ratio := math.Pow(maxFrac/minFrac, 1/float64(steps-1))
-	sizes := make([]int, 0, steps)
-	f := minFrac
-	for i := 0; i < steps; i++ {
-		s := int(math.Round(f * float64(n)))
-		if s < 1 {
-			s = 1
-		}
-		if s > n {
-			s = n
-		}
-		if len(sizes) == 0 || s > sizes[len(sizes)-1] {
-			sizes = append(sizes, s)
-		}
-		f *= ratio
-	}
-	if len(sizes) < 2 {
-		// Degenerate tiny datasets: force a two-point ladder.
-		if n >= 2 {
-			sizes = []int{1, n}
-		} else {
-			return nil, fmt.Errorf("sampling: dataset of %d records cannot support a schedule", n)
-		}
-	}
-	return sizes, nil
-}
-
-// DefaultScheduleFor applies the paper's default ladder to n records.
-func DefaultScheduleFor(n int) ([]int, error) {
-	return Schedule(n, DefaultMinFrac, DefaultMaxFrac, DefaultSteps)
-}
-
-// DefaultMinRecords is the sample-size floor applied by
-// ScheduleWithFloor when minRecords is 0.
-const DefaultMinRecords = 64
-
-// ScheduleWithFloor is Schedule with an absolute lower bound on sample
-// sizes. The paper's 0.05%–2% fractions assume datasets large enough
-// that even the smallest sample is statistically meaningful; on
+// ScheduleWithFloor returns the strictly increasing ladder of sample
+// sizes for a dataset of n records: DefaultSteps geometric steps from
+// DefaultMinFrac·n to DefaultMaxFrac·n, with an absolute lower bound
+// on sample sizes. The paper's 0.05%–2% fractions assume datasets large
+// enough that even the smallest sample is statistically meaningful; on
 // scaled-down corpora a fractional sample of a handful of records puts
 // support-scaled mining into a degenerate regime (local minsup ≈ 1)
-// whose cost says nothing about full-partition behaviour. The floor
-// keeps every profiling run out of that regime; the ceiling is raised
-// to at least 4× the floor so the ladder still spans a fittable range.
-func ScheduleWithFloor(n int, minFrac, maxFrac float64, steps, minRecords int) ([]int, error) {
-	if minRecords <= 0 {
-		minRecords = DefaultMinRecords
-	}
+// whose cost says nothing about full-partition behaviour. The
+// DefaultMinRecords floor keeps every profiling run out of that
+// regime; the ceiling is raised to at least 4× the floor so the ladder
+// still spans a fittable range. Every size is at most n; a corpus too
+// small for that gets the two-point ladder {⌈n/2⌉, n}.
+func ScheduleWithFloor(n int) ([]int, error) {
 	if n <= 0 {
 		return nil, errors.New("sampling: schedule needs n ≥ 1")
 	}
-	if steps < 2 {
-		return nil, errors.New("sampling: schedule needs ≥ 2 steps")
+	lo := int(math.Round(DefaultMinFrac * float64(n)))
+	if lo < DefaultMinRecords {
+		lo = DefaultMinRecords
 	}
-	if minFrac <= 0 || maxFrac > 1 || minFrac >= maxFrac {
-		return nil, fmt.Errorf("sampling: bad fraction range [%v, %v]", minFrac, maxFrac)
-	}
-	lo := int(math.Round(minFrac * float64(n)))
-	if lo < minRecords {
-		lo = minRecords
-	}
-	hi := int(math.Round(maxFrac * float64(n)))
-	if hi < 4*minRecords {
-		hi = 4 * minRecords
+	hi := int(math.Round(DefaultMaxFrac * float64(n)))
+	if hi < 4*DefaultMinRecords {
+		hi = 4 * DefaultMinRecords
 	}
 	if lo > n {
 		lo = n
@@ -117,10 +65,10 @@ func ScheduleWithFloor(n int, minFrac, maxFrac float64, steps, minRecords int) (
 		}
 		return nil, fmt.Errorf("sampling: dataset of %d records cannot support a schedule", n)
 	}
-	ratio := math.Pow(float64(hi)/float64(lo), 1/float64(steps-1))
-	sizes := make([]int, 0, steps)
+	ratio := math.Pow(float64(hi)/float64(lo), 1/float64(DefaultSteps-1))
+	sizes := make([]int, 0, DefaultSteps)
 	f := float64(lo)
-	for i := 0; i < steps; i++ {
+	for i := 0; i < DefaultSteps; i++ {
 		s := int(math.Round(f))
 		if s > n {
 			s = n
@@ -204,130 +152,6 @@ func FitLinear(pts []Point) (LinearFit, error) {
 		r2 = 1 - ssRes/ssTot
 	}
 	return LinearFit{Slope: slope, Intercept: intercept, R2: r2}, nil
-}
-
-// PolyFit is a polynomial regression model y = Σ Coeffs[k]·x^k, kept
-// for the paper's §III-D ablation comparing linear vs higher-order
-// utility functions.
-type PolyFit struct {
-	Coeffs []float64
-	R2     float64
-}
-
-// Predict evaluates the polynomial at x (Horner).
-func (f PolyFit) Predict(x float64) float64 {
-	y := 0.0
-	for k := len(f.Coeffs) - 1; k >= 0; k-- {
-		y = y*x + f.Coeffs[k]
-	}
-	return y
-}
-
-// FitPoly fits a degree-d polynomial by solving the normal equations
-// with partial-pivot Gaussian elimination. Needs at least d+1 points.
-// X values are rescaled internally for conditioning.
-func FitPoly(pts []Point, degree int) (PolyFit, error) {
-	if degree < 1 {
-		return PolyFit{}, errors.New("sampling: degree must be ≥ 1")
-	}
-	if len(pts) < degree+1 {
-		return PolyFit{}, fmt.Errorf("sampling: degree %d needs ≥ %d points, got %d", degree, degree+1, len(pts))
-	}
-	// Rescale X to [0, 1] for numerical stability, then undo.
-	maxX := 0.0
-	for _, p := range pts {
-		if math.Abs(p.X) > maxX {
-			maxX = math.Abs(p.X)
-		}
-	}
-	if maxX == 0 {
-		maxX = 1
-	}
-	m := degree + 1
-	a := make([][]float64, m)
-	b := make([]float64, m)
-	for i := range a {
-		a[i] = make([]float64, m)
-	}
-	for _, p := range pts {
-		x := p.X / maxX
-		pow := make([]float64, 2*m-1)
-		pow[0] = 1
-		for k := 1; k < len(pow); k++ {
-			pow[k] = pow[k-1] * x
-		}
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				a[i][j] += pow[i+j]
-			}
-			b[i] += pow[i] * p.Y
-		}
-	}
-	coef, ok := solveDense(a, b)
-	if !ok {
-		return PolyFit{}, errors.New("sampling: singular normal equations (degenerate sample sizes)")
-	}
-	// Undo the X rescale: coefficient k divides by maxX^k.
-	scale := 1.0
-	for k := range coef {
-		coef[k] /= scale
-		scale *= maxX
-	}
-	fit := PolyFit{Coeffs: coef}
-	var my float64
-	for _, p := range pts {
-		my += p.Y
-	}
-	my /= float64(len(pts))
-	var ssTot, ssRes float64
-	for _, p := range pts {
-		ssTot += (p.Y - my) * (p.Y - my)
-		r := p.Y - fit.Predict(p.X)
-		ssRes += r * r
-	}
-	fit.R2 = 1.0
-	if ssTot > 0 {
-		fit.R2 = 1 - ssRes/ssTot
-	}
-	return fit, nil
-}
-
-// solveDense solves a·x = b with partial pivoting; returns ok=false on
-// a (near-)singular system. a and b are clobbered.
-func solveDense(a [][]float64, b []float64) ([]float64, bool) {
-	n := len(b)
-	for col := 0; col < n; col++ {
-		piv, best := -1, 1e-12
-		for r := col; r < n; r++ {
-			if v := math.Abs(a[r][col]); v > best {
-				best, piv = v, r
-			}
-		}
-		if piv < 0 {
-			return nil, false
-		}
-		a[col], a[piv] = a[piv], a[col]
-		b[col], b[piv] = b[piv], b[col]
-		inv := 1 / a[col][col]
-		for j := col; j < n; j++ {
-			a[col][j] *= inv
-		}
-		b[col] *= inv
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col]
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				a[r][j] -= f * a[col][j]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	return b, true
 }
 
 // ProfileFunc measures the target algorithm once: it runs the workload

@@ -8,7 +8,7 @@ import (
 )
 
 func TestScheduleDefaults(t *testing.T) {
-	sizes, err := DefaultScheduleFor(1_000_000)
+	sizes, err := ScheduleWithFloor(1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestScheduleDefaults(t *testing.T) {
 }
 
 func TestScheduleTinyDataset(t *testing.T) {
-	sizes, err := DefaultScheduleFor(10)
+	sizes, err := ScheduleWithFloor(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,26 +41,16 @@ func TestScheduleTinyDataset(t *testing.T) {
 			t.Errorf("size %d out of [1,10]", s)
 		}
 	}
-	if _, err := DefaultScheduleFor(1); err == nil {
+	if _, err := ScheduleWithFloor(1); err == nil {
 		t.Error("n=1 cannot support a 2-point schedule")
 	}
 }
 
 func TestScheduleValidation(t *testing.T) {
-	if _, err := Schedule(0, 0.01, 0.1, 3); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := Schedule(100, 0.01, 0.1, 1); err == nil {
-		t.Error("1 step accepted")
-	}
-	if _, err := Schedule(100, 0.1, 0.01, 3); err == nil {
-		t.Error("inverted fractions accepted")
-	}
-	if _, err := Schedule(100, 0, 0.1, 3); err == nil {
-		t.Error("zero min fraction accepted")
-	}
-	if _, err := Schedule(100, 0.01, 1.5, 3); err == nil {
-		t.Error("maxFrac > 1 accepted")
+	for _, n := range []int{0, -5} {
+		if _, err := ScheduleWithFloor(n); err == nil {
+			t.Errorf("n=%d accepted", n)
+		}
 	}
 }
 
@@ -235,7 +225,7 @@ func TestProfileNodePropagatesError(t *testing.T) {
 
 func TestScheduleWithFloor(t *testing.T) {
 	// Large corpus: floor inactive, behaves like the paper's ladder.
-	sizes, err := ScheduleWithFloor(1_000_000, DefaultMinFrac, DefaultMaxFrac, DefaultSteps, 64)
+	sizes, err := ScheduleWithFloor(1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +233,14 @@ func TestScheduleWithFloor(t *testing.T) {
 		t.Errorf("large-corpus ladder %v", sizes)
 	}
 	// Small corpus: floor engages, ceiling stretches to 4× floor.
-	sizes, err = ScheduleWithFloor(800, DefaultMinFrac, DefaultMaxFrac, DefaultSteps, 64)
+	sizes, err = ScheduleWithFloor(800)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sizes[0] < 64 {
+	if sizes[0] < DefaultMinRecords {
 		t.Errorf("floor broken: %v", sizes)
 	}
-	if last := sizes[len(sizes)-1]; last < 256 {
+	if last := sizes[len(sizes)-1]; last < 4*DefaultMinRecords {
 		t.Errorf("ceiling %d below 4x floor", last)
 	}
 	for i := 1; i < len(sizes); i++ {
@@ -259,26 +249,14 @@ func TestScheduleWithFloor(t *testing.T) {
 		}
 	}
 	// Tiny corpus: two-point fallback, capped at n.
-	sizes, err = ScheduleWithFloor(100, DefaultMinFrac, DefaultMaxFrac, DefaultSteps, 64)
+	sizes, err = ScheduleWithFloor(100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sizes) < 2 || sizes[len(sizes)-1] > 100 {
 		t.Errorf("tiny-corpus ladder %v", sizes)
 	}
-	// Validation still applies.
-	if _, err := ScheduleWithFloor(0, 0.001, 0.02, 4, 64); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := ScheduleWithFloor(100, 0.02, 0.001, 4, 64); err == nil {
-		t.Error("inverted fractions accepted")
-	}
-	if _, err := ScheduleWithFloor(1, 0.001, 0.02, 4, 64); err == nil {
+	if _, err := ScheduleWithFloor(1); err == nil {
 		t.Error("n=1 accepted")
-	}
-	// Zero minRecords uses the default.
-	sizes, err = ScheduleWithFloor(800, DefaultMinFrac, DefaultMaxFrac, DefaultSteps, 0)
-	if err != nil || sizes[0] < DefaultMinRecords {
-		t.Errorf("default floor not applied: %v (%v)", sizes, err)
 	}
 }

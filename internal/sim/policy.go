@@ -145,8 +145,9 @@ func (p *WeightedScoring) score(now float64, t Task, n *NodeState) float64 {
 // costs themselves inflate when content is fragmented arbitrarily
 // (e.g. candidate-pattern explosion in partitioned frequent pattern
 // mining), which is exactly the effect the paper's stratified
-// partitioning avoids. bench.RunWorkStealingMining pairs this policy
-// with real workload chunk costs to reproduce that comparison.
+// partitioning avoids. internal/bench's stealing_test.go pairs this
+// policy with real workload chunk costs to reproduce that comparison
+// (BenchmarkAblationWorkStealing).
 type GreedyStealing struct {
 	// order visits nodes fastest-first (stable by speed).
 	order []int

@@ -142,11 +142,6 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 	if math.IsNaN(cfg.Offset) || math.IsInf(cfg.Offset, 0) {
 		return nil, fmt.Errorf("sim: offset %v, want finite", cfg.Offset)
 	}
-	for i := range cl.Nodes {
-		if w := cl.Nodes[i].Power.Watts(); !(w >= 0) || math.IsInf(w, 1) {
-			return nil, fmt.Errorf("sim: node %d watts %v, want finite >= 0", i, w)
-		}
-	}
 	needPolicy := false
 	for i := range tasks {
 		t := &tasks[i]

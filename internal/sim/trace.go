@@ -53,24 +53,6 @@ func ReadTasks(r io.Reader) ([]Task, error) {
 	return tasks, nil
 }
 
-// WriteTasks records a task stream to w in the JSON-lines trace
-// format. ReadTasks(WriteTasks(tasks)) round-trips exactly.
-func WriteTasks(w io.Writer, tasks []Task) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range tasks {
-		rec := taskRecord{Arrival: tasks[i].Arrival, Cost: tasks[i].Cost, Fixed: tasks[i].Fixed}
-		if tasks[i].Pin >= 0 {
-			pin := tasks[i].Pin
-			rec.Node = &pin
-		}
-		if err := enc.Encode(&rec); err != nil {
-			return fmt.Errorf("sim: writing trace: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
 // WriteDecisions records a decision trace to w, one JSON object per
 // line, for counterfactual replay and head-to-head policy comparison.
 func WriteDecisions(w io.Writer, decisions []Decision) error {

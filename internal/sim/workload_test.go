@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -135,4 +139,24 @@ func TestReadTasksCommentsAndErrors(t *testing.T) {
 	if _, err := ReadTasks(strings.NewReader("")); err != nil {
 		t.Errorf("empty trace rejected: %v", err)
 	}
+}
+
+// WriteTasks records a task stream to w in the JSON-lines trace
+// format ReadTasks parses; ReadTasks(WriteTasks(tasks)) round-trips
+// exactly. Recorded traces come from outside the repository, so only
+// the round-trip test writes one.
+func WriteTasks(w io.Writer, tasks []Task) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range tasks {
+		rec := taskRecord{Arrival: tasks[i].Arrival, Cost: tasks[i].Cost, Fixed: tasks[i].Fixed}
+		if tasks[i].Pin >= 0 {
+			pin := tasks[i].Pin
+			rec.Node = &pin
+		}
+		if err := enc.Encode(&rec); err != nil {
+			return fmt.Errorf("sim: writing trace: %w", err)
+		}
+	}
+	return bw.Flush()
 }

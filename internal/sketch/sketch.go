@@ -15,7 +15,6 @@ package sketch
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 	"math/rand"
 
@@ -28,7 +27,7 @@ import (
 const MersennePrime61 = (1 << 61) - 1
 
 // Item is a universe element. Raw data (words, pivots, neighbor IDs)
-// is hashed into Items before sketching; see HashString and HashBytes.
+// is hashed into Items before sketching; see Hash2 and Hash3.
 type Item = uint64
 
 // LinearPermutation is one member of the min-wise independent linear
@@ -38,17 +37,12 @@ type LinearPermutation struct {
 	B uint64
 }
 
-// Apply evaluates the permutation at x. x is first folded into the
-// field so that arbitrary 64-bit items are accepted.
-func (lp LinearPermutation) Apply(x Item) uint64 {
-	return applyPerm(lp.A, lp.B, reduce(x))
-}
-
 // applyPerm returns (a·xr + b) mod 2^61−1 for xr already reduced and
 // b < p. It merges the product fold and the addition into a single
-// reduction chain — one conditional subtract instead of mulMod's and
-// addMod's separate ones — and is canonical-value-identical to
-// addMod(mulMod(a, xr), b).
+// reduction chain — one conditional subtract instead of a modular
+// multiply's and a modular add's separate ones — and is
+// canonical-value-identical to the two-step chain reference_test.go
+// keeps as its reference.
 func applyPerm(a, b, xr uint64) uint64 {
 	hi, lo := bits.Mul64(a, xr)
 	// Each masked term is < 2^61 and the shifts contribute < 2^7, so
@@ -70,59 +64,10 @@ func reduce(x uint64) uint64 {
 	return x
 }
 
-// mulMod returns a·b mod 2^61−1 using a 128-bit intermediate product.
-func mulMod(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	// a·b = hi·2^64 + lo. With p = 2^61−1, 2^61 ≡ 1, so
-	// 2^64 ≡ 8 (mod p) and the product folds in two steps.
-	r := (lo & MersennePrime61) + (lo >> 61) + (hi<<3)&MersennePrime61 + (hi >> 58)
-	r = (r & MersennePrime61) + (r >> 61)
-	if r >= MersennePrime61 {
-		r -= MersennePrime61
-	}
-	return r
-}
-
-// addMod returns a+b mod 2^61−1 for a, b already < 2^61−1.
-func addMod(a, b uint64) uint64 {
-	s := a + b
-	if s >= MersennePrime61 {
-		s -= MersennePrime61
-	}
-	return s
-}
-
 // Sketch is the k-dimensional signature of one item set. Sketches are
 // the categorical feature vectors consumed by the compositeKModes
 // stratifier: coordinate i is the minimum of permutation i over the set.
 type Sketch []uint64
-
-// Agreement returns the fraction of coordinates at which the two
-// sketches are equal — the MinHash estimate of Jaccard similarity.
-// It panics if the sketches have different lengths, which indicates
-// they came from different Hashers and comparing them is a bug.
-func (s Sketch) Agreement(t Sketch) float64 {
-	if len(s) != len(t) {
-		panic(fmt.Sprintf("sketch: comparing sketches of different widths %d and %d", len(s), len(t)))
-	}
-	if len(s) == 0 {
-		return 0
-	}
-	eq := 0
-	for i := range s {
-		if s[i] == t[i] {
-			eq++
-		}
-	}
-	return float64(eq) / float64(len(s))
-}
-
-// Clone returns a copy of the sketch.
-func (s Sketch) Clone() Sketch {
-	c := make(Sketch, len(s))
-	copy(c, s)
-	return c
-}
 
 // EmptySentinel is the coordinate value produced when sketching an
 // empty set: no item exists to take a minimum over. It is outside the
@@ -264,21 +209,6 @@ func ExactJaccard(a, b []Item) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-// HashString maps a string item (a word, a serialized pivot) into the
-// sketch universe with FNV-1a.
-func HashString(s string) Item {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
-}
-
-// HashBytes maps a byte-slice item into the sketch universe with FNV-1a.
-func HashBytes(b []byte) Item {
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return h.Sum64()
 }
 
 // Hash2 maps an ordered pair of 64-bit values (e.g. a graph edge or a

@@ -285,7 +285,7 @@ func TestSketchAllEmpty(t *testing.T) {
 func TestSketchAllBackingIsolated(t *testing.T) {
 	h, _ := NewHasher(4, 2)
 	out := h.SketchAll(2, func(i int) []Item { return []Item{Item(i + 1)} }, 1)
-	next := out[1].Clone()
+	next := append(Sketch(nil), out[1]...)
 	grown := append(out[0], 999)
 	_ = grown
 	for j := range next {
@@ -320,21 +320,6 @@ func TestHash2Hash3Distinguish(t *testing.T) {
 	}
 	if Hash3(1, 2, 3) == Hash3(3, 2, 1) {
 		t.Error("Hash3 must be order-sensitive")
-	}
-	if HashString("abc") == HashString("abd") {
-		t.Error("HashString collision on near strings")
-	}
-	if HashString("abc") != HashBytes([]byte("abc")) {
-		t.Error("HashString and HashBytes must agree")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	s := Sketch{1, 2, 3}
-	c := s.Clone()
-	c[0] = 99
-	if s[0] != 1 {
-		t.Error("Clone must not alias")
 	}
 }
 

@@ -43,20 +43,6 @@ func (f *freqCounters) add(s sketch.Sketch, stratum int) {
 	}
 }
 
-// remove unfolds one member sketch from stratum's counters, deleting
-// entries that reach zero.
-func (f *freqCounters) remove(s sketch.Sketch, stratum int) {
-	base := stratum * f.width
-	for a, v := range s {
-		m := f.counts[base+a]
-		if m[v] == 1 {
-			delete(m, v)
-		} else {
-			m[v]--
-		}
-	}
-}
-
 // move applies one membership change (old → now) as a delta.
 func (f *freqCounters) move(s sketch.Sketch, old, now int) {
 	oldBase, newBase := old*f.width, now*f.width

@@ -176,20 +176,6 @@ func (d *DriftTracker) DirtyStrata() []int {
 // K returns the number of tracked strata.
 func (d *DriftTracker) K() int { return d.k }
 
-// Added returns how many records were ingested into stratum s since
-// its last freeze.
-func (d *DriftTracker) Added(s int) int64 { return d.added[s] }
-
-// AddedTotal returns the total records ingested since the respective
-// last freezes of their strata.
-func (d *DriftTracker) AddedTotal() int64 {
-	var t int64
-	for _, a := range d.added {
-		t += a
-	}
-	return t
-}
-
 // Reset refreezes the given strata from the current stratification
 // after a partial re-stratify: their counters are rebuilt from the new
 // memberships, centers refrozen, and added/coverage baselines reset.

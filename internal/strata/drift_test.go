@@ -34,7 +34,7 @@ func driftFixture(t *testing.T, k, width, membersPer int) (*Stratification, []sk
 	for s := 0; s < k; s++ {
 		for m := 0; m < membersPer; m++ {
 			members[s] = append(members[s], len(sketches))
-			sketches = append(sketches, centerSketch[s].Clone())
+			sketches = append(sketches, append(sketch.Sketch(nil), centerSketch[s]...))
 			assign = append(assign, s)
 		}
 	}
@@ -48,7 +48,7 @@ func driftFixture(t *testing.T, k, width, membersPer int) (*Stratification, []sk
 // mutated returns a copy of base with the first nMiss coordinates
 // replaced by novel values never used elsewhere in the fixture.
 func mutated(base sketch.Sketch, nMiss int, salt uint64) sketch.Sketch {
-	s := base.Clone()
+	s := append(sketch.Sketch(nil), base...)
 	for a := 0; a < nMiss; a++ {
 		s[a] = (1 << 40) + salt*64 + uint64(a)
 	}
@@ -177,7 +177,7 @@ func TestDriftResetOnRestratify(t *testing.T) {
 	if err := d.Reset(st2, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Added(0); got != 0 {
+	if got := d.added[0]; got != 0 {
 		t.Fatalf("Added(0) after reset = %d, want 0", got)
 	}
 	if got := d.Drift(0); got != 0 {
@@ -190,7 +190,7 @@ func TestDriftResetOnRestratify(t *testing.T) {
 	if got := d.Drift(1); got != drift1Before {
 		t.Fatalf("Drift(1) changed across Reset(0): %v → %v", drift1Before, got)
 	}
-	if got := d.Added(1); got != 4 {
+	if got := d.added[1]; got != 4 {
 		t.Fatalf("Added(1) = %d, want 4", got)
 	}
 
@@ -232,7 +232,7 @@ func TestDriftLongStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := d.Added(0); got != n {
+	if got := d.added[0]; got != n {
 		t.Fatalf("Added(0) = %d, want %d", got, n)
 	}
 	want := float64(miss) / (float64(membersPer+n) * width)
@@ -251,8 +251,8 @@ func TestDriftLongStream(t *testing.T) {
 	if err := d.Reset(st2, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if d.Drift(0) != 0 || d.Added(0) != 0 {
-		t.Fatalf("after reset: drift %v added %d", d.Drift(0), d.Added(0))
+	if d.Drift(0) != 0 || d.added[0] != 0 {
+		t.Fatalf("after reset: drift %v added %d", d.Drift(0), d.added[0])
 	}
 }
 
@@ -318,7 +318,7 @@ func TestRefreezeModeMatchesClusterAndReset(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				// Near one center, with a few coordinates drawn from a
 				// shared pool of five values per attribute.
-				rec := centerSketch[rng.Intn(k)].Clone()
+				rec := append(sketch.Sketch(nil), centerSketch[rng.Intn(k)]...)
 				for m := rng.Intn(4); m > 0; m-- {
 					a := rng.Intn(width)
 					rec[a] = uint64(5000 + 10*a + rng.Intn(5))

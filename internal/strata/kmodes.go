@@ -74,16 +74,6 @@ type Center struct {
 	Values [][]uint64
 }
 
-// matches reports whether coordinate value v matches attribute a.
-func (c *Center) matches(a int, v uint64) bool {
-	for _, w := range c.Values[a] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // IterStat is the wall-clock and movement profile of one assign/update
 // round, surfaced so planner overhead can be reported alongside the
 // paper's figures.
@@ -123,15 +113,6 @@ type Result struct {
 
 // K returns the number of strata.
 func (r *Result) K() int { return len(r.Members) }
-
-// Sizes returns the member count of each stratum.
-func (r *Result) Sizes() []int {
-	s := make([]int, len(r.Members))
-	for i, m := range r.Members {
-		s[i] = len(m)
-	}
-	return s
-}
 
 // Cluster runs compositeKModes over the sketches. All sketches must
 // have equal width. K is capped at the number of records.
@@ -632,13 +613,6 @@ func appendTopL(dst []uint64, freq map[uint64]int, l int, sel *[]valCount) []uin
 		dst = append(dst, e.v)
 	}
 	return dst
-}
-
-// topL returns up to l keys of freq with the highest counts,
-// deterministically (count desc, value asc).
-func topL(freq map[uint64]int, l int) []uint64 {
-	var sel []valCount
-	return appendTopL(make([]uint64, 0, min(l, len(freq))), freq, l, &sel)
 }
 
 // reseedEmpty replaces the center of any empty cluster with a random

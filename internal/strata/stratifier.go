@@ -2,8 +2,6 @@ package strata
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
 	"pareto/internal/pivots"
@@ -74,11 +72,6 @@ type Stratification struct {
 	// Stats profiles the pipeline stages of the Stratify call that
 	// produced this stratification.
 	Stats StratifyStats
-
-	// simSeed seeds similarity-estimate sampling; Stratify copies it
-	// from StratifierConfig.Seed so quality estimates are reproducible
-	// per configuration rather than coupled to one global constant.
-	simSeed int64
 }
 
 // Stratify runs the full stratification pipeline over the corpus.
@@ -119,8 +112,7 @@ func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 		wt[a] += c.Weight(i)
 	}
 	return &Stratification{
-		Result: res, Sketches: sketches, WeightTotals: wt,
-		Stats: stats, simSeed: cfg.Seed,
+		Result: res, Sketches: sketches, WeightTotals: wt, Stats: stats,
 	}, nil
 }
 
@@ -129,78 +121,4 @@ func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 // filled in parallel in corpus order. workers ≤ 0 means GOMAXPROCS.
 func SketchCorpus(c pivots.Corpus, h *sketch.Hasher, workers int) []sketch.Sketch {
 	return h.SketchAll(c.Len(), c.ItemSet, workers)
-}
-
-// Entropy returns the Shannon entropy (nats) of the stratum size
-// distribution. Higher entropy means records spread evenly over
-// strata; zero means one stratum holds everything.
-func (s *Stratification) Entropy() float64 {
-	total := 0
-	for _, m := range s.Members {
-		total += len(m)
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	for _, m := range s.Members {
-		if len(m) == 0 {
-			continue
-		}
-		p := float64(len(m)) / float64(total)
-		h -= p * math.Log(p)
-	}
-	return h
-}
-
-// MeanIntraSimilarity estimates the average sketch agreement between
-// members of the same stratum and members of different strata, using
-// at most sampleBudget pair comparisons for each. It quantifies
-// stratification quality: intra should exceed inter. Pair sampling is
-// seeded from the stratifier configuration (StratifierConfig.Seed), so
-// estimates are reproducible per configuration; use
-// MeanIntraSimilaritySeeded to control the sampling seed directly.
-func (s *Stratification) MeanIntraSimilarity(sampleBudget int) (intra, inter float64) {
-	return s.MeanIntraSimilaritySeeded(sampleBudget, s.simSeed)
-}
-
-// MeanIntraSimilaritySeeded is MeanIntraSimilarity with an explicit
-// pair-sampling seed.
-func (s *Stratification) MeanIntraSimilaritySeeded(sampleBudget int, seed int64) (intra, inter float64) {
-	if sampleBudget <= 0 {
-		sampleBudget = 2000
-	}
-	var intraSum, interSum float64
-	var intraN, interN int
-	n := len(s.Assign)
-	if n < 2 {
-		return 0, 0
-	}
-	// Seeded random pair sampling: unbiased across strata boundaries
-	// and deterministic across runs.
-	rng := rand.New(rand.NewSource(seed))
-	for t := 0; t < 4*sampleBudget && (intraN < sampleBudget || interN < sampleBudget); t++ {
-		i := rng.Intn(n)
-		j := rng.Intn(n)
-		if i == j {
-			continue
-		}
-		a := s.Sketches[i].Agreement(s.Sketches[j])
-		if s.Assign[i] == s.Assign[j] {
-			if intraN < sampleBudget {
-				intraSum += a
-				intraN++
-			}
-		} else if interN < sampleBudget {
-			interSum += a
-			interN++
-		}
-	}
-	if intraN > 0 {
-		intra = intraSum / float64(intraN)
-	}
-	if interN > 0 {
-		inter = interSum / float64(interN)
-	}
-	return intra, inter
 }

@@ -1,7 +1,6 @@
 package strata
 
 import (
-	"math/rand"
 	"testing"
 
 	"pareto/internal/pivots"
@@ -90,10 +89,6 @@ func TestStratifySeparatesTopics(t *testing.T) {
 			t.Errorf("stratum %d purity %.2f", c, purity)
 		}
 	}
-	intra, inter := s.MeanIntraSimilarity(1000)
-	if intra <= inter {
-		t.Errorf("intra similarity %.3f not above inter %.3f", intra, inter)
-	}
 }
 
 func TestStratifyWeightTotals(t *testing.T) {
@@ -164,111 +159,4 @@ func TestStratifyStats(t *testing.T) {
 		t.Errorf("MovedTotal %d below corpus size %d (round 1 moves every record)",
 			st.MovedTotal, corpus.Len())
 	}
-}
-
-// TestMeanIntraSimilaritySeedFromConfig checks the similarity estimate
-// is driven by the stratifier seed rather than a hardcoded constant:
-// same config → same estimate; the explicit-seed variant reproduces it.
-func TestMeanIntraSimilaritySeedFromConfig(t *testing.T) {
-	corpus, _ := clusteredTextCorpus(t, 150, 3)
-	cfg := StratifierConfig{Cluster: Config{K: 3, L: 2, Seed: 5}, Seed: 11}
-	s1, err := Stratify(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Stratify(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, e1 := s1.MeanIntraSimilarity(500)
-	a2, e2 := s2.MeanIntraSimilarity(500)
-	if a1 != a2 || e1 != e2 {
-		t.Errorf("same config gave different estimates: (%v,%v) vs (%v,%v)", a1, e1, a2, e2)
-	}
-	a3, e3 := s1.MeanIntraSimilaritySeeded(500, cfg.Seed)
-	if a3 != a1 || e3 != e1 {
-		t.Errorf("explicit seed %d disagrees with config-driven sampling: (%v,%v) vs (%v,%v)",
-			cfg.Seed, a3, e3, a1, e1)
-	}
-	// A different sampling seed samples different pairs; the estimates
-	// should (generically) differ, proving the seed is honored.
-	a4, e4 := s1.MeanIntraSimilaritySeeded(500, cfg.Seed+1)
-	if a4 == a1 && e4 == e1 {
-		t.Errorf("changing the sampling seed changed nothing: (%v,%v)", a4, e4)
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	s := &Stratification{Result: &Result{Members: [][]int{{0, 1}, {2, 3}}}}
-	if e := s.Entropy(); e < 0.69 || e > 0.70 {
-		t.Errorf("uniform 2-strata entropy %v, want ln 2", e)
-	}
-	s = &Stratification{Result: &Result{Members: [][]int{{0, 1, 2, 3}, {}}}}
-	if e := s.Entropy(); e != 0 {
-		t.Errorf("degenerate entropy %v, want 0", e)
-	}
-	s = &Stratification{Result: &Result{Members: [][]int{{}, {}}}}
-	if e := s.Entropy(); e != 0 {
-		t.Errorf("empty entropy %v, want 0", e)
-	}
-}
-
-func TestChooseKRecoversPlantedCount(t *testing.T) {
-	// 6 well-separated planted clusters: the elbow should land at or
-	// just above 6 (powers of two from 2: 2,4,8 — expect 8, since 4→8
-	// still improves markedly and 8→16 does not).
-	sketches, _ := plantedSketchesForChooseK(600, 16, 6, 0.1)
-	k, err := ChooseK(sketches, 2, 64, Config{L: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k < 4 || k > 16 {
-		t.Errorf("ChooseK = %d, want near the planted 6", k)
-	}
-}
-
-func TestChooseKValidation(t *testing.T) {
-	if _, err := ChooseK(nil, 2, 8, Config{L: 1}); err == nil {
-		t.Error("no sketches accepted")
-	}
-	sk, _ := plantedSketchesForChooseK(20, 4, 2, 0.1)
-	if _, err := ChooseK(sk, 0, 8, Config{L: 1}); err == nil {
-		t.Error("minK 0 accepted")
-	}
-	if _, err := ChooseK(sk, 8, 4, Config{L: 1}); err == nil {
-		t.Error("inverted range accepted")
-	}
-	// maxK capped at n; minK ≥ maxK short-circuits.
-	k, err := ChooseK(sk, 30, 50, Config{L: 1, Seed: 1})
-	if err != nil || k != 20 {
-		t.Errorf("capped ChooseK = %d, %v (want n=20)", k, err)
-	}
-}
-
-// plantedSketchesForChooseK mirrors the kmodes test helper without
-// sharing state across files.
-func plantedSketchesForChooseK(n, width, k int, noise float64) ([]sketch.Sketch, []int) {
-	rng := rand.New(rand.NewSource(77))
-	protos := make([]sketch.Sketch, k)
-	for c := range protos {
-		p := make(sketch.Sketch, width)
-		for a := range p {
-			p[a] = uint64(c*1_000_000 + rng.Intn(500))
-		}
-		protos[c] = p
-	}
-	sketches := make([]sketch.Sketch, n)
-	truth := make([]int, n)
-	for i := range sketches {
-		c := i % k
-		truth[i] = c
-		s := protos[c].Clone()
-		for a := range s {
-			if rng.Float64() < noise {
-				s[a] = rng.Uint64()
-			}
-		}
-		sketches[i] = s
-	}
-	return sketches, truth
 }

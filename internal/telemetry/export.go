@@ -10,9 +10,7 @@ import (
 
 // Snapshot is a serializable point-in-time view of a registry:
 // counters, gauges (integer and float rendered together), histogram
-// snapshots, and the completed root spans. Snapshots merge — counters
-// and histograms add, gauges take the other side's value, spans append
-// — so per-node or per-run snapshots can be rolled up into one.
+// snapshots, and the completed root spans.
 type Snapshot struct {
 	UptimeSec    float64                      `json:"uptime_sec,omitempty"`
 	Counters     map[string]int64             `json:"counters"`
@@ -20,31 +18,6 @@ type Snapshot struct {
 	Histograms   map[string]HistogramSnapshot `json:"histograms"`
 	Spans        []SpanSnapshot               `json:"spans,omitempty"`
 	SpansDropped int64                        `json:"spans_dropped,omitempty"`
-}
-
-// Merge folds o into s: counters and histograms add, gauges are
-// overwritten by o (last writer wins), spans append. Histogram merges
-// with mismatched bounds are the only error.
-func (s *Snapshot) Merge(o *Snapshot) error {
-	if o == nil {
-		return nil
-	}
-	for name, v := range o.Counters {
-		s.Counters[name] += v
-	}
-	for name, v := range o.Gauges {
-		s.Gauges[name] = v
-	}
-	for name, h := range o.Histograms {
-		cur := s.Histograms[name]
-		if err := cur.Merge(h); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		s.Histograms[name] = cur
-	}
-	s.Spans = append(s.Spans, o.Spans...)
-	s.SpansDropped += o.SpansDropped
-	return nil
 }
 
 // FindSpan returns the first span with the given name across every

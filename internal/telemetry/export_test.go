@@ -81,46 +81,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	a := NewRegistry()
-	b := NewRegistry()
-	a.Counter("c").Add(1)
-	b.Counter("c").Add(2)
-	b.Counter("only_b").Add(9)
-	a.Gauge("g").Set(1)
-	b.Gauge("g").Set(5)
-	a.Histogram("h", []int64{10}).Observe(4)
-	b.Histogram("h", []int64{10}).Observe(6)
-	a.StartSpan("from_a").End()
-	b.StartSpan("from_b").End()
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatal(err)
-	}
-	if sa.Counters["c"] != 3 || sa.Counters["only_b"] != 9 {
-		t.Errorf("merged counters: %v", sa.Counters)
-	}
-	if sa.Gauges["g"] != 5 {
-		t.Errorf("merged gauge = %v, want last-writer 5", sa.Gauges["g"])
-	}
-	if sa.Histograms["h"].Count != 2 || sa.Histograms["h"].Sum != 10 {
-		t.Errorf("merged histogram: %+v", sa.Histograms["h"])
-	}
-	if sa.FindSpan("from_a") == nil || sa.FindSpan("from_b") == nil {
-		t.Error("merge lost spans")
-	}
-	// Histogram bound mismatch surfaces as an error.
-	c := NewRegistry()
-	c.Histogram("h", []int64{99}).Observe(1)
-	if err := sa.Merge(c.Snapshot()); err == nil {
-		t.Error("merge with mismatched histogram bounds succeeded")
-	}
-	// Merging nil is a no-op.
-	if err := sa.Merge(nil); err != nil {
-		t.Errorf("merge nil: %v", err)
-	}
-}
-
 func TestSplitName(t *testing.T) {
 	for _, tc := range []struct{ in, base, labels string }{
 		{"plain", "plain", ""},

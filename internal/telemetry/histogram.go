@@ -10,8 +10,7 @@ import (
 // Observe — is lock-free: a binary search over the immutable bounds
 // plus two atomic adds. Snapshots are consistent enough for monitoring
 // (counts and sum are read without a global lock; a concurrent Observe
-// may straddle the read) and mergeable across histograms with
-// identical bounds.
+// may straddle the read).
 type Histogram struct {
 	// bounds are the inclusive upper bounds of each bucket, ascending.
 	// An implicit overflow bucket catches values above the last bound.
@@ -52,16 +51,6 @@ func WideLatencyBuckets() []int64 {
 	out := make([]int64, 25)
 	for i := range out {
 		out[i] = 65536 << i
-	}
-	return out
-}
-
-// SizeBuckets returns the standard size bounds in bytes: powers of two
-// from 16 B to 16 MiB (the wire layer's max-bulk order of magnitude).
-func SizeBuckets() []int64 {
-	out := make([]int64, 21)
-	for i := range out {
-		out[i] = 16 << i
 	}
 	return out
 }
@@ -131,40 +120,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // HistogramSnapshot is a point-in-time copy of a Histogram: bucket
 // counts (one extra overflow bucket past the last bound), total count
-// and sum. Snapshots with identical bounds merge by addition.
+// and sum.
 type HistogramSnapshot struct {
 	Bounds []int64 `json:"bounds,omitempty"`
 	Counts []int64 `json:"counts,omitempty"`
 	Count  int64   `json:"count"`
 	Sum    int64   `json:"sum"`
-}
-
-// Merge adds o's counts into s. The bounds must match.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if o.Count == 0 {
-		return nil
-	}
-	if s.Count == 0 && len(s.Counts) == 0 {
-		s.Bounds = o.Bounds
-		s.Counts = append([]int64(nil), o.Counts...)
-		s.Count = o.Count
-		s.Sum = o.Sum
-		return nil
-	}
-	if len(s.Bounds) != len(o.Bounds) {
-		return fmt.Errorf("telemetry: merging histograms with %d vs %d buckets", len(s.Bounds), len(o.Bounds))
-	}
-	for i, b := range s.Bounds {
-		if o.Bounds[i] != b {
-			return fmt.Errorf("telemetry: merging histograms with different bounds at %d: %d vs %d", i, b, o.Bounds[i])
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	return nil
 }
 
 // Mean returns the mean observed value (0 when empty).

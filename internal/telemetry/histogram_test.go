@@ -77,48 +77,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := newHistogram([]int64{10, 100})
-	b := newHistogram([]int64{10, 100})
-	a.Observe(5)
-	b.Observe(50)
-	b.Observe(500)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if sa.Count != 3 || sa.Sum != 555 {
-		t.Errorf("merged: %+v", sa)
-	}
-	if sa.Counts[0] != 1 || sa.Counts[1] != 1 || sa.Counts[2] != 1 {
-		t.Errorf("merged counts: %v", sa.Counts)
-	}
-	// Merging into an empty snapshot adopts the other's bounds.
-	var empty HistogramSnapshot
-	if err := empty.Merge(sb); err != nil {
-		t.Fatalf("merge into empty: %v", err)
-	}
-	if empty.Count != 2 {
-		t.Errorf("empty-merge count = %d", empty.Count)
-	}
-	// Mismatched bounds must error.
-	c := newHistogram([]int64{10, 99}).Snapshot()
-	cc := c
-	if err := cc.Merge(sb); err == nil {
-		t.Error("merge with mismatched bounds succeeded")
-	}
-	d := newHistogram([]int64{10}).Snapshot()
-	if err := d.Merge(sb); err == nil {
-		t.Error("merge with mismatched bucket count succeeded")
-	}
-	// A merged-from snapshot must not alias the merged-into counts.
-	before := sb.Counts[1]
-	sa.Counts[1] += 100
-	if sb.Counts[1] != before {
-		t.Error("merge aliased counts between snapshots")
-	}
-}
-
 func TestHistogramConcurrentObservers(t *testing.T) {
 	h := newHistogram(LatencyBuckets())
 	const workers = 8
@@ -141,9 +99,9 @@ func TestHistogramConcurrentObservers(t *testing.T) {
 
 func TestBucketPresetsAscending(t *testing.T) {
 	for name, bounds := range map[string][]int64{
-		"latency": LatencyBuckets(),
-		"size":    SizeBuckets(),
-		"depth":   DepthBuckets(),
+		"latency":      LatencyBuckets(),
+		"wide latency": WideLatencyBuckets(),
+		"depth":        DepthBuckets(),
 	} {
 		for i := 1; i < len(bounds); i++ {
 			if bounds[i] <= bounds[i-1] {

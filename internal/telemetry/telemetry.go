@@ -240,7 +240,7 @@ func (r *Registry) recordSpan(s SpanSnapshot) {
 
 // Snapshot captures a consistent point-in-time view of every metric
 // and the completed-span log. The snapshot is independent of the live
-// registry (safe to serialize, merge, or retain). A nil registry
+// registry (safe to serialize or retain). A nil registry
 // yields an empty, non-nil snapshot.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{

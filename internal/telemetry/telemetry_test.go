@@ -56,7 +56,7 @@ func TestGetOrCreateIdentity(t *testing.T) {
 	if r.Gauge("a") != r.Gauge("a") {
 		t.Error("same-name gauges differ")
 	}
-	if r.Histogram("h", SizeBuckets()) != r.Histogram("h", LatencyBuckets()) {
+	if r.Histogram("h", DepthBuckets()) != r.Histogram("h", LatencyBuckets()) {
 		t.Error("same-name histograms differ (bounds must be ignored after creation)")
 	}
 }

@@ -42,15 +42,6 @@ func Key(items []uint32) string {
 	return string(b)
 }
 
-// ParseKey decodes a canonical key back into an itemset.
-func ParseKey(k string) []uint32 {
-	items := make([]uint32, len(k)/4)
-	for i := range items {
-		items[i] = binary.LittleEndian.Uint32([]byte(k[4*i : 4*i+4]))
-	}
-	return items
-}
-
 // Result summarizes one mining run.
 type Result struct {
 	// Frequent holds the frequent itemsets, sorted by (length, items).

@@ -1,9 +1,108 @@
 package apriori
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// Eclat is the vertical-layout frequent itemset miner (Zaki et al.,
+// KDD 1997 — reference [21] of the paper): instead of scanning
+// transactions against candidates level by level, it intersects
+// per-item transaction-ID lists depth-first. It lives here as an
+// independent implementation Mine is compared with: the two must
+// return the same itemsets, supports and order on random data,
+// MaxLen capping included (the brute-force oracle in apriori_test.go
+// enumerates without a cap). No workload mines with it.
+
+// EclatResult mirrors Result for the vertical miner.
+type EclatResult struct {
+	// Frequent holds the frequent itemsets, sorted by (length, items).
+	Frequent []Pattern
+	// Cost counts tidlist intersection steps (deterministic).
+	Cost float64
+}
+
+// MineEclat runs depth-first tidlist-intersection mining.
+func MineEclat(txns []Transaction, cfg Config) (*EclatResult, error) {
+	if cfg.MinSupport < 1 {
+		return nil, fmt.Errorf("apriori: eclat min support %d, need ≥ 1", cfg.MinSupport)
+	}
+	res := &EclatResult{}
+	// Build vertical layout: item → sorted tid list.
+	tidlists := make(map[uint32][]int32)
+	for tid, t := range txns {
+		for _, it := range t {
+			tidlists[it] = append(tidlists[it], int32(tid))
+		}
+		res.Cost += float64(len(t))
+	}
+	type entry struct {
+		item uint32
+		tids []int32
+	}
+	var frontier []entry
+	for it, tids := range tidlists {
+		if len(tids) >= cfg.MinSupport {
+			frontier = append(frontier, entry{it, tids})
+			res.Frequent = append(res.Frequent, Pattern{Items: []uint32{it}, Support: len(tids)})
+		}
+	}
+	sort.Slice(frontier, func(i, j int) bool { return frontier[i].item < frontier[j].item })
+
+	// Depth-first: extend prefix P (with tidlist) by each frontier
+	// item greater than P's last item.
+	var dfs func(prefix []uint32, tids []int32, ext []entry, depth int)
+	dfs = func(prefix []uint32, tids []int32, ext []entry, depth int) {
+		if cfg.MaxLen > 0 && depth >= cfg.MaxLen {
+			return
+		}
+		var next []entry
+		for _, e := range ext {
+			inter := intersectTids(tids, e.tids)
+			res.Cost += float64(len(tids) + len(e.tids))
+			if len(inter) < cfg.MinSupport {
+				continue
+			}
+			items := make([]uint32, len(prefix)+1)
+			copy(items, prefix)
+			items[len(prefix)] = e.item
+			res.Frequent = append(res.Frequent, Pattern{Items: items, Support: len(inter)})
+			next = append(next, entry{e.item, inter})
+		}
+		for i, e := range next {
+			items := make([]uint32, len(prefix)+1)
+			copy(items, prefix)
+			items[len(prefix)] = e.item
+			dfs(items, e.tids, next[i+1:], depth+1)
+		}
+	}
+	for i, e := range frontier {
+		dfs([]uint32{e.item}, e.tids, frontier[i+1:], 1)
+	}
+	sortPatterns(res.Frequent)
+	return res, nil
+}
+
+// intersectTids intersects two ascending tid lists.
+func intersectTids(a, b []int32) []int32 {
+	out := make([]int32, 0, min(len(a), len(b)))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
 
 func TestEclatValidation(t *testing.T) {
 	if _, err := MineEclat(nil, Config{MinSupport: 0}); err == nil {

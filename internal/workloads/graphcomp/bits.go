@@ -7,11 +7,7 @@
 // what the framework's similar-together partitioning produces.
 package graphcomp
 
-import (
-	"errors"
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // BitWriter accumulates a bit stream, most significant bit first.
 type BitWriter struct {
@@ -82,90 +78,5 @@ func (w *BitWriter) Bytes() []byte {
 	return out
 }
 
-// BitReader consumes a bit stream produced by BitWriter.
-type BitReader struct {
-	buf []byte
-	pos int // bit position
-}
-
-// NewBitReader wraps a byte stream.
-func NewBitReader(b []byte) *BitReader { return &BitReader{buf: b} }
-
-// ErrOutOfBits reports reading past the end of the stream.
-var ErrOutOfBits = errors.New("graphcomp: read past end of bit stream")
-
-// ReadBit consumes one bit.
-func (r *BitReader) ReadBit() (uint, error) {
-	byteIdx := r.pos >> 3
-	if byteIdx >= len(r.buf) {
-		return 0, ErrOutOfBits
-	}
-	bit := uint(r.buf[byteIdx]>>(7-uint(r.pos&7))) & 1
-	r.pos++
-	return bit, nil
-}
-
-// ReadBits consumes n bits into the low end of the result.
-func (r *BitReader) ReadBits(n int) (uint64, error) {
-	var v uint64
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
-	}
-	return v, nil
-}
-
-// ReadUnary consumes zeros up to a one and returns the zero count.
-func (r *BitReader) ReadUnary() (uint64, error) {
-	var v uint64
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			return v, nil
-		}
-		v++
-		if v > 64*uint64(len(r.buf))+64 {
-			return 0, fmt.Errorf("graphcomp: runaway unary code")
-		}
-	}
-}
-
-// ReadGamma consumes one γ code (v ≥ 1).
-func (r *BitReader) ReadGamma() (uint64, error) {
-	l, err := r.ReadUnary()
-	if err != nil {
-		return 0, err
-	}
-	if l > 63 {
-		return 0, fmt.Errorf("graphcomp: γ length %d too large", l)
-	}
-	rest, err := r.ReadBits(int(l))
-	if err != nil {
-		return 0, err
-	}
-	return 1<<l | rest, nil
-}
-
-// ReadGamma0 consumes one γ₀ code (v ≥ 0).
-func (r *BitReader) ReadGamma0() (uint64, error) {
-	v, err := r.ReadGamma()
-	if err != nil {
-		return 0, err
-	}
-	return v - 1, nil
-}
-
-// BitPos returns the current read position in bits.
-func (r *BitReader) BitPos() int { return r.pos }
-
 // ZigZag maps a signed delta to an unsigned code (0,−1,1,−2,2 → 0,1,2,3,4).
 func ZigZag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
-
-// UnZigZag inverts ZigZag.
-func UnZigZag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

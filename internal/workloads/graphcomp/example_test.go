@@ -15,17 +15,17 @@ func ExampleEncode() {
 		{7, 11, 13, 17, 19, 23, 29, 31},
 		{7, 11, 13, 17, 19, 23, 29, 37},
 	}
-	enc, err := graphcomp.Encode(ids, lists, graphcomp.Config{Window: graphcomp.DefaultWindow})
+	enc, err := graphcomp.Encode(ids, lists, graphcomp.Config{Window: 7})
 	if err != nil {
 		panic(err)
 	}
-	_, back, err := graphcomp.Decode(enc, graphcomp.Config{Window: graphcomp.DefaultWindow})
+	_, back, err := graphcomp.Decode(enc, graphcomp.Config{Window: 7})
 	if err != nil {
 		panic(err)
 	}
 	raw := graphcomp.RawBits(ids, lists)
 	fmt.Printf("decoded %d lists, compressed %d of %d raw bits\n",
-		len(back), enc.CompressedBits(), raw)
+		len(back), enc.BitLen, raw)
 	// Output:
 	// decoded 2 lists, compressed 118 of 640 raw bits
 }

@@ -29,9 +29,6 @@ type Config struct {
 	ZetaK uint
 }
 
-// DefaultWindow matches webgraph's usual small window.
-const DefaultWindow = 7
-
 // DefaultZetaK is webgraph's default ζ shrinking parameter.
 const DefaultZetaK = 3
 
@@ -51,22 +48,6 @@ func (c Config) residualWriter() (func(w *BitWriter, v uint64), error) {
 	}
 }
 
-// residualReader returns the configured natural-number reader.
-func (c Config) residualReader() (func(r *BitReader) (uint64, error), error) {
-	switch c.Residuals {
-	case GammaCode:
-		return func(r *BitReader) (uint64, error) { return r.ReadGamma0() }, nil
-	case ZetaCode:
-		k := c.ZetaK
-		if k == 0 {
-			k = DefaultZetaK
-		}
-		return func(r *BitReader) (uint64, error) { return r.ReadZeta0(k) }, nil
-	default:
-		return nil, fmt.Errorf("graphcomp: unknown residual code %d", int(c.Residuals))
-	}
-}
-
 // Encoded is a compressed block of adjacency lists.
 type Encoded struct {
 	// Bits is the compressed stream.
@@ -80,9 +61,6 @@ type Encoded struct {
 	Cost float64
 }
 
-// CompressedBits returns the compressed size in bits.
-func (e *Encoded) CompressedBits() int { return e.BitLen }
-
 // RawBits returns the uncompressed baseline: 32 bits per vertex ID and
 // per edge endpoint, the natural array-of-adjacency representation.
 func RawBits(ids []uint32, lists [][]uint32) int {
@@ -91,14 +69,6 @@ func RawBits(ids []uint32, lists [][]uint32) int {
 		n += 32 * (len(l) + 1) // degree word + endpoints
 	}
 	return n
-}
-
-// Ratio returns raw/compressed.
-func Ratio(raw, compressed int) float64 {
-	if compressed == 0 {
-		return 0
-	}
-	return float64(raw) / float64(compressed)
 }
 
 // Encode compresses the given adjacency lists (with their vertex IDs)
@@ -214,122 +184,4 @@ func copyBits(dst, src *BitWriter) {
 		b := uint(src.buf[i>>3]>>(7-uint(i&7))) & 1
 		dst.WriteBit(b)
 	}
-}
-
-// Decode reverses Encode, returning vertex IDs and adjacency lists.
-func Decode(enc *Encoded, cfg Config) ([]uint32, [][]uint32, error) {
-	readNat, err := cfg.residualReader()
-	if err != nil {
-		return nil, nil, err
-	}
-	r := NewBitReader(enc.Bits)
-	ids := make([]uint32, 0, enc.NumLists)
-	lists := make([][]uint32, 0, enc.NumLists)
-	prevID := int64(0)
-	for i := 0; i < enc.NumLists; i++ {
-		dz, err := r.ReadGamma0()
-		if err != nil {
-			return nil, nil, fmt.Errorf("graphcomp: list %d id: %w", i, err)
-		}
-		vid := prevID + UnZigZag(dz)
-		prevID = vid
-		if vid < 0 {
-			return nil, nil, fmt.Errorf("graphcomp: list %d negative id", i)
-		}
-		deg, err := r.ReadGamma0()
-		if err != nil {
-			return nil, nil, fmt.Errorf("graphcomp: list %d degree: %w", i, err)
-		}
-		if deg == 0 {
-			ids = append(ids, uint32(vid))
-			lists = append(lists, nil)
-			continue
-		}
-		ref, err := r.ReadGamma0()
-		if err != nil {
-			return nil, nil, fmt.Errorf("graphcomp: list %d ref: %w", i, err)
-		}
-		var copied []uint32
-		if ref > 0 {
-			if int(ref) > i {
-				return nil, nil, fmt.Errorf("graphcomp: list %d references %d back", i, ref)
-			}
-			refList := lists[i-int(ref)]
-			nRuns, err := r.ReadGamma0()
-			if err != nil {
-				return nil, nil, err
-			}
-			pos := 0
-			copying := true
-			for k := uint64(0); k < nRuns; k++ {
-				runLen, err := r.ReadGamma0()
-				if err != nil {
-					return nil, nil, err
-				}
-				if copying {
-					for j := uint64(0); j < runLen; j++ {
-						if pos >= len(refList) {
-							return nil, nil, errors.New("graphcomp: copy run past reference")
-						}
-						copied = append(copied, refList[pos])
-						pos++
-					}
-				} else {
-					pos += int(runLen)
-				}
-				copying = !copying
-			}
-			if pos != len(refList) {
-				return nil, nil, errors.New("graphcomp: runs do not cover reference")
-			}
-		}
-		nResid, err := r.ReadGamma0()
-		if err != nil {
-			return nil, nil, err
-		}
-		resid := make([]uint32, nResid)
-		prev := vid
-		for k := range resid {
-			g, err := readNat(r)
-			if err != nil {
-				return nil, nil, err
-			}
-			var u int64
-			if k == 0 {
-				u = prev + UnZigZag(g)
-			} else {
-				u = prev + int64(g) + 1
-			}
-			if u < 0 {
-				return nil, nil, errors.New("graphcomp: negative neighbor")
-			}
-			resid[k] = uint32(u)
-			prev = u
-		}
-		list := mergeSorted(copied, resid)
-		if uint64(len(list)) != deg {
-			return nil, nil, fmt.Errorf("graphcomp: list %d decoded %d of %d neighbors", i, len(list), deg)
-		}
-		ids = append(ids, uint32(vid))
-		lists = append(lists, list)
-	}
-	return ids, lists, nil
-}
-
-// mergeSorted merges two ascending disjoint lists.
-func mergeSorted(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

@@ -1,7 +1,5 @@
 package graphcomp
 
-import "fmt"
-
 // ζ_k codes (Boldi & Vigna, "Codes for the World-Wide Web", 2004) are
 // the codes the webgraph framework actually uses for residual gaps:
 // they are optimal for power-law-distributed values with exponent
@@ -21,27 +19,6 @@ func (w *BitWriter) WriteMinimalBinary(m, r uint64) {
 	} else {
 		w.WriteBits(m+cut, int(b))
 	}
-}
-
-// ReadMinimalBinary reads a truncated-binary value in [0, r).
-func (r *BitReader) ReadMinimalBinary(rng uint64) (uint64, error) {
-	if rng <= 1 {
-		return 0, nil
-	}
-	b := bitsLen(rng - 1)
-	cut := uint64(1)<<b - rng
-	hi, err := r.ReadBits(int(b) - 1)
-	if err != nil {
-		return 0, err
-	}
-	if hi < cut {
-		return hi, nil
-	}
-	low, err := r.ReadBit()
-	if err != nil {
-		return 0, err
-	}
-	return (hi<<1 | uint64(low)) - cut, nil
 }
 
 // bitsLen returns the number of bits needed to represent v (≥1 for v>0).
@@ -73,35 +50,5 @@ func (w *BitWriter) WriteZeta(k uint, v uint64) {
 	w.WriteMinimalBinary(v-lo, hi-lo)
 }
 
-// ReadZeta reads one ζ_k code.
-func (r *BitReader) ReadZeta(k uint) (uint64, error) {
-	if k == 0 {
-		return 0, fmt.Errorf("graphcomp: ζ k must be ≥ 1")
-	}
-	h, err := r.ReadUnary()
-	if err != nil {
-		return 0, err
-	}
-	if h*uint64(k) > 62 {
-		return 0, fmt.Errorf("graphcomp: ζ magnitude overflow (h=%d)", h)
-	}
-	lo := uint64(1) << (uint(h) * k)
-	hi := uint64(1) << ((uint(h) + 1) * k)
-	m, err := r.ReadMinimalBinary(hi - lo)
-	if err != nil {
-		return 0, err
-	}
-	return lo + m, nil
-}
-
 // WriteZeta0 extends ζ_k to v ≥ 0.
 func (w *BitWriter) WriteZeta0(k uint, v uint64) { w.WriteZeta(k, v+1) }
-
-// ReadZeta0 reads one ζ_k₀ code.
-func (r *BitReader) ReadZeta0(k uint) (uint64, error) {
-	v, err := r.ReadZeta(k)
-	if err != nil {
-		return 0, err
-	}
-	return v - 1, nil
-}

@@ -129,7 +129,7 @@ func TestEncodeDecodeWithZetaResiduals(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ids, lists := randomLists(rng, 150, 12, 100000, 0.6)
 	for _, cfg := range []Config{
-		{Window: DefaultWindow, Residuals: ZetaCode},
+		{Window: testWindow, Residuals: ZetaCode},
 		{Window: 0, Residuals: ZetaCode, ZetaK: 5},
 		{Window: 3, Residuals: ZetaCode, ZetaK: 1},
 	} {
@@ -193,11 +193,11 @@ func TestZetaImprovesWebgraphRatio(t *testing.T) {
 	// worse than γ overall (webgraph's reason for defaulting to ζ).
 	rng := rand.New(rand.NewSource(31))
 	ids, lists := randomLists(rng, 400, 25, 5_000_000, 0.7)
-	encG, err := Encode(ids, lists, Config{Window: DefaultWindow})
+	encG, err := Encode(ids, lists, Config{Window: testWindow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	encZ, err := Encode(ids, lists, Config{Window: DefaultWindow, Residuals: ZetaCode})
+	encZ, err := Encode(ids, lists, Config{Window: testWindow, Residuals: ZetaCode})
 	if err != nil {
 		t.Fatal(err)
 	}

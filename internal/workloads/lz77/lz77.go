@@ -1,14 +1,14 @@
-// Package lz77 is a from-scratch sliding-window LZ77 codec (Ziv &
+// Package lz77 is a from-scratch sliding-window LZ77 compressor (Ziv &
 // Lempel, 1977/78 family) with hash-chain match finding — the second
 // compression workload of paper §V-C2 (Tables II and III). The token
 // stream is byte-aligned: literal runs and (length, distance) matches
-// framed with uvarints, so the codec is self-contained and
-// deterministic, and the decoder validates every reference.
+// framed with uvarints, so the stream is self-contained and
+// deterministic. The decompressor, which validates every reference,
+// is the tests' round-trip oracle (decompress_test.go).
 package lz77
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -40,14 +40,6 @@ type Encoded struct {
 	Cost float64
 	// Matches counts emitted back-references.
 	Matches int
-}
-
-// Ratio returns original size / compressed size.
-func (e *Encoded) Ratio() float64 {
-	if len(e.Data) == 0 {
-		return 0
-	}
-	return float64(e.RawLen) / float64(len(e.Data))
 }
 
 // hash4 mixes 4 bytes into a hashBits-bit table index.
@@ -144,54 +136,4 @@ func matchLen(data []byte, a, b int) int {
 		n++
 	}
 	return n
-}
-
-// ErrCorrupt reports a malformed token stream.
-var ErrCorrupt = errors.New("lz77: corrupt stream")
-
-// Decompress decodes a token stream produced by Compress.
-func Decompress(data []byte) ([]byte, error) {
-	var out []byte
-	pos := 0
-	for pos < len(data) {
-		tag := data[pos]
-		pos++
-		switch tag {
-		case 0x00:
-			n, k := binary.Uvarint(data[pos:])
-			if k <= 0 || n == 0 {
-				return nil, fmt.Errorf("%w: bad literal run header", ErrCorrupt)
-			}
-			pos += k
-			if pos+int(n) > len(data) {
-				return nil, fmt.Errorf("%w: literal run past end", ErrCorrupt)
-			}
-			out = append(out, data[pos:pos+int(n)]...)
-			pos += int(n)
-		case 0x01:
-			l, k := binary.Uvarint(data[pos:])
-			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad match length", ErrCorrupt)
-			}
-			pos += k
-			d, k2 := binary.Uvarint(data[pos:])
-			if k2 <= 0 {
-				return nil, fmt.Errorf("%w: bad match distance", ErrCorrupt)
-			}
-			pos += k2
-			if d == 0 || int(d) > len(out) {
-				return nil, fmt.Errorf("%w: distance %d with %d bytes output", ErrCorrupt, d, len(out))
-			}
-			if l == 0 || l > maxMatch {
-				return nil, fmt.Errorf("%w: match length %d", ErrCorrupt, l)
-			}
-			start := len(out) - int(d)
-			for i := 0; i < int(l); i++ {
-				out = append(out, out[start+i])
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown tag %#x", ErrCorrupt, tag)
-		}
-	}
-	return out, nil
 }

@@ -46,16 +46,6 @@ func (p Pattern) Key() string {
 	return string(b)
 }
 
-// ParsePatternKey decodes a canonical pattern key.
-func ParsePatternKey(k string) Pattern {
-	p := make(Pattern, len(k)/8)
-	for i := range p {
-		p[i].Depth = int32(binary.LittleEndian.Uint32([]byte(k[8*i : 8*i+4])))
-		p[i].Label = binary.LittleEndian.Uint32([]byte(k[8*i+4 : 8*i+8]))
-	}
-	return p
-}
-
 // Validate checks preorder depth consistency.
 func (p Pattern) Validate() error {
 	if len(p) == 0 {
@@ -113,14 +103,6 @@ func (f *Forest) Len() int { return len(f.Trees) }
 type occurrence struct {
 	tree int32
 	node int32
-}
-
-// ancestor walks up k levels from v.
-func (f *Forest) ancestor(tree, v, k int32) int32 {
-	for ; k > 0; k-- {
-		v = f.Trees[tree].Parent[v]
-	}
-	return v
 }
 
 // FreqPattern is one frequent pattern with its support.

@@ -1,6 +1,7 @@
 package treemine
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestMineTinyExample(t *testing.T) {
 	}
 	for k, sup := range wantSup {
 		if got[k] != sup {
-			t.Errorf("pattern %v support %d, want %d", ParsePatternKey(k), got[k], sup)
+			t.Errorf("pattern key %x support %d, want %d", k, got[k], sup)
 		}
 	}
 }
@@ -291,13 +292,15 @@ func TestPatternValidate(t *testing.T) {
 
 func TestPatternKeyRoundtrip(t *testing.T) {
 	p := Pattern{{0, 7}, {1, 9}, {2, 11}, {1, 7}}
-	back := ParsePatternKey(p.Key())
-	if len(back) != len(p) {
-		t.Fatal("length changed")
+	k := p.Key()
+	if len(k) != 8*len(p) {
+		t.Fatalf("key of %d nodes is %d bytes", len(p), len(k))
 	}
 	for i := range p {
-		if back[i] != p[i] {
-			t.Errorf("node %d: %v vs %v", i, back[i], p[i])
+		depth := int32(binary.LittleEndian.Uint32([]byte(k[8*i:])))
+		label := binary.LittleEndian.Uint32([]byte(k[8*i+4:]))
+		if depth != p[i].Depth || label != p[i].Label {
+			t.Errorf("node %d decodes to (%d, %d), want %v", i, depth, label, p[i])
 		}
 	}
 }
