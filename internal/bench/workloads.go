@@ -246,20 +246,7 @@ func (w *TreeMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 	if err != nil {
 		return nil, nil, err
 	}
-	seen := map[string]bool{}
-	var cands []treemine.Pattern
-	for _, l := range locals {
-		if l == nil {
-			continue
-		}
-		for _, fp := range l.Local {
-			k := fp.Pattern.Key()
-			if !seen[k] {
-				seen[k] = true
-				cands = append(cands, fp.Pattern)
-			}
-		}
-	}
+	cands := treemine.GlobalCandidates(locals)
 	counts := make([][]int, p)
 	phase2 := make([]cluster.Task, p)
 	for j := 0; j < p; j++ {
@@ -272,18 +259,9 @@ func (w *TreeMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 			if err != nil {
 				return 0, err
 			}
-			c := make([]int, len(cands))
-			var cost float64
-			for ci, pat := range cands {
-				sup, w2, err := treemine.CountSupport(f, pat)
-				if err != nil {
-					return 0, err
-				}
-				c[ci] = sup
-				cost += w2
-			}
+			c, cost, err := treemine.CountPass(f, cands)
 			counts[j] = c
-			return cost, nil
+			return cost, err
 		}
 	}
 	res2, err := cl.Run(offset+res1.Makespan, phase2)

@@ -74,6 +74,11 @@ func TestPipelineSpans(t *testing.T) {
 	if plan.CorpusWeight <= 0 {
 		t.Errorf("corpus weight = %d, want > 0", plan.CorpusWeight)
 	}
+	// Stratify is most of a plan's wall time: its workers' busy time
+	// must reach the stage, or busy ÷ wall is computed without it.
+	if st := plan.Stages[1]; st.Name != "stratify" || st.ParallelMs <= 0 {
+		t.Errorf("stratify stage reports no parallel busy time: %+v", st)
+	}
 	sum, err := plan.Summary()
 	if err != nil {
 		t.Fatal(err)

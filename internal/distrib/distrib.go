@@ -490,6 +490,7 @@ func runCoordinator(master kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hash
 	stats.Iterations = res.Iterations
 	stats.Converged = res.Converged
 	stats.Iters = res.IterStats
+	stats.Busy = res.Busy
 	for _, it := range res.IterStats {
 		stats.MovedTotal += it.Moved
 	}

@@ -10,7 +10,7 @@
 //   - Trees are stored as their parent array and label array (the
 //     record AppendRecord writes; nodes are in topological order, so
 //     the parent array alone fixes the shape). Tree.Pivots walks the
-//     children lists that array implies: for every node a and every
+//     sibling order that array implies: for every node a and every
 //     consecutive pair of its children (p, q), a is the least common
 //     ancestor of p and q, which gives the pivot (a, p, q) over node
 //     labels; parent–child edges are added so chains have pivots too.
@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"pareto/internal/parallel"
@@ -66,8 +67,9 @@ type Corpus interface {
 	Kind() Kind
 	// Len returns the number of records.
 	Len() int
-	// ItemSet returns the pivot set of record i. Callers must not
-	// modify the returned slice.
+	// ItemSet returns the pivot set of record i: duplicate-free and in
+	// ascending order, the same slice contents on every run. Callers
+	// must not modify the returned slice.
 	ItemSet(i int) []sketch.Item
 	// Weight returns the size proxy of record i (nodes for trees,
 	// out-degree+1 for graph vertices, tokens for documents).
@@ -117,45 +119,56 @@ func (t *Tree) Validate() error {
 // NumNodes returns the node count.
 func (t *Tree) NumNodes() int { return len(t.Parent) }
 
-// Children returns the children lists of every node.
-func (t *Tree) Children() [][]int32 {
-	ch := make([][]int32, len(t.Parent))
-	for i := 1; i < len(t.Parent); i++ {
-		p := t.Parent[i]
-		ch[p] = append(ch[p], int32(i))
-	}
-	return ch
-}
-
 // Pivots extracts the LCA pivot set of the tree (paper §III-C step 1).
 // For every internal node a and every consecutive pair of its children
 // (c₁, c₂), node a is the least common ancestor of c₁ and c₂, yielding
 // the pivot (label(a), label(c₁), label(c₂)). Parent–child edges are
 // included as binary pivots so that path content is represented even in
 // chains, where no branching LCA pivots exist. The result is a set of
-// hashed items; duplicates are removed.
+// hashed items in ascending order, duplicates removed.
 func (t *Tree) Pivots() []sketch.Item {
-	ch := t.Children()
-	set := make(map[sketch.Item]struct{}, len(t.Parent))
-	for a, kids := range ch {
-		la := uint64(t.Label[a])
-		for i := range kids {
-			lc := uint64(t.Label[kids[i]])
-			set[sketch.Hash2(la, lc)] = struct{}{}
-			if i+1 < len(kids) {
-				set[sketch.Hash3(la, lc, uint64(t.Label[kids[i+1]]))] = struct{}{}
-			}
+	var sc pivotScratch
+	return sc.pivots(t)
+}
+
+// pivotScratch is the reusable working memory of Tree.Pivots, so a
+// corpus build allocates one result per tree and nothing per node.
+type pivotScratch struct {
+	// last[a] is the latest child of node a met so far (0 = none: the
+	// root is nobody's child).
+	last  []int32
+	items []sketch.Item
+}
+
+// pivots computes t.Pivots() in the scratch and copies the set out.
+// Nodes are in topological order with siblings ascending, so one pass
+// over the parent array meets each node's children in sibling order:
+// the previous child of the same parent is the consecutive sibling.
+func (sc *pivotScratch) pivots(t *Tree) []sketch.Item {
+	n := len(t.Parent)
+	if cap(sc.last) < n {
+		sc.last = make([]int32, n)
+	}
+	last := sc.last[:n]
+	clear(last)
+	items := sc.items[:0]
+	for v := 1; v < n; v++ {
+		a := t.Parent[v]
+		la, lv := uint64(t.Label[a]), uint64(t.Label[v])
+		items = append(items, sketch.Hash2(la, lv))
+		if prev := last[a]; prev != 0 {
+			items = append(items, sketch.Hash3(la, uint64(t.Label[prev]), lv))
 		}
+		last[a] = int32(v)
 	}
-	if len(set) == 0 {
+	if len(items) == 0 {
 		// Single-node tree: its only content is the root label.
-		set[sketch.Hash2(uint64(t.Label[0]), ^uint64(0))] = struct{}{}
+		items = append(items, sketch.Hash2(uint64(t.Label[0]), ^uint64(0)))
 	}
-	out := make([]sketch.Item, 0, len(set))
-	for it := range set {
-		out = append(out, it)
-	}
-	return out
+	slices.Sort(items)
+	items = slices.Compact(items)
+	sc.items = items
+	return slices.Clone(items)
 }
 
 // TreeCorpus is a collection of trees with cached pivot sets.
@@ -178,11 +191,12 @@ func NewTreeCorpus(trees []Tree) (*TreeCorpus, error) {
 func NewTreeCorpusParallel(trees []Tree, workers int) (*TreeCorpus, error) {
 	c := &TreeCorpus{Trees: trees, items: make([][]sketch.Item, len(trees))}
 	_, err := parallel.ForErr(len(trees), workers, func(lo, hi int) error {
+		var sc pivotScratch
 		for i := lo; i < hi; i++ {
 			if err := trees[i].Validate(); err != nil {
 				return fmt.Errorf("tree %d: %w", i, err)
 			}
-			c.items[i] = trees[i].Pivots()
+			c.items[i] = sc.pivots(&trees[i])
 		}
 		return nil
 	})

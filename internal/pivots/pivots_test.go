@@ -1,7 +1,9 @@
 package pivots
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pareto/internal/sketch"
@@ -64,6 +66,94 @@ func TestTreePivotsSingleNode(t *testing.T) {
 	tr2 := Tree{Parent: []int32{-1}, Label: []uint32{8}}
 	if tr.Pivots()[0] == tr2.Pivots()[0] {
 		t.Error("single-node pivot must depend on label")
+	}
+}
+
+// referencePivots is the straightforward formulation of Tree.Pivots:
+// children lists, then a set.
+func referencePivots(t *Tree) map[sketch.Item]bool {
+	ch := make([][]int32, len(t.Parent))
+	for v := 1; v < len(t.Parent); v++ {
+		ch[t.Parent[v]] = append(ch[t.Parent[v]], int32(v))
+	}
+	set := map[sketch.Item]bool{}
+	for a, kids := range ch {
+		la := uint64(t.Label[a])
+		for i, c := range kids {
+			set[sketch.Hash2(la, uint64(t.Label[c]))] = true
+			if i+1 < len(kids) {
+				set[sketch.Hash3(la, uint64(t.Label[c]), uint64(t.Label[kids[i+1]]))] = true
+			}
+		}
+	}
+	if len(set) == 0 {
+		set[sketch.Hash2(uint64(t.Label[0]), ^uint64(0))] = true
+	}
+	return set
+}
+
+// TestTreePivotsOrderedAndEqualToReference: two calls on one tree
+// agree slice for slice (they did not while the set was a Go map), the
+// items ascend without duplicates, and the set is the reference's.
+func TestTreePivotsOrderedAndEqualToReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	trees := []Tree{{Parent: []int32{-1}, Label: []uint32{7}}}
+	for n := 2; n <= 40; n += 19 {
+		tr := Tree{Parent: make([]int32, n), Label: make([]uint32, n)}
+		tr.Parent[0] = -1
+		for v := range tr.Label {
+			if v > 0 {
+				tr.Parent[v] = int32(rng.Intn(v))
+			}
+			tr.Label[v] = uint32(rng.Intn(5)) // few labels: pivots repeat
+		}
+		trees = append(trees, tr)
+	}
+	for i := range trees {
+		tr := &trees[i]
+		got := tr.Pivots()
+		if again := tr.Pivots(); !slices.Equal(got, again) {
+			t.Fatalf("%d-node tree: two calls disagree:\n%v\n%v", len(tr.Parent), got, again)
+		}
+		for k := 1; k < len(got); k++ {
+			if got[k-1] >= got[k] {
+				t.Fatalf("%d-node tree: items not strictly ascending at %d", len(tr.Parent), k)
+			}
+		}
+		want := referencePivots(tr)
+		if len(got) != len(want) {
+			t.Fatalf("%d-node tree: %d pivots, reference has %d", len(tr.Parent), len(got), len(want))
+		}
+		for _, it := range got {
+			if !want[it] {
+				t.Fatalf("%d-node tree: pivot %d not in the reference set", len(tr.Parent), it)
+			}
+		}
+	}
+}
+
+// TestNewTreeCorpusAllocations: one pivot slice per tree, plus the
+// corpus, its table and the chunk's scratch (which grows a few times).
+func TestNewTreeCorpusAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	trees := make([]Tree, 500)
+	for i := range trees {
+		n := 1 + rng.Intn(30)
+		tr := Tree{Parent: make([]int32, n), Label: make([]uint32, n)}
+		tr.Parent[0] = -1
+		for v := 1; v < n; v++ {
+			tr.Parent[v] = int32(rng.Intn(v))
+			tr.Label[v] = uint32(rng.Intn(50))
+		}
+		trees[i] = tr
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewTreeCorpusParallel(trees, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(len(trees) + 16); allocs > limit {
+		t.Errorf("NewTreeCorpusParallel allocates %v objects for %d trees, want ≤ %v", allocs, len(trees), limit)
 	}
 }
 

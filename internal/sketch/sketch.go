@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"time"
 
 	"pareto/internal/parallel"
 )
@@ -163,8 +164,9 @@ func (h *Hasher) SketchInto(set []Item, dst Sketch) {
 // outputs, so the sketches are bit-identical at any worker count.
 //
 // workers ≤ 0 means GOMAXPROCS. set must be safe for concurrent calls
-// with distinct arguments (read-only corpora qualify).
-func (h *Hasher) SketchAll(n int, set func(i int) []Item, workers int) []Sketch {
+// with distinct arguments (read-only corpora qualify). The second
+// result is the summed busy time of the workers.
+func (h *Hasher) SketchAll(n int, set func(i int) []Item, workers int) ([]Sketch, time.Duration) {
 	k := len(h.perms)
 	out := make([]Sketch, n)
 	flat := make([]uint64, n*k)
@@ -173,12 +175,12 @@ func (h *Hasher) SketchAll(n int, set func(i int) []Item, workers int) []Sketch 
 		// bleeding into its neighbor's coordinates.
 		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
-	parallel.For(n, workers, func(lo, hi int) {
+	busy := parallel.For(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			h.SketchInto(set(i), out[i])
 		}
 	})
-	return out
+	return out, busy
 }
 
 // ExactJaccard computes |a∩b| / |a∪b| exactly. Inputs need not be

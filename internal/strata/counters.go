@@ -37,16 +37,25 @@ func (f *freqCounters) count(stratum, attr int, v uint64) int {
 
 // add folds one member sketch into stratum's counters.
 func (f *freqCounters) add(s sketch.Sketch, stratum int) {
+	f.addAttrs(s, stratum, 0, f.width)
+}
+
+// addAttrs is add restricted to attributes [lo, hi). The maps of
+// disjoint attribute ranges are disjoint, so goroutines that each own a
+// range may fold the same records concurrently without locks.
+func (f *freqCounters) addAttrs(s sketch.Sketch, stratum, lo, hi int) {
 	base := stratum * f.width
-	for a, v := range s {
-		f.counts[base+a][v]++
+	for a := lo; a < hi; a++ {
+		f.counts[base+a][s[a]]++
 	}
 }
 
-// move applies one membership change (old → now) as a delta.
-func (f *freqCounters) move(s sketch.Sketch, old, now int) {
+// moveAttrs applies one membership change (old → now) as a delta on
+// attributes [lo, hi).
+func (f *freqCounters) moveAttrs(s sketch.Sketch, old, now, lo, hi int) {
 	oldBase, newBase := old*f.width, now*f.width
-	for a, v := range s {
+	for a := lo; a < hi; a++ {
+		v := s[a]
 		oc := f.counts[oldBase+a]
 		if oc[v] == 1 {
 			delete(oc, v)
@@ -66,17 +75,30 @@ func (f *freqCounters) clearStratum(stratum int) {
 	}
 }
 
-// modeCenter builds stratum's composite center from its counters: per
-// attribute, the top-l values (count desc, value asc). One arena backs
-// all candidate rows; the full slice expressions keep rows from
-// aliasing each other. sel is the caller's selection scratch.
-func (f *freqCounters) modeCenter(stratum, l int, sel *[]valCount) Center {
-	vals := make([][]uint64, f.width)
-	arena := make([]uint64, 0, f.width*l)
+// blankCenter allocates a center with empty attribute rows, each with
+// room for l values. One arena backs all rows; the full slice
+// expressions keep rows from aliasing each other.
+func blankCenter(width, l int) Center {
+	vals := make([][]uint64, width)
+	arena := make([]uint64, width*l)
 	for a := range vals {
-		lo := len(arena)
-		arena = appendTopL(arena, f.row(stratum, a), l, sel)
-		vals[a] = arena[lo:len(arena):len(arena)]
+		vals[a] = arena[a*l : a*l : (a+1)*l]
 	}
 	return Center{Values: vals}
+}
+
+// fillMode sets rows [lo, hi) of the blank center c to stratum's top-l
+// values per attribute (count desc, value asc). sel is the caller's
+// selection scratch.
+func (f *freqCounters) fillMode(c Center, stratum, l, lo, hi int, sel *[]valCount) {
+	for a := lo; a < hi; a++ {
+		c.Values[a] = appendTopL(c.Values[a], f.row(stratum, a), l, sel)
+	}
+}
+
+// modeCenter builds stratum's composite center from its counters.
+func (f *freqCounters) modeCenter(stratum, l int, sel *[]valCount) Center {
+	c := blankCenter(f.width, l)
+	f.fillMode(c, stratum, l, 0, f.width, sel)
+	return c
 }

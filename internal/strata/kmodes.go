@@ -34,6 +34,7 @@
 //     frequency counters persist across iterations and only the
 //     records that changed stratum this round are applied as deltas;
 //     top-L is recomputed only for strata whose membership changed.
+//     The same workers run the update, each on its own attribute range.
 package strata
 
 import (
@@ -109,6 +110,10 @@ type Result struct {
 	Cost int64
 	// IterStats profiles each executed round.
 	IterStats []IterStat
+	// Busy is the summed busy time of the workers over every assignment
+	// round and center update: Busy ÷ (workers × wall) is the share of
+	// the cores the clustering kept busy.
+	Busy time.Duration
 }
 
 // K returns the number of strata.
@@ -185,6 +190,9 @@ func Cluster(sketches []sketch.Sketch, cfg Config) (*Result, error) {
 		res.IterStats = append(res.IterStats, stat)
 	}
 
+	for _, d := range st.pool.busy {
+		res.Busy += d
+	}
 	res.Assign = assign
 	res.Centers = centers
 	res.Members = make([][]int, k)
@@ -245,8 +253,6 @@ type clusterState struct {
 	// fresh is true until the first updateCenters call, which builds
 	// the counters from scratch.
 	fresh bool
-	// sel is the reusable top-L selection scratch.
-	sel []valCount
 
 	pool *assignPool
 }
@@ -310,7 +316,7 @@ func (st *clusterState) assignAll(centers []Center, assign []int) (changed bool,
 	st.loadCenters(centers)
 	p := st.pool
 	p.assign = assign
-	p.run()
+	p.run(assignRound)
 	for w := 0; w < p.workers; w++ {
 		cost += p.cost[w]
 		moved += len(p.moved[w])
@@ -423,31 +429,57 @@ func (st *clusterState) nearestMask(s sketch.Sketch, matchCounts []int) (best, b
 // counters are identical, and top-L selection is a pure deterministic
 // function of the counters (count desc, value asc), so the rebuild
 // would produce the same values.
+//
+// The counters are k×width independent maps and a center row depends on
+// one of them, so the work splits by attribute: each pool worker folds
+// the round's records into, and rebuilds the dirty rows of, its own
+// contiguous attribute range. No two workers touch one map, and the
+// centers are the same at every worker count.
 func (st *clusterState) updateCenters(centers []Center, assign []int) {
+	p := st.pool
 	if st.fresh {
-		st.fresh = false
-		for i, s := range st.sketches {
-			st.counters.add(s, assign[i])
-		}
 		for c := range st.dirty {
 			st.dirty[c] = true
 		}
 	} else {
-		for w := 0; w < st.pool.workers; w++ {
-			for _, m := range st.pool.moved[w] {
-				now := assign[m.idx]
-				st.counters.move(st.sketches[m.idx], m.old, now)
+		for w := 0; w < p.workers; w++ {
+			for _, m := range p.moved[w] {
 				st.dirty[m.old] = true
-				st.dirty[now] = true
+				st.dirty[assign[m.idx]] = true
 			}
 		}
 	}
-	for c := 0; c < st.k; c++ {
-		if !st.dirty[c] {
-			continue
+	for c, dirty := range st.dirty {
+		if dirty {
+			centers[c] = blankCenter(st.width, st.l)
 		}
-		st.dirty[c] = false
-		centers[c] = st.counters.modeCenter(c, st.l, &st.sel)
+	}
+	p.centers = centers
+	p.run(updateRound)
+	st.fresh = false
+	clear(st.dirty)
+}
+
+// updateAttrs is updateCenters' work on attributes [lo, hi): fold the
+// round's records into the counters, then rebuild those rows of every
+// dirty stratum's (blank) center.
+func (st *clusterState) updateAttrs(lo, hi int, sel *[]valCount) {
+	p := st.pool
+	if st.fresh {
+		for i, s := range st.sketches {
+			st.counters.addAttrs(s, p.assign[i], lo, hi)
+		}
+	} else {
+		for w := 0; w < p.workers; w++ {
+			for _, m := range p.moved[w] {
+				st.counters.moveAttrs(st.sketches[m.idx], m.old, p.assign[m.idx], lo, hi)
+			}
+		}
+	}
+	for c, dirty := range st.dirty {
+		if dirty {
+			st.counters.fillMode(p.centers[c], c, st.l, lo, hi, sel)
+		}
 	}
 }
 
@@ -457,26 +489,42 @@ type movedRec struct {
 	old int
 }
 
-// assignPool is a persistent worker pool for the assignment step: one
-// goroutine per worker, woken through a per-worker channel each round
-// and joined through a WaitGroup, so iterations reuse goroutines and
-// per-worker scratch instead of reallocating both every round. The
-// coordinator's writes (loadCenters, p.assign) happen before the
-// channel sends and the workers' result writes happen before wg.Done,
-// so rounds are totally ordered without locks.
+// roundKind selects what a pool round does.
+type roundKind int
+
+const (
+	// assignRound assigns the worker's record range to nearest centers.
+	assignRound roundKind = iota
+	// updateRound runs updateAttrs on the worker's attribute range.
+	updateRound
+)
+
+// assignPool is a persistent worker pool for the assign/update loop:
+// one goroutine per worker, woken through a per-worker channel each
+// round and joined through a WaitGroup, so iterations reuse goroutines
+// and per-worker scratch instead of reallocating both every round. The
+// coordinator's writes (loadCenters, p.assign, p.centers, dirty marks)
+// happen before the channel sends and the workers' result writes happen
+// before wg.Done, so rounds are totally ordered without locks.
 type assignPool struct {
 	st      *clusterState
 	workers int
-	ranges  [][2]int
-	start   []chan struct{}
-	wg      sync.WaitGroup
+	// ranges[w] is worker w's record range in an assignment round,
+	// attrs[w] its attribute range in an update round.
+	ranges [][2]int
+	attrs  [][2]int
+	start  []chan roundKind
+	wg     sync.WaitGroup
 
-	assign []int
+	assign  []int
+	centers []Center
 
 	// Per-worker round results and reusable scratch.
 	cost        []int64
 	moved       [][]movedRec
 	matchCounts [][]int
+	sel         [][]valCount
+	busy        []time.Duration
 }
 
 func newAssignPool(st *clusterState, n, workers int) *assignPool {
@@ -490,10 +538,13 @@ func newAssignPool(st *clusterState, n, workers int) *assignPool {
 		st:          st,
 		workers:     workers,
 		ranges:      make([][2]int, workers),
-		start:       make([]chan struct{}, workers),
+		attrs:       make([][2]int, workers),
+		start:       make([]chan roundKind, workers),
 		cost:        make([]int64, workers),
 		moved:       make([][]movedRec, workers),
 		matchCounts: make([][]int, workers),
+		sel:         make([][]valCount, workers),
+		busy:        make([]time.Duration, workers),
 	}
 	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -505,7 +556,8 @@ func newAssignPool(st *clusterState, n, workers int) *assignPool {
 			lo = hi
 		}
 		p.ranges[w] = [2]int{lo, hi}
-		p.start[w] = make(chan struct{})
+		p.attrs[w] = [2]int{w * st.width / workers, (w + 1) * st.width / workers}
+		p.start[w] = make(chan roundKind)
 		if st.useMask {
 			p.matchCounts[w] = make([]int, st.k)
 		}
@@ -514,12 +566,12 @@ func newAssignPool(st *clusterState, n, workers int) *assignPool {
 	return p
 }
 
-// run executes one assignment round across all workers and blocks until
-// every range is processed.
-func (p *assignPool) run() {
+// run executes one round of the given kind across all workers and
+// blocks until every range is processed.
+func (p *assignPool) run(kind roundKind) {
 	p.wg.Add(p.workers)
 	for w := 0; w < p.workers; w++ {
-		p.start[w] <- struct{}{}
+		p.start[w] <- kind
 	}
 	p.wg.Wait()
 }
@@ -533,8 +585,14 @@ func (p *assignPool) close() {
 
 // serve is the long-lived loop of worker w.
 func (p *assignPool) serve(w int) {
-	for range p.start[w] {
-		p.round(w)
+	for kind := range p.start[w] {
+		t0 := time.Now()
+		if kind == assignRound {
+			p.round(w)
+		} else {
+			p.st.updateAttrs(p.attrs[w][0], p.attrs[w][1], &p.sel[w])
+		}
+		p.busy[w] += time.Since(t0)
 		p.wg.Done()
 	}
 }

@@ -121,6 +121,45 @@ func TestClusterParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestClusterSameAtEveryWorkerCount: the center update is split by
+// attribute across the pool (10 attributes over 4 and 7 workers leave
+// uneven and empty ranges), and the clustering must not depend on it,
+// on a large input and on one of the size the online replanner
+// re-clusters.
+func TestClusterSameAtEveryWorkerCount(t *testing.T) {
+	for _, n := range []int{2000, 60} {
+		sketches := lowUniverseSketches(n, 10, 6, int64(n))
+		cfg := Config{K: 12, L: 2, Seed: 5, Workers: 1}
+		want, err := Cluster(sketches, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Iterations < 3 {
+			t.Fatalf("n=%d: only %d rounds, the delta update is not exercised", n, want.Iterations)
+		}
+		for _, workers := range []int{2, 4, 7} {
+			cfg.Workers = workers
+			got, err := Cluster(sketches, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Assign, want.Assign) || !reflect.DeepEqual(got.Centers, want.Centers) ||
+				got.Cost != want.Cost || got.Iterations != want.Iterations {
+				t.Errorf("n=%d workers=%d: clustering differs from one worker's", n, workers)
+			}
+			for i := range want.IterStats {
+				if got.IterStats[i].Moved != want.IterStats[i].Moved {
+					t.Errorf("n=%d workers=%d: round %d moved %d records, want %d",
+						n, workers, i, got.IterStats[i].Moved, want.IterStats[i].Moved)
+				}
+			}
+			if got.Busy <= 0 {
+				t.Errorf("n=%d workers=%d: no busy time reported", n, workers)
+			}
+		}
+	}
+}
+
 func TestClusterKCappedAtN(t *testing.T) {
 	sketches := []sketch.Sketch{{1, 2}, {3, 4}}
 	res, err := Cluster(sketches, Config{K: 10, L: 1, Seed: 1})

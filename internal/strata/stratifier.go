@@ -42,6 +42,13 @@ type StratifyStats struct {
 	Iters []IterStat
 	// MovedTotal sums moved-record counts over all rounds.
 	MovedTotal int
+	// Busy is the summed busy time of the workers inside the parallel
+	// sections: bulk sketching plus Result.Busy (assignment rounds and
+	// center updates). A distributed stratification reports only the
+	// coordinator's clustering here — the workers' sketching runs in
+	// other processes — so there it is read against ClusterTime, not
+	// against the whole stratification's wall time.
+	Busy time.Duration
 
 	// FailedAttempts counts earlier stratification attempts whose work
 	// preceded this one — e.g. a distributed run that failed and
@@ -93,7 +100,7 @@ func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 	}
 	var stats StratifyStats
 	start := time.Now()
-	sketches := SketchCorpus(c, hasher, cfg.Cluster.Workers)
+	sketches, sketchBusy := hasher.SketchAll(n, c.ItemSet, cfg.Cluster.Workers)
 	stats.SketchTime = time.Since(start)
 	start = time.Now()
 	res, err := Cluster(sketches, cfg.Cluster)
@@ -104,6 +111,7 @@ func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 	stats.Iterations = res.Iterations
 	stats.Converged = res.Converged
 	stats.Iters = res.IterStats
+	stats.Busy = sketchBusy + res.Busy
 	for _, it := range res.IterStats {
 		stats.MovedTotal += it.Moved
 	}
@@ -120,5 +128,6 @@ func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 // sketch path: all sketches share one flat backing allocation and are
 // filled in parallel in corpus order. workers ≤ 0 means GOMAXPROCS.
 func SketchCorpus(c pivots.Corpus, h *sketch.Hasher, workers int) []sketch.Sketch {
-	return h.SketchAll(c.Len(), c.ItemSet, workers)
+	sketches, _ := h.SketchAll(c.Len(), c.ItemSet, workers)
+	return sketches
 }

@@ -145,7 +145,7 @@ func TestStratifyStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats
-	if st.SketchTime <= 0 || st.ClusterTime <= 0 {
+	if st.SketchTime <= 0 || st.ClusterTime <= 0 || st.Busy <= 0 {
 		t.Errorf("stage times not recorded: %+v", st)
 	}
 	if st.Iterations != s.Iterations || st.Converged != s.Converged {

@@ -184,35 +184,74 @@ func allSubsetsFrequent(cand []uint32, freq map[string]bool) bool {
 // CountCandidates counts, for every candidate k-itemset, the number of
 // transactions containing it. It returns the counts (aligned with
 // cands) and the deterministic work cost: one unit per
-// candidate-transaction containment test step.
+// candidate-transaction containment test step. Transactions need not be
+// sorted; one that repeats an item tests the candidates starting with
+// it once per repeat.
 func CountCandidates(txns []Transaction, cands [][]uint32, k int) ([]int, float64) {
 	counts := make([]int, len(cands))
 	if len(cands) == 0 {
 		return counts, 0
 	}
-	// Index candidates by first item to skip impossible tests.
-	byFirst := make(map[uint32][]int)
+	// Number the items the candidates name 0, 1, 2, … and restate the
+	// candidates in those numbers, cands[i] at flat[at[i]:at[i+1]]. No
+	// other item can start a candidate or be asked after, so the
+	// per-transaction work below is array reads on numbered items.
+	id := make(map[uint32]int32)
+	at := make([]int32, len(cands)+1)
 	for i, c := range cands {
-		byFirst[c[0]] = append(byFirst[c[0]], i)
+		at[i+1] = at[i] + int32(len(c))
 	}
+	flat := make([]int32, 0, at[len(cands)])
+	for _, c := range cands {
+		for _, it := range c {
+			d, ok := id[it]
+			if !ok {
+				d = int32(len(id))
+				id[it] = d
+			}
+			flat = append(flat, d)
+		}
+	}
+	// Index candidates by first item to skip impossible tests: those
+	// starting with item d are byFirst[firstAt[d]:firstAt[d+1]].
+	firstAt := make([]int32, len(id)+2)
+	for i := range cands {
+		firstAt[flat[at[i]]+2]++
+	}
+	for d := 2; d < len(firstAt); d++ {
+		firstAt[d] += firstAt[d-1]
+	}
+	byFirst := make([]int32, len(cands))
+	for i := range cands {
+		d := flat[at[i]]
+		byFirst[firstAt[d+1]] = int32(i)
+		firstAt[d+1]++
+	}
+	// inTxn[d] == ti+1 says transaction ti holds item d; stamping with
+	// the transaction number clears the set between transactions.
+	inTxn := make([]int, len(id))
+	var held []int32
 	var cost float64
-	for _, t := range txns {
+	for ti, t := range txns {
 		if len(t) < k {
 			cost++
 			continue
 		}
-		inTxn := make(map[uint32]bool, len(t))
+		held = held[:0]
 		for _, it := range t {
-			inTxn[it] = true
+			if d, ok := id[it]; ok {
+				inTxn[d] = ti + 1
+				held = append(held, d)
+			}
 		}
 		cost += float64(len(t))
-		for _, first := range t {
-			for _, ci := range byFirst[first] {
-				cand := cands[ci]
+		for _, first := range held {
+			for _, ci := range byFirst[firstAt[first]:firstAt[first+1]] {
+				cand := flat[at[ci]:at[ci+1]]
 				cost += float64(len(cand))
 				ok := true
-				for _, it := range cand[1:] {
-					if !inTxn[it] {
+				for _, d := range cand[1:] {
+					if inTxn[d] != ti+1 {
 						ok = false
 						break
 					}

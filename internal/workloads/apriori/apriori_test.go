@@ -330,6 +330,83 @@ func TestCostDeterminism(t *testing.T) {
 	}
 }
 
+// countCandidatesCases are inputs CountCandidates accepts although Mine
+// never produces them: unsorted transactions, transactions that repeat
+// an item (each repeat of a candidate's first item tests the candidate
+// again), candidates naming items no transaction holds, and a large
+// item id.
+func countCandidatesCases() []struct {
+	name  string
+	txns  []Transaction
+	cands [][]uint32
+	k     int
+} {
+	rng := rand.New(rand.NewSource(19))
+	var noisy []Transaction
+	for i := 0; i < 300; i++ {
+		t := make(Transaction, 1+rng.Intn(9))
+		for j := range t {
+			t[j] = uint32(rng.Intn(12)) // unsorted, with repeats
+		}
+		noisy = append(noisy, t)
+	}
+	var triples [][]uint32
+	for a := uint32(0); a < 12; a += 2 {
+		for b := a + 1; b < 12; b += 3 {
+			triples = append(triples, []uint32{a, b, (a + b) % 12})
+		}
+	}
+	return []struct {
+		name  string
+		txns  []Transaction
+		cands [][]uint32
+		k     int
+	}{
+		{"sorted", classicDataset(), [][]uint32{{1, 3}, {2, 5}, {3, 5}, {1, 5}}, 2},
+		{"unsorted", []Transaction{{5, 2, 3}, {3, 1}, {4, 3, 1}, {9}}, [][]uint32{{1, 3}, {3, 5}, {3, 1}, {2, 3}}, 2},
+		{"repeated items", []Transaction{{2, 2, 5}, {5, 2, 2, 2}, {7, 7}}, [][]uint32{{2, 5}, {5, 2}, {7, 7}, {2, 2}}, 2},
+		{"absent and huge ids", []Transaction{{1, 4000000000, 3}, {3, 4000000000}}, [][]uint32{{1, 4000000000}, {6, 7}, {4000000000, 3}, {3, 8}}, 2},
+		{"random triples", noisy, triples, 3},
+	}
+}
+
+// TestCountCandidatesRecorded holds the counts and the cost on those
+// inputs to what the map-per-transaction version of d781e05 returned.
+func TestCountCandidatesRecorded(t *testing.T) {
+	want := []struct {
+		counts []int
+		cost   float64
+	}{
+		{[]int{2, 3, 2, 1}, 32},
+		{[]int{2, 1, 2, 1}, 27},
+		{[]int{5, 2, 2, 5}, 37},
+		{[]int{1, 0, 2, 0}, 15},
+		{[]int{46, 52, 57, 42, 16, 21, 11, 18, 22, 23, 16, 11, 21, 19}, 6694},
+	}
+	for i, c := range countCandidatesCases() {
+		counts, cost := CountCandidates(c.txns, c.cands, c.k)
+		if !reflect.DeepEqual(counts, want[i].counts) || cost != want[i].cost {
+			t.Errorf("%s: counts %v cost %v, recorded %v and %v", c.name, counts, cost, want[i].counts, want[i].cost)
+		}
+	}
+}
+
+// TestCountCandidatesAllocations: the membership structure is built
+// once per call, so ten times the transactions cost no more objects.
+func TestCountCandidatesAllocations(t *testing.T) {
+	c := countCandidatesCases()[4]
+	var many []Transaction
+	for i := 0; i < 10; i++ {
+		many = append(many, c.txns...)
+	}
+	allocs := func(txns []Transaction) float64 {
+		return testing.AllocsPerRun(5, func() { CountCandidates(txns, c.cands, c.k) })
+	}
+	if one, ten := allocs(c.txns), allocs(many); one != ten {
+		t.Errorf("CountCandidates allocates %v objects on %d transactions, %v on %d", one, len(c.txns), ten, len(many))
+	}
+}
+
 func BenchmarkMine1000Txns(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	txns := make([]Transaction, 1000)

@@ -15,10 +15,12 @@
 package treemine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,38 +64,83 @@ func (p Pattern) Validate() error {
 	return nil
 }
 
-// Forest is a preprocessed tree collection: children lists in sibling
-// (document) order, per-node depths, and parent pointers.
+// Forest is a preprocessed tree collection: one child index for the
+// whole partition in compressed-sparse-row form. Tree t's nodes own the
+// global ids off[t] … off[t+1]−1, and the children of global node g are
+// child[start[g]:start[g+1]] as tree-local ids, ascending — sibling
+// (document) order. A Forest is immutable after NewForest, so any
+// number of goroutines may mine or count against one.
 type Forest struct {
-	Trees    []pivots.Tree
-	children [][][]int32
-	depth    [][]int32
+	Trees []pivots.Tree
+	off   []int32
+	start []int32
+	child []int32
+	// height is the depth of the deepest node of any tree (a root has
+	// depth 0): no matched pattern node sits deeper.
+	height int32
 }
 
-// NewForest validates and preprocesses the trees.
+// NewForest validates and preprocesses the trees. It makes a fixed
+// number of allocations whatever the node count.
 func NewForest(trees []pivots.Tree) (*Forest, error) {
-	f := &Forest{
-		Trees:    trees,
-		children: make([][][]int32, len(trees)),
-		depth:    make([][]int32, len(trees)),
-	}
+	total, largest := 0, 0
 	for ti := range trees {
-		t := &trees[ti]
-		if err := t.Validate(); err != nil {
+		if err := trees[ti].Validate(); err != nil {
 			return nil, fmt.Errorf("treemine: tree %d: %w", ti, err)
 		}
-		f.children[ti] = t.Children()
-		d := make([]int32, len(t.Parent))
-		for v := 1; v < len(t.Parent); v++ {
-			d[v] = d[t.Parent[v]] + 1
-		}
-		f.depth[ti] = d
+		total += len(trees[ti].Parent)
+		largest = max(largest, len(trees[ti].Parent))
 	}
+	if total > math.MaxInt32-2 {
+		return nil, fmt.Errorf("treemine: %d nodes exceed the int32 child index", total)
+	}
+	f := &Forest{
+		Trees: trees,
+		off:   make([]int32, len(trees)+1),
+		child: make([]int32, total-len(trees)),
+	}
+	// Counting sort by parent. Node g's child count goes to next[g+2],
+	// so after the prefix sum next[g+1] is the slot of g's next child;
+	// filling advances it to the end of g's range — the start of node
+	// g+1's, which makes next[:total+1] the start array.
+	next := make([]int32, total+2)
+	depth := make([]int32, largest)
+	g := int32(0)
+	for ti := range trees {
+		f.off[ti] = g
+		for v, p := range trees[ti].Parent[1:] {
+			next[g+p+2]++
+			depth[v+1] = depth[p] + 1
+			f.height = max(f.height, depth[v+1])
+		}
+		g += int32(len(trees[ti].Parent))
+	}
+	f.off[len(trees)] = g
+	for i := 2; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	for ti := range trees {
+		base := f.off[ti] + 1
+		for v, p := range trees[ti].Parent[1:] {
+			f.child[next[base+p]] = int32(v + 1)
+			next[base+p]++
+		}
+	}
+	f.start = next[:total+1]
 	return f, nil
 }
 
 // Len returns the tree count.
 func (f *Forest) Len() int { return len(f.Trees) }
+
+// nodes returns the node count of the whole forest.
+func (f *Forest) nodes() int { return int(f.off[len(f.Trees)]) }
+
+// children returns the children of node v of tree ti in sibling order.
+func (f *Forest) children(ti, v int32) []int32 {
+	g := f.off[ti] + v
+	return f.child[f.start[g]:f.start[g+1]]
+}
 
 // occurrence is a rightmost occurrence: the tree and the tree node
 // matched to the pattern's last preorder node. Because rightmost
@@ -146,33 +193,46 @@ func Mine(f *Forest, cfg Config) (*Result, error) {
 		maxNodes = DefaultMaxNodes
 	}
 	res := &Result{}
-	// Level 1: single labels.
-	byLabel := make(map[uint32][]occurrence)
-	for ti := range f.Trees {
-		for v, l := range f.Trees[ti].Label {
-			byLabel[l] = append(byLabel[l], occurrence{int32(ti), int32(v)})
-			res.Cost++
-		}
-	}
+	m := newMiner(f, maxNodes)
 	type state struct {
 		pat Pattern
 		occ []occurrence
 	}
 	var stack []state
-	labels := make([]uint32, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	for _, l := range labels {
-		occ := byLabel[l]
-		res.Explored++
-		if sup := distinctTrees(occ); sup >= cfg.MinSupport {
-			pat := Pattern{{Depth: 0, Label: l}}
-			res.Frequent = append(res.Frequent, FreqPattern{Pattern: pat, Support: sup})
-			stack = append(stack, state{pat, occ})
+	var order []int32
+	// grow records the extensions the miner just built of pat (nil at
+	// level 1): each is explored, and the frequent ones are reported
+	// and pushed in the deterministic order depth desc, label asc.
+	grow := func(pat Pattern) {
+		lists := m.lists()
+		order = order[:0]
+		for s := range m.keys {
+			order = append(order, int32(s))
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			ka, kb := m.keys[a], m.keys[b]
+			if ka.depth != kb.depth {
+				return cmp.Compare(kb.depth, ka.depth)
+			}
+			return cmp.Compare(ka.label, kb.label)
+		})
+		for _, s := range order {
+			res.Explored++
+			sup := distinctTrees(lists[s])
+			if sup < cfg.MinSupport {
+				continue
+			}
+			np := make(Pattern, len(pat)+1)
+			copy(np, pat)
+			np[len(pat)] = PatternNode{Depth: m.keys[s].depth, Label: m.keys[s].label}
+			res.Frequent = append(res.Frequent, FreqPattern{Pattern: np, Support: sup})
+			stack = append(stack, state{np, lists[s]})
 		}
 	}
+	// Level 1: single labels.
+	m.reset(true)
+	res.Cost += m.scanLabels()
+	grow(nil)
 	// DFS rightmost extension.
 	for len(stack) > 0 {
 		if cfg.MaxPatterns > 0 && res.Explored >= cfg.MaxPatterns {
@@ -183,96 +243,200 @@ func Mine(f *Forest, cfg Config) (*Result, error) {
 		if len(s.pat) >= maxNodes {
 			continue
 		}
-		exts, cost := f.extend(s.pat, s.occ)
-		res.Cost += cost
-		// Deterministic order over extensions.
-		keys := make([]extKey, 0, len(exts))
-		for k := range exts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].depth != keys[j].depth {
-				return keys[i].depth > keys[j].depth
-			}
-			return keys[i].label < keys[j].label
-		})
-		for _, k := range keys {
-			occ := exts[k]
-			res.Explored++
-			sup := distinctTrees(occ)
-			if sup < cfg.MinSupport {
-				continue
-			}
-			np := make(Pattern, len(s.pat)+1)
-			copy(np, s.pat)
-			np[len(s.pat)] = PatternNode{Depth: k.depth, Label: k.label}
-			res.Frequent = append(res.Frequent, FreqPattern{Pattern: np, Support: sup})
-			stack = append(stack, state{np, occ})
-		}
+		m.reset(true)
+		res.Cost += m.extend(s.pat[len(s.pat)-1].Depth, s.occ)
+		grow(s.pat)
 	}
 	sortFreq(res.Frequent)
 	return res, nil
 }
 
+// extKey names one rightmost extension: the new node's pattern depth
+// and label.
 type extKey struct {
 	depth int32
 	label uint32
 }
 
-// extend computes every rightmost extension of the pattern from its
-// occurrence list: for each occurrence with last matched node v (at
-// pattern depth dlast), the pattern can grow a new node at depth p+1
-// for any rightmost-path depth p ≤ dlast; candidates are v's children
-// (p = dlast) or the later siblings of v's ancestor chain (p < dlast).
-func (f *Forest) extend(pat Pattern, occ []occurrence) (map[extKey][]occurrence, float64) {
-	dlast := pat[len(pat)-1].Depth
-	exts := make(map[extKey][]occurrence)
-	seen := make(map[extKey]map[occurrence]struct{})
-	var cost float64
-	add := func(k extKey, o occurrence) {
-		m, ok := seen[k]
-		if !ok {
-			m = make(map[occurrence]struct{})
-			seen[k] = m
-		}
-		if _, dup := m[o]; dup {
+// slotOcc is one emitted occurrence and the slot of its extension key.
+type slotOcc struct {
+	slot int32
+	occ  occurrence
+}
+
+// miner is the scratch of one Mine or CountPass call: it turns an
+// occurrence list into the occurrence lists of its extensions. The
+// Forest may be shared between goroutines; a miner may not.
+type miner struct {
+	f *Forest
+	// stamp[g*levels+p] == epoch marks global node g as already emitted
+	// under an ancestor at pattern depth p by the current extend call.
+	stamp  []uint32
+	levels int
+	epoch  uint32
+	// slot maps an extension key to its index in keys and count. With
+	// all set every key met gets a slot; otherwise only the keys want
+	// registered are kept and the rest are costed and dropped.
+	slot  map[extKey]int32
+	keys  []extKey
+	count []int32
+	all   bool
+	// wanted[d] reports whether any kept key has depth d.
+	wanted []bool
+	// buf holds the kept occurrences in generation order.
+	buf []slotOcc
+}
+
+// newMiner sizes the scratch for patterns of at most maxNodes nodes:
+// extend then sees dlast ≤ maxNodes−2, and on a non-empty list the last
+// node is matched, so dlast ≤ f.height too; ancestor depths p < dlast
+// number at most the smaller of the two, however long a candidate
+// another partition sends. buf starts with room for the label scan,
+// which keeps every node and is usually the longest emission.
+func newMiner(f *Forest, maxNodes int) *miner {
+	levels := min(max(maxNodes-2, 0), int(f.height))
+	return &miner{
+		f:      f,
+		stamp:  make([]uint32, f.nodes()*levels),
+		levels: levels,
+		slot:   make(map[extKey]int32),
+		wanted: make([]bool, max(maxNodes, 2)),
+		buf:    make([]slotOcc, 0, f.nodes()),
+	}
+}
+
+// reset empties the slots ahead of a scanLabels or extend call.
+func (m *miner) reset(all bool) {
+	clear(m.slot)
+	clear(m.wanted)
+	m.keys = m.keys[:0]
+	m.count = m.count[:0]
+	m.buf = m.buf[:0]
+	m.all = all
+}
+
+// want registers a key to keep and returns its slot.
+func (m *miner) want(k extKey) int32 {
+	s := int32(len(m.keys))
+	m.slot[k] = s
+	m.keys = append(m.keys, k)
+	m.count = append(m.count, 0)
+	m.wanted[k.depth] = true
+	return s
+}
+
+// emit keeps o under key k if the key has, or may take, a slot.
+func (m *miner) emit(k extKey, o occurrence) {
+	s, ok := m.slot[k]
+	if !ok {
+		if !m.all {
 			return
 		}
-		m[o] = struct{}{}
-		exts[k] = append(exts[k], o)
+		s = m.want(k)
 	}
+	m.count[s]++
+	m.buf = append(m.buf, slotOcc{s, o})
+}
+
+// lists splits the kept occurrences into one list per slot, each in
+// generation order, carved from a single backing array.
+func (m *miner) lists() [][]occurrence {
+	backing := make([]occurrence, len(m.buf))
+	out := make([][]occurrence, len(m.count))
+	pos := 0
+	for s, c := range m.count {
+		out[s] = backing[pos : pos : pos+int(c)]
+		pos += int(c)
+	}
+	for _, e := range m.buf {
+		out[e.slot] = append(out[e.slot], e.occ)
+	}
+	return out
+}
+
+// scanLabels emits every node of the forest under its label at depth
+// 0 — the occurrence lists of the single-node patterns, trees in
+// order — and returns the scan's cost, one unit per node.
+func (m *miner) scanLabels() float64 {
+	for ti := range m.f.Trees {
+		for v, l := range m.f.Trees[ti].Label {
+			m.emit(extKey{0, l}, occurrence{int32(ti), int32(v)})
+		}
+	}
+	return float64(m.f.nodes())
+}
+
+// extend emits every rightmost extension of a pattern whose last node
+// has depth dlast from its occurrence list: for each occurrence with
+// last matched node v, the pattern can grow a new node at depth p+1 for
+// any rightmost-path depth p ≤ dlast; candidates are v's children
+// (p = dlast) or the later siblings of v's ancestor chain (p < dlast).
+//
+// The cost is one unit per occurrence, per child considered and per
+// later sibling considered, whether or not its key is kept. A child has
+// one parent and occurrences are distinct, so an extension under v
+// cannot repeat; one reached through an ancestor can (two occurrences
+// may share it) and is kept once per (p, tree, node).
+//
+// occ is in non-decreasing tree order and everything emitted for an
+// occurrence lies in its tree, so every list built is too.
+func (m *miner) extend(dlast int32, occ []occurrence) float64 {
+	m.epoch++
+	var cost float64
+	f := m.f
 	for _, o := range occ {
 		cost++
+		t := &f.Trees[o.tree]
 		// p == dlast: attach under the last matched node.
-		for _, w := range f.children[o.tree][o.node] {
-			cost++
-			add(extKey{dlast + 1, f.Trees[o.tree].Label[w]}, occurrence{o.tree, w})
+		kids := f.children(o.tree, o.node)
+		cost += float64(len(kids))
+		if m.all || m.wanted[dlast+1] {
+			for _, w := range kids {
+				m.emit(extKey{dlast + 1, t.Label[w]}, occurrence{o.tree, w})
+			}
 		}
 		// p < dlast: attach under an ancestor, after the path child.
 		c := o.node
 		for p := dlast - 1; p >= 0; p-- {
-			a := f.Trees[o.tree].Parent[c]
-			sibs := f.children[o.tree][a]
+			a := t.Parent[c]
+			sibs := f.children(o.tree, a)
 			// Children are in increasing node-ID (document) order;
 			// candidates are the siblings after c.
-			idx := sort.Search(len(sibs), func(i int) bool { return sibs[i] > c })
-			for _, w := range sibs[idx:] {
-				cost++
-				add(extKey{p + 1, f.Trees[o.tree].Label[w]}, occurrence{o.tree, w})
+			at, _ := slices.BinarySearch(sibs, c)
+			later := sibs[at+1:]
+			cost += float64(len(later))
+			if m.all || m.wanted[p+1] {
+				base := int(f.off[o.tree]) * m.levels
+				for _, w := range later {
+					mark := &m.stamp[base+int(w)*m.levels+int(p)]
+					if *mark == m.epoch {
+						continue
+					}
+					*mark = m.epoch
+					m.emit(extKey{p + 1, t.Label[w]}, occurrence{o.tree, w})
+				}
 			}
 			c = a
 		}
 	}
-	return exts, cost
+	return cost
 }
 
-// distinctTrees counts how many distinct trees appear in the list.
+// distinctTrees counts the distinct trees of an occurrence list. Lists
+// are grouped by tree in non-decreasing order (see extend), so that is
+// a count of runs; a list out of order is a bug in this package.
 func distinctTrees(occ []occurrence) int {
-	seen := make(map[int32]struct{}, len(occ))
+	n, last := 0, int32(-1)
 	for _, o := range occ {
-		seen[o.tree] = struct{}{}
+		if o.tree == last {
+			continue
+		}
+		if o.tree < last {
+			panic("treemine: occurrence list out of tree order")
+		}
+		n, last = n+1, o.tree
 	}
-	return len(seen)
+	return n
 }
 
 // sortFreq orders patterns by (size, key).
@@ -285,35 +449,101 @@ func sortFreq(ps []FreqPattern) {
 	})
 }
 
-// CountSupport counts the support of one pattern in the forest by
-// replaying its rightmost-extension construction (every pattern's
-// preorder prefix sequence is exactly its unique build path), and
-// returns the support plus the deterministic matching cost.
-func CountSupport(f *Forest, pat Pattern) (int, float64, error) {
-	if err := pat.Validate(); err != nil {
-		return 0, 0, err
-	}
-	var occ []occurrence
-	var cost float64
-	for ti := range f.Trees {
-		for v, l := range f.Trees[ti].Label {
-			cost++
-			if l == pat[0].Label {
-				occ = append(occ, occurrence{int32(ti), int32(v)})
+// trieNode is one node of CountPass's candidate prefix trie.
+type trieNode struct {
+	key extKey
+	// cand is the candidate this prefix spells, −1 if none does.
+	cand int32
+	// below counts the candidates strictly below this node.
+	below int32
+	kids  []int32
+}
+
+// trieEdge addresses a child of a trie node by extension key.
+type trieEdge struct {
+	parent int32
+	key    extKey
+}
+
+// CountPass counts the support of every candidate in the forest — the
+// global counting pass of the partitioned scheme — and returns the
+// supports, aligned with cands, plus the deterministic matching cost.
+//
+// A pattern's preorder prefixes are its unique rightmost-extension
+// build path, so the candidates form a prefix trie (a prefix that is
+// not itself a candidate is an interior node; a duplicate candidate is
+// an error). The pass scans the partition's labels once and walks the
+// trie depth-first; at each node it makes one pass over the node's
+// occurrence list that builds only the lists the node's children ask
+// for.
+//
+// The cost is defined as what replaying each candidate from scratch
+// costs — a label scan, then one full extension per proper prefix, an
+// extension of an empty list costing nothing:
+//
+//	len(cands) × nodes + Σ_trie-node E(node) × (candidates strictly below node)
+//
+// where E(node) is the cost of fully extending the node's occurrence
+// list, which the restricted pass charges too (extend costs what it
+// considers, not what it keeps). Every term is an integer-valued
+// float64 far below 2⁵³, so the sum is exact in any order and equal,
+// bit for bit, to the per-candidate replay's.
+func CountPass(f *Forest, cands []Pattern) ([]int, float64, error) {
+	trie := []trieNode{{cand: -1}}
+	edges := make(map[trieEdge]int32)
+	maxNodes := 0
+	for ci, pat := range cands {
+		if err := pat.Validate(); err != nil {
+			return nil, 0, err
+		}
+		maxNodes = max(maxNodes, len(pat))
+		at := int32(0)
+		for _, n := range pat {
+			trie[at].below++
+			e := trieEdge{at, extKey{n.Depth, n.Label}}
+			next, ok := edges[e]
+			if !ok {
+				next = int32(len(trie))
+				edges[e] = next
+				trie = append(trie, trieNode{key: e.key, cand: -1})
+				trie[at].kids = append(trie[at].kids, next)
 			}
+			at = next
+		}
+		if trie[at].cand >= 0 {
+			return nil, 0, fmt.Errorf("treemine: candidates %d and %d are both %v", trie[at].cand, ci, pat)
+		}
+		trie[at].cand = int32(ci)
+	}
+	counts := make([]int, len(cands))
+	m := newMiner(f, maxNodes)
+	var cost float64
+	// walk visits trie node at with its occurrence list (none at the
+	// root, whose children are the single labels).
+	var walk func(at int32, occ []occurrence)
+	walk = func(at int32, occ []occurrence) {
+		n := &trie[at]
+		if n.cand >= 0 {
+			counts[n.cand] = distinctTrees(occ)
+		}
+		if len(n.kids) == 0 || (at != 0 && len(occ) == 0) {
+			return
+		}
+		m.reset(false)
+		for _, kid := range n.kids {
+			m.want(trie[kid].key)
+		}
+		if at == 0 {
+			cost += m.scanLabels() * float64(n.below)
+		} else {
+			cost += m.extend(n.key.depth, occ) * float64(n.below)
+		}
+		for i, list := range m.lists() {
+			walk(n.kids[i], list)
 		}
 	}
-	cur := pat[:1]
-	for i := 1; i < len(pat); i++ {
-		if len(occ) == 0 {
-			return 0, cost, nil
-		}
-		exts, c := f.extend(cur, occ)
-		cost += c
-		occ = exts[extKey{pat[i].Depth, pat[i].Label}]
-		cur = pat[:i+1]
-	}
-	return distinctTrees(occ), cost, nil
+	walk(0, nil)
+	return counts, cost, nil
 }
 
 // PartitionResult is one partition's local mining output.
@@ -340,6 +570,41 @@ func MineLocal(trees []pivots.Tree, supportFrac float64, cfg Config) (*Partition
 		return nil, err
 	}
 	return &PartitionResult{Local: res.Frequent, Cost: res.Cost}, nil
+}
+
+// GlobalCandidates unions the locally frequent patterns of all
+// partitions — the candidate set the global counting pass must count —
+// sorted by (size, key). Nil entries (empty partitions) are skipped.
+func GlobalCandidates(parts []*PartitionResult) []Pattern {
+	type keyed struct {
+		key string
+		pat Pattern
+	}
+	seen := make(map[string]bool)
+	var union []keyed
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		for _, fp := range p.Local {
+			k := fp.Pattern.Key()
+			if !seen[k] {
+				seen[k] = true
+				union = append(union, keyed{k, fp.Pattern})
+			}
+		}
+	}
+	sort.Slice(union, func(i, j int) bool {
+		if len(union[i].pat) != len(union[j].pat) {
+			return len(union[i].pat) < len(union[j].pat)
+		}
+		return union[i].key < union[j].key
+	})
+	cands := make([]Pattern, len(union))
+	for i, u := range union {
+		cands[i] = u.pat
+	}
+	return cands
 }
 
 // DistributedResult is the outcome of the partitioned algorithm.
@@ -373,8 +638,7 @@ func MineDistributed(partitions [][]pivots.Tree, supportFrac float64, cfg Config
 		LocalCosts: make([]float64, len(partitions)),
 		CountCosts: make([]float64, len(partitions)),
 	}
-	seen := make(map[string]bool)
-	var cands []Pattern
+	locals := make([]*PartitionResult, len(partitions))
 	for i, p := range partitions {
 		if len(p) == 0 {
 			continue
@@ -383,21 +647,10 @@ func MineDistributed(partitions [][]pivots.Tree, supportFrac float64, cfg Config
 		if err != nil {
 			return nil, fmt.Errorf("treemine: partition %d: %w", i, err)
 		}
+		locals[i] = pr
 		res.LocalCosts[i] = pr.Cost
-		for _, fp := range pr.Local {
-			k := fp.Pattern.Key()
-			if !seen[k] {
-				seen[k] = true
-				cands = append(cands, fp.Pattern)
-			}
-		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if len(cands[i]) != len(cands[j]) {
-			return len(cands[i]) < len(cands[j])
-		}
-		return cands[i].Key() < cands[j].Key()
-	})
+	cands := GlobalCandidates(locals)
 	res.Candidates = len(cands)
 	globalCounts := make([]int, len(cands))
 	for i, p := range partitions {
@@ -408,13 +661,13 @@ func MineDistributed(partitions [][]pivots.Tree, supportFrac float64, cfg Config
 		if err != nil {
 			return nil, err
 		}
-		for j, pat := range cands {
-			sup, cost, err := CountSupport(f, pat)
-			if err != nil {
-				return nil, err
-			}
-			res.CountCosts[i] += cost
-			globalCounts[j] += sup
+		counts, cost, err := CountPass(f, cands)
+		if err != nil {
+			return nil, err
+		}
+		res.CountCosts[i] = cost
+		for j, c := range counts {
+			globalCounts[j] += c
 		}
 	}
 	// Ceiling for the same completeness reason as the text workload:

@@ -3,6 +3,9 @@ package treemine
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"pareto/internal/pivots"
@@ -68,12 +71,21 @@ func embeds(t *pivots.Tree, ch [][]int32, pt *patTree, pi int, v int32) bool {
 	return rec(0, 0)
 }
 
+// childLists returns the children of every node in sibling order.
+func childLists(t *pivots.Tree) [][]int32 {
+	ch := make([][]int32, len(t.Parent))
+	for v := 1; v < len(t.Parent); v++ {
+		ch[t.Parent[v]] = append(ch[t.Parent[v]], int32(v))
+	}
+	return ch
+}
+
 // bruteSupport counts trees containing the pattern via backtracking.
 func bruteSupport(trees []pivots.Tree, p Pattern) int {
 	pt := toPatTree(p)
 	sup := 0
 	for ti := range trees {
-		ch := trees[ti].Children()
+		ch := childLists(&trees[ti])
 		found := false
 		for v := 0; v < len(trees[ti].Parent) && !found; v++ {
 			found = embeds(&trees[ti], ch, &pt, 0, int32(v))
@@ -245,6 +257,81 @@ func TestMineAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// refExtend is the map-based rightmost extension of d781e05, kept apart
+// from the miner so the reference shares none of its dedup or cost
+// accounting: every extension of the pattern, deduplicated through a set
+// per key, one cost unit per occurrence, per child and per later sibling.
+func refExtend(trees []pivots.Tree, ch [][][]int32, dlast int32, occ []occurrence) (map[extKey][]occurrence, float64) {
+	exts := make(map[extKey][]occurrence)
+	seen := make(map[extKey]map[occurrence]bool)
+	var cost float64
+	add := func(k extKey, o occurrence) {
+		if seen[k] == nil {
+			seen[k] = make(map[occurrence]bool)
+		}
+		if !seen[k][o] {
+			seen[k][o] = true
+			exts[k] = append(exts[k], o)
+		}
+	}
+	for _, o := range occ {
+		cost++
+		for _, w := range ch[o.tree][o.node] {
+			cost++
+			add(extKey{dlast + 1, trees[o.tree].Label[w]}, occurrence{o.tree, w})
+		}
+		c := o.node
+		for p := dlast - 1; p >= 0; p-- {
+			a := trees[o.tree].Parent[c]
+			for _, w := range ch[o.tree][a] {
+				if w > c {
+					cost++
+					add(extKey{p + 1, trees[o.tree].Label[w]}, occurrence{o.tree, w})
+				}
+			}
+			c = a
+		}
+	}
+	return exts, cost
+}
+
+// CountSupport counts the support of one pattern in the forest by
+// replaying its rightmost-extension construction from scratch (every
+// pattern's preorder prefix sequence is exactly its unique build path),
+// with a full extension per prefix, and returns the support plus the
+// deterministic matching cost. It is the per-candidate loop CountPass
+// replaced, kept as the reference CountPass is compared against.
+func CountSupport(f *Forest, pat Pattern) (int, float64, error) {
+	if err := pat.Validate(); err != nil {
+		return 0, 0, err
+	}
+	ch := make([][][]int32, len(f.Trees))
+	var occ []occurrence
+	var cost float64
+	for ti := range f.Trees {
+		ch[ti] = childLists(&f.Trees[ti])
+		for v, l := range f.Trees[ti].Label {
+			cost++
+			if l == pat[0].Label {
+				occ = append(occ, occurrence{int32(ti), int32(v)})
+			}
+		}
+	}
+	for i := 1; i < len(pat); i++ {
+		if len(occ) == 0 {
+			return 0, cost, nil
+		}
+		exts, c := refExtend(f.Trees, ch, pat[i-1].Depth, occ)
+		cost += c
+		occ = exts[extKey{pat[i].Depth, pat[i].Label}]
+	}
+	distinct := make(map[int32]bool)
+	for _, o := range occ {
+		distinct[o.tree] = true
+	}
+	return len(distinct), cost, nil
+}
+
 func TestCountSupportMatchesMine(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trees := randomForest(rng, 20, 8, 5)
@@ -272,6 +359,311 @@ func TestCountSupportMatchesMine(t *testing.T) {
 	sup, _, err := CountSupport(f, Pattern{{0, 999}, {1, 999}})
 	if err != nil || sup != 0 {
 		t.Errorf("impossible pattern support %d, %v", sup, err)
+	}
+}
+
+// splitThree deals the trees round-robin into three partitions.
+func splitThree(trees []pivots.Tree) [][]pivots.Tree {
+	parts := make([][]pivots.Tree, 3)
+	for i, tr := range trees {
+		parts[i%3] = append(parts[i%3], tr)
+	}
+	return parts
+}
+
+// TestCountPassMatchesReference holds the one-walk pass to the
+// per-candidate replay it replaced: equal supports one by one and a
+// total cost == the sum of the replays' costs, on forests whose small
+// label alphabets make patterns collide.
+func TestCountPassMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 24; trial++ {
+		labels := uint32(2 + rng.Intn(4))
+		trees := randomForest(rng, 30+rng.Intn(40), 4+rng.Intn(12), labels)
+		parts := splitThree(trees)
+		cfg := Config{MaxNodes: 3 + rng.Intn(3)}
+		locals := make([]*PartitionResult, len(parts))
+		for i, p := range parts {
+			pr, err := MineLocal(p, 0.3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locals[i] = pr
+		}
+		cands := GlobalCandidates(locals)
+		cands = append(cands,
+			Pattern{{0, 999}, {1, 0}},                               // absent from every partition
+			Pattern{{0, 0}, {1, 998}, {2, 0}, {1, 0}},               // no prefix of it is listed
+			Pattern{{0, 1}, {1, 0}, {2, 1}, {2, 0}, {1, 1}, {2, 1}}, // longer than anything mined
+			Pattern{{0, 997}},                                       // single node, absent
+		)
+		if trial%2 == 0 {
+			// Drop the single labels: their extensions' prefixes are
+			// then interior trie nodes no candidate names.
+			kept := cands[:0:0]
+			for _, c := range cands {
+				if len(c) > 1 {
+					kept = append(kept, c)
+				}
+			}
+			cands = append(kept, Pattern{{0, 0}})
+		}
+		for pi, p := range parts {
+			f, err := NewForest(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, cost, err := CountPass(f, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want float64
+			for ci, c := range cands {
+				sup, w, err := CountSupport(f, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += w
+				if counts[ci] != sup {
+					t.Fatalf("trial %d partition %d: CountPass(%v) = %d, replay says %d", trial, pi, c, counts[ci], sup)
+				}
+			}
+			if cost != want {
+				t.Fatalf("trial %d partition %d: cost %v, replays sum to %v", trial, pi, cost, want)
+			}
+		}
+	}
+}
+
+func TestCountPassValidation(t *testing.T) {
+	f, err := NewForest([]pivots.Tree{mkTree([]int32{-1, 0}, []uint32{1, 2})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := []Pattern{{{0, 1}}, {{0, 1}, {1, 2}}, {{0, 1}}}
+	if _, _, err := CountPass(f, dup); err == nil {
+		t.Error("duplicate candidate accepted")
+	}
+	if _, _, err := CountPass(f, []Pattern{{{0, 1}, {2, 2}}}); err == nil {
+		t.Error("invalid candidate accepted")
+	}
+	counts, cost, err := CountPass(f, nil)
+	if err != nil || len(counts) != 0 || cost != 0 {
+		t.Errorf("no candidates: %v, %v, %v", counts, cost, err)
+	}
+}
+
+// TestMinerScratchBoundedByForestHeight: a candidate far longer than
+// any tree is deep (another partition's, or a large Config.MaxNodes)
+// does not scale the dedup stamps, and is still counted.
+func TestMinerScratchBoundedByForestHeight(t *testing.T) {
+	trees := []pivots.Tree{
+		mkTree([]int32{-1, 0, 1, 0}, []uint32{1, 2, 3, 2}), // height 2
+		mkTree([]int32{-1, 0}, []uint32{1, 2}),
+	}
+	f, err := NewForest(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := newMiner(f, 1000); m.levels != 2 || len(m.stamp) != 2*f.nodes() {
+		t.Errorf("levels %d, %d stamps for a forest of height 2 and %d nodes", m.levels, len(m.stamp), f.nodes())
+	}
+	chain := make(Pattern, 40)
+	for i := range chain {
+		chain[i] = PatternNode{Depth: int32(i), Label: uint32(1 + i%3)}
+	}
+	cands := []Pattern{chain, {{0, 1}, {1, 2}, {2, 3}, {1, 2}}}
+	counts, cost, err := CountPass(f, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for ci, c := range cands {
+		sup, w, err := CountSupport(f, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += w
+		if counts[ci] != sup {
+			t.Errorf("CountPass(%v) = %d, replay says %d", c, counts[ci], sup)
+		}
+	}
+	if counts[1] != 1 || cost != want {
+		t.Errorf("counts %v, cost %v; replays sum to %v", counts, cost, want)
+	}
+}
+
+// TestMineCostsRecorded pins Mine, MineLocal and the count pass to the
+// patterns, search-space sizes and abstract costs the map-based miner
+// of d781e05 produced on the same seeded forests: the simulated
+// makespans and joules are functions of these numbers.
+func TestMineCostsRecorded(t *testing.T) {
+	cases := []struct {
+		seed                     int64
+		trees, nodes             int
+		labels                   uint32
+		minSup, maxNodes         int
+		frequent, explored       int
+		cost                     float64
+		candidates, distFrequent int
+		localCosts, countCosts   []float64
+	}{
+		{2, 200, 20, 8, 20, 4, 63, 882, 10580, 10, 8, []float64{1994, 1973, 2324}, []float64{7198, 7160, 8100}},
+		{7, 20, 8, 5, 2, 4, 31, 101, 446, 154, 7, []float64{197, 173, 197}, []float64{7493, 6804, 7698}},
+		{101, 60, 12, 3, 6, 5, 47, 263, 2784, 19, 12, []float64{793, 573, 710}, []float64{4837, 3669, 4561}},
+		{55, 60, 6, 4, 15, 3, 5, 25, 635, 9, 5, []float64{191, 228, 240}, []float64{748, 845, 913}},
+		{9, 40, 15, 2, 10, 0, 21, 95, 2082, 44, 21, []float64{961, 646, 687}, []float64{12308, 9792, 9253}},
+	}
+	for _, c := range cases {
+		trees := randomForest(rand.New(rand.NewSource(c.seed)), c.trees, c.nodes, c.labels)
+		f, err := NewForest(trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Mine(f, Config{MinSupport: c.minSup, MaxNodes: c.maxNodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Frequent) != c.frequent || res.Explored != c.explored || res.Cost != c.cost {
+			t.Errorf("seed %d: Mine found %d, explored %d, cost %v; recorded %d, %d, %v",
+				c.seed, len(res.Frequent), res.Explored, res.Cost, c.frequent, c.explored, c.cost)
+		}
+		d, err := MineDistributed(splitThree(trees), 0.25, Config{MaxNodes: c.maxNodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Candidates != c.candidates || len(d.Frequent) != c.distFrequent ||
+			!slices.Equal(d.LocalCosts, c.localCosts) || !slices.Equal(d.CountCosts, c.countCosts) {
+			t.Errorf("seed %d: MineDistributed %d candidates, %d frequent, costs %v / %v; recorded %d, %d, %v / %v",
+				c.seed, d.Candidates, len(d.Frequent), d.LocalCosts, d.CountCosts,
+				c.candidates, c.distFrequent, c.localCosts, c.countCosts)
+		}
+	}
+}
+
+// TestOccurrenceListsInTreeOrder drives the miner the way Mine does,
+// with no support threshold, and checks on every list it builds what
+// distinctTrees relies on: non-decreasing tree order, no repeated
+// occurrence, and a run count equal to the distinct-tree count.
+func TestOccurrenceListsInTreeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 10; trial++ {
+		trees := randomForest(rng, 12, 9, 3)
+		f, err := NewForest(trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const maxNodes = 4
+		m := newMiner(f, maxNodes)
+		check := func(occ []occurrence) {
+			t.Helper()
+			seen := map[occurrence]bool{}
+			distinct := map[int32]bool{}
+			for i, o := range occ {
+				if i > 0 && o.tree < occ[i-1].tree {
+					t.Fatalf("trial %d: list leaves tree order at %d: %v", trial, i, occ)
+				}
+				if seen[o] {
+					t.Fatalf("trial %d: occurrence %v repeated in %v", trial, o, occ)
+				}
+				seen[o] = true
+				distinct[o.tree] = true
+			}
+			if got := distinctTrees(occ); got != len(distinct) {
+				t.Fatalf("trial %d: distinctTrees = %d, %d distinct trees in %v", trial, got, len(distinct), occ)
+			}
+		}
+		var dfs func(size int, dlast int32, occ []occurrence)
+		dfs = func(size int, dlast int32, occ []occurrence) {
+			check(occ)
+			if size == maxNodes {
+				return
+			}
+			m.reset(true)
+			m.extend(dlast, occ)
+			keys := slices.Clone(m.keys)
+			for s, list := range m.lists() {
+				dfs(size+1, keys[s].depth, list)
+			}
+		}
+		m.reset(true)
+		m.scanLabels()
+		for _, list := range m.lists() {
+			dfs(1, 0, list)
+		}
+	}
+}
+
+func TestDistinctTreesRejectsUnorderedList(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("out-of-order occurrence list counted")
+		}
+	}()
+	distinctTrees([]occurrence{{1, 0}, {0, 0}})
+}
+
+// TestSharedForestConcurrentMining mines and count-passes one Forest
+// from several goroutines at once (run under -race): the Forest is
+// read-only and every call owns its scratch, so all results are equal.
+func TestSharedForestConcurrentMining(t *testing.T) {
+	trees := randomForest(rand.New(rand.NewSource(12)), 80, 14, 3)
+	f, err := NewForest(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MinSupport: 8, MaxNodes: 4}
+	want, err := Mine(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := make([]Pattern, len(want.Frequent))
+	for i, fp := range want.Frequent {
+		cands[i] = fp.Pattern
+	}
+	wantCounts, wantCost, err := CountPass(f, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				res, err := Mine(f, cfg)
+				if err != nil || !reflect.DeepEqual(res, want) {
+					t.Errorf("concurrent Mine differs (err %v)", err)
+				}
+				counts, cost, err := CountPass(f, cands)
+				if err != nil || cost != wantCost || !slices.Equal(counts, wantCounts) {
+					t.Errorf("concurrent CountPass differs (err %v)", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, fp := range want.Frequent {
+		if wantCounts[i] != fp.Support {
+			t.Errorf("CountPass(%v) = %d, Mine says %d", fp.Pattern, wantCounts[i], fp.Support)
+		}
+	}
+}
+
+// TestNewForestAllocations: the child index is flat, so building it
+// costs the same number of objects for 200 trees as for 2,000.
+func TestNewForestAllocations(t *testing.T) {
+	trees := randomForest(rand.New(rand.NewSource(3)), 2000, 20, 8)
+	allocs := func(ts []pivots.Tree) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewForest(ts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(trees[:200]), allocs(trees)
+	if small != large {
+		t.Errorf("NewForest allocates %v objects for 200 trees, %v for 2000", small, large)
 	}
 }
 
@@ -394,6 +786,31 @@ func BenchmarkMine200Trees(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Mine(f, Config{MinSupport: 20, MaxNodes: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCountPass counts the patterns BenchmarkMine200Trees mines
+// against the same forest.
+func BenchmarkCountPass(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	trees := randomForest(rng, 200, 20, 8)
+	f, err := NewForest(trees)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := Mine(f, Config{MinSupport: 20, MaxNodes: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := make([]Pattern, len(res.Frequent))
+	for i, fp := range res.Frequent {
+		cands[i] = fp.Pattern
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := CountPass(f, cands); err != nil {
 			b.Fatal(err)
 		}
 	}
