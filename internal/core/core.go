@@ -313,16 +313,9 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 				plan.DegradedReason = degradedReason
 				st.Stats.AddFailedAttempt(failedDur)
 			}
-			plan.Strat = st
-			return st.Stats.Busy, nil
 		}
-		// A distributed stratification reports no busy time for the
-		// stage: its wall covers remote sketching, shipping and the
-		// barrier, while Stats.Busy is the coordinator's clustering
-		// alone — a fraction of the two would compare different scopes.
-		// Read Stats.Busy against Stats.ClusterTime instead.
 		plan.Strat = st
-		return 0, nil
+		return st.Stats.Busy, nil
 	}); err != nil {
 		return nil, err
 	}

@@ -8,14 +8,36 @@
 //     writes — sketches are orders of magnitude smaller than records,
 //     which is exactly why the paper centralizes the next step.
 //   - A global barrier (fetch-and-increment) separates the phases.
-//   - The master clusters the gathered sketches with compositeKModes
-//     ("we chose to do the clustering in a centralized manner as the
-//     compositeKmodes algorithm is run on the sketches rather than the
-//     actual data") and publishes the record→stratum assignment.
+//   - The master gathers the sketches into one n × width arena, clusters
+//     them with compositeKModes ("we chose to do the clustering in a
+//     centralized manner as the compositeKmodes algorithm is run on the
+//     sketches rather than the actual data") and publishes the
+//     record→stratum assignment.
 //   - Workers fetch the assignment for their shard and return.
 //
-// The result is bit-identical to the in-process strata.Stratify (same
-// seeds, same order), which the tests assert.
+// The result is what the coordinator holds when it publishes — the
+// gathered sketches and the clustering it ran on them — and is
+// bit-identical to the in-process strata.Stratify (same seeds, same
+// order), which the tests assert. The published bytes are what the
+// workers decode, and every completed worker's view of its shard is
+// compared with the coordinator's assignment, so a publication that
+// does not decode to what was clustered fails the run.
+//
+// # Keys
+//
+// The coordinator draws a run id (INCR <prefix>:run) before any worker
+// starts, and every key of the run carries it: the per-shard sketch
+// lists and completion markers, the assignment, the abort key and the
+// barrier's name. Nothing an earlier run or a straggler from one left
+// on the store can satisfy a wait, abort a barrier or be gathered as
+// data. When the run ends — success or failure, after the workers have
+// joined — the coordinator deletes the run's keys, the barrier's
+// included; only the run counter stays.
+//
+// A sketch list's element is a block: whole (index uint32, width ×
+// uint64) records back to back, up to blockBytes, no header. The
+// gather rejects a block that is empty or not a whole number of
+// records and range-checks every index.
 //
 // # Fault tolerance
 //
@@ -51,6 +73,7 @@ import (
 	"time"
 
 	"pareto/internal/kvstore"
+	"pareto/internal/parallel"
 	"pareto/internal/pivots"
 	"pareto/internal/sketch"
 	"pareto/internal/strata"
@@ -105,7 +128,7 @@ type Options struct {
 
 // distribMetrics bundles the run's pre-resolved metrics. With a nil
 // registry every field is a nil metric whose methods no-op, so call
-// sites stay unconditional (clock reads are still guarded).
+// sites stay unconditional.
 type distribMetrics struct {
 	shipBytes   *telemetry.Counter
 	shipRetries *telemetry.Counter
@@ -155,7 +178,14 @@ func (o *Options) normalize() {
 	}
 }
 
-// Run keys, all under o.KeyPrefix.
+// blockBytes caps one element of a sketch list: a block of whole
+// records. One element per 260-byte record cost a reply, a bulk and a
+// server-side copy each, on both ends.
+const blockBytes = 64 << 10
+
+// Run keys, all under o.KeyPrefix — which, once StratifyDetailed has
+// drawn the run id from runKey, ends in that id.
+func (o *Options) runKey() string         { return o.KeyPrefix + ":run" }
 func (o *Options) sketchKey(i int) string { return o.KeyPrefix + ":sketches:" + strconv.Itoa(i) }
 func (o *Options) doneKey(i int) string   { return o.KeyPrefix + ":done:" + strconv.Itoa(i) }
 func (o *Options) assignKey() string      { return o.KeyPrefix + ":assign" }
@@ -171,9 +201,10 @@ type Report struct {
 	// RecoveredShards lists shards the coordinator re-sketched locally
 	// because their completion marker was missing at the bounded wait.
 	RecoveredShards []int
-	// RecoveredRecords counts records recovered by the defensive
-	// per-record sweep (shards whose worker arrived at the barrier but
-	// shipped incompletely).
+	// RecoveredRecords counts records outside RecoveredShards that the
+	// coordinator found unshipped after the gather and re-sketched
+	// (shards whose worker arrived at the barrier but shipped
+	// incompletely). Zero on a clean run.
 	RecoveredRecords int
 	// WorkerErrs[i] is worker i's terminal error; nil for a clean
 	// worker. Non-nil entries are tolerated whenever the coordinator
@@ -218,17 +249,27 @@ func appendSketchRecord(buf []byte, idx int, s sketch.Sketch) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeSketchRecord reverses appendSketchRecord.
-func decodeSketchRecord(buf []byte, width int) (int, sketch.Sketch, error) {
-	if len(buf) != 4+8*width {
-		return 0, nil, fmt.Errorf("distrib: sketch record of %d bytes, want %d", len(buf), 4+8*width)
+// decodeSketchBlock reverses a block of appendSketchRecord records
+// straight into the coordinator's table: record idx lands in
+// flat[idx*width:] and out[idx] is pointed at it, so an out[idx] still
+// nil after the gather is a record nobody shipped.
+func decodeSketchBlock(block []byte, width int, flat []uint64, out []sketch.Sketch) error {
+	recSize := 4 + 8*width
+	if len(block) == 0 || len(block)%recSize != 0 {
+		return fmt.Errorf("distrib: sketch block of %d bytes, want whole records of %d", len(block), recSize)
 	}
-	idx := int(binary.LittleEndian.Uint32(buf))
-	s := make(sketch.Sketch, width)
-	for i := range s {
-		s[i] = binary.LittleEndian.Uint64(buf[4+8*i:])
+	for ; len(block) > 0; block = block[recSize:] {
+		idx := int(binary.LittleEndian.Uint32(block))
+		if idx < 0 || idx >= len(out) {
+			return fmt.Errorf("distrib: sketch for out-of-range record %d", idx)
+		}
+		s := flat[idx*width : (idx+1)*width : (idx+1)*width]
+		for i := range s {
+			s[i] = binary.LittleEndian.Uint64(block[4+8*i:])
+		}
+		out[idx] = s
 	}
-	return idx, s, nil
+	return nil
 }
 
 // encodeAssignment serializes the record→stratum table. Strata travel
@@ -294,29 +335,41 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 	dm := newDistribMetrics(o.Telemetry)
 	var stats strata.StratifyStats
 
-	// Clear this run's control keys before any worker can poll them, so
-	// a stale assignment or abort from an earlier run under the same
-	// prefix cannot leak in.
-	stale := []string{o.assignKey(), o.abortKey()}
-	for i := 0; i < w; i++ {
-		stale = append(stale, o.doneKey(i))
+	// Scope every key to this run before any worker can touch the store.
+	id, err := master.Incr(o.runKey())
+	if err != nil {
+		return nil, nil, fmt.Errorf("distrib: drawing run id: %w", err)
 	}
-	if _, err := master.Del(stale...); err != nil {
-		return nil, nil, fmt.Errorf("distrib: clearing run keys: %w", err)
+	o.KeyPrefix += ":" + strconv.FormatInt(id, 10)
+	b, err := kvstore.NewBarrier(master, o.barrierName(), parties)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	var wg sync.WaitGroup
 	shardAssigns := make([][]int, w)
+	shipBusy := make([]time.Duration, w)
 	for i := range workers {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			report.WorkerErrs[i] = runWorker(workers[i], corpus, hasher, i, w, parties, o, dm, &shardAssigns[i])
+			shardAssigns[i], shipBusy[i], report.WorkerErrs[i] = runWorker(workers[i], corpus, hasher, i, w, parties, o, dm)
 		}(i)
 	}
 
-	coordErr := runCoordinator(master, corpus, hasher, n, w, parties, o, dm, &stats, report)
+	sketches, res, coordErr := runCoordinator(master, b, corpus, hasher, n, w, o, dm, &stats, report)
 	wg.Wait()
+	for _, d := range shipBusy {
+		stats.Busy += d
+	}
+	// Every party has left the run. A delete that fails leaks keys no
+	// later run reads — they carry this run's id — so the result stands.
+	keys := []string{o.assignKey(), o.abortKey()}
+	for i := 0; i < w; i++ {
+		keys = append(keys, o.sketchKey(i), o.doneKey(i))
+	}
+	_, _ = master.Del(keys...)
+	_ = b.Clear()
 	if coordErr != nil {
 		return nil, report, coordErr
 	}
@@ -327,70 +380,38 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 			}
 		}
 	}
-
-	// Reassemble the full stratification from the published assignment
-	// (the coordinator could keep it in memory; reading it back through
-	// the store exercises the same path the workers used).
-	raw, err := master.Get(o.assignKey())
-	if err != nil {
-		return nil, report, err
-	}
-	assign := decodeAssignment(raw)
-	if len(assign) != n {
-		return nil, report, fmt.Errorf("distrib: assignment covers %d of %d records", len(assign), n)
-	}
-	// Every worker that completed saw the same published assignment for
-	// its shard (dead workers have no shard view to compare).
+	// Every worker that completed decoded the same published assignment
+	// for its shard as the coordinator clustered (dead workers have no
+	// shard view to compare).
 	for i := range workers {
 		lo := i * n / w
 		for off, a := range shardAssigns[i] {
-			if assign[lo+off] != a {
+			if res.Assign[lo+off] != a {
 				return nil, report, fmt.Errorf("distrib: worker %d shard assignment diverges at record %d", i, lo+off)
 			}
 		}
 	}
-	k := o.Cluster.K
-	if k > n {
-		k = n
-	}
-	members := make([][]int, k)
-	for i, a := range assign {
-		if a < 0 || a >= k {
-			return nil, report, fmt.Errorf("distrib: record %d assigned to stratum %d of %d", i, a, k)
-		}
-		members[a] = append(members[a], i)
-	}
-	wt := make([]int, k)
-	for i, a := range assign {
+	wt := make([]int, res.K())
+	for i, a := range res.Assign {
 		wt[a] += corpus.Weight(i)
 	}
-	// Rebuild sketches locally for the Stratification value (cheap
-	// relative to shipping them back).
-	sketches := strata.SketchCorpus(corpus, hasher, 0)
 	return &strata.Stratification{
-		Result: &strata.Result{
-			Assign:  assign,
-			Members: members,
-		},
-		Sketches:     sketches,
-		WeightTotals: wt,
-		Stats:        stats,
+		Result: res, Sketches: sketches, WeightTotals: wt, Stats: stats,
 	}, report, nil
 }
 
-// runCoordinator waits (boundedly) for the workers' sketches, recovers
-// missing shards locally, clusters, and publishes the assignment. On a
-// terminal error it aborts both the barrier and the run so every
-// blocked or polling worker is released promptly. stats receives the
-// distributed run's stratification profile: the sketch phase (barrier
-// wait + gather + recovery) and the centralized clustering.
-func runCoordinator(master kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, n, w, parties int, o Options, dm distribMetrics, stats *strata.StratifyStats, report *Report) (err error) {
-	b, berr := kvstore.NewBarrier(master, o.barrierName(), parties)
-	if berr != nil {
-		return berr
-	}
+// runCoordinator waits (boundedly) for the workers' sketches, gathers
+// them, recovers what is missing locally, clusters, and publishes the
+// assignment; it returns the sketches it gathered and the clustering it
+// published. On a terminal error it aborts both the barrier and the run
+// so every blocked or polling worker is released promptly. stats
+// receives the distributed run's stratification profile: the sketch
+// phase (barrier wait + gather + recovery) and the centralized
+// clustering.
+func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus, hasher *sketch.Hasher, n, w int, o Options, dm distribMetrics, stats *strata.StratifyStats, report *Report) (_ []sketch.Sketch, _ *strata.Result, err error) {
 	b.Timeout = o.SketchWait
 	b.PollInterval = o.PollInterval
+	b.MaxPollInterval = pollBackoffCap * o.PollInterval
 	defer func() {
 		if err != nil {
 			_ = master.Set(o.abortKey(), []byte("coordinator: "+err.Error()))
@@ -398,120 +419,118 @@ func runCoordinator(master kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hash
 		}
 	}()
 	phaseStart := time.Now()
-	var missing []int
-	if berr := func() error {
-		if dm.barrierWait != nil {
-			waitStart := time.Now()
-			defer func() { dm.barrierWait.Observe(time.Since(waitStart).Nanoseconds()) }()
-		}
-		return b.Await()
-	}(); berr != nil {
+	recovering := make([]bool, w)
+	berr := b.Await()
+	dm.barrierWait.Observe(time.Since(phaseStart).Nanoseconds())
+	if berr != nil {
 		if o.DisableRecovery {
-			return fmt.Errorf("distrib: coordinator sketch barrier: %w", berr)
+			return nil, nil, fmt.Errorf("distrib: coordinator sketch barrier: %w", berr)
 		}
 		// Bounded wait expired (or the barrier itself misbehaved):
 		// release live workers now and take over the missing shards.
 		report.Aborted = true
 		dm.aborts.Inc()
 		if aerr := b.Abort("coordinator recovering missing shards"); aerr != nil {
-			return fmt.Errorf("distrib: aborting sketch barrier: %w (after %v)", aerr, berr)
+			return nil, nil, fmt.Errorf("distrib: aborting sketch barrier: %w (after %v)", aerr, berr)
 		}
 		for i := 0; i < w; i++ {
 			if _, gerr := master.Get(o.doneKey(i)); gerr != nil {
 				if errors.Is(gerr, kvstore.ErrNil) {
-					missing = append(missing, i)
+					recovering[i] = true
+					report.RecoveredShards = append(report.RecoveredShards, i)
 					continue
 				}
-				return fmt.Errorf("distrib: reading completion marker %d: %w", i, gerr)
+				return nil, nil, fmt.Errorf("distrib: reading completion marker %d: %w", i, gerr)
 			}
 		}
 	}
-	recovering := make(map[int]bool, len(missing))
-	for _, i := range missing {
-		recovering[i] = true
-	}
+	dm.recShards.Add(int64(len(report.RecoveredShards)))
+	// One arena for every sketch, laid out like sketch.SketchAll's. Each
+	// LRANGE window of blocks is decoded into it and dropped before the
+	// next, so the coordinator never holds a whole shard's encoding.
+	width := hasher.K()
+	flat := make([]uint64, n*width)
 	sketches := make([]sketch.Sketch, n)
-	// Gather in bounded LRANGE windows: each batch is decoded into its
-	// slot and the raw wire bytes are dropped before the next window,
-	// so the coordinator never materializes a whole shard's encoding.
-	const gatherWindow = 4096
+	const gatherWindow = 16
+	gatherStart := time.Now()
 	for i := 0; i < w; i++ {
 		if recovering[i] {
 			continue
 		}
 		err := master.LRangeChunked(o.sketchKey(i), gatherWindow, func(batch [][]byte) error {
-			for _, rec := range batch {
-				idx, s, err := decodeSketchRecord(rec, o.SketchWidth)
-				if err != nil {
+			for _, block := range batch {
+				if err := decodeSketchBlock(block, width, flat, sketches); err != nil {
 					return err
 				}
-				if idx < 0 || idx >= n {
-					return fmt.Errorf("distrib: sketch for out-of-range record %d", idx)
-				}
-				sketches[idx] = s
 			}
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("distrib: gathering worker %d sketches: %w", i, err)
+			return nil, nil, fmt.Errorf("distrib: gathering worker %d sketches: %w", i, err)
 		}
 	}
-	// Re-sketch missing shards locally: sketching is a pure function of
-	// (corpus, hasher), so the recovered values are bit-identical to
-	// what the dead workers would have shipped.
-	for _, i := range missing {
-		lo, hi := i*n/w, (i+1)*n/w
-		for r := lo; r < hi; r++ {
-			sketches[r] = hasher.Sketch(corpus.ItemSet(r))
+	stats.Busy = time.Since(gatherStart)
+	// What is still nil is a recovering shard, or a hole no marker
+	// accounts for (a worker that arrived at the barrier after a failed
+	// ship). Sketching is a pure function of (corpus, hasher), so
+	// re-sketching either locally is bit-identical to what the worker
+	// would have shipped.
+	var holes []int
+	for i := 0; i < w; i++ {
+		for r := i * n / w; r < (i+1)*n/w; r++ {
+			if sketches[r] != nil {
+				continue
+			}
+			holes = append(holes, r)
+			if !recovering[i] {
+				if o.DisableRecovery {
+					return nil, nil, fmt.Errorf("distrib: record %d never sketched", r)
+				}
+				report.RecoveredRecords++
+			}
 		}
-	}
-	report.RecoveredShards = missing
-	dm.recShards.Add(int64(len(missing)))
-	// Defensive sweep: a worker that arrived at the barrier after a
-	// failed ship leaves holes no marker accounts for.
-	for r, s := range sketches {
-		if s != nil {
-			continue
-		}
-		if o.DisableRecovery {
-			return fmt.Errorf("distrib: record %d never sketched", r)
-		}
-		sketches[r] = hasher.Sketch(corpus.ItemSet(r))
-		report.RecoveredRecords++
 	}
 	dm.recRecords.Add(int64(report.RecoveredRecords))
+	stats.Busy += parallel.For(len(holes), o.Cluster.Workers, func(lo, hi int) {
+		for _, r := range holes[lo:hi] {
+			sketches[r] = flat[r*width : (r+1)*width : (r+1)*width]
+			hasher.SketchInto(corpus.ItemSet(r), sketches[r])
+		}
+	})
 	stats.SketchTime = time.Since(phaseStart)
 	clusterStart := time.Now()
 	res, err := strata.Cluster(sketches, o.Cluster)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	stats.ClusterTime = time.Since(clusterStart)
 	stats.Iterations = res.Iterations
 	stats.Converged = res.Converged
 	stats.Iters = res.IterStats
-	stats.Busy = res.Busy
+	stats.Busy += res.Busy
 	for _, it := range res.IterStats {
 		stats.MovedTotal += it.Moved
 	}
 	enc, err := encodeAssignment(res.Assign)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if err := master.Set(o.assignKey(), enc); err != nil {
-		return fmt.Errorf("distrib: publishing assignment: %w", err)
+		return nil, nil, fmt.Errorf("distrib: publishing assignment: %w", err)
 	}
-	return nil
+	return sketches, res, nil
 }
 
 // runWorker executes one worker's phases: sketch shard → ship (with
 // whole-shard retry) → completion marker → barrier (advisory) → poll
-// assignment.
-func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, parties int, o Options, dm distribMetrics, shardAssign *[]int) error {
+// assignment. It returns its shard's slice of the published assignment
+// and the time it spent sketching and shipping.
+func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, parties int, o Options, dm distribMetrics) ([]int, time.Duration, error) {
 	n := corpus.Len()
 	lo := i * n / w
 	hi := (i + 1) * n / w
 
+	shipStart := time.Now()
 	var shipErr error
 	for attempt := 0; attempt <= o.ShipRetries; attempt++ {
 		if attempt > 0 {
@@ -521,6 +540,7 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 			break
 		}
 	}
+	busy := time.Since(shipStart)
 	if shipErr == nil {
 		// Completion marker: the coordinator's ground truth for which
 		// shards need recovery. A failed SET is tolerable — worst case
@@ -541,30 +561,27 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 	raw, pollErr := pollAssignment(c, o)
 	if pollErr != nil {
 		if shipErr != nil {
-			return errors.Join(shipErr, pollErr)
+			return nil, busy, errors.Join(shipErr, pollErr)
 		}
-		return pollErr
+		return nil, busy, pollErr
 	}
 	assign := decodeAssignment(raw)
 	if len(assign) != n {
-		return fmt.Errorf("assignment covers %d of %d records", len(assign), n)
+		return nil, busy, fmt.Errorf("assignment covers %d of %d records", len(assign), n)
 	}
-	*shardAssign = assign[lo:hi]
 	if shipErr != nil {
-		return fmt.Errorf("shard ship failed (coordinator recovery required): %w", shipErr)
+		return assign[lo:hi], busy, fmt.Errorf("shard ship failed (coordinator recovery required): %w", shipErr)
 	}
-	return nil
+	return assign[lo:hi], busy, nil
 }
 
-// shipShard pushes one shard's sketches as a fresh list: DEL + a
-// pipeline of chunked variadic RPUSHes + length check. Records are
-// packed into one flat arena per command and shipped many-per-RPUSH —
-// bounded by maxShip payload bytes per command — so a shard costs
-// O(records/chunk) commands, replies, and engine dispatches instead of
-// O(records). The list contents are element-for-element identical to
-// the per-record path (variadic RPUSH appends values in order), and
-// each attempt starts from scratch, which is what makes the
-// non-idempotent RPUSHes safely retryable as a unit.
+// shipShard pushes one shard's sketches as a fresh list of blocks: DEL
+// + a pipeline of variadic RPUSHes + length check. Records are packed
+// into one flat arena per command — bounded by maxShip payload bytes —
+// and travel as blocks of up to blockBytes, so a shard costs
+// O(records/block) list elements, bulks and server-side copies on both
+// ends, not O(records). Each attempt starts from scratch, which is what
+// makes the non-idempotent RPUSHes safely retryable as a unit.
 func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi int, key string, width, maxShip int, shipBytes *telemetry.Counter) error {
 	if _, err := c.Del(key); err != nil {
 		return err
@@ -574,33 +591,31 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 		return err
 	}
 	recSize := 4 + 8*hasher.K()
-	perCmd := maxShip / recSize
-	if perCmd < 1 {
-		perCmd = 1
-	}
+	perBlock := max(1, min(blockBytes, maxShip)/recSize) // records
+	blocksPerCmd := max(1, maxShip/(perBlock*recSize))
+	perCmd := perBlock * blocksPerCmd
 	total := hi - lo
 	p.Expect((total + perCmd - 1) / perCmd)
 	// One arena and one scratch sketch for the whole ship: Send frames
 	// the arguments into the client's write buffer before returning, so
-	// both are safely recycled per batch.
+	// both are safely recycled per command.
 	keyArg := []byte(key)
 	arena := make([]byte, 0, perCmd*recSize)
-	args := make([][]byte, 0, perCmd+1)
+	args := make([][]byte, 0, blocksPerCmd+1)
 	scratch := make(sketch.Sketch, hasher.K())
 	for r := lo; r < hi; {
-		n := perCmd
-		if hi-r < n {
-			n = hi - r
-		}
+		n := min(perCmd, hi-r)
 		arena = arena[:0]
-		args = append(args[:0], keyArg)
 		for j := 0; j < n; j++ {
 			hasher.SketchInto(corpus.ItemSet(r+j), scratch)
-			start := len(arena)
 			if arena, err = appendSketchRecord(arena, r+j, scratch); err != nil {
 				return err
 			}
-			args = append(args, arena[start:len(arena):len(arena)])
+		}
+		args = append(args[:0], keyArg)
+		for off := 0; off < len(arena); off += perBlock * recSize {
+			end := min(off+perBlock*recSize, len(arena))
+			args = append(args, arena[off:end:end])
 		}
 		if err := p.Send("RPUSH", args...); err != nil {
 			return err
@@ -621,11 +636,20 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 	if err != nil {
 		return err
 	}
-	if cnt != int64(total) {
-		return fmt.Errorf("distrib: shard list holds %d of %d records", cnt, total)
+	// Only the shard's last block can be short: a command carries a
+	// whole number of blocks.
+	if blocks := (total + perBlock - 1) / perBlock; cnt != int64(blocks) {
+		return fmt.Errorf("distrib: shard list holds %d of %d blocks", cnt, blocks)
 	}
 	return nil
 }
+
+// pollBackoffCap × PollInterval is where the two waits on the run's
+// critical path stop backing off: the coordinator at the sketch barrier
+// and the workers polling for the assignment. Each is hundreds of
+// milliseconds long, and whatever the waiter oversleeps past its end
+// the whole run waits too.
+const pollBackoffCap = 8
 
 // pollAssignment waits for the coordinator's published assignment with
 // exponential backoff, bounded by Options.AssignWait, bailing out
@@ -633,7 +657,7 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 func pollAssignment(c kvstore.KV, o Options) ([]byte, error) {
 	deadline := time.Now().Add(o.AssignWait)
 	poll := o.PollInterval
-	maxPoll := 64 * o.PollInterval
+	maxPoll := pollBackoffCap * o.PollInterval
 	var lastErr error
 	for {
 		raw, err := c.Get(o.assignKey())

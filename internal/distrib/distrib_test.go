@@ -135,22 +135,41 @@ func TestDistributedMoreWorkersThanRecords(t *testing.T) {
 }
 
 func TestSketchRecordRoundtrip(t *testing.T) {
-	s := sketch.Sketch{1, 2, 1 << 60}
-	enc, err := appendSketchRecord(nil, 42, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, back, err := decodeSketchRecord(enc, 3)
-	if err != nil || idx != 42 {
-		t.Fatalf("idx %d err %v", idx, err)
-	}
-	for i := range s {
-		if back[i] != s[i] {
-			t.Fatal("sketch mangled")
+	// Two records back to back are one block; each lands in its own
+	// slot of the arena, and slots nobody shipped stay nil.
+	recs := map[int]sketch.Sketch{42: {1, 2, 1 << 60}, 7: {9, 8, 7}}
+	var block []byte
+	for _, idx := range []int{42, 7} {
+		var err error
+		if block, err = appendSketchRecord(block, idx, recs[idx]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, _, err := decodeSketchRecord([]byte{1, 2}, 3); err == nil {
-		t.Error("short record accepted")
+	const n, width = 50, 3
+	flat := make([]uint64, n*width)
+	out := make([]sketch.Sketch, n)
+	if err := decodeSketchBlock(block, width, flat, out); err != nil {
+		t.Fatal(err)
+	}
+	for idx, s := range out {
+		if want, ok := recs[idx]; !ok {
+			if s != nil {
+				t.Fatalf("record %d decoded from nowhere", idx)
+			}
+		} else if !reflect.DeepEqual(s, want) || &s[0] != &flat[idx*width] {
+			t.Fatalf("record %d = %v, want %v in its arena slot", idx, s, want)
+		}
+	}
+	past, _ := appendSketchRecord(nil, n, recs[7])
+	for name, bad := range map[string][]byte{
+		"empty":          nil,
+		"short":          {1, 2},
+		"ragged":         block[:len(block)-1],
+		"index past end": past,
+	} {
+		if err := decodeSketchBlock(bad, width, flat, out); err == nil {
+			t.Errorf("%s block accepted", name)
+		}
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"pareto/internal/datasets"
 	"pareto/internal/kvstore"
 	"pareto/internal/pivots"
 	"pareto/internal/sketch"
+	"pareto/internal/strata"
 )
 
 // benchCorpus builds n synthetic documents (8 distinct sorted terms
@@ -45,18 +47,28 @@ func benchCorpus(b *testing.B, n int) *pivots.TextCorpus {
 
 func benchStoreClient(b *testing.B) *kvstore.Client {
 	b.Helper()
+	return benchStoreClients(b, 1)[0]
+}
+
+// benchStoreClients starts one server and dials it n times.
+func benchStoreClients(b *testing.B, n int) []*kvstore.Client {
+	b.Helper()
 	srv := kvstore.NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Close() })
-	c, err := kvstore.Dial(addr, 5*time.Second)
-	if err != nil {
-		b.Fatal(err)
+	cs := make([]*kvstore.Client, n)
+	for i := range cs {
+		c, err := kvstore.Dial(addr, 5*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		cs[i] = c
 	}
-	b.Cleanup(func() { c.Close() })
-	return c
+	return cs
 }
 
 // shipShardPerRecord reimplements the pre-overhaul shipping path as
@@ -133,4 +145,40 @@ func BenchmarkShipShard(b *testing.B) {
 		}
 		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
+}
+
+// BenchmarkStratifyRepeat times the second and later runs of the whole
+// protocol over one live server and one key prefix — what every timed
+// repetition of the end-to-end benchmark's text workload is: about 20k
+// documents (a quarter of its corpus), its strata, its two workers. One
+// op = one StratifyDetailed; recovered_records/op is how many records
+// the coordinator re-sketched itself instead of gathering them.
+func BenchmarkStratifyRepeat(b *testing.B) {
+	cfg := datasets.RCV1Like(0.025)
+	docs, _, err := datasets.GenerateText(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := benchStoreClients(b, 3)
+	master, workers := cs[0], cs[1:]
+	o := Options{Cluster: strata.Config{K: 16, L: 3, Seed: 11}, Seed: 5, PipelineWidth: 64}
+	run := func() int {
+		_, report, err := StratifyDetailed(master, workers, corpus, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return report.RecoveredRecords
+	}
+	run() // the first run under a prefix is not the one being measured
+	recovered := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recovered += run()
+	}
+	b.ReportMetric(float64(recovered)/float64(b.N), "recovered_records/op")
 }

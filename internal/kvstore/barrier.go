@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -21,6 +22,13 @@ import (
 // ErrBarrierAborted instead of letting them burn through their full
 // timeout — the escape hatch a coordinator uses when it detects dead
 // workers and takes over their shards.
+//
+// The barrier's state is its keys on the store, not the Barrier value:
+// a new Barrier starts at generation 0 whatever the store holds. A
+// name reused on a live store without Clear therefore starts released
+// (the old counters already read parties, so Await returns at once),
+// and an abort outlives the value that wrote it. Give each protocol
+// run its own name, or Clear after every party has left.
 type Barrier struct {
 	client  KV
 	name    string
@@ -70,10 +78,30 @@ func (b *Barrier) abortKey() string {
 	return "__barrier:" + b.name + ":abort"
 }
 
+func (b *Barrier) genKey(gen int) string {
+	return "__barrier:" + b.name + ":" + strconv.Itoa(gen)
+}
+
+// Clear deletes the barrier's keys: the counters of every generation
+// this value has entered, and the abort key. Call it from one party
+// once all parties are past their last Await or Arrive — a party that
+// arrives afterwards recreates its counter and waits alone.
+func (b *Barrier) Clear() error {
+	keys := make([]string, 0, b.gen+1)
+	for g := 0; g < b.gen; g++ {
+		keys = append(keys, b.genKey(g))
+	}
+	if _, err := b.client.Del(append(keys, b.abortKey())...); err != nil {
+		return fmt.Errorf("kvstore: barrier clear: %w", err)
+	}
+	return nil
+}
+
 // Abort marks the barrier aborted with a reason: every current and
 // future Await on this name returns ErrBarrierAborted promptly. The
-// abort is sticky for the barrier's whole lifetime (all generations) —
-// an aborted protocol round must not be resumed through the same name.
+// abort is sticky across generations and across Barrier values, until
+// Clear — an aborted protocol round must not be resumed through the
+// same name.
 func (b *Barrier) Abort(reason string) error {
 	if reason == "" {
 		reason = "aborted"
@@ -105,7 +133,7 @@ func (b *Barrier) aborted() (string, error) {
 // remaining barriers so peers blocked in Await are released instead of
 // timing out.
 func (b *Barrier) Arrive() error {
-	key := fmt.Sprintf("__barrier:%s:%d", b.name, b.gen)
+	key := b.genKey(b.gen)
 	b.gen++
 	if _, err := b.client.Incr(key); err != nil {
 		return fmt.Errorf("kvstore: barrier arrive: %w", err)
@@ -117,7 +145,7 @@ func (b *Barrier) Arrive() error {
 // blocks until all parties arrive, the barrier is aborted, or the
 // timeout passes.
 func (b *Barrier) Await() error {
-	key := fmt.Sprintf("__barrier:%s:%d", b.name, b.gen)
+	key := b.genKey(b.gen)
 	b.gen++
 	n, err := b.client.Incr(key)
 	if err != nil {

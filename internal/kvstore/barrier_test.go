@@ -161,3 +161,78 @@ func TestBarrierArriveReleasesPeers(t *testing.T) {
 		t.Fatalf("second round: %v", err)
 	}
 }
+
+// TestBarrierStateLivesOnTheStore pins what the doc comment says: the
+// barrier's state is its keys, so a name reused without Clear starts
+// released and an abort outlives the value that wrote it; Clear removes
+// every key the value touched, after which the name waits again.
+func TestBarrierStateLivesOnTheStore(t *testing.T) {
+	addr, _ := startServer(t)
+	c1 := dialTest(t, addr)
+	c2 := dialTest(t, addr)
+	dbsize := func() int64 {
+		t.Helper()
+		rep, err := c1.Do("DBSIZE")
+		if err != nil || rep.Err() != nil {
+			t.Fatalf("DBSIZE: %v %v", err, rep.Err())
+		}
+		return rep.Int
+	}
+	empty := dbsize()
+	round := func() (*Barrier, error) {
+		b1, _ := NewBarrier(c1, "reused", 2)
+		b2, _ := NewBarrier(c2, "reused", 2)
+		done := make(chan error, 1)
+		go func() { done <- b2.Await() }()
+		err := b1.Await()
+		if err2 := <-done; err == nil {
+			err = err2
+		}
+		return b1, err
+	}
+	b, err := round()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reused without Clear: one party alone is released at once.
+	alone, _ := NewBarrier(c1, "reused", 2)
+	alone.Timeout = 50 * time.Millisecond
+	if err := alone.Await(); err != nil {
+		t.Fatalf("reused name did not start released: %v", err)
+	}
+	// Cleared: the same party alone now waits out its timeout.
+	if err := b.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dbsize(); got != empty {
+		t.Fatalf("Clear left %d keys", got-empty)
+	}
+	alone, _ = NewBarrier(c1, "reused", 2)
+	alone.Timeout = 50 * time.Millisecond
+	if err := alone.Await(); !errors.Is(err, ErrBarrierTimeout) {
+		t.Fatalf("cleared name: %v, want timeout", err)
+	}
+
+	// An abort outlives the value that wrote it, until Clear.
+	if err := alone.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if err := alone.Abort("gone"); err != nil {
+		t.Fatal(err)
+	}
+	later, _ := NewBarrier(c2, "reused", 2)
+	later.Timeout = 50 * time.Millisecond
+	if err := later.Await(); !errors.Is(err, ErrBarrierAborted) {
+		t.Fatalf("abort did not outlive its Barrier: %v", err)
+	}
+	if err := later.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dbsize(); got != empty {
+		t.Fatalf("Clear after abort left %d keys", got-empty)
+	}
+	if _, err := round(); err != nil {
+		t.Fatalf("round after Clear: %v", err)
+	}
+}

@@ -44,10 +44,10 @@ type StratifyStats struct {
 	MovedTotal int
 	// Busy is the summed busy time of the workers inside the parallel
 	// sections: bulk sketching plus Result.Busy (assignment rounds and
-	// center updates). A distributed stratification reports only the
-	// coordinator's clustering here — the workers' sketching runs in
-	// other processes — so there it is read against ClusterTime, not
-	// against the whole stratification's wall time.
+	// center updates). A distributed stratification sums its workers'
+	// sketch-and-ship time, the coordinator's gather and recovery, and
+	// Result.Busy, so either way it is read against the whole
+	// stratification's wall time.
 	Busy time.Duration
 
 	// FailedAttempts counts earlier stratification attempts whose work
@@ -122,12 +122,4 @@ func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 	return &Stratification{
 		Result: res, Sketches: sketches, WeightTotals: wt, Stats: stats,
 	}, nil
-}
-
-// SketchCorpus computes the sketch of every record through the bulk
-// sketch path: all sketches share one flat backing allocation and are
-// filled in parallel in corpus order. workers ≤ 0 means GOMAXPROCS.
-func SketchCorpus(c pivots.Corpus, h *sketch.Hasher, workers int) []sketch.Sketch {
-	sketches, _ := h.SketchAll(c.Len(), c.ItemSet, workers)
-	return sketches
 }

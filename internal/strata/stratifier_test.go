@@ -121,6 +121,13 @@ func TestStratifyDefaultWidth(t *testing.T) {
 	}
 }
 
+// SketchCorpus sketches every record through the bulk path
+// (Hasher.SketchAll), the way Stratify does, without clustering.
+func SketchCorpus(c pivots.Corpus, h *sketch.Hasher, workers int) []sketch.Sketch {
+	sketches, _ := h.SketchAll(c.Len(), c.ItemSet, workers)
+	return sketches
+}
+
 func TestSketchCorpusParallelMatchesSerial(t *testing.T) {
 	corpus, _ := clusteredTextCorpus(t, 100, 4)
 	h, err := sketch.NewHasher(16, 5)
