@@ -26,9 +26,9 @@ func testTrees(t testing.TB, scale float64) []pivots.Tree {
 	return trees
 }
 
-// sortedItems returns a sorted copy of an item set. Pivots() emits
-// map-iteration order, which is nondeterministic even sequentially;
-// only set equality is meaningful (and is all MinHash minima depend on).
+// sortedItems returns a sorted copy of an item set, so the comparison
+// holds corpora to set equality — all MinHash minima depend on — and
+// not to the order a corpus happens to emit its items in.
 func sortedItems(s []sketch.Item) []sketch.Item {
 	c := append([]sketch.Item(nil), s...)
 	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })

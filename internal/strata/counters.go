@@ -3,13 +3,11 @@ package strata
 import "pareto/internal/sketch"
 
 // freqCounters maintains the per-(stratum, attribute) value→frequency
-// maps behind incremental center updates: counts.row(s, a)[v] is the
-// number of stratum-s members whose sketch attribute a equals v.
-// Entries are deleted when they reach zero, so top-L selection (and any
-// other consumer) sees exactly the values present among current
-// members. The type is shared between the kmodes assign/update loop,
-// which applies per-round membership deltas, and the online
-// DriftTracker, which folds ingested records into frozen strata.
+// maps of the online DriftTracker, which folds ingested records into
+// frozen strata: counts.row(s, a)[v] is the number of stratum-s members
+// whose sketch attribute a equals v. Values stay values here because a
+// stream can bring any value after the freeze. compositeKModes does not
+// use these maps: it counts dense per-call cells (kmodes.go).
 type freqCounters struct {
 	k, width int
 	counts   []map[uint64]int
@@ -37,32 +35,9 @@ func (f *freqCounters) count(stratum, attr int, v uint64) int {
 
 // add folds one member sketch into stratum's counters.
 func (f *freqCounters) add(s sketch.Sketch, stratum int) {
-	f.addAttrs(s, stratum, 0, f.width)
-}
-
-// addAttrs is add restricted to attributes [lo, hi). The maps of
-// disjoint attribute ranges are disjoint, so goroutines that each own a
-// range may fold the same records concurrently without locks.
-func (f *freqCounters) addAttrs(s sketch.Sketch, stratum, lo, hi int) {
 	base := stratum * f.width
-	for a := lo; a < hi; a++ {
-		f.counts[base+a][s[a]]++
-	}
-}
-
-// moveAttrs applies one membership change (old → now) as a delta on
-// attributes [lo, hi).
-func (f *freqCounters) moveAttrs(s sketch.Sketch, old, now, lo, hi int) {
-	oldBase, newBase := old*f.width, now*f.width
-	for a := lo; a < hi; a++ {
-		v := s[a]
-		oc := f.counts[oldBase+a]
-		if oc[v] == 1 {
-			delete(oc, v)
-		} else {
-			oc[v]--
-		}
-		f.counts[newBase+a][v]++
+	for a, v := range s {
+		f.counts[base+a][v]++
 	}
 }
 
@@ -87,18 +62,33 @@ func blankCenter(width, l int) Center {
 	return Center{Values: vals}
 }
 
-// fillMode sets rows [lo, hi) of the blank center c to stratum's top-l
-// values per attribute (count desc, value asc). sel is the caller's
-// selection scratch.
-func (f *freqCounters) fillMode(c Center, stratum, l, lo, hi int, sel *[]valCount) {
-	for a := lo; a < hi; a++ {
-		c.Values[a] = appendTopL(c.Values[a], f.row(stratum, a), l, sel)
-	}
-}
-
-// modeCenter builds stratum's composite center from its counters.
+// modeCenter builds stratum's composite center from its counters: per
+// attribute, the top-l values (count desc, value asc). sel is the
+// caller's selection scratch.
 func (f *freqCounters) modeCenter(stratum, l int, sel *[]valCount) Center {
 	c := blankCenter(f.width, l)
-	f.fillMode(c, stratum, l, 0, f.width, sel)
+	for a := range c.Values {
+		c.Values[a] = appendTopL(c.Values[a], f.row(stratum, a), l, sel)
+	}
 	return c
+}
+
+// appendTopL appends the up-to-l highest-ranked values of freq to dst
+// and returns the extended slice. *sel is caller-owned selection
+// scratch, grown once to l and reused, so steady-state selection is
+// allocation-free (unlike a sort, which would order all of freq to
+// keep l values and allocate a comparator closure per call).
+func appendTopL(dst []uint64, freq map[uint64]int, l int, sel *[]valCount) []uint64 {
+	if cap(*sel) < l {
+		*sel = make([]valCount, l)
+	}
+	top := (*sel)[:l]
+	n := 0
+	for v, c := range freq {
+		n = insertTopL(top, n, valCount{v: v, n: c})
+	}
+	for _, e := range top[:n] {
+		dst = append(dst, e.v)
+	}
+	return dst
 }

@@ -1,12 +1,15 @@
 // Online drift detection over a frozen stratification.
 //
-// The batch stratifier maintains per-(stratum, attribute) value
-// frequency counters to rebuild centers incrementally (kmodes.go). The
-// DriftTracker reuses exactly that machinery for the online replanning
-// loop: ingested records are assigned to the nearest *frozen* center
-// with the same tie-breaking scan as the stratifier, folded into the
-// same frequency counters, and the counters are exposed as a
-// per-stratum drift statistic.
+// The DriftTracker watches a frozen stratification for the online
+// replanning loop: ingested records are assigned to the nearest
+// *frozen* center with the same tie-breaking scan as the stratifier
+// (nearestFlat, shared with kmodes.go), folded into per-(stratum,
+// attribute) value frequency counters (counters.go), and the counters
+// are exposed as a per-stratum drift statistic. The counters are keyed
+// by value, not by the batch stratifier's per-call codes: a stream can
+// bring values no code was given at freeze time. Refreezing a stratum
+// from its counters uses the stratifier's top-L rule (count desc,
+// value asc).
 //
 // The statistic is center coverage decay. For stratum s, coverage is
 // the fraction of counter mass lying on the frozen center's candidate

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"pareto/internal/datasets"
 	"pareto/internal/pivots"
 	"pareto/internal/sketch"
 )
@@ -101,14 +102,43 @@ func BenchmarkStratifySketchStage(b *testing.B) {
 }
 
 // BenchmarkStratifyClusterStage isolates compositeKModes over
-// pre-computed sketches.
+// pre-computed sketches (K = 32, L = 3, width 32), on two corpus shapes:
+// the planted-topic text corpus, and SwissProt-like trees, whose sketch
+// coordinates take several times more distinct values — what the
+// tree_mining_mem planner clusters.
 func BenchmarkStratifyClusterStage(b *testing.B) {
-	corpus := hotPathCorpus(b, hotPathN(b), 32)
 	h, err := sketch.NewHasher(32, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sketches := SketchCorpus(corpus, h, 0)
+	b.Run("text", func(b *testing.B) {
+		benchCluster(b, SketchCorpus(hotPathCorpus(b, hotPathN(b), 32), h, 0))
+	})
+	b.Run("tree", func(b *testing.B) {
+		benchCluster(b, SketchCorpus(hotPathTrees(b), h, 0))
+	})
+}
+
+// hotPathTrees builds a SwissProt-like tree corpus at a fifth of the
+// paper's 59,545 trees (a fiftieth in short mode).
+func hotPathTrees(b *testing.B) *pivots.TreeCorpus {
+	b.Helper()
+	scale := 0.2
+	if testing.Short() {
+		scale = 0.02
+	}
+	trees, _, err := datasets.GenerateTrees(datasets.SwissProtLike(scale))
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus, err := pivots.NewTreeCorpus(trees)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return corpus
+}
+
+func benchCluster(b *testing.B, sketches []sketch.Sketch) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

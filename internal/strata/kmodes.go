@@ -16,33 +16,40 @@
 //
 // The assign/update loop is the planner's hot path (every
 // core.BuildPlan stratifies before it can profile or optimize), so the
-// implementation is organized around three invariant-preserving
+// implementation is organized around four invariant-preserving
 // optimizations — all bit-exact with the naive formulation, which the
 // tests keep as a reference implementation:
 //
+//   - Private codes: each Cluster call first recodes every sketch
+//     coordinate onto a dense per-attribute code, its rank among the
+//     attribute's distinct values in ascending order, offset so that
+//     all attributes share one index space (a "cell"). Code order is
+//     value order, so the count-desc, value-asc tie-break of top-L
+//     selection reads the same on codes; codes never leave the call,
+//     and centers stay values.
 //   - Assignment reads centers from a flattened [K×width×L]uint64
 //     matrix (short attribute rows padded by repeating the first
 //     candidate) and abandons a center as soon as its running mismatch
 //     count reaches the best distance so far. For moderate K a
-//     per-attribute value→center-bitmask index replaces the scan
-//     entirely.
+//     cell→center-bitmask table replaces the scan: one array read per
+//     attribute, with every center's matches counted at once in
+//     bit-sliced counters.
 //   - Workers persist across iterations: one goroutine per worker with
-//     per-round channel barriers, reusing per-worker scratch (moved
-//     lists, match counters) instead of respawning goroutines and
-//     reallocating result slices every round.
-//   - Center updates are incremental: per-(stratum, attribute)
-//     frequency counters persist across iterations and only the
-//     records that changed stratum this round are applied as deltas;
-//     top-L is recomputed only for strata whose membership changed.
-//     The same workers run the update, each on its own attribute range.
+//     per-round channel barriers, reusing per-worker scratch instead of
+//     respawning goroutines and reallocating every round.
+//   - Center updates rebuild only the strata whose membership changed,
+//     by counting their members' cells in a flat per-worker array; the
+//     same workers run the update, each on its own attribute range.
 package strata
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,6 +148,9 @@ func Cluster(sketches []sketch.Sketch, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("strata: sketch %d has width %d, want %d", i, len(s), width)
 		}
 	}
+	if uint64(n)*uint64(width) > math.MaxInt32 {
+		return nil, fmt.Errorf("strata: %d sketches of width %d exceed the int32 cell index", n, width)
+	}
 	k := cfg.K
 	if k > n {
 		k = n
@@ -195,10 +205,7 @@ func Cluster(sketches []sketch.Sketch, cfg Config) (*Result, error) {
 	}
 	res.Assign = assign
 	res.Centers = centers
-	res.Members = make([][]int, k)
-	for i, a := range assign {
-		res.Members[a] = append(res.Members[a], i)
-	}
+	res.Members = st.members(assign)
 	return res, nil
 }
 
@@ -217,13 +224,17 @@ func initCenters(sketches []sketch.Sketch, k int, rng *rand.Rand) []Center {
 	return centers
 }
 
-// maskPathMaxK bounds the value→center-bitmask assignment path: masks
+// maskPathMaxK bounds the cell→center-bitmask assignment path: masks
 // are single uint64 words, so it only exists for K ≤ 64 centers.
 const maskPathMaxK = 64
 
 // maskPathMinK is the K below which the flattened scan with early exit
-// beats the per-attribute hash lookups of the mask path.
+// beats the per-attribute table lookups of the mask path.
 const maskPathMinK = 8
+
+// maxPlanes bounds nearestMask's bit planes: Cluster keeps the cell
+// index within int32, so the width, and a match count, is below 2³¹.
+const maxPlanes = 31
 
 // clusterState carries the hot-path scratch that persists across
 // assign/update rounds of one Cluster call.
@@ -233,74 +244,217 @@ type clusterState struct {
 	width    int
 	l        int
 
+	// cells is the sketches recoded once per Cluster call: record i's
+	// attribute a is cells[i*width+a] = off[a] + the rank of its value
+	// among attribute a's distinct values, ascending. dicts[a] lists
+	// those values, so cell g of attribute a is the value
+	// dicts[a][g-off[a]], and within one attribute cell order is value
+	// order. Cells never leave the call.
+	cells []uint32
+	dicts [][]uint64
+	off   []int
+
 	// flat is the flattened center matrix: attribute row (c, a) lives
 	// at flat[(c*width+a)*l : +l]. Rows shorter than L are padded by
 	// repeating the first candidate value, so the match loop has a
 	// fixed trip count without a per-row length lookup.
 	flat []uint64
 
-	// masks[a] maps an attribute-a value to the bitmask of centers
-	// listing it among their L candidates (mask path only).
-	masks   []map[uint64]uint64
+	// masks[g] is the bitmask of centers listing cell g's value among
+	// their L candidates (mask path only); maskSet lists the non-zero
+	// entries, so the next load clears just those. Bit g of listed is
+	// set when masks[g] is non-zero: at most K·L cells of an attribute
+	// are, and the bitset is 64 times smaller than masks, so testing it
+	// first keeps most lookups in cache.
+	masks   []uint64
+	maskSet []uint32
+	listed  []uint64
 	useMask bool
+	// planes is the number of bit planes nearestMask counts matches in:
+	// enough for a count of width.
+	planes int
 
-	// counters holds the per-(stratum, attribute) value frequencies of
-	// current members. Maintained incrementally across rounds.
-	counters *freqCounters
+	// byStratum lists the record indices grouped by stratum, stratum c's
+	// at byStratum[first[c]:first[c+1]]; rebuilt before each update.
+	// first has k+2 entries (see groupByStratum).
+	byStratum []int32
+	first     []int32
 	// dirty marks strata whose membership changed since their center
 	// was last rebuilt.
 	dirty []bool
-	// fresh is true until the first updateCenters call, which builds
-	// the counters from scratch.
-	fresh bool
 
 	pool *assignPool
 }
 
 func newClusterState(sketches []sketch.Sketch, k, width, l, workers int) *clusterState {
+	n := len(sketches)
 	st := &clusterState{
-		sketches: sketches,
-		k:        k,
-		width:    width,
-		l:        l,
-		flat:     make([]uint64, k*width*l),
-		useMask:  k >= maskPathMinK && k <= maskPathMaxK,
-		counters: newFreqCounters(k, width),
-		dirty:    make([]bool, k),
-		fresh:    true,
+		sketches:  sketches,
+		k:         k,
+		width:     width,
+		l:         l,
+		cells:     make([]uint32, n*width),
+		dicts:     make([][]uint64, width),
+		off:       make([]int, width+1),
+		flat:      make([]uint64, k*width*l),
+		useMask:   k >= maskPathMinK && k <= maskPathMaxK,
+		planes:    bits.Len(uint(width)),
+		byStratum: make([]int32, n),
+		first:     make([]int32, k+2),
+		dirty:     make([]bool, k),
 	}
+	p := newAssignPool(st, n, workers)
+	st.pool = p
+	p.run(recodeRound)
+	for a, d := range st.dicts {
+		st.off[a+1] = st.off[a] + len(d)
+	}
+	p.run(shiftRound)
 	if st.useMask {
-		st.masks = make([]map[uint64]uint64, width)
-		for a := range st.masks {
-			st.masks[a] = make(map[uint64]uint64, k*l)
-		}
+		st.masks = make([]uint64, st.off[width])
+		st.listed = make([]uint64, (st.off[width]+63)/64)
 	}
-	st.pool = newAssignPool(st, len(sketches), workers)
+	for w := 0; w < p.workers; w++ {
+		lo, hi := p.attrs[w][0], p.attrs[w][1]
+		p.cnt[w] = make([]int32, st.off[hi]-st.off[lo])
+		p.touched[w] = make([]uint32, st.off[hi]-st.off[lo])
+		p.top[w] = make([]valCount, (hi-lo)*l)
+		p.next[w] = make([]int, hi-lo)
+	}
 	return st
 }
 
 func (st *clusterState) close() { st.pool.close() }
 
+// recodeHashMul is the Fibonacci-hashing multiplier of the recode
+// table: the top bits of v·recodeHashMul depend on every bit of v.
+const recodeHashMul = 0x9E3779B97F4A7C15
+
+// recodeTable is one worker's scratch for recoding an attribute: an
+// open-addressed table of the distinct values met so far.
+type recodeTable struct {
+	// slots holds 1 + the index in seen of the value hashed there, 0
+	// for an empty slot. Its length is a power of two kept above twice
+	// len(seen), so probes stay short and always end; it starts at
+	// 2^recodeInitBits and doubles when half full, so it is sized by
+	// the distinct values, not the records.
+	slots []int32
+	shift uint
+	seen  []uint64
+	// rank[j] is the rank of seen[j] among the attribute's distinct
+	// values.
+	rank []uint32
+}
+
+// recodeInitBits sizes a fresh recode table: 1,024 slots.
+const recodeInitBits = 10
+
+// resize replaces the slots with 2^b empty ones and reinserts seen.
+func (t *recodeTable) resize(b int) {
+	t.slots = make([]int32, 1<<b)
+	t.shift = uint(64 - b)
+	for j, v := range t.seen {
+		t.slots[t.find(v)] = int32(j + 1)
+	}
+}
+
+// find returns the slot holding v, or the empty slot where v belongs.
+func (t *recodeTable) find(v uint64) int {
+	mask := len(t.slots) - 1
+	for h := int(v * recodeHashMul >> t.shift); ; h = (h + 1) & mask {
+		if s := t.slots[h]; s == 0 || t.seen[s-1] == v {
+			return h
+		}
+	}
+}
+
+// add returns the index in seen of v, appending v if it is new.
+func (t *recodeTable) add(v uint64) uint32 {
+	h := t.find(v)
+	if s := t.slots[h]; s != 0 {
+		return uint32(s - 1)
+	}
+	t.seen = append(t.seen, v)
+	t.slots[h] = int32(len(t.seen))
+	if 2*len(t.seen) > len(t.slots) {
+		t.resize(bits.Len(uint(len(t.slots))))
+	}
+	return uint32(len(t.seen) - 1)
+}
+
+// recodeAttrs recodes attributes [lo, hi): it stores each one's sorted
+// distinct values in dicts and writes every record's rank among them
+// into its cells — first the value's first-seen index, then, once the
+// values are sorted, its rank — which shiftRound then moves to the
+// attribute's offset. Ranks follow value order because dicts is sorted.
+func (st *clusterState) recodeAttrs(lo, hi int) {
+	if lo == hi {
+		return
+	}
+	t := &recodeTable{}
+	t.resize(recodeInitBits)
+	w := st.width
+	for a := lo; a < hi; a++ {
+		clear(t.slots)
+		t.seen = t.seen[:0]
+		for i, s := range st.sketches {
+			st.cells[i*w+a] = t.add(s[a])
+		}
+		dict := slices.Clone(t.seen)
+		slices.Sort(dict)
+		t.rank = slices.Grow(t.rank[:0], len(dict))[:len(dict)]
+		for r, v := range dict {
+			t.rank[t.slots[t.find(v)]-1] = uint32(r)
+		}
+		st.dicts[a] = dict
+		for i := a; i < len(st.cells); i += w {
+			st.cells[i] = t.rank[st.cells[i]]
+		}
+	}
+}
+
+// shiftCells adds each attribute's offset to the cells of records
+// [lo, hi), turning per-attribute ranks into cells.
+func (st *clusterState) shiftCells(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		row := st.cells[i*st.width : (i+1)*st.width]
+		for a := range row {
+			row[a] += uint32(st.off[a])
+		}
+	}
+}
+
 // loadCenters flattens the centers into the matrix (and rebuilds the
-// value→center-bitmask index on the mask path) before an assignment
+// cell→center-bitmask table on the mask path) before an assignment
 // round. Every attribute row of a live center is non-empty by
 // construction: initCenters and reseedEmpty store one value per
 // attribute, and updateCenters rebuilds a stratum only from a non-empty
-// member multiset or leaves it for reseedEmpty.
+// member multiset or leaves it for reseedEmpty. Every center value is
+// some record's, so it has a cell.
 func (st *clusterState) loadCenters(centers []Center) {
 	flattenCenters(st.flat, centers, st.width, st.l)
 	if !st.useMask {
 		return
 	}
-	for a := range st.masks {
-		clear(st.masks[a])
+	for _, g := range st.maskSet {
+		st.masks[g] = 0
+		st.listed[g>>6] = 0
 	}
+	st.maskSet = st.maskSet[:0]
 	for c := range centers {
 		bit := uint64(1) << uint(c)
 		for a, vs := range centers[c].Values {
-			m := st.masks[a]
 			for _, v := range vs {
-				m[v] |= bit
+				j, ok := slices.BinarySearch(st.dicts[a], v)
+				if !ok {
+					panic("strata: center value absent from the sketches")
+				}
+				g := st.off[a] + j
+				if st.masks[g] == 0 {
+					st.maskSet = append(st.maskSet, uint32(g))
+					st.listed[g>>6] |= 1 << (g & 63)
+				}
+				st.masks[g] |= bit
 			}
 		}
 	}
@@ -319,7 +473,7 @@ func (st *clusterState) assignAll(centers []Center, assign []int) (changed bool,
 	p.run(assignRound)
 	for w := 0; w < p.workers; w++ {
 		cost += p.cost[w]
-		moved += len(p.moved[w])
+		moved += p.moved[w]
 	}
 	return moved > 0, cost, moved
 }
@@ -393,62 +547,64 @@ func nearestFlat(flat []uint64, k, width, l int, s sketch.Sketch) (best, bestDis
 	return best, bestDist
 }
 
-// nearestMask finds the nearest center through the per-attribute
-// value→center-bitmask index: each attribute contributes one hash
-// lookup plus one counter increment per matching center, so the cost is
-// O(width + matches) instead of O(K·width·L). matchCounts is the
-// caller's K-sized scratch. Maximizing matches is minimizing mismatch
-// distance; the strict > keeps the lowest center index on ties, exactly
-// like the scan path.
-func (st *clusterState) nearestMask(s sketch.Sketch, matchCounts []int) (best, bestDist int) {
-	for c := range matchCounts {
-		matchCounts[c] = 0
-	}
-	masks := st.masks
-	for a, v := range s {
-		m := masks[a][v]
-		for m != 0 {
-			matchCounts[bits.TrailingZeros64(m)]++
-			m &= m - 1
+// nearestMask finds the nearest center of the record whose cells are
+// row through the cell→center-bitmask table. It counts the matches of
+// every center at once in bit-sliced counters: planes[j] holds bit j of
+// each center's count, and adding an attribute's mask is a ripple
+// carry across the planes — a fixed handful of word operations however
+// many centers match. The most-matching center is then found from the
+// top plane down, keeping the centers with that bit set whenever any
+// has it; the lowest one left is the lowest index among the maxima, so
+// ties break like the scan path, and maximizing matches is minimizing
+// mismatch distance.
+func (st *clusterState) nearestMask(row []uint32) (best, bestDist int) {
+	var buf [maxPlanes]uint64
+	planes := buf[:st.planes]
+	for _, g := range row {
+		if st.listed[g>>6]&(1<<(g&63)) == 0 {
+			continue
+		}
+		carry := st.masks[g]
+		for j := range planes {
+			planes[j], carry = planes[j]^carry, planes[j]&carry
 		}
 	}
-	best, bestCount := 0, matchCounts[0]
-	for c := 1; c < len(matchCounts); c++ {
-		if matchCounts[c] > bestCount {
-			best, bestCount = c, matchCounts[c]
+	cand := uint64(1)<<uint(st.k) - 1
+	for j := len(planes) - 1; j >= 0; j-- {
+		if t := cand & planes[j]; t != 0 {
+			cand = t
 		}
 	}
-	return best, st.width - bestCount
+	best = bits.TrailingZeros64(cand)
+	count := 0
+	for j, p := range planes {
+		count |= int(p>>uint(best)&1) << j
+	}
+	return best, st.width - count
 }
 
 // updateCenters rebuilds the centers of strata whose membership changed
-// this round, from the persistent frequency counters. The first call
-// builds the counters from the full assignment; later calls apply only
-// the per-record deltas collected by the assignment workers. A stratum
-// whose membership did not change keeps its Center unchanged — its
-// counters are identical, and top-L selection is a pure deterministic
-// function of the counters (count desc, value asc), so the rebuild
-// would produce the same values.
+// this round by recounting their members' cells. The first round moves
+// every record, so it rebuilds every stratum that has members; a
+// stratum left empty keeps its center for reseedEmpty to replace. A
+// stratum whose membership did not change keeps its
+// Center unchanged — its counts are identical, and top-L selection is a
+// pure deterministic function of the counts (count desc, value asc), so
+// the rebuild would produce the same values.
 //
-// The counters are k×width independent maps and a center row depends on
-// one of them, so the work splits by attribute: each pool worker folds
-// the round's records into, and rebuilds the dirty rows of, its own
-// contiguous attribute range. No two workers touch one map, and the
-// centers are the same at every worker count.
+// A center row depends on one attribute's cells only, so the work
+// splits by attribute: each pool worker counts, and rebuilds the dirty
+// rows of, its own contiguous attribute range. The centers are the same
+// at every worker count.
 func (st *clusterState) updateCenters(centers []Center, assign []int) {
 	p := st.pool
-	if st.fresh {
-		for c := range st.dirty {
-			st.dirty[c] = true
+	for w := 0; w < p.workers; w++ {
+		for c, d := range p.dirty[w] {
+			st.dirty[c] = st.dirty[c] || d
 		}
-	} else {
-		for w := 0; w < p.workers; w++ {
-			for _, m := range p.moved[w] {
-				st.dirty[m.old] = true
-				st.dirty[assign[m.idx]] = true
-			}
-		}
+		clear(p.dirty[w])
 	}
+	st.groupByStratum(assign)
 	for c, dirty := range st.dirty {
 		if dirty {
 			centers[c] = blankCenter(st.width, st.l)
@@ -456,37 +612,93 @@ func (st *clusterState) updateCenters(centers []Center, assign []int) {
 	}
 	p.centers = centers
 	p.run(updateRound)
-	st.fresh = false
 	clear(st.dirty)
 }
 
-// updateAttrs is updateCenters' work on attributes [lo, hi): fold the
-// round's records into the counters, then rebuild those rows of every
-// dirty stratum's (blank) center.
-func (st *clusterState) updateAttrs(lo, hi int, sel *[]valCount) {
-	p := st.pool
-	if st.fresh {
-		for i, s := range st.sketches {
-			st.counters.addAttrs(s, p.assign[i], lo, hi)
-		}
-	} else {
-		for w := 0; w < p.workers; w++ {
-			for _, m := range p.moved[w] {
-				st.counters.moveAttrs(st.sketches[m.idx], m.old, p.assign[m.idx], lo, hi)
-			}
-		}
+// groupByStratum counting-sorts the record indices by stratum into
+// byStratum, ascending within each stratum. Stratum c's count goes to
+// first[c+2], so after the prefix sum first[c+1] is the slot of c's
+// next member; filling advances it to the end of c's range — the start
+// of c+1's, which leaves first[c] the start of stratum c.
+func (st *clusterState) groupByStratum(assign []int) {
+	clear(st.first)
+	for _, a := range assign {
+		st.first[a+2]++
 	}
-	for c, dirty := range st.dirty {
-		if dirty {
-			st.counters.fillMode(p.centers[c], c, st.l, lo, hi, sel)
-		}
+	for c := 2; c < len(st.first); c++ {
+		st.first[c] += st.first[c-1]
+	}
+	for i, a := range assign {
+		st.byStratum[st.first[a+1]] = int32(i)
+		st.first[a+1]++
 	}
 }
 
-// movedRec records one reassignment for the incremental center update.
-type movedRec struct {
-	idx int
-	old int
+// members returns the record indices of each stratum, ascending, carved
+// from one backing array with capacity capped at length so that an
+// append to one stratum never writes into the next; an empty stratum
+// stays nil.
+func (st *clusterState) members(assign []int) [][]int {
+	st.groupByStratum(assign)
+	backing := make([]int, len(assign))
+	for i, r := range st.byStratum {
+		backing[i] = int(r)
+	}
+	out := make([][]int, st.k)
+	for c := range out {
+		if lo, hi := st.first[c], st.first[c+1]; lo < hi {
+			out[c] = backing[lo:hi:hi]
+		}
+	}
+	return out
+}
+
+// updateAttrs is updateCenters' work on worker w's attributes [lo, hi).
+// For each dirty stratum it counts its members' cells into cnt, noting
+// each cell in touched the first time it is counted. Both are indexed
+// from off[lo], and attribute a has at most off[a+1]-off[a] distinct
+// cells, so its touched list fits in the slots of its own cells; cnt is
+// all zero between strata. It then offers
+// every touched cell, with its count, to its attribute's top-L, zeroing
+// the count, and writes the selected values into the stratum's (blank)
+// center rows.
+func (st *clusterState) updateAttrs(w int) {
+	p := st.pool
+	lo, hi := p.attrs[w][0], p.attrs[w][1]
+	if lo == hi {
+		return
+	}
+	span, base, l := hi-lo, uint32(st.off[lo]), st.l
+	cnt, touched, top, next := p.cnt[w], p.touched[w], p.top[w], p.next[w]
+	for c, dirty := range st.dirty {
+		if !dirty {
+			continue
+		}
+		members := st.byStratum[st.first[c]:st.first[c+1]]
+		for j := range next {
+			next[j] = st.off[lo+j] - st.off[lo]
+		}
+		for _, i := range members {
+			for j, g := range st.cells[int(i)*st.width+lo : int(i)*st.width+hi] {
+				if cnt[g-base]++; cnt[g-base] == 1 {
+					touched[next[j]] = g
+					next[j]++
+				}
+			}
+		}
+		vals := p.centers[c].Values
+		for j := range span {
+			sel, n := top[j*l:(j+1)*l], 0
+			for _, g := range touched[st.off[lo+j]-st.off[lo] : next[j]] {
+				n = insertTopL(sel, n, valCount{v: uint64(g), n: int(cnt[g-base])})
+				cnt[g-base] = 0
+			}
+			a := lo + j
+			for _, e := range sel[:n] {
+				vals[a] = append(vals[a], st.dicts[a][int(e.v)-st.off[a]])
+			}
+		}
+	}
 }
 
 // roundKind selects what a pool round does.
@@ -497,6 +709,10 @@ const (
 	assignRound roundKind = iota
 	// updateRound runs updateAttrs on the worker's attribute range.
 	updateRound
+	// recodeRound runs recodeAttrs on the worker's attribute range.
+	recodeRound
+	// shiftRound runs shiftCells on the worker's record range.
+	shiftRound
 )
 
 // assignPool is a persistent worker pool for the assign/update loop:
@@ -509,8 +725,8 @@ const (
 type assignPool struct {
 	st      *clusterState
 	workers int
-	// ranges[w] is worker w's record range in an assignment round,
-	// attrs[w] its attribute range in an update round.
+	// ranges[w] is worker w's record range (assignment and shift
+	// rounds), attrs[w] its attribute range (recode and update rounds).
 	ranges [][2]int
 	attrs  [][2]int
 	start  []chan roundKind
@@ -519,12 +735,21 @@ type assignPool struct {
 	assign  []int
 	centers []Center
 
-	// Per-worker round results and reusable scratch.
-	cost        []int64
-	moved       [][]movedRec
-	matchCounts [][]int
-	sel         [][]valCount
-	busy        []time.Duration
+	// Per-worker round results and reusable scratch: moved counts the
+	// round's reassignments and dirty[c] marks stratum c as gaining or
+	// losing one (cleared by the update that reads it); cnt counts the
+	// cells of the worker's attribute range and touched lists the cells
+	// it met, both indexed from off[lo]; next[j] is the next free slot of
+	// attribute lo+j in touched, and top[j*L:] holds its top-L
+	// selection.
+	cost    []int64
+	moved   []int
+	dirty   [][]bool
+	cnt     [][]int32
+	top     [][]valCount
+	next    [][]int
+	touched [][]uint32
+	busy    []time.Duration
 }
 
 func newAssignPool(st *clusterState, n, workers int) *assignPool {
@@ -535,16 +760,19 @@ func newAssignPool(st *clusterState, n, workers int) *assignPool {
 		workers = 1
 	}
 	p := &assignPool{
-		st:          st,
-		workers:     workers,
-		ranges:      make([][2]int, workers),
-		attrs:       make([][2]int, workers),
-		start:       make([]chan roundKind, workers),
-		cost:        make([]int64, workers),
-		moved:       make([][]movedRec, workers),
-		matchCounts: make([][]int, workers),
-		sel:         make([][]valCount, workers),
-		busy:        make([]time.Duration, workers),
+		st:      st,
+		workers: workers,
+		ranges:  make([][2]int, workers),
+		attrs:   make([][2]int, workers),
+		start:   make([]chan roundKind, workers),
+		cost:    make([]int64, workers),
+		moved:   make([]int, workers),
+		dirty:   make([][]bool, workers),
+		cnt:     make([][]int32, workers),
+		top:     make([][]valCount, workers),
+		next:    make([][]int, workers),
+		touched: make([][]uint32, workers),
+		busy:    make([]time.Duration, workers),
 	}
 	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -558,9 +786,7 @@ func newAssignPool(st *clusterState, n, workers int) *assignPool {
 		p.ranges[w] = [2]int{lo, hi}
 		p.attrs[w] = [2]int{w * st.width / workers, (w + 1) * st.width / workers}
 		p.start[w] = make(chan roundKind)
-		if st.useMask {
-			p.matchCounts[w] = make([]int, st.k)
-		}
+		p.dirty[w] = make([]bool, st.k)
 		go p.serve(w)
 	}
 	return p
@@ -587,10 +813,15 @@ func (p *assignPool) close() {
 func (p *assignPool) serve(w int) {
 	for kind := range p.start[w] {
 		t0 := time.Now()
-		if kind == assignRound {
+		switch kind {
+		case assignRound:
 			p.round(w)
-		} else {
-			p.st.updateAttrs(p.attrs[w][0], p.attrs[w][1], &p.sel[w])
+		case updateRound:
+			p.st.updateAttrs(w)
+		case recodeRound:
+			p.st.recodeAttrs(p.attrs[w][0], p.attrs[w][1])
+		case shiftRound:
+			p.st.shiftCells(p.ranges[w][0], p.ranges[w][1])
 		}
 		p.busy[w] += time.Since(t0)
 		p.wg.Done()
@@ -601,42 +832,41 @@ func (p *assignPool) serve(w int) {
 func (p *assignPool) round(w int) {
 	st := p.st
 	lo, hi := p.ranges[w][0], p.ranges[w][1]
-	moved := p.moved[w][:0]
+	moved, dirty := 0, p.dirty[w]
 	var cost int64
-	if st.useMask {
-		counts := p.matchCounts[w]
-		for i := lo; i < hi; i++ {
-			best, bestDist := st.nearestMask(st.sketches[i], counts)
-			if p.assign[i] != best {
-				moved = append(moved, movedRec{idx: i, old: p.assign[i]})
-				p.assign[i] = best
-			}
-			cost += int64(bestDist)
+	for i := lo; i < hi; i++ {
+		var best, bestDist int
+		if st.useMask {
+			best, bestDist = st.nearestMask(st.cells[i*st.width : (i+1)*st.width])
+		} else {
+			best, bestDist = st.nearestScan(st.sketches[i])
 		}
-	} else {
-		for i := lo; i < hi; i++ {
-			best, bestDist := st.nearestScan(st.sketches[i])
-			if p.assign[i] != best {
-				moved = append(moved, movedRec{idx: i, old: p.assign[i]})
-				p.assign[i] = best
+		if old := p.assign[i]; old != best {
+			if old >= 0 {
+				dirty[old] = true
 			}
-			cost += int64(bestDist)
+			dirty[best] = true
+			p.assign[i] = best
+			moved++
 		}
+		cost += int64(bestDist)
 	}
 	p.moved[w] = moved
 	p.cost[w] = cost
 }
 
-// valCount is one (value, frequency) entry of the top-L selection.
+// valCount is one (value, frequency) entry of a top-L selection. In
+// the center update v holds a cell, whose order within one attribute is
+// its value's.
 type valCount struct {
 	v uint64
 	n int
 }
 
 // ranksAbove is the strict total order of top-L selection: count desc,
-// value asc. Values within one frequency map are distinct, so two
-// entries never tie completely and the top-L list is unique regardless
-// of map iteration order.
+// value asc. The entries one selection compares hold distinct values,
+// so two never tie completely and the top-L list is unique whatever
+// order the entries are offered in.
 func (e valCount) ranksAbove(o valCount) bool {
 	if e.n != o.n {
 		return e.n > o.n
@@ -644,33 +874,22 @@ func (e valCount) ranksAbove(o valCount) bool {
 	return e.v < o.v
 }
 
-// appendTopL appends the up-to-l highest-ranked values of freq to dst
-// and returns the extended slice. *sel is caller-owned selection
-// scratch, grown once to l and reused, so steady-state selection is
-// allocation-free (unlike a sort, which would order all of freq to
-// keep l values and allocate a comparator closure per call).
-func appendTopL(dst []uint64, freq map[uint64]int, l int, sel *[]valCount) []uint64 {
-	s := (*sel)[:0]
-	for v, n := range freq {
-		e := valCount{v: v, n: n}
-		pos := len(s)
-		for pos > 0 && e.ranksAbove(s[pos-1]) {
-			pos--
-		}
-		if pos >= l {
-			continue
-		}
-		if len(s) < l {
-			s = append(s, valCount{})
-		}
-		copy(s[pos+1:], s[pos:])
-		s[pos] = e
+// insertTopL offers e to the selection top[:n], kept sorted by
+// ranksAbove and at most len(top) long, and returns its new length.
+func insertTopL(top []valCount, n int, e valCount) int {
+	pos := n
+	for pos > 0 && e.ranksAbove(top[pos-1]) {
+		pos--
 	}
-	*sel = s
-	for _, e := range s {
-		dst = append(dst, e.v)
+	if pos >= len(top) {
+		return n
 	}
-	return dst
+	if n < len(top) {
+		n++
+	}
+	copy(top[pos+1:n], top[pos:n-1])
+	top[pos] = e
+	return n
 }
 
 // reseedEmpty replaces the center of any empty cluster with a random

@@ -539,3 +539,75 @@ func topL(freq map[uint64]int, l int) []uint64 {
 	var sel []valCount
 	return appendTopL(make([]uint64, 0, min(l, len(freq))), freq, l, &sel)
 }
+
+// recodeAdversarialInputs are sketches chosen to break a per-call
+// recode of coordinate values onto dense codes: empty-set sentinels
+// (the largest uint64) beside their neighbour, values that agree in
+// their low 32 bits, and count ties whose first-seen order is the
+// reverse of value order.
+func recodeAdversarialInputs() map[string][]sketch.Sketch {
+	const n, width = 300, 10
+	rng := rand.New(rand.NewSource(32))
+	sentinel := lowUniverseSketches(n, width, 5, 33)
+	for i, s := range sentinel {
+		for a := range s {
+			switch {
+			case i%7 == 0:
+				s[a] = sketch.EmptySentinel
+			case rng.Intn(10) == 0:
+				s[a] = sketch.EmptySentinel - uint64(rng.Intn(2))
+			}
+		}
+	}
+	low32 := make([]sketch.Sketch, n)
+	for i := range low32 {
+		s := make(sketch.Sketch, width)
+		for a := range s {
+			s[a] = uint64(rng.Intn(5))<<32 | 0xDEADBEEF
+			if rng.Intn(8) == 0 {
+				s[a] = 0xFFFFFFFF<<32 | 0xDEADBEEF
+			}
+		}
+		low32[i] = s
+	}
+	const universe = 6 // divides n: every value occurs equally often
+	reverse := make([]sketch.Sketch, n)
+	for i := range reverse {
+		s := make(sketch.Sketch, width)
+		for a := range s {
+			s[a] = uint64(universe-1-(i+a)%universe) * 0x9E3779B97F4A7C15
+		}
+		reverse[i] = s
+	}
+	return map[string][]sketch.Sketch{"sentinel": sentinel, "low32": low32, "reverse-ties": reverse}
+}
+
+// TestClusterRecodeMatchesReference holds Cluster to the value-level
+// reference on recodeAdversarialInputs, at K = 7 and 65 (scan path) and
+// 8 and 64 (mask path), at one to four workers.
+func TestClusterRecodeMatchesReference(t *testing.T) {
+	for name, sketches := range recodeAdversarialInputs() {
+		for _, k := range []int{7, 8, 64, 65} {
+			cfg := Config{K: k, L: 2, Seed: int64(k)}
+			want, err := referenceCluster(sketches, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Iterations < 2 {
+				t.Fatalf("%s K=%d: %d round, the center update is not exercised", name, k, want.Iterations)
+			}
+			for workers := 1; workers <= 4; workers++ {
+				cfg.Workers = workers
+				got, err := Cluster(sketches, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Assign, want.Assign) || got.Cost != want.Cost ||
+					got.Iterations != want.Iterations || got.Converged != want.Converged ||
+					!centersEqual(got.Centers, want.Centers) || !reflect.DeepEqual(got.Members, want.Members) {
+					t.Errorf("%s K=%d workers=%d: clustering diverges from the reference", name, k, workers)
+				}
+			}
+		}
+	}
+}

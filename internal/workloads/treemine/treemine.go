@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -78,10 +79,99 @@ type Forest struct {
 	// height is the depth of the deepest node of any tree (a root has
 	// depth 0): no matched pattern node sits deeper.
 	height int32
+	// dict numbers the labels the trees carry.
+	dict labelDict
+}
+
+// labelDict numbers a forest's distinct labels 0 … d−1 in ascending
+// order: labels[c] is code c's label. index is an open-addressed table
+// from label to code whose length is a power of two at least twice d,
+// so a lookup is a multiply and, nearly always, one probe. Both are
+// sized by the number of distinct labels, never by their values, which
+// are arbitrary uint32s.
+type labelDict struct {
+	labels []uint32
+	index  []labelSlot
+	shift  uint
+}
+
+// labelSlot is one index entry; code −1 marks an empty slot.
+type labelSlot struct {
+	label uint32
+	code  int32
+}
+
+// labelHashMul is the Fibonacci-hashing multiplier of the index: the
+// top bits of l·labelHashMul depend on every bit of l.
+const labelHashMul = 0x9E3779B97F4A7C15
+
+// dictInitSlots is the index length NewForest starts from: 32 labels
+// fit without growing it.
+const dictInitSlots = 64
+
+// newIndex allocates an empty index of 2^b slots.
+func (d *labelDict) newIndex(b int) {
+	d.index = make([]labelSlot, 1<<b)
+	for i := range d.index {
+		d.index[i].code = -1
+	}
+	d.shift = uint(64 - b)
+}
+
+// find returns the slot holding label l, or the empty slot where l
+// belongs.
+func (d *labelDict) find(l uint32) int {
+	mask := len(d.index) - 1
+	for h := int(uint64(l) * labelHashMul >> d.shift); ; h = (h + 1) & mask {
+		if s := d.index[h]; s.code < 0 || s.label == l {
+			return h
+		}
+	}
+}
+
+// code returns the code of label l, −1 if no node of the forest
+// carries it.
+func (d *labelDict) code(l uint32) int32 { return d.index[d.find(l)].code }
+
+// build numbers the labels of the trees: it collects them in the index
+// (code 0 marks a label met, and the index doubles whenever it is half
+// full), sorts the distinct ones and writes their ranks back as codes.
+func (d *labelDict) build(trees []pivots.Tree) {
+	d.newIndex(bits.Len(dictInitSlots - 1))
+	n := 0
+	for ti := range trees {
+		for _, l := range trees[ti].Label {
+			h := d.find(l)
+			if d.index[h].code >= 0 {
+				continue
+			}
+			d.index[h] = labelSlot{l, 0}
+			if n++; 2*n > len(d.index) {
+				old := d.index
+				d.newIndex(bits.Len(uint(len(old))))
+				for _, s := range old {
+					if s.code >= 0 {
+						d.index[d.find(s.label)] = s
+					}
+				}
+			}
+		}
+	}
+	d.labels = make([]uint32, 0, n)
+	for _, s := range d.index {
+		if s.code >= 0 {
+			d.labels = append(d.labels, s.label)
+		}
+	}
+	slices.Sort(d.labels)
+	for c, l := range d.labels {
+		d.index[d.find(l)].code = int32(c)
+	}
 }
 
 // NewForest validates and preprocesses the trees. It makes a fixed
-// number of allocations whatever the node count.
+// number of allocations whatever the node count (the label index grows
+// with the number of distinct labels only).
 func NewForest(trees []pivots.Tree) (*Forest, error) {
 	total, largest := 0, 0
 	for ti := range trees {
@@ -127,6 +217,7 @@ func NewForest(trees []pivots.Tree) (*Forest, error) {
 		}
 	}
 	f.start = next[:total+1]
+	f.dict.build(trees)
 	return f, nil
 }
 
@@ -274,40 +365,60 @@ type miner struct {
 	stamp  []uint32
 	levels int
 	epoch  uint32
-	// slot maps an extension key to its index in keys and count. With
-	// all set every key met gets a slot; otherwise only the keys want
-	// registered are kept and the rest are costed and dropped.
-	slot  map[extKey]int32
-	keys  []extKey
-	count []int32
-	all   bool
+	// slot[depth*labels+code] is 1 + the index in keys and count of the
+	// extension key (depth, the label of that code), 0 if the key has
+	// none. With all set every key met gets a slot; otherwise only the
+	// keys want registered are kept and the rest are costed and
+	// dropped.
+	slot   []int32
+	labels int
+	keys   []extKey
+	count  []int32
+	all    bool
 	// wanted[d] reports whether any kept key has depth d.
 	wanted []bool
 	// buf holds the kept occurrences in generation order.
 	buf []slotOcc
 }
 
-// newMiner sizes the scratch for patterns of at most maxNodes nodes:
-// extend then sees dlast ≤ maxNodes−2, and on a non-empty list the last
+// newMiner sizes the scratch for patterns of at most maxNodes nodes.
+// slot has one row of the forest's label codes per pattern depth below
+// maxNodes. extend sees dlast ≤ maxNodes−2, and on a non-empty list the last
 // node is matched, so dlast ≤ f.height too; ancestor depths p < dlast
 // number at most the smaller of the two, however long a candidate
 // another partition sends. buf starts with room for the label scan,
 // which keeps every node and is usually the longest emission.
 func newMiner(f *Forest, maxNodes int) *miner {
 	levels := min(max(maxNodes-2, 0), int(f.height))
+	depths := max(maxNodes, 2)
 	return &miner{
 		f:      f,
 		stamp:  make([]uint32, f.nodes()*levels),
 		levels: levels,
-		slot:   make(map[extKey]int32),
-		wanted: make([]bool, max(maxNodes, 2)),
+		slot:   make([]int32, depths*len(f.dict.labels)),
+		labels: len(f.dict.labels),
+		wanted: make([]bool, depths),
 		buf:    make([]slotOcc, 0, f.nodes()),
 	}
 }
 
+// cell returns the index in slot of key k, −1 if no node of the forest
+// carries its label.
+func (m *miner) cell(k extKey) int {
+	c := m.f.dict.code(k.label)
+	if c < 0 {
+		return -1
+	}
+	return int(k.depth)*m.labels + int(c)
+}
+
 // reset empties the slots ahead of a scanLabels or extend call.
 func (m *miner) reset(all bool) {
-	clear(m.slot)
+	for _, k := range m.keys {
+		if c := m.cell(k); c >= 0 {
+			m.slot[c] = 0
+		}
+	}
 	clear(m.wanted)
 	m.keys = m.keys[:0]
 	m.count = m.count[:0]
@@ -315,20 +426,24 @@ func (m *miner) reset(all bool) {
 	m.all = all
 }
 
-// want registers a key to keep and returns its slot.
+// want registers a key to keep and returns its slot. A key whose label
+// no node carries gets a slot too, and so an empty list.
 func (m *miner) want(k extKey) int32 {
 	s := int32(len(m.keys))
-	m.slot[k] = s
+	if c := m.cell(k); c >= 0 {
+		m.slot[c] = s + 1
+	}
 	m.keys = append(m.keys, k)
 	m.count = append(m.count, 0)
 	m.wanted[k.depth] = true
 	return s
 }
 
-// emit keeps o under key k if the key has, or may take, a slot.
+// emit keeps o under key k if the key has, or may take, a slot. k's
+// label is a node's, so it has a code.
 func (m *miner) emit(k extKey, o occurrence) {
-	s, ok := m.slot[k]
-	if !ok {
+	s := m.slot[m.cell(k)] - 1
+	if s < 0 {
 		if !m.all {
 			return
 		}

@@ -2,6 +2,7 @@ package treemine
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -831,5 +832,172 @@ func TestPatternString(t *testing.T) {
 		if got := c.p.String(); got != c.want {
 			t.Errorf("case %d: %q, want %q", i, got, c.want)
 		}
+	}
+}
+
+// relabel copies trees with every label l replaced by to(l).
+func relabel(trees []pivots.Tree, to func(uint32) uint32) []pivots.Tree {
+	out := make([]pivots.Tree, len(trees))
+	for i, tr := range trees {
+		labels := make([]uint32, len(tr.Label))
+		for v, l := range tr.Label {
+			labels[v] = to(l)
+		}
+		out[i] = mkTree(tr.Parent, labels)
+	}
+	return out
+}
+
+// relabelPattern copies p with every label l replaced by to(l).
+func relabelPattern(p Pattern, to func(uint32) uint32) Pattern {
+	out := make(Pattern, len(p))
+	for i, n := range p {
+		out[i] = PatternNode{Depth: n.Depth, Label: to(n.Label)}
+	}
+	return out
+}
+
+// TestArbitraryLabelsMineAndCountAlike: the miner numbers labels
+// through the forest's dictionary, sized by how many distinct labels
+// there are, never by their values. An injective relabelling — onto the
+// top of the uint32 range, or spread sparsely across it — changes
+// nothing mined or counted: the same patterns under the same map, with
+// the same supports, search-space size and costs, a dictionary as small
+// as the alphabet, and NewForest's allocation count still independent
+// of the node count. Candidates whose labels no tree carries count 0.
+func TestArbitraryLabelsMineAndCountAlike(t *testing.T) {
+	const alphabet = 6
+	maps := map[string]func(uint32) uint32{
+		"near-max": func(l uint32) uint32 { return math.MaxUint32 - l },
+		"sparse":   func(l uint32) uint32 { return l*0x9E3779B1 + 12345 },
+	}
+	trees := randomForest(rand.New(rand.NewSource(32)), 120, 14, alphabet)
+	f, err := NewForest(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MinSupport: 10, MaxNodes: 4}
+	want, err := Mine(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := []Pattern{
+		{{0, alphabet}},                     // single node, absent
+		{{0, 0}, {1, alphabet + 1}},         // absent label under a present one
+		{{0, 1}, {1, 2}, {1, alphabet + 2}}, // absent label after a present sibling
+	}
+	for _, fp := range want.Frequent {
+		cands = append(cands, fp.Pattern)
+	}
+	wantCounts, wantCost, err := CountPass(f, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < 3; ci++ {
+		if wantCounts[ci] != 0 {
+			t.Fatalf("candidate %v with an absent label counted %d", cands[ci], wantCounts[ci])
+		}
+	}
+	for name, to := range maps {
+		mapped := relabel(trees, to)
+		g, err := NewForest(mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.dict.labels) != alphabet || len(g.dict.index) != dictInitSlots {
+			t.Errorf("%s: dictionary of %d labels in %d slots, want %d in %d",
+				name, len(g.dict.labels), len(g.dict.index), alphabet, dictInitSlots)
+		}
+		got, err := Mine(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Explored != want.Explored || got.Cost != want.Cost || len(got.Frequent) != len(want.Frequent) {
+			t.Fatalf("%s: explored %d, cost %v, %d frequent; identity labels give %d, %v, %d", name,
+				got.Explored, got.Cost, len(got.Frequent), want.Explored, want.Cost, len(want.Frequent))
+		}
+		sup := make(map[string]int, len(got.Frequent))
+		for _, fp := range got.Frequent {
+			sup[fp.Pattern.Key()] = fp.Support
+		}
+		for _, fp := range want.Frequent {
+			if s, ok := sup[relabelPattern(fp.Pattern, to).Key()]; !ok || s != fp.Support {
+				t.Errorf("%s: %v mined with support %d (found %v), want %d", name, fp.Pattern, s, ok, fp.Support)
+			}
+		}
+		mappedCands := make([]Pattern, len(cands))
+		for i, c := range cands {
+			mappedCands[i] = relabelPattern(c, to)
+		}
+		counts, cost, err := CountPass(g, mappedCands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost != wantCost || !slices.Equal(counts, wantCounts) {
+			t.Errorf("%s: CountPass gives cost %v and %v, identity labels %v and %v", name, cost, counts, wantCost, wantCounts)
+		}
+		allocs := func(ts []pivots.Tree) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := NewForest(ts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(mapped[:12]), allocs(mapped); small != large {
+			t.Errorf("%s: NewForest allocates %v objects for 12 trees, %v for 120", name, small, large)
+		}
+	}
+}
+
+// TestLabelDictGrows: a forest of several hundred sparse labels grows
+// the dictionary's index past its first size, numbers the labels in
+// ascending order, and mines and counts like the per-candidate replay.
+func TestLabelDictGrows(t *testing.T) {
+	trees := relabel(randomForest(rand.New(rand.NewSource(9)), 400, 12, 300),
+		func(l uint32) uint32 { return l*0x9E3779B1 + 7 })
+	f, err := NewForest(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := f.dict
+	if len(d.index) <= dictInitSlots || len(d.index) < 2*len(d.labels) || len(d.index) > 4*len(d.labels) {
+		t.Errorf("%d labels in %d slots", len(d.labels), len(d.index))
+	}
+	if !slices.IsSorted(d.labels) {
+		t.Error("dictionary labels not ascending")
+	}
+	for c, l := range d.labels {
+		if got := d.code(l); got != int32(c) {
+			t.Fatalf("label %d has code %d, want %d", l, got, c)
+		}
+	}
+	res, err := Mine(f, Config{MinSupport: 3, MaxNodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Frequent) < 50 {
+		t.Fatalf("only %d frequent patterns", len(res.Frequent))
+	}
+	cands := make([]Pattern, len(res.Frequent))
+	for i, fp := range res.Frequent {
+		cands[i] = fp.Pattern
+	}
+	counts, cost, err := CountPass(f, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for i, fp := range res.Frequent {
+		sup, c, err := CountSupport(f, fp.Pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += c
+		if sup != fp.Support || counts[i] != sup {
+			t.Errorf("%v: Mine %d, CountPass %d, replay %d", fp.Pattern, fp.Support, counts[i], sup)
+		}
+	}
+	if cost != want {
+		t.Errorf("CountPass cost %v, replays sum to %v", cost, want)
 	}
 }
