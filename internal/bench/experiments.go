@@ -7,7 +7,6 @@ import (
 
 	"pareto/internal/cluster"
 	"pareto/internal/core"
-	"pareto/internal/strata"
 	"pareto/internal/telemetry"
 )
 
@@ -39,8 +38,6 @@ type Options struct {
 	// TraceOffset is the job start within the solar traces in seconds
 	// (noon of day one by default, so green energy is in play).
 	TraceOffset float64
-	// Stratifier overrides the stratifier defaults when K > 0.
-	Stratifier strata.StratifierConfig
 	// Seed feeds sampling.
 	Seed int64
 	// MinPartitionFrac floors optimized partitions at this fraction of
@@ -57,8 +54,7 @@ type Options struct {
 // α = 0.999 for mining; because our simulated jobs are shorter, the
 // dirty-energy objective's scale relative to time is smaller here, and
 // the same point of the tradeoff region sits at α ≈ 0.995 (the scale
-// dependence of raw α is exactly the problem §III-D flags and the
-// Normalized modeler fixes).
+// dependence of raw α is exactly the problem §III-D flags).
 func DefaultOptions() Options {
 	return Options{Alpha: 0.995, TraceOffset: 12 * 3600, MinPartitionFrac: 0.25}
 }
@@ -68,7 +64,6 @@ func DefaultOptions() Options {
 func baseConfig(w Workload, o Options) core.Config {
 	return core.Config{
 		Scheme:              w.Scheme(),
-		Stratifier:          o.Stratifier,
 		SampleSeed:          o.Seed,
 		TraceOffset:         o.TraceOffset,
 		MinPartitionFrac:    o.MinPartitionFrac,

@@ -102,19 +102,18 @@ func (w *TextMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 	}
 	// Phase 1: local mining.
 	locals := make([]*apriori.PartitionResult, p)
-	phase1 := make([]cluster.Task, p)
+	phase1 := make([]func() (cluster.TaskReport, error), p)
 	for j := 0; j < p; j++ {
-		j := j
 		if len(parts[j]) == 0 {
 			continue
 		}
-		phase1[j] = func() (float64, error) {
+		phase1[j] = func() (cluster.TaskReport, error) {
 			pr, err := apriori.MineLocal(parts[j], w.SupportFrac, w.MaxLen)
 			if err != nil {
-				return 0, err
+				return cluster.TaskReport{}, err
 			}
 			locals[j] = pr
-			return pr.Cost, nil
+			return cluster.TaskReport{Cost: pr.Cost}, nil
 		}
 	}
 	res1, err := cl.Run(offset, phase1)
@@ -130,18 +129,17 @@ func (w *TextMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 	}
 	cands := apriori.GlobalCandidates(nonNil)
 	// Phase 2: global counting.
-	phase2 := make([]cluster.Task, p)
+	phase2 := make([]func() (cluster.TaskReport, error), p)
 	falsePos := 0
 	counts := make([][]int, p)
 	for j := 0; j < p; j++ {
-		j := j
 		if len(parts[j]) == 0 {
 			continue
 		}
-		phase2[j] = func() (float64, error) {
+		phase2[j] = func() (cluster.TaskReport, error) {
 			c, cost := apriori.CountPass(parts[j], cands)
 			counts[j] = c
-			return cost, nil
+			return cluster.TaskReport{Cost: cost}, nil
 		}
 	}
 	res2, err := cl.Run(offset+res1.Makespan, phase2)
@@ -227,19 +225,18 @@ func (w *TreeMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 		parts[j] = w.subset(assign.Parts[j])
 	}
 	locals := make([]*treemine.PartitionResult, p)
-	phase1 := make([]cluster.Task, p)
+	phase1 := make([]func() (cluster.TaskReport, error), p)
 	for j := 0; j < p; j++ {
-		j := j
 		if len(parts[j]) == 0 {
 			continue
 		}
-		phase1[j] = func() (float64, error) {
+		phase1[j] = func() (cluster.TaskReport, error) {
 			pr, err := treemine.MineLocal(parts[j], w.SupportFrac, treemine.Config{MaxNodes: w.MaxNodes})
 			if err != nil {
-				return 0, err
+				return cluster.TaskReport{}, err
 			}
 			locals[j] = pr
-			return pr.Cost, nil
+			return cluster.TaskReport{Cost: pr.Cost}, nil
 		}
 	}
 	res1, err := cl.Run(offset, phase1)
@@ -248,20 +245,19 @@ func (w *TreeMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 	}
 	cands := treemine.GlobalCandidates(locals)
 	counts := make([][]int, p)
-	phase2 := make([]cluster.Task, p)
+	phase2 := make([]func() (cluster.TaskReport, error), p)
 	for j := 0; j < p; j++ {
-		j := j
 		if len(parts[j]) == 0 {
 			continue
 		}
-		phase2[j] = func() (float64, error) {
+		phase2[j] = func() (cluster.TaskReport, error) {
 			f, err := treemine.NewForest(parts[j])
 			if err != nil {
-				return 0, err
+				return cluster.TaskReport{}, err
 			}
 			c, cost, err := treemine.CountPass(f, cands)
 			counts[j] = c
-			return cost, err
+			return cluster.TaskReport{Cost: cost}, err
 		}
 	}
 	res2, err := cl.Run(offset+res1.Makespan, phase2)
@@ -305,13 +301,12 @@ type GraphCompression struct {
 	// Residuals selects the gap code (webgraph defaults to ζ₃; the
 	// suite follows).
 	Residuals graphcomp.Code
-	// ZetaK is the ζ shrinking parameter (0 = codec default).
-	ZetaK uint
 }
 
-// codecConfig assembles the codec configuration.
+// codecConfig assembles the codec configuration (ζ codes use the
+// codec's default shrinking parameter).
 func (w *GraphCompression) codecConfig() graphcomp.Config {
-	return graphcomp.Config{Window: w.Window, Residuals: w.Residuals, ZetaK: w.ZetaK}
+	return graphcomp.Config{Window: w.Window, Residuals: w.Residuals}
 }
 
 // Name implements Workload.
@@ -352,22 +347,21 @@ func (w *GraphCompression) Run(cl *cluster.Cluster, assign *partitioner.Assignme
 	p := assign.P()
 	rawBits := make([]int, p)
 	compBits := make([]int, p)
-	tasks := make([]cluster.Task, p)
+	tasks := make([]func() (cluster.TaskReport, error), p)
 	for j := 0; j < p; j++ {
-		j := j
 		indices := assign.Parts[j]
 		if len(indices) == 0 {
 			continue
 		}
-		tasks[j] = func() (float64, error) {
+		tasks[j] = func() (cluster.TaskReport, error) {
 			ids, lists := w.lists(indices)
 			enc, err := graphcomp.Encode(ids, lists, w.codecConfig())
 			if err != nil {
-				return 0, err
+				return cluster.TaskReport{}, err
 			}
 			rawBits[j] = graphcomp.RawBits(ids, lists)
 			compBits[j] = enc.BitLen
-			return enc.Cost, nil
+			return cluster.TaskReport{Cost: enc.Cost}, nil
 		}
 	}
 	res, err := cl.Run(offset, tasks)
@@ -396,41 +390,24 @@ func (w *GraphCompression) Run(cl *cluster.Cluster, assign *partitioner.Assignme
 // dominated by speed-independent work — reading the partition off
 // storage — so CPU-heterogeneity-aware sizing gains little. The
 // adapter reproduces that regime: each node's demand is a CPU cost
-// (scaled by CPUScale, since LZ77 retires far more bytes per cycle
-// than pattern mining) plus fixed I/O seconds at IOBytesPerSec,
+// (divided by lz77CPUScale, since LZ77 retires far more bytes per cycle
+// than pattern mining) plus fixed I/O seconds at lz77IOBytesPerSec,
 // identical across node types.
 type LZ77Compression struct {
 	Data pivots.Corpus
 	Cfg  lz77.Config
-	// IOBytesPerSec is the speed-independent read rate. 0 means
-	// DefaultIOBytesPerSec.
-	IOBytesPerSec float64
-	// CPUScale divides the codec's abstract cost to reflect LZ77's
-	// high per-byte throughput. 0 means DefaultLZ77CPUScale.
-	CPUScale float64
 }
 
-// LZ77 regime defaults: chosen so the fixed I/O share and the CPU
-// share of a partition's runtime are comparable, reproducing the
-// muted (but not absent) heterogeneity gains of Tables II/III.
+// The LZ77 regime: chosen so the fixed I/O share and the CPU share of a
+// partition's runtime are comparable, reproducing the muted (but not
+// absent) heterogeneity gains of Tables II/III.
 const (
-	DefaultIOBytesPerSec = 3e6
-	DefaultLZ77CPUScale  = 4
+	// lz77IOBytesPerSec is the speed-independent read rate.
+	lz77IOBytesPerSec = 3e6
+	// lz77CPUScale divides the codec's abstract cost to reflect LZ77's
+	// high per-byte throughput.
+	lz77CPUScale = 4
 )
-
-func (w *LZ77Compression) ioRate() float64 {
-	if w.IOBytesPerSec > 0 {
-		return w.IOBytesPerSec
-	}
-	return DefaultIOBytesPerSec
-}
-
-func (w *LZ77Compression) cpuScale() float64 {
-	if w.CPUScale > 0 {
-		return w.CPUScale
-	}
-	return DefaultLZ77CPUScale
-}
 
 // Name implements Workload.
 func (w *LZ77Compression) Name() string { return "lz77-compression" }
@@ -461,7 +438,7 @@ func (w *LZ77Compression) Profile(indices []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return enc.Cost / w.cpuScale(), nil
+	return enc.Cost / lz77CPUScale, nil
 }
 
 // Run implements Workload.
@@ -469,9 +446,8 @@ func (w *LZ77Compression) Run(cl *cluster.Cluster, assign *partitioner.Assignmen
 	p := assign.P()
 	rawLen := make([]int, p)
 	compLen := make([]int, p)
-	tasks := make([]cluster.DetailedTask, p)
+	tasks := make([]func() (cluster.TaskReport, error), p)
 	for j := 0; j < p; j++ {
-		j := j
 		indices := assign.Parts[j]
 		if len(indices) == 0 {
 			continue
@@ -485,12 +461,12 @@ func (w *LZ77Compression) Run(cl *cluster.Cluster, assign *partitioner.Assignmen
 			rawLen[j] = len(data)
 			compLen[j] = len(enc.Data)
 			return cluster.TaskReport{
-				Cost:         enc.Cost / w.cpuScale(),
-				FixedSeconds: float64(len(data)) / w.ioRate(),
+				Cost:         enc.Cost / lz77CPUScale,
+				FixedSeconds: float64(len(data)) / lz77IOBytesPerSec,
 			}, nil
 		}
 	}
-	res, err := cl.RunDetailed(offset, tasks)
+	res, err := cl.Run(offset, tasks)
 	if err != nil {
 		return nil, nil, err
 	}

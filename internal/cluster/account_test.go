@@ -30,8 +30,8 @@ func randomCluster(t *testing.T, rng *rand.Rand, p int) *cluster.Cluster {
 
 // randomBatch draws one report per node; node 0 of a multi-node
 // cluster stays idle, as under a plan that gave it no data.
-func randomBatch(rng *rand.Rand, p int) []cluster.DetailedTask {
-	tasks := make([]cluster.DetailedTask, p)
+func randomBatch(rng *rand.Rand, p int) []func() (cluster.TaskReport, error) {
+	tasks := make([]func() (cluster.TaskReport, error), p)
 	for i := range tasks {
 		if p > 1 && i == 0 {
 			continue
@@ -77,12 +77,12 @@ func TestAccountingConservation(t *testing.T) {
 		for _, hour := range []float64{0, 5.5, 12, 19, 30} {
 			offset := hour * 3600
 			label := fmt.Sprintf("p=%d offset=%vh", p, hour)
-			res1, err := c.RunDetailed(offset, randomBatch(rng, p))
+			res1, err := c.Run(offset, randomBatch(rng, p))
 			if err != nil {
 				t.Fatal(err)
 			}
-			conserved(t, label+" RunDetailed", res1)
-			res2, err := c.RunDetailed(offset+res1.Makespan, randomBatch(rng, p))
+			conserved(t, label+" Run", res1)
+			res2, err := c.Run(offset+res1.Makespan, randomBatch(rng, p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestAccountingConservation(t *testing.T) {
 
 // Node order is only the summation order: permuting the nodes of a
 // pinned single batch permutes the per-node figures and leaves the
-// makespan alone, through RunDetailed and through sim.Run alike.
+// makespan alone, through Cluster.Run and through sim.Run alike.
 func TestAccountingPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, p := range []int{4, 13} {
@@ -115,12 +115,12 @@ func TestAccountingPermutation(t *testing.T) {
 		tasks := randomBatch(rng, p)
 		perm := rng.Perm(p)
 		pc := &cluster.Cluster{Nodes: make([]cluster.NodeSpec, p), CostRate: c.CostRate}
-		ptasks := make([]cluster.DetailedTask, p)
+		ptasks := make([]func() (cluster.TaskReport, error), p)
 		for i, from := range perm {
 			pc.Nodes[i] = c.Nodes[from]
 			ptasks[i] = tasks[from]
 		}
-		pinned := func(tasks []cluster.DetailedTask) []sim.Task {
+		pinned := func(tasks []func() (cluster.TaskReport, error)) []sim.Task {
 			var out []sim.Task
 			for i, task := range tasks {
 				if task != nil {
@@ -131,11 +131,11 @@ func TestAccountingPermutation(t *testing.T) {
 			return out
 		}
 		const offset = 11 * 3600
-		base, err := c.RunDetailed(offset, tasks)
+		base, err := c.Run(offset, tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		permuted, err := pc.RunDetailed(offset, ptasks)
+		permuted, err := pc.Run(offset, ptasks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestAccountingPermutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string]*cluster.Result{"RunDetailed": permuted, "sim.Run": &simPermuted.Result} {
+		for name, got := range map[string]*cluster.Result{"Cluster.Run": permuted, "sim.Run": &simPermuted.Result} {
 			if got.Makespan != base.Makespan {
 				t.Errorf("p=%d %s: makespan %v after permuting, %v before", p, name, got.Makespan, base.Makespan)
 			}

@@ -15,7 +15,7 @@
 //
 // This package owns how cost becomes seconds and joules: ServiceTime
 // is the only cost→seconds expression and Account the only energy
-// booking. RunDetailed executes one real task per node and books it;
+// booking. Run executes one real task per node and books it;
 // internal/sim schedules task streams in virtual time (queues,
 // policies, work stealing) and books its busy spans through the same
 // two functions.
@@ -149,8 +149,8 @@ func HomogeneousCluster(p int, panel energy.Panel, dayOfYear, hours int) (*Clust
 
 // Validate checks the cluster's calibration: a positive finite
 // CostRate, positive finite per-node speeds and a finite, non-negative
-// draw per node. Run, RunDetailed, sim.Run, and ProfileAllWithRates
-// validate on entry so a mutated or hand-built cluster fails loudly
+// draw per node. Run, sim.Run, and ProfileAllWithRates validate on
+// entry so a mutated or hand-built cluster fails loudly
 // instead of silently propagating Inf/NaN times into Makespan, or a
 // NaN or negative wattage into the energy totals Account books.
 func (c *Cluster) Validate() error {
@@ -192,11 +192,6 @@ func (c *Cluster) SimTime(node int, cost float64) float64 {
 	return ServiceTime(c.Nodes[node].Speed, c.CostRate, cost, 0)
 }
 
-// Task is one node's share of a job: it performs the real computation
-// and returns its abstract cost (plus any workload-specific result the
-// caller captures via closure).
-type Task func() (cost float64, err error)
-
 // TaskReport decomposes a task's demand: Cost scales with node speed
 // (CPU work), FixedSeconds does not (I/O and other rate-limited work —
 // the regime that makes the paper's LZ77 runs insensitive to CPU
@@ -205,9 +200,6 @@ type TaskReport struct {
 	Cost         float64
 	FixedSeconds float64
 }
-
-// DetailedTask is a Task returning a cost decomposition.
-type DetailedTask func() (TaskReport, error)
 
 // Result summarizes one distributed job execution.
 type Result struct {
@@ -257,28 +249,11 @@ func (r *Result) Imbalance() float64 {
 
 // Run executes one task per node concurrently (real goroutine
 // parallelism over the real algorithms) and converts the reported
-// costs into simulated times and energies. tasks[i] may be nil when
-// node i received no data; it contributes zero time and energy.
-// offset is the job's start position (seconds) within the traces.
-func (c *Cluster) Run(offset float64, tasks []Task) (*Result, error) {
-	detailed := make([]DetailedTask, len(tasks))
-	for i, task := range tasks {
-		if task == nil {
-			continue
-		}
-		task := task
-		detailed[i] = func() (TaskReport, error) {
-			cost, err := task()
-			return TaskReport{Cost: cost}, err
-		}
-	}
-	return c.RunDetailed(offset, detailed)
-}
-
-// RunDetailed is Run for tasks that split their demand into
-// speed-scaled cost and speed-independent fixed seconds:
-// node time = cost/(speed × rate) + fixed.
-func (c *Cluster) RunDetailed(offset float64, tasks []DetailedTask) (*Result, error) {
+// demands into simulated times and energies: node time =
+// cost/(speed × rate) + fixed. tasks[i] may be nil when node i received
+// no data; it contributes zero time and energy. offset is the job's
+// start position (seconds) within the traces.
+func (c *Cluster) Run(offset float64, tasks []func() (TaskReport, error)) (*Result, error) {
 	if len(tasks) != len(c.Nodes) {
 		return nil, fmt.Errorf("cluster: %d tasks for %d nodes", len(tasks), len(c.Nodes))
 	}
@@ -297,7 +272,7 @@ func (c *Cluster) RunDetailed(offset float64, tasks []DetailedTask) (*Result, er
 			continue
 		}
 		wg.Add(1)
-		go func(i int, task DetailedTask) {
+		go func(i int, task func() (TaskReport, error)) {
 			defer wg.Done()
 			sp := span.Child(c.Nodes[i].Name)
 			t0 := time.Now()
@@ -443,42 +418,33 @@ func (c *Cluster) DirtyRates(offset, window float64) []float64 {
 	return rates
 }
 
-// ProfileAllWithRates runs the progressive-sampling loop on every node
-// concurrently: for each scheduled sample size, runSample executes the
-// real algorithm on a representative sample and returns its abstract
-// cost; the node's speed converts cost to simulated seconds, and a
-// linear utility function is fitted per node (paper §III-A). The
-// returned models are ready for the Pareto modeler, each paired with
-// its node's dirty rate from rates (see DirtyRates).
-func (c *Cluster) ProfileAllWithRates(sizes []int, runSample func(size int) (float64, error), rates []float64) ([]opt.NodeModel, error) {
+// ProfileAllWithRates fits every node's linear utility function (paper
+// §III-A) to the progressive samples: costs[k] is the abstract cost the
+// real algorithm reported on the representative sample of sizes[k],
+// and node i's speed converts it into simulated seconds. The returned
+// models are ready for the Pareto modeler, each paired with its node's
+// dirty rate from rates (see DirtyRates).
+func (c *Cluster) ProfileAllWithRates(sizes []int, costs, rates []float64) ([]opt.NodeModel, error) {
 	if len(rates) != len(c.Nodes) {
 		return nil, fmt.Errorf("cluster: %d dirty rates for %d nodes", len(rates), len(c.Nodes))
+	}
+	if len(costs) != len(sizes) {
+		return nil, fmt.Errorf("cluster: %d sample costs for %d sample sizes", len(costs), len(sizes))
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	models := make([]opt.NodeModel, len(c.Nodes))
 	errs := make([]error, len(c.Nodes))
-	var wg sync.WaitGroup
+	pts := make([]sampling.Point, len(sizes))
 	for i := range c.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fit, _, err := sampling.ProfileNode(sizes, func(sz int) (float64, error) {
-				cost, err := runSample(sz)
-				if err != nil {
-					return 0, err
-				}
-				return c.SimTime(i, cost), nil
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			models[i] = opt.NodeModel{Time: fit, DirtyRate: rates[i]}
-		}(i)
+		for k, sz := range sizes {
+			pts[k] = sampling.Point{X: float64(sz), Y: c.SimTime(i, costs[k])}
+		}
+		fit, err := sampling.ProfileNode(pts)
+		errs[i] = err
+		models[i] = opt.NodeModel{Time: fit, DirtyRate: rates[i]}
 	}
-	wg.Wait()
 	if err := joinNodeErrs("profiling", errs); err != nil {
 		return nil, err
 	}

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"pareto/internal/energy"
@@ -79,13 +77,23 @@ func TestSimTime(t *testing.T) {
 	}
 }
 
+// costTask is a task that reports cost and nothing else.
+func costTask(cost float64) func() (TaskReport, error) {
+	return func() (TaskReport, error) { return TaskReport{Cost: cost}, nil }
+}
+
+// failingTask is a task that fails with err.
+func failingTask(err error) func() (TaskReport, error) {
+	return func() (TaskReport, error) { return TaskReport{}, err }
+}
+
 func TestRunAggregates(t *testing.T) {
 	c := testCluster(t, 4)
-	tasks := []Task{
-		func() (float64, error) { return 4e6, nil }, // 4x node → 1 s
-		func() (float64, error) { return 3e6, nil }, // 3x node → 1 s
-		nil, // idle node
-		func() (float64, error) { return 2e6, nil }, // 1x node → 2 s
+	tasks := []func() (TaskReport, error){
+		costTask(4e6), // 4x node → 1 s
+		costTask(3e6), // 3x node → 1 s
+		nil,           // idle node
+		costTask(2e6), // 1x node → 2 s
 	}
 	res, err := c.Run(12*3600, tasks) // noon: some green available
 	if err != nil {
@@ -115,11 +123,7 @@ func TestRunAggregates(t *testing.T) {
 
 func TestRunNightIsAllDirty(t *testing.T) {
 	c := testCluster(t, 2)
-	tasks := []Task{
-		func() (float64, error) { return 4e6, nil },
-		func() (float64, error) { return 3e6, nil },
-	}
-	res, err := c.Run(0, tasks) // midnight
+	res, err := c.Run(0, []func() (TaskReport, error){costTask(4e6), costTask(3e6)}) // midnight
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +135,11 @@ func TestRunNightIsAllDirty(t *testing.T) {
 func TestRunErrorPropagation(t *testing.T) {
 	c := testCluster(t, 2)
 	boom := errors.New("task failed")
-	_, err := c.Run(0, []Task{
-		func() (float64, error) { return 1, nil },
-		func() (float64, error) { return 0, boom },
-	})
+	_, err := c.Run(0, []func() (TaskReport, error){costTask(1), failingTask(boom)})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := c.Run(0, []Task{nil}); err == nil {
+	if _, err := c.Run(0, []func() (TaskReport, error){nil}); err == nil {
 		t.Error("task/node count mismatch accepted")
 	}
 }
@@ -159,10 +160,10 @@ func TestRunDetailedRejectsImpossibleReports(t *testing.T) {
 		"neg fixed":  {Cost: 1e6, FixedSeconds: -0.5},
 	} {
 		rep := rep
-		tasks := make([]DetailedTask, 4)
+		tasks := make([]func() (TaskReport, error), 4)
 		tasks[0] = func() (TaskReport, error) { return TaskReport{Cost: 1e6, FixedSeconds: 1}, nil }
 		tasks[2] = func() (TaskReport, error) { return rep, nil }
-		res, err := c.RunDetailed(0, tasks)
+		res, err := c.Run(0, tasks)
 		if err == nil {
 			t.Errorf("%s: accepted, makespan %v total energy %v", name, res.Makespan, res.TotalEnergy)
 		} else if !strings.Contains(err.Error(), "node 2") {
@@ -175,9 +176,11 @@ func TestProfileAllLearnsSpeedHeterogeneity(t *testing.T) {
 	c := testCluster(t, 4)
 	// A perfectly linear workload: cost = 100 units per record.
 	sizes := []int{100, 500, 1000, 5000, 10000}
-	models, err := c.ProfileAllWithRates(sizes, func(sz int) (float64, error) {
-		return float64(sz) * 100, nil
-	}, c.DirtyRates(0, 3600))
+	costs := make([]float64, len(sizes))
+	for k, sz := range sizes {
+		costs[k] = float64(sz) * 100
+	}
+	models, err := c.ProfileAllWithRates(sizes, costs, c.DirtyRates(0, 3600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +198,16 @@ func TestProfileAllLearnsSpeedHeterogeneity(t *testing.T) {
 
 func TestProfileAllErrorPropagation(t *testing.T) {
 	c := testCluster(t, 2)
-	boom := errors.New("sample failed")
-	_, err := c.ProfileAllWithRates([]int{1, 2}, func(int) (float64, error) { return 0, boom }, c.DirtyRates(0, 100))
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
+	rates := c.DirtyRates(0, 100)
+	if _, err := c.ProfileAllWithRates([]int{1, 2}, []float64{1}, rates); err == nil {
+		t.Error("one cost for two sample sizes accepted")
+	}
+	if _, err := c.ProfileAllWithRates([]int{1, 2}, []float64{1, 2}, rates[:1]); err == nil {
+		t.Error("one dirty rate for two nodes accepted")
+	}
+	_, err := c.ProfileAllWithRates([]int{5}, []float64{1}, rates)
+	if err == nil || !strings.Contains(err.Error(), "need ≥ 2 points") {
+		t.Errorf("one-sample ladder: err = %v, want the fit's error", err)
 	}
 }
 
@@ -277,11 +286,7 @@ func TestMultiNodeErrorsAggregated(t *testing.T) {
 	c := testCluster(t, 3)
 	boom0 := errors.New("node0 exploded")
 	boom2 := errors.New("node2 exploded")
-	_, err := c.Run(0, []Task{
-		func() (float64, error) { return 0, boom0 },
-		func() (float64, error) { return 1, nil },
-		func() (float64, error) { return 0, boom2 },
-	})
+	_, err := c.Run(0, []func() (TaskReport, error){failingTask(boom0), costTask(1), failingTask(boom2)})
 	if !errors.Is(err, boom0) || !errors.Is(err, boom2) {
 		t.Fatalf("aggregated error lost a failure: %v", err)
 	}
@@ -290,12 +295,9 @@ func TestMultiNodeErrorsAggregated(t *testing.T) {
 		t.Errorf("error does not name both nodes: %q", msg)
 	}
 
-	// ProfileAllWithRates aggregates the same way. The sample function
-	// runs concurrently across nodes, so the counter must be atomic.
-	var fails atomic.Int64
-	_, err = c.ProfileAllWithRates([]int{1, 2}, func(int) (float64, error) {
-		return 0, fmt.Errorf("sample run %d failed", fails.Add(1))
-	}, c.DirtyRates(0, 100))
+	// ProfileAllWithRates aggregates the same way: a ladder no line can
+	// be fitted to fails on every node.
+	_, err = c.ProfileAllWithRates([]int{4, 4}, []float64{1, 2}, c.DirtyRates(0, 100))
 	if err == nil {
 		t.Fatal("ProfileAllWithRates swallowed failures")
 	}

@@ -109,7 +109,7 @@ func TestStealingScheduleApproachesFluidBound(t *testing.T) {
 }
 
 // The stealing schedule reports green energy alongside dirty, through
-// the same accounting as RunDetailed.
+// the same accounting as Cluster.Run.
 func TestStealingScheduleGreenAccounting(t *testing.T) {
 	c := stealCluster(t)
 	costs := make([]float64, 40)
@@ -177,15 +177,15 @@ func TestValidateGuardsCalibration(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate passed", name)
 		}
-		if _, err := c.Run(0, []cluster.Task{
-			func() (float64, error) { return 1e6, nil }, nil, nil, nil,
+		if _, err := c.Run(0, []func() (cluster.TaskReport, error){
+			func() (cluster.TaskReport, error) { return cluster.TaskReport{Cost: 1e6}, nil }, nil, nil, nil,
 		}); err == nil {
 			t.Errorf("%s: Run accepted corrupted cluster", name)
 		}
 		if _, err := steal(c, []float64{1e6}, 0); err == nil {
 			t.Errorf("%s: sim.Run accepted corrupted cluster", name)
 		}
-		if _, err := c.ProfileAllWithRates([]int{1, 2}, func(int) (float64, error) { return 1, nil }, make([]float64, 4)); err == nil {
+		if _, err := c.ProfileAllWithRates([]int{1, 2}, []float64{1, 1}, make([]float64, 4)); err == nil {
 			t.Errorf("%s: ProfileAllWithRates accepted corrupted cluster", name)
 		}
 	}

@@ -18,7 +18,7 @@ func TestRunDetailedTelemetry(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	c.Telemetry = reg
-	tasks := make([]DetailedTask, 4)
+	tasks := make([]func() (TaskReport, error), 4)
 	for i := range tasks {
 		tasks[i] = func() (TaskReport, error) {
 			time.Sleep(time.Millisecond)
@@ -26,7 +26,7 @@ func TestRunDetailedTelemetry(t *testing.T) {
 		}
 	}
 	// Noon offset so the traces carry green power.
-	res, err := c.RunDetailed(12*3600, tasks)
+	res, err := c.Run(12*3600, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestRunDetailedNilTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := []DetailedTask{
+	tasks := []func() (TaskReport, error){
 		func() (TaskReport, error) { return TaskReport{Cost: 1e5}, nil },
 		nil,
 	}
-	res, err := c.RunDetailed(0, tasks)
+	res, err := c.Run(0, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

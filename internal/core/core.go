@@ -64,10 +64,6 @@ type Config struct {
 	// otherwise; HetAware pins α = 1). The paper uses 0.999 for
 	// mining and 0.995 for compression.
 	Alpha float64
-	// Normalized switches the modeler to 0–1 normalized objectives
-	// (the paper's proposed future work), making mid-range α
-	// meaningful.
-	Normalized bool
 	// Scheme is the placement scheme (Representative for mining,
 	// SimilarTogether for compression).
 	Scheme partitioner.Scheme
@@ -89,10 +85,9 @@ type Config struct {
 	// SampleSeed drives representative-sample selection.
 	SampleSeed int64
 	// TraceOffset is the job's planned start within the energy traces
-	// (seconds); Window is the averaging window for the dirty-rate
-	// constants k_i (seconds). Window 0 defaults to one hour.
+	// (seconds); the dirty-rate constants k_i average the traces over
+	// DirtyRateWindow from there.
 	TraceOffset float64
-	Window      float64
 	// DistStratify, when set, is tried first for component III — e.g.
 	// a closure over distrib.StratifyDetailed running across real
 	// workers. If it fails (dead store, partitioned network,
@@ -124,6 +119,11 @@ type StageTiming struct {
 	Ms         float64 `json:"ms"`
 	ParallelMs float64 `json:"parallel_ms,omitempty"`
 }
+
+// DirtyRateWindow is the averaging window, in seconds, of the
+// dirty-rate constants k_i (§III-B): one hour of trace from the job's
+// planned start.
+const DirtyRateWindow = 3600
 
 // ProfileFunc runs the actual analytics algorithm on a representative
 // sample (record indices into the corpus) and returns its abstract
@@ -168,11 +168,11 @@ type Plan struct {
 // corpus of n records on p nodes, and rejects a configuration no stage
 // could run — before any stage has. Several strata per partition
 // (K = min(4p, n)), L = 3, the stratifier's workers from Workers, α = 1
-// unless the strategy is Het-Energy-Aware and a one-hour dirty-rate
-// window (the sample ladder is sampling.ScheduleWithFloor's, a function
-// of n alone). It is idempotent, so a caller that must
-// not let K follow a growing corpus (internal/replan) resolves once on
-// its base corpus and hands the result to every later BuildPlan.
+// unless the strategy is Het-Energy-Aware (the sample ladder is
+// sampling.ScheduleWithFloor's, a function of n alone). It is
+// idempotent, so a caller that must not let K follow a growing corpus
+// (internal/replan) resolves once on its base corpus and hands the
+// result to every later BuildPlan.
 func Resolve(cfg Config, n, p int, profile ProfileFunc) (Config, error) {
 	switch cfg.Strategy {
 	case Stratified, HetAware:
@@ -198,9 +198,6 @@ func Resolve(cfg Config, n, p int, profile ProfileFunc) (Config, error) {
 	// GOMAXPROCS, and stratification is worker-count independent anyway).
 	if cfg.Stratifier.Cluster.Workers == 0 {
 		cfg.Stratifier.Cluster.Workers = cfg.Workers
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 3600
 	}
 	return cfg, nil
 }
@@ -231,7 +228,7 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 	var ratesCh chan []float64
 	if het {
 		ratesCh = make(chan []float64, 1)
-		go func() { ratesCh <- cl.DirtyRates(cfg.TraceOffset, cfg.Window) }()
+		go func() { ratesCh <- cl.DirtyRates(cfg.TraceOffset, DirtyRateWindow) }()
 	}
 
 	plan := &Plan{Strategy: cfg.Strategy, Alpha: cfg.Alpha, Scheme: cfg.Scheme}
@@ -331,13 +328,7 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 			return nil, err
 		}
 		if err := stage("optimize", func() (time.Duration, error) {
-			var oplan *opt.Plan
-			var err error
-			if cfg.Normalized {
-				oplan, err = opt.OptimizeNormalized(plan.Models, n, cfg.Alpha)
-			} else {
-				oplan, err = opt.OptimizeWithConstraints(plan.Models, n, cfg.Alpha, SizingConstraints(cfg, n, p))
-			}
+			oplan, err := opt.OptimizeWithConstraints(plan.Models, n, cfg.Alpha, SizingConstraints(cfg, n, p))
 			if err != nil {
 				return 0, fmt.Errorf("core: optimizing: %w", err)
 			}
@@ -416,17 +407,7 @@ func ProfileModels(cl *cluster.Cluster, members [][]int, n int, rates []float64,
 	if err != nil {
 		return nil, busy, err
 	}
-	costBySize := make(map[int]float64, len(sizes))
-	for i, s := range sizes {
-		costBySize[s] = costs[i]
-	}
-	models, err := cl.ProfileAllWithRates(sizes, func(sz int) (float64, error) {
-		c, ok := costBySize[sz]
-		if !ok {
-			return 0, fmt.Errorf("core: no cached cost for sample size %d", sz)
-		}
-		return c, nil
-	}, rates)
+	models, err := cl.ProfileAllWithRates(sizes, costs, rates)
 	if err != nil {
 		return nil, busy, fmt.Errorf("core: fitting node models: %w", err)
 	}
@@ -467,15 +448,15 @@ func Execute(cl *cluster.Cluster, plan *Plan, run RunPartition, traceOffset floa
 	if plan.Assign.P() != cl.P() {
 		return nil, fmt.Errorf("core: plan has %d partitions for %d nodes", plan.Assign.P(), cl.P())
 	}
-	tasks := make([]cluster.Task, cl.P())
+	tasks := make([]func() (cluster.TaskReport, error), cl.P())
 	for j := range tasks {
-		j := j
 		indices := plan.Assign.Parts[j]
 		if len(indices) == 0 {
 			continue
 		}
-		tasks[j] = func() (float64, error) {
-			return run(j, indices)
+		tasks[j] = func() (cluster.TaskReport, error) {
+			cost, err := run(j, indices)
+			return cluster.TaskReport{Cost: cost}, err
 		}
 	}
 	return cl.Run(traceOffset, tasks)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"pareto/internal/cluster"
@@ -11,6 +13,7 @@ import (
 	"pareto/internal/energy"
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
+	"pareto/internal/sampling"
 	"pareto/internal/strata"
 )
 
@@ -84,6 +87,33 @@ func TestBuildPlanValidation(t *testing.T) {
 	}
 	if _, err := BuildPlan(corpus, cl, nil, Config{Strategy: Strategy(99), DistStratify: noStage}); err == nil {
 		t.Error("unknown strategy accepted")
+	}
+}
+
+// TestBuildPlanSurfacesProfileError: a profile function failing on one
+// rung of the sample ladder fails the plan, and the error names that
+// rung's sample size.
+func TestBuildPlanSurfacesProfileError(t *testing.T) {
+	corpus, cl := testSetup(t)
+	sizes, err := sampling.ScheduleWithFloor(corpus.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failAt := sizes[len(sizes)/2]
+	boom := errors.New("sample run failed")
+	ok := linearProfile(corpus)
+	profile := func(indices []int) (float64, error) {
+		if len(indices) == failAt {
+			return 0, boom
+		}
+		return ok(indices)
+	}
+	_, err = BuildPlan(corpus, cl, profile, Config{Strategy: HetAware, Scheme: partitioner.Representative})
+	if !errors.Is(err, boom) {
+		t.Fatalf("BuildPlan error %v, want the profile's", err)
+	}
+	if want := fmt.Sprintf("sample of %d", failAt); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the sample size (%q)", err, want)
 	}
 }
 
@@ -184,7 +214,7 @@ func TestHetEnergyAwareTradesTimeForEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	hea, err := BuildPlan(corpus, cl, profile, Config{
-		Strategy: HetEnergyAware, Alpha: 0.9, Normalized: true,
+		Strategy: HetEnergyAware, Alpha: 0.9,
 		Scheme: partitioner.Representative, TraceOffset: offset,
 	})
 	if err != nil {

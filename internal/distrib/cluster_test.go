@@ -9,7 +9,6 @@ import (
 
 	"pareto/internal/kvstore"
 	"pareto/internal/strata"
-	"pareto/internal/telemetry"
 )
 
 // startSlotCluster stands up n slot-partitioned kvstore servers (an
@@ -90,10 +89,11 @@ func TestDistributedOverSlotCluster(t *testing.T) {
 }
 
 // The distributed stratifier must also be indifferent to *which*
-// process serves a slot range: after a primary is crashed and a replica
-// auto-promoted in its place, a run over the reshaped cluster must
-// still be bit-identical to the centralized stratification — failover
-// changes topology, never data or routing semantics.
+// process serves a slot range: after a primary is crashed and its
+// replica promoted in its place by the operator's two commands, a run
+// over the reshaped cluster must still be bit-identical to the
+// centralized stratification — failover changes topology, never data
+// or routing semantics.
 func TestDistributedAfterFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover test")
@@ -140,8 +140,7 @@ func TestDistributedAfterFailover(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until node 0 advertises its replica, so the watchdog client
-	// dialed next learns the failover candidate from its first refresh.
+	// Wait until node 0 streams to its replica before crashing it.
 	pc, err := kvstore.Dial(addrs[0], time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -169,36 +168,31 @@ func TestDistributedAfterFailover(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	reg := telemetry.NewRegistry()
-	watchdog, err := kvstore.DialClusterOptions(addrs, time.Second, kvstore.ClusterOptions{
-		Client:         kvstore.Options{OpTimeout: 500 * time.Millisecond, Telemetry: reg},
-		HeartbeatEvery: 20 * time.Millisecond,
-		FailAfter:      80 * time.Millisecond,
-		ProbeTimeout:   200 * time.Millisecond,
-		AutoFailover:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { watchdog.Close() })
-
+	// The operator's failover: promote the replica, then point each
+	// surviving owner's slot table at it.
 	servers[0].Kill()
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if reg.Snapshot().Counters["kv_cluster_client_failovers_total"] >= 1 {
-			break
+	operator := func(addr, cmd string, args ...[]byte) {
+		c, err := kvstore.Dial(addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("automatic failover never happened")
+		defer c.Close()
+		rep, err := c.Do(cmd, args...)
+		if err == nil {
+			err = rep.Err()
 		}
-		time.Sleep(5 * time.Millisecond)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", cmd, addr, err)
+		}
+	}
+	operator(raddr, "REPLTAKEOVER")
+	for _, addr := range addrs[1:] {
+		operator(addr, "CLUSTER", []byte("REASSIGN"), []byte(addrs[0]), []byte(raddr))
 	}
 
 	seeds := []string{addrs[1], addrs[2], raddr}
 	dial := func() *kvstore.ClusterClient {
-		cc, err := kvstore.DialClusterOptions(seeds, time.Second, kvstore.ClusterOptions{
-			Client:        faultOpts(3),
-			RouteDeadline: 5 * time.Second,
-		})
+		cc, err := kvstore.DialCluster(seeds, time.Second, faultOpts(3))
 		if err != nil {
 			t.Fatal(err)
 		}

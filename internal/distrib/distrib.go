@@ -89,16 +89,10 @@ type Options struct {
 	// Seed drives the shared hash family; all workers must agree.
 	Seed int64
 	// PipelineWidth batches sketch shipping: how many RPUSH commands
-	// may be in flight before the pipeline flushes (0 = 128). Since
-	// records travel many-per-command (MaxShipBytes), the width bounds
-	// commands, not records, exactly as before the batching overhaul.
+	// may be in flight before the pipeline flushes (0 = 128). Records
+	// travel many-per-command (maxShipBytes), so the width bounds
+	// commands, not records.
 	PipelineWidth int
-	// MaxShipBytes caps the record payload packed into one variadic
-	// RPUSH command, so a single command can never blow up the server's
-	// read arena (0 = 1 MiB).
-	MaxShipBytes int
-	// KeyPrefix namespaces this run's keys on the store (0 = "strat").
-	KeyPrefix string
 
 	// SketchWait bounds the coordinator's wait for workers at the
 	// sketch barrier; past it the coordinator aborts the barrier and
@@ -111,20 +105,31 @@ type Options struct {
 	// PollInterval is the initial store poll interval for barrier and
 	// assignment waits; polls back off exponentially (0 = 1ms).
 	PollInterval time.Duration
-	// ShipRetries is how many extra times a worker re-ships its whole
-	// shard after a failed pipeline — RPUSHes are not individually
-	// retryable (kvstore.ErrNotRetryable), but DEL + re-push of the
-	// shard is idempotent as a unit (0 = 2, negative = none).
-	ShipRetries int
-	// DisableRecovery makes any worker failure terminal for the whole
-	// run (the pre-fault-tolerance behavior).
-	DisableRecovery bool
 
 	// Telemetry, when non-nil, records protocol metrics: shipped
 	// payload bytes, whole-shard ship retries, recovery events, barrier
 	// aborts, and barrier wait time. nil disables instrumentation.
 	Telemetry *telemetry.Registry
+
+	// prefix namespaces the run's keys: keyPrefix, then the run id once
+	// StratifyDetailed has drawn it.
+	prefix string
 }
+
+// The protocol's fixed parameters.
+const (
+	// keyPrefix namespaces every run's keys on the store.
+	keyPrefix = "strat"
+	// maxShipBytes caps the record payload packed into one variadic
+	// RPUSH command, so a single command can never blow up the server's
+	// read arena.
+	maxShipBytes = 1 << 20
+	// shipRetries is how many extra times a worker re-ships its whole
+	// shard after a failed pipeline: RPUSHes are not individually
+	// retryable (kvstore.ErrNotRetryable), but DEL + re-push of the
+	// shard is idempotent as a unit.
+	shipRetries = 2
+)
 
 // distribMetrics bundles the run's pre-resolved metrics. With a nil
 // registry every field is a nil metric whose methods no-op, so call
@@ -156,12 +161,7 @@ func (o *Options) normalize() {
 	if o.PipelineWidth <= 0 {
 		o.PipelineWidth = 128
 	}
-	if o.MaxShipBytes <= 0 {
-		o.MaxShipBytes = 1 << 20
-	}
-	if o.KeyPrefix == "" {
-		o.KeyPrefix = "strat"
-	}
+	o.prefix = keyPrefix
 	if o.SketchWait <= 0 {
 		o.SketchWait = 30 * time.Second
 	}
@@ -171,11 +171,6 @@ func (o *Options) normalize() {
 	if o.PollInterval <= 0 {
 		o.PollInterval = time.Millisecond
 	}
-	if o.ShipRetries == 0 {
-		o.ShipRetries = 2
-	} else if o.ShipRetries < 0 {
-		o.ShipRetries = 0
-	}
 }
 
 // blockBytes caps one element of a sketch list: a block of whole
@@ -183,14 +178,14 @@ func (o *Options) normalize() {
 // server-side copy each, on both ends.
 const blockBytes = 64 << 10
 
-// Run keys, all under o.KeyPrefix — which, once StratifyDetailed has
-// drawn the run id from runKey, ends in that id.
-func (o *Options) runKey() string         { return o.KeyPrefix + ":run" }
-func (o *Options) sketchKey(i int) string { return o.KeyPrefix + ":sketches:" + strconv.Itoa(i) }
-func (o *Options) doneKey(i int) string   { return o.KeyPrefix + ":done:" + strconv.Itoa(i) }
-func (o *Options) assignKey() string      { return o.KeyPrefix + ":assign" }
-func (o *Options) abortKey() string       { return o.KeyPrefix + ":abort" }
-func (o *Options) barrierName() string    { return o.KeyPrefix + ":sketched" }
+// Run keys, all under o.prefix — which, once StratifyDetailed has drawn
+// the run id from runKey, ends in that id.
+func (o *Options) runKey() string         { return o.prefix + ":run" }
+func (o *Options) sketchKey(i int) string { return o.prefix + ":sketches:" + strconv.Itoa(i) }
+func (o *Options) doneKey(i int) string   { return o.prefix + ":done:" + strconv.Itoa(i) }
+func (o *Options) assignKey() string      { return o.prefix + ":assign" }
+func (o *Options) abortKey() string       { return o.prefix + ":abort" }
+func (o *Options) barrierName() string    { return o.prefix + ":sketched" }
 
 // Report describes how a distributed run actually went — which fault
 // paths fired. A non-nil Report accompanies both success and failure.
@@ -208,7 +203,7 @@ type Report struct {
 	RecoveredRecords int
 	// WorkerErrs[i] is worker i's terminal error; nil for a clean
 	// worker. Non-nil entries are tolerated whenever the coordinator
-	// produced the full assignment (unless Options.DisableRecovery).
+	// produced the full assignment.
 	WorkerErrs []error
 }
 
@@ -340,7 +335,7 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 	if err != nil {
 		return nil, nil, fmt.Errorf("distrib: drawing run id: %w", err)
 	}
-	o.KeyPrefix += ":" + strconv.FormatInt(id, 10)
+	o.prefix += ":" + strconv.FormatInt(id, 10)
 	b, err := kvstore.NewBarrier(master, o.barrierName(), parties)
 	if err != nil {
 		return nil, nil, err
@@ -372,13 +367,6 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 	_ = b.Clear()
 	if coordErr != nil {
 		return nil, report, coordErr
-	}
-	if o.DisableRecovery {
-		for i, err := range report.WorkerErrs {
-			if err != nil {
-				return nil, report, fmt.Errorf("distrib: worker %d: %w", i, err)
-			}
-		}
 	}
 	// Every worker that completed decoded the same published assignment
 	// for its shard as the coordinator clustered (dead workers have no
@@ -423,9 +411,6 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 	berr := b.Await()
 	dm.barrierWait.Observe(time.Since(phaseStart).Nanoseconds())
 	if berr != nil {
-		if o.DisableRecovery {
-			return nil, nil, fmt.Errorf("distrib: coordinator sketch barrier: %w", berr)
-		}
 		// Bounded wait expired (or the barrier itself misbehaved):
 		// release live workers now and take over the missing shards.
 		report.Aborted = true
@@ -483,9 +468,6 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 			}
 			holes = append(holes, r)
 			if !recovering[i] {
-				if o.DisableRecovery {
-					return nil, nil, fmt.Errorf("distrib: record %d never sketched", r)
-				}
 				report.RecoveredRecords++
 			}
 		}
@@ -532,11 +514,11 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 
 	shipStart := time.Now()
 	var shipErr error
-	for attempt := 0; attempt <= o.ShipRetries; attempt++ {
+	for attempt := 0; attempt <= shipRetries; attempt++ {
 		if attempt > 0 {
 			dm.shipRetries.Inc()
 		}
-		if shipErr = shipShard(c, corpus, hasher, lo, hi, o.sketchKey(i), o.PipelineWidth, o.MaxShipBytes, dm.shipBytes); shipErr == nil {
+		if shipErr = shipShard(c, corpus, hasher, lo, hi, o.sketchKey(i), o.PipelineWidth, dm.shipBytes); shipErr == nil {
 			break
 		}
 	}
@@ -577,12 +559,12 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 
 // shipShard pushes one shard's sketches as a fresh list of blocks: DEL
 // + a pipeline of variadic RPUSHes + length check. Records are packed
-// into one flat arena per command — bounded by maxShip payload bytes —
+// into one flat arena per command — bounded by maxShipBytes of payload —
 // and travel as blocks of up to blockBytes, so a shard costs
 // O(records/block) list elements, bulks and server-side copies on both
 // ends, not O(records). Each attempt starts from scratch, which is what
 // makes the non-idempotent RPUSHes safely retryable as a unit.
-func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi int, key string, width, maxShip int, shipBytes *telemetry.Counter) error {
+func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi int, key string, width int, shipBytes *telemetry.Counter) error {
 	if _, err := c.Del(key); err != nil {
 		return err
 	}
@@ -591,8 +573,8 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 		return err
 	}
 	recSize := 4 + 8*hasher.K()
-	perBlock := max(1, min(blockBytes, maxShip)/recSize) // records
-	blocksPerCmd := max(1, maxShip/(perBlock*recSize))
+	perBlock := max(1, min(blockBytes, maxShipBytes)/recSize) // records
+	blocksPerCmd := max(1, maxShipBytes/(perBlock*recSize))
 	perCmd := perBlock * blocksPerCmd
 	total := hi - lo
 	p.Expect((total + perCmd - 1) / perCmd)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,51 +184,6 @@ func TestRecoveryUnderCrashAndDrops(t *testing.T) {
 		t.Error("crashed worker reported no error")
 	}
 	assertBitIdentical(t, dist, centralReference(t, corpus))
-}
-
-// TestDisableRecoveryFailsFast: with recovery off, a dead worker must
-// surface an error (bounded by the coordinator's sketch wait), not a
-// bit-rotted result or a hang.
-func TestDisableRecoveryFailsFast(t *testing.T) {
-	corpus := testCorpus(t, 0.0003)
-	srv := kvstore.NewServer(nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	master, err := kvstore.DialOptions(addr, time.Second, faultOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	workers := make([]*kvstore.Client, 2)
-	for i := range workers {
-		opts := faultOpts(int64(i) + 2)
-		if i == 0 {
-			opts.Dialer = crashingDialer(2)
-		}
-		if workers[i], err = kvstore.DialOptions(addr, time.Second, opts); err != nil {
-			t.Fatal(err)
-		}
-		defer workers[i].Close()
-	}
-	o := fastFaultOptions()
-	o.Cluster = strata.Config{K: 4, L: 2, Seed: 3}
-	o.SketchWait = 400 * time.Millisecond
-	o.AssignWait = time.Second
-	o.DisableRecovery = true
-	start := time.Now()
-	_, _, err = StratifyDetailed(master, workers, corpus, o)
-	if err == nil {
-		t.Fatal("dead worker with recovery disabled succeeded")
-	}
-	if !strings.Contains(err.Error(), "barrier") {
-		t.Errorf("unexpected error: %v", err)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Errorf("fail-fast took %v", time.Since(start))
-	}
 }
 
 // TestCleanRunReportsNoRecovery: the fault machinery must stay cold on

@@ -139,7 +139,7 @@ func BenchmarkShipShard(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := shipShard(c, corpus, hasher, 0, records, "bench:shard", width, 1<<20, nil); err != nil {
+			if err := shipShard(c, corpus, hasher, 0, records, "bench:shard", width, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,8 +1,8 @@
 // Package frontier enumerates the time/dirty-energy Pareto frontier
 // (paper §IV, Figures 5–6) as a first-class subsystem: warm-started
-// α-sweeps, exact breakpoint bisection, and N-dimensional dominance
-// filtering over an extensible objective vector, exposed to callers as
-// a library, an HTTP service (service.go), and `paretobench -frontier`.
+// α-sweeps, exact breakpoint bisection, and dominance filtering over a
+// three-objective vector, exposed to callers as a library, an HTTP
+// service (service.go), and `paretobench -frontier`.
 //
 // # Why warm starts
 //
@@ -33,10 +33,8 @@
 // Scalarization only reaches the convex hull of the frontier, and the
 // bi-objective workload-distribution results in PAPERS.md show real
 // profiles are non-convex — so the sweep enumerates and
-// dominance-filters rather than assuming convexity, and the objective
-// vector is open-ended (Axis) so callers can rank plans on dimensions
-// the LP never saw (total node-seconds, peak partition share, total
-// energy under a power model).
+// dominance-filters rather than assuming convexity, over an objective
+// vector that adds a dimension the LP never saw: total node-seconds.
 package frontier
 
 import (
@@ -52,49 +50,23 @@ import (
 	"pareto/internal/telemetry"
 )
 
-// Axis is one dimension of the extended objective vector: a name for
-// reporting and an evaluator over the solved plan. Lower is better on
-// every axis (costs, not utilities).
-type Axis struct {
-	Name string
-	Eval func(nodes []opt.NodeModel, p *opt.Plan) float64
-}
+// objectiveNames names the entries of every Point's objective vector,
+// in order. Lower is better on each.
+var objectiveNames = []string{"makespan_s", "dirty_energy_j", "node_seconds"}
 
-// MakespanAxis is the plan's predicted makespan (seconds).
-func MakespanAxis() Axis {
-	return Axis{Name: "makespan_s", Eval: func(_ []opt.NodeModel, p *opt.Plan) float64 {
-		return p.Makespan
-	}}
-}
-
-// DirtyEnergyAxis is the plan's predicted dirty energy (joules).
-func DirtyEnergyAxis() Axis {
-	return Axis{Name: "dirty_energy_j", Eval: func(_ []opt.NodeModel, p *opt.Plan) float64 {
-		return p.DirtyEnergy
-	}}
-}
-
-// NodeSecondsAxis is total busy node-seconds Σ f_i(x_i) over loaded
-// nodes — the "bill" for the plan, distinct from the makespan: a plan
-// that spreads work to meet a deadline can burn strictly more compute
-// than a consolidated one. This is the default third dimension.
-func NodeSecondsAxis() Axis {
-	return Axis{Name: "node_seconds", Eval: func(nodes []opt.NodeModel, p *opt.Plan) float64 {
-		var s float64
-		for i, n := range nodes {
-			if p.Sizes[i] <= 0 {
-				continue
-			}
-			s += n.Time.Predict(float64(p.Sizes[i]))
+// objectives evaluates a plan's objective vector: its predicted
+// makespan (s), its predicted dirty energy (J), and total busy
+// node-seconds Σ f_i(x_i) over loaded nodes — the "bill" for the plan,
+// distinct from the makespan: a plan that spreads work to meet a
+// deadline can burn strictly more compute than a consolidated one.
+func objectives(nodes []opt.NodeModel, p *opt.Plan) []float64 {
+	var nodeSeconds float64
+	for i, n := range nodes {
+		if p.Sizes[i] > 0 {
+			nodeSeconds += n.Time.Predict(float64(p.Sizes[i]))
 		}
-		return s
-	}}
-}
-
-// DefaultAxes is the standard objective vector: makespan, dirty
-// energy, and total node-seconds.
-func DefaultAxes() []Axis {
-	return []Axis{MakespanAxis(), DirtyEnergyAxis(), NodeSecondsAxis()}
+	}
+	return []float64{p.Makespan, p.DirtyEnergy, nodeSeconds}
 }
 
 // DominatesVec reports whether objective vector a Pareto-dominates b:
@@ -121,15 +93,15 @@ func DominatesVec(a, b []float64) bool {
 // extended objective vector and solve provenance.
 type Point struct {
 	opt.FrontierPoint
-	// Objectives holds one value per configured Axis, in axis order.
+	// Objectives is the plan's objective vector (objectiveNames).
 	Objectives []float64
 	// Warm reports whether the sample's LP solve reused a retained
 	// basis.
 	Warm bool
 	// Pivots is the simplex pivot count this sample cost.
 	Pivots int
-	// Dominated marks samples pruned by N-dimensional dominance
-	// filtering; they remain in Result.Points (the 2-D frontier
+	// Dominated marks samples pruned by dominance filtering over
+	// Objectives; they remain in Result.Points (the 2-D frontier
 	// contract is unchanged) but are excluded from Result.Frontier().
 	Dominated bool
 }
@@ -153,7 +125,7 @@ type Stats struct {
 }
 
 // Config parameterizes Sweep and Exact. The zero value is usable:
-// DefaultAlphaSweep α values, GOMAXPROCS workers, DefaultAxes.
+// DefaultAlphaSweep α values, GOMAXPROCS workers.
 type Config struct {
 	// Alphas are the scalarization weights to sample (Sweep only).
 	// Empty means opt.DefaultAlphaSweep. Order is irrelevant: results
@@ -163,9 +135,6 @@ type Config struct {
 	// Sweep runs at most this many warm chains and never one shorter
 	// than minChainAlphas, so short ladders are solved serially.
 	Workers int
-	// Axes is the objective vector for dominance filtering; empty
-	// means DefaultAxes.
-	Axes []Axis
 	// Constraints are passed through to the sizing LP.
 	Constraints opt.Constraints
 	// Tol is the point-coincidence tolerance: dedup for Sweep (default
@@ -173,13 +142,6 @@ type Config struct {
 	Tol float64
 	// Telemetry receives frontier_* metrics when non-nil.
 	Telemetry *telemetry.Registry
-}
-
-func (c Config) axes() []Axis {
-	if len(c.Axes) == 0 {
-		return DefaultAxes()
-	}
-	return c.Axes
 }
 
 // Result is a dominance-filtered frontier enumeration.
@@ -298,8 +260,8 @@ const minChainAlphas = 64
 // none shorter than minChainAlphas, so a ladder of up to 127 values is
 // one chain and one cold solve at any worker count — then canonicalizes
 // (ascending α, adjacent duplicates collapsed — the
-// opt.CanonicalizeFrontier contract) and dominance-filters over
-// cfg.Axes. The embedded FrontierPoints are bit-identical to cold
+// opt.CanonicalizeFrontier contract) and dominance-filters over the
+// objective vector. The embedded FrontierPoints are bit-identical to cold
 // per-α solves at any worker count.
 func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	start := time.Now()
@@ -311,7 +273,6 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	axes := cfg.axes()
 
 	n := len(alphas)
 	pts := make([]Point, n)
@@ -329,7 +290,7 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 				if err != nil {
 					return err
 				}
-				pts[i] = newPoint(nodes, alphas[i], plan, sol, axes)
+				pts[i] = newPoint(nodes, alphas[i], plan, sol)
 			}
 		}
 		return nil
@@ -341,26 +302,22 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	for _, ch := range chains {
 		ch.addTo(&res.Stats)
 	}
-	finish(res, nodes, axes, start, cfg.Telemetry, "sweep")
+	finish(res, start, cfg.Telemetry, "sweep")
 	return res, nil
 }
 
-func newPoint(nodes []opt.NodeModel, alpha float64, plan *opt.Plan, sol *lp.Solution, axes []Axis) Point {
-	pt := Point{
+func newPoint(nodes []opt.NodeModel, alpha float64, plan *opt.Plan, sol *lp.Solution) Point {
+	return Point{
 		FrontierPoint: opt.FrontierPoint{
 			Alpha:       alpha,
 			Makespan:    plan.Makespan,
 			DirtyEnergy: plan.DirtyEnergy,
 			Plan:        plan,
 		},
-		Warm:   sol.Warm,
-		Pivots: sol.Iterations,
+		Objectives: objectives(nodes, plan),
+		Warm:       sol.Warm,
+		Pivots:     sol.Iterations,
 	}
-	pt.Objectives = make([]float64, len(axes))
-	for k, ax := range axes {
-		pt.Objectives[k] = ax.Eval(nodes, plan)
-	}
-	return pt
 }
 
 // canonicalize applies the opt.CanonicalizeFrontier contract to
@@ -378,19 +335,27 @@ func canonicalize(pts []Point, tol float64) []Point {
 	return out
 }
 
-// finish runs dominance filtering, fills derived stats, and emits
-// telemetry.
-func finish(res *Result, nodes []opt.NodeModel, axes []Axis, start time.Time, reg *telemetry.Registry, kind string) {
+// markDominated is the dominance filter: it flags every point whose
+// objective vector another point's dominates, and returns how many it
+// flagged.
+func markDominated(pts []Point) int {
 	dominated := 0
-	for i := range res.Points {
-		for j := range res.Points {
-			if i != j && DominatesVec(res.Points[j].Objectives, res.Points[i].Objectives) {
-				res.Points[i].Dominated = true
+	for i := range pts {
+		for j := range pts {
+			if i != j && DominatesVec(pts[j].Objectives, pts[i].Objectives) {
+				pts[i].Dominated = true
 				dominated++
 				break
 			}
 		}
 	}
+	return dominated
+}
+
+// finish runs dominance filtering, fills derived stats, and emits
+// telemetry.
+func finish(res *Result, start time.Time, reg *telemetry.Registry, kind string) {
+	dominated := markDominated(res.Points)
 	res.Stats.Dominated = dominated
 	res.Stats.Breakpoints = len(res.Points) - dominated
 	res.Stats.Elapsed = time.Since(start)
@@ -436,7 +401,6 @@ func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	if tol <= 0 {
 		tol = 1e-6
 	}
-	axes := cfg.axes()
 
 	// Spawn goroutines only in the top ⌈log2(workers)⌉ levels.
 	workers := parallel.Workers(1<<20, cfg.Workers)
@@ -451,7 +415,7 @@ func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 		if err != nil {
 			return Point{}, err
 		}
-		return newPoint(nodes, alpha, plan, sol, axes), nil
+		return newPoint(nodes, alpha, plan, sol), nil
 	}
 	lo, err := solve(root, 0)
 	if err != nil {
@@ -511,7 +475,7 @@ func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	for _, c := range sub.chains {
 		c.addTo(&res.Stats)
 	}
-	finish(res, nodes, axes, start, cfg.Telemetry, "exact")
+	finish(res, start, cfg.Telemetry, "exact")
 	if sub.truncated {
 		return res, fmt.Errorf("frontier: exact enumeration incomplete beyond depth %d: %w", exactMaxDepth, opt.ErrTruncated)
 	}

@@ -182,63 +182,47 @@ func dedupAlphas(alphas []float64) []float64 {
 	return out
 }
 
-func TestSweepNonConvexDominancePruning(t *testing.T) {
-	// Two nodes: fast-and-dirty vs slightly-slower-and-green. On the
-	// classic (makespan, dirty energy) axes every α sample is
-	// non-dominated — α=0 has zero dirty energy. Extend the objective
-	// vector with total node-seconds and the α=0 plan (everything
-	// consolidated on the slower green node) is beaten on BOTH axes by
-	// the α=1 balance: same-or-worse makespan AND more node-seconds.
-	// The sweep must keep the sample in Points (2-D contract) but flag
-	// and exclude it from the filtered frontier.
-	nodes := []opt.NodeModel{
-		{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 400},
-		{Time: sampling.LinearFit{Slope: 0.0011}, DirtyRate: 0},
+// TestDominanceFilterHandBuiltPoints: the filter flags exactly the
+// points whose objective vector another point's dominates — ties,
+// trade-offs and sub-tolerance differences are not domination — and
+// Frontier() returns the rest in order.
+func TestDominanceFilterHandBuiltPoints(t *testing.T) {
+	vecs := []struct {
+		obj       []float64
+		dominated bool
+	}{
+		{[]float64{1, 5, 3}, false},         // fastest
+		{[]float64{2, 4, 3}, false},         // trades makespan for dirty energy
+		{[]float64{2, 5, 4}, true},          // the fastest is no worse anywhere and better on two axes
+		{[]float64{1, 5, 3}, false},         // ties the fastest: neither dominates
+		{[]float64{9, 0, 9}, false},         // all on the green node: slowest, no dirty energy
+		{[]float64{9, 0, 9 + 1e-12}, false}, // a sub-tolerance difference is a tie
+		{[]float64{10, 0, 10}, true},        // green too, but beaten on makespan and node-seconds
 	}
-	axes := []Axis{MakespanAxis(), NodeSecondsAxis()}
-	res, err := Sweep(nodes, 100_000, Config{
-		Alphas:  []float64{0, 0.5, 0.9, 0.99, 0.999, 1},
-		Workers: 1,
-		Axes:    axes,
-	})
-	if err != nil {
-		t.Fatal(err)
+	pts := make([]Point, len(vecs))
+	for i, v := range vecs {
+		pts[i] = Point{FrontierPoint: opt.FrontierPoint{Alpha: float64(i)}, Objectives: v.obj}
 	}
-	var zero *Point
-	for i := range res.Points {
-		if res.Points[i].Alpha == 0 {
-			zero = &res.Points[i]
+	if got := markDominated(pts); got != 2 {
+		t.Errorf("markDominated flagged %d points, want 2", got)
+	}
+	for i, v := range vecs {
+		if pts[i].Dominated != v.dominated {
+			t.Errorf("point %d %v: dominated = %v, want %v", i, v.obj, pts[i].Dominated, v.dominated)
 		}
 	}
-	if zero == nil {
-		t.Fatal("α=0 sample missing from canonical points")
+	var kept []float64
+	for _, p := range (&Result{Points: pts}).Frontier() {
+		kept = append(kept, p.Alpha)
 	}
-	if zero.Plan.Sizes[1] != 100_000 {
-		t.Fatalf("α=0 must consolidate on the green node, got sizes %v", zero.Plan.Sizes)
-	}
-	if !zero.Dominated {
-		t.Fatal("α=0 consolidation must be dominance-pruned on (makespan, node_seconds)")
-	}
-	if res.Stats.Dominated < 1 {
-		t.Errorf("stats.Dominated = %d, want ≥ 1", res.Stats.Dominated)
-	}
-	for _, p := range res.Frontier() {
-		if p.Dominated {
-			t.Error("Frontier() leaked a dominated point")
-		}
-		if p.Alpha == 0 {
-			t.Error("Frontier() kept the pruned α=0 sample")
-		}
-	}
-	if len(res.Frontier())+res.Stats.Dominated != len(res.Points) {
-		t.Errorf("filtered %d + dominated %d ≠ points %d",
-			len(res.Frontier()), res.Stats.Dominated, len(res.Points))
+	if want := []float64{0, 1, 3, 4, 5}; !reflect.DeepEqual(kept, want) {
+		t.Errorf("Frontier() kept α %v, want %v", kept, want)
 	}
 }
 
 func TestSweepDefaultsAndValidation(t *testing.T) {
 	nodes := PaperModels(4)
-	// Zero config: DefaultAlphaSweep, DefaultAxes.
+	// Zero config: DefaultAlphaSweep.
 	res, err := Sweep(nodes, 10_000, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +230,8 @@ func TestSweepDefaultsAndValidation(t *testing.T) {
 	if len(res.Points) == 0 {
 		t.Fatal("empty result from default sweep")
 	}
-	if got := len(res.Points[0].Objectives); got != len(DefaultAxes()) {
-		t.Errorf("objective vector has %d entries, want %d", got, len(DefaultAxes()))
+	if got := len(res.Points[0].Objectives); got != len(objectiveNames) {
+		t.Errorf("objective vector has %d entries, want %d", got, len(objectiveNames))
 	}
 	if _, err := Sweep(nil, 100, Config{}); err == nil {
 		t.Error("nil nodes accepted")

@@ -59,8 +59,8 @@ type Service struct {
 }
 
 // NewService creates a frontier service over the given source. cfg
-// supplies defaults (axes, telemetry, base α sweep) that requests can
-// override.
+// supplies defaults (telemetry, base α sweep, constraints) that
+// requests can override.
 func NewService(source ModelSource, cfg Config) *Service {
 	return &Service{source: source, cfg: cfg, memo: newReplyMemo(cfg.Telemetry)}
 }
@@ -199,11 +199,9 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body) // a failed write is the caller hanging up
 }
 
-// encodeReply enumerates and renders the /frontier reply. It encodes
-// into memory, so a reply that cannot be encoded (an Axis evaluating to
-// NaN) is an error here, not a broken body after a 200. Stats describe
-// the enumeration that produced the points; the memo serves these
-// bytes again as they are, so on a hit elapsed_ms is this run's.
+// encodeReply enumerates and renders the /frontier reply. Stats
+// describe the enumeration that produced the points; the memo serves
+// these bytes again as they are, so on a hit elapsed_ms is this run's.
 func encodeReply(nodes []opt.NodeModel, total int, exact, includeAll bool, cfg Config) ([]byte, error) {
 	var res *Result
 	var err error
@@ -217,24 +215,23 @@ func encodeReply(nodes []opt.NodeModel, total int, exact, includeAll bool, cfg C
 	if err != nil && !truncated {
 		return nil, err
 	}
-	resp := responseJSON{
-		Nodes:     len(nodes),
-		Total:     total,
-		Exact:     exact,
-		Truncated: truncated,
-		Dominated: res.Stats.Dominated,
-		Stats: statsJSON{
-			Solves:      res.Stats.Solves,
-			WarmSolves:  res.Stats.WarmSolves,
-			Pivots:      res.Stats.Pivots,
-			WarmPivots:  res.Stats.WarmPivots,
-			Breakpoints: res.Stats.Breakpoints,
-			Dominated:   res.Stats.Dominated,
-			ElapsedMs:   float64(res.Stats.Elapsed.Microseconds()) / 1000,
-		},
-	}
-	for _, ax := range cfg.axes() {
-		resp.Axes = append(resp.Axes, ax.Name)
+	return renderReply(responseJSON{Nodes: len(nodes), Total: total, Exact: exact, Truncated: truncated}, res, includeAll)
+}
+
+// renderReply completes resp from an enumeration and encodes it. It
+// encodes into memory, so a reply that cannot be encoded (a NaN
+// objective) is an error here, not a broken body after a 200.
+func renderReply(resp responseJSON, res *Result, includeAll bool) ([]byte, error) {
+	resp.Axes = objectiveNames
+	resp.Dominated = res.Stats.Dominated
+	resp.Stats = statsJSON{
+		Solves:      res.Stats.Solves,
+		WarmSolves:  res.Stats.WarmSolves,
+		Pivots:      res.Stats.Pivots,
+		WarmPivots:  res.Stats.WarmPivots,
+		Breakpoints: res.Stats.Breakpoints,
+		Dominated:   res.Stats.Dominated,
+		ElapsedMs:   float64(res.Stats.Elapsed.Microseconds()) / 1000,
 	}
 	for _, p := range res.Points {
 		if p.Dominated && !includeAll {

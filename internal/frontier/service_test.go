@@ -7,11 +7,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pareto/internal/opt"
-	"pareto/internal/sampling"
 	"pareto/internal/telemetry"
 )
 
@@ -52,7 +52,7 @@ func TestServiceSweepJSON(t *testing.T) {
 	if len(resp.Points) == 0 {
 		t.Fatal("no points")
 	}
-	if len(resp.Axes) != len(DefaultAxes()) {
+	if !reflect.DeepEqual(resp.Axes, objectiveNames) {
 		t.Errorf("axes %v", resp.Axes)
 	}
 	for i, p := range resp.Points {
@@ -139,6 +139,10 @@ func TestServiceRejectsBadModels(t *testing.T) {
 		{"NaN intercept", with(func(n *opt.NodeModel) { n.Time.Intercept = math.NaN() }), 1000},
 		{"negative dirty rate", with(func(n *opt.NodeModel) { n.DirtyRate = -1 }), 1000},
 		{"NaN dirty rate", with(func(n *opt.NodeModel) { n.DirtyRate = math.NaN() }), 1000},
+		{"+Inf slope", with(func(n *opt.NodeModel) { n.Time.Slope = math.Inf(1) }), 1000},
+		{"+Inf intercept", with(func(n *opt.NodeModel) { n.Time.Intercept = math.Inf(1) }), 1000},
+		{"-Inf intercept", with(func(n *opt.NodeModel) { n.Time.Intercept = math.Inf(-1) }), 1000},
+		{"+Inf dirty rate", with(func(n *opt.NodeModel) { n.DirtyRate = math.Inf(1) }), 1000},
 	} {
 		if _, err := Sweep(tc.nodes, tc.total, Config{}); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: Sweep error %v, want ErrBadRequest", tc.name, err)
@@ -164,42 +168,48 @@ func TestServiceRejectsBadModels(t *testing.T) {
 	}
 }
 
-// TestServiceEncodeFailure: a reply that cannot be encoded (an axis
-// evaluating to NaN) is a clean 500 with nothing of the JSON body
-// written, and is not memoized.
+// TestServiceEncodeFailure: a reply that cannot be encoded (a NaN
+// objective) is an error from the render step, with no bytes that
+// could be served after a 200 or memoized.
 func TestServiceEncodeFailure(t *testing.T) {
-	nan := Axis{Name: "nan", Eval: func([]opt.NodeModel, *opt.Plan) float64 { return math.NaN() }}
-	svc := NewService(StaticSource{Nodes: PaperModels(4), Total: 10_000}, Config{Axes: []Axis{MakespanAxis(), nan}})
-	rec, _ := getFrontier(t, svc, "/frontier?alphas=5")
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", rec.Code)
+	res := &Result{Points: []Point{{
+		FrontierPoint: opt.FrontierPoint{Plan: &opt.Plan{Sizes: []int{10, 0}}},
+		Objectives:    []float64{1, math.NaN(), 1},
+	}}}
+	body, err := renderReply(responseJSON{Nodes: 2, Total: 10}, res, false)
+	if err == nil || !strings.HasPrefix(err.Error(), "frontier: encode reply:") {
+		t.Fatalf("render error %v, want an encode error", err)
 	}
-	if body := rec.Body.String(); !strings.HasPrefix(body, "frontier: encode reply:") || strings.Contains(body, "{") {
-		t.Errorf("body %q, want only the encode error", body)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type %q", ct)
-	}
-	if len(svc.memo.entries) != 0 {
-		t.Error("a failed reply was memoized")
+	if body != nil {
+		t.Errorf("render returned %d bytes beside its error", len(body))
 	}
 }
 
+// TestServiceDominatedToggle: the reply leaves dominated points out
+// unless all=1 asks for them, and then flags them; the dominated count
+// is reported either way.
 func TestServiceDominatedToggle(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	// The non-convex two-node profile from the sweep tests: α=0 is
-	// dominated on (makespan, node-seconds).
-	svc := NewService(StaticSource{Nodes: nonConvexNodes(), Total: 100_000}, Config{
-		Axes:      []Axis{MakespanAxis(), NodeSecondsAxis()},
-		Telemetry: reg,
-	})
-	_, def := getFrontier(t, svc, "/frontier?alpha=0,0.5,1")
-	_, all := getFrontier(t, svc, "/frontier?alpha=0,0.5,1&all=1")
-	if def == nil || all == nil {
-		t.Fatal("request failed")
+	point := func(alpha float64, obj ...float64) Point {
+		return Point{FrontierPoint: opt.FrontierPoint{Alpha: alpha, Plan: &opt.Plan{Sizes: []int{1, 1}}}, Objectives: obj}
 	}
-	if def.Dominated == 0 {
-		t.Fatal("expected a dominated sample on the non-convex profile")
+	// The α=0.75 point is worse than the α=1 one on two axes and better
+	// on none.
+	res := &Result{Points: []Point{point(0, 10, 0, 10), point(0.5, 2, 4, 3), point(0.75, 3, 5, 4), point(1, 1, 5, 3)}}
+	res.Stats.Dominated = markDominated(res.Points)
+	render := func(all bool) responseJSON {
+		body, err := renderReply(responseJSON{Nodes: 2, Total: 2}, res, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp responseJSON
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	def, all := render(false), render(true)
+	if def.Dominated != 1 || all.Dominated != 1 {
+		t.Fatalf("dominated = %d / %d, want 1", def.Dominated, all.Dominated)
 	}
 	if len(all.Points) != len(def.Points)+def.Dominated {
 		t.Errorf("all=1 returned %d points, filtered %d + dominated %d",
@@ -269,13 +279,4 @@ type errSource struct{}
 
 func (errSource) FrontierModels() ([]opt.NodeModel, int, error) {
 	return nil, 0, errors.New("profiling not finished")
-}
-
-// nonConvexNodes is the fast-and-dirty vs slower-and-green pair used
-// by TestSweepNonConvexDominancePruning.
-func nonConvexNodes() []opt.NodeModel {
-	return []opt.NodeModel{
-		{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 400},
-		{Time: sampling.LinearFit{Slope: 0.0011}, DirtyRate: 0},
-	}
 }

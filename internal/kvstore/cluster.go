@@ -28,113 +28,48 @@ type ClusterClient struct {
 	closed  bool // set by Close: no connection is dialed afterwards
 	timeout time.Duration
 	opts    Options
-	copts   ClusterOptions
 	conns   map[string]*Client
 	owner   [NumSlots]string
 	seeds   []string
-	// replicas maps an owner address to the replica addresses it last
-	// advertised (the >3-element tail of its CLUSTER SLOTS entries).
-	// Collected while the owner is alive — the failover candidate list
-	// must exist before the failure does.
-	replicas map[string][]string
-	// failing maps an owner address to when its probes started failing;
-	// an owner failing longer than FailAfter is declared dead.
-	failing map[string]time.Time
 
-	hbStop chan struct{}
-	hbWG   sync.WaitGroup
-
-	moved         *telemetry.Counter // client-side MOVED redirects chased
-	probeFailures *telemetry.Counter
-	failovers     *telemetry.Counter
-	failoverMs    *telemetry.Gauge // duration of the last failover
+	moved *telemetry.Counter // client-side MOVED redirects chased
 }
 
 // maxRedirects bounds a doKey MOVED chase; a table more than a few
 // hops stale means the cluster map is cyclic garbage. Hops after the
-// first sleep hopBackoff, doubling up to maxHopBackoff — a flapping
-// failover makes clients wait, not spin.
+// first sleep hopBackoff, doubling up to maxHopBackoff — a table
+// rewritten mid-failover makes clients wait, not spin.
 const (
 	maxRedirects  = 4
 	hopBackoff    = 2 * time.Millisecond
 	maxHopBackoff = 250 * time.Millisecond
 )
 
-// ClusterOptions extends per-store client Options with cluster-level
-// behavior: heartbeat failure detection, automatic failover, and bounds
-// on redirect chasing. The zero value disables the heartbeat and
-// reproduces DialCluster's routing behavior.
-type ClusterOptions struct {
-	// Client configures each per-store connection (timeouts, retries,
-	// fault-injection dialer, telemetry).
-	Client Options
-
-	// HeartbeatEvery enables failure detection: every interval, each
-	// distinct slot owner is probed (fresh connection, PING + CLUSTER
-	// SLOTS) and its advertised replicas are cached. 0 = no heartbeat.
-	HeartbeatEvery time.Duration
-	// FailAfter is how long an owner's probes must fail consecutively
-	// before it is declared dead. ≤ 0 = 3×HeartbeatEvery.
-	FailAfter time.Duration
-	// ProbeTimeout bounds one probe's dial + exchanges. ≤ 0 = 500ms.
-	ProbeTimeout time.Duration
-	// AutoFailover promotes a cached replica (REPLTAKEOVER) when an
-	// owner is declared dead, rewrites the local slot table, and pushes
-	// CLUSTER REASSIGN to the surviving owners. Requires the heartbeat.
-	AutoFailover bool
-
-	// RouteDeadline bounds one routed command's total wall clock across
-	// redirect hops and error retries. 0 = no deadline (hop cap only).
-	RouteDeadline time.Duration
-}
-
-func (o *ClusterOptions) normalize() {
-	if o.FailAfter <= 0 {
-		o.FailAfter = 3 * o.HeartbeatEvery
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 500 * time.Millisecond
-	}
-}
-
 // DialCluster connects to a slot-partitioned cluster through its
 // seeds: the first reachable seed's CLUSTER SLOTS primes the slot
 // table, and per-store connections are dialed on demand with the same
 // timeout and Options a single-store DialOptions would use.
+//
+// The client detects no failures and promotes nothing. Failover is an
+// operator's two commands: REPLTAKEOVER on the dead primary's replica,
+// then CLUSTER REASSIGN <dead> <new> on each surviving owner. The
+// client follows the new table through dial errors, table refreshes
+// and MOVED redirects.
 func DialCluster(seeds []string, timeout time.Duration, opts Options) (*ClusterClient, error) {
-	return DialClusterOptions(seeds, timeout, ClusterOptions{Client: opts})
-}
-
-// DialClusterOptions is DialCluster with cluster-level failure
-// detection and failover behavior.
-func DialClusterOptions(seeds []string, timeout time.Duration, copts ClusterOptions) (*ClusterClient, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("kvstore: cluster dial with no seeds")
 	}
-	copts.normalize()
-	reg := copts.Client.Telemetry
 	cc := &ClusterClient{
-		timeout:       timeout,
-		opts:          copts.Client,
-		copts:         copts,
-		conns:         make(map[string]*Client),
-		seeds:         append([]string(nil), seeds...),
-		replicas:      make(map[string][]string),
-		failing:       make(map[string]time.Time),
-		moved:         reg.Counter("kv_cluster_client_moved_total"),
-		probeFailures: reg.Counter("kv_cluster_client_probe_failures_total"),
-		failovers:     reg.Counter("kv_cluster_client_failovers_total"),
-		failoverMs:    reg.Gauge("kv_cluster_failover_last_ms"),
+		timeout: timeout,
+		opts:    opts,
+		conns:   make(map[string]*Client),
+		seeds:   append([]string(nil), seeds...),
+		moved:   opts.Telemetry.Counter("kv_cluster_client_moved_total"),
 	}
 	cc.keyed.route = cc.doKey
 	if err := cc.refresh(); err != nil {
 		cc.Close()
 		return nil, err
-	}
-	if copts.HeartbeatEvery > 0 {
-		cc.hbStop = make(chan struct{})
-		cc.hbWG.Add(1)
-		go cc.heartbeatLoop()
 	}
 	return cc, nil
 }
@@ -165,19 +100,16 @@ func (cc *ClusterClient) refresh() error {
 			lastErr = err
 			continue
 		}
-		entries, err := parseSlotsEntries(rep)
+		ranges, err := parseSlots(rep)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		cc.mu.Lock()
 		cc.owner = [NumSlots]string{}
-		for _, e := range entries {
-			for s := e.Lo; s <= e.Hi; s++ {
-				cc.owner[s] = e.Addr
-			}
-			if len(e.Replicas) > 0 {
-				cc.replicas[e.Addr] = e.Replicas
+		for _, r := range ranges {
+			for s := r.Lo; s <= r.Hi; s++ {
+				cc.owner[s] = r.Addr
 			}
 		}
 		cc.mu.Unlock()
@@ -186,39 +118,25 @@ func (cc *ClusterClient) refresh() error {
 	return fmt.Errorf("kvstore: cluster slots unavailable from any node: %w", lastErr)
 }
 
-// slotsEntry is one decoded CLUSTER SLOTS entry: the range, its owner,
-// and the replica addresses the owner advertised for it (only present
-// on ranges the replying node itself owns).
-type slotsEntry struct {
-	SlotRange
-	Replicas []string
-}
-
-// parseSlotsEntries decodes a CLUSTER SLOTS array of
-// [lo, hi, addr, replica...] entries; the replica tail is optional.
-func parseSlotsEntries(rep Reply) ([]slotsEntry, error) {
+// parseSlots decodes a CLUSTER SLOTS array of [lo, hi, addr, ...]
+// entries. The replica addresses a node advertises after the owner are
+// for operators (kvcli cluster slots) and are skipped.
+func parseSlots(rep Reply) ([]SlotRange, error) {
 	if rep.Type != Array {
 		return nil, fmt.Errorf("kvstore: CLUSTER SLOTS reply is %v, want array", rep.Type)
 	}
-	out := make([]slotsEntry, 0, len(rep.Array))
+	out := make([]SlotRange, 0, len(rep.Array))
 	for _, el := range rep.Array {
 		if el.Type != Array || len(el.Array) < 3 ||
 			el.Array[0].Type != Integer || el.Array[1].Type != Integer ||
 			el.Array[2].Type != BulkString {
 			return nil, fmt.Errorf("kvstore: malformed CLUSTER SLOTS entry")
 		}
-		e := slotsEntry{SlotRange: SlotRange{
+		out = append(out, SlotRange{
 			Lo:   int(el.Array[0].Int),
 			Hi:   int(el.Array[1].Int),
 			Addr: string(el.Array[2].Bulk),
-		}}
-		for _, rel := range el.Array[3:] {
-			if rel.Type != BulkString {
-				return nil, fmt.Errorf("kvstore: malformed CLUSTER SLOTS replica entry")
-			}
-			e.Replicas = append(e.Replicas, string(rel.Bulk))
-		}
-		out = append(out, e)
+		})
 	}
 	return out, nil
 }
@@ -277,155 +195,6 @@ func (cc *ClusterClient) setOwner(slot int, addr string) {
 	cc.mu.Unlock()
 }
 
-// heartbeatLoop probes every distinct slot owner each interval,
-// harvesting replica advertisements while owners are healthy and
-// declaring an owner dead once its probes have failed for FailAfter.
-func (cc *ClusterClient) heartbeatLoop() {
-	defer cc.hbWG.Done()
-	t := time.NewTicker(cc.copts.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-cc.hbStop:
-			return
-		case <-t.C:
-			cc.probeOwners()
-		}
-	}
-}
-
-// probeOwners runs one heartbeat round. Probes use fresh short-timeout
-// connections (through the same Dialer, so fault injection applies):
-// the pooled clients' own retry/backoff machinery would smear failure
-// detection latency, and a probe must never steal a pooled connection
-// mid-pipeline.
-func (cc *ClusterClient) probeOwners() {
-	cc.mu.Lock()
-	ownersSet := make(map[string]struct{})
-	for _, a := range cc.owner {
-		if a != "" {
-			ownersSet[a] = struct{}{}
-		}
-	}
-	cc.mu.Unlock()
-	for addr := range ownersSet {
-		entries, err := cc.probe(addr)
-		now := time.Now()
-		if err != nil {
-			cc.probeFailures.Inc()
-			cc.mu.Lock()
-			since, known := cc.failing[addr]
-			if !known {
-				cc.failing[addr] = now
-			}
-			dead := known && now.Sub(since) >= cc.copts.FailAfter
-			cc.mu.Unlock()
-			if dead && cc.copts.AutoFailover {
-				cc.failover(addr)
-			}
-			continue
-		}
-		cc.mu.Lock()
-		delete(cc.failing, addr)
-		for _, e := range entries {
-			if e.Addr == addr && len(e.Replicas) > 0 {
-				cc.replicas[addr] = e.Replicas
-			}
-		}
-		cc.mu.Unlock()
-	}
-}
-
-// probe checks one owner's liveness and collects its slots view.
-func (cc *ClusterClient) probe(addr string) ([]slotsEntry, error) {
-	opts := Options{
-		OpTimeout: cc.copts.ProbeTimeout,
-		Dialer:    cc.opts.Dialer,
-	}
-	c, err := DialOptions(addr, cc.copts.ProbeTimeout, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	rep, err := c.Do("CLUSTER", []byte("SLOTS"))
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	return parseSlotsEntries(rep)
-}
-
-// failover promotes a cached replica of the dead owner: REPLTAKEOVER
-// flips the replica's role and rewrites its slot table; this client's
-// table follows, and the surviving owners get a best-effort CLUSTER
-// REASSIGN so their MOVED redirects chase to the new owner instead of
-// the corpse. If the replica was already promoted by another client,
-// its slots view is adopted instead.
-func (cc *ClusterClient) failover(dead string) {
-	start := time.Now()
-	cc.mu.Lock()
-	candidates := append([]string(nil), cc.replicas[dead]...)
-	// Reset the failure clock either way: if no candidate works the
-	// owner gets a fresh FailAfter window before the next attempt,
-	// instead of a hot retry loop every heartbeat.
-	delete(cc.failing, dead)
-	cc.mu.Unlock()
-	for _, rep := range candidates {
-		promoted := false
-		if c, err := cc.clientFor(rep); err == nil {
-			if r, derr := c.Do("REPLTAKEOVER"); derr == nil && r.Type == Integer {
-				promoted = true
-			}
-		}
-		if !promoted {
-			// REPLTAKEOVER failed — possibly because another client won
-			// the race and rep is already primary. Adopt its table if it
-			// now owns the dead node's slots.
-			entries, err := cc.probe(rep)
-			if err != nil {
-				continue
-			}
-			owns := false
-			for _, e := range entries {
-				if e.Addr == rep {
-					owns = true
-					break
-				}
-			}
-			if !owns {
-				continue
-			}
-		}
-		cc.mu.Lock()
-		moved := 0
-		for s, a := range cc.owner {
-			if a == dead {
-				cc.owner[s] = rep
-				moved++
-			}
-		}
-		delete(cc.replicas, dead)
-		survivors := make(map[string]struct{})
-		for _, a := range cc.owner {
-			if a != "" && a != rep {
-				survivors[a] = struct{}{}
-			}
-		}
-		cc.mu.Unlock()
-		for addr := range survivors {
-			if c, err := cc.clientFor(addr); err == nil {
-				c.Do("CLUSTER", []byte("REASSIGN"), []byte(dead), []byte(rep))
-			}
-		}
-		cc.failovers.Inc()
-		cc.failoverMs.Set(time.Since(start).Milliseconds())
-		_ = moved
-		return
-	}
-}
-
 // anyClient returns a connection to any cluster node (for keyless
 // commands), preferring the owner of slot 0's neighborhood.
 func (cc *ClusterClient) anyClient() (*Client, error) {
@@ -450,18 +219,13 @@ func (cc *ClusterClient) anyClient() (*Client, error) {
 // doKey routes one single-slot command to its owner, chasing MOVED
 // redirects (each one repairs the table entry it names) up to
 // maxRedirects hops. Routing work is bounded: hops after the first wait
-// out a capped exponential backoff, the whole chase respects
-// RouteDeadline, and a dead owner costs one failed attempt (the table
-// is refreshed and, for idempotent commands, the hop retried) instead
-// of an immediate caller-visible error — which is what lets a routed
-// workload ride out a failover.
+// out a capped exponential backoff, and a dead owner costs one failed
+// attempt (the table is refreshed and, for idempotent commands, the hop
+// retried) instead of an immediate caller-visible error — which is what
+// lets a routed workload ride out a failover.
 func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 	slot := SlotForKey(key)
 	addr := cc.ownerOf(slot)
-	var deadline time.Time
-	if d := cc.copts.RouteDeadline; d > 0 {
-		deadline = time.Now().Add(d)
-	}
 	backoff := hopBackoff
 	var lastErr error
 	for hop := 0; hop <= maxRedirects; hop++ {
@@ -469,17 +233,7 @@ func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 			return Reply{}, ErrClientClosed
 		}
 		if hop > 0 {
-			d := backoff
-			if !deadline.IsZero() {
-				rem := time.Until(deadline)
-				if rem <= 0 {
-					return Reply{}, fmt.Errorf("kvstore: slot %d: route deadline exceeded after %d hops: %v", slot, hop, lastErr)
-				}
-				if d > rem {
-					d = rem
-				}
-			}
-			time.Sleep(d)
+			time.Sleep(backoff)
 			if backoff *= 2; backoff > maxHopBackoff {
 				backoff = maxHopBackoff
 			}
@@ -608,18 +362,9 @@ func (cc *ClusterClient) Ping() error {
 	return nil
 }
 
-// Close stops the heartbeat and closes every pooled connection; later
-// commands, through the cluster client or a connection it pooled,
-// return ErrClientClosed.
+// Close closes every pooled connection; later commands, through the
+// cluster client or a connection it pooled, return ErrClientClosed.
 func (cc *ClusterClient) Close() error {
-	if cc.hbStop != nil {
-		select {
-		case <-cc.hbStop:
-		default:
-			close(cc.hbStop)
-		}
-		cc.hbWG.Wait()
-	}
 	cc.mu.Lock()
 	cc.closed = true
 	conns := cc.conns

@@ -227,3 +227,50 @@ func TestSnapshotRandomBytes(t *testing.T) {
 		_, _ = e.ReadSnapshotMark(bytes.NewReader(buf)) // must not panic or hang
 	}
 }
+
+// FuzzReadCommandInto feeds arbitrary bytes to the command decoder as a
+// pipelined stream. It must never panic, and what it accepts must be
+// self-consistent: every command it decodes re-encodes with
+// WriteCommand to exactly the bytes it consumed.
+func FuzzReadCommandInto(f *testing.F) {
+	for _, seed := range []string{
+		"*1\r\n$4\r\nPING\r\n",
+		"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$0\r\n\r\n",
+		"*2\r\n$3\r\nget\r\n$3\r\nkey\r\n*1\r\n$4\r\nPING\r\n",
+		"*2\r\n$3\r\nGET\r\n$03\r\nkey\r\n",
+		"*0\r\n",
+		"*-1\r\n",
+		"*1\r\n$-1\r\n",
+		"$3\r\nGET\r\n",
+		"*1\r\n$3\r\nGET",
+		"*1\n$3\nGET\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		src := bytes.NewReader(in)
+		r := bufio.NewReader(src)
+		var cb CommandBuffer
+		var enc bytes.Buffer
+		w := bufio.NewWriter(&enc)
+		consumed := 0
+		for {
+			name, args, err := ReadCommandInto(r, &cb, 1<<16)
+			if err != nil {
+				return
+			}
+			end := len(in) - src.Len() - r.Buffered()
+			enc.Reset()
+			if err := WriteCommand(w, name, args...); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc.Bytes(), in[consumed:end]) {
+				t.Fatalf("accepted %q, which re-encodes as %q", in[consumed:end], enc.Bytes())
+			}
+			consumed = end
+		}
+	})
+}

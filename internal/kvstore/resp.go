@@ -185,6 +185,8 @@ func writeBulk(w *bufio.Writer, b []byte) error {
 // line after its type byte). Exactly "-1" means a RESP null; any other
 // negative, non-numeric, or over-limit length is rejected with a clear
 // error so a hostile or corrupt header can never drive an allocation.
+// So is a leading zero, as Redis rejects it: every accepted header is
+// the one WriteCommand and WriteReply would write.
 func parseLen(line []byte, max int, what string) (n int, null bool, err error) {
 	s := line[1:]
 	if len(s) == 2 && s[0] == '-' && s[1] == '1' {
@@ -195,6 +197,9 @@ func parseLen(line []byte, max int, what string) (n int, null bool, err error) {
 	}
 	if s[0] == '-' {
 		return 0, false, fmt.Errorf("%w: negative %s length %q", ErrProtocol, what, s)
+	}
+	if s[0] == '0' && len(s) > 1 {
+		return 0, false, fmt.Errorf("%w: %s length %q has a leading zero", ErrProtocol, what, s)
 	}
 	for _, c := range s {
 		if c < '0' || c > '9' {

@@ -220,8 +220,8 @@ func (cc *clusterConfig) checkKey(key []byte) (Reply, bool) {
 // slotsReply renders the table as the CLUSTER SLOTS reply: an array of
 // [lo, hi, addr, replica...] entries. Replica addresses are appended
 // only to the ranges this server itself owns — a node can only vouch
-// for the replicas streaming from it — so clients accumulate the full
-// replica map by polling each owner (the heartbeat loop does).
+// for the replicas streaming from it — so an operator reads a dead
+// primary's takeover candidate off the reply it gave while alive.
 func (cc *clusterConfig) slotsReply(selfReplicas []string) Reply {
 	rs := cc.table.Load().ranges()
 	out := make([]Reply, len(rs))

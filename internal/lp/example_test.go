@@ -8,7 +8,7 @@ import (
 
 // Solve the makespan-balancing LP the Pareto modeler emits: two nodes
 // with speeds 1 and 2 (slopes 1 and 2), 30 units of data.
-func ExampleProblem_Solve() {
+func ExampleSolver_Solve() {
 	// Variables: x1, x2, v. Minimize v.
 	p, err := lp.NewProblem([]float64{0, 0, 1})
 	if err != nil {
@@ -25,7 +25,7 @@ func ExampleProblem_Solve() {
 	if err := p.AddConstraint([]float64{1, 1, 0}, lp.EQ, 30); err != nil {
 		panic(err)
 	}
-	sol, err := p.Solve()
+	sol, err := p.NewSolver().Solve()
 	if err != nil {
 		panic(err)
 	}

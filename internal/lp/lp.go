@@ -145,17 +145,6 @@ const eps = 1e-9
 // drifted data (see optimize).
 const refreshEvery = 64
 
-// Solve runs two-phase primal simplex and returns an optimal basic
-// solution, ErrInfeasible, or ErrUnbounded.
-//
-// The tableau is a flat row-major []float64 carved, together with every
-// other piece of solver state, out of two slab allocations sized in a
-// pre-pass — Solve's allocation count is constant in the iteration
-// count and near-constant in problem size.
-func (p *Problem) Solve() (*Solution, error) {
-	return p.NewSolver().Solve()
-}
-
 // Solver retains the slab tableau, the column mapping, and the current
 // basis of one Problem across solves, enabling warm-started
 // re-optimization under changing objectives (ReSolve). A Solver is not
@@ -329,9 +318,15 @@ func (s *Solver) build() {
 	copy(s.b0, t.b)
 }
 
-// Solve runs a cold two-phase simplex solve with the problem's own
-// objective, (re)building the tableau from the constraint set. On
+// Solve runs a cold two-phase primal simplex solve with the problem's
+// own objective, (re)building the tableau from the constraint set, and
+// returns an optimal basic solution, ErrInfeasible, or ErrUnbounded. On
 // success the Solver's basis is primed for warm ReSolve calls.
+//
+// The tableau is a flat row-major []float64 carved, together with every
+// other piece of solver state, out of two slab allocations sized in a
+// pre-pass — Solve's allocation count is constant in the iteration
+// count and near-constant in problem size.
 func (s *Solver) Solve() (*Solution, error) {
 	s.build()
 	t := &s.t

@@ -100,7 +100,7 @@ func TestReSolveModelMatchesColdSizing(t *testing.T) {
 
 		coldProb, _ := sizingProblem(t, slopes, intercepts, alpha)
 		coldProb.obj = newObj
-		cold, err := coldProb.Solve()
+		cold, err := coldProb.NewSolver().Solve()
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}
@@ -233,7 +233,7 @@ func TestReSolveModelGeneralChain(t *testing.T) {
 		checkOptimal(t, prob, obj, sol, sv.Basis())
 		coldProb, _ := build(a, b, c)
 		coldProb.cons[1].coeffs[1] = ups[1].Coeffs[1]
-		cold, err := coldProb.Solve()
+		cold, err := coldProb.NewSolver().Solve()
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}

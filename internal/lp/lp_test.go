@@ -27,7 +27,7 @@ func addCon(t *testing.T, p *Problem, coeffs []float64, op Op, rhs float64) {
 
 func solve(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	s, err := p.Solve()
+	s, err := p.NewSolver().Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestInfeasible(t *testing.T) {
 	p := mustProblem(t, []float64{1})
 	addCon(t, p, []float64{1}, GE, 5)
 	addCon(t, p, []float64{1}, LE, 3)
-	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.NewSolver().Solve(); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -98,7 +98,7 @@ func TestInfeasibleEquality(t *testing.T) {
 	p := mustProblem(t, []float64{1, 1})
 	addCon(t, p, []float64{1, 1}, EQ, 4)
 	addCon(t, p, []float64{1, 1}, EQ, 7)
-	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := p.NewSolver().Solve(); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestUnbounded(t *testing.T) {
 	// min −x with only x ≥ 0: unbounded below.
 	p := mustProblem(t, []float64{-1})
 	addCon(t, p, []float64{1}, GE, 0)
-	if _, err := p.Solve(); !errors.Is(err, ErrUnbounded) {
+	if _, err := p.NewSolver().Solve(); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 }
@@ -437,7 +437,7 @@ func TestSolveAllocsBounded(t *testing.T) {
 	// slice header per row (~80+ allocs on this problem).
 	prob := paperLP(16, 0.999, 1e6)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := prob.Solve(); err != nil {
+		if _, err := prob.NewSolver().Solve(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -453,7 +453,7 @@ func BenchmarkLPSolve(b *testing.B) {
 		b.Run("P"+strconv.Itoa(p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := prob.Solve(); err != nil {
+				if _, err := prob.NewSolver().Solve(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -481,7 +481,7 @@ func BenchmarkSolve16Nodes(b *testing.B) {
 			sum[j] = 1
 		}
 		_ = p.AddConstraint(sum, EQ, 1e6)
-		if _, err := p.Solve(); err != nil {
+		if _, err := p.NewSolver().Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}

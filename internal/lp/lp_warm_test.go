@@ -39,7 +39,7 @@ func TestReSolveBitIdenticalToCold(t *testing.T) {
 				if err != nil {
 					t.Fatalf("α=%v: ReSolve: %v", alpha, err)
 				}
-				cs, err := paperLP(p, alpha, 1e6).Solve()
+				cs, err := paperLP(p, alpha, 1e6).NewSolver().Solve()
 				if err != nil {
 					t.Fatalf("α=%v: cold Solve: %v", alpha, err)
 				}
@@ -100,7 +100,7 @@ func TestReSolveWithoutSolveFallsBackCold(t *testing.T) {
 	if sol.Warm {
 		t.Error("ReSolve before any Solve must report Warm=false (cold fallback)")
 	}
-	want, err := paperLP(8, 0.9, 1e5).Solve()
+	want, err := paperLP(8, 0.9, 1e5).NewSolver().Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestReSolveWithoutSolveFallsBackCold(t *testing.T) {
 		t.Errorf("fallback objective %v, want %v", sol.Objective, want.Objective)
 	}
 	// The fallback must not clobber the problem's own objective.
-	again, err := p.Solve()
+	again, err := p.NewSolver().Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := paperLP(8, 0.5, 1e5).Solve()
+	ref, err := paperLP(8, 0.5, 1e5).NewSolver().Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestReSolveRandomObjectives(t *testing.T) {
 			for _, c := range p.cons {
 				addCon(t, cp, c.coeffs, c.op, c.rhs)
 			}
-			cs, err := cp.Solve()
+			cs, err := cp.NewSolver().Solve()
 			if err != nil {
 				t.Fatalf("trial %d obj %d: cold: %v", trial, k, err)
 			}

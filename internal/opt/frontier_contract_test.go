@@ -92,7 +92,7 @@ func TestSizingLPMatchesOptimize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := prob.Solve()
+		sol, err := prob.NewSolver().Solve()
 		if err != nil {
 			t.Fatalf("α=%v: %v", alpha, err)
 		}

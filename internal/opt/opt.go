@@ -14,10 +14,7 @@
 //
 // Because the two objectives have very different scales, raw α must sit
 // extremely close to 1 to trade time against energy (the paper uses
-// 0.999 and 0.995 and flags normalization as future work). This package
-// implements that future work too: OptimizeNormalized rescales both
-// objectives to [0, 1] using their extreme values before scalarizing,
-// making α behave uniformly.
+// 0.999 and 0.995 and flags normalization as future work).
 package opt
 
 import (
@@ -57,9 +54,10 @@ type Plan struct {
 }
 
 // ValidateModels rejects inputs no sizing LP can be built from: no
-// nodes, a total below 1, or a negative or NaN slope, intercept or
-// dirty rate. It is the one model check: Optimize and its variants
-// apply it, and so does internal/frontier before it enumerates.
+// nodes, a total below 1, or a slope, intercept or dirty rate that is
+// negative, NaN or infinite. It is the one model check: Optimize and
+// OptimizeWithConstraints apply it, and so does internal/frontier
+// before it enumerates.
 func ValidateModels(nodes []NodeModel, total int) error {
 	if len(nodes) == 0 {
 		return errors.New("opt: no nodes")
@@ -68,16 +66,19 @@ func ValidateModels(nodes []NodeModel, total int) error {
 		return fmt.Errorf("opt: total data units %d, need ≥ 1", total)
 	}
 	for i, n := range nodes {
-		if !(n.Time.Slope >= 0 && n.Time.Intercept >= 0) {
-			return fmt.Errorf("opt: node %d has negative or NaN time model (%v, %v); clamp fits first",
+		if !finiteNonNeg(n.Time.Slope) || !finiteNonNeg(n.Time.Intercept) {
+			return fmt.Errorf("opt: node %d has a negative or non-finite time model (%v, %v); clamp fits first",
 				i, n.Time.Slope, n.Time.Intercept)
 		}
-		if !(n.DirtyRate >= 0) {
-			return fmt.Errorf("opt: node %d has negative or NaN dirty rate %v", i, n.DirtyRate)
+		if !finiteNonNeg(n.DirtyRate) {
+			return fmt.Errorf("opt: node %d has a negative or non-finite dirty rate %v", i, n.DirtyRate)
 		}
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x is a number in [0, +Inf).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 func validate(nodes []NodeModel, total int, alpha float64) error {
 	if err := ValidateModels(nodes, total); err != nil {
@@ -117,47 +118,11 @@ func OptimizeWithConstraints(nodes []NodeModel, total int, alpha float64, cons C
 	if cap := float64(total) / float64(len(nodes)); cons.MinSize > cap {
 		cons.MinSize = cap
 	}
-	x, v, err := solveScalarized(nodes, total, alpha, 1, 1, cons)
+	x, err := solveScalarized(nodes, total, alpha, cons)
 	if err != nil {
 		return nil, err
 	}
-	return buildPlan(nodes, total, alpha, x, v), nil
-}
-
-// OptimizeNormalized solves the scalarized LP after rescaling both
-// objectives to [0, 1] over their attainable ranges, so α = 0.5 weighs
-// time and energy equally (the normalization the paper proposes as
-// future work). It costs two extra extreme-point LP solves.
-func OptimizeNormalized(nodes []NodeModel, total int, alpha float64) (*Plan, error) {
-	if err := validate(nodes, total, alpha); err != nil {
-		return nil, err
-	}
-	// Extreme 1: pure time (α=1) gives the smallest possible makespan.
-	xT, vMin, err := solveScalarized(nodes, total, 1, 1, 1, Constraints{})
-	if err != nil {
-		return nil, err
-	}
-	// Extreme 2: pure energy (α=0) gives the smallest possible energy.
-	xE, _, err := solveScalarized(nodes, total, 0, 1, 1, Constraints{})
-	if err != nil {
-		return nil, err
-	}
-	eMin := energyOf(nodes, xE)
-	eMax := energyOf(nodes, xT)
-	vMax := makespanOf(nodes, xE)
-	vScale := vMax - vMin
-	if vScale <= 0 {
-		vScale = math.Max(vMin, 1)
-	}
-	eScale := eMax - eMin
-	if eScale <= 0 {
-		eScale = math.Max(eMax, 1)
-	}
-	x, v, err := solveScalarized(nodes, total, alpha, vScale, eScale, Constraints{})
-	if err != nil {
-		return nil, err
-	}
-	return buildPlan(nodes, total, alpha, x, v), nil
+	return PlanFromX(nodes, total, alpha, x), nil
 }
 
 // tieBreakWeight is the floor on each scalarization weight. At the
@@ -172,34 +137,26 @@ func OptimizeNormalized(nodes []NodeModel, total int, alpha float64) (*Plan, err
 // small enough to be invisible away from the endpoints.
 const tieBreakWeight = 1e-6
 
-// scaledObjective is the scalarized objective vector over the LP's
-// p+1 variables (s_0..s_{p−1}, v), where s_i = x_i/total is node i's
-// share of the data:
+// SizingObjective returns the scalarized objective at the given α over
+// the LP's p+1 variables (shares s_0..s_{p−1}, then v), where
+// s_i = x_i/total is node i's share of the data:
 //
-//	min (w_v/vScale)·v + (w_e/eScale)·Σ k_i m_i total s_i
+//	min w_v·v + w_e·Σ k_i m_i total s_i
 //
 // with w_v = max(α, tieBreakWeight), w_e = max(1−α, tieBreakWeight).
-// Both SizingObjective and the normalized path funnel through this one
-// expression so warm re-solves see bit-identical coefficients to a
-// cold build.
-func scaledObjective(nodes []NodeModel, total int, alpha, vScale, eScale float64) []float64 {
+// SizingLP builds with it and frontier sweeps pass it to
+// lp.Solver.ReSolve to move between α values without rebuilding the LP,
+// so warm re-solves see bit-identical coefficients to a cold build.
+func SizingObjective(nodes []NodeModel, total int, alpha float64) []float64 {
 	p := len(nodes)
 	we := math.Max(1-alpha, tieBreakWeight)
 	wv := math.Max(alpha, tieBreakWeight)
 	obj := make([]float64, p+1)
 	for i, n := range nodes {
-		obj[i] = we / eScale * n.DirtyRate * n.Time.Slope * float64(total)
+		obj[i] = we * n.DirtyRate * n.Time.Slope * float64(total)
 	}
-	obj[p] = wv / vScale
+	obj[p] = wv
 	return obj
-}
-
-// SizingObjective returns the scalarized objective at the given α in
-// the variable layout SizingLP uses (shares s_0..s_{p−1}, then v).
-// Frontier sweeps pass it to lp.Solver.ReSolve to move between α
-// values without rebuilding the LP.
-func SizingObjective(nodes []NodeModel, total int, alpha float64) []float64 {
-	return scaledObjective(nodes, total, alpha, 1, 1)
 }
 
 // SizingLP builds the partition-sizing LP (§III-D) at the given α over
@@ -216,12 +173,8 @@ func SizingObjective(nodes []NodeModel, total int, alpha float64) []float64 {
 // between frontier samples — which is what makes the warm-start sweep
 // in internal/frontier valid.
 func SizingLP(nodes []NodeModel, total int, alpha float64, cons Constraints) (*lp.Problem, error) {
-	return buildSizingLP(nodes, total, alpha, 1, 1, cons)
-}
-
-func buildSizingLP(nodes []NodeModel, total int, alpha, vScale, eScale float64, cons Constraints) (*lp.Problem, error) {
 	p := len(nodes)
-	prob, err := lp.NewProblem(scaledObjective(nodes, total, alpha, vScale, eScale))
+	prob, err := lp.NewProblem(SizingObjective(nodes, total, alpha))
 	if err != nil {
 		return nil, fmt.Errorf("opt: %w", err)
 	}
@@ -304,21 +257,17 @@ func UnitsFromShares(shares []float64, total int) []float64 {
 }
 
 // solveScalarized builds and solves the scalarized LP, returning the
-// fractional x (in data units) and the achieved makespan v.
-func solveScalarized(nodes []NodeModel, total int, alpha, vScale, eScale float64, cons Constraints) ([]float64, float64, error) {
-	prob, err := buildSizingLP(nodes, total, alpha, vScale, eScale, cons)
+// fractional x in data units.
+func solveScalarized(nodes []NodeModel, total int, alpha float64, cons Constraints) ([]float64, error) {
+	prob, err := SizingLP(nodes, total, alpha, cons)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	sol, err := prob.Solve()
+	sol, err := prob.NewSolver().Solve()
 	if err != nil {
-		return nil, 0, fmt.Errorf("opt: scalarized LP: %w", err)
+		return nil, fmt.Errorf("opt: scalarized LP: %w", err)
 	}
-	x := UnitsFromShares(sol.X[:len(nodes)], total)
-	// With α = 0 the LP leaves v at its minimal feasible value anyway
-	// (it only appears in constraints); recompute the true makespan
-	// from x for reporting.
-	return x, makespanOf(nodes, x), nil
+	return UnitsFromShares(sol.X[:len(nodes)], total), nil
 }
 
 // makespanOf returns max_i f_i(x_i) over nodes with x_i > 0 (an idle
@@ -346,15 +295,6 @@ func energyOf(nodes []NodeModel, x []float64) float64 {
 		e += n.DirtyRate * n.Time.Predict(x[i])
 	}
 	return e
-}
-
-// buildPlan rounds the fractional solution to integers summing to
-// total (largest-remainder apportionment) and fills in predictions.
-// The v argument is accepted for call-site symmetry but predictions
-// are recomputed from the rounded integer sizes (see PlanFromX).
-func buildPlan(nodes []NodeModel, total int, alpha float64, x []float64, v float64) *Plan {
-	_ = v
-	return PlanFromX(nodes, total, alpha, x)
 }
 
 // PlanFromX materializes a Plan from a fractional LP solution: sizes

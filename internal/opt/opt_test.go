@@ -42,9 +42,25 @@ func TestOptimizeValidation(t *testing.T) {
 	if _, err := Optimize(bad2, 100, 1); err == nil {
 		t.Error("negative dirty rate accepted")
 	}
-	nan := []NodeModel{{Time: sampling.LinearFit{Slope: 1, Intercept: math.NaN()}}}
-	if _, err := Optimize(nan, 100, 1); err == nil {
-		t.Error("NaN intercept accepted")
+	for name, n := range map[string]NodeModel{
+		"NaN intercept":      {Time: sampling.LinearFit{Slope: 1, Intercept: math.NaN()}},
+		"+Inf intercept":     {Time: sampling.LinearFit{Slope: 1, Intercept: math.Inf(1)}},
+		"-Inf intercept":     {Time: sampling.LinearFit{Slope: 1, Intercept: math.Inf(-1)}},
+		"+Inf slope":         {Time: sampling.LinearFit{Slope: math.Inf(1)}},
+		"-Inf slope":         {Time: sampling.LinearFit{Slope: math.Inf(-1)}},
+		"+Inf dirty rate":    {Time: sampling.LinearFit{Slope: 1}, DirtyRate: math.Inf(1)},
+		"-Inf dirty rate":    {Time: sampling.LinearFit{Slope: 1}, DirtyRate: math.Inf(-1)},
+		"NaN dirty rate":     {Time: sampling.LinearFit{Slope: 1}, DirtyRate: math.NaN()},
+		"NaN slope":          {Time: sampling.LinearFit{Slope: math.NaN()}},
+		"negative intercept": {Time: sampling.LinearFit{Slope: 1, Intercept: -1}},
+	} {
+		nodes := append(paperNodes(), n)
+		if _, err := Optimize(nodes, 100, 0.5); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		if err := ValidateModels(nodes, 100); err == nil {
+			t.Errorf("%s passes ValidateModels", name)
+		}
 	}
 }
 
@@ -172,40 +188,6 @@ func TestEqualSizedBaselineIsDominated(t *testing.T) {
 	if !dominated {
 		t.Errorf("equal-size baseline (v=%v, E=%v) not dominated by any frontier point",
 			base.Makespan, base.DirtyEnergy)
-	}
-}
-
-func TestOptimizeNormalized(t *testing.T) {
-	nodes := paperNodes()
-	total := 100000
-	// α=1 and α=0 must coincide with the raw solver's extremes.
-	n1, err := OptimizeNormalized(nodes, total, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := Optimize(nodes, total, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(n1.Makespan-r1.Makespan)/r1.Makespan > 1e-6 {
-		t.Errorf("normalized α=1 makespan %v vs raw %v", n1.Makespan, r1.Makespan)
-	}
-	// α=0.5 must land strictly between the extremes in both objectives
-	// (this is the point of normalization: a mid α is a real tradeoff,
-	// not saturated at one end).
-	n0, err := OptimizeNormalized(nodes, total, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid, err := OptimizeNormalized(nodes, total, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(mid.Makespan >= n1.Makespan-1e-9 && mid.Makespan <= n0.Makespan+1e-9) {
-		t.Errorf("normalized α=0.5 makespan %v outside [%v, %v]", mid.Makespan, n1.Makespan, n0.Makespan)
-	}
-	if !(mid.DirtyEnergy <= n1.DirtyEnergy+1e-9 && mid.DirtyEnergy >= n0.DirtyEnergy-1e-9) {
-		t.Errorf("normalized α=0.5 energy %v outside [%v, %v]", mid.DirtyEnergy, n0.DirtyEnergy, n1.DirtyEnergy)
 	}
 }
 

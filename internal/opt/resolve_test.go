@@ -57,7 +57,7 @@ func TestSizingUpdatesWarmMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := coldProb.Solve()
+			cold, err := coldProb.NewSolver().Solve()
 			if err != nil {
 				t.Fatalf("step %d cold: %v", step, err)
 			}

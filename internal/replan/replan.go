@@ -22,9 +22,8 @@ import (
 // Config assembles the control loop's knobs around a core pipeline
 // configuration.
 type Config struct {
-	// Core configures the underlying planning pipeline. Normalized and
-	// DistStratify are rejected: the incremental re-solve models the
-	// plain scalarized LP, and the loop owns stratification.
+	// Core configures the underlying planning pipeline. DistStratify is
+	// rejected: the loop owns stratification.
 	Core core.Config
 	// Drift configures the per-stratum drift statistic; its Threshold
 	// decides when a stratum is dirty. Threshold 0 marks every stratum
@@ -149,9 +148,6 @@ type Loop struct {
 // corpus), places it into cfg.Store when one is given, and returns a
 // loop ready to ingest drifting traffic.
 func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg Config) (*Loop, error) {
-	if cfg.Core.Normalized {
-		return nil, errors.New("replan: Normalized objectives are not supported (the warm re-solve models the plain scalarized LP)")
-	}
 	if cfg.Core.DistStratify != nil {
 		return nil, errors.New("replan: DistStratify is not supported; the loop owns stratification")
 	}
@@ -186,7 +182,7 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	l := &Loop{
 		cfg: cfg, cl: cl, profile: profile, corpus: corpus,
 		hasher: hasher, reg: cfg.Telemetry, p: p,
-		rates: cl.DirtyRates(cfg.Core.TraceOffset, cfg.Core.Window),
+		rates: cl.DirtyRates(cfg.Core.TraceOffset, core.DirtyRateWindow),
 	}
 	plan, err := core.BuildPlan(corpus, cl, profile, cfg.Core)
 	if err != nil {

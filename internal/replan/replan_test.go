@@ -465,11 +465,6 @@ func TestNewValidation(t *testing.T) {
 	cl := paperCluster(t, 4)
 	cfg := loopCoreConfig(1)
 	bad := cfg
-	bad.Normalized = true
-	if _, err := New(base, cl, weightProfile(base), Config{Core: bad}); err == nil {
-		t.Error("Normalized accepted")
-	}
-	bad = cfg
 	bad.Alpha = 1.5
 	if _, err := New(base, cl, weightProfile(base), Config{Core: bad}); err == nil {
 		t.Error("alpha out of range accepted")

@@ -154,30 +154,13 @@ func FitLinear(pts []Point) (LinearFit, error) {
 	return LinearFit{Slope: slope, Intercept: intercept, R2: r2}, nil
 }
 
-// ProfileFunc measures the target algorithm once: it runs the workload
-// on a representative sample of the given size and returns the
-// (simulated or wall-clock) execution time in seconds.
-type ProfileFunc func(sampleSize int) (float64, error)
-
-// ProfileNode executes the progressive-sampling loop for one node:
-// for each scheduled size it invokes run and collects (size, time),
-// then fits the linear utility function. The returned fit is clamped
-// nonnegative, as required by the Pareto modeler.
-func ProfileNode(sizes []int, run ProfileFunc) (LinearFit, []Point, error) {
-	if len(sizes) < 2 {
-		return LinearFit{}, nil, errors.New("sampling: need ≥ 2 scheduled sizes")
-	}
-	pts := make([]Point, 0, len(sizes))
-	for _, s := range sizes {
-		y, err := run(s)
-		if err != nil {
-			return LinearFit{}, nil, fmt.Errorf("sampling: profiling at size %d: %w", s, err)
-		}
-		pts = append(pts, Point{X: float64(s), Y: y})
-	}
+// ProfileNode fits one node's utility function to its progressive
+// samples (sample size, seconds), clamped nonnegative as the Pareto
+// modeler requires.
+func ProfileNode(pts []Point) (LinearFit, error) {
 	fit, err := FitLinear(pts)
 	if err != nil {
-		return LinearFit{}, pts, err
+		return LinearFit{}, err
 	}
-	return fit.ClampNonNegative(), pts, nil
+	return fit.ClampNonNegative(), nil
 }

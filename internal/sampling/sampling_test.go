@@ -1,7 +1,6 @@
 package sampling
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -193,33 +192,37 @@ func TestPolyOverfitsWithFewSamples(t *testing.T) {
 }
 
 func TestProfileNode(t *testing.T) {
-	// Simulated node: time = 0.002·x + 1 with deterministic jitter.
-	calls := 0
-	run := func(size int) (float64, error) {
-		calls++
-		return 0.002*float64(size) + 1, nil
+	// A node whose time is 0.002·x + 1: the fit recovers it.
+	var pts []Point
+	for _, x := range []float64{100, 500, 1000, 5000} {
+		pts = append(pts, Point{X: x, Y: 0.002*x + 1})
 	}
-	sizes := []int{100, 500, 1000, 5000}
-	fit, pts, err := ProfileNode(sizes, run)
+	fit, err := ProfileNode(pts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if calls != len(sizes) || len(pts) != len(sizes) {
-		t.Errorf("run called %d times, %d points", calls, len(pts))
 	}
 	if math.Abs(fit.Slope-0.002) > 1e-9 || math.Abs(fit.Intercept-1) > 1e-9 {
 		t.Errorf("fit %+v", fit)
 	}
+	// A line through zero input below zero seconds is clamped, as the
+	// modeler requires.
+	fit, err = ProfileNode([]Point{{X: 100, Y: 0.1}, {X: 200, Y: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fit.Intercept != 0 || math.Abs(fit.Slope-0.002) > 1e-12 {
+		t.Errorf("unclamped fit %+v", fit)
+	}
 }
 
+// TestProfileNodePropagatesError: a ladder no line can be fitted to is
+// the fit's error, not a model.
 func TestProfileNodePropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	_, _, err := ProfileNode([]int{1, 2}, func(int) (float64, error) { return 0, boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want wrapped boom", err)
+	if _, err := ProfileNode([]Point{{X: 5, Y: 1}}); err == nil {
+		t.Error("single-sample ladder accepted")
 	}
-	if _, _, err := ProfileNode([]int{5}, func(int) (float64, error) { return 1, nil }); err == nil {
-		t.Error("single-size schedule accepted")
+	if _, err := ProfileNode([]Point{{X: 5, Y: 1}, {X: 5, Y: 2}}); err == nil {
+		t.Error("ladder of one repeated size accepted")
 	}
 }
 

@@ -13,7 +13,7 @@
 // lives in internal/cluster and sim only calls it: a task's service
 // time is cluster.ServiceTime, and green/dirty energy is booked by
 // Cluster.Account over the node's virtual busy spans. So a
-// single-batch sim run reproduces Cluster.RunDetailed bit-for-bit, and
+// single-batch sim run reproduces Cluster.Run bit-for-bit, and
 // the greedy-stealing policy reproduces the closed-form list schedule
 // the equivalence tests keep as their reference.
 package sim

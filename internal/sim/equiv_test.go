@@ -142,7 +142,7 @@ func TestGreedyStealingMatchesStealingScheduleBitIdentical(t *testing.T) {
 }
 
 // A single-batch sim run — one pinned task per node, all arriving at
-// t=0 — must reproduce RunDetailed's deterministic fields bit for bit,
+// t=0 — must reproduce Cluster.Run's deterministic fields bit for bit,
 // including the fixed-seconds (speed-independent) component.
 func TestSingleBatchMatchesRunDetailedBitIdentical(t *testing.T) {
 	for _, p := range []int{1, 4, 8} {
@@ -157,7 +157,7 @@ func TestSingleBatchMatchesRunDetailedBitIdentical(t *testing.T) {
 		}
 		// Leave one node idle when the cluster is big enough, mirroring
 		// a plan that assigned it no data.
-		detailed := make([]cluster.DetailedTask, p)
+		detailed := make([]func() (cluster.TaskReport, error), p)
 		for i := range detailed {
 			if p > 2 && i == 2 {
 				continue
@@ -166,7 +166,7 @@ func TestSingleBatchMatchesRunDetailedBitIdentical(t *testing.T) {
 			detailed[i] = func() (cluster.TaskReport, error) { return rep, nil }
 		}
 		for _, offset := range []float64{0, 12 * 3600} {
-			want, err := c.RunDetailed(offset, detailed)
+			want, err := c.Run(offset, detailed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -208,14 +208,12 @@ var (
 // served over HTTP. Frontier and ExactFrontier above run on it.
 type (
 	// FrontierConfig configures a warm-started enumeration (α samples,
-	// workers, objective axes, telemetry).
+	// workers, telemetry).
 	FrontierConfig = frontier.Config
 	// FrontierResult carries the enumerated points plus solve stats.
 	FrontierResult = frontier.Result
 	// FrontierService serves enumerations over HTTP at /frontier.
 	FrontierService = frontier.Service
-	// FrontierAxis is one objective dimension of the dominance filter.
-	FrontierAxis = frontier.Axis
 )
 
 var (
@@ -246,8 +244,6 @@ type Framework struct {
 	Stratifier strata.StratifierConfig
 	// TraceOffset is the job start within the solar traces (seconds).
 	TraceOffset float64
-	// Normalized switches the modeler to 0–1-scaled objectives.
-	Normalized bool
 }
 
 // New creates a Framework over a corpus and cluster.
@@ -282,7 +278,6 @@ func (f *Framework) Plan(s Strategy, profile ProfileFunc) (*Plan, error) {
 		Scheme:      f.Scheme,
 		Stratifier:  f.Stratifier,
 		TraceOffset: f.TraceOffset,
-		Normalized:  f.Normalized,
 	}
 	return core.BuildPlan(f.corpus, f.clus, profile, cfg)
 }

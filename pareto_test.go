@@ -158,28 +158,3 @@ func TestFrontierEmptySweep(t *testing.T) {
 		t.Error("empty sweep accepted")
 	}
 }
-
-func TestFrameworkNormalizedMode(t *testing.T) {
-	fw, corpus := quickFramework(t)
-	fw.TraceOffset = 12 * 3600
-	fw.Normalized = true
-	fw.Alpha = 0.5
-	profile := func(indices []int) (float64, error) {
-		var c float64
-		for _, i := range indices {
-			c += 1000 * float64(corpus.Weight(i))
-		}
-		return c, nil
-	}
-	plan, err := fw.Plan(HetEnergyAware, profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for _, s := range plan.Assign.Sizes() {
-		sum += s
-	}
-	if sum != corpus.Len() {
-		t.Errorf("normalized plan sizes sum %d", sum)
-	}
-}

@@ -43,11 +43,52 @@ var stdlibInterfaceMethods = []string{
 }
 
 // surfaceScan is what one pass over a file set finds: where each
-// top-level declaration under internal/ is, and which of them some
-// non-test file references.
+// name a rule covers is (a top-level declaration, or an option field),
+// which of them some non-test file satisfies the rule for, and how a
+// violation is worded.
 type surfaceScan struct {
 	decls map[string]token.Position
 	used  map[string]bool
+	unset string
+}
+
+// parsedFile is one non-test file: its directory relative to the
+// module root, its syntax, and its import table (local name →
+// directory below the module root, module imports only).
+type parsedFile struct {
+	dir     string
+	file    *ast.File
+	imports map[string]string
+}
+
+// parseNonTest parses every file of files (slash-separated path
+// relative to the module root → source) except _test.go files.
+func parseNonTest(files map[string]string) (*token.FileSet, []parsedFile, error) {
+	fset := token.NewFileSet()
+	var out []parsedFile
+	for name, src := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, err
+		}
+		imports := map[string]string{}
+		for _, im := range f.Imports {
+			ip := strings.Trim(im.Path.Value, `"`)
+			if !strings.HasPrefix(ip, surfaceModule+"/") {
+				continue
+			}
+			local := path.Base(ip)
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = strings.TrimPrefix(ip, surfaceModule+"/")
+		}
+		out = append(out, parsedFile{path.Dir(name), f, imports})
+	}
+	return fset, out, nil
 }
 
 // surfaceKey names a declaration: the package directory below
@@ -91,24 +132,11 @@ func recvName(fd *ast.FuncDecl) string {
 // from inside the declaration it names (recursion) does not count, and
 // neither does one from a _test.go file.
 func scanSurface(files map[string]string) (*surfaceScan, error) {
-	fset := token.NewFileSet()
-	type parsed struct {
-		dir  string
-		file *ast.File
+	fset, nonTest, err := parseNonTest(files)
+	if err != nil {
+		return nil, err
 	}
-	var nonTest []parsed
-	for name, src := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		nonTest = append(nonTest, parsed{path.Dir(name), f})
-	}
-
-	s := &surfaceScan{decls: map[string]token.Position{}, used: map[string]bool{}}
+	s := &surfaceScan{decls: map[string]token.Position{}, used: map[string]bool{}, unset: "has no reference outside _test.go files"}
 	methods := map[string][]string{} // method name → keys
 	for _, p := range nonTest {
 		if !strings.HasPrefix(p.dir, "internal/") {
@@ -155,18 +183,7 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 		useMethod(name)
 	}
 	for _, p := range nonTest {
-		imports := map[string]string{} // local name → directory below the module root
-		for _, im := range p.file.Imports {
-			ip := strings.Trim(im.Path.Value, `"`)
-			if !strings.HasPrefix(ip, surfaceModule+"/") {
-				continue
-			}
-			local := path.Base(ip)
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = strings.TrimPrefix(ip, surfaceModule+"/")
-		}
+		imports := p.imports
 		// walk records what one part of a declaration references.
 		// selfName is the package-level name, selfMethod the method
 		// name, that the declaration itself carries: its own recursion
@@ -248,23 +265,23 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 	return s, nil
 }
 
-// violations lists, sorted, every declaration with no non-test
-// reference and no allow-list entry, and every allow-list entry that
-// names nothing, names something that is now referenced, or gives no
-// reason.
+// violations lists, sorted, every name the rule covers that no non-test
+// file satisfies it for and no allow-list entry excuses, and every
+// allow-list entry that names nothing the rule covers, names something
+// that now satisfies it, or gives no reason.
 func (s *surfaceScan) violations(allow map[string]string) []string {
 	var out []string
 	for k, pos := range s.decls {
 		if _, ok := allow[k]; !ok && !s.used[k] {
-			out = append(out, fmt.Sprintf("%s (%s:%d) has no reference outside _test.go files", k, pos.Filename, pos.Line))
+			out = append(out, fmt.Sprintf("%s (%s:%d) %s", k, pos.Filename, pos.Line, s.unset))
 		}
 	}
 	for k, reason := range allow {
 		switch _, ok := s.decls[k]; {
 		case !ok:
-			out = append(out, fmt.Sprintf("allow-list entry %s names no declaration under internal/", k))
+			out = append(out, fmt.Sprintf("allow-list entry %s names nothing under internal/ the rule covers", k))
 		case s.used[k]:
-			out = append(out, fmt.Sprintf("allow-list entry %s has a non-test reference now; drop the entry", k))
+			out = append(out, fmt.Sprintf("allow-list entry %s is satisfied by a non-test file now; drop the entry", k))
 		case reason == "":
 			out = append(out, fmt.Sprintf("allow-list entry %s gives no reason", k))
 		}
@@ -273,10 +290,10 @@ func (s *surfaceScan) violations(allow map[string]string) []string {
 	return out
 }
 
-// TestInternalSurfaceHasCallers applies the rule to the repository.
-// It is not skipped under -short: it parses the tree once, well under
-// two seconds.
-func TestInternalSurfaceHasCallers(t *testing.T) {
+// repoFiles reads every .go file of the repository, keyed by its
+// slash-separated path relative to the module root.
+func repoFiles(t *testing.T) map[string]string {
+	t.Helper()
 	files := map[string]string{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -300,7 +317,14 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := scanSurface(files)
+	return files
+}
+
+// TestInternalSurfaceHasCallers applies the rule to the repository.
+// It is not skipped under -short: it parses the tree once, well under
+// two seconds.
+func TestInternalSurfaceHasCallers(t *testing.T) {
+	s, err := scanSurface(repoFiles(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,8 +460,8 @@ func TestSurfaceAllowListGoesStale(t *testing.T) {
 		wantSub string
 	}{
 		{"entry dropped", func(a map[string]string) { delete(a, "a.loop") }, "a.loop (internal/a/a.go:11) has no reference"},
-		{"declaration gone", func(a map[string]string) { a["a.Deleted"] = "r" }, "a.Deleted names no declaration"},
-		{"now called", func(a map[string]string) { a["a.Called"] = "r" }, "a.Called has a non-test reference now"},
+		{"declaration gone", func(a map[string]string) { a["a.Deleted"] = "r" }, "a.Deleted names nothing"},
+		{"now called", func(a map[string]string) { a["a.Called"] = "r" }, "a.Called is satisfied by a non-test file now"},
 		{"no reason", func(a map[string]string) { a["a.loop"] = "" }, "a.loop gives no reason"},
 	} {
 		allow := map[string]string{}
@@ -448,6 +472,333 @@ func TestSurfaceAllowListGoesStale(t *testing.T) {
 		v := s.violations(allow)
 		if len(v) != 1 || !strings.Contains(v[0], c.wantSub) {
 			t.Errorf("%s: violations %q, want exactly one containing %q", c.name, v, c.wantSub)
+		}
+	}
+}
+
+// The field rule: an exported field of an exported struct under
+// internal/ whose name ends in Config or Options is set by some
+// non-test file. A field is set by a composite-literal key in a literal
+// of its struct (in any package, its own included; literal types are
+// resolved through the file's imports and through the element type of
+// a slice, array or map literal whose elements elide it), or by an
+// assignment, op-assignment or ++/-- through a selector of its name
+// made outside its own package — a package filling in its own defaults
+// does not set anything. The assignment side matches by field name
+// alone, as the declaration rule matches methods. A field no program
+// sets is a constant at its default, or its code path is dead; the
+// fields that are neither are listed here with their reasons, and a
+// stale entry fails like one of surfaceAllow's.
+var fieldAllow = map[string]string{
+	"distrib.Options.SketchWait":            "the fault tests shorten the coordinator's wait so a dead worker's recovery runs in milliseconds",
+	"distrib.Options.AssignWait":            "the fault and repeated-run tests bound the workers' poll so an aborted run fails fast",
+	"distrib.Options.PollInterval":          "the fault tests poll faster than the 1 ms default to keep recovery runs short",
+	"frontier.Config.Constraints":           "the MinSize floor the frontier tests check against opt.OptimizeWithConstraints; no deployment floors a served frontier yet",
+	"kvstore.Options.OpTimeout":             "client timing the fault, replication and failover tests tighten to ride out injected stalls quickly",
+	"kvstore.Options.MaxRetries":            "client retry budget the fault and failover tests set to exercise the retry path",
+	"kvstore.Options.RetryBackoff":          "client backoff the fault and failover tests shorten",
+	"kvstore.Options.MaxBackoff":            "client backoff cap the fault and failover tests shorten",
+	"kvstore.Options.Dialer":                "fault hook: the fault tests dial through faultnet to drop, stall and crash connections",
+	"kvstore.ReplicaOptions.Dialer":         "fault hook: the replication tests partition and stall a replica's stream through it",
+	"kvstore.ReplicaOptions.DialTimeout":    "replica timing the stalled-stream test lengthens past its injected stall",
+	"kvstore.ReplicaOptions.StreamTimeout":  "replica timing the replication and failover tests shorten to detect a dead stream fast",
+	"kvstore.ReplicaOptions.RetryBackoff":   "replica reconnect timing the replication and failover tests shorten",
+	"kvstore.ReplicaOptions.MaxBackoff":     "replica reconnect cap the replication and failover tests shorten",
+	"kvstore.ReplicationConfig.PingEvery":   "primary-side replication timing the semi-sync failover test shortens",
+	"kvstore.ReplicationConfig.Poll":        "primary-side ack poll the semi-sync failover test shortens",
+	"sim.GenConfig.FixedSec":                "speed-independent task seconds the simulator and accounting tests sweep; the CLI generates CPU-only streams",
+	"workloads/graphcomp.Config.ZetaK":      "ζ shrinking parameter the codec's own tests sweep; every workload runs webgraph's default",
+	"workloads/lz77.Config.MaxChain":        "match-chain bound the codec's own tests sweep",
+	"workloads/lz77.Config.WindowSize":      "window the codec's tests and the root window ablation sweep",
+	"workloads/treemine.Config.MaxPatterns": "output cap the miner's own tests set; the workloads mine uncapped",
+	"workloads/treemine.Config.MinSupport":  "absolute support the miner's own tests set; the workloads give a fraction to MineLocal",
+}
+
+// fieldAllowCap bounds fieldAllow at the size it was introduced with.
+const fieldAllowCap = 22
+
+// isOptionStruct reports whether a type declaration is one the field
+// rule covers.
+func isOptionStruct(ts *ast.TypeSpec) (*ast.StructType, bool) {
+	st, ok := ts.Type.(*ast.StructType)
+	name := ts.Name.Name
+	return st, ok && ts.Name.IsExported() && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options"))
+}
+
+// scanFields applies the field rule syntactically to files.
+func scanFields(files map[string]string) (*surfaceScan, error) {
+	fset, nonTest, err := parseNonTest(files)
+	if err != nil {
+		return nil, err
+	}
+	s := &surfaceScan{decls: map[string]token.Position{}, used: map[string]bool{}, unset: "is set by no non-test file"}
+	type field struct{ key, dir string }
+	byName := map[string][]field{}
+	for _, p := range nonTest {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, d := range p.file.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, sp := range gd.Specs {
+				ts, ok := sp.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				st, ok := isOptionStruct(ts)
+				if !ok {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							k := surfaceKey(p.dir, ts.Name.Name, id.Name)
+							s.decls[k] = fset.Position(id.Pos())
+							byName[id.Name] = append(byName[id.Name], field{k, p.dir})
+						}
+					}
+				}
+			}
+		}
+	}
+
+	for _, p := range nonTest {
+		// typeKey names the struct a literal's type expression denotes.
+		typeKey := func(e ast.Expr) string {
+			for {
+				switch x := e.(type) {
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.IndexListExpr:
+					e = x.X
+				case *ast.Ident:
+					return surfaceKey(p.dir, "", x.Name)
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok {
+						if dir, ok := p.imports[id.Name]; ok {
+							return surfaceKey(dir, "", x.Sel.Name)
+						}
+					}
+					return ""
+				default:
+					return ""
+				}
+			}
+		}
+		// lit marks the keys of a literal of type typ and walks the
+		// elements that elide their type.
+		var lit func(cl *ast.CompositeLit, typ ast.Expr)
+		lit = func(cl *ast.CompositeLit, typ ast.Expr) {
+			var elem ast.Expr
+			switch t := typ.(type) {
+			case *ast.ArrayType:
+				elem = t.Elt
+			case *ast.MapType:
+				elem = t.Value
+			}
+			owner := typeKey(typ)
+			for _, e := range cl.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && elem == nil && owner != "" {
+						s.used[owner+"."+id.Name] = true
+					}
+					e = kv.Value
+				}
+				if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+					e = u.X
+				}
+				if inner, ok := e.(*ast.CompositeLit); ok && inner.Type == nil && elem != nil {
+					lit(inner, elem)
+				}
+			}
+		}
+		assigned := func(lhs ast.Expr) {
+			sel, ok := lhs.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			for _, f := range byName[sel.Sel.Name] {
+				if f.dir != p.dir {
+					s.used[f.key] = true
+				}
+			}
+		}
+		ast.Inspect(p.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if n.Type != nil {
+					lit(n, n.Type)
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						assigned(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				assigned(n.X)
+			}
+			return true
+		})
+	}
+	return s, nil
+}
+
+// TestOptionFieldsAreSet applies the field rule to the repository. Like
+// the declaration rule it is never skipped.
+func TestOptionFieldsAreSet(t *testing.T) {
+	s, err := scanFields(repoFiles(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fieldAllow) > fieldAllowCap {
+		t.Errorf("field allow-list has %d entries; the rule allows %d", len(fieldAllow), fieldAllowCap)
+	}
+	for _, v := range s.violations(fieldAllow) {
+		t.Error(v)
+	}
+}
+
+// fieldFixture is a small module the field rule's own tests scan:
+// package a declares the option structs, b sets fields from outside,
+// c declares a look-alike field, and a command, an example and the
+// benchmark set one field each.
+var fieldFixture = map[string]string{
+	"internal/a/a.go": `package a
+
+type Config struct {
+	OwnLiteral, OtherLiteral int
+	Assigned, OpAssigned     int
+	Incremented, Elided      int
+	Defaulted, OnlyTested    int
+	LookAlike                int
+	FromCmd, FromExample     int
+	FromBench                int
+	unexported               int
+}
+
+type Options struct{ Set, Unset int }
+
+type Plain struct{ Field int }
+
+type hiddenConfig struct{ Field int }
+
+func Default() Config { return Config{OwnLiteral: 1} }
+
+func (c *Config) normalize() {
+	if c.Defaulted == 0 {
+		c.Defaulted = 3
+	}
+	c.OnlyTested++
+	c.LookAlike += 2
+}
+`,
+	"internal/a/a_test.go": `package a
+
+var _ = Config{OnlyTested: 1}
+
+func set(o *Options) { o.Unset = 1 }
+`,
+	"internal/b/b.go": `package b
+
+import "pareto/internal/a"
+
+func Use() {
+	c := a.Config{OtherLiteral: 1}
+	c.Assigned = 2
+	c.OpAssigned += 3
+	c.Incremented++
+	_ = []a.Config{{Elided: 1}}
+	_ = map[string]*a.Options{"x": {Set: 1}}
+	_ = c
+}
+`,
+	"internal/c/c.go": `package c
+
+type Other struct{ LookAlike int }
+
+var _ = Other{LookAlike: 1}
+`,
+	"cmd/tool/main.go": `package main
+
+import "pareto/internal/a"
+
+var _ = a.Config{FromCmd: 1}
+`,
+	"examples/ex/main.go": `package main
+
+import "pareto/internal/a"
+
+func main() {
+	var c a.Config
+	c.FromExample = 1
+	_ = c
+}
+`,
+	"benchmark/bench.go": `package main
+
+import "pareto/internal/a"
+
+var _ = &a.Config{FromBench: 1}
+`,
+}
+
+// TestFieldScanRule proves the field rule case by case on the fixture.
+func TestFieldScanRule(t *testing.T) {
+	s, err := scanFields(fieldFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		key    string
+		set    bool
+		reason string
+	}{
+		{"a.Config.OwnLiteral", true, "a literal key in its own package counts"},
+		{"a.Config.OtherLiteral", true, "a literal key in another package counts"},
+		{"a.Config.Assigned", true, "an assignment through a selector outside the package counts"},
+		{"a.Config.OpAssigned", true, "an op-assignment outside the package counts"},
+		{"a.Config.Incremented", true, "++ outside the package counts"},
+		{"a.Config.Elided", true, "a key in a slice element that elides its type counts"},
+		{"a.Options.Set", true, "a key in a map value that elides its pointer type counts"},
+		{"a.Config.FromCmd", true, "cmd/ counts"},
+		{"a.Config.FromExample", true, "examples/ counts"},
+		{"a.Config.FromBench", true, "benchmark/ counts"},
+		{"a.Config.Defaulted", false, "in-package default filling does not count"},
+		{"a.Config.OnlyTested", false, "a _test.go literal and in-package ++ do not count"},
+		{"a.Config.LookAlike", false, "c's literal keys its own struct's field of the same name"},
+		{"a.Options.Unset", false, "a _test.go assignment does not count"},
+	} {
+		if _, ok := s.decls[c.key]; !ok {
+			t.Errorf("%s: not found as an option field", c.key)
+		} else if s.used[c.key] != c.set {
+			t.Errorf("%s: set = %v, want %v (%s)", c.key, s.used[c.key], c.set, c.reason)
+		}
+	}
+	for _, k := range []string{"a.Config.unexported", "a.Plain.Field", "a.hiddenConfig.Field", "c.Other.LookAlike"} {
+		if _, ok := s.decls[k]; ok {
+			t.Errorf("%s is under the rule; only exported fields of exported …Config/…Options structs are", k)
+		}
+	}
+	unset := map[string]string{"a.Config.Defaulted": "r", "a.Config.OnlyTested": "r", "a.Config.LookAlike": "r", "a.Options.Unset": "r"}
+	if v := s.violations(unset); len(v) != 0 {
+		t.Fatalf("every unset field is excused, yet: %q", v)
+	}
+	for name, c := range map[string]struct{ key, wantSub string }{
+		"field now set": {"a.Config.OwnLiteral", "a.Config.OwnLiteral is satisfied by a non-test file now"},
+		"field gone":    {"a.Config.Deleted", "a.Config.Deleted names nothing"},
+	} {
+		allow := map[string]string{c.key: "r"}
+		for k, r := range unset {
+			allow[k] = r
+		}
+		if v := s.violations(allow); len(v) != 1 || !strings.Contains(v[0], c.wantSub) {
+			t.Errorf("stale entry (%s): violations %q, want exactly one containing %q", name, v, c.wantSub)
 		}
 	}
 }
