@@ -19,12 +19,10 @@ import (
 	"time"
 
 	"pareto"
+	"pareto/internal/bench"
 	"pareto/internal/datasets"
 	"pareto/internal/kvstore"
 	"pareto/internal/pivots"
-	"pareto/internal/workloads/apriori"
-	"pareto/internal/workloads/graphcomp"
-	"pareto/internal/workloads/treemine"
 )
 
 func main() {
@@ -139,7 +137,7 @@ func main() {
 		}
 		fmt.Printf("placed partitions under %s\n", *outdir)
 	case *kvAddrs != "":
-		var clients []*kvstore.Client
+		var clients []kvstore.KV
 		for _, addr := range strings.Split(*kvAddrs, ",") {
 			c, err := kvstore.Dial(strings.TrimSpace(addr), 5*time.Second)
 			if err != nil {
@@ -181,7 +179,7 @@ func loadCorpusFormat(format, kind string, buf []byte, support float64) (pareto.
 		if err != nil {
 			return nil, nil, err
 		}
-		return corpus, graphProfile(corpus), nil
+		return corpus, (&bench.GraphCompression{Graph: corpus, Window: 7}).Profile, nil
 	case "transactions":
 		docs, vocab, err := datasets.LoadTransactions(bytes.NewReader(buf))
 		if err != nil {
@@ -191,47 +189,15 @@ func loadCorpusFormat(format, kind string, buf []byte, support float64) (pareto.
 		if err != nil {
 			return nil, nil, err
 		}
-		return corpus, textProfile(corpus, support), nil
+		return corpus, (&bench.TextMining{Docs: corpus, SupportFrac: support, MaxLen: 3}).Profile, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown format %q (want binary, edgelist or transactions)", format)
 	}
 }
 
-// graphProfile profiles via the webgraph compressor.
-func graphProfile(corpus *pareto.GraphCorpus) pareto.ProfileFunc {
-	return func(indices []int) (float64, error) {
-		ids := make([]uint32, len(indices))
-		lists := make([][]uint32, len(indices))
-		for k, i := range indices {
-			ids[k] = uint32(i)
-			lists[k] = corpus.G.Adj[i]
-		}
-		enc, err := graphcomp.Encode(ids, lists, graphcomp.Config{Window: 7})
-		if err != nil {
-			return 0, err
-		}
-		return enc.Cost, nil
-	}
-}
-
-// textProfile profiles via local Apriori mining.
-func textProfile(corpus *pareto.TextCorpus, support float64) pareto.ProfileFunc {
-	return func(indices []int) (float64, error) {
-		txns := make([]apriori.Transaction, len(indices))
-		for k, i := range indices {
-			txns[k] = corpus.Docs[i].Terms
-		}
-		pr, err := apriori.MineLocal(txns, support, 3)
-		if err != nil {
-			return 0, err
-		}
-		return pr.Cost, nil
-	}
-}
-
 // loadCorpus decodes a datagen file and returns the corpus plus the
-// kind-appropriate profiling function (the actual algorithm run on
-// representative samples).
+// kind's workload profile (the actual algorithm run on representative
+// samples).
 func loadCorpus(kind string, buf []byte, support float64) (pareto.Corpus, pareto.ProfileFunc, error) {
 	switch kind {
 	case "tree":
@@ -243,18 +209,7 @@ func loadCorpus(kind string, buf []byte, support float64) (pareto.Corpus, pareto
 		if err != nil {
 			return nil, nil, err
 		}
-		profile := func(indices []int) (float64, error) {
-			sub := make([]pareto.Tree, len(indices))
-			for k, i := range indices {
-				sub[k] = corpus.Trees[i]
-			}
-			pr, err := treemine.MineLocal(sub, support, treemine.Config{MaxNodes: 4})
-			if err != nil {
-				return 0, err
-			}
-			return pr.Cost, nil
-		}
-		return corpus, profile, nil
+		return corpus, (&bench.TreeMining{Trees: corpus, SupportFrac: support, MaxNodes: 4}).Profile, nil
 	case "graph":
 		g, err := pivots.DecodeGraphRecords(buf)
 		if err != nil {
@@ -264,20 +219,7 @@ func loadCorpus(kind string, buf []byte, support float64) (pareto.Corpus, pareto
 		if err != nil {
 			return nil, nil, err
 		}
-		profile := func(indices []int) (float64, error) {
-			ids := make([]uint32, len(indices))
-			lists := make([][]uint32, len(indices))
-			for k, i := range indices {
-				ids[k] = uint32(i)
-				lists[k] = corpus.G.Adj[i]
-			}
-			enc, err := graphcomp.Encode(ids, lists, graphcomp.Config{Window: 7})
-			if err != nil {
-				return 0, err
-			}
-			return enc.Cost, nil
-		}
-		return corpus, profile, nil
+		return corpus, (&bench.GraphCompression{Graph: corpus, Window: 7}).Profile, nil
 	case "text":
 		docs, vocab, err := pivots.DecodeTextRecords(buf)
 		if err != nil {
@@ -287,18 +229,7 @@ func loadCorpus(kind string, buf []byte, support float64) (pareto.Corpus, pareto
 		if err != nil {
 			return nil, nil, err
 		}
-		profile := func(indices []int) (float64, error) {
-			txns := make([]apriori.Transaction, len(indices))
-			for k, i := range indices {
-				txns[k] = corpus.Docs[i].Terms
-			}
-			pr, err := apriori.MineLocal(txns, support, 3)
-			if err != nil {
-				return 0, err
-			}
-			return pr.Cost, nil
-		}
-		return corpus, profile, nil
+		return corpus, (&bench.TextMining{Docs: corpus, SupportFrac: support, MaxLen: 3}).Profile, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown kind %q (want tree, graph or text)", kind)
 	}

@@ -24,7 +24,7 @@ func main() {
 	// framework must control which partition lands where.
 	const p = 4
 	var servers []*kvstore.Server
-	var clients []*kvstore.Client
+	var clients []kvstore.KV
 	for i := 0; i < p; i++ {
 		srv := kvstore.NewServer(nil)
 		addr, err := srv.Listen("127.0.0.1:0")
@@ -86,7 +86,7 @@ func main() {
 				log.Fatal(err)
 			}
 			// Phase 1: place this node's partition (pipelined writes).
-			st, err := pareto.NewKVStore([]*kvstore.Client{clients[j]}, 64, fmt.Sprintf("node%d", j))
+			st, err := pareto.NewKVStore([]kvstore.KV{clients[j]}, 64, fmt.Sprintf("node%d", j))
 			if err != nil {
 				log.Fatal(err)
 			}

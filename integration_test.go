@@ -19,9 +19,9 @@ import (
 	"pareto/internal/workloads/apriori"
 )
 
-func startStores(t *testing.T, n int, snapshotDir string) []*kvstore.Client {
+func startStores(t *testing.T, n int, snapshotDir string) []kvstore.KV {
 	t.Helper()
-	clients := make([]*kvstore.Client, n)
+	clients := make([]kvstore.KV, n)
 	for i := 0; i < n; i++ {
 		srv := kvstore.NewServer(nil)
 		if snapshotDir != "" {

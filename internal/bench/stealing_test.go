@@ -241,13 +241,7 @@ func RunWorkStealingMining(w *TextMining, cl *cluster.Cluster, chunksPerNode int
 	if err != nil {
 		return nil, err
 	}
-	var nonNil []*apriori.PartitionResult
-	for _, l := range locals {
-		if l != nil {
-			nonNil = append(nonNil, l)
-		}
-	}
-	cands := apriori.GlobalCandidates(nonNil)
+	cands := apriori.GlobalCandidates(locals)
 	// Phase 2: count pass per chunk.
 	costs2 := make([]float64, nChunks)
 	for ci, chunk := range chunks {

@@ -174,8 +174,9 @@ func Fig2(s Scale) (*Report, error) {
 	return &Report{ID: "fig2", Title: "Figure 2: frequent tree mining (time & dirty energy)", Text: sb.String(), Rows: rows}, nil
 }
 
-// Fig3 regenerates Figure 3: Apriori on the text corpus.
-func Fig3(s Scale) (*Report, error) {
+// textWorkload builds the Fig 3 workload on the scale's RCV1-like
+// corpus.
+func textWorkload(s Scale) (*TextMining, error) {
 	cfg := datasets.RCV1Like(s.Text)
 	docs, _, err := datasets.GenerateText(cfg)
 	if err != nil {
@@ -185,7 +186,15 @@ func Fig3(s Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &TextMining{Docs: corpus, SupportFrac: s.TextSupport, MaxLen: s.TextMaxLen}
+	return &TextMining{Docs: corpus, SupportFrac: s.TextSupport, MaxLen: s.TextMaxLen}, nil
+}
+
+// Fig3 regenerates Figure 3: Apriori on the text corpus.
+func Fig3(s Scale) (*Report, error) {
+	w, err := textWorkload(s)
+	if err != nil {
+		return nil, err
+	}
 	rows, err := Sweep(w, s.PartitionCounts, mkPaperCluster(s), s.options())
 	if err != nil {
 		return nil, err
@@ -194,13 +203,19 @@ func Fig3(s Scale) (*Report, error) {
 		Text: FormatRows(rows), Rows: rows}, nil
 }
 
-// graphWorkload builds the Fig 4 workload for one webgraph.
-func graphWorkload(cfg datasets.GraphConfig) (*GraphCompression, error) {
+// graphCorpus generates one webgraph: the corpus of Fig 4 and of
+// Tables II/III.
+func graphCorpus(cfg datasets.GraphConfig) (*pivots.GraphCorpus, error) {
 	g, _, err := datasets.GenerateGraph(cfg)
 	if err != nil {
 		return nil, err
 	}
-	corpus, err := pivots.NewGraphCorpus(g)
+	return pivots.NewGraphCorpus(g)
+}
+
+// graphWorkload builds the Fig 4 workload for one webgraph.
+func graphWorkload(cfg datasets.GraphConfig) (*GraphCompression, error) {
+	corpus, err := graphCorpus(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -239,11 +254,7 @@ func Fig4(s Scale) (*Report, error) {
 // lz77Table regenerates Table II (UK) or Table III (Arabic): LZ77 at 8
 // partitions.
 func lz77Table(id, title string, cfg datasets.GraphConfig, s Scale) (*Report, error) {
-	g, _, err := datasets.GenerateGraph(cfg)
-	if err != nil {
-		return nil, err
-	}
-	corpus, err := pivots.NewGraphCorpus(g)
+	corpus, err := graphCorpus(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -291,12 +302,7 @@ func Fig5(s Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	textCfg := datasets.RCV1Like(s.Text)
-	docs, _, err := datasets.GenerateText(textCfg)
-	if err != nil {
-		return nil, err
-	}
-	textCorpus, err := pivots.NewTextCorpus(docs, textCfg.VocabSize)
+	text, err := textWorkload(s)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +317,7 @@ func Fig5(s Scale) (*Report, error) {
 		o Options
 	}{
 		{tree, s.options()},
-		{&TextMining{Docs: textCorpus, SupportFrac: s.TextSupport, MaxLen: s.TextMaxLen}, s.options()},
+		{text, s.options()},
 		{graph, graphOpts},
 	} {
 		rows, err := MeasureFrontier(wc.w, cl, fig5Alphas(), wc.o)
@@ -345,18 +351,14 @@ func Fig6(s Scale) (*Report, error) {
 		fmt.Fprintf(&sb, "-- tree, support %.3f --\n%s", s.TreeSupport*mult, FormatFrontier(rows))
 		frontier = append(frontier, rows...)
 	}
-	textCfg := datasets.RCV1Like(s.Text)
-	docs, _, err := datasets.GenerateText(textCfg)
-	if err != nil {
-		return nil, err
-	}
-	textCorpus, err := pivots.NewTextCorpus(docs, textCfg.VocabSize)
+	text, err := textWorkload(s)
 	if err != nil {
 		return nil, err
 	}
 	for _, mult := range []float64{1.0, 1.5} {
-		w := &TextMining{Docs: textCorpus, SupportFrac: s.TextSupport * mult, MaxLen: s.TextMaxLen}
-		rows, err := MeasureFrontier(w, cl, fig5Alphas(), s.options())
+		w := *text
+		w.SupportFrac = s.TextSupport * mult
+		rows, err := MeasureFrontier(&w, cl, fig5Alphas(), s.options())
 		if err != nil {
 			return nil, fmt.Errorf("fig6 text support ×%.1f: %w", mult, err)
 		}
@@ -372,16 +374,10 @@ func Fig6(s Scale) (*Report, error) {
 // Het-Aware plan, as the plan itself recorded it, against the simulated
 // makespan of running that same plan.
 func OverheadReport(s Scale) (*Report, error) {
-	cfg := datasets.RCV1Like(s.Text)
-	docs, _, err := datasets.GenerateText(cfg)
+	w, err := textWorkload(s)
 	if err != nil {
 		return nil, err
 	}
-	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
-	if err != nil {
-		return nil, err
-	}
-	w := &TextMining{Docs: corpus, SupportFrac: s.TextSupport, MaxLen: s.TextMaxLen}
 	cl, err := mkPaperCluster(s)(8)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,11 @@
 // strategies on the simulated heterogeneous cluster, and regenerates
 // every table and figure of the evaluation (§V). See DESIGN.md's
 // experiment index for the mapping.
+//
+// Each workload writes its per-partition job once. Run executes it on
+// every node's partition; Profile executes the same function on the
+// profiler's representative sample (for the two miners, phase 1), so
+// Component I measures the job the executor runs (§III-A).
 package bench
 
 import (
@@ -25,8 +30,8 @@ type Workload interface {
 	Corpus() pivots.Corpus
 	// Scheme is the placement scheme this workload wants.
 	Scheme() partitioner.Scheme
-	// Profile runs the actual algorithm on a representative sample
-	// (record indices) and returns its abstract cost — the
+	// Profile runs the workload's per-partition job on a representative
+	// sample (record indices) and returns its abstract cost — the
 	// progressive-sampling measurement.
 	Profile(indices []int) (float64, error)
 	// Run executes the distributed job with the given placement on the
@@ -44,6 +49,94 @@ type Workload interface {
 // the scaled threshold admits nearly every co-occurrence as locally
 // frequent and the candidate space explodes.
 const minMiningSupportCount = 8
+
+// savasere runs a Savasere-partitioned mining job (§V-B) on the
+// cluster. view builds each partition's data (D) once, and both phases
+// share it. Phase 1 runs local on every partition; the barrier unions
+// the local results (L) into global candidates (C); phase 2 runs count
+// on every partition from the moment phase 1's last node finishes, so
+// times and energies add across phases. A candidate is frequent when
+// its summed count reaches support × the records placed.
+func savasere[D, L, C any](cl *cluster.Cluster, assign *partitioner.Assignment, offset, support float64,
+	view func(indices []int) D,
+	local func(D) (L, float64, error),
+	union func([]L) []C,
+	count func(D, []C) ([]int, float64, error),
+) (*cluster.Result, map[string]float64, error) {
+	data := make([]D, len(assign.Parts))
+	total := 0
+	for j, indices := range assign.Parts {
+		data[j] = view(indices)
+		total += len(indices)
+	}
+	locals := make([]L, len(data))
+	res1, err := cl.Run(offset, assign.Parts, func(j int, _ []int) (cluster.TaskReport, error) {
+		l, cost, err := local(data[j])
+		locals[j] = l
+		return cluster.TaskReport{Cost: cost}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cands := union(locals)
+	counts := make([][]int, len(data))
+	res2, err := cl.Run(offset+res1.Makespan, assign.Parts, func(j int, _ []int) (cluster.TaskReport, error) {
+		c, cost, err := count(data[j], cands)
+		counts[j] = c
+		return cluster.TaskReport{Cost: cost}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	frequent := 0
+	for ci := range cands {
+		sum := 0
+		for _, c := range counts {
+			if c != nil {
+				sum += c[ci]
+			}
+		}
+		if float64(sum) >= support*float64(total) {
+			frequent++
+		}
+	}
+	return res1.Add(res2), map[string]float64{
+		"candidates":      float64(len(cands)),
+		"frequent":        float64(frequent),
+		"false-positives": float64(len(cands) - frequent),
+	}, nil
+}
+
+// packed is one partition's compression outcome: the task's demand and
+// the partition's size before and after, in the codec's unit.
+type packed struct {
+	cluster.TaskReport
+	raw, out int
+}
+
+// compress runs a single-phase compression job on the cluster: node j
+// runs pack on partition j. Quality is the aggregate compression ratio.
+func compress(cl *cluster.Cluster, assign *partitioner.Assignment, offset float64, pack func(indices []int) (packed, error)) (*cluster.Result, map[string]float64, error) {
+	outs := make([]packed, len(assign.Parts))
+	res, err := cl.Run(offset, assign.Parts, func(j int, indices []int) (cluster.TaskReport, error) {
+		var err error
+		outs[j], err = pack(indices)
+		return outs[j].TaskReport, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var raw, out float64
+	for _, o := range outs {
+		raw += float64(o.raw)
+		out += float64(o.out)
+	}
+	ratio := 0.0
+	if out > 0 {
+		ratio = raw / out
+	}
+	return res, map[string]float64{"compression-ratio": ratio}, nil
+}
 
 // ---------------------------------------------------------------------------
 // Text mining (Apriori, Savasere-partitioned) — Fig 3
@@ -82,94 +175,30 @@ func (w *TextMining) txns(indices []int) []apriori.Transaction {
 	return out
 }
 
-// Profile implements Workload: local mining cost on the sample.
-func (w *TextMining) Profile(indices []int) (float64, error) {
-	pr, err := apriori.MineLocal(w.txns(indices), w.SupportFrac, w.MaxLen)
+// mine is phase 1 on one partition: Apriori at the support fraction
+// scaled to the partition's size.
+func (w *TextMining) mine(txns []apriori.Transaction) (*apriori.PartitionResult, float64, error) {
+	pr, err := apriori.MineLocal(txns, w.SupportFrac, w.MaxLen)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	return pr.Cost, nil
+	return pr, pr.Cost, nil
 }
 
-// Run implements Workload: phase 1 (local mining) and phase 2 (global
-// candidate counting) execute per node on the cluster, separated by
-// the candidate-union barrier; times and energies add across phases.
+// Profile implements Workload: phase 1 on the sample.
+func (w *TextMining) Profile(indices []int) (float64, error) {
+	_, cost, err := w.mine(w.txns(indices))
+	return cost, err
+}
+
+// Run implements Workload: the two Savasere phases, local Apriori then
+// the global candidate count.
 func (w *TextMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, offset float64) (*cluster.Result, map[string]float64, error) {
-	p := assign.P()
-	parts := make([][]apriori.Transaction, p)
-	for j := 0; j < p; j++ {
-		parts[j] = w.txns(assign.Parts[j])
-	}
-	// Phase 1: local mining.
-	locals := make([]*apriori.PartitionResult, p)
-	phase1 := make([]func() (cluster.TaskReport, error), p)
-	for j := 0; j < p; j++ {
-		if len(parts[j]) == 0 {
-			continue
-		}
-		phase1[j] = func() (cluster.TaskReport, error) {
-			pr, err := apriori.MineLocal(parts[j], w.SupportFrac, w.MaxLen)
-			if err != nil {
-				return cluster.TaskReport{}, err
-			}
-			locals[j] = pr
-			return cluster.TaskReport{Cost: pr.Cost}, nil
-		}
-	}
-	res1, err := cl.Run(offset, phase1)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Barrier: union locally frequent itemsets.
-	var nonNil []*apriori.PartitionResult
-	for _, l := range locals {
-		if l != nil {
-			nonNil = append(nonNil, l)
-		}
-	}
-	cands := apriori.GlobalCandidates(nonNil)
-	// Phase 2: global counting.
-	phase2 := make([]func() (cluster.TaskReport, error), p)
-	falsePos := 0
-	counts := make([][]int, p)
-	for j := 0; j < p; j++ {
-		if len(parts[j]) == 0 {
-			continue
-		}
-		phase2[j] = func() (cluster.TaskReport, error) {
-			c, cost := apriori.CountPass(parts[j], cands)
-			counts[j] = c
-			return cluster.TaskReport{Cost: cost}, nil
-		}
-	}
-	res2, err := cl.Run(offset+res1.Makespan, phase2)
-	if err != nil {
-		return nil, nil, err
-	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	final := 0
-	for ci := range cands {
-		sum := 0
-		for j := 0; j < p; j++ {
-			if counts[j] != nil {
-				sum += counts[j][ci]
-			}
-		}
-		if float64(sum) >= w.SupportFrac*float64(total) {
-			final++
-		}
-	}
-	falsePos = len(cands) - final
-	combined := res1.Add(res2)
-	quality := map[string]float64{
-		"candidates":      float64(len(cands)),
-		"frequent":        float64(final),
-		"false-positives": float64(falsePos),
-	}
-	return combined, quality, nil
+	return savasere(cl, assign, offset, w.SupportFrac, w.txns, w.mine, apriori.GlobalCandidates,
+		func(txns []apriori.Transaction, cands [][]uint32) ([]int, float64, error) {
+			counts, cost := apriori.CountPass(txns, cands)
+			return counts, cost, nil
+		})
 }
 
 // ---------------------------------------------------------------------------
@@ -208,85 +237,32 @@ func (w *TreeMining) subset(indices []int) []pivots.Tree {
 	return out
 }
 
-// Profile implements Workload.
-func (w *TreeMining) Profile(indices []int) (float64, error) {
-	pr, err := treemine.MineLocal(w.subset(indices), w.SupportFrac, treemine.Config{MaxNodes: w.MaxNodes})
+// mine is phase 1 on one partition: FREQT at the support fraction
+// scaled to the partition's size.
+func (w *TreeMining) mine(trees []pivots.Tree) (*treemine.PartitionResult, float64, error) {
+	pr, err := treemine.MineLocal(trees, w.SupportFrac, treemine.Config{MaxNodes: w.MaxNodes})
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	return pr.Cost, nil
+	return pr, pr.Cost, nil
 }
 
-// Run implements Workload: the same two-phase structure as text mining.
+// Profile implements Workload: phase 1 on the sample.
+func (w *TreeMining) Profile(indices []int) (float64, error) {
+	_, cost, err := w.mine(w.subset(indices))
+	return cost, err
+}
+
+// Run implements Workload: the same two phases as text mining.
 func (w *TreeMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, offset float64) (*cluster.Result, map[string]float64, error) {
-	p := assign.P()
-	parts := make([][]pivots.Tree, p)
-	for j := 0; j < p; j++ {
-		parts[j] = w.subset(assign.Parts[j])
-	}
-	locals := make([]*treemine.PartitionResult, p)
-	phase1 := make([]func() (cluster.TaskReport, error), p)
-	for j := 0; j < p; j++ {
-		if len(parts[j]) == 0 {
-			continue
-		}
-		phase1[j] = func() (cluster.TaskReport, error) {
-			pr, err := treemine.MineLocal(parts[j], w.SupportFrac, treemine.Config{MaxNodes: w.MaxNodes})
+	return savasere(cl, assign, offset, w.SupportFrac, w.subset, w.mine, treemine.GlobalCandidates,
+		func(trees []pivots.Tree, cands []treemine.Pattern) ([]int, float64, error) {
+			f, err := treemine.NewForest(trees)
 			if err != nil {
-				return cluster.TaskReport{}, err
+				return nil, 0, err
 			}
-			locals[j] = pr
-			return cluster.TaskReport{Cost: pr.Cost}, nil
-		}
-	}
-	res1, err := cl.Run(offset, phase1)
-	if err != nil {
-		return nil, nil, err
-	}
-	cands := treemine.GlobalCandidates(locals)
-	counts := make([][]int, p)
-	phase2 := make([]func() (cluster.TaskReport, error), p)
-	for j := 0; j < p; j++ {
-		if len(parts[j]) == 0 {
-			continue
-		}
-		phase2[j] = func() (cluster.TaskReport, error) {
-			f, err := treemine.NewForest(parts[j])
-			if err != nil {
-				return cluster.TaskReport{}, err
-			}
-			c, cost, err := treemine.CountPass(f, cands)
-			counts[j] = c
-			return cluster.TaskReport{Cost: cost}, err
-		}
-	}
-	res2, err := cl.Run(offset+res1.Makespan, phase2)
-	if err != nil {
-		return nil, nil, err
-	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	final := 0
-	for ci := range cands {
-		sum := 0
-		for j := 0; j < p; j++ {
-			if counts[j] != nil {
-				sum += counts[j][ci]
-			}
-		}
-		if float64(sum) >= w.SupportFrac*float64(total) {
-			final++
-		}
-	}
-	combined := res1.Add(res2)
-	quality := map[string]float64{
-		"candidates":      float64(len(cands)),
-		"frequent":        float64(final),
-		"false-positives": float64(len(cands) - final),
-	}
-	return combined, quality, nil
+			return treemine.CountPass(f, cands)
+		})
 }
 
 // ---------------------------------------------------------------------------
@@ -303,12 +279,6 @@ type GraphCompression struct {
 	Residuals graphcomp.Code
 }
 
-// codecConfig assembles the codec configuration (ζ codes use the
-// codec's default shrinking parameter).
-func (w *GraphCompression) codecConfig() graphcomp.Config {
-	return graphcomp.Config{Window: w.Window, Residuals: w.Residuals}
-}
-
 // Name implements Workload.
 func (w *GraphCompression) Name() string { return "graph-compression" }
 
@@ -321,63 +291,33 @@ func (w *GraphCompression) Scheme() partitioner.Scheme { return partitioner.Simi
 // MinPartitionRecords implements Workload: compression accepts any size.
 func (w *GraphCompression) MinPartitionRecords() float64 { return 0 }
 
-func (w *GraphCompression) lists(indices []int) ([]uint32, [][]uint32) {
+// encode is the job on one partition: the webgraph codec over its
+// adjacency lists in placement order (ζ codes use the codec's default
+// shrinking parameter); sizes are in bits.
+func (w *GraphCompression) encode(indices []int) (packed, error) {
 	ids := make([]uint32, len(indices))
 	lists := make([][]uint32, len(indices))
 	for k, i := range indices {
 		ids[k] = uint32(i)
 		lists[k] = w.Graph.G.Adj[i]
 	}
-	return ids, lists
+	enc, err := graphcomp.Encode(ids, lists, graphcomp.Config{Window: w.Window, Residuals: w.Residuals})
+	if err != nil {
+		return packed{}, err
+	}
+	return packed{cluster.TaskReport{Cost: enc.Cost}, graphcomp.RawBits(ids, lists), enc.BitLen}, nil
 }
 
-// Profile implements Workload.
+// Profile implements Workload: the job on the sample.
 func (w *GraphCompression) Profile(indices []int) (float64, error) {
-	ids, lists := w.lists(indices)
-	enc, err := graphcomp.Encode(ids, lists, w.codecConfig())
-	if err != nil {
-		return 0, err
-	}
-	return enc.Cost, nil
+	p, err := w.encode(indices)
+	return p.Cost, err
 }
 
 // Run implements Workload: one compression pass per node; quality is
 // the aggregate compression ratio.
 func (w *GraphCompression) Run(cl *cluster.Cluster, assign *partitioner.Assignment, offset float64) (*cluster.Result, map[string]float64, error) {
-	p := assign.P()
-	rawBits := make([]int, p)
-	compBits := make([]int, p)
-	tasks := make([]func() (cluster.TaskReport, error), p)
-	for j := 0; j < p; j++ {
-		indices := assign.Parts[j]
-		if len(indices) == 0 {
-			continue
-		}
-		tasks[j] = func() (cluster.TaskReport, error) {
-			ids, lists := w.lists(indices)
-			enc, err := graphcomp.Encode(ids, lists, w.codecConfig())
-			if err != nil {
-				return cluster.TaskReport{}, err
-			}
-			rawBits[j] = graphcomp.RawBits(ids, lists)
-			compBits[j] = enc.BitLen
-			return cluster.TaskReport{Cost: enc.Cost}, nil
-		}
-	}
-	res, err := cl.Run(offset, tasks)
-	if err != nil {
-		return nil, nil, err
-	}
-	var raw, comp float64
-	for j := 0; j < p; j++ {
-		raw += float64(rawBits[j])
-		comp += float64(compBits[j])
-	}
-	ratio := 0.0
-	if comp > 0 {
-		ratio = raw / comp
-	}
-	return res, map[string]float64{"compression-ratio": ratio}, nil
+	return compress(cl, assign, offset, w.encode)
 }
 
 // ---------------------------------------------------------------------------
@@ -421,65 +361,34 @@ func (w *LZ77Compression) Scheme() partitioner.Scheme { return partitioner.Simil
 // MinPartitionRecords implements Workload: compression accepts any size.
 func (w *LZ77Compression) MinPartitionRecords() float64 { return 0 }
 
-func (w *LZ77Compression) bytes(indices []int) []byte {
-	var buf []byte
+// pack is the job on one partition: LZ77 over its serialized records,
+// plus the speed-independent read of those bytes; sizes are in bytes.
+func (w *LZ77Compression) pack(indices []int) (packed, error) {
+	var data []byte
 	for _, i := range indices {
-		buf = w.Data.AppendRecord(buf, i)
+		data = w.Data.AppendRecord(data, i)
 	}
-	return buf
+	enc, err := lz77.Compress(data, w.Cfg)
+	if err != nil {
+		return packed{}, err
+	}
+	return packed{cluster.TaskReport{
+		Cost:         enc.Cost / lz77CPUScale,
+		FixedSeconds: float64(len(data)) / lz77IOBytesPerSec,
+	}, len(data), len(enc.Data)}, nil
 }
 
-// Profile implements Workload: the CPU-side cost only. The fixed I/O
-// component is invisible to the speed-scaled profiler, so the learned
-// models overstate heterogeneity — exactly why the measured LZ77 gains
-// stay muted, as in the paper.
+// Profile implements Workload: the job on the sample, CPU side only.
+// The learned models therefore overstate heterogeneity — exactly why
+// the measured LZ77 gains stay muted, as in the paper.
 func (w *LZ77Compression) Profile(indices []int) (float64, error) {
-	enc, err := lz77.Compress(w.bytes(indices), w.Cfg)
-	if err != nil {
-		return 0, err
-	}
-	return enc.Cost / lz77CPUScale, nil
+	p, err := w.pack(indices)
+	return p.Cost, err // FixedSeconds dropped: the profile's time model scales all of a cost by node speed.
 }
 
 // Run implements Workload.
 func (w *LZ77Compression) Run(cl *cluster.Cluster, assign *partitioner.Assignment, offset float64) (*cluster.Result, map[string]float64, error) {
-	p := assign.P()
-	rawLen := make([]int, p)
-	compLen := make([]int, p)
-	tasks := make([]func() (cluster.TaskReport, error), p)
-	for j := 0; j < p; j++ {
-		indices := assign.Parts[j]
-		if len(indices) == 0 {
-			continue
-		}
-		tasks[j] = func() (cluster.TaskReport, error) {
-			data := w.bytes(indices)
-			enc, err := lz77.Compress(data, w.Cfg)
-			if err != nil {
-				return cluster.TaskReport{}, err
-			}
-			rawLen[j] = len(data)
-			compLen[j] = len(enc.Data)
-			return cluster.TaskReport{
-				Cost:         enc.Cost / lz77CPUScale,
-				FixedSeconds: float64(len(data)) / lz77IOBytesPerSec,
-			}, nil
-		}
-	}
-	res, err := cl.Run(offset, tasks)
-	if err != nil {
-		return nil, nil, err
-	}
-	var raw, comp float64
-	for j := 0; j < p; j++ {
-		raw += float64(rawLen[j])
-		comp += float64(compLen[j])
-	}
-	ratio := 0.0
-	if comp > 0 {
-		ratio = raw / comp
-	}
-	return res, map[string]float64{"compression-ratio": ratio}, nil
+	return compress(cl, assign, offset, w.pack)
 }
 
 // errNoWorkload guards experiment entry points.

@@ -147,29 +147,21 @@ func TestLZ77Adapter(t *testing.T) {
 func TestRunWithEmptyPartitions(t *testing.T) {
 	// A partition may legitimately be empty (α < 1 pile-up); every
 	// adapter must tolerate it.
-	cfg := datasets.RCV1Like(0.0003)
-	docs, _, err := datasets.GenerateText(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := &partitioner.Assignment{Parts: [][]int{nil, nil, nil}}
-	all := make([]int, corpus.Len())
-	for i := range all {
-		all[i] = i
-	}
-	assign.Parts[1] = all
 	cl := tinyCluster(t, 3)
-	w := &TextMining{Docs: corpus, SupportFrac: 0.2, MaxLen: 2}
-	res, _, err := w.Run(cl, assign, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NodeTimes[0] != 0 || res.NodeTimes[2] != 0 {
-		t.Error("empty partitions accrued time")
+	for _, w := range tinyWorkloads(t) {
+		assign := &partitioner.Assignment{Parts: [][]int{nil, nil, nil}}
+		all := make([]int, w.Corpus().Len())
+		for i := range all {
+			all[i] = i
+		}
+		assign.Parts[1] = all
+		res, _, err := w.Run(cl, assign, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		if res.NodeTimes[0] != 0 || res.NodeTimes[2] != 0 {
+			t.Errorf("%s: empty partitions accrued time", w.Name())
+		}
 	}
 }
 

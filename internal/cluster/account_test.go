@@ -28,18 +28,29 @@ func randomCluster(t *testing.T, rng *rand.Rand, p int) *cluster.Cluster {
 	return c
 }
 
+// batch is one job per node: node i reports reports[i] on parts[i],
+// and a node whose part is empty stays idle.
+type batch struct {
+	parts   [][]int
+	reports []cluster.TaskReport
+}
+
+func (b batch) run(c *cluster.Cluster, offset float64) (*cluster.Result, error) {
+	return c.Run(offset, b.parts, func(node int, _ []int) (cluster.TaskReport, error) { return b.reports[node], nil })
+}
+
 // randomBatch draws one report per node; node 0 of a multi-node
 // cluster stays idle, as under a plan that gave it no data.
-func randomBatch(rng *rand.Rand, p int) []func() (cluster.TaskReport, error) {
-	tasks := make([]func() (cluster.TaskReport, error), p)
-	for i := range tasks {
+func randomBatch(rng *rand.Rand, p int) batch {
+	b := batch{parts: make([][]int, p), reports: make([]cluster.TaskReport, p)}
+	for i := range b.parts {
 		if p > 1 && i == 0 {
 			continue
 		}
-		rep := cluster.TaskReport{Cost: rng.Float64() * 5e8, FixedSeconds: rng.Float64() * 900}
-		tasks[i] = func() (cluster.TaskReport, error) { return rep, nil }
+		b.parts[i] = []int{i}
+		b.reports[i] = cluster.TaskReport{Cost: rng.Float64() * 5e8, FixedSeconds: rng.Float64() * 900}
 	}
-	return tasks
+	return b
 }
 
 // conserved fails unless every joule of res is booked exactly once:
@@ -77,12 +88,12 @@ func TestAccountingConservation(t *testing.T) {
 		for _, hour := range []float64{0, 5.5, 12, 19, 30} {
 			offset := hour * 3600
 			label := fmt.Sprintf("p=%d offset=%vh", p, hour)
-			res1, err := c.Run(offset, randomBatch(rng, p))
+			res1, err := randomBatch(rng, p).run(c, offset)
 			if err != nil {
 				t.Fatal(err)
 			}
 			conserved(t, label+" Run", res1)
-			res2, err := c.Run(offset+res1.Makespan, randomBatch(rng, p))
+			res2, err := randomBatch(rng, p).run(c, offset+res1.Makespan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,27 +126,26 @@ func TestAccountingPermutation(t *testing.T) {
 		tasks := randomBatch(rng, p)
 		perm := rng.Perm(p)
 		pc := &cluster.Cluster{Nodes: make([]cluster.NodeSpec, p), CostRate: c.CostRate}
-		ptasks := make([]func() (cluster.TaskReport, error), p)
+		ptasks := batch{parts: make([][]int, p), reports: make([]cluster.TaskReport, p)}
 		for i, from := range perm {
 			pc.Nodes[i] = c.Nodes[from]
-			ptasks[i] = tasks[from]
+			ptasks.parts[i], ptasks.reports[i] = tasks.parts[from], tasks.reports[from]
 		}
-		pinned := func(tasks []func() (cluster.TaskReport, error)) []sim.Task {
+		pinned := func(b batch) []sim.Task {
 			var out []sim.Task
-			for i, task := range tasks {
-				if task != nil {
-					rep, _ := task()
+			for i, rep := range b.reports {
+				if len(b.parts[i]) > 0 {
 					out = append(out, sim.Task{Cost: rep.Cost, Fixed: rep.FixedSeconds, Pin: i})
 				}
 			}
 			return out
 		}
 		const offset = 11 * 3600
-		base, err := c.Run(offset, tasks)
+		base, err := tasks.run(c, offset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		permuted, err := pc.Run(offset, ptasks)
+		permuted, err := ptasks.run(pc, offset)
 		if err != nil {
 			t.Fatal(err)
 		}

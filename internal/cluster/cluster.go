@@ -15,7 +15,7 @@
 //
 // This package owns how cost becomes seconds and joules: ServiceTime
 // is the only cost→seconds expression and Account the only energy
-// booking. Run executes one real task per node and books it;
+// booking. Run executes a job on each node's partition and books it;
 // internal/sim schedules task streams in virtual time (queues,
 // policies, work stealing) and books its busy spans through the same
 // two functions.
@@ -247,15 +247,15 @@ func (r *Result) Imbalance() float64 {
 	return r.Makespan / (sum / float64(n))
 }
 
-// Run executes one task per node concurrently (real goroutine
-// parallelism over the real algorithms) and converts the reported
-// demands into simulated times and energies: node time =
-// cost/(speed × rate) + fixed. tasks[i] may be nil when node i received
-// no data; it contributes zero time and energy. offset is the job's
-// start position (seconds) within the traces.
-func (c *Cluster) Run(offset float64, tasks []func() (TaskReport, error)) (*Result, error) {
-	if len(tasks) != len(c.Nodes) {
-		return nil, fmt.Errorf("cluster: %d tasks for %d nodes", len(tasks), len(c.Nodes))
+// Run executes the job on every node's partition concurrently (real
+// goroutine parallelism over the real algorithms): node i runs
+// job(i, parts[i]). It converts the reported demands into simulated
+// times and energies: node time = cost/(speed × rate) + fixed. A node
+// whose part is empty stays idle and contributes zero time and energy.
+// offset is the job's start position (seconds) within the traces.
+func (c *Cluster) Run(offset float64, parts [][]int, job func(node int, indices []int) (TaskReport, error)) (*Result, error) {
+	if len(parts) != len(c.Nodes) {
+		return nil, fmt.Errorf("cluster: %d partitions for %d nodes", len(parts), len(c.Nodes))
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -263,23 +263,23 @@ func (c *Cluster) Run(offset float64, tasks []func() (TaskReport, error)) (*Resu
 	runStart := time.Now()
 	span := c.Telemetry.StartSpan("run")
 	defer span.End()
-	reports := make([]TaskReport, len(tasks))
-	errs := make([]error, len(tasks))
-	wallSec := make([]float64, len(tasks))
+	reports := make([]TaskReport, len(parts))
+	errs := make([]error, len(parts))
+	wallSec := make([]float64, len(parts))
 	var wg sync.WaitGroup
-	for i, task := range tasks {
-		if task == nil {
+	for i, part := range parts {
+		if len(part) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, task func() (TaskReport, error)) {
+		go func() {
 			defer wg.Done()
 			sp := span.Child(c.Nodes[i].Name)
 			t0 := time.Now()
-			reports[i], errs[i] = task()
+			reports[i], errs[i] = job(i, part)
 			wallSec[i] = time.Since(t0).Seconds()
 			sp.End()
-		}(i, task)
+		}()
 	}
 	wg.Wait()
 	// A multi-node job can fail on several nodes at once; report every
@@ -288,9 +288,9 @@ func (c *Cluster) Run(offset float64, tasks []func() (TaskReport, error)) (*Resu
 	if err := joinNodeErrs("task", errs); err != nil {
 		return nil, err
 	}
-	costs := make([]float64, len(tasks))
-	busy := make([]float64, len(tasks))
-	spans := make([][]Span, len(tasks))
+	costs := make([]float64, len(parts))
+	busy := make([]float64, len(parts))
+	spans := make([][]Span, len(parts))
 	for i, rep := range reports {
 		if !finiteNonNeg(rep.Cost) || !finiteNonNeg(rep.FixedSeconds) {
 			return nil, fmt.Errorf("cluster: node %d reported cost %v and fixed seconds %v, want finite >= 0", i, rep.Cost, rep.FixedSeconds)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -87,6 +88,40 @@ func failingTask(err error) func() (TaskReport, error) {
 	return func() (TaskReport, error) { return TaskReport{}, err }
 }
 
+// runTasks runs tasks[i] as node i's job through Run; a nil task gives
+// node i an empty part.
+func runTasks(c *Cluster, offset float64, tasks []func() (TaskReport, error)) (*Result, error) {
+	parts := make([][]int, len(tasks))
+	for i, task := range tasks {
+		if task != nil {
+			parts[i] = []int{i}
+		}
+	}
+	return c.Run(offset, parts, func(node int, _ []int) (TaskReport, error) { return tasks[node]() })
+}
+
+// Node i's job sees parts[i], and only a node with records runs it.
+func TestRunPassesEachNodeItsPart(t *testing.T) {
+	c := testCluster(t, 3)
+	parts := [][]int{{4, 5}, nil, {7}}
+	var seen [3][]int
+	res, err := c.Run(0, parts, func(node int, indices []int) (TaskReport, error) {
+		seen[node] = indices
+		return TaskReport{Cost: float64(len(indices)) * 1e6}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range parts {
+		if fmt.Sprint(seen[i]) != fmt.Sprint(parts[i]) {
+			t.Errorf("node %d ran on %v, want its part %v", i, seen[i], parts[i])
+		}
+	}
+	if res.NodeCosts[0] != 2e6 || res.NodeCosts[1] != 0 || res.NodeCosts[2] != 1e6 {
+		t.Errorf("node costs %v, want [2e6 0 1e6]", res.NodeCosts)
+	}
+}
+
 func TestRunAggregates(t *testing.T) {
 	c := testCluster(t, 4)
 	tasks := []func() (TaskReport, error){
@@ -95,7 +130,7 @@ func TestRunAggregates(t *testing.T) {
 		nil,           // idle node
 		costTask(2e6), // 1x node → 2 s
 	}
-	res, err := c.Run(12*3600, tasks) // noon: some green available
+	res, err := runTasks(c, 12*3600, tasks) // noon: some green available
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +158,7 @@ func TestRunAggregates(t *testing.T) {
 
 func TestRunNightIsAllDirty(t *testing.T) {
 	c := testCluster(t, 2)
-	res, err := c.Run(0, []func() (TaskReport, error){costTask(4e6), costTask(3e6)}) // midnight
+	res, err := runTasks(c, 0, []func() (TaskReport, error){costTask(4e6), costTask(3e6)}) // midnight
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +170,11 @@ func TestRunNightIsAllDirty(t *testing.T) {
 func TestRunErrorPropagation(t *testing.T) {
 	c := testCluster(t, 2)
 	boom := errors.New("task failed")
-	_, err := c.Run(0, []func() (TaskReport, error){costTask(1), failingTask(boom)})
+	_, err := runTasks(c, 0, []func() (TaskReport, error){costTask(1), failingTask(boom)})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := c.Run(0, []func() (TaskReport, error){nil}); err == nil {
+	if _, err := runTasks(c, 0, []func() (TaskReport, error){nil}); err == nil {
 		t.Error("task/node count mismatch accepted")
 	}
 }
@@ -163,7 +198,7 @@ func TestRunDetailedRejectsImpossibleReports(t *testing.T) {
 		tasks := make([]func() (TaskReport, error), 4)
 		tasks[0] = func() (TaskReport, error) { return TaskReport{Cost: 1e6, FixedSeconds: 1}, nil }
 		tasks[2] = func() (TaskReport, error) { return rep, nil }
-		res, err := c.Run(0, tasks)
+		res, err := runTasks(c, 0, tasks)
 		if err == nil {
 			t.Errorf("%s: accepted, makespan %v total energy %v", name, res.Makespan, res.TotalEnergy)
 		} else if !strings.Contains(err.Error(), "node 2") {
@@ -286,7 +321,7 @@ func TestMultiNodeErrorsAggregated(t *testing.T) {
 	c := testCluster(t, 3)
 	boom0 := errors.New("node0 exploded")
 	boom2 := errors.New("node2 exploded")
-	_, err := c.Run(0, []func() (TaskReport, error){failingTask(boom0), costTask(1), failingTask(boom2)})
+	_, err := runTasks(c, 0, []func() (TaskReport, error){failingTask(boom0), costTask(1), failingTask(boom2)})
 	if !errors.Is(err, boom0) || !errors.Is(err, boom2) {
 		t.Fatalf("aggregated error lost a failure: %v", err)
 	}

@@ -177,8 +177,8 @@ func TestValidateGuardsCalibration(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate passed", name)
 		}
-		if _, err := c.Run(0, []func() (cluster.TaskReport, error){
-			func() (cluster.TaskReport, error) { return cluster.TaskReport{Cost: 1e6}, nil }, nil, nil, nil,
+		if _, err := c.Run(0, [][]int{{0}, nil, nil, nil}, func(int, []int) (cluster.TaskReport, error) {
+			return cluster.TaskReport{Cost: 1e6}, nil
 		}); err == nil {
 			t.Errorf("%s: Run accepted corrupted cluster", name)
 		}

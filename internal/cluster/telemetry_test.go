@@ -26,7 +26,7 @@ func TestRunDetailedTelemetry(t *testing.T) {
 		}
 	}
 	// Noon offset so the traces carry green power.
-	res, err := c.Run(12*3600, tasks)
+	res, err := runTasks(c, 12*3600, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRunDetailedNilTelemetry(t *testing.T) {
 		func() (TaskReport, error) { return TaskReport{Cost: 1e5}, nil },
 		nil,
 	}
-	res, err := c.Run(0, tasks)
+	res, err := runTasks(c, 0, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -445,19 +445,8 @@ func Execute(cl *cluster.Cluster, plan *Plan, run RunPartition, traceOffset floa
 	if plan == nil || plan.Assign == nil {
 		return nil, errors.New("core: nil plan")
 	}
-	if plan.Assign.P() != cl.P() {
-		return nil, fmt.Errorf("core: plan has %d partitions for %d nodes", plan.Assign.P(), cl.P())
-	}
-	tasks := make([]func() (cluster.TaskReport, error), cl.P())
-	for j := range tasks {
-		indices := plan.Assign.Parts[j]
-		if len(indices) == 0 {
-			continue
-		}
-		tasks[j] = func() (cluster.TaskReport, error) {
-			cost, err := run(j, indices)
-			return cluster.TaskReport{Cost: cost}, err
-		}
-	}
-	return cl.Run(traceOffset, tasks)
+	return cl.Run(traceOffset, plan.Assign.Parts, func(node int, indices []int) (cluster.TaskReport, error) {
+		cost, err := run(node, indices)
+		return cluster.TaskReport{Cost: cost}, err
+	})
 }

@@ -157,14 +157,9 @@ type KVStore struct {
 	keyPrefix string
 }
 
-// NewKVStore builds a store over per-partition clients. width is the
+// NewKVStoreKV builds a store over per-partition clients: single-store
+// *kvstore.Client or slot-routed *kvstore.ClusterClient. width is the
 // pipeline width (≥1); the paper batches up to a preset width.
-func NewKVStore(clients []*kvstore.Client, width int, keyPrefix string) (*KVStore, error) {
-	return NewKVStoreKV(asKVs(clients), width, keyPrefix)
-}
-
-// NewKVStoreKV is NewKVStore over any KV implementations — the entry
-// point for pointing partition placement at a hash-slot cluster.
 func NewKVStoreKV(clients []kvstore.KV, width int, keyPrefix string) (*KVStore, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("partitioner: no kv clients")
@@ -176,15 +171,6 @@ func NewKVStoreKV(clients []kvstore.KV, width int, keyPrefix string) (*KVStore, 
 		keyPrefix = "partition"
 	}
 	return &KVStore{clients: clients, width: width, keyPrefix: keyPrefix}, nil
-}
-
-// asKVs lifts concrete clients into the KV interface slice.
-func asKVs(clients []*kvstore.Client) []kvstore.KV {
-	out := make([]kvstore.KV, len(clients))
-	for i, c := range clients {
-		out[i] = c
-	}
-	return out
 }
 
 func (k *KVStore) key(id int) string {

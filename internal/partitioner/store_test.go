@@ -134,9 +134,9 @@ func TestDiskStoreCorruptFile(t *testing.T) {
 
 // testClients spins up n store instances and returns a client per
 // instance — the paper's one-store-per-node deployment in miniature.
-func testClients(t *testing.T, n int) []*kvstore.Client {
+func testClients(t *testing.T, n int) []kvstore.KV {
 	t.Helper()
-	clients := make([]*kvstore.Client, n)
+	clients := make([]kvstore.KV, n)
 	for i := range clients {
 		srv := kvstore.NewServer(nil)
 		addr, err := srv.Listen("127.0.0.1:0")
@@ -155,7 +155,7 @@ func testClients(t *testing.T, n int) []*kvstore.Client {
 }
 
 func TestKVStoreRoundtrip(t *testing.T) {
-	st, err := NewKVStore(testClients(t, 2), 32, "test")
+	st, err := NewKVStoreKV(testClients(t, 2), 32, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestKVStoreRoundtrip(t *testing.T) {
 }
 
 func TestNewKVStoreValidation(t *testing.T) {
-	if _, err := NewKVStore(nil, 4, "x"); err == nil {
+	if _, err := NewKVStoreKV(nil, 4, "x"); err == nil {
 		t.Error("no clients accepted")
 	}
 	srv := kvstore.NewServer(nil)
@@ -188,10 +188,10 @@ func TestNewKVStoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := NewKVStore([]*kvstore.Client{c}, 0, "x"); err == nil {
+	if _, err := NewKVStoreKV([]kvstore.KV{c}, 0, "x"); err == nil {
 		t.Error("zero width accepted")
 	}
-	st, err := NewKVStore([]*kvstore.Client{c}, 1, "")
+	st, err := NewKVStoreKV([]kvstore.KV{c}, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}

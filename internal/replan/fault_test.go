@@ -101,7 +101,7 @@ func TestMigrationAbortMidCycleKeepsPreviousEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks := &killSwitch{}
-	clients := []*kvstore.Client{
+	clients := []kvstore.KV{
 		faultServer(t, faultClientOptions(1), nil),
 		faultServer(t, faultClientOptions(2), nil),
 		func() *kvstore.Client {
@@ -110,7 +110,7 @@ func TestMigrationAbortMidCycleKeepsPreviousEpoch(t *testing.T) {
 			return faultServer(t, opts, nil)
 		}(),
 	}
-	kv, err := partitioner.NewKVStore(clients, 32, "replan-fault")
+	kv, err := partitioner.NewKVStoreKV(clients, 32, "replan-fault")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestMigrationSurvivesDropChaos(t *testing.T) {
 	// connections past the outage window.
 	opts.MaxRetries = 20
 	client := faultServer(t, opts, faultnet.Plan{Seed: 42, DropRate: 0.05, FaultConns: 12}.Wrapper())
-	kv, err := partitioner.NewKVStore([]*kvstore.Client{client}, 32, "replan-chaos")
+	kv, err := partitioner.NewKVStoreKV([]kvstore.KV{client}, 32, "replan-chaos")
 	if err != nil {
 		t.Fatal(err)
 	}

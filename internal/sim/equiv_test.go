@@ -157,16 +157,16 @@ func TestSingleBatchMatchesRunDetailedBitIdentical(t *testing.T) {
 		}
 		// Leave one node idle when the cluster is big enough, mirroring
 		// a plan that assigned it no data.
-		detailed := make([]func() (cluster.TaskReport, error), p)
-		for i := range detailed {
+		parts := make([][]int, p)
+		for i := range parts {
 			if p > 2 && i == 2 {
 				continue
 			}
-			rep := reports[i]
-			detailed[i] = func() (cluster.TaskReport, error) { return rep, nil }
+			parts[i] = []int{i}
 		}
+		detailed := func(node int, _ []int) (cluster.TaskReport, error) { return reports[node], nil }
 		for _, offset := range []float64{0, 12 * 3600} {
-			want, err := c.Run(offset, detailed)
+			want, err := c.Run(offset, parts, detailed)
 			if err != nil {
 				t.Fatal(err)
 			}

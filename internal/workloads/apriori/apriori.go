@@ -295,10 +295,14 @@ func MineLocal(txns []Transaction, supportFrac float64, maxLen int) (*PartitionR
 
 // GlobalCandidates unions the locally frequent itemsets of all
 // partitions — the candidate set the global pruning pass must count.
+// Nil entries (empty partitions) are skipped.
 func GlobalCandidates(parts []*PartitionResult) [][]uint32 {
 	seen := make(map[string]bool)
 	var cands [][]uint32
 	for _, p := range parts {
+		if p == nil {
+			continue
+		}
 		for _, pat := range p.Local {
 			k := Key(pat.Items)
 			if !seen[k] {

@@ -313,6 +313,15 @@ func TestMineDistributedEmptyPartitionTolerated(t *testing.T) {
 	if res.LocalCosts[1] != 0 {
 		t.Error("empty partition accrued local cost")
 	}
+	// An executor that skips an empty partition hands the union no
+	// result for it at all.
+	local, err := MineLocal(classicDataset(), 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := GlobalCandidates([]*PartitionResult{nil, local, nil}); len(got) != res.Candidates {
+		t.Errorf("%d candidates with nil rows, want %d", len(got), res.Candidates)
+	}
 }
 
 func TestCostDeterminism(t *testing.T) {

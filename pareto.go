@@ -140,7 +140,7 @@ var (
 	// NewDiskStore writes one self-delimiting file per partition.
 	NewDiskStore = partitioner.NewDiskStore
 	// NewKVStore places partitions as lists on kvstore instances.
-	NewKVStore = partitioner.NewKVStore
+	NewKVStore = partitioner.NewKVStoreKV
 	// Place ships every partition of an assignment to a store.
 	Place = partitioner.Place
 )
