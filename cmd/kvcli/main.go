@@ -9,24 +9,18 @@
 //	kvcli -addr 127.0.0.1:6380 save           # snapshot + AOF truncate
 //	kvcli -addr 127.0.0.1:6380 bgrewriteaof   # same compaction, Redis spelling
 //	kvcli -addr 127.0.0.1:7001 cluster slots  # formatted slot map
-//	kvcli -addr 127.0.0.1:6380 replinfo       # formatted replication state
 //	kvcli -addr 127.0.0.1:6380                # interactive: one command per line
 //
 // The info subcommand fetches the server's telemetry snapshot (the
 // INFO command) and renders command counts, latency percentiles and
 // connection statistics instead of dumping raw JSON. cluster slots
 // renders the server's hash-slot ownership table as one range per
-// line (with any replicas the node advertises for its own ranges);
-// replinfo renders the node's replication role, offsets, lag, and
-// connected replicas; save and bgrewriteaof pass through to the
-// server's persistence rewrite (snapshot written, append-only log
-// truncated). REPLICAOF, REPLTAKEOVER and CLUSTER REASSIGN pass
-// through verbatim like any other command.
+// line; save and bgrewriteaof pass through to the server's persistence
+// rewrite (snapshot written, append-only log truncated).
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -79,9 +73,6 @@ func runOne(c *kvstore.Client, fields []string) error {
 	if strings.EqualFold(fields[0], "info") && len(fields) == 1 {
 		return runInfo(c)
 	}
-	if strings.EqualFold(fields[0], "replinfo") && len(fields) == 1 {
-		return runReplInfo(c)
-	}
 	if len(fields) == 2 && strings.EqualFold(fields[0], "cluster") && strings.EqualFold(fields[1], "slots") {
 		return runClusterSlots(c)
 	}
@@ -129,69 +120,11 @@ func runClusterSlots(c *kvstore.Client) error {
 	}
 	fmt.Printf("%d slot ranges over %d slots:\n", len(rep.Array), kvstore.NumSlots)
 	for _, el := range rep.Array {
-		// [lo, hi, owner, replica...] — the replica tail is present only
-		// on ranges the queried node itself owns.
 		if el.Type != kvstore.Array || len(el.Array) < 3 {
 			return fmt.Errorf("cluster slots: malformed entry %s", el.String())
 		}
 		lo, hi := el.Array[0].Int, el.Array[1].Int
-		line := fmt.Sprintf("%5d-%-5d (%4d slots)  %s", lo, hi, hi-lo+1, el.Array[2].String())
-		for _, rel := range el.Array[3:] {
-			line += "  replica=" + rel.String()
-		}
-		fmt.Println(line)
-	}
-	return nil
-}
-
-// runReplInfo fetches and pretty-prints the node's replication state
-// (the REPLINFO command's JSON document).
-func runReplInfo(c *kvstore.Client) error {
-	rep, err := c.Do("REPLINFO")
-	if err != nil {
-		return err
-	}
-	if rep.Type == kvstore.ErrorReply {
-		return fmt.Errorf("replinfo: %s", rep.Str)
-	}
-	var info struct {
-		Role          string `json:"role"`
-		Primary       string `json:"primary"`
-		Gen           uint64 `json:"gen"`
-		Offset        int64  `json:"offset"`
-		DurableOffset int64  `json:"durable_offset"`
-		LagBytes      int64  `json:"lag_bytes"`
-		Connected     bool   `json:"connected"`
-		LastPingMs    int64  `json:"last_ping_ms"`
-		Replicas      []struct {
-			Addr     string  `json:"addr"`
-			Gen      uint64  `json:"gen"`
-			SentOff  int64   `json:"sent_off"`
-			AckedOff int64   `json:"acked_off"`
-			AgeSec   float64 `json:"age_sec"`
-		} `json:"replicas"`
-	}
-	if err := json.Unmarshal(rep.Bulk, &info); err != nil {
-		return fmt.Errorf("replinfo: parsing reply: %w", err)
-	}
-	fmt.Printf("role: %s\n", info.Role)
-	if info.Role == "replica" {
-		fmt.Printf("primary: %s\nconnected: %v\n", info.Primary, info.Connected)
-		fmt.Printf("cursor: gen %d offset %d\nlag_bytes: %d\n", info.Gen, info.Offset, info.LagBytes)
-		if info.LastPingMs > 0 {
-			fmt.Printf("last_ping_ms: %d\n", info.LastPingMs)
-		}
-		return nil
-	}
-	fmt.Printf("log: gen %d offset %d durable %d\n", info.Gen, info.Offset, info.DurableOffset)
-	fmt.Printf("replicas: %d\n", len(info.Replicas))
-	for _, r := range info.Replicas {
-		name := r.Addr
-		if name == "" {
-			name = "(anonymous)"
-		}
-		fmt.Printf("  %s  sent=%d acked=%d lag=%d age=%.1fs\n",
-			name, r.SentOff, r.AckedOff, r.SentOff-r.AckedOff, r.AgeSec)
+		fmt.Printf("%5d-%-5d (%4d slots)  %s\n", lo, hi, hi-lo+1, el.Array[2].String())
 	}
 	return nil
 }

@@ -10,8 +10,6 @@
 //	kvstored -addr 127.0.0.1:6379 -snapshot s.pkvs -aof s.aof -aof-sync 2ms
 //	kvstored -addr 127.0.0.1:7001 -cluster-slots 0-511@127.0.0.1:7001,512-1023@127.0.0.1:7002
 //	kvstored -addr 127.0.0.1:6379 -metrics-addr 127.0.0.1:9100
-//	kvstored -addr 127.0.0.1:6381 -aof r.aof -replica-of 127.0.0.1:6380
-//	kvstored -addr 127.0.0.1:6380 -aof p.aof -min-ack-replicas 1
 //
 // With -metrics-addr the server also exposes its telemetry over HTTP:
 // Prometheus text at /metrics, a JSON snapshot at /debug/vars. The
@@ -21,11 +19,9 @@
 // the same spec); this node serves the ranges whose address equals
 // -cluster-self (default: -addr) and answers MOVED for the rest.
 //
-// -replica-of starts the process as a read-only replica streaming from
-// the given primary (which must run with -aof); REPLICAOF NO ONE or
-// REPLTAKEOVER over the wire promotes it back to primary at runtime.
-// -min-ack-replicas makes a primary semi-synchronous: each write is
-// acknowledged only after that many replicas confirm it applied.
+// -snapshot and -aof make the node durable on its own: a write is
+// acknowledged only once the log holding it is fsynced, and a restart
+// loads the snapshot and replays the log tail written since it.
 package main
 
 import (
@@ -48,9 +44,6 @@ func main() {
 	clusterSlots := flag.String("cluster-slots", "", `cluster slot map, e.g. "0-511@host:p1,512-1023@host:p2" (empty = standalone)`)
 	clusterSelf := flag.String("cluster-self", "", "this node's advertised address in the slot map (default: -addr)")
 	metricsAddr := flag.String("metrics-addr", "", "expose telemetry over HTTP on this address (empty = disabled)")
-	replicaOf := flag.String("replica-of", "", "start as a read-only replica of this primary address (empty = primary)")
-	minAckReplicas := flag.Int("min-ack-replicas", 0, "semi-sync replication: acks each write only after this many replicas applied it (0 = async)")
-	ackTimeout := flag.Duration("repl-ack-timeout", 0, "semi-sync ack wait bound; the write's connection fails on expiry (0 = 2s)")
 	flag.Parse()
 	srv := kvstore.NewServer(kvstore.NewEngineShards(*shards))
 	reg := telemetry.NewRegistry()
@@ -82,12 +75,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *minAckReplicas > 0 {
-		srv.SetReplication(kvstore.ReplicationConfig{
-			MinAckReplicas: *minAckReplicas,
-			AckTimeout:     *ackTimeout,
-		})
-	}
 	var metricsSrv *telemetry.HTTPServer
 	if *metricsAddr != "" {
 		var err error
@@ -104,19 +91,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("kvstored listening on %s (%d engine shards)\n", bound, srv.Engine().NumShards())
-	if *replicaOf != "" {
-		// The advertised address is what a failover can promote; prefer
-		// the cluster identity, fall back to the bound address.
-		self := *clusterSelf
-		if self == "" {
-			self = bound
-		}
-		if err := srv.StartReplicaOf(*replicaOf, kvstore.ReplicaOptions{SelfAddr: self}); err != nil {
-			fmt.Fprintf(os.Stderr, "kvstored: replica-of: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("kvstored replicating from %s (read-only)\n", *replicaOf)
-	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig

@@ -44,12 +44,9 @@ type AOF struct {
 	f      *os.File
 	cw     countingFileWriter
 	w      *bufio.Writer
-	path   string // log file path (replication feeders open their own read fd)
 	gen    uint64 // generation id from the file header
 	seq    uint64 // last appended record
 	synced uint64 // last record known durable (fsync or snapshot)
-	off    int64  // byte offset past the last appended record (file + bufio)
-	durOff int64  // byte offset covered by the last durability event
 	err    error  // sticky I/O error: the log is dead once it fails
 
 	// syncing marks a group-commit leader mid-fsync; followers (and
@@ -181,17 +178,9 @@ func OpenAOF(path string, window time.Duration, reg *telemetry.Registry) (*AOF, 
 	if window <= 0 {
 		window = DefaultAOFSyncWindow
 	}
-	fi, err = f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("kvstore: aof open: %w", err)
-	}
 	a := &AOF{
 		f:      f,
-		path:   path,
 		gen:    gen,
-		off:    fi.Size(),
-		durOff: fi.Size(),
 		window: window,
 		m: aofMetrics{
 			fsyncs:  reg.Counter("kv_aof_fsyncs_total"),
@@ -221,33 +210,6 @@ func (a *AOF) setErrLocked(err error) {
 	a.err = err
 }
 
-// respCmdLen is the exact RESP-encoded size of one command frame — the
-// byte-offset bookkeeping behind the replication stream, cheaper than
-// measuring the buffered writer around every Append.
-func respCmdLen(cmd string, args [][]byte) int64 {
-	n := 1 + digits(int64(1+len(args))) + 2 // *<n>\r\n
-	n += bulkFrameLen(len(cmd))
-	for _, arg := range args {
-		n += bulkFrameLen(len(arg))
-	}
-	return int64(n)
-}
-
-// bulkFrameLen is the encoded size of one bulk frame: $<len>\r\n<payload>\r\n.
-func bulkFrameLen(payload int) int {
-	return 1 + digits(int64(payload)) + 2 + payload + 2
-}
-
-// digits counts the base-10 digits of a non-negative integer.
-func digits(v int64) int {
-	n := 1
-	for v >= 10 {
-		v /= 10
-		n++
-	}
-	return n
-}
-
 // Append frames one command into the log's buffer and returns its
 // sequence number; the record is durable only once Sync(seq) returns.
 // The argument buffers are copied into the log's buffer before Append
@@ -266,33 +228,9 @@ func (a *AOF) Append(cmd string, args [][]byte) (uint64, error) {
 		return 0, err
 	}
 	a.seq++
-	a.off += respCmdLen(cmd, args)
 	a.m.records.Inc()
 	return a.seq, nil
 }
-
-// Mark returns the log's generation and the byte offset past the last
-// appended (not necessarily durable) record — the watermark a
-// replication full sync pairs with a point-in-time engine snapshot.
-func (a *AOF) Mark() AOFMark {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return AOFMark{Gen: a.gen, Off: a.off}
-}
-
-// DurablePos returns the generation and byte offset known durable (the
-// last fsync or snapshot compaction). Replication feeders stream file
-// bytes only up to this position, so a replica never applies a record
-// the primary could still lose.
-func (a *AOF) DurablePos() (gen uint64, off int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.gen, a.durOff
-}
-
-// Path returns the log's file path; replication feeders open their own
-// read-only descriptors against it.
-func (a *AOF) Path() string { return a.path }
 
 // Sync blocks until every record up to and including seq is durable.
 // Group commit: the first waiter becomes the leader, sleeps out the
@@ -340,7 +278,6 @@ func (a *AOF) leaderCommitLocked() {
 		}
 	}
 	target := a.seq
-	targetOff := a.off
 	err := a.w.Flush()
 	a.mu.Unlock()
 	// fsync outside the lock: appenders write into the bufio buffer
@@ -355,13 +292,8 @@ func (a *AOF) leaderCommitLocked() {
 	a.m.fsyncs.Inc()
 	if err != nil {
 		a.setErrLocked(err)
-	} else {
-		if a.synced < target {
-			a.synced = target
-		}
-		if a.durOff < targetOff {
-			a.durOff = targetOff
-		}
+	} else if a.synced < target {
+		a.synced = target
 	}
 	a.cond.Broadcast()
 }
@@ -401,8 +333,6 @@ func (a *AOF) DurableMark() (AOFMark, error) {
 		return AOFMark{}, err
 	}
 	a.synced = a.seq
-	a.off = fi.Size()
-	a.durOff = fi.Size()
 	a.m.fsyncs.Inc()
 	a.cond.Broadcast()
 	return AOFMark{Gen: a.gen, Off: fi.Size()}, nil
@@ -455,8 +385,6 @@ func (a *AOF) Reset() error {
 	}
 	a.gen = gen
 	a.synced = a.seq
-	a.off = int64(aofHeaderLen)
-	a.durOff = int64(aofHeaderLen)
 	a.err = nil
 	a.m.sick.Set(0)
 	a.m.resets.Inc()

@@ -37,8 +37,8 @@ type ClusterClient struct {
 
 // maxRedirects bounds a doKey MOVED chase; a table more than a few
 // hops stale means the cluster map is cyclic garbage. Hops after the
-// first sleep hopBackoff, doubling up to maxHopBackoff — a table
-// rewritten mid-failover makes clients wait, not spin.
+// first sleep hopBackoff, doubling up to maxHopBackoff — a node that is
+// restarting makes clients wait, not spin.
 const (
 	maxRedirects  = 4
 	hopBackoff    = 2 * time.Millisecond
@@ -50,11 +50,10 @@ const (
 // table, and per-store connections are dialed on demand with the same
 // timeout and Options a single-store DialOptions would use.
 //
-// The client detects no failures and promotes nothing. Failover is an
-// operator's two commands: REPLTAKEOVER on the dead primary's replica,
-// then CLUSTER REASSIGN <dead> <new> on each surviving owner. The
-// client follows the new table through dial errors, table refreshes
-// and MOVED redirects.
+// Each node's slot map is fixed for its lifetime. A MOVED chase repairs
+// a client table that disagrees with the nodes (a seed started with an
+// older map, nodes restarted with a new one); a refresh after a dial
+// error finds the map again once a restarted node answers.
 func DialCluster(seeds []string, timeout time.Duration, opts Options) (*ClusterClient, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("kvstore: cluster dial with no seeds")
@@ -118,9 +117,8 @@ func (cc *ClusterClient) refresh() error {
 	return fmt.Errorf("kvstore: cluster slots unavailable from any node: %w", lastErr)
 }
 
-// parseSlots decodes a CLUSTER SLOTS array of [lo, hi, addr, ...]
-// entries. The replica addresses a node advertises after the owner are
-// for operators (kvcli cluster slots) and are skipped.
+// parseSlots decodes a CLUSTER SLOTS array of [lo, hi, addr] entries;
+// any further elements of an entry are ignored, as Redis clients do.
 func parseSlots(rep Reply) ([]SlotRange, error) {
 	if rep.Type != Array {
 		return nil, fmt.Errorf("kvstore: CLUSTER SLOTS reply is %v, want array", rep.Type)
@@ -222,7 +220,7 @@ func (cc *ClusterClient) anyClient() (*Client, error) {
 // out a capped exponential backoff, and a dead owner costs one failed
 // attempt (the table is refreshed and, for idempotent commands, the hop
 // retried) instead of an immediate caller-visible error — which is what
-// lets a routed workload ride out a failover.
+// lets a routed workload ride out a node restart.
 func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 	slot := SlotForKey(key)
 	addr := cc.ownerOf(slot)

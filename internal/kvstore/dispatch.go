@@ -37,15 +37,6 @@ const (
 	cmdSave
 	cmdBGRewriteAOF
 	cmdCluster
-	// Replication commands: REPLSYNC turns a connection into a
-	// replication stream, REPLICAOF/REPLTAKEOVER switch roles, REPLINFO
-	// introspects; REPLPING/REPLACK are stream-internal frames.
-	cmdReplSync
-	cmdReplPing
-	cmdReplAck
-	cmdReplInfo
-	cmdReplTakeover
-	cmdReplicaOf
 	numCmdIDs
 )
 
@@ -67,8 +58,7 @@ type cmdSpec struct {
 	// persistence rewrites).
 	class string
 	// writes marks a command that mutates the engine: the set the
-	// append-only log must record for replay to reconstruct the store,
-	// and the set a read-only replica refuses.
+	// append-only log must record for replay to reconstruct the store.
 	writes bool
 	// idempotent marks a command safe to blindly re-send: re-executing
 	// it converges to the same store state and reply semantics.
@@ -100,12 +90,6 @@ var cmdTable = [numCmdIDs]cmdSpec{
 	cmdSave:         {name: "SAVE", class: "save"},
 	cmdBGRewriteAOF: {name: "BGREWRITEAOF", class: "save"},
 	cmdCluster:      {name: "CLUSTER", class: "other"},
-	cmdReplSync:     {name: "REPLSYNC", class: "other"},
-	cmdReplPing:     {name: "REPLPING", class: "other"},
-	cmdReplAck:      {name: "REPLACK", class: "other"},
-	cmdReplInfo:     {name: "REPLINFO", class: "other"},
-	cmdReplTakeover: {name: "REPLTAKEOVER", class: "other"},
-	cmdReplicaOf:    {name: "REPLICAOF", class: "other"},
 }
 
 // maxCmdNameLen bounds the fold buffer; the longest command name is

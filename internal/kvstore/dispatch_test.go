@@ -54,6 +54,7 @@ func TestLookupCmdFoldsCase(t *testing.T) {
 		strings.Repeat("G", maxCmdNameLen+1), // too long, no panic
 		"GETT", "GE",                         // near misses
 		"MSET", "MGET", // cut: an old AOF holding one fails replay loudly
+		"REPLSYNC", "REPLPING", "REPLACK", "REPLINFO", "REPLTAKEOVER", "REPLICAOF", // cut with replication
 	} {
 		if got := lookupCmd(cmd); got != cmdNone {
 			t.Errorf("lookupCmd(%q) = %d, want cmdNone", cmd, got)
@@ -160,7 +161,7 @@ func TestKeyArgStride(t *testing.T) {
 		spec := cmdTable[id]
 		w, keyed := want[spec.name]
 		if !keyed {
-			w = noKeys // PING, DBSIZE, FLUSH*, INFO, CLUSTER, REPL*, unknown
+			w = noKeys // PING, DBSIZE, FLUSH*, INFO, CLUSTER, unknown
 		}
 		if spec.keys != w {
 			t.Errorf("%q: keys = %d, want %d", spec.name, spec.keys, w)
@@ -169,8 +170,7 @@ func TestKeyArgStride(t *testing.T) {
 }
 
 // TestCmdWritesClassification: writes is exactly the set the AOF must
-// log (and a replica must refuse), and nothing that is not safe to
-// re-send is marked idempotent.
+// log, and nothing that is not safe to re-send is marked idempotent.
 func TestCmdWritesClassification(t *testing.T) {
 	writes := map[string]bool{
 		"SET": true, "DEL": true, "INCR": true, "INCRBY": true, "APPEND": true,
@@ -202,8 +202,7 @@ func TestCmdWritesClassification(t *testing.T) {
 func TestCmdClass(t *testing.T) {
 	shared := map[string]string{
 		"INCRBY": "incr", "FLUSHDB": "flush", "FLUSHALL": "flush", "BGREWRITEAOF": "save",
-		"CLUSTER": "other", "REPLSYNC": "other", "REPLPING": "other", "REPLACK": "other",
-		"REPLINFO": "other", "REPLTAKEOVER": "other", "REPLICAOF": "other", "": "other",
+		"CLUSTER": "other", "": "other",
 	}
 	labels := make(map[string]bool)
 	for id := cmdNone; id < numCmdIDs; id++ {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -271,6 +273,122 @@ func FuzzReadCommandInto(f *testing.F) {
 				t.Fatalf("accepted %q, which re-encodes as %q", in[consumed:end], enc.Bytes())
 			}
 			consumed = end
+		}
+	})
+}
+
+// FuzzReadReply feeds arbitrary bytes to the reply decoder as a
+// stream of replies. It must never panic, and every reply it accepts
+// must re-encode with WriteReply to exactly the bytes it consumed.
+func FuzzReadReply(f *testing.F) {
+	for _, seed := range []string{
+		"+OK\r\n",
+		"-ERR unknown command 'X'\r\n",
+		":0\r\n:-42\r\n:9223372036854775807\r\n:-9223372036854775808\r\n",
+		"$3\r\nabc\r\n$0\r\n\r\n$-1\r\n",
+		"*2\r\n$1\r\na\r\n*1\r\n:1\r\n",
+		"*0\r\n*-1\r\n",
+		":+5\r\n",
+		":007\r\n",
+		":-0\r\n",
+		":9223372036854775808\r\n",
+		":20000000000000000000\r\n",
+		"$03\r\nabc\r\n",
+		"*1\r\n$3\r\nab",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if hugeArrayHeader(in) {
+			return
+		}
+		src := bytes.NewReader(in)
+		r := bufio.NewReader(src)
+		var enc bytes.Buffer
+		w := bufio.NewWriter(&enc)
+		consumed := 0
+		for {
+			rep, err := ReadReply(r)
+			if err != nil {
+				return
+			}
+			end := len(in) - src.Len() - r.Buffered()
+			enc.Reset()
+			if err := WriteReply(w, rep); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc.Bytes(), in[consumed:end]) {
+				t.Fatalf("accepted %q, which re-encodes as %q", in[consumed:end], enc.Bytes())
+			}
+			consumed = end
+		}
+	})
+}
+
+// hugeArrayHeader reports whether in holds a "*<n>" with n above 4096
+// anywhere. ReadReply allocates an array header's elements before
+// reading them (up to MaxArrayLen, 80 MB), so nested big headers of a
+// few bytes each would have the fuzzer allocate gigabytes; the target
+// skips them.
+func hugeArrayHeader(in []byte) bool {
+	for i := bytes.IndexByte(in, '*'); i >= 0; {
+		n := 0
+		for _, c := range in[i+1:] {
+			if c < '0' || c > '9' || n > 4096 {
+				break
+			}
+			n = n*10 + int(c-'0')
+		}
+		if n > 4096 {
+			return true
+		}
+		j := bytes.IndexByte(in[i+1:], '*')
+		if j < 0 {
+			break
+		}
+		i += 1 + j
+	}
+	return false
+}
+
+// FuzzReplayAOF replays a log of a valid header plus arbitrary bytes.
+// Replay must never panic, and the end mark it returns must lie inside
+// the file; truncated at that mark, the file must replay cleanly to
+// the same record count and the same mark — the truncation EnableAOF
+// performs before it appends again.
+func FuzzReplayAOF(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n*2\r\n$4\r\nINCR\r\n$1\r\nn\r\n",
+		"*3\r\n$5\r\nRPUSH\r\n$1\r\nl\r\n$1\r\nx\r\n*3\r\n$5\r\nRPUSH\r\n$1\r\nl\r\n$3\r\nto",
+		"*3\r\n$5\r\nRPUSH\r\n$1\r\nl\r\n$1\r\nx\r\n*2\r\n$4\r\nINCR\r\n$1\r\nl\r\n",
+		"*1\r\n$7\r\nFLUSHDB\r\n*1\r\n$4\r\nMSET\r\n",
+		"*2\r\n$3\r\nDEL\r\n$1\r\nk\r\n*1\r\n$-1\r\n",
+		"*3\r\n$6\r\nAPPEND\r\n$1\r\nk\r\n$2\r\nab\r\n*1\r\n",
+		"garbage\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.aof")
+		hdr := encodeAOFHeader(42)
+		img := append(hdr[:], body...)
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, end, _ := ReplayAOFSince(path, NewEngine(), AOFMark{})
+		if end.Gen != 42 || end.Off < int64(aofHeaderLen) || end.Off > int64(len(img)) {
+			t.Fatalf("end mark %+v outside the %d-byte log", end, len(img))
+		}
+		if err := os.Truncate(path, end.Off); err != nil {
+			t.Fatal(err)
+		}
+		n2, end2, err := ReplayAOFSince(path, NewEngine(), AOFMark{})
+		if err != nil || n2 != n || end2 != end {
+			t.Fatalf("truncated at %d: replayed %d to %+v (err %v), want %d to %+v", end.Off, n2, end2, err, n, end)
 		}
 	})
 }

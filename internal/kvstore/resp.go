@@ -17,8 +17,8 @@
 // fresh memory the caller owns forever: every client read retains its
 // payload. Commands (ReadCommandInto with a CommandBuffer) parse into
 // caller-provided storage that is recycled on the next call — the
-// server's per-connection hot path, AOF replay and the replication
-// stream use it, so steady-state request handling does not allocate.
+// server's per-connection hot path and AOF replay use it, so
+// steady-state request handling does not allocate.
 // Anything that retains command bytes past one request (the engine's
 // SET, RPUSH, …) must copy at that boundary; see engine.go.
 package kvstore
@@ -214,24 +214,19 @@ func parseLen(line []byte, max int, what string) (n int, null bool, err error) {
 }
 
 // parseInt parses a full-range signed RESP integer without the
-// strconv string conversion.
+// strconv string conversion. Like parseLen it accepts only the
+// spelling WriteReply writes: no '+', no leading zero, no "-0".
 func parseInt(b []byte) (int64, bool) {
-	if len(b) == 0 {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) == 0 || b[0] == '0' && (neg || len(b) > 1) {
 		return 0, false
 	}
-	neg := false
-	i := 0
-	if b[0] == '-' || b[0] == '+' {
-		neg = b[0] == '-'
-		i++
-		if i == len(b) {
-			return 0, false
-		}
-	}
 	var v uint64
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
+	for _, c := range b {
+		if c < '0' || c > '9' || v > (1<<63)/10 {
 			return 0, false
 		}
 		v = v*10 + uint64(c-'0')
@@ -329,9 +324,8 @@ type CommandBuffer struct {
 	spans []int // flattened (start, end) offset pairs into data
 	args  [][]byte
 	// id is the command the last ReadCommandInto decoded, resolved while
-	// its name bytes were at hand; the server, AOF replay and the
-	// replication stream dispatch on it instead of resolving the
-	// returned name a second time.
+	// its name bytes were at hand; the server and AOF replay dispatch
+	// on it instead of resolving the returned name a second time.
 	id cmdID
 }
 

@@ -10,7 +10,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pareto/internal/telemetry"
@@ -49,17 +48,6 @@ type Server struct {
 	snapMark AOFMark
 
 	cluster *clusterConfig
-
-	// Replication state. role flips between primary and replica
-	// (StartReplicaOf / PromoteToPrimary) and is checked lock-free per
-	// command for read-only dispatch; hub is the primary side's replica
-	// registry and ack ledger; replica is the replica side's session.
-	role      atomic.Int32 // replRole
-	hub       *replHub
-	replica   *replicaSession
-	promoteMu sync.Mutex
-	replCfg   ReplicationConfig
-	replm     *replMetrics
 }
 
 // NewServer wraps an engine; a nil engine gets a fresh one.
@@ -67,12 +55,7 @@ func NewServer(engine *Engine) *Server {
 	if engine == nil {
 		engine = NewEngine()
 	}
-	s := &Server{engine: engine, conns: make(map[net.Conn]struct{})}
-	s.hub = newReplHub()
-	s.replm = newReplMetrics(nil)
-	s.hub.m = s.replm
-	s.replCfg.normalize()
-	return s
+	return &Server{engine: engine, conns: make(map[net.Conn]struct{})}
 }
 
 // Engine returns the underlying storage engine (useful for embedding
@@ -134,14 +117,6 @@ func (s *Server) EnableAOF(path string, window time.Duration) error {
 	return nil
 }
 
-// AOF returns the server's append-only log, or nil when EnableAOF was
-// never called (useful for white-box durability tests).
-func (s *Server) AOF() *AOF {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.aof
-}
-
 // SetClusterSlots enables hash-slot cluster mode: the server owns the
 // slots assigned to self (its advertised address) in ranges, answers
 // MOVED redirects for keys hashing elsewhere, CLUSTERDOWN for
@@ -161,10 +136,8 @@ func (s *Server) SetClusterSlots(self string, ranges []SlotRange) error {
 			served++
 		}
 	}
-	cfg := &clusterConfig{self: self}
-	cfg.table.Store(table)
 	s.mu.Lock()
-	s.cluster = cfg
+	s.cluster = &clusterConfig{self: self, table: table}
 	s.telemetry.Gauge("kv_cluster_slots_served").Set(int64(served))
 	s.mu.Unlock()
 	return nil
@@ -189,52 +162,7 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 	s.mu.Lock()
 	s.telemetry = reg
 	s.metrics = newServerMetrics(reg)
-	s.replm = newReplMetrics(reg)
-	s.hub.m = s.replm
 	s.mu.Unlock()
-}
-
-// SetReplication tunes the primary side of replication (semi-sync ack
-// gating, feeder heartbeat/poll cadence). Must be called before Listen.
-func (s *Server) SetReplication(cfg ReplicationConfig) {
-	cfg.normalize()
-	s.mu.Lock()
-	s.replCfg = cfg
-	s.mu.Unlock()
-}
-
-func (s *Server) replConfig() ReplicationConfig {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replCfg
-}
-
-func (s *Server) replMetricsRef() *replMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replm
-}
-
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// updateSlotsServed re-derives the kv_cluster_slots_served gauge after
-// a table swap (promotion, CLUSTER REASSIGN).
-func (s *Server) updateSlotsServed(cl *clusterConfig) {
-	served := 0
-	t := cl.table.Load()
-	for _, owner := range t.owner {
-		if owner == cl.self {
-			served++
-		}
-	}
-	s.mu.Lock()
-	reg := s.telemetry
-	s.mu.Unlock()
-	reg.Gauge("kv_cluster_slots_served").Set(int64(served))
 }
 
 // infoReply renders the telemetry snapshot as a JSON bulk string.
@@ -269,67 +197,9 @@ func (s *Server) handleServerCommand(id cmdID, args [][]byte) (Reply, bool) {
 			return errReply("ERR cluster mode not enabled"), true
 		}
 		if len(args) == 1 && strings.EqualFold(string(args[0]), "SLOTS") {
-			return cl.slotsReply(s.hub.addrs()), true
-		}
-		if len(args) == 3 && strings.EqualFold(string(args[0]), "REASSIGN") {
-			// CLUSTER REASSIGN <from> <to>: rewrite every slot owned by
-			// from to to — how failover convergence reaches the nodes
-			// that were not part of the promotion itself.
-			from, to := string(args[1]), string(args[2])
-			if from == "" || to == "" || from == to {
-				return errReply("ERR bad REASSIGN addresses"), true
-			}
-			var n int
-			for {
-				old := cl.table.Load()
-				nt, moved := old.reassign(from, to)
-				if moved == 0 {
-					break
-				}
-				if cl.table.CompareAndSwap(old, nt) {
-					n = moved
-					break
-				}
-			}
-			s.updateSlotsServed(cl)
-			return intReply(int64(n)), true
+			return cl.slotsReply(), true
 		}
 		return errReply("ERR unknown CLUSTER subcommand"), true
-	case cmdReplInfo:
-		return s.replInfoReply(), true
-	case cmdReplTakeover:
-		moved, err := s.PromoteToPrimary(true)
-		if err != nil {
-			return errReply("ERR " + err.Error()), true
-		}
-		return intReply(int64(moved)), true
-	case cmdReplicaOf:
-		if len(args) == 2 && strings.EqualFold(string(args[0]), "NO") &&
-			strings.EqualFold(string(args[1]), "ONE") {
-			if _, err := s.PromoteToPrimary(false); err != nil {
-				return errReply("ERR " + err.Error()), true
-			}
-			return okReply(), true
-		}
-		var addr string
-		switch len(args) {
-		case 1:
-			addr = string(args[0])
-		case 2:
-			addr = string(args[0]) + ":" + string(args[1])
-		default:
-			return errReply("ERR usage: REPLICAOF <host:port> | NO ONE"), true
-		}
-		var self string
-		s.mu.Lock()
-		if s.cluster != nil {
-			self = s.cluster.self
-		}
-		s.mu.Unlock()
-		if err := s.StartReplicaOf(addr, ReplicaOptions{SelfAddr: self}); err != nil {
-			return errReply("ERR " + err.Error()), true
-		}
-		return okReply(), true
 	}
 	return Reply{}, false
 }
@@ -446,7 +316,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Lock()
 	aof := s.aof
 	cluster := s.cluster
-	replCfg := s.replCfg
 	s.mu.Unlock()
 
 	// pendingSeq is the highest AOF record this connection has appended
@@ -459,18 +328,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			pendingSeq = 0
 			if err != nil {
 				return err
-			}
-			if replCfg.MinAckReplicas > 0 {
-				// Semi-sync gate: the batch is durable locally; now hold
-				// the acks until enough replicas have applied through the
-				// durable offset, so an acked write survives losing this
-				// node. On timeout the connection fails — the client
-				// never saw an ack for the batch.
-				gen, off := aof.DurablePos()
-				if werr := s.hub.waitAcked(gen, off, replCfg.MinAckReplicas, replCfg.AckTimeout); werr != nil {
-					s.replm.ackTimeouts.Inc()
-					return werr
-				}
 			}
 		}
 		n, err := rw.flush()
@@ -506,16 +363,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			stats.begin()
 		}
 		id := cb.id
-		if id == cmdReplSync {
-			// The connection becomes a replication stream: flush anything
-			// pipelined ahead of the handshake, then hand the conn (and
-			// its read buffer) to the feeder until the stream dies.
-			if err := flushReplies(); err != nil {
-				return
-			}
-			s.serveReplSync(conn, r, args)
-			return
-		}
 		var reply Reply
 		handled := false
 		if cluster != nil {
@@ -527,18 +374,11 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			}
 		}
-		writes := cmdTable[id].writes
-		if !handled && writes && s.role.Load() == int32(roleReplica) {
-			// Replicas apply writes only from the replication stream; a
-			// client write here would silently diverge from the primary.
-			reply = errReply("READONLY You can't write against a read only replica.")
-			handled = true
-		}
 		if !handled {
 			reply, handled = s.handleServerCommand(id, args)
 		}
 		if !handled {
-			if aof != nil && writes {
+			if aof != nil && cmdTable[id].writes {
 				// Shared persistence lock across apply + append: a
 				// rewrite can never snapshot between the two and then
 				// double-apply the record on restart.
@@ -592,7 +432,6 @@ func (s *Server) Close() error {
 	lns := s.listeners
 	snapshotPath := s.snapshotPath
 	aof := s.aof
-	rs := s.replica
 	for c := range s.conns {
 		c.Close()
 	}
@@ -602,10 +441,6 @@ func (s *Server) Close() error {
 		if cerr := ln.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-	}
-	if rs != nil {
-		rs.shutdown()
-		rs.wg.Wait()
 	}
 	s.wg.Wait()
 	s.persistMu.Lock()
@@ -646,8 +481,8 @@ func (s *Server) Close() error {
 // close and goroutines drain, but nothing is flushed or persisted — the
 // AOF keeps exactly the bytes group commit already made durable, the
 // snapshot stays untouched, and buffered un-fsynced records (whose
-// writes were never acknowledged) vanish. Chaos tests use it to assert
-// acked-write durability across failover.
+// writes were never acknowledged) vanish. Crash tests use it to assert
+// that every acknowledged write survives a restart.
 func (s *Server) Kill() {
 	s.mu.Lock()
 	if s.closed {
@@ -657,7 +492,6 @@ func (s *Server) Kill() {
 	s.closed = true
 	lns := s.listeners
 	aof := s.aof
-	rs := s.replica
 	for c := range s.conns {
 		c.Close()
 	}
@@ -667,10 +501,6 @@ func (s *Server) Kill() {
 	}
 	if aof != nil {
 		aof.abandon()
-	}
-	if rs != nil {
-		rs.shutdown()
-		rs.wg.Wait()
 	}
 	s.wg.Wait()
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Hash-slot cluster mode. The keyspace is divided into NumSlots hash
@@ -158,29 +157,12 @@ func (t *slotTable) ranges() []SlotRange {
 	return out
 }
 
-// reassign returns a copy of the table with every slot owned by from
-// rewritten to to, plus how many slots moved. The original is never
-// mutated — failover swaps whole tables atomically so the hot-path
-// ownership check stays lock-free.
-func (t *slotTable) reassign(from, to string) (*slotTable, int) {
-	nt := &slotTable{owner: t.owner}
-	n := 0
-	for s := range nt.owner {
-		if nt.owner[s] == from {
-			nt.owner[s] = to
-			n++
-		}
-	}
-	return nt, n
-}
-
 // clusterConfig is a server's view of the cluster: the shared slot
-// table plus its own advertised address. The table pointer is swapped
-// atomically by failover (REPLTAKEOVER, CLUSTER REASSIGN) while
-// connection goroutines read it lock-free per command.
+// table plus its own advertised address. Both are set once, before
+// Listen, so connection goroutines read them without a lock.
 type clusterConfig struct {
 	self  string
-	table atomic.Pointer[slotTable]
+	table *slotTable
 }
 
 // checkSlots enforces slot ownership for one command: every key the
@@ -207,7 +189,7 @@ func (cc *clusterConfig) checkSlots(id cmdID, args [][]byte) (Reply, bool) {
 
 func (cc *clusterConfig) checkKey(key []byte) (Reply, bool) {
 	slot := slotForKeyBytes(key)
-	owner := cc.table.Load().owner[slot]
+	owner := cc.table.owner[slot]
 	if owner == "" {
 		return errReply("CLUSTERDOWN Hash slot " + strconv.Itoa(slot) + " not served"), true
 	}
@@ -218,25 +200,16 @@ func (cc *clusterConfig) checkKey(key []byte) (Reply, bool) {
 }
 
 // slotsReply renders the table as the CLUSTER SLOTS reply: an array of
-// [lo, hi, addr, replica...] entries. Replica addresses are appended
-// only to the ranges this server itself owns — a node can only vouch
-// for the replicas streaming from it — so an operator reads a dead
-// primary's takeover candidate off the reply it gave while alive.
-func (cc *clusterConfig) slotsReply(selfReplicas []string) Reply {
-	rs := cc.table.Load().ranges()
+// [lo, hi, addr] entries.
+func (cc *clusterConfig) slotsReply() Reply {
+	rs := cc.table.ranges()
 	out := make([]Reply, len(rs))
 	for i, r := range rs {
-		entry := []Reply{
+		out[i] = Reply{Type: Array, Array: []Reply{
 			intReply(int64(r.Lo)),
 			intReply(int64(r.Hi)),
 			bulkReply([]byte(r.Addr)),
-		}
-		if r.Addr == cc.self {
-			for _, rep := range selfReplicas {
-				entry = append(entry, bulkReply([]byte(rep)))
-			}
-		}
-		out[i] = Reply{Type: Array, Array: entry}
+		}}
 	}
 	return Reply{Type: Array, Array: out}
 }

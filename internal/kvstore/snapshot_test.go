@@ -201,3 +201,67 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRestart times what bounds a node's recovery: one restart
+// (EnableSnapshot + EnableAOF, then Kill) of a server whose N keys
+// live in an AOF alone, or in a snapshot beside an empty AOF — the
+// state a SAVE leaves. file_B is the bytes the restart reads.
+func BenchmarkRestart(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		for _, mode := range []string{"aof", "snapshot"} {
+			b.Run(fmt.Sprintf("%s/%dk", mode, n/1000), func(b *testing.B) {
+				dir := b.TempDir()
+				snap, aof := filepath.Join(dir, "node.pkvs"), filepath.Join(dir, "node.aof")
+				a, err := OpenAOF(aof, time.Millisecond, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e := NewEngine()
+				val := bytes.Repeat([]byte("v"), 32)
+				for i := 0; i < n; i++ {
+					args := [][]byte{[]byte(fmt.Sprintf("key:%07d", i)), val}
+					if mode == "aof" {
+						_, err = a.Append("SET", args)
+					} else {
+						e.Do("SET", args...)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := a.Close(); err != nil {
+					b.Fatal(err)
+				}
+				read := aof
+				if mode == "snapshot" {
+					if err := e.SaveSnapshotFileMark(snap, AOFMark{}); err != nil {
+						b.Fatal(err)
+					}
+					read = snap
+				}
+				fi, err := os.Stat(read)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					srv := NewServer(nil)
+					if mode == "snapshot" {
+						if err := srv.EnableSnapshot(snap); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := srv.EnableAOF(aof, 0); err != nil {
+						b.Fatal(err)
+					}
+					if got := srv.Engine().Size(); got != int64(n) {
+						b.Fatalf("restart holds %d keys, want %d", got, n)
+					}
+					srv.Kill()
+				}
+				b.ReportMetric(float64(fi.Size()), "file_B")
+			})
+		}
+	}
+}
