@@ -6,10 +6,8 @@
 //	paretobench -exp fig3            # one artifact at the small scale
 //	paretobench -exp all -scale paper
 //	paretobench -exp fig3 -snapshot telemetry.json
-//	paretobench -frontier -frontier-nodes 64 -frontier-alphas 41
+//	paretobench -frontier
 //	paretobench -frontier -frontier-exact -serve :8080
-//	paretobench -sim -sim-nodes 64 -sim-policy greedy-stealing -sim-rate 200
-//	paretobench -sim -sim-trace workload.jsonl -sim-decisions decisions.jsonl
 //	paretobench -replan -replan-records 50000 -replan-cycles 8
 //
 // Each experiment prints an aligned text table with one row per
@@ -21,25 +19,19 @@
 //
 // -frontier switches to the warm-started frontier enumerator: it
 // prints the dominance-filtered Pareto frontier over a paper-shaped
-// cluster of -frontier-nodes nodes, with warm/cold solve statistics.
-// With -serve the same enumeration is also exported over HTTP at
-// /frontier alongside the telemetry endpoints.
-//
-// -sim switches to the discrete-event cluster simulator: a virtual
-// paper-shaped cluster of -sim-nodes nodes serves a seeded synthetic
-// workload (-sim-arrivals/-sim-rate/-sim-duration/-sim-seed) or a
-// recorded JSONL trace (-sim-trace) under the -sim-policy scheduling
-// policy, reporting per-node busy time and green/dirty energy,
-// queueing-delay quantiles, and the sustained events/sec. -sim-decisions
-// records every routing decision for counterfactual comparison.
+// cluster of 64 nodes and 1,000,000 units, sampled at 41 α values or,
+// with -frontier-exact, bisected to its exact breakpoints, with
+// warm/cold solve statistics. With -serve the same models are also
+// exported over HTTP at /frontier alongside the telemetry endpoints.
 //
 // -replan switches to the incremental online replanning loop: a seeded
-// topic-blocked corpus is planned cold, then each round ingests a
-// drifting batch and runs one control cycle — printing whether the loop
-// stayed clean, re-stratified incrementally (warm-starting the sizing
-// LP from the previous basis), or fell back to a full replan, plus the
-// migration move budget spent. A final cold full replan over the
-// drifted corpus anchors the incremental cycle times.
+// topic-blocked corpus is planned cold on 4 nodes, then each round
+// ingests a drifting batch of 100 records and runs one control cycle —
+// printing whether the loop stayed clean, re-stratified incrementally
+// (warm-starting the sizing LP from the previous basis), or fell back
+// to a full replan, plus the migration move budget spent. A final cold
+// full replan over the drifted corpus anchors the incremental cycle
+// times.
 package main
 
 import (
@@ -65,32 +57,12 @@ func main() {
 		snapshot = flag.String("snapshot", "", "write the final telemetry snapshot as JSON to this file (\"-\" = stdout)")
 
 		frontierMode = flag.Bool("frontier", false, "enumerate the time/energy Pareto frontier instead of running experiments")
-		fNodes       = flag.Int("frontier-nodes", 64, "frontier: number of paper-shaped nodes")
-		fAlphas      = flag.Int("frontier-alphas", 41, "frontier: α samples for the sweep")
 		fExact       = flag.Bool("frontier-exact", false, "frontier: exact breakpoint bisection instead of α sampling")
-		fTotal       = flag.Int("frontier-total", 1_000_000, "frontier: total data units to partition")
 		serve        = flag.String("serve", "", "serve /frontier and telemetry on this address (e.g. :8080) after printing")
 
-		simMode      = flag.Bool("sim", false, "run the discrete-event cluster simulator instead of experiments")
-		simNodes     = flag.Int("sim-nodes", 16, "sim: number of paper-shaped nodes")
-		simPolicy    = flag.String("sim-policy", "greedy-stealing", "sim: scheduling policy (round-robin, least-loaded, weighted-scoring, greedy-stealing)")
-		simArrivals  = flag.String("sim-arrivals", "poisson", "sim: arrival process (poisson, uniform, bursty)")
-		simRate      = flag.Float64("sim-rate", 100, "sim: mean arrival rate, tasks per virtual second")
-		simDuration  = flag.Float64("sim-duration", 600, "sim: arrival window, virtual seconds")
-		simCost      = flag.Float64("sim-cost", 2e5, "sim: mean abstract cost per task")
-		simOffset    = flag.Float64("sim-offset", 0, "sim: start offset into the solar traces, seconds")
-		simSeed      = flag.Int64("sim-seed", 1, "sim: workload generator seed")
-		simTrace     = flag.String("sim-trace", "", "sim: replay a recorded JSONL task trace instead of generating")
-		simDecisions = flag.String("sim-decisions", "", "sim: write the per-decision trace to this JSONL file (\"-\" = stdout)")
-
-		replanMode      = flag.Bool("replan", false, "drive the incremental online replanning loop instead of experiments")
-		replanRecords   = flag.Int("replan-records", 50_000, "replan: seed corpus size in records")
-		replanTopics    = flag.Int("replan-topics", 32, "replan: planted topics (= strata)")
-		replanNodes     = flag.Int("replan-nodes", 4, "replan: number of paper-shaped nodes")
-		replanCycles    = flag.Int("replan-cycles", 8, "replan: drift/replan rounds to run")
-		replanBatch     = flag.Int("replan-batch", 100, "replan: records ingested per round")
-		replanThreshold = flag.Float64("replan-threshold", 5e-5, "replan: per-stratum drift threshold (0 forces full replans)")
-		replanBudget    = flag.Int("replan-budget", 2000, "replan: max migration moves per cycle (0 = unbounded)")
+		replanMode    = flag.Bool("replan", false, "drive the incremental online replanning loop instead of experiments")
+		replanRecords = flag.Int("replan-records", 50_000, "replan: seed corpus size in records")
+		replanCycles  = flag.Int("replan-cycles", 8, "replan: drift/replan rounds to run")
 	)
 	flag.Parse()
 	if *list {
@@ -100,42 +72,14 @@ func main() {
 		return
 	}
 	if *frontierMode {
-		if err := runFrontier(*fNodes, *fTotal, *fAlphas, *fExact, *serve); err != nil {
+		if err := runFrontier(*fExact, *serve); err != nil {
 			fmt.Fprintf(os.Stderr, "paretobench: frontier: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *simMode {
-		err := runSim(simOpts{
-			nodes:     *simNodes,
-			policy:    *simPolicy,
-			arrivals:  *simArrivals,
-			rate:      *simRate,
-			duration:  *simDuration,
-			cost:      *simCost,
-			offset:    *simOffset,
-			seed:      *simSeed,
-			trace:     *simTrace,
-			decisions: *simDecisions,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paretobench: sim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *replanMode {
-		err := runReplan(replanOpts{
-			records:   *replanRecords,
-			topics:    *replanTopics,
-			nodes:     *replanNodes,
-			cycles:    *replanCycles,
-			batch:     *replanBatch,
-			threshold: *replanThreshold,
-			budget:    *replanBudget,
-		})
-		if err != nil {
+		if err := runReplan(*replanRecords, *replanCycles); err != nil {
 			fmt.Fprintf(os.Stderr, "paretobench: replan: %v\n", err)
 			os.Exit(1)
 		}
@@ -177,12 +121,21 @@ func main() {
 	}
 }
 
+// The frontier the -frontier mode enumerates: a paper-shaped cluster of
+// frontierNodes nodes sharing frontierTotal data units, swept at
+// frontierAlphas uniform α samples unless -frontier-exact bisects.
+const (
+	frontierNodes  = 64
+	frontierAlphas = 41
+	frontierTotal  = 1_000_000
+)
+
 // runFrontier enumerates and prints the Pareto frontier for a
 // paper-shaped cluster, then optionally serves it over HTTP.
-func runFrontier(nodes, total, alphas int, exact bool, addr string) error {
-	models := frontier.PaperModels(nodes)
+func runFrontier(exact bool, addr string) error {
+	models := frontier.PaperModels(frontierNodes)
 	reg := telemetry.NewRegistry()
-	cfg := frontier.Config{Alphas: frontier.UniformAlphas(alphas), Telemetry: reg}
+	cfg := frontier.Config{Alphas: frontier.UniformAlphas(frontierAlphas), Telemetry: reg}
 
 	start := time.Now()
 	var (
@@ -190,9 +143,9 @@ func runFrontier(nodes, total, alphas int, exact bool, addr string) error {
 		err error
 	)
 	if exact {
-		res, err = frontier.Exact(models, total, cfg)
+		res, err = frontier.Exact(models, frontierTotal, cfg)
 	} else {
-		res, err = frontier.Sweep(models, total, cfg)
+		res, err = frontier.Sweep(models, frontierTotal, cfg)
 	}
 	if err != nil {
 		return err
@@ -203,7 +156,7 @@ func runFrontier(nodes, total, alphas int, exact bool, addr string) error {
 	if exact {
 		mode = "exact bisection"
 	}
-	fmt.Printf("=== frontier (%s, %d nodes, %d units) ===\n", mode, nodes, total)
+	fmt.Printf("=== frontier (%s, %d nodes, %d units) ===\n", mode, frontierNodes, frontierTotal)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "α\tmakespan s\tdirty J\twarm\tpivots\t")
 	for _, p := range res.Frontier() {
@@ -222,7 +175,7 @@ func runFrontier(nodes, total, alphas int, exact bool, addr string) error {
 	if addr != "" {
 		mux := reg.Handler()
 		frontier.Mount(mux, frontier.NewService(
-			frontier.StaticSource{Nodes: models, Total: total},
+			frontier.StaticSource{Nodes: models, Total: frontierTotal},
 			frontier.Config{Telemetry: reg},
 		))
 		fmt.Printf("serving /frontier and /metrics on %s\n", addr)

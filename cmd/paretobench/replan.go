@@ -18,16 +18,17 @@ import (
 	"pareto/internal/telemetry"
 )
 
-// replanOpts carries the -replan-* flag values.
-type replanOpts struct {
-	records   int
-	topics    int
-	nodes     int
-	cycles    int
-	batch     int
-	threshold float64
-	budget    int
-}
+// The -replan loop's fixed set-up: replanTopics planted topics (=
+// strata) on replanNodes paper-shaped nodes, replanBatch records
+// ingested per round, a per-stratum drift threshold of replanThreshold
+// and at most replanBudget migration moves per cycle.
+const (
+	replanTopics    = 32
+	replanNodes     = 4
+	replanBatch     = 100
+	replanThreshold = 5e-5
+	replanBudget    = 2000
+)
 
 // replanCorpus builds the deterministic topic-blocked text corpus the
 // driver drifts against: doc i belongs to topic i%topics and draws 12
@@ -58,18 +59,18 @@ func driftItems(gen int) []sketch.Item {
 	return items
 }
 
-// runReplan drives the incremental replanning loop: a seeded corpus is
-// planned cold, then -replan-cycles rounds each ingest a drifting batch
+// runReplan drives the incremental replanning loop: a seeded corpus of
+// records is planned cold, then cycles rounds each ingest a drifting batch
 // and run one Cycle, printing what the loop decided (clean, incremental
 // re-stratification, or full replan) and what it cost. A final cold
 // core.BuildPlan over the drifted corpus anchors the incremental cycle
 // times against the full-replan baseline.
-func runReplan(opts replanOpts) error {
-	base, err := replanCorpus(opts.records, opts.topics)
+func runReplan(records, cycles int) error {
+	base, err := replanCorpus(records, replanTopics)
 	if err != nil {
 		return err
 	}
-	cl, err := cluster.PaperCluster(opts.nodes, energy.DefaultPanel(), 172, 48)
+	cl, err := cluster.PaperCluster(replanNodes, energy.DefaultPanel(), 172, 48)
 	if err != nil {
 		return err
 	}
@@ -82,7 +83,7 @@ func runReplan(opts replanOpts) error {
 		Scheme:   partitioner.Representative,
 		Stratifier: strata.StratifierConfig{
 			SketchWidth: 24,
-			Cluster:     strata.Config{K: opts.topics, L: 3, Seed: 7},
+			Cluster:     strata.Config{K: replanTopics, L: 3, Seed: 7},
 			Seed:        5,
 		},
 		SampleSeed: 3,
@@ -91,8 +92,8 @@ func runReplan(opts replanOpts) error {
 	start := time.Now()
 	l, err := replan.New(base, cl, profile, replan.Config{
 		Core:             cfg,
-		Drift:            strata.DriftConfig{Threshold: opts.threshold},
-		MaxMovesPerCycle: opts.budget,
+		Drift:            strata.DriftConfig{Threshold: replanThreshold},
+		MaxMovesPerCycle: replanBudget,
 		Store:            partitioner.NewMemoryStore(),
 		Telemetry:        reg,
 	})
@@ -101,7 +102,7 @@ func runReplan(opts replanOpts) error {
 	}
 	coldPlan := time.Since(start)
 	fmt.Printf("corpus %d records, %d topics, cluster of %d nodes; cold plan + initial placement %v\n\n",
-		opts.records, opts.topics, opts.nodes, coldPlan.Round(time.Millisecond))
+		records, replanTopics, replanNodes, coldPlan.Round(time.Millisecond))
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "cycle\tkind\tdirty\tlp\tprofile runs\tplaced\tmoved\tdeferred\tshipped\telapsed")
@@ -110,8 +111,8 @@ func runReplan(opts replanOpts) error {
 	// ingested and shipped are bytes: what the rounds added to the corpus
 	// and what their cycles handed the store.
 	var ingested, shipped int
-	for c := 1; c <= opts.cycles; c++ {
-		for i := 0; i < opts.batch; i++ {
+	for c := 1; c <= cycles; c++ {
+		for i := 0; i < replanBatch; i++ {
 			if _, err := l.Ingest(driftItems(c), 6, nil); err != nil {
 				return err
 			}
@@ -168,7 +169,7 @@ func runReplan(opts replanOpts) error {
 	}
 	if ingested > 0 {
 		fmt.Printf("shipped %d B to the store for %d B ingested over the %d rounds: %.2fx\n",
-			shipped, ingested, opts.cycles, float64(shipped)/float64(ingested))
+			shipped, ingested, cycles, float64(shipped)/float64(ingested))
 	}
 	snap := reg.Snapshot()
 	fmt.Printf("telemetry: cycles=%d incremental=%d full=%d clean=%d lp_warm=%d lp_cold=%d moves_applied=%d moves_deferred=%d shipped_records=%d shipped_bytes=%d aborts=%d\n",

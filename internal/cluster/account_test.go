@@ -8,7 +8,6 @@ import (
 
 	"pareto/internal/cluster"
 	"pareto/internal/energy"
-	"pareto/internal/sim"
 )
 
 // randomCluster is a paper-shaped cluster whose calibration, speeds
@@ -72,19 +71,13 @@ func conserved(t *testing.T, what string, res *cluster.Result) {
 	}
 }
 
-// Every path into a Result — one real batch, a two-phase sum, and a
-// simulated stream with idle gaps under each policy — goes through
-// Cluster.Account, so one table holds energy conservation for all.
+// Every path into a Result — one real batch and a two-phase sum — goes
+// through Cluster.Account, so one table holds energy conservation for
+// both.
 func TestAccountingConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, p := range []int{1, 4, 13} {
 		c := randomCluster(t, rng, p)
-		// Bursts and lulls at well under the cluster's capacity: nodes
-		// drain between bursts, so busy spans are split by idle gaps.
-		stream, err := sim.Generate(sim.GenConfig{Process: sim.Bursty, Rate: 0.02 * float64(p), Duration: 6 * 3600, CostMean: 2e6, CostSpread: 0.5, FixedSec: 1, Seed: int64(p)})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, hour := range []float64{0, 5.5, 12, 19, 30} {
 			offset := hour * 3600
 			label := fmt.Sprintf("p=%d offset=%vh", p, hour)
@@ -98,27 +91,13 @@ func TestAccountingConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			conserved(t, label+" two-phase", res1.Add(res2))
-			for _, name := range sim.PolicyNames() {
-				pol, err := sim.PolicyByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sim.Run(sim.Config{Cluster: c, Offset: offset, Policy: pol}, stream)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Makespan <= res.NodeTimes[0] {
-					t.Fatalf("%s %s: makespan %v within node 0's busy time %v — the stream left no idle gap", label, name, res.Makespan, res.NodeTimes[0])
-				}
-				conserved(t, label+" sim "+name, &res.Result)
-			}
 		}
 	}
 }
 
 // Node order is only the summation order: permuting the nodes of a
 // pinned single batch permutes the per-node figures and leaves the
-// makespan alone, through Cluster.Run and through sim.Run alike.
+// makespan alone.
 func TestAccountingPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, p := range []int{4, 13} {
@@ -131,15 +110,6 @@ func TestAccountingPermutation(t *testing.T) {
 			pc.Nodes[i] = c.Nodes[from]
 			ptasks.parts[i], ptasks.reports[i] = tasks.parts[from], tasks.reports[from]
 		}
-		pinned := func(b batch) []sim.Task {
-			var out []sim.Task
-			for i, rep := range b.reports {
-				if len(b.parts[i]) > 0 {
-					out = append(out, sim.Task{Cost: rep.Cost, Fixed: rep.FixedSeconds, Pin: i})
-				}
-			}
-			return out
-		}
 		const offset = 11 * 3600
 		base, err := tasks.run(c, offset)
 		if err != nil {
@@ -149,20 +119,68 @@ func TestAccountingPermutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simPermuted, err := sim.Run(sim.Config{Cluster: pc, Offset: offset}, pinned(ptasks))
+		if permuted.Makespan != base.Makespan {
+			t.Errorf("p=%d: makespan %v after permuting, %v before", p, permuted.Makespan, base.Makespan)
+		}
+		for i, from := range perm {
+			if permuted.NodeTimes[i] != base.NodeTimes[from] || permuted.NodeDirty[i] != base.NodeDirty[from] {
+				t.Errorf("p=%d: node %d (was %d) time %v dirty %v, want %v and %v", p, i, from,
+					permuted.NodeTimes[i], permuted.NodeDirty[i], base.NodeTimes[from], base.NodeDirty[from])
+			}
+		}
+	}
+}
+
+// Zero or negative CostRate/Speed used to slip through SimTime as an
+// unchecked division, silently propagating Inf/NaN into Makespan and
+// the energy totals, and a NaN or negative wattage was booked as
+// energy. Both constructors must yield Validate-clean clusters, and
+// every execution entry point must reject a corrupted one loudly.
+func TestValidateGuardsCalibration(t *testing.T) {
+	for name, build := range map[string]func() (*cluster.Cluster, error){
+		"paper":       func() (*cluster.Cluster, error) { return cluster.PaperCluster(8, energy.DefaultPanel(), 172, 24) },
+		"homogeneous": func() (*cluster.Cluster, error) { return cluster.HomogeneousCluster(8, energy.DefaultPanel(), 172, 24) },
+	} {
+		c, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: fresh cluster invalid: %v", name, err)
+		}
+	}
+
+	corruptions := map[string]func(*cluster.Cluster){
+		"zero rate":  func(c *cluster.Cluster) { c.CostRate = 0 },
+		"neg rate":   func(c *cluster.Cluster) { c.CostRate = -1e6 },
+		"nan rate":   func(c *cluster.Cluster) { c.CostRate = math.NaN() },
+		"inf rate":   func(c *cluster.Cluster) { c.CostRate = math.Inf(1) },
+		"zero speed": func(c *cluster.Cluster) { c.Nodes[1].Speed = 0 },
+		"neg speed":  func(c *cluster.Cluster) { c.Nodes[0].Speed = -3 },
+		"nan speed":  func(c *cluster.Cluster) { c.Nodes[2].Speed = math.NaN() },
+		"nan watts":  func(c *cluster.Cluster) { c.Nodes[1].Power.BaseWatts = math.NaN() },
+		"neg watts":  func(c *cluster.Cluster) { c.Nodes[3].Power = energy.PowerModel{BaseWatts: -1} },
+		"inf watts":  func(c *cluster.Cluster) { c.Nodes[0].Power.PerCoreWatts = math.Inf(1) },
+	}
+	for name, corrupt := range corruptions {
+		c, err := cluster.PaperCluster(4, energy.DefaultPanel(), 172, 48)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string]*cluster.Result{"Cluster.Run": permuted, "sim.Run": &simPermuted.Result} {
-			if got.Makespan != base.Makespan {
-				t.Errorf("p=%d %s: makespan %v after permuting, %v before", p, name, got.Makespan, base.Makespan)
-			}
-			for i, from := range perm {
-				if got.NodeTimes[i] != base.NodeTimes[from] || got.NodeDirty[i] != base.NodeDirty[from] {
-					t.Errorf("p=%d %s: node %d (was %d) time %v dirty %v, want %v and %v", p, name, i, from,
-						got.NodeTimes[i], got.NodeDirty[i], base.NodeTimes[from], base.NodeDirty[from])
-				}
-			}
+		corrupt(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate passed", name)
 		}
+		if _, err := c.Run(0, [][]int{{0}, nil, nil, nil}, func(int, []int) (cluster.TaskReport, error) {
+			return cluster.TaskReport{Cost: 1e6}, nil
+		}); err == nil {
+			t.Errorf("%s: Run accepted corrupted cluster", name)
+		}
+		if _, err := c.ProfileAllWithRates([]int{1, 2}, []float64{1, 1}, make([]float64, 4)); err == nil {
+			t.Errorf("%s: ProfileAllWithRates accepted corrupted cluster", name)
+		}
+	}
+	if err := (&cluster.Cluster{CostRate: 1}).Validate(); err == nil {
+		t.Error("empty cluster validated")
 	}
 }

@@ -15,10 +15,9 @@
 //
 // This package owns how cost becomes seconds and joules: ServiceTime
 // is the only cost→seconds expression and Account the only energy
-// booking. Run executes a job on each node's partition and books it;
-// internal/sim schedules task streams in virtual time (queues,
-// policies, work stealing) and books its busy spans through the same
-// two functions.
+// booking. Run executes a job on each node's partition and books it:
+// every node is busy for one span from the job's start, so a node's
+// timeline is [0, busy).
 package cluster
 
 import (
@@ -149,8 +148,8 @@ func HomogeneousCluster(p int, panel energy.Panel, dayOfYear, hours int) (*Clust
 
 // Validate checks the cluster's calibration: a positive finite
 // CostRate, positive finite per-node speeds and a finite, non-negative
-// draw per node. Run, sim.Run, and ProfileAllWithRates validate on
-// entry so a mutated or hand-built cluster fails loudly
+// draw per node. Run and ProfileAllWithRates validate on entry so a
+// mutated or hand-built cluster fails loudly
 // instead of silently propagating Inf/NaN times into Makespan, or a
 // NaN or negative wattage into the energy totals Account books.
 func (c *Cluster) Validate() error {
@@ -207,9 +206,8 @@ type Result struct {
 	NodeTimes []float64
 	// NodeCosts[i] is the abstract cost node i reported.
 	NodeCosts []float64
-	// Makespan is the job's completion time: the latest end of any
-	// node's busy span (the maximum node time when all nodes start
-	// together).
+	// Makespan is the job's completion time: the maximum node time, as
+	// every node starts at the job's start.
 	Makespan float64
 	// NodeDirty[i] is node i's dirty energy in joules over its busy time.
 	NodeDirty []float64
@@ -290,16 +288,14 @@ func (c *Cluster) Run(offset float64, parts [][]int, job func(node int, indices 
 	}
 	costs := make([]float64, len(parts))
 	busy := make([]float64, len(parts))
-	spans := make([][]Span, len(parts))
 	for i, rep := range reports {
 		if !finiteNonNeg(rep.Cost) || !finiteNonNeg(rep.FixedSeconds) {
 			return nil, fmt.Errorf("cluster: node %d reported cost %v and fixed seconds %v, want finite >= 0", i, rep.Cost, rep.FixedSeconds)
 		}
 		costs[i] = rep.Cost
 		busy[i] = ServiceTime(c.Nodes[i].Speed, c.CostRate, rep.Cost, rep.FixedSeconds)
-		spans[i] = []Span{{End: busy[i]}}
 	}
-	res := c.Account(offset, costs, busy, spans)
+	res := c.Account(offset, costs, busy)
 	res.NodeWallSec = wallSec
 	res.WallSec = time.Since(runStart).Seconds()
 	c.recordRun(res)
@@ -308,22 +304,13 @@ func (c *Cluster) Run(offset float64, parts [][]int, job func(node int, indices 
 
 func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
-// Span is one contiguous busy stretch on a node's timeline, in seconds
-// relative to the job's start.
-type Span struct {
-	Start, End float64
-}
-
 // Account books an executed schedule into a Result: node i reported
-// costs[i], was busy for busy[i] seconds in total, and drew power over
-// spans[i] (disjoint, ascending; idle gaps between them are charged
-// nothing). offset places the job's start within the traces. Nodes are
-// booked in index order, which fixes the summation order of the
-// totals. busy is an input rather than Σ(End − Start) because a
-// scheduler accumulates it as a running sum of service times, which
-// rounds differently. The result keeps costs and busy as its
-// NodeCosts/NodeTimes.
-func (c *Cluster) Account(offset float64, costs, busy []float64, spans [][]Span) *Result {
+// costs[i] and was busy for busy[i] seconds from the job's start, so it
+// drew power over the one span [offset, offset+busy[i]) of its trace.
+// Nodes are booked in index order, which fixes the summation order of
+// the totals. The result keeps costs and busy as its
+// NodeCosts/NodeTimes, and its makespan is the largest busy time.
+func (c *Cluster) Account(offset float64, costs, busy []float64) *Result {
 	res := &Result{
 		NodeTimes: busy,
 		NodeCosts: costs,
@@ -333,13 +320,10 @@ func (c *Cluster) Account(offset float64, costs, busy []float64, spans [][]Span)
 	for i := range c.Nodes {
 		watts := c.Nodes[i].Power.Watts()
 		res.TotalEnergy += watts * busy[i]
-		var d float64
-		for _, s := range spans[i] {
-			d += energy.DirtyEnergy(watts, c.Nodes[i].Trace, offset+s.Start, s.End-s.Start)
-			if s.End > res.Makespan {
-				res.Makespan = s.End
-			}
+		if busy[i] > res.Makespan {
+			res.Makespan = busy[i]
 		}
+		d := energy.DirtyEnergy(watts, c.Nodes[i].Trace, offset, busy[i])
 		res.NodeDirty[i] = d
 		res.DirtyEnergy += d
 		// Green = draw the trace covered. DirtyEnergy floors per-step

@@ -39,11 +39,15 @@ func (s StaticSource) FrontierModels() ([]opt.NodeModel, int, error) {
 	return s.Nodes, s.Total, nil
 }
 
+// maxAlphas bounds the α values one request may ask for, as a count
+// (alphas=N) or as a list (alpha=a,b,c).
+const maxAlphas = 100_000
+
 // Service serves frontier enumerations over HTTP. Per-request query
 // parameters override the base Config:
 //
 //	alphas=N          sample N uniform α values in [0,1]
-//	alpha=a,b,c       sample an explicit α list
+//	alpha=a,b,c       sample an explicit α list (at most maxAlphas)
 //	exact=1           exact breakpoint bisection instead of sampling
 //	tol=T             coincidence/convergence tolerance
 //	workers=W         parallelism bound
@@ -126,13 +130,17 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("alphas"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 2 || n > 100000 {
+		if err != nil || n < 2 || n > maxAlphas {
 			http.Error(w, "frontier: alphas must be an integer in [2,100000]", http.StatusBadRequest)
 			return
 		}
 		cfg.Alphas = UniformAlphas(n)
 	}
 	if v := q.Get("alpha"); v != "" {
+		if strings.Count(v, ",") >= maxAlphas {
+			http.Error(w, "frontier: alpha list longer than 100000", http.StatusBadRequest)
+			return
+		}
 		var alphas []float64
 		for _, part := range strings.Split(v, ",") {
 			a, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -146,7 +154,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("tol"); v != "" {
 		tol, err := strconv.ParseFloat(v, 64)
-		if err != nil || tol <= 0 || tol >= 1 {
+		if err != nil || !(tol > 0 && tol < 1) { // NaN too: Exact would never converge
 			http.Error(w, "frontier: tol must be in (0,1)", http.StatusBadRequest)
 			return
 		}

@@ -105,13 +105,15 @@ func TestServiceErrors(t *testing.T) {
 		"/frontier?alpha=x",
 		"/frontier?tol=0",
 		"/frontier?tol=1.5",
+		"/frontier?tol=NaN&exact=1",
 		"/frontier?workers=-1",
 		"/frontier?exact=maybe",
 		"/frontier?all=maybe",
+		"/frontier?alpha=" + strings.Repeat("0,", maxAlphas) + "0", // one α past the alphas= cap
 	} {
 		rec, _ := getFrontier(t, svc, url)
 		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", url, rec.Code)
+			t.Errorf("%.80s: status %d, want 400", url, rec.Code)
 		}
 	}
 }

@@ -499,7 +499,6 @@ var fieldAllow = map[string]string{
 	"kvstore.Options.RetryBackoff":          "backoff TestClientSurvivesMisbehavingStore, TestClientTelemetry and the distrib and replan fault tests shorten",
 	"kvstore.Options.MaxBackoff":            "backoff cap TestClientSurvivesMisbehavingStore and the distrib and replan fault tests shorten",
 	"kvstore.Options.Dialer":                "fault hook: the fault tests dial through faultnet to drop, stall and crash connections",
-	"sim.GenConfig.FixedSec":                "speed-independent task seconds the simulator and accounting tests sweep; the CLI generates CPU-only streams",
 	"workloads/graphcomp.Config.ZetaK":      "ζ shrinking parameter the codec's own tests sweep; every workload runs webgraph's default",
 	"workloads/lz77.Config.MaxChain":        "match-chain bound the codec's own tests sweep",
 	"workloads/lz77.Config.WindowSize":      "window the codec's tests and the root window ablation sweep",
@@ -509,7 +508,7 @@ var fieldAllow = map[string]string{
 
 // fieldAllowCap bounds fieldAllow; it is lowered whenever entries go,
 // never raised.
-const fieldAllowCap = 15
+const fieldAllowCap = 14
 
 // isOptionStruct reports whether a type declaration is one the field
 // rule covers.
