@@ -71,7 +71,7 @@ func TestIntegrationFullPipelineOverKVStores(t *testing.T) {
 		for k, i := range indices {
 			txns[k] = corpus.Docs[i].Terms
 		}
-		pr, err := apriori.MineLocal(txns, support, 2)
+		pr, err := apriori.MineLocal(apriori.NewPartition(txns), support, 2)
 		if err != nil {
 			return 0, err
 		}
@@ -126,7 +126,7 @@ func TestIntegrationFullPipelineOverKVStores(t *testing.T) {
 				}
 				txns = append(txns, d.Terms)
 			}
-			pr, err := apriori.MineLocal(txns, support, 2)
+			pr, err := apriori.MineLocal(apriori.NewPartition(txns), support, 2)
 			if err != nil {
 				errCh <- err
 				return

@@ -252,12 +252,14 @@ func RunWorkStealingMining(w *TextMining, cl *cluster.Cluster, chunksPerNode int
 	}
 	// Phase 1: local mining per chunk (real algorithm, real costs).
 	costs1 := make([]float64, nChunks)
+	views := make([]*apriori.Partition, nChunks)
 	locals := make([]*apriori.PartitionResult, nChunks)
 	for ci, chunk := range chunks {
 		if len(chunk) == 0 {
 			continue
 		}
-		pr, err := apriori.MineLocal(chunk, w.SupportFrac, w.MaxLen)
+		views[ci] = apriori.NewPartition(chunk)
+		pr, err := apriori.MineLocal(views[ci], w.SupportFrac, w.MaxLen)
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +273,11 @@ func RunWorkStealingMining(w *TextMining, cl *cluster.Cluster, chunksPerNode int
 	cands := apriori.GlobalCandidates(locals)
 	// Phase 2: count pass per chunk.
 	costs2 := make([]float64, nChunks)
-	for ci, chunk := range chunks {
-		if len(chunk) == 0 {
+	for ci, v := range views {
+		if v == nil {
 			continue
 		}
-		_, cost := apriori.CountPass(chunk, cands)
+		_, cost := apriori.CountPass(v, cands)
 		costs2[ci] = cost
 	}
 	res2, err := stealingSchedule(cl, costs2, offset+res1.Makespan)

@@ -51,26 +51,30 @@ type Workload interface {
 const minMiningSupportCount = 8
 
 // savasere runs a Savasere-partitioned mining job (§V-B) on the
-// cluster. view builds each partition's data (D) once, and both phases
-// share it. Phase 1 runs local on every partition; the barrier unions
-// the local results (L) into global candidates (C); phase 2 runs count
-// on every partition from the moment phase 1's last node finishes, so
-// times and energies add across phases. A candidate is frequent when
-// its summed count reaches support × the records placed.
+// cluster. Each node's phase-1 task builds its partition's view (D) —
+// the numbered transactions, the forest — and runs local on it; the
+// barrier unions the local results (L) into global candidates (C);
+// phase 2 runs count on the same view on every partition from the
+// moment phase 1's last node finishes, so times and energies add
+// across phases. A candidate is frequent when its summed count reaches
+// support × the records placed.
 func savasere[D, L, C any](cl *cluster.Cluster, assign *partitioner.Assignment, offset, support float64,
-	view func(indices []int) D,
+	view func(indices []int) (D, error),
 	local func(D) (L, float64, error),
 	union func([]L) []C,
 	count func(D, []C) ([]int, float64, error),
 ) (*cluster.Result, map[string]float64, error) {
 	data := make([]D, len(assign.Parts))
 	total := 0
-	for j, indices := range assign.Parts {
-		data[j] = view(indices)
+	for _, indices := range assign.Parts {
 		total += len(indices)
 	}
 	locals := make([]L, len(data))
-	res1, err := cl.Run(offset, assign.Parts, func(j int, _ []int) (cluster.TaskReport, error) {
+	res1, err := cl.Run(offset, assign.Parts, func(j int, indices []int) (cluster.TaskReport, error) {
+		var err error
+		if data[j], err = view(indices); err != nil {
+			return cluster.TaskReport{}, err
+		}
 		l, cost, err := local(data[j])
 		locals[j] = l
 		return cluster.TaskReport{Cost: cost}, err
@@ -167,18 +171,20 @@ func (w *TextMining) MinPartitionRecords() float64 {
 	return minMiningSupportCount / w.SupportFrac
 }
 
-func (w *TextMining) txns(indices []int) []apriori.Transaction {
-	out := make([]apriori.Transaction, len(indices))
+// partition is the view both phases read: the partition's documents,
+// numbered once.
+func (w *TextMining) partition(indices []int) (*apriori.Partition, error) {
+	txns := make([]apriori.Transaction, len(indices))
 	for k, i := range indices {
-		out[k] = w.Docs.Docs[i].Terms
+		txns[k] = w.Docs.Docs[i].Terms
 	}
-	return out
+	return apriori.NewPartition(txns), nil
 }
 
 // mine is phase 1 on one partition: Apriori at the support fraction
 // scaled to the partition's size.
-func (w *TextMining) mine(txns []apriori.Transaction) (*apriori.PartitionResult, float64, error) {
-	pr, err := apriori.MineLocal(txns, w.SupportFrac, w.MaxLen)
+func (w *TextMining) mine(p *apriori.Partition) (*apriori.PartitionResult, float64, error) {
+	pr, err := apriori.MineLocal(p, w.SupportFrac, w.MaxLen)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -187,16 +193,20 @@ func (w *TextMining) mine(txns []apriori.Transaction) (*apriori.PartitionResult,
 
 // Profile implements Workload: phase 1 on the sample.
 func (w *TextMining) Profile(indices []int) (float64, error) {
-	_, cost, err := w.mine(w.txns(indices))
+	p, err := w.partition(indices)
+	if err != nil {
+		return 0, err
+	}
+	_, cost, err := w.mine(p)
 	return cost, err
 }
 
 // Run implements Workload: the two Savasere phases, local Apriori then
 // the global candidate count.
 func (w *TextMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, offset float64) (*cluster.Result, map[string]float64, error) {
-	return savasere(cl, assign, offset, w.SupportFrac, w.txns, w.mine, apriori.GlobalCandidates,
-		func(txns []apriori.Transaction, cands [][]uint32) ([]int, float64, error) {
-			counts, cost := apriori.CountPass(txns, cands)
+	return savasere(cl, assign, offset, w.SupportFrac, w.partition, w.mine, apriori.GlobalCandidates,
+		func(p *apriori.Partition, cands [][]uint32) ([]int, float64, error) {
+			counts, cost := apriori.CountPass(p, cands)
 			return counts, cost, nil
 		})
 }
@@ -229,18 +239,20 @@ func (w *TreeMining) MinPartitionRecords() float64 {
 	return minMiningSupportCount / w.SupportFrac
 }
 
-func (w *TreeMining) subset(indices []int) []pivots.Tree {
-	out := make([]pivots.Tree, len(indices))
+// forest is the view both phases read: the partition's trees, indexed
+// once.
+func (w *TreeMining) forest(indices []int) (*treemine.Forest, error) {
+	trees := make([]pivots.Tree, len(indices))
 	for k, i := range indices {
-		out[k] = w.Trees.Trees[i]
+		trees[k] = w.Trees.Trees[i]
 	}
-	return out
+	return treemine.NewForest(trees)
 }
 
 // mine is phase 1 on one partition: FREQT at the support fraction
 // scaled to the partition's size.
-func (w *TreeMining) mine(trees []pivots.Tree) (*treemine.PartitionResult, float64, error) {
-	pr, err := treemine.MineLocal(trees, w.SupportFrac, treemine.Config{MaxNodes: w.MaxNodes})
+func (w *TreeMining) mine(f *treemine.Forest) (*treemine.PartitionResult, float64, error) {
+	pr, err := treemine.MineLocal(f, w.SupportFrac, treemine.Config{MaxNodes: w.MaxNodes})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -249,20 +261,17 @@ func (w *TreeMining) mine(trees []pivots.Tree) (*treemine.PartitionResult, float
 
 // Profile implements Workload: phase 1 on the sample.
 func (w *TreeMining) Profile(indices []int) (float64, error) {
-	_, cost, err := w.mine(w.subset(indices))
+	f, err := w.forest(indices)
+	if err != nil {
+		return 0, err
+	}
+	_, cost, err := w.mine(f)
 	return cost, err
 }
 
 // Run implements Workload: the same two phases as text mining.
 func (w *TreeMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, offset float64) (*cluster.Result, map[string]float64, error) {
-	return savasere(cl, assign, offset, w.SupportFrac, w.subset, w.mine, treemine.GlobalCandidates,
-		func(trees []pivots.Tree, cands []treemine.Pattern) ([]int, float64, error) {
-			f, err := treemine.NewForest(trees)
-			if err != nil {
-				return nil, 0, err
-			}
-			return treemine.CountPass(f, cands)
-		})
+	return savasere(cl, assign, offset, w.SupportFrac, w.forest, w.mine, treemine.GlobalCandidates, treemine.CountPass)
 }
 
 // ---------------------------------------------------------------------------
@@ -364,7 +373,11 @@ func (w *LZ77Compression) MinPartitionRecords() float64 { return 0 }
 // pack is the job on one partition: LZ77 over its serialized records,
 // plus the speed-independent read of those bytes; sizes are in bytes.
 func (w *LZ77Compression) pack(indices []int) (packed, error) {
-	var data []byte
+	size := 0
+	for _, i := range indices {
+		size += w.Data.RecordSize(i)
+	}
+	data := make([]byte, 0, size)
 	for _, i := range indices {
 		data = w.Data.AppendRecord(data, i)
 	}

@@ -71,7 +71,10 @@ func (t *Tailer) Poll(l *Loop) (int, error) {
 
 // decodeRecord parses one wire record of the given kind into the pivot
 // set and weight its corpus type would expose. The element must contain
-// exactly one record.
+// exactly one record, and what it holds must be what the corpus type
+// accepts: a valid tree (Pivots walks its parent array), or neighbours
+// and terms in strictly increasing order (the pivots.Corpus contract:
+// an ascending, duplicate-free item set).
 func decodeRecord(kind pivots.Kind, raw []byte) ([]sketch.Item, int, error) {
 	switch kind {
 	case pivots.TreeData:
@@ -82,6 +85,9 @@ func decodeRecord(kind pivots.Kind, raw []byte) ([]sketch.Item, int, error) {
 		if len(rest) != 0 {
 			return nil, 0, fmt.Errorf("replan: %d trailing bytes after tree record", len(rest))
 		}
+		if err := tree.Validate(); err != nil {
+			return nil, 0, fmt.Errorf("replan: tree record: %w", err)
+		}
 		return tree.Pivots(), tree.NumNodes(), nil
 	case pivots.GraphData:
 		_, nbrs, rest, err := pivots.DecodeGraphRecord(raw)
@@ -90,6 +96,9 @@ func decodeRecord(kind pivots.Kind, raw []byte) ([]sketch.Item, int, error) {
 		}
 		if len(rest) != 0 {
 			return nil, 0, fmt.Errorf("replan: %d trailing bytes after graph record", len(rest))
+		}
+		if err := increasing(nbrs); err != nil {
+			return nil, 0, fmt.Errorf("replan: graph record neighbours: %w", err)
 		}
 		items := make([]sketch.Item, len(nbrs))
 		for i, u := range nbrs {
@@ -104,6 +113,9 @@ func decodeRecord(kind pivots.Kind, raw []byte) ([]sketch.Item, int, error) {
 		if len(rest) != 0 {
 			return nil, 0, fmt.Errorf("replan: %d trailing bytes after text record", len(rest))
 		}
+		if err := increasing(doc.Terms); err != nil {
+			return nil, 0, fmt.Errorf("replan: text record terms: %w", err)
+		}
 		items := make([]sketch.Item, len(doc.Terms))
 		for i, term := range doc.Terms {
 			items[i] = sketch.Item(term)
@@ -112,4 +124,14 @@ func decodeRecord(kind pivots.Kind, raw []byte) ([]sketch.Item, int, error) {
 	default:
 		return nil, 0, fmt.Errorf("replan: unknown corpus kind %v", kind)
 	}
+}
+
+// increasing reports the first place xs fails to increase strictly.
+func increasing(xs []uint32) error {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			return fmt.Errorf("%d at position %d follows %d", xs[i], i, xs[i-1])
+		}
+	}
+	return nil
 }

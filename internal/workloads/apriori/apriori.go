@@ -21,7 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+
+	"pareto/internal/workloads/dict"
 )
 
 // Transaction is a sorted set of item IDs (a document's term set).
@@ -62,207 +65,286 @@ type Config struct {
 	MaxLen int
 }
 
-// Mine runs levelwise Apriori over the transactions.
-func Mine(txns []Transaction, cfg Config) (*Result, error) {
+// Partition is one partition's transactions numbered for mining: its
+// distinct items get the codes 0 … d−1 in ascending item order, and
+// every transaction is restated in codes once. Both Savasere phases
+// (Mine / MineLocal, then CountPass) read the same Partition, so their
+// per-transaction loops index arrays by code; the hash probes, two per
+// item occurrence, are paid here. A Partition is read-only after
+// NewPartition, so any number of goroutines may mine or count against
+// one.
+type Partition struct {
+	items dict.Dict
+	// Transaction t is the codes at[t] … at[t+1]−1, in its own item
+	// order, repeats kept: in narrow when every code fits 16 bits, else
+	// in wide. A text partition's vocabulary fits, and halves what the
+	// restated transactions take.
+	narrow []uint16
+	wide   []int32
+	at     []int
+}
+
+// narrowCodes is the most codes narrow can hold.
+const narrowCodes = 1 << 16
+
+// NewPartition numbers the transactions. They need not be sorted, and a
+// transaction that repeats an item keeps the repeat.
+func NewPartition(txns []Transaction) *Partition {
+	at := make([]int, len(txns)+1)
+	for i, t := range txns {
+		at[i+1] = at[i] + len(t)
+	}
+	p := &Partition{at: at}
+	list := func(i int) []uint32 { return txns[i] }
+	p.items.Build(len(txns), list)
+	if len(p.items.Values) <= narrowCodes {
+		p.narrow = make([]uint16, at[len(txns)])
+		dict.Encode(&p.items, p.narrow, len(txns), list)
+	} else {
+		p.wide = make([]int32, at[len(txns)])
+		dict.Encode(&p.items, p.wide, len(txns), list)
+	}
+	return p
+}
+
+// size returns the transaction count.
+func (p *Partition) size() int { return len(p.at) - 1 }
+
+// appendPatterns appends the itemsets of level (flat, k codes each) with
+// their supports to out, in items, carved from one backing array.
+func (p *Partition) appendPatterns(out []Pattern, level []int32, k int, support []int32) []Pattern {
+	items := make([]uint32, len(level))
+	for i, c := range level {
+		items[i] = p.items.Values[c]
+	}
+	for i, s := range support {
+		out = append(out, Pattern{Items: items[i*k : (i+1)*k : (i+1)*k], Support: int(s)})
+	}
+	return out
+}
+
+// Mine runs levelwise Apriori over the partition's transactions.
+//
+// Itemsets are mined as tuples of codes. Codes ascend with items, so
+// each level comes out in lexicographic item order and a candidate's
+// first code is its smallest item's, as if the items were mined.
+func Mine(p *Partition, cfg Config) (*Result, error) {
 	if cfg.MinSupport < 1 {
 		return nil, fmt.Errorf("apriori: min support %d, need ≥ 1", cfg.MinSupport)
 	}
-	res := &Result{}
-	// Level 1: count single items.
-	counts := make(map[uint32]int)
-	for _, t := range txns {
-		for _, it := range t {
-			counts[it]++
-		}
-		res.Cost += float64(len(t))
+	d := len(p.items.Values)
+	// Level 1: count single items, one cost unit per occurrence; every
+	// distinct item is a candidate.
+	res := &Result{Candidates: d, Cost: float64(p.at[p.size()])}
+	support := make([]int32, d)
+	if p.wide != nil {
+		tally(p.wide, support)
+	} else {
+		tally(p.narrow, support)
 	}
-	var level []Pattern
-	for it, c := range counts {
-		if c >= cfg.MinSupport {
-			level = append(level, Pattern{Items: []uint32{it}, Support: c})
+	var level []int32
+	for c, n := range support {
+		if int(n) >= cfg.MinSupport {
+			support[len(level)] = n
+			level = append(level, int32(c))
 		}
 	}
-	res.Candidates += len(counts)
-	sortPatterns(level)
-	res.Frequent = append(res.Frequent, level...)
-	k := 2
-	for len(level) > 1 && (cfg.MaxLen == 0 || k <= cfg.MaxLen) {
-		cands := generateCandidates(level)
-		res.Candidates += len(cands)
-		if len(cands) == 0 {
+	res.Frequent = p.appendPatterns(res.Frequent, level, 1, support[:len(level)])
+	s := newCounter(d)
+	for k := 2; len(level) > k-1 && (cfg.MaxLen == 0 || k <= cfg.MaxLen); k++ {
+		cands := join(level, k-1)
+		n := len(cands) / k
+		res.Candidates += n
+		if n == 0 {
 			break
 		}
-		counted, cost := CountCandidates(txns, cands, k)
-		res.Cost += cost
-		level = level[:0]
-		for i, c := range counted {
-			if c >= cfg.MinSupport {
-				level = append(level, Pattern{Items: cands[i], Support: c})
+		counts, cost := s.count(p, cands, k)
+		res.Cost += float64(cost)
+		// Keep the frequent candidates, compacted in place: they are the
+		// next level, still in lexicographic order.
+		kept := 0
+		for i, c := range counts {
+			if int(c) >= cfg.MinSupport {
+				copy(cands[kept*k:], cands[i*k:(i+1)*k])
+				counts[kept] = c
+				kept++
 			}
 		}
-		sortPatterns(level)
-		res.Frequent = append(res.Frequent, level...)
-		k++
+		level = cands[:kept*k]
+		res.Frequent = p.appendPatterns(res.Frequent, level, k, counts[:kept])
 	}
 	return res, nil
 }
 
-// sortPatterns orders patterns by length then lexicographic items.
-func sortPatterns(ps []Pattern) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i].Items, ps[j].Items
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
+// tally adds one to support[c] per occurrence of code c.
+func tally[C uint16 | int32](codes []C, support []int32) {
+	for _, c := range codes {
+		support[c]++
+	}
 }
 
-// generateCandidates joins frequent (k−1)-itemsets sharing a (k−2)
-// prefix and prunes candidates with an infrequent (k−1)-subset.
-func generateCandidates(level []Pattern) [][]uint32 {
-	freq := make(map[string]bool, len(level))
-	for _, p := range level {
-		freq[Key(p.Items)] = true
-	}
-	var cands [][]uint32
-	for i := 0; i < len(level); i++ {
-		a := level[i].Items
-		for j := i + 1; j < len(level); j++ {
-			b := level[j].Items
-			if !samePrefix(a, b) {
+// join returns the candidate (m+1)-itemsets of a level of m-itemsets
+// (flat, m codes each, in lexicographic order): every two itemsets that
+// share their first m−1 codes give the first extended by the second's
+// last code, kept if each of its m-subsets is in the level (the Apriori
+// pruning property). The candidates come out flat and in lexicographic
+// order too.
+func join(level []int32, m int) []int32 {
+	n := len(level) / m
+	var cands []int32
+	sub := make([]int32, 0, m)
+	for i := 0; i < n; i++ {
+		a := level[i*m : (i+1)*m]
+		for j := i + 1; j < n; j++ {
+			b := level[j*m : (j+1)*m]
+			if !slices.Equal(a[:m-1], b[:m-1]) {
 				break // sorted level: once prefixes diverge, stop
 			}
-			// Join: a ∪ {b[last]}; a[last] < b[last] by sort order.
-			cand := make([]uint32, len(a)+1)
-			copy(cand, a)
-			cand[len(a)] = b[len(b)-1]
-			if allSubsetsFrequent(cand, freq) {
-				cands = append(cands, cand)
+			at := len(cands)
+			cands = append(append(cands, a...), b[m-1])
+			if !allSubsetsIn(level, m, cands[at:], sub) {
+				cands = cands[:at]
 			}
 		}
 	}
 	return cands
 }
 
-func samePrefix(a, b []uint32) bool {
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// allSubsetsFrequent applies the Apriori pruning property.
-func allSubsetsFrequent(cand []uint32, freq map[string]bool) bool {
-	sub := make([]uint32, len(cand)-1)
+// allSubsetsIn reports whether every m-subset of cand is an itemset of
+// level (flat, m codes each, sorted), searching it by bisection. The
+// subsets that drop one of the last two codes are the join's parents;
+// checking them again is cheap and keeps the loop uniform.
+func allSubsetsIn(level []int32, m int, cand, sub []int32) bool {
+	n := len(level) / m
 	for skip := range cand {
-		// The subset dropping the last or second-to-last element was
-		// one of the join parents; checking them again is cheap and
-		// keeps the code uniform.
-		idx := 0
-		for i, v := range cand {
-			if i == skip {
-				continue
-			}
-			sub[idx] = v
-			idx++
-		}
-		if !freq[Key(sub)] {
+		sub = append(append(sub[:0], cand[:skip]...), cand[skip+1:]...)
+		i := sort.Search(n, func(i int) bool { return slices.Compare(level[i*m:(i+1)*m], sub) >= 0 })
+		if i == n || !slices.Equal(level[i*m:(i+1)*m], sub) {
 			return false
 		}
 	}
 	return true
 }
 
-// CountCandidates counts, for every candidate k-itemset, the number of
-// transactions containing it. It returns the counts (aligned with
-// cands) and the deterministic work cost: one unit per
-// candidate-transaction containment test step. Transactions need not be
-// sorted; one that repeats an item tests the candidates starting with
-// it once per repeat.
-func CountCandidates(txns []Transaction, cands [][]uint32, k int) ([]int, float64) {
-	counts := make([]int, len(cands))
-	if len(cands) == 0 {
-		return counts, 0
+// counter is the scratch of one Mine or CountPass call, sized by the
+// partition's code count d and reused across its levels.
+type counter struct {
+	// mark[c] == t+1 says transaction t holds code c. Cell d stands for
+	// an item the partition lacks (see CountPass) and is never marked.
+	mark []int32
+	// firstAt[c] … firstAt[c+1] are the slots of the candidates whose
+	// first code is c.
+	firstAt []int32
+}
+
+func newCounter(d int) *counter {
+	return &counter{mark: make([]int32, d+1), firstAt: make([]int32, d+2)}
+}
+
+// count counts, for every candidate k-itemset of cands (flat, k codes
+// each; every first code below d), the transactions that hold it. It
+// returns the counts, aligned with cands, and the pass's deterministic
+// cost: one unit per transaction shorter than k, one per item of a
+// longer one, and k per candidate test. A candidate is tested once per
+// occurrence of its first item, so a transaction that repeats that item
+// tests (and counts) it again.
+//
+// The candidates are laid out by first code, with the k−1 codes after
+// the first at a fixed stride in rest. A transaction then costs two
+// passes over its codes: one marks them, one tests the candidates each
+// code starts against the marks.
+func (s *counter) count(p *Partition, cands []int32, k int) ([]int32, int) {
+	n, w := len(cands)/k, k-1
+	// Counting sort by first code. Code c's candidate count goes to
+	// firstAt[c+2], so after the prefix sum firstAt[c+1] is the slot of
+	// c's next candidate; placing them advances it to the end of c's
+	// range — the start of code c+1's.
+	firstAt := s.firstAt
+	clear(firstAt)
+	for i := 0; i < n; i++ {
+		firstAt[cands[i*k]+2]++
 	}
-	// Number the items the candidates name 0, 1, 2, … and restate the
-	// candidates in those numbers, cands[i] at flat[at[i]:at[i+1]]. No
-	// other item can start a candidate or be asked after, so the
-	// per-transaction work below is array reads on numbered items.
-	id := make(map[uint32]int32)
-	at := make([]int32, len(cands)+1)
-	for i, c := range cands {
-		at[i+1] = at[i] + int32(len(c))
+	for c := 2; c < len(firstAt); c++ {
+		firstAt[c] += firstAt[c-1]
 	}
-	flat := make([]int32, 0, at[len(cands)])
-	for _, c := range cands {
-		for _, it := range c {
-			d, ok := id[it]
-			if !ok {
-				d = int32(len(id))
-				id[it] = d
-			}
-			flat = append(flat, d)
-		}
+	rest := make([]int32, n*w)
+	from := make([]int32, n)
+	for i := 0; i < n; i++ {
+		c := cands[i*k]
+		slot := int(firstAt[c+1])
+		firstAt[c+1]++
+		copy(rest[slot*w:(slot+1)*w], cands[i*k+1:(i+1)*k])
+		from[slot] = int32(i)
 	}
-	// Index candidates by first item to skip impossible tests: those
-	// starting with item d are byFirst[firstAt[d]:firstAt[d+1]].
-	firstAt := make([]int32, len(id)+2)
-	for i := range cands {
-		firstAt[flat[at[i]]+2]++
+	hits := make([]int32, n)
+	clear(s.mark)
+	var cost int
+	if p.wide != nil {
+		cost = scan(p.wide, p.at, k, firstAt, rest, hits, s.mark)
+	} else {
+		cost = scan(p.narrow, p.at, k, firstAt, rest, hits, s.mark)
 	}
-	for d := 2; d < len(firstAt); d++ {
-		firstAt[d] += firstAt[d-1]
+	counts := make([]int32, n)
+	for slot, i := range from {
+		counts[i] = hits[slot]
 	}
-	byFirst := make([]int32, len(cands))
-	for i := range cands {
-		d := flat[at[i]]
-		byFirst[firstAt[d+1]] = int32(i)
-		firstAt[d+1]++
-	}
-	// inTxn[d] == ti+1 says transaction ti holds item d; stamping with
-	// the transaction number clears the set between transactions.
-	inTxn := make([]int, len(id))
-	var held []int32
-	var cost float64
-	for ti, t := range txns {
-		if len(t) < k {
+	return counts, cost
+}
+
+// scan is count's pass over the transactions, transaction t being
+// codes[at[t]:at[t+1]]: it marks the transaction's codes, then adds to
+// hits[j] for each candidate j a code starts whose rest is all marked.
+// It returns the pass's cost.
+func scan[C uint16 | int32](codes []C, at []int, k int, firstAt, rest, hits, mark []int32) int {
+	w, cost := k-1, 0
+	for t := 0; t+1 < len(at); t++ {
+		txn := codes[at[t]:at[t+1]]
+		if len(txn) < k {
 			cost++
 			continue
 		}
-		held = held[:0]
-		for _, it := range t {
-			if d, ok := id[it]; ok {
-				inTxn[d] = ti + 1
-				held = append(held, d)
-			}
+		cost += len(txn)
+		stamp := int32(t + 1)
+		for _, c := range txn {
+			mark[c] = stamp
 		}
-		cost += float64(len(t))
-		for _, first := range held {
-			for _, ci := range byFirst[firstAt[first]:firstAt[first+1]] {
-				cand := flat[at[ci]:at[ci+1]]
-				cost += float64(len(cand))
-				ok := true
-				for _, d := range cand[1:] {
-					if inTxn[d] != ti+1 {
-						ok = false
-						break
+		for _, c := range txn {
+			lo, hi := int(firstAt[c]), int(firstAt[c+1])
+			if lo == hi {
+				continue
+			}
+			cost += (hi - lo) * k
+			switch w {
+			case 0:
+				for j := lo; j < hi; j++ {
+					hits[j]++
+				}
+			case 1:
+				for j := lo; j < hi; j++ {
+					if mark[rest[j]] == stamp {
+						hits[j]++
 					}
 				}
-				if ok {
-					counts[ci]++
+			case 2:
+				for j := lo; j < hi; j++ {
+					if mark[rest[2*j]] == stamp && mark[rest[2*j+1]] == stamp {
+						hits[j]++
+					}
+				}
+			default:
+			next:
+				for j := lo; j < hi; j++ {
+					for _, d := range rest[j*w : (j+1)*w] {
+						if mark[d] != stamp {
+							continue next
+						}
+					}
+					hits[j]++
 				}
 			}
 		}
 	}
-	return counts, cost
+	return cost
 }
 
 // PartitionResult is one partition's local mining output in the
@@ -278,15 +360,15 @@ type PartitionResult struct {
 // the partition's share: an itemset globally frequent at fraction s
 // must be locally frequent at fraction s in at least one partition
 // (the Savasere completeness property).
-func MineLocal(txns []Transaction, supportFrac float64, maxLen int) (*PartitionResult, error) {
+func MineLocal(p *Partition, supportFrac float64, maxLen int) (*PartitionResult, error) {
 	if supportFrac <= 0 || supportFrac > 1 {
 		return nil, fmt.Errorf("apriori: support fraction %v out of (0,1]", supportFrac)
 	}
-	minSup := int(supportFrac * float64(len(txns)))
+	minSup := int(supportFrac * float64(p.size()))
 	if minSup < 1 {
 		minSup = 1
 	}
-	res, err := Mine(txns, Config{MinSupport: minSup, MaxLen: maxLen})
+	res, err := Mine(p, Config{MinSupport: minSup, MaxLen: maxLen})
 	if err != nil {
 		return nil, err
 	}
@@ -328,27 +410,53 @@ func GlobalCandidates(parts []*PartitionResult) [][]uint32 {
 
 // CountPass counts the global candidates against one partition's
 // transactions (the second scan of the Savasere scheme), returning
-// per-candidate counts and the pass's cost.
-func CountPass(txns []Transaction, cands [][]uint32) ([]int, float64) {
+// per-candidate counts and the pass's cost. The candidates of each
+// length are counted in one pass over the partition. A candidate's
+// items need not be sorted, nor held by the partition: one whose first
+// item the partition lacks is never tested, and a later item it lacks
+// becomes code d, which no transaction holds. An empty candidate counts
+// 0 and costs nothing.
+func CountPass(p *Partition, cands [][]uint32) ([]int, float64) {
 	counts := make([]int, len(cands))
-	var cost float64
-	// Group candidates by length so CountCandidates' k-filter applies.
-	byLen := make(map[int][]int)
+	byLen := make([]int, len(cands))
+	total := 0
 	for i, c := range cands {
-		byLen[len(c)] = append(byLen[len(c)], i)
+		byLen[i] = i
+		total += len(c)
 	}
-	for k, idxs := range byLen {
-		sub := make([][]uint32, len(idxs))
-		for j, i := range idxs {
-			sub[j] = cands[i]
+	slices.SortStableFunc(byLen, func(a, b int) int { return len(cands[a]) - len(cands[b]) })
+	d := int32(len(p.items.Values))
+	s := newCounter(int(d))
+	flat := make([]int32, 0, total)
+	tested := make([]int, 0, len(cands))
+	cost := 0
+	for lo, hi := 0, 0; lo < len(byLen); lo = hi {
+		k := len(cands[byLen[lo]])
+		flat, tested = flat[:0], tested[:0]
+		for hi = lo; hi < len(byLen) && len(cands[byLen[hi]]) == k; hi++ {
+			at := len(flat)
+			for _, it := range cands[byLen[hi]] {
+				code := p.items.Code(it)
+				if code < 0 {
+					code = d
+				}
+				flat = append(flat, code)
+			}
+			if k == 0 || flat[at] == d {
+				flat = flat[:at]
+				continue
+			}
+			tested = append(tested, byLen[hi])
 		}
-		c, w := CountCandidates(txns, sub, k)
-		cost += w
-		for j, i := range idxs {
-			counts[i] = c[j]
+		if k > 0 {
+			got, w := s.count(p, flat, k)
+			cost += w
+			for j, i := range tested {
+				counts[i] = int(got[j])
+			}
 		}
 	}
-	return counts, cost
+	return counts, float64(cost)
 }
 
 // DistributedResult is the full outcome of the partitioned algorithm.
@@ -367,9 +475,10 @@ type DistributedResult struct {
 }
 
 // MineDistributed runs the complete two-phase partitioned algorithm
-// over the given partitions at a global support fraction. It is the
-// reference implementation the experiment harness parallelizes across
-// simulated nodes; both must agree (tested).
+// over the given partitions at a global support fraction, numbering
+// each partition once for both phases. It is the reference
+// implementation the experiment harness parallelizes across simulated
+// nodes; both must agree (tested).
 func MineDistributed(partitions [][]Transaction, supportFrac float64, maxLen int) (*DistributedResult, error) {
 	if len(partitions) == 0 {
 		return nil, errors.New("apriori: no partitions")
@@ -381,13 +490,15 @@ func MineDistributed(partitions [][]Transaction, supportFrac float64, maxLen int
 	if total == 0 {
 		return nil, errors.New("apriori: no transactions")
 	}
+	views := make([]*Partition, len(partitions))
 	parts := make([]*PartitionResult, len(partitions))
-	for i, p := range partitions {
-		if len(p) == 0 {
+	for i, txns := range partitions {
+		views[i] = NewPartition(txns)
+		if len(txns) == 0 {
 			parts[i] = &PartitionResult{}
 			continue
 		}
-		pr, err := MineLocal(p, supportFrac, maxLen)
+		pr, err := MineLocal(views[i], supportFrac, maxLen)
 		if err != nil {
 			return nil, fmt.Errorf("apriori: partition %d: %w", i, err)
 		}
@@ -403,8 +514,8 @@ func MineDistributed(partitions [][]Transaction, supportFrac float64, maxLen int
 		res.LocalCosts[i] = p.Cost
 	}
 	globalCounts := make([]int, len(cands))
-	for i, p := range partitions {
-		counts, cost := CountPass(p, cands)
+	for i, v := range views {
+		counts, cost := CountPass(v, cands)
 		res.CountCosts[i] = cost
 		for j, c := range counts {
 			globalCounts[j] += c

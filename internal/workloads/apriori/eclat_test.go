@@ -144,7 +144,7 @@ func TestEclatMatchesApriori(t *testing.T) {
 			txns[i] = tx(items...)
 		}
 		cfg := Config{MinSupport: 2 + rng.Intn(4), MaxLen: rng.Intn(4)} // 0..3
-		ap, err := Mine(txns, cfg)
+		ap, err := Mine(NewPartition(txns), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func BenchmarkEclatVsApriori(b *testing.B) {
 	}
 	b.Run("apriori", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Mine(txns, Config{MinSupport: 50}); err != nil {
+			if _, err := Mine(NewPartition(txns), Config{MinSupport: 50}); err != nil {
 				b.Fatal(err)
 			}
 		}

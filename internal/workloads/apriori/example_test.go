@@ -14,7 +14,7 @@ func ExampleMine() {
 		{1, 2, 3, 5},
 		{2, 5},
 	}
-	res, err := apriori.Mine(txns, apriori.Config{MinSupport: 2})
+	res, err := apriori.Mine(apriori.NewPartition(txns), apriori.Config{MinSupport: 2})
 	if err != nil {
 		panic(err)
 	}

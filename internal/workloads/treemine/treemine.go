@@ -20,12 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
 
 	"pareto/internal/pivots"
+	"pareto/internal/workloads/dict"
 )
 
 // PatternNode is one node of a pattern in preorder: its depth and label.
@@ -79,94 +79,9 @@ type Forest struct {
 	// height is the depth of the deepest node of any tree (a root has
 	// depth 0): no matched pattern node sits deeper.
 	height int32
-	// dict numbers the labels the trees carry.
-	dict labelDict
-}
-
-// labelDict numbers a forest's distinct labels 0 … d−1 in ascending
-// order: labels[c] is code c's label. index is an open-addressed table
-// from label to code whose length is a power of two at least twice d,
-// so a lookup is a multiply and, nearly always, one probe. Both are
-// sized by the number of distinct labels, never by their values, which
-// are arbitrary uint32s.
-type labelDict struct {
-	labels []uint32
-	index  []labelSlot
-	shift  uint
-}
-
-// labelSlot is one index entry; code −1 marks an empty slot.
-type labelSlot struct {
-	label uint32
-	code  int32
-}
-
-// labelHashMul is the Fibonacci-hashing multiplier of the index: the
-// top bits of l·labelHashMul depend on every bit of l.
-const labelHashMul = 0x9E3779B97F4A7C15
-
-// dictInitSlots is the index length NewForest starts from: 32 labels
-// fit without growing it.
-const dictInitSlots = 64
-
-// newIndex allocates an empty index of 2^b slots.
-func (d *labelDict) newIndex(b int) {
-	d.index = make([]labelSlot, 1<<b)
-	for i := range d.index {
-		d.index[i].code = -1
-	}
-	d.shift = uint(64 - b)
-}
-
-// find returns the slot holding label l, or the empty slot where l
-// belongs.
-func (d *labelDict) find(l uint32) int {
-	mask := len(d.index) - 1
-	for h := int(uint64(l) * labelHashMul >> d.shift); ; h = (h + 1) & mask {
-		if s := d.index[h]; s.code < 0 || s.label == l {
-			return h
-		}
-	}
-}
-
-// code returns the code of label l, −1 if no node of the forest
-// carries it.
-func (d *labelDict) code(l uint32) int32 { return d.index[d.find(l)].code }
-
-// build numbers the labels of the trees: it collects them in the index
-// (code 0 marks a label met, and the index doubles whenever it is half
-// full), sorts the distinct ones and writes their ranks back as codes.
-func (d *labelDict) build(trees []pivots.Tree) {
-	d.newIndex(bits.Len(dictInitSlots - 1))
-	n := 0
-	for ti := range trees {
-		for _, l := range trees[ti].Label {
-			h := d.find(l)
-			if d.index[h].code >= 0 {
-				continue
-			}
-			d.index[h] = labelSlot{l, 0}
-			if n++; 2*n > len(d.index) {
-				old := d.index
-				d.newIndex(bits.Len(uint(len(old))))
-				for _, s := range old {
-					if s.code >= 0 {
-						d.index[d.find(s.label)] = s
-					}
-				}
-			}
-		}
-	}
-	d.labels = make([]uint32, 0, n)
-	for _, s := range d.index {
-		if s.code >= 0 {
-			d.labels = append(d.labels, s.label)
-		}
-	}
-	slices.Sort(d.labels)
-	for c, l := range d.labels {
-		d.index[d.find(l)].code = int32(c)
-	}
+	// labels numbers the labels the trees carry 0 … d−1 in ascending
+	// order; the miner reaches a label's code through its index.
+	labels dict.Dict
 }
 
 // NewForest validates and preprocesses the trees. It makes a fixed
@@ -217,7 +132,7 @@ func NewForest(trees []pivots.Tree) (*Forest, error) {
 		}
 	}
 	f.start = next[:total+1]
-	f.dict.build(trees)
+	f.labels.Build(len(trees), func(i int) []uint32 { return trees[i].Label })
 	return f, nil
 }
 
@@ -395,8 +310,8 @@ func newMiner(f *Forest, maxNodes int) *miner {
 		f:      f,
 		stamp:  make([]uint32, f.nodes()*levels),
 		levels: levels,
-		slot:   make([]int32, depths*len(f.dict.labels)),
-		labels: len(f.dict.labels),
+		slot:   make([]int32, depths*len(f.labels.Values)),
+		labels: len(f.labels.Values),
 		wanted: make([]bool, depths),
 		buf:    make([]slotOcc, 0, f.nodes()),
 	}
@@ -405,7 +320,7 @@ func newMiner(f *Forest, maxNodes int) *miner {
 // cell returns the index in slot of key k, −1 if no node of the forest
 // carries its label.
 func (m *miner) cell(k extKey) int {
-	c := m.f.dict.code(k.label)
+	c := m.f.labels.Code(k.label)
 	if c < 0 {
 		return -1
 	}
@@ -667,16 +582,13 @@ type PartitionResult struct {
 	Cost  float64
 }
 
-// MineLocal mines one partition at the scaled support threshold.
-func MineLocal(trees []pivots.Tree, supportFrac float64, cfg Config) (*PartitionResult, error) {
+// MineLocal mines one partition's forest at the scaled support
+// threshold. The count pass reads the same forest.
+func MineLocal(f *Forest, supportFrac float64, cfg Config) (*PartitionResult, error) {
 	if supportFrac <= 0 || supportFrac > 1 {
 		return nil, fmt.Errorf("treemine: support fraction %v", supportFrac)
 	}
-	f, err := NewForest(trees)
-	if err != nil {
-		return nil, err
-	}
-	cfg.MinSupport = int(supportFrac * float64(len(trees)))
+	cfg.MinSupport = int(supportFrac * float64(f.Len()))
 	if cfg.MinSupport < 1 {
 		cfg.MinSupport = 1
 	}
@@ -753,28 +665,30 @@ func MineDistributed(partitions [][]pivots.Tree, supportFrac float64, cfg Config
 		LocalCosts: make([]float64, len(partitions)),
 		CountCosts: make([]float64, len(partitions)),
 	}
+	forests := make([]*Forest, len(partitions))
 	locals := make([]*PartitionResult, len(partitions))
-	for i, p := range partitions {
-		if len(p) == 0 {
-			continue
-		}
-		pr, err := MineLocal(p, supportFrac, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("treemine: partition %d: %w", i, err)
-		}
-		locals[i] = pr
-		res.LocalCosts[i] = pr.Cost
-	}
-	cands := GlobalCandidates(locals)
-	res.Candidates = len(cands)
-	globalCounts := make([]int, len(cands))
 	for i, p := range partitions {
 		if len(p) == 0 {
 			continue
 		}
 		f, err := NewForest(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("treemine: partition %d: %w", i, err)
+		}
+		pr, err := MineLocal(f, supportFrac, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("treemine: partition %d: %w", i, err)
+		}
+		forests[i] = f
+		locals[i] = pr
+		res.LocalCosts[i] = pr.Cost
+	}
+	cands := GlobalCandidates(locals)
+	res.Candidates = len(cands)
+	globalCounts := make([]int, len(cands))
+	for i, f := range forests {
+		if f == nil {
+			continue
 		}
 		counts, cost, err := CountPass(f, cands)
 		if err != nil {

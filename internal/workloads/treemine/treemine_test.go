@@ -383,13 +383,18 @@ func TestCountPassMatchesReference(t *testing.T) {
 		trees := randomForest(rng, 30+rng.Intn(40), 4+rng.Intn(12), labels)
 		parts := splitThree(trees)
 		cfg := Config{MaxNodes: 3 + rng.Intn(3)}
+		forests := make([]*Forest, len(parts))
 		locals := make([]*PartitionResult, len(parts))
 		for i, p := range parts {
-			pr, err := MineLocal(p, 0.3, cfg)
+			f, err := NewForest(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			locals[i] = pr
+			pr, err := MineLocal(f, 0.3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forests[i], locals[i] = f, pr
 		}
 		cands := GlobalCandidates(locals)
 		cands = append(cands,
@@ -409,11 +414,7 @@ func TestCountPassMatchesReference(t *testing.T) {
 			}
 			cands = append(kept, Pattern{{0, 0}})
 		}
-		for pi, p := range parts {
-			f, err := NewForest(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for pi, f := range forests {
 			counts, cost, err := CountPass(f, cands)
 			if err != nil {
 				t.Fatal(err)
@@ -772,7 +773,11 @@ func TestMineDistributedValidation(t *testing.T) {
 	if _, err := MineDistributed([][]pivots.Tree{{}}, 0.5, Config{}); err == nil {
 		t.Error("empty partitions accepted")
 	}
-	if _, err := MineLocal([]pivots.Tree{mkTree([]int32{-1}, []uint32{1})}, 0, Config{}); err == nil {
+	f, err := NewForest([]pivots.Tree{mkTree([]int32{-1}, []uint32{1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MineLocal(f, 0, Config{}); err == nil {
 		t.Error("zero fraction accepted")
 	}
 }
@@ -904,9 +909,8 @@ func TestArbitraryLabelsMineAndCountAlike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(g.dict.labels) != alphabet || len(g.dict.index) != dictInitSlots {
-			t.Errorf("%s: dictionary of %d labels in %d slots, want %d in %d",
-				name, len(g.dict.labels), len(g.dict.index), alphabet, dictInitSlots)
+		if len(g.labels.Values) != alphabet {
+			t.Errorf("%s: dictionary of %d labels, want %d", name, len(g.labels.Values), alphabet)
 		}
 		got, err := Mine(g, cfg)
 		if err != nil {
@@ -950,8 +954,9 @@ func TestArbitraryLabelsMineAndCountAlike(t *testing.T) {
 }
 
 // TestLabelDictGrows: a forest of several hundred sparse labels grows
-// the dictionary's index past its first size, numbers the labels in
-// ascending order, and mines and counts like the per-candidate replay.
+// the dictionary past its first index (the dict package's test of the
+// same name checks the index itself), numbers the labels in ascending
+// order, and mines and counts like the per-candidate replay.
 func TestLabelDictGrows(t *testing.T) {
 	trees := relabel(randomForest(rand.New(rand.NewSource(9)), 400, 12, 300),
 		func(l uint32) uint32 { return l*0x9E3779B1 + 7 })
@@ -959,15 +964,15 @@ func TestLabelDictGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := f.dict
-	if len(d.index) <= dictInitSlots || len(d.index) < 2*len(d.labels) || len(d.index) > 4*len(d.labels) {
-		t.Errorf("%d labels in %d slots", len(d.labels), len(d.index))
+	d := &f.labels
+	if len(d.Values) <= 32 {
+		t.Errorf("only %d labels", len(d.Values))
 	}
-	if !slices.IsSorted(d.labels) {
+	if !slices.IsSorted(d.Values) {
 		t.Error("dictionary labels not ascending")
 	}
-	for c, l := range d.labels {
-		if got := d.code(l); got != int32(c) {
+	for c, l := range d.Values {
+		if got := d.Code(l); got != int32(c) {
 			t.Fatalf("label %d has code %d, want %d", l, got, c)
 		}
 	}
