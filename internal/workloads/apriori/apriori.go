@@ -310,37 +310,15 @@ func scan[C uint16 | int32](codes []C, at []int, k int, firstAt, rest, hits, mar
 		}
 		for _, c := range txn {
 			lo, hi := int(firstAt[c]), int(firstAt[c+1])
-			if lo == hi {
-				continue
-			}
 			cost += (hi - lo) * k
-			switch w {
-			case 0:
-				for j := lo; j < hi; j++ {
-					hits[j]++
-				}
-			case 1:
-				for j := lo; j < hi; j++ {
-					if mark[rest[j]] == stamp {
-						hits[j]++
+		next:
+			for j := lo; j < hi; j++ {
+				for _, d := range rest[j*w : (j+1)*w] {
+					if mark[d] != stamp {
+						continue next
 					}
 				}
-			case 2:
-				for j := lo; j < hi; j++ {
-					if mark[rest[2*j]] == stamp && mark[rest[2*j+1]] == stamp {
-						hits[j]++
-					}
-				}
-			default:
-			next:
-				for j := lo; j < hi; j++ {
-					for _, d := range rest[j*w : (j+1)*w] {
-						if mark[d] != stamp {
-							continue next
-						}
-					}
-					hits[j]++
-				}
+				hits[j]++
 			}
 		}
 	}

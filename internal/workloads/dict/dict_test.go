@@ -54,7 +54,9 @@ func TestLabelDictGrows(t *testing.T) {
 }
 
 // TestBuildEdges: no values at all, and values at both ends of the
-// range with repeats and an empty list.
+// range with repeats and an empty list. Three values, one of them
+// MaxUint32, keep the index at its first size: it is sized by how many
+// values there are, not by how large they are.
 func TestBuildEdges(t *testing.T) {
 	var d Dict
 	d.Build(0, nil)
@@ -68,5 +70,8 @@ func TestBuildEdges(t *testing.T) {
 	Encode(&d, codes, len(lists), list)
 	if !slices.Equal(d.Values, []uint32{0, 5, math.MaxUint32}) || !slices.Equal(codes, []int32{2, 0, 2, 1}) {
 		t.Errorf("values %v codes %v", d.Values, codes)
+	}
+	if len(d.index) != initSlots {
+		t.Errorf("3 values in %d slots, want %d", len(d.index), initSlots)
 	}
 }
