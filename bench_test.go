@@ -17,10 +17,15 @@ import (
 	"time"
 
 	"pareto/internal/bench"
+	"pareto/internal/cluster"
 	"pareto/internal/core"
 	"pareto/internal/datasets"
+	"pareto/internal/energy"
+	"pareto/internal/frontier"
 	"pareto/internal/kvstore"
 	"pareto/internal/opt"
+	"pareto/internal/partitioner"
+	"pareto/internal/pivots"
 	"pareto/internal/sampling"
 	"pareto/internal/sketch"
 	"pareto/internal/strata"
@@ -260,15 +265,15 @@ func BenchmarkAblationPlacementScheme(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	corpus, err := NewGraphCorpus(g)
+	corpus, err := pivots.NewGraphCorpus(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl, err := PaperCluster(8, DefaultPanel(), 172, 48)
+	cl, err := cluster.PaperCluster(8, energy.DefaultPanel(), 172, 48)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, scheme := range []Scheme{Representative, SimilarTogether} {
+	for _, scheme := range []partitioner.Scheme{partitioner.Representative, partitioner.SimilarTogether} {
 		b.Run(scheme.String(), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
@@ -335,20 +340,20 @@ func BenchmarkAblationExactFrontier(b *testing.B) {
 	}
 	b.Run("sampled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts, err := Frontier(nodes, 1_000_000, DefaultAlphaSweep())
+			res, err := frontier.Sweep(nodes, 1_000_000, frontier.Config{Alphas: opt.DefaultAlphaSweep()})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(pts)), "points")
+			b.ReportMetric(float64(len(res.Points)), "points")
 		}
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts, err := ExactFrontier(nodes, 1_000_000, 1e-6)
+			res, err := frontier.Exact(nodes, 1_000_000, frontier.Config{Tol: 1e-6})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(pts)), "points")
+			b.ReportMetric(float64(len(res.Points)), "points")
 		}
 	})
 }

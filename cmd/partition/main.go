@@ -18,10 +18,13 @@ import (
 	"strings"
 	"time"
 
-	"pareto"
 	"pareto/internal/bench"
+	"pareto/internal/cluster"
+	"pareto/internal/core"
 	"pareto/internal/datasets"
+	"pareto/internal/energy"
 	"pareto/internal/kvstore"
+	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
 )
 
@@ -59,44 +62,38 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cl, err := pareto.PaperCluster(*p, pareto.DefaultPanel(), 172, 72)
+	cl, err := cluster.PaperCluster(*p, energy.DefaultPanel(), 172, 72)
 	if err != nil {
 		fail(err)
 	}
-	fw, err := pareto.New(corpus, cl)
-	if err != nil {
-		fail(err)
-	}
-	fw.Alpha = *alpha
-	fw.TraceOffset = *offset
+	cfg := core.Config{Alpha: *alpha, TraceOffset: *offset}
 	switch *scheme {
 	case "representative":
-		fw.Scheme = pareto.Representative
+		cfg.Scheme = partitioner.Representative
 	case "similar":
-		fw.Scheme = pareto.SimilarTogether
+		cfg.Scheme = partitioner.SimilarTogether
 	case "":
 		if *kind == "graph" {
-			fw.Scheme = pareto.SimilarTogether
+			cfg.Scheme = partitioner.SimilarTogether
 		}
 	default:
 		fail(fmt.Errorf("unknown scheme %q", *scheme))
 	}
 
-	var strat pareto.Strategy
 	switch *strategy {
 	case "stratified":
-		strat = pareto.Stratified
+		cfg.Strategy = core.Stratified
 		profile = nil
 	case "het-aware":
-		strat = pareto.HetAware
+		cfg.Strategy = core.HetAware
 	case "het-energy-aware":
-		strat = pareto.HetEnergyAware
+		cfg.Strategy = core.HetEnergyAware
 	default:
 		fail(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 
 	start := time.Now()
-	plan, err := fw.Plan(strat, profile)
+	plan, err := core.BuildPlan(corpus, cl, profile, cfg)
 	if err != nil {
 		fail(err)
 	}
@@ -128,11 +125,11 @@ func main() {
 
 	switch {
 	case *outdir != "":
-		st, err := pareto.NewDiskStore(*outdir)
+		st, err := partitioner.NewDiskStore(*outdir)
 		if err != nil {
 			fail(err)
 		}
-		if err := fw.PlaceTo(plan, st); err != nil {
+		if err := partitioner.Place(corpus, plan.Assign, st); err != nil {
 			fail(err)
 		}
 		fmt.Printf("placed partitions under %s\n", *outdir)
@@ -146,11 +143,11 @@ func main() {
 			defer c.Close()
 			clients = append(clients, c)
 		}
-		st, err := pareto.NewKVStore(clients, 128, "pareto")
+		st, err := partitioner.NewKVStoreKV(clients, 128, "pareto")
 		if err != nil {
 			fail(err)
 		}
-		if err := fw.PlaceTo(plan, st); err != nil {
+		if err := partitioner.Place(corpus, plan.Assign, st); err != nil {
 			fail(err)
 		}
 		fmt.Printf("placed partitions onto %d store instance(s)\n", len(clients))
@@ -166,7 +163,7 @@ func fail(err error) {
 
 // loadCorpusFormat dispatches on the input format: binary (datagen
 // records) or the text formats for real public datasets.
-func loadCorpusFormat(format, kind string, buf []byte, support float64) (pareto.Corpus, pareto.ProfileFunc, error) {
+func loadCorpusFormat(format, kind string, buf []byte, support float64) (pivots.Corpus, core.ProfileFunc, error) {
 	switch format {
 	case "binary":
 		return loadCorpus(kind, buf, support)
@@ -175,7 +172,7 @@ func loadCorpusFormat(format, kind string, buf []byte, support float64) (pareto.
 		if err != nil {
 			return nil, nil, err
 		}
-		corpus, err := pareto.NewGraphCorpus(g)
+		corpus, err := pivots.NewGraphCorpus(g)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -185,7 +182,7 @@ func loadCorpusFormat(format, kind string, buf []byte, support float64) (pareto.
 		if err != nil {
 			return nil, nil, err
 		}
-		corpus, err := pareto.NewTextCorpus(docs, vocab)
+		corpus, err := pivots.NewTextCorpus(docs, vocab)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -198,14 +195,14 @@ func loadCorpusFormat(format, kind string, buf []byte, support float64) (pareto.
 // loadCorpus decodes a datagen file and returns the corpus plus the
 // kind's workload profile (the actual algorithm run on representative
 // samples).
-func loadCorpus(kind string, buf []byte, support float64) (pareto.Corpus, pareto.ProfileFunc, error) {
+func loadCorpus(kind string, buf []byte, support float64) (pivots.Corpus, core.ProfileFunc, error) {
 	switch kind {
 	case "tree":
 		trees, err := pivots.DecodeTreeRecords(buf)
 		if err != nil {
 			return nil, nil, err
 		}
-		corpus, err := pareto.NewTreeCorpus(trees)
+		corpus, err := pivots.NewTreeCorpus(trees)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -215,7 +212,7 @@ func loadCorpus(kind string, buf []byte, support float64) (pareto.Corpus, pareto
 		if err != nil {
 			return nil, nil, err
 		}
-		corpus, err := pareto.NewGraphCorpus(g)
+		corpus, err := pivots.NewGraphCorpus(g)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -225,7 +222,7 @@ func loadCorpus(kind string, buf []byte, support float64) (pareto.Corpus, pareto
 		if err != nil {
 			return nil, nil, err
 		}
-		corpus, err := pareto.NewTextCorpus(docs, vocab)
+		corpus, err := pivots.NewTextCorpus(docs, vocab)
 		if err != nil {
 			return nil, nil, err
 		}

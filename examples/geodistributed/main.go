@@ -1,9 +1,9 @@
 // Geo-distributed example: the deployment style of paper §II, where a
 // job may be scheduled onto any subset of servers across regions to
 // maximize green energy use. A 16-node pool spans the four datacenter
-// sites; SelectNodes picks which 8 should host partitions at different
-// α values, and ExactFrontier enumerates the full time/energy frontier
-// of the chosen subset.
+// sites; opt.SelectNodes picks which 8 should host partitions at
+// different α values, and frontier.Exact enumerates the full
+// time/energy frontier of the pool.
 //
 //	go run ./examples/geodistributed
 package main
@@ -12,14 +12,16 @@ import (
 	"fmt"
 	"log"
 
-	"pareto"
+	"pareto/internal/cluster"
 	"pareto/internal/energy"
+	"pareto/internal/frontier"
+	"pareto/internal/opt"
 	"pareto/internal/sampling"
 )
 
 func main() {
 	// A 16-node pool: the paper's four machine types across four sites.
-	pool, err := pareto.PaperCluster(16, pareto.DefaultPanel(), 172, 48)
+	pool, err := cluster.PaperCluster(16, energy.DefaultPanel(), 172, 48)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,9 +31,9 @@ func main() {
 	// Per-node models: time slope from relative speed; dirty rate from
 	// each node's own solar trace (in a real run these come from the
 	// profiling pipeline).
-	models := make([]pareto.NodeModel, pool.P())
+	models := make([]opt.NodeModel, pool.P())
 	for i, n := range pool.Nodes {
-		models[i] = pareto.NodeModel{
+		models[i] = opt.NodeModel{
 			Time:      sampling.LinearFit{Slope: 1e-6 / n.Speed * 4},
 			DirtyRate: energy.DirtyRate(n.Power.Watts(), n.Trace, offset, 3600),
 		}
@@ -39,7 +41,7 @@ func main() {
 
 	fmt.Println("selecting 8 of 16 pool nodes:")
 	for _, alpha := range []float64{1.0, 0.99, 0.5} {
-		chosen, plan, err := pareto.SelectNodes(models, total, 8, alpha)
+		chosen, plan, err := opt.SelectNodes(models, total, 8, alpha)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,12 +57,12 @@ func main() {
 	}
 
 	// Exact Pareto frontier of the full pool.
-	pts, err := pareto.ExactFrontier(models, total, 1e-6)
+	res, err := frontier.Exact(models, total, frontier.Config{Tol: 1e-6})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nexact frontier of the 16-node pool (%d vertices):\n", len(pts))
-	for _, p := range pts {
+	fmt.Printf("\nexact frontier of the 16-node pool (%d vertices):\n", len(res.Points))
+	for _, p := range res.Points {
 		fmt.Printf("  α=%-8.4g time %6.2fs  dirty %8.0f J\n", p.Alpha, p.Makespan, p.DirtyEnergy)
 	}
 }

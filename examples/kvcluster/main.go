@@ -13,9 +13,12 @@ import (
 	"sync"
 	"time"
 
-	"pareto"
+	"pareto/internal/cluster"
+	"pareto/internal/core"
 	"pareto/internal/datasets"
+	"pareto/internal/energy"
 	"pareto/internal/kvstore"
+	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
 )
 
@@ -48,25 +51,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	corpus, err := pareto.NewTextCorpus(docs, cfg.VocabSize)
+	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, err := pareto.PaperCluster(p, pareto.DefaultPanel(), 172, 48)
+	cl, err := cluster.PaperCluster(p, energy.DefaultPanel(), 172, 48)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fw, err := pareto.New(corpus, cl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	plan, err := fw.Plan(pareto.HetAware, func(indices []int) (float64, error) {
+	plan, err := core.BuildPlan(corpus, cl, func(indices []int) (float64, error) {
 		var c float64
 		for _, i := range indices {
 			c += 1000 * float64(corpus.Weight(i))
 		}
 		return c, nil
-	})
+	}, core.Config{Strategy: core.HetAware})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func main() {
 				log.Fatal(err)
 			}
 			// Phase 1: place this node's partition (pipelined writes).
-			st, err := pareto.NewKVStore([]kvstore.KV{clients[j]}, 64, fmt.Sprintf("node%d", j))
+			st, err := partitioner.NewKVStoreKV([]kvstore.KV{clients[j]}, 64, fmt.Sprintf("node%d", j))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -9,8 +9,12 @@ import (
 	"fmt"
 	"log"
 
-	"pareto"
+	"pareto/internal/cluster"
+	"pareto/internal/core"
 	"pareto/internal/datasets"
+	"pareto/internal/energy"
+	"pareto/internal/partitioner"
+	"pareto/internal/pivots"
 )
 
 func main() {
@@ -20,23 +24,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	corpus, err := pareto.NewTextCorpus(docs, cfg.VocabSize)
+	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. A cluster: the paper's 4 machine types (speeds 4x/3x/2x/1x,
 	// 440/345/250/155 W) with solar traces from 4 datacenter sites.
-	cl, err := pareto.PaperCluster(4, pareto.DefaultPanel(), 172, 48)
+	cl, err := cluster.PaperCluster(4, energy.DefaultPanel(), 172, 48)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fw, err := pareto.New(corpus, cl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fw.TraceOffset = 12 * 3600 // start the job at local noon
+	const offset = 12 * 3600 // start the job at local noon
 
 	// 3. A workload model: here simply "cost proportional to document
 	// size". The framework profiles it on stratified progressive
@@ -50,11 +49,11 @@ func main() {
 	}
 	run := func(node int, indices []int) (float64, error) { return workload(indices) }
 
-	baseline, err := fw.Plan(pareto.Stratified, nil)
+	baseline, err := core.BuildPlan(corpus, cl, nil, core.Config{Strategy: core.Stratified, TraceOffset: offset})
 	if err != nil {
 		log.Fatal(err)
 	}
-	hetAware, err := fw.Plan(pareto.HetAware, workload)
+	hetAware, err := core.BuildPlan(corpus, cl, workload, core.Config{Strategy: core.HetAware, TraceOffset: offset})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,11 +61,11 @@ func main() {
 	fmt.Printf("stratified baseline sizes: %v\n", baseline.Assign.Sizes())
 	fmt.Printf("het-aware sizes:          %v\n", hetAware.Assign.Sizes())
 
-	baseRes, err := fw.Execute(baseline, run)
+	baseRes, err := core.Execute(cl, baseline, run, offset)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hetRes, err := fw.Execute(hetAware, run)
+	hetRes, err := core.Execute(cl, hetAware, run, offset)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,9 +74,9 @@ func main() {
 	fmt.Printf("speedup: %.0f%%\n", 100*(1-hetRes.Makespan/baseRes.Makespan))
 
 	// 4. Place the winning plan into an in-memory store (swap in
-	// NewDiskStore or NewKVStore for real deployments).
-	st := pareto.NewMemoryStore()
-	if err := fw.PlaceTo(hetAware, st); err != nil {
+	// partitioner.NewDiskStore or NewKVStoreKV for real deployments).
+	st := partitioner.NewMemoryStore()
+	if err := partitioner.Place(corpus, hetAware.Assign, st); err != nil {
 		log.Fatal(err)
 	}
 	recs, err := st.ReadPartition(0)

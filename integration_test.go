@@ -12,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"pareto/internal/cluster"
+	"pareto/internal/core"
 	"pareto/internal/datasets"
+	"pareto/internal/energy"
 	"pareto/internal/kvstore"
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
@@ -51,20 +54,14 @@ func TestIntegrationFullPipelineOverKVStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, err := NewTextCorpus(docs, cfg.VocabSize)
+	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := PaperCluster(p, DefaultPanel(), 172, 48)
+	cl, err := cluster.PaperCluster(p, energy.DefaultPanel(), 172, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := New(corpus, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw.TraceOffset = 12 * 3600
-
 	const support = 0.1
 	profile := func(indices []int) (float64, error) {
 		txns := make([]apriori.Transaction, len(indices))
@@ -77,18 +74,18 @@ func TestIntegrationFullPipelineOverKVStores(t *testing.T) {
 		}
 		return pr.Cost, nil
 	}
-	plan, err := fw.Plan(HetAware, profile)
+	plan, err := core.BuildPlan(corpus, cl, profile, core.Config{Strategy: core.HetAware, TraceOffset: 12 * 3600})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Place onto live stores with pipelining.
 	clients := startStores(t, p, "")
-	st, err := NewKVStore(clients, 64, "itest")
+	st, err := partitioner.NewKVStoreKV(clients, 64, "itest")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.PlaceTo(plan, st); err != nil {
+	if err := partitioner.Place(corpus, plan.Assign, st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,15 +170,11 @@ func TestIntegrationRebalanceAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, err := NewTextCorpus(docs, cfg.VocabSize)
+	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := PaperCluster(p, DefaultPanel(), 172, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := New(corpus, cl)
+	cl, err := cluster.PaperCluster(p, energy.DefaultPanel(), 172, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +185,12 @@ func TestIntegrationRebalanceAndRecovery(t *testing.T) {
 		}
 		return c, nil
 	}
-	plan, err := fw.Plan(HetAware, profile)
+	plan, err := core.BuildPlan(corpus, cl, profile, core.Config{Strategy: core.HetAware})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-plan for energy and rebalance with minimal moves.
-	fw.Alpha = 0.99
-	plan2, err := fw.Plan(HetEnergyAware, profile)
+	plan2, err := core.BuildPlan(corpus, cl, profile, core.Config{Strategy: core.HetEnergyAware, Alpha: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +216,11 @@ func TestIntegrationRebalanceAndRecovery(t *testing.T) {
 	// Place, snapshot, and reload through server persistence.
 	dir := t.TempDir()
 	clients := startStores(t, p, dir)
-	st, err := NewKVStore(clients, 32, "rtest")
+	st, err := partitioner.NewKVStoreKV(clients, 32, "rtest")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Place(corpus, rebalanced, st); err != nil {
+	if err := partitioner.Place(corpus, rebalanced, st); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < p; j++ {

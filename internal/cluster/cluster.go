@@ -124,28 +124,6 @@ func PaperCluster(p int, panel energy.Panel, dayOfYear, hours int) (*Cluster, er
 	return c, nil
 }
 
-// HomogeneousCluster builds p identical type-1 nodes (for baselines
-// and tests isolating payload skew from hardware heterogeneity).
-func HomogeneousCluster(p int, panel energy.Panel, dayOfYear, hours int) (*Cluster, error) {
-	c, err := PaperCluster(p, panel, dayOfYear, hours)
-	if err != nil {
-		return nil, err
-	}
-	pw, err := energy.MachineType(1)
-	if err != nil {
-		return nil, err
-	}
-	for i := range c.Nodes {
-		c.Nodes[i].Type = 1
-		c.Nodes[i].Speed = 4
-		c.Nodes[i].Power = pw
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Validate checks the cluster's calibration: a positive finite
 // CostRate, positive finite per-node speeds and a finite, non-negative
 // draw per node. Run and ProfileAllWithRates validate on entry so a

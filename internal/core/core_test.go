@@ -408,3 +408,42 @@ func TestDistStratifyDegradation(t *testing.T) {
 		t.Errorf("distributed stratify stage %+v, stats busy %v", st, plan.Strat.Stats.Busy)
 	}
 }
+
+// TestSizingConstraintsFloor: the partition floor is the larger of
+// MinPartitionFrac of the equal share and MinPartitionRecords, capped
+// at the equal share, and a plan built with it keeps every partition at
+// or above it — the slow node included, which the unfloored Het-Aware
+// plan loads well below it.
+func TestSizingConstraintsFloor(t *testing.T) {
+	for _, c := range []struct{ frac, recs, want float64 }{
+		{0, 0, 0},
+		{0.25, 0, 25}, // n = 400 on p = 4: the equal share is 100
+		{0.25, 40, 40},
+		{0.5, 10, 50},
+		{0, 500, 100},
+	} {
+		cfg := Config{MinPartitionFrac: c.frac, MinPartitionRecords: c.recs}
+		if got := SizingConstraints(cfg, 400, 4).MinSize; got != c.want {
+			t.Errorf("frac %v, records %v: floor %v, want %v", c.frac, c.recs, got, c.want)
+		}
+	}
+	corpus, cl := testSetup(t)
+	cfg := Config{Strategy: HetAware, MinPartitionFrac: 0.75}
+	plan, err := BuildPlan(corpus, cl, linearProfile(corpus), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := SizingConstraints(cfg, corpus.Len(), cl.P()).MinSize
+	for j, s := range plan.Assign.Sizes() {
+		if float64(s) < floor-1 {
+			t.Errorf("partition %d holds %d records, below the floor %v", j, s, floor)
+		}
+	}
+	free, err := BuildPlan(corpus, cl, linearProfile(corpus), Config{Strategy: HetAware})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow := free.Assign.Sizes()[3]; float64(slow) >= floor-1 {
+		t.Fatalf("the unfloored plan already gives the slow node %d ≥ %v records; the floor is not exercised", slow, floor)
+	}
+}

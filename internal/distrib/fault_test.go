@@ -150,12 +150,15 @@ func TestRecoveryFromDeadWorker(t *testing.T) {
 func TestRecoveryUnderCrashAndDrops(t *testing.T) {
 	corpus := testCorpus(t, 0.0006)
 	srv := kvstore.NewServer(nil)
-	srv.SetConnWrapper(faultnet.Plan{Seed: 42, DropRate: 0.05}.Wrapper())
-	addr, err := srv.Listen("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := srv.Serve(faultnet.Plan{Seed: 42, DropRate: 0.05}.Listener(ln)); err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
+	addr := ln.Addr().String()
 
 	master, err := kvstore.DialOptions(addr, time.Second, faultOpts(1))
 	if err != nil {

@@ -9,9 +9,8 @@
 // scripted (an explicit Action per operation, exact and replayable) or
 // probabilistic (per-op rates drawn from a PRNG seeded by Plan.Seed and
 // the connection id, so a given connection's fault sequence is a pure
-// function of the plan). Wrap a single connection with Plan.Wrap, a
-// whole listener with Plan.Listener, or install Plan.Wrapper as a
-// kvstore.Server connection wrapper.
+// function of the plan). Wrap a single connection with Plan.Wrap, or a
+// whole listener with Plan.Listener (hand it to kvstore.Server.Serve).
 package faultnet
 
 import (
@@ -101,9 +100,9 @@ type Plan struct {
 	DropAfterOps int
 
 	// FaultConns, when > 0, limits injection to the first FaultConns
-	// connections wrapped through a shared Wrapper or Listener; later
-	// connections pass through clean. This simulates a transient
-	// outage that a reconnecting client recovers from.
+	// connections a Listener accepts; later connections pass through
+	// clean. This simulates a transient outage that a reconnecting
+	// client recovers from.
 	FaultConns int
 
 	// Telemetry, when non-nil, counts wrapped connections, fault
@@ -165,9 +164,28 @@ func (p Plan) Wrap(conn net.Conn, id int64) net.Conn {
 	}
 }
 
-// Wrapper returns a function wrapping successive connections with
-// sequential ids — the shape kvstore.Server.SetConnWrapper expects.
-func (p Plan) Wrapper() func(net.Conn) net.Conn {
+// Listener wraps ln so every accepted connection carries the plan's
+// faults, with sequential connection ids.
+func (p Plan) Listener(ln net.Listener) net.Listener {
+	return &faultListener{Listener: ln, wrap: p.wrapper()}
+}
+
+type faultListener struct {
+	net.Listener
+	wrap func(net.Conn) net.Conn
+}
+
+func (l *faultListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.wrap(conn), nil
+}
+
+// wrapper returns a function wrapping successive connections with
+// sequential ids, past FaultConns of them unwrapped.
+func (p Plan) wrapper() func(net.Conn) net.Conn {
 	var mu sync.Mutex
 	var next int64
 	return func(conn net.Conn) net.Conn {

@@ -107,7 +107,7 @@ func TestSeededDeterminism(t *testing.T) {
 }
 
 func TestWrapperFaultConnsLimit(t *testing.T) {
-	wrap := Plan{Script: []Action{Drop}, FaultConns: 1}.Wrapper()
+	wrap := Plan{Script: []Action{Drop}, FaultConns: 1}.wrapper()
 	a1, b1 := net.Pipe()
 	a2, b2 := net.Pipe()
 	defer func() { a1.Close(); b1.Close(); a2.Close(); b2.Close() }()
@@ -156,23 +156,4 @@ func TestDelayPasses(t *testing.T) {
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Errorf("delay not applied: %v", d)
 	}
-}
-
-// Listener wraps ln so every accepted connection carries the plan's
-// faults (with sequential connection ids).
-func (p Plan) Listener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, wrap: p.Wrapper()}
-}
-
-type faultListener struct {
-	net.Listener
-	wrap func(net.Conn) net.Conn
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.wrap(conn), nil
 }

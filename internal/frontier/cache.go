@@ -118,8 +118,7 @@ func Fingerprint(nodes []opt.NodeModel, total int) string {
 // the resolved worker count — it decides how Sweep and Exact split
 // into chains, which stats and each point's warm/pivots record (a
 // short ladder runs one chain at any count; keying on the count costs
-// it a spurious miss, never a wrong hit). Constraints are fixed per
-// Service, whose memo this is, so they are not in the key.
+// it a spurious miss, never a wrong hit).
 func memoKey(fp string, exact, all bool, cfg Config) string {
 	buf := make([]byte, 0, len(fp)+64+len(cfg.Alphas)*17)
 	buf = append(buf, fp...)

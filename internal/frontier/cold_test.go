@@ -3,6 +3,7 @@ package frontier
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"pareto/internal/opt"
 )
@@ -11,7 +12,9 @@ import (
 // per α, no retained basis. They were opt.Frontier and opt.ExactFrontier
 // until Sweep and Exact were proven bit-identical to them; they live on
 // here as the reference the equivalence tests, the contract tests and
-// BenchmarkFrontier/cold64x41 hold the warm path to.
+// BenchmarkFrontier/cold64x41 hold the warm path to. A cold point fills
+// only a Point's 2-D fields (Alpha, Makespan, DirtyEnergy, Plan); compare
+// warm points through twoD.
 
 // coldDedupTol is the relative tolerance coldFrontier uses when
 // deduplicating adjacent sample points. Plan metrics are recomputed
@@ -20,12 +23,33 @@ import (
 // coldExactFrontier's tol parameter.
 const coldDedupTol = 1e-9
 
-func coldPoint(nodes []opt.NodeModel, total int, alpha float64) (opt.FrontierPoint, error) {
+func coldPoint(nodes []opt.NodeModel, total int, alpha float64) (Point, error) {
 	plan, err := opt.Optimize(nodes, total, alpha)
 	if err != nil {
-		return opt.FrontierPoint{}, err
+		return Point{}, err
 	}
-	return opt.FrontierPoint{Alpha: alpha, Makespan: plan.Makespan, DirtyEnergy: plan.DirtyEnergy, Plan: plan}, nil
+	return Point{Alpha: alpha, Makespan: plan.Makespan, DirtyEnergy: plan.DirtyEnergy, Plan: plan}, nil
+}
+
+// twoD strips a point down to the fields a cold point fills.
+func twoD(p Point) Point {
+	return Point{Alpha: p.Alpha, Makespan: p.Makespan, DirtyEnergy: p.DirtyEnergy, Plan: p.Plan}
+}
+
+// coldCanonicalize sorts a copy of pts by ascending α and drops
+// adjacent points that coincide in objective space up to tol
+// (SamePoint), keeping the lowest-α representative.
+func coldCanonicalize(pts []Point, tol float64) []Point {
+	out := make([]Point, len(pts))
+	copy(out, pts)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Alpha < out[j].Alpha })
+	dedup := out[:0]
+	for _, p := range out {
+		if len(dedup) == 0 || !SamePoint(dedup[len(dedup)-1], p, tol) {
+			dedup = append(dedup, p)
+		}
+	}
+	return dedup
 }
 
 // coldFrontier sweeps the scalarization weight over the given α values
@@ -33,11 +57,11 @@ func coldPoint(nodes []opt.NodeModel, total int, alpha float64) (opt.FrontierPoi
 // with adjacent duplicates (same makespan and dirty energy within 1e-9
 // relative) collapsed to their lowest-α representative, regardless of
 // the order alphas are given in.
-func coldFrontier(nodes []opt.NodeModel, total int, alphas []float64) ([]opt.FrontierPoint, error) {
+func coldFrontier(nodes []opt.NodeModel, total int, alphas []float64) ([]Point, error) {
 	if len(alphas) == 0 {
 		return nil, errors.New("empty alpha sweep")
 	}
-	pts := make([]opt.FrontierPoint, 0, len(alphas))
+	pts := make([]Point, 0, len(alphas))
 	for _, a := range alphas {
 		pt, err := coldPoint(nodes, total, a)
 		if err != nil {
@@ -45,14 +69,14 @@ func coldFrontier(nodes []opt.NodeModel, total int, alphas []float64) ([]opt.Fro
 		}
 		pts = append(pts, pt)
 	}
-	return opt.CanonicalizeFrontier(pts, coldDedupTol), nil
+	return coldCanonicalize(pts, coldDedupTol), nil
 }
 
 // bisectMaxDepth bounds coldExactFrontier's recursion. With the 1e-9
 // α-width convergence floor a bisection from [0,1] bottoms out near
 // depth 30, so 40 is a pure safety net — but if it ever fires with
 // differing endpoints the frontier is incomplete, and that is surfaced
-// as opt.ErrTruncated. A variable (not a const) so tests can lower it
+// as ErrTruncated. A variable (not a const) so tests can lower it
 // to exercise the truncation path.
 var bisectMaxDepth = 40
 
@@ -68,12 +92,12 @@ var bisectMaxDepth = 40
 // output and bisection always drives adjacent-vertex intervals to that
 // floor. If the recursion instead exhausts its depth budget with
 // differing endpoints, the points found so far are returned together
-// with an error wrapping opt.ErrTruncated.
-func coldExactFrontier(nodes []opt.NodeModel, total int, tol float64) ([]opt.FrontierPoint, error) {
+// with an error wrapping ErrTruncated.
+func coldExactFrontier(nodes []opt.NodeModel, total int, tol float64) ([]Point, error) {
 	if tol <= 0 {
 		tol = 1e-6
 	}
-	solve := func(alpha float64) (opt.FrontierPoint, error) { return coldPoint(nodes, total, alpha) }
+	solve := func(alpha float64) (Point, error) { return coldPoint(nodes, total, alpha) }
 	lo, err := solve(0)
 	if err != nil {
 		return nil, err
@@ -82,11 +106,11 @@ func coldExactFrontier(nodes []opt.NodeModel, total int, tol float64) ([]opt.Fro
 	if err != nil {
 		return nil, err
 	}
-	var out []opt.FrontierPoint
+	var out []Point
 	truncated := false
-	var rec func(a, b opt.FrontierPoint, depth int) error
-	rec = func(a, b opt.FrontierPoint, depth int) error {
-		if opt.SamePoint(a, b, tol) || b.Alpha-a.Alpha < 1e-9 {
+	var rec func(a, b Point, depth int) error
+	rec = func(a, b Point, depth int) error {
+		if SamePoint(a, b, tol) || b.Alpha-a.Alpha < 1e-9 {
 			return nil
 		}
 		if depth > bisectMaxDepth {
@@ -100,7 +124,7 @@ func coldExactFrontier(nodes []opt.NodeModel, total int, tol float64) ([]opt.Fro
 		if err := rec(a, mid, depth+1); err != nil {
 			return err
 		}
-		if !opt.SamePoint(mid, a, tol) && !opt.SamePoint(mid, b, tol) {
+		if !SamePoint(mid, a, tol) && !SamePoint(mid, b, tol) {
 			out = append(out, mid)
 		}
 		return rec(mid, b, depth+1)
@@ -109,12 +133,12 @@ func coldExactFrontier(nodes []opt.NodeModel, total int, tol float64) ([]opt.Fro
 	if err := rec(lo, hi, 0); err != nil {
 		return nil, err
 	}
-	if !opt.SamePoint(lo, hi, tol) {
+	if !SamePoint(lo, hi, tol) {
 		out = append(out, hi)
 	}
-	pts := opt.CanonicalizeFrontier(out, tol)
+	pts := coldCanonicalize(out, tol)
 	if truncated {
-		return pts, fmt.Errorf("exact frontier incomplete beyond depth %d: %w", bisectMaxDepth, opt.ErrTruncated)
+		return pts, fmt.Errorf("exact frontier incomplete beyond depth %d: %w", bisectMaxDepth, ErrTruncated)
 	}
 	return pts, nil
 }

@@ -70,8 +70,8 @@ func objectives(nodes []opt.NodeModel, p *opt.Plan) []float64 {
 }
 
 // DominatesVec reports whether objective vector a Pareto-dominates b:
-// no worse on every axis, strictly better on at least one, with the
-// same absolute tolerance discipline as opt.Dominates.
+// no worse on every axis, strictly better on at least one, up to an
+// absolute tolerance of 1e-9 per axis.
 func DominatesVec(a, b []float64) bool {
 	const tol = 1e-9
 	if len(a) != len(b) {
@@ -89,10 +89,18 @@ func DominatesVec(a, b []float64) bool {
 	return better
 }
 
-// Point is one frontier sample: the classic 2-D FrontierPoint plus the
-// extended objective vector and solve provenance.
+// Point is one frontier sample: the α it was solved at, the plan and
+// its two LP objectives, the extended objective vector and solve
+// provenance.
 type Point struct {
-	opt.FrontierPoint
+	// Alpha is the scalarization weight the sample was solved at.
+	Alpha float64
+	// Makespan (s) and DirtyEnergy (J) are Plan's predicted
+	// objectives: the sample's place on the 2-D frontier.
+	Makespan    float64
+	DirtyEnergy float64
+	// Plan is the sizing plan the LP chose at Alpha.
+	Plan *opt.Plan
 	// Objectives is the plan's objective vector (objectiveNames).
 	Objectives []float64
 	// Warm reports whether the sample's LP solve reused a retained
@@ -105,6 +113,23 @@ type Point struct {
 	// contract is unchanged) but are excluded from Result.Frontier().
 	Dominated bool
 }
+
+// SamePoint reports whether two frontier points coincide in objective
+// space up to the relative tolerance tol (scales taken from a). It is
+// the dedup predicate of Sweep and Exact.
+func SamePoint(a, b Point, tol float64) bool {
+	scaleT := math.Max(math.Abs(a.Makespan), 1)
+	scaleE := math.Max(math.Abs(a.DirtyEnergy), 1)
+	return math.Abs(a.Makespan-b.Makespan)/scaleT < tol &&
+		math.Abs(a.DirtyEnergy-b.DirtyEnergy)/scaleE < tol
+}
+
+// ErrTruncated reports that Exact's recursive α bisection hit its depth
+// limit between two α values whose vertices still differ: the returned
+// frontier may be missing breakpoints inside that interval. The points
+// found so far are still returned alongside the error; callers that can
+// tolerate a partial frontier may use them.
+var ErrTruncated = errors.New("frontier: bisection truncated at depth limit")
 
 // Stats aggregates solve effort across one enumeration.
 type Stats struct {
@@ -125,7 +150,7 @@ type Stats struct {
 }
 
 // Config parameterizes Sweep and Exact. The zero value is usable:
-// DefaultAlphaSweep α values, GOMAXPROCS workers.
+// opt.DefaultAlphaSweep α values, GOMAXPROCS workers.
 type Config struct {
 	// Alphas are the scalarization weights to sample (Sweep only).
 	// Empty means opt.DefaultAlphaSweep. Order is irrelevant: results
@@ -135,8 +160,6 @@ type Config struct {
 	// Sweep runs at most this many warm chains and never one shorter
 	// than minChainAlphas, so short ladders are solved serially.
 	Workers int
-	// Constraints are passed through to the sizing LP.
-	Constraints opt.Constraints
 	// Tol is the point-coincidence tolerance: dedup for Sweep (default
 	// 1e-9) and breakpoint convergence for Exact (default 1e-6).
 	Tol float64
@@ -148,8 +171,8 @@ type Config struct {
 type Result struct {
 	// Points is the canonical point list (ascending α, adjacent
 	// duplicates collapsed), including dominated samples with their
-	// flag set — the embedded FrontierPoints are exactly what cold
-	// per-α opt.Optimize solves produce.
+	// flag set — each point's Alpha, Makespan, DirtyEnergy and Plan are
+	// exactly what a cold per-α opt.Optimize solve produces.
 	Points []Point
 	// Stats is the solve-effort accounting.
 	Stats Stats
@@ -171,7 +194,6 @@ func (r *Result) Frontier() []Point {
 type chain struct {
 	nodes []opt.NodeModel
 	total int
-	cons  opt.Constraints
 	s     *lp.Solver
 
 	solves, warm, pivots, warmPivots int
@@ -181,7 +203,7 @@ type chain struct {
 // previous solve when one exists.
 func (c *chain) solve(alpha float64) (*opt.Plan, *lp.Solution, error) {
 	if c.s == nil {
-		prob, err := opt.SizingLP(c.nodes, c.total, alpha, c.cons)
+		prob, err := opt.SizingLP(c.nodes, c.total, alpha, opt.Constraints{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -209,15 +231,15 @@ func (c *chain) addTo(st *Stats) {
 }
 
 // ErrBadRequest marks an enumeration refused for its inputs (models
-// opt.ValidateModels rejects, an α outside [0,1], a negative MinSize)
-// rather than failed while solving; the Service answers it with 400.
+// opt.ValidateModels rejects, an α outside [0,1]) rather than failed
+// while solving; the Service answers it with 400.
 var ErrBadRequest = errors.New("frontier: bad request")
 
-func validateSweep(nodes []opt.NodeModel, total int, cfg Config) (alphas []float64, cons opt.Constraints, err error) {
+func validateSweep(nodes []opt.NodeModel, total int, cfg Config) ([]float64, error) {
 	if err := opt.ValidateModels(nodes, total); err != nil {
-		return nil, cons, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	alphas = cfg.Alphas
+	alphas := cfg.Alphas
 	if len(alphas) == 0 {
 		alphas = opt.DefaultAlphaSweep()
 	}
@@ -228,22 +250,14 @@ func validateSweep(nodes []opt.NodeModel, total int, cfg Config) (alphas []float
 	out := sorted[:0]
 	for i, a := range sorted {
 		if a < 0 || a > 1 || math.IsNaN(a) {
-			return nil, cons, fmt.Errorf("%w: alpha %v out of [0,1]", ErrBadRequest, a)
+			return nil, fmt.Errorf("%w: alpha %v out of [0,1]", ErrBadRequest, a)
 		}
 		if i > 0 && a == sorted[i-1] {
 			continue
 		}
 		out = append(out, a)
 	}
-	cons = cfg.Constraints
-	if cons.MinSize < 0 {
-		return nil, cons, fmt.Errorf("%w: negative MinSize %v", ErrBadRequest, cons.MinSize)
-	}
-	// Mirror OptimizeWithConstraints' cap so results match the cold path.
-	if cap := float64(total) / float64(len(nodes)); cons.MinSize > cap {
-		cons.MinSize = cap
-	}
-	return out, cons, nil
+	return out, nil
 }
 
 // minChainAlphas is the fewest α values Sweep gives one warm chain. A
@@ -259,13 +273,12 @@ const minChainAlphas = 64
 // chained inside contiguous α ranges — at most cfg.Workers of them, and
 // none shorter than minChainAlphas, so a ladder of up to 127 values is
 // one chain and one cold solve at any worker count — then canonicalizes
-// (ascending α, adjacent duplicates collapsed — the
-// opt.CanonicalizeFrontier contract) and dominance-filters over the
-// objective vector. The embedded FrontierPoints are bit-identical to cold
-// per-α solves at any worker count.
+// (ascending α, adjacent duplicates collapsed) and dominance-filters
+// over the objective vector. Each point's Alpha, Makespan, DirtyEnergy
+// and Plan are bit-identical to a cold per-α solve at any worker count.
 func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	start := time.Now()
-	alphas, cons, err := validateSweep(nodes, total, cfg)
+	alphas, err := validateSweep(nodes, total, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +296,7 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	chains := make([]*chain, k)
 	_, err = parallel.ForErr(k, k, func(lo, hi int) error {
 		for c := lo; c < hi; c++ {
-			ch := &chain{nodes: nodes, total: total, cons: cons}
+			ch := &chain{nodes: nodes, total: total}
 			chains[c] = ch
 			for i := c * n / k; i < (c+1)*n/k; i++ {
 				plan, sol, err := ch.solve(alphas[i])
@@ -308,27 +321,25 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 
 func newPoint(nodes []opt.NodeModel, alpha float64, plan *opt.Plan, sol *lp.Solution) Point {
 	return Point{
-		FrontierPoint: opt.FrontierPoint{
-			Alpha:       alpha,
-			Makespan:    plan.Makespan,
-			DirtyEnergy: plan.DirtyEnergy,
-			Plan:        plan,
-		},
-		Objectives: objectives(nodes, plan),
-		Warm:       sol.Warm,
-		Pivots:     sol.Iterations,
+		Alpha:       alpha,
+		Makespan:    plan.Makespan,
+		DirtyEnergy: plan.DirtyEnergy,
+		Plan:        plan,
+		Objectives:  objectives(nodes, plan),
+		Warm:        sol.Warm,
+		Pivots:      sol.Iterations,
 	}
 }
 
-// canonicalize applies the opt.CanonicalizeFrontier contract to
-// extended points: ascending α (inputs are pre-sorted for Sweep,
-// in-order for Exact), adjacent objective-space duplicates collapsed
-// to their lowest-α representative.
+// canonicalize puts points in the canonical form Sweep and Exact
+// return: ascending α (inputs are pre-sorted for Sweep, in-order for
+// Exact), adjacent objective-space duplicates (SamePoint) collapsed to
+// their lowest-α representative.
 func canonicalize(pts []Point, tol float64) []Point {
 	sort.SliceStable(pts, func(i, j int) bool { return pts[i].Alpha < pts[j].Alpha })
 	out := pts[:0:len(pts)]
 	for _, p := range pts {
-		if len(out) == 0 || !opt.SamePoint(out[len(out)-1].FrontierPoint, p.FrontierPoint, tol) {
+		if len(out) == 0 || !SamePoint(out[len(out)-1], p, tol) {
 			out = append(out, p)
 		}
 	}
@@ -375,7 +386,7 @@ func finish(res *Result, start time.Time, reg *telemetry.Registry, kind string) 
 // exactMaxDepth bounds Exact's recursion. With the 1e-9 α-width
 // convergence floor a bisection from [0,1] bottoms out near depth 30, so
 // 40 is a pure safety net: exhaustion with differing endpoints means an
-// incomplete frontier and is surfaced via opt.ErrTruncated. A variable
+// incomplete frontier and is surfaced via ErrTruncated. A variable
 // (not a const) so tests can lower it to exercise the truncation path.
 var exactMaxDepth = 40
 
@@ -393,8 +404,7 @@ var exactMaxDepth = 40
 // bisection regardless of parallelism.
 func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	start := time.Now()
-	_, cons, err := validateSweep(nodes, total, cfg)
-	if err != nil {
+	if _, err := validateSweep(nodes, total, cfg); err != nil {
 		return nil, err
 	}
 	tol := cfg.Tol
@@ -409,7 +419,7 @@ func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 		spawnDepth++
 	}
 
-	root := &chain{nodes: nodes, total: total, cons: cons}
+	root := &chain{nodes: nodes, total: total}
 	solve := func(c *chain, alpha float64) (Point, error) {
 		plan, sol, err := c.solve(alpha)
 		if err != nil {
@@ -426,7 +436,7 @@ func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	same := func(a, b Point) bool { return opt.SamePoint(a.FrontierPoint, b.FrontierPoint, tol) }
+	same := func(a, b Point) bool { return SamePoint(a, b, tol) }
 	// rec returns the points strictly inside (a, b), in α order.
 	var rec func(c *chain, a, b Point, depth int) subResult
 	rec = func(c *chain, a, b Point, depth int) subResult {
@@ -444,7 +454,7 @@ func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 		if depth < spawnDepth {
 			// Fork the left half onto its own goroutine with a fresh
 			// chain; the right half continues on this chain inline.
-			lc := &chain{nodes: nodes, total: total, cons: cons}
+			lc := &chain{nodes: nodes, total: total}
 			done := make(chan subResult, 1)
 			go func() {
 				sr := rec(lc, a, mid, depth+1)
@@ -477,7 +487,7 @@ func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	}
 	finish(res, start, cfg.Telemetry, "exact")
 	if sub.truncated {
-		return res, fmt.Errorf("frontier: exact enumeration incomplete beyond depth %d: %w", exactMaxDepth, opt.ErrTruncated)
+		return res, fmt.Errorf("frontier: exact enumeration incomplete beyond depth %d: %w", exactMaxDepth, ErrTruncated)
 	}
 	return res, nil
 }

@@ -25,7 +25,7 @@ func workerCounts() []int {
 
 func TestSweepEquivalentToColdFrontier(t *testing.T) {
 	// The tentpole guarantee: warm-started parallel sweeps produce
-	// FrontierPoints deep-equal (bit-identical floats included) to the
+	// points whose 2-D fields are deep-equal (bit-identical floats included) to the
 	// cold-solve reference (cold_test.go), at every worker count. Run under
 	// -race this also exercises the chunked chain scheduling.
 	for _, p := range []int{8, 16, 64} {
@@ -45,9 +45,9 @@ func TestSweepEquivalentToColdFrontier(t *testing.T) {
 				t.Fatalf("p=%d workers=%d: %d points, cold has %d", p, w, len(res.Points), len(cold))
 			}
 			for i := range cold {
-				if !reflect.DeepEqual(res.Points[i].FrontierPoint, cold[i]) {
+				if !reflect.DeepEqual(twoD(res.Points[i]), cold[i]) {
 					t.Fatalf("p=%d workers=%d: point %d diverges from cold solve:\nwarm: %+v\ncold: %+v",
-						p, w, i, res.Points[i].FrontierPoint, cold[i])
+						p, w, i, twoD(res.Points[i]), cold[i])
 				}
 			}
 		}
@@ -71,9 +71,9 @@ func TestExactEquivalentToColdExactFrontier(t *testing.T) {
 				t.Fatalf("p=%d workers=%d: %d points, cold has %d", p, w, len(res.Points), len(cold))
 			}
 			for i := range cold {
-				if !reflect.DeepEqual(res.Points[i].FrontierPoint, cold[i]) {
+				if !reflect.DeepEqual(twoD(res.Points[i]), cold[i]) {
 					t.Fatalf("p=%d workers=%d: point %d diverges from cold bisection:\nwarm: %+v\ncold: %+v",
-						p, w, i, res.Points[i].FrontierPoint, cold[i])
+						p, w, i, twoD(res.Points[i]), cold[i])
 				}
 			}
 			if res.Stats.Solves < len(cold) {
@@ -92,7 +92,7 @@ func TestExactFrontierSurfacesTruncation(t *testing.T) {
 	defer func() { bisectMaxDepth, exactMaxDepth = savedCold, savedWarm }()
 	nodes := PaperModels(4)
 	cold, err := coldExactFrontier(nodes, 200000, 1e-6)
-	if !errors.Is(err, opt.ErrTruncated) {
+	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("cold err = %v, want ErrTruncated", err)
 	}
 	if len(cold) < 2 {
@@ -100,14 +100,14 @@ func TestExactFrontierSurfacesTruncation(t *testing.T) {
 	}
 	for _, w := range workerCounts() {
 		res, err := Exact(nodes, 200000, Config{Workers: w})
-		if !errors.Is(err, opt.ErrTruncated) {
+		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("workers=%d: err = %v, want ErrTruncated", w, err)
 		}
 		if res == nil || len(res.Points) != len(cold) {
 			t.Fatalf("workers=%d: truncated enumeration must still return the points found: %+v", w, res)
 		}
 		for i := range cold {
-			if !reflect.DeepEqual(res.Points[i].FrontierPoint, cold[i]) {
+			if !reflect.DeepEqual(twoD(res.Points[i]), cold[i]) {
 				t.Errorf("workers=%d: truncated point %d diverges from the cold reference", w, i)
 			}
 		}
@@ -201,7 +201,7 @@ func TestDominanceFilterHandBuiltPoints(t *testing.T) {
 	}
 	pts := make([]Point, len(vecs))
 	for i, v := range vecs {
-		pts[i] = Point{FrontierPoint: opt.FrontierPoint{Alpha: float64(i)}, Objectives: v.obj}
+		pts[i] = Point{Alpha: float64(i), Objectives: v.obj}
 	}
 	if got := markDominated(pts); got != 2 {
 		t.Errorf("markDominated flagged %d points, want 2", got)
@@ -217,6 +217,30 @@ func TestDominanceFilterHandBuiltPoints(t *testing.T) {
 	}
 	if want := []float64{0, 1, 3, 4, 5}; !reflect.DeepEqual(kept, want) {
 		t.Errorf("Frontier() kept α %v, want %v", kept, want)
+	}
+}
+
+// TestCanonicalizeFrontier: the canonical form Sweep and Exact return
+// is ascending α with adjacent objective-space duplicates collapsed to
+// their lowest-α representative, whatever order the points came in.
+func TestCanonicalizeFrontier(t *testing.T) {
+	p1 := Point{Alpha: 0.9, Makespan: 5, DirtyEnergy: 50}
+	p2 := Point{Alpha: 0.1, Makespan: 20, DirtyEnergy: 10}
+	dup := Point{Alpha: 0.5, Makespan: 20, DirtyEnergy: 10} // same objectives as p2
+	got := canonicalize([]Point{p1, dup, p2}, 1e-9)
+	if len(got) != 2 {
+		t.Fatalf("got %d points, want 2 (adjacent duplicate dropped): %+v", len(got), got)
+	}
+	if got[0].Alpha != 0.1 || got[1].Alpha != 0.9 {
+		t.Errorf("not ascending with lowest-α representative kept: %+v", got)
+	}
+	// Points that differ by less than tol relative coincide; by more,
+	// they do not.
+	if !SamePoint(p2, Point{Makespan: 20 * (1 + 1e-10), DirtyEnergy: 10}, 1e-9) {
+		t.Error("sub-tolerance difference kept apart")
+	}
+	if SamePoint(p2, Point{Makespan: 20 * (1 + 1e-8), DirtyEnergy: 10}, 1e-9) {
+		t.Error("supra-tolerance difference collapsed")
 	}
 }
 
@@ -241,33 +265,6 @@ func TestSweepDefaultsAndValidation(t *testing.T) {
 	}
 	if _, err := Sweep(nodes, 100, Config{Alphas: []float64{-0.1}}); err == nil {
 		t.Error("out-of-range alpha accepted")
-	}
-	if _, err := Sweep(nodes, 100, Config{Constraints: opt.Constraints{MinSize: -1}}); err == nil {
-		t.Error("negative MinSize accepted")
-	}
-}
-
-func TestSweepWithMinSizeMatchesColdConstrainedPath(t *testing.T) {
-	nodes := PaperModels(8)
-	total := 80_000
-	cons := opt.Constraints{MinSize: 2_000}
-	res, err := Sweep(nodes, total, Config{Alphas: []float64{0.5, 0.9, 1}, Constraints: cons, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Points {
-		want, err := opt.OptimizeWithConstraints(nodes, total, p.Alpha, cons)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(p.Plan, want) {
-			t.Errorf("α=%v: constrained sweep plan diverges from OptimizeWithConstraints", p.Alpha)
-		}
-		for _, s := range p.Plan.Sizes {
-			if float64(s) < cons.MinSize-1 {
-				t.Errorf("α=%v: size %d below floor %v", p.Alpha, s, cons.MinSize)
-			}
-		}
 	}
 }
 

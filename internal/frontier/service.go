@@ -63,8 +63,8 @@ type Service struct {
 }
 
 // NewService creates a frontier service over the given source. cfg
-// supplies defaults (telemetry, base α sweep, constraints) that
-// requests can override.
+// supplies defaults (telemetry, base α sweep) that requests can
+// override.
 func NewService(source ModelSource, cfg Config) *Service {
 	return &Service{source: source, cfg: cfg, memo: newReplyMemo(cfg.Telemetry)}
 }
@@ -219,7 +219,7 @@ func encodeReply(nodes []opt.NodeModel, total int, exact, includeAll bool, cfg C
 		res, err = Sweep(nodes, total, cfg)
 	}
 	// A truncated exact frontier is still served, flagged.
-	truncated := errors.Is(err, opt.ErrTruncated)
+	truncated := errors.Is(err, ErrTruncated)
 	if err != nil && !truncated {
 		return nil, err
 	}

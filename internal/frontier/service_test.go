@@ -165,9 +165,6 @@ func TestServiceRejectsBadModels(t *testing.T) {
 			t.Errorf("%s: an error reply was memoized", tc.name)
 		}
 	}
-	if _, err := Sweep(good, 1000, Config{Constraints: opt.Constraints{MinSize: -1}}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("negative MinSize: Sweep error %v, want ErrBadRequest", err)
-	}
 }
 
 // TestServiceEncodeFailure: a reply that cannot be encoded (a NaN
@@ -175,8 +172,8 @@ func TestServiceRejectsBadModels(t *testing.T) {
 // could be served after a 200 or memoized.
 func TestServiceEncodeFailure(t *testing.T) {
 	res := &Result{Points: []Point{{
-		FrontierPoint: opt.FrontierPoint{Plan: &opt.Plan{Sizes: []int{10, 0}}},
-		Objectives:    []float64{1, math.NaN(), 1},
+		Plan:       &opt.Plan{Sizes: []int{10, 0}},
+		Objectives: []float64{1, math.NaN(), 1},
 	}}}
 	body, err := renderReply(responseJSON{Nodes: 2, Total: 10}, res, false)
 	if err == nil || !strings.HasPrefix(err.Error(), "frontier: encode reply:") {
@@ -192,7 +189,7 @@ func TestServiceEncodeFailure(t *testing.T) {
 // is reported either way.
 func TestServiceDominatedToggle(t *testing.T) {
 	point := func(alpha float64, obj ...float64) Point {
-		return Point{FrontierPoint: opt.FrontierPoint{Alpha: alpha, Plan: &opt.Plan{Sizes: []int{1, 1}}}, Objectives: obj}
+		return Point{Alpha: alpha, Plan: &opt.Plan{Sizes: []int{1, 1}}, Objectives: obj}
 	}
 	// The α=0.75 point is worse than the α=1 one on two axes and better
 	// on none.

@@ -18,16 +18,18 @@ import (
 func startFaultyStore(t *testing.T, plan faultnet.Plan) string {
 	t.Helper()
 	srv := kvstore.NewServer(nil)
-	srv.SetConnWrapper(plan.Wrapper())
 	if rep := srv.Engine().Do("SET", []byte("k"), []byte("v")); rep.Err() != nil {
 		t.Fatal(rep.Err())
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := srv.Serve(plan.Listener(ln)); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { srv.Close() })
-	return addr
+	return ln.Addr().String()
 }
 
 func retryOpts() kvstore.Options {

@@ -25,11 +25,11 @@ func TestRespWriterPartialWriteMidBatch(t *testing.T) {
 	// Op 0 is the read of the pipelined request batch; ops 1+ are the
 	// per-buffer writes of the reply flush. Partial on op 2 lands inside
 	// the gather batch: after the first buffer, mid-way through the next.
-	srv.SetConnWrapper(faultnet.Plan{
+	plan := faultnet.Plan{
 		Script:     []faultnet.Action{faultnet.Pass, faultnet.Pass, faultnet.Partial},
 		FaultConns: 1,
 		Telemetry:  freg,
-	}.Wrapper())
+	}
 	const nKeys = 4
 	val := bytes.Repeat([]byte("z"), respZeroCopyMin+64)
 	for i := 0; i < nKeys; i++ {
@@ -37,11 +37,15 @@ func TestRespWriterPartialWriteMidBatch(t *testing.T) {
 			t.Fatal(rep.Err())
 		}
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := srv.Serve(plan.Listener(ln)); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { srv.Close() })
+	addr := ln.Addr().String()
 
 	// Raw pipelined batch: nKeys GETs in one flush, so the server
 	// answers with one multi-buffer gather-write.

@@ -30,7 +30,6 @@ type Server struct {
 	wg        sync.WaitGroup
 
 	snapshotPath string
-	wrapConn     func(net.Conn) net.Conn
 
 	telemetry *telemetry.Registry
 	metrics   *serverMetrics
@@ -143,16 +142,6 @@ func (s *Server) SetClusterSlots(self string, ranges []SlotRange) error {
 	return nil
 }
 
-// SetConnWrapper installs a wrapper applied to every subsequently
-// accepted connection — the hook for fault injection (e.g. a
-// faultnet.Plan.Wrapper()) or instrumentation. Must be called before
-// Listen.
-func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) {
-	s.mu.Lock()
-	s.wrapConn = wrap
-	s.mu.Unlock()
-}
-
 // SetTelemetry attaches a metrics registry: per-command counts and
 // latency, wire bytes in/out, connection churn, and parse errors are
 // recorded into it, and the INFO command renders its snapshot. A nil
@@ -241,24 +230,34 @@ func (s *Server) rewritePersistence() Reply {
 	return okReply()
 }
 
-// Listen binds the address (e.g. "127.0.0.1:0") and starts accepting
-// in a background goroutine. It returns the bound address.
+// Listen binds the address (e.g. "127.0.0.1:0") and serves it (Serve).
+// It returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("kvstore: listen %s: %w", addr, err)
 	}
+	if err := s.Serve(ln); err != nil {
+		return "", err
+	}
+	return ln.Addr().String(), nil
+}
+
+// Serve accepts connections from ln in a background goroutine until
+// Close, which closes ln. Any listener will do: the fault tests hand it
+// one that wraps every accepted connection (faultnet.Plan.Listener).
+func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
-		return "", errors.New("kvstore: server already closed")
+		return errors.New("kvstore: server already closed")
 	}
 	s.listeners = append(s.listeners, ln)
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return nil
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
@@ -273,9 +272,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			s.mu.Unlock()
 			conn.Close()
 			return
-		}
-		if s.wrapConn != nil {
-			conn = s.wrapConn(conn)
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()

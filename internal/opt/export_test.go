@@ -5,11 +5,12 @@ package opt
 // cannot live in package opt.
 var PaperNodes = paperNodes
 
-// Dominates reports whether point a Pareto-dominates point b (no worse
-// in both objectives, strictly better in at least one). It is the
-// predicate this package's tests assert frontiers with; the frontier
-// enumerators filter with internal/frontier's N-axis DominatesVec.
-func Dominates(a, b FrontierPoint) bool {
+// Dominates reports whether plan a Pareto-dominates plan b in
+// (makespan, dirty energy): no worse in both, strictly better in at
+// least one. It is the predicate this package's tests assert frontiers
+// with; the frontier enumerators filter with internal/frontier's N-axis
+// DominatesVec.
+func Dominates(a, b *Plan) bool {
 	const tol = 1e-9
 	noWorse := a.Makespan <= b.Makespan+tol && a.DirtyEnergy <= b.DirtyEnergy+tol
 	better := a.Makespan < b.Makespan-tol || a.DirtyEnergy < b.DirtyEnergy-tol

@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-// Satellite coverage for the frontier canonicalization contract and
-// Dominates edge cases.
+// Dominates edge cases, and the sizing LP builder's agreement with
+// Optimize.
 
 func TestDominatesTies(t *testing.T) {
 	// Within-tolerance differences are ties: equal in one objective and
 	// strictly better in the other still dominates, but sub-tolerance
 	// "improvements" in both never do.
-	base := FrontierPoint{Makespan: 10, DirtyEnergy: 100}
-	tieBetter := FrontierPoint{Makespan: 10, DirtyEnergy: 90}
+	base := &Plan{Makespan: 10, DirtyEnergy: 100}
+	tieBetter := &Plan{Makespan: 10, DirtyEnergy: 90}
 	if !Dominates(tieBetter, base) {
 		t.Error("equal makespan + strictly lower energy must dominate")
 	}
@@ -22,18 +22,18 @@ func TestDominatesTies(t *testing.T) {
 	}
 	// Differences below the 1e-9 tolerance in both objectives: the
 	// points are indistinguishable, neither dominates.
-	jitter := FrontierPoint{Makespan: 10 + 1e-12, DirtyEnergy: 100 - 1e-12}
+	jitter := &Plan{Makespan: 10 + 1e-12, DirtyEnergy: 100 - 1e-12}
 	if Dominates(jitter, base) || Dominates(base, jitter) {
 		t.Error("sub-tolerance jitter must not create domination")
 	}
 	// A tie in one objective plus a sub-tolerance edge in the other is
 	// still a full tie.
-	almostTie := FrontierPoint{Makespan: 10, DirtyEnergy: 100 - 1e-12}
+	almostTie := &Plan{Makespan: 10, DirtyEnergy: 100 - 1e-12}
 	if Dominates(almostTie, base) {
 		t.Error("sub-tolerance energy edge must not dominate")
 	}
 	// Just past the tolerance flips it.
-	clearlyBetter := FrontierPoint{Makespan: 10, DirtyEnergy: 100 - 1e-6}
+	clearlyBetter := &Plan{Makespan: 10, DirtyEnergy: 100 - 1e-6}
 	if !Dominates(clearlyBetter, base) {
 		t.Error("supra-tolerance improvement must dominate")
 	}
@@ -45,11 +45,11 @@ func TestDominatesNonConvexProfile(t *testing.T) {
 	// the segment joining its neighbors but is NOT dominated by either —
 	// non-convexity alone is not domination, so a correct filter must
 	// keep it. Point d, worse than m in both objectives, must go.
-	a := FrontierPoint{Alpha: 0.0, Makespan: 30, DirtyEnergy: 10}
-	m := FrontierPoint{Alpha: 0.5, Makespan: 22, DirtyEnergy: 28} // above segment a–b, still undominated
-	b := FrontierPoint{Alpha: 1.0, Makespan: 10, DirtyEnergy: 40}
-	d := FrontierPoint{Alpha: 0.6, Makespan: 23, DirtyEnergy: 29} // dominated by m
-	for _, p := range []FrontierPoint{a, b} {
+	a := &Plan{Alpha: 0.0, Makespan: 30, DirtyEnergy: 10}
+	m := &Plan{Alpha: 0.5, Makespan: 22, DirtyEnergy: 28} // above segment a–b, still undominated
+	b := &Plan{Alpha: 1.0, Makespan: 10, DirtyEnergy: 40}
+	d := &Plan{Alpha: 0.6, Makespan: 23, DirtyEnergy: 29} // dominated by m
+	for _, p := range []*Plan{a, b} {
 		if Dominates(p, m) {
 			t.Errorf("non-convex knee wrongly dominated by %+v", p)
 		}
@@ -59,25 +59,6 @@ func TestDominatesNonConvexProfile(t *testing.T) {
 	}
 	if Dominates(d, a) || Dominates(d, b) {
 		t.Error("dominated point cannot dominate the extremes")
-	}
-}
-
-func TestCanonicalizeFrontier(t *testing.T) {
-	p1 := FrontierPoint{Alpha: 0.9, Makespan: 5, DirtyEnergy: 50}
-	p2 := FrontierPoint{Alpha: 0.1, Makespan: 20, DirtyEnergy: 10}
-	dup := FrontierPoint{Alpha: 0.5, Makespan: 20, DirtyEnergy: 10} // same objectives as p2
-	got := CanonicalizeFrontier([]FrontierPoint{p1, dup, p2}, 1e-9)
-	if len(got) != 2 {
-		t.Fatalf("got %d points, want 2 (adjacent duplicate dropped): %+v", len(got), got)
-	}
-	if got[0].Alpha != 0.1 || got[1].Alpha != 0.9 {
-		t.Errorf("not ascending with lowest-α representative kept: %+v", got)
-	}
-	// Input must not be mutated (callers hand over shared slices).
-	in := []FrontierPoint{p1, p2}
-	_ = CanonicalizeFrontier(in, 1e-9)
-	if in[0].Alpha != 0.9 {
-		t.Error("CanonicalizeFrontier mutated its input")
 	}
 }
 

@@ -9,37 +9,30 @@ import (
 	"pareto/internal/sampling"
 )
 
-// The frontier contract this package defines — canonical order
-// (CanonicalizeFrontier), the SamePoint dedup, Dominates, ErrTruncated —
-// held against the enumerators that produce frontiers, internal/frontier's
-// Sweep and Exact. Those are pinned bit-identical to the cold per-α
-// reference in internal/frontier's own tests, where the truncation
-// contract is tested too (it needs the depth budgets lowered).
+// Frontier properties of this package's sizing LP — monotone
+// objectives in α, no mutual domination (Dominates), completeness of
+// the exact vertex set — checked through the enumerators that produce
+// frontiers, internal/frontier's Sweep and Exact. Those are pinned
+// bit-identical to the cold per-α reference in internal/frontier's own
+// tests, where the canonical order, the SamePoint dedup and the
+// truncation contract are tested too.
 
-func sweep(t *testing.T, nodes []opt.NodeModel, total int, alphas []float64) []opt.FrontierPoint {
+func sweep(t *testing.T, nodes []opt.NodeModel, total int, alphas []float64) []frontier.Point {
 	t.Helper()
 	res, err := frontier.Sweep(nodes, total, frontier.Config{Alphas: alphas})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return flat(res)
+	return res.Points
 }
 
-func exact(t *testing.T, nodes []opt.NodeModel, total int) []opt.FrontierPoint {
+func exact(t *testing.T, nodes []opt.NodeModel, total int) []frontier.Point {
 	t.Helper()
 	res, err := frontier.Exact(nodes, total, frontier.Config{Tol: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return flat(res)
-}
-
-func flat(res *frontier.Result) []opt.FrontierPoint {
-	pts := make([]opt.FrontierPoint, len(res.Points))
-	for i, p := range res.Points {
-		pts[i] = p.FrontierPoint
-	}
-	return pts
+	return res.Points
 }
 
 func TestFrontierMonotonicity(t *testing.T) {
@@ -55,7 +48,7 @@ func TestFrontierMonotonicity(t *testing.T) {
 		if pts[i].Alpha <= pts[i-1].Alpha {
 			t.Fatalf("α not ascending at %d: %v after %v", i, pts[i].Alpha, pts[i-1].Alpha)
 		}
-		if opt.SamePoint(pts[i-1], pts[i], 1e-9) {
+		if frontier.SamePoint(pts[i-1], pts[i], 1e-9) {
 			t.Errorf("adjacent duplicate survived dedup at α=%v", pts[i].Alpha)
 		}
 	}
@@ -73,7 +66,7 @@ func TestFrontierMonotonicity(t *testing.T) {
 	// No point on the frontier may dominate another (Pareto property).
 	for i := range pts {
 		for j := range pts {
-			if i != j && opt.Dominates(pts[i], pts[j]) && opt.Dominates(pts[j], pts[i]) {
+			if i != j && opt.Dominates(pts[i].Plan, pts[j].Plan) && opt.Dominates(pts[j].Plan, pts[i].Plan) {
 				t.Errorf("mutual domination between %d and %d", i, j)
 			}
 		}
@@ -123,7 +116,7 @@ func TestExactFrontier(t *testing.T) {
 	}
 	for i := range pts {
 		for j := range pts {
-			if i != j && opt.Dominates(pts[i], pts[j]) {
+			if i != j && opt.Dominates(pts[i].Plan, pts[j].Plan) {
 				t.Errorf("frontier point %d dominates point %d", i, j)
 			}
 		}

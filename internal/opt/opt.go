@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"pareto/internal/lp"
 	"pareto/internal/sampling"
@@ -378,54 +377,10 @@ func RoundToTotal(x []float64, total int) []int {
 	return sizes
 }
 
-// FrontierPoint is one α sample of the Pareto frontier.
-type FrontierPoint struct {
-	Alpha       float64
-	Makespan    float64
-	DirtyEnergy float64
-	Plan        *Plan
-}
-
-// SamePoint reports whether two frontier points coincide in objective
-// space up to the relative tolerance tol (scales taken from a). It is
-// the dedup predicate both frontier enumerators (internal/frontier's
-// Sweep and Exact) use.
-func SamePoint(a, b FrontierPoint, tol float64) bool {
-	scaleT := math.Max(math.Abs(a.Makespan), 1)
-	scaleE := math.Max(math.Abs(a.DirtyEnergy), 1)
-	return math.Abs(a.Makespan-b.Makespan)/scaleT < tol &&
-		math.Abs(a.DirtyEnergy-b.DirtyEnergy)/scaleE < tol
-}
-
-// CanonicalizeFrontier sorts points by ascending α (energy-lean →
-// time-lean) and drops adjacent points that coincide in objective
-// space up to tol (SamePoint), keeping the lowest-α representative.
-// The frontier enumerators return output in this canonical form; apply
-// it to hand-assembled point lists before comparing against them.
-func CanonicalizeFrontier(pts []FrontierPoint, tol float64) []FrontierPoint {
-	out := make([]FrontierPoint, len(pts))
-	copy(out, pts)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Alpha < out[j].Alpha })
-	dedup := out[:0]
-	for _, p := range out {
-		if len(dedup) == 0 || !SamePoint(dedup[len(dedup)-1], p, tol) {
-			dedup = append(dedup, p)
-		}
-	}
-	return dedup
-}
-
-// ErrTruncated reports that an exact frontier enumeration's recursive
-// α bisection (internal/frontier.Exact) hit its depth limit between two
-// α values whose vertices still differ: the returned frontier may be
-// missing breakpoints inside that interval. The points found so far are
-// still returned alongside the error; callers that can tolerate a
-// partial frontier may use them.
-var ErrTruncated = errors.New("opt: frontier bisection truncated at depth limit")
-
-// DefaultAlphaSweep returns the α ladder used by the frontier figures:
-// dense near 1 (where the interesting tradeoffs live, given the raw
-// objective scales) and sparse toward 0.
+// DefaultAlphaSweep returns the default α ladder of frontier.Sweep and
+// of the /frontier service, dense near 1 (where the interesting
+// tradeoffs live, given the raw objective scales) and sparse toward 0.
+// Figures 5–6 sample their own ladder (internal/bench's fig5Alphas).
 func DefaultAlphaSweep() []float64 {
 	return []float64{1.0, 0.9999, 0.9995, 0.999, 0.995, 0.99, 0.95, 0.9, 0.5, 0.1, 0.0}
 }

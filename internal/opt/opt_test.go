@@ -173,14 +173,14 @@ func TestEqualSizedBaselineIsDominated(t *testing.T) {
 	for i := range x {
 		x[i] = float64(per)
 	}
-	base := FrontierPoint{Makespan: makespanOf(nodes, x), DirtyEnergy: energyOf(nodes, x)}
+	base := &Plan{Makespan: makespanOf(nodes, x), DirtyEnergy: energyOf(nodes, x)}
 	dominated := false
 	for _, a := range DefaultAlphaSweep() {
 		plan, err := Optimize(nodes, total, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if Dominates(FrontierPoint{Makespan: plan.Makespan, DirtyEnergy: plan.DirtyEnergy}, base) {
+		if Dominates(plan, base) {
 			dominated = true
 			break
 		}
@@ -299,9 +299,9 @@ func TestRoundToTotal(t *testing.T) {
 }
 
 func TestDominates(t *testing.T) {
-	a := FrontierPoint{Makespan: 1, DirtyEnergy: 1}
-	b := FrontierPoint{Makespan: 2, DirtyEnergy: 2}
-	c := FrontierPoint{Makespan: 0.5, DirtyEnergy: 3}
+	a := &Plan{Makespan: 1, DirtyEnergy: 1}
+	b := &Plan{Makespan: 2, DirtyEnergy: 2}
+	c := &Plan{Makespan: 0.5, DirtyEnergy: 3}
 	if !Dominates(a, b) {
 		t.Error("a must dominate b")
 	}

@@ -63,20 +63,24 @@ func faultClientOptions(seed int64) kvstore.Options {
 	}
 }
 
-// faultServer starts one kvstore server, optionally chaos-wrapped, and
-// dials it with hardened options.
-func faultServer(t *testing.T, opts kvstore.Options, wrap func(net.Conn) net.Conn) *kvstore.Client {
+// faultServer starts one kvstore server, chaos-wrapped by plan unless
+// it is nil, and dials it with hardened options.
+func faultServer(t *testing.T, opts kvstore.Options, plan *faultnet.Plan) *kvstore.Client {
 	t.Helper()
 	srv := kvstore.NewServer(nil)
-	if wrap != nil {
-		srv.SetConnWrapper(wrap)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var served net.Listener = ln
+	if plan != nil {
+		served = plan.Listener(ln)
+	}
+	if err := srv.Serve(served); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { srv.Close() })
-	c, err := kvstore.DialOptions(addr, time.Second, opts)
+	c, err := kvstore.DialOptions(ln.Addr().String(), time.Second, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +226,7 @@ func TestMigrationSurvivesDropChaos(t *testing.T) {
 	// each chaotic connection drops, the retry budget reaches the clean
 	// connections past the outage window.
 	opts.MaxRetries = 20
-	client := faultServer(t, opts, faultnet.Plan{Seed: 42, DropRate: 0.05, FaultConns: 12}.Wrapper())
+	client := faultServer(t, opts, &faultnet.Plan{Seed: 42, DropRate: 0.05, FaultConns: 12})
 	kv, err := partitioner.NewKVStoreKV([]kvstore.KV{client}, 32, "replan-chaos")
 	if err != nil {
 		t.Fatal(err)

@@ -3,48 +3,32 @@ package pareto
 import (
 	"testing"
 
+	"pareto/internal/cluster"
+	"pareto/internal/core"
 	"pareto/internal/datasets"
-	"pareto/internal/sampling"
+	"pareto/internal/energy"
+	"pareto/internal/partitioner"
+	"pareto/internal/pivots"
 )
 
-func quickFramework(t *testing.T) (*Framework, *TextCorpus) {
+// quickSetup builds the small text corpus and 4-node paper cluster the
+// end-to-end tests plan over, and a profile whose cost is proportional
+// to document size.
+func quickSetup(t *testing.T) (*pivots.TextCorpus, *cluster.Cluster, core.ProfileFunc) {
 	t.Helper()
 	cfg := datasets.RCV1Like(0.0005)
 	docs, _, err := datasets.GenerateText(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, err := NewTextCorpus(docs, cfg.VocabSize)
+	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := PaperCluster(4, DefaultPanel(), 172, 48)
+	cl, err := cluster.PaperCluster(4, energy.DefaultPanel(), 172, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := New(corpus, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fw, corpus
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
-		t.Error("nil corpus accepted")
-	}
-	corpus, err := NewTextCorpus([]Doc{{Terms: []uint32{1}}}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(corpus, nil); err == nil {
-		t.Error("nil cluster accepted")
-	}
-}
-
-func TestFrameworkEndToEnd(t *testing.T) {
-	fw, corpus := quickFramework(t)
-	fw.TraceOffset = 12 * 3600
 	profile := func(indices []int) (float64, error) {
 		var c float64
 		for _, i := range indices {
@@ -52,22 +36,28 @@ func TestFrameworkEndToEnd(t *testing.T) {
 		}
 		return c, nil
 	}
+	return corpus, cl, profile
+}
+
+func TestFrameworkEndToEnd(t *testing.T) {
+	corpus, cl, profile := quickSetup(t)
+	const offset = 12 * 3600
 	run := func(node int, indices []int) (float64, error) {
 		return profile(indices)
 	}
-	base, err := fw.Plan(Stratified, nil)
+	base, err := core.BuildPlan(corpus, cl, nil, core.Config{Strategy: core.Stratified, TraceOffset: offset})
 	if err != nil {
 		t.Fatal(err)
 	}
-	het, err := fw.Plan(HetAware, profile)
+	het, err := core.BuildPlan(corpus, cl, profile, core.Config{Strategy: core.HetAware, TraceOffset: offset})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes, err := fw.Execute(base, run)
+	baseRes, err := core.Execute(cl, base, run, offset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetRes, err := fw.Execute(het, run)
+	hetRes, err := core.Execute(cl, het, run, offset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +65,8 @@ func TestFrameworkEndToEnd(t *testing.T) {
 		t.Errorf("Het-Aware %.3fs not below baseline %.3fs", hetRes.Makespan, baseRes.Makespan)
 	}
 	// Place to memory and verify coverage.
-	st := NewMemoryStore()
-	if err := fw.PlaceTo(het, st); err != nil {
+	st := partitioner.NewMemoryStore()
+	if err := partitioner.Place(corpus, het.Assign, st); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -90,71 +80,30 @@ func TestFrameworkEndToEnd(t *testing.T) {
 	if total != corpus.Len() {
 		t.Errorf("placed %d of %d records", total, corpus.Len())
 	}
-	if err := fw.PlaceTo(nil, st); err == nil {
-		t.Error("nil plan accepted by PlaceTo")
-	}
 }
 
 func TestFrameworkEnergyAware(t *testing.T) {
-	fw, corpus := quickFramework(t)
-	fw.TraceOffset = 12 * 3600
-	fw.Alpha = 0.99
-	profile := func(indices []int) (float64, error) {
-		var c float64
-		for _, i := range indices {
-			c += 1000 * float64(corpus.Weight(i))
-		}
-		return c, nil
-	}
+	corpus, cl, profile := quickSetup(t)
+	const offset = 12 * 3600
 	run := func(node int, indices []int) (float64, error) { return profile(indices) }
-	het, err := fw.Plan(HetAware, profile)
+	het, err := core.BuildPlan(corpus, cl, profile, core.Config{Strategy: core.HetAware, TraceOffset: offset})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hea, err := fw.Plan(HetEnergyAware, profile)
+	hea, err := core.BuildPlan(corpus, cl, profile, core.Config{Strategy: core.HetEnergyAware, Alpha: 0.99, TraceOffset: offset})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetRes, err := fw.Execute(het, run)
+	hetRes, err := core.Execute(cl, het, run, offset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heaRes, err := fw.Execute(hea, run)
+	heaRes, err := core.Execute(cl, hea, run, offset)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if heaRes.DirtyEnergy > hetRes.DirtyEnergy {
 		t.Errorf("energy-aware dirty %.1f J above time-only %.1f J",
 			heaRes.DirtyEnergy, hetRes.DirtyEnergy)
-	}
-	if fw.Corpus() != corpus || fw.Cluster() == nil {
-		t.Error("accessors broken")
-	}
-}
-
-func TestFacadeModelerReExports(t *testing.T) {
-	nodes := []NodeModel{
-		{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 300},
-		{Time: sampling.LinearFit{Slope: 0.002}, DirtyRate: 50},
-		{Time: sampling.LinearFit{Slope: 0.004}, DirtyRate: 0},
-	}
-	pts, err := Frontier(nodes, 100000, DefaultAlphaSweep())
-	if err != nil || len(pts) == 0 {
-		t.Fatalf("Frontier: %v", err)
-	}
-	exact, err := ExactFrontier(nodes, 100000, 1e-6)
-	if err != nil || len(exact) == 0 {
-		t.Fatalf("ExactFrontier: %v", err)
-	}
-	chosen, plan, err := SelectNodes(nodes, 100000, 2, 1)
-	if err != nil || len(chosen) != 2 || plan == nil {
-		t.Fatalf("SelectNodes: %v %v", chosen, err)
-	}
-}
-
-func TestFrontierEmptySweep(t *testing.T) {
-	nodes := []NodeModel{{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 300}}
-	if _, err := Frontier(nodes, 100, nil); err == nil {
-		t.Error("empty sweep accepted")
 	}
 }
