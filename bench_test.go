@@ -349,7 +349,7 @@ func BenchmarkAblationExactFrontier(b *testing.B) {
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := frontier.Exact(nodes, 1_000_000, frontier.Config{Tol: 1e-6})
+			res, err := frontier.Exact(nodes, 1_000_000, frontier.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

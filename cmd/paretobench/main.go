@@ -20,7 +20,7 @@
 // -frontier switches to the warm-started frontier enumerator: it
 // prints the dominance-filtered Pareto frontier over a paper-shaped
 // cluster of 64 nodes and 1,000,000 units, sampled at 41 α values or,
-// with -frontier-exact, bisected to its exact breakpoints, with
+// with -frontier-exact, every vertex found by dichotomic search, with
 // warm/cold solve statistics. With -serve the same models are also
 // exported over HTTP at /frontier alongside the telemetry endpoints.
 //
@@ -57,7 +57,7 @@ func main() {
 		snapshot = flag.String("snapshot", "", "write the final telemetry snapshot as JSON to this file (\"-\" = stdout)")
 
 		frontierMode = flag.Bool("frontier", false, "enumerate the time/energy Pareto frontier instead of running experiments")
-		fExact       = flag.Bool("frontier-exact", false, "frontier: exact breakpoint bisection instead of α sampling")
+		fExact       = flag.Bool("frontier-exact", false, "frontier: every vertex (dichotomic search) instead of α sampling")
 		serve        = flag.String("serve", "", "serve /frontier and telemetry on this address (e.g. :8080) after printing")
 
 		replanMode    = flag.Bool("replan", false, "drive the incremental online replanning loop instead of experiments")
@@ -123,7 +123,8 @@ func main() {
 
 // The frontier the -frontier mode enumerates: a paper-shaped cluster of
 // frontierNodes nodes sharing frontierTotal data units, swept at
-// frontierAlphas uniform α samples unless -frontier-exact bisects.
+// frontierAlphas uniform α samples unless -frontier-exact asks for
+// every vertex.
 const (
 	frontierNodes  = 64
 	frontierAlphas = 41
@@ -154,7 +155,7 @@ func runFrontier(exact bool, addr string) error {
 
 	mode := "sweep"
 	if exact {
-		mode = "exact bisection"
+		mode = "every vertex"
 	}
 	fmt.Printf("=== frontier (%s, %d nodes, %d units) ===\n", mode, frontierNodes, frontierTotal)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)

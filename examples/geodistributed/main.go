@@ -57,7 +57,7 @@ func main() {
 	}
 
 	// Exact Pareto frontier of the full pool.
-	res, err := frontier.Exact(models, total, frontier.Config{Tol: 1e-6})
+	res, err := frontier.Exact(models, total, frontier.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

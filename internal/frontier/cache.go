@@ -114,11 +114,11 @@ func Fingerprint(nodes []opt.NodeModel, total int) string {
 }
 
 // memoKey extends a model fingerprint with every per-request parameter
-// the reply bytes depend on: mode, all=, tolerance, the α list, and
-// the resolved worker count — it decides how Sweep and Exact split
-// into chains, which stats and each point's warm/pivots record (a
-// short ladder runs one chain at any count; keying on the count costs
-// it a spurious miss, never a wrong hit).
+// the reply bytes depend on: mode, all=, the α list, and the resolved
+// worker count — it decides how Sweep splits into chains, which stats
+// and each point's warm/pivots record (a short ladder or an exact
+// request runs one chain at any count; keying on the count costs it a
+// spurious miss, never a wrong hit).
 func memoKey(fp string, exact, all bool, cfg Config) string {
 	buf := make([]byte, 0, len(fp)+64+len(cfg.Alphas)*17)
 	buf = append(buf, fp...)
@@ -128,8 +128,6 @@ func memoKey(fp string, exact, all bool, cfg Config) string {
 	buf = strconv.AppendBool(buf, all)
 	buf = append(buf, ';')
 	buf = strconv.AppendInt(buf, int64(parallel.Workers(math.MaxInt, cfg.Workers)), 16)
-	buf = append(buf, ';')
-	buf = strconv.AppendUint(buf, math.Float64bits(cfg.Tol), 16)
 	for _, a := range cfg.Alphas {
 		buf = append(buf, ',')
 		buf = strconv.AppendUint(buf, math.Float64bits(a), 16)

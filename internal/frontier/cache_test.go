@@ -83,7 +83,6 @@ func TestCacheKeyedOnRequestParams(t *testing.T) {
 		{name: "alpha count", url: "/frontier?alphas=11"},
 		{name: "explicit alpha list", url: "/frontier?alpha=0,0.5,1"},
 		{name: "exact", url: "/frontier?alphas=9&exact=1"},
-		{name: "tol", url: "/frontier?alphas=9&tol=0.0005"},
 		{name: "workers", url: "/frontier?alphas=9&workers=2"},
 		{name: "all", url: "/frontier?alphas=9&all=1"},
 		{name: "total", url: "/frontier?alphas=9", models: func() { src.total++ }},

@@ -9,10 +9,11 @@ import (
 )
 
 // The cold frontier enumerators: one independent two-phase opt.Optimize
-// per α, no retained basis. They were opt.Frontier and opt.ExactFrontier
-// until Sweep and Exact were proven bit-identical to them; they live on
-// here as the reference the equivalence tests, the contract tests and
-// BenchmarkFrontier/cold64x41 hold the warm path to. A cold point fills
+// per α, no retained basis. coldFrontier is the reference Sweep is held
+// to bit for bit; coldExactFrontier finds the vertices by blind α
+// bisection, a second algorithm the dichotomic Exact must agree with.
+// The equivalence tests, the contract tests and
+// BenchmarkFrontier/cold64x41 use them. A cold point fills
 // only a Point's 2-D fields (Alpha, Makespan, DirtyEnergy, Plan); compare
 // warm points through twoD.
 
@@ -75,10 +76,12 @@ func coldFrontier(nodes []opt.NodeModel, total int, alphas []float64) ([]Point, 
 // bisectMaxDepth bounds coldExactFrontier's recursion. With the 1e-9
 // α-width convergence floor a bisection from [0,1] bottoms out near
 // depth 30, so 40 is a pure safety net — but if it ever fires with
-// differing endpoints the frontier is incomplete, and that is surfaced
-// as ErrTruncated. A variable (not a const) so tests can lower it
-// to exercise the truncation path.
-var bisectMaxDepth = 40
+// differing endpoints the reference is incomplete, and that is
+// surfaced as errColdTruncated.
+const bisectMaxDepth = 40
+
+// errColdTruncated reports that coldExactFrontier hit bisectMaxDepth.
+var errColdTruncated = errors.New("cold bisection truncated at depth limit")
 
 // coldExactFrontier enumerates the Pareto frontier's vertex points
 // exactly (up to tol in objective space, default 1e-6) by recursive α
@@ -92,7 +95,7 @@ var bisectMaxDepth = 40
 // output and bisection always drives adjacent-vertex intervals to that
 // floor. If the recursion instead exhausts its depth budget with
 // differing endpoints, the points found so far are returned together
-// with an error wrapping ErrTruncated.
+// with an error wrapping errColdTruncated.
 func coldExactFrontier(nodes []opt.NodeModel, total int, tol float64) ([]Point, error) {
 	if tol <= 0 {
 		tol = 1e-6
@@ -138,7 +141,7 @@ func coldExactFrontier(nodes []opt.NodeModel, total int, tol float64) ([]Point, 
 	}
 	pts := coldCanonicalize(out, tol)
 	if truncated {
-		return pts, fmt.Errorf("exact frontier incomplete beyond depth %d: %w", bisectMaxDepth, ErrTruncated)
+		return pts, fmt.Errorf("exact frontier incomplete beyond depth %d: %w", bisectMaxDepth, errColdTruncated)
 	}
 	return pts, nil
 }

@@ -1,8 +1,8 @@
 // Package frontier enumerates the time/dirty-energy Pareto frontier
 // (paper §IV, Figures 5–6) as a first-class subsystem: warm-started
-// α-sweeps, exact breakpoint bisection, and dominance filtering over a
-// three-objective vector, exposed to callers as a library, an HTTP
-// service (service.go), and `paretobench -frontier`.
+// α-sweeps, every vertex by dichotomic search, and dominance filtering
+// over a three-objective vector, exposed to callers as a library, an
+// HTTP service (service.go), and `paretobench -frontier`.
 //
 // # Why warm starts
 //
@@ -21,12 +21,13 @@
 // The lp solver extracts solutions from the basis *set* against the
 // original constraint rows, so a warm re-solve is bit-identical to a
 // cold solve that reaches the same basis, and plans are recomputed
-// from rounded integer sizes. Sweep and Exact output is therefore
-// deep-equal, at any worker count, to enumerating with one independent
-// opt.Optimize per α — the cold path this package replaced, kept as the
-// test reference in cold_test.go and pinned by
+// from rounded integer sizes. Every Sweep and Exact point is therefore
+// deep-equal, at any worker count, to one independent opt.Optimize at
+// its α — the cold path this package replaced, kept as the test
+// reference in cold_test.go and pinned by
 // TestSweepEquivalentToColdFrontier and
-// TestExactEquivalentToColdExactFrontier under -race.
+// TestExactEquivalentToColdExactFrontier, which also holds Exact's
+// vertices to a cold α bisection.
 //
 // # Non-convexity
 //
@@ -124,13 +125,6 @@ func SamePoint(a, b Point, tol float64) bool {
 		math.Abs(a.DirtyEnergy-b.DirtyEnergy)/scaleE < tol
 }
 
-// ErrTruncated reports that Exact's recursive α bisection hit its depth
-// limit between two α values whose vertices still differ: the returned
-// frontier may be missing breakpoints inside that interval. The points
-// found so far are still returned alongside the error; callers that can
-// tolerate a partial frontier may use them.
-var ErrTruncated = errors.New("frontier: bisection truncated at depth limit")
-
 // Stats aggregates solve effort across one enumeration.
 type Stats struct {
 	// Solves is the number of LP solves performed.
@@ -156,13 +150,11 @@ type Config struct {
 	// Empty means opt.DefaultAlphaSweep. Order is irrelevant: results
 	// are canonical (ascending α).
 	Alphas []float64
-	// Workers bounds enumeration parallelism; ≤ 0 means GOMAXPROCS.
-	// Sweep runs at most this many warm chains and never one shorter
-	// than minChainAlphas, so short ladders are solved serially.
+	// Workers bounds Sweep's parallelism; ≤ 0 means GOMAXPROCS. Sweep
+	// runs at most this many warm chains and never one shorter than
+	// minChainAlphas, so short ladders are solved serially. Exact is
+	// one chain.
 	Workers int
-	// Tol is the point-coincidence tolerance: dedup for Sweep (default
-	// 1e-9) and breakpoint convergence for Exact (default 1e-6).
-	Tol float64
 	// Telemetry receives frontier_* metrics when non-nil.
 	Telemetry *telemetry.Registry
 }
@@ -282,11 +274,6 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-9
-	}
-
 	n := len(alphas)
 	pts := make([]Point, n)
 	// Each chain takes one contiguous α range: cold at its first α, warm
@@ -311,7 +298,7 @@ func Sweep(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Points: canonicalize(pts, tol)}
+	res := &Result{Points: canonicalize(pts)}
 	for _, ch := range chains {
 		ch.addTo(&res.Stats)
 	}
@@ -331,15 +318,20 @@ func newPoint(nodes []opt.NodeModel, alpha float64, plan *opt.Plan, sol *lp.Solu
 	}
 }
 
+// dedupTol is the relative tolerance (SamePoint) under which Sweep and
+// Exact collapse adjacent points. Plans are recomputed from integer
+// sizes, so equal plans compare bit-equal and it has nothing to absorb.
+const dedupTol = 1e-9
+
 // canonicalize puts points in the canonical form Sweep and Exact
 // return: ascending α (inputs are pre-sorted for Sweep, in-order for
 // Exact), adjacent objective-space duplicates (SamePoint) collapsed to
 // their lowest-α representative.
-func canonicalize(pts []Point, tol float64) []Point {
+func canonicalize(pts []Point) []Point {
 	sort.SliceStable(pts, func(i, j int) bool { return pts[i].Alpha < pts[j].Alpha })
 	out := pts[:0:len(pts)]
 	for _, p := range pts {
-		if len(out) == 0 || !SamePoint(out[len(out)-1], p, tol) {
+		if len(out) == 0 || !SamePoint(out[len(out)-1], p, dedupTol) {
 			out = append(out, p)
 		}
 	}
@@ -383,141 +375,95 @@ func finish(res *Result, start time.Time, reg *telemetry.Registry, kind string) 
 	}
 }
 
-// exactMaxDepth bounds Exact's recursion. With the 1e-9 α-width
-// convergence floor a bisection from [0,1] bottoms out near depth 30, so
-// 40 is a pure safety net: exhaustion with differing endpoints means an
-// incomplete frontier and is surfaced via ErrTruncated. A variable
-// (not a const) so tests can lower it to exercise the truncation path.
-var exactMaxDepth = 40
+// adjacentMargin is the relative improvement in the scalarized
+// objective at a tie weight that makes the solve there a new vertex
+// rather than one of the two it was computed from (or a point of the
+// edge between them). Far above the float rounding of a 64-term dot
+// product, far below the gap between distinct vertices of a sizing LP,
+// like lp.eps for the solver's own pivots.
+const adjacentMargin = 1e-9
 
-// Exact enumerates every distinct frontier vertex by recursive α
-// bisection with warm-started solves: the scalarized LP is piecewise
-// constant in its optimal vertex as α varies, so whenever the solutions
-// at two α values differ, some breakpoint lies between them. An interval
-// narrower than 1e-9 in α whose endpoints still differ is converged.
-//
-// The recursion carries a solver chain down its in-order walk, and when
-// cfg.Workers > 1 the top levels of the recursion tree fork into
-// goroutines, each subtree chaining its own solver. Spawn depth is a
-// pure function of Workers, so chains — and therefore Stats — are
-// deterministic, and bit-identity makes the points deep-equal to a cold
-// bisection regardless of parallelism.
+// Exact enumerates every vertex of the 2-D frontier by dichotomic
+// search (Aneja & Nair, Mgmt. Sci. 1979) on one warm chain. It solves
+// α = 0 and α = 1; for two known vertices a and b it solves at the α*
+// where their scalarized objectives tie, computed from the LP's own
+// values (makespan v and dirty energy Σ k_i·m_i·total·s_i). A solve
+// there that is not better than a at α* means a and b are adjacent;
+// otherwise it is a new vertex between them, and both halves are
+// searched in order. Each solve either finds a vertex or closes an
+// edge, so k points cost at most 2k − 1 solves, and no depth limit or
+// convergence tolerance is needed.
 func Exact(nodes []opt.NodeModel, total int, cfg Config) (*Result, error) {
 	start := time.Now()
 	if _, err := validateSweep(nodes, total, cfg); err != nil {
 		return nil, err
 	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-6
+	p := len(nodes)
+	// vertex is a solved point with the LP's own shares and objectives.
+	type vertex struct {
+		pt   Point
+		x    []float64
+		v, e float64
 	}
-
-	// Spawn goroutines only in the top ⌈log2(workers)⌉ levels.
-	workers := parallel.Workers(1<<20, cfg.Workers)
-	spawnDepth := 0
-	for 1<<spawnDepth < workers {
-		spawnDepth++
-	}
-
-	root := &chain{nodes: nodes, total: total}
-	solve := func(c *chain, alpha float64) (Point, error) {
+	c := &chain{nodes: nodes, total: total}
+	solve := func(alpha float64) (vertex, error) {
 		plan, sol, err := c.solve(alpha)
 		if err != nil {
-			return Point{}, err
+			return vertex{}, err
 		}
-		return newPoint(nodes, alpha, plan, sol), nil
+		vx := vertex{pt: newPoint(nodes, alpha, plan, sol), x: sol.X, v: sol.X[p]}
+		for i, n := range nodes {
+			vx.e += n.DirtyRate * n.Time.Slope * float64(total) * sol.X[i]
+		}
+		return vx, nil
 	}
-	lo, err := solve(root, 0)
+	lo, err := solve(0)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := solve(root, 1)
+	hi, err := solve(1)
 	if err != nil {
 		return nil, err
 	}
 
-	same := func(a, b Point) bool { return SamePoint(a, b, tol) }
-	// rec returns the points strictly inside (a, b), in α order.
-	var rec func(c *chain, a, b Point, depth int) subResult
-	rec = func(c *chain, a, b Point, depth int) subResult {
-		if same(a, b) || b.Alpha-a.Alpha < 1e-9 {
-			return subResult{}
+	pts := []Point{lo.pt}
+	// search appends the vertices strictly between a and b, in α order.
+	var search func(a, b vertex) error
+	search = func(a, b vertex) error {
+		de, dv := b.e-a.e, b.v-a.v
+		alpha := de / (de - dv)
+		// NaN too: a and b are one LP vertex.
+		if !(alpha > a.pt.Alpha && alpha < b.pt.Alpha) {
+			return nil
 		}
-		if depth > exactMaxDepth {
-			return subResult{truncated: true}
-		}
-		mid, err := solve(c, (a.Alpha+b.Alpha)/2)
+		m, err := solve(alpha)
 		if err != nil {
-			return subResult{err: err}
+			return err
 		}
-		var left subResult
-		if depth < spawnDepth {
-			// Fork the left half onto its own goroutine with a fresh
-			// chain; the right half continues on this chain inline.
-			lc := &chain{nodes: nodes, total: total}
-			done := make(chan subResult, 1)
-			go func() {
-				sr := rec(lc, a, mid, depth+1)
-				sr.chains = append(sr.chains, lc)
-				done <- sr
-			}()
-			right := rec(c, mid, b, depth+1)
-			left = <-done
-			return mergeSub(left, mid, right, same, a, b)
+		obj := opt.SizingObjective(nodes, total, alpha)
+		fa := dot(obj, a.x)
+		if !(dot(obj, m.x) < fa-adjacentMargin*math.Abs(fa)) {
+			return nil
 		}
-		left = rec(c, a, mid, depth+1)
-		right := rec(c, mid, b, depth+1)
-		return mergeSub(left, mid, right, same, a, b)
+		if err := search(a, m); err != nil {
+			return err
+		}
+		pts = append(pts, m.pt)
+		return search(m, b)
 	}
-	sub := rec(root, lo, hi, 0)
-	if sub.err != nil {
-		return nil, sub.err
+	if err := search(lo, hi); err != nil {
+		return nil, err
 	}
-
-	pts := make([]Point, 0, len(sub.pts)+2)
-	pts = append(pts, lo)
-	pts = append(pts, sub.pts...)
-	if !same(lo, hi) {
-		pts = append(pts, hi)
-	}
-	res := &Result{Points: canonicalize(pts, tol)}
-	root.addTo(&res.Stats)
-	for _, c := range sub.chains {
-		c.addTo(&res.Stats)
-	}
+	res := &Result{Points: canonicalize(append(pts, hi.pt))}
+	c.addTo(&res.Stats)
 	finish(res, start, cfg.Telemetry, "exact")
-	if sub.truncated {
-		return res, fmt.Errorf("frontier: exact enumeration incomplete beyond depth %d: %w", exactMaxDepth, ErrTruncated)
-	}
 	return res, nil
 }
 
-// subResult is one bisection subtree's outcome: the points strictly
-// inside its interval (in α order), the solver chains it consumed
-// (for stats), and whether any branch hit the depth budget.
-type subResult struct {
-	pts       []Point
-	chains    []*chain
-	truncated bool
-	err       error
-}
-
-// mergeSub assembles an in-order subtree result: left points, the
-// midpoint (if distinct from both interval endpoints), then right
-// points.
-func mergeSub(left subResult, mid Point, right subResult, same func(a, b Point) bool, a, b Point) subResult {
-	out := subResult{
-		pts:       left.pts,
-		chains:    append(left.chains, right.chains...),
-		truncated: left.truncated || right.truncated,
-		err:       left.err,
+func dot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
 	}
-	if out.err == nil {
-		out.err = right.err
-	}
-	if !same(mid, a) && !same(mid, b) {
-		out.pts = append(out.pts, mid)
-	}
-	out.pts = append(out.pts, right.pts...)
-	return out
+	return s
 }

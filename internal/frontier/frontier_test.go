@@ -1,7 +1,8 @@
 package frontier
 
 import (
-	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -54,62 +55,73 @@ func TestSweepEquivalentToColdFrontier(t *testing.T) {
 	}
 }
 
-func TestExactEquivalentToColdExactFrontier(t *testing.T) {
-	for _, p := range []int{8, 16} {
-		nodes := PaperModels(p)
-		total := 500_000
-		cold, err := coldExactFrontier(nodes, total, 1e-6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range workerCounts() {
-			res, err := Exact(nodes, total, Config{Workers: w})
-			if err != nil {
-				t.Fatalf("p=%d workers=%d: %v", p, w, err)
-			}
-			if len(res.Points) != len(cold) {
-				t.Fatalf("p=%d workers=%d: %d points, cold has %d", p, w, len(res.Points), len(cold))
-			}
-			for i := range cold {
-				if !reflect.DeepEqual(twoD(res.Points[i]), cold[i]) {
-					t.Fatalf("p=%d workers=%d: point %d diverges from cold bisection:\nwarm: %+v\ncold: %+v",
-						p, w, i, twoD(res.Points[i]), cold[i])
-				}
-			}
-			if res.Stats.Solves < len(cold) {
-				t.Errorf("p=%d workers=%d: stats report %d solves for %d points", p, w, res.Stats.Solves, len(cold))
-			}
+// randomModels draws p node models with continuous slopes and
+// intercepts; about a quarter of the nodes run on green power alone
+// (dirty rate 0). Every profile is distinct: identical nodes tie in the
+// sizing LP, which omits the k_i·c_i a loaded node adds, so a whole
+// face of share splits is optimal and a warm and a cold solve may stop
+// on different alternate optima of it.
+func randomModels(rng *rand.Rand, p int) []opt.NodeModel {
+	nodes := make([]opt.NodeModel, p)
+	for i := range nodes {
+		nodes[i] = opt.NodeModel{Time: sampling.LinearFit{
+			Slope:     1e-6 * (0.5 + 4*rng.Float64()),
+			Intercept: 0.2 * rng.Float64(),
+		}}
+		if rng.Intn(4) != 0 {
+			nodes[i].DirtyRate = 50 + 400*rng.Float64()
 		}
 	}
+	return nodes
 }
 
-func TestExactFrontierSurfacesTruncation(t *testing.T) {
-	// With the production depth budget the 1e-9 α-width floor converges
-	// first and truncation is unreachable; shrink the budgets to prove
-	// both enumerators report exhaustion rather than swallow it.
-	savedCold, savedWarm := bisectMaxDepth, exactMaxDepth
-	bisectMaxDepth, exactMaxDepth = 0, 0
-	defer func() { bisectMaxDepth, exactMaxDepth = savedCold, savedWarm }()
-	nodes := PaperModels(4)
-	cold, err := coldExactFrontier(nodes, 200000, 1e-6)
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("cold err = %v, want ErrTruncated", err)
+// TestExactEquivalentToColdExactFrontier holds the dichotomic Exact to
+// two independent references: each point is what a cold solve at its
+// own α returns, and the vertices are those the cold α bisection of
+// cold_test.go finds, in the same order. It also holds Exact to its
+// cost: every solve finds a vertex or closes an edge between two.
+func TestExactEquivalentToColdExactFrontier(t *testing.T) {
+	type input struct {
+		name  string
+		nodes []opt.NodeModel
+		total int
 	}
-	if len(cold) < 2 {
-		t.Errorf("truncated cold frontier must still return the points found, got %d", len(cold))
+	var inputs []input
+	for _, p := range []int{4, 8, 16, 64} {
+		inputs = append(inputs, input{fmt.Sprintf("paper%d", p), PaperModels(p), 1_000_000})
 	}
-	for _, w := range workerCounts() {
-		res, err := Exact(nodes, 200000, Config{Workers: w})
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("workers=%d: err = %v, want ErrTruncated", w, err)
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 100; i++ {
+		inputs = append(inputs, input{fmt.Sprintf("random%d", i), randomModels(rng, 2+rng.Intn(11)), 10_000 + rng.Intn(990_000)})
+	}
+	for _, in := range inputs {
+		res, err := Exact(in.nodes, in.total, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
 		}
-		if res == nil || len(res.Points) != len(cold) {
-			t.Fatalf("workers=%d: truncated enumeration must still return the points found: %+v", w, res)
-		}
-		for i := range cold {
-			if !reflect.DeepEqual(twoD(res.Points[i]), cold[i]) {
-				t.Errorf("workers=%d: truncated point %d diverges from the cold reference", w, i)
+		for i, pt := range res.Points {
+			cold, err := coldPoint(in.nodes, in.total, pt.Alpha)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(twoD(pt), cold) {
+				t.Fatalf("%s: point %d diverges from a cold solve at its α:\nwarm: %+v\ncold: %+v", in.name, i, twoD(pt), cold)
+			}
+		}
+		ref, err := coldExactFrontier(in.nodes, in.total, 1e-6)
+		if err != nil {
+			t.Fatalf("%s: cold bisection: %v", in.name, err)
+		}
+		if len(res.Points) != len(ref) {
+			t.Fatalf("%s: %d points, cold bisection has %d", in.name, len(res.Points), len(ref))
+		}
+		for i, pt := range res.Points {
+			if pt.Makespan != ref[i].Makespan || pt.DirtyEnergy != ref[i].DirtyEnergy || !reflect.DeepEqual(pt.Plan.Sizes, ref[i].Plan.Sizes) {
+				t.Fatalf("%s: point %d (α=%v) differs from the cold bisection's (α=%v)", in.name, i, pt.Alpha, ref[i].Alpha)
+			}
+		}
+		if bound := max(2, 2*len(res.Points)-1); res.Stats.Solves > bound {
+			t.Errorf("%s: %d solves for %d points, want at most %d", in.name, res.Stats.Solves, len(res.Points), bound)
 		}
 	}
 }
@@ -227,7 +239,7 @@ func TestCanonicalizeFrontier(t *testing.T) {
 	p1 := Point{Alpha: 0.9, Makespan: 5, DirtyEnergy: 50}
 	p2 := Point{Alpha: 0.1, Makespan: 20, DirtyEnergy: 10}
 	dup := Point{Alpha: 0.5, Makespan: 20, DirtyEnergy: 10} // same objectives as p2
-	got := canonicalize([]Point{p1, dup, p2}, 1e-9)
+	got := canonicalize([]Point{p1, dup, p2})
 	if len(got) != 2 {
 		t.Fatalf("got %d points, want 2 (adjacent duplicate dropped): %+v", len(got), got)
 	}
@@ -273,7 +285,7 @@ func TestExactDegenerateSinglePoint(t *testing.T) {
 		{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 100},
 		{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 100},
 	}
-	res, err := Exact(nodes, 1000, Config{Workers: 4})
+	res, err := Exact(nodes, 1000, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,16 @@ import (
 // whose body decodes as the reply JSON for those models, or a 400: a
 // query the parser lets through must never make the enumeration fail
 // (500) or panic. testdata/fuzz/FuzzFrontierQuery holds the edge cases,
-// among them the NaN tolerance that once sent Exact into a bisection
-// that never converged.
+// among them two tol= queries from when the service took a convergence
+// tolerance for Exact's α bisection (NaN made it never converge). The
+// parameter is gone; the service ignores it like any unknown one.
 func FuzzFrontierQuery(f *testing.F) {
 	for _, q := range []string{
 		"",
 		"alphas=11",
 		"alpha=0,0.5,1",
 		"alpha=0.995&all=1",
-		"exact=1&tol=0.0001&workers=2",
+		"exact=1&workers=2",
 		"alphas=1",
 		"alpha=2",
 		"alpha=%2C%2C&workers=4096",

@@ -18,11 +18,13 @@ var elapsedRe = regexp.MustCompile(`"elapsed_ms": [^,\n}]+`)
 // TestGoldenFrontierReplies pins the four /frontier replies the
 // benchmark's frontier_serve workload requests (64 paper-shaped nodes,
 // 1,000,000 units, Workers 1) byte for byte, apart from elapsed_ms.
-// The files were generated at commit f736551, before the solver's two
-// basis factorizations became one: sizes, objective vectors, per-point
-// pivot counts and warm flags must not move when the solver's
-// arithmetic is reorganized. Regenerate with -update only for a change
-// that is meant to alter a reply.
+// The sampled replies were generated at commit f736551, before the
+// solver's two basis factorizations became one: sizes, objective
+// vectors, per-point pivot counts and warm flags must not move when the
+// solver's arithmetic is reorganized. The exact reply was regenerated
+// when Exact became a dichotomic search: the same seven vertices, found
+// at their tie weights. Regenerate with -update only for a change that
+// is meant to alter a reply.
 func TestGoldenFrontierReplies(t *testing.T) {
 	svc := NewService(StaticSource{Nodes: PaperModels(64), Total: 1_000_000}, Config{Workers: 1})
 	for _, g := range []struct{ file, query string }{

@@ -48,9 +48,8 @@ const maxAlphas = 100_000
 //
 //	alphas=N          sample N uniform α values in [0,1]
 //	alpha=a,b,c       sample an explicit α list (at most maxAlphas)
-//	exact=1           exact breakpoint bisection instead of sampling
-//	tol=T             coincidence/convergence tolerance
-//	workers=W         parallelism bound
+//	exact=1           every frontier vertex (Exact) instead of sampling
+//	workers=W         Sweep's parallelism bound
 //	all=1             include dominated points (flagged) in the output
 //
 // A request whose models and parameters equal an earlier one's is
@@ -106,7 +105,6 @@ type responseJSON struct {
 	Axes      []string    `json:"axes"`
 	Points    []pointJSON `json:"points"`
 	Dominated int         `json:"dominated"`
-	Truncated bool        `json:"truncated,omitempty"`
 	Stats     statsJSON   `json:"stats"`
 }
 
@@ -151,14 +149,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			alphas = append(alphas, a)
 		}
 		cfg.Alphas = alphas
-	}
-	if v := q.Get("tol"); v != "" {
-		tol, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(tol > 0 && tol < 1) { // NaN too: Exact would never converge
-			http.Error(w, "frontier: tol must be in (0,1)", http.StatusBadRequest)
-			return
-		}
-		cfg.Tol = tol
 	}
 	if v := q.Get("workers"); v != "" {
 		wn, err := strconv.Atoi(v)
@@ -218,12 +208,10 @@ func encodeReply(nodes []opt.NodeModel, total int, exact, includeAll bool, cfg C
 	} else {
 		res, err = Sweep(nodes, total, cfg)
 	}
-	// A truncated exact frontier is still served, flagged.
-	truncated := errors.Is(err, ErrTruncated)
-	if err != nil && !truncated {
+	if err != nil {
 		return nil, err
 	}
-	return renderReply(responseJSON{Nodes: len(nodes), Total: total, Exact: exact, Truncated: truncated}, res, includeAll)
+	return renderReply(responseJSON{Nodes: len(nodes), Total: total, Exact: exact}, res, includeAll)
 }
 
 // renderReply completes resp from an enumeration and encodes it. It

@@ -14,8 +14,8 @@ import (
 // the exact vertex set — checked through the enumerators that produce
 // frontiers, internal/frontier's Sweep and Exact. Those are pinned
 // bit-identical to the cold per-α reference in internal/frontier's own
-// tests, where the canonical order, the SamePoint dedup and the
-// truncation contract are tested too.
+// tests, where the canonical order, the SamePoint dedup and Exact's
+// solve bound are tested too.
 
 func sweep(t *testing.T, nodes []opt.NodeModel, total int, alphas []float64) []frontier.Point {
 	t.Helper()
@@ -28,7 +28,7 @@ func sweep(t *testing.T, nodes []opt.NodeModel, total int, alphas []float64) []f
 
 func exact(t *testing.T, nodes []opt.NodeModel, total int) []frontier.Point {
 	t.Helper()
-	res, err := frontier.Exact(nodes, total, frontier.Config{Tol: 1e-6})
+	res, err := frontier.Exact(nodes, total, frontier.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +148,4 @@ func TestExactFrontierDegenerate(t *testing.T) {
 	if pts := exact(t, nodes, 1000); len(pts) != 1 {
 		t.Errorf("degenerate frontier has %d points: %+v", len(pts), pts)
 	}
-}
-
-func TestExactFrontierNotTruncatedAtDefaultDepth(t *testing.T) {
-	// exact fails the test on any error, ErrTruncated included.
-	exact(t, opt.PaperNodes(), 200000)
 }
