@@ -6,8 +6,6 @@
 //
 //	kvcli -addr 127.0.0.1:6380 SET greeting hello
 //	kvcli -addr 127.0.0.1:6380 info           # formatted server telemetry
-//	kvcli -addr 127.0.0.1:6380 save           # snapshot + AOF truncate
-//	kvcli -addr 127.0.0.1:6380 bgrewriteaof   # same compaction, Redis spelling
 //	kvcli -addr 127.0.0.1:7001 cluster slots  # formatted slot map
 //	kvcli -addr 127.0.0.1:6380                # interactive: one command per line
 //
@@ -15,8 +13,7 @@
 // INFO command) and renders command counts, latency percentiles and
 // connection statistics instead of dumping raw JSON. cluster slots
 // renders the server's hash-slot ownership table as one range per
-// line; save and bgrewriteaof pass through to the server's persistence
-// rewrite (snapshot written, append-only log truncated).
+// line.
 package main
 
 import (
@@ -67,8 +64,7 @@ func main() {
 
 // runOne sends one command and renders its reply. The info and
 // "cluster slots" subcommands are special-cased into formatted
-// reports; everything else (including save and bgrewriteaof) passes
-// through to the server verbatim.
+// reports; everything else passes through to the server verbatim.
 func runOne(c *kvstore.Client, fields []string) error {
 	if strings.EqualFold(fields[0], "info") && len(fields) == 1 {
 		return runInfo(c)

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	kvstored -addr 127.0.0.1:6379
-//	kvstored -addr 127.0.0.1:6379 -shards 64
-//	kvstored -addr 127.0.0.1:6379 -snapshot s.pkvs -aof s.aof -aof-sync 2ms
+//	kvstored -addr 127.0.0.1:6379 -aof s.aof -aof-sync 2ms
 //	kvstored -addr 127.0.0.1:7001 -cluster-slots 0-511@127.0.0.1:7001,512-1023@127.0.0.1:7002
 //	kvstored -addr 127.0.0.1:6379 -metrics-addr 127.0.0.1:9100
 //
@@ -19,9 +18,10 @@
 // the same spec); this node serves the ranges whose address equals
 // -cluster-self (default: -addr) and answers MOVED for the rest.
 //
-// -snapshot and -aof make the node durable on its own: a write is
-// acknowledged only once the log holding it is fsynced, and a restart
-// loads the snapshot and replays the log tail written since it.
+// -aof makes the node durable on its own: a write is acknowledged only
+// once the log holding it is fsynced, and a restart replays the log,
+// truncating a record a crash tore mid-write. The engine's shard count
+// follows GOMAXPROCS.
 package main
 
 import (
@@ -37,23 +37,15 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6380", "listen address")
-	shards := flag.Int("shards", 0, "engine shard count, rounded up to a power of two (0 = scale with GOMAXPROCS)")
-	snapshot := flag.String("snapshot", "", "snapshot file: loaded at start, written by SAVE/BGREWRITEAOF and on shutdown")
-	aof := flag.String("aof", "", "append-only command log: replayed after the snapshot at start, group-commit fsynced at runtime")
+	aof := flag.String("aof", "", "append-only command log: replayed at start, group-commit fsynced at runtime")
 	aofSync := flag.Duration("aof-sync", kvstore.DefaultAOFSyncWindow, "group-commit sync window (one fsync per window under load)")
 	clusterSlots := flag.String("cluster-slots", "", `cluster slot map, e.g. "0-511@host:p1,512-1023@host:p2" (empty = standalone)`)
 	clusterSelf := flag.String("cluster-self", "", "this node's advertised address in the slot map (default: -addr)")
 	metricsAddr := flag.String("metrics-addr", "", "expose telemetry over HTTP on this address (empty = disabled)")
 	flag.Parse()
-	srv := kvstore.NewServer(kvstore.NewEngineShards(*shards))
+	srv := kvstore.NewServer(nil)
 	reg := telemetry.NewRegistry()
 	srv.SetTelemetry(reg)
-	if *snapshot != "" {
-		if err := srv.EnableSnapshot(*snapshot); err != nil {
-			fmt.Fprintf(os.Stderr, "kvstored: loading snapshot: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *aof != "" {
 		if err := srv.EnableAOF(*aof, *aofSync); err != nil {
 			fmt.Fprintf(os.Stderr, "kvstored: opening aof: %v\n", err)

@@ -21,8 +21,10 @@ import (
 // `frontier.points` and are not checked); pkg.Method stands for a
 // method of any of the package's types. The root package `pareto`
 // declares nothing, so every `pareto.Name` is drift. Every -flag on a
-// quoted `go run ./cmd/<prog>` line is a flag that program defines.
-// Inline code spans and fenced code blocks both count as quoted.
+// quoted `go run ./cmd/<prog>` line, or on a line of a fenced sh block
+// that starts with a program's bare name (`kvstored -addr …`), is a
+// flag that program defines. Inline code spans and fenced code blocks
+// both count as quoted.
 //
 // A document is read up to its heading until, or whole when until is
 // empty: EXPERIMENTS.md's dated entries from its first one on record
@@ -165,9 +167,10 @@ var (
 )
 
 // quotedCode returns a doc's quoted code, each piece with the line it
-// starts on: every line of a fenced block (a line ending in a
-// backslash joined with the next), and every inline span outside them.
-func quotedCode(doc string) (lines []int, code []string) {
+// starts on and whether it is a line of a fenced sh block: every line
+// of a fenced block (a line ending in a backslash joined with the
+// next), and every inline span outside them.
+func quotedCode(doc string) (lines []int, code []string, sh []bool) {
 	lineAt := func(off int) int { return 1 + strings.Count(doc[:off], "\n") }
 	fences := fenceRe.FindAllStringIndex(doc, -1)
 	prose := 0
@@ -176,8 +179,10 @@ func quotedCode(doc string) (lines []int, code []string) {
 		for _, m := range spanRe.FindAllStringSubmatchIndex(doc[prose:open[0]], -1) {
 			lines = append(lines, lineAt(prose+m[2]))
 			code = append(code, doc[prose+m[2]:prose+m[3]])
+			sh = append(sh, false)
 		}
 		body := doc[open[1]:closing[0]]
+		lang, _, _ := strings.Cut(body, "\n")
 		start := open[1] + strings.Index(body, "\n") + 1
 		var first int
 		var joined string
@@ -191,6 +196,7 @@ func quotedCode(doc string) (lines []int, code []string) {
 			}
 			lines = append(lines, first)
 			code = append(code, joined+l)
+			sh = append(sh, strings.TrimSpace(lang) == "sh")
 			joined = ""
 		}
 		prose = closing[1]
@@ -198,15 +204,29 @@ func quotedCode(doc string) (lines []int, code []string) {
 	for _, m := range spanRe.FindAllStringSubmatchIndex(doc[prose:], -1) {
 		lines = append(lines, lineAt(prose+m[2]))
 		code = append(code, doc[prose+m[2]:prose+m[3]])
+		sh = append(sh, false)
 	}
-	return lines, code
+	return lines, code, sh
 }
 
 // drift lists, sorted, every quote in doc (named name) that names
 // nothing d holds.
 func (d *docNames) drift(name, doc string) []string {
 	var out []string
-	lines, code := quotedCode(doc)
+	// checkFlags reports every -flag among args, up to the first shell
+	// operator or comment, that prog (quoted as invoked) does not
+	// define.
+	checkFlags := func(where, prog, invoked string, args []string) {
+		for _, tok := range args {
+			if strings.ContainsAny(tok[:1], "|&;>#") || strings.HasPrefix(tok, "2>") {
+				break
+			}
+			if f := flagTokRe.FindStringSubmatch(tok); f != nil && !d.flags[prog][f[1]] {
+				out = append(out, fmt.Sprintf("%s: `%s` has no flag -%s", where, invoked, f[1]))
+			}
+		}
+	}
+	lines, code, sh := quotedCode(doc)
 	for i, c := range code {
 		where := fmt.Sprintf("%s:%d", name, lines[i])
 		for _, m := range quotedRe.FindAllStringSubmatch(c, -1) {
@@ -224,19 +244,14 @@ func (d *docNames) drift(name, doc string) []string {
 		}
 		for _, m := range goRunCmdRe.FindAllStringSubmatchIndex(c, -1) {
 			prog := c[m[2]:m[3]]
-			flags, ok := d.flags[prog]
-			if !ok {
+			if d.flags[prog] == nil {
 				out = append(out, fmt.Sprintf("%s: `go run ./cmd/%s`: no such command", where, prog))
 				continue
 			}
-			for _, tok := range strings.Fields(c[m[1]:]) {
-				if strings.ContainsAny(tok[:1], "|&;>#") || strings.HasPrefix(tok, "2>") {
-					break
-				}
-				if f := flagTokRe.FindStringSubmatch(tok); f != nil && !flags[f[1]] {
-					out = append(out, fmt.Sprintf("%s: `go run ./cmd/%s` has no flag -%s", where, prog, f[1]))
-				}
-			}
+			checkFlags(where, prog, "go run ./cmd/"+prog, strings.Fields(c[m[1]:]))
+		}
+		if f := strings.Fields(c); sh[i] && len(f) > 0 && d.flags[f[0]] != nil {
+			checkFlags(where, f[0], f[0], f[1:])
 		}
 	}
 	sort.Strings(out)
@@ -329,11 +344,13 @@ func init() { flag.IntVar(&n, "p", 8, "nodes") }
 		"\n```sh\ngo run ./cmd/tool -in f \\\n  -bogus 1\n```\n" +
 		"Bad: `a.Missing`, `a.Helper`, `a.Config.Beta`, `pareto.Frontier`,\n" +
 		"`go run ./cmd/nope -x`, `go run ./cmd/tool -q`.\n" +
-		"```go\nplan := a.Gone()\n```\n"
+		"```go\nplan := a.Gone()\n```\n" +
+		"```sh\ntool -in f -p 4 -snapshot x.pkvs &\n```\n"
 	want := []string{
 		"doc.md:10: `go run ./cmd/nope`: no such command",
 		"doc.md:10: `go run ./cmd/tool` has no flag -q",
 		"doc.md:12: `a.Gone` names nothing in package a",
+		"doc.md:15: `tool` has no flag -snapshot",
 		"doc.md:6: `go run ./cmd/tool` has no flag -bogus",
 		"doc.md:9: `a.Config.Beta` names nothing in package a",
 		"doc.md:9: `a.Helper` names nothing in package a",

@@ -3,7 +3,7 @@ package pareto
 // End-to-end integration: the complete §IV deployment in one test —
 // live store instances, the full plan pipeline, pipelined placement,
 // barrier-separated phases, distributed mining on the placed data,
-// rebalance after re-planning, and snapshot-persisted recovery.
+// rebalance after re-planning, and recovery from each store's AOF.
 
 import (
 	"fmt"
@@ -22,13 +22,16 @@ import (
 	"pareto/internal/workloads/apriori"
 )
 
-func startStores(t *testing.T, n int, snapshotDir string) []kvstore.KV {
+// startStores starts n stores and dials one client to each. With an
+// aofDir, store i logs to aofDir/node<i>.aof.
+func startStores(t *testing.T, n int, aofDir string) ([]*kvstore.Server, []kvstore.KV) {
 	t.Helper()
+	srvs := make([]*kvstore.Server, n)
 	clients := make([]kvstore.KV, n)
 	for i := 0; i < n; i++ {
 		srv := kvstore.NewServer(nil)
-		if snapshotDir != "" {
-			if err := srv.EnableSnapshot(filepath.Join(snapshotDir, fmt.Sprintf("node%d.pkvs", i))); err != nil {
+		if aofDir != "" {
+			if err := srv.EnableAOF(filepath.Join(aofDir, fmt.Sprintf("node%d.aof", i)), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -42,9 +45,9 @@ func startStores(t *testing.T, n int, snapshotDir string) []kvstore.KV {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		clients[i] = c
+		srvs[i], clients[i] = srv, c
 	}
-	return clients
+	return srvs, clients
 }
 
 func TestIntegrationFullPipelineOverKVStores(t *testing.T) {
@@ -80,7 +83,7 @@ func TestIntegrationFullPipelineOverKVStores(t *testing.T) {
 	}
 
 	// Place onto live stores with pipelining.
-	clients := startStores(t, p, "")
+	_, clients := startStores(t, p, "")
 	st, err := partitioner.NewKVStoreKV(clients, 64, "itest")
 	if err != nil {
 		t.Fatal(err)
@@ -213,9 +216,9 @@ func TestIntegrationRebalanceAndRecovery(t *testing.T) {
 		t.Errorf("%d moves, want the minimum %d", len(moves), minMoves)
 	}
 
-	// Place, snapshot, and reload through server persistence.
+	// Place, crash every store, and recover from the logs.
 	dir := t.TempDir()
-	clients := startStores(t, p, dir)
+	srvs, clients := startStores(t, p, dir)
 	st, err := partitioner.NewKVStoreKV(clients, 32, "rtest")
 	if err != nil {
 		t.Fatal(err)
@@ -223,19 +226,16 @@ func TestIntegrationRebalanceAndRecovery(t *testing.T) {
 	if err := partitioner.Place(corpus, rebalanced, st); err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < p; j++ {
-		rep, err := clients[j%p].Do("SAVE")
-		if err != nil || rep.Err() != nil {
-			t.Fatalf("SAVE on %d: %v %v", j, err, rep.Err())
-		}
+	for _, srv := range srvs {
+		srv.Kill()
 	}
-	// Fresh engine loading node 0's snapshot must hold its partitions.
+	// A fresh engine replaying node 0's log must hold its partition.
 	e := kvstore.NewEngine()
-	if _, err := e.LoadSnapshotFileMark(filepath.Join(dir, "node0.pkvs")); err != nil {
+	if _, _, err := kvstore.ReplayAOF(filepath.Join(dir, "node0.aof"), e); err != nil {
 		t.Fatal(err)
 	}
 	rep := e.Do("LLEN", []byte("rtest:0"))
 	if rep.Int != int64(len(rebalanced.Parts[0])) {
-		t.Errorf("snapshot partition 0 has %d records, want %d", rep.Int, len(rebalanced.Parts[0]))
+		t.Errorf("replayed partition 0 has %d records, want %d", rep.Int, len(rebalanced.Parts[0]))
 	}
 }

@@ -2,8 +2,6 @@ package kvstore
 
 import (
 	"bufio"
-	crand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -19,24 +17,15 @@ import (
 // encoding the wire uses, so replay is a ReadCommandInto loop), and
 // durability is batched: writers append and then wait on Sync, and a
 // single fsync covers every record that arrived during the previous
-// sync window instead of one fsync per command. Layered on the
-// snapshot (snapshot = compaction point, AOF = tail since the last
-// snapshot), restart recovery replays LoadSnapshotFileMark +
-// ReplayAOFSince.
+// sync window instead of one fsync per command. The log is the
+// store's only persistence: restart recovery is ReplayAOF of the whole
+// log, and EnableAOF truncates a torn tail before appending again.
 //
 // Ordering guarantee: records append in the order each connection
 // issues them (a connection's loop is serial), so per-connection
 // replay order always matches apply order. Two racing writers on
 // *different* connections hitting the same key may log in either
 // order — the same ambiguity the live engine exposes to them.
-//
-// Every log starts with a fixed header carrying a random generation
-// id; Reset (the compaction step of a snapshot rewrite) stamps a new
-// generation. A snapshot embeds the (generation, offset) AOFMark it
-// covers, so restart replay skips exactly the records the snapshot
-// already contains — closing the crash window between a rewrite's
-// snapshot rename and its log truncate, where a naive replay would
-// double-apply non-idempotent commands (INCR, RPUSH, APPEND).
 type AOF struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -44,13 +33,12 @@ type AOF struct {
 	f      *os.File
 	cw     countingFileWriter
 	w      *bufio.Writer
-	gen    uint64 // generation id from the file header
 	seq    uint64 // last appended record
-	synced uint64 // last record known durable (fsync or snapshot)
+	synced uint64 // last record known durable
 	err    error  // sticky I/O error: the log is dead once it fails
 
-	// syncing marks a group-commit leader mid-fsync; followers (and
-	// Reset) wait on cond instead of issuing their own fsync.
+	// syncing marks a group-commit leader mid-fsync; followers wait on
+	// cond instead of issuing their own fsync.
 	syncing bool
 	closed  bool
 
@@ -69,7 +57,6 @@ type aofMetrics struct {
 	records *telemetry.Counter
 	bytes   *telemetry.Counter
 	waits   *telemetry.Counter // group-commit follower waits
-	resets  *telemetry.Counter // rewrites (snapshot compactions)
 	errors  *telemetry.Counter // sticky-error trips
 	sick    *telemetry.Gauge   // 1 while the log carries a sticky error
 }
@@ -93,65 +80,39 @@ func (c countingFileWriter) Write(p []byte) (int, error) {
 // shares one fsync.
 const DefaultAOFSyncWindow = 2 * time.Millisecond
 
-// AOF file header: magic, one version byte, then the 8-byte LE
-// generation id. Records follow immediately after.
+// aofHeader starts every log: the magic and one version byte. Records
+// follow immediately after. Version 1 logs also carried an 8-byte
+// generation id; they are refused like any other foreign file.
 const (
 	aofMagic     = "PAOF"
-	aofVersion   = 1
-	aofHeaderLen = len(aofMagic) + 1 + 8
+	aofHeader    = aofMagic + "\x02"
+	aofHeaderLen = len(aofHeader)
 )
 
-// AOFMark names a durable position in one log generation: the first
-// Off bytes of the log whose header carries Gen. A snapshot embeds the
-// mark it covers so restart replay resumes exactly past it; the zero
-// mark matches no log (generation ids are never zero).
-type AOFMark struct {
-	Gen uint64
-	Off int64
-}
-
-// newAOFGen draws a fresh nonzero generation id.
-func newAOFGen() (uint64, error) {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		return 0, fmt.Errorf("kvstore: aof generation: %w", err)
-	}
-	g := binary.LittleEndian.Uint64(b[:])
-	if g == 0 {
-		g = 1
-	}
-	return g, nil
-}
-
-func encodeAOFHeader(gen uint64) [aofHeaderLen]byte {
+// checkAOFHeader validates the header at the start of f, a file of
+// size bytes. A file shorter than the header passes only when it is a
+// prefix of one: the header a crash tore before any record was
+// acknowledged (the first record's fsync covers the header too).
+func checkAOFHeader(f *os.File, size int64) error {
 	var hdr [aofHeaderLen]byte
-	copy(hdr[:], aofMagic)
-	hdr[len(aofMagic)] = aofVersion
-	binary.LittleEndian.PutUint64(hdr[len(aofMagic)+1:], gen)
-	return hdr
-}
-
-// readAOFHeader validates the header at the start of f and returns the
-// generation id. The caller has already ruled out short files.
-func readAOFHeader(f *os.File) (uint64, error) {
-	var hdr [aofHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return 0, fmt.Errorf("kvstore: aof header: %w", err)
+	n := int(min(size, int64(aofHeaderLen)))
+	if _, err := f.ReadAt(hdr[:n], 0); err != nil {
+		return fmt.Errorf("kvstore: aof header: %w", err)
 	}
-	if string(hdr[:len(aofMagic)]) != aofMagic {
-		return 0, errors.New("kvstore: aof header: bad magic")
+	if m := min(n, len(aofMagic)); string(hdr[:m]) != aofMagic[:m] {
+		return errors.New("kvstore: aof header: bad magic")
 	}
-	if hdr[len(aofMagic)] != aofVersion {
-		return 0, fmt.Errorf("kvstore: aof header: unsupported version %d", hdr[len(aofMagic)])
+	if n == aofHeaderLen && hdr[len(aofMagic)] != aofHeader[len(aofMagic)] {
+		return fmt.Errorf("kvstore: aof header: unsupported version %d", hdr[len(aofMagic)])
 	}
-	return binary.LittleEndian.Uint64(hdr[len(aofMagic)+1:]), nil
+	return nil
 }
 
 // OpenAOF opens (creating if absent) the log at path for appending. An
-// empty file gets a fresh generation header; an existing one must
-// start with a valid header (EnableAOF truncates torn bytes away
-// before reopening). window ≤ 0 selects DefaultAOFSyncWindow; reg may
-// be nil.
+// existing log must start with a valid header (EnableAOF truncates
+// torn records away before reopening); an empty file, or one holding a
+// torn header, gets the rest of the header written. window ≤ 0 selects
+// DefaultAOFSyncWindow; reg may be nil.
 func OpenAOF(path string, window time.Duration, reg *telemetry.Registry) (*AOF, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -162,14 +123,8 @@ func OpenAOF(path string, window time.Duration, reg *telemetry.Registry) (*AOF, 
 		f.Close()
 		return nil, fmt.Errorf("kvstore: aof open: %w", err)
 	}
-	var gen uint64
-	if fi.Size() == 0 {
-		if gen, err = newAOFGen(); err == nil {
-			hdr := encodeAOFHeader(gen)
-			_, err = f.Write(hdr[:])
-		}
-	} else {
-		gen, err = readAOFHeader(f)
+	if err = checkAOFHeader(f, fi.Size()); err == nil && fi.Size() < int64(aofHeaderLen) {
+		_, err = f.WriteString(aofHeader[fi.Size():])
 	}
 	if err != nil {
 		f.Close()
@@ -180,14 +135,12 @@ func OpenAOF(path string, window time.Duration, reg *telemetry.Registry) (*AOF, 
 	}
 	a := &AOF{
 		f:      f,
-		gen:    gen,
 		window: window,
 		m: aofMetrics{
 			fsyncs:  reg.Counter("kv_aof_fsyncs_total"),
 			records: reg.Counter("kv_aof_records_total"),
 			bytes:   reg.Counter("kv_aof_bytes_total"),
 			waits:   reg.Counter("kv_aof_group_commit_waits_total"),
-			resets:  reg.Counter("kv_aof_rewrites_total"),
 			errors:  reg.Counter("kv_aof_errors_total"),
 			sick:    reg.Gauge("kv_aof_error"),
 		},
@@ -201,7 +154,7 @@ func OpenAOF(path string, window time.Duration, reg *telemetry.Registry) (*AOF, 
 // setErrLocked records a sticky I/O error and propagates it to the
 // kv_aof_error gauge (and error counter), so dashboards see a sick
 // disk the moment it fails instead of only the clients whose commands
-// happened to hit it. Reset clears the gauge with the error.
+// happened to hit it.
 func (a *AOF) setErrLocked(err error) {
 	if a.err == nil {
 		a.m.errors.Inc()
@@ -248,8 +201,8 @@ func (a *AOF) Sync(seq uint64) error {
 			return errors.New("kvstore: aof closed before sync")
 		}
 		if a.syncing {
-			// Follower: a leader's fsync is in flight (or a Reset is
-			// draining one); wait for its broadcast.
+			// Follower: a leader's fsync is in flight; wait for its
+			// broadcast.
 			a.m.waits.Inc()
 			a.cond.Wait()
 			continue
@@ -257,9 +210,9 @@ func (a *AOF) Sync(seq uint64) error {
 		a.leaderCommitLocked()
 	}
 	// synced >= seq: every record the caller asked about is durable
-	// (an earlier fsync or a snapshot reset covered it), so report
-	// success even if the log has failed for *later* records — the
-	// sticky error belongs to the syncs that actually lost data.
+	// (an earlier fsync covered it), so report success even if the log
+	// has failed for *later* records — the sticky error belongs to the
+	// syncs that actually lost data.
 	return nil
 }
 
@@ -296,100 +249,6 @@ func (a *AOF) leaderCommitLocked() {
 		a.synced = target
 	}
 	a.cond.Broadcast()
-}
-
-// DurableMark flushes and fsyncs the log and returns the mark covering
-// everything appended so far — the watermark a snapshot embeds so that
-// restart replay skips records the snapshot already contains. Must be
-// called under the server's exclusive persistence lock (no appends can
-// be in flight); in-flight Sync waiters are fine — they observe the
-// fsync and return.
-func (a *AOF) DurableMark() (AOFMark, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for a.syncing {
-		a.cond.Wait() // drain an in-flight group commit first
-	}
-	if a.closed {
-		return AOFMark{}, errors.New("kvstore: aof closed")
-	}
-	if a.err != nil {
-		return AOFMark{}, a.err
-	}
-	// Holding a.mu across the fsync is acceptable here: the exclusive
-	// persistence lock means no appender is running, and rewrites are
-	// rare.
-	if err := a.w.Flush(); err != nil {
-		a.setErrLocked(err)
-		return AOFMark{}, err
-	}
-	if err := a.f.Sync(); err != nil {
-		a.setErrLocked(err)
-		return AOFMark{}, err
-	}
-	fi, err := a.f.Stat()
-	if err != nil {
-		a.setErrLocked(err)
-		return AOFMark{}, err
-	}
-	a.synced = a.seq
-	a.m.fsyncs.Inc()
-	a.cond.Broadcast()
-	return AOFMark{Gen: a.gen, Off: fi.Size()}, nil
-}
-
-// Reset truncates the log after a snapshot has captured everything in
-// it — the compaction step of a rewrite — and stamps a fresh
-// generation header, so a snapshot carrying the *old* generation's
-// mark can never mis-apply it to the new log. Every appended record is
-// marked durable (the snapshot holds it), so pending Sync calls
-// return. The caller must guarantee the snapshot ordering (the
-// server's persistMu write lock does) and must have made the snapshot
-// durable first.
-func (a *AOF) Reset() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for a.syncing {
-		a.cond.Wait() // drain an in-flight group commit first
-	}
-	if a.closed {
-		return errors.New("kvstore: aof closed")
-	}
-	gen, err := newAOFGen()
-	if err != nil {
-		return err
-	}
-	// Discard buffered frames (the snapshot supersedes them), truncate
-	// the file, and write the new generation header. The header is
-	// fsynced immediately so the generation switch is durable before
-	// any record of the new generation can be acknowledged (a record's
-	// own group-commit fsync would also cover it, but Close may follow
-	// with no records at all).
-	a.w.Reset(a.cw)
-	if err := a.f.Truncate(0); err != nil {
-		a.setErrLocked(err)
-		return fmt.Errorf("kvstore: aof truncate: %w", err)
-	}
-	if _, err := a.f.Seek(0, io.SeekStart); err != nil {
-		a.setErrLocked(err)
-		return fmt.Errorf("kvstore: aof seek: %w", err)
-	}
-	hdr := encodeAOFHeader(gen)
-	if _, err := a.f.Write(hdr[:]); err != nil {
-		a.setErrLocked(err)
-		return fmt.Errorf("kvstore: aof header: %w", err)
-	}
-	if err := a.f.Sync(); err != nil {
-		a.setErrLocked(err)
-		return fmt.Errorf("kvstore: aof header sync: %w", err)
-	}
-	a.gen = gen
-	a.synced = a.seq
-	a.err = nil
-	a.m.sick.Set(0)
-	a.m.resets.Inc()
-	a.cond.Broadcast()
-	return nil
 }
 
 // Close flushes, fsyncs, and closes the log.
@@ -452,68 +311,55 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReplayAOFSince applies every complete command in the log at path to
-// the engine, in order, stopping cleanly at a truncated tail (a record
-// cut off mid-write by a crash loses only itself — it was never
+// ReplayAOF applies every complete command in the log at path to the
+// engine, in order, stopping cleanly at a truncated tail (a record cut
+// off mid-write by a crash loses only itself — it was never
 // acknowledged, because acknowledgment waits for fsync), and returns
 // the number of commands applied. A missing file replays zero commands
-// and returns os.ErrNotExist wrapped for the caller to ignore.
+// and returns os.ErrNotExist wrapped for the caller to ignore; a file
+// whose header is not this version's fails before anything is applied.
 //
-// Replay starts after mark: when mark names the log's own generation,
-// it resumes at mark.Off — the records before it are already inside
-// the snapshot that carried the mark — and a mark from another
-// generation (or the zero mark) replays the whole log. The returned
-// mark holds the log's generation and the byte offset just past the
-// last complete record: the truncation point for torn-tail recovery
-// (EnableAOF truncates there before reopening for append, so new
-// records never land behind unparseable bytes). A file shorter than
-// its header replays nothing with end offset zero — nothing in it was
-// ever acknowledged, since the first record fsync would have made the
-// header durable too.
-func ReplayAOFSince(path string, e *Engine, mark AOFMark) (int, AOFMark, error) {
+// end is the byte offset just past the last complete record: the
+// truncation point for torn-tail recovery (EnableAOF truncates there
+// before reopening for append, so new records never land behind
+// unparseable bytes). A file holding only a torn header replays
+// nothing with end zero.
+func ReplayAOF(path string, e *Engine) (n int, end int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, AOFMark{}, err
+		return 0, 0, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, AOFMark{}, err
+		return 0, 0, err
 	}
-	if fi.Size() < int64(aofHeaderLen) {
-		return 0, AOFMark{}, nil
-	}
-	gen, err := readAOFHeader(f)
-	if err != nil {
-		return 0, AOFMark{}, err
+	if err := checkAOFHeader(f, fi.Size()); err != nil {
+		return 0, 0, err
 	}
 	start := int64(aofHeaderLen)
-	if mark.Gen == gen && mark.Off > start {
-		// A mark past the file's end means the log shrank out from
-		// under the snapshot (external tampering); clamping replays
-		// nothing rather than double-applying snapshotted records.
-		start = min(mark.Off, fi.Size())
+	if fi.Size() < start {
+		return 0, 0, nil
 	}
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
-		return 0, AOFMark{}, err
+		return 0, 0, err
 	}
 	cr := &countingReader{r: f}
 	br := bufio.NewReaderSize(cr, 64<<10)
 	var cb CommandBuffer
-	n := 0
-	end := start
+	end = start
 	for {
 		cmd, args, err := ReadCommandInto(br, &cb, MaxBulkLen)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				// Clean end, or a record truncated mid-payload: every
 				// complete record before it has been applied.
-				return n, AOFMark{Gen: gen, Off: end}, nil
+				return n, end, nil
 			}
-			return n, AOFMark{Gen: gen, Off: end}, fmt.Errorf("kvstore: aof replay at record %d: %w", n+1, err)
+			return n, end, fmt.Errorf("kvstore: aof replay at record %d: %w", n+1, err)
 		}
 		if rep := e.doID(cb.id, cmd, args); rep.Type == ErrorReply {
-			return n, AOFMark{Gen: gen, Off: end}, fmt.Errorf("kvstore: aof replay at record %d: %s", n+1, rep.Str)
+			return n, end, fmt.Errorf("kvstore: aof replay at record %d: %s", n+1, rep.Str)
 		}
 		n++
 		end = start + cr.n - int64(br.Buffered())

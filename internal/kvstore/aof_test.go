@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -42,7 +43,7 @@ func TestAOFReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.aof")
 	writeAOFRecords(t, path, 20)
 	e := NewEngine()
-	n, _, err := ReplayAOFSince(path, e, AOFMark{})
+	n, _, err := ReplayAOF(path, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestAOFReplayTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := NewEngine()
-		n, _, err := ReplayAOFSince(path, e, AOFMark{})
+		n, _, err := ReplayAOF(path, e)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -99,8 +100,33 @@ func TestAOFReplayTruncatedTail(t *testing.T) {
 
 func TestAOFReplayMissingFile(t *testing.T) {
 	e := NewEngine()
-	if _, _, err := ReplayAOFSince(filepath.Join(t.TempDir(), "nope.aof"), e, AOFMark{}); !os.IsNotExist(err) {
+	if _, _, err := ReplayAOF(filepath.Join(t.TempDir(), "nope.aof"), e); !os.IsNotExist(err) {
 		t.Fatalf("err = %v, want not-exist", err)
+	}
+}
+
+// A log EnableAOF cannot parse is refused and left byte for byte as it
+// was: the header is the check on a file from outside the program, and
+// torn-tail truncation must never reach a file that failed it.
+func TestEnableAOFRefusesForeignHeader(t *testing.T) {
+	const record = "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"
+	for _, tc := range []struct{ name, img string }{
+		{"bad magic", "XAOF\x02" + record},
+		{"unknown version", aofMagic + "\x03" + record},
+		{"version 1 with its generation id", aofMagic + "\x01\x2a\x00\x00\x00\x00\x00\x00\x00" + record},
+		{"foreign bytes shorter than a header", "PAX"},
+	} {
+		path := filepath.Join(t.TempDir(), "node.aof")
+		if err := os.WriteFile(path, []byte(tc.img), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if srv := NewServer(nil); srv.EnableAOF(path, time.Millisecond) == nil {
+			t.Errorf("%s: EnableAOF accepted the log", tc.name)
+			srv.Kill()
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != tc.img {
+			t.Errorf("%s: log is %q (%v) after the refusal, want it untouched", tc.name, got, err)
+		}
 	}
 }
 
@@ -146,7 +172,7 @@ func TestAOFConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine()
-	n, _, err := ReplayAOFSince(path, e, AOFMark{})
+	n, _, err := ReplayAOF(path, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +227,7 @@ func TestAOFAckedWritesSurviveCrash(t *testing.T) {
 		}
 	}
 
-	// "Crash": snapshot the log file as it exists the instant after the
+	// "Crash": copy the log file as it exists the instant after the
 	// acks, without closing the server, and tack a torn record onto the
 	// end the way an interrupted write would.
 	img, err := os.ReadFile(path)
@@ -215,7 +241,7 @@ func TestAOFAckedWritesSurviveCrash(t *testing.T) {
 	}
 
 	e := NewEngine()
-	if _, _, err := ReplayAOFSince(crashed, e, AOFMark{}); err != nil {
+	if _, _, err := ReplayAOF(crashed, e); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -273,14 +299,14 @@ func TestAOFTornTailTruncatedOnRestart(t *testing.T) {
 		}
 	}
 	c.Close()
-	if err := srv.Close(); err != nil { // no snapshot configured: log kept intact
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Lifetime 3: the log must replay end-to-end without a protocol
 	// error — the torn record did not poison the bytes behind it.
 	e := NewEngine()
-	n, _, err := ReplayAOFSince(path, e, AOFMark{})
+	n, _, err := ReplayAOF(path, e)
 	if err != nil {
 		t.Fatalf("replay after append-past-torn-tail: %v", err)
 	}
@@ -296,100 +322,6 @@ func TestAOFTornTailTruncatedOnRestart(t *testing.T) {
 		if rep := e.Do("GET", []byte(fmt.Sprintf("post%d", i))); string(rep.Bulk) != "after-crash" {
 			t.Fatalf("post-crash post%d = %q after replay", i, rep.Bulk)
 		}
-	}
-}
-
-// A rewrite that crashes between the snapshot rename and the log
-// truncate must not double-apply the log on restart: the snapshot
-// embeds the AOF mark it covers, and replay resumes past it. INCR and
-// RPUSH are the sentinels because they are not idempotent.
-func TestAOFRewriteCrashWindowNoDoubleApply(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "node.pkvs")
-	path := filepath.Join(dir, "node.aof")
-
-	e := NewEngine()
-	a, err := OpenAOF(path, time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last uint64
-	apply := func(cmd string, args ...string) { // the server's apply+log pair
-		t.Helper()
-		bs := make([][]byte, len(args))
-		for i, s := range args {
-			bs[i] = []byte(s)
-		}
-		if rep := e.Do(cmd, bs...); rep.Type == ErrorReply {
-			t.Fatalf("%s: %s", cmd, rep.Str)
-		}
-		if last, err = a.Append(cmd, bs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		apply("INCR", "ctr")
-	}
-	apply("RPUSH", "l", "x")
-
-	// Rewrite reaches the snapshot rename, then "crashes" before Reset:
-	// the full log is still on disk next to a snapshot containing it.
-	mark, err := a.DurableMark()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveSnapshotFileMark(snap, mark); err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine()
-	mark2, err := e2.LoadSnapshotFileMark(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mark2 != mark {
-		t.Fatalf("snapshot round-tripped mark %+v, want %+v", mark2, mark)
-	}
-	n, _, err := ReplayAOFSince(path, e2, mark2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("replayed %d records the snapshot already contains", n)
-	}
-	if rep := e2.Do("GET", []byte("ctr")); string(rep.Bulk) != "5" {
-		t.Fatalf("ctr = %q after crash-window recovery, want 5 (double-applied?)", rep.Bulk)
-	}
-	if rep := e2.Do("LRANGE", []byte("l"), []byte("0"), []byte("-1")); len(rep.Array) != 1 {
-		t.Fatalf("list has %d elements after crash-window recovery, want 1", len(rep.Array))
-	}
-
-	// The rewrite completes this time: Reset stamps a new generation,
-	// so the old snapshot's mark no longer matches and only the new
-	// tail replays.
-	if err := a.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	apply("INCR", "ctr") // live engine: ctr = 6
-	if err := a.Sync(last); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e3 := NewEngine()
-	mark3, err := e3.LoadSnapshotFileMark(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n3, _, err := ReplayAOFSince(path, e3, mark3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n3 != 1 {
-		t.Fatalf("replayed %d records from the new generation, want 1", n3)
-	}
-	if rep := e3.Do("GET", []byte("ctr")); string(rep.Bulk) != "6" {
-		t.Fatalf("ctr = %q after post-rewrite recovery, want 6", rep.Bulk)
 	}
 }
 
@@ -422,75 +354,6 @@ func TestAOFSyncDurableDespiteLaterError(t *testing.T) {
 	}
 	if err := a.Sync(seq + 1); err == nil {
 		t.Error("Sync past the failure point must surface the error")
-	}
-}
-
-// Snapshot + AOF restart: a server lifetime that mixes snapshotted and
-// AOF-tail state must come back byte-for-byte (engine contents, not
-// file bytes — map iteration order makes snapshot images nondeterministic).
-func TestServerSnapshotPlusAOFRestart(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "node.pkvs")
-	aof := filepath.Join(dir, "node.aof")
-
-	srv := NewServer(nil)
-	if err := srv.EnableSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.EnableAOF(aof, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dialTest(t, addr)
-	// Phase 1: writes, then SAVE → snapshot captures them, AOF truncates.
-	for i := 0; i < 30; i++ {
-		if err := c.Set(fmt.Sprintf("pre%d", i), []byte("snapshotted")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rep, err := c.Do("BGREWRITEAOF"); err != nil || rep.Err() != nil {
-		t.Fatalf("BGREWRITEAOF: %v %v", err, rep.Err())
-	}
-	if fi, err := os.Stat(aof); err != nil || fi.Size() != int64(aofHeaderLen) {
-		t.Fatalf("aof after rewrite: size=%d err=%v, want header-only (%d)", fi.Size(), err, aofHeaderLen)
-	}
-	// Phase 2: more writes land in the AOF tail only.
-	for i := 0; i < 30; i++ {
-		if err := c.Set(fmt.Sprintf("post%d", i), []byte("tail")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Incr("ctr"); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: snapshot loads, AOF tail replays on top.
-	srv2 := NewServer(nil)
-	if err := srv2.EnableSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.EnableAOF(aof, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	e := srv2.Engine()
-	for i := 0; i < 30; i++ {
-		if rep := e.Do("GET", []byte(fmt.Sprintf("pre%d", i))); string(rep.Bulk) != "snapshotted" {
-			t.Fatalf("pre%d = %q after restart", i, rep.Bulk)
-		}
-		if rep := e.Do("GET", []byte(fmt.Sprintf("post%d", i))); string(rep.Bulk) != "tail" {
-			t.Fatalf("post%d = %q after restart", i, rep.Bulk)
-		}
-	}
-	if rep := e.Do("GET", []byte("ctr")); string(rep.Bulk) != "1" {
-		t.Fatalf("ctr = %q after restart, want 1", rep.Bulk)
 	}
 }
 
@@ -542,5 +405,46 @@ func TestAOFGroupCommitFsyncBound(t *testing.T) {
 	}
 	if fsyncs == 0 {
 		t.Error("no fsyncs recorded — acks were not made durable")
+	}
+}
+
+// BenchmarkRestart times what bounds a node's recovery: one restart
+// (EnableAOF, then Kill) of a server whose N keys live in its AOF.
+// file_B is the bytes the restart reads.
+func BenchmarkRestart(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("aof/%dk", n/1000), func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "node.aof")
+			a, err := OpenAOF(path, time.Millisecond, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			val := bytes.Repeat([]byte("v"), 32)
+			for i := 0; i < n; i++ {
+				if _, err := a.Append("SET", [][]byte{[]byte(fmt.Sprintf("key:%07d", i)), val}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := a.Close(); err != nil {
+				b.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv := NewServer(nil)
+				if err := srv.EnableAOF(path, 0); err != nil {
+					b.Fatal(err)
+				}
+				if got := srv.Engine().Size(); got != int64(n) {
+					b.Fatalf("restart holds %d keys, want %d", got, n)
+				}
+				srv.Kill()
+			}
+			b.ReportMetric(float64(fi.Size()), "file_B")
+		})
 	}
 }

@@ -34,8 +34,6 @@ const (
 	// Server-context commands: the engine treats them as unknown, the
 	// server intercepts them before engine dispatch.
 	cmdInfo
-	cmdSave
-	cmdBGRewriteAOF
 	cmdCluster
 	numCmdIDs
 )
@@ -54,8 +52,7 @@ const (
 type cmdSpec struct {
 	name string // canonical upper-case wire name
 	// class is the kv_server_commands_total{cmd=…} label. INCR/INCRBY
-	// share one, as do FLUSHDB/FLUSHALL and SAVE/BGREWRITEAOF (both are
-	// persistence rewrites).
+	// share one, as do FLUSHDB/FLUSHALL.
 	class string
 	// writes marks a command that mutates the engine: the set the
 	// append-only log must record for replay to reconstruct the store.
@@ -67,33 +64,31 @@ type cmdSpec struct {
 }
 
 var cmdTable = [numCmdIDs]cmdSpec{
-	cmdNone:         {class: "other"},
-	cmdPing:         {name: "PING", class: "ping", idempotent: true},
-	cmdEcho:         {name: "ECHO", class: "echo", idempotent: true},
-	cmdSet:          {name: "SET", class: "set", writes: true, idempotent: true, keys: oneKey},
-	cmdGet:          {name: "GET", class: "get", idempotent: true, keys: oneKey},
-	cmdDel:          {name: "DEL", class: "del", writes: true, idempotent: true, keys: allKeys},
-	cmdExists:       {name: "EXISTS", class: "exists", idempotent: true, keys: allKeys},
-	cmdIncr:         {name: "INCR", class: "incr", writes: true, keys: oneKey},
-	cmdIncrBy:       {name: "INCRBY", class: "incr", writes: true, keys: oneKey},
-	cmdAppend:       {name: "APPEND", class: "append", writes: true, keys: oneKey},
-	cmdStrlen:       {name: "STRLEN", class: "strlen", idempotent: true, keys: oneKey},
-	cmdRPush:        {name: "RPUSH", class: "rpush", writes: true, keys: oneKey},
-	cmdLPush:        {name: "LPUSH", class: "lpush", writes: true, keys: oneKey},
-	cmdLLen:         {name: "LLEN", class: "llen", idempotent: true, keys: oneKey},
-	cmdLIndex:       {name: "LINDEX", class: "lindex", idempotent: true, keys: oneKey},
-	cmdLRange:       {name: "LRANGE", class: "lrange", idempotent: true, keys: oneKey},
-	cmdFlushDB:      {name: "FLUSHDB", class: "flush", writes: true},
-	cmdFlushAll:     {name: "FLUSHALL", class: "flush", writes: true},
-	cmdDBSize:       {name: "DBSIZE", class: "dbsize", idempotent: true},
-	cmdInfo:         {name: "INFO", class: "info"},
-	cmdSave:         {name: "SAVE", class: "save"},
-	cmdBGRewriteAOF: {name: "BGREWRITEAOF", class: "save"},
-	cmdCluster:      {name: "CLUSTER", class: "other"},
+	cmdNone:     {class: "other"},
+	cmdPing:     {name: "PING", class: "ping", idempotent: true},
+	cmdEcho:     {name: "ECHO", class: "echo", idempotent: true},
+	cmdSet:      {name: "SET", class: "set", writes: true, idempotent: true, keys: oneKey},
+	cmdGet:      {name: "GET", class: "get", idempotent: true, keys: oneKey},
+	cmdDel:      {name: "DEL", class: "del", writes: true, idempotent: true, keys: allKeys},
+	cmdExists:   {name: "EXISTS", class: "exists", idempotent: true, keys: allKeys},
+	cmdIncr:     {name: "INCR", class: "incr", writes: true, keys: oneKey},
+	cmdIncrBy:   {name: "INCRBY", class: "incr", writes: true, keys: oneKey},
+	cmdAppend:   {name: "APPEND", class: "append", writes: true, keys: oneKey},
+	cmdStrlen:   {name: "STRLEN", class: "strlen", idempotent: true, keys: oneKey},
+	cmdRPush:    {name: "RPUSH", class: "rpush", writes: true, keys: oneKey},
+	cmdLPush:    {name: "LPUSH", class: "lpush", writes: true, keys: oneKey},
+	cmdLLen:     {name: "LLEN", class: "llen", idempotent: true, keys: oneKey},
+	cmdLIndex:   {name: "LINDEX", class: "lindex", idempotent: true, keys: oneKey},
+	cmdLRange:   {name: "LRANGE", class: "lrange", idempotent: true, keys: oneKey},
+	cmdFlushDB:  {name: "FLUSHDB", class: "flush", writes: true},
+	cmdFlushAll: {name: "FLUSHALL", class: "flush", writes: true},
+	cmdDBSize:   {name: "DBSIZE", class: "dbsize", idempotent: true},
+	cmdInfo:     {name: "INFO", class: "info"},
+	cmdCluster:  {name: "CLUSTER", class: "other"},
 }
 
 // maxCmdNameLen bounds the fold buffer; the longest command name is
-// BGREWRITEAOF (12 bytes).
+// FLUSHALL (8 bytes).
 const maxCmdNameLen = 16
 
 // cmdsByLen indexes the table by name length; it is derived from the

@@ -102,14 +102,14 @@ func TestNewEngineShardsRounding(t *testing.T) {
 		{5000, 1024}, // capped
 	}
 	for _, tc := range cases {
-		if got := NewEngineShards(tc.in).NumShards(); got != tc.want {
-			t.Errorf("NewEngineShards(%d) = %d shards, want %d", tc.in, got, tc.want)
+		if got := newEngineShards(tc.in).NumShards(); got != tc.want {
+			t.Errorf("newEngineShards(%d) = %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
 func TestNewEngineShardsDefaultScalesWithProcs(t *testing.T) {
-	n := NewEngineShards(0).NumShards()
+	n := newEngineShards(0).NumShards()
 	if n&(n-1) != 0 {
 		t.Errorf("default shard count %d is not a power of two", n)
 	}
@@ -120,15 +120,15 @@ func TestNewEngineShardsDefaultScalesWithProcs(t *testing.T) {
 		t.Errorf("default shard count %d does not scale with GOMAXPROCS=%d", n, procs)
 	}
 	if NewEngine().NumShards() != n {
-		t.Error("NewEngine and NewEngineShards(0) disagree on the default")
+		t.Error("NewEngine and newEngineShards(0) disagree on the default")
 	}
 }
 
 func TestShardingPreservesSemantics(t *testing.T) {
 	// The same workload against 1 shard and many shards must be
 	// indistinguishable.
-	single := NewEngineShards(1)
-	many := NewEngineShards(64)
+	single := newEngineShards(1)
+	many := newEngineShards(64)
 	for _, e := range []*Engine{single, many} {
 		for i := 0; i < 200; i++ {
 			k := []byte{byte('a' + i%26), byte('0' + i%10)}
@@ -201,7 +201,7 @@ func TestCmdWritesClassification(t *testing.T) {
 // row: dashboards and the benchmark sum over these names.
 func TestCmdClass(t *testing.T) {
 	shared := map[string]string{
-		"INCRBY": "incr", "FLUSHDB": "flush", "FLUSHALL": "flush", "BGREWRITEAOF": "save",
+		"INCRBY": "incr", "FLUSHDB": "flush", "FLUSHALL": "flush",
 		"CLUSTER": "other", "": "other",
 	}
 	labels := make(map[string]bool)
@@ -216,10 +216,10 @@ func TestCmdClass(t *testing.T) {
 		}
 		labels[spec.class] = true
 	}
-	// The label set of the parent commit, less mget and mset.
+	// Every label the table carries, and no other.
 	for _, l := range []string{"get", "set", "del", "exists", "incr", "append", "strlen",
 		"rpush", "lpush", "llen", "lindex", "lrange", "ping", "echo", "flush", "dbsize",
-		"info", "save", "other"} {
+		"info", "other"} {
 		if !labels[l] {
 			t.Errorf("label %q lost", l)
 		}

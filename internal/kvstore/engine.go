@@ -39,15 +39,15 @@ type shard struct {
 }
 
 // NewEngine creates an empty engine with the default shard count.
-func NewEngine() *Engine { return NewEngineShards(0) }
+func NewEngine() *Engine { return newEngineShards(0) }
 
-// NewEngineShards creates an empty engine with n shards, rounded up to
+// newEngineShards creates an empty engine with n shards, rounded up to
 // a power of two so shard selection is a mask, not a modulo. n ≤ 0
 // selects the default: the smallest power of two ≥ 2×GOMAXPROCS,
 // floored at 16 — enough shards that GOMAXPROCS writer goroutines
 // rarely collide on one lock, which is what lets SET/GET throughput
 // scale with cores.
-func NewEngineShards(n int) *Engine {
+func newEngineShards(n int) *Engine {
 	if n <= 0 {
 		n = 2 * runtime.GOMAXPROCS(0)
 		if n < minDefaultShards {
@@ -218,9 +218,8 @@ func (e *Engine) doID(id cmdID, cmd string, args [][]byte) Reply {
 	case cmdDBSize:
 		return intReply(e.Size())
 	default:
-		// cmdNone, and the server-context commands (INFO, SAVE,
-		// BGREWRITEAOF, CLUSTER) the server intercepts before engine
-		// dispatch.
+		// cmdNone, and the server-context commands (INFO, CLUSTER) the
+		// server intercepts before engine dispatch.
 		return unknownCmd(cmd)
 	}
 }

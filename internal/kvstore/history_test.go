@@ -86,16 +86,14 @@ func (m histModel) apply(cmd string, args []string) (n int64, ok bool) {
 	return n, true
 }
 
-// TestAOFHistoryMatchesModel drives a real Server with a snapshot and
-// an AOF through a seeded random history of writes, SAVEs and crashes,
-// and after every restart requires DBSIZE and every key to equal
-// histModel. The crashes are the three the durability design answers:
+// TestAOFHistoryMatchesModel drives a real Server with an AOF through
+// a seeded random history of writes and crashes, and after every
+// restart requires DBSIZE and every key to equal histModel. The
+// crashes are the two the durability design answers:
 //
-//   - Kill: the process dies; acknowledged writes were fsynced.
-//   - A rewrite that dies after its snapshot rename and before its log
-//     Reset: the snapshot holds everything and the full log is still
-//     there, so replay must start at the snapshot's mark (INCR, RPUSH,
-//     LPUSH and APPEND would apply twice otherwise).
+//   - Kill: the process dies; acknowledged writes were fsynced, and
+//     replay must apply each exactly once (INCR, RPUSH, LPUSH and
+//     APPEND would show a record applied twice or dropped).
 //   - A torn record behind the last acknowledged one: a write the
 //     server never acknowledged, cut off mid-frame. Restart must drop
 //     it and truncate it away, or the writes after the restart land
@@ -109,7 +107,7 @@ func TestAOFHistoryMatchesModel(t *testing.T) {
 func runAOFHistory(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
-	snap, aof := filepath.Join(dir, "node.pkvs"), filepath.Join(dir, "node.aof")
+	aof := filepath.Join(dir, "node.aof")
 	model := make(histModel)
 	keys := []string{"a", "b", "c", "d", "e", "f"}
 	word := func() string {
@@ -147,9 +145,6 @@ func runAOFHistory(t *testing.T, seed int64, steps int) {
 	restart := func() {
 		t.Helper()
 		srv = NewServer(nil)
-		if err := srv.EnableSnapshot(snap); err != nil {
-			fail("load snapshot: %v", err)
-		}
 		if err := srv.EnableAOF(aof, time.Microsecond); err != nil {
 			fail("replay aof: %v", err)
 		}
@@ -184,7 +179,7 @@ func runAOFHistory(t *testing.T, seed int64, steps int) {
 	}
 	restart()
 	t.Cleanup(kill) // a failed step leaves the last server running
-	var saves, kills, crashes int
+	var kills, torn int
 	for step = 0; step < steps; step++ {
 		switch r := rng.Intn(100); {
 		case r < 88:
@@ -220,42 +215,22 @@ func runAOFHistory(t *testing.T, seed int64, steps int) {
 			case rep.Type != Integer && (rep.Type != SimpleString || rep.Str != "OK"):
 				fail("%s %q = %v", cmd, args, rep)
 			}
-		case r < 93:
-			if rep := do("SAVE"); rep.Type != SimpleString {
-				fail("SAVE = %v", rep)
-			}
-			saves++
 		case r < 96:
 			kill()
 			restart()
 			kills++
-		case r < 98:
-			// The rewrite of rewritePersistence, cut after the snapshot
-			// rename: the log is never Reset.
-			srv.persistMu.Lock()
-			mark, err := srv.aof.DurableMark()
-			if err == nil {
-				err = srv.engine.SaveSnapshotFileMark(snap, mark)
-			}
-			srv.persistMu.Unlock()
-			if err != nil {
-				fail("rewrite up to the rename: %v", err)
-			}
-			kill()
-			restart()
-			crashes++
 		default:
 			kill()
 			appendTornRecord(t, rng, aof, keys)
 			restart()
-			crashes++
+			torn++
 		}
 	}
 	kill()
 	restart()
 	kill()
-	if saves == 0 || kills == 0 || crashes == 0 {
-		t.Fatalf("seed %d: %d SAVEs, %d kills, %d rewrite or torn-tail crashes; want each", seed, saves, kills, crashes)
+	if kills == 0 || torn == 0 {
+		t.Fatalf("seed %d: %d kills, %d torn-tail crashes; want each", seed, kills, torn)
 	}
 }
 

@@ -97,9 +97,6 @@ const (
 	// maxLineLen bounds a single header/simple-string line; a longer
 	// line is hostile or corrupt, not data.
 	maxLineLen = 64 << 10
-
-	maxBulkLen  = MaxBulkLen // internal aliases predating the export
-	maxArrayLen = MaxArrayLen
 )
 
 // ErrProtocol reports malformed RESP data on the wire.

@@ -165,13 +165,13 @@ func TestMalformedLengthHeaders(t *testing.T) {
 	}{
 		{"negative bulk", "$-5\r\nhello\r\n"},
 		{"negative bulk -2", "$-2\r\n"},
-		{"oversized bulk", "$1073741825\r\n"},                  // maxBulkLen+1
+		{"oversized bulk", "$1073741825\r\n"},                  // MaxBulkLen+1
 		{"hugely oversized bulk", "$99999999999999999999\r\n"}, // would overflow int64
 		{"bulk length with sign", "$+5\r\nhello\r\n"},
 		{"bulk length with spaces", "$ 5\r\nhello\r\n"},
 		{"empty bulk length", "$\r\n"},
 		{"negative array", "*-3\r\n"},
-		{"oversized array", "*1048577\r\n"}, // maxArrayLen+1
+		{"oversized array", "*1048577\r\n"}, // MaxArrayLen+1
 		{"hugely oversized array", "*99999999999999999999\r\n"},
 		{"array length with sign", "*+2\r\n"},
 		{"empty array length", "*\r\n"},

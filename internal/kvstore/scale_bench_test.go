@@ -20,7 +20,7 @@ import (
 // throughput across GOMAXPROCS-many concurrent connections.
 func BenchmarkServerPipelinedSetGet(b *testing.B) {
 	const pipeWidth = 64
-	srv := NewServer(NewEngineShards(0))
+	srv := NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

@@ -17,8 +17,8 @@ import (
 
 // Server exposes an Engine over TCP using the RESP protocol, one
 // goroutine per connection, with pipelined reply batches coalesced
-// into writev-style flushes. It optionally layers durability (snapshot
-// + group-commit AOF) and hash-slot cluster membership on top of the
+// into writev-style flushes. It optionally layers durability (a
+// group-commit AOF) and hash-slot cluster membership on top of the
 // engine.
 type Server struct {
 	engine *Engine
@@ -29,23 +29,10 @@ type Server struct {
 	closed    bool
 	wg        sync.WaitGroup
 
-	snapshotPath string
-
 	telemetry *telemetry.Registry
 	metrics   *serverMetrics
 
-	// persistMu orders commands against snapshot rewrites: the command
-	// path holds it shared across engine-apply + AOF-append, a rewrite
-	// (SAVE, BGREWRITEAOF, Close) holds it exclusive across
-	// snapshot-save + AOF-reset, so the snapshot+log pair always
-	// reconstructs exactly the applied command sequence.
-	persistMu sync.RWMutex
-	aof       *AOF
-	// snapMark is the AOF watermark the loaded snapshot carried:
-	// EnableAOF replays only the log tail past it, so records the
-	// snapshot already contains are never double-applied.
-	snapMark AOFMark
-
+	aof     *AOF
 	cluster *clusterConfig
 }
 
@@ -61,45 +48,24 @@ func NewServer(engine *Engine) *Server {
 // and white-box tests).
 func (s *Server) Engine() *Engine { return s.engine }
 
-// EnableSnapshot configures persistence: an existing snapshot at path
-// is loaded immediately, and the SAVE command (and Close) write back
-// to it. Must be called before Listen (and before EnableAOF, so the
-// snapshot loads before the log tail replays over it).
-func (s *Server) EnableSnapshot(path string) error {
-	s.mu.Lock()
-	s.snapshotPath = path
-	s.mu.Unlock()
-	mark, err := s.engine.LoadSnapshotFileMark(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	s.mu.Lock()
-	s.snapMark = mark
-	s.mu.Unlock()
-	return nil
-}
-
 // EnableAOF configures the append-only command log at path: the
-// existing log tail is replayed into the engine immediately (call
-// after EnableSnapshot — snapshot first, then the tail since it), and
-// every subsequent write command is logged and group-commit fsynced
+// existing log is replayed into the engine immediately, and every
+// subsequent write command is logged and group-commit fsynced
 // before its reply batch is flushed, so an acknowledged write is
-// durable. window ≤ 0 selects DefaultAOFSyncWindow. Must be called
-// before Listen, and after SetTelemetry if AOF counters are wanted.
+// durable. A log whose header this version cannot read is an error,
+// and the file is left as it was. window ≤ 0 selects
+// DefaultAOFSyncWindow. Must be called before Listen, and after
+// SetTelemetry if AOF counters are wanted.
 func (s *Server) EnableAOF(path string, window time.Duration) error {
 	s.mu.Lock()
 	reg := s.telemetry
-	mark := s.snapMark
 	s.mu.Unlock()
-	_, end, err := ReplayAOFSince(path, s.engine, mark)
+	_, end, err := ReplayAOF(path, s.engine)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
-	} else if err := os.Truncate(path, end.Off); err != nil {
+	} else if err := os.Truncate(path, end); err != nil {
 		// aof-load-truncated: a crash can tear the last record
 		// mid-write; drop the torn bytes (they were never acknowledged)
 		// before reopening for append, so new records never land behind
@@ -166,18 +132,12 @@ func (s *Server) infoReply() Reply {
 }
 
 // handleServerCommand intercepts commands that need server context
-// (persistence, telemetry, cluster metadata); ok=false means the
-// engine should handle the command.
+// (telemetry, cluster metadata); ok=false means the engine should
+// handle the command.
 func (s *Server) handleServerCommand(id cmdID, args [][]byte) (Reply, bool) {
 	switch id {
 	case cmdInfo:
 		return s.infoReply(), true
-	case cmdSave, cmdBGRewriteAOF:
-		// Both compact persistence: snapshot the engine, then reset the
-		// AOF the snapshot now supersedes. BGREWRITEAOF runs in the
-		// foreground here — the engine is an in-memory map, so the
-		// "background" distinction buys nothing.
-		return s.rewritePersistence(), true
 	case cmdCluster:
 		s.mu.Lock()
 		cl := s.cluster
@@ -191,43 +151,6 @@ func (s *Server) handleServerCommand(id cmdID, args [][]byte) (Reply, bool) {
 		return errReply("ERR unknown CLUSTER subcommand"), true
 	}
 	return Reply{}, false
-}
-
-// rewritePersistence is SAVE/BGREWRITEAOF: under the exclusive
-// persistence lock (no command can apply+log concurrently), make the
-// log durable and note its mark, write the snapshot embedding that
-// mark (fsynced before its rename lands), then truncate the log the
-// snapshot supersedes. A crash anywhere in the sequence recovers
-// cleanly: before the rename the old snapshot + full log replay;
-// after the rename but before the truncate, the mark makes replay
-// skip every record the new snapshot already holds.
-func (s *Server) rewritePersistence() Reply {
-	s.mu.Lock()
-	path := s.snapshotPath
-	aof := s.aof
-	s.mu.Unlock()
-	if path == "" {
-		return errReply("ERR snapshots not configured")
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	var mark AOFMark
-	if aof != nil {
-		m, err := aof.DurableMark()
-		if err != nil {
-			return errReply("ERR " + err.Error())
-		}
-		mark = m
-	}
-	if err := s.engine.SaveSnapshotFileMark(path, mark); err != nil {
-		return errReply("ERR " + err.Error())
-	}
-	if aof != nil {
-		if err := aof.Reset(); err != nil {
-			return errReply("ERR " + err.Error())
-		}
-	}
-	return okReply()
 }
 
 // Listen binds the address (e.g. "127.0.0.1:0") and serves it (Serve).
@@ -374,25 +297,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			reply, handled = s.handleServerCommand(id, args)
 		}
 		if !handled {
-			if aof != nil && cmdTable[id].writes {
-				// Shared persistence lock across apply + append: a
-				// rewrite can never snapshot between the two and then
-				// double-apply the record on restart.
-				s.persistMu.RLock()
-				reply = s.engine.doID(id, cmd, args)
-				if reply.Type != ErrorReply {
-					seq, aerr := aof.Append(cmd, args)
-					if aerr != nil {
-						// Engine applied but the log is dead: fail the
-						// command so the client never counts it durable.
-						reply = errReply("ERR aof append: " + aerr.Error())
-					} else {
-						pendingSeq = seq
-					}
+			reply = s.engine.doID(id, cmd, args)
+			if aof != nil && cmdTable[id].writes && reply.Type != ErrorReply {
+				seq, aerr := aof.Append(cmd, args)
+				if aerr != nil {
+					// Engine applied but the log is dead: fail the
+					// command so the client never counts it durable.
+					reply = errReply("ERR aof append: " + aerr.Error())
+				} else {
+					pendingSeq = seq
 				}
-				s.persistMu.RUnlock()
-			} else {
-				reply = s.engine.doID(id, cmd, args)
 			}
 		}
 		if stats != nil {
@@ -415,9 +329,8 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // Close stops accepting, closes every connection, waits for the
-// connection goroutines to drain, then persists: snapshot (when
-// configured) and, once the snapshot holds everything, AOF reset +
-// close.
+// connection goroutines to drain, then flushes, fsyncs and closes the
+// AOF (when configured).
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -426,7 +339,6 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	lns := s.listeners
-	snapshotPath := s.snapshotPath
 	aof := s.aof
 	for c := range s.conns {
 		c.Close()
@@ -439,32 +351,6 @@ func (s *Server) Close() error {
 		}
 	}
 	s.wg.Wait()
-	s.persistMu.Lock()
-	if snapshotPath != "" {
-		var mark AOFMark
-		var merr error
-		if aof != nil {
-			mark, merr = aof.DurableMark()
-		}
-		if merr != nil {
-			// Couldn't make the log durable: keep it intact (don't
-			// reset) so restart replays it over the old snapshot.
-			if err == nil {
-				err = merr
-			}
-		} else if serr := s.engine.SaveSnapshotFileMark(snapshotPath, mark); serr != nil {
-			if err == nil {
-				err = serr
-			}
-		} else if aof != nil {
-			// Snapshot saved and durable: the log is redundant,
-			// truncate it so restart replays nothing twice.
-			if rerr := aof.Reset(); rerr != nil && err == nil {
-				err = rerr
-			}
-		}
-	}
-	s.persistMu.Unlock()
 	if aof != nil {
 		if cerr := aof.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -475,10 +361,10 @@ func (s *Server) Close() error {
 
 // Kill tears the server down like a crash: listeners and connections
 // close and goroutines drain, but nothing is flushed or persisted — the
-// AOF keeps exactly the bytes group commit already made durable, the
-// snapshot stays untouched, and buffered un-fsynced records (whose
-// writes were never acknowledged) vanish. Crash tests use it to assert
-// that every acknowledged write survives a restart.
+// AOF keeps exactly the bytes group commit already made durable, and
+// buffered un-fsynced records (whose writes were never acknowledged)
+// vanish. Crash tests use it to assert that every acknowledged write
+// survives a restart.
 func (s *Server) Kill() {
 	s.mu.Lock()
 	if s.closed {
