@@ -72,29 +72,36 @@ func StratifiedSample(members [][]int, size int, seed int64) ([]int, error) {
 			out = append(out, m...)
 			continue
 		}
-		scratch = permInto(rng, scratch, len(m))
-		for _, i := range scratch[:q] {
+		scratch = permPrefixInto(rng, scratch, len(m), q)
+		for _, i := range scratch {
 			out = append(out, m[i])
 		}
 	}
 	return out, nil
 }
 
-// permInto is rng.Perm(n) written into buf, which is grown only when n
-// outgrows it: the same inside-out shuffle, so the same draws from rng
-// and the same permutation, without an n-int allocation per call. Step
-// i reads buf[j] for some j ≤ i; below i that was written by this pass,
-// and at j = i the next line overwrites it, so what an earlier, larger
-// permutation left in buf does not matter.
-func permInto(rng *rand.Rand, buf []int, n int) []int {
-	if cap(buf) < n {
-		buf = make([]int, n)
+// permPrefixInto is rng.Perm(n)[:q] written into buf, which is grown
+// only when q outgrows it: the same inside-out shuffle, so the same
+// draws from rng and the same prefix, without an n-int permutation per
+// call. Step i < q reads buf[j] for some j ≤ i; below i that was
+// written by this pass, and at j = i the next line overwrites it, so
+// what an earlier call left in buf does not matter. Step i ≥ q writes
+// rng.Perm's m[i], past the prefix, and m[j] = i; only the second can
+// land in the prefix, and no later step copies m[i] into it.
+func permPrefixInto(rng *rand.Rand, buf []int, n, q int) []int {
+	if cap(buf) < q {
+		buf = make([]int, q)
 	}
-	buf = buf[:n]
+	buf = buf[:q]
 	for i := range buf {
 		j := rng.Intn(i + 1)
 		buf[i] = buf[j]
 		buf[j] = i
+	}
+	for i := q; i < n; i++ {
+		if j := rng.Intn(i + 1); j < q {
+			buf[j] = i
+		}
 	}
 	return buf
 }

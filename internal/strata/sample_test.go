@@ -102,25 +102,26 @@ func TestStratifiedSampleDeterministic(t *testing.T) {
 	}
 }
 
-// TestPermIntoMatchesRandPerm holds the scratch-reusing shuffle to
-// rand.Perm: for every (seed, size, quota) the first quota entries are
-// equal and the generator is left in the same state, with one scratch
-// carried through all of them — the sizes go down as well as up, so
-// most permutations are written over what a larger one left behind.
+// TestPermIntoMatchesRandPerm holds the quota-sized shuffle to
+// rand.Perm: for every (seed, size, quota) it returns exactly the first
+// quota entries of rand.Perm and leaves the generator in the same
+// state, with one scratch carried through all of them — the quotas go
+// down as well as up, so most prefixes are written over what a larger
+// one left behind.
 func TestPermIntoMatchesRandPerm(t *testing.T) {
 	var scratch []int
 	triples := 0
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, n := range []int{1000, 1, 2, 17, 256, 999, 0, 64, 4096, 63} {
-			for _, q := range []int{0, 1, n / 3, n} {
-				if q > n {
+			for _, q := range []int{0, 1, 2, 32, 64, n / 3, n - 1, n} {
+				if q < 0 || q > n {
 					continue
 				}
 				ref, rng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 				want := ref.Perm(n)[:q]
-				scratch = permInto(rng, scratch, n)
-				if len(scratch) != n {
-					t.Fatalf("seed %d n %d: permInto returned %d entries", seed, n, len(scratch))
+				scratch = permPrefixInto(rng, scratch, n, q)
+				if len(scratch) != q {
+					t.Fatalf("seed %d n %d quota %d: %d entries", seed, n, q, len(scratch))
 				}
 				for i, w := range want {
 					if scratch[i] != w {
@@ -128,13 +129,13 @@ func TestPermIntoMatchesRandPerm(t *testing.T) {
 					}
 				}
 				if a, b := ref.Int63(), rng.Int63(); a != b {
-					t.Fatalf("seed %d n %d: generator state differs after the shuffle", seed, n)
+					t.Fatalf("seed %d n %d quota %d: generator state differs after the shuffle", seed, n, q)
 				}
 				triples++
 			}
 		}
 	}
-	if triples < 100 {
+	if triples < 250 {
 		t.Fatalf("only %d (seed, size, quota) triples", triples)
 	}
 }

@@ -36,7 +36,7 @@ func Decompress(data []byte) ([]byte, error) {
 				return nil, fmt.Errorf("%w: bad literal run header", ErrCorrupt)
 			}
 			pos += k
-			if pos+int(n) > len(data) {
+			if n > uint64(len(data)-pos) {
 				return nil, fmt.Errorf("%w: literal run past end", ErrCorrupt)
 			}
 			out = append(out, data[pos:pos+int(n)]...)
@@ -52,7 +52,7 @@ func Decompress(data []byte) ([]byte, error) {
 				return nil, fmt.Errorf("%w: bad match distance", ErrCorrupt)
 			}
 			pos += k2
-			if d == 0 || int(d) > len(out) {
+			if d == 0 || d > uint64(len(out)) {
 				return nil, fmt.Errorf("%w: distance %d with %d bytes output", ErrCorrupt, d, len(out))
 			}
 			if l == 0 || l > maxMatch {

@@ -5,11 +5,20 @@
 // framed with uvarints, so the stream is self-contained and
 // deterministic. The decompressor, which validates every reference,
 // is the tests' round-trip oracle (decompress_test.go).
+//
+// Cost counts the work the match finder is defined to do, not the work
+// one implementation of it performs: one per position the encoder stops
+// at (a literal or the start of a match), one per chain probe and one
+// per byte a match covers. It does not count bytes compared, so
+// rejecting a candidate on one byte, or comparing eight bytes at a
+// time, leaves it unchanged. reference_test.go keeps the byte-at-a-time
+// matcher that Compress must agree with on Data, Cost and Matches.
 package lz77
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Config controls the compressor.
@@ -17,7 +26,9 @@ type Config struct {
 	// WindowSize is the back-reference window. 0 means DefaultWindow.
 	WindowSize int
 	// MaxChain bounds hash-chain probes per position. 0 means
-	// DefaultMaxChain. Higher finds better matches, costs more work.
+	// DefaultMaxChain. Higher finds better matches and costs more
+	// work: every probe adds one to Cost, whether or not its bytes
+	// are compared.
 	MaxChain int
 }
 
@@ -36,7 +47,8 @@ type Encoded struct {
 	Data []byte
 	// RawLen is the original length.
 	RawLen int
-	// Cost is the abstract work metric (bytes scanned + chain probes).
+	// Cost is the abstract work metric: positions stopped at, chain
+	// probes and bytes matched, not bytes compared.
 	Cost float64
 	// Matches counts emitted back-references.
 	Matches int
@@ -49,6 +61,14 @@ func hash4(b []byte) uint32 {
 }
 
 // Compress encodes data with LZ77.
+//
+// The matcher is zlib's. head holds the latest position of each hash;
+// prev, a ring of the next power of two above the window (or above the
+// input, if that is shorter), links a position to the previous one with
+// the same hash. A slot is overwritten only by the position a full ring
+// later, so every link read inside the window is the one written for
+// it. A candidate whose byte at the best length so far differs cannot
+// beat that length and is not compared; it still counts as a probe.
 func Compress(data []byte, cfg Config) (*Encoded, error) {
 	window := cfg.WindowSize
 	if window == 0 {
@@ -64,75 +84,79 @@ func Compress(data []byte, cfg Config) (*Encoded, error) {
 	if maxChain < 1 {
 		return nil, fmt.Errorf("lz77: max chain %d", maxChain)
 	}
-	enc := &Encoded{RawLen: len(data)}
-	var out []byte
-	var lit []byte // pending literal run
 	head := make([]int32, 1<<hashBits)
 	for i := range head {
 		head[i] = -1
 	}
-	prev := make([]int32, len(data))
-	flushLits := func() {
-		if len(lit) == 0 {
-			return
-		}
-		out = append(out, 0x00)
-		out = binary.AppendUvarint(out, uint64(len(lit)))
-		out = append(out, lit...)
-		lit = lit[:0]
-	}
-	pos := 0
-	insert := func(p int) {
-		if p+minMatch <= len(data) {
-			h := hash4(data[p:])
-			prev[p] = head[h]
-			head[h] = int32(p)
-		}
-	}
-	for pos < len(data) {
-		enc.Cost++
+	prev := make([]int32, 1<<bits.Len(uint(min(window, len(data)))))
+	mask := len(prev) - 1
+	// Serialized records compress only about × 1.2, so a stream sized
+	// to the input is usually its only allocation.
+	out := make([]byte, 0, len(data))
+	cost, matches := 0, 0
+	lits := 0                    // start of the pending literal run
+	last := len(data) - minMatch // last position with four bytes to hash
+	for pos := 0; pos < len(data); {
+		cost++
 		bestLen, bestDist := 0, 0
-		if pos+minMatch <= len(data) {
-			h := hash4(data[pos:])
-			cand := head[h]
+		if pos <= last {
+			limit := min(len(data)-pos, maxMatch)
+			cand := head[hash4(data[pos:])]
 			probes := 0
-			for cand >= 0 && probes < maxChain && pos-int(cand) <= window {
-				probes++
-				enc.Cost++
-				l := matchLen(data, int(cand), pos)
-				if l > bestLen {
-					bestLen = l
-					bestDist = pos - int(cand)
+			for ; cand >= 0 && probes < maxChain && pos-int(cand) <= window; probes++ {
+				c := int(cand)
+				if bestLen < limit && data[c+bestLen] == data[pos+bestLen] {
+					if l := matchLen(data[c:], data[pos:pos+limit]); l > bestLen {
+						bestLen, bestDist = l, pos-c
+					}
 				}
-				cand = prev[cand]
+				cand = prev[c&mask]
 			}
+			cost += probes
 		}
+		next := pos + 1
 		if bestLen >= minMatch {
-			flushLits()
+			out = appendLiterals(out, data[lits:pos])
 			out = append(out, 0x01)
 			out = binary.AppendUvarint(out, uint64(bestLen))
 			out = binary.AppendUvarint(out, uint64(bestDist))
-			enc.Matches++
-			for k := 0; k < bestLen; k++ {
-				insert(pos + k)
-			}
-			pos += bestLen
-			enc.Cost += float64(bestLen)
-		} else {
-			lit = append(lit, data[pos])
-			insert(pos)
-			pos++
+			matches++
+			cost += bestLen
+			next = pos + bestLen
+			lits = next
 		}
+		for p := pos; p < min(next, last+1); p++ {
+			h := hash4(data[p:])
+			prev[p&mask] = head[h]
+			head[h] = int32(p)
+		}
+		pos = next
 	}
-	flushLits()
-	enc.Data = out
-	return enc, nil
+	out = appendLiterals(out, data[lits:])
+	return &Encoded{Data: out, RawLen: len(data), Cost: float64(cost), Matches: matches}, nil
 }
 
-// matchLen counts matching bytes between positions a (earlier) and b.
-func matchLen(data []byte, a, b int) int {
+// appendLiterals frames a literal run, if there is one.
+func appendLiterals(out, lit []byte) []byte {
+	if len(lit) == 0 {
+		return out
+	}
+	out = append(out, 0x00)
+	out = binary.AppendUvarint(out, uint64(len(lit)))
+	return append(out, lit...)
+}
+
+// matchLen returns the length of the common prefix of a and b, where
+// len(a) >= len(b), eight bytes at a time: the lowest set bit of the
+// XOR of two little-endian words lies in their first differing byte.
+func matchLen(a, b []byte) int {
 	n := 0
-	for b+n < len(data) && data[a+n] == data[b+n] && n < maxMatch {
+	for ; n+8 <= len(b); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < len(b) && a[n] == b[n] {
 		n++
 	}
 	return n

@@ -2,6 +2,9 @@ package lz77
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -122,12 +125,42 @@ func TestDecompressCorrupt(t *testing.T) {
 		{0x01, 0x05, 0x01},                  // distance into empty output
 		{0x01, 0x00, 0x01},                  // zero-length match
 		{0x00, 0x01, 'a', 0x01, 0x05, 0x09}, // distance beyond output
+		// A run length or a distance of 2^63 and above, which is
+		// negative as an int.
+		append([]byte{0x00}, binary.AppendUvarint(nil, 1<<63)...),
+		append([]byte{0x01, 0x01}, binary.AppendUvarint(nil, 1<<63)...),
+		append([]byte{0x00, 0x01, 'a', 0x01, 0x01}, binary.AppendUvarint(nil, math.MaxUint64)...),
 	}
 	for i, c := range cases {
-		if _, err := Decompress(c); err == nil {
-			t.Errorf("case %d: corrupt stream accepted", i)
+		if _, err := Decompress(c); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("case %d: corrupt stream gave %v, want ErrCorrupt", i, err)
 		}
 	}
+}
+
+// FuzzDecompress feeds Decompress arbitrary streams, which it must
+// decode or reject with ErrCorrupt, never panic on, and checks that
+// Compress's own stream of the same bytes round-trips.
+func FuzzDecompress(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("abcabcabcabcabcabc"))
+	f.Add([]byte{0x00, 0x01, 'a', 0x01, 0x05, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := Decompress(data); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error %v is not ErrCorrupt", err)
+		}
+		enc, err := Compress(data, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decompress(enc.Data)
+		if err != nil {
+			t.Fatalf("own stream rejected: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("round trip: %d bytes in, %d out", len(data), len(back))
+		}
+	})
 }
 
 func TestOverlappingMatch(t *testing.T) {
@@ -226,6 +259,21 @@ func BenchmarkCompress64K(b *testing.B) {
 	for i := range data {
 		data[i] = byte(rng.Intn(16))
 	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compress(data, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompressRecords compresses what lz77_durable feeds the
+// codec: one partition of serialized UK-like webgraph records (about
+// 1.9 MB, a 16,600-vertex graph), packed the way bench.LZ77Compression
+// packs a partition.
+func BenchmarkCompressRecords(b *testing.B) {
+	data := ukRecords(b, 0.0015)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
