@@ -28,10 +28,10 @@
 // topic-blocked corpus is planned cold on 4 nodes, then each round
 // ingests a drifting batch of 100 records and runs one control cycle —
 // printing whether the loop stayed clean, re-stratified incrementally
-// (warm-starting the sizing LP from the previous basis), or fell back
-// to a full replan, plus the migration move budget spent. A final cold
-// full replan over the drifted corpus anchors the incremental cycle
-// times.
+// (re-profiling and re-solving the sizing LP over the drifted strata),
+// or fell back to a full replan, plus the migration move budget spent.
+// A final cold full replan over the drifted corpus anchors the
+// incremental cycle times.
 package main
 
 import (

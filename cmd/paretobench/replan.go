@@ -105,7 +105,7 @@ func runReplan(records, cycles int) error {
 		records, replanTopics, replanNodes, coldPlan.Round(time.Millisecond))
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "cycle\tkind\tdirty\tlp\tprofile runs\tplaced\tmoved\tdeferred\tshipped\telapsed")
+	fmt.Fprintln(w, "cycle\tkind\tdirty\tprofile runs\tplaced\tmoved\tdeferred\tshipped\telapsed")
 	var incTotal time.Duration
 	var incCycles int
 	// ingested and shipped are bytes: what the rounds added to the corpus
@@ -122,15 +122,8 @@ func runReplan(records, cycles int) error {
 		if err != nil {
 			return err
 		}
-		lp := "-"
-		if rep.LPSolved {
-			lp = "cold"
-			if rep.LPWarm {
-				lp = "warm"
-			}
-		}
-		fmt.Fprintf(w, "%d\t%s\t%d/%d\t%s\t%d\t%d\t%d\t%d\t%d rec %d B\t%v\n",
-			c, rep.Kind, len(rep.Dirty), l.Tracker().K(), lp,
+		fmt.Fprintf(w, "%d\t%s\t%d/%d\t%d\t%d\t%d\t%d\t%d rec %d B\t%v\n",
+			c, rep.Kind, len(rep.Dirty), l.Tracker().K(),
 			rep.ProfileRuns, rep.Placements,
 			rep.MovesApplied, rep.MovesDeferred,
 			rep.RecordsShipped, rep.BytesShipped, rep.Elapsed.Round(time.Microsecond))
@@ -172,13 +165,11 @@ func runReplan(records, cycles int) error {
 			shipped, ingested, cycles, float64(shipped)/float64(ingested))
 	}
 	snap := reg.Snapshot()
-	fmt.Printf("telemetry: cycles=%d incremental=%d full=%d clean=%d lp_warm=%d lp_cold=%d moves_applied=%d moves_deferred=%d shipped_records=%d shipped_bytes=%d aborts=%d\n",
+	fmt.Printf("telemetry: cycles=%d incremental=%d full=%d clean=%d moves_applied=%d moves_deferred=%d shipped_records=%d shipped_bytes=%d aborts=%d\n",
 		snap.Counters["replan_cycles_total"],
 		snap.Counters["replan_cycles_incremental_total"],
 		snap.Counters["replan_cycles_full_total"],
 		snap.Counters["replan_cycles_clean_total"],
-		snap.Counters["replan_lp_warm_total"],
-		snap.Counters["replan_lp_cold_total"],
 		snap.Counters["replan_moves_applied_total"],
 		snap.Counters["replan_moves_deferred_total"],
 		snap.Counters["replan_shipped_records_total"],

@@ -416,10 +416,9 @@ func ProfileModels(cl *cluster.Cluster, members [][]int, n int, rates []float64,
 
 // SizingConstraints derives the optimize stage's partition floor at n
 // records on p nodes: the larger of MinPartitionFrac of the equal share
-// and MinPartitionRecords, capped at the equal share n/p. Whether a
-// floor exists does not depend on n, so a sizing LP built from it keeps
-// its row layout as a corpus grows (the property opt.SizingUpdates
-// requires).
+// and MinPartitionRecords, capped at the equal share n/p. BuildPlan's
+// optimize stage and the replanning loop's incremental cycles both size
+// partitions with it.
 func SizingConstraints(cfg Config, n, p int) opt.Constraints {
 	cons := opt.Constraints{}
 	if cfg.MinPartitionFrac > 0 {

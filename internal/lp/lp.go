@@ -33,9 +33,9 @@
 // duals that certify optimality (exactEntering) and the primal values
 // that become Solution.X (extract) are two pairs of triangular solves
 // against it. The factorization is a pure function of the basis set
-// and the model, and it is kept until a pivot, a rebuild or a model
-// rewrite changes either — most warm re-solves along an α ladder take
-// no pivot at all and pay for the triangular solves only.
+// and the model, and it is kept until a pivot or a rebuild changes
+// either — most warm re-solves along an α ladder take no pivot at all
+// and pay for the triangular solves only.
 package lp
 
 import (
@@ -185,7 +185,7 @@ type Solver struct {
 	// diagonal), where B is a0 restricted to the basis columns in
 	// ascending order (bcols) and perm is P. luOK is false when B is
 	// numerically singular. The factorization stands until t.moved
-	// says the basis or the model changed (see factor).
+	// says the basis changed or the tableau was rebuilt (see factor).
 	lu    []float64
 	bcols []int
 	perm  []int
@@ -414,171 +414,6 @@ func (s *Solver) coldSolve(objective []float64) (*Solution, error) {
 	return sol, err
 }
 
-// ConstraintUpdate replaces the coefficients and right-hand side of one
-// existing constraint, in problem coordinates. The comparison operator
-// is fixed at AddConstraint time and cannot change.
-type ConstraintUpdate struct {
-	// Row indexes the constraint in AddConstraint order.
-	Row int
-	// Coeffs is the new coefficient vector (length NumVars).
-	Coeffs []float64
-	// RHS is the new right-hand side.
-	RHS float64
-}
-
-// ReSolveModel re-optimizes after the *model* changed: the given
-// constraint rows take new coefficients and right-hand sides, and the
-// solve runs under the given objective (length NumVars, problem
-// coordinates). Unlike ReSolve, a model change can invalidate the
-// retained vertex, so the warm path re-prices the retained basis
-// against the updated rows: the normalized pre-pivot snapshot (a0/b0)
-// is rewritten for the changed rows, the tableau is refactorized from
-// the snapshot under the retained basis set, and plain phase-2 primal
-// simplex resumes from there. Because extraction and optimality
-// certification read the same updated snapshot, the warm result keeps
-// the cold-equivalence guarantee: it is a pure function of the final
-// basis set, bit-identical to a cold solve landing on the same basis.
-//
-// The warm path falls back to a cold two-phase solve (Solution.Warm
-// reports which path ran) when the retained basis cannot be reused:
-// no prior successful solve, a right-hand-side sign change that would
-// relayout the row's slack/artificial columns, an artificial column
-// still basic, a numerically singular refactorization, or a basis that
-// has gone primal-infeasible under the new model. In every case the
-// updated constraints stick to the Problem, so later cold solves see
-// the same model.
-func (s *Solver) ReSolveModel(objective []float64, updates []ConstraintUpdate) (*Solution, error) {
-	p := s.p
-	if len(objective) != p.numVars {
-		return nil, fmt.Errorf("lp: ReSolveModel objective has %d coefficients, want %d", len(objective), p.numVars)
-	}
-	for _, u := range updates {
-		if u.Row < 0 || u.Row >= len(p.cons) {
-			return nil, fmt.Errorf("lp: ReSolveModel row %d out of range [0,%d)", u.Row, len(p.cons))
-		}
-		if len(u.Coeffs) != p.numVars {
-			return nil, fmt.Errorf("lp: ReSolveModel row %d has %d coefficients, want %d", u.Row, len(u.Coeffs), p.numVars)
-		}
-	}
-	warm := s.ready
-	for _, u := range updates {
-		c := &p.cons[u.Row]
-		// A sign change on the RHS of an inequality flips the
-		// normalized operator (≤ ↔ ≥), which would need a different
-		// slack sign and artificial-column layout than the tableau was
-		// built with — a structural change, not a re-pricing.
-		if c.op != EQ && (c.rhs < 0) != (u.RHS < 0) {
-			warm = false
-		}
-		copy(c.coeffs, u.Coeffs)
-		c.rhs = u.RHS
-	}
-	if !warm {
-		return s.coldSolve(objective)
-	}
-	t := &s.t
-	// An artificial still basic (at zero, from a redundant row) has no
-	// column in the active tableau to re-price against.
-	for r := 0; r < s.m; r++ {
-		if t.basis[r] >= s.ncols {
-			return s.coldSolve(objective)
-		}
-	}
-	// Rewrite the normalized snapshot rows for the updated constraints,
-	// exactly as build() lays them out.
-	for _, u := range updates {
-		r := u.Row
-		c := p.cons[r]
-		row := s.a0[r*s.total : r*s.total+s.total]
-		clear(row)
-		copy(row, c.coeffs)
-		op, b := c.op, c.rhs
-		if b < 0 {
-			for j := 0; j < s.ncols; j++ {
-				row[j] = -row[j]
-			}
-			b = -b
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
-		}
-		s.b0[r] = b
-		if s.slackCol[r] >= 0 {
-			if op == LE {
-				row[s.slackCol[r]] = 1
-			} else {
-				row[s.slackCol[r]] = -1
-			}
-		}
-		if s.artCol[r] >= 0 {
-			row[s.artCol[r]] = 1
-		}
-	}
-	t.moved = true // the factorization was gathered from the old rows
-	if !s.refactorize() {
-		return s.coldSolve(objective)
-	}
-	// Primal feasibility of the retained basis under the new model.
-	for r := 0; r < s.m; r++ {
-		if t.b[r] < -eps {
-			return s.coldSolve(objective)
-		}
-		if t.b[r] < 0 {
-			t.b[r] = 0
-		}
-	}
-	s.setObjective(objective)
-	before := t.pivots
-	if _, err := t.optimize(s.sobj[:t.n], s); err != nil {
-		return nil, err
-	}
-	return s.extract(objective, t.pivots-before, true), nil
-}
-
-// refactorize rebuilds the pivoted tableau from the normalized
-// snapshot under the retained basis *set*: it copies a0/b0 back into
-// the tableau and runs Gauss–Jordan elimination, choosing for each
-// basis column (ascending — deterministic) the not-yet-assigned row
-// with the largest magnitude entry (lowest row on ties). Rows are
-// thereby re-associated with basis columns; the basis set is
-// unchanged. Returns false when the basis matrix is numerically
-// singular under the new model. Elimination pivots are excluded from
-// the warm iteration count by the caller (they re-derive the old
-// vertex, they don't move it).
-func (s *Solver) refactorize() bool {
-	t := &s.t
-	m := s.m
-	copy(t.a, s.a0)
-	copy(t.b, s.b0)
-	bcols := s.sortBasis()
-	pivots := t.pivots
-	assigned := make([]bool, m)
-	for k := 0; k < m; k++ {
-		col := bcols[k]
-		piv := -1
-		best := 1e-12
-		for r := 0; r < m; r++ {
-			if assigned[r] {
-				continue
-			}
-			if v := math.Abs(t.a[r*t.stride+col]); v > best {
-				best = v
-				piv = r
-			}
-		}
-		if piv < 0 {
-			return false
-		}
-		t.pivot(piv, col)
-		assigned[piv] = true
-	}
-	t.pivots = pivots
-	return true
-}
-
 // setObjective maps a problem-coordinate objective onto solver columns:
 // the variables' coefficients, then zero for every slack and artificial.
 func (s *Solver) setObjective(obj []float64) {
@@ -604,11 +439,10 @@ func (s *Solver) sortBasis() []int {
 }
 
 // factor makes s.lu the factorization of the current vertex and
-// reports whether the basis matrix is nonsingular. It refactorizes
+// reports whether the basis matrix is nonsingular. It factorizes anew
 // only when t.moved says something changed since the last call: any
-// tableau.pivot (the basis set), build (everything) or ReSolveModel's
-// rewrite of a0/b0 (the model). The pivot counter cannot serve as the
-// key — refactorize restores it after re-deriving the tableau.
+// tableau.pivot (the basis set) or build (everything). The pivot
+// counter cannot serve as the key — build resets it to zero.
 func (s *Solver) factor() bool {
 	if s.t.moved {
 		s.t.moved = false
@@ -836,9 +670,9 @@ type tableau struct {
 	red []float64
 	// pivots counts Gauss–Jordan pivots across all optimize calls.
 	pivots int
-	// moved is set by every pivot (and by the Solver when it rebuilds or
-	// rewrites the model): the vertex is no longer the one the Solver
-	// last factorized. Solver.factor clears it.
+	// moved is set by every pivot (and by Solver.build): the vertex is
+	// no longer the one the Solver last factorized. Solver.factor
+	// clears it.
 	moved bool
 	// nz is scratch for the nonzero columns of a pivot row.
 	nz []int

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -292,4 +293,124 @@ func BenchmarkLPReSolve(b *testing.B) {
 			}
 		})
 	}
+}
+
+// freshSolve solves p's current model under obj on a new Solver: the
+// answer no retained state can have touched.
+func freshSolve(t *testing.T, p *Problem, obj []float64) *Solution {
+	t.Helper()
+	cp := mustProblem(t, obj)
+	for _, c := range p.cons {
+		addCon(t, cp, c.coeffs, c.op, c.rhs)
+	}
+	sol, err := cp.NewSolver().Solve()
+	if err != nil {
+		t.Fatalf("fresh solve: %v", err)
+	}
+	return sol
+}
+
+func sameAnswer(t *testing.T, label string, got, want *Solution) {
+	t.Helper()
+	if !reflect.DeepEqual(got.X, want.X) || got.Objective != want.Objective {
+		t.Errorf("%s: X %v objective %v, a fresh solver gives X %v objective %v",
+			label, got.X, got.Objective, want.X, want.Objective)
+	}
+}
+
+// TestFactorizationNeverStale walks the ways the retained vertex
+// factorization could outlive the vertex it was computed for; every
+// answer must equal a fresh Solver's bit for bit.
+func TestFactorizationNeverStale(t *testing.T) {
+	t.Run("warm to cold through build", func(t *testing.T) {
+		// The problem's own objective is optimal at the initial slack
+		// basis, so the cold Solve below pivots nowhere: only build can
+		// tell factor that the warm vertex (0, 10) is gone.
+		prob := mustProblem(t, []float64{1, 1})
+		addCon(t, prob, []float64{1, 1}, LE, 10)
+		addCon(t, prob, []float64{0, 1}, LE, 20)
+		sv := prob.NewSolver()
+		if _, err := sv.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		obj := []float64{-1, -2}
+		sol, err := sv.ReSolve(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Warm || sol.Iterations == 0 {
+			t.Fatalf("ReSolve: warm=%v iterations=%d, want a warm move off the slack basis", sol.Warm, sol.Iterations)
+		}
+		sameAnswer(t, "ReSolve", sol, freshSolve(t, prob, obj))
+		if sol, err = sv.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		if sol.Warm || sol.Iterations != 0 {
+			t.Fatalf("cold Solve: warm=%v iterations=%d, want a pivot-free cold solve", sol.Warm, sol.Iterations)
+		}
+		sameAnswer(t, "cold rebuild", sol, freshSolve(t, prob, prob.obj))
+		checkOptimal(t, prob, prob.obj, sol, sv.Basis())
+		if sol, err = sv.ReSolve(obj); err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Warm {
+			t.Error("ReSolve after the rebuild ran cold")
+		}
+		sameAnswer(t, "ReSolve after the rebuild", sol, freshSolve(t, prob, obj))
+	})
+
+	t.Run("unbounded then bounded", func(t *testing.T) {
+		prob := mustProblem(t, []float64{1, 1})
+		addCon(t, prob, []float64{1, 0}, LE, 4)
+		addCon(t, prob, []float64{1, 1}, GE, 1)
+		sv := prob.NewSolver()
+		if _, err := sv.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		// x₂ is unbounded above; whatever pivots ran before simplex saw
+		// that have moved the vertex.
+		if _, err := sv.ReSolve([]float64{0, -1}); !errors.Is(err, ErrUnbounded) {
+			t.Fatalf("err = %v, want ErrUnbounded", err)
+		}
+		obj := []float64{-1, 1}
+		sol, err := sv.ReSolve(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Warm {
+			t.Error("basis lost after the unbounded re-solve")
+		}
+		sameAnswer(t, "ReSolve after ErrUnbounded", sol, freshSolve(t, prob, obj))
+		checkOptimal(t, prob, obj, sol, sv.Basis())
+	})
+
+	t.Run("singular basis matrix", func(t *testing.T) {
+		// B = [[1e-7, 0], [1, 1e-7]] is reachable by simplex (both tableau
+		// pivots are 1e-7 > eps) but partial pivoting meets 1e-14 on the
+		// second column: no factorization, so optimality rests on the
+		// tableau's verdict and X on the tableau's right-hand side.
+		prob := mustProblem(t, []float64{-1e8, -1})
+		addCon(t, prob, []float64{1e-7, 0}, LE, 1)
+		addCon(t, prob, []float64{1, 1e-7}, LE, 2e7)
+		sv := prob.NewSolver()
+		sol, err := sv.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.luOK {
+			t.Fatal("basis matrix factorized; the case no longer reaches the fallback")
+		}
+		if !approx(sol.X[0], 1e7, 1) || !approx(sol.X[1], 1e14, 1e7) {
+			t.Errorf("X = %v, want [1e7 1e14] from the tableau", sol.X)
+		}
+		sameAnswer(t, "Solve", sol, freshSolve(t, prob, prob.obj))
+		again, err := sv.ReSolve(prob.obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Warm || again.Iterations != 0 {
+			t.Errorf("ReSolve at the optimum: warm=%v iterations=%d", again.Warm, again.Iterations)
+		}
+		sameAnswer(t, "ReSolve", again, sol)
+	})
 }

@@ -205,44 +205,6 @@ func SizingLP(nodes []NodeModel, total int, alpha float64, cons Constraints) (*l
 	return prob, nil
 }
 
-// SizingUpdates returns the lp.ConstraintUpdates that retarget an
-// existing SizingLP at new node models and total, mirroring the exact
-// row layout SizingLP built: per node i the time row
-// m_i·total·s_i − v ≤ −c_i and, when the LP was built with a MinSize
-// floor, the floor row after it; the final Σs = 1 row never changes
-// and is not updated. cons must enable floors iff the original LP did
-// (cons.MinSize > 0 on both or neither — the row layout is fixed at
-// build time); MinSize is capped at total/p exactly as
-// OptimizeWithConstraints caps it. Pair with SizingObjective and
-// lp.Solver.ReSolveModel to move a retained sizing basis onto
-// re-profiled models without a two-phase rebuild.
-func SizingUpdates(nodes []NodeModel, total int, cons Constraints) []lp.ConstraintUpdate {
-	p := len(nodes)
-	if cap := float64(total) / float64(p); cons.MinSize > cap {
-		cons.MinSize = cap
-	}
-	perNode := 1
-	if cons.MinSize > 0 {
-		perNode = 2
-	}
-	ups := make([]lp.ConstraintUpdate, 0, p*perNode)
-	row := 0
-	for i, n := range nodes {
-		coeffs := make([]float64, p+1)
-		coeffs[i] = n.Time.Slope * float64(total)
-		coeffs[p] = -1
-		ups = append(ups, lp.ConstraintUpdate{Row: row, Coeffs: coeffs, RHS: -n.Time.Intercept})
-		row++
-		if cons.MinSize > 0 {
-			floor := make([]float64, p+1)
-			floor[i] = 1
-			ups = append(ups, lp.ConstraintUpdate{Row: row, Coeffs: floor, RHS: cons.MinSize / float64(total)})
-			row++
-		}
-	}
-	return ups
-}
-
 // UnitsFromShares maps a share-space LP solution (SizingLP's native
 // variables) back to data units: x_i = s_i·total. Cold solves and warm
 // frontier re-solves both go through this one expression, so

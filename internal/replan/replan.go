@@ -9,7 +9,6 @@ import (
 
 	"pareto/internal/cluster"
 	"pareto/internal/core"
-	"pareto/internal/lp"
 	"pareto/internal/opt"
 	"pareto/internal/parallel"
 	"pareto/internal/partitioner"
@@ -52,7 +51,7 @@ const (
 	// still places pending ingests and drains deferred moves.
 	CycleClean CycleKind = iota
 	// CycleIncremental re-stratified only the dirty strata, re-profiled
-	// at the new corpus size and re-solved the LP warm.
+	// at the new corpus size and re-solved the sizing LP.
 	CycleIncremental
 	// CycleFull re-ran the whole pipeline: every stratum was dirty, so
 	// the cycle is by definition a cold full replan.
@@ -80,11 +79,12 @@ type CycleReport struct {
 	// Dirty lists the strata whose drift crossed the threshold at the
 	// start of the cycle, ascending.
 	Dirty []int
-	// LPSolved is true when the cycle ran the sizing LP; LPWarm is true
-	// when that solve re-priced the retained basis instead of running
-	// two-phase simplex from scratch.
+	// LPSolved is true when the cycle ran the sizing LP.
 	LPSolved bool
-	LPWarm   bool
+	// LPWarm is never set: every sizing solve is the planner's own cold
+	// one. The field stays only because benchmark/replan.go reads it;
+	// retire it with that benchmark row.
+	LPWarm bool
 	// ProfileRuns counts the incremental path's profile-function
 	// evaluations, one per rung of the sample ladder. (A full cycle's
 	// evaluations happen inside core.BuildPlan and are not counted.)
@@ -128,7 +128,6 @@ type Loop struct {
 	st      *strata.Stratification
 	tracker *strata.DriftTracker
 
-	solver *lp.Solver
 	shares []float64
 
 	actual  *partitioner.Assignment
@@ -205,9 +204,8 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	return l, nil
 }
 
-// installFull adopts a freshly built full plan: new stratification, new
-// drift tracker, no retained LP basis (the next incremental cycle
-// rebuilds one cold).
+// installFull adopts a freshly built full plan: new stratification and
+// new drift tracker.
 func (l *Loop) installFull(plan *core.Plan) error {
 	tracker, err := strata.NewDriftTracker(plan.Strat, l.cfg.Drift)
 	if err != nil {
@@ -216,15 +214,7 @@ func (l *Loop) installFull(plan *core.Plan) error {
 	l.plan = plan
 	l.st = plan.Strat
 	l.tracker = tracker
-	l.solver = nil
-	l.shares = nil
-	if plan.Optimized != nil {
-		n := float64(l.corpus.Len())
-		l.shares = make([]float64, l.p)
-		for i, x := range plan.Optimized.X[:l.p] {
-			l.shares[i] = x / n
-		}
-	}
+	l.setShares(plan.Optimized, l.corpus.Len())
 	l.target = plan.Assign
 	l.targetN = l.corpus.Len()
 	l.lastSizes = append([]int(nil), plan.Sizes...)
@@ -328,7 +318,7 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 
 // replanIncremental runs the dirty-strata path: sub-cluster only the
 // drifted strata, run core's profile stage over the new membership,
-// re-solve the LP warm, and install a minimal-movement target.
+// re-solve the sizing LP, and install a minimal-movement target.
 //
 // A lone dirty stratum is counted once, not re-clustered. Sub-clustering
 // its members into K = 1 is the identity on membership, and the center
@@ -366,8 +356,8 @@ func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
 
 // resize re-derives partition sizes for the current membership at n
 // records — core's profile stage against the dirty rates integrated
-// once at construction (fixed offset and window), then the LP — and
-// installs the plan and a minimal-movement target for them.
+// once at construction (fixed offset and window), then core's optimize
+// stage — and installs the plan and a minimal-movement target for them.
 func (l *Loop) resize(n int, rep *CycleReport) error {
 	var sizes []int
 	if l.cfg.Core.Strategy == core.Stratified {
@@ -385,20 +375,12 @@ func (l *Loop) resize(n int, rep *CycleReport) error {
 			return err
 		}
 		rep.ProfileRuns = int(runs.Load())
-		sol, err := l.resolveLP(models, n)
+		oplan, err := opt.OptimizeWithConstraints(models, n, l.cfg.Core.Alpha, core.SizingConstraints(l.cfg.Core, n, l.p))
 		if err != nil {
-			return err
+			return fmt.Errorf("replan: optimizing: %w", err)
 		}
 		rep.LPSolved = true
-		rep.LPWarm = sol.Warm
-		if sol.Warm {
-			l.reg.Counter("replan_lp_warm_total").Inc()
-		} else {
-			l.reg.Counter("replan_lp_cold_total").Inc()
-		}
-		x := opt.UnitsFromShares(sol.X[:l.p], n)
-		oplan := opt.PlanFromX(models, n, l.cfg.Core.Alpha, x)
-		l.shares = append([]float64(nil), sol.X[:l.p]...)
+		l.setShares(oplan, n)
 		sizes = oplan.Sizes
 		l.plan = &core.Plan{
 			Strategy: l.cfg.Core.Strategy, Alpha: l.cfg.Core.Alpha,
@@ -461,34 +443,18 @@ func (l *Loop) restratify(dirty []int) error {
 	return nil
 }
 
-// resolveLP solves the sizing LP at the freshly fitted models: warm
-// from the retained basis when one exists (re-pricing it against the
-// new coefficients via ReSolveModel, which itself falls back cold if
-// the basis went infeasible), cold otherwise.
-func (l *Loop) resolveLP(models []opt.NodeModel, n int) (*lp.Solution, error) {
-	cons := core.SizingConstraints(l.cfg.Core, n, l.p)
-	alpha := l.cfg.Core.Alpha
-	if l.solver == nil {
-		prob, err := opt.SizingLP(models, n, alpha, cons)
-		if err != nil {
-			return nil, fmt.Errorf("replan: %w", err)
-		}
-		l.solver = prob.NewSolver()
-		sol, err := l.solver.Solve()
-		if err != nil {
-			l.solver = nil
-			return nil, fmt.Errorf("replan: sizing LP: %w", err)
-		}
-		return sol, nil
+// setShares records each node's share of the n records the plan sized,
+// which sizesFor scales to later corpus sizes; nil (equal sizes) for the
+// Stratified baseline, which has no optimized plan.
+func (l *Loop) setShares(plan *opt.Plan, n int) {
+	l.shares = nil
+	if plan == nil {
+		return
 	}
-	obj := opt.SizingObjective(models, n, alpha)
-	ups := opt.SizingUpdates(models, n, cons)
-	sol, err := l.solver.ReSolveModel(obj, ups)
-	if err != nil {
-		l.solver = nil
-		return nil, fmt.Errorf("replan: sizing LP re-solve: %w", err)
+	l.shares = make([]float64, l.p)
+	for i, x := range plan.X[:l.p] {
+		l.shares[i] = x / float64(n)
 	}
-	return sol, nil
 }
 
 // sizesFor returns target partition sizes for a corpus of n records

@@ -87,9 +87,7 @@ func ingestDocs(t testing.TB, l *Loop, full *pivots.TextCorpus, from int) {
 
 // affineProfile prices a sample as a fixed overhead plus a per-record
 // cost — exactly affine in the sample size. The fit recovers it with
-// zero residual, so the intercept stays solidly positive across
-// re-profiles (a noisy near-zero intercept can clamp to 0 and flip the
-// time rows' RHS sign, which would force the LP re-solve cold).
+// zero residual.
 func affineProfile() core.ProfileFunc {
 	return func(indices []int) (float64, error) {
 		return 50_000 + 2_000*float64(len(indices)), nil
@@ -185,7 +183,10 @@ func assertSameSets(t *testing.T, got, want *partitioner.Assignment) {
 	}
 }
 
-func TestIncrementalCycleWarmLP(t *testing.T) {
+// TestIncrementalCycleSolvesLP: a drifting batch that dirties a strict
+// subset of the strata takes the incremental path, which sizes
+// partitions with its own LP solve and leaves nothing pending.
+func TestIncrementalCycleSolvesLP(t *testing.T) {
 	docs, vocab := replanDocs(t)
 	base, err := pivots.NewTextCorpus(docs, vocab)
 	if err != nil {
@@ -201,7 +202,6 @@ func TestIncrementalCycleWarmLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First drifting batch: cold LP (no retained basis yet).
 	for i := 0; i < 12; i++ {
 		if _, err := l.Ingest(alienItems(1, 6), 6, nil); err != nil {
 			t.Fatal(err)
@@ -217,10 +217,9 @@ func TestIncrementalCycleWarmLP(t *testing.T) {
 	if len(rep.Dirty) == 0 || len(rep.Dirty) == l.Tracker().K() {
 		t.Fatalf("dirty strata %v — want a strict subset", rep.Dirty)
 	}
-	if !rep.LPSolved || rep.LPWarm {
-		t.Errorf("first incremental LP: solved %v warm %v, want cold solve", rep.LPSolved, rep.LPWarm)
+	if !rep.LPSolved {
+		t.Error("first incremental cycle did not solve the sizing LP")
 	}
-	// Second drifting batch: the retained basis re-solves warm.
 	for i := 0; i < 12; i++ {
 		if _, err := l.Ingest(alienItems(2, 6), 6, nil); err != nil {
 			t.Fatal(err)
@@ -233,12 +232,8 @@ func TestIncrementalCycleWarmLP(t *testing.T) {
 	if rep.Kind != CycleIncremental {
 		t.Fatalf("second drifting cycle took the %v path", rep.Kind)
 	}
-	if !rep.LPSolved || !rep.LPWarm {
-		t.Errorf("second incremental LP: solved %v warm %v, want warm re-solve", rep.LPSolved, rep.LPWarm)
-	}
-	if reg.Counter("replan_lp_cold_total").Value() != 1 || reg.Counter("replan_lp_warm_total").Value() != 1 {
-		t.Errorf("lp counters cold=%d warm=%d, want 1/1",
-			reg.Counter("replan_lp_cold_total").Value(), reg.Counter("replan_lp_warm_total").Value())
+	if !rep.LPSolved {
+		t.Error("second incremental cycle did not solve the sizing LP")
 	}
 	if l.Pending() != 0 {
 		t.Errorf("%d records still pending after cycles", l.Pending())
@@ -252,10 +247,12 @@ func TestIncrementalCycleWarmLP(t *testing.T) {
 }
 
 // TestIncrementalCycleIsColdPipelineOverLoopStrata ties the incremental
-// path to the cold one: after every drifting incremental cycle — the
-// cold-LP first one and the warm re-solves after it — a cold
+// path to the cold one: after every drifting incremental cycle, a cold
 // core.BuildPlan over the live corpus, handed the loop's strata in place
-// of stratifying, must reproduce the loop's models, sizes and makespan.
+// of stratifying, must reproduce the loop's models and its whole
+// optimized plan (X, sizes, makespan, dirty energy). The floor
+// configuration builds the sizing LP with its MinSize rows (slack at
+// these sizes: the smallest partition holds about 1.3 floors).
 // (TestAllDirtyCycleBitIdenticalToCold covers only the CycleFull branch,
 // which is BuildPlan.)
 func TestIncrementalCycleIsColdPipelineOverLoopStrata(t *testing.T) {
@@ -264,19 +261,27 @@ func TestIncrementalCycleIsColdPipelineOverLoopStrata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"affine", "weight"} {
+	for _, c := range []struct {
+		name   string
+		weight bool
+		floor  float64
+	}{
+		{name: "affine"},
+		{name: "weight", weight: true},
+		{name: "affine floor", floor: 0.25},
+	} {
 		// The weight profile reads whatever corpus live holds: the base
-		// while New plans, the loop's growing corpus afterwards. Its noisy
-		// intercept may clamp to zero and force an LP re-solve cold, so
-		// only the exactly affine profile is held to warm re-solves.
+		// while New plans, the loop's growing corpus afterwards.
 		var live pivots.Corpus = base
 		profile := affineProfile()
-		if name == "weight" {
+		if c.weight {
 			profile = func(indices []int) (float64, error) { return weightProfile(live)(indices) }
 		}
+		cfg := loopCoreConfig(2)
+		cfg.MinPartitionFrac = c.floor
 		cl := paperCluster(t, 4)
 		l, err := New(base, cl, profile, Config{
-			Core:  loopCoreConfig(2),
+			Core:  cfg,
 			Drift: strata.DriftConfig{Threshold: 1e-9},
 		})
 		if err != nil {
@@ -294,28 +299,22 @@ func TestIncrementalCycleIsColdPipelineOverLoopStrata(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rep.Kind != CycleIncremental {
-				t.Fatalf("%s cycle %d: took the %v path", name, cycle, rep.Kind)
-			}
-			if name == "affine" && rep.LPWarm != (cycle > 1) {
-				t.Fatalf("affine cycle %d: warm LP %v, want cold first and warm after", cycle, rep.LPWarm)
+				t.Fatalf("%s cycle %d: took the %v path", c.name, cycle, rep.Kind)
 			}
 			got := l.Plan()
-			cfg := loopCoreConfig(2)
-			cfg.DistStratify = func(pivots.Corpus, strata.StratifierConfig) (*strata.Stratification, error) {
+			coldCfg := cfg
+			coldCfg.DistStratify = func(pivots.Corpus, strata.StratifierConfig) (*strata.Stratification, error) {
 				return got.Strat, nil
 			}
-			cold, err := core.BuildPlan(l.Corpus(), cl, profile, cfg)
+			cold, err := core.BuildPlan(l.Corpus(), cl, profile, coldCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got.Models, cold.Models) {
-				t.Errorf("%s cycle %d: models differ from the cold pipeline:\nloop %+v\ncold %+v", name, cycle, got.Models, cold.Models)
+				t.Errorf("%s cycle %d: models differ from the cold pipeline:\nloop %+v\ncold %+v", c.name, cycle, got.Models, cold.Models)
 			}
-			if !reflect.DeepEqual(got.Sizes, cold.Sizes) {
-				t.Errorf("%s cycle %d: sizes %v, cold pipeline %v", name, cycle, got.Sizes, cold.Sizes)
-			}
-			if got.Optimized.Makespan != cold.Optimized.Makespan {
-				t.Errorf("%s cycle %d: makespan %v, cold pipeline %v", name, cycle, got.Optimized.Makespan, cold.Optimized.Makespan)
+			if !reflect.DeepEqual(got.Optimized, cold.Optimized) {
+				t.Errorf("%s cycle %d: optimized plan differs from the cold pipeline:\nloop %+v\ncold %+v", c.name, cycle, got.Optimized, cold.Optimized)
 			}
 		}
 	}

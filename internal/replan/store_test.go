@@ -391,120 +391,143 @@ func TestEpochStoreReclaimsSupersededEpochs(t *testing.T) {
 }
 
 // TestEpochStoreMatchesModel drives the store with seeded sequences of
-// transactions — appends, cuts with a new tail, truncations and whole
-// rewrites, over one or several partitions, committed, abandoned or
-// torn by an injected write failure — against a plain [][]byte model
-// per partition. After every step every partition reads back equal to
-// the model, its segment list keeps the logarithmic bound, and its base
-// ids hold no more than the partition as of its last write, the copy
-// before that write, and one staged suffix.
+// transactions against a plain [][]byte model per partition (see
+// checkEpochStoreModel); every seed must abandon and tear at least one
+// transaction.
 func TestEpochStoreMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := 1 + rng.Intn(4)
-		base := newRecordingStore()
-		st, err := NewEpochStore(base, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := make([][][]byte, p)
-		placed := make([]bool, p)
-		// Space bound per partition: contents right after its last write
-		// committed, contents right before, the last uncommitted suffix.
-		atWrite, beforeWrite, staged := make([]int, p), make([]int, p), make([]int, p)
-		serial := 0
-		fresh := func(n int) [][]byte {
-			out := make([][]byte, n)
-			for i := range out {
-				serial++
-				out[i] = []byte(fmt.Sprintf("%d:%s", serial, strings.Repeat("x", rng.Intn(20))))
-			}
-			return out
-		}
-		var outcomes [3]int
-		for step := 0; step < 400; step++ {
-			at := fmt.Sprintf("seed %d step %d", seed, step)
-			touched := rng.Perm(p)[:1+rng.Intn(p)]
-			next := make(map[int][][]byte, len(touched))
-			for _, j := range touched {
-				cur := model[j]
-				switch op := rng.Intn(20); {
-				case op < 12: // append a batch
-					next[j] = append(cur[:len(cur):len(cur)], fresh(1+rng.Intn(30))...)
-				case op < 15: // records left: a prefix survives, a new tail follows
-					cut := rng.Intn(len(cur) + 1)
-					next[j] = append(cur[:cut:cut], fresh(rng.Intn(40))...)
-				case op < 18: // only the tail left
-					next[j] = cur[:rng.Intn(len(cur)+1)]
-				default: // everything changed
-					next[j] = fresh(rng.Intn(200))
-				}
-			}
-			const commit, abandon, tear = 0, 1, 2
-			outcome := commit
-			if r := rng.Intn(10); r == 0 {
-				outcome = abandon
-			} else if r == 1 {
-				outcome = tear
-			}
-			tearAt, torn := rng.Intn(len(touched)), false
-			txn := st.Begin()
-			wrote := make(map[int]bool)
-			for i, j := range touched {
-				writes := base.writes
-				base.tear = outcome == tear && i == tearAt
-				err := stageContents(txn, j, model[j], next[j])
-				if base.writes > writes {
-					wrote[j] = true
-					staged[j] = base.landed
-				}
-				if base.tear {
-					// A truncation writes nothing, so nothing tore.
-					base.tear = false
-				} else if outcome == tear && i == tearAt {
-					if !errors.Is(err, errTorn) {
-						t.Fatalf("%s: torn write of partition %d returned %v", at, j, err)
-					}
-					torn = true
-					break
-				}
-				if err != nil {
-					t.Fatalf("%s: staging partition %d: %v", at, j, err)
-				}
-			}
-			if outcome == tear && !torn {
-				outcome = commit
-			}
-			outcomes[outcome]++
-			if outcome == commit {
-				txn.Commit()
-				for _, j := range touched {
-					if wrote[j] {
-						beforeWrite[j], atWrite[j], staged[j] = size(model[j]), size(next[j]), 0
-					}
-					model[j] = next[j]
-					placed[j] = true
-				}
-			}
-			for j := 0; j < p; j++ {
-				if !placed[j] {
-					if _, err := st.ReadPartition(j); err == nil {
-						t.Fatalf("%s: partition %d readable before its first commit", at, j)
-					}
-					continue
-				}
-				assertPartition(t, st, j, model[j])
-				assertSegments(t, st, j, len(model[j]))
-				if live, _ := base.live(j, p); live > atWrite[j]+beforeWrite[j]+staged[j] {
-					t.Fatalf("%s: partition %d's ids hold %d bytes; its last write left %d, replaced %d, staged since %d",
-						at, j, live, atWrite[j], beforeWrite[j], staged[j])
-				}
-			}
-		}
+		outcomes := checkEpochStoreModel(t, fmt.Sprintf("seed %d", seed), rng, p, 400)
 		if outcomes[1] == 0 || outcomes[2] == 0 {
 			t.Errorf("seed %d: %d committed, %d abandoned, %d torn transactions — the sequence exercised too little", seed, outcomes[0], outcomes[1], outcomes[2])
 		}
 	}
+}
+
+// FuzzEpochStoreMatchesModel runs checkEpochStoreModel's random
+// sequences from fuzzed seeds on one to eight partitions, 100 steps
+// each.
+func FuzzEpochStoreMatchesModel(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(2), uint8(3))
+	f.Add(int64(3), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, p uint8) {
+		checkEpochStoreModel(t, fmt.Sprintf("seed %d", seed), rand.New(rand.NewSource(seed)), 1+int(p%8), 100)
+	})
+}
+
+// checkEpochStoreModel drives a store of p partitions through steps
+// transactions drawn from rng — appends, cuts with a new tail,
+// truncations and whole rewrites, over one or several partitions,
+// committed, abandoned or torn by an injected write failure — against
+// a plain [][]byte model per partition. After every step every
+// partition reads back equal to the model, its segment list keeps the
+// logarithmic bound, and its base ids hold no more than the partition
+// as of its last write, the copy before that write, and one staged
+// suffix. It returns how many transactions committed, were abandoned
+// and tore.
+func checkEpochStoreModel(t *testing.T, name string, rng *rand.Rand, p, steps int) (outcomes [3]int) {
+	t.Helper()
+	base := newRecordingStore()
+	st, err := NewEpochStore(base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make([][][]byte, p)
+	placed := make([]bool, p)
+	// Space bound per partition: contents right after its last write
+	// committed, contents right before, the last uncommitted suffix.
+	atWrite, beforeWrite, staged := make([]int, p), make([]int, p), make([]int, p)
+	serial := 0
+	fresh := func(n int) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			serial++
+			out[i] = []byte(fmt.Sprintf("%d:%s", serial, strings.Repeat("x", rng.Intn(20))))
+		}
+		return out
+	}
+	for step := 0; step < steps; step++ {
+		at := fmt.Sprintf("%s step %d", name, step)
+		touched := rng.Perm(p)[:1+rng.Intn(p)]
+		next := make(map[int][][]byte, len(touched))
+		for _, j := range touched {
+			cur := model[j]
+			switch op := rng.Intn(20); {
+			case op < 12: // append a batch
+				next[j] = append(cur[:len(cur):len(cur)], fresh(1+rng.Intn(30))...)
+			case op < 15: // records left: a prefix survives, a new tail follows
+				cut := rng.Intn(len(cur) + 1)
+				next[j] = append(cur[:cut:cut], fresh(rng.Intn(40))...)
+			case op < 18: // only the tail left
+				next[j] = cur[:rng.Intn(len(cur)+1)]
+			default: // everything changed
+				next[j] = fresh(rng.Intn(200))
+			}
+		}
+		const commit, abandon, tear = 0, 1, 2
+		outcome := commit
+		if r := rng.Intn(10); r == 0 {
+			outcome = abandon
+		} else if r == 1 {
+			outcome = tear
+		}
+		tearAt, torn := rng.Intn(len(touched)), false
+		txn := st.Begin()
+		wrote := make(map[int]bool)
+		for i, j := range touched {
+			writes := base.writes
+			base.tear = outcome == tear && i == tearAt
+			err := stageContents(txn, j, model[j], next[j])
+			if base.writes > writes {
+				wrote[j] = true
+				staged[j] = base.landed
+			}
+			if base.tear {
+				// A truncation writes nothing, so nothing tore.
+				base.tear = false
+			} else if outcome == tear && i == tearAt {
+				if !errors.Is(err, errTorn) {
+					t.Fatalf("%s: torn write of partition %d returned %v", at, j, err)
+				}
+				torn = true
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: staging partition %d: %v", at, j, err)
+			}
+		}
+		if outcome == tear && !torn {
+			outcome = commit
+		}
+		outcomes[outcome]++
+		if outcome == commit {
+			txn.Commit()
+			for _, j := range touched {
+				if wrote[j] {
+					beforeWrite[j], atWrite[j], staged[j] = size(model[j]), size(next[j]), 0
+				}
+				model[j] = next[j]
+				placed[j] = true
+			}
+		}
+		for j := 0; j < p; j++ {
+			if !placed[j] {
+				if _, err := st.ReadPartition(j); err == nil {
+					t.Fatalf("%s: partition %d readable before its first commit", at, j)
+				}
+				continue
+			}
+			assertPartition(t, st, j, model[j])
+			assertSegments(t, st, j, len(model[j]))
+			if live, _ := base.live(j, p); live > atWrite[j]+beforeWrite[j]+staged[j] {
+				t.Fatalf("%s: partition %d's ids hold %d bytes; its last write left %d, replaced %d, staged since %d",
+					at, j, live, atWrite[j], beforeWrite[j], staged[j])
+			}
+		}
+	}
+	return outcomes
 }
 
 // twoSegments commits partition 1 of a 2-partition store as ten records

@@ -41,11 +41,20 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadSnapshot parses a snapshot written by WriteJSON.
+// ReadSnapshot parses a snapshot written by WriteJSON. It rejects a
+// histogram that no Histogram could have produced: one whose Counts is
+// not one longer than its Bounds, whose bounds do not ascend, or whose
+// Count is not the sum of its Counts. An empty histogram (count 0, no
+// counts) is valid.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("telemetry: decoding snapshot: %w", err)
+	}
+	for name, h := range s.Histograms {
+		if err := h.validate(); err != nil {
+			return nil, fmt.Errorf("telemetry: histogram %q: %w", name, err)
+		}
 	}
 	if s.Counters == nil {
 		s.Counters = map[string]int64{}

@@ -81,6 +81,37 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadSnapshotRejectsMalformedHistograms: a histogram off the wire
+// must have the shape a Histogram snapshots to, or Quantile would read
+// past its bounds.
+func TestReadSnapshotRejectsMalformedHistograms(t *testing.T) {
+	for _, tc := range []struct {
+		name, hist string
+		ok         bool
+	}{
+		{"empty", `{"count":0}`, true},
+		{"empty with bounds", `{"bounds":[1,2],"count":0}`, true},
+		{"boundless", `{"counts":[3],"count":3}`, true},
+		{"well formed", `{"bounds":[10,20],"counts":[1,0,2],"count":3,"sum":40}`, true},
+		{"counts without bounds", `{"counts":[1,2],"count":3}`, false},
+		{"counts short of bounds", `{"bounds":[10,20],"counts":[3],"count":3}`, false},
+		{"count without counts", `{"bounds":[10],"count":3}`, false},
+		{"bounds descend", `{"bounds":[20,10],"counts":[1,1,1],"count":3}`, false},
+		{"bounds repeat", `{"bounds":[10,10],"counts":[1,1,1],"count":3}`, false},
+		{"count above sum", `{"bounds":[10],"counts":[1,1],"count":3}`, false},
+		{"count below sum", `{"bounds":[10],"counts":[1,1],"count":1}`, false},
+	} {
+		s, err := ReadSnapshot(strings.NewReader(`{"histograms":{"h":` + tc.hist + `}}`))
+		if tc.ok != (err == nil) {
+			t.Errorf("%s: err = %v, want ok %v", tc.name, err, tc.ok)
+			continue
+		}
+		if err == nil {
+			s.Histograms["h"].Quantile(0.5) // must not panic
+		}
+	}
+}
+
 func TestSplitName(t *testing.T) {
 	for _, tc := range []struct{ in, base, labels string }{
 		{"plain", "plain", ""},

@@ -128,6 +128,29 @@ type HistogramSnapshot struct {
 	Sum    int64   `json:"sum"`
 }
 
+// validate checks the invariants Snapshot guarantees (see ReadSnapshot).
+func (s HistogramSnapshot) validate() error {
+	if s.Count == 0 && len(s.Counts) == 0 {
+		return nil
+	}
+	if len(s.Counts) != len(s.Bounds)+1 {
+		return fmt.Errorf("%d counts for %d bounds, want %d", len(s.Counts), len(s.Bounds), len(s.Bounds)+1)
+	}
+	for i := 1; i < len(s.Bounds); i++ {
+		if s.Bounds[i] <= s.Bounds[i-1] {
+			return fmt.Errorf("bounds not ascending at %d: %v", i, s.Bounds)
+		}
+	}
+	var sum int64
+	for _, c := range s.Counts {
+		sum += c
+	}
+	if sum != s.Count {
+		return fmt.Errorf("count %d, counts sum to %d", s.Count, sum)
+	}
+	return nil
+}
+
 // Mean returns the mean observed value (0 when empty).
 func (s HistogramSnapshot) Mean() float64 {
 	if s.Count == 0 {
@@ -138,9 +161,10 @@ func (s HistogramSnapshot) Mean() float64 {
 
 // Quantile estimates the q-th quantile (q in [0, 1]) by linear
 // interpolation within the containing bucket. Values in the overflow
-// bucket report the last bound (a lower bound on the true value).
+// bucket report its lower bound: the last bound, or 0 for a histogram
+// without bounds, whose one bucket is the overflow bucket.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Counts) == 0 {
+	if s.Count == 0 || len(s.Counts) == 0 || len(s.Bounds) == 0 {
 		return 0
 	}
 	if q < 0 {

@@ -75,6 +75,13 @@ func TestHistogramQuantile(t *testing.T) {
 	if got := h2.Snapshot().Quantile(0.5); got != 10 {
 		t.Errorf("overflow quantile = %v, want 10", got)
 	}
+	// Without bounds the one bucket is the overflow bucket, whose lower
+	// bound is 0.
+	h3 := NewRegistry().Histogram("h", nil)
+	h3.Observe(7)
+	if got := h3.Snapshot().Quantile(0.5); got != 0 {
+		t.Errorf("boundless quantile = %v, want 0", got)
+	}
 }
 
 func TestHistogramConcurrentObservers(t *testing.T) {
