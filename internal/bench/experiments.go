@@ -18,16 +18,12 @@ type StrategyRow struct {
 	Partitions int
 	// TimeSec is the measured job makespan (simulated seconds).
 	TimeSec float64
-	// DirtyJ / TotalJ are measured energies in joules.
+	// DirtyJ is the measured dirty energy in joules.
 	DirtyJ float64
-	TotalJ float64
 	// Imbalance is makespan over mean busy time (1.0 = perfect).
 	Imbalance float64
 	// Quality carries workload metrics (candidates, ratios, …).
 	Quality map[string]float64
-	// PredictedTimeSec is the modeler's makespan prediction (0 for the
-	// baseline, which does not model).
-	PredictedTimeSec float64
 }
 
 // Options configures an experiment run.
@@ -60,7 +56,7 @@ func DefaultOptions() Options {
 }
 
 // baseConfig is the pipeline configuration every experiment shares for
-// a workload; callers set Strategy (and Alpha) on a copy.
+// a workload; the cells of a figure vary only the strategy and α.
 func baseConfig(w Workload, o Options) core.Config {
 	return core.Config{
 		Scheme:              w.Scheme(),
@@ -72,60 +68,57 @@ func baseConfig(w Workload, o Options) core.Config {
 	}
 }
 
-// strategiesFor returns the paper's three strategies at the given α.
-func strategiesFor(w Workload, o Options) []core.Config {
-	base := baseConfig(w, o)
-	strat := base
-	strat.Strategy = core.Stratified
-	het := base
-	het.Strategy = core.HetAware
-	hea := base
-	hea.Strategy = core.HetEnergyAware
-	hea.Alpha = o.Alpha
-	return []core.Config{strat, het, hea}
+// cell is one (strategy, α) point of a figure.
+type cell struct {
+	strategy core.Strategy
+	alpha    float64
 }
 
-// RunStrategy builds the plan for one strategy and executes the
-// workload, returning the measured row.
-func RunStrategy(w Workload, cl *cluster.Cluster, cfg core.Config, offset float64) (*StrategyRow, error) {
+// runCells plans and runs every cell on cl from one Prepare of the
+// workload's corpus: strata and ladder costs depend on neither s nor α.
+func runCells(w Workload, cl *cluster.Cluster, o Options, cells []cell) ([]StrategyRow, error) {
 	if w == nil {
 		return nil, errNoWorkload
 	}
-	plan, err := core.BuildPlan(w.Corpus(), cl, w.Profile, cfg)
+	pr, err := core.Prepare(w.Corpus(), cl.P(), w.Profile, baseConfig(w, o))
 	if err != nil {
-		return nil, fmt.Errorf("bench: planning %v: %w", cfg.Strategy, err)
+		return nil, fmt.Errorf("bench: preparing %s: %w", w.Name(), err)
 	}
-	res, quality, err := w.Run(cl, plan.Assign, offset)
-	if err != nil {
-		return nil, fmt.Errorf("bench: running %v: %w", cfg.Strategy, err)
-	}
-	row := &StrategyRow{
-		Strategy:   cfg.Strategy,
-		Alpha:      plan.Alpha,
-		Partitions: cl.P(),
-		TimeSec:    res.Makespan,
-		DirtyJ:     res.DirtyEnergy,
-		TotalJ:     res.TotalEnergy,
-		Imbalance:  res.Imbalance(),
-		Quality:    quality,
-	}
-	if plan.Optimized != nil {
-		row.PredictedTimeSec = plan.Optimized.Makespan
-	}
-	return row, nil
-}
-
-// CompareStrategies runs all three strategies at one partition count.
-func CompareStrategies(w Workload, cl *cluster.Cluster, o Options) ([]StrategyRow, error) {
-	rows := make([]StrategyRow, 0, 3)
-	for _, cfg := range strategiesFor(w, o) {
-		row, err := RunStrategy(w, cl, cfg, o.TraceOffset)
+	rows := make([]StrategyRow, 0, len(cells))
+	for _, c := range cells {
+		plan, err := pr.Plan(cl, c.strategy, c.alpha)
+		if err != nil {
+			return nil, fmt.Errorf("bench: planning %v: %w", c.strategy, err)
+		}
+		row, err := measure(w, cl, plan, o.TraceOffset)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, *row)
 	}
 	return rows, nil
+}
+
+// measure executes a plan of the workload and returns the measured row.
+func measure(w Workload, cl *cluster.Cluster, plan *core.Plan, offset float64) (*StrategyRow, error) {
+	res, quality, err := w.Run(cl, plan.Assign, offset)
+	if err != nil {
+		return nil, fmt.Errorf("bench: running %v: %w", plan.Strategy, err)
+	}
+	return &StrategyRow{
+		Strategy:   plan.Strategy,
+		Alpha:      plan.Alpha,
+		Partitions: cl.P(),
+		TimeSec:    res.Makespan,
+		DirtyJ:     res.DirtyEnergy,
+		Imbalance:  res.Imbalance(),
+		Quality:    quality,
+	}, nil
+}
+
+// CompareStrategies runs all three strategies at one partition count.
+func CompareStrategies(w Workload, cl *cluster.Cluster, o Options) ([]StrategyRow, error) {
+	return runCells(w, cl, o, []cell{{core.Stratified, 1}, {core.HetAware, 1}, {core.HetEnergyAware, o.Alpha}})
 }
 
 // Sweep runs CompareStrategies across partition counts (the x-axis of
@@ -158,38 +151,27 @@ type FrontierRow struct {
 // and *executes* it, so the frontier is measured, not just predicted.
 // The Stratified baseline is appended as the reference point.
 func MeasureFrontier(w Workload, cl *cluster.Cluster, alphas []float64, o Options) ([]FrontierRow, error) {
-	if w == nil {
-		return nil, errNoWorkload
-	}
-	rows := make([]FrontierRow, 0, len(alphas)+1)
-	base := baseConfig(w, o)
-	for _, a := range alphas {
-		cfg := base
+	cells := make([]cell, len(alphas), len(alphas)+1)
+	for i, a := range alphas {
+		cells[i] = cell{core.HetEnergyAware, a}
 		if a >= 1 {
-			cfg.Strategy = core.HetAware
-		} else {
-			cfg.Strategy = core.HetEnergyAware
-			cfg.Alpha = a
-			if a <= 0 {
-				// α = 0 is outside HetEnergyAware's domain; emulate
-				// with a vanishing weight.
-				cfg.Alpha = 1e-9
-			}
+			cells[i] = cell{core.HetAware, 1}
+		} else if a <= 0 {
+			cells[i].alpha = 1e-9 // α = 0 is outside Het-Energy-Aware's domain
 		}
-		row, err := RunStrategy(w, cl, cfg, o.TraceOffset)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, FrontierRow{Alpha: a, TimeSec: row.TimeSec, DirtyJ: row.DirtyJ})
 	}
-	cfg := base
-	cfg.Strategy = core.Stratified
-	row, err := RunStrategy(w, cl, cfg, o.TraceOffset)
+	rows, err := runCells(w, cl, o, append(cells, cell{core.Stratified, 1}))
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, FrontierRow{Alpha: -1, TimeSec: row.TimeSec, DirtyJ: row.DirtyJ, Baseline: true})
-	return rows, nil
+	out := make([]FrontierRow, len(rows))
+	for i, r := range rows {
+		out[i] = FrontierRow{Alpha: -1, TimeSec: r.TimeSec, DirtyJ: r.DirtyJ, Baseline: i == len(alphas)}
+		if i < len(alphas) {
+			out[i].Alpha = alphas[i]
+		}
+	}
+	return out, nil
 }
 
 // Improvement returns the relative reduction of b versus a: (a−b)/a.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"pareto/internal/energy"
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
+	"pareto/internal/sampling"
 )
 
 func tinyCluster(t *testing.T, p int) *cluster.Cluster {
@@ -217,6 +219,19 @@ func TestCombineResults(t *testing.T) {
 	}
 }
 
+// RunStrategy builds the plan for one strategy in one call and
+// executes the workload, returning the measured row.
+func RunStrategy(w Workload, cl *cluster.Cluster, cfg core.Config, offset float64) (*StrategyRow, error) {
+	if w == nil {
+		return nil, errNoWorkload
+	}
+	plan, err := core.BuildPlan(w.Corpus(), cl, w.Profile, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("bench: planning %v: %w", cfg.Strategy, err)
+	}
+	return measure(w, cl, plan, offset)
+}
+
 func TestRunStrategyNilWorkload(t *testing.T) {
 	cl := tinyCluster(t, 2)
 	if _, err := RunStrategy(nil, cl, core.Config{}, 0); err == nil {
@@ -224,5 +239,51 @@ func TestRunStrategyNilWorkload(t *testing.T) {
 	}
 	if _, err := MeasureFrontier(nil, cl, []float64{1}, DefaultOptions()); err == nil {
 		t.Error("nil workload accepted by MeasureFrontier")
+	}
+}
+
+// countingWorkload counts its Profile calls.
+type countingWorkload struct {
+	Workload
+	calls int
+}
+
+func (w *countingWorkload) Profile(indices []int) (float64, error) {
+	w.calls++
+	return w.Workload.Profile(indices)
+}
+
+// TestFigureCellsShareOneLadder: the cells of a figure differ only in
+// strategy and α, so CompareStrategies and MeasureFrontier evaluate the
+// sample ladder once per call, not once per heterogeneity-aware cell.
+func TestFigureCellsShareOneLadder(t *testing.T) {
+	cfg := datasets.RCV1Like(0.0008)
+	docs, _, err := datasets.GenerateText(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := pivots.NewTextCorpus(docs, cfg.VocabSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder, err := sampling.ScheduleWithFloor(corpus.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &countingWorkload{Workload: &TextMining{Docs: corpus, SupportFrac: 0.15, MaxLen: 2}}
+	cl := tinyCluster(t, 4)
+	if _, err := CompareStrategies(w, cl, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if w.calls != len(ladder) {
+		t.Errorf("CompareStrategies made %d profile calls, want one ladder of %d", w.calls, len(ladder))
+	}
+	w.calls = 0
+	if _, err := MeasureFrontier(w, cl, fig5Alphas(), DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if w.calls != len(ladder) {
+		t.Errorf("MeasureFrontier over %d α values made %d profile calls, want one ladder of %d",
+			len(fig5Alphas()), w.calls, len(ladder))
 	}
 }

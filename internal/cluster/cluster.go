@@ -362,21 +362,13 @@ func (c *Cluster) recordRun(res *Result) {
 }
 
 // DirtyRates computes every node's dirty-rate constant k_i (paper
-// §III-B) over [offset, offset+window) of its trace. It is separate
-// from ProfileAllWithRates because the rates depend on the traces
-// alone: a planner integrates them while it stratifies, a replanning
-// loop once.
+// §III-B) over [offset, offset+window) of its trace: the rates depend on
+// the traces alone, not on the profiled workload.
 func (c *Cluster) DirtyRates(offset, window float64) []float64 {
 	rates := make([]float64, len(c.Nodes))
-	var wg sync.WaitGroup
-	wg.Add(len(c.Nodes))
-	for i := range c.Nodes {
-		go func(i int) {
-			defer wg.Done()
-			rates[i] = energy.DirtyRate(c.Nodes[i].Power.Watts(), c.Nodes[i].Trace, offset, window)
-		}(i)
+	for i, n := range c.Nodes {
+		rates[i] = energy.DirtyRate(n.Power.Watts(), n.Trace, offset, window)
 	}
-	wg.Wait()
 	return rates
 }
 

@@ -91,27 +91,27 @@ type Config struct {
 	// DistStratify, when set, is tried first for component III — e.g.
 	// a closure over distrib.StratifyDetailed running across real
 	// workers. If it fails (dead store, partitioned network,
-	// unrecoverable worker loss), BuildPlan degrades gracefully to the
+	// unrecoverable worker loss), Prepare degrades gracefully to the
 	// in-process stratifier and records the degradation on the Plan and
 	// in its Summary, so an operator can see the run did not exercise
 	// the distributed path.
 	DistStratify func(c pivots.Corpus, cfg strata.StratifierConfig) (*strata.Stratification, error)
-	// Telemetry, when non-nil, records a "plan" span with one child per
-	// pipeline stage (scan, stratify, profile, optimize, place) plus
-	// corpus gauges into the registry. Stage timings are collected on
-	// the Plan regardless (they are one clock pair per stage).
+	// Telemetry, when non-nil, records a span per planning call with one
+	// child per stage it ran (BuildPlan's "plan": scan, stratify, profile,
+	// optimize, place) plus corpus gauges into the registry. Stage
+	// timings are collected on the Plan regardless.
 	Telemetry *telemetry.Registry
 	// Workers bounds the goroutines the planner's parallel stages use
 	// (corpus scan, stratification, sample drawing). ≤ 0 means
 	// GOMAXPROCS. Plans are bit-identical at every value: parallel
 	// stages are chunked and index-addressed, never order-sensitive.
 	// The caller's ProfileFunc is always called from one goroutine at a
-	// time: BuildPlan cannot know whether it is thread-safe.
+	// time: the planner cannot know whether it is thread-safe.
 	Workers int
 }
 
 // StageTiming is one pipeline stage's wall-clock duration, collected
-// by BuildPlan and surfaced through the PlanSummary. ParallelMs, when
+// by the planner and surfaced through the PlanSummary. ParallelMs, when
 // nonzero, is the summed worker busy time inside the stage's parallel
 // sections; ParallelMs ÷ Ms approximates the stage's achieved speedup.
 type StageTiming struct {
@@ -127,8 +127,8 @@ const DirtyRateWindow = 3600
 
 // ProfileFunc runs the actual analytics algorithm on a representative
 // sample (record indices into the corpus) and returns its abstract
-// cost. The cluster's per-node speeds convert cost into per-node
-// simulated time during profiling.
+// cost. A plan's node fit converts cost into per-node simulated time at
+// each node's speed, so profiling needs no cluster.
 type ProfileFunc func(indices []int) (cost float64, err error)
 
 // Plan is the pipeline's output: everything needed to place data and
@@ -187,6 +187,11 @@ func Resolve(cfg Config, n, p int, profile ProfileFunc) (Config, error) {
 	if cfg.Strategy != Stratified && profile == nil {
 		return cfg, fmt.Errorf("core: strategy %v requires a profile function", cfg.Strategy)
 	}
+	return resolveStratifier(cfg, n, p), nil
+}
+
+// resolveStratifier fills in Resolve's stratifier defaults.
+func resolveStratifier(cfg Config, n, p int) Config {
 	if cfg.Stratifier.Cluster.K == 0 {
 		cfg.Stratifier.Cluster.K = min(4*p, n)
 	}
@@ -199,13 +204,12 @@ func Resolve(cfg Config, n, p int, profile ProfileFunc) (Config, error) {
 	if cfg.Stratifier.Cluster.Workers == 0 {
 		cfg.Stratifier.Cluster.Workers = cfg.Workers
 	}
-	return cfg, nil
+	return cfg
 }
 
-// BuildPlan runs the full pipeline for the corpus on the cluster.
-// profile may be nil for the Stratified baseline (which skips
-// components I/II); it is required for the heterogeneity-aware
-// strategies.
+// BuildPlan runs the full pipeline for the corpus on the cluster:
+// Prepare, then Plan under cfg's strategy and α. profile may be nil for
+// the Stratified baseline (which skips components I/II).
 func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, cfg Config) (*Plan, error) {
 	if corpus == nil || corpus.Len() == 0 {
 		return nil, errors.New("core: empty corpus")
@@ -213,50 +217,52 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 	if cl == nil || cl.P() == 0 {
 		return nil, errors.New("core: empty cluster")
 	}
-	n := corpus.Len()
-	p := cl.P()
-	cfg, err := Resolve(cfg, n, p, profile)
+	cfg, err := Resolve(cfg, corpus.Len(), cl.P(), profile)
 	if err != nil {
 		return nil, err
 	}
-	het := cfg.Strategy != Stratified
-
-	// The dirty rates depend on the traces alone, so their integration
-	// starts now and overlaps the scan and stratify stages; the profile
-	// stage joins it. The channel is buffered so the sender never leaks
-	// when an earlier stage fails.
-	var ratesCh chan []float64
-	if het {
-		ratesCh = make(chan []float64, 1)
-		go func() { ratesCh <- cl.DirtyRates(cfg.TraceOffset, DirtyRateWindow) }()
+	if cfg.Strategy == Stratified {
+		profile = nil // the baseline does not profile
 	}
+	sg := &stager{reg: cfg.Telemetry, root: cfg.Telemetry.StartSpan("plan")} // both halves
+	defer sg.root.End()
+	pr, err := prepare(corpus, cl.P(), profile, cfg, sg)
+	if err != nil {
+		return nil, err
+	}
+	return pr.plan(cl, cfg.Strategy, cfg.Alpha, sg)
+}
 
-	plan := &Plan{Strategy: cfg.Strategy, Alpha: cfg.Alpha, Scheme: cfg.Scheme}
-	root := cfg.Telemetry.StartSpan("plan")
-	defer root.End()
+// Prepared is the cluster-free half of planning one corpus for p nodes:
+// scan, strata (III) and the ladder's abstract costs (I), none of which
+// depends on node speeds, traces or α. Its plans share its strata.
+type Prepared struct {
+	cfg     Config
+	n, p    int
+	profile ProfileFunc // nil: no ladder, so only the baseline plans
+	base    Plan        // what every plan starts from
+	ladder  []int
+	costs   []float64 // the ladder's measured costs
+}
+
+// Prepare runs, under a "prepare" span, the stages that do not depend on
+// the cluster: scan, stratify and, given a profile, the sample ladder.
+// All of cfg is fixed here except Strategy and Alpha, which Plan takes.
+func Prepare(corpus pivots.Corpus, p int, profile ProfileFunc, cfg Config) (*Prepared, error) {
+	if corpus == nil || corpus.Len() == 0 || p <= 0 {
+		return nil, errors.New("core: empty corpus or no nodes")
+	}
+	sg := &stager{reg: cfg.Telemetry, root: cfg.Telemetry.StartSpan("prepare")}
+	defer sg.root.End()
+	return prepare(corpus, p, profile, cfg, sg)
+}
+
+func prepare(corpus pivots.Corpus, p int, profile ProfileFunc, cfg Config, sg *stager) (*Prepared, error) {
+	n := corpus.Len()
+	cfg = resolveStratifier(cfg, n, p)
+	pr := &Prepared{cfg: cfg, n: n, p: p, profile: profile, base: Plan{Scheme: cfg.Scheme}}
 	if reg := cfg.Telemetry; reg != nil {
 		reg.Gauge("plan_workers").Set(int64(parallel.Workers(n, cfg.Workers)))
-	}
-	// stage wraps one pipeline stage: a child span (nil-safe when
-	// telemetry is off) plus a wall-clock timing recorded on the plan.
-	// Stages report the summed busy time of their parallel sections (0
-	// for sequential stages), surfaced as StageTiming.ParallelMs and the
-	// plan_stage_parallel_ms gauge so an operator can compare busy time
-	// against span wall time for achieved speedup.
-	stage := func(name string, fn func() (time.Duration, error)) error {
-		sp := root.Child(name)
-		t0 := time.Now()
-		busy, err := fn()
-		st := StageTiming{Name: name, Ms: float64(time.Since(t0).Nanoseconds()) / 1e6}
-		if busy > 0 {
-			st.ParallelMs = float64(busy.Nanoseconds()) / 1e6
-			if reg := cfg.Telemetry; reg != nil {
-				reg.FloatGauge(`plan_stage_parallel_ms{stage="` + name + `"}`).Add(st.ParallelMs)
-			}
-		}
-		plan.Stages = append(plan.Stages, st)
-		sp.End()
-		return err
 	}
 
 	// Scan: one pass over the corpus for its total weight — the
@@ -264,7 +270,7 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 	// operator checks when a snapshot looks wrong. Chunked in parallel;
 	// the integer sum is commutative, so the result is exact at any
 	// worker count.
-	_ = stage("scan", func() (time.Duration, error) {
+	_ = sg.run("scan", func() (time.Duration, error) {
 		var w atomic.Int64
 		busy := parallel.For(n, cfg.Workers, func(lo, hi int) {
 			sum := 0
@@ -273,7 +279,7 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 			}
 			w.Add(int64(sum))
 		})
-		plan.CorpusWeight = int(w.Load())
+		pr.base.CorpusWeight = int(w.Load())
 		if reg := cfg.Telemetry; reg != nil {
 			reg.Gauge("corpus_records").Set(int64(n))
 			reg.Gauge("corpus_weight").Set(w.Load())
@@ -286,17 +292,16 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 	// A failed distributed attempt's cost is folded into the fallback's
 	// stats (FailedAttempts/FailedAttemptTime) instead of being dropped,
 	// so the planning-overhead audit stays honest on the degraded path.
-	var st *strata.Stratification
-	if err := stage("stratify", func() (time.Duration, error) {
+	if err := sg.run("stratify", func() (time.Duration, error) {
+		var st *strata.Stratification
 		var err error
 		var failedDur time.Duration
-		degradedReason := ""
 		if cfg.DistStratify != nil {
 			t0 := time.Now()
 			st, err = cfg.DistStratify(corpus, cfg.Stratifier)
 			if err != nil {
 				failedDur = time.Since(t0)
-				degradedReason = err.Error()
+				pr.base.DegradedStratify, pr.base.DegradedReason = true, err.Error()
 				st = nil
 			}
 		}
@@ -305,78 +310,110 @@ func BuildPlan(corpus pivots.Corpus, cl *cluster.Cluster, profile ProfileFunc, c
 			if err != nil {
 				return 0, fmt.Errorf("core: stratifying: %w", err)
 			}
-			if degradedReason != "" {
-				plan.DegradedStratify = true
-				plan.DegradedReason = degradedReason
+			if pr.base.DegradedStratify {
 				st.Stats.AddFailedAttempt(failedDur)
 			}
 		}
-		plan.Strat = st
+		pr.base.Strat = st
 		return st.Stats.Busy, nil
 	}); err != nil {
 		return nil, err
 	}
 
-	if !het {
-		plan.Sizes = partitioner.EqualSizes(n, p)
-	} else {
-		if err := stage("profile", func() (time.Duration, error) {
-			models, busy, err := ProfileModels(cl, st.Members, n, <-ratesCh, profile, cfg)
-			plan.Models = models
+	if profile != nil {
+		if err := sg.run("profile", func() (busy time.Duration, err error) {
+			pr.ladder, pr.costs, busy, err = ProfileLadder(pr.base.Strat.Members, n, profile, cfg)
 			return busy, err
 		}); err != nil {
 			return nil, err
 		}
-		if err := stage("optimize", func() (time.Duration, error) {
-			oplan, err := opt.OptimizeWithConstraints(plan.Models, n, cfg.Alpha, SizingConstraints(cfg, n, p))
-			if err != nil {
-				return 0, fmt.Errorf("core: optimizing: %w", err)
-			}
-			plan.Optimized = oplan
-			plan.Sizes = oplan.Sizes
-			return 0, nil
+	}
+	return pr, nil
+}
+
+// Plan sizes and places the prepared corpus on cl (p nodes) under
+// strategy s at weight alpha: Size (the baseline takes equal sizes),
+// then placement (V). Its Stages and "plan" span are the stages it ran.
+func (pr *Prepared) Plan(cl *cluster.Cluster, s Strategy, alpha float64) (*Plan, error) {
+	sg := &stager{reg: pr.cfg.Telemetry, root: pr.cfg.Telemetry.StartSpan("plan")}
+	defer sg.root.End()
+	return pr.plan(cl, s, alpha, sg)
+}
+
+func (pr *Prepared) plan(cl *cluster.Cluster, s Strategy, alpha float64, sg *stager) (*Plan, error) {
+	if cl == nil || cl.P() != pr.p {
+		return nil, fmt.Errorf("core: cluster is not the %d nodes prepared for", pr.p)
+	}
+	// The (strategy, α) rule is Resolve's; the rest of cfg is prepared.
+	c, err := Resolve(Config{Strategy: s, Alpha: alpha}, pr.n, pr.p, pr.profile)
+	if err != nil {
+		return nil, err
+	}
+	plan := pr.base
+	plan.Strategy, plan.Alpha = s, c.Alpha
+	if s == Stratified {
+		plan.Sizes = partitioner.EqualSizes(pr.n, pr.p)
+	} else {
+		if err := sg.run("optimize", func() (_ time.Duration, err error) {
+			plan.Models, plan.Optimized, err = Size(cl, pr.ladder, pr.costs, pr.n, c.Alpha, pr.cfg)
+			return 0, err
 		}); err != nil {
 			return nil, err
 		}
+		plan.Sizes = plan.Optimized.Sizes
 	}
 
 	// Component V: place.
-	if err := stage("place", func() (time.Duration, error) {
-		assign, err := partitioner.Partition(cfg.Scheme, st.Members, plan.Sizes)
-		if err != nil {
-			return 0, fmt.Errorf("core: partitioning: %w", err)
-		}
-		plan.Assign = assign
-		return 0, nil
+	if err := sg.run("place", func() (_ time.Duration, err error) {
+		plan.Assign, err = partitioner.Partition(pr.cfg.Scheme, plan.Strat.Members, plan.Sizes)
+		return 0, err
 	}); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: partitioning: %w", err)
 	}
-	return plan, nil
+	plan.Stages = sg.stages
+	return &plan, nil
 }
 
-// ProfileModels is the profile stage — components I and II: one
-// representative sample per rung of the ladder for n records, drawn
-// from the strata in members and run through the real workload, then a
-// least-squares time fit per node paired with that node's dirty rate.
-// cfg must come from Resolve. It also returns the summed busy time of
-// its parallel sections for the stage's ParallelMs audit.
-//
-// rates are the cluster's DirtyRates over cfg's trace window; they are
-// an input because they do not depend on the corpus, so BuildPlan
-// integrates the traces while it stratifies and a replanning loop
-// integrates them once.
-//
-// Sample drawing fans out across sizes (each size's RNG is seeded
-// independently as SampleSeed+size, so draws are index-addressed and
-// bit-identical at any worker count); profile evaluation is serial,
-// because the caller's ProfileFunc need not be thread-safe.
-func ProfileModels(cl *cluster.Cluster, members [][]int, n int, rates []float64, profile ProfileFunc, cfg Config) ([]opt.NodeModel, time.Duration, error) {
+// stager times one planning call's stages: a StageTiming and a child
+// span of root each.
+type stager struct {
+	reg    *telemetry.Registry
+	root   *telemetry.Span
+	stages []StageTiming
+}
+
+// run times fn as the stage name. fn returns the summed busy time of
+// its parallel sections (0 for sequential stages), surfaced as
+// StageTiming.ParallelMs and the plan_stage_parallel_ms gauge so an
+// operator can compare busy time against span wall time for achieved
+// speedup.
+func (sg *stager) run(name string, fn func() (time.Duration, error)) error {
+	sp := sg.root.Child(name)
+	t0 := time.Now()
+	busy, err := fn()
+	st := StageTiming{Name: name, Ms: float64(time.Since(t0).Nanoseconds()) / 1e6}
+	if busy > 0 {
+		st.ParallelMs = float64(busy.Nanoseconds()) / 1e6
+		if sg.reg != nil {
+			sg.reg.FloatGauge(`plan_stage_parallel_ms{stage="` + name + `"}`).Add(st.ParallelMs)
+		}
+	}
+	sg.stages = append(sg.stages, st)
+	sp.End()
+	return err
+}
+
+// ProfileLadder is the profile stage: one representative sample per
+// rung of the ladder for n records, drawn from the strata in members and
+// run through profile; it returns the rungs, their abstract costs and
+// the busy time. Draws fan out (seeded SampleSeed+size: bit-identical at
+// any worker count); profile runs serially, as it need not be thread-safe.
+func ProfileLadder(members [][]int, n int, profile ProfileFunc, cfg Config) ([]int, []float64, time.Duration, error) {
 	sizes, err := sampling.ScheduleWithFloor(n)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: profiling schedule: %w", err)
+		return nil, nil, 0, fmt.Errorf("core: profiling schedule: %w", err)
 	}
-	// Draw one representative sample per scheduled size; every node
-	// profiles on the same sample, so differences are pure hardware.
+	// Every node profiles on the same samples: differences are hardware.
 	idxs := make([][]int, len(sizes))
 	busy, err := parallel.ForErr(len(sizes), cfg.Workers, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
@@ -390,35 +427,37 @@ func ProfileModels(cl *cluster.Cluster, members [][]int, n int, rates []float64,
 		return nil
 	})
 	if err != nil {
-		return nil, busy, err
+		return nil, nil, busy, err
 	}
 	costs := make([]float64, len(sizes))
-	profBusy, err := parallel.ForErr(len(sizes), 1, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			cost, err := profile(idxs[i])
-			if err != nil {
-				return fmt.Errorf("core: profiling sample of %d: %w", sizes[i], err)
-			}
-			costs[i] = cost
+	t0 := time.Now() // serial evaluation counts as one worker's busy time
+	for i, idx := range idxs {
+		if costs[i], err = profile(idx); err != nil {
+			return nil, nil, busy + time.Since(t0), fmt.Errorf("core: profiling sample of %d: %w", sizes[i], err)
 		}
-		return nil
-	})
-	busy += profBusy
-	if err != nil {
-		return nil, busy, err
 	}
-	models, err := cl.ProfileAllWithRates(sizes, costs, rates)
+	return sizes, costs, busy + time.Since(t0), nil
+}
+
+// Size is a plan's optimize stage, its half between the ladder and
+// placement: each node's time model fitted to the ladder's costs at the
+// node's speed and paired with its dirty rate over cfg's trace window
+// (I, II), then the sizing LP for n records at weight alpha (IV).
+func Size(cl *cluster.Cluster, ladder []int, costs []float64, n int, alpha float64, cfg Config) ([]opt.NodeModel, *opt.Plan, error) {
+	models, err := cl.ProfileAllWithRates(ladder, costs, cl.DirtyRates(cfg.TraceOffset, DirtyRateWindow))
 	if err != nil {
-		return nil, busy, fmt.Errorf("core: fitting node models: %w", err)
+		return nil, nil, fmt.Errorf("core: fitting node models: %w", err)
 	}
-	return models, busy, nil
+	oplan, err := opt.OptimizeWithConstraints(models, n, alpha, SizingConstraints(cfg, n, len(models)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: optimizing: %w", err)
+	}
+	return models, oplan, nil
 }
 
 // SizingConstraints derives the optimize stage's partition floor at n
 // records on p nodes: the larger of MinPartitionFrac of the equal share
-// and MinPartitionRecords, capped at the equal share n/p. BuildPlan's
-// optimize stage and the replanning loop's incremental cycles both size
-// partitions with it.
+// and MinPartitionRecords, capped at the equal share n/p.
 func SizingConstraints(cfg Config, n, p int) opt.Constraints {
 	cons := opt.Constraints{}
 	if cfg.MinPartitionFrac > 0 {

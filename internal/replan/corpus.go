@@ -2,8 +2,8 @@
 // partitioning plan: it watches per-stratum drift through the
 // incremental frequency counters the stratifier maintains, redoes only
 // the work the drift invalidated (dirty strata re-cluster, core's
-// profile stage re-runs over the new membership, the sizing LP re-solves
-// warm from its retained basis), and migrates data toward the new plan
+// profile stage re-runs over the new membership, core's optimize stage
+// solves the sizing LP afresh), and migrates data toward the new plan
 // under a bounded per-cycle move budget with commit-or-abort cutover.
 // The paper amortizes planning cost "over multiple runs on the full
 // dataset" (§III); replan extends the amortization to datasets that

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"pareto/internal/cluster"
@@ -139,7 +138,6 @@ type Loop struct {
 	lastSizes []int
 	lastN     int
 
-	rates        []float64
 	corpusWeight int
 }
 
@@ -181,7 +179,6 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	l := &Loop{
 		cfg: cfg, cl: cl, profile: profile, corpus: corpus,
 		hasher: hasher, reg: cfg.Telemetry, p: p,
-		rates: cl.DirtyRates(cfg.Core.TraceOffset, core.DirtyRateWindow),
 	}
 	plan, err := core.BuildPlan(corpus, cl, profile, cfg.Core)
 	if err != nil {
@@ -355,44 +352,34 @@ func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
 }
 
 // resize re-derives partition sizes for the current membership at n
-// records — core's profile stage against the dirty rates integrated
-// once at construction (fixed offset and window), then core's optimize
-// stage — and installs the plan and a minimal-movement target for them.
+// records — core's profile stage over the live strata, then its
+// optimize stage (node fit and sizing LP) — and installs the plan and
+// a minimal-movement target for them.
 func (l *Loop) resize(n int, rep *CycleReport) error {
-	var sizes []int
-	if l.cfg.Core.Strategy == core.Stratified {
-		sizes = partitioner.EqualSizes(n, l.p)
-		l.plan.Strat = l.st
-		l.plan.Sizes = sizes
+	plan := &core.Plan{
+		Strategy: l.cfg.Core.Strategy, Alpha: l.cfg.Core.Alpha, Strat: l.st,
+		Scheme: l.cfg.Core.Scheme, CorpusWeight: l.corpusWeight,
+	}
+	if plan.Strategy == core.Stratified {
+		plan.Sizes = partitioner.EqualSizes(n, l.p)
 	} else {
-		var runs atomic.Int64
-		counted := func(idx []int) (float64, error) {
-			runs.Add(1)
-			return l.profile(idx)
-		}
-		models, _, err := core.ProfileModels(l.cl, l.st.Members, n, l.rates, counted, l.cfg.Core)
+		ladder, costs, _, err := core.ProfileLadder(l.st.Members, n, l.profile, l.cfg.Core)
 		if err != nil {
 			return err
 		}
-		rep.ProfileRuns = int(runs.Load())
-		oplan, err := opt.OptimizeWithConstraints(models, n, l.cfg.Core.Alpha, core.SizingConstraints(l.cfg.Core, n, l.p))
-		if err != nil {
-			return fmt.Errorf("replan: optimizing: %w", err)
+		if plan.Models, plan.Optimized, err = core.Size(l.cl, ladder, costs, n, plan.Alpha, l.cfg.Core); err != nil {
+			return err
 		}
-		rep.LPSolved = true
-		l.setShares(oplan, n)
-		sizes = oplan.Sizes
-		l.plan = &core.Plan{
-			Strategy: l.cfg.Core.Strategy, Alpha: l.cfg.Core.Alpha,
-			Strat: l.st, Models: models, Sizes: sizes, Optimized: oplan,
-			Scheme: l.cfg.Core.Scheme, CorpusWeight: l.corpusWeight,
-		}
+		rep.ProfileRuns, rep.LPSolved = len(ladder), true
+		l.setShares(plan.Optimized, n)
+		plan.Sizes = plan.Optimized.Sizes
 	}
-	if err := l.retarget(sizes, n); err != nil {
+	if err := l.retarget(plan.Sizes, n); err != nil {
 		return err
 	}
-	l.plan.Assign = l.target
-	l.lastSizes = append(l.lastSizes[:0], sizes...)
+	plan.Assign = l.target
+	l.plan = plan
+	l.lastSizes = append(l.lastSizes[:0], plan.Sizes...)
 	l.lastN = n
 	return nil
 }
