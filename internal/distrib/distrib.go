@@ -280,13 +280,24 @@ func encodeAssignment(assign []int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeAssignment reverses encodeAssignment.
-func decodeAssignment(buf []byte) []int {
-	out := make([]int, len(buf)/4)
+// decodeAssignment reverses encodeAssignment for a table of n records
+// clustered with K = k. It refuses a buffer that is not n whole ids,
+// and any id ≥ min(k, n): clustering makes no more strata than that.
+func decodeAssignment(buf []byte, n, k int) ([]int, error) {
+	if len(buf)%4 != 0 {
+		return nil, fmt.Errorf("assignment of %d bytes is not whole 4-byte ids", len(buf))
+	}
+	if len(buf)/4 != n {
+		return nil, fmt.Errorf("assignment covers %d of %d records", len(buf)/4, n)
+	}
+	out := make([]int, n)
 	for i := range out {
 		out[i] = int(binary.LittleEndian.Uint32(buf[4*i:]))
+		if out[i] >= min(k, n) {
+			return nil, fmt.Errorf("record %d in stratum %d of %d", i, out[i], min(k, n))
+		}
 	}
-	return out
+	return out, nil
 }
 
 // StratifyDetailed runs the §IV distributed stratification and reports
@@ -547,9 +558,9 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 		}
 		return nil, busy, pollErr
 	}
-	assign := decodeAssignment(raw)
-	if len(assign) != n {
-		return nil, busy, fmt.Errorf("assignment covers %d of %d records", len(assign), n)
+	assign, err := decodeAssignment(raw, n, o.Cluster.K)
+	if err != nil {
+		return nil, busy, err
 	}
 	if shipErr != nil {
 		return assign[lo:hi], busy, fmt.Errorf("shard ship failed (coordinator recovery required): %w", shipErr)

@@ -186,14 +186,27 @@ func TestSketchRecordRejectsWireOverflow(t *testing.T) {
 }
 
 func TestAssignmentRoundtrip(t *testing.T) {
-	in := []int{0, 5, 2, 7, 1}
+	in := []int{0, 5, 2, 7, 1, 3, 6, 4}
 	enc, err := encodeAssignment(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := decodeAssignment(enc)
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("roundtrip %v", out)
+	out, err := decodeAssignment(enc, len(in), 8)
+	if err != nil || !reflect.DeepEqual(in, out) {
+		t.Fatalf("roundtrip %v, %v", out, err)
+	}
+	for _, c := range []struct {
+		buf  []byte
+		n, k int
+	}{
+		{append(enc, 0, 0, 0), 8, 8}, // 4n+3 bytes
+		{enc[:28], 8, 8},             // n−1 ids
+		{enc, 8, 7},                  // id 7 ≥ K
+		{enc[:16], 4, 8},             // ids 5 and 7 ≥ n
+	} {
+		if out, err := decodeAssignment(c.buf, c.n, c.k); err == nil {
+			t.Errorf("%d bytes, n=%d, K=%d decoded as %v", len(c.buf), c.n, c.k, out)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package distrib
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"pareto/internal/sketch"
@@ -61,6 +62,55 @@ func FuzzDecodeSketchBlock(f *testing.F) {
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("record %d decodes to %v, which re-encodes as %x, want %x", idx, out[idx], got, want)
 			}
+		}
+	})
+}
+
+// FuzzDecodeAssignment feeds arbitrary buffers to the worker's decoder
+// of the published record→stratum table, for n records clustered with
+// K = k. It must never panic; what it accepts is n ids, each below
+// min(k, n), that re-encode to the buffer; and a table built from the
+// same bytes within those bounds round-trips through encodeAssignment.
+func FuzzDecodeAssignment(f *testing.F) {
+	enc := func(ids ...int) []byte {
+		b, err := encodeAssignment(ids)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add(enc(0, 5, 2, 7, 1), uint16(5), uint16(8))
+	f.Add(append(enc(0, 1, 2), 0, 0, 0), uint16(3), uint16(4))
+	f.Add(enc(0, 3), uint16(2), uint16(4))
+	f.Add(enc(0, 1, 1), uint16(3), uint16(1))
+	f.Add([]byte{}, uint16(0), uint16(1))
+	f.Fuzz(func(t *testing.T, buf []byte, records, strata uint16) {
+		n, k := int(records%512), int(strata%64)+1
+		if out, err := decodeAssignment(buf, n, k); err == nil {
+			if len(out) != n {
+				t.Fatalf("accepted %d ids for %d records", len(out), n)
+			}
+			for i, a := range out {
+				if a < 0 || a >= min(k, n) {
+					t.Fatalf("accepted record %d in stratum %d, K=%d, n=%d", i, a, k, n)
+				}
+			}
+			if back, err := encodeAssignment(out); err != nil || !bytes.Equal(back, buf) {
+				t.Fatalf("decoded %v re-encodes as %x, %v; want %x", out, back, err, buf)
+			}
+		}
+		in := make([]int, n)
+		for i := range in {
+			if i < len(buf) {
+				in[i] = int(buf[i]) % min(k, n)
+			}
+		}
+		b, err := encodeAssignment(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := decodeAssignment(b, n, k); err != nil || !slices.Equal(out, in) {
+			t.Fatalf("%v round-trips to %v, %v", in, out, err)
 		}
 	})
 }

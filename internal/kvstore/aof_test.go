@@ -409,42 +409,68 @@ func TestAOFGroupCommitFsyncBound(t *testing.T) {
 }
 
 // BenchmarkRestart times what bounds a node's recovery: one restart
-// (EnableAOF, then Kill) of a server whose N keys live in its AOF.
-// file_B is the bytes the restart reads.
+// (EnableAOF, then Kill) of a server whose keys live in its AOF —
+// N string keys (aof/Nk), or one partition-sized list of 80,000
+// 120-byte records pushed in 1 MiB RPUSH batches, as a partition
+// placement writes it (list). file_B is the bytes the restart reads.
 func BenchmarkRestart(b *testing.B) {
+	val := bytes.Repeat([]byte("v"), 32)
 	for _, n := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("aof/%dk", n/1000), func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "node.aof")
-			a, err := OpenAOF(path, time.Millisecond, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			val := bytes.Repeat([]byte("v"), 32)
+		benchRestart(b, fmt.Sprintf("aof/%dk", n/1000), int64(n), func(a *AOF) error {
 			for i := 0; i < n; i++ {
 				if _, err := a.Append("SET", [][]byte{[]byte(fmt.Sprintf("key:%07d", i)), val}); err != nil {
-					b.Fatal(err)
+					return err
 				}
 			}
-			if err := a.Close(); err != nil {
-				b.Fatal(err)
-			}
-			fi, err := os.Stat(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				srv := NewServer(nil)
-				if err := srv.EnableAOF(path, 0); err != nil {
-					b.Fatal(err)
-				}
-				if got := srv.Engine().Size(); got != int64(n) {
-					b.Fatalf("restart holds %d keys, want %d", got, n)
-				}
-				srv.Kill()
-			}
-			b.ReportMetric(float64(fi.Size()), "file_B")
+			return nil
 		})
 	}
+	rec := bytes.Repeat([]byte("r"), 120)
+	benchRestart(b, "list", 1, func(a *AOF) error {
+		args := [][]byte{[]byte("partition:0")}
+		for i := 0; i < 80_000; i++ {
+			if args = append(args, rec); len(args) == 1+(1<<20)/len(rec) || i == 80_000-1 {
+				if _, err := a.Append("RPUSH", args); err != nil {
+					return err
+				}
+				args = args[:1]
+			}
+		}
+		return nil
+	})
+}
+
+// benchRestart times the restart of a server from the AOF fill
+// writes, which must hold keys keys.
+func benchRestart(b *testing.B, name string, keys int64, fill func(*AOF) error) {
+	b.Run(name, func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "node.aof")
+		a, err := OpenAOF(path, time.Millisecond, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fill(a); err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			b.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			srv := NewServer(nil)
+			if err := srv.EnableAOF(path, 0); err != nil {
+				b.Fatal(err)
+			}
+			if got := srv.Engine().Size(); got != keys {
+				b.Fatalf("restart holds %d keys, want %d", got, keys)
+			}
+			srv.Kill()
+		}
+		b.ReportMetric(float64(fi.Size()), "file_B")
+	})
 }

@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 )
@@ -18,6 +20,15 @@ import (
 // (INCRBY, LRANGE bounds, …) parse before returning; replies echoing
 // an argument (PING/ECHO) alias it and must be consumed before the
 // caller recycles its buffer.
+//
+// A list is the batches pushed into it: a push copies its values into
+// one arena and adds their headers as a segment, or, if small, extends
+// the end segment up to segSize elements. So a push, and its AOF
+// replay, costs its batch, never a re-copy of the list's headers.
+// Elements are immutable and lists drop them only wholesale (DEL,
+// FLUSHDB, SET), so an arena never outlives part of its batch. Replies
+// still copy out (GET, LINDEX, LRANGE): the server writes them after
+// the shard lock is released, and a caller may keep or mutate them.
 type Engine struct {
 	shards []shard
 	mask   uint32
@@ -35,7 +46,31 @@ const (
 type shard struct {
 	mu      sync.RWMutex
 	strings map[string][]byte
-	lists   map[string][][]byte
+	lists   map[string]list
+}
+
+// segSize bounds the segment that small pushes extend in place.
+const segSize = 128
+
+// list is one list value: its elements in order, as a run of non-empty
+// segments, and ends[k], the element count of segs[0..k].
+type list struct {
+	segs [][][]byte
+	ends []int
+}
+
+func (l list) len() int {
+	if len(l.ends) == 0 {
+		return 0
+	}
+	return l.ends[len(l.ends)-1]
+}
+
+// find returns the segment holding element i (0 ≤ i < len) and i's
+// offset in it, by binary search over the cumulative lengths.
+func (l list) find(i int) (k, off int) {
+	k = sort.SearchInts(l.ends, i+1)
+	return k, i - l.ends[k] + len(l.segs[k])
 }
 
 // NewEngine creates an empty engine with the default shard count.
@@ -61,7 +96,7 @@ func newEngineShards(n int) *Engine {
 	e := &Engine{shards: make([]shard, n), mask: uint32(n - 1)}
 	for i := range e.shards {
 		e.shards[i].strings = make(map[string][]byte)
-		e.shards[i].lists = make(map[string][][]byte)
+		e.shards[i].lists = make(map[string]list)
 	}
 	return e
 }
@@ -333,36 +368,31 @@ func (e *Engine) rpush(key string, vals [][]byte) Reply {
 		return wrongType()
 	}
 	l := s.lists[key]
-	if len(vals) == 1 { // single-value pushes skip the arena indirection
-		c := make([]byte, len(vals[0]))
-		copy(c, vals[0])
-		l = append(l, c)
+	if t := len(l.segs) - 1; t >= 0 && len(l.segs[t])+len(vals) <= segSize {
+		l.segs[t] = copyVals(l.segs[t], vals)
+		l.ends[t] += len(vals)
 	} else {
-		l = append(l, copyVals(vals)...)
+		l.segs = append(l.segs, copyVals(make([][]byte, 0, len(vals)), vals))
+		l.ends = append(l.ends, l.len()+len(vals))
 	}
 	s.lists[key] = l
-	return intReply(int64(len(l)))
+	return intReply(int64(l.len()))
 }
 
-// copyVals copies a batch of caller-owned argument buffers into one
-// shared arena (one allocation per command instead of one per element)
-// — the engine's copy-at-the-boundary contract for variadic pushes.
-// Elements of one batch alias the arena but are immutable once stored,
-// and lists only ever drop elements wholesale (DEL/FLUSHDB), so the
-// shared backing cannot outlive its batch partially.
-func copyVals(vals [][]byte) [][]byte {
+// copyVals appends to dst copies of a push's caller-owned values, all
+// in one arena: one allocation per command, not per element.
+func copyVals(dst, vals [][]byte) [][]byte {
 	total := 0
 	for _, v := range vals {
 		total += len(v)
 	}
 	arena := make([]byte, 0, total)
-	out := make([][]byte, len(vals))
-	for i, v := range vals {
+	for _, v := range vals {
 		start := len(arena)
 		arena = append(arena, v...)
-		out[i] = arena[start:len(arena):len(arena)]
+		dst = append(dst, arena[start:len(arena):len(arena)])
 	}
-	return out
+	return dst
 }
 
 func (e *Engine) lpush(key string, vals [][]byte) Reply {
@@ -373,17 +403,19 @@ func (e *Engine) lpush(key string, vals [][]byte) Reply {
 		return wrongType()
 	}
 	l := s.lists[key]
-	if len(vals) == 1 {
-		c := make([]byte, len(vals[0]))
-		copy(c, vals[0])
-		l = append([][]byte{c}, l...)
+	seg := copyVals(make([][]byte, 0, len(vals)), vals)
+	slices.Reverse(seg)
+	if len(l.segs) > 0 && len(l.segs[0])+len(seg) <= segSize {
+		l.segs[0] = append(seg, l.segs[0]...)
 	} else {
-		for _, c := range copyVals(vals) {
-			l = append([][]byte{c}, l...)
-		}
+		l.segs = slices.Insert(l.segs, 0, seg)
+		l.ends = slices.Insert(l.ends, 0, 0)
+	}
+	for i := range l.ends {
+		l.ends[i] += len(vals)
 	}
 	s.lists[key] = l
-	return intReply(int64(len(l)))
+	return intReply(int64(l.len()))
 }
 
 func (e *Engine) llen(key string) Reply {
@@ -393,7 +425,7 @@ func (e *Engine) llen(key string) Reply {
 	if _, isStr := s.strings[key]; isStr {
 		return wrongType()
 	}
-	return intReply(int64(len(s.lists[key])))
+	return intReply(int64(s.lists[key].len()))
 }
 
 func (e *Engine) lindex(key string, i int64) Reply {
@@ -405,13 +437,14 @@ func (e *Engine) lindex(key string, i int64) Reply {
 	}
 	l := s.lists[key]
 	if i < 0 {
-		i += int64(len(l))
+		i += int64(l.len())
 	}
-	if i < 0 || i >= int64(len(l)) {
+	if i < 0 || i >= int64(l.len()) {
 		return nilReply()
 	}
-	out := make([]byte, len(l[i]))
-	copy(out, l[i])
+	k, off := l.find(int(i))
+	out := make([]byte, len(l.segs[k][off]))
+	copy(out, l.segs[k][off])
 	return bulkReply(out)
 }
 
@@ -423,7 +456,7 @@ func (e *Engine) lrange(key string, start, stop int64) Reply {
 		return wrongType()
 	}
 	l := s.lists[key]
-	n := int64(len(l))
+	n := int64(l.len())
 	if start < 0 {
 		start += n
 	}
@@ -440,10 +473,15 @@ func (e *Engine) lrange(key string, start, stop int64) Reply {
 		return Reply{Type: Array, Array: []Reply{}}
 	}
 	out := make([]Reply, 0, stop-start+1)
+	k, off := l.find(int(start))
 	for i := start; i <= stop; i++ {
-		c := make([]byte, len(l[i]))
-		copy(c, l[i])
+		if off == len(l.segs[k]) {
+			k, off = k+1, 0
+		}
+		c := make([]byte, len(l.segs[k][off]))
+		copy(c, l.segs[k][off])
 		out = append(out, bulkReply(c))
+		off++
 	}
 	return Reply{Type: Array, Array: out}
 }
@@ -454,7 +492,7 @@ func (e *Engine) Flush() {
 		s := &e.shards[i]
 		s.mu.Lock()
 		s.strings = make(map[string][]byte)
-		s.lists = make(map[string][][]byte)
+		s.lists = make(map[string]list)
 		s.mu.Unlock()
 	}
 }

@@ -329,4 +329,16 @@ func TestEngineCopiesArguments(t *testing.T) {
 	if rep := e.Do("GET", []byte("k")); string(rep.Bulk) != "value" {
 		t.Errorf("GET reply aliases engine storage: %q", rep.Bulk)
 	}
+	for _, el := range e.Do("LRANGE", []byte("l"), []byte("0"), []byte("-1")).Array {
+		el.Bulk[0] = 'Z'
+	}
+	e.Do("LINDEX", []byte("l"), []byte("1")).Bulk[1] = 'Z'
+	rep = e.Do("LRANGE", []byte("l"), []byte("0"), []byte("-1"))
+	if len(rep.Array) != 3 || string(rep.Array[0].Bulk) != "front" ||
+		string(rep.Array[1].Bulk) != "aa" || string(rep.Array[2].Bulk) != "bb" {
+		t.Errorf("LRANGE/LINDEX reply aliases engine storage: %v", rep.Array)
+	}
+	if rep := e.Do("LINDEX", []byte("l"), []byte("1")); string(rep.Bulk) != "aa" {
+		t.Errorf("LRANGE/LINDEX reply aliases engine storage: LINDEX 1 = %q", rep.Bulk)
+	}
 }

@@ -86,10 +86,41 @@ func (m histModel) apply(cmd string, args []string) (n int64, ok bool) {
 	return n, true
 }
 
+// lrange is LRANGE's window over items: negative bounds count from
+// the end, and the window is clipped to the list.
+func (v histValue) lrange(start, stop int) []string {
+	n := len(v.items)
+	if start < 0 {
+		start += n
+	}
+	if stop < 0 {
+		stop += n
+	}
+	start, stop = max(start, 0), min(stop, n-1)
+	if start > stop {
+		return []string{}
+	}
+	return v.items[start : stop+1]
+}
+
+// lindex is LINDEX's element, ok=false where LINDEX answers nil.
+func (v histValue) lindex(i int) (string, bool) {
+	if i < 0 {
+		i += len(v.items)
+	}
+	if i < 0 || i >= len(v.items) {
+		return "", false
+	}
+	return v.items[i], true
+}
+
 // TestAOFHistoryMatchesModel drives a real Server with an AOF through
 // a seeded random history of writes and crashes, and after every
-// restart requires DBSIZE and every key to equal histModel. The
-// crashes are the two the durability design answers:
+// restart requires DBSIZE and every key to equal histModel: each list
+// whole, and through random LRANGE windows and LINDEX indices,
+// negative and out of range among them. Pushes carry from one to a few
+// hundred values, so lists span many segments with partly filled ends.
+// The crashes are the two the durability design answers:
 //
 //   - Kill: the process dies; acknowledged writes were fsynced, and
 //     replay must apply each exactly once (INCR, RPUSH, LPUSH and
@@ -159,17 +190,35 @@ func runAOFHistory(t *testing.T, seed int64, steps int) {
 			fail("DBSIZE = %v after restart, model holds %d keys", rep, len(model))
 		}
 		for k, v := range model {
-			if v.list {
-				rep := do("LRANGE", k, "0", "-1")
+			if !v.list {
+				if rep := do("GET", k); rep.Type != BulkString || string(rep.Bulk) != v.str {
+					fail("GET %s = %v after restart, model %q", k, rep, v.str)
+				}
+				continue
+			}
+			n := len(v.items)
+			bound := func() int { return rng.Intn(2*n+11) - n - 5 }
+			for w := 0; w < 6; w++ {
+				start, stop := 0, -1
+				if w > 0 {
+					start, stop = bound(), bound()
+				}
+				rep := do("LRANGE", k, strconv.Itoa(start), strconv.Itoa(stop))
 				got := make([]string, len(rep.Array))
 				for i, el := range rep.Array {
 					got[i] = string(el.Bulk)
 				}
-				if rep.Type != Array || !slices.Equal(got, v.items) {
-					fail("LRANGE %s = %v %q after restart, model %q", k, rep, got, v.items)
+				if want := v.lrange(start, stop); rep.Type != Array || !slices.Equal(got, want) {
+					fail("LRANGE %s %d %d = %v %q after restart, model %q", k, start, stop, rep, got, want)
 				}
-			} else if rep := do("GET", k); rep.Type != BulkString || string(rep.Bulk) != v.str {
-				fail("GET %s = %v after restart, model %q", k, rep, v.str)
+				i := bound()
+				rep = do("LINDEX", k, strconv.Itoa(i))
+				switch want, ok := v.lindex(i); {
+				case ok && (rep.Type != BulkString || string(rep.Bulk) != want):
+					fail("LINDEX %s %d = %v after restart, model %q", k, i, rep, want)
+				case !ok && rep.Type != NullBulk:
+					fail("LINDEX %s %d = %v after restart, model nil", k, i, rep)
+				}
 			}
 		}
 	}
@@ -195,10 +244,14 @@ func runAOFHistory(t *testing.T, seed int64, steps int) {
 				cmd, args = "INCR", []string{k}
 			case w < 58:
 				cmd, args = "APPEND", []string{k, word()}
-			case w < 72:
-				cmd, args = "RPUSH", []string{k, word(), word()}[:2+rng.Intn(2)]
 			case w < 86:
-				cmd, args = "LPUSH", []string{k, word(), word()}[:2+rng.Intn(2)]
+				cmd, args = "RPUSH", []string{k}
+				if w >= 72 {
+					cmd = "LPUSH"
+				}
+				for n := 1 + rng.Intn([]int{3, 40, 300}[rng.Intn(3)]); n > 0; n-- {
+					args = append(args, word())
+				}
 			default:
 				cmd = "FLUSHDB"
 			}

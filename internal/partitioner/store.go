@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -201,31 +202,20 @@ func (k *KVStore) WritePartition(id int, records [][]byte) error {
 	if err != nil {
 		return err
 	}
-	// args is reused across batches; the largest batch holds at most
-	// every record plus the key.
-	args := make([][]byte, 1, 1+len(records))
+	// One pass finds the largest batch, so args, reused across batches,
+	// is sized for what one command carries; the second sends them.
+	most := 0
+	for lo, hi := 0, 0; lo < len(records); lo = hi {
+		hi = batchEnd(records, lo)
+		most = max(most, hi-lo)
+	}
+	args := make([][]byte, 1, 1+most)
 	args[0] = []byte(k.key(id))
-	payload := 0
-	sendBatch := func() error {
-		if len(args) == 1 {
-			return nil
+	for lo, hi := 0, 0; lo < len(records); lo = hi {
+		hi = batchEnd(records, lo)
+		if err := p.Send("RPUSH", append(args[:1], records[lo:hi]...)...); err != nil {
+			return fmt.Errorf("partitioner: pushing to partition %d: %w", id, err)
 		}
-		err := p.Send("RPUSH", args...)
-		args = args[:1]
-		payload = 0
-		return err
-	}
-	for _, r := range records {
-		if len(args) > 1 && payload+len(r) > maxBatchBytes {
-			if err := sendBatch(); err != nil {
-				return fmt.Errorf("partitioner: pushing to partition %d: %w", id, err)
-			}
-		}
-		args = append(args, r)
-		payload += len(r)
-	}
-	if err := sendBatch(); err != nil {
-		return fmt.Errorf("partitioner: pushing to partition %d: %w", id, err)
 	}
 	reps, err := p.Finish()
 	if err != nil {
@@ -237,6 +227,18 @@ func (k *KVStore) WritePartition(id int, records [][]byte) error {
 		}
 	}
 	return nil
+}
+
+// batchEnd returns hi such that records[lo:hi] is the RPUSH batch
+// starting at lo: as many records as fit in maxBatchBytes of payload,
+// and at least one.
+func batchEnd(records [][]byte, lo int) int {
+	hi, payload := lo+1, len(records[lo])
+	for hi < len(records) && payload+len(records[hi]) <= maxBatchBytes {
+		payload += len(records[hi])
+		hi++
+	}
+	return hi
 }
 
 // WriteGroup implements WriteGrouper: partitions sharing a client
@@ -252,15 +254,17 @@ func (k *KVStore) ReadPartition(id int) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var els [][]byte
+	// Collect the windows, then copy them once into a slice of the
+	// partition's final length.
+	var wins [][][]byte
 	err = c.LRangeChunked(k.key(id), readWindow, func(batch [][]byte) error {
-		els = append(els, batch...)
+		wins = append(wins, batch)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("partitioner: reading partition %d: %w", id, err)
 	}
-	return els, nil
+	return slices.Concat(wins...), nil
 }
 
 // WriteGrouper is implemented by stores whose WritePartition calls may

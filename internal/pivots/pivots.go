@@ -551,8 +551,10 @@ func DecodeTreeRecordsParallel(buf []byte, workers int) ([]Tree, error) {
 }
 
 // DecodeGraphRecords parses a stream of vertex records into a Graph.
-// Vertex IDs index the adjacency table; the table is sized to the
-// largest ID seen (endpoints included), so partial partitions decode.
+// Vertex IDs index the adjacency table, so the stream must hold a
+// whole graph, as datagen writes it: every ID it names, endpoints
+// included, is below its record count. That also bounds the table by
+// the input — one corrupt record cannot ask for 2^32 rows.
 func DecodeGraphRecords(buf []byte) (*Graph, error) {
 	type rec struct {
 		v    uint32
@@ -578,6 +580,9 @@ func DecodeGraphRecords(buf []byte) (*Graph, error) {
 	}
 	if len(recs) == 0 {
 		return &Graph{}, nil
+	}
+	if int(maxV) >= len(recs) {
+		return nil, fmt.Errorf("pivots: vertex %d named in a stream of %d records", maxV, len(recs))
 	}
 	adj := make([][]uint32, int(maxV)+1)
 	for _, r := range recs {

@@ -411,6 +411,11 @@ func TestDecodeGraphRecordsStream(t *testing.T) {
 	if _, err := DecodeGraphRecords([]byte{1, 0, 0, 0, 5}); err == nil {
 		t.Error("corrupt stream accepted")
 	}
+	// One 12-byte record naming vertex 2^32−1 would size a 2^32-row
+	// table.
+	if _, err := DecodeGraphRecords([]byte{8, 0, 0, 0, 255, 255, 255, 255, 0, 0, 0, 0}); err == nil {
+		t.Error("vertex past the record count accepted")
+	}
 }
 
 func TestDecodeTextRecordsStream(t *testing.T) {
