@@ -340,6 +340,85 @@ func TestDominatesVec(t *testing.T) {
 	}
 }
 
+// dominatesByDefinition is Pareto dominance written out from its
+// definition, the brute-force oracle for DominatesVec: a is no worse
+// than b on every axis (a[i] − b[i] ≤ 1e-9) and strictly better on at
+// least one (b[i] − a[i] > 1e-9).
+func dominatesByDefinition(a, b []float64) bool {
+	const tol = 1e-9
+	noWorse, strictlyBetter := 0, 0
+	for i := range a {
+		if a[i]-b[i] <= tol {
+			noWorse++
+		}
+		if b[i]-a[i] > tol {
+			strictlyBetter++
+		}
+	}
+	return len(a) == len(b) && noWorse == len(a) && strictlyBetter > 0
+}
+
+// randomCloud draws n 3-D objective vectors on a coarse grid, so exact
+// ties are common, each coordinate nudged by an exact zero, a
+// sub-tolerance jitter (±0.3e-9, a tie) or a supra-tolerance one
+// (±4e-9, a real difference); about one point in eight repeats an
+// earlier one exactly. No difference lands near the 1e-9 boundary.
+func randomCloud(rng *rand.Rand, n int) [][]float64 {
+	jitter := []float64{0, 0, 0.3e-9, -0.3e-9, 4e-9, -4e-9}
+	cloud := make([][]float64, n)
+	for i := range cloud {
+		if i > 0 && rng.Intn(8) == 0 {
+			cloud[i] = cloud[rng.Intn(i)]
+			continue
+		}
+		v := make([]float64, 3)
+		for a := range v {
+			v[a] = float64(1+rng.Intn(4)) + jitter[rng.Intn(len(jitter))]
+		}
+		cloud[i] = v
+	}
+	return cloud
+}
+
+// TestDominanceMatchesBruteForceOracle checks DominatesVec on every
+// ordered pair, and markDominated and Result.Frontier on the whole
+// cloud, against the O(n²) filter built on dominatesByDefinition.
+func TestDominanceMatchesBruteForceOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		cloud := randomCloud(rng, 1+rng.Intn(60))
+		pts := make([]Point, len(cloud))
+		var wantFrontier []float64
+		wantDominated := 0
+		for i, a := range cloud {
+			pts[i] = Point{Alpha: float64(i), Objectives: a}
+			dominated := false
+			for j, b := range cloud {
+				want := dominatesByDefinition(b, a)
+				if got := DominatesVec(b, a); got != want {
+					t.Fatalf("trial %d: DominatesVec(%v, %v) = %v, want %v", trial, b, a, got, want)
+				}
+				dominated = dominated || (i != j && want)
+			}
+			if dominated {
+				wantDominated++
+			} else {
+				wantFrontier = append(wantFrontier, float64(i))
+			}
+		}
+		if got := markDominated(pts); got != wantDominated {
+			t.Errorf("trial %d: markDominated flagged %d of %d points, want %d", trial, got, len(pts), wantDominated)
+		}
+		var gotFrontier []float64
+		for _, p := range (&Result{Points: pts}).Frontier() {
+			gotFrontier = append(gotFrontier, p.Alpha)
+		}
+		if !reflect.DeepEqual(gotFrontier, wantFrontier) {
+			t.Errorf("trial %d: Frontier() keeps points %v, want %v", trial, gotFrontier, wantFrontier)
+		}
+	}
+}
+
 func TestUniformAlphas(t *testing.T) {
 	a := UniformAlphas(5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

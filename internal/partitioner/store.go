@@ -114,25 +114,11 @@ func (d *DiskStore) ReadPartition(id int) ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partitioner: %w", err)
 	}
-	return splitRecords(buf)
-}
-
-// splitRecords cuts a concatenation of length-prefixed records back
-// into individual records (headers retained).
-func splitRecords(buf []byte) ([][]byte, error) {
-	var out [][]byte
-	for len(buf) > 0 {
-		if len(buf) < 4 {
-			return nil, errors.New("partitioner: trailing bytes shorter than record header")
-		}
-		n := int(uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24)
-		if len(buf) < 4+n {
-			return nil, fmt.Errorf("partitioner: record claims %d bytes, %d available", n, len(buf)-4)
-		}
-		out = append(out, buf[:4+n])
-		buf = buf[4+n:]
+	recs, err := pivots.SplitRecords(buf)
+	if err != nil {
+		return nil, fmt.Errorf("partitioner: partition %d: %w", id, err)
 	}
-	return out, nil
+	return recs, nil
 }
 
 // maxBatchBytes caps the record payload packed into one variadic

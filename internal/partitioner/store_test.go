@@ -202,21 +202,3 @@ func TestNewKVStoreValidation(t *testing.T) {
 		t.Error("negative partition accepted")
 	}
 }
-
-func TestSplitRecords(t *testing.T) {
-	// Two records back to back.
-	buf := []byte{2, 0, 0, 0, 10, 11, 1, 0, 0, 0, 99}
-	recs, err := splitRecords(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || !bytes.Equal(recs[1], []byte{1, 0, 0, 0, 99}) {
-		t.Errorf("split = %v", recs)
-	}
-	if _, err := splitRecords([]byte{1, 2}); err == nil {
-		t.Error("short header accepted")
-	}
-	if recs, err := splitRecords(nil); err != nil || len(recs) != 0 {
-		t.Error("empty buffer must split to nothing")
-	}
-}

@@ -687,3 +687,19 @@ func recordSpan(buf []byte, offs []int, i int) []byte {
 	}
 	return buf[offs[i]:end]
 }
+
+// SplitRecords cuts a stream of uint32-length-prefixed records (the
+// DiskStore file layout) into its records, each with its length header
+// and sharing buf's memory. A short header or a length that overruns
+// the stream is an error naming the record index.
+func SplitRecords(buf []byte) ([][]byte, error) {
+	offs, err := scanRecordOffsets(buf)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([][]byte, len(offs))
+	for i := range offs {
+		recs[i] = recordSpan(buf, offs, i)
+	}
+	return recs, nil
+}

@@ -439,3 +439,25 @@ func TestDecodeTextRecordsStream(t *testing.T) {
 		t.Error("corrupt stream accepted")
 	}
 }
+
+func TestSplitRecords(t *testing.T) {
+	// Two records back to back; each keeps its length header.
+	buf := []byte{2, 0, 0, 0, 10, 11, 1, 0, 0, 0, 99}
+	recs, err := SplitRecords(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{{2, 0, 0, 0, 10, 11}, {1, 0, 0, 0, 99}}
+	if !reflect.DeepEqual(recs, want) {
+		t.Errorf("split = %v, want %v", recs, want)
+	}
+	if _, err := SplitRecords([]byte{2, 0, 0, 0, 10, 11, 1, 2}); err == nil {
+		t.Error("short header accepted")
+	}
+	if _, err := SplitRecords([]byte{2, 0, 0, 0, 10, 11, 5, 0, 0, 0, 99}); err == nil {
+		t.Error("length claim past the end of the stream accepted")
+	}
+	if recs, err := SplitRecords(nil); err != nil || len(recs) != 0 {
+		t.Errorf("empty buffer split to %v, %v; want nothing", recs, err)
+	}
+}

@@ -34,9 +34,11 @@
 //     cell→center-bitmask table replaces the scan: one array read per
 //     attribute, with every center's matches counted at once in
 //     bit-sliced counters.
-//   - Workers persist across iterations: one goroutine per worker with
-//     per-round channel barriers, reusing per-worker scratch instead of
-//     respawning goroutines and reallocating every round.
+//   - Every round — recode, shift, assign, update — is one
+//     parallel.For call with one task per worker index. Each worker owns
+//     a contiguous record range and attribute range, and its scratch
+//     (dirty marks, cell counts, top-L selections) lives in the
+//     clusterState, so rounds reuse it instead of reallocating.
 //   - Center updates rebuild only the strata whose membership changed,
 //     by counting their members' cells in a flat per-worker array; the
 //     same workers run the update, each on its own attribute range.
@@ -48,11 +50,10 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
+	"pareto/internal/parallel"
 	"pareto/internal/sketch"
 )
 
@@ -159,11 +160,6 @@ func Cluster(sketches []sketch.Sketch, cfg Config) (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIter
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	centers := initCenters(sketches, k, rng)
 	assign := make([]int, n)
@@ -171,8 +167,7 @@ func Cluster(sketches []sketch.Sketch, cfg Config) (*Result, error) {
 		assign[i] = -1
 	}
 
-	st := newClusterState(sketches, k, width, cfg.L, workers)
-	defer st.close()
+	st := newClusterState(sketches, k, width, cfg.L, parallel.Workers(n, cfg.Workers))
 
 	res := &Result{}
 	for iter := 0; iter < maxIter; iter++ {
@@ -200,9 +195,7 @@ func Cluster(sketches []sketch.Sketch, cfg Config) (*Result, error) {
 		res.IterStats = append(res.IterStats, stat)
 	}
 
-	for _, d := range st.pool.busy {
-		res.Busy += d
-	}
+	res.Busy = st.busy
 	res.Assign = assign
 	res.Centers = centers
 	res.Members = st.members(assign)
@@ -283,7 +276,30 @@ type clusterState struct {
 	// was last rebuilt.
 	dirty []bool
 
-	pool *assignPool
+	// ws holds one entry per worker; every round runs one parallel.For
+	// task per entry. busy sums the busy time those calls report.
+	ws   []worker
+	busy time.Duration
+}
+
+// worker is one worker's share of every round and its scratch, reused
+// across rounds. recs is its record range (assign and shift rounds),
+// attrs its attribute range (recode and update rounds). moved and cost
+// are its last assign round's results, and dirty[c] marks stratum c as
+// gaining or losing a record (cleared by the update that reads it). cnt
+// counts the cells of its attribute range and touched lists the cells it
+// met, both indexed from off[attrs[0]]; next[j] is the next free slot of
+// attribute attrs[0]+j in touched, and top[j*L:] holds its top-L
+// selection.
+type worker struct {
+	recs, attrs [2]int
+	moved       int
+	cost        int64
+	dirty       []bool
+	cnt         []int32
+	touched     []uint32
+	top         []valCount
+	next        []int
 }
 
 func newClusterState(sketches []sketch.Sketch, k, width, l, workers int) *clusterState {
@@ -302,29 +318,43 @@ func newClusterState(sketches []sketch.Sketch, k, width, l, workers int) *cluste
 		byStratum: make([]int32, n),
 		first:     make([]int32, k+2),
 		dirty:     make([]bool, k),
+		ws:        make([]worker, workers),
 	}
-	p := newAssignPool(st, n, workers)
-	st.pool = p
-	p.run(recodeRound)
+	chunk := (n + workers - 1) / workers
+	for i := range st.ws {
+		st.ws[i] = worker{
+			recs:  [2]int{min(i*chunk, n), min((i+1)*chunk, n)},
+			attrs: [2]int{i * width / workers, (i + 1) * width / workers},
+			dirty: make([]bool, k),
+		}
+	}
+	st.busy += parallel.For(workers, workers, func(lo, hi int) {
+		for _, w := range st.ws[lo:hi] {
+			st.recodeAttrs(w.attrs[0], w.attrs[1])
+		}
+	})
 	for a, d := range st.dicts {
 		st.off[a+1] = st.off[a] + len(d)
 	}
-	p.run(shiftRound)
+	st.busy += parallel.For(workers, workers, func(lo, hi int) {
+		for _, w := range st.ws[lo:hi] {
+			st.shiftCells(w.recs[0], w.recs[1])
+		}
+	})
 	if st.useMask {
 		st.masks = make([]uint64, st.off[width])
 		st.listed = make([]uint64, (st.off[width]+63)/64)
 	}
-	for w := 0; w < p.workers; w++ {
-		lo, hi := p.attrs[w][0], p.attrs[w][1]
-		p.cnt[w] = make([]int32, st.off[hi]-st.off[lo])
-		p.touched[w] = make([]uint32, st.off[hi]-st.off[lo])
-		p.top[w] = make([]valCount, (hi-lo)*l)
-		p.next[w] = make([]int, hi-lo)
+	for i := range st.ws {
+		w := &st.ws[i]
+		lo, hi := w.attrs[0], w.attrs[1]
+		w.cnt = make([]int32, st.off[hi]-st.off[lo])
+		w.touched = make([]uint32, st.off[hi]-st.off[lo])
+		w.top = make([]valCount, (hi-lo)*l)
+		w.next = make([]int, hi-lo)
 	}
 	return st
 }
-
-func (st *clusterState) close() { st.pool.close() }
 
 // recodeHashMul is the Fibonacci-hashing multiplier of the recode
 // table: the top bits of v·recodeHashMul depend on every bit of v.
@@ -460,22 +490,47 @@ func (st *clusterState) loadCenters(centers []Center) {
 	}
 }
 
-// assignAll assigns every record to its nearest center using the
-// persistent worker pool, reporting whether any assignment changed, the
-// total mismatch cost, and how many records moved. Ties in distance
-// break toward the lowest center index (centers are scanned in
-// ascending order and only a strictly smaller distance displaces the
-// incumbent).
+// assignAll assigns every record to its nearest center, one task per
+// worker, reporting whether any assignment changed, the total mismatch
+// cost, and how many records moved. Ties in distance break toward the
+// lowest center index (centers are scanned in ascending order and only
+// a strictly smaller distance displaces the incumbent).
 func (st *clusterState) assignAll(centers []Center, assign []int) (changed bool, cost int64, moved int) {
 	st.loadCenters(centers)
-	p := st.pool
-	p.assign = assign
-	p.run(assignRound)
-	for w := 0; w < p.workers; w++ {
-		cost += p.cost[w]
-		moved += p.moved[w]
+	st.busy += parallel.For(len(st.ws), len(st.ws), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			st.assignRecords(&st.ws[i], assign)
+		}
+	})
+	for _, w := range st.ws {
+		cost += w.cost
+		moved += w.moved
 	}
 	return moved > 0, cost, moved
+}
+
+// assignRecords assigns worker w's record range to nearest centers.
+func (st *clusterState) assignRecords(w *worker, assign []int) {
+	moved, dirty := 0, w.dirty
+	var cost int64
+	for i := w.recs[0]; i < w.recs[1]; i++ {
+		var best, bestDist int
+		if st.useMask {
+			best, bestDist = st.nearestMask(st.cells[i*st.width : (i+1)*st.width])
+		} else {
+			best, bestDist = st.nearestScan(st.sketches[i])
+		}
+		if old := assign[i]; old != best {
+			if old >= 0 {
+				dirty[old] = true
+			}
+			dirty[best] = true
+			assign[i] = best
+			moved++
+		}
+		cost += int64(bestDist)
+	}
+	w.moved, w.cost = moved, cost
 }
 
 // flattenCenters writes the centers into the [k×width×l] matrix used
@@ -593,16 +648,15 @@ func (st *clusterState) nearestMask(row []uint32) (best, bestDist int) {
 // the rebuild would produce the same values.
 //
 // A center row depends on one attribute's cells only, so the work
-// splits by attribute: each pool worker counts, and rebuilds the dirty
+// splits by attribute: each worker counts, and rebuilds the dirty
 // rows of, its own contiguous attribute range. The centers are the same
 // at every worker count.
 func (st *clusterState) updateCenters(centers []Center, assign []int) {
-	p := st.pool
-	for w := 0; w < p.workers; w++ {
-		for c, d := range p.dirty[w] {
+	for _, w := range st.ws {
+		for c, d := range w.dirty {
 			st.dirty[c] = st.dirty[c] || d
 		}
-		clear(p.dirty[w])
+		clear(w.dirty)
 	}
 	st.groupByStratum(assign)
 	for c, dirty := range st.dirty {
@@ -610,8 +664,11 @@ func (st *clusterState) updateCenters(centers []Center, assign []int) {
 			centers[c] = blankCenter(st.width, st.l)
 		}
 	}
-	p.centers = centers
-	p.run(updateRound)
+	st.busy += parallel.For(len(st.ws), len(st.ws), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			st.updateAttrs(&st.ws[i], centers)
+		}
+	})
 	clear(st.dirty)
 }
 
@@ -662,14 +719,13 @@ func (st *clusterState) members(assign []int) [][]int {
 // every touched cell, with its count, to its attribute's top-L, zeroing
 // the count, and writes the selected values into the stratum's (blank)
 // center rows.
-func (st *clusterState) updateAttrs(w int) {
-	p := st.pool
-	lo, hi := p.attrs[w][0], p.attrs[w][1]
+func (st *clusterState) updateAttrs(w *worker, centers []Center) {
+	lo, hi := w.attrs[0], w.attrs[1]
 	if lo == hi {
 		return
 	}
 	span, base, l := hi-lo, uint32(st.off[lo]), st.l
-	cnt, touched, top, next := p.cnt[w], p.touched[w], p.top[w], p.next[w]
+	cnt, touched, top, next := w.cnt, w.touched, w.top, w.next
 	for c, dirty := range st.dirty {
 		if !dirty {
 			continue
@@ -686,7 +742,7 @@ func (st *clusterState) updateAttrs(w int) {
 				}
 			}
 		}
-		vals := p.centers[c].Values
+		vals := centers[c].Values
 		for j := range span {
 			sel, n := top[j*l:(j+1)*l], 0
 			for _, g := range touched[st.off[lo+j]-st.off[lo] : next[j]] {
@@ -699,160 +755,6 @@ func (st *clusterState) updateAttrs(w int) {
 			}
 		}
 	}
-}
-
-// roundKind selects what a pool round does.
-type roundKind int
-
-const (
-	// assignRound assigns the worker's record range to nearest centers.
-	assignRound roundKind = iota
-	// updateRound runs updateAttrs on the worker's attribute range.
-	updateRound
-	// recodeRound runs recodeAttrs on the worker's attribute range.
-	recodeRound
-	// shiftRound runs shiftCells on the worker's record range.
-	shiftRound
-)
-
-// assignPool is a persistent worker pool for the assign/update loop:
-// one goroutine per worker, woken through a per-worker channel each
-// round and joined through a WaitGroup, so iterations reuse goroutines
-// and per-worker scratch instead of reallocating both every round. The
-// coordinator's writes (loadCenters, p.assign, p.centers, dirty marks)
-// happen before the channel sends and the workers' result writes happen
-// before wg.Done, so rounds are totally ordered without locks.
-type assignPool struct {
-	st      *clusterState
-	workers int
-	// ranges[w] is worker w's record range (assignment and shift
-	// rounds), attrs[w] its attribute range (recode and update rounds).
-	ranges [][2]int
-	attrs  [][2]int
-	start  []chan roundKind
-	wg     sync.WaitGroup
-
-	assign  []int
-	centers []Center
-
-	// Per-worker round results and reusable scratch: moved counts the
-	// round's reassignments and dirty[c] marks stratum c as gaining or
-	// losing one (cleared by the update that reads it); cnt counts the
-	// cells of the worker's attribute range and touched lists the cells
-	// it met, both indexed from off[lo]; next[j] is the next free slot of
-	// attribute lo+j in touched, and top[j*L:] holds its top-L
-	// selection.
-	cost    []int64
-	moved   []int
-	dirty   [][]bool
-	cnt     [][]int32
-	top     [][]valCount
-	next    [][]int
-	touched [][]uint32
-	busy    []time.Duration
-}
-
-func newAssignPool(st *clusterState, n, workers int) *assignPool {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	p := &assignPool{
-		st:      st,
-		workers: workers,
-		ranges:  make([][2]int, workers),
-		attrs:   make([][2]int, workers),
-		start:   make([]chan roundKind, workers),
-		cost:    make([]int64, workers),
-		moved:   make([]int, workers),
-		dirty:   make([][]bool, workers),
-		cnt:     make([][]int32, workers),
-		top:     make([][]valCount, workers),
-		next:    make([][]int, workers),
-		touched: make([][]uint32, workers),
-		busy:    make([]time.Duration, workers),
-	}
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo > hi {
-			lo = hi
-		}
-		p.ranges[w] = [2]int{lo, hi}
-		p.attrs[w] = [2]int{w * st.width / workers, (w + 1) * st.width / workers}
-		p.start[w] = make(chan roundKind)
-		p.dirty[w] = make([]bool, st.k)
-		go p.serve(w)
-	}
-	return p
-}
-
-// run executes one round of the given kind across all workers and
-// blocks until every range is processed.
-func (p *assignPool) run(kind roundKind) {
-	p.wg.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
-		p.start[w] <- kind
-	}
-	p.wg.Wait()
-}
-
-// close terminates the worker goroutines.
-func (p *assignPool) close() {
-	for _, ch := range p.start {
-		close(ch)
-	}
-}
-
-// serve is the long-lived loop of worker w.
-func (p *assignPool) serve(w int) {
-	for kind := range p.start[w] {
-		t0 := time.Now()
-		switch kind {
-		case assignRound:
-			p.round(w)
-		case updateRound:
-			p.st.updateAttrs(w)
-		case recodeRound:
-			p.st.recodeAttrs(p.attrs[w][0], p.attrs[w][1])
-		case shiftRound:
-			p.st.shiftCells(p.ranges[w][0], p.ranges[w][1])
-		}
-		p.busy[w] += time.Since(t0)
-		p.wg.Done()
-	}
-}
-
-// round processes worker w's record range for the current round.
-func (p *assignPool) round(w int) {
-	st := p.st
-	lo, hi := p.ranges[w][0], p.ranges[w][1]
-	moved, dirty := 0, p.dirty[w]
-	var cost int64
-	for i := lo; i < hi; i++ {
-		var best, bestDist int
-		if st.useMask {
-			best, bestDist = st.nearestMask(st.cells[i*st.width : (i+1)*st.width])
-		} else {
-			best, bestDist = st.nearestScan(st.sketches[i])
-		}
-		if old := p.assign[i]; old != best {
-			if old >= 0 {
-				dirty[old] = true
-			}
-			dirty[best] = true
-			p.assign[i] = best
-			moved++
-		}
-		cost += int64(bestDist)
-	}
-	p.moved[w] = moved
-	p.cost[w] = cost
 }
 
 // valCount is one (value, frequency) entry of a top-L selection. In
