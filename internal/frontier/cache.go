@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"pareto/internal/opt"
-	"pareto/internal/parallel"
 	"pareto/internal/telemetry"
 )
 
@@ -114,21 +113,17 @@ func Fingerprint(nodes []opt.NodeModel, total int) string {
 }
 
 // memoKey extends a model fingerprint with every per-request parameter
-// the reply bytes depend on: mode, all=, the α list, and the resolved
-// worker count — it decides how Sweep splits into chains, which stats
-// and each point's warm/pivots record (a short ladder or an exact
-// request runs one chain at any count; keying on the count costs it a
-// spurious miss, never a wrong hit).
-func memoKey(fp string, exact, all bool, cfg Config) string {
-	buf := make([]byte, 0, len(fp)+64+len(cfg.Alphas)*17)
+// the reply bytes depend on: mode, all= and the α list. Sweep's worker
+// count, which decides its chain split, is the Service's own Config and
+// the same for every request it answers.
+func memoKey(fp string, exact, all bool, alphas []float64) string {
+	buf := make([]byte, 0, len(fp)+64+len(alphas)*17)
 	buf = append(buf, fp...)
 	buf = append(buf, ';')
 	buf = strconv.AppendBool(buf, exact)
 	buf = append(buf, ';')
 	buf = strconv.AppendBool(buf, all)
-	buf = append(buf, ';')
-	buf = strconv.AppendInt(buf, int64(parallel.Workers(math.MaxInt, cfg.Workers)), 16)
-	for _, a := range cfg.Alphas {
+	for _, a := range alphas {
 		buf = append(buf, ',')
 		buf = strconv.AppendUint(buf, math.Float64bits(a), 16)
 	}

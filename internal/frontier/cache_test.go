@@ -83,7 +83,6 @@ func TestCacheKeyedOnRequestParams(t *testing.T) {
 		{name: "alpha count", url: "/frontier?alphas=11"},
 		{name: "explicit alpha list", url: "/frontier?alpha=0,0.5,1"},
 		{name: "exact", url: "/frontier?alphas=9&exact=1"},
-		{name: "workers", url: "/frontier?alphas=9&workers=2"},
 		{name: "all", url: "/frontier?alphas=9&all=1"},
 		{name: "total", url: "/frontier?alphas=9", models: func() { src.total++ }},
 		{name: "dirty rate", url: "/frontier?alphas=9", models: func() {
@@ -105,15 +104,6 @@ func TestCacheKeyedOnRequestParams(t *testing.T) {
 			}
 		}
 		wantMemo(t, svc, reg, int64(i+1), int64(i+2), i+2)
-	}
-
-	// Why workers is in the key: from 128 α up a second worker is a
-	// second chain, and the stats say so.
-	_, one := getFrontier(t, svc, "/frontier?alphas=128&workers=1")
-	_, two := getFrontier(t, svc, "/frontier?alphas=128&workers=2")
-	if one.Stats.Solves-one.Stats.WarmSolves != 1 || two.Stats.Solves-two.Stats.WarmSolves != 2 {
-		t.Errorf("cold solves at workers=1 / 2: %d / %d, want 1 / 2",
-			one.Stats.Solves-one.Stats.WarmSolves, two.Stats.Solves-two.Stats.WarmSolves)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // query the parser lets through must never make the enumeration fail
 // (500) or panic. testdata/fuzz/FuzzFrontierQuery holds the edge cases,
 // among them two tol= queries from when the service took a convergence
-// tolerance for Exact's α bisection (NaN made it never converge). The
-// parameter is gone; the service ignores it like any unknown one.
+// tolerance for Exact's α bisection (NaN made it never converge). That
+// parameter is gone, as is workers=, which some seeds still carry; the
+// service ignores both like any unknown one.
 func FuzzFrontierQuery(f *testing.F) {
 	for _, q := range []string{
 		"",

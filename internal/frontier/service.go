@@ -49,7 +49,6 @@ const maxAlphas = 100_000
 //	alphas=N          sample N uniform α values in [0,1]
 //	alpha=a,b,c       sample an explicit α list (at most maxAlphas)
 //	exact=1           every frontier vertex (Exact) instead of sampling
-//	workers=W         Sweep's parallelism bound
 //	all=1             include dominated points (flagged) in the output
 //
 // A request whose models and parameters equal an earlier one's is
@@ -150,14 +149,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		cfg.Alphas = alphas
 	}
-	if v := q.Get("workers"); v != "" {
-		wn, err := strconv.Atoi(v)
-		if err != nil || wn < 0 || wn > 4096 {
-			http.Error(w, "frontier: workers must be an integer in [0,4096]", http.StatusBadRequest)
-			return
-		}
-		cfg.Workers = wn
-	}
 	includeAll := false
 	if v := q.Get("all"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -176,7 +167,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// The models are read on every request, so the key follows them:
 	// after a replan the same URL is a different key.
-	key := memoKey(Fingerprint(nodes, total), exact, includeAll, cfg)
+	key := memoKey(Fingerprint(nodes, total), exact, includeAll, cfg.Alphas)
 	body, hit := s.memo.get(key)
 	state := "hit"
 	if !hit {

@@ -73,7 +73,7 @@ func TestServiceSweepJSON(t *testing.T) {
 
 func TestServiceExactAndParams(t *testing.T) {
 	svc, _ := testService(t)
-	rec, resp := getFrontier(t, svc, "/frontier?exact=1&workers=2")
+	rec, resp := getFrontier(t, svc, "/frontier?exact=1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -103,7 +103,6 @@ func TestServiceErrors(t *testing.T) {
 		"/frontier?alphas=nope",
 		"/frontier?alpha=2",
 		"/frontier?alpha=x",
-		"/frontier?workers=-1",
 		"/frontier?exact=maybe",
 		"/frontier?all=maybe",
 		"/frontier?alpha=" + strings.Repeat("0,", maxAlphas) + "0", // one α past the alphas= cap

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +127,37 @@ func TestEnableAOFRefusesForeignHeader(t *testing.T) {
 		}
 		if got, err := os.ReadFile(path); err != nil || string(got) != tc.img {
 			t.Errorf("%s: log is %q (%v) after the refusal, want it untouched", tc.name, got, err)
+		}
+	}
+}
+
+// TestEnableAOFRefusesUnknownRecord is the upgrade path for a log
+// written before LPUSH, APPEND and FLUSHDB were cut: replay stops at
+// the first record the store no longer knows, EnableAOF fails naming
+// it, and the log is left byte for byte as it was.
+func TestEnableAOFRefusesUnknownRecord(t *testing.T) {
+	const valid = "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n" +
+		"*3\r\n$5\r\nRPUSH\r\n$1\r\nl\r\n$1\r\na\r\n"
+	for _, old := range []string{
+		"*3\r\n$5\r\nLPUSH\r\n$1\r\nl\r\n$1\r\nz\r\n",
+		"*3\r\n$6\r\nAPPEND\r\n$1\r\nk\r\n$1\r\nw\r\n",
+		"*1\r\n$7\r\nFLUSHDB\r\n",
+	} {
+		img := aofHeader + valid + old + "*2\r\n$4\r\nINCR\r\n$1\r\nn\r\n"
+		path := filepath.Join(t.TempDir(), "node.aof")
+		if err := os.WriteFile(path, []byte(img), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(nil)
+		err := srv.EnableAOF(path, time.Millisecond)
+		if err == nil {
+			t.Errorf("%q: EnableAOF accepted the log", old)
+			srv.Kill()
+		} else if msg := err.Error(); !strings.Contains(msg, "record 3:") || !strings.Contains(msg, "unknown command") {
+			t.Errorf("%q: EnableAOF error %q, want it to name record 3 and unknown command", old, msg)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != img {
+			t.Errorf("%q: log is %q (%v) after the refusal, want it untouched", old, got, err)
 		}
 	}
 }

@@ -14,22 +14,13 @@ type cmdID uint8
 const (
 	cmdNone cmdID = iota
 	cmdPing
-	cmdEcho
 	cmdSet
 	cmdGet
 	cmdDel
-	cmdExists
 	cmdIncr
-	cmdIncrBy
-	cmdAppend
-	cmdStrlen
 	cmdRPush
-	cmdLPush
 	cmdLLen
-	cmdLIndex
 	cmdLRange
-	cmdFlushDB
-	cmdFlushAll
 	cmdDBSize
 	// Server-context commands: the engine treats them as unknown, the
 	// server intercepts them before engine dispatch.
@@ -45,14 +36,13 @@ type keyArgs uint8
 const (
 	noKeys  keyArgs = iota // keyless: always local, routed to any node
 	oneKey                 // args[0] is the key, the rest is payload
-	allKeys                // every argument is a key (DEL, EXISTS)
+	allKeys                // every argument is a key (DEL)
 )
 
 // cmdSpec is one row of the command table.
 type cmdSpec struct {
 	name string // canonical upper-case wire name
-	// class is the kv_server_commands_total{cmd=…} label. INCR/INCRBY
-	// share one, as do FLUSHDB/FLUSHALL.
+	// class is the kv_server_commands_total{cmd=…} label.
 	class string
 	// writes marks a command that mutates the engine: the set the
 	// append-only log must record for replay to reconstruct the store.
@@ -64,36 +54,27 @@ type cmdSpec struct {
 }
 
 var cmdTable = [numCmdIDs]cmdSpec{
-	cmdNone:     {class: "other"},
-	cmdPing:     {name: "PING", class: "ping", idempotent: true},
-	cmdEcho:     {name: "ECHO", class: "echo", idempotent: true},
-	cmdSet:      {name: "SET", class: "set", writes: true, idempotent: true, keys: oneKey},
-	cmdGet:      {name: "GET", class: "get", idempotent: true, keys: oneKey},
-	cmdDel:      {name: "DEL", class: "del", writes: true, idempotent: true, keys: allKeys},
-	cmdExists:   {name: "EXISTS", class: "exists", idempotent: true, keys: allKeys},
-	cmdIncr:     {name: "INCR", class: "incr", writes: true, keys: oneKey},
-	cmdIncrBy:   {name: "INCRBY", class: "incr", writes: true, keys: oneKey},
-	cmdAppend:   {name: "APPEND", class: "append", writes: true, keys: oneKey},
-	cmdStrlen:   {name: "STRLEN", class: "strlen", idempotent: true, keys: oneKey},
-	cmdRPush:    {name: "RPUSH", class: "rpush", writes: true, keys: oneKey},
-	cmdLPush:    {name: "LPUSH", class: "lpush", writes: true, keys: oneKey},
-	cmdLLen:     {name: "LLEN", class: "llen", idempotent: true, keys: oneKey},
-	cmdLIndex:   {name: "LINDEX", class: "lindex", idempotent: true, keys: oneKey},
-	cmdLRange:   {name: "LRANGE", class: "lrange", idempotent: true, keys: oneKey},
-	cmdFlushDB:  {name: "FLUSHDB", class: "flush", writes: true},
-	cmdFlushAll: {name: "FLUSHALL", class: "flush", writes: true},
-	cmdDBSize:   {name: "DBSIZE", class: "dbsize", idempotent: true},
-	cmdInfo:     {name: "INFO", class: "info"},
-	cmdCluster:  {name: "CLUSTER", class: "other"},
+	cmdNone:    {class: "other"},
+	cmdPing:    {name: "PING", class: "ping", idempotent: true},
+	cmdSet:     {name: "SET", class: "set", writes: true, idempotent: true, keys: oneKey},
+	cmdGet:     {name: "GET", class: "get", idempotent: true, keys: oneKey},
+	cmdDel:     {name: "DEL", class: "del", writes: true, idempotent: true, keys: allKeys},
+	cmdIncr:    {name: "INCR", class: "incr", writes: true, keys: oneKey},
+	cmdRPush:   {name: "RPUSH", class: "rpush", writes: true, keys: oneKey},
+	cmdLLen:    {name: "LLEN", class: "llen", idempotent: true, keys: oneKey},
+	cmdLRange:  {name: "LRANGE", class: "lrange", idempotent: true, keys: oneKey},
+	cmdDBSize:  {name: "DBSIZE", class: "dbsize", idempotent: true},
+	cmdInfo:    {name: "INFO", class: "info"},
+	cmdCluster: {name: "CLUSTER", class: "other"},
 }
 
 // maxCmdNameLen bounds the fold buffer; the longest command name is
-// FLUSHALL (8 bytes).
+// CLUSTER (7 bytes).
 const maxCmdNameLen = 16
 
 // cmdsByLen indexes the table by name length; it is derived from the
 // table once, so the table stays the only list of commands. No length
-// has more than seven commands, so a lookup is a few short compares.
+// has more than four commands, so a lookup is a few short compares.
 var cmdsByLen = func() (byLen [maxCmdNameLen + 1][]cmdID) {
 	for id := cmdNone + 1; id < numCmdIDs; id++ {
 		n := len(cmdTable[id].name)

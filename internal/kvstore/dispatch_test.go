@@ -68,20 +68,18 @@ func TestLookupCmdFoldsCase(t *testing.T) {
 // test that keeps it dead.
 func TestEngineDoLowercaseNoAlloc(t *testing.T) {
 	e := NewEngine()
-	e.Do("SET", []byte("allockey"), []byte("v"))
 	e.Do("RPUSH", []byte("alloclist"), []byte("a"))
 
-	key := []byte("allockey")
 	missing := []byte("allocmissing")
 	list := []byte("alloclist")
 	cases := []struct {
 		name string
 		fn   func()
 	}{
-		{"exists lowercase", func() { e.Do("exists", key) }},
+		{"dbsize lowercase", func() { e.Do("dbsize") }},
 		{"llen lowercase", func() { e.Do("llen", list) }},
 		{"get missing lowercase", func() { e.Do("get", missing) }},
-		{"exists mixed case", func() { e.Do("ExIsTs", key) }},
+		{"llen mixed case", func() { e.Do("LlEn", list) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(200, tc.fn); n != 0 {
@@ -152,16 +150,15 @@ func TestShardingPreservesSemantics(t *testing.T) {
 // clients treat as keys, for every row.
 func TestKeyArgStride(t *testing.T) {
 	want := map[string]keyArgs{
-		"GET": oneKey, "SET": oneKey, "INCR": oneKey, "INCRBY": oneKey,
-		"APPEND": oneKey, "STRLEN": oneKey, "RPUSH": oneKey, "LPUSH": oneKey,
-		"LLEN": oneKey, "LINDEX": oneKey, "LRANGE": oneKey,
-		"DEL": allKeys, "EXISTS": allKeys,
+		"GET": oneKey, "SET": oneKey, "INCR": oneKey, "RPUSH": oneKey,
+		"LLEN": oneKey, "LRANGE": oneKey,
+		"DEL": allKeys,
 	}
 	for id := cmdNone; id < numCmdIDs; id++ {
 		spec := cmdTable[id]
 		w, keyed := want[spec.name]
 		if !keyed {
-			w = noKeys // PING, DBSIZE, FLUSH*, INFO, CLUSTER, unknown
+			w = noKeys // PING, DBSIZE, INFO, CLUSTER, unknown
 		}
 		if spec.keys != w {
 			t.Errorf("%q: keys = %d, want %d", spec.name, spec.keys, w)
@@ -173,13 +170,11 @@ func TestKeyArgStride(t *testing.T) {
 // log, and nothing that is not safe to re-send is marked idempotent.
 func TestCmdWritesClassification(t *testing.T) {
 	writes := map[string]bool{
-		"SET": true, "DEL": true, "INCR": true, "INCRBY": true, "APPEND": true,
-		"RPUSH": true, "LPUSH": true, "FLUSHDB": true, "FLUSHALL": true,
+		"SET": true, "DEL": true, "INCR": true, "RPUSH": true,
 	}
 	idempotent := map[string]bool{
-		"GET": true, "SET": true, "DEL": true, "EXISTS": true,
-		"LLEN": true, "LRANGE": true, "LINDEX": true, "STRLEN": true,
-		"PING": true, "ECHO": true, "DBSIZE": true,
+		"GET": true, "SET": true, "DEL": true, "LLEN": true, "LRANGE": true,
+		"PING": true, "DBSIZE": true,
 	}
 	for id := cmdNone; id < numCmdIDs; id++ {
 		spec := cmdTable[id]
@@ -190,7 +185,7 @@ func TestCmdWritesClassification(t *testing.T) {
 			t.Errorf("%q: idempotent = %v, want %v", spec.name, spec.idempotent, idempotent[spec.name])
 		}
 	}
-	for _, name := range []string{"INCR", "INCRBY", "APPEND", "RPUSH", "LPUSH"} {
+	for _, name := range []string{"INCR", "RPUSH"} {
 		if cmdTable[lookupCmd(name)].idempotent {
 			t.Errorf("%s marked idempotent: a retry would double-apply it", name)
 		}
@@ -200,10 +195,7 @@ func TestCmdWritesClassification(t *testing.T) {
 // TestCmdClass pins the kv_server_commands_total{cmd=…} label of every
 // row: dashboards and the benchmark sum over these names.
 func TestCmdClass(t *testing.T) {
-	shared := map[string]string{
-		"INCRBY": "incr", "FLUSHDB": "flush", "FLUSHALL": "flush",
-		"CLUSTER": "other", "": "other",
-	}
+	shared := map[string]string{"CLUSTER": "other", "": "other"}
 	labels := make(map[string]bool)
 	for id := cmdNone; id < numCmdIDs; id++ {
 		spec := cmdTable[id]
@@ -217,9 +209,8 @@ func TestCmdClass(t *testing.T) {
 		labels[spec.class] = true
 	}
 	// Every label the table carries, and no other.
-	for _, l := range []string{"get", "set", "del", "exists", "incr", "append", "strlen",
-		"rpush", "lpush", "llen", "lindex", "lrange", "ping", "echo", "flush", "dbsize",
-		"info", "other"} {
+	for _, l := range []string{"get", "set", "del", "incr", "rpush", "llen", "lrange",
+		"ping", "dbsize", "info", "other"} {
 		if !labels[l] {
 			t.Errorf("label %q lost", l)
 		}

@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -16,19 +15,17 @@ import (
 // arena) may reuse argument buffers the moment Do returns, so every
 // command that retains bytes copies them into engine-owned memory
 // first — keys via string(...) conversion, values via explicit copies
-// in set/rpush/lpush/append. Commands that only read arguments
-// (INCRBY, LRANGE bounds, …) parse before returning; replies echoing
-// an argument (PING/ECHO) alias it and must be consumed before the
-// caller recycles its buffer.
+// in set/rpush. Commands that only read arguments (LRANGE bounds)
+// parse before returning, and no reply aliases an argument.
 //
 // A list is the batches pushed into it: a push copies its values into
 // one arena and adds their headers as a segment, or, if small, extends
 // the end segment up to segSize elements. So a push, and its AOF
 // replay, costs its batch, never a re-copy of the list's headers.
 // Elements are immutable and lists drop them only wholesale (DEL,
-// FLUSHDB, SET), so an arena never outlives part of its batch. Replies
-// still copy out (GET, LINDEX, LRANGE): the server writes them after
-// the shard lock is released, and a caller may keep or mutate them.
+// SET), so an arena never outlives part of its batch. Replies still
+// copy out (GET, LRANGE): the server writes them after the shard lock
+// is released, and a caller may keep or mutate them.
 type Engine struct {
 	shards []shard
 	mask   uint32
@@ -152,15 +149,10 @@ func (e *Engine) Do(cmd string, args ...[]byte) Reply {
 func (e *Engine) doID(id cmdID, cmd string, args [][]byte) Reply {
 	switch id {
 	case cmdPing:
-		if len(args) == 1 {
-			return bulkReply(args[0])
+		if len(args) != 0 {
+			return wrongArgs("ping")
 		}
 		return Reply{Type: SimpleString, Str: "PONG"}
-	case cmdEcho:
-		if len(args) != 1 {
-			return wrongArgs("echo")
-		}
-		return bulkReply(args[0])
 	case cmdSet:
 		if len(args) != 2 {
 			return wrongArgs("set")
@@ -180,63 +172,21 @@ func (e *Engine) doID(id cmdID, cmd string, args [][]byte) Reply {
 			n += e.del(string(k))
 		}
 		return intReply(n)
-	case cmdExists:
-		if len(args) == 0 {
-			return wrongArgs("exists")
-		}
-		n := int64(0)
-		for _, k := range args {
-			n += e.exists(string(k))
-		}
-		return intReply(n)
 	case cmdIncr:
 		if len(args) != 1 {
 			return wrongArgs("incr")
 		}
-		return e.incrBy(string(args[0]), 1)
-	case cmdIncrBy:
-		if len(args) != 2 {
-			return wrongArgs("incrby")
-		}
-		d, err := strconv.ParseInt(string(args[1]), 10, 64)
-		if err != nil {
-			return notInteger()
-		}
-		return e.incrBy(string(args[0]), d)
-	case cmdAppend:
-		if len(args) != 2 {
-			return wrongArgs("append")
-		}
-		return e.append(string(args[0]), args[1])
-	case cmdStrlen:
-		if len(args) != 1 {
-			return wrongArgs("strlen")
-		}
-		return e.strlen(string(args[0]))
+		return e.incr(string(args[0]))
 	case cmdRPush:
 		if len(args) < 2 {
 			return wrongArgs("rpush")
 		}
 		return e.rpush(string(args[0]), args[1:])
-	case cmdLPush:
-		if len(args) < 2 {
-			return wrongArgs("lpush")
-		}
-		return e.lpush(string(args[0]), args[1:])
 	case cmdLLen:
 		if len(args) != 1 {
 			return wrongArgs("llen")
 		}
 		return e.llen(string(args[0]))
-	case cmdLIndex:
-		if len(args) != 2 {
-			return wrongArgs("lindex")
-		}
-		i, err := strconv.ParseInt(string(args[1]), 10, 64)
-		if err != nil {
-			return notInteger()
-		}
-		return e.lindex(string(args[0]), i)
 	case cmdLRange:
 		if len(args) != 3 {
 			return wrongArgs("lrange")
@@ -247,9 +197,6 @@ func (e *Engine) doID(id cmdID, cmd string, args [][]byte) Reply {
 			return notInteger()
 		}
 		return e.lrange(string(args[0]), start, stop)
-	case cmdFlushDB, cmdFlushAll:
-		e.Flush()
-		return okReply()
 	case cmdDBSize:
 		return intReply(e.Size())
 	default:
@@ -304,22 +251,9 @@ func (e *Engine) del(key string) int64 {
 	return n
 }
 
-func (e *Engine) exists(key string) int64 {
-	s := e.shardFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.strings[key]; ok {
-		return 1
-	}
-	if _, ok := s.lists[key]; ok {
-		return 1
-	}
-	return 0
-}
-
-// incrBy is the atomic fetch-and-increment the global barrier is built
+// incr is the atomic fetch-and-increment the global barrier is built
 // on (paper §IV).
-func (e *Engine) incrBy(key string, delta int64) Reply {
+func (e *Engine) incr(key string) Reply {
 	s := e.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -334,30 +268,9 @@ func (e *Engine) incrBy(key string, delta int64) Reply {
 		}
 		cur = n
 	}
-	cur += delta
+	cur++
 	s.strings[key] = []byte(strconv.FormatInt(cur, 10))
 	return intReply(cur)
-}
-
-func (e *Engine) append(key string, val []byte) Reply {
-	s := e.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, isList := s.lists[key]; isList {
-		return wrongType()
-	}
-	s.strings[key] = append(s.strings[key], val...)
-	return intReply(int64(len(s.strings[key])))
-}
-
-func (e *Engine) strlen(key string) Reply {
-	s := e.shardFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, isList := s.lists[key]; isList {
-		return wrongType()
-	}
-	return intReply(int64(len(s.strings[key])))
 }
 
 func (e *Engine) rpush(key string, vals [][]byte) Reply {
@@ -395,29 +308,6 @@ func copyVals(dst, vals [][]byte) [][]byte {
 	return dst
 }
 
-func (e *Engine) lpush(key string, vals [][]byte) Reply {
-	s := e.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, isStr := s.strings[key]; isStr {
-		return wrongType()
-	}
-	l := s.lists[key]
-	seg := copyVals(make([][]byte, 0, len(vals)), vals)
-	slices.Reverse(seg)
-	if len(l.segs) > 0 && len(l.segs[0])+len(seg) <= segSize {
-		l.segs[0] = append(seg, l.segs[0]...)
-	} else {
-		l.segs = slices.Insert(l.segs, 0, seg)
-		l.ends = slices.Insert(l.ends, 0, 0)
-	}
-	for i := range l.ends {
-		l.ends[i] += len(vals)
-	}
-	s.lists[key] = l
-	return intReply(int64(l.len()))
-}
-
 func (e *Engine) llen(key string) Reply {
 	s := e.shardFor(key)
 	s.mu.RLock()
@@ -426,26 +316,6 @@ func (e *Engine) llen(key string) Reply {
 		return wrongType()
 	}
 	return intReply(int64(s.lists[key].len()))
-}
-
-func (e *Engine) lindex(key string, i int64) Reply {
-	s := e.shardFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, isStr := s.strings[key]; isStr {
-		return wrongType()
-	}
-	l := s.lists[key]
-	if i < 0 {
-		i += int64(l.len())
-	}
-	if i < 0 || i >= int64(l.len()) {
-		return nilReply()
-	}
-	k, off := l.find(int(i))
-	out := make([]byte, len(l.segs[k][off]))
-	copy(out, l.segs[k][off])
-	return bulkReply(out)
 }
 
 func (e *Engine) lrange(key string, start, stop int64) Reply {
@@ -484,17 +354,6 @@ func (e *Engine) lrange(key string, start, stop int64) Reply {
 		off++
 	}
 	return Reply{Type: Array, Array: out}
-}
-
-// Flush removes every key.
-func (e *Engine) Flush() {
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.mu.Lock()
-		s.strings = make(map[string][]byte)
-		s.lists = make(map[string]list)
-		s.mu.Unlock()
-	}
 }
 
 // Size returns the total number of keys.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -19,9 +20,6 @@ func TestEngineSetGetDel(t *testing.T) {
 	if rep := e.Do("GET", []byte("k")); string(rep.Bulk) != "v" {
 		t.Errorf("GET = %v", rep)
 	}
-	if rep := e.Do("EXISTS", []byte("k"), []byte("nope")); rep.Int != 1 {
-		t.Errorf("EXISTS = %v", rep)
-	}
 	if rep := e.Do("DEL", []byte("k"), []byte("nope")); rep.Int != 1 {
 		t.Errorf("DEL = %v", rep)
 	}
@@ -35,18 +33,12 @@ func TestEngineIncr(t *testing.T) {
 	if rep := e.Do("INCR", []byte("c")); rep.Int != 1 {
 		t.Errorf("first INCR = %v", rep)
 	}
-	if rep := e.Do("INCRBY", []byte("c"), []byte("41")); rep.Int != 42 {
-		t.Errorf("INCRBY = %v", rep)
-	}
-	if rep := e.Do("INCRBY", []byte("c"), []byte("-2")); rep.Int != 40 {
-		t.Errorf("negative INCRBY = %v", rep)
+	if rep := e.Do("INCR", []byte("c")); rep.Int != 2 {
+		t.Errorf("second INCR = %v", rep)
 	}
 	e.Do("SET", []byte("s"), []byte("notanumber"))
 	if rep := e.Do("INCR", []byte("s")); rep.Type != ErrorReply {
 		t.Errorf("INCR on text = %v", rep)
-	}
-	if rep := e.Do("INCRBY", []byte("c"), []byte("xx")); rep.Type != ErrorReply {
-		t.Errorf("INCRBY bad delta = %v", rep)
 	}
 }
 
@@ -79,21 +71,18 @@ func TestEngineLists(t *testing.T) {
 	if rep := e.Do("RPUSH", []byte("l"), []byte("a"), []byte("b")); rep.Int != 2 {
 		t.Errorf("RPUSH = %v", rep)
 	}
-	if rep := e.Do("LPUSH", []byte("l"), []byte("z")); rep.Int != 3 {
-		t.Errorf("LPUSH = %v", rep)
+	if rep := e.Do("RPUSH", []byte("l"), []byte("z")); rep.Int != 3 {
+		t.Errorf("second RPUSH = %v", rep)
 	}
 	if rep := e.Do("LLEN", []byte("l")); rep.Int != 3 {
 		t.Errorf("LLEN = %v", rep)
 	}
 	rep := e.Do("LRANGE", []byte("l"), []byte("0"), []byte("-1"))
-	if len(rep.Array) != 3 || string(rep.Array[0].Bulk) != "z" || string(rep.Array[2].Bulk) != "b" {
+	if len(rep.Array) != 3 || string(rep.Array[0].Bulk) != "a" || string(rep.Array[2].Bulk) != "z" {
 		t.Errorf("LRANGE = %v", rep)
 	}
-	if rep := e.Do("LINDEX", []byte("l"), []byte("-1")); string(rep.Bulk) != "b" {
-		t.Errorf("LINDEX -1 = %v", rep)
-	}
-	if rep := e.Do("LINDEX", []byte("l"), []byte("99")); rep.Type != NullBulk {
-		t.Errorf("LINDEX out of range = %v", rep)
+	if rep := e.Do("LRANGE", []byte("l"), []byte("-1"), []byte("-1")); len(rep.Array) != 1 || string(rep.Array[0].Bulk) != "z" {
+		t.Errorf("LRANGE -1 -1 = %v", rep)
 	}
 	// Range semantics.
 	if rep := e.Do("LRANGE", []byte("l"), []byte("5"), []byte("9")); len(rep.Array) != 0 {
@@ -132,23 +121,7 @@ func TestEngineWrongType(t *testing.T) {
 	}
 }
 
-func TestEngineAppendStrlen(t *testing.T) {
-	e := NewEngine()
-	if rep := e.Do("APPEND", []byte("a"), []byte("foo")); rep.Int != 3 {
-		t.Errorf("APPEND = %v", rep)
-	}
-	if rep := e.Do("APPEND", []byte("a"), []byte("bar")); rep.Int != 6 {
-		t.Errorf("second APPEND = %v", rep)
-	}
-	if rep := e.Do("STRLEN", []byte("a")); rep.Int != 6 {
-		t.Errorf("STRLEN = %v", rep)
-	}
-	if rep := e.Do("GET", []byte("a")); string(rep.Bulk) != "foobar" {
-		t.Errorf("GET = %v", rep)
-	}
-}
-
-func TestEngineFlushAndSize(t *testing.T) {
+func TestEngineDBSize(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 20; i++ {
 		e.Do("SET", []byte(fmt.Sprintf("k%d", i)), []byte("v"))
@@ -157,20 +130,17 @@ func TestEngineFlushAndSize(t *testing.T) {
 	if rep := e.Do("DBSIZE"); rep.Int != 21 {
 		t.Errorf("DBSIZE = %v", rep)
 	}
-	if rep := e.Do("FLUSHDB"); rep.Str != "OK" {
-		t.Errorf("FLUSHDB = %v", rep)
-	}
-	if rep := e.Do("DBSIZE"); rep.Int != 0 {
-		t.Errorf("DBSIZE after flush = %v", rep)
+	e.Do("DEL", []byte("list"), []byte("k0"))
+	if rep := e.Do("DBSIZE"); rep.Int != 19 {
+		t.Errorf("DBSIZE after DEL = %v", rep)
 	}
 }
 
 func TestEngineArgValidation(t *testing.T) {
 	e := NewEngine()
 	bad := [][]string{
-		{"GET"}, {"SET", "k"}, {"DEL"}, {"INCR"}, {"INCRBY", "k"},
-		{"RPUSH", "k"}, {"LRANGE", "k", "0"}, {"LINDEX", "k"},
-		{"ECHO"}, {"EXISTS"}, {"APPEND", "k"}, {"STRLEN"}, {"LLEN"},
+		{"GET"}, {"SET", "k"}, {"DEL"}, {"INCR"}, {"RPUSH", "k"},
+		{"LRANGE", "k", "0"}, {"LLEN"}, {"PING", "x"},
 	}
 	for _, c := range bad {
 		args := make([][]byte, len(c)-1)
@@ -184,8 +154,12 @@ func TestEngineArgValidation(t *testing.T) {
 	if rep := e.Do("NOSUCHCMD"); rep.Type != ErrorReply {
 		t.Errorf("unknown command accepted: %v", rep)
 	}
-	if rep := e.Do("LINDEX", []byte("k"), []byte("abc")); rep.Type != ErrorReply {
-		t.Errorf("non-integer index accepted: %v", rep)
+	// Cut because no program sent them; an old log holding one fails
+	// replay at that record.
+	for _, name := range []string{"ECHO", "EXISTS", "INCRBY", "APPEND", "STRLEN", "LPUSH", "LINDEX", "FLUSHDB", "FLUSHALL"} {
+		if rep := e.Do(name, []byte("k"), []byte("1")); rep.Type != ErrorReply || !strings.HasPrefix(rep.Str, "ERR unknown command") {
+			t.Errorf("%s = %v, want ERR unknown command", name, rep)
+		}
 	}
 	if rep := e.Do("LRANGE", []byte("k"), []byte("a"), []byte("b")); rep.Type != ErrorReply {
 		t.Errorf("non-integer range accepted: %v", rep)
@@ -222,22 +196,20 @@ func TestEngineValueIsolation(t *testing.T) {
 	lv := []byte("item")
 	e.Do("RPUSH", []byte("l"), lv)
 	lv[0] = 'Z'
-	rep3 := e.Do("LINDEX", []byte("l"), []byte("0"))
-	if !bytes.Equal(rep3.Bulk, []byte("item")) {
+	rep3 := e.Do("LRANGE", []byte("l"), []byte("0"), []byte("0"))
+	if len(rep3.Array) != 1 || !bytes.Equal(rep3.Array[0].Bulk, []byte("item")) {
 		t.Error("list aliases pushed buffer")
 	}
 }
 
-func TestEnginePingEcho(t *testing.T) {
+func TestEnginePing(t *testing.T) {
 	e := NewEngine()
-	if rep := e.Do("PING"); rep.Str != "PONG" {
+	if rep := e.Do("PING"); rep.Type != SimpleString || rep.Str != "PONG" {
 		t.Errorf("PING = %v", rep)
 	}
-	if rep := e.Do("PING", []byte("hi")); string(rep.Bulk) != "hi" {
-		t.Errorf("PING msg = %v", rep)
-	}
-	if rep := e.Do("ECHO", []byte("x")); string(rep.Bulk) != "x" {
-		t.Errorf("ECHO = %v", rep)
+	// No reply echoes an argument, so none aliases the caller's buffer.
+	if rep := e.Do("PING", []byte("x")); rep.Type != ErrorReply || !strings.Contains(rep.Str, "wrong number of arguments") {
+		t.Errorf("PING x = %v, want a wrong-arguments error", rep)
 	}
 }
 
@@ -282,7 +254,7 @@ func BenchmarkEngineRPush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%10000 == 0 {
-			e.Flush()
+			e.Do("DEL", []byte("l"))
 		}
 		e.Do("RPUSH", []byte("l"), val)
 	}
@@ -306,21 +278,13 @@ func TestEngineCopiesArguments(t *testing.T) {
 	el1, el2 := []byte("aa"), []byte("bb")
 	e.Do("RPUSH", lkey, el1, el2)
 	el1[0], el2[0], lkey[0] = 'X', 'X', 'X'
-	el3 := []byte("front")
-	e.Do("LPUSH", []byte("l"), el3)
+	el3 := []byte("tail") // extends the end segment in place
+	e.Do("RPUSH", []byte("l"), el3)
 	el3[0] = 'X'
 	rep := e.Do("LRANGE", []byte("l"), []byte("0"), []byte("-1"))
-	if len(rep.Array) != 3 || string(rep.Array[0].Bulk) != "front" ||
-		string(rep.Array[1].Bulk) != "aa" || string(rep.Array[2].Bulk) != "bb" {
-		t.Errorf("RPUSH/LPUSH aliased caller memory: %v", rep.Array)
-	}
-
-	akey, aval := []byte("app"), []byte("tail")
-	e.Do("APPEND", akey, aval)
-	aval[0] = 'X'
-	e.Do("APPEND", []byte("app"), []byte("!"))
-	if rep := e.Do("GET", []byte("app")); string(rep.Bulk) != "tail!" {
-		t.Errorf("APPEND aliased caller memory: %q", rep.Bulk)
+	if len(rep.Array) != 3 || string(rep.Array[0].Bulk) != "aa" ||
+		string(rep.Array[1].Bulk) != "bb" || string(rep.Array[2].Bulk) != "tail" {
+		t.Errorf("RPUSH aliased caller memory: %v", rep.Array)
 	}
 
 	// And the read direction: replies must not alias engine storage.
@@ -332,13 +296,9 @@ func TestEngineCopiesArguments(t *testing.T) {
 	for _, el := range e.Do("LRANGE", []byte("l"), []byte("0"), []byte("-1")).Array {
 		el.Bulk[0] = 'Z'
 	}
-	e.Do("LINDEX", []byte("l"), []byte("1")).Bulk[1] = 'Z'
 	rep = e.Do("LRANGE", []byte("l"), []byte("0"), []byte("-1"))
-	if len(rep.Array) != 3 || string(rep.Array[0].Bulk) != "front" ||
-		string(rep.Array[1].Bulk) != "aa" || string(rep.Array[2].Bulk) != "bb" {
-		t.Errorf("LRANGE/LINDEX reply aliases engine storage: %v", rep.Array)
-	}
-	if rep := e.Do("LINDEX", []byte("l"), []byte("1")); string(rep.Bulk) != "aa" {
-		t.Errorf("LRANGE/LINDEX reply aliases engine storage: LINDEX 1 = %q", rep.Bulk)
+	if len(rep.Array) != 3 || string(rep.Array[0].Bulk) != "aa" ||
+		string(rep.Array[1].Bulk) != "bb" || string(rep.Array[2].Bulk) != "tail" {
+		t.Errorf("LRANGE reply aliases engine storage: %v", rep.Array)
 	}
 }

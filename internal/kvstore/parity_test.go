@@ -72,8 +72,8 @@ func kvScript(kv storeClient) []string {
 	els, err = kv.LRange("s", 0, -1)
 	note("LRange on a string (WRONGTYPE)", els, err)
 	note("Ping", nil, kv.Ping())
-	rep, err := kv.Do("exists", []byte("s"), []byte("l"), []byte("missing"))
-	note("Do EXISTS", rep, err)
+	rep, err := kv.Do("del", []byte("missing"), []byte("gone"))
+	note("Do DEL (multi-key, lowercase)", rep, err)
 	rep, err = kv.Do("DBSIZE")
 	note("Do DBSIZE (keyless)", rep, err)
 	rep, err = kv.Do("NOSUCH", []byte("s"))

@@ -25,10 +25,6 @@ type respWriter struct {
 	curStart int // arena offset where the open span began
 	extBytes int // running total of referenced payload bytes
 
-	// zmin is the smallest bulk payload worth referencing instead of
-	// copying: below it, the copy is cheaper than an extra iovec entry.
-	zmin int
-
 	bufs net.Buffers // reused scratch for Flush
 }
 
@@ -39,9 +35,10 @@ type respSeg struct {
 	ext        []byte
 }
 
-// respZeroCopyMin is the default zmin: payloads under this are copied
-// into the arena (one contiguous write), larger ones ride as their own
-// iovec entry.
+// respZeroCopyMin is the smallest bulk payload worth referencing
+// instead of copying: payloads under it are copied into the arena (one
+// contiguous write), where the copy is cheaper than an extra iovec
+// entry; larger ones ride as their own.
 const respZeroCopyMin = 256
 
 // respFlushHighWater caps how much a connection buffers before the
@@ -50,14 +47,14 @@ const respZeroCopyMin = 256
 const respFlushHighWater = 256 << 10
 
 func newRESPWriter(dst io.Writer) *respWriter {
-	return &respWriter{dst: dst, zmin: respZeroCopyMin}
+	return &respWriter{dst: dst}
 }
 
-// writeReply appends one reply to the pending batch. forceCopy demands
-// the payload be copied into the arena even when large — required when
-// the reply's bulk aliases memory that is recycled before Flush (the
-// parse arena behind an ECHO).
-func (w *respWriter) writeReply(r Reply, forceCopy bool) {
+// writeReply appends one reply to the pending batch. A large bulk
+// payload is referenced, not copied, so it must stay unmutated until
+// flush: engine replies own their bytes (they copy out), and none
+// aliases the connection's parse arena.
+func (w *respWriter) writeReply(r Reply) {
 	switch r.Type {
 	case SimpleString:
 		w.arena = append(w.arena, '+')
@@ -75,7 +72,7 @@ func (w *respWriter) writeReply(r Reply, forceCopy bool) {
 		w.arena = append(w.arena, '$')
 		w.arena = strconv.AppendInt(w.arena, int64(len(r.Bulk)), 10)
 		w.arena = append(w.arena, '\r', '\n')
-		if len(r.Bulk) >= w.zmin && !forceCopy {
+		if len(r.Bulk) >= respZeroCopyMin {
 			w.extend(r.Bulk)
 		} else {
 			w.arena = append(w.arena, r.Bulk...)
@@ -88,7 +85,7 @@ func (w *respWriter) writeReply(r Reply, forceCopy bool) {
 		w.arena = strconv.AppendInt(w.arena, int64(len(r.Array)), 10)
 		w.arena = append(w.arena, '\r', '\n')
 		for _, el := range r.Array {
-			w.writeReply(el, forceCopy)
+			w.writeReply(el)
 		}
 	case NullArray:
 		w.arena = append(w.arena, "*-1\r\n"...)

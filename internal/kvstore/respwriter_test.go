@@ -45,23 +45,20 @@ func TestRESPWriterMatchesWriteReply(t *testing.T) {
 		{Type: Array, Array: nil},
 	}
 	want := goldenReplyBytes(t, replies...)
-	for _, forceCopy := range []bool{false, true} {
-		var got bytes.Buffer
-		rw := newRESPWriter(&got)
-		for _, r := range replies {
-			rw.writeReply(r, forceCopy)
-		}
-		n, err := rw.flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(got.Len()) {
-			t.Errorf("forceCopy=%v: flush reported %d bytes, wrote %d", forceCopy, n, got.Len())
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("forceCopy=%v: writer output diverges from WriteReply\n got %d bytes\nwant %d bytes",
-				forceCopy, got.Len(), len(want))
-		}
+	var got bytes.Buffer
+	rw := newRESPWriter(&got)
+	for _, r := range replies {
+		rw.writeReply(r)
+	}
+	n, err := rw.flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(got.Len()) {
+		t.Errorf("flush reported %d bytes, wrote %d", n, got.Len())
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("writer output diverges from WriteReply\n got %d bytes\nwant %d bytes", got.Len(), len(want))
 	}
 }
 
@@ -80,7 +77,7 @@ func TestRESPWriterInterleavedSmallAndLarge(t *testing.T) {
 	var got bytes.Buffer
 	rw := newRESPWriter(&got)
 	for _, r := range replies {
-		rw.writeReply(r, false)
+		rw.writeReply(r)
 	}
 	if _, err := rw.flush(); err != nil {
 		t.Fatal(err)
@@ -90,7 +87,7 @@ func TestRESPWriterInterleavedSmallAndLarge(t *testing.T) {
 	}
 	// The writer must be reusable after flush.
 	got.Reset()
-	rw.writeReply(okReply(), false)
+	rw.writeReply(okReply())
 	if _, err := rw.flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +115,7 @@ func TestRESPWriterPendingCounter(t *testing.T) {
 			{Type: Array, Array: []Reply{bulkReply(big), nilReply()}},
 		}
 		for _, r := range replies {
-			rw.writeReply(r, false)
+			rw.writeReply(r)
 		}
 		want := rw.pending()
 		sink.Reset()

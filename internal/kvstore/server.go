@@ -259,10 +259,9 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	// One command arena per connection: arguments parsed by
 	// ReadCommandInto alias cb and are recycled every iteration. The
-	// engine copies anything it stores at its boundary (see engine.go);
-	// replies that alias the arena (PING/ECHO) are force-copied into the
-	// reply writer's own buffer before the next read, so nothing
-	// outlives its arena generation.
+	// engine copies anything it stores at its boundary and no reply
+	// aliases an argument (see engine.go), so nothing outlives its
+	// arena generation.
 	var cb CommandBuffer
 	for {
 		cmd, args, err := ReadCommandInto(r, &cb, MaxBulkLen)
@@ -274,7 +273,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				stats.m.parseErrors.Inc()
 			}
 			// Malformed input: answer with an error if possible, drop.
-			rw.writeReply(errReply("ERR "+err.Error()), true)
+			rw.writeReply(errReply("ERR " + err.Error()))
 			_ = flushReplies()
 			return
 		}
@@ -312,10 +311,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if stats != nil {
 			stats.observe(id, reply.Type == ErrorReply)
 		}
-		// PING/ECHO replies alias the parse arena, recycled on the next
-		// ReadCommandInto — copy them; everything else may ride
-		// zero-copy into the writev batch.
-		rw.writeReply(reply, id == cmdPing || id == cmdEcho)
+		rw.writeReply(reply)
 		// Coalesce reply writes: flush when no further command is
 		// already buffered (a pipelined batch read in one bufio fill is
 		// answered with one gather-write) or when the pending batch hits

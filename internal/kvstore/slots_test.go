@@ -188,12 +188,12 @@ func TestServerMovedRedirect(t *testing.T) {
 		t.Errorf("PING in cluster mode: %v", err)
 	}
 	// Multi-key commands redirect if ANY key is foreign.
-	rep, err = c.Do("EXISTS", []byte(local), []byte(foreign))
+	rep, err = c.Do("DEL", []byte(local), []byte(foreign))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := parseMoved(rep); !ok {
-		t.Errorf("EXISTS with one foreign key = %+v, want MOVED", rep)
+		t.Errorf("DEL with one foreign key = %+v, want MOVED", rep)
 	}
 }
 

@@ -263,6 +263,26 @@ type WriteGrouper interface {
 	WriteGroup(id int) int
 }
 
+// WriteGroups buckets partition ids (ascending) by st's write groups:
+// ids stay ascending inside a group and groups are ordered by their
+// first id, so a fan-out over the groups that reports its lowest
+// failing group fails deterministically.
+func WriteGroups(st WriteGrouper, ids []int) [][]int {
+	index := make(map[int]int)
+	var groups [][]int
+	for _, j := range ids {
+		g := st.WriteGroup(j)
+		gi, ok := index[g]
+		if !ok {
+			gi = len(groups)
+			index[g] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], j)
+	}
+	return groups
+}
+
 // Place serializes every partition of the assignment from the corpus
 // and writes it to the store. Equivalent to PlaceParallel with the
 // default worker count.
@@ -295,22 +315,14 @@ func PlaceParallel(c pivots.Corpus, a *Assignment, st Store, workers int) error 
 		}
 		return nil
 	}
-	// Bucket partitions by write group, preserving ascending id order
-	// within each group; groups then fan out.
-	groupOf := make(map[int]int)
-	var order []int
-	buckets := make(map[int][]int)
-	for j := 0; j < p; j++ {
-		g := gr.WriteGroup(j)
-		if _, seen := groupOf[g]; !seen {
-			groupOf[g] = len(order)
-			order = append(order, g)
-		}
-		buckets[g] = append(buckets[g], j)
+	ids := make([]int, p)
+	for j := range ids {
+		ids[j] = j
 	}
-	_, err := parallel.ForErr(len(order), workers, func(lo, hi int) error {
+	groups := WriteGroups(gr, ids)
+	_, err := parallel.ForErr(len(groups), workers, func(lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {
-			for _, j := range buckets[order[gi]] {
+			for _, j := range groups[gi] {
 				if err := st.WritePartition(j, recs[j]); err != nil {
 					return fmt.Errorf("partitioner: placing partition %d: %w", j, err)
 				}

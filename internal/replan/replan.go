@@ -606,18 +606,7 @@ func (l *Loop) writeAffected(next *partitioner.Assignment, affected map[int]stru
 		parts = append(parts, j)
 	}
 	sort.Ints(parts)
-	groupIdx := make(map[int]int)
-	var groups [][]int
-	for _, j := range parts {
-		g := l.store.WriteGroup(j)
-		gi, ok := groupIdx[g]
-		if !ok {
-			gi = len(groups)
-			groupIdx[g] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], j)
-	}
+	groups := partitioner.WriteGroups(l.store, parts)
 	txn := l.store.Begin()
 	_, err = parallel.ForErr(len(groups), l.cfg.Core.Workers, func(lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {

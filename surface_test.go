@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -366,6 +367,94 @@ func TestRootPackageDeclaresNothing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The store's command rule: every name in kvstore's command table is
+// sent by some program — a non-test file other than the table's own
+// spells it as a string literal. A command no program sends is a table
+// row, an engine case and tests kept for nobody; it is cut, and an old
+// log holding it fails replay at that record. The commands kept
+// without a sender are listed here with their reasons, and an entry
+// that gains a sender or leaves the table fails the test too.
+var unsentCmdAllow = map[string]string{
+	"DBSIZE": "the key-count oracle of the distrib, barrier and history tests",
+}
+
+// unsentCmdAllowCap bounds unsentCmdAllow; it is lowered whenever
+// entries go, never raised.
+const unsentCmdAllowCap = 1
+
+// cmdTableFile holds kvstore's cmdTable.
+const cmdTableFile = "internal/kvstore/dispatch.go"
+
+// TestEveryStoreCommandIsSent applies the command rule to the
+// repository.
+func TestEveryStoreCommandIsSent(t *testing.T) {
+	fset, nonTest, err := parseNonTest(repoFiles(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table []string
+	sent := map[string]bool{}
+	for _, pf := range nonTest {
+		inTable := fset.Position(pf.file.Pos()).Filename == cmdTableFile
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.ValueSpec:
+				if inTable && len(x.Names) == 1 && x.Names[0].Name == "cmdTable" && len(x.Values) == 1 {
+					table = cmdTableNames(x.Values[0])
+					return false
+				}
+			case *ast.BasicLit:
+				if x.Kind == token.STRING && !inTable {
+					s, _ := strconv.Unquote(x.Value)
+					sent[s] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(table) == 0 {
+		t.Fatalf("no command names found in %s's cmdTable", cmdTableFile)
+	}
+	if len(unsentCmdAllow) > unsentCmdAllowCap {
+		t.Errorf("command allow-list has %d entries; the rule allows %d", len(unsentCmdAllow), unsentCmdAllowCap)
+	}
+	for _, name := range table {
+		switch _, allowed := unsentCmdAllow[name]; {
+		case !sent[name] && !allowed:
+			t.Errorf("%s: no program sends %s; cut the command, or list it in unsentCmdAllow with its reason", cmdTableFile, name)
+		case sent[name] && allowed:
+			t.Errorf("allow-list entry %s: a program sends it now; drop the entry", name)
+		}
+	}
+	for name, reason := range unsentCmdAllow {
+		if !slices.Contains(table, name) {
+			t.Errorf("allow-list entry %s names no command in the table", name)
+		} else if reason == "" {
+			t.Errorf("allow-list entry %s gives no reason", name)
+		}
+	}
+}
+
+// cmdTableNames returns the name: fields of cmdTable's rows.
+func cmdTableNames(rows ast.Expr) []string {
+	var names []string
+	ast.Inspect(rows, func(n ast.Node) bool {
+		kv, ok := n.(*ast.KeyValueExpr)
+		if !ok {
+			return true
+		}
+		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "name" {
+			if lit, ok := kv.Value.(*ast.BasicLit); ok {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					names = append(names, s)
+				}
+			}
+		}
+		return true
+	})
+	return names
 }
 
 // surfaceFixture is a small module the guard's own tests scan: package
