@@ -36,17 +36,21 @@ func zipfWeights(k int, s float64) []float64 {
 	return w
 }
 
-// sampleIndex draws an index from the weight distribution.
-func sampleIndex(rng *rand.Rand, weights []float64) int {
-	u := rng.Float64()
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
+// cumulative turns weights into their running sums, in place, added in
+// index order.
+func cumulative(w []float64) []float64 {
+	for i := 1; i < len(w); i++ {
+		w[i] += w[i-1]
 	}
-	return len(weights) - 1
+	return w
+}
+
+// sampleIndex draws from running sums the index a linear scan adding
+// the weights stops at: the first whose sum exceeds a uniform draw, or
+// the last when rounding leaves the total at or below the draw.
+func sampleIndex(rng *rand.Rand, cum []float64) int {
+	u := rng.Float64()
+	return min(sort.Search(len(cum), func(i int) bool { return u < cum[i] }), len(cum)-1)
 }
 
 // ---------------------------------------------------------------------------
@@ -122,8 +126,8 @@ func GenerateTrees(cfg TreeConfig) ([]pivots.Tree, []int, error) {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	groupW := zipfWeights(cfg.NumGroups, cfg.GroupSkew)
-	labelW := zipfWeights(cfg.GroupVocab+cfg.SharedVocab, 1.0)
+	groupW := cumulative(zipfWeights(cfg.NumGroups, cfg.GroupSkew))
+	labelW := cumulative(zipfWeights(cfg.GroupVocab+cfg.SharedVocab, 1.0))
 	trees := make([]pivots.Tree, cfg.NumTrees)
 	truth := make([]int, cfg.NumTrees)
 	for i := range trees {
@@ -366,11 +370,11 @@ func GenerateText(cfg TextConfig) ([]pivots.Doc, []int, error) {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	topicW := zipfWeights(cfg.NumTopics, cfg.TopicSkew)
+	topicW := cumulative(zipfWeights(cfg.NumTopics, cfg.TopicSkew))
 	band := cfg.VocabSize / cfg.NumTopics
 	// Zipf within a band: popular topical words dominate, mirroring
 	// natural term frequencies.
-	bandW := zipfWeights(band, 1.05)
+	bandW := cumulative(zipfWeights(band, 1.05))
 	docs := make([]pivots.Doc, cfg.NumDocs)
 	truth := make([]int, cfg.NumDocs)
 	for i := range docs {

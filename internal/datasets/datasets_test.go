@@ -2,7 +2,9 @@ package datasets
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pareto/internal/pivots"
@@ -26,6 +28,48 @@ func TestZipfWeights(t *testing.T) {
 	for _, v := range u {
 		if math.Abs(v-0.25) > 1e-12 {
 			t.Errorf("skew 0 not uniform: %v", u)
+		}
+	}
+}
+
+// linearSampleIndex is the scan sampleIndex replaced: add the weights
+// one by one and stop at the first running sum above the draw.
+func linearSampleIndex(rng *rand.Rand, weights []float64) int {
+	u := rng.Float64()
+	var acc float64
+	for i, w := range weights {
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// TestSampleIndexMatchesLinearScan holds the binary search over running
+// sums to the linear scan, draw for draw from one seed, on the weight
+// vectors the generators draw from (groups, tree labels, topics, a
+// text band) and on one whose total falls short of 1, where the last
+// index takes every draw above the total.
+func TestSampleIndexMatchesLinearScan(t *testing.T) {
+	draws := 2_000_000
+	if testing.Short() {
+		draws = 100_000
+	}
+	cases := [][]float64{
+		zipfWeights(10, 0.9),
+		zipfWeights(12, 0.8),
+		zipfWeights(60, 1.0),
+		zipfWeights(1493, 1.05),
+		{0.1, 0.2, 0, 0.2},
+	}
+	for _, w := range cases {
+		c := cumulative(slices.Clone(w))
+		a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		for d := 0; d < draws; d++ {
+			if got, want := sampleIndex(a, c), linearSampleIndex(b, w); got != want {
+				t.Fatalf("k=%d draw %d: sampleIndex %d, linear scan %d", len(w), d, got, want)
+			}
 		}
 	}
 }
@@ -86,7 +130,7 @@ func TestTreeGroupsAreSeparable(t *testing.T) {
 	var ni, nx int
 	for i := 0; i < corpus.Len() && ni+nx < 4000; i++ {
 		for j := i + 1; j < corpus.Len() && j < i+20; j++ {
-			sim := sketch.ExactJaccard(corpus.ItemSet(i), corpus.ItemSet(j))
+			sim := sketch.ExactJaccard(corpus.AppendItems(nil, i), corpus.AppendItems(nil, j))
 			if truth[i] == truth[j] {
 				intra += sim
 				ni++

@@ -485,9 +485,11 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 	}
 	dm.recRecords.Add(int64(report.RecoveredRecords))
 	stats.Busy += parallel.For(len(holes), o.Cluster.Workers, func(lo, hi int) {
+		var items []sketch.Item
 		for _, r := range holes[lo:hi] {
 			sketches[r] = flat[r*width : (r+1)*width : (r+1)*width]
-			hasher.SketchInto(corpus.ItemSet(r), sketches[r])
+			items = corpus.AppendItems(items[:0], r)
+			hasher.SketchInto(items, sketches[r])
 		}
 	})
 	stats.SketchTime = time.Since(phaseStart)
@@ -589,18 +591,20 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 	perCmd := perBlock * blocksPerCmd
 	total := hi - lo
 	p.Expect((total + perCmd - 1) / perCmd)
-	// One arena and one scratch sketch for the whole ship: Send frames
-	// the arguments into the client's write buffer before returning, so
-	// both are safely recycled per command.
+	// One arena, one item buffer and one scratch sketch for the whole
+	// ship: Send frames the arguments into the client's write buffer
+	// before returning, so all three are safely recycled per command.
 	keyArg := []byte(key)
 	arena := make([]byte, 0, perCmd*recSize)
 	args := make([][]byte, 0, blocksPerCmd+1)
 	scratch := make(sketch.Sketch, hasher.K())
+	var items []sketch.Item
 	for r := lo; r < hi; {
 		n := min(perCmd, hi-r)
 		arena = arena[:0]
 		for j := 0; j < n; j++ {
-			hasher.SketchInto(corpus.ItemSet(r+j), scratch)
+			items = corpus.AppendItems(items[:0], r+j)
+			hasher.SketchInto(items, scratch)
 			if arena, err = appendSketchRecord(arena, r+j, scratch); err != nil {
 				return err
 			}

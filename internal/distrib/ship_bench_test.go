@@ -83,7 +83,7 @@ func shipShardPerRecord(c *kvstore.Client, corpus pivots.Corpus, hasher *sketch.
 		return err
 	}
 	for r := lo; r < hi; r++ {
-		enc, err := appendSketchRecord(nil, r, hasher.Sketch(corpus.ItemSet(r)))
+		enc, err := appendSketchRecord(nil, r, hasher.Sketch(corpus.AppendItems(nil, r)))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"runtime"
 	"sort"
 	"strconv"
@@ -23,9 +24,11 @@ import (
 // the end segment up to segSize elements. So a push, and its AOF
 // replay, costs its batch, never a re-copy of the list's headers.
 // Elements are immutable and lists drop them only wholesale (DEL,
-// SET), so an arena never outlives part of its batch. Replies still
-// copy out (GET, LRANGE): the server writes them after the shard lock
-// is released, and a caller may keep or mutate them.
+// SET), so an arena never outlives part of its batch, and GET and
+// LRANGE reply with the stored bytes themselves, which the server
+// writes after the shard lock is released: no command writes to a
+// stored value (SET and INCR replace one, RPUSH only adds). Do clones
+// a reply once, so an in-process caller may keep or mutate it.
 type Engine struct {
 	shards []shard
 	mask   uint32
@@ -136,11 +139,22 @@ func wrongArgs(cmd string) Reply {
 func notInteger() Reply           { return errReply("ERR value is not an integer or out of range") }
 func unknownCmd(cmd string) Reply { return errReply("ERR unknown command '" + cmd + "'") }
 
-// Do executes one command against the engine and returns its reply.
-// Command names are case-insensitive, as in Redis; the lookup folds
-// case without allocating, so a lowercase client costs nothing extra.
+// Do executes one command against the engine and returns its reply,
+// whose bytes the caller owns. Command names are case-insensitive, as
+// in Redis; the lookup folds case without allocating, so a lowercase
+// client costs nothing extra.
 func (e *Engine) Do(cmd string, args ...[]byte) Reply {
-	return e.doID(lookupCmd(cmd), cmd, args)
+	return cloneReply(e.doID(lookupCmd(cmd), cmd, args))
+}
+
+// cloneReply copies the bulk bytes of r, which may alias stored
+// values. An array reply's element slice is built per call.
+func cloneReply(r Reply) Reply {
+	r.Bulk = bytes.Clone(r.Bulk)
+	for i := range r.Array {
+		r.Array[i].Bulk = bytes.Clone(r.Array[i].Bulk)
+	}
+	return r
 }
 
 // doID executes a pre-resolved command. The server resolves the cmdID
@@ -230,9 +244,7 @@ func (e *Engine) get(key string) Reply {
 	if !ok {
 		return nilReply()
 	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return bulkReply(out)
+	return bulkReply(v)
 }
 
 func (e *Engine) del(key string) int64 {
@@ -348,9 +360,7 @@ func (e *Engine) lrange(key string, start, stop int64) Reply {
 		if off == len(l.segs[k]) {
 			k, off = k+1, 0
 		}
-		c := make([]byte, len(l.segs[k][off]))
-		copy(c, l.segs[k][off])
-		out = append(out, bulkReply(c))
+		out = append(out, bulkReply(l.segs[k][off]))
 		off++
 	}
 	return Reply{Type: Array, Array: out}

@@ -52,8 +52,8 @@ func newRESPWriter(dst io.Writer) *respWriter {
 
 // writeReply appends one reply to the pending batch. A large bulk
 // payload is referenced, not copied, so it must stay unmutated until
-// flush: engine replies own their bytes (they copy out), and none
-// aliases the connection's parse arena.
+// flush: engine replies are immutable stored values or fresh bytes,
+// and none aliases the connection's parse arena.
 func (w *respWriter) writeReply(r Reply) {
 	switch r.Type {
 	case SimpleString:

@@ -332,6 +332,40 @@ func BenchmarkServerUnpipelinedSet(b *testing.B) {
 	}
 }
 
+// BenchmarkServerLRange reads one whole list of 10,000 256-byte values
+// per op over a live connection: the server frames the stored values
+// as they are, and the client allocates what it reads.
+func BenchmarkServerLRange(b *testing.B) {
+	srv := NewServer(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const n, size = 10000, 256
+	vals := make([][]byte, n)
+	for i := range vals {
+		vals[i] = bytes.Repeat([]byte{byte('a' + i%26)}, size)
+	}
+	if _, err := c.RPush("l", vals...); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(n * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := c.LRange("l", 0, -1)
+		if err != nil || len(got) != n {
+			b.Fatalf("LRANGE: %d values, %v", len(got), err)
+		}
+	}
+}
+
 func TestClientLRangeChunked(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dialTest(t, addr)

@@ -44,7 +44,7 @@ func sameItemSets(t *testing.T, workers int, ref, got pivots.Corpus) {
 		if got.Weight(i) != ref.Weight(i) {
 			t.Fatalf("workers=%d: Weight(%d) = %d, want %d", workers, i, got.Weight(i), ref.Weight(i))
 		}
-		a, b := sortedItems(ref.ItemSet(i)), sortedItems(got.ItemSet(i))
+		a, b := sortedItems(ref.AppendItems(nil, i)), sortedItems(got.AppendItems(nil, i))
 		if len(a) != len(b) {
 			t.Fatalf("workers=%d: record %d has %d items, want %d", workers, i, len(b), len(a))
 		}

@@ -67,10 +67,11 @@ type Corpus interface {
 	Kind() Kind
 	// Len returns the number of records.
 	Len() int
-	// ItemSet returns the pivot set of record i: duplicate-free and in
-	// ascending order, the same slice contents on every run. Callers
-	// must not modify the returned slice.
-	ItemSet(i int) []sketch.Item
+	// AppendItems appends the pivot set of record i to dst, ascending
+	// and duplicate-free, the same items on every run, and returns the
+	// extended buffer. Nothing is cached: a caller that sketches many
+	// records reuses one buffer, dst[:0], for all of them.
+	AppendItems(dst []sketch.Item, i int) []sketch.Item
 	// Weight returns the size proxy of record i (nodes for trees,
 	// out-degree+1 for graph vertices, tokens for documents).
 	Weight(i int) int
@@ -126,84 +127,80 @@ func (t *Tree) NumNodes() int { return len(t.Parent) }
 // included as binary pivots so that path content is represented even in
 // chains, where no branching LCA pivots exist. The result is a set of
 // hashed items in ascending order, duplicates removed.
-func (t *Tree) Pivots() []sketch.Item {
-	var sc pivotScratch
-	return sc.pivots(t)
-}
+func (t *Tree) Pivots() []sketch.Item { return t.appendPivots(nil) }
 
-// pivotScratch is the reusable working memory of Tree.Pivots, so a
-// corpus build allocates one result per tree and nothing per node.
-type pivotScratch struct {
-	// last[a] is the latest child of node a met so far (0 = none: the
-	// root is nobody's child).
-	last  []int32
-	items []sketch.Item
-}
-
-// pivots computes t.Pivots() in the scratch and copies the set out.
-// Nodes are in topological order with siblings ascending, so one pass
-// over the parent array meets each node's children in sibling order:
-// the previous child of the same parent is the consecutive sibling.
-func (sc *pivotScratch) pivots(t *Tree) []sketch.Item {
+// appendPivots appends t.Pivots() to dst. Nodes are in topological
+// order with siblings ascending, so one pass over the parent array
+// meets each node's children in sibling order: the previous child of
+// the same parent is the consecutive sibling. The pass appends at most
+// 2n−1 items, and each node's latest child so far (0 = none: the root
+// is nobody's child) is kept in dst's spare capacity past them, so a
+// caller that reuses dst allocates nothing per tree.
+func (t *Tree) appendPivots(dst []sketch.Item) []sketch.Item {
 	n := len(t.Parent)
-	if cap(sc.last) < n {
-		sc.last = make([]int32, n)
-	}
-	last := sc.last[:n]
+	base := len(dst)
+	dst = slices.Grow(dst, 3*n)
+	last := dst[base+2*n : base+3*n]
 	clear(last)
-	items := sc.items[:0]
 	for v := 1; v < n; v++ {
 		a := t.Parent[v]
 		la, lv := uint64(t.Label[a]), uint64(t.Label[v])
-		items = append(items, sketch.Hash2(la, lv))
+		dst = append(dst, sketch.Hash2(la, lv))
 		if prev := last[a]; prev != 0 {
-			items = append(items, sketch.Hash3(la, uint64(t.Label[prev]), lv))
+			dst = append(dst, sketch.Hash3(la, uint64(t.Label[prev]), lv))
 		}
-		last[a] = int32(v)
+		last[a] = uint64(v)
 	}
-	if len(items) == 0 {
+	if len(dst) == base {
 		// Single-node tree: its only content is the root label.
-		items = append(items, sketch.Hash2(uint64(t.Label[0]), ^uint64(0)))
+		dst = append(dst, sketch.Hash2(uint64(t.Label[0]), ^uint64(0)))
 	}
-	slices.Sort(items)
-	items = slices.Compact(items)
-	sc.items = items
-	return slices.Clone(items)
+	set := dst[base:]
+	slices.Sort(set)
+	return dst[:base+len(slices.Compact(set))]
 }
 
-// TreeCorpus is a collection of trees with cached pivot sets.
+// TreeCorpus is a collection of validated trees.
 type TreeCorpus struct {
 	Trees []Tree
-
-	items [][]sketch.Item
 }
 
-// NewTreeCorpus validates every tree and precomputes pivot sets,
-// fanning the work out across GOMAXPROCS workers.
+// NewTreeCorpus validates every tree, fanning the work out across
+// GOMAXPROCS workers.
 func NewTreeCorpus(trees []Tree) (*TreeCorpus, error) {
 	return NewTreeCorpusParallel(trees, 0)
 }
 
 // NewTreeCorpusParallel is NewTreeCorpus with an explicit worker bound
-// (≤ 0 means GOMAXPROCS). Validation and pivot extraction are
-// index-addressed per tree, so the corpus — and any error — is
-// identical at every worker count.
+// (≤ 0 means GOMAXPROCS). Pivot sets are extracted when the records
+// are sketched (AppendItems), not here.
 func NewTreeCorpusParallel(trees []Tree, workers int) (*TreeCorpus, error) {
-	c := &TreeCorpus{Trees: trees, items: make([][]sketch.Item, len(trees))}
-	_, err := parallel.ForErr(len(trees), workers, func(lo, hi int) error {
-		var sc pivotScratch
-		for i := lo; i < hi; i++ {
-			if err := trees[i].Validate(); err != nil {
-				return fmt.Errorf("tree %d: %w", i, err)
-			}
-			c.items[i] = sc.pivots(&trees[i])
+	err := validateAll(len(trees), workers, func(i int) error {
+		if err := trees[i].Validate(); err != nil {
+			return fmt.Errorf("tree %d: %w", i, err)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &TreeCorpus{Trees: trees}, nil
+}
+
+// validateAll runs check on every record index, fanned out across
+// workers (≤ 0 means GOMAXPROCS), and returns the error of the lowest
+// failing index: the one the sequential loop would return, at every
+// worker count.
+func validateAll(n, workers int, check func(i int) error) error {
+	_, err := parallel.ForErr(n, workers, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := check(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return err
 }
 
 // Kind returns TreeData.
@@ -212,8 +209,10 @@ func (c *TreeCorpus) Kind() Kind { return TreeData }
 // Len returns the number of trees.
 func (c *TreeCorpus) Len() int { return len(c.Trees) }
 
-// ItemSet returns the cached pivot set of tree i.
-func (c *TreeCorpus) ItemSet(i int) []sketch.Item { return c.items[i] }
+// AppendItems appends the LCA pivot set of tree i (Tree.Pivots).
+func (c *TreeCorpus) AppendItems(dst []sketch.Item, i int) []sketch.Item {
+	return c.Trees[i].appendPivots(dst)
+}
 
 // Weight returns the node count of tree i.
 func (c *TreeCorpus) Weight(i int) int { return c.Trees[i].NumNodes() }
@@ -295,16 +294,16 @@ func (g *Graph) NumEdges() int {
 }
 
 // Validate checks neighbor ordering and range.
-func (g *Graph) Validate() error {
-	n := uint32(len(g.Adj))
-	for v, nbrs := range g.Adj {
-		for i, u := range nbrs {
-			if u >= n {
-				return fmt.Errorf("pivots: vertex %d has out-of-range neighbor %d", v, u)
-			}
-			if i > 0 && nbrs[i-1] >= u {
-				return fmt.Errorf("pivots: vertex %d adjacency not strictly increasing at %d", v, i)
-			}
+func (g *Graph) Validate() error { return validateAll(len(g.Adj), 1, g.validateVertex) }
+
+func (g *Graph) validateVertex(v int) error {
+	nbrs := g.Adj[v]
+	for i, u := range nbrs {
+		if u >= uint32(len(g.Adj)) {
+			return fmt.Errorf("pivots: vertex %d has out-of-range neighbor %d", v, u)
+		}
+		if i > 0 && nbrs[i-1] >= u {
+			return fmt.Errorf("pivots: vertex %d adjacency not strictly increasing at %d", v, i)
 		}
 	}
 	return nil
@@ -313,45 +312,22 @@ func (g *Graph) Validate() error {
 // GraphCorpus exposes a Graph as a corpus of per-vertex records.
 type GraphCorpus struct {
 	G *Graph
-
-	items [][]sketch.Item
 }
 
-// NewGraphCorpus validates the graph and caches per-vertex pivot sets
-// (the neighbor sets themselves, per paper §III-C step 1), fanning the
-// work out across GOMAXPROCS workers.
+// NewGraphCorpus validates the graph, fanning the work out across
+// GOMAXPROCS workers. A vertex's pivot set is its neighbor set (paper
+// §III-C step 1).
 func NewGraphCorpus(g *Graph) (*GraphCorpus, error) {
 	return NewGraphCorpusParallel(g, 0)
 }
 
 // NewGraphCorpusParallel is NewGraphCorpus with an explicit worker
-// bound (≤ 0 means GOMAXPROCS). Validation and item-set construction
-// run in one per-vertex pass, index-addressed, so the corpus — and any
-// error — is identical at every worker count.
+// bound (≤ 0 means GOMAXPROCS).
 func NewGraphCorpusParallel(g *Graph, workers int) (*GraphCorpus, error) {
-	n := uint32(len(g.Adj))
-	c := &GraphCorpus{G: g, items: make([][]sketch.Item, len(g.Adj))}
-	_, err := parallel.ForErr(len(g.Adj), workers, func(lo, hi int) error {
-		for v := lo; v < hi; v++ {
-			nbrs := g.Adj[v]
-			set := make([]sketch.Item, len(nbrs))
-			for i, u := range nbrs {
-				if u >= n {
-					return fmt.Errorf("pivots: vertex %d has out-of-range neighbor %d", v, u)
-				}
-				if i > 0 && nbrs[i-1] >= u {
-					return fmt.Errorf("pivots: vertex %d adjacency not strictly increasing at %d", v, i)
-				}
-				set[i] = sketch.Item(u)
-			}
-			c.items[v] = set
-		}
-		return nil
-	})
-	if err != nil {
+	if err := validateAll(len(g.Adj), workers, g.validateVertex); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &GraphCorpus{G: g}, nil
 }
 
 // Kind returns GraphData.
@@ -360,8 +336,10 @@ func (c *GraphCorpus) Kind() Kind { return GraphData }
 // Len returns the vertex count.
 func (c *GraphCorpus) Len() int { return len(c.G.Adj) }
 
-// ItemSet returns the neighbor set of vertex i.
-func (c *GraphCorpus) ItemSet(i int) []sketch.Item { return c.items[i] }
+// AppendItems appends the neighbor set of vertex i.
+func (c *GraphCorpus) AppendItems(dst []sketch.Item, i int) []sketch.Item {
+	return appendUint32Items(dst, c.G.Adj[i])
+}
 
 // Weight returns out-degree + 1 (the vertex itself plus its edges —
 // the bytes that must be stored and compressed for this record).
@@ -422,46 +400,36 @@ type Doc struct {
 type TextCorpus struct {
 	Docs      []Doc
 	VocabSize int
-
-	items [][]sketch.Item
 }
 
-// NewTextCorpus validates term ordering/range and caches item sets,
-// fanning the work out across GOMAXPROCS workers.
+// NewTextCorpus validates term ordering and range, fanning the work
+// out across GOMAXPROCS workers.
 func NewTextCorpus(docs []Doc, vocabSize int) (*TextCorpus, error) {
 	return NewTextCorpusParallel(docs, vocabSize, 0)
 }
 
 // NewTextCorpusParallel is NewTextCorpus with an explicit worker bound
-// (≤ 0 means GOMAXPROCS). Validation and term extraction are
-// index-addressed per document, so the corpus — and any error — is
-// identical at every worker count.
+// (≤ 0 means GOMAXPROCS).
 func NewTextCorpusParallel(docs []Doc, vocabSize, workers int) (*TextCorpus, error) {
 	if vocabSize <= 0 {
 		return nil, errors.New("pivots: vocabSize must be positive")
 	}
-	c := &TextCorpus{Docs: docs, VocabSize: vocabSize, items: make([][]sketch.Item, len(docs))}
-	_, err := parallel.ForErr(len(docs), workers, func(lo, hi int) error {
-		for d := lo; d < hi; d++ {
-			doc := docs[d]
-			set := make([]sketch.Item, len(doc.Terms))
-			for i, t := range doc.Terms {
-				if int(t) >= vocabSize {
-					return fmt.Errorf("pivots: doc %d term %d exceeds vocab %d", d, t, vocabSize)
-				}
-				if i > 0 && doc.Terms[i-1] >= t {
-					return fmt.Errorf("pivots: doc %d terms not strictly increasing at %d", d, i)
-				}
-				set[i] = sketch.Item(t)
+	err := validateAll(len(docs), workers, func(d int) error {
+		terms := docs[d].Terms
+		for i, t := range terms {
+			if int(t) >= vocabSize {
+				return fmt.Errorf("pivots: doc %d term %d exceeds vocab %d", d, t, vocabSize)
 			}
-			c.items[d] = set
+			if i > 0 && terms[i-1] >= t {
+				return fmt.Errorf("pivots: doc %d terms not strictly increasing at %d", d, i)
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &TextCorpus{Docs: docs, VocabSize: vocabSize}, nil
 }
 
 // Kind returns TextData.
@@ -470,8 +438,18 @@ func (c *TextCorpus) Kind() Kind { return TextData }
 // Len returns the number of documents.
 func (c *TextCorpus) Len() int { return len(c.Docs) }
 
-// ItemSet returns the term set of document i.
-func (c *TextCorpus) ItemSet(i int) []sketch.Item { return c.items[i] }
+// AppendItems appends the term set of document i.
+func (c *TextCorpus) AppendItems(dst []sketch.Item, i int) []sketch.Item {
+	return appendUint32Items(dst, c.Docs[i].Terms)
+}
+
+// appendUint32Items appends xs, already strictly increasing, as items.
+func appendUint32Items(dst []sketch.Item, xs []uint32) []sketch.Item {
+	for _, x := range xs {
+		dst = append(dst, sketch.Item(x))
+	}
+	return dst
+}
 
 // Weight returns the distinct-term count of document i.
 func (c *TextCorpus) Weight(i int) int { return len(c.Docs[i].Terms) }

@@ -66,12 +66,12 @@ func (c *DynamicCorpus) Kind() pivots.Kind { return c.base.Kind() }
 // Len implements pivots.Corpus.
 func (c *DynamicCorpus) Len() int { return c.base.Len() + len(c.items) }
 
-// ItemSet implements pivots.Corpus.
-func (c *DynamicCorpus) ItemSet(i int) []sketch.Item {
+// AppendItems implements pivots.Corpus.
+func (c *DynamicCorpus) AppendItems(dst []sketch.Item, i int) []sketch.Item {
 	if b := c.base.Len(); i >= b {
-		return c.items[i-b]
+		return append(dst, c.items[i-b]...)
 	}
-	return c.base.ItemSet(i)
+	return c.base.AppendItems(dst, i)
 }
 
 // Weight implements pivots.Corpus.

@@ -2,6 +2,7 @@ package replan
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"pareto/internal/pivots"
@@ -42,10 +43,10 @@ func TestDynamicCorpusIndexing(t *testing.T) {
 		t.Errorf("len %d appended %d", dyn.Len(), len(dyn.items))
 	}
 	// Base indices are untouched; the appended index serves its own data.
-	if got := dyn.ItemSet(3); len(got) != 3 || got[0] != base.ItemSet(3)[0] {
+	if got := dyn.AppendItems(nil, 3); len(got) != 3 || got[0] != base.AppendItems(nil, 3)[0] {
 		t.Error("base item set changed")
 	}
-	if got := dyn.ItemSet(10); len(got) != 3 || got[0] != 7 {
+	if got := dyn.AppendItems(nil, 10); len(got) != 3 || got[0] != 7 {
 		t.Errorf("appended item set %v", got)
 	}
 	if dyn.Weight(10) != 3 || dyn.Weight(2) != base.Weight(2) {
@@ -57,6 +58,51 @@ func TestDynamicCorpusIndexing(t *testing.T) {
 	}
 	if !bytes.Equal(dyn.AppendRecord(nil, 3), base.AppendRecord(nil, 3)) {
 		t.Error("base record changed")
+	}
+}
+
+// TestDynamicCorpusAppendItems: behind a prefix that must stay, into
+// one reused buffer, base records append the base corpus's set and
+// appended records their stored one; SketchAll over the corpus at 1 and
+// 4 workers is bit-identical to sketching each set alone.
+func TestDynamicCorpusAppendItems(t *testing.T) {
+	base := smallTextCorpus(t, 10)
+	dyn, err := NewDynamicCorpus(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := [][]sketch.Item{{7, 8, 9}, {1}, {2, 40, 41, 900}}
+	for _, items := range stored {
+		if _, err := dyn.Append(items, len(items), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefix := []sketch.Item{5, 5}
+	buf := slices.Clone(prefix)
+	for i := 0; i < dyn.Len(); i++ {
+		buf = dyn.AppendItems(buf[:len(prefix)], i)
+		if !slices.Equal(buf[:len(prefix)], prefix) {
+			t.Fatalf("record %d: prefix became %v", i, buf[:len(prefix)])
+		}
+		want := stored[max(i-base.Len(), 0)]
+		if i < base.Len() {
+			want = base.AppendItems(nil, i)
+		}
+		if got := buf[len(prefix):]; !slices.Equal(got, want) {
+			t.Fatalf("record %d: appended %v, want %v", i, got, want)
+		}
+	}
+	h, err := sketch.NewHasher(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 4} {
+		got, _ := h.SketchAll(dyn.Len(), dyn.AppendItems, w)
+		for i := range got {
+			if want := h.Sketch(dyn.AppendItems(nil, i)); !slices.Equal(got[i], want) {
+				t.Fatalf("workers=%d: record %d sketch differs", w, i)
+			}
+		}
 	}
 }
 

@@ -153,20 +153,21 @@ func (h *Hasher) SketchInto(set []Item, dst Sketch) {
 	}
 }
 
-// SketchAll computes the sketches of the n item sets set(0) … set(n−1).
-// All n sketches share one flat backing array (a single allocation
-// instead of n small ones), and items are processed in index order per
-// worker so the arena is filled in cache-friendly sequential runs.
-// Coordinate values are identical to calling Sketch on each set.
+// SketchAll computes the sketches of n item sets: items(dst, i)
+// appends set i to dst, as pivots.Corpus.AppendItems does. All n
+// sketches share one flat backing array (a single allocation instead
+// of n small ones), and each parallel chunk appends its sets into one
+// reused buffer. Coordinate values are identical to calling Sketch on
+// each set.
 //
 // The fan-out rides the planner's shared parallel pool: chunked with
 // dynamic scheduling (skewed records rebalance) and index-addressed
 // outputs, so the sketches are bit-identical at any worker count.
 //
-// workers ≤ 0 means GOMAXPROCS. set must be safe for concurrent calls
-// with distinct arguments (read-only corpora qualify). The second
+// workers ≤ 0 means GOMAXPROCS. items must be safe for concurrent
+// calls with distinct buffers (read-only corpora qualify). The second
 // result is the summed busy time of the workers.
-func (h *Hasher) SketchAll(n int, set func(i int) []Item, workers int) ([]Sketch, time.Duration) {
+func (h *Hasher) SketchAll(n int, items func(dst []Item, i int) []Item, workers int) ([]Sketch, time.Duration) {
 	k := len(h.perms)
 	out := make([]Sketch, n)
 	flat := make([]uint64, n*k)
@@ -176,8 +177,10 @@ func (h *Hasher) SketchAll(n int, set func(i int) []Item, workers int) ([]Sketch
 		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
 	busy := parallel.For(n, workers, func(lo, hi int) {
+		var buf []Item
 		for i := lo; i < hi; i++ {
-			h.SketchInto(set(i), out[i])
+			buf = items(buf[:0], i)
+			h.SketchInto(buf, out[i])
 		}
 	})
 	return out, busy

@@ -257,7 +257,7 @@ func TestSketchAllMatchesSketch(t *testing.T) {
 	}
 	sets[13] = nil // empty sets exercise the sentinel path
 	for _, workers := range []int{0, 1, 3, 16, 200} {
-		got, _ := h.SketchAll(len(sets), func(i int) []Item { return sets[i] }, workers)
+		got, _ := h.SketchAll(len(sets), func(dst []Item, i int) []Item { return append(dst, sets[i]...) }, workers)
 		if len(got) != len(sets) {
 			t.Fatalf("workers=%d: %d sketches for %d sets", workers, len(got), len(sets))
 		}
@@ -275,7 +275,7 @@ func TestSketchAllMatchesSketch(t *testing.T) {
 
 func TestSketchAllEmpty(t *testing.T) {
 	h, _ := NewHasher(8, 1)
-	if got, _ := h.SketchAll(0, func(int) []Item { return nil }, 4); len(got) != 0 {
+	if got, _ := h.SketchAll(0, func(dst []Item, _ int) []Item { return dst }, 4); len(got) != 0 {
 		t.Errorf("SketchAll(0) returned %d sketches", len(got))
 	}
 }
@@ -284,7 +284,7 @@ func TestSketchAllEmpty(t *testing.T) {
 // not alias: appending to one sketch must not clobber its neighbor.
 func TestSketchAllBackingIsolated(t *testing.T) {
 	h, _ := NewHasher(4, 2)
-	out, _ := h.SketchAll(2, func(i int) []Item { return []Item{Item(i + 1)} }, 1)
+	out, _ := h.SketchAll(2, func(dst []Item, i int) []Item { return append(dst, Item(i+1)) }, 1)
 	next := append(Sketch(nil), out[1]...)
 	grown := append(out[0], 999)
 	_ = grown

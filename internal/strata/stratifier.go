@@ -100,7 +100,7 @@ func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 	}
 	var stats StratifyStats
 	start := time.Now()
-	sketches, sketchBusy := hasher.SketchAll(n, c.ItemSet, cfg.Cluster.Workers)
+	sketches, sketchBusy := hasher.SketchAll(n, c.AppendItems, cfg.Cluster.Workers)
 	stats.SketchTime = time.Since(start)
 	start = time.Now()
 	res, err := Cluster(sketches, cfg.Cluster)

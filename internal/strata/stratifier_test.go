@@ -124,7 +124,7 @@ func TestStratifyDefaultWidth(t *testing.T) {
 // SketchCorpus sketches every record through the bulk path
 // (Hasher.SketchAll), the way Stratify does, without clustering.
 func SketchCorpus(c pivots.Corpus, h *sketch.Hasher, workers int) []sketch.Sketch {
-	sketches, _ := h.SketchAll(c.Len(), c.ItemSet, workers)
+	sketches, _ := h.SketchAll(c.Len(), c.AppendItems, workers)
 	return sketches
 }
 
