@@ -20,7 +20,11 @@ type Move struct {
 // Records are taken from the tail of each overfull partition (for
 // similar-together placements the tail is a strata boundary, limiting
 // entropy damage) and appended to underfull partitions in order.
-// The input assignment is not modified.
+// The input assignment is not modified, and the output shares its
+// backing arrays: every partition starts as a capacity-clipped
+// sub-slice of its input partition (part[:keep:keep]), so appending to
+// an output partition reallocates rather than writing into the input.
+// Both are read-only to the caller.
 func Rebalance(a *Assignment, newSizes []int) (*Assignment, []Move, error) {
 	if a == nil {
 		return nil, nil, fmt.Errorf("partitioner: nil assignment")
@@ -43,35 +47,27 @@ func Rebalance(a *Assignment, newSizes []int) (*Assignment, []Move, error) {
 		return nil, nil, fmt.Errorf("partitioner: new sizes sum %d but assignment holds %d records", total, have)
 	}
 	out := &Assignment{Parts: make([][]int, a.P())}
-	var surplus []int // records available to move, tails first
-	var moves []Move
-	fromOf := make(map[int]int)
+	var moves []Move // surplus records, tails first; To set as they are placed
 	for j, part := range a.Parts {
-		if len(part) > newSizes[j] {
-			keep := part[:newSizes[j]]
-			out.Parts[j] = append([]int(nil), keep...)
-			for _, r := range part[newSizes[j]:] {
-				surplus = append(surplus, r)
-				fromOf[r] = j
-			}
-		} else {
-			out.Parts[j] = append([]int(nil), part...)
+		keep := min(len(part), newSizes[j])
+		out.Parts[j] = part[:keep:keep]
+		for _, r := range part[keep:] {
+			moves = append(moves, Move{Record: r, From: j})
 		}
 	}
 	si := 0
 	for j := range out.Parts {
 		for len(out.Parts[j]) < newSizes[j] {
-			if si >= len(surplus) {
+			if si >= len(moves) {
 				return nil, nil, fmt.Errorf("partitioner: rebalance ran out of surplus records")
 			}
-			r := surplus[si]
+			moves[si].To = j
+			out.Parts[j] = append(out.Parts[j], moves[si].Record)
 			si++
-			out.Parts[j] = append(out.Parts[j], r)
-			moves = append(moves, Move{Record: r, From: fromOf[r], To: j})
 		}
 	}
-	if si != len(surplus) {
-		return nil, nil, fmt.Errorf("partitioner: %d surplus records unplaced", len(surplus)-si)
+	if si != len(moves) {
+		return nil, nil, fmt.Errorf("partitioner: %d surplus records unplaced", len(moves)-si)
 	}
 	return out, moves, nil
 }

@@ -2,6 +2,7 @@ package partitioner
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -86,6 +87,7 @@ func TestRebalanceRandomizedMinimality(t *testing.T) {
 			continue
 		}
 		a := &Assignment{Parts: parts}
+		before := cloneParts(a)
 		oldSizes := a.Sizes()
 		// Random new sizes summing to n.
 		newSizes := make([]int, p)
@@ -110,6 +112,21 @@ func TestRebalanceRandomizedMinimality(t *testing.T) {
 		if len(moves) != MinMoves(oldSizes, newSizes) {
 			t.Fatalf("trial %d: %d moves, minimum %d", trial, len(moves), MinMoves(oldSizes, newSizes))
 		}
+		wantOut, wantMoves := refRebalance(a, newSizes)
+		if !reflect.DeepEqual(cloneParts(out), wantOut) || !reflect.DeepEqual(moves, wantMoves) {
+			t.Fatalf("trial %d: Rebalance differs from the copying reference", trial)
+		}
+		if !reflect.DeepEqual(cloneParts(a), before) {
+			t.Fatalf("trial %d: Rebalance modified its input", trial)
+		}
+		// The output shares the input's arrays, clipped: appending to it
+		// must not write into the input.
+		for j := range out.Parts {
+			out.Parts[j] = append(out.Parts[j], -1, -2)
+		}
+		if !reflect.DeepEqual(cloneParts(a), before) {
+			t.Fatalf("trial %d: appending to the output wrote into the input", trial)
+		}
 		// Unmoved records stayed in place.
 		moved := map[int]bool{}
 		for _, m := range moves {
@@ -127,6 +144,42 @@ func TestRebalanceRandomizedMinimality(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refRebalance is Rebalance written as a copy: every output partition
+// a fresh slice, each surplus record's source looked up in a map.
+func refRebalance(a *Assignment, newSizes []int) ([][]int, []Move) {
+	out := make([][]int, a.P())
+	var surplus []int
+	var moves []Move
+	fromOf := make(map[int]int)
+	for j, part := range a.Parts {
+		keep := min(len(part), newSizes[j])
+		out[j] = append([]int{}, part[:keep]...)
+		for _, r := range part[keep:] {
+			surplus = append(surplus, r)
+			fromOf[r] = j
+		}
+	}
+	for j := range out {
+		for len(out[j]) < newSizes[j] {
+			r := surplus[0]
+			surplus = surplus[1:]
+			out[j] = append(out[j], r)
+			moves = append(moves, Move{Record: r, From: fromOf[r], To: j})
+		}
+	}
+	return out, moves
+}
+
+// cloneParts deep-copies an assignment's partitions, nil and empty
+// alike as empty.
+func cloneParts(a *Assignment) [][]int {
+	out := make([][]int, a.P())
+	for j, part := range a.Parts {
+		out[j] = append([]int{}, part...)
+	}
+	return out
 }
 
 // MinMoves returns the information-theoretic minimum number of record

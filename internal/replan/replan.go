@@ -113,6 +113,14 @@ type CycleReport struct {
 // Loop is the online replanning control loop. It is not safe for
 // concurrent use: one goroutine owns ingest and cycles, which is the
 // deployment shape (a single controller per cluster).
+//
+// Assignments the loop builds share backing arrays, so a cycle costs
+// its placements and moves, not the corpus. One rule keeps that safe:
+// a partition's backing array is append-only. No element is rewritten
+// below the length of any slice already handed out (Actual(),
+// Plan().Assign, an earlier target), a slice that drops records is
+// capacity-clipped, and only the loop appends — to a committed list
+// whose spare capacity no handed-out slice covers.
 type Loop struct {
 	cfg     Config
 	cl      *cluster.Cluster
@@ -130,8 +138,12 @@ type Loop struct {
 	shares []float64
 
 	actual  *partitioner.Assignment
+	where   []int // committed partition of each record, -1 until placed
 	target  *partitioner.Assignment
 	targetN int
+	// extends is true for a Rebalance-derived target: every partition it
+	// does not cut starts with the committed list.
+	extends bool
 	pending []int
 	store   *EpochStore
 
@@ -189,6 +201,10 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	}
 	l.k = l.tracker.K()
 	l.actual = &partitioner.Assignment{Parts: make([][]int, p)}
+	l.where = make([]int, corpus.Len())
+	for i := range l.where {
+		l.where[i] = -1
+	}
 	if cfg.Store != nil {
 		if l.store, err = NewEpochStore(cfg.Store, p); err != nil {
 			return nil, err
@@ -212,8 +228,7 @@ func (l *Loop) installFull(plan *core.Plan) error {
 	l.st = plan.Strat
 	l.tracker = tracker
 	l.setShares(plan.Optimized, l.corpus.Len())
-	l.target = plan.Assign
-	l.targetN = l.corpus.Len()
+	l.target, l.targetN, l.extends = plan.Assign, l.corpus.Len(), false
 	l.lastSizes = append([]int(nil), plan.Sizes...)
 	l.lastN = l.corpus.Len()
 	l.corpusWeight = plan.CorpusWeight
@@ -245,6 +260,7 @@ func (l *Loop) Ingest(items []sketch.Item, weight int, raw []byte) (int, error) 
 	l.st.Sketches = append(l.st.Sketches, sk)
 	l.st.WeightTotals[stratum] += weight
 	l.corpusWeight += weight
+	l.where = append(l.where, -1)
 	l.pending = append(l.pending, idx)
 	l.reg.Counter("replan_ingested_total").Inc()
 	return stratum, nil
@@ -463,50 +479,48 @@ func (l *Loop) sizesFor(n int) []int {
 }
 
 // retarget installs a minimal-movement target for the given sizes: the
-// live assignment extended with pending ingests (placed into deficit
-// partitions), rebalanced to the new sizes.
+// live assignment extended with pending ingests, rebalanced to the new
+// sizes. Pending records land only in deficit partitions, which
+// Rebalance never cuts, and extend the committed lists in place
+// (clipping the lists they grow): a target partition is the committed
+// list's kept prefix, its pending records, then its surplus arrivals.
 func (l *Loop) retarget(sizes []int, n int) error {
-	extended := &partitioner.Assignment{Parts: make([][]int, l.p)}
-	for j, part := range l.actual.Parts {
-		extended.Parts[j] = append([]int(nil), part...)
-	}
+	ext := &partitioner.Assignment{Parts: append([][]int(nil), l.actual.Parts...)}
 	j := 0
 	for _, r := range l.pending {
-		for j < l.p && len(extended.Parts[j]) >= sizes[j] {
+		for j < l.p && len(ext.Parts[j]) >= sizes[j] {
 			j++
 		}
 		if j == l.p {
 			return fmt.Errorf("replan: no deficit partition for pending record %d", r)
 		}
-		extended.Parts[j] = append(extended.Parts[j], r)
+		if part := l.actual.Parts[j]; len(ext.Parts[j]) == len(part) {
+			l.actual.Parts[j] = part[:len(part):len(part)]
+		}
+		ext.Parts[j] = append(ext.Parts[j], r)
 	}
-	out, _, err := partitioner.Rebalance(extended, sizes)
+	out, _, err := partitioner.Rebalance(ext, sizes)
 	if err != nil {
 		return fmt.Errorf("replan: %w", err)
 	}
-	l.target = out
-	l.targetN = n
+	for j, part := range out.Parts {
+		if len(part) == len(ext.Parts[j]) {
+			out.Parts[j] = ext.Parts[j] // kept whole: stays extendable
+		}
+	}
+	l.target, l.targetN, l.extends = out, n, true
 	return nil
 }
 
-// diffMoves computes the migration from the live placement to the
-// target: placements for records not placed anywhere yet (From = -1)
-// and moves for records whose partition changes. Emission order is
+// diffMoves computes the migration from the committed placement (where)
+// to the target: placements for records not placed anywhere yet (From =
+// -1) and moves for records whose partition changes. Emission order is
 // deterministic — target partitions ascending, records in target
 // order — which is the order the move budget truncates in.
-func diffMoves(actual, target *partitioner.Assignment, n int) (placements, moves []partitioner.Move) {
-	cur := make([]int, n)
-	for i := range cur {
-		cur[i] = -1
-	}
-	for j, part := range actual.Parts {
-		for _, r := range part {
-			cur[r] = j
-		}
-	}
+func diffMoves(where []int, target *partitioner.Assignment) (placements, moves []partitioner.Move) {
 	for j, part := range target.Parts {
 		for _, r := range part {
-			switch c := cur[r]; {
+			switch c := where[r]; {
 			case c == j:
 			case c < 0:
 				placements = append(placements, partitioner.Move{Record: r, From: -1, To: j})
@@ -520,39 +534,65 @@ func diffMoves(actual, target *partitioner.Assignment, n int) (placements, moves
 
 // applyOps materializes the post-migration assignment: moved records
 // are filtered out of their sources and appended (with placements) to
-// their destinations; untouched partitions share their backing slices
-// with the previous assignment. Returns the affected partition set.
-func applyOps(actual *partitioner.Assignment, ops []partitioner.Move) (*partitioner.Assignment, map[int]struct{}) {
-	affected := make(map[int]struct{})
-	leaving := make(map[int]map[int]struct{})
-	arriving := make(map[int][]int)
+// their destinations in op order; untouched partitions share their
+// slices with the previous assignment. Under an extending target
+// (Loop.extends) a partition that only gains is a prefix of its target
+// partition and takes it, clipped when shorter. Returns each
+// partition's first changed position: the first leaving index, or the
+// old length when none leaves; -1 when the partition is untouched.
+func applyOps(actual, target *partitioner.Assignment, ops []partitioner.Move, extends bool) (*partitioner.Assignment, []int) {
+	p := actual.P()
+	leaving := make([][]int, p)
+	arriving := make([][]int, p)
 	for _, mv := range ops {
-		affected[mv.To] = struct{}{}
 		arriving[mv.To] = append(arriving[mv.To], mv.Record)
 		if mv.From >= 0 {
-			affected[mv.From] = struct{}{}
-			if leaving[mv.From] == nil {
-				leaving[mv.From] = make(map[int]struct{})
-			}
-			leaving[mv.From][mv.Record] = struct{}{}
+			leaving[mv.From] = append(leaving[mv.From], mv.Record)
 		}
 	}
-	next := &partitioner.Assignment{Parts: make([][]int, actual.P())}
+	next := &partitioner.Assignment{Parts: append([][]int(nil), actual.Parts...)}
+	first := make([]int, p)
 	for j, part := range actual.Parts {
-		if _, ok := affected[j]; !ok {
-			next.Parts[j] = part
+		first[j] = -1
+		if len(arriving[j]) == 0 && len(leaving[j]) == 0 {
 			continue
 		}
-		out := make([]int, 0, len(part)+len(arriving[j]))
-		gone := leaving[j]
-		for _, r := range part {
-			if _, g := gone[r]; !g {
-				out = append(out, r)
+		first[j] = len(part)
+		if extends && len(leaving[j]) == 0 {
+			t, m := target.Parts[j], len(part)+len(arriving[j])
+			if m < len(t) {
+				t = t[:m:m]
+			}
+			next.Parts[j] = t
+			continue
+		}
+		out := part
+		if gone := leaving[j]; len(gone) > 0 {
+			set := make(map[int]bool, len(gone))
+			for _, r := range gone {
+				set[r] = true
+			}
+			// Rebalance takes tails: find the leavers scanning from the end.
+			for found := 0; found < len(gone); {
+				first[j]--
+				if set[part[first[j]]] {
+					found++
+				}
+			}
+			out = part[:first[j]:first[j]]
+			if rest := len(part) - first[j] - len(gone) + len(arriving[j]); rest > 0 {
+				out = append(make([]int, 0, first[j]+rest), out...)
+			}
+			for _, r := range part[first[j]+1:] {
+				if !set[r] {
+					out = append(out, r)
+				}
 			}
 		}
+		// In place only past a committed list no handed-out slice covers.
 		next.Parts[j] = append(out, arriving[j]...)
 	}
-	return next, affected
+	return next, first
 }
 
 // migrate moves the live placement toward the installed target under
@@ -561,8 +601,7 @@ func applyOps(actual *partitioner.Assignment, ops []partitioner.Move) (*partitio
 // writes must succeed before any becomes visible. rep may be nil
 // (initial placement at construction).
 func (l *Loop) migrate(rep *CycleReport) error {
-	n := l.corpus.Len()
-	placements, moves := diffMoves(l.actual, l.target, n)
+	placements, moves := diffMoves(l.where, l.target)
 	applied := moves
 	if b := l.cfg.MaxMovesPerCycle; b > 0 && len(moves) > b {
 		applied = moves[:b]
@@ -572,13 +611,13 @@ func (l *Loop) migrate(rep *CycleReport) error {
 		rep.MovesApplied = len(applied)
 		rep.MovesDeferred = len(moves) - len(applied)
 	}
-	ops := append(append([]partitioner.Move(nil), placements...), applied...)
+	ops := append(placements, applied...)
 	if len(ops) == 0 {
 		return nil
 	}
-	next, affected := applyOps(l.actual, ops)
+	next, first := applyOps(l.actual, l.target, ops, l.extends)
 	if l.store != nil {
-		records, bytes, err := l.writeAffected(next, affected)
+		records, bytes, err := l.writeAffected(next, first)
 		if err != nil {
 			return err
 		}
@@ -587,36 +626,36 @@ func (l *Loop) migrate(rep *CycleReport) error {
 		}
 	}
 	l.actual = next
-	l.pending = nil
+	for _, mv := range ops {
+		l.where[mv.Record] = mv.To
+	}
+	l.pending = l.pending[:0]
 	return nil
 }
 
 // writeAffected stages what changed in every affected partition —
 // grouped by the store's write groups, groups in parallel, each group's
-// writes sequential — and commits only if all writes succeeded. applyOps
-// keeps the survivors of a partition in order and appends arrivals, so
-// what changed is everything past the common prefix of the old and new
-// contents, widened to the offset the store rewrites from (SuffixStart);
-// only that suffix is encoded and shipped. On error nothing is
-// committed: reads keep serving the previous contents and the caller's
-// assignment stays unchanged. Returns the records and bytes shipped.
-func (l *Loop) writeAffected(next *partitioner.Assignment, affected map[int]struct{}) (records, bytes int, err error) {
-	parts := make([]int, 0, len(affected))
-	for j := range affected {
-		parts = append(parts, j)
+// writes sequential — and commits only if all writes succeeded. What
+// changed is everything from the partition's first changed position
+// (applyOps), widened to the offset the store rewrites from
+// (SuffixStart); only that suffix is encoded and shipped. On error
+// nothing is committed: reads keep serving the previous contents and
+// the caller's assignment stays unchanged. Returns the records and
+// bytes shipped.
+func (l *Loop) writeAffected(next *partitioner.Assignment, first []int) (records, bytes int, err error) {
+	var parts []int
+	for j, f := range first {
+		if f >= 0 {
+			parts = append(parts, j)
+		}
 	}
-	sort.Ints(parts)
 	groups := partitioner.WriteGroups(l.store, parts)
 	txn := l.store.Begin()
 	_, err = parallel.ForErr(len(groups), l.cfg.Core.Workers, func(lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {
 			for _, j := range groups[gi] {
-				old, part := l.actual.Parts[j], next.Parts[j]
-				common := 0
-				for common < len(old) && common < len(part) && old[common] == part[common] {
-					common++
-				}
-				keep := l.store.SuffixStart(j, common, len(part))
+				part := next.Parts[j]
+				keep := l.store.SuffixStart(j, first[j], len(part))
 				if err := txn.WriteSuffix(j, keep, partitioner.EncodeRecords(l.corpus, part[keep:])); err != nil {
 					return err
 				}
@@ -633,10 +672,14 @@ func (l *Loop) writeAffected(next *partitioner.Assignment, affected map[int]stru
 }
 
 // Plan returns the currently installed plan. The stratification it
-// references is live — Ingest extends it in place.
+// references is live — Ingest extends it in place. Its Assign is
+// read-only and shares backing arrays with the loop's later
+// assignments (see Loop).
 func (l *Loop) Plan() *core.Plan { return l.plan }
 
-// Actual returns the live (committed) placement. Read-only.
+// Actual returns the live (committed) placement. It is read-only and
+// shares backing arrays with the loop's targets and later placements
+// (see Loop).
 func (l *Loop) Actual() *partitioner.Assignment { return l.actual }
 
 // Store returns the epoch store the loop migrates through (nil when no
