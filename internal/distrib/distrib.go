@@ -339,7 +339,6 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 	parties := w + 1 // workers + coordinator
 	report := &Report{WorkerErrs: make([]error, w)}
 	dm := newDistribMetrics(o.Telemetry)
-	var stats strata.StratifyStats
 
 	// Scope every key to this run before any worker can touch the store.
 	id, err := master.Incr(o.runKey())
@@ -363,11 +362,8 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 		}(i)
 	}
 
-	sketches, res, coordErr := runCoordinator(master, b, corpus, hasher, n, w, o, dm, &stats, report)
+	st, coordErr := runCoordinator(master, b, corpus, hasher, n, w, o, dm, report)
 	wg.Wait()
-	for _, d := range shipBusy {
-		stats.Busy += d
-	}
 	// Every party has left the run. A delete that fails leaks keys no
 	// later run reads — they carry this run's id — so the result stands.
 	keys := []string{o.assignKey(), o.abortKey()}
@@ -385,29 +381,26 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 	for i := range workers {
 		lo := i * n / w
 		for off, a := range shardAssigns[i] {
-			if res.Assign[lo+off] != a {
+			if st.Assign[lo+off] != a {
 				return nil, report, fmt.Errorf("distrib: worker %d shard assignment diverges at record %d", i, lo+off)
 			}
 		}
 	}
-	wt := make([]int, res.K())
-	for i, a := range res.Assign {
-		wt[a] += corpus.Weight(i)
+	for _, d := range shipBusy {
+		st.Stats.Busy += d
 	}
-	return &strata.Stratification{
-		Result: res, Sketches: sketches, WeightTotals: wt, Stats: stats,
-	}, report, nil
+	return st, report, nil
 }
 
 // runCoordinator waits (boundedly) for the workers' sketches, gathers
-// them, recovers what is missing locally, clusters, and publishes the
-// assignment; it returns the sketches it gathered and the clustering it
-// published. On a terminal error it aborts both the barrier and the run
-// so every blocked or polling worker is released promptly. stats
-// receives the distributed run's stratification profile: the sketch
+// them, recovers what is missing locally, stratifies them centrally
+// (strata.StratifySketches), and publishes the assignment; it returns
+// the stratification it published. On a terminal error it aborts both
+// the barrier and the run so every blocked or polling worker is
+// released promptly. The stratification's stats profile the sketch
 // phase (barrier wait + gather + recovery) and the centralized
-// clustering.
-func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus, hasher *sketch.Hasher, n, w int, o Options, dm distribMetrics, stats *strata.StratifyStats, report *Report) (_ []sketch.Sketch, _ *strata.Result, err error) {
+// clustering; the workers' ship time is the caller's to add.
+func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus, hasher *sketch.Hasher, n, w int, o Options, dm distribMetrics, report *Report) (_ *strata.Stratification, err error) {
 	b.Timeout = o.SketchWait
 	b.PollInterval = o.PollInterval
 	b.MaxPollInterval = pollBackoffCap * o.PollInterval
@@ -427,7 +420,7 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 		report.Aborted = true
 		dm.aborts.Inc()
 		if aerr := b.Abort("coordinator recovering missing shards"); aerr != nil {
-			return nil, nil, fmt.Errorf("distrib: aborting sketch barrier: %w (after %v)", aerr, berr)
+			return nil, fmt.Errorf("distrib: aborting sketch barrier: %w (after %v)", aerr, berr)
 		}
 		for i := 0; i < w; i++ {
 			if _, gerr := master.Get(o.doneKey(i)); gerr != nil {
@@ -436,7 +429,7 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 					report.RecoveredShards = append(report.RecoveredShards, i)
 					continue
 				}
-				return nil, nil, fmt.Errorf("distrib: reading completion marker %d: %w", i, gerr)
+				return nil, fmt.Errorf("distrib: reading completion marker %d: %w", i, gerr)
 			}
 		}
 	}
@@ -462,10 +455,10 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 			return nil
 		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("distrib: gathering worker %d sketches: %w", i, err)
+			return nil, fmt.Errorf("distrib: gathering worker %d sketches: %w", i, err)
 		}
 	}
-	stats.Busy = time.Since(gatherStart)
+	sketchBusy := time.Since(gatherStart)
 	// What is still nil is a recovering shard, or a hole no marker
 	// accounts for (a worker that arrived at the barrier after a failed
 	// ship). Sketching is a pure function of (corpus, hasher), so
@@ -484,7 +477,7 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 		}
 	}
 	dm.recRecords.Add(int64(report.RecoveredRecords))
-	stats.Busy += parallel.For(len(holes), o.Cluster.Workers, func(lo, hi int) {
+	sketchBusy += parallel.For(len(holes), o.Cluster.Workers, func(lo, hi int) {
 		var items []sketch.Item
 		for _, r := range holes[lo:hi] {
 			sketches[r] = flat[r*width : (r+1)*width : (r+1)*width]
@@ -492,28 +485,23 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 			hasher.SketchInto(items, sketches[r])
 		}
 	})
-	stats.SketchTime = time.Since(phaseStart)
-	clusterStart := time.Now()
-	res, err := strata.Cluster(sketches, o.Cluster)
+	sketchTime := time.Since(phaseStart)
+	st, err := strata.StratifySketches(corpus, sketches, strata.StratifierConfig{
+		SketchWidth: width, Cluster: o.Cluster, Seed: o.Seed,
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	stats.ClusterTime = time.Since(clusterStart)
-	stats.Iterations = res.Iterations
-	stats.Converged = res.Converged
-	stats.Iters = res.IterStats
-	stats.Busy += res.Busy
-	for _, it := range res.IterStats {
-		stats.MovedTotal += it.Moved
-	}
-	enc, err := encodeAssignment(res.Assign)
+	st.Stats.SketchTime = sketchTime
+	st.Stats.Busy += sketchBusy
+	enc, err := encodeAssignment(st.Assign)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := master.Set(o.assignKey(), enc); err != nil {
-		return nil, nil, fmt.Errorf("distrib: publishing assignment: %w", err)
+		return nil, fmt.Errorf("distrib: publishing assignment: %w", err)
 	}
-	return sketches, res, nil
+	return st, nil
 }
 
 // runWorker executes one worker's phases: sketch shard → ship (with

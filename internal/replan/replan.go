@@ -21,7 +21,8 @@ import (
 // configuration.
 type Config struct {
 	// Core configures the underlying planning pipeline. DistStratify is
-	// rejected: the loop owns stratification.
+	// rejected: the loop owns stratification, and a full cycle sets it on
+	// its own copy to cluster the sketches the loop holds.
 	Core core.Config
 	// Drift configures the per-stratum drift statistic; its Threshold
 	// decides when a stratum is dirty. Threshold 0 marks every stratum
@@ -180,11 +181,7 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	if cfg.Core, err = core.Resolve(cfg.Core, base.Len(), p, profile); err != nil {
 		return nil, err
 	}
-	width := cfg.Core.Stratifier.SketchWidth
-	if width <= 0 {
-		width = strata.DefaultSketchWidth
-	}
-	hasher, err := sketch.NewHasher(width, cfg.Core.Stratifier.Seed)
+	hasher, err := sketch.NewHasher(cfg.Core.Stratifier.Width(), cfg.Core.Stratifier.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("replan: %w", err)
 	}
@@ -281,9 +278,17 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 	case len(dirty) == l.k:
 		// Every stratum drifted: an incremental pass would redo all the
 		// work anyway, so this IS a cold full replan — bit-identical to
-		// core.BuildPlan by construction.
+		// core.BuildPlan by construction. Only the sketch pass is
+		// skipped: Ingest hashed every record with the stratifier's own
+		// width and seed, so the loop clusters the sketches it holds,
+		// clipped so later ingests never write into this plan's array.
 		rep.Kind = CycleFull
-		plan, err := core.BuildPlan(l.corpus, l.cl, l.profile, l.cfg.Core)
+		cfg := l.cfg.Core
+		held := l.st.Sketches[:n:n]
+		cfg.DistStratify = func(c pivots.Corpus, sc strata.StratifierConfig) (*strata.Stratification, error) {
+			return strata.StratifySketches(c, held, sc)
+		}
+		plan, err := core.BuildPlan(l.corpus, l.cl, l.profile, cfg)
 		if err != nil {
 			return nil, err
 		}

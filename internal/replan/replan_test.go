@@ -165,6 +165,73 @@ func TestAllDirtyCycleBitIdenticalToCold(t *testing.T) {
 	}
 }
 
+// TestFullCycleClustersHeldSketches: a full cycle clusters the sketches
+// the loop already holds instead of re-hashing the corpus. Over three
+// full cycles with ingests between them, every record's sketch in the
+// installed stratification is the one the loop held before the cycle
+// (same backing arrays), equals what a fresh hasher makes of the
+// record's items, and the plan did not fall back to the in-process
+// stratifier.
+func TestFullCycleClustersHeldSketches(t *testing.T) {
+	docs, vocab := replanDocs(t)
+	full, err := pivots.NewTextCorpus(docs, vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(docs)
+	cuts := []int{n / 2, 2 * n / 3, 5 * n / 6, n}
+	base, err := pivots.NewTextCorpus(docs[:cuts[0]], vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := loopCoreConfig(2)
+	l, err := New(base, paperCluster(t, 4), weightProfile(full), Config{
+		Core:  cfg,
+		Drift: strata.DriftConfig{Threshold: 0}, // every stratum always dirty
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := sketch.NewHasher(cfg.Stratifier.Width(), cfg.Stratifier.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []sketch.Item
+	for cycle := 1; cycle < len(cuts); cycle++ {
+		for i := cuts[cycle-1]; i < cuts[cycle]; i++ {
+			rec := full.AppendItems(nil, i) // the corpus owns it from here
+			if _, err := l.Ingest(rec, len(rec), full.AppendRecord(nil, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := l.Plan().Strat.Sketches
+		rep, err := l.Cycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Kind != CycleFull {
+			t.Fatalf("cycle %d: all-dirty cycle took the %v path", cycle, rep.Kind)
+		}
+		plan := l.Plan()
+		if plan.DegradedStratify {
+			t.Fatalf("cycle %d: full cycle fell back to re-sketching: %s", cycle, plan.DegradedReason)
+		}
+		got := plan.Strat.Sketches
+		if len(got) != cuts[cycle] || len(held) != len(got) || &got[0] != &held[0] {
+			t.Fatalf("cycle %d: stratification does not hold the loop's sketch array (%d of %d records)", cycle, len(got), cuts[cycle])
+		}
+		for i, sk := range got {
+			if &sk[0] != &held[i][0] {
+				t.Fatalf("cycle %d: record %d was re-hashed", cycle, i)
+			}
+			items = l.Corpus().AppendItems(items[:0], i)
+			if want := oracle.Sketch(items); !reflect.DeepEqual(sk, want) {
+				t.Fatalf("cycle %d: record %d's held sketch differs from a fresh hasher's", cycle, i)
+			}
+		}
+	}
+}
+
 // assertSameSets checks two assignments hold identical record sets per
 // partition (migration preserves membership, not intra-partition order).
 func assertSameSets(t *testing.T, got, want *partitioner.Assignment) {

@@ -81,28 +81,60 @@ type Stratification struct {
 	Stats StratifyStats
 }
 
-// Stratify runs the full stratification pipeline over the corpus.
-// Sketching is parallelized across GOMAXPROCS workers; the sketches
-// are orders of magnitude smaller than the corpus, so clustering runs
-// centralized exactly as in the paper (§IV).
+// Width returns the configured sketch width: SketchWidth, or
+// DefaultSketchWidth when unset.
+func (cfg StratifierConfig) Width() int {
+	if cfg.SketchWidth <= 0 {
+		return DefaultSketchWidth
+	}
+	return cfg.SketchWidth
+}
+
+// Stratify runs the full stratification pipeline over the corpus: the
+// sketch pass, then StratifySketches. Sketching is parallelized across
+// GOMAXPROCS workers; the sketches are orders of magnitude smaller than
+// the corpus, so clustering runs centralized exactly as in the paper
+// (§IV).
 func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 	n := c.Len()
 	if n == 0 {
 		return nil, fmt.Errorf("strata: empty corpus")
 	}
-	width := cfg.SketchWidth
-	if width <= 0 {
-		width = DefaultSketchWidth
-	}
-	hasher, err := sketch.NewHasher(width, cfg.Seed)
+	hasher, err := sketch.NewHasher(cfg.Width(), cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("strata: %w", err)
 	}
-	var stats StratifyStats
 	start := time.Now()
 	sketches, sketchBusy := hasher.SketchAll(n, c.AppendItems, cfg.Cluster.Workers)
-	stats.SketchTime = time.Since(start)
-	start = time.Now()
+	sketchTime := time.Since(start)
+	st, err := StratifySketches(c, sketches, cfg)
+	if err != nil {
+		return nil, err
+	}
+	st.Stats.SketchTime = sketchTime
+	st.Stats.Busy += sketchBusy
+	return st, nil
+}
+
+// StratifySketches is Stratify without the sketch pass: it clusters
+// sketches computed elsewhere — sketches[i] is record i's, hashed with
+// cfg's width and seed — and folds the stats and per-stratum weight
+// totals. The returned Stratification holds sketches itself, not a
+// copy. Its Stats carry no sketch time; Busy is the clustering's.
+func StratifySketches(c pivots.Corpus, sketches []sketch.Sketch, cfg StratifierConfig) (*Stratification, error) {
+	n := c.Len()
+	if n == 0 {
+		return nil, fmt.Errorf("strata: empty corpus")
+	}
+	if len(sketches) != n {
+		return nil, fmt.Errorf("strata: %d sketches for %d records", len(sketches), n)
+	}
+	// Cluster holds every sketch to the first one's width.
+	if w := cfg.Width(); len(sketches[0]) != w {
+		return nil, fmt.Errorf("strata: sketch width %d, want %d", len(sketches[0]), w)
+	}
+	var stats StratifyStats
+	start := time.Now()
 	res, err := Cluster(sketches, cfg.Cluster)
 	if err != nil {
 		return nil, err
@@ -111,7 +143,7 @@ func Stratify(c pivots.Corpus, cfg StratifierConfig) (*Stratification, error) {
 	stats.Iterations = res.Iterations
 	stats.Converged = res.Converged
 	stats.Iters = res.IterStats
-	stats.Busy = sketchBusy + res.Busy
+	stats.Busy = res.Busy
 	for _, it := range res.IterStats {
 		stats.MovedTotal += it.Moved
 	}

@@ -1,8 +1,10 @@
 package strata
 
 import (
+	"reflect"
 	"testing"
 
+	"pareto/internal/datasets"
 	"pareto/internal/pivots"
 	"pareto/internal/sketch"
 )
@@ -165,5 +167,111 @@ func TestStratifyStats(t *testing.T) {
 	if st.MovedTotal < corpus.Len() {
 		t.Errorf("MovedTotal %d below corpus size %d (round 1 moves every record)",
 			st.MovedTotal, corpus.Len())
+	}
+}
+
+// TestStratifyIsSketchPassThenStratifySketches holds Stratify to its two
+// halves on tree, text and graph corpora: the sketch pass, then
+// StratifySketches over the sketches it made. Everything but the
+// wall-clock timings must be equal, and the sketches handed in are the
+// ones kept.
+func TestStratifyIsSketchPassThenStratifySketches(t *testing.T) {
+	trees, _, err := datasets.GenerateTrees(datasets.SwissProtLike(0.005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, err := pivots.NewTreeCorpus(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, _, err := datasets.GenerateText(datasets.RCV1Like(0.0005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xc, err := pivots.NewTextCorpus(docs, datasets.RCV1Like(0.0005).VocabSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := datasets.GenerateGraph(datasets.UKLike(0.00003))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc, err := pivots.NewGraphCorpus(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		corpus pivots.Corpus
+		cfg    StratifierConfig
+	}{
+		{"tree", tc, StratifierConfig{Cluster: Config{K: 8, L: 3, Seed: 7}, Seed: 11}},
+		{"text", xc, StratifierConfig{SketchWidth: 24, Cluster: Config{K: 5, L: 2, Seed: 3, Workers: 3}, Seed: 5}},
+		{"graph", gc, StratifierConfig{Cluster: Config{K: 70, L: 3, Seed: 1}, Seed: 2}},
+	} {
+		want, err := Stratify(c.corpus, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := sketch.NewHasher(c.cfg.Width(), c.cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sketches := SketchCorpus(c.corpus, h, 2)
+		got, err := StratifySketches(c.corpus, sketches, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got.Sketches[0] != &sketches[0] {
+			t.Errorf("%s: StratifySketches copied the sketches it was given", c.name)
+		}
+		if got.Stats.SketchTime != 0 {
+			t.Errorf("%s: StratifySketches reports sketch time %v", c.name, got.Stats.SketchTime)
+		}
+		untimed(want)
+		untimed(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: StratifySketches over the sketch pass differs from Stratify", c.name)
+		}
+	}
+}
+
+// untimed zeroes st's wall-clock fields, which differ run to run.
+func untimed(st *Stratification) {
+	st.Busy, st.Stats.SketchTime, st.Stats.ClusterTime, st.Stats.Busy = 0, 0, 0, 0
+	for i := range st.IterStats {
+		st.IterStats[i].Assign, st.IterStats[i].Update = 0, 0
+	}
+}
+
+// TestStratifySketchesRejectsMismatch: sketches that do not match the
+// corpus or the configured width are an error, not a clustering.
+func TestStratifySketchesRejectsMismatch(t *testing.T) {
+	corpus, _ := clusteredTextCorpus(t, 30, 2)
+	cfg := StratifierConfig{Cluster: Config{K: 2, L: 2, Seed: 3}, Seed: 1}
+	h, err := sketch.NewHasher(cfg.Width(), cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketches := SketchCorpus(corpus, h, 1)
+	narrow, err := sketch.NewHasher(cfg.Width()-1, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sk := range map[string][]sketch.Sketch{
+		"narrow":     SketchCorpus(corpus, narrow, 1),
+		"one narrow": append(append([]sketch.Sketch(nil), sketches[:29]...), sketches[29][:cfg.Width()-1]),
+		"too few":    sketches[:29],
+	} {
+		if _, err := StratifySketches(corpus, sk, cfg); err == nil {
+			t.Errorf("%s: StratifySketches accepted mismatched sketches", name)
+		}
+	}
+	empty, err := pivots.NewTextCorpus(nil, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := StratifySketches(empty, nil, cfg); err == nil {
+		t.Error("empty corpus must fail")
 	}
 }
