@@ -39,6 +39,18 @@ const (
 	allKeys                // every argument is a key (DEL)
 )
 
+// count returns how many of a command's n arguments are keys: the
+// keys lead the argument list.
+func (k keyArgs) count(n int) int {
+	switch k {
+	case allKeys:
+		return n
+	case oneKey:
+		return min(n, 1)
+	}
+	return 0
+}
+
 // cmdSpec is one row of the command table.
 type cmdSpec struct {
 	name string // canonical upper-case wire name

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -197,6 +199,38 @@ func TestMalformedLengthHeaders(t *testing.T) {
 	}
 	if rep, err := ReadReply(bufio.NewReader(strings.NewReader("*-1\r\n"))); err != nil || rep.Type != NullArray {
 		t.Errorf("null array: %v %v", rep, err)
+	}
+}
+
+// TestArrayHeadersAllocateWhatArrives holds the reply decoder to the
+// rule its bulk reads keep: it allocates no faster than the stream
+// delivers. Twenty nested headers each claiming MaxArrayLen elements,
+// 220 bytes in all, once allocated 80 MB per header; they must now
+// cost under 1 MB. An array longer than the read buffer still decodes
+// whole as its elements arrive.
+func TestArrayHeadersAllocateWhatArrives(t *testing.T) {
+	nested := strings.Repeat("*1048576\r\n", 20)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := ReadReply(bufio.NewReader(strings.NewReader(nested)))
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("a truncated nest of arrays decoded")
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("%d bytes of array headers allocated %d bytes", len(nested), alloc)
+	}
+
+	const n = 50_000
+	wire := "*" + strconv.Itoa(n) + "\r\n" + strings.Repeat(":7\r\n", n)
+	rep, err := ReadReply(bufio.NewReaderSize(strings.NewReader(wire), 4096))
+	if err != nil || rep.Type != Array || len(rep.Array) != n {
+		t.Fatalf("%d-element array through a 4 KiB reader: %d elements, err %v", n, len(rep.Array), err)
+	}
+	for i, el := range rep.Array {
+		if el.Type != Integer || el.Int != 7 {
+			t.Fatalf("element %d = %v", i, el)
+		}
 	}
 }
 

@@ -69,21 +69,11 @@ func (w *respWriter) writeReply(r Reply) {
 		w.arena = strconv.AppendInt(w.arena, r.Int, 10)
 		w.arena = append(w.arena, '\r', '\n')
 	case BulkString:
-		w.arena = append(w.arena, '$')
-		w.arena = strconv.AppendInt(w.arena, int64(len(r.Bulk)), 10)
-		w.arena = append(w.arena, '\r', '\n')
-		if len(r.Bulk) >= respZeroCopyMin {
-			w.extend(r.Bulk)
-		} else {
-			w.arena = append(w.arena, r.Bulk...)
-		}
-		w.arena = append(w.arena, '\r', '\n')
+		w.writeBulk(r.Bulk)
 	case NullBulk:
 		w.arena = append(w.arena, "$-1\r\n"...)
 	case Array:
-		w.arena = append(w.arena, '*')
-		w.arena = strconv.AppendInt(w.arena, int64(len(r.Array)), 10)
-		w.arena = append(w.arena, '\r', '\n')
+		w.writeLen('*', len(r.Array))
 		for _, el := range r.Array {
 			w.writeReply(el)
 		}
@@ -94,6 +84,40 @@ func (w *respWriter) writeReply(r Reply) {
 		// error reply so the client fails loudly rather than desyncing.
 		w.arena = append(w.arena, "-ERR unencodable reply\r\n"...)
 	}
+}
+
+// writeWindow appends the array reply of an LRANGE window (see
+// Engine.lrange) straight from the stored values, with no Reply per
+// element: the bytes writeReply(windowReply(win)) would write.
+func (w *respWriter) writeWindow(win [][][]byte) {
+	n := 0
+	for _, seg := range win {
+		n += len(seg)
+	}
+	w.writeLen('*', n)
+	for _, seg := range win {
+		for _, v := range seg {
+			w.writeBulk(v)
+		}
+	}
+}
+
+// writeBulk appends one bulk string, referencing a large payload.
+func (w *respWriter) writeBulk(b []byte) {
+	w.writeLen('$', len(b))
+	if len(b) >= respZeroCopyMin {
+		w.extend(b)
+	} else {
+		w.arena = append(w.arena, b...)
+	}
+	w.arena = append(w.arena, '\r', '\n')
+}
+
+// writeLen appends a "<prefix><n>\r\n" header.
+func (w *respWriter) writeLen(prefix byte, n int) {
+	w.arena = append(w.arena, prefix)
+	w.arena = strconv.AppendInt(w.arena, int64(n), 10)
+	w.arena = append(w.arena, '\r', '\n')
 }
 
 // extend closes the open arena span and appends b as a referenced

@@ -263,6 +263,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	// aliases an argument (see engine.go), so nothing outlives its
 	// arena generation.
 	var cb CommandBuffer
+	// win is the connection's scratch for LRANGE windows, which the
+	// server frames straight from the stored values.
+	var win [][][]byte
 	for {
 		cmd, args, err := ReadCommandInto(r, &cb, MaxBulkLen)
 		if err != nil {
@@ -295,6 +298,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		if !handled {
 			reply, handled = s.handleServerCommand(id, args)
 		}
+		framed := false
+		if !handled && id == cmdLRange {
+			handled = true
+			if win, reply, framed = s.engine.lrange(args, win[:0]); framed {
+				rw.writeWindow(win)
+				clear(win)
+			}
+		}
 		if !handled {
 			reply = s.engine.doID(id, cmd, args)
 			if aof != nil && cmdTable[id].writes && reply.Type != ErrorReply {
@@ -311,7 +322,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		if stats != nil {
 			stats.observe(id, reply.Type == ErrorReply)
 		}
-		rw.writeReply(reply)
+		if !framed {
+			rw.writeReply(reply)
+		}
 		// Coalesce reply writes: flush when no further command is
 		// already buffered (a pipelined batch read in one bufio fill is
 		// answered with one gather-write) or when the pending batch hits

@@ -171,15 +171,8 @@ type clusterConfig struct {
 // Unassigned slots answer CLUSTERDOWN. ok=false means the command is
 // local and should proceed.
 func (cc *clusterConfig) checkSlots(id cmdID, args [][]byte) (Reply, bool) {
-	which := cmdTable[id].keys
-	if which == noKeys || len(args) == 0 {
-		return Reply{}, false // keyless command: always local
-	}
-	keys := args
-	if which == oneKey {
-		keys = args[:1]
-	}
-	for _, k := range keys {
+	// A keyless command has no keys to check: it is always local.
+	for _, k := range args[:cmdTable[id].keys.count(len(args))] {
 		if rep, moved := cc.checkKey(k); moved {
 			return rep, true
 		}
