@@ -23,8 +23,9 @@ import (
 // declares nothing, so every `pareto.Name` is drift. Every -flag on a
 // quoted `go run ./cmd/<prog>` line, or on a line of a fenced sh block
 // that starts with a program's bare name (`kvstored -addr …`), is a
-// flag that program defines. Inline code spans and fenced code blocks
-// both count as quoted.
+// flag that program defines, and every quoted `go run ./examples/<dir>`
+// names a directory of examples/ with a non-test Go file. Inline code
+// spans and fenced code blocks both count as quoted.
 //
 // A document is read up to its heading until, or whole when until is
 // empty: EXPERIMENTS.md's dated entries from its first one on record
@@ -37,11 +38,13 @@ var driftDocs = []struct{ name, until string }{
 
 // docNames is what the rule resolves quotes against: the packages
 // under internal/ (by name) and every name a doc may quote in them,
-// plus, per command under cmd/, the flags it defines.
+// per command under cmd/ the flags it defines, and the directories
+// under examples/.
 type docNames struct {
-	pkgs  map[string]bool
-	names map[string]bool
-	flags map[string]map[string]bool
+	pkgs     map[string]bool
+	names    map[string]bool
+	flags    map[string]map[string]bool
+	examples map[string]bool
 }
 
 // flagFuncs maps the flag package's defining functions to the
@@ -76,13 +79,15 @@ func collectDocNames(files map[string]string) (*docNames, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &docNames{pkgs: map[string]bool{surfaceModule: true}, names: map[string]bool{}, flags: map[string]map[string]bool{}}
+	d := &docNames{pkgs: map[string]bool{surfaceModule: true}, names: map[string]bool{}, flags: map[string]map[string]bool{}, examples: map[string]bool{}}
 	for _, p := range nonTest {
 		switch {
 		case strings.HasPrefix(p.dir, "internal/"):
 			d.addDecls(path.Base(p.dir), p.file)
 		case strings.HasPrefix(p.dir, "cmd/"):
 			d.addFlags(strings.TrimPrefix(p.dir, "cmd/"), p.file)
+		case strings.HasPrefix(p.dir, "examples/"):
+			d.examples[strings.TrimPrefix(p.dir, "examples/")] = true
 		}
 	}
 	return d, nil
@@ -163,6 +168,7 @@ var (
 	spanRe     = regexp.MustCompile("`([^`]+)`")
 	quotedRe   = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 	goRunCmdRe = regexp.MustCompile(`go run \./cmd/([\w-]+)`)
+	goRunExRe  = regexp.MustCompile(`go run \./examples/([\w-]+)`)
 	flagTokRe  = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
 )
 
@@ -250,6 +256,11 @@ func (d *docNames) drift(name, doc string) []string {
 			}
 			checkFlags(where, prog, "go run ./cmd/"+prog, strings.Fields(c[m[1]:]))
 		}
+		for _, m := range goRunExRe.FindAllStringSubmatch(c, -1) {
+			if !d.examples[m[1]] {
+				out = append(out, fmt.Sprintf("%s: `go run ./examples/%s`: no such example", where, m[1]))
+			}
+		}
 		if f := strings.Fields(c); sh[i] && len(f) > 0 && d.flags[f[0]] != nil {
 			checkFlags(where, f[0], f[0], f[1:])
 		}
@@ -334,21 +345,28 @@ var (
 
 func init() { flag.IntVar(&n, "p", 8, "nodes") }
 `,
+		"examples/demo/main.go": `package main
+
+func main() {}
+`,
+		"examples/gone/main_test.go": `package main
+`,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := "Good: `a.Build`, `*a.Config`, `a.Config.Alpha`, `a.Config.Plan`, `a.Plan.Run`,\n" +
 		"`a.Run`, `a.Source.Models`, `a.ErrBad`, `a.Build().Result`, `a.metric_name`,\n" +
-		"`x.Missing`, `go run ./cmd/tool -in f -p 4 --dry-run | grep -v x`.\n" +
+		"`x.Missing`, `go run ./cmd/tool -in f -p 4 --dry-run | grep -v x`, `go run ./examples/demo`.\n" +
 		"\n```sh\ngo run ./cmd/tool -in f \\\n  -bogus 1\n```\n" +
 		"Bad: `a.Missing`, `a.Helper`, `a.Config.Beta`, `pareto.Frontier`,\n" +
-		"`go run ./cmd/nope -x`, `go run ./cmd/tool -q`.\n" +
+		"`go run ./cmd/nope -x`, `go run ./cmd/tool -q`, `go run ./examples/gone`.\n" +
 		"```go\nplan := a.Gone()\n```\n" +
 		"```sh\ntool -in f -p 4 -snapshot x.pkvs &\n```\n"
 	want := []string{
 		"doc.md:10: `go run ./cmd/nope`: no such command",
 		"doc.md:10: `go run ./cmd/tool` has no flag -q",
+		"doc.md:10: `go run ./examples/gone`: no such example",
 		"doc.md:12: `a.Gone` names nothing in package a",
 		"doc.md:15: `tool` has no flag -snapshot",
 		"doc.md:6: `go run ./cmd/tool` has no flag -bogus",

@@ -7,6 +7,7 @@ import (
 
 	"pareto/internal/cluster"
 	"pareto/internal/core"
+	"pareto/internal/frontier"
 	"pareto/internal/telemetry"
 )
 
@@ -145,6 +146,10 @@ type FrontierRow struct {
 	TimeSec  float64
 	DirtyJ   float64
 	Baseline bool // the Stratified reference point
+	// Dominated is set when another executed row of the same sweep,
+	// the baseline included, is no worse in measured time and dirty
+	// energy and strictly better in one (frontier.DominatesVec).
+	Dominated bool
 }
 
 // MeasureFrontier sweeps α (Figure 5): for each value it builds a plan
@@ -171,7 +176,21 @@ func MeasureFrontier(w Workload, cl *cluster.Cluster, alphas []float64, o Option
 			out[i].Alpha = alphas[i]
 		}
 	}
+	markDominated(out)
 	return out, nil
+}
+
+// markDominated sets Dominated on every row that another row of rows
+// Pareto-dominates in (TimeSec, DirtyJ).
+func markDominated(rows []FrontierRow) {
+	for i := range rows {
+		for j := range rows {
+			if frontier.DominatesVec([]float64{rows[j].TimeSec, rows[j].DirtyJ}, []float64{rows[i].TimeSec, rows[i].DirtyJ}) {
+				rows[i].Dominated = true
+				break
+			}
+		}
+	}
 }
 
 // Improvement returns the relative reduction of b versus a: (a−b)/a.
@@ -204,16 +223,21 @@ func FormatRows(rows []StrategyRow) string {
 	return sb.String()
 }
 
-// FormatFrontier renders frontier rows as an aligned text table.
+// FormatFrontier renders frontier rows as an aligned text table. The
+// point column reads stratified-baseline for the baseline, dominated
+// for an α row another row dominates, and pareto for the rest.
 func FormatFrontier(rows []FrontierRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%10s %12s %12s %s\n", "alpha", "time(s)", "dirty(kJ)", "point")
 	for _, r := range rows {
 		label := "pareto"
 		alpha := fmt.Sprintf("%.6g", r.Alpha)
-		if r.Baseline {
+		switch {
+		case r.Baseline:
 			label = "stratified-baseline"
 			alpha = "-"
+		case r.Dominated:
+			label = "dominated"
 		}
 		fmt.Fprintf(&sb, "%10s %12.3f %12.3f %s\n", alpha, r.TimeSec, r.DirtyJ/1000, label)
 	}

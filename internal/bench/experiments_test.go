@@ -3,6 +3,7 @@ package bench
 import (
 	"os"
 	"regexp"
+	"strings"
 	"testing"
 
 	"pareto/internal/core"
@@ -199,6 +200,53 @@ func TestFig5FrontierShape(t *testing.T) {
 			t.Errorf("workload %d: no frontier point beats the baseline's time %.3f",
 				w, base.TimeSec)
 		}
+	}
+}
+
+// TestFrontierLabelsDominatedRows labels hand-built sweep rows and
+// checks every printed label against a pairwise dominance check written
+// from the definition: a row is dominated when another row of the block,
+// the baseline included, is no worse on both axes and better on one.
+func TestFrontierLabelsDominatedRows(t *testing.T) {
+	rows := []FrontierRow{
+		{Alpha: 1, TimeSec: 10, DirtyJ: 900},
+		{Alpha: 0.999, TimeSec: 19, DirtyJ: 1},  // beaten by α = 0.99
+		{Alpha: 0.99, TimeSec: 10, DirtyJ: 0.5}, // beats α = 1 on energy alone
+		{Alpha: 0.95, TimeSec: 9, DirtyJ: 2000}, // fastest: stays
+		{Alpha: 0.9, TimeSec: 12, DirtyJ: 0.5},  // tied energy, slower
+		{Alpha: 0.5, TimeSec: 30, DirtyJ: 0.25}, // faster than the baseline: stays
+		{Alpha: 0.1, TimeSec: 30, DirtyJ: 0.25}, // equal to α = 0.5: neither dominates
+		{Alpha: 0, TimeSec: 40, DirtyJ: 0.22},   // beaten by the baseline only
+		{TimeSec: 35, DirtyJ: 0.2, Baseline: true},
+	}
+	markDominated(rows)
+	lines := strings.Split(strings.TrimSuffix(FormatFrontier(rows), "\n"), "\n")[1:]
+	if len(lines) != len(rows) {
+		t.Fatalf("%d table rows, want %d", len(lines), len(rows))
+	}
+	dominated := 0
+	for i, r := range rows {
+		want := "pareto"
+		for j, o := range rows {
+			if j != i && o.TimeSec <= r.TimeSec && o.DirtyJ <= r.DirtyJ && (o.TimeSec < r.TimeSec || o.DirtyJ < r.DirtyJ) {
+				want = "dominated"
+			}
+		}
+		if r.Dominated != (want == "dominated") {
+			t.Errorf("row %d: Dominated = %v, want %v", i, r.Dominated, !r.Dominated)
+		}
+		if want == "dominated" {
+			dominated++
+		}
+		if r.Baseline {
+			want = "stratified-baseline"
+		}
+		if f := strings.Fields(lines[i]); f[len(f)-1] != want {
+			t.Errorf("row %d (α = %v) labelled %q, want %q", i, r.Alpha, f[len(f)-1], want)
+		}
+	}
+	if dominated != 4 {
+		t.Fatalf("fixture has %d dominated rows, want 4", dominated)
 	}
 }
 

@@ -448,7 +448,7 @@ func Size(cl *cluster.Cluster, ladder []int, costs []float64, n int, alpha float
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: fitting node models: %w", err)
 	}
-	oplan, err := opt.OptimizeWithConstraints(models, n, alpha, SizingConstraints(cfg, n, len(models)))
+	oplan, err := opt.Optimize(models, n, alpha, SizingConstraints(cfg, n, len(models)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: optimizing: %w", err)
 	}

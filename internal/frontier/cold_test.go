@@ -25,7 +25,7 @@ import (
 const coldDedupTol = 1e-9
 
 func coldPoint(nodes []opt.NodeModel, total int, alpha float64) (Point, error) {
-	plan, err := opt.Optimize(nodes, total, alpha)
+	plan, err := opt.Optimize(nodes, total, alpha, opt.Constraints{})
 	if err != nil {
 		return Point{}, err
 	}

@@ -148,7 +148,7 @@ func TestServiceRejectsBadModels(t *testing.T) {
 		if _, err := Exact(tc.nodes, tc.total, Config{}); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: Exact error %v, want ErrBadRequest", tc.name, err)
 		}
-		if _, err := opt.Optimize(tc.nodes, tc.total, 1); err == nil {
+		if _, err := opt.Optimize(tc.nodes, tc.total, 1, opt.Constraints{}); err == nil {
 			t.Errorf("%s: opt.Optimize accepts it", tc.name)
 		}
 		svc := NewService(StaticSource{Nodes: tc.nodes, Total: tc.total}, Config{})

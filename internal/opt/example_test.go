@@ -14,11 +14,11 @@ func ExampleOptimize() {
 		{Time: sampling.LinearFit{Slope: 0.001}, DirtyRate: 400}, // fast, dirty
 		{Time: sampling.LinearFit{Slope: 0.002}, DirtyRate: 0},   // slow, green
 	}
-	hetAware, err := opt.Optimize(nodes, 30000, 1.0)
+	hetAware, err := opt.Optimize(nodes, 30000, 1.0, opt.Constraints{})
 	if err != nil {
 		panic(err)
 	}
-	greenLeaning, err := opt.Optimize(nodes, 30000, 0.99)
+	greenLeaning, err := opt.Optimize(nodes, 30000, 0.99, opt.Constraints{})
 	if err != nil {
 		panic(err)
 	}

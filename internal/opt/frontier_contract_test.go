@@ -78,7 +78,7 @@ func TestSizingLPMatchesOptimize(t *testing.T) {
 			t.Fatalf("α=%v: %v", alpha, err)
 		}
 		plan := PlanFromX(nodes, total, alpha, UnitsFromShares(sol.X[:len(nodes)], total))
-		want, err := Optimize(nodes, total, alpha)
+		want, err := Optimize(nodes, total, alpha, Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestOptimizeMetamorphic(t *testing.T) {
 	base := distinctNodes()
 	optimize := func(nodes []NodeModel, total int, alpha float64) []int {
 		t.Helper()
-		plan, err := Optimize(nodes, total, alpha)
+		plan, err := Optimize(nodes, total, alpha, Constraints{})
 		if err != nil {
 			t.Fatalf("α=%v: %v", alpha, err)
 		}

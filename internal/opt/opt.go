@@ -54,9 +54,8 @@ type Plan struct {
 
 // ValidateModels rejects inputs no sizing LP can be built from: no
 // nodes, a total below 1, or a slope, intercept or dirty rate that is
-// negative, NaN or infinite. It is the one model check: Optimize and
-// OptimizeWithConstraints apply it, and so does internal/frontier
-// before it enumerates.
+// negative, NaN or infinite. It is the one model check: Optimize
+// applies it, and so does internal/frontier before it enumerates.
 func ValidateModels(nodes []NodeModel, total int) error {
 	if len(nodes) == 0 {
 		return errors.New("opt: no nodes")
@@ -79,16 +78,6 @@ func ValidateModels(nodes []NodeModel, total int) error {
 // finiteNonNeg reports whether x is a number in [0, +Inf).
 func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
-func validate(nodes []NodeModel, total int, alpha float64) error {
-	if err := ValidateModels(nodes, total); err != nil {
-		return err
-	}
-	if alpha < 0 || alpha > 1 {
-		return fmt.Errorf("opt: alpha %v out of [0,1]", alpha)
-	}
-	return nil
-}
-
 // Constraints are optional side conditions on the partition sizing.
 type Constraints struct {
 	// MinSize forces x_i ≥ MinSize for every node. Scaled-support
@@ -99,17 +88,16 @@ type Constraints struct {
 	MinSize float64
 }
 
-// Optimize solves the scalarized LP at the given α and returns the
-// partition sizing. α = 1 reproduces Het-Aware; the paper's
-// Het-Energy-Aware runs use α = 0.999 (mining) and 0.995 (compression).
-func Optimize(nodes []NodeModel, total int, alpha float64) (*Plan, error) {
-	return OptimizeWithConstraints(nodes, total, alpha, Constraints{})
-}
-
-// OptimizeWithConstraints is Optimize with side conditions.
-func OptimizeWithConstraints(nodes []NodeModel, total int, alpha float64, cons Constraints) (*Plan, error) {
-	if err := validate(nodes, total, alpha); err != nil {
+// Optimize solves the scalarized LP at the given α under cons and
+// returns the partition sizing; pass Constraints{} for no floor. α = 1
+// reproduces Het-Aware; the paper's Het-Energy-Aware runs use α = 0.999
+// (mining) and 0.995 (compression).
+func Optimize(nodes []NodeModel, total int, alpha float64, cons Constraints) (*Plan, error) {
+	if err := ValidateModels(nodes, total); err != nil {
 		return nil, err
+	}
+	if alpha < 0 || alpha > 1 {
+		return nil, fmt.Errorf("opt: alpha %v out of [0,1]", alpha)
 	}
 	if cons.MinSize < 0 {
 		return nil, fmt.Errorf("opt: negative MinSize %v", cons.MinSize)
@@ -117,11 +105,15 @@ func OptimizeWithConstraints(nodes []NodeModel, total int, alpha float64, cons C
 	if cap := float64(total) / float64(len(nodes)); cons.MinSize > cap {
 		cons.MinSize = cap
 	}
-	x, err := solveScalarized(nodes, total, alpha, cons)
+	prob, err := SizingLP(nodes, total, alpha, cons)
 	if err != nil {
 		return nil, err
 	}
-	return PlanFromX(nodes, total, alpha, x), nil
+	sol, err := prob.NewSolver().Solve()
+	if err != nil {
+		return nil, fmt.Errorf("opt: scalarized LP: %w", err)
+	}
+	return PlanFromX(nodes, total, alpha, UnitsFromShares(sol.X[:len(nodes)], total)), nil
 }
 
 // tieBreakWeight is the floor on each scalarization weight. At the
@@ -215,20 +207,6 @@ func UnitsFromShares(shares []float64, total int) []float64 {
 		x[i] = s * float64(total)
 	}
 	return x
-}
-
-// solveScalarized builds and solves the scalarized LP, returning the
-// fractional x in data units.
-func solveScalarized(nodes []NodeModel, total int, alpha float64, cons Constraints) ([]float64, error) {
-	prob, err := SizingLP(nodes, total, alpha, cons)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := prob.NewSolver().Solve()
-	if err != nil {
-		return nil, fmt.Errorf("opt: scalarized LP: %w", err)
-	}
-	return UnitsFromShares(sol.X[:len(nodes)], total), nil
 }
 
 // makespanOf returns max_i f_i(x_i) over nodes with x_i > 0 (an idle

@@ -22,24 +22,24 @@ func paperNodes() []NodeModel {
 
 func TestOptimizeValidation(t *testing.T) {
 	nodes := paperNodes()
-	if _, err := Optimize(nil, 100, 1); err == nil {
+	if _, err := Optimize(nil, 100, 1, Constraints{}); err == nil {
 		t.Error("no nodes accepted")
 	}
-	if _, err := Optimize(nodes, 0, 1); err == nil {
+	if _, err := Optimize(nodes, 0, 1, Constraints{}); err == nil {
 		t.Error("zero total accepted")
 	}
-	if _, err := Optimize(nodes, 100, 1.5); err == nil {
+	if _, err := Optimize(nodes, 100, 1.5, Constraints{}); err == nil {
 		t.Error("alpha > 1 accepted")
 	}
-	if _, err := Optimize(nodes, 100, -0.1); err == nil {
+	if _, err := Optimize(nodes, 100, -0.1, Constraints{}); err == nil {
 		t.Error("alpha < 0 accepted")
 	}
 	bad := []NodeModel{{Time: sampling.LinearFit{Slope: -1}}}
-	if _, err := Optimize(bad, 100, 1); err == nil {
+	if _, err := Optimize(bad, 100, 1, Constraints{}); err == nil {
 		t.Error("negative slope accepted")
 	}
 	bad2 := []NodeModel{{Time: sampling.LinearFit{Slope: 1}, DirtyRate: -3}}
-	if _, err := Optimize(bad2, 100, 1); err == nil {
+	if _, err := Optimize(bad2, 100, 1, Constraints{}); err == nil {
 		t.Error("negative dirty rate accepted")
 	}
 	for name, n := range map[string]NodeModel{
@@ -55,7 +55,7 @@ func TestOptimizeValidation(t *testing.T) {
 		"negative intercept": {Time: sampling.LinearFit{Slope: 1, Intercept: -1}},
 	} {
 		nodes := append(paperNodes(), n)
-		if _, err := Optimize(nodes, 100, 0.5); err == nil {
+		if _, err := Optimize(nodes, 100, 0.5, Constraints{}); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 		if err := ValidateModels(nodes, 100); err == nil {
@@ -68,7 +68,7 @@ func TestOptimizeSizesSumToTotal(t *testing.T) {
 	nodes := paperNodes()
 	for _, total := range []int{1, 7, 100, 99999, 1234567} {
 		for _, alpha := range []float64{1, 0.999, 0.9, 0.5, 0} {
-			plan, err := Optimize(nodes, total, alpha)
+			plan, err := Optimize(nodes, total, alpha, Constraints{})
 			if err != nil {
 				t.Fatalf("total %d alpha %v: %v", total, alpha, err)
 			}
@@ -91,7 +91,7 @@ func TestHetAwareMatchesWaterFill(t *testing.T) {
 	// solution: everyone loaded finishes at the same time T.
 	nodes := paperNodes()
 	total := 500000
-	plan, err := Optimize(nodes, total, 1)
+	plan, err := Optimize(nodes, total, 1, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestHetAwareMatchesWaterFill(t *testing.T) {
 
 func TestHetAwareLoadsFasterNodesMore(t *testing.T) {
 	nodes := paperNodes()
-	plan, err := Optimize(nodes, 100000, 1)
+	plan, err := Optimize(nodes, 100000, 1, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestHetAwareLoadsFasterNodesMore(t *testing.T) {
 
 func TestEnergyAwareShiftsLoadToGreenNodes(t *testing.T) {
 	nodes := paperNodes()
-	hetAware, err := Optimize(nodes, 100000, 1)
+	hetAware, err := Optimize(nodes, 100000, 1, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	greenish, err := Optimize(nodes, 100000, 0.9)
+	greenish, err := Optimize(nodes, 100000, 0.9, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAlphaZeroPilesOnGreenestNode(t *testing.T) {
 	// The paper observes that below α≈0.9 the optimizer puts nearly
 	// all payload on the lowest-dirty-rate machine.
 	nodes := paperNodes()
-	plan, err := Optimize(nodes, 10000, 0)
+	plan, err := Optimize(nodes, 10000, 0, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEqualSizedBaselineIsDominated(t *testing.T) {
 	base := &Plan{Makespan: makespanOf(nodes, x), DirtyEnergy: energyOf(nodes, x)}
 	dominated := false
 	for _, a := range DefaultAlphaSweep() {
-		plan, err := Optimize(nodes, total, a)
+		plan, err := Optimize(nodes, total, a, Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestWaterFillAgainstLPRandomized(t *testing.T) {
 			}
 		}
 		total := 10000 + rng.Intn(500000)
-		plan, err := Optimize(nodes, total, 1)
+		plan, err := Optimize(nodes, total, 1, Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestDominates(t *testing.T) {
 func TestOptimizeWithConstraintsMinSize(t *testing.T) {
 	nodes := paperNodes()
 	total := 100000
-	plan, err := OptimizeWithConstraints(nodes, total, 1, Constraints{MinSize: 10000})
+	plan, err := Optimize(nodes, total, 1, Constraints{MinSize: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +334,10 @@ func TestOptimizeWithConstraintsMinSize(t *testing.T) {
 		t.Errorf("sum %d", sum)
 	}
 	// Negative floor rejected; oversized floor capped at total/p.
-	if _, err := OptimizeWithConstraints(nodes, total, 1, Constraints{MinSize: -1}); err == nil {
+	if _, err := Optimize(nodes, total, 1, Constraints{MinSize: -1}); err == nil {
 		t.Error("negative MinSize accepted")
 	}
-	plan, err = OptimizeWithConstraints(nodes, total, 1, Constraints{MinSize: 1e9})
+	plan, err = Optimize(nodes, total, 1, Constraints{MinSize: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +347,11 @@ func TestOptimizeWithConstraintsMinSize(t *testing.T) {
 		}
 	}
 	// Floor must not change the unconstrained solution when inactive.
-	free, err := Optimize(nodes, total, 1)
+	free, err := Optimize(nodes, total, 1, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := OptimizeWithConstraints(nodes, total, 1, Constraints{MinSize: 1})
+	tiny, err := Optimize(nodes, total, 1, Constraints{MinSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,11 +363,11 @@ func TestOptimizeWithConstraintsMinSize(t *testing.T) {
 func TestConstrainedEnergyObjectiveStillTrades(t *testing.T) {
 	nodes := paperNodes()
 	total := 100000
-	het, err := OptimizeWithConstraints(nodes, total, 1, Constraints{MinSize: 5000})
+	het, err := Optimize(nodes, total, 1, Constraints{MinSize: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hea, err := OptimizeWithConstraints(nodes, total, 0.9, Constraints{MinSize: 5000})
+	hea, err := Optimize(nodes, total, 0.9, Constraints{MinSize: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

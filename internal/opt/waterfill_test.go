@@ -95,7 +95,7 @@ func BenchmarkAblationSimplexVsWaterfill(b *testing.B) {
 	}
 	b.Run("simplex", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Optimize(nodes, 1_000_000, 1); err != nil {
+			if _, err := Optimize(nodes, 1_000_000, 1, Constraints{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -27,13 +27,12 @@
 //     value order, so the count-desc, value-asc tie-break of top-L
 //     selection reads the same on codes; codes never leave the call,
 //     and centers stay values.
-//   - Assignment reads centers from a flattened [K×width×L]uint64
-//     matrix (short attribute rows padded by repeating the first
-//     candidate) and abandons a center as soon as its running mismatch
-//     count reaches the best distance so far. For moderate K a
-//     cell→center-bitmask table replaces the scan: one array read per
-//     attribute, with every center's matches counted at once in
-//     bit-sliced counters.
+//   - For K ≤ 64, assignment reads a cell→center-bitmask table: one
+//     array read per attribute, with every center's matches counted at
+//     once in bit-sliced counters. Above 64 centers it scans a
+//     flattened [K×width×L]uint64 matrix (short attribute rows padded
+//     by repeating the first candidate) and abandons a center as soon
+//     as its running mismatch count reaches the best distance so far.
 //   - Every round — recode, shift, assign, update — is one
 //     parallel.For call with one task per worker index. Each worker owns
 //     a contiguous record range and attribute range, and its scratch
@@ -221,10 +220,6 @@ func initCenters(sketches []sketch.Sketch, k int, rng *rand.Rand) []Center {
 // are single uint64 words, so it only exists for K ≤ 64 centers.
 const maskPathMaxK = 64
 
-// maskPathMinK is the K below which the flattened scan with early exit
-// beats the per-attribute table lookups of the mask path.
-const maskPathMinK = 8
-
 // maxPlanes bounds nearestMask's bit planes: Cluster keeps the cell
 // index within int32, so the width, and a match count, is below 2³¹.
 const maxPlanes = 31
@@ -313,7 +308,7 @@ func newClusterState(sketches []sketch.Sketch, k, width, l, workers int) *cluste
 		dicts:     make([][]uint64, width),
 		off:       make([]int, width+1),
 		flat:      make([]uint64, k*width*l),
-		useMask:   k >= maskPathMinK && k <= maskPathMaxK,
+		useMask:   k <= maskPathMaxK,
 		planes:    bits.Len(uint(width)),
 		byStratum: make([]int32, n),
 		first:     make([]int32, k+2),

@@ -375,8 +375,8 @@ func lowUniverseSketches(n, width, universe int, seed int64) []sketch.Sketch {
 }
 
 // TestClusterMatchesReference sweeps n/K/L/width/seed combinations
-// (covering the bitmask path K∈[8,64], the scan path K<8 and K>64,
-// L larger than the distinct-value count, and MaxIter exhaustion) and
+// (covering the bitmask path K∈[1,64], the scan path K>64, L larger
+// than the distinct-value count, and MaxIter exhaustion) and
 // asserts the optimized hot path reproduces the reference bit-exactly:
 // same assignments, same centers, same cost, same iteration count.
 func TestClusterMatchesReference(t *testing.T) {
@@ -390,8 +390,10 @@ func TestClusterMatchesReference(t *testing.T) {
 		return s
 	}
 	cases := []tc{
-		{"scan-small-K", planted(180, 8, 3, 0.2, 1), Config{K: 3, L: 2, Seed: 11}},
-		{"scan-K2-L1", planted(90, 4, 2, 0.4, 2), Config{K: 2, L: 1, Seed: 5}},
+		{"mask-K1", planted(120, 8, 3, 0.3, 12), Config{K: 1, L: 2, Seed: 43}},
+		{"mask-K2-L1", planted(90, 4, 2, 0.4, 2), Config{K: 2, L: 1, Seed: 5}},
+		{"mask-K3", planted(180, 8, 3, 0.2, 1), Config{K: 3, L: 2, Seed: 11}},
+		{"mask-K7", planted(210, 10, 7, 0.3, 13), Config{K: 7, L: 3, Seed: 47}},
 		{"mask-K8", planted(250, 16, 8, 0.3, 3), Config{K: 8, L: 3, Seed: 7}},
 		{"mask-K32", planted(400, 12, 16, 0.25, 4), Config{K: 32, L: 2, Seed: 13}},
 		{"mask-K64", planted(300, 8, 10, 0.3, 5), Config{K: 64, L: 2, Seed: 17}},
@@ -583,8 +585,8 @@ func recodeAdversarialInputs() map[string][]sketch.Sketch {
 }
 
 // TestClusterRecodeMatchesReference holds Cluster to the value-level
-// reference on recodeAdversarialInputs, at K = 7 and 65 (scan path) and
-// 8 and 64 (mask path), at one to four workers.
+// reference on recodeAdversarialInputs, at K = 7, 8 and 64 (mask path)
+// and 65 (scan path), at one to four workers.
 func TestClusterRecodeMatchesReference(t *testing.T) {
 	for name, sketches := range recodeAdversarialInputs() {
 		for _, k := range []int{7, 8, 64, 65} {
