@@ -202,11 +202,12 @@ func Improvement(a, b float64) float64 {
 }
 
 // FormatRows renders strategy rows as an aligned text table, one line
-// per row, with the quality metrics the workload reported.
+// per row, with the quality metrics the workload reported. Dirty energy
+// prints in joules: the small-scale cells draw well under one kJ.
 func FormatRows(rows []StrategyRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-18s %5s %7s %12s %12s %9s  %s\n",
-		"strategy", "p", "alpha", "time(s)", "dirty(kJ)", "imbalance", "quality")
+		"strategy", "p", "alpha", "time(s)", "dirty(J)", "imbalance", "quality")
 	for _, r := range rows {
 		keys := make([]string, 0, len(r.Quality))
 		for k := range r.Quality {
@@ -218,7 +219,7 @@ func FormatRows(rows []StrategyRow) string {
 			qs = append(qs, fmt.Sprintf("%s=%.4g", k, r.Quality[k]))
 		}
 		fmt.Fprintf(&sb, "%-18s %5d %7.4g %12.3f %12.3f %9.2f  %s\n",
-			r.Strategy, r.Partitions, r.Alpha, r.TimeSec, r.DirtyJ/1000, r.Imbalance, strings.Join(qs, " "))
+			r.Strategy, r.Partitions, r.Alpha, r.TimeSec, r.DirtyJ, r.Imbalance, strings.Join(qs, " "))
 	}
 	return sb.String()
 }
@@ -228,7 +229,7 @@ func FormatRows(rows []StrategyRow) string {
 // for an α row another row dominates, and pareto for the rest.
 func FormatFrontier(rows []FrontierRow) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%10s %12s %12s %s\n", "alpha", "time(s)", "dirty(kJ)", "point")
+	fmt.Fprintf(&sb, "%10s %12s %12s %s\n", "alpha", "time(s)", "dirty(J)", "point")
 	for _, r := range rows {
 		label := "pareto"
 		alpha := fmt.Sprintf("%.6g", r.Alpha)
@@ -239,7 +240,7 @@ func FormatFrontier(rows []FrontierRow) string {
 		case r.Dominated:
 			label = "dominated"
 		}
-		fmt.Fprintf(&sb, "%10s %12.3f %12.3f %s\n", alpha, r.TimeSec, r.DirtyJ/1000, label)
+		fmt.Fprintf(&sb, "%10s %12.3f %12.3f %s\n", alpha, r.TimeSec, r.DirtyJ, label)
 	}
 	return sb.String()
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"os"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -199,6 +201,26 @@ func TestFig5FrontierShape(t *testing.T) {
 		if !faster {
 			t.Errorf("workload %d: no frontier point beats the baseline's time %.3f",
 				w, base.TimeSec)
+		}
+	}
+}
+
+// TestTablesPrintSubJouleDirtyEnergy: a row that drew 0.4 J of dirty
+// energy prints a non-zero value in both tables, in joules.
+func TestTablesPrintSubJouleDirtyEnergy(t *testing.T) {
+	tables := map[string]string{
+		"FormatRows":     FormatRows([]StrategyRow{{Strategy: core.HetAware, Partitions: 4, Alpha: 1, TimeSec: 0.007, DirtyJ: 0.4}}),
+		"FormatFrontier": FormatFrontier([]FrontierRow{{Alpha: 1, TimeSec: 0.007, DirtyJ: 0.4}}),
+	}
+	for name, text := range tables {
+		lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+		head, row := strings.Fields(lines[0]), strings.Fields(lines[1])
+		col := slices.Index(head, "dirty(J)")
+		if col < 0 {
+			t.Fatalf("%s: no dirty(J) column in %q", name, lines[0])
+		}
+		if v, err := strconv.ParseFloat(row[col], 64); err != nil || v != 0.4 {
+			t.Errorf("%s: dirty column reads %q, want 0.400:\n%s", name, row[col], text)
 		}
 	}
 }

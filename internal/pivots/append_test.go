@@ -57,8 +57,10 @@ func appendCorpora(t *testing.T) map[string]struct {
 
 // TestAppendItemsKeepsPrefix appends every record behind a prefix into
 // one reused buffer, as SketchAll's chunks do, whose spare capacity
-// holds the previous record's leftovers: the prefix must stay, and
-// exactly the record's ascending, duplicate-free set must follow it.
+// holds the previous record's leftovers: the prefix must stay, and the
+// record's set must follow it. Graph and text records append exactly
+// their ascending, duplicate-free set; trees append theirs in walk
+// order with repeats, the same items on a second call.
 func TestAppendItemsKeepsPrefix(t *testing.T) {
 	prefix := []sketch.Item{^sketch.Item(0), 0, 42}
 	for name, tc := range appendCorpora(t) {
@@ -72,6 +74,12 @@ func TestAppendItemsKeepsPrefix(t *testing.T) {
 				t.Fatalf("%s record %d: prefix became %v", name, i, buf[:len(prefix)])
 			}
 			got := buf[len(prefix):]
+			if tc.c.Kind() == pivots.TreeData {
+				if again := tc.c.AppendItems(nil, i); !slices.Equal(got, again) {
+					t.Fatalf("%s record %d: two calls disagree:\n%v\n%v", name, i, got, again)
+				}
+				got = slices.Compact(sortedItems(got))
+			}
 			for k := 1; k < len(got); k++ {
 				if got[k-1] >= got[k] {
 					t.Fatalf("%s record %d: items not strictly ascending at %d", name, i, k)
@@ -80,6 +88,50 @@ func TestAppendItemsKeepsPrefix(t *testing.T) {
 			if want := tc.want(i); !slices.Equal(got, want) {
 				t.Fatalf("%s record %d: appended %v, want %v", name, i, got, want)
 			}
+		}
+	}
+}
+
+// TestTreeItemsMatchPivots: a tree's raw items, unsorted and with
+// repeats, sketch exactly as its sorted set Pivots() does, and sort and
+// compact to it, on every tree of seeded SwissProt-like and
+// Treebank-like corpora and on single-node, chain and star trees whose
+// labels repeat. The hasher's odd width pairs its last permutation
+// with itself.
+func TestTreeItemsMatchPivots(t *testing.T) {
+	trees := []pivots.Tree{{Parent: []int32{-1}, Label: []uint32{7}}}
+	for _, star := range []bool{false, true} {
+		tr := pivots.Tree{Parent: make([]int32, 40), Label: make([]uint32, 40)}
+		for v := range tr.Parent {
+			tr.Parent[v], tr.Label[v] = int32(v)-1, uint32(v%3)
+			if star && v > 0 {
+				tr.Parent[v] = 0
+			}
+		}
+		trees = append(trees, tr)
+	}
+	for _, cfg := range []datasets.TreeConfig{datasets.SwissProtLike(0.005), datasets.TreebankLike(0.005)} {
+		gen, _, err := datasets.GenerateTrees(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, gen...)
+	}
+	c, err := pivots.NewTreeCorpus(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sketch.NewHasher(33, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range trees {
+		items, set := c.AppendItems(nil, i), trees[i].Pivots()
+		if got := slices.Compact(sortedItems(items)); !slices.Equal(got, set) {
+			t.Fatalf("tree %d: sorted items %v, Pivots %v", i, got, set)
+		}
+		if got, want := h.Sketch(items), h.Sketch(set); !slices.Equal(got, want) {
+			t.Fatalf("tree %d: sketch of the items %v, of Pivots %v", i, got, want)
 		}
 	}
 }
@@ -103,10 +155,12 @@ func TestSketchAllOfCorpusMatchesSketch(t *testing.T) {
 	}
 }
 
-// TestSketchFreshCorpusAllocations builds and sketches a text corpus:
-// the sketch arena and its table, the parallel fan-out and each chunk's
-// item buffer, which grows a few times, and nothing per document (15
-// objects at 1 worker and 155 at 4, where 16 chunks each grow one).
+// TestSketchFreshCorpusAllocations builds and sketches a text corpus
+// and a tree corpus: the sketch arena and its table, the parallel
+// fan-out and each chunk's item buffer, which grows a few times, and
+// nothing per record: 17 objects for text and 9 for trees at 1 worker,
+// 156 and 64 at 4, where 16 chunks each grow their own buffer. A tree
+// keeps its sibling table in that buffer, and its items go unsorted.
 func TestSketchFreshCorpusAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	docs := make([]pivots.Doc, 4000)
@@ -117,20 +171,36 @@ func TestSketchFreshCorpusAllocations(t *testing.T) {
 		}
 		docs[i] = pivots.Doc{Terms: terms}
 	}
+	trees := make([]pivots.Tree, 4000)
+	for i := range trees {
+		n := 1 + rng.Intn(60)
+		tr := pivots.Tree{Parent: make([]int32, n), Label: make([]uint32, n)}
+		tr.Parent[0] = -1
+		for v := 1; v < n; v++ {
+			tr.Parent[v], tr.Label[v] = int32(rng.Intn(v)), uint32(rng.Intn(20))
+		}
+		trees[i] = tr
+	}
 	h, err := sketch.NewHasher(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 4} {
-		allocs := testing.AllocsPerRun(5, func() {
-			c, err := pivots.NewTextCorpusParallel(docs, 5000, w)
-			if err != nil {
-				t.Fatal(err)
+	build := map[string]func(w int) (pivots.Corpus, error){
+		"text": func(w int) (pivots.Corpus, error) { return pivots.NewTextCorpusParallel(docs, 5000, w) },
+		"tree": func(w int) (pivots.Corpus, error) { return pivots.NewTreeCorpusParallel(trees, w) },
+	}
+	for name, newCorpus := range build {
+		for _, w := range []int{1, 4} {
+			allocs := testing.AllocsPerRun(5, func() {
+				c, err := newCorpus(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.SketchAll(c.Len(), c.AppendItems, w)
+			})
+			if limit := float64(4000 / 10); allocs > limit {
+				t.Errorf("%s workers=%d: building and sketching 4000 records allocates %v objects, want ≤ %v", name, w, allocs, limit)
 			}
-			h.SketchAll(c.Len(), c.AppendItems, w)
-		})
-		if limit := float64(len(docs) / 10); allocs > limit {
-			t.Errorf("workers=%d: building and sketching %d documents allocates %v objects, want ≤ %v", w, len(docs), allocs, limit)
 		}
 	}
 }

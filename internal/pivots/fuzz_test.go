@@ -2,7 +2,10 @@ package pivots
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"pareto/internal/sketch"
 )
 
 // The stream decoders read what a partition store hands back: a
@@ -180,6 +183,58 @@ func FuzzDecodeGraphRecords(f *testing.F) {
 		}
 		if g, err = DecodeGraphRecords(enc); err != nil || !reflect.DeepEqual(g.Adj, c.G.Adj) {
 			t.Fatalf("%v round-trips to %v, %v", c.G.Adj, g, err)
+		}
+	})
+}
+
+// FuzzTreePivots builds a valid tree from the input, one (parent,
+// label) byte pair per node after the root, and holds the items
+// AppendItems appends behind a prefix, unsorted and with repeats, to
+// referencePivots' set, item for item, and to Pivots() under an
+// odd-width hasher.
+func FuzzTreePivots(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 1, 1, 2, 0, 1})
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 0})
+	h, err := sketch.NewHasher(7, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		n := 1 + min(len(buf)/2, 256)
+		tr := Tree{Parent: make([]int32, n), Label: make([]uint32, n)}
+		tr.Parent[0] = -1
+		for v := 1; v < n; v++ {
+			p, l := buf[2*v-2], buf[2*v-1]
+			tr.Parent[v] = int32(int(p) % v)
+			tr.Label[v] = uint32(l) << (8 * (l % 4)) // every byte of a label in play
+		}
+		c, err := NewTreeCorpus([]Tree{tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []sketch.Item{^sketch.Item(0), 3}
+		items := c.AppendItems(slices.Clone(prefix), 0)
+		if !slices.Equal(items[:len(prefix)], prefix) {
+			t.Fatalf("prefix became %v", items[:len(prefix)])
+		}
+		items = items[len(prefix):]
+		want, seen := referencePivots(&tr), map[sketch.Item]bool{}
+		for _, it := range items {
+			if !want[it] {
+				t.Fatalf("item %d not in the definitional set", it)
+			}
+			seen[it] = true
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("items hold %d of the definitional set's %d pivots", len(seen), len(want))
+		}
+		set := tr.Pivots()
+		if len(set) != len(want) {
+			t.Fatalf("Pivots has %d items, the definitional set %d", len(set), len(want))
+		}
+		if got, want := h.Sketch(items), h.Sketch(set); !slices.Equal(got, want) {
+			t.Fatalf("sketch of the items %v, of Pivots %v", got, want)
 		}
 	})
 }

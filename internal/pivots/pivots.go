@@ -67,10 +67,10 @@ type Corpus interface {
 	Kind() Kind
 	// Len returns the number of records.
 	Len() int
-	// AppendItems appends the pivot set of record i to dst, ascending
-	// and duplicate-free, the same items on every run, and returns the
-	// extended buffer. Nothing is cached: a caller that sketches many
-	// records reuses one buffer, dst[:0], for all of them.
+	// AppendItems appends record i's pivots to dst, each at least once,
+	// in an order fixed by the record (strictly ascending for graph and
+	// text), and returns the extended buffer. Nothing is cached: a caller
+	// that sketches many records reuses one buffer, dst[:0], for all.
 	AppendItems(dst []sketch.Item, i int) []sketch.Item
 	// Weight returns the size proxy of record i (nodes for trees,
 	// out-degree+1 for graph vertices, tokens for documents).
@@ -127,15 +127,21 @@ func (t *Tree) NumNodes() int { return len(t.Parent) }
 // included as binary pivots so that path content is represented even in
 // chains, where no branching LCA pivots exist. The result is a set of
 // hashed items in ascending order, duplicates removed.
-func (t *Tree) Pivots() []sketch.Item { return t.appendPivots(nil) }
+func (t *Tree) Pivots() []sketch.Item {
+	set := t.appendPivots(nil)
+	slices.Sort(set)
+	return slices.Compact(set)
+}
 
-// appendPivots appends t.Pivots() to dst. Nodes are in topological
-// order with siblings ascending, so one pass over the parent array
-// meets each node's children in sibling order: the previous child of
-// the same parent is the consecutive sibling. The pass appends at most
-// 2n−1 items, and each node's latest child so far (0 = none: the root
-// is nobody's child) is kept in dst's spare capacity past them, so a
-// caller that reuses dst allocates nothing per tree.
+// appendPivots appends the items of t.Pivots() to dst in walk order,
+// repeats kept. Nodes are in topological order with siblings ascending,
+// so one pass over the parent array meets each node's children in
+// sibling order: the previous child p of the same parent a is the
+// consecutive sibling, and the pivot (a, p, v) hashes p's edge item
+// Hash2(a, p), already in dst, with v. The pass appends at most 2n−1
+// items; where each node's latest child's edge item sits (offset + 1,
+// 0 = none) is kept in dst's spare capacity past them, so a caller that
+// reuses dst allocates nothing per tree.
 func (t *Tree) appendPivots(dst []sketch.Item) []sketch.Item {
 	n := len(t.Parent)
 	base := len(dst)
@@ -144,20 +150,18 @@ func (t *Tree) appendPivots(dst []sketch.Item) []sketch.Item {
 	clear(last)
 	for v := 1; v < n; v++ {
 		a := t.Parent[v]
-		la, lv := uint64(t.Label[a]), uint64(t.Label[v])
-		dst = append(dst, sketch.Hash2(la, lv))
+		lv := uint64(t.Label[v])
 		if prev := last[a]; prev != 0 {
-			dst = append(dst, sketch.Hash3(la, uint64(t.Label[prev]), lv))
+			dst = append(dst, sketch.Hash2(dst[prev-1], lv))
 		}
-		last[a] = uint64(v)
+		last[a] = uint64(len(dst) + 1)
+		dst = append(dst, sketch.Hash2(uint64(t.Label[a]), lv))
 	}
 	if len(dst) == base {
 		// Single-node tree: its only content is the root label.
 		dst = append(dst, sketch.Hash2(uint64(t.Label[0]), ^uint64(0)))
 	}
-	set := dst[base:]
-	slices.Sort(set)
-	return dst[:base+len(slices.Compact(set))]
+	return dst
 }
 
 // TreeCorpus is a collection of validated trees.
@@ -209,7 +213,8 @@ func (c *TreeCorpus) Kind() Kind { return TreeData }
 // Len returns the number of trees.
 func (c *TreeCorpus) Len() int { return len(c.Trees) }
 
-// AppendItems appends the LCA pivot set of tree i (Tree.Pivots).
+// AppendItems appends tree i's LCA pivots (Tree.Pivots) in walk order,
+// repeats kept: a sketch's minima need no sort.
 func (c *TreeCorpus) AppendItems(dst []sketch.Item, i int) []sketch.Item {
 	return c.Trees[i].appendPivots(dst)
 }

@@ -34,9 +34,9 @@ func TestTreePivotsLCA(t *testing.T) {
 	tr := Tree{Parent: []int32{-1, 0, 0}, Label: []uint32{10, 20, 30}}
 	got := tr.Pivots()
 	want := map[sketch.Item]bool{
-		sketch.Hash2(10, 20):     true,
-		sketch.Hash2(10, 30):     true,
-		sketch.Hash3(10, 20, 30): true,
+		sketch.Hash2(10, 20):                   true,
+		sketch.Hash2(10, 30):                   true,
+		sketch.Hash2(sketch.Hash2(10, 20), 30): true,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d pivots, want %d", len(got), len(want))
@@ -82,7 +82,7 @@ func referencePivots(t *Tree) map[sketch.Item]bool {
 		for i, c := range kids {
 			set[sketch.Hash2(la, uint64(t.Label[c]))] = true
 			if i+1 < len(kids) {
-				set[sketch.Hash3(la, uint64(t.Label[c]), uint64(t.Label[kids[i+1]]))] = true
+				set[sketch.Hash2(sketch.Hash2(la, uint64(t.Label[c])), uint64(t.Label[kids[i+1]]))] = true
 			}
 		}
 	}

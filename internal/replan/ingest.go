@@ -73,8 +73,10 @@ func (t *Tailer) Poll(l *Loop) (int, error) {
 // set and weight its corpus type would expose. The element must contain
 // exactly one record, and what it holds must be what the corpus type
 // accepts: a valid tree (Pivots walks its parent array), or neighbours
-// and terms in strictly increasing order (the pivots.Corpus contract:
-// an ascending, duplicate-free item set).
+// and terms in strictly increasing order, the ascending, duplicate-free
+// items a graph or text corpus appends. A tree's set is Pivots(), sorted
+// and duplicate-free; its corpus appends the same set in walk order with
+// repeats, which sketches identically.
 func decodeRecord(kind pivots.Kind, raw []byte) ([]sketch.Item, int, error) {
 	switch kind {
 	case pivots.TreeData:

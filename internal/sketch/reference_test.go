@@ -6,8 +6,9 @@ import (
 )
 
 // The definitional forms the tests compare the fused hot path with:
-// Apply is one permutation at one item, and mulMod / addMod are the
-// two-step modular chain applyPerm replaced. No non-test code calls
+// Apply is one permutation at one item, mulMod / addMod are the
+// two-step modular chain applyPerm replaced, and referenceHash2 is
+// FNV-1a byte by byte. No non-test code calls
 // them: Hasher.SketchInto runs applyPerm over reduced items directly.
 // Agreement is the MinHash estimate itself, which the tests hold
 // against ExactJaccard; the stratifier compares sketches coordinate by
@@ -30,6 +31,23 @@ func mulMod(a, b uint64) uint64 {
 		r -= MersennePrime61
 	}
 	return r
+}
+
+// referenceHash2 is FNV-1a over the eight little-endian bytes of a,
+// then of b, one byte at a time: the definition Hash2 folds a zero top
+// half of.
+func referenceHash2(a, b uint64) Item {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < 8; i++ {
+		h ^= (a >> (8 * i)) & 0xff
+		h *= prime
+	}
+	for i := 0; i < 8; i++ {
+		h ^= (b >> (8 * i)) & 0xff
+		h *= prime
+	}
+	return h
 }
 
 // addMod returns a+b mod 2^61−1 for a, b already < 2^61−1.

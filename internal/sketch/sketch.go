@@ -28,7 +28,7 @@ import (
 const MersennePrime61 = (1 << 61) - 1
 
 // Item is a universe element. Raw data (words, pivots, neighbor IDs)
-// is hashed into Items before sketching; see Hash2 and Hash3.
+// is hashed into Items before sketching; see Hash2.
 type Item = uint64
 
 // LinearPermutation is one member of the min-wise independent linear
@@ -38,22 +38,37 @@ type LinearPermutation struct {
 	B uint64
 }
 
-// applyPerm returns (a·xr + b) mod 2^61−1 for xr already reduced and
-// b < p. It merges the product fold and the addition into a single
-// reduction chain — one conditional subtract instead of a modular
-// multiply's and a modular add's separate ones — and is
-// canonical-value-identical to the two-step chain reference_test.go
-// keeps as its reference.
+// applyPerm returns (a·xr + b) mod 2^61−1 for a, xr < 2^61−1 and
+// b < p. With 2^64 ≡ 8 (mod p), a·xr = hi·2^64 + lo folds to
+// (lo mod 2^61) + 8·hi + lo>>61. Both factors are below 2^61, so
+// hi < 2^58: 8·hi fits in 61 bits with its low three bits clear, and
+// lo>>61 < 8 fills them, so one OR forms that sum's top two terms. The
+// sum plus b stays below 3·2^61, and one fold and one conditional
+// subtract leave it in [0, p). The result is canonical-value-identical
+// to the two-step chain reference_test.go keeps as its reference.
 func applyPerm(a, b, xr uint64) uint64 {
 	hi, lo := bits.Mul64(a, xr)
-	// Each masked term is < 2^61 and the shifts contribute < 2^7, so
-	// t < 3·2^61 + b-fold slack fits a uint64 without overflow.
-	t := (lo & MersennePrime61) + (lo >> 61) + (hi<<3)&MersennePrime61 + (hi >> 58) + b
+	t := (lo & MersennePrime61) + (hi<<3 | lo>>61) + b
 	r := (t & MersennePrime61) + (t >> 61)
 	if r >= MersennePrime61 {
 		r -= MersennePrime61
 	}
 	return r
+}
+
+// minPair returns the minima of m0 and m1 with permutations p and q
+// over the reduced items xr: one pass over the block serves two
+// coordinates, each minimum held in a register.
+func minPair(p, q LinearPermutation, m0, m1 uint64, xr []uint64) (uint64, uint64) {
+	for _, x := range xr {
+		if v := applyPerm(p.A, p.B, x); v < m0 {
+			m0 = v
+		}
+		if v := applyPerm(q.A, q.B, x); v < m1 {
+			m1 = v
+		}
+	}
+	return m0, m1
 }
 
 // reduce folds an arbitrary 64-bit value into [0, 2^61−1).
@@ -119,9 +134,9 @@ func (h *Hasher) Sketch(set []Item) Sketch {
 //
 // The loop is blocked for the hot path (bulk sketching in the
 // distributed ship): items are pre-reduced into a stack buffer once
-// per block, then each permutation streams the block with its minimum
-// held in a register instead of re-reading dst per item. Coordinate
-// values are identical to applying the permutations item by item.
+// per block, then each pair of permutations streams the block with
+// both minima in registers instead of re-reading dst per item. Values
+// are identical to applying the permutations item by item.
 func (h *Hasher) SketchInto(set []Item, dst Sketch) {
 	perms := h.perms
 	if len(dst) != len(perms) {
@@ -141,24 +156,19 @@ func (h *Hasher) SketchInto(set []Item, dst Sketch) {
 			xbuf[j] = reduce(x)
 		}
 		xr := xbuf[:len(block)]
-		for i := range perms {
-			a, b, m := perms[i].A, perms[i].B, dst[i]
-			for _, x := range xr {
-				if v := applyPerm(a, b, x); v < m {
-					m = v
-				}
-			}
-			dst[i] = m
+		for i := 0; i < len(perms); i += 2 {
+			j := min(i+1, len(perms)-1) // an odd width's last pairs with itself
+			dst[i], dst[j] = minPair(perms[i], perms[j], dst[i], dst[j], xr)
 		}
 	}
 }
 
 // SketchAll computes the sketches of n item sets: items(dst, i)
-// appends set i to dst, as pivots.Corpus.AppendItems does. All n
-// sketches share one flat backing array (a single allocation instead
-// of n small ones), and each parallel chunk appends its sets into one
-// reused buffer. Coordinate values are identical to calling Sketch on
-// each set.
+// appends set i to dst, in any order and with any repeats, as
+// pivots.Corpus.AppendItems does. All n sketches share one flat backing
+// array (a single allocation instead of n small ones), and each
+// parallel chunk appends its sets into one reused buffer. Coordinate
+// values are identical to calling Sketch on each set.
 //
 // The fan-out rides the planner's shared parallel pool: chunked with
 // dynamic scheduling (skewed records rebalance) and index-addressed
@@ -217,24 +227,23 @@ func ExactJaccard(a, b []Item) float64 {
 }
 
 // Hash2 maps an ordered pair of 64-bit values (e.g. a graph edge or a
-// two-field pivot) into the sketch universe. It mixes with the FNV-1a
-// prime so that (a,b) and (b,a) map to different items.
+// two-field pivot) into the sketch universe: FNV-1a over the bytes of
+// a, then b, so (a,b) and (b,a) differ. A triple is Hash2(Hash2(a, b), c).
 func Hash2(a, b uint64) Item {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := 0; i < 8; i++ {
-		h ^= (a >> (8 * i)) & 0xff
-		h *= prime
-	}
-	for i := 0; i < 8; i++ {
-		h ^= (b >> (8 * i)) & 0xff
-		h *= prime
-	}
-	return h
+	return fnvFold(fnvFold(14695981039346656037, a), b)
 }
 
-// Hash3 maps an ordered triple (e.g. an LCA pivot (a,p,q)) into the
-// sketch universe.
-func Hash3(a, b, c uint64) Item {
-	return Hash2(Hash2(a, b), c)
+// fnvFold runs x's eight little-endian FNV-1a byte steps on h. A zero
+// byte's step is a bare multiply, so a zero top half (a uint32 label)
+// takes its four steps as one multiply by prime⁴ mod 2^64.
+func fnvFold(h, x uint64) uint64 {
+	const prime = 1099511628211
+	for i := 0; i < 8; i++ {
+		if i == 4 && x == 0 {
+			return h * (prime * prime * prime * prime % (1 << 64))
+		}
+		h = (h ^ x&0xff) * prime
+		x >>= 8
+	}
+	return h
 }

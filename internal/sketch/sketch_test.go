@@ -318,8 +318,32 @@ func TestHash2Hash3Distinguish(t *testing.T) {
 	if Hash2(1, 2) == Hash2(2, 1) {
 		t.Error("Hash2 must be order-sensitive")
 	}
-	if Hash3(1, 2, 3) == Hash3(3, 2, 1) {
-		t.Error("Hash3 must be order-sensitive")
+	if Hash2(Hash2(1, 2), 3) == Hash2(Hash2(3, 2), 1) {
+		t.Error("a triple's hash must be order-sensitive")
+	}
+}
+
+// TestHash2MatchesByteAtATime holds Hash2, which folds the steps of an
+// operand's four zero top bytes into one multiply, to byte-at-a-time
+// FNV-1a: on random operands with each half zero or not, and at the
+// edges of the zero-top-half case.
+func TestHash2MatchesByteAtATime(t *testing.T) {
+	edges := []uint64{0, 1<<32 - 1, 1 << 32, ^uint64(0)}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 5000; i++ {
+		r, s := rng.Uint64(), rng.Uint64()
+		as := []uint64{r, r & (1<<32 - 1), r &^ (1<<32 - 1), 0}
+		bs := []uint64{s, s & (1<<32 - 1), s &^ (1<<32 - 1), 0}
+		if i == 0 {
+			as, bs = edges, edges
+		}
+		for _, a := range as {
+			for _, b := range bs {
+				if got, want := Hash2(a, b), referenceHash2(a, b); got != want {
+					t.Fatalf("Hash2(%#x, %#x) = %#x, byte at a time %#x", a, b, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -372,14 +396,64 @@ func TestSketchMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSketchOddWidthMatchesNaive: SketchInto walks permutations in
+// pairs, an odd width's last one paired with itself; each coordinate is
+// still the minimum of its own permutation's Apply over the set.
+func TestSketchOddWidthMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{1, 3, 5} {
+		h, err := NewHasher(k, int64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 5, 64, 65} {
+			set := make([]Item, n)
+			for i := range set {
+				set[i] = rng.Uint64()
+			}
+			got := h.Sketch(set)
+			for i, p := range h.perms {
+				m := uint64(EmptySentinel)
+				for _, x := range set {
+					m = min(m, p.Apply(x))
+				}
+				if got[i] != m {
+					t.Errorf("k=%d n=%d coord %d: %d, naive %d", k, n, i, got[i], m)
+				}
+			}
+		}
+	}
+}
+
 // TestApplyPermMatchesModChain pins the fused reduction against the
-// two-step addMod(mulMod(...)) chain it replaced.
+// two-step addMod(mulMod(...)) chain it replaced: on random inputs, on
+// every combination of field edges, and where the unreduced sum lands
+// on p or p+1.
 func TestApplyPermMatchesModChain(t *testing.T) {
+	const p = MersennePrime61
+	edges := []uint64{0, 1, 1 << 60, p - 2, p - 1}
+	var cases [][3]uint64 // a, b, xr
+	for _, a := range edges {
+		for _, b := range edges {
+			for _, xr := range edges {
+				cases = append(cases, [3]uint64{a, b, xr})
+			}
+		}
+	}
+	cases = append(cases,
+		[3]uint64{1, 1, p - 1}, [3]uint64{1, 2, p - 1}, [3]uint64{1, 2, p - 2}, // x + b = p, p+1, p
+		[3]uint64{1, 1<<60 - 1, 1 << 60}, [3]uint64{1, 1 << 60, 1 << 60}, // 2^61−1, 2^61
+		[3]uint64{2, p - 1, 1 << 60}, [3]uint64{2, p - 2, 1 << 60}, // 2^61 folds to 1: p, p−1
+	)
 	rng := rand.New(rand.NewSource(123))
 	for i := 0; i < 200000; i++ {
 		a := 1 + uint64(rng.Int63n(MersennePrime61-1))
 		b := uint64(rng.Int63n(MersennePrime61))
 		xr := reduce(rng.Uint64())
+		cases = append(cases, [3]uint64{a, b, xr})
+	}
+	for _, c := range cases {
+		a, b, xr := c[0], c[1], c[2]
 		if got, want := applyPerm(a, b, xr), addMod(mulMod(a, xr), b); got != want {
 			t.Fatalf("applyPerm(%d,%d,%d) = %d, want %d", a, b, xr, got, want)
 		}

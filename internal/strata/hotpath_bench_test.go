@@ -84,13 +84,23 @@ func BenchmarkStratifyHotPath(b *testing.B) {
 }
 
 // BenchmarkStratifySketchStage isolates the sketching stage of the
-// pipeline.
+// pipeline (items appended from the records, then sketched at width
+// 32) on the planted-topic text corpus and on SwissProt-like trees,
+// whose items are hashed LCA pivots.
 func BenchmarkStratifySketchStage(b *testing.B) {
-	corpus := hotPathCorpus(b, hotPathN(b), 32)
 	h, err := sketch.NewHasher(32, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("text", func(b *testing.B) {
+		benchSketch(b, h, hotPathCorpus(b, hotPathN(b), 32))
+	})
+	b.Run("tree", func(b *testing.B) {
+		benchSketch(b, h, hotPathTrees(b))
+	})
+}
+
+func benchSketch(b *testing.B, h *sketch.Hasher, corpus pivots.Corpus) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
