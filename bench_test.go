@@ -29,8 +29,6 @@ import (
 	"pareto/internal/sampling"
 	"pareto/internal/sketch"
 	"pareto/internal/strata"
-	"pareto/internal/workloads/graphcomp"
-	"pareto/internal/workloads/lz77"
 )
 
 // reportStrategyMetrics derives the paper's headline numbers from a
@@ -277,7 +275,7 @@ func BenchmarkAblationPlacementScheme(b *testing.B) {
 		b.Run(scheme.String(), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				w := &bench.GraphCompression{Graph: corpus, Window: 7}
+				w := &bench.GraphCompression{Graph: corpus}
 				cfg := core.Config{Strategy: core.Stratified, Scheme: scheme}
 				plan, err := core.BuildPlan(corpus, cl, w.Profile, cfg)
 				if err != nil {
@@ -288,39 +286,6 @@ func BenchmarkAblationPlacementScheme(b *testing.B) {
 					b.Fatal(err)
 				}
 				ratio = quality["compression-ratio"]
-			}
-			b.ReportMetric(ratio, "ratio")
-		})
-	}
-}
-
-// BenchmarkAblationResidualCode compares γ against webgraph's ζ₃ for
-// residual gaps on a web-like graph (Boldi & Vigna's reason to default
-// to ζ).
-func BenchmarkAblationResidualCode(b *testing.B) {
-	g, _, err := datasets.GenerateGraph(datasets.UKLike(0.0004))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := make([]uint32, len(g.Adj))
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	for _, cfg := range []struct {
-		name string
-		c    graphcomp.Config
-	}{
-		{"gamma", graphcomp.Config{Window: 7}},
-		{"zeta3", graphcomp.Config{Window: 7, Residuals: graphcomp.ZetaCode}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				enc, err := graphcomp.Encode(ids, g.Adj, cfg.c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = float64(graphcomp.RawBits(ids, g.Adj)) / float64(enc.BitLen)
 			}
 			b.ReportMetric(ratio, "ratio")
 		})
@@ -356,29 +321,4 @@ func BenchmarkAblationExactFrontier(b *testing.B) {
 			b.ReportMetric(float64(len(res.Points)), "points")
 		}
 	})
-}
-
-// BenchmarkAblationLZ77Window sweeps the LZ77 window size on
-// structured record data.
-func BenchmarkAblationLZ77Window(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	var data []byte
-	for i := 0; i < 5000; i++ {
-		data = append(data, []byte("record-header-v1|")...)
-		data = append(data, byte(rng.Intn(64)))
-	}
-	for _, window := range []int{1 << 8, 1 << 12, 1 << 15} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				enc, err := lz77.Compress(data, lz77.Config{WindowSize: window})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = float64(enc.RawLen) / float64(len(enc.Data))
-			}
-			b.ReportMetric(ratio, "ratio")
-		})
-	}
 }

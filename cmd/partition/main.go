@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	corpus, profile, err := loadCorpusFormat(*format, *kind, buf, *support)
+	corpus, profile, err := loadCorpus(*format, *kind, buf, *support)
 	if err != nil {
 		fail(err)
 	}
@@ -161,73 +161,46 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// loadCorpusFormat dispatches on the input format: binary (datagen
-// records) or the text formats for real public datasets.
-func loadCorpusFormat(format, kind string, buf []byte, support float64) (pivots.Corpus, core.ProfileFunc, error) {
-	switch format {
-	case "binary":
-		return loadCorpus(kind, buf, support)
-	case "edgelist":
-		g, err := datasets.LoadEdgeList(bytes.NewReader(buf))
-		if err != nil {
-			return nil, nil, err
-		}
-		corpus, err := pivots.NewGraphCorpus(g)
-		if err != nil {
-			return nil, nil, err
-		}
-		return corpus, (&bench.GraphCompression{Graph: corpus, Window: 7}).Profile, nil
-	case "transactions":
-		docs, vocab, err := datasets.LoadTransactions(bytes.NewReader(buf))
-		if err != nil {
-			return nil, nil, err
-		}
-		corpus, err := pivots.NewTextCorpus(docs, vocab)
-		if err != nil {
-			return nil, nil, err
-		}
-		return corpus, (&bench.TextMining{Docs: corpus, SupportFrac: support, MaxLen: 3}).Profile, nil
-	default:
+// loadCorpus decodes buf (datagen records of the given kind, a
+// SNAP/LAW edge list or a FIMI transaction file) and returns the corpus
+// plus the kind's workload profile (the actual algorithm run on
+// representative samples).
+func loadCorpus(format, kind string, buf []byte, support float64) (pivots.Corpus, core.ProfileFunc, error) {
+	var (
+		trees []pivots.Tree
+		graph *pivots.Graph
+		docs  []pivots.Doc
+		vocab int
+		err   error
+	)
+	switch {
+	case format == "edgelist":
+		graph, err = datasets.LoadEdgeList(bytes.NewReader(buf))
+	case format == "transactions":
+		docs, vocab, err = datasets.LoadTransactions(bytes.NewReader(buf))
+	case format != "binary":
 		return nil, nil, fmt.Errorf("unknown format %q (want binary, edgelist or transactions)", format)
-	}
-}
-
-// loadCorpus decodes a datagen file and returns the corpus plus the
-// kind's workload profile (the actual algorithm run on representative
-// samples).
-func loadCorpus(kind string, buf []byte, support float64) (pivots.Corpus, core.ProfileFunc, error) {
-	switch kind {
-	case "tree":
-		trees, err := pivots.DecodeTreeRecords(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		corpus, err := pivots.NewTreeCorpus(trees)
-		if err != nil {
-			return nil, nil, err
-		}
-		return corpus, (&bench.TreeMining{Trees: corpus, SupportFrac: support, MaxNodes: 4}).Profile, nil
-	case "graph":
-		g, err := pivots.DecodeGraphRecords(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		corpus, err := pivots.NewGraphCorpus(g)
-		if err != nil {
-			return nil, nil, err
-		}
-		return corpus, (&bench.GraphCompression{Graph: corpus, Window: 7}).Profile, nil
-	case "text":
-		docs, vocab, err := pivots.DecodeTextRecords(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		corpus, err := pivots.NewTextCorpus(docs, vocab)
-		if err != nil {
-			return nil, nil, err
-		}
-		return corpus, (&bench.TextMining{Docs: corpus, SupportFrac: support, MaxLen: 3}).Profile, nil
+	case kind == "tree":
+		trees, err = pivots.DecodeTreeRecords(buf)
+	case kind == "graph":
+		graph, err = pivots.DecodeGraphRecords(buf)
+	case kind == "text":
+		docs, vocab, err = pivots.DecodeTextRecords(buf)
 	default:
 		return nil, nil, fmt.Errorf("unknown kind %q (want tree, graph or text)", kind)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	switch kind {
+	case "tree":
+		c, err := pivots.NewTreeCorpus(trees)
+		return c, (&bench.TreeMining{Trees: c, SupportFrac: support, MaxNodes: 4}).Profile, err
+	case "graph":
+		c, err := pivots.NewGraphCorpus(graph)
+		return c, (&bench.GraphCompression{Graph: c}).Profile, err
+	default:
+		c, err := pivots.NewTextCorpus(docs, vocab)
+		return c, (&bench.TextMining{Docs: c, SupportFrac: support, MaxLen: 3}).Profile, err
 	}
 }

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	workload := &bench.GraphCompression{Graph: corpus, Window: 7}
+	workload := &bench.GraphCompression{Graph: corpus}
 
 	// The three strategies (similar-together placement, α = 0.99).
 	opts := bench.DefaultOptions()

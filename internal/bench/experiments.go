@@ -35,16 +35,14 @@ type Options struct {
 	// TraceOffset is the job start within the solar traces in seconds
 	// (noon of day one by default, so green energy is in play).
 	TraceOffset float64
-	// Seed feeds sampling.
-	Seed int64
 	// MinPartitionFrac floors optimized partitions at this fraction of
 	// the equal share (mining workloads need ~0.25 to stay out of the
 	// scaled-support degenerate regime; compression can use 0).
 	MinPartitionFrac float64
-	// Telemetry, when non-nil, instruments planning (stage spans, corpus
+	// telemetry, when non-nil, instruments planning (stage spans, corpus
 	// gauges) for every strategy run. Cluster-side metrics attach to the
 	// cluster itself (see Scale.Telemetry / mkPaperCluster).
-	Telemetry *telemetry.Registry
+	telemetry *telemetry.Registry
 }
 
 // DefaultOptions mirror the paper's FPM settings. The paper sets
@@ -61,11 +59,10 @@ func DefaultOptions() Options {
 func baseConfig(w Workload, o Options) core.Config {
 	return core.Config{
 		Scheme:              w.Scheme(),
-		SampleSeed:          o.Seed,
 		TraceOffset:         o.TraceOffset,
 		MinPartitionFrac:    o.MinPartitionFrac,
 		MinPartitionRecords: w.MinPartitionRecords(),
-		Telemetry:           o.Telemetry,
+		Telemetry:           o.telemetry,
 	}
 }
 

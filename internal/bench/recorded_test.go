@@ -45,7 +45,7 @@ func tinyWorkloads(t *testing.T) []Workload {
 	return []Workload{
 		&TextMining{Docs: text, SupportFrac: 0.2, MaxLen: 2},
 		&TreeMining{Trees: tree, SupportFrac: 0.2, MaxNodes: 3},
-		&GraphCompression{Graph: graph, Window: 7},
+		&GraphCompression{Graph: graph},
 		&LZ77Compression{Data: graph, Cfg: lz77.Config{}},
 	}
 }
@@ -99,6 +99,8 @@ const recordedOffset = 12*3600 - 0.005
 // recordedBits is each workload's fingerprint on the uneven three-way
 // assignment at recordedOffset, with the profile cost of records 0–9,
 // recorded while each workload still wrote out its own Run loop.
+// graph-compression's ratio is re-recorded for ζ₃ residual gaps, the
+// codec's only code; Encode's cost does not depend on it.
 var recordedBits = map[string][]string{
 	"text-mining": {
 		"makespan 0x3fa35a07b352a844",
@@ -134,7 +136,7 @@ var recordedBits = map[string][]string{
 		"node 0 time 0x3fa5c19c17225b75 cost 0x4104bf9800000000 dirty 0x40049db83b3ccacf green 0x40301eab1c79ed3f",
 		"node 1 time 0x0000000000000000 cost 0x0000000000000000 dirty 0x0000000000000000 green 0x0000000000000000",
 		"node 2 time 0x3f9c55a7d24180d4 cost 0x40eb05a000000000 dirty 0x0000000000000000 green 0x401baba5e353f7cf",
-		"compression-ratio 0x40111382343b8120",
+		"compression-ratio 0x4012b9e24df61bab",
 		"profile 0x4096c80000000000",
 	},
 	"lz77-compression": {

@@ -12,7 +12,6 @@ import (
 	"pareto/internal/energy"
 	"pareto/internal/pivots"
 	"pareto/internal/telemetry"
-	"pareto/internal/workloads/graphcomp"
 	"pareto/internal/workloads/lz77"
 )
 
@@ -28,23 +27,27 @@ type Scale struct {
 	PartitionCounts []int
 	// TraceHours is the solar-trace length.
 	TraceHours int
-	// TextSupport / TreeSupport are mining support fractions.
+	// TextSupport is the text-mining support fraction.
 	TextSupport float64
-	TreeSupport float64
-	// TextMaxLen / TreeMaxNodes bound pattern sizes.
-	TextMaxLen   int
-	TreeMaxNodes int
 	// Telemetry, when non-nil, instruments the whole suite: plan-stage
 	// spans and corpus gauges from core, per-node busy time and
 	// green/dirty energy gauges from every cluster the suite builds.
 	Telemetry *telemetry.Registry
 }
 
+// The mining settings both scales share: the tree support fraction and
+// the pattern-size bounds.
+const (
+	treeSupport  = 0.3
+	textMaxLen   = 3
+	treeMaxNodes = 4
+)
+
 // options returns the suite defaults with the scale's registry
 // attached.
 func (s Scale) options() Options {
 	o := DefaultOptions()
-	o.Telemetry = s.Telemetry
+	o.telemetry = s.Telemetry
 	return o
 }
 
@@ -56,8 +59,7 @@ func SmallScale() Scale {
 		Tree: 0.01, Graph: 0.0004, Text: 0.0025,
 		PartitionCounts: []int{4, 8},
 		TraceHours:      48,
-		TextSupport:     0.1, TreeSupport: 0.3,
-		TextMaxLen: 3, TreeMaxNodes: 4,
+		TextSupport:     0.1,
 	}
 }
 
@@ -68,8 +70,7 @@ func PaperScale() Scale {
 		Tree: 0.02, Graph: 0.002, Text: 0.01,
 		PartitionCounts: []int{4, 8, 16},
 		TraceHours:      72,
-		TextSupport:     0.08, TreeSupport: 0.3,
-		TextMaxLen: 3, TreeMaxNodes: 4,
+		TextSupport:     0.08,
 	}
 }
 
@@ -136,7 +137,7 @@ func Table1(s Scale) (*Report, error) {
 }
 
 // treeWorkload builds the Fig 2 workload for one tree dataset.
-func treeWorkload(cfg datasets.TreeConfig, support float64, maxNodes int) (*TreeMining, error) {
+func treeWorkload(cfg datasets.TreeConfig, support float64) (*TreeMining, error) {
 	trees, _, err := datasets.GenerateTrees(cfg)
 	if err != nil {
 		return nil, err
@@ -145,7 +146,7 @@ func treeWorkload(cfg datasets.TreeConfig, support float64, maxNodes int) (*Tree
 	if err != nil {
 		return nil, err
 	}
-	return &TreeMining{Trees: corpus, SupportFrac: support, MaxNodes: maxNodes}, nil
+	return &TreeMining{Trees: corpus, SupportFrac: support, MaxNodes: treeMaxNodes}, nil
 }
 
 // Fig2 regenerates Figure 2: frequent tree mining time and dirty
@@ -160,7 +161,7 @@ func Fig2(s Scale) (*Report, error) {
 		{"SwissProt-like", datasets.SwissProtLike(s.Tree)},
 		{"Treebank-like", datasets.TreebankLike(s.Tree)},
 	} {
-		w, err := treeWorkload(d.cfg, s.TreeSupport, s.TreeMaxNodes)
+		w, err := treeWorkload(d.cfg, treeSupport)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +187,7 @@ func textWorkload(s Scale) (*TextMining, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TextMining{Docs: corpus, SupportFrac: s.TextSupport, MaxLen: s.TextMaxLen}, nil
+	return &TextMining{Docs: corpus, SupportFrac: s.TextSupport, MaxLen: textMaxLen}, nil
 }
 
 // Fig3 regenerates Figure 3: Apriori on the text corpus.
@@ -219,7 +220,7 @@ func graphWorkload(cfg datasets.GraphConfig) (*GraphCompression, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GraphCompression{Graph: corpus, Window: 7, Residuals: graphcomp.ZetaCode}, nil
+	return &GraphCompression{Graph: corpus}, nil
 }
 
 // Fig4 regenerates Figure 4: webgraph compression time, energy and
@@ -298,7 +299,7 @@ func Fig5(s Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := treeWorkload(datasets.SwissProtLike(s.Tree), s.TreeSupport, s.TreeMaxNodes)
+	tree, err := treeWorkload(datasets.SwissProtLike(s.Tree), treeSupport)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +341,7 @@ func Fig6(s Scale) (*Report, error) {
 		return nil, err
 	}
 	for _, mult := range []float64{1.0, 1.5} {
-		tree, err := treeWorkload(datasets.SwissProtLike(s.Tree), s.TreeSupport*mult, s.TreeMaxNodes)
+		tree, err := treeWorkload(datasets.SwissProtLike(s.Tree), treeSupport*mult)
 		if err != nil {
 			return nil, err
 		}
@@ -348,7 +349,7 @@ func Fig6(s Scale) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig6 tree support ×%.1f: %w", mult, err)
 		}
-		fmt.Fprintf(&sb, "-- tree, support %.3f --\n%s", s.TreeSupport*mult, FormatFrontier(rows))
+		fmt.Fprintf(&sb, "-- tree, support %.3f --\n%s", treeSupport*mult, FormatFrontier(rows))
 		frontier = append(frontier, rows...)
 	}
 	text, err := textWorkload(s)

@@ -281,12 +281,12 @@ func (w *TreeMining) Run(cl *cluster.Cluster, assign *partitioner.Assignment, of
 // GraphCompression compresses each partition's adjacency lists with
 // the webgraph codec.
 type GraphCompression struct {
-	Graph  *pivots.GraphCorpus
-	Window int
-	// Residuals selects the gap code (webgraph defaults to ζ₃; the
-	// suite follows).
-	Residuals graphcomp.Code
+	Graph *pivots.GraphCorpus
 }
+
+// graphWindow is the codec's reference window: webgraph's usual small
+// window of previously encoded lists a list may copy from.
+const graphWindow = 7
 
 // Name implements Workload.
 func (w *GraphCompression) Name() string { return "graph-compression" }
@@ -301,8 +301,7 @@ func (w *GraphCompression) Scheme() partitioner.Scheme { return partitioner.Simi
 func (w *GraphCompression) MinPartitionRecords() float64 { return 0 }
 
 // encode is the job on one partition: the webgraph codec over its
-// adjacency lists in placement order (ζ codes use the codec's default
-// shrinking parameter); sizes are in bits.
+// adjacency lists in placement order; sizes are in bits.
 func (w *GraphCompression) encode(indices []int) (packed, error) {
 	ids := make([]uint32, len(indices))
 	lists := make([][]uint32, len(indices))
@@ -310,7 +309,7 @@ func (w *GraphCompression) encode(indices []int) (packed, error) {
 		ids[k] = uint32(i)
 		lists[k] = w.Graph.G.Adj[i]
 	}
-	enc, err := graphcomp.Encode(ids, lists, graphcomp.Config{Window: w.Window, Residuals: w.Residuals})
+	enc, err := graphcomp.Encode(ids, lists, graphcomp.Config{Window: graphWindow})
 	if err != nil {
 		return packed{}, err
 	}

@@ -102,7 +102,7 @@ func TestGraphCompressionAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &GraphCompression{Graph: corpus, Window: 7}
+	w := &GraphCompression{Graph: corpus}
 	if w.Scheme() != partitioner.SimilarTogether {
 		t.Error("compression must want similar-together placement")
 	}

@@ -48,7 +48,7 @@
 //     its sketches, and re-ships the whole shard (DEL + re-push, which
 //     is idempotent as a unit) when a pipeline fails mid-flight.
 //   - The coordinator bounds its wait at the sketch barrier
-//     (Options.SketchWait). Past the bound it aborts the barrier —
+//     (30 s by default). Past the bound it aborts the barrier —
 //     releasing live workers immediately instead of letting them burn
 //     their timeouts — reads the completion markers, and re-sketches
 //     the missing shards locally. Sketching is a pure function of
@@ -94,22 +94,25 @@ type Options struct {
 	// commands, not records.
 	PipelineWidth int
 
-	// SketchWait bounds the coordinator's wait for workers at the
-	// sketch barrier; past it the coordinator aborts the barrier and
-	// recovers missing shards locally (0 = 30s). Workers wait up to
-	// 2×SketchWait so the coordinator's recovery fires first.
-	SketchWait time.Duration
-	// AssignWait bounds each worker's poll for the published
-	// assignment (0 = 30s).
-	AssignWait time.Duration
-	// PollInterval is the initial store poll interval for barrier and
-	// assignment waits; polls back off exponentially (0 = 1ms).
-	PollInterval time.Duration
-
 	// Telemetry, when non-nil, records protocol metrics: shipped
 	// payload bytes, whole-shard ship retries, recovery events, barrier
 	// aborts, and barrier wait time. nil disables instrumentation.
 	Telemetry *telemetry.Registry
+
+	// The waits below run at their defaults in every program; only
+	// this package's fault and repeated-run tests shorten them.
+	//
+	// sketchWait bounds the coordinator's wait for workers at the
+	// sketch barrier; past it the coordinator aborts the barrier and
+	// recovers missing shards locally (0 = 30s). Workers wait up to
+	// 2×sketchWait so the coordinator's recovery fires first.
+	sketchWait time.Duration
+	// assignWait bounds each worker's poll for the published
+	// assignment (0 = 30s).
+	assignWait time.Duration
+	// pollInterval is the initial store poll interval for barrier and
+	// assignment waits; polls back off exponentially (0 = 1ms).
+	pollInterval time.Duration
 
 	// prefix namespaces the run's keys: keyPrefix, then the run id once
 	// StratifyDetailed has drawn it.
@@ -162,14 +165,14 @@ func (o *Options) normalize() {
 		o.PipelineWidth = 128
 	}
 	o.prefix = keyPrefix
-	if o.SketchWait <= 0 {
-		o.SketchWait = 30 * time.Second
+	if o.sketchWait <= 0 {
+		o.sketchWait = 30 * time.Second
 	}
-	if o.AssignWait <= 0 {
-		o.AssignWait = 30 * time.Second
+	if o.assignWait <= 0 {
+		o.assignWait = 30 * time.Second
 	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = time.Millisecond
+	if o.pollInterval <= 0 {
+		o.pollInterval = time.Millisecond
 	}
 }
 
@@ -401,9 +404,9 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 // phase (barrier wait + gather + recovery) and the centralized
 // clustering; the workers' ship time is the caller's to add.
 func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus, hasher *sketch.Hasher, n, w int, o Options, dm distribMetrics, report *Report) (_ *strata.Stratification, err error) {
-	b.Timeout = o.SketchWait
-	b.PollInterval = o.PollInterval
-	b.MaxPollInterval = pollBackoffCap * o.PollInterval
+	b.Timeout = o.sketchWait
+	b.PollInterval = o.pollInterval
+	b.MaxPollInterval = pollBackoffCap * o.pollInterval
 	defer func() {
 		if err != nil {
 			_ = master.Set(o.abortKey(), []byte("coordinator: "+err.Error()))
@@ -536,8 +539,8 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 	// fall through to the authoritative signal — the published
 	// assignment appearing under the run's key.
 	if b, err := kvstore.NewBarrier(c, o.barrierName(), parties); err == nil {
-		b.Timeout = 2 * o.SketchWait
-		b.PollInterval = o.PollInterval
+		b.Timeout = 2 * o.sketchWait
+		b.PollInterval = o.pollInterval
 		_ = b.Await()
 	}
 
@@ -629,7 +632,7 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 	return nil
 }
 
-// pollBackoffCap × PollInterval is where the two waits on the run's
+// pollBackoffCap × pollInterval is where the two waits on the run's
 // critical path stop backing off: the coordinator at the sketch barrier
 // and the workers polling for the assignment. Each is hundreds of
 // milliseconds long, and whatever the waiter oversleeps past its end
@@ -637,12 +640,12 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 const pollBackoffCap = 8
 
 // pollAssignment waits for the coordinator's published assignment with
-// exponential backoff, bounded by Options.AssignWait, bailing out
+// exponential backoff, bounded by Options.assignWait, bailing out
 // promptly if the run's abort key appears.
 func pollAssignment(c kvstore.KV, o Options) ([]byte, error) {
-	deadline := time.Now().Add(o.AssignWait)
-	poll := o.PollInterval
-	maxPoll := pollBackoffCap * o.PollInterval
+	deadline := time.Now().Add(o.assignWait)
+	poll := o.pollInterval
+	maxPoll := pollBackoffCap * o.pollInterval
 	var lastErr error
 	for {
 		raw, err := c.Get(o.assignKey())
@@ -657,9 +660,9 @@ func pollAssignment(c kvstore.KV, o Options) ([]byte, error) {
 		}
 		if time.Now().After(deadline) {
 			if lastErr != nil {
-				return nil, fmt.Errorf("distrib: assignment wait timed out after %v: %w", o.AssignWait, lastErr)
+				return nil, fmt.Errorf("distrib: assignment wait timed out after %v: %w", o.assignWait, lastErr)
 			}
-			return nil, fmt.Errorf("distrib: assignment wait timed out after %v", o.AssignWait)
+			return nil, fmt.Errorf("distrib: assignment wait timed out after %v", o.assignWait)
 		}
 		time.Sleep(poll)
 		poll *= 2

@@ -16,13 +16,12 @@ import (
 
 // faultOpts is the hardened client configuration the fault tests use:
 // tight deadlines, fast retries.
-func faultOpts(seed int64) kvstore.Options {
+func faultOpts() kvstore.Options {
 	return kvstore.Options{
 		OpTimeout:    time.Second,
 		MaxRetries:   6,
 		RetryBackoff: time.Millisecond,
 		MaxBackoff:   20 * time.Millisecond,
-		Seed:         seed,
 	}
 }
 
@@ -32,9 +31,9 @@ func fastFaultOptions() Options {
 		SketchWidth:  24,
 		Cluster:      strata.Config{K: 6, L: 3, Seed: 11},
 		Seed:         5,
-		SketchWait:   800 * time.Millisecond,
-		AssignWait:   2 * time.Second,
-		PollInterval: time.Millisecond,
+		sketchWait:   800 * time.Millisecond,
+		assignWait:   2 * time.Second,
+		pollInterval: time.Millisecond,
 	}
 }
 
@@ -104,14 +103,14 @@ func TestRecoveryFromDeadWorker(t *testing.T) {
 	}
 	defer srv.Close()
 
-	master, err := kvstore.DialOptions(addr, time.Second, faultOpts(1))
+	master, err := kvstore.DialOptions(addr, time.Second, faultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer master.Close()
 	workers := make([]*kvstore.Client, 4)
 	for i := range workers {
-		opts := faultOpts(int64(i) + 2)
+		opts := faultOpts()
 		if i == 1 {
 			opts.Dialer = crashingDialer(4)
 		}
@@ -160,14 +159,14 @@ func TestRecoveryUnderCrashAndDrops(t *testing.T) {
 	defer srv.Close()
 	addr := ln.Addr().String()
 
-	master, err := kvstore.DialOptions(addr, time.Second, faultOpts(1))
+	master, err := kvstore.DialOptions(addr, time.Second, faultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer master.Close()
 	workers := make([]*kvstore.Client, 4)
 	for i := range workers {
-		opts := faultOpts(int64(i) + 2)
+		opts := faultOpts()
 		if i == 2 {
 			opts.Dialer = crashingDialer(3)
 		}
@@ -178,7 +177,7 @@ func TestRecoveryUnderCrashAndDrops(t *testing.T) {
 	}
 
 	o := fastFaultOptions()
-	o.AssignWait = 4 * time.Second // drops slow the live workers down
+	o.assignWait = 4 * time.Second // drops slow the live workers down
 	dist, report, err := StratifyDetailed(master, workers, corpus, o)
 	if err != nil {
 		t.Fatalf("StratifyDetailed under crash+drops: %v", err)

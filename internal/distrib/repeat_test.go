@@ -108,7 +108,7 @@ func dialAll(t *testing.T, addr string, n int) (*kvstore.Client, []*kvstore.Clie
 	t.Helper()
 	cs := make([]*kvstore.Client, n+1)
 	for i := range cs {
-		c, err := kvstore.DialOptions(addr, time.Second, faultOpts(int64(i)+1))
+		c, err := kvstore.DialOptions(addr, time.Second, faultOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestCleanRunAfterAbortedRun(t *testing.T) {
 	central := centralReference(t, corpus)
 	addr, master, workers := liveServer(t, 4)
 	base := keyCount(t, addr)
-	opts := faultOpts(9)
+	opts := faultOpts()
 	opts.Dialer = crashingDialer(4)
 	var err error
 	if workers[1], err = kvstore.DialOptions(addr, time.Second, opts); err != nil {
@@ -185,7 +185,7 @@ func TestMalformedBlockFailsTheGather(t *testing.T) {
 		workers[i] = tamperKV{Client: c}
 	}
 	o := fastFaultOptions()
-	o.AssignWait = 20 * time.Second
+	o.assignWait = 20 * time.Second
 	for name, tamper := range map[string]func(batch [][]byte){
 		"ragged block":       func(batch [][]byte) { batch[0] = batch[0][:len(batch[0])-1] },
 		"empty block":        func(batch [][]byte) { batch[0] = nil },
@@ -202,7 +202,7 @@ func TestMalformedBlockFailsTheGather(t *testing.T) {
 			t.Fatalf("%s: error %v does not name shard 1", name, err)
 		}
 		if time.Since(start) > 10*time.Second {
-			t.Errorf("%s: workers waited out AssignWait (%v)", name, time.Since(start))
+			t.Errorf("%s: workers waited out assignWait (%v)", name, time.Since(start))
 		}
 		for i, werr := range report.WorkerErrs {
 			if werr == nil || !strings.Contains(werr.Error(), "run aborted") {

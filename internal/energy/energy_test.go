@@ -276,52 +276,3 @@ func TestLocationHeterogeneity(t *testing.T) {
 		}
 	}
 }
-
-func TestForecastTrace(t *testing.T) {
-	loc := GoogleDatacenterLocations()[1]
-	tr, err := GenerateTrace(loc, DefaultPanel(), 172, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := ForecastTrace(tr, 0.15, 9)
-	if len(fc.Power) != len(tr.Power) {
-		t.Fatal("forecast length differs")
-	}
-	// Deterministic per seed; different seeds differ.
-	fc2 := ForecastTrace(tr, 0.15, 9)
-	fc3 := ForecastTrace(tr, 0.15, 10)
-	same9, same10 := true, true
-	var meanErr, meanPow float64
-	for i := range fc.Power {
-		if fc.Power[i] < 0 {
-			t.Fatal("negative forecast power")
-		}
-		if fc.Power[i] != fc2.Power[i] {
-			same9 = false
-		}
-		if fc.Power[i] != fc3.Power[i] {
-			same10 = false
-		}
-		meanErr += math.Abs(fc.Power[i] - tr.Power[i])
-		meanPow += tr.Power[i]
-	}
-	if !same9 {
-		t.Error("forecast not deterministic per seed")
-	}
-	if same10 {
-		t.Error("different seeds identical")
-	}
-	// Mean absolute error roughly matches the requested noise level.
-	if meanErr/meanPow > 0.3 {
-		t.Errorf("forecast error fraction %.2f implausibly large", meanErr/meanPow)
-	}
-	// Dirty rate estimated from the forecast tracks the true rate.
-	trueK := DirtyRate(440, tr, 10*3600, 4*3600)
-	fcK := DirtyRate(440, fc, 10*3600, 4*3600)
-	if math.Abs(trueK-fcK) > 0.3*440 {
-		t.Errorf("forecast dirty rate %v far from true %v", fcK, trueK)
-	}
-	if ForecastTrace(nil, 0.1, 1) != nil {
-		t.Error("nil trace must forecast to nil")
-	}
-}

@@ -1,9 +1,6 @@
 package energy
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // PowerModel is a server's electrical draw model: a fixed base plus a
 // per-active-core term, following the paper's derivation from HP SL
@@ -86,28 +83,6 @@ func DirtyEnergy(watts float64, tr *Trace, from, dur float64) float64 {
 		cur = stepEnd
 	}
 	return dirty
-}
-
-// ForecastTrace returns a forecast of a real trace: each step's power
-// is perturbed by multiplicative noise of the given relative standard
-// deviation, clamped nonnegative, as a weather forecast would be
-// (paper §III-B predicts availability from forecast cloud cover; the
-// framework must tolerate the forecast being off). Deterministic per
-// seed.
-func ForecastTrace(tr *Trace, relStd float64, seed int64) *Trace {
-	if tr == nil {
-		return nil
-	}
-	out := &Trace{StepSeconds: tr.StepSeconds, Power: make([]float64, len(tr.Power))}
-	rng := rand.New(rand.NewSource(seed))
-	for i, p := range tr.Power {
-		v := p * (1 + relStd*rng.NormFloat64())
-		if v < 0 {
-			v = 0
-		}
-		out.Power[i] = v
-	}
-	return out
 }
 
 // DirtyRate returns k_i, the node-specific mean dirty-power constant

@@ -37,7 +37,7 @@ type Client struct {
 	addr        string
 	dialTimeout time.Duration
 	opts        Options
-	rng         *rand.Rand
+	rng         *rand.Rand // backoff jitter, seeded with 1 per the repo's determinism convention
 	metrics     *clientMetrics
 
 	// pending counts commands written but not yet read (pipelining).
@@ -69,9 +69,6 @@ type Options struct {
 	RetryBackoff time.Duration
 	// MaxBackoff caps the exponential backoff (0 = 500ms).
 	MaxBackoff time.Duration
-	// Seed drives the backoff jitter (0 = 1); fixed per the repo's
-	// determinism convention.
-	Seed int64
 	// Dialer overrides how (re)connections are established — the
 	// fault-injection hook. nil = net.DialTimeout("tcp", …).
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
@@ -87,9 +84,6 @@ func (o *Options) normalize() {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 500 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 }
 
@@ -148,7 +142,7 @@ func DialOptions(addr string, timeout time.Duration, opts Options) (*Client, err
 		addr:        addr,
 		dialTimeout: timeout,
 		opts:        opts,
-		rng:         rand.New(rand.NewSource(opts.Seed)),
+		rng:         rand.New(rand.NewSource(1)),
 		metrics:     newClientMetrics(opts.Telemetry),
 	}
 	// One store owns every key: routing a one-key command is just Do.

@@ -38,7 +38,6 @@ func retryOpts() kvstore.Options {
 		MaxRetries:   4,
 		RetryBackoff: time.Millisecond,
 		MaxBackoff:   10 * time.Millisecond,
-		Seed:         7,
 	}
 }
 

@@ -53,13 +53,12 @@ func (k *killSwitch) revive() {
 	k.down = false
 }
 
-func faultClientOptions(seed int64) kvstore.Options {
+func faultClientOptions() kvstore.Options {
 	return kvstore.Options{
 		OpTimeout:    time.Second,
 		MaxRetries:   3,
 		RetryBackoff: time.Millisecond,
 		MaxBackoff:   10 * time.Millisecond,
-		Seed:         seed,
 	}
 }
 
@@ -106,10 +105,10 @@ func TestMigrationAbortMidCycleKeepsPreviousEpoch(t *testing.T) {
 	}
 	ks := &killSwitch{}
 	clients := []kvstore.KV{
-		faultServer(t, faultClientOptions(1), nil),
-		faultServer(t, faultClientOptions(2), nil),
+		faultServer(t, faultClientOptions(), nil),
+		faultServer(t, faultClientOptions(), nil),
 		func() *kvstore.Client {
-			opts := faultClientOptions(3)
+			opts := faultClientOptions()
 			opts.Dialer = ks.dialer
 			return faultServer(t, opts, nil)
 		}(),
@@ -221,7 +220,7 @@ func TestMigrationSurvivesDropChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := faultClientOptions(7)
+	opts := faultClientOptions()
 	// MaxRetries must exceed FaultConns: every retry redials, so even if
 	// each chaotic connection drops, the retry budget reaches the clean
 	// connections past the outage window.

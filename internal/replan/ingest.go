@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultTailWindow is the per-RPC batch size a Tailer reads with when
-// Window is unset.
+// its window is unset.
 const DefaultTailWindow = 512
 
 // Tailer feeds a Loop from a kvstore list that producers RPUSH wire
@@ -25,9 +25,9 @@ type Tailer struct {
 	Key string
 	// Kind selects the wire codec (must match the loop's corpus kind).
 	Kind pivots.Kind
-	// Window is the per-RPC batch size (0 means DefaultTailWindow).
-	Window int64
-
+	// window is the per-RPC batch size (0 means DefaultTailWindow);
+	// only the package's tests shrink it.
+	window int64
 	cursor int64
 }
 
@@ -43,7 +43,7 @@ func (t *Tailer) Poll(l *Loop) (int, error) {
 	if l.corpus.Kind() != t.Kind {
 		return 0, fmt.Errorf("replan: tailer decodes %v records but the loop's corpus is %v", t.Kind, l.corpus.Kind())
 	}
-	window := t.Window
+	window := t.window
 	if window <= 0 {
 		window = DefaultTailWindow
 	}

@@ -50,7 +50,7 @@ func TestTailerFeedsLoopFromKVStream(t *testing.T) {
 		}
 	}
 
-	tl := &Tailer{Client: client, Key: key, Kind: pivots.TextData, Window: 7}
+	tl := &Tailer{Client: client, Key: key, Kind: pivots.TextData, window: 7}
 	n, err := tl.Poll(l)
 	if err != nil {
 		t.Fatal(err)

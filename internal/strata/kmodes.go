@@ -242,10 +242,10 @@ type clusterState struct {
 	dicts [][]uint64
 	off   []int
 
-	// flat is the flattened center matrix: attribute row (c, a) lives
-	// at flat[(c*width+a)*l : +l]. Rows shorter than L are padded by
-	// repeating the first candidate value, so the match loop has a
-	// fixed trip count without a per-row length lookup.
+	// flat is the flattened center matrix (scan path only): attribute
+	// row (c, a) lives at flat[(c*width+a)*l : +l]. Rows shorter than L
+	// are padded by repeating the first candidate value, so the match
+	// loop has a fixed trip count without a per-row length lookup.
 	flat []uint64
 
 	// masks[g] is the bitmask of centers listing cell g's value among
@@ -307,7 +307,6 @@ func newClusterState(sketches []sketch.Sketch, k, width, l, workers int) *cluste
 		cells:     make([]uint32, n*width),
 		dicts:     make([][]uint64, width),
 		off:       make([]int, width+1),
-		flat:      make([]uint64, k*width*l),
 		useMask:   k <= maskPathMaxK,
 		planes:    bits.Len(uint(width)),
 		byStratum: make([]int32, n),
@@ -339,6 +338,8 @@ func newClusterState(sketches []sketch.Sketch, k, width, l, workers int) *cluste
 	if st.useMask {
 		st.masks = make([]uint64, st.off[width])
 		st.listed = make([]uint64, (st.off[width]+63)/64)
+	} else {
+		st.flat = make([]uint64, k*width*l)
 	}
 	for i := range st.ws {
 		w := &st.ws[i]
@@ -449,16 +450,16 @@ func (st *clusterState) shiftCells(lo, hi int) {
 	}
 }
 
-// loadCenters flattens the centers into the matrix (and rebuilds the
-// cell→center-bitmask table on the mask path) before an assignment
-// round. Every attribute row of a live center is non-empty by
+// loadCenters flattens the centers into the matrix on the scan path,
+// or rebuilds the cell→center-bitmask table on the mask path, before
+// an assignment round. Every attribute row of a live center is non-empty by
 // construction: initCenters and reseedEmpty store one value per
 // attribute, and updateCenters rebuilds a stratum only from a non-empty
 // member multiset or leaves it for reseedEmpty. Every center value is
 // some record's, so it has a cell.
 func (st *clusterState) loadCenters(centers []Center) {
-	flattenCenters(st.flat, centers, st.width, st.l)
 	if !st.useMask {
+		flattenCenters(st.flat, centers, st.width, st.l)
 		return
 	}
 	for _, g := range st.maskSet {

@@ -1,8 +1,8 @@
 // Package graphcomp implements webgraph-style adjacency-list
 // compression after Boldi & Vigna (WWW 2004), the compression workload
-// of paper §V-C2: gap encoding with γ codes, reference compression
-// against a sliding window of previously encoded lists, and copy-block
-// run encoding. Compression quality rises sharply when similar
+// of paper §V-C2: γ-coded headers and copy-block runs, reference
+// compression against a sliding window of previously encoded lists,
+// and residual gaps in webgraph's default ζ₃ code. Compression quality rises sharply when similar
 // adjacency lists (same-host vertices) are stored together — exactly
 // what the framework's similar-together partitioning produces.
 package graphcomp

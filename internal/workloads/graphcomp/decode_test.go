@@ -9,32 +9,12 @@ import (
 // only ever compresses (paper §V-C2 measures compressed size), so
 // nothing outside this package's tests reads a stream back.
 
-// testWindow is webgraph's usual small reference window, the value
-// every non-test caller passes.
+// testWindow is webgraph's usual small reference window, the one the
+// graph-compression workload encodes with.
 const testWindow = 7
 
-// residualReader returns the configured natural-number reader.
-func (c Config) residualReader() (func(r *BitReader) (uint64, error), error) {
-	switch c.Residuals {
-	case GammaCode:
-		return func(r *BitReader) (uint64, error) { return r.ReadGamma0() }, nil
-	case ZetaCode:
-		k := c.ZetaK
-		if k == 0 {
-			k = DefaultZetaK
-		}
-		return func(r *BitReader) (uint64, error) { return r.ReadZeta0(k) }, nil
-	default:
-		return nil, fmt.Errorf("graphcomp: unknown residual code %d", int(c.Residuals))
-	}
-}
-
 // Decode reverses Encode, returning vertex IDs and adjacency lists.
-func Decode(enc *Encoded, cfg Config) ([]uint32, [][]uint32, error) {
-	readNat, err := cfg.residualReader()
-	if err != nil {
-		return nil, nil, err
-	}
+func Decode(enc *Encoded) ([]uint32, [][]uint32, error) {
 	r := NewBitReader(enc.Bits)
 	ids := make([]uint32, 0, enc.NumLists)
 	lists := make([][]uint32, 0, enc.NumLists)
@@ -103,7 +83,7 @@ func Decode(enc *Encoded, cfg Config) ([]uint32, [][]uint32, error) {
 		resid := make([]uint32, nResid)
 		prev := vid
 		for k := range resid {
-			g, err := readNat(r)
+			g, err := r.ReadZeta0(DefaultZetaK)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -19,7 +19,7 @@ func ExampleEncode() {
 	if err != nil {
 		panic(err)
 	}
-	_, back, err := graphcomp.Decode(enc, graphcomp.Config{Window: 7})
+	_, back, err := graphcomp.Decode(enc)
 	if err != nil {
 		panic(err)
 	}
@@ -27,5 +27,5 @@ func ExampleEncode() {
 	fmt.Printf("decoded %d lists, compressed %d of %d raw bits\n",
 		len(back), enc.BitLen, raw)
 	// Output:
-	// decoded 2 lists, compressed 118 of 640 raw bits
+	// decoded 2 lists, compressed 111 of 640 raw bits
 }

@@ -5,48 +5,16 @@ import (
 	"fmt"
 )
 
-// Code selects the variable-length code used for residual gaps.
-type Code int
-
-// Residual codes.
-const (
-	// GammaCode is the Elias γ code (good for small gaps).
-	GammaCode Code = iota
-	// ZetaCode is the ζ_k code of Boldi & Vigna, tuned for the
-	// power-law gap distributions of real webgraphs.
-	ZetaCode
-)
-
 // Config controls the compressor.
 type Config struct {
 	// Window is the reference window: how many previously encoded
 	// lists each list may copy from. 0 disables reference compression.
 	Window int
-	// Residuals selects the residual gap code (default GammaCode).
-	Residuals Code
-	// ZetaK is the ζ shrinking parameter (default 3, webgraph's own
-	// default); used only with ZetaCode.
-	ZetaK uint
 }
 
-// DefaultZetaK is webgraph's default ζ shrinking parameter.
+// DefaultZetaK is webgraph's default ζ shrinking parameter, the one
+// residual gaps are coded with.
 const DefaultZetaK = 3
-
-// residualWriter returns the configured natural-number writer.
-func (c Config) residualWriter() (func(w *BitWriter, v uint64), error) {
-	switch c.Residuals {
-	case GammaCode:
-		return func(w *BitWriter, v uint64) { w.WriteGamma0(v) }, nil
-	case ZetaCode:
-		k := c.ZetaK
-		if k == 0 {
-			k = DefaultZetaK
-		}
-		return func(w *BitWriter, v uint64) { w.WriteZeta0(k, v) }, nil
-	default:
-		return nil, fmt.Errorf("graphcomp: unknown residual code %d", int(c.Residuals))
-	}
-}
 
 // Encoded is a compressed block of adjacency lists.
 type Encoded struct {
@@ -82,10 +50,6 @@ func Encode(ids []uint32, lists [][]uint32, cfg Config) (*Encoded, error) {
 	if window < 0 {
 		return nil, errors.New("graphcomp: negative window")
 	}
-	writeNat, err := cfg.residualWriter()
-	if err != nil {
-		return nil, err
-	}
 	w := NewBitWriter()
 	var cost float64
 	prevID := int64(0)
@@ -112,7 +76,7 @@ func Encode(ids []uint32, lists [][]uint32, cfg Config) (*Encoded, error) {
 				refList = lists[i-r]
 				cost += float64(len(refList))
 			}
-			body := encodeBody(int64(ids[i]), list, refList, writeNat)
+			body := encodeBody(int64(ids[i]), list, refList)
 			if bestBody == nil || body.Len() < bestBody.Len() {
 				bestBody = body
 				bestRef = r
@@ -125,8 +89,8 @@ func Encode(ids []uint32, lists [][]uint32, cfg Config) (*Encoded, error) {
 }
 
 // encodeBody encodes one list against an optional reference list:
-// copy-block runs over the reference, then γ-coded residual gaps.
-func encodeBody(vid int64, list []uint32, ref []uint32, writeNat func(*BitWriter, uint64)) *BitWriter {
+// copy-block runs over the reference, then ζ₃-coded residual gaps.
+func encodeBody(vid int64, list []uint32, ref []uint32) *BitWriter {
 	w := NewBitWriter()
 	inList := make(map[uint32]bool, len(list))
 	for _, u := range list {
@@ -168,9 +132,9 @@ func encodeBody(vid int64, list []uint32, ref []uint32, writeNat func(*BitWriter
 	prev := vid
 	for k, u := range resid {
 		if k == 0 {
-			writeNat(w, ZigZag(int64(u)-prev))
+			w.WriteZeta0(DefaultZetaK, ZigZag(int64(u)-prev))
 		} else {
-			writeNat(w, uint64(int64(u)-prev)-1)
+			w.WriteZeta0(DefaultZetaK, uint64(int64(u)-prev)-1)
 		}
 		prev = int64(u)
 	}

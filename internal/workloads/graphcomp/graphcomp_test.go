@@ -1,8 +1,10 @@
 package graphcomp
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -114,7 +116,7 @@ func TestEncodeDecodeRoundtripSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, gotLists, err := Decode(enc, Config{Window: testWindow})
+	gotIDs, gotLists, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestEncodeDecodeRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d w%d: %v", trial, window, err)
 			}
-			gotIDs, gotLists, err := Decode(enc, Config{Window: window})
+			gotIDs, gotLists, err := Decode(enc)
 			if err != nil {
 				t.Fatalf("trial %d w%d: %v", trial, window, err)
 			}
@@ -205,6 +207,68 @@ func TestEncodeDecodeRandomized(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzLists turns data into vertex IDs and strictly increasing
+// adjacency lists. Each list's first byte b gives its vertex ID b<<12;
+// every following byte up to a zero adds a neighbor at least one past
+// the previous (the first at least 0) by a step of (b&31)<<(3·(b>>5)),
+// so steps reach 0 and tens of millions, and a first neighbor may lie
+// on either side of the vertex ID. A step past the uint32 range adds
+// nothing.
+func fuzzLists(data []byte) ([]uint32, [][]uint32) {
+	var ids []uint32
+	var lists [][]uint32
+	for len(data) > 0 {
+		ids = append(ids, uint32(data[0])<<12)
+		data = data[1:]
+		var list []uint32
+		next := uint64(0)
+		for len(data) > 0 && data[0] != 0 {
+			b := data[0]
+			data = data[1:]
+			if next += uint64(b&31) << (3 * (b >> 5)); next <= math.MaxUint32 {
+				list = append(list, uint32(next))
+			}
+			next++
+		}
+		if len(data) > 0 {
+			data = data[1:] // the closing zero
+		}
+		lists = append(lists, list)
+	}
+	return ids, lists
+}
+
+// FuzzEncodeRoundTrip: whatever lists Encode accepts, Decode returns
+// them unchanged, at every reference window.
+func FuzzEncodeRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 5, 9, 200, 0, 1, 5, 9, 201, 0, 2, 0, 40, 1}, uint8(testWindow))
+	f.Add([]byte{255, 0xff, 0xfe, 0xe1, 0, 0, 0x21, 0x22, 0, 255, 0xff, 0xfe, 0xe1}, uint8(3))
+	f.Add([]byte{9, 1, 1, 1, 1, 0, 9, 1, 1, 2, 1, 0, 9, 1, 2, 1, 1}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, window uint8) {
+		ids, lists := fuzzLists(data)
+		w := int(window % (testWindow + 2))
+		enc, err := Encode(ids, lists, Config{Window: w})
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		gotIDs, gotLists, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		if !slices.Equal(gotIDs, ids) {
+			t.Fatalf("window %d: ids %v, want %v", w, gotIDs, ids)
+		}
+		if len(gotLists) != len(lists) {
+			t.Fatalf("window %d: %d lists, want %d", w, len(gotLists), len(lists))
+		}
+		for i := range lists {
+			if !slices.Equal(gotLists[i], lists[i]) {
+				t.Fatalf("window %d, list %d: %v, want %v", w, i, gotLists[i], lists[i])
+			}
+		}
+	})
 }
 
 func TestReferenceCompressionHelpsSimilarLists(t *testing.T) {
@@ -281,7 +345,7 @@ func TestRatioAndRawBits(t *testing.T) {
 
 func TestDecodeCorruptStream(t *testing.T) {
 	enc := &Encoded{Bits: []byte{0x00}, NumLists: 3, BitLen: 8}
-	if _, _, err := Decode(enc, Config{}); err == nil {
+	if _, _, err := Decode(enc); err == nil {
 		t.Error("corrupt stream decoded")
 	}
 }

@@ -21,15 +21,17 @@ import (
 	"math/bits"
 )
 
-// Config controls the compressor.
+// Config controls the compressor. Every program compresses with its
+// zero value, the package defaults; the fields are the package's
+// tests' to sweep.
 type Config struct {
-	// WindowSize is the back-reference window. 0 means DefaultWindow.
-	WindowSize int
-	// MaxChain bounds hash-chain probes per position. 0 means
+	// windowSize is the back-reference window. 0 means DefaultWindow.
+	windowSize int
+	// maxChain bounds hash-chain probes per position. 0 means
 	// DefaultMaxChain. Higher finds better matches and costs more
 	// work: every probe adds one to Cost, whether or not its bytes
 	// are compared.
-	MaxChain int
+	maxChain int
 }
 
 // Tunables.
@@ -70,14 +72,14 @@ func hash4(b []byte) uint32 {
 // it. A candidate whose byte at the best length so far differs cannot
 // beat that length and is not compared; it still counts as a probe.
 func Compress(data []byte, cfg Config) (*Encoded, error) {
-	window := cfg.WindowSize
+	window := cfg.windowSize
 	if window == 0 {
 		window = DefaultWindow
 	}
 	if window < minMatch {
 		return nil, fmt.Errorf("lz77: window %d below minimum match %d", window, minMatch)
 	}
-	maxChain := cfg.MaxChain
+	maxChain := cfg.maxChain
 	if maxChain == 0 {
 		maxChain = DefaultMaxChain
 	}

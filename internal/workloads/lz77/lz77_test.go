@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -86,11 +87,11 @@ func TestWindowLimitsMatches(t *testing.T) {
 		unit[i] = byte(rng.Intn(256))
 	}
 	data := append(append([]byte{}, unit...), unit...)
-	small, err := Compress(data, Config{WindowSize: 128})
+	small, err := Compress(data, Config{windowSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Compress(data, Config{WindowSize: 4096})
+	big, err := Compress(data, Config{windowSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +108,10 @@ func TestWindowLimitsMatches(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Compress(nil, Config{WindowSize: 2}); err == nil {
+	if _, err := Compress(nil, Config{windowSize: 2}); err == nil {
 		t.Error("tiny window accepted")
 	}
-	if _, err := Compress(nil, Config{MaxChain: -1}); err == nil {
+	if _, err := Compress(nil, Config{maxChain: -1}); err == nil {
 		t.Error("negative chain accepted")
 	}
 }
@@ -191,7 +192,7 @@ func TestCostDeterministicAndMonotone(t *testing.T) {
 		t.Error("cost not deterministic")
 	}
 	// Deeper chains cost more work (and find no fewer matches).
-	shallow, err := Compress(data, Config{MaxChain: 1})
+	shallow, err := Compress(data, Config{maxChain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,5 +300,30 @@ func BenchmarkDecompress64K(b *testing.B) {
 		if _, err := Decompress(enc.Data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAblationLZ77Window sweeps the LZ77 window size on
+// structured record data.
+func BenchmarkAblationLZ77Window(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	var data []byte
+	for i := 0; i < 5000; i++ {
+		data = append(data, []byte("record-header-v1|")...)
+		data = append(data, byte(rng.Intn(64)))
+	}
+	for _, window := range []int{1 << 8, 1 << 12, 1 << 15} {
+		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			var ratio float64
+			for i := 0; i < b.N; i++ {
+				enc, err := Compress(data, Config{windowSize: window})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ratio = float64(enc.RawLen) / float64(len(enc.Data))
+			}
+			b.ReportMetric(ratio, "ratio")
+		})
 	}
 }

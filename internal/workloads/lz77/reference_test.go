@@ -17,14 +17,14 @@ import (
 // byte, a pending literal buffer, a full byte-by-byte matchLen for every
 // probe. Compress must reproduce its Data, Cost and Matches.
 func referenceCompress(data []byte, cfg Config) (*Encoded, error) {
-	window := cfg.WindowSize
+	window := cfg.windowSize
 	if window == 0 {
 		window = DefaultWindow
 	}
 	if window < minMatch {
 		return nil, fmt.Errorf("lz77: window %d below minimum match %d", window, minMatch)
 	}
-	maxChain := cfg.MaxChain
+	maxChain := cfg.maxChain
 	if maxChain == 0 {
 		maxChain = DefaultMaxChain
 	}
@@ -216,7 +216,7 @@ func TestCompressMatchesReference(t *testing.T) {
 		}
 		for _, w := range windows {
 			for _, c := range chains {
-				if msg := sameAsReference(data, Config{WindowSize: w, MaxChain: c}); msg != "" {
+				if msg := sameAsReference(data, Config{windowSize: w, maxChain: c}); msg != "" {
 					t.Errorf("input %d (%d bytes), window %d, chain %d: %s", i, len(data), w, c, msg)
 				}
 			}
@@ -235,7 +235,7 @@ func FuzzCompressMatchesReference(f *testing.F) {
 		// and windows larger than the input.
 		window %= 1 << 12
 		chain %= 300
-		if msg := sameAsReference(data, Config{WindowSize: window, MaxChain: chain}); msg != "" {
+		if msg := sameAsReference(data, Config{windowSize: window, maxChain: chain}); msg != "" {
 			t.Fatalf("window %d, chain %d: %s", window, chain, msg)
 		}
 	})

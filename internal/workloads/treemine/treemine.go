@@ -177,22 +177,18 @@ type Result struct {
 
 // Config bounds a mining run.
 type Config struct {
-	// MinSupport is the absolute minimum number of trees a pattern
-	// must occur in. Required ≥ 1.
-	MinSupport int
 	// MaxNodes caps the pattern size. 0 means DefaultMaxNodes.
 	MaxNodes int
-	// MaxPatterns aborts runaway enumerations. 0 means no cap.
-	MaxPatterns int
 }
 
 // DefaultMaxNodes bounds pattern size when Config.MaxNodes is 0.
 const DefaultMaxNodes = 5
 
-// Mine enumerates all frequent induced ordered subtrees of the forest.
-func Mine(f *Forest, cfg Config) (*Result, error) {
-	if cfg.MinSupport < 1 {
-		return nil, fmt.Errorf("treemine: min support %d", cfg.MinSupport)
+// Mine enumerates all induced ordered subtrees of the forest that occur
+// in at least minSupport ≥ 1 trees.
+func Mine(f *Forest, minSupport int, cfg Config) (*Result, error) {
+	if minSupport < 1 {
+		return nil, fmt.Errorf("treemine: min support %d", minSupport)
 	}
 	maxNodes := cfg.MaxNodes
 	if maxNodes <= 0 {
@@ -225,7 +221,7 @@ func Mine(f *Forest, cfg Config) (*Result, error) {
 		for _, s := range order {
 			res.Explored++
 			sup := distinctTrees(lists[s])
-			if sup < cfg.MinSupport {
+			if sup < minSupport {
 				continue
 			}
 			np := make(Pattern, len(pat)+1)
@@ -241,9 +237,6 @@ func Mine(f *Forest, cfg Config) (*Result, error) {
 	grow(nil)
 	// DFS rightmost extension.
 	for len(stack) > 0 {
-		if cfg.MaxPatterns > 0 && res.Explored >= cfg.MaxPatterns {
-			break
-		}
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if len(s.pat) >= maxNodes {
@@ -588,11 +581,7 @@ func MineLocal(f *Forest, supportFrac float64, cfg Config) (*PartitionResult, er
 	if supportFrac <= 0 || supportFrac > 1 {
 		return nil, fmt.Errorf("treemine: support fraction %v", supportFrac)
 	}
-	cfg.MinSupport = int(supportFrac * float64(f.Len()))
-	if cfg.MinSupport < 1 {
-		cfg.MinSupport = 1
-	}
-	res, err := Mine(f, cfg)
+	res, err := Mine(f, max(int(supportFrac*float64(f.Len())), 1), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -111,7 +111,7 @@ func TestMineTinyExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Mine(f, Config{MinSupport: 2, MaxNodes: 3})
+	res, err := Mine(f, 2, Config{MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSiblingOrderMatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Mine(f, Config{MinSupport: 1, MaxNodes: 3})
+	res, err := Mine(f, 1, Config{MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDeepPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Mine(f, Config{MinSupport: 2, MaxNodes: 4})
+	res, err := Mine(f, 2, Config{MaxNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestMineAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		minSup := 2 + rng.Intn(2)
-		res, err := Mine(f, Config{MinSupport: minSup, MaxNodes: 4})
+		res, err := Mine(f, minSup, Config{MaxNodes: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestCountSupportMatchesMine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Mine(f, Config{MinSupport: 2, MaxNodes: 4})
+	res, err := Mine(f, 2, Config{MaxNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +522,7 @@ func TestMineCostsRecorded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Mine(f, Config{MinSupport: c.minSup, MaxNodes: c.maxNodes})
+		res, err := Mine(f, c.minSup, Config{MaxNodes: c.maxNodes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -614,8 +614,8 @@ func TestSharedForestConcurrentMining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{MinSupport: 8, MaxNodes: 4}
-	want, err := Mine(f, cfg)
+	cfg := Config{MaxNodes: 4}
+	want, err := Mine(f, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +633,7 @@ func TestSharedForestConcurrentMining(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				res, err := Mine(f, cfg)
+				res, err := Mine(f, 8, cfg)
 				if err != nil || !reflect.DeepEqual(res, want) {
 					t.Errorf("concurrent Mine differs (err %v)", err)
 				}
@@ -704,27 +704,11 @@ func TestMineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Mine(f, Config{MinSupport: 0}); err == nil {
+	if _, err := Mine(f, 0, Config{}); err == nil {
 		t.Error("zero support accepted")
 	}
 	if _, err := NewForest([]pivots.Tree{{}}); err == nil {
 		t.Error("invalid tree accepted")
-	}
-}
-
-func TestMaxPatternsCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	trees := randomForest(rng, 30, 10, 2) // few labels → dense patterns
-	f, err := NewForest(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Mine(f, Config{MinSupport: 1, MaxNodes: 6, MaxPatterns: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Explored > 50+64 { // cap plus the final level's expansions
-		t.Errorf("explored %d far beyond cap", res.Explored)
 	}
 }
 
@@ -737,7 +721,7 @@ func TestMineDistributedMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Centralized at the same ceiling threshold.
-	central, err := Mine(f, Config{MinSupport: 15, MaxNodes: 3})
+	central, err := Mine(f, 15, Config{MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -791,7 +775,7 @@ func BenchmarkMine200Trees(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(f, Config{MinSupport: 20, MaxNodes: 4}); err != nil {
+		if _, err := Mine(f, 20, Config{MaxNodes: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -806,7 +790,7 @@ func BenchmarkCountPass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := Mine(f, Config{MinSupport: 20, MaxNodes: 4})
+	res, err := Mine(f, 20, Config{MaxNodes: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -881,8 +865,8 @@ func TestArbitraryLabelsMineAndCountAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{MinSupport: 10, MaxNodes: 4}
-	want, err := Mine(f, cfg)
+	cfg := Config{MaxNodes: 4}
+	want, err := Mine(f, 10, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -912,7 +896,7 @@ func TestArbitraryLabelsMineAndCountAlike(t *testing.T) {
 		if len(g.labels.Values) != alphabet {
 			t.Errorf("%s: dictionary of %d labels, want %d", name, len(g.labels.Values), alphabet)
 		}
-		got, err := Mine(g, cfg)
+		got, err := Mine(g, 10, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -976,7 +960,7 @@ func TestLabelDictGrows(t *testing.T) {
 			t.Fatalf("label %d has code %d, want %d", l, got, c)
 		}
 	}
-	res, err := Mine(f, Config{MinSupport: 3, MaxNodes: 3})
+	res, err := Mine(f, 3, Config{MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

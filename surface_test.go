@@ -3,8 +3,10 @@ package pareto
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -30,12 +32,11 @@ import (
 var surfaceAllow = map[string]string{
 	"sketch.ExactJaccard":         "oracle the sketch, pivots and datasets tests compare similarity against; a _test.go file of one package cannot serve the others",
 	"telemetry.Snapshot.FindSpan": "span lookup the cluster, core and telemetry tests use to assert what a run recorded",
-	"energy.ForecastTrace":        "ROADMAP item 5 (forecast vs. mean dirty rate) decides whether the planner calls it",
 }
 
 // surfaceAllowCap bounds surfaceAllow; it is lowered whenever entries
 // go, never raised.
-const surfaceAllowCap = 3
+const surfaceAllowCap = 2
 
 const surfaceModule = "pareto"
 
@@ -605,36 +606,27 @@ func TestSurfaceAllowListGoesStale(t *testing.T) {
 
 // The field rule: an exported field of an exported struct under
 // internal/ whose name ends in Config or Options is set by some
-// non-test file. A field is set by a composite-literal key in a literal
-// of its struct (in any package, its own included; literal types are
-// resolved through the file's imports and through the element type of
-// a slice, array or map literal whose elements elide it), or by an
-// assignment, op-assignment or ++/-- through a selector of its name
-// made outside its own package — a package filling in its own defaults
-// does not set anything. The assignment side matches by field name
-// alone, as the declaration rule matches methods. A field no program
-// sets is a constant at its default, or its code path is dead; the
-// fields that are neither are listed here with their reasons, and a
-// stale entry fails like one of surfaceAllow's.
+// non-test file. A field is set by a composite-literal key naming it
+// (in any package, its own included, whether the literal spells its
+// type or elides it), or by an assignment, op-assignment or ++/--
+// through a selector that denotes it, made outside its own package — a
+// package filling in its own defaults does not set anything. The scan
+// is type-checked, so a same-named field of another struct sets
+// nothing. A field no program sets is a constant at its default, or
+// its code path is dead; the fields that are neither are listed here
+// with their reasons, and a stale entry fails like one of
+// surfaceAllow's.
 var fieldAllow = map[string]string{
-	"distrib.Options.SketchWait":            "the fault tests shorten the coordinator's wait so a dead worker's recovery runs in milliseconds",
-	"distrib.Options.AssignWait":            "the fault and repeated-run tests bound the workers' poll so an aborted run fails fast",
-	"distrib.Options.PollInterval":          "the fault tests poll faster than the 1 ms default to keep recovery runs short",
-	"kvstore.Options.OpTimeout":             "client deadline TestHungServerOpsBounded, TestSendArmsDeadline and the distrib and replan fault tests tighten so a stalled store fails an operation fast",
-	"kvstore.Options.MaxRetries":            "retry budget TestClientSurvivesMisbehavingStore, TestClientTelemetry and the distrib and replan fault tests set to exercise the retry path",
-	"kvstore.Options.RetryBackoff":          "backoff TestClientSurvivesMisbehavingStore, TestClientTelemetry and the distrib and replan fault tests shorten",
-	"kvstore.Options.MaxBackoff":            "backoff cap TestClientSurvivesMisbehavingStore and the distrib and replan fault tests shorten",
-	"kvstore.Options.Dialer":                "fault hook: the fault tests dial through faultnet to drop, stall and crash connections",
-	"workloads/graphcomp.Config.ZetaK":      "ζ shrinking parameter the codec's own tests sweep; every workload runs webgraph's default",
-	"workloads/lz77.Config.MaxChain":        "match-chain bound the codec's own tests sweep",
-	"workloads/lz77.Config.WindowSize":      "window the codec's tests and the root window ablation sweep",
-	"workloads/treemine.Config.MaxPatterns": "output cap the miner's own tests set; the workloads mine uncapped",
-	"workloads/treemine.Config.MinSupport":  "absolute support the miner's own tests set; the workloads give a fraction to MineLocal",
+	"kvstore.Options.OpTimeout":    "client deadline TestHungServerOpsBounded, TestSendArmsDeadline and the distrib and replan fault tests tighten so a stalled store fails an operation fast",
+	"kvstore.Options.MaxRetries":   "retry budget TestClientSurvivesMisbehavingStore, TestClientTelemetry and the distrib and replan fault tests set to exercise the retry path",
+	"kvstore.Options.RetryBackoff": "backoff TestClientSurvivesMisbehavingStore, TestClientTelemetry and the distrib and replan fault tests shorten",
+	"kvstore.Options.MaxBackoff":   "backoff cap TestClientSurvivesMisbehavingStore and the distrib and replan fault tests shorten",
+	"kvstore.Options.Dialer":       "fault hook: the fault tests dial through faultnet to drop, stall and crash connections",
 }
 
 // fieldAllowCap bounds fieldAllow; it is lowered whenever entries go,
 // never raised.
-const fieldAllowCap = 13
+const fieldAllowCap = 5
 
 // isOptionStruct reports whether a type declaration is one the field
 // rule covers.
@@ -644,15 +636,87 @@ func isOptionStruct(ts *ast.TypeSpec) (*ast.StructType, bool) {
 	return st, ok && ts.Name.IsExported() && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options"))
 }
 
-// scanFields applies the field rule syntactically to files.
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// checkPackages type-checks the non-test files of every package, one
+// package per directory: module packages from source, each after the
+// module packages it imports, and the standard library from the
+// compiler's export data. Definitions, uses and selections go to info.
+func checkPackages(fset *token.FileSet, nonTest []parsedFile, info *types.Info) error {
+	files := map[string][]*ast.File{}
+	deps := map[string][]string{}
+	for _, p := range nonTest {
+		files[p.dir] = append(files[p.dir], p.file)
+		for _, dir := range p.imports {
+			deps[p.dir] = append(deps[p.dir], dir)
+		}
+	}
+	std := importer.ForCompiler(fset, "gc", nil)
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(ip string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(ip, surfaceModule+"/")
+		if !ok {
+			return std.Import(ip)
+		}
+		if pkg := checked[dir]; pkg != nil {
+			return pkg, nil
+		}
+		return nil, fmt.Errorf("%s is imported before it is checked", ip)
+	})}
+	visiting := map[string]bool{}
+	var check func(dir string) error
+	check = func(dir string) error {
+		if checked[dir] != nil {
+			return nil
+		}
+		if visiting[dir] {
+			return fmt.Errorf("import cycle through %s", dir)
+		}
+		visiting[dir] = true
+		for _, d := range deps[dir] {
+			if err := check(d); err != nil {
+				return err
+			}
+		}
+		pkg, err := conf.Check(surfaceModule+"/"+dir, fset, files[dir], info)
+		if err != nil {
+			return err
+		}
+		checked[dir] = pkg
+		return nil
+	}
+	dirs := make([]string, 0, len(files))
+	for dir := range files {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		if err := check(dir); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanFields applies the field rule to files, type-checked.
 func scanFields(files map[string]string) (*surfaceScan, error) {
 	fset, nonTest, err := parseNonTest(files)
 	if err != nil {
 		return nil, err
 	}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	if err := checkPackages(fset, nonTest, info); err != nil {
+		return nil, err
+	}
 	s := &surfaceScan{decls: map[string]token.Position{}, used: map[string]bool{}, unset: "is set by no non-test file"}
-	type field struct{ key, dir string }
-	byName := map[string][]field{}
+	keys := map[*types.Var]string{} // option field → its key
 	for _, p := range nonTest {
 		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
@@ -676,7 +740,7 @@ func scanFields(files map[string]string) (*surfaceScan, error) {
 						if id.IsExported() {
 							k := surfaceKey(p.dir, ts.Name.Name, id.Name)
 							s.decls[k] = fset.Position(id.Pos())
-							byName[id.Name] = append(byName[id.Name], field{k, p.dir})
+							keys[info.Defs[id].(*types.Var)] = k
 						}
 					}
 				}
@@ -684,74 +748,38 @@ func scanFields(files map[string]string) (*surfaceScan, error) {
 		}
 	}
 
+	// field returns the key of the option field obj denotes, if any.
+	field := func(obj types.Object) (string, bool) {
+		v, ok := obj.(*types.Var)
+		if !ok {
+			return "", false
+		}
+		k, ok := keys[v.Origin()]
+		return k, ok
+	}
 	for _, p := range nonTest {
-		// typeKey names the struct a literal's type expression denotes.
-		typeKey := func(e ast.Expr) string {
-			for {
-				switch x := e.(type) {
-				case *ast.StarExpr:
-					e = x.X
-				case *ast.IndexExpr:
-					e = x.X
-				case *ast.IndexListExpr:
-					e = x.X
-				case *ast.Ident:
-					return surfaceKey(p.dir, "", x.Name)
-				case *ast.SelectorExpr:
-					if id, ok := x.X.(*ast.Ident); ok {
-						if dir, ok := p.imports[id.Name]; ok {
-							return surfaceKey(dir, "", x.Sel.Name)
-						}
-					}
-					return ""
-				default:
-					return ""
-				}
-			}
-		}
-		// lit marks the keys of a literal of type typ and walks the
-		// elements that elide their type.
-		var lit func(cl *ast.CompositeLit, typ ast.Expr)
-		lit = func(cl *ast.CompositeLit, typ ast.Expr) {
-			var elem ast.Expr
-			switch t := typ.(type) {
-			case *ast.ArrayType:
-				elem = t.Elt
-			case *ast.MapType:
-				elem = t.Value
-			}
-			owner := typeKey(typ)
-			for _, e := range cl.Elts {
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok && elem == nil && owner != "" {
-						s.used[owner+"."+id.Name] = true
-					}
-					e = kv.Value
-				}
-				if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-					e = u.X
-				}
-				if inner, ok := e.(*ast.CompositeLit); ok && inner.Type == nil && elem != nil {
-					lit(inner, elem)
-				}
-			}
-		}
+		pkg := surfaceModule + "/" + p.dir
 		assigned := func(lhs ast.Expr) {
 			sel, ok := lhs.(*ast.SelectorExpr)
-			if !ok {
+			if !ok || info.Selections[sel] == nil {
 				return
 			}
-			for _, f := range byName[sel.Sel.Name] {
-				if f.dir != p.dir {
-					s.used[f.key] = true
-				}
+			obj := info.Selections[sel].Obj()
+			if k, ok := field(obj); ok && obj.Pkg().Path() != pkg {
+				s.used[k] = true
 			}
 		}
 		ast.Inspect(p.file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
-				if n.Type != nil {
-					lit(n, n.Type)
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if k, ok := field(info.Uses[id]); ok {
+								s.used[k] = true
+							}
+						}
+					}
 				}
 			case *ast.AssignStmt:
 				if n.Tok != token.DEFINE {
@@ -785,8 +813,8 @@ func TestOptionFieldsAreSet(t *testing.T) {
 
 // fieldFixture is a small module the field rule's own tests scan:
 // package a declares the option structs, b sets fields from outside,
-// c declares a look-alike field, and a command, an example and the
-// benchmark set one field each.
+// c declares a look-alike field that d, importing both, assigns, and a
+// command, an example and the benchmark set one field each.
 var fieldFixture = map[string]string{
 	"internal/a/a.go": `package a
 
@@ -843,6 +871,19 @@ type Other struct{ LookAlike int }
 
 var _ = Other{LookAlike: 1}
 `,
+	"internal/d/d.go": `package d
+
+import (
+	"pareto/internal/a"
+	"pareto/internal/c"
+)
+
+func Use() {
+	var o c.Other
+	o.LookAlike = 1
+	_, _ = o, a.Default()
+}
+`,
 	"cmd/tool/main.go": `package main
 
 import "pareto/internal/a"
@@ -890,7 +931,7 @@ func TestFieldScanRule(t *testing.T) {
 		{"a.Config.FromBench", true, "benchmark/ counts"},
 		{"a.Config.Defaulted", false, "in-package default filling does not count"},
 		{"a.Config.OnlyTested", false, "a _test.go literal and in-package ++ do not count"},
-		{"a.Config.LookAlike", false, "c's literal keys its own struct's field of the same name"},
+		{"a.Config.LookAlike", false, "c's literal keys, and d's assignment sets, c.Other's field of the same name"},
 		{"a.Options.Unset", false, "a _test.go assignment does not count"},
 	} {
 		if _, ok := s.decls[c.key]; !ok {
