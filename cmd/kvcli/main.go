@@ -6,14 +6,11 @@
 //
 //	kvcli -addr 127.0.0.1:6380 SET greeting hello
 //	kvcli -addr 127.0.0.1:6380 info           # formatted server telemetry
-//	kvcli -addr 127.0.0.1:7001 cluster slots  # formatted slot map
 //	kvcli -addr 127.0.0.1:6380                # interactive: one command per line
 //
 // The info subcommand fetches the server's telemetry snapshot (the
 // INFO command) and renders command counts, latency percentiles and
-// connection statistics instead of dumping raw JSON. cluster slots
-// renders the server's hash-slot ownership table as one range per
-// line.
+// connection statistics instead of dumping raw JSON.
 package main
 
 import (
@@ -62,15 +59,12 @@ func main() {
 	}
 }
 
-// runOne sends one command and renders its reply. The info and
-// "cluster slots" subcommands are special-cased into formatted
-// reports; everything else passes through to the server verbatim.
+// runOne sends one command and renders its reply. The info subcommand
+// is special-cased into a formatted report; everything else passes
+// through to the server verbatim.
 func runOne(c *kvstore.Client, fields []string) error {
 	if strings.EqualFold(fields[0], "info") && len(fields) == 1 {
 		return runInfo(c)
-	}
-	if len(fields) == 2 && strings.EqualFold(fields[0], "cluster") && strings.EqualFold(fields[1], "slots") {
-		return runClusterSlots(c)
 	}
 	args := make([][]byte, len(fields)-1)
 	for i, f := range fields[1:] {
@@ -98,30 +92,6 @@ func runInfo(c *kvstore.Client) error {
 		return fmt.Errorf("info: parsing snapshot: %w", err)
 	}
 	printInfo(os.Stdout, snap)
-	return nil
-}
-
-// runClusterSlots fetches and pretty-prints the hash-slot map: one
-// "lo-hi (count) addr" line per contiguous range.
-func runClusterSlots(c *kvstore.Client) error {
-	rep, err := c.Do("CLUSTER", []byte("SLOTS"))
-	if err != nil {
-		return err
-	}
-	if rep.Type == kvstore.ErrorReply {
-		return fmt.Errorf("cluster slots: %s", rep.Str)
-	}
-	if rep.Type != kvstore.Array {
-		return fmt.Errorf("cluster slots: unexpected reply %s", rep.String())
-	}
-	fmt.Printf("%d slot ranges over %d slots:\n", len(rep.Array), kvstore.NumSlots)
-	for _, el := range rep.Array {
-		if el.Type != kvstore.Array || len(el.Array) < 3 {
-			return fmt.Errorf("cluster slots: malformed entry %s", el.String())
-		}
-		lo, hi := el.Array[0].Int, el.Array[1].Int
-		fmt.Printf("%5d-%-5d (%4d slots)  %s\n", lo, hi, hi-lo+1, el.Array[2].String())
-	}
 	return nil
 }
 

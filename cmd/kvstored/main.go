@@ -7,16 +7,11 @@
 //
 //	kvstored -addr 127.0.0.1:6379
 //	kvstored -addr 127.0.0.1:6379 -aof s.aof -aof-sync 2ms
-//	kvstored -addr 127.0.0.1:7001 -cluster-slots 0-511@127.0.0.1:7001,512-1023@127.0.0.1:7002
 //	kvstored -addr 127.0.0.1:6379 -metrics-addr 127.0.0.1:9100
 //
 // With -metrics-addr the server also exposes its telemetry over HTTP:
 // Prometheus text at /metrics, a JSON snapshot at /debug/vars. The
 // same snapshot is available in-band via the INFO command.
-//
-// -cluster-slots assigns the full cluster's slot map (every node gets
-// the same spec); this node serves the ranges whose address equals
-// -cluster-self (default: -addr) and answers MOVED for the rest.
 //
 // -aof makes the node durable on its own: a write is acknowledged only
 // once the log holding it is fsynced, and a restart replays the log,
@@ -39,8 +34,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:6380", "listen address")
 	aof := flag.String("aof", "", "append-only command log: replayed at start, group-commit fsynced at runtime")
 	aofSync := flag.Duration("aof-sync", kvstore.DefaultAOFSyncWindow, "group-commit sync window (one fsync per window under load)")
-	clusterSlots := flag.String("cluster-slots", "", `cluster slot map, e.g. "0-511@host:p1,512-1023@host:p2" (empty = standalone)`)
-	clusterSelf := flag.String("cluster-self", "", "this node's advertised address in the slot map (default: -addr)")
 	metricsAddr := flag.String("metrics-addr", "", "expose telemetry over HTTP on this address (empty = disabled)")
 	flag.Parse()
 	srv := kvstore.NewServer(nil)
@@ -49,21 +42,6 @@ func main() {
 	if *aof != "" {
 		if err := srv.EnableAOF(*aof, *aofSync); err != nil {
 			fmt.Fprintf(os.Stderr, "kvstored: opening aof: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *clusterSlots != "" {
-		ranges, err := kvstore.ParseSlotRanges(*clusterSlots)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kvstored: %v\n", err)
-			os.Exit(1)
-		}
-		self := *clusterSelf
-		if self == "" {
-			self = *addr
-		}
-		if err := srv.SetClusterSlots(self, ranges); err != nil {
-			fmt.Fprintf(os.Stderr, "kvstored: %v\n", err)
 			os.Exit(1)
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
 	"pareto/internal/replan"
-	"pareto/internal/sketch"
 	"pareto/internal/strata"
 	"pareto/internal/telemetry"
 )
@@ -49,14 +48,16 @@ func replanCorpus(n, topics int) (*pivots.TextCorpus, error) {
 	return pivots.NewTextCorpus(docs, topics*window)
 }
 
-// driftItems builds a pivot set disjoint from every planted topic;
-// identical sets land in one stratum and drift only it.
-func driftItems(gen int) []sketch.Item {
-	items := make([]sketch.Item, 6)
-	for i := range items {
-		items[i] = sketch.Item(uint64(1)<<40 + uint64(gen)<<20 + uint64(i))
+// driftRecord builds a text wire record whose six terms lie above every
+// planted topic's vocabulary block; identical records land in one
+// stratum and drift only it.
+func driftRecord(gen int) []byte {
+	terms := make([]uint32, 6)
+	for i := range terms {
+		terms[i] = 1<<30 + uint32(gen)<<8 + uint32(i)
 	}
-	return items
+	docs := []pivots.Doc{{Terms: terms}}
+	return (&pivots.TextCorpus{Docs: docs}).AppendRecord(nil, 0)
 }
 
 // runReplan drives the incremental replanning loop: a seeded corpus of
@@ -113,7 +114,7 @@ func runReplan(records, cycles int) error {
 	var ingested, shipped int
 	for c := 1; c <= cycles; c++ {
 		for i := 0; i < replanBatch; i++ {
-			if _, err := l.Ingest(driftItems(c), 6, nil); err != nil {
+			if _, err := l.Ingest(driftRecord(c)); err != nil {
 				return err
 			}
 			ingested += l.Corpus().RecordSize(l.Len() - 1)

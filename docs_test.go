@@ -72,7 +72,7 @@ func embeddedName(e ast.Expr) string {
 	}
 }
 
-// collectDocNames parses files (as scanSurface takes them) with the
+// collectDocNames parses files (as checkFiles takes them) with the
 // surface rule's parser.
 func collectDocNames(files map[string]string) (*docNames, error) {
 	_, nonTest, err := parseNonTest(files)

@@ -229,13 +229,13 @@ func TestIntegrationRebalanceAndRecovery(t *testing.T) {
 	for _, srv := range srvs {
 		srv.Kill()
 	}
-	// A fresh engine replaying node 0's log must hold its partition.
-	e := kvstore.NewEngine()
-	if _, _, err := kvstore.ReplayAOF(filepath.Join(dir, "node0.aof"), e); err != nil {
+	// A store restarted on node 0's log must hold its partition.
+	_, restarted := startStores(t, 1, dir)
+	n, err := restarted[0].LLen("rtest:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := e.Do("LLEN", []byte("rtest:0"))
-	if rep.Int != int64(len(rebalanced.Parts[0])) {
-		t.Errorf("replayed partition 0 has %d records, want %d", rep.Int, len(rebalanced.Parts[0]))
+	if n != int64(len(rebalanced.Parts[0])) {
+		t.Errorf("replayed partition 0 has %d records, want %d", n, len(rebalanced.Parts[0]))
 	}
 }

@@ -71,7 +71,7 @@ func BenchmarkFrontier(b *testing.B) {
 func BenchmarkFrontierService(b *testing.B) {
 	for _, want := range []string{"hit", "miss"} {
 		b.Run(want, func(b *testing.B) {
-			src := &StaticSource{Nodes: PaperModels(benchNodes), Total: 1_000_000}
+			src := StaticSource{Nodes: PaperModels(benchNodes), Total: 1_000_000}
 			svc := NewService(src, Config{Workers: 1})
 			req := httptest.NewRequest(http.MethodGet, "/frontier?alphas=41", nil)
 			svc.ServeHTTP(httptest.NewRecorder(), req)

@@ -1,12 +1,10 @@
-// Reply memo. Between two replans the models do not change, so a
-// repeated /frontier question has the same answer, and the Service
-// keeps the encoded reply bytes of its recent enumerations: a repeat
-// costs a key, a map lookup and one Write. Keys are exact — the
-// Fingerprint of the models the ModelSource returned for this request
-// plus every request parameter the bytes depend on — so new models are
-// a new key, an old entry can never be served for them, and nothing is
-// ever invalidated: entries no request can reach any more age out
-// FIFO. Only the Service has a memo; Sweep and Exact always enumerate.
+// Reply memo. A Service's models never change, so a repeated
+// /frontier question has the same answer, and the Service keeps the
+// encoded reply bytes of its recent enumerations: a repeat costs a
+// key, a map lookup and one Write. Keys are exact — every request
+// parameter the bytes depend on — so nothing is ever invalidated:
+// entries age out FIFO. Only the Service has a memo; Sweep and Exact
+// always enumerate.
 package frontier
 
 import (
@@ -15,7 +13,6 @@ import (
 	"strconv"
 	"sync"
 
-	"pareto/internal/opt"
 	"pareto/internal/telemetry"
 )
 
@@ -93,33 +90,12 @@ func (m *replyMemo) put(key string, body []byte) {
 	m.held.Set(int64(m.bytes))
 }
 
-// Fingerprint returns an exact textual fingerprint of a model source:
-// the bit patterns of every node's time fit and dirty rate, plus the
-// total. Equal fingerprints mean equal enumeration inputs — no float
-// rounding, no hashing collisions.
-func Fingerprint(nodes []opt.NodeModel, total int) string {
-	// 3 floats per node at ≤ 17 hex digits plus separators.
-	buf := make([]byte, 0, 8+len(nodes)*56)
-	buf = strconv.AppendInt(buf, int64(total), 16)
-	for _, n := range nodes {
-		buf = append(buf, '|')
-		buf = strconv.AppendUint(buf, math.Float64bits(n.Time.Slope), 16)
-		buf = append(buf, ',')
-		buf = strconv.AppendUint(buf, math.Float64bits(n.Time.Intercept), 16)
-		buf = append(buf, ',')
-		buf = strconv.AppendUint(buf, math.Float64bits(n.DirtyRate), 16)
-	}
-	return string(buf)
-}
-
-// memoKey extends a model fingerprint with every per-request parameter
-// the reply bytes depend on: mode, all= and the α list. Sweep's worker
-// count, which decides its chain split, is the Service's own Config and
-// the same for every request it answers.
-func memoKey(fp string, exact, all bool, alphas []float64) string {
-	buf := make([]byte, 0, len(fp)+64+len(alphas)*17)
-	buf = append(buf, fp...)
-	buf = append(buf, ';')
+// memoKey spells every per-request parameter the reply bytes depend
+// on: mode, all= and the α list. Sweep's worker count, which decides
+// its chain split, is the Service's own Config and the same for every
+// request it answers.
+func memoKey(exact, all bool, alphas []float64) string {
+	buf := make([]byte, 0, 16+len(alphas)*17)
 	buf = strconv.AppendBool(buf, exact)
 	buf = append(buf, ';')
 	buf = strconv.AppendBool(buf, all)

@@ -8,26 +8,14 @@ import (
 	"sync"
 	"testing"
 
-	"pareto/internal/opt"
 	"pareto/internal/telemetry"
 )
 
-// mutableSource is a ModelSource whose models can be swapped between
-// requests, standing in for the replanner installing new fits.
-type mutableSource struct {
-	nodes []opt.NodeModel
-	total int
-}
-
-func (s *mutableSource) FrontierModels() ([]opt.NodeModel, int, error) {
-	return s.nodes, s.total, nil
-}
-
-func memoService(t *testing.T) (*Service, *mutableSource, *telemetry.Registry) {
+func memoService(t *testing.T) (*Service, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	src := &mutableSource{nodes: PaperModels(6), total: 50_000}
-	return NewService(src, Config{Telemetry: reg, Workers: 1}), src, reg
+	src := StaticSource{Nodes: PaperModels(6), Total: 50_000}
+	return NewService(src, Config{Telemetry: reg, Workers: 1}), reg
 }
 
 // wantMemo checks the hit/miss counters, the number of replies held,
@@ -53,7 +41,7 @@ func wantMemo(t *testing.T, svc *Service, reg *telemetry.Registry, hits, misses 
 }
 
 func TestCacheHitServesIdenticalBytes(t *testing.T) {
-	svc, _, reg := memoService(t)
+	svc, reg := memoService(t)
 	rec1, _ := getFrontier(t, svc, "/frontier?alphas=9")
 	rec2, _ := getFrontier(t, svc, "/frontier?alphas=9")
 	if rec1.Code != http.StatusOK || rec2.Code != http.StatusOK {
@@ -74,26 +62,15 @@ func TestCacheHitServesIdenticalBytes(t *testing.T) {
 // reply's bytes depend on and expects a miss each time, then a hit on
 // the repeat.
 func TestCacheKeyedOnRequestParams(t *testing.T) {
-	svc, src, reg := memoService(t)
+	svc, reg := memoService(t)
 	getFrontier(t, svc, "/frontier?alphas=9")
-	flips := []struct {
-		name, url string
-		models    func()
-	}{
-		{name: "alpha count", url: "/frontier?alphas=11"},
-		{name: "explicit alpha list", url: "/frontier?alpha=0,0.5,1"},
-		{name: "exact", url: "/frontier?alphas=9&exact=1"},
-		{name: "all", url: "/frontier?alphas=9&all=1"},
-		{name: "total", url: "/frontier?alphas=9", models: func() { src.total++ }},
-		{name: "dirty rate", url: "/frontier?alphas=9", models: func() {
-			src.nodes = append([]opt.NodeModel(nil), src.nodes...)
-			src.nodes[3].DirtyRate += 1e-9
-		}},
+	flips := []struct{ name, url string }{
+		{"alpha count", "/frontier?alphas=11"},
+		{"explicit alpha list", "/frontier?alpha=0,0.5,1"},
+		{"exact", "/frontier?alphas=9&exact=1"},
+		{"all", "/frontier?alphas=9&all=1"},
 	}
 	for i, f := range flips {
-		if f.models != nil {
-			f.models()
-		}
 		for repeat, want := range []string{"miss", "hit"} {
 			rec, _ := getFrontier(t, svc, f.url)
 			if rec.Code != http.StatusOK {
@@ -107,48 +84,35 @@ func TestCacheKeyedOnRequestParams(t *testing.T) {
 	}
 }
 
-func TestCacheMissesOnModelChange(t *testing.T) {
-	svc, src, reg := memoService(t)
-	getFrontier(t, svc, "/frontier?alphas=9")
-	// Perturb one node's fit — a different model source must not be
-	// served from a stale enumeration.
-	src.nodes = append([]opt.NodeModel(nil), src.nodes...)
-	src.nodes[0].Time.Slope *= 1.01
-	rec, _ := getFrontier(t, svc, "/frontier?alphas=9")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
+// TestServiceCopiesModels: the Service answers from the models it was
+// built with, so mutating the slice passed to NewService afterwards
+// changes neither a memoized reply nor a fresh enumeration.
+func TestServiceCopiesModels(t *testing.T) {
+	nodes := PaperModels(6)
+	svc := NewService(StaticSource{Nodes: nodes, Total: 50_000}, Config{Workers: 1})
+	ref := NewService(StaticSource{Nodes: PaperModels(6), Total: 50_000}, Config{Workers: 1})
+	first, _ := getFrontier(t, svc, "/frontier?alphas=9")
+	for i := range nodes {
+		nodes[i].Time.Slope *= 3
+		nodes[i].DirtyRate = 1
 	}
-	wantMemo(t, svc, reg, 0, 2, 2)
-}
-
-// TestCacheInvalidate: there is no Invalidate. A source that swaps its
-// models makes the old entry unreachable (the same URL is a new key and
-// gets the new models' reply), and FIFO reclaims it.
-func TestCacheInvalidate(t *testing.T) {
-	svc, src, reg := memoService(t)
-	_, before := getFrontier(t, svc, "/frontier?alphas=9")
-	oldKey := svc.memo.order[0]
-	src.total = 60_000
-	rec, after := getFrontier(t, svc, "/frontier?alphas=9")
-	if rec.Header().Get("X-Frontier-Cache") != "miss" || after.Total != 60_000 || before.Total != 50_000 {
-		t.Fatalf("after the swap: X-Frontier-Cache %q, total %d (was %d)",
-			rec.Header().Get("X-Frontier-Cache"), after.Total, before.Total)
+	again, _ := getFrontier(t, svc, "/frontier?alphas=9")
+	if again.Header().Get("X-Frontier-Cache") != "hit" || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+		t.Errorf("repeat after the mutation: X-Frontier-Cache %q, bytes equal %v",
+			again.Header().Get("X-Frontier-Cache"), bytes.Equal(again.Body.Bytes(), first.Body.Bytes()))
 	}
-	wantMemo(t, svc, reg, 0, 2, 2)
-	// memoEntries − 1 more questions about the new models push the old
-	// models' entry, the oldest, out.
-	for n := 0; n < memoEntries-1; n++ {
-		getFrontier(t, svc, fmt.Sprintf("/frontier?alphas=%d", 10+n))
+	for _, url := range []string{"/frontier?alphas=11", "/frontier?exact=1&all=1"} {
+		got, _ := getFrontier(t, svc, url)
+		want, _ := getFrontier(t, ref, url)
+		if got.Code != http.StatusOK || !bytes.Equal(elapsedRe.ReplaceAll(got.Body.Bytes(), nil), elapsedRe.ReplaceAll(want.Body.Bytes(), nil)) {
+			t.Errorf("%s after the mutation: status %d, reply differs from the unmutated models'", url, got.Code)
+		}
 	}
-	if _, ok := svc.memo.entries[oldKey]; ok {
-		t.Error("the old models' entry is still held")
-	}
-	wantMemo(t, svc, reg, 0, int64(memoEntries+1), memoEntries)
 }
 
 func TestCacheFIFOEviction(t *testing.T) {
 	// By count: the 65th distinct reply evicts the first.
-	svc, _, reg := memoService(t)
+	svc, reg := memoService(t)
 	for n := 0; n <= memoEntries; n++ {
 		getFrontier(t, svc, fmt.Sprintf("/frontier?alphas=%d", 2+n))
 	}
@@ -162,12 +126,12 @@ func TestCacheFIFOEviction(t *testing.T) {
 	// makes a reply's length vary by a few bytes between runs), the
 	// fifth evicts the first and the gauge is the other four.
 	urls := []string{"/frontier?alphas=20", "/frontier?alphas=21", "/frontier?alphas=22", "/frontier?alphas=23", "/frontier?alphas=24"}
-	svc, _, reg = memoService(t)
+	svc, reg = memoService(t)
 	for _, u := range urls {
 		getFrontier(t, svc, u)
 	}
 	five := int(reg.Gauge("frontier_cache_bytes").Value())
-	svc, _, reg = memoService(t)
+	svc, reg = memoService(t)
 	svc.memo.budget = five - 64
 	for _, u := range urls {
 		getFrontier(t, svc, u)
@@ -182,13 +146,13 @@ func TestCacheFIFOEviction(t *testing.T) {
 // TestCacheOversizeReplyNotRetained: a reply over a quarter of the byte
 // budget is served and not kept, and evicts nothing.
 func TestCacheOversizeReplyNotRetained(t *testing.T) {
-	svc, _, reg := memoService(t)
+	svc, reg := memoService(t)
 	small, _ := getFrontier(t, svc, "/frontier?alpha=0.5")
 	big, _ := getFrontier(t, svc, "/frontier?alphas=41&all=1")
 	wantMemo(t, svc, reg, 0, 2, 2)
 	bigSize := svc.memo.bytes - len(svc.memo.order[0]) - small.Body.Len()
 
-	svc, _, reg = memoService(t)
+	svc, reg = memoService(t)
 	// ±16: elapsed_ms makes a reply's length vary by a few bytes.
 	svc.memo.budget = 4 * (bigSize - 16)
 	getFrontier(t, svc, "/frontier?alpha=0.5")
@@ -215,7 +179,7 @@ func TestCacheOversizeReplyNotRetained(t *testing.T) {
 func TestCacheConcurrentCallers(t *testing.T) {
 	const callers, rounds = 8, 5
 	mix := []string{"alphas=41", "alphas=41", "alphas=41", "alphas=11", "alpha=0.995", "exact=1"}
-	svc, _, reg := memoService(t)
+	svc, reg := memoService(t)
 	fetch := func(s *Service, q string) (*httptest.ResponseRecorder, []byte) {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/frontier?"+q, nil))
@@ -241,7 +205,7 @@ func TestCacheConcurrentCallers(t *testing.T) {
 		wg.Wait()
 	}
 
-	serial := NewService(svc.source, svc.cfg)
+	serial := NewService(svc.src, svc.cfg)
 	want := map[string][]byte{}
 	for _, q := range mix {
 		_, body := fetch(serial, q)
@@ -268,26 +232,5 @@ func TestCacheConcurrentCallers(t *testing.T) {
 	})
 	if got := reg.Counter("frontier_cache_misses").Value(); got != misses {
 		t.Errorf("%d misses once every URL had a reply", got-misses)
-	}
-}
-
-func TestFingerprintExactness(t *testing.T) {
-	nodes := PaperModels(3)
-	fp := Fingerprint(nodes, 1000)
-	if fp != Fingerprint(PaperModels(3), 1000) {
-		t.Error("identical inputs fingerprint differently")
-	}
-	for _, mutate := range []func([]opt.NodeModel) ([]opt.NodeModel, int){
-		func(n []opt.NodeModel) ([]opt.NodeModel, int) { n[0].Time.Slope += 1e-15; return n, 1000 },
-		func(n []opt.NodeModel) ([]opt.NodeModel, int) { n[1].Time.Intercept += 1e-15; return n, 1000 },
-		func(n []opt.NodeModel) ([]opt.NodeModel, int) { n[2].DirtyRate += 1e-12; return n, 1000 },
-		func(n []opt.NodeModel) ([]opt.NodeModel, int) { return n[:2], 1000 },
-		func(n []opt.NodeModel) ([]opt.NodeModel, int) { return n, 1001 },
-	} {
-		m := append([]opt.NodeModel(nil), nodes...)
-		mm, total := mutate(m)
-		if Fingerprint(mm, total) == fp {
-			t.Error("a changed input collided with the original fingerprint")
-		}
 	}
 }

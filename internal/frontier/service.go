@@ -5,6 +5,7 @@
 // PAPERS.md). Mount alongside the telemetry mux:
 //
 //	mux := reg.Handler()
+//	src := frontier.StaticSource{Nodes: nodes, Total: total}
 //	frontier.Mount(mux, frontier.NewService(src, frontier.Config{Telemetry: reg}))
 //	http.ListenAndServe(addr, mux)
 package frontier
@@ -15,28 +16,18 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
 	"pareto/internal/opt"
 )
 
-// ModelSource supplies the node models and total data-unit count the
-// service enumerates over — a static snapshot, or a live view of the
-// planner's latest profiling run.
-type ModelSource interface {
-	FrontierModels() (nodes []opt.NodeModel, total int, err error)
-}
-
-// StaticSource is a fixed ModelSource.
+// StaticSource is the model set a Service enumerates over: the node
+// models and the total data-unit count.
 type StaticSource struct {
 	Nodes []opt.NodeModel
 	Total int
-}
-
-// FrontierModels returns the static snapshot.
-func (s StaticSource) FrontierModels() ([]opt.NodeModel, int, error) {
-	return s.Nodes, s.Total, nil
 }
 
 // maxAlphas bounds the α values one request may ask for, as a count
@@ -51,20 +42,22 @@ const maxAlphas = 100_000
 //	exact=1           every frontier vertex (Exact) instead of sampling
 //	all=1             include dominated points (flagged) in the output
 //
-// A request whose models and parameters equal an earlier one's is
-// answered from the reply memo (cache.go) with that reply's bytes; the
+// A request whose parameters equal an earlier one's is answered from
+// the reply memo (cache.go) with that reply's bytes; the
 // X-Frontier-Cache header says hit or miss.
 type Service struct {
-	source ModelSource
-	cfg    Config
-	memo   *replyMemo
+	src  StaticSource
+	cfg  Config
+	memo *replyMemo
 }
 
-// NewService creates a frontier service over the given source. cfg
-// supplies defaults (telemetry, base α sweep) that requests can
-// override.
-func NewService(source ModelSource, cfg Config) *Service {
-	return &Service{source: source, cfg: cfg, memo: newReplyMemo(cfg.Telemetry)}
+// NewService creates a frontier service over one model set. It copies
+// the nodes, so changing the caller's slice afterwards changes no
+// reply. cfg supplies defaults (telemetry, base α sweep) that requests
+// can override.
+func NewService(src StaticSource, cfg Config) *Service {
+	src.Nodes = slices.Clone(src.Nodes)
+	return &Service{src: src, cfg: cfg, memo: newReplyMemo(cfg.Telemetry)}
 }
 
 // Mount registers the service at /frontier on the given mux (typically
@@ -159,20 +152,13 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		includeAll = b
 	}
 
-	nodes, total, err := s.source.FrontierModels()
-	if err != nil {
-		http.Error(w, "frontier: model source: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-
-	// The models are read on every request, so the key follows them:
-	// after a replan the same URL is a different key.
-	key := memoKey(Fingerprint(nodes, total), exact, includeAll, cfg.Alphas)
+	key := memoKey(exact, includeAll, cfg.Alphas)
 	body, hit := s.memo.get(key)
 	state := "hit"
 	if !hit {
 		state = "miss"
-		if body, err = encodeReply(nodes, total, exact, includeAll, cfg); err != nil {
+		var err error
+		if body, err = encodeReply(s.src.Nodes, s.src.Total, exact, includeAll, cfg); err != nil {
 			status := http.StatusInternalServerError
 			if errors.Is(err, ErrBadRequest) {
 				status = http.StatusBadRequest

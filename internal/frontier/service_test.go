@@ -261,17 +261,3 @@ func TestServiceMountedOnTelemetryMux(t *testing.T) {
 		t.Error("/metrics does not show the frontier sweep counter")
 	}
 }
-
-func TestServiceSourceError(t *testing.T) {
-	svc := NewService(errSource{}, Config{})
-	rec, _ := getFrontier(t, svc, "/frontier")
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("source error: status %d", rec.Code)
-	}
-}
-
-type errSource struct{}
-
-func (errSource) FrontierModels() ([]opt.NodeModel, int, error) {
-	return nil, 0, errors.New("profiling not finished")
-}

@@ -113,7 +113,6 @@ type KV interface {
 	LRangeChunked(key string, window int64, fn func(batch [][]byte) error) error
 	LLen(key string) (int64, error)
 	Ping() error
-	Do(cmd string, args ...[]byte) (Reply, error)
 	Pipe(width int) (Pipe, error)
 	Close() error
 }

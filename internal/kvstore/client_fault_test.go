@@ -370,7 +370,6 @@ func TestClosedClientStaysClosed(t *testing.T) {
 		"Get":  func() error { _, err := cc.Get("k"); return err },
 		"Del":  func() error { _, err := cc.Del("k"); return err },
 		"Ping": cc.Ping,
-		"Do":   func() error { _, err := cc.Do("DBSIZE"); return err },
 		"Pipe": func() error {
 			p, err := cc.Pipe(4)
 			if err != nil {

@@ -277,19 +277,6 @@ func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 	return Reply{}, fmt.Errorf("kvstore: slot %d: gave up after %d routing hops: %v", slot, maxRedirects, lastErr)
 }
 
-// Do routes by the command's first key; keyless commands go to an
-// arbitrary node.
-func (cc *ClusterClient) Do(cmd string, args ...[]byte) (Reply, error) {
-	if cmdTable[lookupCmd(cmd)].keys != noKeys && len(args) > 0 {
-		return cc.doKey(string(args[0]), cmd, args)
-	}
-	c, err := cc.anyClient()
-	if err != nil {
-		return Reply{}, err
-	}
-	return c.Do(cmd, args...)
-}
-
 // Del removes keys across their owners, returning how many existed.
 func (cc *ClusterClient) Del(keys ...string) (int64, error) {
 	groups, err := cc.groupByOwner(keys)

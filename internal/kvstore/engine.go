@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"runtime"
 	"sort"
 	"strconv"
@@ -144,24 +143,6 @@ func wrongArgs(cmd string) Reply {
 }
 func notInteger() Reply           { return errReply("ERR value is not an integer or out of range") }
 func unknownCmd(cmd string) Reply { return errReply("ERR unknown command '" + cmd + "'") }
-
-// Do executes one command against the engine and returns its reply,
-// whose bytes the caller owns. Command names are case-insensitive, as
-// in Redis; the lookup folds case without allocating, so a lowercase
-// client costs nothing extra.
-func (e *Engine) Do(cmd string, args ...[]byte) Reply {
-	return cloneReply(e.doID(lookupCmd(cmd), cmd, args))
-}
-
-// cloneReply copies the bulk bytes of r, which may alias stored
-// values. An array reply's element slice is built per call.
-func cloneReply(r Reply) Reply {
-	r.Bulk = bytes.Clone(r.Bulk)
-	for i := range r.Array {
-		r.Array[i].Bulk = bytes.Clone(r.Array[i].Bulk)
-	}
-	return r
-}
 
 // doID executes a pre-resolved command. The server resolves the cmdID
 // once per command and shares it between dispatch, telemetry

@@ -81,37 +81,6 @@ func SplitSlots(addrs []string) []SlotRange {
 	return out
 }
 
-// ParseSlotRanges parses the -cluster-slots flag format:
-// "0-341@host:p1,342-682@host:p2,683-1023@host:p3". A single slot may
-// be written without the dash ("7@host:p").
-func ParseSlotRanges(spec string) ([]SlotRange, error) {
-	var out []SlotRange
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		rangePart, addr, ok := strings.Cut(part, "@")
-		if !ok || addr == "" {
-			return nil, fmt.Errorf("kvstore: slot range %q: want lo-hi@addr", part)
-		}
-		loS, hiS, dashed := strings.Cut(rangePart, "-")
-		if !dashed {
-			hiS = loS
-		}
-		lo, err1 := strconv.Atoi(loS)
-		hi, err2 := strconv.Atoi(hiS)
-		if err1 != nil || err2 != nil || lo < 0 || hi >= NumSlots || lo > hi {
-			return nil, fmt.Errorf("kvstore: slot range %q: bad bounds (slots are 0..%d)", part, NumSlots-1)
-		}
-		out = append(out, SlotRange{Lo: lo, Hi: hi, Addr: addr})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("kvstore: empty slot assignment %q", spec)
-	}
-	return out, nil
-}
-
 // slotTable is the resolved slot→owner map a server or routing client
 // works from.
 type slotTable struct {

@@ -54,26 +54,6 @@ func TestSplitSlotsCoversEverySlotOnce(t *testing.T) {
 	}
 }
 
-func TestParseSlotRanges(t *testing.T) {
-	ranges, err := ParseSlotRanges("0-341@h:1, 342-682@h:2,683-1023@h:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranges) != 3 || ranges[1].Lo != 342 || ranges[1].Addr != "h:2" {
-		t.Fatalf("ranges = %+v", ranges)
-	}
-	// Single-slot shorthand.
-	one, err := ParseSlotRanges("7@h:9")
-	if err != nil || one[0].Lo != 7 || one[0].Hi != 7 {
-		t.Fatalf("single slot: %+v, %v", one, err)
-	}
-	for _, bad := range []string{"", "0-1023", "0-1024@h:1", "-1-5@h:1", "9-3@h:1", "x-y@h:1", "5@"} {
-		if _, err := ParseSlotRanges(bad); err == nil {
-			t.Errorf("ParseSlotRanges(%q) accepted", bad)
-		}
-	}
-}
-
 func TestSlotTableRejectsConflicts(t *testing.T) {
 	_, err := newSlotTable([]SlotRange{
 		{Lo: 0, Hi: 511, Addr: "a"},

@@ -9,12 +9,10 @@ import (
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
 	"pareto/internal/replan"
-	"pareto/internal/sketch"
 )
 
 // recordsOfCorpora builds one small corpus per record domain, plus a
-// DynamicCorpus holding both kinds of ingested record: raw wire bytes
-// and opaque item records.
+// DynamicCorpus holding ingested wire records behind its base.
 func recordsOfCorpora(t *testing.T) map[string]pivots.Corpus {
 	t.Helper()
 	trees, _, err := datasets.GenerateTrees(datasets.SwissProtLike(0.005))
@@ -47,15 +45,7 @@ func recordsOfCorpora(t *testing.T) map[string]pivots.Corpus {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		var raw []byte
-		if i%2 == 0 {
-			raw = text.AppendRecord(nil, i%text.Len())
-		}
-		items := make([]sketch.Item, 1+i%5)
-		for k := range items {
-			items[k] = sketch.Item(1000*i + k)
-		}
-		if _, err := dyn.Append(items, len(items), raw); err != nil {
+		if _, _, err := dyn.Append(text.AppendRecord(nil, (7*i)%text.Len())); err != nil {
 			t.Fatal(err)
 		}
 	}

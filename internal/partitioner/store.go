@@ -263,15 +263,15 @@ type WriteGrouper interface {
 	WriteGroup(id int) int
 }
 
-// WriteGroups buckets partition ids (ascending) by st's write groups:
-// ids stay ascending inside a group and groups are ordered by their
-// first id, so a fan-out over the groups that reports its lowest
-// failing group fails deterministically.
-func WriteGroups(st WriteGrouper, ids []int) [][]int {
+// WriteGroups buckets partition ids (ascending) by their write groups
+// (a store's WriteGroup): ids stay ascending inside a group and groups
+// are ordered by their first id, so a fan-out over the groups that
+// reports its lowest failing group fails deterministically.
+func WriteGroups(group func(id int) int, ids []int) [][]int {
 	index := make(map[int]int)
 	var groups [][]int
 	for _, j := range ids {
-		g := st.WriteGroup(j)
+		g := group(j)
 		gi, ok := index[g]
 		if !ok {
 			gi = len(groups)
@@ -319,7 +319,7 @@ func PlaceParallel(c pivots.Corpus, a *Assignment, st Store, workers int) error 
 	for j := range ids {
 		ids[j] = j
 	}
-	groups := WriteGroups(gr, ids)
+	groups := WriteGroups(gr.WriteGroup, ids)
 	_, err := parallel.ForErr(len(groups), workers, func(lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {
 			for _, j := range groups[gi] {

@@ -78,11 +78,9 @@ func benchLoop(b testing.TB, threshold float64, store partitioner.Store) *Loop {
 // in the same stratum, so well under 10% of the strata drift.
 func benchIngest(b testing.TB, l *Loop, gen int) {
 	b.Helper()
-	items := alienItems(gen, 6)
+	raw := alienRecord(gen, 6)
 	for i := 0; i < benchBatch; i++ {
-		if _, err := l.Ingest(items, len(items), nil); err != nil {
-			b.Fatal(err)
-		}
+		ingest(b, l, raw)
 	}
 }
 
@@ -127,9 +125,8 @@ func benchCycles(b *testing.B, l *Loop, want CycleKind) {
 // BenchmarkReplanIncremental measures one drift-driven incremental
 // cycle at 50k records with <10% of strata dirty: the lone drifted
 // stratum refreezes from the tracker's counters, the sample ladder is
-// re-profiled (the memo never hits here: the corpus grows every cycle,
-// so every drawn sample is new), and the LP re-solves from the previous
-// basis. Ingest happens outside the timer.
+// re-profiled at the grown corpus size, and the sizing LP is solved
+// cold. Ingest happens outside the timer.
 func BenchmarkReplanIncremental(b *testing.B) {
 	benchCycles(b, benchLoop(b, benchIncrementalThreshold, nil), CycleIncremental)
 }

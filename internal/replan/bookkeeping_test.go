@@ -7,12 +7,10 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
-	"pareto/internal/sketch"
 	"pareto/internal/strata"
 )
 
@@ -199,18 +197,14 @@ func TestBookkeepingMatchesCopyReference(t *testing.T) {
 				if len(pool) == 0 {
 					continue
 				}
-				terms := docs[pool[rng.Intn(len(pool))]].Terms
-				items := make([]sketch.Item, len(terms))
-				for i, term := range terms {
-					items[i] = sketch.Item(term)
+				terms := slices.Clone(docs[pool[rng.Intn(len(pool))]].Terms)
+				for i := range terms {
 					if alien && i%2 == 1 {
-						items[i] = sketch.Item(uint64(1)<<40 + uint64(c*k+s)<<20 + uint64(i))
+						terms[i] = alienTerm(c*k+s, i)
 					}
 				}
-				sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-				if _, err := l.Ingest(items, len(items), nil); err != nil {
-					t.Fatal(err)
-				}
+				slices.Sort(terms)
+				ingest(t, l, textRecord(terms...))
 				pending = append(pending, l.Len()-1)
 			}
 			n := l.Len()

@@ -11,7 +11,6 @@
 package replan
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -20,15 +19,14 @@ import (
 )
 
 // DynamicCorpus is a pivots.Corpus that grows: a frozen base corpus
-// plus records appended by the ingest path. Record indices are stable —
-// base records keep their indices, appended records extend the index
-// space — so stratum membership lists, assignments and partition
+// plus wire records appended by the ingest path. Record indices are
+// stable — base records keep their indices, appended records extend the
+// index space — so stratum membership lists, assignments and partition
 // contents stay valid as the corpus grows.
 type DynamicCorpus struct {
 	base    pivots.Corpus
-	items   [][]sketch.Item
-	weights []int
 	raws    [][]byte
+	weights []int
 }
 
 // NewDynamicCorpus wraps a base corpus. The base must not change while
@@ -40,36 +38,35 @@ func NewDynamicCorpus(base pivots.Corpus) (*DynamicCorpus, error) {
 	return &DynamicCorpus{base: base}, nil
 }
 
-// Append adds one record and returns its index. items is the record's
-// pivot set (owned by the corpus afterwards); weight is its size proxy;
-// raw, when non-nil, is the record's length-prefixed wire form used
-// verbatim by AppendRecord (the Tailer supplies the bytes it read off
-// the ingest list). With raw nil, AppendRecord synthesizes an opaque
-// item record — self-delimiting for any Store, but not decodable by the
-// pivots codecs.
-func (c *DynamicCorpus) Append(items []sketch.Item, weight int, raw []byte) (int, error) {
+// Append adds raw, one length-prefixed wire record of the corpus kind,
+// and returns its index and its pivot set. The corpus owns raw
+// afterwards: AppendRecord serves it verbatim, so migrated partitions
+// carry the producer's exact bytes.
+func (c *DynamicCorpus) Append(raw []byte) (int, []sketch.Item, error) {
+	items, weight, err := decodeRecord(c.Kind(), raw)
+	if err != nil {
+		return 0, nil, err
+	}
 	if len(items) == 0 {
-		return 0, errors.New("replan: record with empty pivot set")
+		return 0, nil, errors.New("replan: record with empty pivot set")
 	}
-	if weight < 0 {
-		return 0, fmt.Errorf("replan: negative record weight %d", weight)
-	}
-	c.items = append(c.items, items)
-	c.weights = append(c.weights, weight)
 	c.raws = append(c.raws, raw)
-	return c.base.Len() + len(c.items) - 1, nil
+	c.weights = append(c.weights, weight)
+	return c.base.Len() + len(c.raws) - 1, items, nil
 }
 
 // Kind implements pivots.Corpus.
 func (c *DynamicCorpus) Kind() pivots.Kind { return c.base.Kind() }
 
 // Len implements pivots.Corpus.
-func (c *DynamicCorpus) Len() int { return c.base.Len() + len(c.items) }
+func (c *DynamicCorpus) Len() int { return c.base.Len() + len(c.raws) }
 
-// AppendItems implements pivots.Corpus.
+// AppendItems implements pivots.Corpus. An appended record's set is
+// decoded again from its wire form, which Append has validated.
 func (c *DynamicCorpus) AppendItems(dst []sketch.Item, i int) []sketch.Item {
 	if b := c.base.Len(); i >= b {
-		return append(dst, c.items[i-b]...)
+		items, _, _ := decodeRecord(c.Kind(), c.raws[i-b])
+		return append(dst, items...)
 	}
 	return c.base.AppendItems(dst, i)
 }
@@ -84,32 +81,85 @@ func (c *DynamicCorpus) Weight(i int) int {
 
 // AppendRecord implements pivots.Corpus.
 func (c *DynamicCorpus) AppendRecord(dst []byte, i int) []byte {
-	b := c.base.Len()
-	if i < b {
-		return c.base.AppendRecord(dst, i)
+	if b := c.base.Len(); i >= b {
+		return append(dst, c.raws[i-b]...)
 	}
-	if raw := c.raws[i-b]; raw != nil {
-		return append(dst, raw...)
-	}
-	// Opaque fallback: uint32 payloadLen | nItems × uint64 item. Keeps
-	// the partition format self-delimiting when a producer appended
-	// pivot sets directly instead of wire records.
-	items := c.items[i-b]
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(8*len(items)))
-	for _, it := range items {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(it))
-	}
-	return dst
+	return c.base.AppendRecord(dst, i)
 }
 
 // RecordSize implements pivots.Corpus.
 func (c *DynamicCorpus) RecordSize(i int) int {
-	b := c.base.Len()
-	if i < b {
-		return c.base.RecordSize(i)
+	if b := c.base.Len(); i >= b {
+		return len(c.raws[i-b])
 	}
-	if raw := c.raws[i-b]; raw != nil {
-		return len(raw)
+	return c.base.RecordSize(i)
+}
+
+// decodeRecord parses one wire record of the given kind into the pivot
+// set and weight its corpus type would expose. The element must contain
+// exactly one record, and what it holds must be what the corpus type
+// accepts: a valid tree (Pivots walks its parent array), or neighbours
+// and terms in strictly increasing order, the ascending, duplicate-free
+// items a graph or text corpus appends. A tree's set is Pivots(), sorted
+// and duplicate-free; its corpus appends the same set in walk order with
+// repeats, which sketches identically.
+func decodeRecord(kind pivots.Kind, raw []byte) ([]sketch.Item, int, error) {
+	switch kind {
+	case pivots.TreeData:
+		tree, rest, err := pivots.DecodeTreeRecord(raw)
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(rest) != 0 {
+			return nil, 0, fmt.Errorf("replan: %d trailing bytes after tree record", len(rest))
+		}
+		if err := tree.Validate(); err != nil {
+			return nil, 0, fmt.Errorf("replan: tree record: %w", err)
+		}
+		return tree.Pivots(), tree.NumNodes(), nil
+	case pivots.GraphData:
+		_, nbrs, rest, err := pivots.DecodeGraphRecord(raw)
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(rest) != 0 {
+			return nil, 0, fmt.Errorf("replan: %d trailing bytes after graph record", len(rest))
+		}
+		if err := increasing(nbrs); err != nil {
+			return nil, 0, fmt.Errorf("replan: graph record neighbours: %w", err)
+		}
+		items := make([]sketch.Item, len(nbrs))
+		for i, u := range nbrs {
+			items[i] = sketch.Item(u)
+		}
+		return items, len(nbrs) + 1, nil
+	case pivots.TextData:
+		doc, rest, err := pivots.DecodeTextRecord(raw)
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(rest) != 0 {
+			return nil, 0, fmt.Errorf("replan: %d trailing bytes after text record", len(rest))
+		}
+		if err := increasing(doc.Terms); err != nil {
+			return nil, 0, fmt.Errorf("replan: text record terms: %w", err)
+		}
+		items := make([]sketch.Item, len(doc.Terms))
+		for i, term := range doc.Terms {
+			items[i] = sketch.Item(term)
+		}
+		return items, len(doc.Terms), nil
+	default:
+		return nil, 0, fmt.Errorf("replan: unknown corpus kind %v", kind)
 	}
-	return 4 + 8*len(c.items[i-b])
+}
+
+// increasing reports the first place xs fails to increase strictly.
+func increasing(xs []uint32) error {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			return fmt.Errorf("%d at position %d follows %d", xs[i], i, xs[i-1])
+		}
+	}
+	return nil
 }

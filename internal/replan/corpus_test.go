@@ -32,28 +32,28 @@ func TestDynamicCorpusIndexing(t *testing.T) {
 		t.Fatalf("fresh dynamic corpus: kind %v len %d", dyn.Kind(), dyn.Len())
 	}
 	raw := base.AppendRecord(nil, 3)
-	idx, err := dyn.Append([]sketch.Item{7, 8, 9}, 3, raw)
+	idx, items, err := dyn.Append(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if idx != 10 {
 		t.Errorf("first append got index %d, want 10", idx)
 	}
-	if dyn.Len() != 11 || len(dyn.items) != 1 {
-		t.Errorf("len %d appended %d", dyn.Len(), len(dyn.items))
+	if dyn.Len() != 11 || len(dyn.raws) != 1 {
+		t.Errorf("len %d appended %d", dyn.Len(), len(dyn.raws))
 	}
 	// Base indices are untouched; the appended index serves its own data.
-	if got := dyn.AppendItems(nil, 3); len(got) != 3 || got[0] != base.AppendItems(nil, 3)[0] {
+	if got := dyn.AppendItems(nil, 3); !slices.Equal(got, base.AppendItems(nil, 3)) {
 		t.Error("base item set changed")
 	}
-	if got := dyn.AppendItems(nil, 10); len(got) != 3 || got[0] != 7 {
-		t.Errorf("appended item set %v", got)
+	if got := dyn.AppendItems(nil, 10); !slices.Equal(got, items) || !slices.Equal(got, base.AppendItems(nil, 3)) {
+		t.Errorf("appended item set %v, Append returned %v", got, items)
 	}
 	if dyn.Weight(10) != 3 || dyn.Weight(2) != base.Weight(2) {
 		t.Error("weight dispatch wrong")
 	}
 	// Raw wire bytes pass through verbatim.
-	if !bytes.Equal(dyn.AppendRecord(nil, 10), raw) {
+	if !bytes.Equal(dyn.AppendRecord(nil, 10), raw) || dyn.RecordSize(10) != len(raw) {
 		t.Error("raw record not passed through verbatim")
 	}
 	if !bytes.Equal(dyn.AppendRecord(nil, 3), base.AppendRecord(nil, 3)) {
@@ -63,8 +63,9 @@ func TestDynamicCorpusIndexing(t *testing.T) {
 
 // TestDynamicCorpusAppendItems: behind a prefix that must stay, into
 // one reused buffer, base records append the base corpus's set and
-// appended records their stored one; SketchAll over the corpus at 1 and
-// 4 workers is bit-identical to sketching each set alone.
+// appended records the set their wire form decodes to; SketchAll over
+// the corpus at 1 and 4 workers is bit-identical to sketching each set
+// alone.
 func TestDynamicCorpusAppendItems(t *testing.T) {
 	base := smallTextCorpus(t, 10)
 	dyn, err := NewDynamicCorpus(base)
@@ -73,7 +74,11 @@ func TestDynamicCorpusAppendItems(t *testing.T) {
 	}
 	stored := [][]sketch.Item{{7, 8, 9}, {1}, {2, 40, 41, 900}}
 	for _, items := range stored {
-		if _, err := dyn.Append(items, len(items), nil); err != nil {
+		terms := make([]uint32, len(items))
+		for k, it := range items {
+			terms[k] = uint32(it)
+		}
+		if _, _, err := dyn.Append(textRecord(terms...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,36 +111,19 @@ func TestDynamicCorpusAppendItems(t *testing.T) {
 	}
 }
 
-func TestDynamicCorpusOpaqueFallback(t *testing.T) {
-	base := smallTextCorpus(t, 4)
-	dyn, err := NewDynamicCorpus(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dyn.Append([]sketch.Item{1, 2}, 5, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The opaque record must stay self-delimiting: a store splitting a
-	// concatenation of records must recover exactly this record.
-	rec := dyn.AppendRecord(nil, 4)
-	if len(rec) != 4+16 {
-		t.Fatalf("opaque record is %d bytes, want 20", len(rec))
-	}
-	if got := uint32(rec[0]) | uint32(rec[1])<<8 | uint32(rec[2])<<16 | uint32(rec[3])<<24; got != 16 {
-		t.Errorf("opaque payload header %d, want 16", got)
-	}
-}
-
 func TestDynamicCorpusValidation(t *testing.T) {
 	if _, err := NewDynamicCorpus(nil); err == nil {
 		t.Error("nil base accepted")
 	}
 	base := smallTextCorpus(t, 3)
 	dyn, _ := NewDynamicCorpus(base)
-	if _, err := dyn.Append(nil, 1, nil); err == nil {
+	if _, _, err := dyn.Append(textRecord()); err == nil {
 		t.Error("empty pivot set accepted")
 	}
-	if _, err := dyn.Append([]sketch.Item{1}, -1, nil); err == nil {
-		t.Error("negative weight accepted")
+	if _, _, err := dyn.Append(textRecord(4, 2)); err == nil {
+		t.Error("unsorted terms accepted")
+	}
+	if dyn.Len() != base.Len() {
+		t.Errorf("refused records grew the corpus to %d", dyn.Len())
 	}
 }

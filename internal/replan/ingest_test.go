@@ -56,6 +56,40 @@ func TestDecodeRecordRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsMalformed: Loop.Ingest decodes with decodeRecord,
+// so what it refuses the loop refuses, and so is a record of another
+// kind than the loop's corpus; neither grows the corpus nor queues a
+// placement.
+func TestIngestRejectsMalformed(t *testing.T) {
+	docs, vocab := replanDocs(t)
+	base, err := pivots.NewTextCorpus(docs[:100], vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := New(base, paperCluster(t, 4), weightProfile(base), Config{Core: loopCoreConfig(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minus1 := ^uint32(0)
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"text terms unsorted", record(3, 5, 2, 9)},
+		{"truncated", []byte{1, 2, 3}},
+		{"trailing bytes", append(record(1, 4), 0)},
+		{"tree record", record(3, minus1, 0, 0, 1, 2, 3)},
+		{"graph record", record(1, 2, 3, 8)},
+	} {
+		if s, err := l.Ingest(c.raw); err == nil {
+			t.Errorf("%s: ingested into stratum %d", c.name, s)
+		}
+	}
+	if l.Len() != base.Len() || l.Pending() != 0 {
+		t.Errorf("refused records left the loop at %d records, %d pending", l.Len(), l.Pending())
+	}
+}
+
 // FuzzDecodeRecord feeds arbitrary bytes to the Tailer's decoder as
 // each of the three record kinds. It must never panic, and what it
 // accepts must be what a corpus may hold: a strictly increasing item

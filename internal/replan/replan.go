@@ -161,6 +161,9 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	if cfg.Core.DistStratify != nil {
 		return nil, errors.New("replan: DistStratify is not supported; the loop owns stratification")
 	}
+	if cfg.Core.Strategy == core.Stratified {
+		return nil, errors.New("replan: the Stratified baseline has no sizing to re-solve; use a Het strategy")
+	}
 	if cfg.MaxMovesPerCycle < 0 {
 		return nil, fmt.Errorf("replan: negative MaxMovesPerCycle %d", cfg.MaxMovesPerCycle)
 	}
@@ -232,18 +235,18 @@ func (l *Loop) installFull(plan *core.Plan) error {
 	return nil
 }
 
-// Ingest admits one record into the live corpus: it is sketched with
-// the stratifier's hash family, assigned to its nearest frozen stratum
+// Ingest admits one wire record of the corpus kind into the live
+// corpus (see DynamicCorpus.Append): it is sketched with the
+// stratifier's hash family, assigned to its nearest frozen stratum
 // (feeding the drift statistic), and queued for placement on the next
-// cycle. raw, when non-nil, is the record's length-prefixed wire form
-// (see DynamicCorpus.Append). Returns the stratum the record joined.
-func (l *Loop) Ingest(items []sketch.Item, weight int, raw []byte) (int, error) {
+// cycle. Returns the stratum the record joined.
+func (l *Loop) Ingest(raw []byte) (int, error) {
 	// The corpus validates the record before the tracker counts it: a
 	// lone-stratum refreeze trusts the tracker's counters to hold exactly
 	// the stratum's members (see replanIncremental). The tracker itself
 	// only rejects a sketch of the wrong width, which the loop's own
 	// hasher cannot produce.
-	idx, err := l.corpus.Append(items, weight, raw)
+	idx, items, err := l.corpus.Append(raw)
 	if err != nil {
 		return 0, err
 	}
@@ -255,6 +258,7 @@ func (l *Loop) Ingest(items []sketch.Item, weight int, raw []byte) (int, error) 
 	l.st.Assign = append(l.st.Assign, stratum)
 	l.st.Members[stratum] = append(l.st.Members[stratum], idx)
 	l.st.Sketches = append(l.st.Sketches, sk)
+	weight := l.corpus.Weight(idx)
 	l.st.WeightTotals[stratum] += weight
 	l.corpusWeight += weight
 	l.where = append(l.where, -1)
@@ -381,20 +385,16 @@ func (l *Loop) resize(n int, rep *CycleReport) error {
 		Strategy: l.cfg.Core.Strategy, Alpha: l.cfg.Core.Alpha, Strat: l.st,
 		Scheme: l.cfg.Core.Scheme, CorpusWeight: l.corpusWeight,
 	}
-	if plan.Strategy == core.Stratified {
-		plan.Sizes = partitioner.EqualSizes(n, l.p)
-	} else {
-		ladder, costs, _, err := core.ProfileLadder(l.st.Members, n, l.profile, l.cfg.Core)
-		if err != nil {
-			return err
-		}
-		if plan.Models, plan.Optimized, err = core.Size(l.cl, ladder, costs, n, plan.Alpha, l.cfg.Core); err != nil {
-			return err
-		}
-		rep.ProfileRuns, rep.LPSolved = len(ladder), true
-		l.setShares(plan.Optimized, n)
-		plan.Sizes = plan.Optimized.Sizes
+	ladder, costs, _, err := core.ProfileLadder(l.st.Members, n, l.profile, l.cfg.Core)
+	if err != nil {
+		return err
 	}
+	if plan.Models, plan.Optimized, err = core.Size(l.cl, ladder, costs, n, plan.Alpha, l.cfg.Core); err != nil {
+		return err
+	}
+	rep.ProfileRuns, rep.LPSolved = len(ladder), true
+	l.setShares(plan.Optimized, n)
+	plan.Sizes = plan.Optimized.Sizes
 	if err := l.retarget(plan.Sizes, n); err != nil {
 		return err
 	}
@@ -452,13 +452,8 @@ func (l *Loop) restratify(dirty []int) error {
 }
 
 // setShares records each node's share of the n records the plan sized,
-// which sizesFor scales to later corpus sizes; nil (equal sizes) for the
-// Stratified baseline, which has no optimized plan.
+// which sizesFor scales to later corpus sizes.
 func (l *Loop) setShares(plan *opt.Plan, n int) {
-	l.shares = nil
-	if plan == nil {
-		return
-	}
 	l.shares = make([]float64, l.p)
 	for i, x := range plan.X[:l.p] {
 		l.shares[i] = x / float64(n)
@@ -467,14 +462,10 @@ func (l *Loop) setShares(plan *opt.Plan, n int) {
 
 // sizesFor returns target partition sizes for a corpus of n records
 // without re-planning: the installed sizes when n is unchanged,
-// otherwise the installed shares scaled to n (equal sizes for the
-// Stratified baseline).
+// otherwise the installed shares scaled to n.
 func (l *Loop) sizesFor(n int) []int {
 	if n == l.lastN {
 		return append([]int(nil), l.lastSizes...)
-	}
-	if l.shares == nil {
-		return partitioner.EqualSizes(n, l.p)
 	}
 	units := make([]float64, l.p)
 	for i, s := range l.shares {
@@ -654,7 +645,7 @@ func (l *Loop) writeAffected(next *partitioner.Assignment, first []int) (records
 			parts = append(parts, j)
 		}
 	}
-	groups := partitioner.WriteGroups(l.store, parts)
+	groups := partitioner.WriteGroups(l.store.WriteGroup, parts)
 	txn := l.store.Begin()
 	_, err = parallel.ForErr(len(groups), l.cfg.Core.Workers, func(lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {

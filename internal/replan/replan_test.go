@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -69,20 +70,28 @@ func loopCoreConfig(workers int) core.Config {
 	}
 }
 
-// ingestDocs feeds docs[from:] into the loop as wire records, exactly
-// as the Tailer would.
+// ingest feeds one wire record into the loop, exactly as the Tailer
+// would, and returns the stratum it joined.
+func ingest(t testing.TB, l *Loop, raw []byte) int {
+	t.Helper()
+	s, err := l.Ingest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// ingestDocs feeds docs[from:] into the loop as wire records.
 func ingestDocs(t testing.TB, l *Loop, full *pivots.TextCorpus, from int) {
 	t.Helper()
 	for i := from; i < full.Len(); i++ {
-		terms := full.Docs[i].Terms
-		items := make([]sketch.Item, len(terms))
-		for k, term := range terms {
-			items[k] = sketch.Item(term)
-		}
-		if _, err := l.Ingest(items, len(terms), full.AppendRecord(nil, i)); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, l, full.AppendRecord(nil, i))
 	}
+}
+
+// textRecord frames terms, ascending, as one text wire record.
+func textRecord(terms ...uint32) []byte {
+	return (&pivots.TextCorpus{Docs: []pivots.Doc{{Terms: terms}}}).AppendRecord(nil, 0)
 }
 
 // affineProfile prices a sample as a fixed overhead plus a per-record
@@ -94,15 +103,19 @@ func affineProfile() core.ProfileFunc {
 	}
 }
 
-// alienItems builds a pivot set far from any planted topic, used to
+// alienTerm is a term above every test corpus's vocabulary; gen and
+// i < 256 make it unique.
+func alienTerm(gen, i int) uint32 { return 1<<31 | uint32(gen)<<8 | uint32(i) }
+
+// alienRecord builds a text record of n terms far from any planted topic, used to
 // drift exactly one stratum (identical sets always land on the same
 // nearest frozen center).
-func alienItems(gen, n int) []sketch.Item {
-	items := make([]sketch.Item, n)
-	for i := range items {
-		items[i] = sketch.Item(uint64(1)<<40 + uint64(gen)<<20 + uint64(i))
+func alienRecord(gen, n int) []byte {
+	terms := make([]uint32, n)
+	for i := range terms {
+		terms[i] = alienTerm(gen, i)
 	}
-	return items
+	return textRecord(terms...)
 }
 
 // TestAllDirtyCycleBitIdenticalToCold is the acceptance criterion: when
@@ -199,10 +212,7 @@ func TestFullCycleClustersHeldSketches(t *testing.T) {
 	var items []sketch.Item
 	for cycle := 1; cycle < len(cuts); cycle++ {
 		for i := cuts[cycle-1]; i < cuts[cycle]; i++ {
-			rec := full.AppendItems(nil, i) // the corpus owns it from here
-			if _, err := l.Ingest(rec, len(rec), full.AppendRecord(nil, i)); err != nil {
-				t.Fatal(err)
-			}
+			ingest(t, l, full.AppendRecord(nil, i))
 		}
 		held := l.Plan().Strat.Sketches
 		rep, err := l.Cycle()
@@ -270,9 +280,7 @@ func TestIncrementalCycleSolvesLP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if _, err := l.Ingest(alienItems(1, 6), 6, nil); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, l, alienRecord(1, 6))
 	}
 	rep, err := l.Cycle()
 	if err != nil {
@@ -288,9 +296,7 @@ func TestIncrementalCycleSolvesLP(t *testing.T) {
 		t.Error("first incremental cycle did not solve the sizing LP")
 	}
 	for i := 0; i < 12; i++ {
-		if _, err := l.Ingest(alienItems(2, 6), 6, nil); err != nil {
-			t.Fatal(err)
-		}
+		ingest(t, l, alienRecord(2, 6))
 	}
 	rep, err = l.Cycle()
 	if err != nil {
@@ -357,9 +363,7 @@ func TestIncrementalCycleIsColdPipelineOverLoopStrata(t *testing.T) {
 		live = l.Corpus()
 		for cycle := 1; cycle <= 6; cycle++ {
 			for i := 0; i < 12; i++ {
-				if _, err := l.Ingest(alienItems(cycle, 6), 6+cycle, nil); err != nil {
-					t.Fatal(err)
-				}
+				ingest(t, l, alienRecord(cycle, 6+cycle))
 			}
 			rep, err := l.Cycle()
 			if err != nil {
@@ -544,6 +548,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(base, cl, weightProfile(base), Config{Core: cfg, Drift: strata.DriftConfig{Threshold: -1}}); err == nil {
 		t.Error("negative threshold accepted")
 	}
+	stratified := cfg
+	stratified.Strategy = core.Stratified
+	if _, err := New(base, cl, weightProfile(base), Config{Core: stratified}); err == nil {
+		t.Error("the Stratified baseline accepted")
+	}
 }
 
 // referenceCycle is Loop.Cycle without the count-once shortcut: a lone
@@ -665,22 +674,17 @@ func TestLoneStratumRefreezeMatchesRecluster(t *testing.T) {
 						continue
 					}
 					terms := sc.docs[pool[rng.Intn(len(pool))]].Terms
-					items := alienItems(c*k+s, len(terms))
+					mixed := make([]uint32, len(terms))
 					for i, term := range terms {
+						mixed[i] = alienTerm(c*k+s, i)
 						if i%2 == 1 {
-							items[i] = sketch.Item(term)
+							mixed[i] = term
 						}
 					}
+					slices.Sort(mixed)
+					raw := textRecord(mixed...)
 					for m := 5 + rng.Intn(10); m > 0; m-- {
-						sg, err := got.Ingest(append([]sketch.Item(nil), items...), len(items), nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sw, err := want.Ingest(append([]sketch.Item(nil), items...), len(items), nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if sg != sw {
+						if sg, sw := ingest(t, got, raw), ingest(t, want, raw); sg != sw {
 							t.Fatalf("%s seed %d cycle %d: ingest landed in stratum %d, reference %d", sc.name, seed, c, sg, sw)
 						}
 					}

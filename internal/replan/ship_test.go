@@ -125,15 +125,13 @@ func TestTornSuffixStageKeepsPreviousContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := l.Store().p
-	ingest := func(gen int) {
+	batch := func(gen int) {
 		for i := 0; i < 40; i++ {
-			if _, err := l.Ingest(alienItems(gen, 6), 6, nil); err != nil {
-				t.Fatal(err)
-			}
+			ingest(t, l, alienRecord(gen, 6))
 		}
 	}
 	for c := 1; c <= 5; c++ {
-		ingest(c)
+		batch(c)
 		if _, err := l.Cycle(); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +149,7 @@ func TestTornSuffixStageKeepsPreviousContents(t *testing.T) {
 	}
 	actualBefore := l.Actual()
 
-	ingest(6)
+	batch(6)
 	base.tear = true
 	if _, err := l.Cycle(); !errors.Is(err, errTorn) {
 		t.Fatalf("cycle over a torn stage returned %v", err)

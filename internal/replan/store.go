@@ -170,21 +170,9 @@ func (ps *partState) nextSlot() int {
 	}
 }
 
-// WritePartition rewrites and commits one partition in a single step —
-// the degenerate one-partition transaction, making EpochStore itself a
-// partitioner.Store.
-func (s *EpochStore) WritePartition(j int, records [][]byte) error {
-	txn := s.Begin()
-	if err := txn.Write(j, records); err != nil {
-		return err
-	}
-	txn.Commit()
-	return nil
-}
-
-// WriteGroup implements partitioner.WriteGrouper by delegating to the
-// base store's grouping of the id the next stage would write, so
-// concurrent migrations respect the base's pipelining constraints
+// WriteGroup returns partition j's write group: the base store's
+// grouping of the id the next stage would write, so concurrent
+// migrations respect the base's pipelining constraints
 // (e.g. KVStore partitions sharing a client). A base without write
 // groups isolates every partition.
 func (s *EpochStore) WriteGroup(j int) int {
@@ -204,8 +192,8 @@ func (s *EpochStore) Begin() *EpochTxn {
 	return &EpochTxn{s: s, staged: make(map[int]stage)}
 }
 
-// EpochTxn stages partition suffixes. Write and WriteSuffix may be
-// called concurrently; Commit must be called from one goroutine after
+// EpochTxn stages partition suffixes. WriteSuffix may be called
+// concurrently; Commit must be called from one goroutine after
 // every write returned, and only if all of them succeeded. Abandoning a
 // transaction without Commit aborts it — staged data is simply never
 // pointed at, and the next transaction's stages overwrite it.
@@ -224,11 +212,6 @@ type EpochTxn struct {
 type stage struct {
 	kept int
 	seg  segment
-}
-
-// Write stages partition j's new contents whole.
-func (t *EpochTxn) Write(j int, records [][]byte) error {
-	return t.WriteSuffix(j, 0, records)
 }
 
 // WriteSuffix stages partition j's new contents as its first keep

@@ -37,6 +37,17 @@ func assertPartition(t *testing.T, s *EpochStore, j int, want [][]byte) {
 	}
 }
 
+// commitWhole stages partition j's contents whole and commits them
+// alone.
+func commitWhole(st *EpochStore, j int, records [][]byte) error {
+	txn := st.Begin()
+	if err := txn.WriteSuffix(j, 0, records); err != nil {
+		return err
+	}
+	txn.Commit()
+	return nil
+}
+
 func TestEpochStoreCommitFlipsReads(t *testing.T) {
 	st, err := NewEpochStore(partitioner.NewMemoryStore(), 3)
 	if err != nil {
@@ -47,7 +58,7 @@ func TestEpochStoreCommitFlipsReads(t *testing.T) {
 	}
 	txn := st.Begin()
 	for j := 0; j < 3; j++ {
-		if err := txn.Write(j, recs(byte(j))); err != nil {
+		if err := txn.WriteSuffix(j, 0, recs(byte(j))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +76,7 @@ func TestEpochStoreCommitFlipsReads(t *testing.T) {
 	// A second committed transaction over a subset advances only that
 	// subset's epochs.
 	txn = st.Begin()
-	if err := txn.Write(1, recs(42)); err != nil {
+	if err := txn.WriteSuffix(1, 0, recs(42)); err != nil {
 		t.Fatal(err)
 	}
 	txn.Commit()
@@ -81,26 +92,26 @@ func TestEpochStoreAbandonedTxnAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WritePartition(0, recs(1)); err != nil {
+	if err := commitWhole(st, 0, recs(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WritePartition(1, recs(2)); err != nil {
+	if err := commitWhole(st, 1, recs(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Stage new contents for both partitions, then walk away: reads must
 	// keep serving the committed epoch, and a later transaction reuses
 	// the staging slots safely.
 	dead := st.Begin()
-	if err := dead.Write(0, recs(9)); err != nil {
+	if err := dead.WriteSuffix(0, 0, recs(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dead.Write(1, recs(9)); err != nil {
+	if err := dead.WriteSuffix(1, 0, recs(9)); err != nil {
 		t.Fatal(err)
 	}
 	assertPartition(t, st, 0, recs(1))
 	assertPartition(t, st, 1, recs(2))
 	txn := st.Begin()
-	if err := txn.Write(0, recs(7)); err != nil {
+	if err := txn.WriteSuffix(0, 0, recs(7)); err != nil {
 		t.Fatal(err)
 	}
 	txn.Commit()
@@ -150,7 +161,7 @@ func TestEpochStoreValidation(t *testing.T) {
 		if _, err := st.ReadPartition(j); err == nil {
 			t.Errorf("read of partition %d accepted", j)
 		}
-		if err := st.WritePartition(j, recs(1)); err == nil {
+		if err := commitWhole(st, j, recs(1)); err == nil {
 			t.Errorf("write of partition %d accepted", j)
 		}
 	}
@@ -165,7 +176,7 @@ func TestEpochStoreConcurrentTxnWrites(t *testing.T) {
 	txn := st.Begin()
 	errs := make(chan error, p)
 	for j := 0; j < p; j++ {
-		go func(j int) { errs <- txn.Write(j, recs(byte(j), byte(j+1))) }(j)
+		go func(j int) { errs <- txn.WriteSuffix(j, 0, recs(byte(j), byte(j+1))) }(j)
 	}
 	for j := 0; j < p; j++ {
 		if err := <-errs; err != nil {
@@ -186,7 +197,7 @@ func TestEpochStoreManyEpochs(t *testing.T) {
 	for e := 0; e < 10; e++ {
 		txn := st.Begin()
 		for j := 0; j < 2; j++ {
-			if err := txn.Write(j, [][]byte{[]byte(fmt.Sprintf("e%d-p%d", e, j))}); err != nil {
+			if err := txn.WriteSuffix(j, 0, [][]byte{[]byte(fmt.Sprintf("e%d-p%d", e, j))}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -347,7 +358,7 @@ func TestEpochStoreReclaimsSupersededEpochs(t *testing.T) {
 		if e%7 == 3 {
 			// An abandoned stage in between tears only a free id.
 			dead := st.Begin()
-			if err := dead.Write(e%p, recs(0xdd, 0xdd)); err != nil {
+			if err := dead.WriteSuffix(e%p, 0, recs(0xdd, 0xdd)); err != nil {
 				t.Fatal(err)
 			}
 			abandoned[e%p] = 2
@@ -362,7 +373,7 @@ func TestEpochStoreReclaimsSupersededEpochs(t *testing.T) {
 			next := grown(e, j)
 			if e%11 == 5 {
 				// Every so often the whole partition is staged again.
-				err = txn.Write(j, next)
+				err = txn.WriteSuffix(j, 0, next)
 			} else {
 				err = stageContents(txn, j, model[j], next)
 			}
@@ -540,7 +551,7 @@ func twoSegments(t *testing.T) (*recordingStore, *EpochStore, [][]byte) {
 		t.Fatal(err)
 	}
 	all := recs(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
-	if err := st.WritePartition(1, all[:10]); err != nil {
+	if err := commitWhole(st, 1, all[:10]); err != nil {
 		t.Fatal(err)
 	}
 	txn := st.Begin()
@@ -610,7 +621,7 @@ func TestEpochStoreTruncationWritesNothing(t *testing.T) {
 		t.Errorf("epoch %d after three commits, want 2", st.parts[1].epoch)
 	}
 	// The dropped segment's id is the next stage's.
-	if err := st.WritePartition(1, all[:11]); err != nil {
+	if err := commitWhole(st, 1, all[:11]); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.parts[1].segs; len(got) != 1 || got[0] != (segment{1, 11}) {

@@ -2,9 +2,19 @@ package telemetry
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
+
+// Set stores the value. No-op on a nil receiver. Only tests set a
+// float gauge outright; programs accumulate with Add.
+func (g *FloatGauge) Set(v float64) {
+	if g == nil {
+		return
+	}
+	g.bits.Store(math.Float64bits(v))
+}
 
 func TestWriteProm(t *testing.T) {
 	r := NewRegistry()

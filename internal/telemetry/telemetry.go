@@ -98,14 +98,6 @@ type FloatGauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores the value. No-op on a nil receiver.
-func (g *FloatGauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
 // Add accumulates delta into the gauge.
 func (g *FloatGauge) Add(delta float64) {
 	if g == nil {

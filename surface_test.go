@@ -7,14 +7,17 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,7 +26,14 @@ import (
 // at least one non-test file of the repository — cmd/, examples/ and
 // benchmark/ count as callers; _test.go files, and any file outside
 // those directories and internal/ (the root package declares nothing),
-// do not.
+// do not. A method is referenced when a non-test selector resolves to
+// it (type-checked, so another type's method of the same name is not
+// it), or when it satisfies a method of an interface a non-test file
+// declares and its type, or a type embedding it, implements.
+// A test-support package — one that _test.go files import and no
+// non-test file does, such as faultnet — is not covered: all of it is
+// test code kept in a package so that several packages' tests share
+// it.
 // What only tests reference is a test helper (it lives in a _test.go /
 // export_test.go file) or dead (it is deleted). The few declarations
 // that are neither are listed here, each with its reason; an entry
@@ -42,10 +52,11 @@ const surfaceModule = "pareto"
 
 // stdlibInterfaceMethods are method names that satisfy a standard-
 // library interface the repository's types are passed as (error,
-// fmt.Stringer, io.Reader/Writer/Closer, http.Handler, sort.Interface):
-// the library calls them, so no selector in the tree has to.
+// fmt.Stringer, io.Reader/Writer/Closer, http.Handler, sort.Interface,
+// net.Listener): the library calls them, so no selector in the tree
+// has to.
 var stdlibInterfaceMethods = []string{
-	"Error", "String", "Read", "Write", "Close", "ServeHTTP", "Len", "Less", "Swap",
+	"Error", "String", "Read", "Write", "Close", "ServeHTTP", "Len", "Less", "Swap", "Accept",
 }
 
 // surfaceScan is what one pass over a file set finds: where each
@@ -136,22 +147,65 @@ func recvName(fd *ast.FuncDecl) string {
 	}
 }
 
-// scanSurface parses files (slash-separated path relative to the
-// module root → source) and applies the rule syntactically: a bare
-// identifier references the same-named declaration of its own package,
-// pkg.Name references package pkg as the file's import table resolves
-// it, and x.Name references every method called Name. A reference made
-// from inside the declaration it names (recursion) does not count, and
-// neither does one from a _test.go file.
-func scanSurface(files map[string]string) (*surfaceScan, error) {
+// checkedFiles is one parse and type-check of a file set (slash-
+// separated path relative to the module root → source), which the
+// declaration and field rules both read.
+type checkedFiles struct {
+	fset    *token.FileSet
+	nonTest []parsedFile
+	info    *types.Info
+	// testSupport holds the internal/ package directories that _test.go
+	// files import and no non-test file does.
+	testSupport map[string]bool
+}
+
+// checkFiles parses files and type-checks their non-test packages.
+func checkFiles(files map[string]string) (*checkedFiles, error) {
 	fset, nonTest, err := parseNonTest(files)
 	if err != nil {
 		return nil, err
 	}
+	c := &checkedFiles{fset: fset, nonTest: nonTest, testSupport: map[string]bool{}, info: &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	for name, src := range files {
+		if !strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, im := range f.Imports {
+			if dir, ok := strings.CutPrefix(strings.Trim(im.Path.Value, `"`), surfaceModule+"/internal/"); ok {
+				c.testSupport["internal/"+dir] = true
+			}
+		}
+	}
+	for _, p := range nonTest {
+		for _, dir := range p.imports {
+			delete(c.testSupport, dir)
+		}
+	}
+	return c, checkPackages(fset, nonTest, c.info)
+}
+
+// surface applies the declaration rule: a bare identifier references
+// the same-named declaration of its own package, pkg.Name references
+// package pkg as the file's import table resolves it, and a method is
+// referenced as the rule says. A reference made from inside the
+// declaration it names (recursion) does not count, and neither does
+// one from a _test.go file.
+func (c *checkedFiles) surface() *surfaceScan {
+	fset, info := c.fset, c.info
 	s := &surfaceScan{decls: map[string]token.Position{}, used: map[string]bool{}, unset: "has no reference outside _test.go files"}
 	methods := map[string][]string{} // method name → keys
-	for _, p := range nonTest {
-		if !strings.HasPrefix(p.dir, "internal/") {
+	methodKeys := map[*types.Func]string{}
+	for _, p := range c.nonTest {
+		if !strings.HasPrefix(p.dir, "internal/") || c.testSupport[p.dir] {
 			continue
 		}
 		add := func(recv string, id *ast.Ident) {
@@ -162,6 +216,7 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 			s.decls[k] = fset.Position(id.Pos())
 			if recv != "" {
 				methods[id.Name] = append(methods[id.Name], k)
+				methodKeys[info.Defs[id].(*types.Func)] = k
 			}
 		}
 		for _, d := range p.file.Decls {
@@ -186,21 +241,61 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 		}
 	}
 
-	useMethod := func(name string) {
-		for _, k := range methods[name] {
+	useMethod := func(fn *types.Func) {
+		if k, ok := methodKeys[fn.Origin()]; ok {
 			s.used[k] = true
 		}
 	}
 	for _, name := range stdlibInterfaceMethods {
-		useMethod(name)
+		for _, k := range methods[name] {
+			s.used[k] = true
+		}
 	}
-	for _, p := range nonTest {
+	// Interface satisfaction: every non-test interface against every
+	// named type a non-test file declares, the method that satisfies
+	// each of its methods looked up through embedding.
+	var ifaces []*types.Interface
+	var named []*types.Named
+	for _, p := range c.nonTest {
+		ast.Inspect(p.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				if it, ok := info.Types[n].Type.(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			case *ast.TypeSpec:
+				if tn, ok := info.Defs[n.Name].(*types.TypeName); ok && !tn.IsAlias() {
+					if nt, ok := tn.Type().(*types.Named); ok && !types.IsInterface(nt) && nt.TypeParams().Len() == 0 {
+						named = append(named, nt)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, nt := range named {
+		ptr := types.NewPointer(nt)
+		mset := types.NewMethodSet(ptr)
+		for _, it := range ifaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if fn, ok := mset.Lookup(m.Pkg(), m.Name()).Obj().(*types.Func); ok {
+					useMethod(fn)
+				}
+			}
+		}
+	}
+	for _, p := range c.nonTest {
 		imports := p.imports
 		// walk records what one part of a declaration references.
-		// selfName is the package-level name, selfMethod the method
-		// name, that the declaration itself carries: its own recursion
-		// is not a caller.
-		var selfName, selfMethod string
+		// selfName is the package-level name, selfMethod the method,
+		// that the declaration itself carries: its own recursion is not
+		// a caller.
+		var selfName string
+		var selfMethod types.Object
 		var walk func(root ast.Node)
 		walk = func(root ast.Node) {
 			if root == nil {
@@ -208,12 +303,6 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 			}
 			ast.Inspect(root, func(n ast.Node) bool {
 				switch n := n.(type) {
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, id := range m.Names {
-							useMethod(id.Name)
-						}
-					}
 				case *ast.Field:
 					// Field, parameter and interface-method names
 					// declare; only the type refers.
@@ -226,8 +315,10 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 							return false
 						}
 					}
-					if n.Sel.Name != selfMethod {
-						useMethod(n.Sel.Name)
+					if sel := info.Selections[n]; sel != nil && sel.Obj() != selfMethod {
+						if fn, ok := sel.Obj().(*types.Func); ok {
+							useMethod(fn)
+						}
 					}
 					walk(n.X)
 					return false
@@ -242,9 +333,9 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 		for _, d := range p.file.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				selfName, selfMethod = d.Name.Name, ""
+				selfName, selfMethod = d.Name.Name, nil
 				if d.Recv != nil {
-					selfName, selfMethod = "", d.Name.Name
+					selfName, selfMethod = "", info.Defs[d.Name]
 					walk(d.Recv)
 				}
 				walk(d.Type)
@@ -255,13 +346,13 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 				for _, sp := range d.Specs {
 					switch sp := sp.(type) {
 					case *ast.TypeSpec:
-						selfName, selfMethod = sp.Name.Name, ""
+						selfName, selfMethod = sp.Name.Name, nil
 						if sp.TypeParams != nil {
 							walk(sp.TypeParams)
 						}
 						walk(sp.Type)
 					case *ast.ValueSpec:
-						selfName, selfMethod = "", ""
+						selfName, selfMethod = "", nil
 						if len(sp.Names) == 1 {
 							selfName = sp.Names[0].Name
 						}
@@ -274,7 +365,7 @@ func scanSurface(files map[string]string) (*surfaceScan, error) {
 			}
 		}
 	}
-	return s, nil
+	return s
 }
 
 // violations lists, sorted, every name the rule covers that no non-test
@@ -306,6 +397,24 @@ func (s *surfaceScan) violations(allow map[string]string) []string {
 // slash-separated path relative to the module root.
 func repoFiles(t *testing.T) map[string]string {
 	t.Helper()
+	files, err := readRepoFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// checkedRepo parses and type-checks the repository once for every
+// rule that reads types.
+var checkedRepo = sync.OnceValues(func() (*checkedFiles, error) {
+	files, err := readRepoFiles()
+	if err != nil {
+		return nil, err
+	}
+	return checkFiles(files)
+})
+
+func readRepoFiles() (map[string]string, error) {
 	files := map[string]string{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -326,20 +435,18 @@ func repoFiles(t *testing.T) map[string]string {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
+	return files, err
 }
 
 // TestInternalSurfaceHasCallers applies the rule to the repository.
-// It is not skipped under -short: it parses the tree once, well under
-// two seconds.
+// It is not skipped under -short: it type-checks the tree once, shared
+// with TestOptionFieldsAreSet, in about a second.
 func TestInternalSurfaceHasCallers(t *testing.T) {
-	s, err := scanSurface(repoFiles(t))
+	c, err := checkedRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := c.surface()
 	if len(surfaceAllow) > surfaceAllowCap {
 		t.Errorf("allow-list has %d entries; the rule allows %d", len(surfaceAllow), surfaceAllowCap)
 	}
@@ -459,7 +566,8 @@ func cmdTableNames(rows ast.Expr) []string {
 }
 
 // surfaceFixture is a small module the guard's own tests scan: package
-// a declares, packages b and c and one command call.
+// a declares, packages b and c and one command call, support is a
+// package only a test imports and dead one nothing imports.
 var surfaceFixture = map[string]string{
 	"internal/a/a.go": `package a
 
@@ -488,20 +596,57 @@ func (t T) Again() { t.Again() }
 var Table = []int{1}
 
 const unusedConst = 3
+
+func (T) Listener() {}
+
+func (T) Addr() {}
+
+func (T) Get() {}
+
+type Base struct{}
+
+func (Base) Hello() {}
+
+func (Base) Wave() {}
+
+func (Base) Idle() {}
 `,
 	"internal/a/a_test.go": `package a
 
-func useThem() { Orphan(); orphanHelper(); OnlyTested(); T{}.Lonely() }
+import "pareto/internal/support"
+
+func useThem() { Orphan(); orphanHelper(); OnlyTested(); T{}.Lonely(); T{}.Get(); support.Helper() }
 `,
 	"internal/b/b.go": `package b
 
-import "pareto/internal/a"
+import (
+	"net"
+
+	"pareto/internal/a"
+)
 
 type Runner interface{ Run() }
 
+type Greeter interface{ Hello() }
+
+type Wrapper struct{ a.Base }
+
+type Cache struct{}
+
+func (Cache) Get() {}
+
 func Orphan() {}
 
-func Drive(r Runner) { a.Called(); Orphan(); _ = a.Table }
+func Drive(r Runner, l net.Listener) {
+	a.Called()
+	Orphan()
+	_ = a.Table
+	_ = l.Addr()
+	Cache{}.Get()
+	Wrapper{}.Wave()
+	var g Greeter = Wrapper{}
+	g.Hello()
+}
 `,
 	"internal/c/c.go": `package c
 
@@ -509,7 +654,19 @@ import other "pareto/internal/b"
 
 var A struct{ OnlyTested func() }
 
-func Go() { other.Drive(nil); A.OnlyTested() }
+func Go() { other.Drive(nil, nil); A.OnlyTested() }
+`,
+	"internal/support/support.go": `package support
+
+func Helper() {}
+
+type P struct{}
+
+func (P) Listener() {}
+`,
+	"internal/dead/dead.go": `package dead
+
+func Gone() {}
 `,
 	"cmd/tool/main.go": `package main
 
@@ -530,10 +687,11 @@ var Orphan = a.Orphan
 
 // TestSurfaceScanRule proves the rule case by case on the fixture.
 func TestSurfaceScanRule(t *testing.T) {
-	s, err := scanSurface(surfaceFixture)
+	c, err := checkFiles(surfaceFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := c.surface()
 	for _, c := range []struct {
 		key    string
 		named  bool
@@ -546,6 +704,14 @@ func TestSurfaceScanRule(t *testing.T) {
 		{"a.T.Lonely", true, "a method only a test calls"},
 		{"a.OnlyTested", true, "c's A.OnlyTested is a field of another package, not a.OnlyTested"},
 		{"a.unusedConst", true, "a constant nothing reads"},
+		{"a.T.Listener", true, "b's net.Listener is an imported type's selector, not a.T's method"},
+		{"a.T.Addr", true, "b's l.Addr() calls net.Listener's method of that name"},
+		{"a.T.Get", true, "only a test calls it; b calls b.Cache's Get"},
+		{"a.Base.Idle", true, "promoted into b.Wrapper, but nothing calls or requires it"},
+		{"dead.Gone", true, "a package nothing imports is not test support: it stays under the rule"},
+		{"a.Base.Hello", false, "promoted into b.Wrapper, which implements b.Greeter"},
+		{"a.Base.Wave", false, "called through the embedding b.Wrapper"},
+		{"b.Cache.Get", false, "b calls it"},
 		{"a.Called", false, "b calls a.Called through its import table"},
 		{"a.helper", false, "called by name inside its own package"},
 		{"a.FromCmd", false, "a command outside internal/ is a caller"},
@@ -565,19 +731,26 @@ func TestSurfaceScanRule(t *testing.T) {
 	if _, ok := s.decls["tool.main"]; ok {
 		t.Error("a declaration outside internal/ was put under the rule")
 	}
+	for _, k := range []string{"support.Helper", "support.P", "support.P.Listener"} {
+		if _, ok := s.decls[k]; ok {
+			t.Errorf("%s is under the rule; a package only _test.go files import is test support", k)
+		}
+	}
 }
 
 // TestSurfaceAllowListGoesStale: an entry excuses exactly one
 // callerless declaration, and fails once that declaration is gone, has
 // a caller, or the entry has lost its reason.
 func TestSurfaceAllowListGoesStale(t *testing.T) {
-	s, err := scanSurface(surfaceFixture)
+	c, err := checkFiles(surfaceFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := c.surface()
 	all := map[string]string{
 		"a.Orphan": "r", "a.orphanHelper": "r", "a.loop": "r", "a.T.Again": "r",
 		"a.T.Lonely": "r", "a.OnlyTested": "r", "a.unusedConst": "r",
+		"a.T.Listener": "r", "a.T.Addr": "r", "a.T.Get": "r", "a.Base.Idle": "r", "dead.Gone": "r",
 	}
 	if v := s.violations(all); len(v) != 0 {
 		t.Fatalf("every callerless declaration is excused, yet: %q", v)
@@ -644,17 +817,35 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // checkPackages type-checks the non-test files of every package, one
 // package per directory: module packages from source, each after the
 // module packages it imports, and the standard library from the
-// compiler's export data. Definitions, uses and selections go to info.
+// compiler's export data, located by one go list call for every
+// standard-library import at once. Types, definitions, uses and
+// selections go to info.
 func checkPackages(fset *token.FileSet, nonTest []parsedFile, info *types.Info) error {
 	files := map[string][]*ast.File{}
 	deps := map[string][]string{}
+	stdSet := map[string]bool{}
 	for _, p := range nonTest {
 		files[p.dir] = append(files[p.dir], p.file)
 		for _, dir := range p.imports {
 			deps[p.dir] = append(deps[p.dir], dir)
 		}
+		for _, im := range p.file.Imports {
+			if ip := strings.Trim(im.Path.Value, `"`); !strings.HasPrefix(ip, surfaceModule+"/") && ip != "unsafe" {
+				stdSet[ip] = true
+			}
+		}
 	}
-	std := importer.ForCompiler(fset, "gc", nil)
+	exports, err := exportFiles(stdSet)
+	if err != nil {
+		return err
+	}
+	std := importer.ForCompiler(fset, "gc", func(ip string) (io.ReadCloser, error) {
+		f, ok := exports[ip]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", ip)
+		}
+		return os.Open(f)
+	})
 	checked := map[string]*types.Package{}
 	conf := types.Config{Importer: importerFunc(func(ip string) (*types.Package, error) {
 		dir, ok := strings.CutPrefix(ip, surfaceModule+"/")
@@ -701,20 +892,31 @@ func checkPackages(fset *token.FileSet, nonTest []parsedFile, info *types.Info) 
 	return nil
 }
 
-// scanFields applies the field rule to files, type-checked.
-func scanFields(files map[string]string) (*surfaceScan, error) {
-	fset, nonTest, err := parseNonTest(files)
+// exportFiles maps each import path to its compiled export data file,
+// from one go list call.
+func exportFiles(paths map[string]bool) (map[string]string, error) {
+	out := map[string]string{}
+	if len(paths) == 0 {
+		return out, nil
+	}
+	args := []string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
+	for ip := range paths {
+		args = append(args, ip)
+	}
+	list, err := exec.Command("go", args...).Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("go list -export: %w", err)
 	}
-	info := &types.Info{
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	for _, line := range strings.Split(strings.TrimSpace(string(list)), "\n") {
+		ip, file, _ := strings.Cut(line, "\t")
+		out[ip] = file
 	}
-	if err := checkPackages(fset, nonTest, info); err != nil {
-		return nil, err
-	}
+	return out, nil
+}
+
+// fields applies the field rule.
+func (c *checkedFiles) fields() *surfaceScan {
+	fset, nonTest, info := c.fset, c.nonTest, c.info
 	s := &surfaceScan{decls: map[string]token.Position{}, used: map[string]bool{}, unset: "is set by no non-test file"}
 	keys := map[*types.Var]string{} // option field → its key
 	for _, p := range nonTest {
@@ -793,16 +995,17 @@ func scanFields(files map[string]string) (*surfaceScan, error) {
 			return true
 		})
 	}
-	return s, nil
+	return s
 }
 
 // TestOptionFieldsAreSet applies the field rule to the repository. Like
 // the declaration rule it is never skipped.
 func TestOptionFieldsAreSet(t *testing.T) {
-	s, err := scanFields(repoFiles(t))
+	c, err := checkedRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := c.fields()
 	if len(fieldAllow) > fieldAllowCap {
 		t.Errorf("field allow-list has %d entries; the rule allows %d", len(fieldAllow), fieldAllowCap)
 	}
@@ -910,10 +1113,11 @@ var _ = &a.Config{FromBench: 1}
 
 // TestFieldScanRule proves the field rule case by case on the fixture.
 func TestFieldScanRule(t *testing.T) {
-	s, err := scanFields(fieldFixture)
+	c, err := checkFiles(fieldFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := c.fields()
 	for _, c := range []struct {
 		key    string
 		set    bool
