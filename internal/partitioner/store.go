@@ -38,13 +38,20 @@ func NewMemoryStore() *MemoryStore {
 	return &MemoryStore{parts: make(map[int][][]byte)}
 }
 
-// WritePartition implements Store.
+// WritePartition implements Store. It copies the records into one
+// arena, each clipped to its length, so neither the caller's buffers nor
+// an append to a read record can reach what is stored.
 func (m *MemoryStore) WritePartition(id int, records [][]byte) error {
+	total := 0
+	for _, r := range records {
+		total += len(r)
+	}
+	arena := make([]byte, 0, total)
 	cp := make([][]byte, len(records))
 	for i, r := range records {
-		c := make([]byte, len(r))
-		copy(c, r)
-		cp[i] = c
+		start := len(arena)
+		arena = append(arena, r...)
+		cp[i] = arena[start:len(arena):len(arena)]
 	}
 	m.mu.Lock()
 	m.parts[id] = cp

@@ -71,19 +71,44 @@ func TestMemoryStoreMissingPartition(t *testing.T) {
 	}
 }
 
+// TestMemoryStoreIsolation: the store keeps copies. Mutating the
+// caller's records after the write, or appending to a record read back,
+// leaves every stored record unchanged.
 func TestMemoryStoreIsolation(t *testing.T) {
 	m := NewMemoryStore()
-	rec := []byte{1, 0, 0, 0, 9}
-	if err := m.WritePartition(0, [][]byte{rec}); err != nil {
+	recs := [][]byte{{1, 0, 0, 0, 9}, {2, 0, 0, 0, 5, 6}, {}, {1, 0, 0, 0, 4}}
+	want := make([][]byte, len(recs))
+	for i, r := range recs {
+		want[i] = bytes.Clone(r)
+	}
+	if err := m.WritePartition(0, recs); err != nil {
 		t.Fatal(err)
 	}
-	rec[4] = 7
+	for _, r := range recs {
+		for i := range r {
+			r[i] = 0xEE
+		}
+	}
 	got, err := m.ReadPartition(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0][4] != 9 {
-		t.Error("store aliases caller buffer")
+	for i, r := range got {
+		if grown := append(r, 0xAA, 0xBB); len(grown) != len(want[i])+2 {
+			t.Fatalf("record %d grew to %d bytes", i, len(grown))
+		}
+	}
+	got, err = m.ReadPartition(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records stored, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("record %d is %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -79,14 +79,21 @@ type Forest struct {
 	// height is the depth of the deepest node of any tree (a root has
 	// depth 0): no matched pattern node sits deeper.
 	height int32
+	// largest is the node count of the largest tree: the miner's dedup
+	// stamps are indexed by tree-local node.
+	largest int32
 	// labels numbers the labels the trees carry 0 … d−1 in ascending
 	// order; the miner reaches a label's code through its index.
 	labels dict.Dict
+	// labelNodes[c] and labelTrees[c] count the nodes and the trees that
+	// carry the label of code c: the sizes and supports of the
+	// single-node patterns' occurrence lists.
+	labelNodes, labelTrees []int32
 }
 
 // NewForest validates and preprocesses the trees. It makes a fixed
-// number of allocations whatever the node count (the label index grows
-// with the number of distinct labels only).
+// number of allocations whatever the node count (the label index and
+// counts grow with the number of distinct labels only).
 func NewForest(trees []pivots.Tree) (*Forest, error) {
 	total, largest := 0, 0
 	for ti := range trees {
@@ -100,9 +107,10 @@ func NewForest(trees []pivots.Tree) (*Forest, error) {
 		return nil, fmt.Errorf("treemine: %d nodes exceed the int32 child index", total)
 	}
 	f := &Forest{
-		Trees: trees,
-		off:   make([]int32, len(trees)+1),
-		child: make([]int32, total-len(trees)),
+		Trees:   trees,
+		off:     make([]int32, len(trees)+1),
+		child:   make([]int32, total-len(trees)),
+		largest: int32(largest),
 	}
 	// Counting sort by parent. Node g's child count goes to next[g+2],
 	// so after the prefix sum next[g+1] is the slot of g's next child;
@@ -133,6 +141,20 @@ func NewForest(trees []pivots.Tree) (*Forest, error) {
 	}
 	f.start = next[:total+1]
 	f.labels.Build(len(trees), func(i int) []uint32 { return trees[i].Label })
+	d := len(f.labels.Values)
+	f.labelNodes, f.labelTrees = make([]int32, d), make([]int32, d)
+	// seen[c] is 1 + the last tree counted under code c.
+	seen := make([]int32, d)
+	for ti := range trees {
+		for _, l := range trees[ti].Label {
+			c := f.labels.Code(l)
+			f.labelNodes[c]++
+			if seen[c] != int32(ti)+1 {
+				seen[c] = int32(ti) + 1
+				f.labelTrees[c]++
+			}
+		}
+	}
 	return f, nil
 }
 
@@ -196,17 +218,26 @@ func Mine(f *Forest, minSupport int, cfg Config) (*Result, error) {
 	}
 	res := &Result{}
 	m := newMiner(f, maxNodes)
+	// floor is the support at which an extension of size nodes gets its
+	// occurrence list: one of maxNodes nodes is never extended, so only
+	// its support is counted.
+	floor := func(size int) int32 {
+		if size >= maxNodes {
+			return noList
+		}
+		return int32(minSupport)
+	}
 	type state struct {
 		pat Pattern
 		occ []occurrence
 	}
 	var stack []state
 	var order []int32
-	// grow records the extensions the miner just built of pat (nil at
-	// level 1): each is explored, and the frequent ones are reported
-	// and pushed in the deterministic order depth desc, label asc.
-	grow := func(pat Pattern) {
-		lists := m.lists()
+	// grow records the extensions of pat (nil at level 1) the miner just
+	// counted: each is explored, and the frequent ones are reported and,
+	// if they have a list, pushed in the deterministic order depth desc,
+	// label asc.
+	grow := func(pat Pattern, lists [][]occurrence) {
 		order = order[:0]
 		for s := range m.keys {
 			order = append(order, int32(s))
@@ -220,7 +251,7 @@ func Mine(f *Forest, minSupport int, cfg Config) (*Result, error) {
 		})
 		for _, s := range order {
 			res.Explored++
-			sup := distinctTrees(lists[s])
+			sup := int(m.stats[s].sup)
 			if sup < minSupport {
 				continue
 			}
@@ -228,23 +259,23 @@ func Mine(f *Forest, minSupport int, cfg Config) (*Result, error) {
 			copy(np, pat)
 			np[len(pat)] = PatternNode{Depth: m.keys[s].depth, Label: m.keys[s].label}
 			res.Frequent = append(res.Frequent, FreqPattern{Pattern: np, Support: sup})
-			stack = append(stack, state{np, lists[s]})
+			if len(np) < maxNodes {
+				stack = append(stack, state{np, lists[s]})
+			}
 		}
 	}
 	// Level 1: single labels.
-	m.reset(true)
-	res.Cost += m.scanLabels()
-	grow(nil)
+	m.reset(true, floor(1))
+	lists, cost := m.scanLabels()
+	res.Cost += cost
+	grow(nil, lists)
 	// DFS rightmost extension.
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if len(s.pat) >= maxNodes {
-			continue
-		}
-		m.reset(true)
+		m.reset(true, floor(len(s.pat)+1))
 		res.Cost += m.extend(s.pat[len(s.pat)-1].Depth, s.occ)
-		grow(s.pat)
+		grow(s.pat, m.lists())
 	}
 	sortFreq(res.Frequent)
 	return res, nil
@@ -255,6 +286,17 @@ func Mine(f *Forest, minSupport int, cfg Config) (*Result, error) {
 type extKey struct {
 	depth int32
 	label uint32
+}
+
+// noList is a list floor no support reaches: the slot's occurrences are
+// counted, never stored.
+const noList = math.MaxInt32
+
+// slotStat is what the miner counts of one slot: its occurrences, the
+// trees they lie in and the latest of those trees. The slot gets a list
+// only if its support reaches floor.
+type slotStat struct {
+	count, sup, last, floor int32
 }
 
 // slotOcc is one emitted occurrence and the slot of its extension key.
@@ -268,12 +310,14 @@ type slotOcc struct {
 // Forest may be shared between goroutines; a miner may not.
 type miner struct {
 	f *Forest
-	// stamp[g*levels+p] == epoch marks global node g as already emitted
-	// under an ancestor at pattern depth p by the current extend call.
+	// stamp[v*levels+p] == epoch marks node v of the tree being extended
+	// as already emitted under an ancestor at pattern depth p. extend
+	// takes a new epoch for each tree of its occurrence list, so the
+	// stamps number levels × the largest tree's nodes.
 	stamp  []uint32
 	levels int
 	epoch  uint32
-	// slot[depth*labels+code] is 1 + the index in keys and count of the
+	// slot[depth*labels+code] is 1 + the index in keys and stats of the
 	// extension key (depth, the label of that code), 0 if the key has
 	// none. With all set every key met gets a slot; otherwise only the
 	// keys want registered are kept and the rest are costed and
@@ -281,11 +325,14 @@ type miner struct {
 	slot   []int32
 	labels int
 	keys   []extKey
-	count  []int32
+	stats  []slotStat
 	all    bool
+	// minSup is the floor of a key the miner registers itself (all).
+	minSup int32
 	// wanted[d] reports whether any kept key has depth d.
 	wanted []bool
-	// buf holds the kept occurrences in generation order.
+	// buf holds the occurrences extend kept, in generation order; it
+	// grows to the longest emission.
 	buf []slotOcc
 }
 
@@ -294,19 +341,17 @@ type miner struct {
 // maxNodes. extend sees dlast ≤ maxNodes−2, and on a non-empty list the last
 // node is matched, so dlast ≤ f.height too; ancestor depths p < dlast
 // number at most the smaller of the two, however long a candidate
-// another partition sends. buf starts with room for the label scan,
-// which keeps every node and is usually the longest emission.
+// another partition sends. Nothing is sized by the forest's node count.
 func newMiner(f *Forest, maxNodes int) *miner {
 	levels := min(max(maxNodes-2, 0), int(f.height))
 	depths := max(maxNodes, 2)
 	return &miner{
 		f:      f,
-		stamp:  make([]uint32, f.nodes()*levels),
+		stamp:  make([]uint32, int(f.largest)*levels),
 		levels: levels,
 		slot:   make([]int32, depths*len(f.labels.Values)),
 		labels: len(f.labels.Values),
 		wanted: make([]bool, depths),
-		buf:    make([]slotOcc, 0, f.nodes()),
 	}
 }
 
@@ -320,8 +365,9 @@ func (m *miner) cell(k extKey) int {
 	return int(k.depth)*m.labels + int(c)
 }
 
-// reset empties the slots ahead of a scanLabels or extend call.
-func (m *miner) reset(all bool) {
+// reset empties the slots ahead of a scanLabels or extend call. With
+// all set every key met takes a slot, listed from support minSup.
+func (m *miner) reset(all bool, minSup int32) {
 	for _, k := range m.keys {
 		if c := m.cell(k); c >= 0 {
 			m.slot[c] = 0
@@ -329,64 +375,130 @@ func (m *miner) reset(all bool) {
 	}
 	clear(m.wanted)
 	m.keys = m.keys[:0]
-	m.count = m.count[:0]
+	m.stats = m.stats[:0]
 	m.buf = m.buf[:0]
 	m.all = all
+	m.minSup = minSup
 }
 
-// want registers a key to keep and returns its slot. A key whose label
-// no node carries gets a slot too, and so an empty list.
-func (m *miner) want(k extKey) int32 {
+// want registers a key to keep, listed from support floor, and returns
+// its slot. A key whose label no node carries gets a slot too, and so
+// support 0.
+func (m *miner) want(k extKey, floor int32) int32 {
 	s := int32(len(m.keys))
 	if c := m.cell(k); c >= 0 {
 		m.slot[c] = s + 1
 	}
 	m.keys = append(m.keys, k)
-	m.count = append(m.count, 0)
+	m.stats = append(m.stats, slotStat{last: -1, floor: floor})
 	m.wanted[k.depth] = true
 	return s
 }
 
-// emit keeps o under key k if the key has, or may take, a slot. k's
-// label is a node's, so it has a code.
+// tally counts one more occurrence in tree under slot s. A slot's
+// occurrences arrive in non-decreasing tree order (see extend); one out
+// of order is a bug in this package.
+func (m *miner) tally(s, tree int32) {
+	st := &m.stats[s]
+	st.count++
+	if tree != st.last {
+		if tree < st.last {
+			panic("treemine: occurrence list out of tree order")
+		}
+		st.last = tree
+		st.sup++
+	}
+}
+
+// emit counts o under key k if the key has, or may take, a slot, and
+// keeps it unless the slot can never be listed. k's label is a node's,
+// so it has a code.
 func (m *miner) emit(k extKey, o occurrence) {
 	s := m.slot[m.cell(k)] - 1
 	if s < 0 {
 		if !m.all {
 			return
 		}
-		s = m.want(k)
+		s = m.want(k, m.minSup)
 	}
-	m.count[s]++
-	m.buf = append(m.buf, slotOcc{s, o})
+	m.tally(s, o.tree)
+	if m.stats[s].floor != noList {
+		m.buf = append(m.buf, slotOcc{s, o})
+	}
 }
 
-// lists splits the kept occurrences into one list per slot, each in
-// generation order, carved from a single backing array.
-func (m *miner) lists() [][]occurrence {
-	backing := make([]occurrence, len(m.buf))
-	out := make([][]occurrence, len(m.count))
-	pos := 0
-	for s, c := range m.count {
-		out[s] = backing[pos : pos : pos+int(c)]
-		pos += int(c)
+// listed reports whether slot s gets a list.
+func (m *miner) listed(s int32) bool { return m.stats[s].sup >= m.stats[s].floor }
+
+// carve returns one empty list per listed slot, with room for its
+// count, all carved from a single backing array, and nil for the rest.
+func (m *miner) carve() [][]occurrence {
+	total := 0
+	for s, st := range m.stats {
+		if m.listed(int32(s)) {
+			total += int(st.count)
+		}
 	}
-	for _, e := range m.buf {
-		out[e.slot] = append(out[e.slot], e.occ)
+	backing := make([]occurrence, total)
+	out := make([][]occurrence, len(m.stats))
+	pos := 0
+	for s, st := range m.stats {
+		if m.listed(int32(s)) {
+			out[s] = backing[pos : pos : pos+int(st.count)]
+			pos += int(st.count)
+		}
 	}
 	return out
 }
 
-// scanLabels emits every node of the forest under its label at depth
-// 0 — the occurrence lists of the single-node patterns, trees in
-// order — and returns the scan's cost, one unit per node.
-func (m *miner) scanLabels() float64 {
-	for ti := range m.f.Trees {
-		for v, l := range m.f.Trees[ti].Label {
-			m.emit(extKey{0, l}, occurrence{int32(ti), int32(v)})
+// lists splits the occurrences extend kept into one list per listed
+// slot, each in generation order.
+func (m *miner) lists() [][]occurrence {
+	out := m.carve()
+	for _, e := range m.buf {
+		if m.listed(e.slot) {
+			out[e.slot] = append(out[e.slot], e.occ)
 		}
 	}
-	return float64(m.f.nodes())
+	return out
+}
+
+// scanLabels returns the occurrence lists of the single-node patterns,
+// one per slot, trees in order, and the scan's cost, one unit per node.
+// The forest has counted each label's nodes and trees, so with all set
+// every label takes a slot up front, the listed slots are carved to
+// size, and one walk over the labels fills them.
+func (m *miner) scanLabels() ([][]occurrence, float64) {
+	f := m.f
+	if m.all {
+		for _, l := range f.labels.Values {
+			m.want(extKey{0, l}, m.minSup)
+		}
+	}
+	for s, k := range m.keys {
+		if c := f.labels.Code(k.label); c >= 0 {
+			m.stats[s].count, m.stats[s].sup = f.labelNodes[c], f.labelTrees[c]
+		}
+	}
+	out := m.carve()
+	for ti := range f.Trees {
+		for v, l := range f.Trees[ti].Label {
+			if s := m.slot[m.cell(extKey{0, l})] - 1; s >= 0 && m.listed(s) {
+				out[s] = append(out[s], occurrence{int32(ti), int32(v)})
+			}
+		}
+	}
+	return out, float64(f.nodes())
+}
+
+// nextEpoch retires every stamp. On wrap-around the stamps are cleared,
+// so no stale mark can equal the new epoch.
+func (m *miner) nextEpoch() {
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.stamp)
+		m.epoch = 1
+	}
 }
 
 // extend emits every rightmost extension of a pattern whose last node
@@ -402,13 +514,19 @@ func (m *miner) scanLabels() float64 {
 // may share it) and is kept once per (p, tree, node).
 //
 // occ is in non-decreasing tree order and everything emitted for an
-// occurrence lies in its tree, so every list built is too.
+// occurrence lies in its tree, so every list built is too, and a repeat
+// can only come from the same tree: the stamps take a new epoch
+// whenever the tree changes.
 func (m *miner) extend(dlast int32, occ []occurrence) float64 {
-	m.epoch++
 	var cost float64
 	f := m.f
+	tree := int32(-1)
 	for _, o := range occ {
 		cost++
+		if o.tree != tree {
+			tree = o.tree
+			m.nextEpoch()
+		}
 		t := &f.Trees[o.tree]
 		// p == dlast: attach under the last matched node.
 		kids := f.children(o.tree, o.node)
@@ -429,9 +547,8 @@ func (m *miner) extend(dlast int32, occ []occurrence) float64 {
 			later := sibs[at+1:]
 			cost += float64(len(later))
 			if m.all || m.wanted[p+1] {
-				base := int(f.off[o.tree]) * m.levels
 				for _, w := range later {
-					mark := &m.stamp[base+int(w)*m.levels+int(p)]
+					mark := &m.stamp[int(w)*m.levels+int(p)]
 					if *mark == m.epoch {
 						continue
 					}
@@ -443,23 +560,6 @@ func (m *miner) extend(dlast int32, occ []occurrence) float64 {
 		}
 	}
 	return cost
-}
-
-// distinctTrees counts the distinct trees of an occurrence list. Lists
-// are grouped by tree in non-decreasing order (see extend), so that is
-// a count of runs; a list out of order is a bug in this package.
-func distinctTrees(occ []occurrence) int {
-	n, last := 0, int32(-1)
-	for _, o := range occ {
-		if o.tree == last {
-			continue
-		}
-		if o.tree < last {
-			panic("treemine: occurrence list out of tree order")
-		}
-		n, last = n+1, o.tree
-	}
-	return n
 }
 
 // sortFreq orders patterns by (size, key).
@@ -497,8 +597,8 @@ type trieEdge struct {
 // not itself a candidate is an interior node; a duplicate candidate is
 // an error). The pass scans the partition's labels once and walks the
 // trie depth-first; at each node it makes one pass over the node's
-// occurrence list that builds only the lists the node's children ask
-// for.
+// occurrence list that counts the children's supports and builds only
+// the lists of the children with children of their own.
 //
 // The cost is defined as what replaying each candidate from scratch
 // costs — a label scan, then one full extension per proper prefix, an
@@ -546,22 +646,32 @@ func CountPass(f *Forest, cands []Pattern) ([]int, float64, error) {
 	var walk func(at int32, occ []occurrence)
 	walk = func(at int32, occ []occurrence) {
 		n := &trie[at]
-		if n.cand >= 0 {
-			counts[n.cand] = distinctTrees(occ)
-		}
 		if len(n.kids) == 0 || (at != 0 && len(occ) == 0) {
 			return
 		}
-		m.reset(false)
+		m.reset(false, 0)
 		for _, kid := range n.kids {
-			m.want(trie[kid].key)
+			floor := int32(noList)
+			if len(trie[kid].kids) > 0 {
+				floor = 1
+			}
+			m.want(trie[kid].key, floor)
 		}
+		var lists [][]occurrence
 		if at == 0 {
-			cost += m.scanLabels() * float64(n.below)
+			var c float64
+			lists, c = m.scanLabels()
+			cost += c * float64(n.below)
 		} else {
 			cost += m.extend(n.key.depth, occ) * float64(n.below)
+			lists = m.lists()
 		}
-		for i, list := range m.lists() {
+		for i, kid := range n.kids {
+			if c := trie[kid].cand; c >= 0 {
+				counts[c] = int(m.stats[i].sup)
+			}
+		}
+		for i, list := range lists {
 			walk(n.kids[i], list)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -457,7 +458,8 @@ func TestCountPassValidation(t *testing.T) {
 
 // TestMinerScratchBoundedByForestHeight: a candidate far longer than
 // any tree is deep (another partition's, or a large Config.MaxNodes)
-// does not scale the dedup stamps, and is still counted.
+// does not scale the dedup stamps, which number the levels times the
+// largest tree's nodes, and is still counted.
 func TestMinerScratchBoundedByForestHeight(t *testing.T) {
 	trees := []pivots.Tree{
 		mkTree([]int32{-1, 0, 1, 0}, []uint32{1, 2, 3, 2}), // height 2
@@ -467,8 +469,8 @@ func TestMinerScratchBoundedByForestHeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := newMiner(f, 1000); m.levels != 2 || len(m.stamp) != 2*f.nodes() {
-		t.Errorf("levels %d, %d stamps for a forest of height 2 and %d nodes", m.levels, len(m.stamp), f.nodes())
+	if m := newMiner(f, 1000); m.levels != 2 || len(m.stamp) != 2*4 {
+		t.Errorf("levels %d, %d stamps for a forest of height 2 whose largest tree has 4 nodes", m.levels, len(m.stamp))
 	}
 	chain := make(Pattern, 40)
 	for i := range chain {
@@ -543,10 +545,34 @@ func TestMineCostsRecorded(t *testing.T) {
 	}
 }
 
-// TestOccurrenceListsInTreeOrder drives the miner the way Mine does,
-// with no support threshold, and checks on every list it builds what
-// distinctTrees relies on: non-decreasing tree order, no repeated
-// occurrence, and a run count equal to the distinct-tree count.
+// walkMiner drives m the way Mine does, with no support threshold, to
+// patterns of maxNodes nodes, and hands visit every list it builds with
+// the support the miner counted for it, in the order built.
+func walkMiner(m *miner, maxNodes int, visit func(occ []occurrence, sup int32)) {
+	var dfs func(size int, dlast int32, occ []occurrence, sup int32)
+	dfs = func(size int, dlast int32, occ []occurrence, sup int32) {
+		visit(occ, sup)
+		if size == maxNodes {
+			return
+		}
+		m.reset(true, 0)
+		m.extend(dlast, occ)
+		keys, stats := slices.Clone(m.keys), slices.Clone(m.stats)
+		for s, list := range m.lists() {
+			dfs(size+1, keys[s].depth, list, stats[s].sup)
+		}
+	}
+	m.reset(true, 0)
+	lists, _ := m.scanLabels()
+	stats := slices.Clone(m.stats)
+	for s, list := range lists {
+		dfs(1, 0, list, stats[s].sup)
+	}
+}
+
+// TestOccurrenceListsInTreeOrder checks on every list the miner builds
+// what tally relies on: non-decreasing tree order, no repeated
+// occurrence, and a support equal to the distinct-tree count.
 func TestOccurrenceListsInTreeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 10; trial++ {
@@ -555,10 +581,7 @@ func TestOccurrenceListsInTreeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const maxNodes = 4
-		m := newMiner(f, maxNodes)
-		check := func(occ []occurrence) {
-			t.Helper()
+		walkMiner(newMiner(f, 4), 4, func(occ []occurrence, sup int32) {
 			seen := map[occurrence]bool{}
 			distinct := map[int32]bool{}
 			for i, o := range occ {
@@ -571,38 +594,119 @@ func TestOccurrenceListsInTreeOrder(t *testing.T) {
 				seen[o] = true
 				distinct[o.tree] = true
 			}
-			if got := distinctTrees(occ); got != len(distinct) {
-				t.Fatalf("trial %d: distinctTrees = %d, %d distinct trees in %v", trial, got, len(distinct), occ)
+			if int(sup) != len(distinct) {
+				t.Fatalf("trial %d: support %d, %d distinct trees in %v", trial, sup, len(distinct), occ)
 			}
-		}
-		var dfs func(size int, dlast int32, occ []occurrence)
-		dfs = func(size int, dlast int32, occ []occurrence) {
-			check(occ)
-			if size == maxNodes {
-				return
+		})
+	}
+}
+
+// TestMinerEpochWrapAround: the dedup stamps survive the epoch counter
+// wrapping. On a forest of many trees with repeated sibling labels, a
+// miner whose epoch wraps at any point of a walk, its stamps left at 0
+// (fresh) or at 1 (marks of an earlier cycle), builds the lists a fresh
+// miner builds.
+func TestMinerEpochWrapAround(t *testing.T) {
+	trees := randomForest(rand.New(rand.NewSource(44)), 30, 10, 2)
+	f, err := NewForest(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxNodes = 4
+	collect := func(m *miner) [][]occurrence {
+		var all [][]occurrence
+		walkMiner(m, maxNodes, func(occ []occurrence, _ int32) {
+			all = append(all, slices.Clone(occ))
+		})
+		return all
+	}
+	fresh := newMiner(f, maxNodes)
+	want := collect(fresh)
+	epochs := fresh.epoch
+	for _, stale := range []uint32{0, 1} {
+		for k := uint32(0); k < epochs; k += max(1, epochs/40) {
+			m := newMiner(f, maxNodes)
+			for i := range m.stamp {
+				m.stamp[i] = stale
 			}
-			m.reset(true)
-			m.extend(dlast, occ)
-			keys := slices.Clone(m.keys)
-			for s, list := range m.lists() {
-				dfs(size+1, keys[s].depth, list)
+			m.epoch = math.MaxUint32 - k
+			if got := collect(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("stamps at %d, epoch wrapping after %d of %d: the lists differ from a fresh miner's", stale, k+1, epochs)
 			}
-		}
-		m.reset(true)
-		m.scanLabels()
-		for _, list := range m.lists() {
-			dfs(1, 0, list)
 		}
 	}
 }
 
-func TestDistinctTreesRejectsUnorderedList(t *testing.T) {
+// TestMinerScratchIndependentOfForestSize: on 2,000 small trees, what
+// one Mine or CountPass call allocates follows the occurrences it keeps
+// (8 B each), not the forest's node count. A Mine whose support no
+// pattern reaches keeps none; a CountPass that extends one label keeps
+// that label's nodes.
+func TestMinerScratchIndependentOfForestSize(t *testing.T) {
+	trees := randomForest(rand.New(rand.NewSource(5)), 2000, 10, 8)
+	f, err := NewForest(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// bytesPerCall is the least a call allocated over five runs.
+	bytesPerCall := func(call func()) uint64 {
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for range 5 {
+			runtime.ReadMemStats(&before)
+			call()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const slack = 16 << 10
+	nodes := f.nodes()
+	mine := bytesPerCall(func() {
+		if _, err := Mine(f, len(trees)+1, Config{MaxNodes: 4}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mine > slack {
+		t.Errorf("Mine keeping nothing allocates %d B on %d nodes (%.1f B a node)", mine, nodes, float64(mine)/float64(nodes))
+	}
+	cands := []Pattern{{{0, 0}, {1, 1}}}
+	for l := uint32(0); l < 8; l++ {
+		cands = append(cands, Pattern{{0, l}})
+	}
+	kept := 0
+	for _, tr := range trees {
+		for _, l := range tr.Label {
+			if l == 0 {
+				kept++
+			}
+		}
+	}
+	count := bytesPerCall(func() {
+		if _, _, err := CountPass(f, cands); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := uint64(8*kept + slack); count > limit {
+		t.Errorf("CountPass keeping %d occurrences allocates %d B on %d nodes, more than %d", kept, count, nodes, limit)
+	}
+}
+
+func TestTallyRejectsUnorderedOccurrences(t *testing.T) {
+	f, err := NewForest([]pivots.Tree{mkTree([]int32{-1}, []uint32{1}), mkTree([]int32{-1}, []uint32{1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMiner(f, 2)
+	m.reset(false, 0)
+	s := m.want(extKey{0, 1}, 1)
 	defer func() {
 		if recover() == nil {
-			t.Error("out-of-order occurrence list counted")
+			t.Error("out-of-order occurrence counted")
 		}
 	}()
-	distinctTrees([]occurrence{{1, 0}, {0, 0}})
+	m.tally(s, 1)
+	m.tally(s, 0)
 }
 
 // TestSharedForestConcurrentMining mines and count-passes one Forest
@@ -989,4 +1093,117 @@ func TestLabelDictGrows(t *testing.T) {
 	if cost != want {
 		t.Errorf("CountPass cost %v, replays sum to %v", cost, want)
 	}
+}
+
+// fuzzForest builds up to eight trees of up to seven nodes from data:
+// per tree a size byte, then a byte per node giving its label (one of
+// three, so siblings often repeat one) and, past the root, its parent
+// among the nodes before it.
+func fuzzForest(data []byte) []pivots.Tree {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	var trees []pivots.Tree
+	for len(data) > 0 && len(trees) < 8 {
+		n := 1 + int(next()%7)
+		parent, label := make([]int32, n), make([]uint32, n)
+		parent[0] = -1
+		for v := range n {
+			b := next()
+			label[v] = uint32(b % 3)
+			if v > 0 {
+				parent[v] = int32(int(b>>2) % v)
+			}
+		}
+		trees = append(trees, mkTree(parent, label))
+	}
+	return trees
+}
+
+// allPatterns lists every pattern of at most maxNodes nodes over the
+// labels below alphabet.
+func allPatterns(maxNodes int, alphabet uint32) []Pattern {
+	var out []Pattern
+	var grow func(p Pattern)
+	grow = func(p Pattern) {
+		out = append(out, slices.Clone(p))
+		if len(p) == maxNodes {
+			return
+		}
+		for d := int32(1); d <= p[len(p)-1].Depth+1; d++ {
+			for l := range alphabet {
+				grow(append(p, PatternNode{d, l}))
+			}
+		}
+	}
+	for l := range alphabet {
+		grow(Pattern{{0, l}})
+	}
+	return out
+}
+
+// FuzzMineMatchesBruteForce holds Mine and CountPass on small fuzzed
+// forests to the backtracking embedding test of TestMineAgainstBruteForce:
+// Mine reports exactly the patterns of at most maxNodes nodes that the
+// brute force finds in minSup trees or more, with their supports, and
+// CountPass counts every such pattern as the brute force does, at the
+// summed cost of the per-candidate replays.
+func FuzzMineMatchesBruteForce(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 1, 6, 0, 1, 1, 1, 13}, uint8(1), uint8(3))
+	f.Add([]byte{5, 2, 2, 6, 2, 14, 4, 1, 5, 9, 2, 2, 6, 2, 1, 1, 0}, uint8(0), uint8(3))
+	f.Add([]byte{6, 0, 0, 4, 4, 8, 12, 8, 6, 0, 0, 4, 4, 8, 12, 8}, uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, minSupByte, maxNodesByte uint8) {
+		trees := fuzzForest(data)
+		if len(trees) == 0 {
+			return
+		}
+		minSup, maxNodes := 1+int(minSupByte%3), 1+int(maxNodesByte%4)
+		forest, err := NewForest(trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pats := allPatterns(maxNodes, 3)
+		brute := make([]int, len(pats))
+		want := make(map[string]int)
+		for i, p := range pats {
+			if brute[i] = bruteSupport(trees, p); brute[i] >= minSup {
+				want[p.Key()] = brute[i]
+			}
+		}
+		res, err := Mine(forest, minSup, Config{MaxNodes: maxNodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Frequent) != len(want) {
+			t.Fatalf("Mine found %d patterns, brute force %d", len(res.Frequent), len(want))
+		}
+		for _, fp := range res.Frequent {
+			if sup, ok := want[fp.Pattern.Key()]; !ok || sup != fp.Support {
+				t.Fatalf("Mine: %v in %d trees, brute force %d", fp.Pattern, fp.Support, sup)
+			}
+		}
+		counts, cost, err := CountPass(forest, pats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var replays float64
+		for i, p := range pats {
+			_, c, err := CountSupport(forest, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replays += c
+			if counts[i] != brute[i] {
+				t.Fatalf("CountPass: %v in %d trees, brute force %d", p, counts[i], brute[i])
+			}
+		}
+		if cost != replays {
+			t.Fatalf("CountPass cost %v, replays sum to %v", cost, replays)
+		}
+	})
 }
