@@ -12,6 +12,7 @@ package bench
 
 import (
 	"errors"
+	"io"
 
 	"pareto/internal/cluster"
 	"pareto/internal/partitioner"
@@ -371,23 +372,29 @@ func (w *LZ77Compression) MinPartitionRecords() float64 { return 0 }
 
 // pack is the job on one partition: LZ77 over its serialized records,
 // plus the speed-independent read of those bytes; sizes are in bytes.
+// The records stream through the encoder one at a time and only the
+// compressed length is kept, so a partition costs the encoder's window,
+// not its size.
 func (w *LZ77Compression) pack(indices []int) (packed, error) {
-	size := 0
-	for _, i := range indices {
-		size += w.Data.RecordSize(i)
+	enc, err := lz77.NewWriter(io.Discard, w.Cfg)
+	if err != nil {
+		return packed{}, err
 	}
-	data := make([]byte, 0, size)
+	var rec []byte
 	for _, i := range indices {
-		data = w.Data.AppendRecord(data, i)
+		rec = w.Data.AppendRecord(rec[:0], i)
+		if _, err := enc.Write(rec); err != nil {
+			return packed{}, err
+		}
 	}
-	enc, err := lz77.Compress(data, w.Cfg)
+	st, err := enc.Close()
 	if err != nil {
 		return packed{}, err
 	}
 	return packed{cluster.TaskReport{
-		Cost:         enc.Cost / lz77CPUScale,
-		FixedSeconds: float64(len(data)) / lz77IOBytesPerSec,
-	}, len(data), len(enc.Data)}, nil
+		Cost:         st.Cost / lz77CPUScale,
+		FixedSeconds: float64(st.RawLen) / lz77IOBytesPerSec,
+	}, st.RawLen, st.OutLen}, nil
 }
 
 // Profile implements Workload: the job on the sample, CPU side only.

@@ -245,12 +245,30 @@ func RecordsOf(c pivots.Corpus, a *Assignment, j int) [][]byte {
 // its capacity clamped to its length, so appending to one reallocates
 // instead of overwriting its neighbour.
 func EncodeRecords(c pivots.Corpus, records []int) [][]byte {
+	return new(recordScratch).encode(c, records)
+}
+
+// recordScratch is the arena and record slice a run is serialized
+// into, reused from one run to the next.
+type recordScratch struct {
+	arena []byte
+	recs  [][]byte
+}
+
+// encode serializes the records into s, reallocating only what is too
+// small for the run. The result is valid until the next encode.
+func (s *recordScratch) encode(c pivots.Corpus, records []int) [][]byte {
 	total := 0
 	for _, r := range records {
 		total += c.RecordSize(r)
 	}
-	arena := make([]byte, 0, total)
-	out := make([][]byte, len(records))
+	if cap(s.arena) < total {
+		s.arena = make([]byte, 0, total)
+	}
+	if cap(s.recs) < len(records) {
+		s.recs = make([][]byte, 0, len(records))
+	}
+	arena, out := s.arena[:0], s.recs[:len(records)]
 	for i, r := range records {
 		lo := len(arena)
 		arena = c.AppendRecord(arena, r)

@@ -3,7 +3,9 @@ package partitioner
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"pareto/internal/pivots"
 )
@@ -125,6 +127,42 @@ func TestPlaceParallelDeterministicError(t *testing.T) {
 		want := "partitioner: placing partition 3: synthetic failure 3"
 		if err == nil || err.Error() != want {
 			t.Errorf("workers=%d: err = %v, want %q", w, err, want)
+		}
+	}
+}
+
+// TestPlaceParallelAllocatesOneScratchPerWorker: placing P partitions
+// into a MemoryStore allocates the store's copies and, beside them, at
+// most one largest partition's scratch per worker, not a serialized
+// copy of every partition (which doubles what placing allocates).
+func TestPlaceParallelAllocatesOneScratchPerWorker(t *testing.T) {
+	const n, p = 40000, 8
+	corpus := bigTestCorpus(t, n)
+	a := stripedAssignment(n, p)
+	header := int(unsafe.Sizeof([]byte(nil)))
+	copies, largest := 0, 0
+	for _, part := range a.Parts {
+		size := header * len(part)
+		for _, r := range part {
+			size += corpus.RecordSize(r)
+		}
+		copies += size
+		largest = max(largest, size)
+	}
+	for _, workers := range []int{1, 2} {
+		st := NewMemoryStore()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := PlaceParallel(corpus, a, st, workers); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		// Slack for size-class rounding (a large allocation takes whole
+		// pages) and the fan-out's own bookkeeping.
+		slack := copies / 10
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(copies+workers*largest+slack); got > limit {
+			t.Errorf("workers=%d: placing %d partitions allocated %d B; copies %d B + %d × %d B scratch + %d B slack allow %d",
+				workers, p, got, copies, workers, largest, slack, limit)
 		}
 	}
 }

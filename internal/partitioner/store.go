@@ -1,6 +1,7 @@
 package partitioner
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -19,7 +20,8 @@ import (
 // testing).
 type Store interface {
 	// WritePartition stores the records of partition id, replacing any
-	// previous content.
+	// previous content. It must not keep records or their bytes after
+	// it returns: callers reuse them for the next partition.
 	WritePartition(id int, records [][]byte) error
 	// ReadPartition returns partition id's records in order.
 	ReadPartition(id int) ([][]byte, error)
@@ -99,11 +101,13 @@ func (d *DiskStore) WritePartition(id int, records [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("partitioner: %w", err)
 	}
+	w := bufio.NewWriter(f)
 	for _, r := range records {
-		if _, err := f.Write(r); err != nil {
-			f.Close()
-			return fmt.Errorf("partitioner: %w", err)
-		}
+		_, _ = w.Write(r) // a bufio.Writer keeps its first error for Flush
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return fmt.Errorf("partitioner: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("partitioner: %w", err)
@@ -298,39 +302,48 @@ func Place(c pivots.Corpus, a *Assignment, st Store) error {
 }
 
 // PlaceParallel is Place with an explicit worker bound (≤ 0 means
-// GOMAXPROCS). Record serialization always fans out — it only reads
-// the corpus and writes index-addressed slots, so the serialized bytes
-// are identical at any worker count. The store writes fan out per
-// WriteGroup when the store declares one; otherwise they run
-// sequentially, since an arbitrary Store's
-// concurrency contract is unknown. On failure the error of the
-// lowest-numbered failing group is returned, deterministically.
+// GOMAXPROCS). Each partition is serialized just before it is written,
+// into scratch its worker reuses: every worker's scratch is sized to
+// the largest partition, so at most one buffer per worker is ever
+// allocated, whatever order the partitions are handed out in. The
+// serialized bytes are identical at any worker count. The store writes
+// fan out per WriteGroup when the store declares one; otherwise they
+// run sequentially, since an arbitrary Store's concurrency contract is
+// unknown. On failure the error of the lowest-numbered failing group is
+// returned, deterministically.
 func PlaceParallel(c pivots.Corpus, a *Assignment, st Store, workers int) error {
-	p := a.P()
-	recs := make([][][]byte, p)
-	parallel.For(p, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			recs[j] = RecordsOf(c, a, j)
-		}
-	})
-	gr, ok := st.(WriteGrouper)
-	if !ok {
-		for j := 0; j < p; j++ {
-			if err := st.WritePartition(j, recs[j]); err != nil {
-				return fmt.Errorf("partitioner: placing partition %d: %w", j, err)
-			}
-		}
-		return nil
-	}
-	ids := make([]int, p)
-	for j := range ids {
+	ids := make([]int, a.P())
+	most, mostRecs := 0, 0
+	for j, part := range a.Parts {
 		ids[j] = j
+		size := 0
+		for _, r := range part {
+			size += c.RecordSize(r)
+		}
+		most, mostRecs = max(most, size), max(mostRecs, len(part))
 	}
-	groups := WriteGroups(gr.WriteGroup, ids)
+	groups := [][]int{ids}
+	if gr, ok := st.(WriteGrouper); ok {
+		groups = WriteGroups(gr.WriteGroup, ids)
+	} else {
+		workers = 1
+	}
+	workers = parallel.Workers(len(groups), workers)
+	// One slot per worker: a body takes a scratch for its chunk of
+	// groups and hands it on when done.
+	free := make(chan *recordScratch, workers)
+	for range workers {
+		free <- nil
+	}
 	_, err := parallel.ForErr(len(groups), workers, func(lo, hi int) error {
+		s := <-free
+		if s == nil {
+			s = &recordScratch{arena: make([]byte, 0, most), recs: make([][]byte, 0, mostRecs)}
+		}
+		defer func() { free <- s }()
 		for gi := lo; gi < hi; gi++ {
 			for _, j := range groups[gi] {
-				if err := st.WritePartition(j, recs[j]); err != nil {
+				if err := st.WritePartition(j, s.encode(c, a.Parts[j])); err != nil {
 					return fmt.Errorf("partitioner: placing partition %d: %w", j, err)
 				}
 			}

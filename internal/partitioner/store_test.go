@@ -71,17 +71,17 @@ func TestMemoryStoreMissingPartition(t *testing.T) {
 	}
 }
 
-// TestMemoryStoreIsolation: the store keeps copies. Mutating the
-// caller's records after the write, or appending to a record read back,
-// leaves every stored record unchanged.
-func TestMemoryStoreIsolation(t *testing.T) {
-	m := NewMemoryStore()
-	recs := [][]byte{{1, 0, 0, 0, 9}, {2, 0, 0, 0, 5, 6}, {}, {1, 0, 0, 0, 4}}
+// keepsNoCallerBytes holds st to the Store contract: it writes recs as
+// partition 0, overwrites every byte of the caller's buffers once
+// WritePartition has returned, and checks that the partition reads
+// back as written. It returns what was written.
+func keepsNoCallerBytes(t *testing.T, st Store, recs [][]byte) [][]byte {
+	t.Helper()
 	want := make([][]byte, len(recs))
 	for i, r := range recs {
 		want[i] = bytes.Clone(r)
 	}
-	if err := m.WritePartition(0, recs); err != nil {
+	if err := st.WritePartition(0, recs); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
@@ -89,6 +89,27 @@ func TestMemoryStoreIsolation(t *testing.T) {
 			r[i] = 0xEE
 		}
 	}
+	got, err := st.ReadPartition(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records stored, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("record %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+	return want
+}
+
+// TestMemoryStoreIsolation: the store keeps copies. Mutating the
+// caller's records after the write, or appending to a record read back,
+// leaves every stored record unchanged.
+func TestMemoryStoreIsolation(t *testing.T) {
+	m := NewMemoryStore()
+	want := keepsNoCallerBytes(t, m, [][]byte{{1, 0, 0, 0, 9}, {2, 0, 0, 0, 5, 6}, {}, {1, 0, 0, 0, 4}})
 	got, err := m.ReadPartition(0)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +130,25 @@ func TestMemoryStoreIsolation(t *testing.T) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("record %d is %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestDiskAndKVStoresKeepNoCallerBytes: the other two stores keep
+// nothing of the caller's buffers either (the disk store's records
+// must be length-prefixed, so the empty record is left out).
+func TestDiskAndKVStoresKeepNoCallerBytes(t *testing.T) {
+	disk, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := NewKVStoreKV(testClients(t, 1), 2, "isolation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]Store{"disk": disk, "kv": kv} {
+		t.Run(name, func(t *testing.T) {
+			keepsNoCallerBytes(t, st, [][]byte{{1, 0, 0, 0, 9}, {2, 0, 0, 0, 5, 6}, {1, 0, 0, 0, 4}})
+		})
 	}
 }
 

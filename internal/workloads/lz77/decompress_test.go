@@ -1,6 +1,7 @@
 package lz77
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +10,49 @@ import (
 // The decompressor is the round-trip oracle of the tests, and Ratio the
 // number their compression thresholds are stated in: the framework only
 // compresses (paper Tables II and III report compressed size), so no
-// non-test code reads a token stream back.
+// non-test code reads a token stream back. Encoded and Compress are the
+// whole-input view of a Writer the tests compare.
+
+// Encoded is a compressed buffer plus its deterministic work cost.
+type Encoded struct {
+	// Data is the token stream.
+	Data []byte
+	// RawLen is the original length.
+	RawLen int
+	// Cost is the abstract work metric: positions stopped at, chain
+	// probes and bytes matched, not bytes compared.
+	Cost float64
+	// Matches counts emitted back-references.
+	Matches int
+}
+
+// Compress encodes data with one Write.
+func Compress(data []byte, cfg Config) (*Encoded, error) {
+	return compressWrites(cfg, data)
+}
+
+// compressWrites encodes the concatenation of writes, each passed to
+// its own Write call.
+func compressWrites(cfg Config, writes ...[]byte) (*Encoded, error) {
+	var out bytes.Buffer
+	w, err := NewWriter(&out, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range writes {
+		if n, err := w.Write(p); err != nil || n != len(p) {
+			return nil, fmt.Errorf("write of %d bytes: %d written, %v", len(p), n, err)
+		}
+	}
+	st, err := w.Close()
+	if err != nil {
+		return nil, err
+	}
+	if st.OutLen != out.Len() {
+		return nil, fmt.Errorf("Stats.OutLen %d, %d bytes written", st.OutLen, out.Len())
+	}
+	return &Encoded{Data: out.Bytes(), RawLen: st.RawLen, Cost: st.Cost, Matches: st.Matches}, nil
+}
 
 // Ratio returns original size / compressed size.
 func (e *Encoded) Ratio() float64 {
@@ -22,7 +65,7 @@ func (e *Encoded) Ratio() float64 {
 // ErrCorrupt reports a malformed token stream.
 var ErrCorrupt = errors.New("lz77: corrupt stream")
 
-// Decompress decodes a token stream produced by Compress.
+// Decompress decodes a token stream produced by a Writer.
 func Decompress(data []byte) ([]byte, error) {
 	var out []byte
 	pos := 0

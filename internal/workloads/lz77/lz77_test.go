@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -269,18 +271,79 @@ func BenchmarkCompress64K(b *testing.B) {
 	}
 }
 
+// ukRecordList is a small UK-like webgraph's serialized records, one
+// slice each.
+func ukRecordList(tb testing.TB, scale float64) [][]byte {
+	tb.Helper()
+	c := ukCorpus(tb, scale)
+	recs := make([][]byte, c.Len())
+	for i := range recs {
+		recs[i] = c.AppendRecord(nil, i)
+	}
+	return recs
+}
+
+// streamRecords writes recs to w one Write a record, the way
+// bench.LZ77Compression streams a partition, from the first record on
+// (and round again) until total bytes are written.
+func streamRecords(tb testing.TB, w *Writer, recs [][]byte, total int) Stats {
+	tb.Helper()
+	for i, n := 0, 0; n < total; i++ {
+		rec := recs[i%len(recs)]
+		if _, err := w.Write(rec); err != nil {
+			tb.Fatal(err)
+		}
+		n += len(rec)
+	}
+	st, err := w.Close()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkCompressRecords compresses what lz77_durable feeds the
 // codec: one partition of serialized UK-like webgraph records (about
-// 1.9 MB, a 16,600-vertex graph), packed the way bench.LZ77Compression
-// packs a partition.
+// 1.9 MB, a 16,600-vertex graph), written one record at a time as
+// bench.LZ77Compression writes a partition. The records are serialized
+// before the timer starts, so the row times the codec alone.
 func BenchmarkCompressRecords(b *testing.B) {
-	data := ukRecords(b, 0.0015)
-	b.SetBytes(int64(len(data)))
+	recs := ukRecordList(b, 0.0015)
+	size := 0
+	for _, r := range recs {
+		size += len(r)
+	}
+	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, Config{}); err != nil {
+		w, err := NewWriter(io.Discard, Config{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		streamRecords(b, w, recs, size)
+	}
+}
+
+// TestWriterMemoryFollowsWindow: streaming 8 MiB of records allocates
+// within 1 MiB of what streaming 1 MiB does.
+func TestWriterMemoryFollowsWindow(t *testing.T) {
+	recs := ukRecordList(t, 0.0003)
+	alloc := func(total int) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		w, err := NewWriter(io.Discard, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := streamRecords(t, w, recs, total); st.RawLen < total {
+			t.Fatalf("%d bytes streamed, want %d", st.RawLen, total)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	small, large := alloc(1<<20), alloc(8<<20)
+	if large > small+1<<20 {
+		t.Errorf("8 MiB stream allocated %d B, 1 MiB stream %d B", large, small)
 	}
 }
 
