@@ -8,7 +8,6 @@
 //	paretobench -exp fig3 -snapshot telemetry.json
 //	paretobench -frontier
 //	paretobench -frontier -frontier-exact -serve :8080
-//	paretobench -replan -replan-records 50000 -replan-cycles 8
 //
 // Each experiment prints an aligned text table with one row per
 // (strategy, partition count) or per α point; see DESIGN.md §4 for the
@@ -23,15 +22,6 @@
 // with -frontier-exact, every vertex found by dichotomic search, with
 // warm/cold solve statistics. With -serve the same models are also
 // exported over HTTP at /frontier alongside the telemetry endpoints.
-//
-// -replan switches to the incremental online replanning loop: a seeded
-// topic-blocked corpus is planned cold on 4 nodes, then each round
-// ingests a drifting batch of 100 records and runs one control cycle —
-// printing whether the loop stayed clean, re-stratified incrementally
-// (re-profiling and re-solving the sizing LP over the drifted strata),
-// or fell back to a full replan, plus the migration move budget spent.
-// A final cold full replan over the drifted corpus anchors the
-// incremental cycle times.
 package main
 
 import (
@@ -59,10 +49,6 @@ func main() {
 		frontierMode = flag.Bool("frontier", false, "enumerate the time/energy Pareto frontier instead of running experiments")
 		fExact       = flag.Bool("frontier-exact", false, "frontier: every vertex (dichotomic search) instead of α sampling")
 		serve        = flag.String("serve", "", "serve /frontier and telemetry on this address (e.g. :8080) after printing")
-
-		replanMode    = flag.Bool("replan", false, "drive the incremental online replanning loop instead of experiments")
-		replanRecords = flag.Int("replan-records", 50_000, "replan: seed corpus size in records")
-		replanCycles  = flag.Int("replan-cycles", 8, "replan: drift/replan rounds to run")
 	)
 	flag.Parse()
 	if *list {
@@ -74,13 +60,6 @@ func main() {
 	if *frontierMode {
 		if err := runFrontier(*fExact, *serve); err != nil {
 			fmt.Fprintf(os.Stderr, "paretobench: frontier: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *replanMode {
-		if err := runReplan(*replanRecords, *replanCycles); err != nil {
-			fmt.Fprintf(os.Stderr, "paretobench: replan: %v\n", err)
 			os.Exit(1)
 		}
 		return

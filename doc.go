@@ -25,7 +25,7 @@
 //	corpus, err := pivots.NewTextCorpus(docs, vocab)
 //	cl, err := cluster.PaperCluster(4, energy.DefaultPanel(), 172, 48)
 //	plan, err := core.BuildPlan(corpus, cl, profile, core.Config{Strategy: core.HetAware})
-//	result, err := core.Execute(cl, plan, run, 0)
+//	result, err := cl.Run(0, plan.Assign.Parts, job)
 //	err = partitioner.Place(corpus, plan.Assign, partitioner.NewMemoryStore())
 //
 // See examples/ for complete programs and DESIGN.md for the paper

@@ -1,6 +1,7 @@
 package pareto
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -24,8 +25,11 @@ import (
 // quoted `go run ./cmd/<prog>` line, or on a line of a fenced sh block
 // that starts with a program's bare name (`kvstored -addr …`), is a
 // flag that program defines, and every quoted `go run ./examples/<dir>`
-// names a directory of examples/ with a non-test Go file. Inline code
-// spans and fenced code blocks both count as quoted.
+// names a directory of examples/ with a non-test Go file. On a quoted
+// `go run ./benchmark` line every -flag is one the FlagSet of
+// benchmark/main.go's realMain defines, and every --workload value
+// names a workload of BENCHMARK.json. Inline code spans and fenced code
+// blocks both count as quoted.
 //
 // A document is read up to its heading until, or whole when until is
 // empty: EXPERIMENTS.md's dated entries from its first one on record
@@ -38,13 +42,15 @@ var driftDocs = []struct{ name, until string }{
 
 // docNames is what the rule resolves quotes against: the packages
 // under internal/ (by name) and every name a doc may quote in them,
-// per command under cmd/ the flags it defines, and the directories
-// under examples/.
+// per command under cmd/ the flags it defines, the directories under
+// examples/, and the benchmark's flags and workloads.
 type docNames struct {
-	pkgs     map[string]bool
-	names    map[string]bool
-	flags    map[string]map[string]bool
-	examples map[string]bool
+	pkgs       map[string]bool
+	names      map[string]bool
+	flags      map[string]map[string]bool
+	examples   map[string]bool
+	benchFlags map[string]bool
+	workloads  map[string]bool
 }
 
 // flagFuncs maps the flag package's defining functions to the
@@ -72,23 +78,41 @@ func embeddedName(e ast.Expr) string {
 	}
 }
 
-// collectDocNames parses files (as checkFiles takes them) with the
-// surface rule's parser.
+// collectDocNames parses files (as checkFiles takes them, plus
+// BENCHMARK.json) with the surface rule's parser.
 func collectDocNames(files map[string]string) (*docNames, error) {
 	_, nonTest, err := parseNonTest(files)
 	if err != nil {
 		return nil, err
 	}
-	d := &docNames{pkgs: map[string]bool{surfaceModule: true}, names: map[string]bool{}, flags: map[string]map[string]bool{}, examples: map[string]bool{}}
+	d := &docNames{pkgs: map[string]bool{surfaceModule: true}, names: map[string]bool{}, flags: map[string]map[string]bool{}, examples: map[string]bool{},
+		benchFlags: map[string]bool{}, workloads: map[string]bool{}}
 	for _, p := range nonTest {
 		switch {
 		case strings.HasPrefix(p.dir, "internal/"):
 			d.addDecls(path.Base(p.dir), p.file)
 		case strings.HasPrefix(p.dir, "cmd/"):
-			d.addFlags(strings.TrimPrefix(p.dir, "cmd/"), p.file)
+			prog := strings.TrimPrefix(p.dir, "cmd/")
+			if d.flags[prog] == nil {
+				d.flags[prog] = map[string]bool{}
+			}
+			addFlags(d.flags[prog], p.file)
 		case strings.HasPrefix(p.dir, "examples/"):
 			d.examples[strings.TrimPrefix(p.dir, "examples/")] = true
+		case p.dir == "benchmark":
+			for _, decl := range p.file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "realMain" {
+					addFlags(d.benchFlags, fn)
+				}
+			}
 		}
+	}
+	var bench struct{ Workloads []struct{ Name string } }
+	if err := json.Unmarshal([]byte(files["BENCHMARK.json"]), &bench); err != nil {
+		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	for _, w := range bench.Workloads {
+		d.workloads[w.Name] = true
 	}
 	return d, nil
 }
@@ -134,29 +158,42 @@ func (d *docNames) addDecls(pkg string, f *ast.File) {
 	}
 }
 
-func (d *docNames) addFlags(prog string, f *ast.File) {
-	if d.flags[prog] == nil {
-		d.flags[prog] = map[string]bool{"h": true, "help": true}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
+// addFlags adds to defined -h, -help and every flag root defines
+// through the flag package or a FlagSet it assigns from
+// flag.NewFlagSet (ast.Inspect visits in source order, so the
+// assignment comes before the set's calls).
+func addFlags(defined map[string]bool, root ast.Node) {
+	defined["h"], defined["help"] = true, true
+	sets := map[string]bool{"flag": true}
+	// method names the function e calls on the flag package or a set,
+	// or is "" when e is no such call.
+	method := func(e ast.Node) string {
+		call, ok := e.(*ast.CallExpr)
 		if !ok {
-			return true
+			return ""
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
+			return ""
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || !sets[x.Name] {
+			return ""
+		}
+		return sel.Sel.Name
+	}
+	ast.Inspect(root, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 && method(as.Rhs[0]) == "NewFlagSet" {
+			if id, ok := as.Lhs[0].(*ast.Ident); ok {
+				sets[id.Name] = true
+			}
+		}
+		i, ok := flagFuncs[method(n)]
+		if !ok || i >= len(n.(*ast.CallExpr).Args) {
 			return true
 		}
-		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
-			return true
-		}
-		i, ok := flagFuncs[sel.Sel.Name]
-		if !ok || i >= len(call.Args) {
-			return true
-		}
-		if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+		if lit, ok := n.(*ast.CallExpr).Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 			if name, err := strconv.Unquote(lit.Value); err == nil {
-				d.flags[prog][name] = true
+				defined[name] = true
 			}
 		}
 		return true
@@ -169,6 +206,7 @@ var (
 	quotedRe   = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 	goRunCmdRe = regexp.MustCompile(`go run \./cmd/([\w-]+)`)
 	goRunExRe  = regexp.MustCompile(`go run \./examples/([\w-]+)`)
+	goRunBench = regexp.MustCompile(`go run \./benchmark(?:\s|$)`)
 	flagTokRe  = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
 )
 
@@ -220,17 +258,19 @@ func quotedCode(doc string) (lines []int, code []string, sh []bool) {
 func (d *docNames) drift(name, doc string) []string {
 	var out []string
 	// checkFlags reports every -flag among args, up to the first shell
-	// operator or comment, that prog (quoted as invoked) does not
-	// define.
-	checkFlags := func(where, prog, invoked string, args []string) {
-		for _, tok := range args {
+	// operator or comment, that the program (quoted as invoked) does not
+	// define, and returns those args.
+	checkFlags := func(where, invoked string, defined map[string]bool, args []string) []string {
+		for k, tok := range args {
 			if strings.ContainsAny(tok[:1], "|&;>#") || strings.HasPrefix(tok, "2>") {
+				args = args[:k]
 				break
 			}
-			if f := flagTokRe.FindStringSubmatch(tok); f != nil && !d.flags[prog][f[1]] {
+			if f := flagTokRe.FindStringSubmatch(tok); f != nil && !defined[f[1]] {
 				out = append(out, fmt.Sprintf("%s: `%s` has no flag -%s", where, invoked, f[1]))
 			}
 		}
+		return args
 	}
 	lines, code, sh := quotedCode(doc)
 	for i, c := range code {
@@ -254,7 +294,23 @@ func (d *docNames) drift(name, doc string) []string {
 				out = append(out, fmt.Sprintf("%s: `go run ./cmd/%s`: no such command", where, prog))
 				continue
 			}
-			checkFlags(where, prog, "go run ./cmd/"+prog, strings.Fields(c[m[1]:]))
+			checkFlags(where, "go run ./cmd/"+prog, d.flags[prog], strings.Fields(c[m[1]:]))
+		}
+		for _, m := range goRunBench.FindAllStringIndex(c, -1) {
+			args := checkFlags(where, "go run ./benchmark", d.benchFlags, strings.Fields(c[m[1]:]))
+			for k, tok := range args {
+				f := flagTokRe.FindStringSubmatch(tok)
+				if f == nil || f[1] != "workload" {
+					continue
+				}
+				_, w, hasValue := strings.Cut(tok, "=")
+				if !hasValue && k+1 < len(args) {
+					w = args[k+1]
+				}
+				if !d.workloads[w] {
+					out = append(out, fmt.Sprintf("%s: `go run ./benchmark`: BENCHMARK.json has no workload %q", where, w))
+				}
+			}
 		}
 		for _, m := range goRunExRe.FindAllStringSubmatch(c, -1) {
 			if !d.examples[m[1]] {
@@ -262,7 +318,7 @@ func (d *docNames) drift(name, doc string) []string {
 			}
 		}
 		if f := strings.Fields(c); sh[i] && len(f) > 0 && d.flags[f[0]] != nil {
-			checkFlags(where, f[0], f[0], f[1:])
+			checkFlags(where, f[0], d.flags[f[0]], f[1:])
 		}
 	}
 	sort.Strings(out)
@@ -286,7 +342,13 @@ func (d *docNames) isType(ref string) bool {
 // TestDocsNameWhatExists applies the rule to the repository's docs.
 // Like the surface rules it is never skipped.
 func TestDocsNameWhatExists(t *testing.T) {
-	d, err := collectDocNames(repoFiles(t))
+	files := repoFiles(t)
+	bench, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files["BENCHMARK.json"] = string(bench)
+	d, err := collectDocNames(files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,6 +413,20 @@ func main() {}
 `,
 		"examples/gone/main_test.go": `package main
 `,
+		"benchmark/main.go": `package main
+
+import "flag"
+
+var stray = flag.Bool("stray", false, "not realMain's")
+
+func realMain(args []string) int {
+	fs := flag.NewFlagSet("benchmark", flag.ContinueOnError)
+	_ = fs.String("workload", "", "one workload")
+	_ = fs.Int("seconds", 10, "run length")
+	return 0
+}
+`,
+		"BENCHMARK.json": `{"workloads": [{"name": "w1"}, {"name": "w2"}]}`,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,13 +438,18 @@ func main() {}
 		"Bad: `a.Missing`, `a.Helper`, `a.Config.Beta`, `pareto.Frontier`,\n" +
 		"`go run ./cmd/nope -x`, `go run ./cmd/tool -q`, `go run ./examples/gone`.\n" +
 		"```go\nplan := a.Gone()\n```\n" +
-		"```sh\ntool -in f -p 4 -snapshot x.pkvs &\n```\n"
+		"```sh\ntool -in f -p 4 -snapshot x.pkvs &\n```\n" +
+		"Bench: `go run ./benchmark --workload w1 --seconds 3`, `go run ./benchmark -workload=w2 | tee x --bogus`,\n" +
+		"`go run ./benchmark --workload nope --stray`, `go run ./benchmark --workload=w3`.\n"
 	want := []string{
 		"doc.md:10: `go run ./cmd/nope`: no such command",
 		"doc.md:10: `go run ./cmd/tool` has no flag -q",
 		"doc.md:10: `go run ./examples/gone`: no such example",
 		"doc.md:12: `a.Gone` names nothing in package a",
 		"doc.md:15: `tool` has no flag -snapshot",
+		"doc.md:18: `go run ./benchmark` has no flag -stray",
+		"doc.md:18: `go run ./benchmark`: BENCHMARK.json has no workload \"nope\"",
+		"doc.md:18: `go run ./benchmark`: BENCHMARK.json has no workload \"w3\"",
 		"doc.md:6: `go run ./cmd/tool` has no flag -bogus",
 		"doc.md:9: `a.Config.Beta` names nothing in package a",
 		"doc.md:9: `a.Helper` names nothing in package a",

@@ -47,7 +47,10 @@ func main() {
 		}
 		return cost, nil
 	}
-	run := func(node int, indices []int) (float64, error) { return workload(indices) }
+	run := func(node int, indices []int) (cluster.TaskReport, error) {
+		cost, err := workload(indices)
+		return cluster.TaskReport{Cost: cost}, err
+	}
 
 	baseline, err := core.BuildPlan(corpus, cl, nil, core.Config{Strategy: core.Stratified, TraceOffset: offset})
 	if err != nil {
@@ -61,11 +64,11 @@ func main() {
 	fmt.Printf("stratified baseline sizes: %v\n", baseline.Assign.Sizes())
 	fmt.Printf("het-aware sizes:          %v\n", hetAware.Assign.Sizes())
 
-	baseRes, err := core.Execute(cl, baseline, run, offset)
+	baseRes, err := cl.Run(offset, baseline.Assign.Parts, run)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hetRes, err := core.Execute(cl, hetAware, run, offset)
+	hetRes, err := cl.Run(offset, hetAware.Assign.Parts, run)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -190,14 +190,6 @@ func markDominated(rows []FrontierRow) {
 	}
 }
 
-// Improvement returns the relative reduction of b versus a: (a−b)/a.
-func Improvement(a, b float64) float64 {
-	if a == 0 {
-		return 0
-	}
-	return (a - b) / a
-}
-
 // FormatRows renders strategy rows as an aligned text table, one line
 // per row, with the quality metrics the workload reported. Dirty energy
 // prints in joules: the small-scale cells draw well under one kJ.

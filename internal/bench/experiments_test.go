@@ -300,6 +300,14 @@ func TestRunExperimentDispatch(t *testing.T) {
 	}
 }
 
+// Improvement returns the relative reduction of b versus a: (a−b)/a.
+func Improvement(a, b float64) float64 {
+	if a == 0 {
+		return 0
+	}
+	return (a - b) / a
+}
+
 func TestImprovement(t *testing.T) {
 	if Improvement(0, 5) != 0 {
 		t.Error("zero base")

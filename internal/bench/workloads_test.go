@@ -170,13 +170,13 @@ func TestRunWithEmptyPartitions(t *testing.T) {
 func TestCombineResults(t *testing.T) {
 	a := &cluster.Result{
 		NodeTimes: []float64{1, 2}, NodeCosts: []float64{10, 20},
-		NodeDirty: []float64{5, 6}, NodeGreen: []float64{10, 9}, NodeWallSec: []float64{0.5, 0.25},
-		Makespan: 2, DirtyEnergy: 11, GreenEnergy: 19, TotalEnergy: 30, WallSec: 0.5,
+		NodeDirty: []float64{5, 6}, NodeGreen: []float64{10, 9},
+		Makespan: 2, DirtyEnergy: 11, GreenEnergy: 19, TotalEnergy: 30,
 	}
 	b := &cluster.Result{
 		NodeTimes: []float64{3, 1}, NodeCosts: []float64{30, 10},
-		NodeDirty: []float64{1, 1}, NodeGreen: []float64{6, 2}, NodeWallSec: []float64{0.25, 1},
-		Makespan: 3, DirtyEnergy: 2, GreenEnergy: 8, TotalEnergy: 10, WallSec: 1,
+		NodeDirty: []float64{1, 1}, NodeGreen: []float64{6, 2},
+		Makespan: 3, DirtyEnergy: 2, GreenEnergy: 8, TotalEnergy: 10,
 	}
 	c := a.Add(b)
 	if c.Makespan != 5 || c.DirtyEnergy != 13 || c.TotalEnergy != 40 {
@@ -187,9 +187,6 @@ func TestCombineResults(t *testing.T) {
 	}
 	if c.GreenEnergy != 27 || c.NodeGreen[0] != 16 || c.NodeGreen[1] != 11 {
 		t.Errorf("green energy lost in the sum: %+v", c)
-	}
-	if c.WallSec != 1.5 || c.NodeWallSec[0] != 0.75 || c.NodeWallSec[1] != 1.25 {
-		t.Errorf("wall clock lost in the sum: %+v", c)
 	}
 	if c.GreenEnergy+c.DirtyEnergy != c.TotalEnergy {
 		t.Errorf("green %v + dirty %v != total %v", c.GreenEnergy, c.DirtyEnergy, c.TotalEnergy)
@@ -211,8 +208,8 @@ func TestCombineResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GreenEnergy <= 0 || len(res.NodeGreen) != 3 || res.WallSec <= 0 || len(res.NodeWallSec) != 3 {
-		t.Errorf("two-phase run lost green or wall-clock fields: %+v", res)
+	if res.GreenEnergy <= 0 || len(res.NodeGreen) != 3 {
+		t.Errorf("two-phase run lost its green fields: %+v", res)
 	}
 	if diff := math.Abs(res.GreenEnergy + res.DirtyEnergy - res.TotalEnergy); diff > 1e-9*res.TotalEnergy {
 		t.Errorf("green %v + dirty %v != total %v", res.GreenEnergy, res.DirtyEnergy, res.TotalEnergy)

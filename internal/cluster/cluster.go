@@ -26,7 +26,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"time"
 
 	"pareto/internal/energy"
 	"pareto/internal/opt"
@@ -198,11 +197,6 @@ type Result struct {
 	NodeGreen []float64
 	// GreenEnergy is the total green energy across nodes (J).
 	GreenEnergy float64
-	// NodeWallSec[i] is the real (not simulated) wall-clock seconds
-	// node i's task goroutine ran — the actual algorithm execution.
-	NodeWallSec []float64
-	// WallSec is the real wall-clock duration of the whole Run call.
-	WallSec float64
 }
 
 // Imbalance quantifies load balance: makespan divided by the mean busy
@@ -236,12 +230,10 @@ func (c *Cluster) Run(offset float64, parts [][]int, job func(node int, indices 
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	runStart := time.Now()
 	span := c.Telemetry.StartSpan("run")
 	defer span.End()
 	reports := make([]TaskReport, len(parts))
 	errs := make([]error, len(parts))
-	wallSec := make([]float64, len(parts))
 	var wg sync.WaitGroup
 	for i, part := range parts {
 		if len(part) == 0 {
@@ -251,9 +243,7 @@ func (c *Cluster) Run(offset float64, parts [][]int, job func(node int, indices 
 		go func() {
 			defer wg.Done()
 			sp := span.Child(c.Nodes[i].Name)
-			t0 := time.Now()
 			reports[i], errs[i] = job(i, part)
-			wallSec[i] = time.Since(t0).Seconds()
 			sp.End()
 		}()
 	}
@@ -274,8 +264,6 @@ func (c *Cluster) Run(offset float64, parts [][]int, job func(node int, indices 
 		busy[i] = ServiceTime(c.Nodes[i].Speed, c.CostRate, rep.Cost, rep.FixedSeconds)
 	}
 	res := c.Account(offset, costs, busy)
-	res.NodeWallSec = wallSec
-	res.WallSec = time.Since(runStart).Seconds()
 	c.recordRun(res)
 	return res, nil
 }
@@ -319,7 +307,7 @@ func (c *Cluster) Account(offset float64, costs, busy []float64) *Result {
 
 // Add returns the result of running b after a's barrier: phase two
 // starts when phase one's last node finishes, so makespans, busy
-// times, energies and wall clocks all add.
+// times and energies all add.
 func (a *Result) Add(b *Result) *Result {
 	sum := func(x, y []float64) []float64 {
 		out := make([]float64, len(x))
@@ -337,8 +325,6 @@ func (a *Result) Add(b *Result) *Result {
 		TotalEnergy: a.TotalEnergy + b.TotalEnergy,
 		NodeGreen:   sum(a.NodeGreen, b.NodeGreen),
 		GreenEnergy: a.GreenEnergy + b.GreenEnergy,
-		NodeWallSec: sum(a.NodeWallSec, b.NodeWallSec),
-		WallSec:     a.WallSec + b.WallSec,
 	}
 }
 

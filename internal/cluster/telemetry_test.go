@@ -9,8 +9,8 @@ import (
 )
 
 // TestRunDetailedTelemetry: an instrumented run must surface per-node
-// wall times and green/dirty energy on the Result, and record a "run"
-// span with one child per loaded node plus cumulative energy gauges.
+// green/dirty energy on the Result, and record a timed "run" span with
+// one timed child per loaded node plus cumulative energy gauges.
 func TestRunDetailedTelemetry(t *testing.T) {
 	c, err := PaperCluster(4, energy.DefaultPanel(), 172, 24)
 	if err != nil {
@@ -30,21 +30,15 @@ func TestRunDetailedTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.NodeWallSec) != 4 || len(res.NodeGreen) != 4 {
-		t.Fatalf("per-node slices: wall=%d green=%d", len(res.NodeWallSec), len(res.NodeGreen))
+	if len(res.NodeGreen) != 4 {
+		t.Fatalf("per-node green slice has %d entries, want 4", len(res.NodeGreen))
 	}
 	for i := range tasks {
-		if res.NodeWallSec[i] <= 0 {
-			t.Errorf("node %d wall time = %v, want > 0", i, res.NodeWallSec[i])
-		}
 		// Energy must partition exactly: green + dirty = total draw.
 		total := c.Nodes[i].Power.Watts() * res.NodeTimes[i]
 		if got := res.NodeGreen[i] + res.NodeDirty[i]; got < total*0.999 || got > total*1.001 {
 			t.Errorf("node %d green+dirty = %v, want %v", i, got, total)
 		}
-	}
-	if res.WallSec <= 0 {
-		t.Errorf("run wall time = %v, want > 0", res.WallSec)
 	}
 	if res.GreenEnergy <= 0 {
 		t.Errorf("green energy = %v at noon, want > 0", res.GreenEnergy)
@@ -54,6 +48,9 @@ func TestRunDetailedTelemetry(t *testing.T) {
 	run := snap.FindSpan("run")
 	if run == nil {
 		t.Fatal("no run span recorded")
+	}
+	if run.DurationMs <= 0 {
+		t.Errorf("run span duration = %v, want > 0", run.DurationMs)
 	}
 	if len(run.Children) != 4 {
 		t.Fatalf("run span has %d children, want 4", len(run.Children))
@@ -76,8 +73,8 @@ func TestRunDetailedTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunDetailedNilTelemetry: wall times still populate with no
-// registry attached.
+// TestRunDetailedNilTelemetry: with no registry attached the per-node
+// slices still populate, and an idle node books no time or energy.
 func TestRunDetailedNilTelemetry(t *testing.T) {
 	c, err := PaperCluster(2, energy.DefaultPanel(), 172, 24)
 	if err != nil {
@@ -91,10 +88,10 @@ func TestRunDetailedNilTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NodeWallSec[0] < 0 || res.NodeWallSec[1] != 0 {
-		t.Errorf("wall times: %v", res.NodeWallSec)
+	if res.NodeTimes[0] <= 0 || res.NodeTimes[1] != 0 {
+		t.Errorf("node times: %v", res.NodeTimes)
 	}
-	if res.WallSec <= 0 {
-		t.Errorf("run wall = %v", res.WallSec)
+	if res.NodeDirty[1] != 0 || res.NodeGreen[1] != 0 {
+		t.Errorf("idle node energy: dirty %v green %v", res.NodeDirty[1], res.NodeGreen[1])
 	}
 }

@@ -471,20 +471,3 @@ func SizingConstraints(cfg Config, n, p int) opt.Constraints {
 	}
 	return cons
 }
-
-// RunPartition is the executable form of one node's share: the record
-// indices it owns.
-type RunPartition func(node int, indices []int) (cost float64, err error)
-
-// Execute runs the planned job on the cluster: node j processes
-// partition j via run, concurrently, and the result carries simulated
-// times and energies.
-func Execute(cl *cluster.Cluster, plan *Plan, run RunPartition, traceOffset float64) (*cluster.Result, error) {
-	if plan == nil || plan.Assign == nil {
-		return nil, errors.New("core: nil plan")
-	}
-	return cl.Run(traceOffset, plan.Assign.Parts, func(node int, indices []int) (cluster.TaskReport, error) {
-		cost, err := run(node, indices)
-		return cluster.TaskReport{Cost: cost}, err
-	})
-}

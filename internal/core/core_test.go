@@ -49,13 +49,13 @@ func linearProfile(corpus pivots.Corpus) ProfileFunc {
 	}
 }
 
-func runWeighted(corpus pivots.Corpus) RunPartition {
-	return func(node int, indices []int) (float64, error) {
-		var cost float64
-		for _, i := range indices {
-			cost += 2000 * float64(corpus.Weight(i))
-		}
-		return cost, nil
+// runWeighted is the executed job matching linearProfile, in the form
+// cluster.Run takes.
+func runWeighted(corpus pivots.Corpus) func(node int, indices []int) (cluster.TaskReport, error) {
+	profile := linearProfile(corpus)
+	return func(node int, indices []int) (cluster.TaskReport, error) {
+		cost, err := profile(indices)
+		return cluster.TaskReport{Cost: cost}, err
 	}
 }
 
@@ -181,11 +181,11 @@ func TestHetAwareBeatsBaselineMakespan(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := runWeighted(corpus)
-	baseRes, err := Execute(cl, base, run, 12*3600)
+	baseRes, err := cl.Run(12*3600, base.Assign.Parts, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetRes, err := Execute(cl, het, run, 12*3600)
+	hetRes, err := cl.Run(12*3600, het.Assign.Parts, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestHetEnergyAwareTradesTimeForEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetRes, err := Execute(cl, het, run, offset)
+	hetRes, err := cl.Run(offset, het.Assign.Parts, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heaRes, err := Execute(cl, hea, run, offset)
+	heaRes, err := cl.Run(offset, hea.Assign.Parts, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +238,10 @@ func TestHetEnergyAwareTradesTimeForEnergy(t *testing.T) {
 	}
 }
 
+// TestExecuteValidation: a plan run on a cluster of another size is
+// refused, and a task's error reaches the caller.
 func TestExecuteValidation(t *testing.T) {
 	corpus, cl := testSetup(t)
-	if _, err := Execute(cl, nil, nil, 0); err == nil {
-		t.Error("nil plan accepted")
-	}
 	plan, err := BuildPlan(corpus, cl, nil, Config{Strategy: Stratified, Scheme: partitioner.Representative})
 	if err != nil {
 		t.Fatal(err)
@@ -251,11 +250,12 @@ func TestExecuteValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(small, plan, runWeighted(corpus), 0); err == nil {
+	if _, err := small.Run(0, plan.Assign.Parts, runWeighted(corpus)); err == nil {
 		t.Error("partition/node mismatch accepted")
 	}
 	boom := errors.New("boom")
-	if _, err := Execute(cl, plan, func(int, []int) (float64, error) { return 0, boom }, 0); !errors.Is(err, boom) {
+	fail := func(int, []int) (cluster.TaskReport, error) { return cluster.TaskReport{}, boom }
+	if _, err := cl.Run(0, plan.Assign.Parts, fail); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
 }

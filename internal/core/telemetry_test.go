@@ -11,7 +11,7 @@ import (
 	"pareto/internal/telemetry"
 )
 
-// TestPipelineSpans: a full BuildPlan + Execute with telemetry attached
+// TestPipelineSpans: a full BuildPlan + cl.Run with telemetry attached
 // must produce one span per pipeline stage — scan, stratify, profile,
 // optimize, place under the "plan" root, and a "run" root from the
 // cluster — each with a recorded (non-negative, and for the real work
@@ -28,7 +28,7 @@ func TestPipelineSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(cl, plan, runWeighted(corpus), 0); err != nil {
+	if _, err := cl.Run(0, plan.Assign.Parts, runWeighted(corpus)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -42,8 +42,9 @@ func quickSetup(t *testing.T) (*pivots.TextCorpus, *cluster.Cluster, core.Profil
 func TestFrameworkEndToEnd(t *testing.T) {
 	corpus, cl, profile := quickSetup(t)
 	const offset = 12 * 3600
-	run := func(node int, indices []int) (float64, error) {
-		return profile(indices)
+	run := func(node int, indices []int) (cluster.TaskReport, error) {
+		cost, err := profile(indices)
+		return cluster.TaskReport{Cost: cost}, err
 	}
 	base, err := core.BuildPlan(corpus, cl, nil, core.Config{Strategy: core.Stratified, TraceOffset: offset})
 	if err != nil {
@@ -53,11 +54,11 @@ func TestFrameworkEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes, err := core.Execute(cl, base, run, offset)
+	baseRes, err := cl.Run(offset, base.Assign.Parts, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetRes, err := core.Execute(cl, het, run, offset)
+	hetRes, err := cl.Run(offset, het.Assign.Parts, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,10 @@ func TestFrameworkEndToEnd(t *testing.T) {
 func TestFrameworkEnergyAware(t *testing.T) {
 	corpus, cl, profile := quickSetup(t)
 	const offset = 12 * 3600
-	run := func(node int, indices []int) (float64, error) { return profile(indices) }
+	run := func(node int, indices []int) (cluster.TaskReport, error) {
+		cost, err := profile(indices)
+		return cluster.TaskReport{Cost: cost}, err
+	}
 	het, err := core.BuildPlan(corpus, cl, profile, core.Config{Strategy: core.HetAware, TraceOffset: offset})
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +98,11 @@ func TestFrameworkEnergyAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetRes, err := core.Execute(cl, het, run, offset)
+	hetRes, err := cl.Run(offset, het.Assign.Parts, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heaRes, err := core.Execute(cl, hea, run, offset)
+	heaRes, err := cl.Run(offset, hea.Assign.Parts, run)
 	if err != nil {
 		t.Fatal(err)
 	}
