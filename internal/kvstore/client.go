@@ -8,6 +8,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pareto/internal/telemetry"
@@ -109,7 +110,6 @@ type KV interface {
 	Del(keys ...string) (int64, error)
 	Incr(key string) (int64, error)
 	RPush(key string, vals ...[]byte) (int64, error)
-	LRange(key string, start, stop int64) ([][]byte, error)
 	LRangeChunked(key string, window int64, fn func(batch [][]byte) error) error
 	LLen(key string) (int64, error)
 	Ping() error
@@ -145,7 +145,9 @@ func DialOptions(addr string, timeout time.Duration, opts Options) (*Client, err
 		metrics:     newClientMetrics(opts.Telemetry),
 	}
 	// One store owns every key: routing a one-key command is just Do.
-	c.keyed.route = func(_, cmd string, args [][]byte) (Reply, error) { return c.Do(cmd, args...) }
+	c.keyed = newKeyed(func(_, cmd string, args [][]byte, win *CommandBuffer) (Reply, error) {
+		return c.do(cmd, args, win)
+	})
 	conn, err := c.dial()
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: dial %s: %w", addr, err)
@@ -234,9 +236,10 @@ func (c *Client) Close() error {
 }
 
 // exchange writes one command, drains any pipelined replies into the
-// pipeline buffer, and reads the command's own reply. The caller holds
-// c.mu. On error the connection is marked broken.
-func (c *Client) exchange(cmd string, args [][]byte) (Reply, error) {
+// pipeline buffer, and reads the command's own reply, into win when win
+// is non-nil (see readWindow). The caller holds c.mu. On error the
+// connection is marked broken.
+func (c *Client) exchange(cmd string, args [][]byte, win *CommandBuffer) (Reply, error) {
 	if c.broken {
 		if err := c.reconnect(); err != nil {
 			return Reply{}, err
@@ -264,7 +267,13 @@ func (c *Client) exchange(cmd string, args [][]byte) (Reply, error) {
 		c.pending--
 	}
 	c.armDeadline()
-	rep, err := ReadReply(c.r)
+	var rep Reply
+	var err error
+	if win != nil {
+		rep, err = readWindow(c.r, win)
+	} else {
+		rep, err = ReadReply(c.r)
+	}
 	if err != nil {
 		c.markBroken()
 		return Reply{}, err
@@ -279,11 +288,16 @@ func (c *Client) exchange(cmd string, args [][]byte) (Reply, error) {
 // commands are in flight, whose replies a re-sent command could never
 // recover.
 func (c *Client) Do(cmd string, args ...[]byte) (Reply, error) {
+	return c.do(cmd, args, nil)
+}
+
+// do is Do, reading the reply into win when win is non-nil.
+func (c *Client) do(cmd string, args [][]byte, win *CommandBuffer) (Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m := c.metrics; m != nil {
 		start := time.Now()
-		rep, err := c.doLocked(cmd, args)
+		rep, err := c.doLocked(cmd, args, win)
 		m.ops.Inc()
 		m.opLatency.Observe(time.Since(start).Nanoseconds())
 		if err != nil {
@@ -291,18 +305,18 @@ func (c *Client) Do(cmd string, args ...[]byte) (Reply, error) {
 		}
 		return rep, err
 	}
-	return c.doLocked(cmd, args)
+	return c.doLocked(cmd, args, win)
 }
 
-// doLocked is Do's body; the caller holds c.mu.
-func (c *Client) doLocked(cmd string, args [][]byte) (Reply, error) {
+// doLocked is do's body; the caller holds c.mu.
+func (c *Client) doLocked(cmd string, args [][]byte, win *CommandBuffer) (Reply, error) {
 	if c.closed {
 		return Reply{}, ErrClientClosed
 	}
 	if c.pending > 0 {
-		return c.exchange(cmd, args)
+		return c.exchange(cmd, args, win)
 	}
-	rep, err := c.exchange(cmd, args)
+	rep, err := c.exchange(cmd, args, win)
 	if err == nil || c.opts.MaxRetries <= 0 {
 		return rep, err
 	}
@@ -314,7 +328,7 @@ func (c *Client) doLocked(cmd string, args [][]byte) (Reply, error) {
 			c.metrics.retries.Inc()
 		}
 		c.backoff(attempt)
-		rep, err = c.exchange(cmd, args)
+		rep, err = c.exchange(cmd, args, win)
 		if err == nil {
 			return rep, nil
 		}
@@ -390,16 +404,24 @@ var ErrNil = errors.New("kvstore: nil reply")
 // both Client and ClusterClient. The two differ in exactly one thing —
 // how a command reaches the store that owns its key — and that is
 // route: Client hands it to its one connection, ClusterClient to the
-// key's slot owner.
+// key's slot owner. A non-nil win asks route to read the reply as an
+// LRANGE window into win (see readWindow).
 type keyed struct {
-	route func(key, cmd string, args [][]byte) (Reply, error)
+	route func(key, cmd string, args [][]byte, win *CommandBuffer) (Reply, error)
+	// spare is the window buffer scans reuse; a scan that finds it
+	// taken (another scan is running) reads into a fresh one.
+	spare *atomic.Pointer[CommandBuffer]
+}
+
+func newKeyed(route func(key, cmd string, args [][]byte, win *CommandBuffer) (Reply, error)) keyed {
+	return keyed{route: route, spare: new(atomic.Pointer[CommandBuffer])}
 }
 
 // call routes cmd key rest... and folds an error reply into the error.
 func (k keyed) call(cmd, key string, rest ...[]byte) (Reply, error) {
 	args := make([][]byte, 1, 1+len(rest))
 	args[0] = []byte(key)
-	rep, err := k.route(key, cmd, append(args, rest...))
+	rep, err := k.route(key, cmd, append(args, rest...), nil)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -445,26 +467,11 @@ func (k keyed) LLen(key string) (int64, error) {
 	return rep.Int, err
 }
 
-// LRange fetches list elements in [start, stop] (inclusive, negative
-// indices count from the end, as in Redis). The elements are freshly
-// allocated and may be retained.
-func (k keyed) LRange(key string, start, stop int64) ([][]byte, error) {
-	rep, err := k.call("LRANGE", key,
-		[]byte(strconv.FormatInt(start, 10)), []byte(strconv.FormatInt(stop, 10)))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(rep.Array))
-	for i, el := range rep.Array {
-		out[i] = el.Bulk
-	}
-	return out, nil
-}
-
 // LRangeChunked streams a list through fn in bounded LRANGE windows of
 // at most window elements, so a huge list (a recovery re-read of a
 // whole shard) never materializes in memory at once. A non-nil error
-// from fn stops the scan and is returned.
+// from fn stops the scan and is returned. The batch is valid until fn
+// returns; a caller that keeps its bytes copies them.
 func (k keyed) LRangeChunked(key string, window int64, fn func(batch [][]byte) error) error {
 	_, err := k.LRangeFrom(key, 0, window, fn)
 	return err
@@ -475,6 +482,11 @@ func (k keyed) LRangeChunked(key string, window int64, fn func(batch [][]byte) e
 // one past the last element read. A stream consumer can tail a list
 // producers keep RPUSHing to: persist the returned cursor and pass it
 // back as start on the next poll.
+//
+// Each window is read whole off the wire into a buffer the client
+// reuses, before fn sees it and with no client lock held, so fn may
+// call the client, and a retried or redirected read hands fn no partial
+// or repeated window. The batch is valid until fn returns.
 func (k keyed) LRangeFrom(key string, start, window int64, fn func(batch [][]byte) error) (int64, error) {
 	if window < 1 {
 		return start, fmt.Errorf("kvstore: lrange window %d, need ≥ 1", window)
@@ -482,11 +494,23 @@ func (k keyed) LRangeFrom(key string, start, window int64, fn func(batch [][]byt
 	if start < 0 {
 		start = 0
 	}
+	win := k.spare.Swap(nil)
+	if win == nil {
+		win = new(CommandBuffer)
+	}
+	defer k.spare.Store(win)
+	args := [][]byte{[]byte(key), nil, nil}
 	for {
-		batch, err := k.LRange(key, start, start+window-1)
+		args[1] = strconv.AppendInt(args[1][:0], start, 10)
+		args[2] = strconv.AppendInt(args[2][:0], start+window-1, 10)
+		rep, err := k.route(key, "LRANGE", args, win)
+		if err == nil {
+			err = rep.Err()
+		}
 		if err != nil {
 			return start, err
 		}
+		batch := win.args
 		if len(batch) == 0 {
 			return start, nil
 		}

@@ -136,7 +136,7 @@ func TestHungServerOpsBounded(t *testing.T) {
 		"INCR":   func() error { _, err := c.Incr("k"); return err },
 		"RPUSH":  func() error { _, err := c.RPush("l", []byte("v")); return err },
 		"LLEN":   func() error { _, err := c.LLen("l"); return err },
-		"LRANGE": func() error { _, err := c.LRange("l", 0, -1); return err },
+		"LRANGE": func() error { return c.LRangeChunked("l", 64, func([][]byte) error { return nil }) },
 		"DEL":    func() error { _, err := c.Del("k"); return err },
 		"PING":   func() error { return c.Ping() },
 	}

@@ -65,7 +65,7 @@ func DialCluster(seeds []string, timeout time.Duration, opts Options) (*ClusterC
 		seeds:   append([]string(nil), seeds...),
 		moved:   opts.Telemetry.Counter("kv_cluster_client_moved_total"),
 	}
-	cc.keyed.route = cc.doKey
+	cc.keyed = newKeyed(cc.doKey)
 	if err := cc.refresh(); err != nil {
 		cc.Close()
 		return nil, err
@@ -220,8 +220,10 @@ func (cc *ClusterClient) anyClient() (*Client, error) {
 // out a capped exponential backoff, and a dead owner costs one failed
 // attempt (the table is refreshed and, for idempotent commands, the hop
 // retried) instead of an immediate caller-visible error — which is what
-// lets a routed workload ride out a node restart.
-func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
+// lets a routed workload ride out a node restart. A non-nil win reads
+// the reply as an LRANGE window (see readWindow); every hop reads it
+// afresh.
+func (cc *ClusterClient) doKey(key, cmd string, args [][]byte, win *CommandBuffer) (Reply, error) {
 	slot := SlotForKey(key)
 	addr := cc.ownerOf(slot)
 	backoff := hopBackoff
@@ -253,7 +255,7 @@ func (cc *ClusterClient) doKey(key, cmd string, args [][]byte) (Reply, error) {
 			addr = ""
 			continue
 		}
-		rep, err := c.Do(cmd, args...)
+		rep, err := c.do(cmd, args, win)
 		if err != nil {
 			lastErr = err
 			if !cmdTable[lookupCmd(cmd)].idempotent {

@@ -8,7 +8,7 @@ import (
 )
 
 // Start a store, write a partition as a list with a pipelined batch,
-// and fetch it back with one LRANGE.
+// and fetch it back in LRANGE windows.
 func ExampleClient_NewPipeline() {
 	srv := kvstore.NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -34,11 +34,15 @@ func ExampleClient_NewPipeline() {
 	if _, err := p.Finish(); err != nil {
 		panic(err)
 	}
-	records, err := c.LRange("partition:0", 0, -1)
+	records := 0
+	err = c.LRangeChunked("partition:0", 256, func(batch [][]byte) error {
+		records += len(batch)
+		return nil
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("stored %d records\n", len(records))
+	fmt.Printf("stored %d records\n", records)
 	// Output:
 	// stored 1000 records
 }

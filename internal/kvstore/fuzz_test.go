@@ -399,6 +399,71 @@ func FuzzReadReply(f *testing.F) {
 	})
 }
 
+// FuzzReadWindow feeds arbitrary bytes as a stream of LRANGE replies
+// to the window decoder, one CommandBuffer reused across them, and to
+// ReadReply beside it. They must agree reply by reply: the same
+// elements (none for a null array), or the same error reply, over the
+// same bytes; or the window decoder rejects what ReadReply rejects or
+// reads as something other than a window (an array of bulk strings, a
+// null array, or an error).
+func FuzzReadWindow(f *testing.F) {
+	for _, seed := range []string{
+		"*2\r\n$1\r\na\r\n$0\r\n\r\n*1\r\n$3\r\nbcd\r\n",
+		"*0\r\n-MOVED 7 127.0.0.1:7001\r\n*1\r\n$1\r\nz\r\n",
+		"-ERR wrong\r\n",
+		"*-1\r\n",
+		"*1\r\n$-1\r\n\r\n",
+		"*1\r\n*0\r\n",
+		"*1\r\n+OK\r\n",
+		"+OK\r\n",
+		":3\r\n",
+		"*1\r\n$03\r\nabc\r\n",
+		"*2\r\n$3\r\nabc\r\n$3\r\nab",
+		"*1\r\n$3\r\nabcd\r\n",
+		strings.Repeat("*1048576\r\n", 3),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, size := range []int{16, 4096} {
+			winSrc, repSrc := bytes.NewReader(in), bytes.NewReader(in)
+			winR, repR := bufio.NewReaderSize(winSrc, size), bufio.NewReaderSize(repSrc, size)
+			var win CommandBuffer
+			for {
+				got, werr := readWindow(winR, &win)
+				rep, rerr := ReadReply(repR)
+				isWindow := rerr == nil && (rep.Type == ErrorReply || rep.Type == Array || rep.Type == NullArray)
+				for i := 0; isWindow && i < len(rep.Array); i++ {
+					isWindow = rep.Array[i].Type == BulkString
+				}
+				if werr != nil {
+					if isWindow {
+						t.Fatalf("window decoder rejects (%v) the reply ReadReply reads as %v\n%q", werr, rep, in)
+					}
+					break
+				}
+				if !isWindow {
+					t.Fatalf("window decoder accepts what ReadReply reads as %v (%v)\n%q", rep, rerr, in)
+				}
+				if (got.Type == ErrorReply) != (rep.Type == ErrorReply) || got.Str != rep.Str {
+					t.Fatalf("window decoder reads %v, ReadReply %v\n%q", got, rep, in)
+				}
+				if got.Type == Array && len(win.args) != len(rep.Array) {
+					t.Fatalf("window of %d elements, ReadReply %d\n%q", len(win.args), len(rep.Array), in)
+				}
+				for i := 0; rep.Type == Array && i < len(rep.Array); i++ {
+					if !bytes.Equal(win.args[i], rep.Array[i].Bulk) {
+						t.Fatalf("element %d = %q, ReadReply %q\n%q", i, win.args[i], rep.Array[i].Bulk, in)
+					}
+				}
+				if winSrc.Len()+winR.Buffered() != repSrc.Len()+repR.Buffered() {
+					t.Fatalf("the decoders consumed different bytes\n%q", in)
+				}
+			}
+		}
+	})
+}
+
 // FuzzReplayAOF replays a log of a valid header plus arbitrary bytes.
 // Replay must never panic and must match refReplayAOF, which applies
 // every record: the same record count, end offset and error, and the

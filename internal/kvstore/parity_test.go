@@ -53,11 +53,8 @@ func kvScript(kv storeClient) []string {
 	note("LLen", n, err)
 	n, err = kv.LLen("missing")
 	note("LLen missing", n, err)
-	els, err := kv.LRange("l", 1, -2)
-	note("LRange", els, err)
-	els, err = kv.LRange("missing", 0, -1)
-	note("LRange missing", els, err)
 	note("LRangeChunked", nil, kv.LRangeChunked("l", 2, window))
+	note("LRangeChunked missing", nil, kv.LRangeChunked("missing", 2, window))
 	note("LRangeChunked bad window", nil, kv.LRangeChunked("l", 0, window))
 	stop := errors.New("stop")
 	note("LRangeChunked stopped", nil, kv.LRangeChunked("l", 2, func([][]byte) error { return stop }))
@@ -69,8 +66,8 @@ func kvScript(kv storeClient) []string {
 	note("RPush on a string (WRONGTYPE)", n, err)
 	n, err = kv.LLen("s")
 	note("LLen on a string (WRONGTYPE)", n, err)
-	els, err = kv.LRange("s", 0, -1)
-	note("LRange on a string (WRONGTYPE)", els, err)
+	n, err = kv.LRangeFrom("s", 0, 2, window)
+	note("LRangeFrom on a string (WRONGTYPE)", n, err)
 	note("Ping", nil, kv.Ping())
 
 	_, err = kv.Pipe(0)

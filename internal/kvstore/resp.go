@@ -13,12 +13,13 @@
 //
 // # Memory management on the wire
 //
-// There is one decoder per direction. Replies (ReadReply) decode into
-// fresh memory the caller owns forever: every client read retains its
-// payload. Commands (ReadCommandInto with a CommandBuffer) parse into
-// caller-provided storage that is recycled on the next call — the
-// server's per-connection hot path and AOF replay use it, so
-// steady-state request handling does not allocate.
+// Replies (ReadReply) decode into fresh memory the caller owns
+// forever, except a scan's LRANGE windows (LRangeFrom), whose bulk
+// strings land in a CommandBuffer the client reuses: a window is valid
+// until the scan's callback returns. Commands (ReadCommandInto with a
+// CommandBuffer) parse into caller-provided storage that is recycled on
+// the next call — the server's per-connection hot path and AOF replay
+// use it, so steady-state request handling does not allocate.
 // Anything that retains command bytes past one request (the engine's
 // SET, RPUSH, …) must copy at that boundary; see engine.go.
 package kvstore
@@ -282,7 +283,7 @@ func readReply(r *bufio.Reader, dst *Reply) error {
 			*dst = Reply{Type: NullBulk}
 			return nil
 		}
-		buf, err := readFullN(r, n+2)
+		buf, err := appendFullN(r, nil, n+2)
 		if err != nil {
 			return err
 		}
@@ -339,7 +340,7 @@ func arrayCap(r *bufio.Reader, n int) int {
 // CommandBuffer is the reusable arena ReadCommandInto parses into: one
 // flat payload buffer plus recycled argument-slice headers. A server
 // connection owns one for its whole lifetime, so steady-state command
-// parsing does not allocate.
+// parsing does not allocate; a client reads LRANGE windows into one.
 type CommandBuffer struct {
 	data  []byte
 	spans []int // flattened (start, end) offset pairs into data
@@ -388,64 +389,8 @@ func readCommand(r *bufio.Reader, cb *CommandBuffer, maxBulk int, skim func(cmdI
 	if null || n == 0 {
 		return "", nil, false, fmt.Errorf("%w: command must be a nonempty array", ErrProtocol)
 	}
-	cb.data = cb.data[:0]
-	cb.spans = cb.spans[:0]
-	for i := 0; i < n; i++ {
-		if skim != nil && i == 2 {
-			skimmed = skim(lookupCmd(cb.element(0)), cb.element(1))
-		}
-		line, err := readLine(r)
-		if err != nil {
-			return "", nil, false, err
-		}
-		if len(line) == 0 || line[0] != '$' {
-			return "", nil, false, fmt.Errorf("%w: command element %d not a bulk string", ErrProtocol, i)
-		}
-		m, null, err := parseLen(line, maxBulk, "bulk")
-		if err != nil {
-			return "", nil, false, err
-		}
-		if null {
-			return "", nil, false, fmt.Errorf("%w: command element %d not a bulk string", ErrProtocol, i)
-		}
-		if skimmed {
-			if _, err := r.Discard(m); err != nil {
-				return "", nil, false, err
-			}
-			crlf, err := r.Peek(2)
-			if err != nil {
-				return "", nil, false, err
-			}
-			if crlf[0] != '\r' || crlf[1] != '\n' {
-				return "", nil, false, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
-			}
-			r.Discard(2) // peeked, so it cannot fail
-			continue
-		}
-		start := len(cb.data)
-		cb.data, err = appendFullN(r, cb.data, m+2)
-		if err != nil {
-			return "", nil, false, err
-		}
-		if cb.data[start+m] != '\r' || cb.data[start+m+1] != '\n' {
-			return "", nil, false, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
-		}
-		cb.data = cb.data[:start+m] // drop the CRLF from the arena
-		cb.spans = append(cb.spans, start, start+m)
-	}
-	if skimmed {
-		return "", nil, true, nil
-	}
-	// Materialize the argument slices only now: arena growth during
-	// parsing may have moved the buffer, so spans must resolve against
-	// the final backing array for every argument to alias live memory.
-	if cap(cb.args) >= n {
-		cb.args = cb.args[:n]
-	} else {
-		cb.args = make([][]byte, n)
-	}
-	for i := 0; i < n; i++ {
-		cb.args[i] = cb.data[cb.spans[2*i]:cb.spans[2*i+1]:cb.spans[2*i+1]]
+	if skimmed, err = cb.readBulks(r, n, maxBulk, skim); err != nil || skimmed {
+		return "", nil, skimmed, err
 	}
 	// The canonical spelling returns the table's interned name; any
 	// other spelling (or an unknown command) keeps the bytes the client
@@ -458,24 +403,100 @@ func readCommand(r *bufio.Reader, cb *CommandBuffer, maxBulk int, skim func(cmdI
 	return name, cb.args[1:], false, nil
 }
 
+// readBulks reads n bulk strings into cb's arena and points cb.args at
+// them. Once skim, if set, reports true for elements 0 and 1, the
+// elements from the third on are checked as every element is but never
+// copied, and skimmed is true with cb.args unset.
+func (cb *CommandBuffer) readBulks(r *bufio.Reader, n, maxBulk int, skim func(cmdID, []byte) bool) (skimmed bool, err error) {
+	cb.data = cb.data[:0]
+	cb.spans = cb.spans[:0]
+	for i := 0; i < n; i++ {
+		if skim != nil && i == 2 {
+			skimmed = skim(lookupCmd(cb.element(0)), cb.element(1))
+		}
+		line, err := readLine(r)
+		if err != nil {
+			return false, err
+		}
+		if len(line) == 0 || line[0] != '$' {
+			return false, fmt.Errorf("%w: element %d not a bulk string", ErrProtocol, i)
+		}
+		m, null, err := parseLen(line, maxBulk, "bulk")
+		if err != nil {
+			return false, err
+		}
+		if null {
+			return false, fmt.Errorf("%w: element %d not a bulk string", ErrProtocol, i)
+		}
+		if skimmed {
+			if _, err := r.Discard(m); err != nil {
+				return false, err
+			}
+			crlf, err := r.Peek(2)
+			if err != nil {
+				return false, err
+			}
+			if crlf[0] != '\r' || crlf[1] != '\n' {
+				return false, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
+			}
+			r.Discard(2) // peeked, so it cannot fail
+			continue
+		}
+		start := len(cb.data)
+		cb.data, err = appendFullN(r, cb.data, m+2)
+		if err != nil {
+			return false, err
+		}
+		if cb.data[start+m] != '\r' || cb.data[start+m+1] != '\n' {
+			return false, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
+		}
+		cb.data = cb.data[:start+m] // drop the CRLF from the arena
+		cb.spans = append(cb.spans, start, start+m)
+	}
+	if skimmed {
+		return true, nil
+	}
+	// Materialize the argument slices only now: arena growth during
+	// parsing may have moved the buffer, so spans must resolve against
+	// the final backing array for every argument to alias live memory.
+	if cap(cb.args) >= n {
+		cb.args = cb.args[:n]
+	} else {
+		cb.args = make([][]byte, n)
+	}
+	for i := 0; i < n; i++ {
+		cb.args[i] = cb.data[cb.spans[2*i]:cb.spans[2*i+1]:cb.spans[2*i+1]]
+	}
+	return false, nil
+}
+
+// readWindow decodes an LRANGE reply into w, overwriting its previous
+// window: an array of bulk strings lands in w's arena and w.args, with
+// no Reply per element, and the Reply returned is an empty Array (a
+// null array is an empty window). An error line returns as an
+// ErrorReply, so a MOVED redirect reads as it does through ReadReply.
+// Any other reply is a protocol error.
+func readWindow(r *bufio.Reader, w *CommandBuffer) (Reply, error) {
+	line, err := readLine(r)
+	if err != nil {
+		return Reply{}, err
+	}
+	if len(line) > 0 && line[0] == '-' {
+		return Reply{Type: ErrorReply, Str: string(line[1:])}, nil
+	}
+	if len(line) == 0 || line[0] != '*' {
+		return Reply{}, fmt.Errorf("%w: LRANGE reply %q is not an array", ErrProtocol, line)
+	}
+	n, _, err := parseLen(line, MaxArrayLen, "array")
+	if err == nil {
+		_, err = w.readBulks(r, n, MaxBulkLen, nil)
+	}
+	return Reply{Type: Array}, err
+}
+
 // element is command element i, read into the arena.
 func (cb *CommandBuffer) element(i int) []byte {
 	return cb.data[cb.spans[2*i]:cb.spans[2*i+1]]
-}
-
-// readFullN reads exactly n bytes into fresh memory, growing in
-// bounded chunks so a hostile length header cannot force a huge
-// allocation before the stream runs dry.
-func readFullN(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 20
-	if n > chunk {
-		return appendFullN(r, nil, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // appendFullN appends exactly n bytes from r onto buf, growing the

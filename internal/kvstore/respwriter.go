@@ -167,7 +167,11 @@ func (w *respWriter) flush() (int64, error) {
 			w.bufs = append(w.bufs, w.arena[s.start:s.end])
 		}
 	}
+	// WriteTo consumes its receiver down to an empty slice with no
+	// capacity; restore the header so the next flush reuses the array.
+	bufs := w.bufs
 	n, err := w.bufs.WriteTo(w.dst)
+	w.bufs = bufs
 	w.reset()
 	return n, err
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 )
 
@@ -138,6 +139,27 @@ func TestRESPWriterFlushEmpty(t *testing.T) {
 	n, err := rw.flush()
 	if err != nil || n != 0 || buf.Len() != 0 {
 		t.Errorf("empty flush = (%d, %v), wrote %d bytes", n, err, buf.Len())
+	}
+}
+
+// TestRESPWriterFlushReusesBuffers: net.Buffers.WriteTo consumes its
+// receiver, so a flush that handed it the writer's own scratch would
+// regrow that scratch every time. A flush with a referenced payload
+// allocates nothing once the first has sized the writer.
+func TestRESPWriterFlushReusesBuffers(t *testing.T) {
+	rw := newRESPWriter(io.Discard)
+	large := bytes.Repeat([]byte("x"), respZeroCopyMin)
+	flush := func() {
+		rw.writeReply(Reply{Type: SimpleString, Str: "OK"})
+		rw.writeBulk(large)
+		rw.writeReply(Reply{Type: Integer, Int: 7})
+		if _, err := rw.flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush()
+	if allocs := testing.AllocsPerRun(100, flush); allocs != 0 {
+		t.Errorf("a flush with a referenced payload allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -64,8 +64,14 @@ func TestServerListsAndCounters(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("LLEN = %d, %v", n, err)
 	}
-	els, err := c.LRange("list", 0, -1)
-	if err != nil || len(els) != 3 || string(els[1]) != "b" {
+	var els []string
+	err = c.LRangeChunked("list", 2, func(batch [][]byte) error {
+		for _, el := range batch {
+			els = append(els, string(el))
+		}
+		return nil
+	})
+	if err != nil || len(els) != 3 || els[1] != "b" {
 		t.Fatalf("LRANGE = %q, %v", els, err)
 	}
 	v, err := c.Incr("counter")
@@ -333,8 +339,9 @@ func BenchmarkServerUnpipelinedSet(b *testing.B) {
 }
 
 // BenchmarkServerLRange reads one whole list of 10,000 256-byte values
-// per op over a live connection: the server frames the stored values
-// as they are, and the client allocates what it reads.
+// per op over a live connection, in one LRangeChunked window larger
+// than the list: the server frames the stored values as they are, and
+// the client reads them into the window buffer it reuses.
 func BenchmarkServerLRange(b *testing.B) {
 	srv := NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -359,9 +366,13 @@ func BenchmarkServerLRange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := c.LRange("l", 0, -1)
-		if err != nil || len(got) != n {
-			b.Fatalf("LRANGE: %d values, %v", len(got), err)
+		got := 0
+		err := c.LRangeChunked("l", n+1, func(batch [][]byte) error {
+			got += len(batch)
+			return nil
+		})
+		if err != nil || got != n {
+			b.Fatalf("LRANGE: %d values, %v", got, err)
 		}
 	}
 }

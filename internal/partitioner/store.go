@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -245,23 +244,35 @@ func batchEnd(records [][]byte, lo int) int {
 func (k *KVStore) WriteGroup(id int) int { return id % len(k.clients) }
 
 // ReadPartition implements Store: bounded LRANGE windows stream the
-// list without materializing one giant reply.
+// list without materializing one giant reply. The result is sized once
+// from LLEN, and each window, valid only until its callback returns, is
+// copied into one arena of its exact size.
 func (k *KVStore) ReadPartition(id int) ([][]byte, error) {
 	c, err := k.clientFor(id)
 	if err != nil {
 		return nil, err
 	}
-	// Collect the windows, then copy them once into a slice of the
-	// partition's final length.
-	var wins [][][]byte
+	n, err := c.LLen(k.key(id))
+	if err != nil {
+		return nil, fmt.Errorf("partitioner: reading partition %d: %w", id, err)
+	}
+	recs := make([][]byte, 0, n)
 	err = c.LRangeChunked(k.key(id), readWindow, func(batch [][]byte) error {
-		wins = append(wins, batch)
+		size := 0
+		for _, rec := range batch {
+			size += len(rec)
+		}
+		arena := make([]byte, 0, size)
+		for _, rec := range batch {
+			arena = append(arena, rec...)
+			recs = append(recs, arena[len(arena)-len(rec):len(arena):len(arena)])
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("partitioner: reading partition %d: %w", id, err)
 	}
-	return slices.Concat(wins...), nil
+	return recs, nil
 }
 
 // WriteGrouper is implemented by stores whose WritePartition calls may

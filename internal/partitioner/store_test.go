@@ -2,6 +2,7 @@ package partitioner
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,7 +75,8 @@ func TestMemoryStoreMissingPartition(t *testing.T) {
 // keepsNoCallerBytes holds st to the Store contract: it writes recs as
 // partition 0, overwrites every byte of the caller's buffers once
 // WritePartition has returned, and checks that the partition reads
-// back as written. It returns what was written.
+// back as written, and still reads so once partition 1, its records in
+// reverse order, has been written and read. It returns what was written.
 func keepsNoCallerBytes(t *testing.T, st Store, recs [][]byte) [][]byte {
 	t.Helper()
 	want := make([][]byte, len(recs))
@@ -91,6 +93,14 @@ func keepsNoCallerBytes(t *testing.T, st Store, recs [][]byte) [][]byte {
 	}
 	got, err := st.ReadPartition(0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	other := slices.Clone(want)
+	slices.Reverse(other)
+	if err := st.WritePartition(1, other); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ReadPartition(1); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {

@@ -11,6 +11,7 @@
 package replan
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -39,9 +40,10 @@ func NewDynamicCorpus(base pivots.Corpus) (*DynamicCorpus, error) {
 }
 
 // Append adds raw, one length-prefixed wire record of the corpus kind,
-// and returns its index and its pivot set. The corpus owns raw
-// afterwards: AppendRecord serves it verbatim, so migrated partitions
-// carry the producer's exact bytes.
+// and returns its index and its pivot set. The corpus keeps its own
+// copy of raw, which AppendRecord serves verbatim, so migrated
+// partitions carry the producer's exact bytes; raw may be reused once
+// Append returns.
 func (c *DynamicCorpus) Append(raw []byte) (int, []sketch.Item, error) {
 	items, weight, err := decodeRecord(c.Kind(), raw)
 	if err != nil {
@@ -50,7 +52,7 @@ func (c *DynamicCorpus) Append(raw []byte) (int, []sketch.Item, error) {
 	if len(items) == 0 {
 		return 0, nil, errors.New("replan: record with empty pivot set")
 	}
-	c.raws = append(c.raws, raw)
+	c.raws = append(c.raws, bytes.Clone(raw))
 	c.weights = append(c.weights, weight)
 	return c.base.Len() + len(c.raws) - 1, items, nil
 }

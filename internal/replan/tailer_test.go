@@ -1,6 +1,7 @@
 package replan
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -69,11 +70,30 @@ func TestTailerFeedsLoopFromKVStream(t *testing.T) {
 		t.Fatalf("pending = %d, want %d", l.Pending(), want)
 	}
 
-	// Ingested records carry the producer's exact wire bytes.
-	for i := split; i < full.Len(); i++ {
-		got := l.corpus.AppendRecord(nil, i)
-		if string(got) != string(full.AppendRecord(nil, i)) {
-			t.Fatalf("record %d bytes differ from wire form", i)
+	// Ingested records carry the producer's exact wire bytes, and keep
+	// them once a later scan on the client has read other bytes into
+	// the window buffer the poll borrowed and overwritten its batches.
+	junk := make([][]byte, want)
+	for i := range junk {
+		junk[i] = bytes.Repeat([]byte{0xff}, len(full.AppendRecord(nil, split+i)))
+	}
+	if _, err := client.RPush("replan:junk", junk...); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := split; i < full.Len(); i++ {
+			got := l.corpus.AppendRecord(nil, i)
+			if string(got) != string(full.AppendRecord(nil, i)) {
+				t.Fatalf("pass %d: record %d bytes differ from wire form", pass, i)
+			}
+		}
+		if err := client.LRangeChunked("replan:junk", 7, func(batch [][]byte) error {
+			for _, el := range batch {
+				clear(el)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 
