@@ -461,3 +461,30 @@ func realMain(args []string) int {
 		t.Errorf("drift:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// docCaps holds the two history-heavy documents to a size in bytes. A
+// document may not grow past its cap, and one more than docCapSlack
+// under it fails too, so a change that shrinks a document must lower
+// the cap with it and later changes cannot spend the room it made.
+var docCaps = map[string]int64{
+	"DESIGN.md":      98469,
+	"EXPERIMENTS.md": 267292,
+}
+
+const docCapSlack = 2 << 10
+
+// TestDocSizeRatchet enforces docCaps.
+func TestDocSizeRatchet(t *testing.T) {
+	for name, limit := range docCaps {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch size := fi.Size(); {
+		case size > limit:
+			t.Errorf("%s is %d bytes, over its cap of %d in docCaps", name, size, limit)
+		case size < limit-docCapSlack:
+			t.Errorf("%s is %d bytes, more than %d under its cap of %d: lower its docCaps entry to %d", name, size, docCapSlack, limit, size)
+		}
+	}
+}

@@ -29,7 +29,7 @@
 // starts, and every key of the run carries it: the per-shard sketch
 // lists and completion markers, the assignment, the abort key and the
 // barrier's name. Nothing an earlier run or a straggler from one left
-// on the store can satisfy a wait, abort a barrier or be gathered as
+// on the store can satisfy a wait, abort the run or be gathered as
 // data. When the run ends — success or failure, after the workers have
 // joined — the coordinator deletes the run's keys, the barrier's
 // included; only the run counter stays.
@@ -47,19 +47,18 @@
 //   - Each worker writes a per-shard completion marker after shipping
 //     its sketches, and re-ships the whole shard (DEL + re-push, which
 //     is idempotent as a unit) when a pipeline fails mid-flight.
-//   - The coordinator bounds its wait at the sketch barrier
-//     (30 s by default). Past the bound it aborts the barrier —
-//     releasing live workers immediately instead of letting them burn
-//     their timeouts — reads the completion markers, and re-sketches
-//     the missing shards locally. Sketching is a pure function of
-//     (corpus, hasher), so recovery is bit-identical to what the dead
-//     worker would have produced, and a run with up to f dead workers
-//     still returns the exact in-process stratification.
-//   - Workers treat the sketch barrier as advisory: released by abort,
-//     timeout, or even a failed fetch-and-increment, they fall through
-//     to polling for the published assignment, which is the
-//     authoritative phase-two signal. A run-level abort key stops
-//     pollers promptly when the coordinator fails terminally.
+//   - Only the coordinator waits at the sketch barrier, and boundedly
+//     (30 s by default). Past the bound it reads the completion
+//     markers and re-sketches the missing shards locally. Sketching is
+//     a pure function of (corpus, hasher), so recovery is bit-identical
+//     to what the dead worker would have produced, and a run with up
+//     to f dead workers still returns the exact in-process
+//     stratification.
+//   - Workers arrive at the sketch barrier without waiting there — a
+//     failed fetch-and-increment costs only the coordinator's bounded
+//     wait — and wait once, polling for the published assignment. The
+//     run's abort key stops that poll promptly when the coordinator
+//     fails terminally.
 package distrib
 
 import (
@@ -96,19 +95,19 @@ type Options struct {
 
 	// Telemetry, when non-nil, records protocol metrics: shipped
 	// payload bytes, whole-shard ship retries, recovery events, barrier
-	// aborts, and barrier wait time. nil disables instrumentation.
+	// timeouts, and barrier wait time. nil disables instrumentation.
 	Telemetry *telemetry.Registry
 
 	// The waits below run at their defaults in every program; only
 	// this package's fault and repeated-run tests shorten them.
 	//
 	// sketchWait bounds the coordinator's wait for workers at the
-	// sketch barrier; past it the coordinator aborts the barrier and
-	// recovers missing shards locally (0 = 30s). Workers wait up to
-	// 2×sketchWait so the coordinator's recovery fires first.
+	// sketch barrier; past it the coordinator recovers missing shards
+	// locally (0 = 30s).
 	sketchWait time.Duration
 	// assignWait bounds each worker's poll for the published
-	// assignment (0 = 30s).
+	// assignment beyond sketchWait, so a coordinator that recovers a
+	// dead worker's shard still publishes inside the poll (0 = 30s).
 	assignWait time.Duration
 	// pollInterval is the initial store poll interval for barrier and
 	// assignment waits; polls back off exponentially (0 = 1ms).
@@ -142,7 +141,7 @@ type distribMetrics struct {
 	shipRetries *telemetry.Counter
 	recShards   *telemetry.Counter
 	recRecords  *telemetry.Counter
-	aborts      *telemetry.Counter
+	timeouts    *telemetry.Counter
 	barrierWait *telemetry.Histogram
 }
 
@@ -152,7 +151,7 @@ func newDistribMetrics(reg *telemetry.Registry) distribMetrics {
 		shipRetries: reg.Counter("distrib_ship_retries_total"),
 		recShards:   reg.Counter("distrib_recovered_shards_total"),
 		recRecords:  reg.Counter("distrib_recovered_records_total"),
-		aborts:      reg.Counter("distrib_barrier_aborts_total"),
+		timeouts:    reg.Counter("distrib_barrier_timeouts_total"),
 		barrierWait: reg.Histogram("distrib_barrier_wait_ns", telemetry.LatencyBuckets()),
 	}
 }
@@ -193,9 +192,9 @@ func (o *Options) barrierName() string    { return o.prefix + ":sketched" }
 // Report describes how a distributed run actually went — which fault
 // paths fired. A non-nil Report accompanies both success and failure.
 type Report struct {
-	// Aborted reports that the coordinator aborted the sketch barrier
-	// to engage recovery.
-	Aborted bool
+	// TimedOut reports that the coordinator's wait at the sketch
+	// barrier ran out and engaged recovery.
+	TimedOut bool
 	// RecoveredShards lists shards the coordinator re-sketched locally
 	// because their completion marker was missing at the bounded wait.
 	RecoveredShards []int
@@ -305,7 +304,7 @@ func decodeAssignment(buf []byte, n, k int) ([]int, error) {
 
 // StratifyDetailed runs the §IV distributed stratification and reports
 // which fault-recovery paths fired (shard recoveries, worker failures,
-// barrier aborts). workers[i] is the store connection worker i uses
+// barrier timeouts). workers[i] is the store connection worker i uses
 // (they may point at the same server or different ones — every key
 // this package writes lives on the master's server, reachable through
 // any client handed in). master is the coordinator's own connection.
@@ -398,11 +397,11 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 // runCoordinator waits (boundedly) for the workers' sketches, gathers
 // them, recovers what is missing locally, stratifies them centrally
 // (strata.StratifySketches), and publishes the assignment; it returns
-// the stratification it published. On a terminal error it aborts both
-// the barrier and the run so every blocked or polling worker is
-// released promptly. The stratification's stats profile the sketch
-// phase (barrier wait + gather + recovery) and the centralized
-// clustering; the workers' ship time is the caller's to add.
+// the stratification it published. On a terminal error it aborts the
+// run so every polling worker is released promptly. The
+// stratification's stats profile the sketch phase (barrier wait +
+// gather + recovery) and the centralized clustering; the workers' ship
+// time is the caller's to add.
 func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus, hasher *sketch.Hasher, n, w int, o Options, dm distribMetrics, report *Report) (_ *strata.Stratification, err error) {
 	b.Timeout = o.sketchWait
 	b.PollInterval = o.pollInterval
@@ -410,7 +409,6 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 	defer func() {
 		if err != nil {
 			_ = master.Set(o.abortKey(), []byte("coordinator: "+err.Error()))
-			_ = b.Abort("coordinator failed: " + err.Error())
 		}
 	}()
 	phaseStart := time.Now()
@@ -419,12 +417,9 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 	dm.barrierWait.Observe(time.Since(phaseStart).Nanoseconds())
 	if berr != nil {
 		// Bounded wait expired (or the barrier itself misbehaved):
-		// release live workers now and take over the missing shards.
-		report.Aborted = true
-		dm.aborts.Inc()
-		if aerr := b.Abort("coordinator recovering missing shards"); aerr != nil {
-			return nil, fmt.Errorf("distrib: aborting sketch barrier: %w (after %v)", aerr, berr)
-		}
+		// take over the missing shards.
+		report.TimedOut = true
+		dm.timeouts.Inc()
 		for i := 0; i < w; i++ {
 			if _, gerr := master.Get(o.doneKey(i)); gerr != nil {
 				if errors.Is(gerr, kvstore.ErrNil) {
@@ -508,7 +503,7 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 }
 
 // runWorker executes one worker's phases: sketch shard → ship (with
-// whole-shard retry) → completion marker → barrier (advisory) → poll
+// whole-shard retry) → completion marker → arrive at the barrier → poll
 // assignment. It returns its shard's slice of the published assignment
 // and the time it spent sketching and shipping.
 func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, parties int, o Options, dm distribMetrics) ([]int, time.Duration, error) {
@@ -534,14 +529,11 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 		_ = c.Set(o.doneKey(i), []byte(strconv.Itoa(hi-lo)))
 	}
 
-	// The sketch barrier is advisory for workers: aborts (coordinator
-	// recovering), timeouts, and even a failed fetch-and-increment all
-	// fall through to the authoritative signal — the published
-	// assignment appearing under the run's key.
+	// Only the coordinator waits at the sketch barrier; a worker's
+	// signal is the assignment appearing under the run's key. A failed
+	// fetch-and-increment costs the coordinator its bounded wait.
 	if b, err := kvstore.NewBarrier(c, o.barrierName(), parties); err == nil {
-		b.Timeout = 2 * o.sketchWait
-		b.PollInterval = o.pollInterval
-		_ = b.Await()
+		_ = b.Arrive()
 	}
 
 	raw, pollErr := pollAssignment(c, o)
@@ -640,10 +632,11 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 const pollBackoffCap = 8
 
 // pollAssignment waits for the coordinator's published assignment with
-// exponential backoff, bounded by Options.assignWait, bailing out
+// exponential backoff, bounded by sketchWait + assignWait, bailing out
 // promptly if the run's abort key appears.
 func pollAssignment(c kvstore.KV, o Options) ([]byte, error) {
-	deadline := time.Now().Add(o.assignWait)
+	wait := o.sketchWait + o.assignWait
+	deadline := time.Now().Add(wait)
 	poll := o.pollInterval
 	maxPoll := pollBackoffCap * o.pollInterval
 	var lastErr error
@@ -660,9 +653,9 @@ func pollAssignment(c kvstore.KV, o Options) ([]byte, error) {
 		}
 		if time.Now().After(deadline) {
 			if lastErr != nil {
-				return nil, fmt.Errorf("distrib: assignment wait timed out after %v: %w", o.assignWait, lastErr)
+				return nil, fmt.Errorf("distrib: assignment wait timed out after %v: %w", wait, lastErr)
 			}
-			return nil, fmt.Errorf("distrib: assignment wait timed out after %v", o.assignWait)
+			return nil, fmt.Errorf("distrib: assignment wait timed out after %v", wait)
 		}
 		time.Sleep(poll)
 		poll *= 2

@@ -124,7 +124,7 @@ func TestRecoveryFromDeadWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StratifyDetailed with dead worker: %v", err)
 	}
-	if !report.Aborted {
+	if !report.TimedOut {
 		t.Error("coordinator never aborted the sketch barrier")
 	}
 	found := false
@@ -197,7 +197,7 @@ func TestCleanRunReportsNoRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Aborted || len(report.RecoveredShards) != 0 || report.RecoveredRecords != 0 {
+	if report.TimedOut || len(report.RecoveredShards) != 0 || report.RecoveredRecords != 0 {
 		t.Errorf("clean run engaged recovery: %+v", report)
 	}
 	if errors.Join(report.WorkerErrs...) != nil {

@@ -47,7 +47,7 @@ func repeatRuns[C kvstore.KV](t *testing.T, master C, workers []C, addrs []strin
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		if report.Aborted || len(report.RecoveredShards) != 0 || report.RecoveredRecords != 0 {
+		if report.TimedOut || len(report.RecoveredShards) != 0 || report.RecoveredRecords != 0 {
 			t.Fatalf("run %d engaged recovery: %+v", run, report)
 		}
 		if err := errors.Join(report.WorkerErrs...); err != nil {
@@ -137,7 +137,7 @@ func TestCleanRunAfterAbortedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Aborted || len(report.RecoveredShards) == 0 {
+	if !report.TimedOut || len(report.RecoveredShards) == 0 {
 		t.Fatalf("dead worker did not engage recovery: %+v", report)
 	}
 	assertBitIdentical(t, dist, central)
@@ -147,7 +147,7 @@ func TestCleanRunAfterAbortedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Aborted || len(report.RecoveredShards) != 0 || report.RecoveredRecords != 0 || errors.Join(report.WorkerErrs...) != nil {
+	if report.TimedOut || len(report.RecoveredShards) != 0 || report.RecoveredRecords != 0 || errors.Join(report.WorkerErrs...) != nil {
 		t.Fatalf("run after an aborted run is not clean: %+v", report)
 	}
 	assertBitIdentical(t, dist, central)
@@ -217,7 +217,7 @@ func TestMalformedBlockFailsTheGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Aborted || report.RecoveredRecords != 0 || errors.Join(report.WorkerErrs...) != nil {
+	if report.TimedOut || report.RecoveredRecords != 0 || errors.Join(report.WorkerErrs...) != nil {
 		t.Fatalf("run after failed runs is not clean: %+v", report)
 	}
 	assertBitIdentical(t, dist, centralReference(t, corpus))

@@ -42,7 +42,7 @@ func TestDistributedStatsAndTelemetry(t *testing.T) {
 	if got := snap.Counters["distrib_ship_bytes_total"]; got != wantBytes {
 		t.Errorf("ship bytes = %d, want %d", got, wantBytes)
 	}
-	if got := snap.Counters["distrib_barrier_aborts_total"]; got != 0 {
+	if got := snap.Counters["distrib_barrier_timeouts_total"]; got != 0 {
 		t.Errorf("aborts = %d on a clean run", got)
 	}
 	if got := snap.Histograms["distrib_barrier_wait_ns"].Count; got != 1 {

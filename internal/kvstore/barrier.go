@@ -13,22 +13,18 @@ import (
 // final data partitioning) with barrier waits across all workers.
 //
 // Each Await round increments a generation-scoped counter and polls
-// until all parties have arrived. Reusing the Barrier value advances
-// the generation automatically, so one Barrier synchronizes any number
-// of consecutive phases.
-//
-// A barrier can be aborted: any party writing the abort key
-// (__barrier:<name>:abort) releases every waiter promptly with
-// ErrBarrierAborted instead of letting them burn through their full
-// timeout — the escape hatch a coordinator uses when it detects dead
-// workers and takes over their shards.
+// until all parties have arrived, or its Timeout passes: nothing else
+// releases a waiter. A party that need not wait for the others calls
+// Arrive instead. Reusing the Barrier value advances the generation
+// automatically, so one Barrier synchronizes any number of consecutive
+// phases.
 //
 // The barrier's state is its keys on the store, not the Barrier value:
 // a new Barrier starts at generation 0 whatever the store holds. A
 // name reused on a live store without Clear therefore starts released
-// (the old counters already read parties, so Await returns at once),
-// and an abort outlives the value that wrote it. Give each protocol
-// run its own name, or Clear after every party has left.
+// (the old counters already read parties, so Await returns at once).
+// Give each protocol run its own name, or Clear after every party has
+// left.
 type Barrier struct {
 	client  KV
 	name    string
@@ -70,68 +66,34 @@ func NewBarrier(client KV, name string, parties int) (*Barrier, error) {
 // ErrBarrierTimeout reports that not all parties arrived in time.
 var ErrBarrierTimeout = errors.New("kvstore: barrier timeout")
 
-// ErrBarrierAborted reports that a party aborted the barrier,
-// releasing all waiters.
-var ErrBarrierAborted = errors.New("kvstore: barrier aborted")
-
-func (b *Barrier) abortKey() string {
-	return "__barrier:" + b.name + ":abort"
-}
-
 func (b *Barrier) genKey(gen int) string {
 	return "__barrier:" + b.name + ":" + strconv.Itoa(gen)
 }
 
-// Clear deletes the barrier's keys: the counters of every generation
-// this value has entered, and the abort key. Call it from one party
-// once all parties are past their last Await or Arrive — a party that
-// arrives afterwards recreates its counter and waits alone.
+// Clear deletes the counters of every generation this value has
+// entered. Call it from one party once all parties are past their last
+// Await or Arrive — a party that arrives afterwards recreates its
+// counter and waits alone.
 func (b *Barrier) Clear() error {
-	keys := make([]string, 0, b.gen+1)
-	for g := 0; g < b.gen; g++ {
-		keys = append(keys, b.genKey(g))
+	if b.gen == 0 {
+		return nil
 	}
-	if _, err := b.client.Del(append(keys, b.abortKey())...); err != nil {
+	keys := make([]string, b.gen)
+	for g := range keys {
+		keys[g] = b.genKey(g)
+	}
+	if _, err := b.client.Del(keys...); err != nil {
 		return fmt.Errorf("kvstore: barrier clear: %w", err)
 	}
 	return nil
 }
 
-// Abort marks the barrier aborted with a reason: every current and
-// future Await on this name returns ErrBarrierAborted promptly. The
-// abort is sticky across generations and across Barrier values, until
-// Clear — an aborted protocol round must not be resumed through the
-// same name.
-func (b *Barrier) Abort(reason string) error {
-	if reason == "" {
-		reason = "aborted"
-	}
-	if err := b.client.Set(b.abortKey(), []byte(reason)); err != nil {
-		return fmt.Errorf("kvstore: barrier abort: %w", err)
-	}
-	return nil
-}
-
-// aborted checks the abort key; reason is empty when not aborted.
-func (b *Barrier) aborted() (string, error) {
-	raw, err := b.client.Get(b.abortKey())
-	if errors.Is(err, ErrNil) {
-		return "", nil
-	}
-	if err != nil {
-		return "", err
-	}
-	if len(raw) == 0 {
-		return "aborted", nil
-	}
-	return string(raw), nil
-}
-
 // Arrive registers this party at the current generation WITHOUT
-// waiting for the others, and advances to the next generation. A party
-// that must abandon the protocol after an error calls Arrive on its
-// remaining barriers so peers blocked in Await are released instead of
-// timing out.
+// waiting for the others, and advances to the next generation. It is
+// for a party that learns the phase is over some other way, and for
+// one that must abandon the protocol after an error: arriving on its
+// remaining barriers releases peers blocked in Await instead of
+// leaving them to time out.
 func (b *Barrier) Arrive() error {
 	key := b.genKey(b.gen)
 	b.gen++
@@ -142,8 +104,7 @@ func (b *Barrier) Arrive() error {
 }
 
 // Await registers this party's arrival at the current generation and
-// blocks until all parties arrive, the barrier is aborted, or the
-// timeout passes.
+// blocks until all parties arrive or the timeout passes.
 func (b *Barrier) Await() error {
 	key := b.genKey(b.gen)
 	b.gen++
@@ -187,11 +148,6 @@ func (b *Barrier) Await() error {
 			if cur >= int64(b.parties) {
 				return nil
 			}
-		}
-		if reason, aerr := b.aborted(); aerr != nil {
-			return fmt.Errorf("kvstore: barrier abort poll: %w", aerr)
-		} else if reason != "" {
-			return fmt.Errorf("%w: %s generation %d: %s", ErrBarrierAborted, b.name, b.gen-1, reason)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%w: %s generation %d", ErrBarrierTimeout, b.name, b.gen-1)

@@ -164,8 +164,8 @@ func TestBarrierArriveReleasesPeers(t *testing.T) {
 
 // TestBarrierStateLivesOnTheStore pins what the doc comment says: the
 // barrier's state is its keys, so a name reused without Clear starts
-// released and an abort outlives the value that wrote it; Clear removes
-// every key the value touched, after which the name waits again.
+// released; Clear removes every key the value touched, after which the
+// name waits again, and is a no-op on a value that touched none.
 func TestBarrierStateLivesOnTheStore(t *testing.T) {
 	addr, _ := startServer(t)
 	c1 := dialTest(t, addr)
@@ -179,6 +179,10 @@ func TestBarrierStateLivesOnTheStore(t *testing.T) {
 		return rep.Int
 	}
 	empty := dbsize()
+	unused, _ := NewBarrier(c1, "reused", 2)
+	if err := unused.Clear(); err != nil {
+		t.Fatalf("Clear before any generation: %v", err)
+	}
 	round := func() (*Barrier, error) {
 		b1, _ := NewBarrier(c1, "reused", 2)
 		b2, _ := NewBarrier(c2, "reused", 2)
@@ -214,24 +218,6 @@ func TestBarrierStateLivesOnTheStore(t *testing.T) {
 		t.Fatalf("cleared name: %v, want timeout", err)
 	}
 
-	// An abort outlives the value that wrote it, until Clear.
-	if err := alone.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	if err := alone.Abort("gone"); err != nil {
-		t.Fatal(err)
-	}
-	later, _ := NewBarrier(c2, "reused", 2)
-	later.Timeout = 50 * time.Millisecond
-	if err := later.Await(); !errors.Is(err, ErrBarrierAborted) {
-		t.Fatalf("abort did not outlive its Barrier: %v", err)
-	}
-	if err := later.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	if got := dbsize(); got != empty {
-		t.Fatalf("Clear after abort left %d keys", got-empty)
-	}
 	if _, err := round(); err != nil {
 		t.Fatalf("round after Clear: %v", err)
 	}

@@ -205,53 +205,6 @@ func TestDoPreservesPipelinedReplies(t *testing.T) {
 	}
 }
 
-// TestBarrierAbort: aborting a barrier releases a blocked waiter
-// promptly with ErrBarrierAborted, and the abort is sticky.
-func TestBarrierAbort(t *testing.T) {
-	srv := kvstore.NewServer(nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	dial := func() *kvstore.Client {
-		c, err := kvstore.Dial(addr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	waiter, aborter := dial(), dial()
-	bw, err := kvstore.NewBarrier(waiter, "ab", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw.Timeout = 10 * time.Second
-	ba, err := kvstore.NewBarrier(aborter, "ab", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- bw.Await() }()
-	time.Sleep(20 * time.Millisecond) // let the waiter block
-	if err := ba.Abort("node down"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if !errors.Is(err, kvstore.ErrBarrierAborted) {
-			t.Fatalf("Await after abort: got %v, want ErrBarrierAborted", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("abort did not release the waiter")
-	}
-	// Sticky: a later Await on the same name aborts immediately.
-	if err := bw.Await(); !errors.Is(err, kvstore.ErrBarrierAborted) {
-		t.Fatalf("second Await: got %v, want ErrBarrierAborted", err)
-	}
-}
-
 // TestSendArmsDeadline: a pipelined command larger than the 64 KiB
 // write buffer is written through by Send itself, so Send must arm the
 // per-operation deadline — otherwise the write runs under the previous

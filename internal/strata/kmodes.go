@@ -514,7 +514,7 @@ func (st *clusterState) assignRecords(w *worker, assign []int) {
 		if st.useMask {
 			best, bestDist = st.nearestMask(st.cells[i*st.width : (i+1)*st.width])
 		} else {
-			best, bestDist = st.nearestScan(st.sketches[i])
+			best, bestDist = nearestFlat(st.flat, st.k, st.width, st.l, st.sketches[i])
 		}
 		if old := assign[i]; old != best {
 			if old >= 0 {
@@ -554,21 +554,14 @@ func flattenCenters(flat []uint64, centers []Center, width, l int) {
 	}
 }
 
-// nearestScan finds the nearest center by scanning the flattened
-// matrix, abandoning a center as soon as its partial mismatch count d
-// can no longer beat bestDist (d only grows, and a tie keeps the
-// incumbent lower index).
-func (st *clusterState) nearestScan(s sketch.Sketch) (best, bestDist int) {
-	return nearestFlat(st.flat, st.k, st.width, st.l, s)
-}
-
 // nearestFlat scans a flattened [k×width×l] center matrix (see
 // flattenCenters) for the center nearest to s under attribute-mismatch
-// distance. Ties break toward the lowest center index: centers are
-// scanned ascending and only a strictly smaller distance displaces the
-// incumbent. Shared by the clustering hot path and the online
-// DriftTracker, which must assign ingested records exactly like the
-// stratifier would.
+// distance, abandoning a center as soon as its partial mismatch count
+// can no longer beat the incumbent's (it only grows). Ties break toward
+// the lowest center index: centers are scanned ascending and only a
+// strictly smaller distance displaces the incumbent. Shared by the
+// clustering hot path and the online DriftTracker, which must assign
+// ingested records exactly like the stratifier would.
 func nearestFlat(flat []uint64, k, width, l int, s sketch.Sketch) (best, bestDist int) {
 	stride := width * l
 	bestDist = width + 1
