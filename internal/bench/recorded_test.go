@@ -65,19 +65,16 @@ func unevenAssignment(n int) *partitioner.Assignment {
 }
 
 // fingerprint renders every deterministic output of one run as bits:
-// each cluster.Result field but the two wall clocks, the quality map in
+// each cluster.Result field, the quality map in
 // key order, and a profile cost.
 func fingerprint(res *cluster.Result, quality map[string]float64, profile float64) []string {
 	bits := func(x float64) string { return fmt.Sprintf("%#016x", math.Float64bits(x)) }
 	out := []string{
 		"makespan " + bits(res.Makespan),
 		"dirty " + bits(res.DirtyEnergy),
-		"total " + bits(res.TotalEnergy),
-		"green " + bits(res.GreenEnergy),
 	}
 	for i := range res.NodeTimes {
-		out = append(out, fmt.Sprintf("node %d time %s cost %s dirty %s green %s", i,
-			bits(res.NodeTimes[i]), bits(res.NodeCosts[i]), bits(res.NodeDirty[i]), bits(res.NodeGreen[i])))
+		out = append(out, fmt.Sprintf("node %d time %s dirty %s", i, bits(res.NodeTimes[i]), bits(res.NodeDirty[i])))
 	}
 	keys := make([]string, 0, len(quality))
 	for k := range quality {
@@ -105,11 +102,9 @@ var recordedBits = map[string][]string{
 	"text-mining": {
 		"makespan 0x3fa35a07b352a844",
 		"dirty 0x3ff3b18ba8516266",
-		"total 0x40332304ff43419e",
-		"green 0x4031e7ec44be2b78",
-		"node 0 time 0x3f971a6d698fe692 cost 0x40f6087000000000 dirty 0x3ff3b18ba8516266 green 0x4021648491ad7dd9",
-		"node 1 time 0x0000000000000000 cost 0x0000000000000000 dirty 0x0000000000000000 green 0x0000000000000000",
-		"node 2 time 0x3fa2dc7ef177a700 cost 0x40f1fcd000000000 dirty 0x0000000000000000 green 0x40226b53f7ced916",
+		"node 0 time 0x3f971a6d698fe692 dirty 0x3ff3b18ba8516266",
+		"node 1 time 0x0000000000000000 dirty 0x0000000000000000",
+		"node 2 time 0x3fa2dc7ef177a700 dirty 0x0000000000000000",
 		"candidates 0x4079000000000000",
 		"false-positives 0x4073900000000000",
 		"frequent 0x4055c00000000000",
@@ -118,11 +113,9 @@ var recordedBits = map[string][]string{
 	"tree-mining": {
 		"makespan 0x3fd2a8b08dd1e53b",
 		"dirty 0x403364ad1f88d43c",
-		"total 0x406761feef5ec80d",
-		"green 0x4064f5694b6dad85",
-		"node 0 time 0x3fd29f4d37c1376d cost 0x4131c27400000000 dirty 0x403364ad1f88d43c green 0x405b28a16ff1e236",
-		"node 1 time 0x0000000000000000 cost 0x0000000000000000 dirty 0x0000000000000000 green 0x0000000000000000",
-		"node 2 time 0x3fce39bcba301216 cost 0x411cd34800000000 dirty 0x0000000000000000 green 0x404d84624dd2f1aa",
+		"node 0 time 0x3fd29f4d37c1376d dirty 0x403364ad1f88d43c",
+		"node 1 time 0x0000000000000000 dirty 0x0000000000000000",
+		"node 2 time 0x3fce39bcba301216 dirty 0x0000000000000000",
 		"candidates 0x4090a80000000000",
 		"false-positives 0x4090480000000000",
 		"frequent 0x4038000000000000",
@@ -131,22 +124,18 @@ var recordedBits = map[string][]string{
 	"graph-compression": {
 		"makespan 0x3fa5c19c17225b75",
 		"dirty 0x40049db83b3ccacf",
-		"total 0x40399d4b9cb6848d",
-		"green 0x40370994954eeb33",
-		"node 0 time 0x3fa5c19c17225b75 cost 0x4104bf9800000000 dirty 0x40049db83b3ccacf green 0x40301eab1c79ed3f",
-		"node 1 time 0x0000000000000000 cost 0x0000000000000000 dirty 0x0000000000000000 green 0x0000000000000000",
-		"node 2 time 0x3f9c55a7d24180d4 cost 0x40eb05a000000000 dirty 0x0000000000000000 green 0x401baba5e353f7cf",
+		"node 0 time 0x3fa5c19c17225b75 dirty 0x40049db83b3ccacf",
+		"node 1 time 0x0000000000000000 dirty 0x0000000000000000",
+		"node 2 time 0x3f9c55a7d24180d4 dirty 0x0000000000000000",
 		"compression-ratio 0x4012b9e24df61bab",
 		"profile 0x4096c80000000000",
 	},
 	"lz77-compression": {
 		"makespan 0x3fa83af7ffc81372",
 		"dirty 0x40073a1fc659ce17",
-		"total 0x403978e7d566cf43",
-		"green 0x403691a3dc9b9580",
-		"node 0 time 0x3fa83af7ffc81372 cost 0x40eea1c800000000 dirty 0x40073a1fc659ce17 green 0x4031eb692704b6f3",
-		"node 1 time 0x0000000000000000 cost 0x0000000000000000 dirty 0x0000000000000000 green 0x0000000000000000",
-		"node 2 time 0x3f930b2de9d6813a cost 0x40cff80000000000 dirty 0x0000000000000000 green 0x401298ead65b7a33",
+		"node 0 time 0x3fa83af7ffc81372 dirty 0x40073a1fc659ce17",
+		"node 1 time 0x0000000000000000 dirty 0x0000000000000000",
+		"node 2 time 0x3f930b2de9d6813a dirty 0x0000000000000000",
 		"compression-ratio 0x3ff482439bad77c5",
 		"profile 0x4079600000000000",
 	},

@@ -197,7 +197,7 @@ type StealingResult struct {
 // finish, so ties go to the fastest node, which wins the race for the
 // queue in a real stealing runtime. Each node is busy from the start
 // until its last chunk ends, so Cluster.Account books the schedule.
-func stealingSchedule(cl *cluster.Cluster, chunkCosts []float64, offset float64) (*cluster.Result, error) {
+func stealingSchedule(cl *cluster.Cluster, chunkCosts []float64, offset float64) (*schedule, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, err
 	}
@@ -221,7 +221,27 @@ func stealingSchedule(cl *cluster.Cluster, chunkCosts []float64, offset float64)
 		finish[best] += cluster.ServiceTime(cl.Nodes[best].Speed, cl.CostRate, cost, 0)
 		costs[best] += cost
 	}
-	return cl.Account(offset, costs, finish), nil
+	return &schedule{Result: cl.Account(offset, finish), NodeCosts: costs}, nil
+}
+
+// schedule is a stealing schedule as the cluster booked it, with the
+// chunk cost each node took.
+type schedule struct {
+	*cluster.Result
+	NodeCosts []float64
+}
+
+// draw is the energy r's nodes drew on cl, total and green (the draw
+// less the dirty share, floored at zero), summed in node order.
+func draw(cl *cluster.Cluster, r *cluster.Result) (total, green float64, nodeGreen []float64) {
+	nodeGreen = make([]float64, len(cl.Nodes))
+	for i := range cl.Nodes {
+		watts := cl.Nodes[i].Power.Watts()
+		total += watts * r.NodeTimes[i]
+		nodeGreen[i] = max(0, watts*r.NodeTimes[i]-r.NodeDirty[i])
+		green += nodeGreen[i]
+	}
+	return total, green, nodeGreen
 }
 
 // RunWorkStealingMining executes the partitioned text-mining job under
@@ -392,8 +412,8 @@ func TestStealingScheduleEnergyAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.DirtyEnergy-res.TotalEnergy) > 1e-9 {
-		t.Errorf("midnight dirty %v != total %v", res.DirtyEnergy, res.TotalEnergy)
+	if total, _, _ := draw(c, res.Result); math.Abs(res.DirtyEnergy-total) > 1e-9 {
+		t.Errorf("midnight dirty %v != total %v", res.DirtyEnergy, total)
 	}
 	// At noon some energy is green.
 	noon, err := stealingSchedule(c, costs, 12*3600)
@@ -424,8 +444,8 @@ func TestStealingScheduleApproachesFluidBound(t *testing.T) {
 	}
 }
 
-// The stealing schedule reports green energy alongside dirty, through
-// the same accounting as Cluster.Run.
+// The stealing schedule's dirty energy is booked by the same accounting
+// as Cluster.Run: each node's share of its draw, the rest green.
 func TestStealingScheduleGreenAccounting(t *testing.T) {
 	c := stealCluster(t, 4)
 	costs := make([]float64, 40)
@@ -436,21 +456,17 @@ func TestStealingScheduleGreenAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GreenEnergy <= 0 {
+	total, green, _ := draw(c, res.Result)
+	if green <= 0 {
 		t.Error("noon run reported no green energy")
 	}
-	var sum float64
-	for i, g := range res.NodeGreen {
-		if g < 0 {
-			t.Errorf("node %d green %v < 0", i, g)
+	for i, d := range res.NodeDirty {
+		if drawn := c.Nodes[i].Power.Watts() * res.NodeTimes[i]; d < 0 || d > drawn*(1+1e-9) {
+			t.Errorf("node %d dirty %v outside [0, %v]", i, d, drawn)
 		}
-		sum += g
 	}
-	if math.Abs(sum-res.GreenEnergy) > 1e-9 {
-		t.Error("per-node green does not sum to total")
-	}
-	if math.Abs(res.GreenEnergy+res.DirtyEnergy-res.TotalEnergy) > 1e-6 {
-		t.Errorf("green %v + dirty %v != total %v", res.GreenEnergy, res.DirtyEnergy, res.TotalEnergy)
+	if math.Abs(green+res.DirtyEnergy-total) > 1e-6 {
+		t.Errorf("green %v + dirty %v != total %v", green, res.DirtyEnergy, total)
 	}
 }
 
@@ -480,8 +496,9 @@ func chunkFixtures() map[string][]float64 {
 
 // resultDigest is FNV-1a over the Float64bits of a schedule's makespan,
 // total, green and dirty energy, then every node's time, cost, dirty and
-// green energy, in that order.
-func resultDigest(r *cluster.Result) uint64 {
+// green energy, in that order; total and green are its draw on cl.
+func resultDigest(cl *cluster.Cluster, r *schedule) uint64 {
+	total, green, nodeGreen := draw(cl, r.Result)
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(x float64) {
@@ -489,14 +506,14 @@ func resultDigest(r *cluster.Result) uint64 {
 		h.Write(b[:])
 	}
 	put(r.Makespan)
-	put(r.TotalEnergy)
-	put(r.GreenEnergy)
+	put(total)
+	put(green)
 	put(r.DirtyEnergy)
 	for i := range r.NodeTimes {
 		put(r.NodeTimes[i])
 		put(r.NodeCosts[i])
 		put(r.NodeDirty[i])
-		put(r.NodeGreen[i])
+		put(nodeGreen[i])
 	}
 	return h.Sum64()
 }
@@ -558,7 +575,7 @@ func TestStealingScheduleRecordedBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := resultDigest(res); got != rec.digest {
+		if got := resultDigest(clusters[rec.p], res); got != rec.digest {
 			t.Errorf("%s p=%d offset %dh: digest %#016x, recorded %#016x (makespan %v, dirty %v J)",
 				rec.fixture, rec.p, rec.hours, got, rec.digest, res.Makespan, res.DirtyEnergy)
 		}

@@ -12,6 +12,7 @@ import (
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
 	"pareto/internal/sampling"
+	"pareto/internal/telemetry"
 )
 
 func tinyCluster(t *testing.T, p int) *cluster.Cluster {
@@ -141,8 +142,8 @@ func TestLZ77Adapter(t *testing.T) {
 	if quality["compression-ratio"] <= 1 {
 		t.Errorf("LZ77 ratio %.2f on serialized adjacency records", quality["compression-ratio"])
 	}
-	if res.TotalEnergy <= 0 {
-		t.Error("no energy accounted")
+	if res.DirtyEnergy <= 0 {
+		t.Error("no energy accounted at midnight")
 	}
 }
 
@@ -169,31 +170,25 @@ func TestRunWithEmptyPartitions(t *testing.T) {
 
 func TestCombineResults(t *testing.T) {
 	a := &cluster.Result{
-		NodeTimes: []float64{1, 2}, NodeCosts: []float64{10, 20},
-		NodeDirty: []float64{5, 6}, NodeGreen: []float64{10, 9},
-		Makespan: 2, DirtyEnergy: 11, GreenEnergy: 19, TotalEnergy: 30,
+		NodeTimes: []float64{1, 2}, NodeDirty: []float64{5, 6},
+		Makespan: 2, DirtyEnergy: 11,
 	}
 	b := &cluster.Result{
-		NodeTimes: []float64{3, 1}, NodeCosts: []float64{30, 10},
-		NodeDirty: []float64{1, 1}, NodeGreen: []float64{6, 2},
-		Makespan: 3, DirtyEnergy: 2, GreenEnergy: 8, TotalEnergy: 10,
+		NodeTimes: []float64{3, 1}, NodeDirty: []float64{1, 1},
+		Makespan: 3, DirtyEnergy: 2,
 	}
 	c := a.Add(b)
-	if c.Makespan != 5 || c.DirtyEnergy != 13 || c.TotalEnergy != 40 {
+	if c.Makespan != 5 || c.DirtyEnergy != 13 {
 		t.Errorf("combined %+v", c)
 	}
-	if c.NodeTimes[0] != 4 || c.NodeCosts[1] != 30 || c.NodeDirty[0] != 6 {
+	if c.NodeTimes[0] != 4 || c.NodeTimes[1] != 3 || c.NodeDirty[0] != 6 || c.NodeDirty[1] != 7 {
 		t.Errorf("per-node combine wrong: %+v", c)
-	}
-	if c.GreenEnergy != 27 || c.NodeGreen[0] != 16 || c.NodeGreen[1] != 11 {
-		t.Errorf("green energy lost in the sum: %+v", c)
-	}
-	if c.GreenEnergy+c.DirtyEnergy != c.TotalEnergy {
-		t.Errorf("green %v + dirty %v != total %v", c.GreenEnergy, c.DirtyEnergy, c.TotalEnergy)
 	}
 
 	// A real two-phase job at noon: the combined result must carry the
-	// green share both phases booked.
+	// busy time and dirty energy both phases booked, and the cluster's
+	// gauges, booked per phase, must split the same draw into green and
+	// dirty.
 	cfg := datasets.RCV1Like(0.0003)
 	docs, _, err := datasets.GenerateText(cfg)
 	if err != nil {
@@ -204,15 +199,38 @@ func TestCombineResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &TextMining{Docs: corpus, SupportFrac: 0.2, MaxLen: 2}
-	res, _, err := w.Run(tinyCluster(t, 3), evenAssignment(corpus.Len(), 3), 12*3600)
+	cl := tinyCluster(t, 3)
+	cl.Telemetry = telemetry.NewRegistry()
+	res, _, err := w.Run(cl, evenAssignment(corpus.Len(), 3), 12*3600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GreenEnergy <= 0 || len(res.NodeGreen) != 3 {
-		t.Errorf("two-phase run lost its green fields: %+v", res)
+	snap := cl.Telemetry.Snapshot()
+	if runs := snap.Counters["cluster_runs_total"]; runs != 2 {
+		t.Fatalf("%d runs booked, want the two phases", runs)
 	}
-	if diff := math.Abs(res.GreenEnergy + res.DirtyEnergy - res.TotalEnergy); diff > 1e-9*res.TotalEnergy {
-		t.Errorf("green %v + dirty %v != total %v", res.GreenEnergy, res.DirtyEnergy, res.TotalEnergy)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+	var drawn, dirty float64
+	for i, busy := range res.NodeTimes {
+		node := fmt.Sprintf(`{node="%d"}`, i)
+		if got := snap.Gauges["cluster_node_busy_sec_total"+node]; !near(got, busy) {
+			t.Errorf("node %d busy gauge %v s, result %v s", i, got, busy)
+		}
+		if got := snap.Gauges["energy_node_dirty_wh"+node] * 3600; !near(got, res.NodeDirty[i]) {
+			t.Errorf("node %d dirty gauge %v J, result %v J", i, got, res.NodeDirty[i])
+		}
+		drawn += cl.Nodes[i].Power.Watts() * busy
+		dirty += res.NodeDirty[i]
+	}
+	if !near(dirty, res.DirtyEnergy) {
+		t.Errorf("Σ node dirty %v J, total %v J", dirty, res.DirtyEnergy)
+	}
+	green := snap.Gauges["energy_green_wh_total"] * 3600
+	if green <= 0 || res.DirtyEnergy >= drawn {
+		t.Errorf("noon run booked green %v J and dirty %v J of %v J drawn", green, res.DirtyEnergy, drawn)
+	}
+	if got := green + snap.Gauges["energy_dirty_wh_total"]*3600; !near(got, drawn) {
+		t.Errorf("green + dirty gauges %v J, drawn %v J", got, drawn)
 	}
 }
 

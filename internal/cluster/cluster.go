@@ -181,8 +181,6 @@ type TaskReport struct {
 type Result struct {
 	// NodeTimes[i] is node i's simulated busy time in seconds.
 	NodeTimes []float64
-	// NodeCosts[i] is the abstract cost node i reported.
-	NodeCosts []float64
 	// Makespan is the job's completion time: the maximum node time, as
 	// every node starts at the job's start.
 	Makespan float64
@@ -190,13 +188,6 @@ type Result struct {
 	NodeDirty []float64
 	// DirtyEnergy is the total dirty energy across nodes.
 	DirtyEnergy float64
-	// TotalEnergy is the total electrical energy consumed (J).
-	TotalEnergy float64
-	// NodeGreen[i] is node i's green (trace-covered) energy in joules:
-	// total draw minus dirty draw, never negative.
-	NodeGreen []float64
-	// GreenEnergy is the total green energy across nodes (J).
-	GreenEnergy float64
 }
 
 // Imbalance quantifies load balance: makespan divided by the mean busy
@@ -254,53 +245,35 @@ func (c *Cluster) Run(offset float64, parts [][]int, job func(node int, indices 
 	if err := joinNodeErrs("task", errs); err != nil {
 		return nil, err
 	}
-	costs := make([]float64, len(parts))
 	busy := make([]float64, len(parts))
 	for i, rep := range reports {
 		if !finiteNonNeg(rep.Cost) || !finiteNonNeg(rep.FixedSeconds) {
 			return nil, fmt.Errorf("cluster: node %d reported cost %v and fixed seconds %v, want finite >= 0", i, rep.Cost, rep.FixedSeconds)
 		}
-		costs[i] = rep.Cost
 		busy[i] = ServiceTime(c.Nodes[i].Speed, c.CostRate, rep.Cost, rep.FixedSeconds)
 	}
-	res := c.Account(offset, costs, busy)
+	res := c.Account(offset, busy)
 	c.recordRun(res)
 	return res, nil
 }
 
 func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
-// Account books an executed schedule into a Result: node i reported
-// costs[i] and was busy for busy[i] seconds from the job's start, so it
-// drew power over the one span [offset, offset+busy[i]) of its trace.
-// Nodes are booked in index order, which fixes the summation order of
-// the totals. The result keeps costs and busy as its
-// NodeCosts/NodeTimes, and its makespan is the largest busy time.
-func (c *Cluster) Account(offset float64, costs, busy []float64) *Result {
-	res := &Result{
-		NodeTimes: busy,
-		NodeCosts: costs,
-		NodeDirty: make([]float64, len(c.Nodes)),
-		NodeGreen: make([]float64, len(c.Nodes)),
-	}
+// Account books an executed schedule into a Result: node i was busy
+// for busy[i] seconds from the job's start, so it drew power over the
+// one span [offset, offset+busy[i]) of its trace. Nodes are booked in
+// index order, which fixes the summation order of the dirty total. The
+// result keeps busy as its NodeTimes, and its makespan is the largest
+// busy time.
+func (c *Cluster) Account(offset float64, busy []float64) *Result {
+	res := &Result{NodeTimes: busy, NodeDirty: make([]float64, len(c.Nodes))}
 	for i := range c.Nodes {
-		watts := c.Nodes[i].Power.Watts()
-		res.TotalEnergy += watts * busy[i]
 		if busy[i] > res.Makespan {
 			res.Makespan = busy[i]
 		}
-		d := energy.DirtyEnergy(watts, c.Nodes[i].Trace, offset, busy[i])
+		d := energy.DirtyEnergy(c.Nodes[i].Power.Watts(), c.Nodes[i].Trace, offset, busy[i])
 		res.NodeDirty[i] = d
 		res.DirtyEnergy += d
-		// Green = draw the trace covered. DirtyEnergy floors per-step
-		// surplus at zero, so the difference is never negative; clamp
-		// anyway against float round-off.
-		green := watts*busy[i] - d
-		if green < 0 {
-			green = 0
-		}
-		res.NodeGreen[i] = green
-		res.GreenEnergy += green
 	}
 	return res
 }
@@ -318,32 +291,34 @@ func (a *Result) Add(b *Result) *Result {
 	}
 	return &Result{
 		NodeTimes:   sum(a.NodeTimes, b.NodeTimes),
-		NodeCosts:   sum(a.NodeCosts, b.NodeCosts),
 		Makespan:    a.Makespan + b.Makespan,
 		NodeDirty:   sum(a.NodeDirty, b.NodeDirty),
 		DirtyEnergy: a.DirtyEnergy + b.DirtyEnergy,
-		TotalEnergy: a.TotalEnergy + b.TotalEnergy,
-		NodeGreen:   sum(a.NodeGreen, b.NodeGreen),
-		GreenEnergy: a.GreenEnergy + b.GreenEnergy,
 	}
 }
 
 // recordRun folds one job execution into the cumulative telemetry:
-// per-node green/dirty energy (Wh) and busy seconds, plus totals.
+// per-node green/dirty energy (Wh) and busy seconds, plus totals. A
+// node's green energy is the draw its trace covered, watts × busy less
+// dirty; DirtyEnergy floors per-step surplus at zero, so that is never
+// negative, and the clamp only absorbs float round-off.
 func (c *Cluster) recordRun(res *Result) {
 	reg := c.Telemetry
 	if reg == nil {
 		return
 	}
 	const wh = 1.0 / 3600 // joules → watt-hours
+	var greenTotal float64
 	for i := range c.Nodes {
 		node := strconv.Itoa(i)
+		green := max(0, c.Nodes[i].Power.Watts()*res.NodeTimes[i]-res.NodeDirty[i])
+		greenTotal += green
 		reg.FloatGauge(`energy_node_dirty_wh{node="` + node + `"}`).Add(res.NodeDirty[i] * wh)
-		reg.FloatGauge(`energy_node_green_wh{node="` + node + `"}`).Add(res.NodeGreen[i] * wh)
+		reg.FloatGauge(`energy_node_green_wh{node="` + node + `"}`).Add(green * wh)
 		reg.FloatGauge(`cluster_node_busy_sec_total{node="` + node + `"}`).Add(res.NodeTimes[i])
 	}
 	reg.FloatGauge("energy_dirty_wh_total").Add(res.DirtyEnergy * wh)
-	reg.FloatGauge("energy_green_wh_total").Add(res.GreenEnergy * wh)
+	reg.FloatGauge("energy_green_wh_total").Add(greenTotal * wh)
 	reg.Counter("cluster_runs_total").Inc()
 }
 

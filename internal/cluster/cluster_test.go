@@ -100,6 +100,15 @@ func runTasks(c *Cluster, offset float64, tasks []func() (TaskReport, error)) (*
 	return c.Run(offset, parts, func(node int, _ []int) (TaskReport, error) { return tasks[node]() })
 }
 
+// drawn is the electrical energy res's nodes drew: Σ watts × busy (J).
+func drawn(c *Cluster, res *Result) float64 {
+	var total float64
+	for i, busy := range res.NodeTimes {
+		total += c.Nodes[i].Power.Watts() * busy
+	}
+	return total
+}
+
 // Node i's job sees parts[i], and only a node with records runs it.
 func TestRunPassesEachNodeItsPart(t *testing.T) {
 	c := testCluster(t, 3)
@@ -117,8 +126,8 @@ func TestRunPassesEachNodeItsPart(t *testing.T) {
 			t.Errorf("node %d ran on %v, want its part %v", i, seen[i], parts[i])
 		}
 	}
-	if res.NodeCosts[0] != 2e6 || res.NodeCosts[1] != 0 || res.NodeCosts[2] != 1e6 {
-		t.Errorf("node costs %v, want [2e6 0 1e6]", res.NodeCosts)
+	if want := []float64{c.SimTime(0, 2e6), 0, c.SimTime(2, 1e6)}; fmt.Sprint(res.NodeTimes) != fmt.Sprint(want) {
+		t.Errorf("node times %v, want %v", res.NodeTimes, want)
 	}
 }
 
@@ -144,8 +153,8 @@ func TestRunAggregates(t *testing.T) {
 		t.Errorf("makespan %v, want 2", res.Makespan)
 	}
 	// Energy sanity: dirty ≤ total, both positive here.
-	if res.DirtyEnergy <= 0 || res.TotalEnergy <= 0 || res.DirtyEnergy > res.TotalEnergy+1e-9 {
-		t.Errorf("dirty %v, total %v", res.DirtyEnergy, res.TotalEnergy)
+	if total := drawn(c, res); res.DirtyEnergy <= 0 || res.DirtyEnergy > total+1e-9 {
+		t.Errorf("dirty %v, total %v", res.DirtyEnergy, total)
 	}
 	var sumDirty float64
 	for _, d := range res.NodeDirty {
@@ -162,8 +171,8 @@ func TestRunNightIsAllDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.DirtyEnergy-res.TotalEnergy) > 1e-9 {
-		t.Errorf("at night dirty %v must equal total %v", res.DirtyEnergy, res.TotalEnergy)
+	if total := drawn(c, res); math.Abs(res.DirtyEnergy-total) > 1e-9 {
+		t.Errorf("at night dirty %v must equal total %v", res.DirtyEnergy, total)
 	}
 }
 
@@ -200,7 +209,7 @@ func TestRunDetailedRejectsImpossibleReports(t *testing.T) {
 		tasks[2] = func() (TaskReport, error) { return rep, nil }
 		res, err := runTasks(c, 0, tasks)
 		if err == nil {
-			t.Errorf("%s: accepted, makespan %v total energy %v", name, res.Makespan, res.TotalEnergy)
+			t.Errorf("%s: accepted, makespan %v dirty energy %v", name, res.Makespan, res.DirtyEnergy)
 		} else if !strings.Contains(err.Error(), "node 2") {
 			t.Errorf("%s: error %q does not name node 2", name, err)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,8 +10,9 @@ import (
 )
 
 // TestRunDetailedTelemetry: an instrumented run must surface per-node
-// green/dirty energy on the Result, and record a timed "run" span with
-// one timed child per loaded node plus cumulative energy gauges.
+// busy time and dirty energy on the Result, and record a timed "run"
+// span with one timed child per loaded node plus cumulative energy
+// gauges whose green and dirty shares split each node's draw.
 func TestRunDetailedTelemetry(t *testing.T) {
 	c, err := PaperCluster(4, energy.DefaultPanel(), 172, 24)
 	if err != nil {
@@ -30,21 +32,26 @@ func TestRunDetailedTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.NodeGreen) != 4 {
-		t.Fatalf("per-node green slice has %d entries, want 4", len(res.NodeGreen))
-	}
-	for i := range tasks {
-		// Energy must partition exactly: green + dirty = total draw.
-		total := c.Nodes[i].Power.Watts() * res.NodeTimes[i]
-		if got := res.NodeGreen[i] + res.NodeDirty[i]; got < total*0.999 || got > total*1.001 {
-			t.Errorf("node %d green+dirty = %v, want %v", i, got, total)
-		}
-	}
-	if res.GreenEnergy <= 0 {
-		t.Errorf("green energy = %v at noon, want > 0", res.GreenEnergy)
+	if len(res.NodeTimes) != 4 || len(res.NodeDirty) != 4 {
+		t.Fatalf("per-node slices have %d times and %d dirty entries, want 4", len(res.NodeTimes), len(res.NodeDirty))
 	}
 
 	snap := reg.Snapshot()
+	for i := range tasks {
+		// The node gauges must partition the draw: green + dirty = watts × busy.
+		node := fmt.Sprintf(`{node="%d"}`, i)
+		total := c.Nodes[i].Power.Watts() * res.NodeTimes[i] / 3600
+		green, dirty := snap.Gauges["energy_node_green_wh"+node], snap.Gauges["energy_node_dirty_wh"+node]
+		if dirty != res.NodeDirty[i]/3600 {
+			t.Errorf("node %d dirty gauge %v Wh, result %v J", i, dirty, res.NodeDirty[i])
+		}
+		if got := green + dirty; green < 0 || got < total*0.999 || got > total*1.001 {
+			t.Errorf("node %d green %v + dirty %v Wh, want %v", i, green, dirty, total)
+		}
+	}
+	if g := snap.Gauges["energy_green_wh_total"]; g <= 0 {
+		t.Errorf("green energy = %v Wh at noon, want > 0", g)
+	}
 	run := snap.FindSpan("run")
 	if run == nil {
 		t.Fatal("no run span recorded")
@@ -63,13 +70,13 @@ func TestRunDetailedTelemetry(t *testing.T) {
 	if snap.Counters["cluster_runs_total"] != 1 {
 		t.Errorf("runs = %d, want 1", snap.Counters["cluster_runs_total"])
 	}
-	wantTotal := (res.DirtyEnergy + res.GreenEnergy) / 3600
+	var wantTotal float64
+	for i, busy := range res.NodeTimes {
+		wantTotal += c.Nodes[i].Power.Watts() * busy / 3600
+	}
 	gotTotal := snap.Gauges["energy_dirty_wh_total"] + snap.Gauges["energy_green_wh_total"]
 	if gotTotal < wantTotal*0.999 || gotTotal > wantTotal*1.001 {
 		t.Errorf("energy gauges total %v Wh, want %v", gotTotal, wantTotal)
-	}
-	if _, ok := snap.Gauges[`energy_node_dirty_wh{node="0"}`]; !ok {
-		t.Error("per-node dirty energy gauge missing")
 	}
 }
 
@@ -91,7 +98,7 @@ func TestRunDetailedNilTelemetry(t *testing.T) {
 	if res.NodeTimes[0] <= 0 || res.NodeTimes[1] != 0 {
 		t.Errorf("node times: %v", res.NodeTimes)
 	}
-	if res.NodeDirty[1] != 0 || res.NodeGreen[1] != 0 {
-		t.Errorf("idle node energy: dirty %v green %v", res.NodeDirty[1], res.NodeGreen[1])
+	if res.NodeDirty[1] != 0 {
+		t.Errorf("idle node dirty energy %v", res.NodeDirty[1])
 	}
 }

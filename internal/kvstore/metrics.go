@@ -68,6 +68,7 @@ type connStats struct {
 	batchN     int64
 	batchStart time.Time
 	cc         *countingConn
+	out        int64 // reply bytes: writes bypass cc, so each flush adds them
 }
 
 // begin stamps the batch start on the first command after a flush —
@@ -108,35 +109,27 @@ func (cs *connStats) flush() {
 		cs.m.cmdErrors.Add(cs.errs)
 		cs.errs = 0
 	}
-	if cs.cc != nil {
-		if cs.cc.in > 0 {
-			cs.m.bytesIn.Add(cs.cc.in)
-			cs.cc.in = 0
-		}
-		if cs.cc.out > 0 {
-			cs.m.bytesOut.Add(cs.cc.out)
-			cs.cc.out = 0
-		}
+	if cs.cc.in > 0 {
+		cs.m.bytesIn.Add(cs.cc.in)
+		cs.cc.in = 0
+	}
+	if cs.out > 0 {
+		cs.m.bytesOut.Add(cs.out)
+		cs.out = 0
 	}
 }
 
-// countingConn counts bytes at syscall granularity into plain fields.
-// Both Read and Write happen only on the owning connection goroutine,
-// so no atomics are needed; connStats.flush publishes the totals.
+// countingConn counts bytes read at syscall granularity into a plain
+// field. Reads happen only on the owning connection goroutine, so no
+// atomics are needed; connStats.flush publishes the total.
 type countingConn struct {
 	net.Conn
-	in, out int64
+	in int64
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.in += int64(n)
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.out += int64(n)
 	return n, err
 }
 

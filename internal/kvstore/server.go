@@ -251,7 +251,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		n, err := rw.flush()
 		if stats != nil {
-			stats.cc.out += n
+			stats.out += n
 			stats.flush()
 		}
 		return err

@@ -211,14 +211,14 @@ func TestBookkeepingMatchesCopyReference(t *testing.T) {
 			kind := CycleClean
 			var sizes []int
 			switch dirty := len(l.Tracker().DirtyStrata()); {
-			case dirty == l.k:
+			case dirty == l.tracker.K():
 				kind = CycleFull
 			case dirty > 0:
 				kind = CycleIncremental
 			case targetN != n:
 				sizes = l.sizesFor(n)
 			}
-			segs := make([][]segment, l.p)
+			segs := make([][]segment, l.cl.P())
 			for j := range segs {
 				segs[j] = append([]segment(nil), l.Store().parts[j].segs...)
 			}
@@ -301,7 +301,7 @@ func TestBookkeepingMatchesCopyReference(t *testing.T) {
 			if !sameParts(l.Plan().Assign.Parts, plan) {
 				t.Fatalf("%s: Plan().Assign differs from the reference", at)
 			}
-			for j := 0; j < l.p; j++ {
+			for j := 0; j < l.cl.P(); j++ {
 				got, err := l.Store().ReadPartition(j)
 				if err != nil {
 					t.Fatalf("%s: %v", at, err)

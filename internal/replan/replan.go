@@ -79,7 +79,9 @@ type CycleReport struct {
 	// Dirty lists the strata whose drift crossed the threshold at the
 	// start of the cycle, ascending.
 	Dirty []int
-	// LPSolved is true when the cycle ran the sizing LP.
+	// LPSolved is true when the incremental path re-solved the sizing
+	// LP. (A full cycle's solve happens inside core.BuildPlan and does
+	// not set it.)
 	LPSolved bool
 	// LPWarm is never set: every sizing solve is the planner's own cold
 	// one. The field stays only because benchmark/replan.go reads it;
@@ -129,14 +131,11 @@ type Loop struct {
 	corpus  *DynamicCorpus
 	hasher  *sketch.Hasher
 	reg     *telemetry.Registry
-	k       int
-	p       int
 
+	// plan.Strat is the live stratification: Ingest and the incremental
+	// path extend and edit it in place.
 	plan    *core.Plan
-	st      *strata.Stratification
 	tracker *strata.DriftTracker
-
-	shares []float64
 
 	actual  *partitioner.Assignment
 	where   []int // committed partition of each record, -1 until placed
@@ -147,9 +146,6 @@ type Loop struct {
 	extends bool
 	pending []int
 	store   *EpochStore
-
-	lastSizes []int
-	lastN     int
 
 	corpusWeight int
 }
@@ -190,7 +186,7 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	}
 	l := &Loop{
 		cfg: cfg, cl: cl, profile: profile, corpus: corpus,
-		hasher: hasher, reg: cfg.Telemetry, p: p,
+		hasher: hasher, reg: cfg.Telemetry,
 	}
 	plan, err := core.BuildPlan(corpus, cl, profile, cfg.Core)
 	if err != nil {
@@ -199,7 +195,6 @@ func New(base pivots.Corpus, cl *cluster.Cluster, profile core.ProfileFunc, cfg 
 	if err := l.installFull(plan); err != nil {
 		return nil, err
 	}
-	l.k = l.tracker.K()
 	l.actual = &partitioner.Assignment{Parts: make([][]int, p)}
 	l.where = make([]int, corpus.Len())
 	for i := range l.where {
@@ -225,12 +220,8 @@ func (l *Loop) installFull(plan *core.Plan) error {
 		return err
 	}
 	l.plan = plan
-	l.st = plan.Strat
 	l.tracker = tracker
-	l.setShares(plan.Optimized, l.corpus.Len())
 	l.target, l.targetN, l.extends = plan.Assign, l.corpus.Len(), false
-	l.lastSizes = append([]int(nil), plan.Sizes...)
-	l.lastN = l.corpus.Len()
 	l.corpusWeight = plan.CorpusWeight
 	return nil
 }
@@ -255,11 +246,12 @@ func (l *Loop) Ingest(raw []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	l.st.Assign = append(l.st.Assign, stratum)
-	l.st.Members[stratum] = append(l.st.Members[stratum], idx)
-	l.st.Sketches = append(l.st.Sketches, sk)
+	st := l.plan.Strat
+	st.Assign = append(st.Assign, stratum)
+	st.Members[stratum] = append(st.Members[stratum], idx)
+	st.Sketches = append(st.Sketches, sk)
 	weight := l.corpus.Weight(idx)
-	l.st.WeightTotals[stratum] += weight
+	st.WeightTotals[stratum] += weight
 	l.corpusWeight += weight
 	l.where = append(l.where, -1)
 	l.pending = append(l.pending, idx)
@@ -279,7 +271,7 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 	rep := &CycleReport{Dirty: dirty}
 
 	switch {
-	case len(dirty) == l.k:
+	case len(dirty) == l.tracker.K():
 		// Every stratum drifted: an incremental pass would redo all the
 		// work anyway, so this IS a cold full replan — bit-identical to
 		// core.BuildPlan by construction. Only the sketch pass is
@@ -288,7 +280,7 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 		// clipped so later ingests never write into this plan's array.
 		rep.Kind = CycleFull
 		cfg := l.cfg.Core
-		held := l.st.Sketches[:n:n]
+		held := l.plan.Strat.Sketches[:n:n]
 		cfg.DistStratify = func(c pivots.Corpus, sc strata.StratifierConfig) (*strata.Stratification, error) {
 			return strata.StratifySketches(c, held, sc)
 		}
@@ -353,8 +345,8 @@ func (l *Loop) Cycle() (*CycleReport, error) {
 // updates a center then, so K = 1 returns its seed record, not the
 // top-L.
 func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
-	sub := l.cfg.Core.Stratifier.Cluster
-	lone := len(dirty) == 1 && len(l.st.Members[dirty[0]]) > 0 && sub.MaxIter != 1
+	st, sub := l.plan.Strat, l.cfg.Core.Stratifier.Cluster
+	lone := len(dirty) == 1 && len(st.Members[dirty[0]]) > 0 && sub.MaxIter != 1
 	if !lone {
 		if err := l.restratify(dirty); err != nil {
 			return err
@@ -369,8 +361,8 @@ func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
 		if err != nil {
 			return err
 		}
-		l.st.Centers[s] = center
-	} else if err := l.tracker.Reset(l.st, dirty); err != nil {
+		st.Centers[s] = center
+	} else if err := l.tracker.Reset(st, dirty); err != nil {
 		return err
 	}
 	return nil
@@ -382,10 +374,10 @@ func (l *Loop) replanIncremental(n int, dirty []int, rep *CycleReport) error {
 // a minimal-movement target for them.
 func (l *Loop) resize(n int, rep *CycleReport) error {
 	plan := &core.Plan{
-		Strategy: l.cfg.Core.Strategy, Alpha: l.cfg.Core.Alpha, Strat: l.st,
+		Strategy: l.cfg.Core.Strategy, Alpha: l.cfg.Core.Alpha, Strat: l.plan.Strat,
 		Scheme: l.cfg.Core.Scheme, CorpusWeight: l.corpusWeight,
 	}
-	ladder, costs, _, err := core.ProfileLadder(l.st.Members, n, l.profile, l.cfg.Core)
+	ladder, costs, _, err := core.ProfileLadder(plan.Strat.Members, n, l.profile, l.cfg.Core)
 	if err != nil {
 		return err
 	}
@@ -393,15 +385,12 @@ func (l *Loop) resize(n int, rep *CycleReport) error {
 		return err
 	}
 	rep.ProfileRuns, rep.LPSolved = len(ladder), true
-	l.setShares(plan.Optimized, n)
 	plan.Sizes = plan.Optimized.Sizes
 	if err := l.retarget(plan.Sizes, n); err != nil {
 		return err
 	}
 	plan.Assign = l.target
 	l.plan = plan
-	l.lastSizes = append(l.lastSizes[:0], plan.Sizes...)
-	l.lastN = n
 	return nil
 }
 
@@ -410,9 +399,10 @@ func (l *Loop) resize(n int, rep *CycleReport) error {
 // stratifier's own configuration; clean strata keep sketches, centers
 // and members verbatim.
 func (l *Loop) restratify(dirty []int) error {
+	st := l.plan.Strat
 	var recs []int
 	for _, s := range dirty {
-		recs = append(recs, l.st.Members[s]...)
+		recs = append(recs, st.Members[s]...)
 	}
 	if len(recs) == 0 {
 		return nil
@@ -422,7 +412,7 @@ func (l *Loop) restratify(dirty []int) error {
 	sub.K = min(len(dirty), len(recs))
 	sketches := make([]sketch.Sketch, len(recs))
 	for i, r := range recs {
-		sketches[i] = l.st.Sketches[r]
+		sketches[i] = st.Sketches[r]
 	}
 	res, err := strata.Cluster(sketches, sub)
 	if err != nil {
@@ -434,42 +424,34 @@ func (l *Loop) restratify(dirty []int) error {
 			for i, li := range res.Members[ci] {
 				mem[i] = recs[li]
 			}
-			l.st.Members[s] = mem
-			l.st.Centers[s] = res.Centers[ci]
+			st.Members[s] = mem
+			st.Centers[s] = res.Centers[ci]
 		} else {
 			// More dirty strata than distinct members: the leftovers
 			// empty out (their old centers stay as reseed points).
-			l.st.Members[s] = nil
+			st.Members[s] = nil
 		}
 		wt := 0
-		for _, r := range l.st.Members[s] {
-			l.st.Assign[r] = s
+		for _, r := range st.Members[s] {
+			st.Assign[r] = s
 			wt += l.corpus.Weight(r)
 		}
-		l.st.WeightTotals[s] = wt
+		st.WeightTotals[s] = wt
 	}
 	return nil
 }
 
-// setShares records each node's share of the n records the plan sized,
-// which sizesFor scales to later corpus sizes.
-func (l *Loop) setShares(plan *opt.Plan, n int) {
-	l.shares = make([]float64, l.p)
-	for i, x := range plan.X[:l.p] {
-		l.shares[i] = x / float64(n)
-	}
-}
-
 // sizesFor returns target partition sizes for a corpus of n records
-// without re-planning: the installed sizes when n is unchanged,
-// otherwise the installed shares scaled to n.
+// without re-planning: each node's fractional share of the records the
+// installed plan sized, scaled to n.
 func (l *Loop) sizesFor(n int) []int {
-	if n == l.lastN {
-		return append([]int(nil), l.lastSizes...)
+	sized := 0
+	for _, s := range l.plan.Sizes {
+		sized += s
 	}
-	units := make([]float64, l.p)
-	for i, s := range l.shares {
-		units[i] = s * float64(n)
+	units := make([]float64, len(l.plan.Sizes))
+	for i, x := range l.plan.Optimized.X {
+		units[i] = x / float64(sized) * float64(n)
 	}
 	return opt.RoundToTotal(units, n)
 }
@@ -484,10 +466,10 @@ func (l *Loop) retarget(sizes []int, n int) error {
 	ext := &partitioner.Assignment{Parts: append([][]int(nil), l.actual.Parts...)}
 	j := 0
 	for _, r := range l.pending {
-		for j < l.p && len(ext.Parts[j]) >= sizes[j] {
+		for j < len(sizes) && len(ext.Parts[j]) >= sizes[j] {
 			j++
 		}
-		if j == l.p {
+		if j == len(sizes) {
 			return fmt.Errorf("replan: no deficit partition for pending record %d", r)
 		}
 		if part := l.actual.Parts[j]; len(ext.Parts[j]) == len(part) {

@@ -13,6 +13,7 @@ import (
 	"pareto/internal/core"
 	"pareto/internal/datasets"
 	"pareto/internal/energy"
+	"pareto/internal/opt"
 	"pareto/internal/partitioner"
 	"pareto/internal/pivots"
 	"pareto/internal/sketch"
@@ -474,7 +475,7 @@ func TestCleanCyclePlacesPendingWithoutReplanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split := len(docs) - 5
+	split, mid := len(docs)-10, len(docs)-5
 	base, err := pivots.NewTextCorpus(docs[:split], vocab)
 	if err != nil {
 		t.Fatal(err)
@@ -490,39 +491,64 @@ func TestCleanCyclePlacesPendingWithoutReplanning(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := l.Plan().Optimized
-	ingestDocs(t, l, full, split)
+	// wantSizes is the clean retarget's sizing at n records: each node's
+	// fractional LP share of the records the installed plan sized.
+	wantSizes := func(n int) []int {
+		sized := 0
+		for _, s := range l.Plan().Sizes {
+			sized += s
+		}
+		if sized != base.Len() {
+			t.Fatalf("installed plan sized %d records, want the base corpus's %d", sized, base.Len())
+		}
+		units := make([]float64, len(before.X))
+		for i, x := range before.X {
+			units[i] = x / float64(sized) * float64(n)
+		}
+		return opt.RoundToTotal(units, n)
+	}
+	// Two batches, one clean cycle each: the second scales the plan's
+	// shares again, not the first cycle's target.
+	for batch, end := range []int{mid, full.Len()} {
+		for i := l.Len(); i < end; i++ {
+			ingest(t, l, full.AppendRecord(nil, i))
+		}
+		rep, err := l.Cycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Kind != CycleClean {
+			t.Fatalf("batch %d: cycle took the %v path (dirty %v)", batch, rep.Kind, rep.Dirty)
+		}
+		if rep.Placements != 5 {
+			t.Errorf("batch %d: placed %d records, want 5", batch, rep.Placements)
+		}
+		if rep.LPSolved {
+			t.Errorf("batch %d: clean cycle ran the LP", batch)
+		}
+		if l.Plan().Optimized != before {
+			t.Errorf("batch %d: clean cycle reinstalled the plan", batch)
+		}
+		if l.Pending() != 0 || l.Len() != end {
+			t.Errorf("batch %d: pending %d len %d after clean cycle", batch, l.Pending(), l.Len())
+		}
+		if err := l.Actual().Validate(end); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := l.Actual().Sizes(), wantSizes(end); !slices.Equal(got, want) {
+			t.Errorf("batch %d: sizes %v at %d records, want %v", batch, got, end, want)
+		}
+	}
+	// A third cycle with no traffic is a no-op.
 	rep, err := l.Cycle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Kind != CycleClean {
-		t.Fatalf("cycle took the %v path (dirty %v)", rep.Kind, rep.Dirty)
-	}
-	if rep.Placements != 5 {
-		t.Errorf("placed %d records, want 5", rep.Placements)
-	}
-	if rep.LPSolved {
-		t.Error("clean cycle ran the LP")
-	}
-	if l.Plan().Optimized != before {
-		t.Error("clean cycle reinstalled the plan")
-	}
-	if l.Pending() != 0 || l.Len() != full.Len() {
-		t.Errorf("pending %d len %d after clean cycle", l.Pending(), l.Len())
-	}
-	if err := l.Actual().Validate(full.Len()); err != nil {
-		t.Fatal(err)
-	}
-	// A second cycle with no traffic is a no-op.
-	rep, err = l.Cycle()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Kind != CycleClean || rep.Placements != 0 || rep.MovesApplied != 0 {
 		t.Errorf("idle cycle: %+v", rep)
 	}
-	if reg.Counter("replan_cycles_clean_total").Value() != 2 {
-		t.Errorf("clean counter = %d, want 2", reg.Counter("replan_cycles_clean_total").Value())
+	if reg.Counter("replan_cycles_clean_total").Value() != 3 {
+		t.Errorf("clean counter = %d, want 3", reg.Counter("replan_cycles_clean_total").Value())
 	}
 }
 
@@ -561,7 +587,7 @@ func TestNewValidation(t *testing.T) {
 // oracle TestLoneStratumRefreezeMatchesRecluster holds Cycle to.
 func referenceCycle(l *Loop) (*CycleReport, error) {
 	dirty := l.tracker.DirtyStrata()
-	if len(dirty) != 1 || l.k == 1 {
+	if len(dirty) != 1 || l.tracker.K() == 1 {
 		return l.Cycle()
 	}
 	rep := &CycleReport{Kind: CycleIncremental, Dirty: dirty}
@@ -571,7 +597,7 @@ func referenceCycle(l *Loop) (*CycleReport, error) {
 	if err := l.resize(l.corpus.Len(), rep); err != nil {
 		return nil, err
 	}
-	if err := l.tracker.Reset(l.st, dirty); err != nil {
+	if err := l.tracker.Reset(l.plan.Strat, dirty); err != nil {
 		return nil, err
 	}
 	if err := l.migrate(rep); err != nil {
@@ -644,7 +670,7 @@ func TestLoneStratumRefreezeMatchesRecluster(t *testing.T) {
 				return l
 			}
 			got, want := newLoop(), newLoop()
-			for s, c := range got.st.Centers {
+			for s, c := range got.plan.Strat.Centers {
 				if sc.narrow && maxCenterRow(c) != 1 {
 					t.Fatalf("%s: stratum %d froze with a %d-value row, want 1", sc.name, s, maxCenterRow(c))
 				}
@@ -665,7 +691,7 @@ func TestLoneStratumRefreezeMatchesRecluster(t *testing.T) {
 				k := want.tracker.K()
 				for _, s := range rng.Perm(k)[:targets] {
 					var pool []int
-					for _, r := range want.st.Members[s] {
+					for _, r := range want.plan.Strat.Members[s] {
 						if r < len(sc.docs) {
 							pool = append(pool, r)
 						}
@@ -704,7 +730,7 @@ func TestLoneStratumRefreezeMatchesRecluster(t *testing.T) {
 				switch {
 				case len(repWant.Dirty) == 1:
 					lone++
-					row := maxCenterRow(got.st.Centers[repWant.Dirty[0]])
+					row := maxCenterRow(got.plan.Strat.Centers[repWant.Dirty[0]])
 					if sc.maxIter == 1 && row != 1 {
 						t.Fatalf("%s: MaxIter 1 refroze to a top-L center", at)
 					}

@@ -36,10 +36,6 @@ type StratifyStats struct {
 	ClusterTime time.Duration
 	// Iterations is the number of assign/update rounds executed.
 	Iterations int
-	// Converged echoes Result.Converged.
-	Converged bool
-	// Iters profiles each round (assign/update time, moved records).
-	Iters []IterStat
 	// MovedTotal sums moved-record counts over all rounds.
 	MovedTotal int
 	// Busy is the summed busy time of the workers inside the parallel
@@ -141,8 +137,6 @@ func StratifySketches(c pivots.Corpus, sketches []sketch.Sketch, cfg StratifierC
 	}
 	stats.ClusterTime = time.Since(start)
 	stats.Iterations = res.Iterations
-	stats.Converged = res.Converged
-	stats.Iters = res.IterStats
 	stats.Busy = res.Busy
 	for _, it := range res.IterStats {
 		stats.MovedTotal += it.Moved
