@@ -290,8 +290,8 @@ func prepare(corpus pivots.Corpus, p int, profile ProfileFunc, cfg Config, sg *s
 	// Component III: stratify — distributed first when configured,
 	// degrading to in-process if the distributed path fails terminally.
 	// A failed distributed attempt's cost is folded into the fallback's
-	// stats (FailedAttempts/FailedAttemptTime) instead of being dropped,
-	// so the planning-overhead audit stays honest on the degraded path.
+	// stats (FailedAttemptTime) instead of being dropped, so the
+	// planning-overhead audit stays honest on the degraded path.
 	if err := sg.run("stratify", func() (time.Duration, error) {
 		var st *strata.Stratification
 		var err error
@@ -310,9 +310,7 @@ func prepare(corpus pivots.Corpus, p int, profile ProfileFunc, cfg Config, sg *s
 			if err != nil {
 				return 0, fmt.Errorf("core: stratifying: %w", err)
 			}
-			if pr.base.DegradedStratify {
-				st.Stats.AddFailedAttempt(failedDur)
-			}
+			st.Stats.FailedAttemptTime = failedDur
 		}
 		pr.base.Strat = st
 		return st.Stats.Busy, nil

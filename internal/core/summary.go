@@ -28,12 +28,10 @@ type PlanSummary struct {
 	StratifySketchMs   float64 `json:"stratify_sketch_ms,omitempty"`
 	StratifyClusterMs  float64 `json:"stratify_cluster_ms,omitempty"`
 	StratifyMoved      int     `json:"stratify_moved_records,omitempty"`
-	// StratifyFailedAttempts/StratifyFailedMs account for earlier
-	// stratification attempts that failed before the recorded one (the
-	// degraded distributed→local fallback): their cost is planning
+	// StratifyFailedMs is the cost of the distributed attempt that
+	// failed before a degraded plan's local stratification: planning
 	// overhead too.
-	StratifyFailedAttempts int     `json:"stratify_failed_attempts,omitempty"`
-	StratifyFailedMs       float64 `json:"stratify_failed_attempt_ms,omitempty"`
+	StratifyFailedMs float64 `json:"stratify_failed_attempt_ms,omitempty"`
 	// CorpusWeight is the scan stage's summed record weight.
 	CorpusWeight int `json:"corpus_weight,omitempty"`
 	// Stages is the per-stage wall-clock breakdown of BuildPlan.
@@ -85,7 +83,6 @@ func (p *Plan) Summary() (*PlanSummary, error) {
 		s.StratifySketchMs = float64(p.Strat.Stats.SketchTime.Microseconds()) / 1000
 		s.StratifyClusterMs = float64(p.Strat.Stats.ClusterTime.Microseconds()) / 1000
 		s.StratifyMoved = p.Strat.Stats.MovedTotal
-		s.StratifyFailedAttempts = p.Strat.Stats.FailedAttempts
 		s.StratifyFailedMs = float64(p.Strat.Stats.FailedAttemptTime.Microseconds()) / 1000
 	}
 	for _, m := range p.Models {

@@ -1,21 +1,33 @@
 package distrib
 
 import (
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pareto/internal/kvstore"
 )
 
 // recordKV is a store client that logs every keyed command the
-// protocol sends through it as "CMD key", pipelined ones included: one
-// party's view of the wire.
+// protocol sends through it, pipelined ones included: one party's view
+// of the wire, numbered by a counter all parties share.
 type recordKV struct {
 	*kvstore.Client
-	log []string
+	seq *atomic.Int64
+	log []recordedOp
 }
 
-func (r *recordKV) note(cmd, key string) { r.log = append(r.log, cmd+" "+key) }
+// recordedOp is one keyed command and its place among every party's
+// commands.
+type recordedOp struct {
+	seq      int64
+	cmd, key string
+}
+
+func (r *recordKV) note(cmd, key string) {
+	r.log = append(r.log, recordedOp{r.seq.Add(1), cmd, key})
+}
 
 func (r *recordKV) Get(key string) ([]byte, error) {
 	r.note("GET", key)
@@ -72,47 +84,68 @@ func (p recordPipe) Send(cmd string, args ...[]byte) error {
 }
 
 // TestWorkersOnlyArriveAtSketchBarrier: on a clean run a worker
-// registers at the sketch barrier with one INCR and never polls it —
-// its one wait is for the assignment — and no party touches a barrier
-// abort key.
+// registers at the sketch barrier with one INCR and never polls it, it
+// reads the run's assignment with one GET sent after the coordinator's
+// SET of it, and no party touches an abort key.
 func TestWorkersOnlyArriveAtSketchBarrier(t *testing.T) {
 	corpus := testCorpus(t, 0.0006)
 	m, ws := startStore(t, 3)
-	master := &recordKV{Client: m}
+	seq := new(atomic.Int64)
+	master := &recordKV{Client: m, seq: seq}
 	workers := make([]*recordKV, len(ws))
 	for i, c := range ws {
-		workers[i] = &recordKV{Client: c}
+		workers[i] = &recordKV{Client: c, seq: seq}
 	}
 	dist, report, err := StratifyDetailed(master, workers, corpus, fastFaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.TimedOut || len(report.RecoveredShards) != 0 {
+	if report.TimedOut || len(report.RecoveredShards) != 0 || errors.Join(report.WorkerErrs...) != nil {
 		t.Fatalf("clean run engaged recovery: %+v", report)
 	}
 	assertBitIdentical(t, dist, centralReference(t, corpus))
 	isBarrier := func(key string) bool { return strings.HasPrefix(key, "__barrier:") }
-	isAbort := func(key string) bool { return isBarrier(key) && strings.HasSuffix(key, ":abort") }
+	isAssign := func(key string) bool {
+		return strings.HasPrefix(key, keyPrefix+":") && strings.HasSuffix(key, ":assign")
+	}
+	isAbort := func(key string) bool { return strings.HasSuffix(key, ":abort") }
+	published := int64(-1)
+	for _, op := range master.log {
+		switch {
+		case isAbort(op.key):
+			t.Errorf("coordinator: %v", op)
+		case op.cmd == "SET" && isAssign(op.key):
+			if published >= 0 {
+				t.Errorf("coordinator published twice: %v", op)
+			}
+			published = op.seq
+		}
+	}
+	if published < 0 {
+		t.Fatal("coordinator never SET the assignment")
+	}
 	for i, w := range workers {
-		incrs := 0
+		incrs, gets := 0, 0
 		for _, op := range w.log {
-			cmd, key, _ := strings.Cut(op, " ")
 			switch {
-			case isAbort(key):
-				t.Errorf("worker %d: %s", i, op)
-			case cmd == "INCR" && isBarrier(key):
+			case isAbort(op.key):
+				t.Errorf("worker %d: %v", i, op)
+			case op.cmd == "INCR" && isBarrier(op.key):
 				incrs++
-			case cmd == "GET" && isBarrier(key):
-				t.Errorf("worker %d polled the barrier: %s", i, op)
+			case op.cmd == "GET" && isBarrier(op.key):
+				t.Errorf("worker %d polled the barrier: %v", i, op)
+			case op.cmd == "GET" && isAssign(op.key):
+				gets++
+				if op.seq < published {
+					t.Errorf("worker %d read the assignment (op %d) before it was published (op %d)", i, op.seq, published)
+				}
 			}
 		}
 		if incrs != 1 {
 			t.Errorf("worker %d: %d INCRs on barrier keys, want 1", i, incrs)
 		}
-	}
-	for _, op := range master.log {
-		if _, key, _ := strings.Cut(op, " "); isAbort(key) {
-			t.Errorf("coordinator: %s", op)
+		if gets != 1 {
+			t.Errorf("worker %d: %d GETs of the assignment, want 1", i, gets)
 		}
 	}
 }

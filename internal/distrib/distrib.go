@@ -13,26 +13,26 @@
 //     centralized manner as the compositeKmodes algorithm is run on the
 //     sketches rather than the actual data") and publishes the
 //     record→stratum assignment.
-//   - Workers fetch the assignment for their shard and return.
+//   - Once it is published, each worker reads the assignment once and
+//     keeps its shard.
 //
 // The result is what the coordinator holds when it publishes — the
 // gathered sketches and the clustering it ran on them — and is
 // bit-identical to the in-process strata.Stratify (same seeds, same
 // order), which the tests assert. The published bytes are what the
-// workers decode, and every completed worker's view of its shard is
-// compared with the coordinator's assignment, so a publication that
-// does not decode to what was clustered fails the run.
+// workers decode, and every worker's view of its shard is compared with
+// the coordinator's assignment, so a publication that decodes to
+// something other than what was clustered fails the run.
 //
 // # Keys
 //
 // The coordinator draws a run id (INCR <prefix>:run) before any worker
 // starts, and every key of the run carries it: the per-shard sketch
-// lists and completion markers, the assignment, the abort key and the
-// barrier's name. Nothing an earlier run or a straggler from one left
-// on the store can satisfy a wait, abort the run or be gathered as
-// data. When the run ends — success or failure, after the workers have
-// joined — the coordinator deletes the run's keys, the barrier's
-// included; only the run counter stays.
+// lists and completion markers, the assignment and the barrier's name.
+// Nothing an earlier run or a straggler from one left on the store can
+// satisfy the wait or be gathered as data. When the run ends — success
+// or failure, after the workers have joined — the coordinator deletes
+// the run's keys, the barrier's included; only the run counter stays.
 //
 // A sketch list's element is a block: whole (index uint32, width ×
 // uint64) records back to back, up to blockBytes, no header. The
@@ -54,11 +54,13 @@
 //     to what the dead worker would have produced, and a run with up
 //     to f dead workers still returns the exact in-process
 //     stratification.
-//   - Workers arrive at the sketch barrier without waiting there — a
+//   - Workers arrive at the sketch barrier without waiting there, so a
 //     failed fetch-and-increment costs only the coordinator's bounded
-//     wait — and wait once, polling for the published assignment. The
-//     run's abort key stops that poll promptly when the coordinator
-//     fails terminally.
+//     wait. No worker waits for the assignment either: once the
+//     coordinator has published it and the workers' ship goroutines
+//     have joined, each worker reads it with one GET. A worker that
+//     cannot read it reports that in Report.WorkerErrs; after a
+//     coordinator failure no worker reads.
 package distrib
 
 import (
@@ -98,20 +100,11 @@ type Options struct {
 	// timeouts, and barrier wait time. nil disables instrumentation.
 	Telemetry *telemetry.Registry
 
-	// The waits below run at their defaults in every program; only
-	// this package's fault and repeated-run tests shorten them.
-	//
 	// sketchWait bounds the coordinator's wait for workers at the
-	// sketch barrier; past it the coordinator recovers missing shards
-	// locally (0 = 30s).
+	// sketch barrier, the run's one wait; past it the coordinator
+	// recovers missing shards locally (0 = 30s). Every program runs it
+	// at its default; only this package's tests shorten it.
 	sketchWait time.Duration
-	// assignWait bounds each worker's poll for the published
-	// assignment beyond sketchWait, so a coordinator that recovers a
-	// dead worker's shard still publishes inside the poll (0 = 30s).
-	assignWait time.Duration
-	// pollInterval is the initial store poll interval for barrier and
-	// assignment waits; polls back off exponentially (0 = 1ms).
-	pollInterval time.Duration
 
 	// prefix namespaces the run's keys: keyPrefix, then the run id once
 	// StratifyDetailed has drawn it.
@@ -131,6 +124,11 @@ const (
 	// retryable (kvstore.ErrNotRetryable), but DEL + re-push of the
 	// shard is idempotent as a unit.
 	shipRetries = 2
+	// barrierPollCap is where the coordinator's poll at the sketch
+	// barrier stops backing off. The wait is hundreds of milliseconds
+	// long, and whatever the coordinator oversleeps past its end the
+	// whole run waits too.
+	barrierPollCap = 8 * time.Millisecond
 )
 
 // distribMetrics bundles the run's pre-resolved metrics. With a nil
@@ -167,12 +165,6 @@ func (o *Options) normalize() {
 	if o.sketchWait <= 0 {
 		o.sketchWait = 30 * time.Second
 	}
-	if o.assignWait <= 0 {
-		o.assignWait = 30 * time.Second
-	}
-	if o.pollInterval <= 0 {
-		o.pollInterval = time.Millisecond
-	}
 }
 
 // blockBytes caps one element of a sketch list: a block of whole
@@ -186,7 +178,6 @@ func (o *Options) runKey() string         { return o.prefix + ":run" }
 func (o *Options) sketchKey(i int) string { return o.prefix + ":sketches:" + strconv.Itoa(i) }
 func (o *Options) doneKey(i int) string   { return o.prefix + ":done:" + strconv.Itoa(i) }
 func (o *Options) assignKey() string      { return o.prefix + ":assign" }
-func (o *Options) abortKey() string       { return o.prefix + ":abort" }
 func (o *Options) barrierName() string    { return o.prefix + ":sketched" }
 
 // Report describes how a distributed run actually went — which fault
@@ -203,9 +194,10 @@ type Report struct {
 	// (shards whose worker arrived at the barrier but shipped
 	// incompletely). Zero on a clean run.
 	RecoveredRecords int
-	// WorkerErrs[i] is worker i's terminal error; nil for a clean
-	// worker. Non-nil entries are tolerated whenever the coordinator
-	// produced the full assignment.
+	// WorkerErrs[i] is worker i's failure to ship its shard or to read
+	// the published assignment; nil for a clean worker. Non-nil entries
+	// are tolerated whenever the coordinator produced the full
+	// assignment.
 	WorkerErrs []error
 }
 
@@ -354,39 +346,30 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 	}
 
 	var wg sync.WaitGroup
-	shardAssigns := make([][]int, w)
 	shipBusy := make([]time.Duration, w)
 	for i := range workers {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			shardAssigns[i], shipBusy[i], report.WorkerErrs[i] = runWorker(workers[i], corpus, hasher, i, w, parties, o, dm)
+			shipBusy[i], report.WorkerErrs[i] = runWorker(workers[i], corpus, hasher, i, w, parties, o, dm)
 		}(i)
 	}
 
-	st, coordErr := runCoordinator(master, b, corpus, hasher, n, w, o, dm, report)
+	st, err := runCoordinator(master, b, corpus, hasher, n, w, o, dm, report)
 	wg.Wait()
+	if err == nil {
+		err = readShards(workers, st.Assign, o, report)
+	}
 	// Every party has left the run. A delete that fails leaks keys no
 	// later run reads — they carry this run's id — so the result stands.
-	keys := []string{o.assignKey(), o.abortKey()}
+	keys := []string{o.assignKey()}
 	for i := 0; i < w; i++ {
 		keys = append(keys, o.sketchKey(i), o.doneKey(i))
 	}
 	_, _ = master.Del(keys...)
 	_ = b.Clear()
-	if coordErr != nil {
-		return nil, report, coordErr
-	}
-	// Every worker that completed decoded the same published assignment
-	// for its shard as the coordinator clustered (dead workers have no
-	// shard view to compare).
-	for i := range workers {
-		lo := i * n / w
-		for off, a := range shardAssigns[i] {
-			if st.Assign[lo+off] != a {
-				return nil, report, fmt.Errorf("distrib: worker %d shard assignment diverges at record %d", i, lo+off)
-			}
-		}
+	if err != nil {
+		return nil, report, err
 	}
 	for _, d := range shipBusy {
 		st.Stats.Busy += d
@@ -394,23 +377,41 @@ func StratifyDetailed[C kvstore.KV](master C, workers []C, corpus pivots.Corpus,
 	return st, report, nil
 }
 
+// readShards has each worker read the published assignment once,
+// through its own client, and holds the shard it decodes to the
+// coordinator's: a worker that cannot read or decode it adds that to
+// its error in report, and a shard that diverges fails the run.
+func readShards[C kvstore.KV](workers []C, assign []int, o Options, report *Report) error {
+	n, w := len(assign), len(workers)
+	for i, c := range workers {
+		raw, err := c.Get(o.assignKey())
+		var got []int
+		if err == nil {
+			got, err = decodeAssignment(raw, n, o.Cluster.K)
+		}
+		if err != nil {
+			report.WorkerErrs[i] = errors.Join(report.WorkerErrs[i], fmt.Errorf("distrib: reading the assignment: %w", err))
+			continue
+		}
+		for r := i * n / w; r < (i+1)*n/w; r++ {
+			if got[r] != assign[r] {
+				return fmt.Errorf("distrib: worker %d shard assignment diverges at record %d", i, r)
+			}
+		}
+	}
+	return nil
+}
+
 // runCoordinator waits (boundedly) for the workers' sketches, gathers
 // them, recovers what is missing locally, stratifies them centrally
 // (strata.StratifySketches), and publishes the assignment; it returns
-// the stratification it published. On a terminal error it aborts the
-// run so every polling worker is released promptly. The
-// stratification's stats profile the sketch phase (barrier wait +
-// gather + recovery) and the centralized clustering; the workers' ship
-// time is the caller's to add.
-func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus, hasher *sketch.Hasher, n, w int, o Options, dm distribMetrics, report *Report) (_ *strata.Stratification, err error) {
+// the stratification it published. The stratification's stats profile
+// the sketch phase (barrier wait + gather + recovery) and the
+// centralized clustering; the workers' ship time is the caller's to
+// add.
+func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus, hasher *sketch.Hasher, n, w int, o Options, dm distribMetrics, report *Report) (*strata.Stratification, error) {
 	b.Timeout = o.sketchWait
-	b.PollInterval = o.pollInterval
-	b.MaxPollInterval = pollBackoffCap * o.pollInterval
-	defer func() {
-		if err != nil {
-			_ = master.Set(o.abortKey(), []byte("coordinator: "+err.Error()))
-		}
-	}()
+	b.MaxPollInterval = barrierPollCap
 	phaseStart := time.Now()
 	recovering := make([]bool, w)
 	berr := b.Await()
@@ -503,10 +504,9 @@ func runCoordinator(master kvstore.KV, b *kvstore.Barrier, corpus pivots.Corpus,
 }
 
 // runWorker executes one worker's phases: sketch shard → ship (with
-// whole-shard retry) → completion marker → arrive at the barrier → poll
-// assignment. It returns its shard's slice of the published assignment
-// and the time it spent sketching and shipping.
-func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, parties int, o Options, dm distribMetrics) ([]int, time.Duration, error) {
+// whole-shard retry) → completion marker → arrive at the barrier. It
+// returns the time it spent sketching and shipping.
+func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, parties int, o Options, dm distribMetrics) (time.Duration, error) {
 	n := corpus.Len()
 	lo := i * n / w
 	hi := (i + 1) * n / w
@@ -529,28 +529,15 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 		_ = c.Set(o.doneKey(i), []byte(strconv.Itoa(hi-lo)))
 	}
 
-	// Only the coordinator waits at the sketch barrier; a worker's
-	// signal is the assignment appearing under the run's key. A failed
-	// fetch-and-increment costs the coordinator its bounded wait.
+	// Only the coordinator waits at the sketch barrier. A failed
+	// fetch-and-increment costs it its bounded wait.
 	if b, err := kvstore.NewBarrier(c, o.barrierName(), parties); err == nil {
 		_ = b.Arrive()
 	}
-
-	raw, pollErr := pollAssignment(c, o)
-	if pollErr != nil {
-		if shipErr != nil {
-			return nil, busy, errors.Join(shipErr, pollErr)
-		}
-		return nil, busy, pollErr
-	}
-	assign, err := decodeAssignment(raw, n, o.Cluster.K)
-	if err != nil {
-		return nil, busy, err
-	}
 	if shipErr != nil {
-		return assign[lo:hi], busy, fmt.Errorf("shard ship failed (coordinator recovery required): %w", shipErr)
+		return busy, fmt.Errorf("shard ship failed (coordinator recovery required): %w", shipErr)
 	}
-	return assign[lo:hi], busy, nil
+	return busy, nil
 }
 
 // shipShard pushes one shard's sketches as a fresh list of blocks: DEL
@@ -622,45 +609,4 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 		return fmt.Errorf("distrib: shard list holds %d of %d blocks", cnt, blocks)
 	}
 	return nil
-}
-
-// pollBackoffCap × pollInterval is where the two waits on the run's
-// critical path stop backing off: the coordinator at the sketch barrier
-// and the workers polling for the assignment. Each is hundreds of
-// milliseconds long, and whatever the waiter oversleeps past its end
-// the whole run waits too.
-const pollBackoffCap = 8
-
-// pollAssignment waits for the coordinator's published assignment with
-// exponential backoff, bounded by sketchWait + assignWait, bailing out
-// promptly if the run's abort key appears.
-func pollAssignment(c kvstore.KV, o Options) ([]byte, error) {
-	wait := o.sketchWait + o.assignWait
-	deadline := time.Now().Add(wait)
-	poll := o.pollInterval
-	maxPoll := pollBackoffCap * o.pollInterval
-	var lastErr error
-	for {
-		raw, err := c.Get(o.assignKey())
-		if err == nil {
-			return raw, nil
-		}
-		if !errors.Is(err, kvstore.ErrNil) {
-			lastErr = err // transient store trouble: keep polling
-		}
-		if reason, aerr := c.Get(o.abortKey()); aerr == nil {
-			return nil, fmt.Errorf("distrib: run aborted: %s", reason)
-		}
-		if time.Now().After(deadline) {
-			if lastErr != nil {
-				return nil, fmt.Errorf("distrib: assignment wait timed out after %v: %w", wait, lastErr)
-			}
-			return nil, fmt.Errorf("distrib: assignment wait timed out after %v", wait)
-		}
-		time.Sleep(poll)
-		poll *= 2
-		if poll > maxPoll {
-			poll = maxPoll
-		}
-	}
 }

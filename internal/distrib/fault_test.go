@@ -28,12 +28,10 @@ func faultOpts() kvstore.Options {
 // fastFaultOptions returns distrib Options with waits sized for tests.
 func fastFaultOptions() Options {
 	return Options{
-		SketchWidth:  24,
-		Cluster:      strata.Config{K: 6, L: 3, Seed: 11},
-		Seed:         5,
-		sketchWait:   800 * time.Millisecond,
-		assignWait:   2 * time.Second,
-		pollInterval: time.Millisecond,
+		SketchWidth: 24,
+		Cluster:     strata.Config{K: 6, L: 3, Seed: 11},
+		Seed:        5,
+		sketchWait:  800 * time.Millisecond,
 	}
 }
 
@@ -176,9 +174,7 @@ func TestRecoveryUnderCrashAndDrops(t *testing.T) {
 		defer workers[i].Close()
 	}
 
-	o := fastFaultOptions()
-	o.assignWait = 4 * time.Second // drops slow the live workers down
-	dist, report, err := StratifyDetailed(master, workers, corpus, o)
+	dist, report, err := StratifyDetailed(master, workers, corpus, fastFaultOptions())
 	if err != nil {
 		t.Fatalf("StratifyDetailed under crash+drops: %v", err)
 	}

@@ -13,11 +13,12 @@ import (
 // final data partitioning) with barrier waits across all workers.
 //
 // Each Await round increments a generation-scoped counter and polls
-// until all parties have arrived, or its Timeout passes: nothing else
-// releases a waiter. A party that need not wait for the others calls
-// Arrive instead. Reusing the Barrier value advances the generation
-// automatically, so one Barrier synchronizes any number of consecutive
-// phases.
+// it, backing off from 1ms to MaxPollInterval, until all parties have
+// arrived or its Timeout passes: nothing else releases a waiter. A
+// party that need not wait for the others calls Arrive instead, as
+// distrib's workers do while their coordinator alone waits. Reusing the
+// Barrier value advances the generation automatically, so one Barrier
+// synchronizes any number of consecutive phases.
 //
 // The barrier's state is its keys on the store, not the Barrier value:
 // a new Barrier starts at generation 0 whatever the store holds. A
@@ -31,12 +32,8 @@ type Barrier struct {
 	parties int
 	gen     int
 
-	// PollInterval is the initial wait between checks; defaults to
-	// 1ms. Polls back off exponentially (doubling per round) up to
-	// MaxPollInterval so a long wait does not hammer the store.
-	PollInterval time.Duration
-	// MaxPollInterval caps the poll backoff; defaults to
-	// max(PollInterval, 50ms).
+	// MaxPollInterval caps Await's poll backoff, which doubles each
+	// round so a long wait does not hammer the store; defaults to 50ms.
 	MaxPollInterval time.Duration
 	// Timeout bounds one Await; defaults to 30s.
 	Timeout time.Duration
@@ -55,11 +52,10 @@ func NewBarrier(client KV, name string, parties int) (*Barrier, error) {
 		return nil, errors.New("kvstore: barrier needs a name")
 	}
 	return &Barrier{
-		client:       client,
-		name:         name,
-		parties:      parties,
-		PollInterval: time.Millisecond,
-		Timeout:      30 * time.Second,
+		client:  client,
+		name:    name,
+		parties: parties,
+		Timeout: 30 * time.Second,
 	}, nil
 }
 
@@ -115,16 +111,10 @@ func (b *Barrier) Await() error {
 	if n >= int64(b.parties) {
 		return nil
 	}
-	poll := b.PollInterval
-	if poll <= 0 {
-		poll = time.Millisecond
-	}
+	poll := time.Millisecond
 	maxPoll := b.MaxPollInterval
 	if maxPoll <= 0 {
 		maxPoll = 50 * time.Millisecond
-		if poll > maxPoll {
-			maxPoll = poll
-		}
 	}
 	timeout := b.Timeout
 	if timeout <= 0 {

@@ -46,21 +46,11 @@ type StratifyStats struct {
 	// stratification's wall time.
 	Busy time.Duration
 
-	// FailedAttempts counts earlier stratification attempts whose work
-	// preceded this one — e.g. a distributed run that failed and
-	// degraded to the local fallback. Their cost is part of planning
-	// overhead and must not be dropped from the audit trail.
-	FailedAttempts int
-	// FailedAttemptTime is the wall-clock spent in those failed
-	// attempts before this stratification started.
+	// FailedAttemptTime is the wall-clock spent in a stratification
+	// attempt that failed before this one started: a distributed run
+	// that degraded to the local fallback. It is planning overhead and
+	// must not be dropped from the audit trail.
 	FailedAttemptTime time.Duration
-}
-
-// AddFailedAttempt folds one failed prior attempt (its wall-clock
-// cost) into the stats of the stratification that finally succeeded.
-func (s *StratifyStats) AddFailedAttempt(d time.Duration) {
-	s.FailedAttempts++
-	s.FailedAttemptTime += d
 }
 
 // Stratification is the output of the stratifier: the clustering plus

@@ -443,9 +443,8 @@ type DistributedResult struct {
 	Frequent []Pattern
 	// Candidates is the size of the global candidate set (locally
 	// frequent union) — the quality metric partition skew inflates.
+	// Those not in Frequent failed the global check.
 	Candidates int
-	// FalsePositives counts candidates that failed the global check.
-	FalsePositives int
 	// LocalCosts[i] is partition i's phase-1 cost; CountCosts[i] its
 	// phase-2 cost.
 	LocalCosts []float64
@@ -510,8 +509,6 @@ func MineDistributed(partitions [][]Transaction, supportFrac float64, maxLen int
 	for j, c := range globalCounts {
 		if c >= minSup {
 			res.Frequent = append(res.Frequent, Pattern{Items: cands[j], Support: c})
-		} else {
-			res.FalsePositives++
 		}
 	}
 	return res, nil

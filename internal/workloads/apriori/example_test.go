@@ -40,7 +40,7 @@ func ExampleMineDistributed() {
 		panic(err)
 	}
 	fmt.Printf("%d frequent itemsets, %d candidates pruned\n",
-		len(res.Frequent), res.FalsePositives)
+		len(res.Frequent), res.Candidates-len(res.Frequent))
 	// Output:
 	// 9 frequent itemsets, 0 candidates pruned
 }

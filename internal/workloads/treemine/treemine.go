@@ -738,10 +738,9 @@ type DistributedResult struct {
 	// Frequent holds the globally frequent patterns.
 	Frequent []FreqPattern
 	// Candidates is the global candidate count (union of local
-	// frequents) — the skew-sensitive quality metric.
+	// frequents) — the skew-sensitive quality metric. Those not in
+	// Frequent were pruned by the global pass.
 	Candidates int
-	// FalsePositives counts candidates pruned by the global pass.
-	FalsePositives int
 	// LocalCosts and CountCosts are the per-partition phase costs.
 	LocalCosts []float64
 	CountCosts []float64
@@ -807,8 +806,6 @@ func MineDistributed(partitions [][]pivots.Tree, supportFrac float64, cfg Config
 	for j, c := range globalCounts {
 		if c >= minSup {
 			res.Frequent = append(res.Frequent, FreqPattern{Pattern: cands[j], Support: c})
-		} else {
-			res.FalsePositives++
 		}
 	}
 	sortFreq(res.Frequent)
