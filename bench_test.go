@@ -244,7 +244,7 @@ func BenchmarkAblationPipelineWidth(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer c.Close()
-			p, err := c.NewPipeline(width)
+			p, err := c.Pipe("k", width)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,8 +10,8 @@ import (
 )
 
 // recordKV is a store client that logs every keyed command the
-// protocol sends through it, pipelined ones included: one party's view
-// of the wire, numbered by a counter all parties share.
+// protocol sends through it, and each pipeline once by its key: one
+// party's view of the wire, numbered by a counter all parties share.
 type recordKV struct {
 	*kvstore.Client
 	seq *atomic.Int64
@@ -61,32 +61,18 @@ func (r *recordKV) LLen(key string) (int64, error) {
 	return r.Client.LLen(key)
 }
 
-func (r *recordKV) Pipe(width int) (kvstore.Pipe, error) {
-	p, err := r.Client.Pipe(width)
-	if err != nil {
-		return nil, err
-	}
-	return recordPipe{Pipe: p, r: r}, nil
-}
-
-type recordPipe struct {
-	kvstore.Pipe
-	r *recordKV
-}
-
-func (p recordPipe) Send(cmd string, args ...[]byte) error {
-	key := ""
-	if len(args) > 0 {
-		key = string(args[0])
-	}
-	p.r.note(cmd, key)
-	return p.Pipe.Send(cmd, args...)
+// Pipe notes the pipeline's key once: every command of a key-bound
+// pipeline names that key.
+func (r *recordKV) Pipe(key string, width int) (*kvstore.Pipeline, error) {
+	r.note("PIPE", key)
+	return r.Client.Pipe(key, width)
 }
 
 // TestWorkersOnlyArriveAtSketchBarrier: on a clean run a worker
 // registers at the sketch barrier with one INCR and never polls it, it
 // reads the run's assignment with one GET sent after the coordinator's
-// SET of it, and no party touches an abort key.
+// SET of it, it checks its shipped shard without an LLEN, and no party
+// touches an abort key.
 func TestWorkersOnlyArriveAtSketchBarrier(t *testing.T) {
 	corpus := testCorpus(t, 0.0006)
 	m, ws := startStore(t, 3)
@@ -130,6 +116,8 @@ func TestWorkersOnlyArriveAtSketchBarrier(t *testing.T) {
 			switch {
 			case isAbort(op.key):
 				t.Errorf("worker %d: %v", i, op)
+			case op.cmd == "LLEN":
+				t.Errorf("worker %d read a list's length: %v", i, op)
 			case op.cmd == "INCR" && isBarrier(op.key):
 				incrs++
 			case op.cmd == "GET" && isBarrier(op.key):

@@ -10,10 +10,11 @@ import (
 )
 
 // startSlotCluster stands up n slot-partitioned kvstore servers (an
-// even SplitSlots map) and returns cluster clients: one master plus
-// `clients` workers, each its own ClusterClient with its own
-// connection pool, exactly how separate worker processes would dial in.
-func startSlotCluster(t *testing.T, n, clients int) (*kvstore.ClusterClient, []*kvstore.ClusterClient) {
+// even SplitSlots map) and returns their addresses and cluster clients:
+// one master plus `clients` workers, each its own ClusterClient with its
+// own connection pool, exactly how separate worker processes would dial
+// in.
+func startSlotCluster(t *testing.T, n, clients int) ([]string, *kvstore.ClusterClient, []*kvstore.ClusterClient) {
 	t.Helper()
 	addrs := make([]string, n)
 	servers := make([]*kvstore.Server, n)
@@ -46,7 +47,7 @@ func startSlotCluster(t *testing.T, n, clients int) (*kvstore.ClusterClient, []*
 	for i := range ws {
 		ws[i] = dial()
 	}
-	return master, ws
+	return addrs, master, ws
 }
 
 // The distributed stratifier must run unchanged against a 3-process
@@ -55,7 +56,7 @@ func startSlotCluster(t *testing.T, n, clients int) (*kvstore.ClusterClient, []*
 // still bit-identical to the centralized run.
 func TestDistributedOverSlotCluster(t *testing.T) {
 	corpus := testCorpus(t, 0.0006)
-	master, workers := startSlotCluster(t, 3, 4)
+	_, master, workers := startSlotCluster(t, 3, 4)
 	opts := Options{
 		SketchWidth: 24,
 		Cluster:     strata.Config{K: 6, L: 3, Seed: 11},
@@ -90,7 +91,7 @@ func TestDistributedOverSlotCluster(t *testing.T) {
 // rejects a nil *Client master.
 func TestDistributedClusterValidation(t *testing.T) {
 	corpus := testCorpus(t, 0.0003)
-	_, workers := startSlotCluster(t, 2, 2)
+	_, _, workers := startSlotCluster(t, 2, 2)
 	var nilMaster *kvstore.ClusterClient
 	if _, _, err := StratifyDetailed(nilMaster, workers, corpus, Options{Cluster: strata.Config{K: 2, L: 1}}); err == nil {
 		t.Error("typed-nil cluster master accepted")

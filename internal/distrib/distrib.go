@@ -541,17 +541,18 @@ func runWorker(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, i, w, 
 }
 
 // shipShard pushes one shard's sketches as a fresh list of blocks: DEL
-// + a pipeline of variadic RPUSHes + length check. Records are packed
-// into one flat arena per command — bounded by maxShipBytes of payload —
-// and travel as blocks of up to blockBytes, so a shard costs
-// O(records/block) list elements, bulks and server-side copies on both
-// ends, not O(records). Each attempt starts from scratch, which is what
-// makes the non-idempotent RPUSHes safely retryable as a unit.
+// + a pipeline of variadic RPUSHes + a check of the length the last
+// RPUSH reports. Records are packed into one flat arena per command —
+// bounded by maxShipBytes of payload — and travel as blocks of up to
+// blockBytes, so a shard costs O(records/block) list elements, bulks
+// and server-side copies on both ends, not O(records). Each attempt
+// starts from scratch, which is what makes the non-idempotent RPUSHes
+// safely retryable as a unit.
 func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi int, key string, width int, shipBytes *telemetry.Counter) error {
 	if _, err := c.Del(key); err != nil {
 		return err
 	}
-	p, err := c.Pipe(width)
+	p, err := c.Pipe(key, width)
 	if err != nil {
 		return err
 	}
@@ -560,7 +561,6 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 	blocksPerCmd := max(1, maxShipBytes/(perBlock*recSize))
 	perCmd := perBlock * blocksPerCmd
 	total := hi - lo
-	p.Expect((total + perCmd - 1) / perCmd)
 	// One arena, one item buffer and one scratch sketch for the whole
 	// ship: Send frames the arguments into the client's write buffer
 	// before returning, so all three are safely recycled per command.
@@ -594,14 +594,14 @@ func shipShard(c kvstore.KV, corpus pivots.Corpus, hasher *sketch.Hasher, lo, hi
 	if err != nil {
 		return err
 	}
+	// The list starts empty, so the last RPUSH reply is its length; a
+	// shard with no records sends nothing and holds 0 blocks.
+	var cnt int64
 	for _, rep := range reps {
 		if err := rep.Err(); err != nil {
 			return err
 		}
-	}
-	cnt, err := c.LLen(key)
-	if err != nil {
-		return err
+		cnt = rep.Int
 	}
 	// Only the shard's last block can be short: a command carries a
 	// whole number of blocks.

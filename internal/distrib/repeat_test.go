@@ -81,11 +81,7 @@ func TestRepeatedRunsStayClean(t *testing.T) {
 		repeatRuns(t, master, workers, []string{addr})
 	})
 	t.Run("slot cluster", func(t *testing.T) {
-		master, workers := startSlotCluster(t, 3, 4)
-		var addrs []string
-		for _, r := range master.Slots() {
-			addrs = append(addrs, r.Addr)
-		}
+		addrs, master, workers := startSlotCluster(t, 3, 4)
 		repeatRuns(t, master, workers, addrs)
 	})
 }

@@ -78,7 +78,7 @@ func shipShardPerRecord(c *kvstore.Client, corpus pivots.Corpus, hasher *sketch.
 	if _, err := c.Del(key); err != nil {
 		return err
 	}
-	p, err := c.NewPipeline(width)
+	p, err := c.Pipe(key, width)
 	if err != nil {
 		return err
 	}

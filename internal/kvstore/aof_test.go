@@ -240,7 +240,7 @@ func TestAOFAckedWritesSurviveCrash(t *testing.T) {
 	c := dialTest(t, addr)
 
 	const n = 200
-	p, err := c.NewPipeline(32)
+	p, err := c.Pipe("", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestAOFGroupCommitFsyncBound(t *testing.T) {
 
 	const n = 1000
 	start := time.Now()
-	p, err := c.NewPipeline(64)
+	p, err := c.Pipe("", 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,9 @@ var ErrClientClosed = errors.New("kvstore: client closed")
 // *ClusterClient (a slot-routed pool over many stores). Everything
 // above the wire — distrib's shipping paths, the partitioner's stores,
 // the barrier — is written against it, so a single-store deployment
-// and a hash-slot cluster interchange without call-site changes.
+// and a hash-slot cluster interchange without call-site changes. Pipe
+// binds a pipeline to the store that owns key: every pipeline carries
+// the writes to one list.
 type KV interface {
 	Get(key string) ([]byte, error)
 	Set(key string, val []byte) error
@@ -112,19 +114,8 @@ type KV interface {
 	RPush(key string, vals ...[]byte) (int64, error)
 	LRangeChunked(key string, window int64, fn func(batch [][]byte) error) error
 	LLen(key string) (int64, error)
-	Ping() error
-	Pipe(width int) (Pipe, error)
+	Pipe(key string, width int) (*Pipeline, error)
 	Close() error
-}
-
-// Pipe is the pipelining surface behind KV: a width-bounded command
-// batcher whose Finish returns every reply in send order. *Pipeline
-// implements it over one connection; *ClusterPipeline fans the same
-// ordering guarantee out across slot owners.
-type Pipe interface {
-	Expect(total int)
-	Send(cmd string, args ...[]byte) error
-	Finish() ([]Reply, error)
 }
 
 // Dial connects to a store at addr with the given timeout, with no
@@ -544,28 +535,9 @@ func (c *Client) Del(keys ...string) (int64, error) {
 	return rep.Int, nil
 }
 
-// Ping round-trips the connection.
-func (c *Client) Ping() error {
-	rep, err := c.Do("PING")
-	if err != nil {
-		return err
-	}
-	if err := rep.Err(); err != nil {
-		return err
-	}
-	if rep.Str != "PONG" {
-		return fmt.Errorf("kvstore: unexpected ping reply %q", rep.Str)
-	}
-	return nil
-}
-
 // Pipeline is a convenience wrapper enforcing a maximum width: Send
 // auto-flushes once width commands are queued, mirroring the preset
 // pipeline width of paper §IV.
-//
-// Reply accumulation is bounded by preallocation: call Expect with the
-// batch's total command count (known to every shipping path) and the
-// accumulator is sized once instead of regrowing across a long ship.
 type Pipeline struct {
 	c       *Client
 	width   int
@@ -573,33 +545,13 @@ type Pipeline struct {
 	replies []Reply
 }
 
-// NewPipeline creates a pipeline of the given width (≥ 1).
-func (c *Client) NewPipeline(width int) (*Pipeline, error) {
+// Pipe creates a pipeline of the given width (≥ 1) on the client's one
+// connection, which owns every key.
+func (c *Client) Pipe(_ string, width int) (*Pipeline, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("kvstore: pipeline width %d, need ≥ 1", width)
 	}
 	return &Pipeline{c: c, width: width}, nil
-}
-
-// Pipe is NewPipeline behind the KV interface. The explicit nil-error
-// guard keeps a typed-nil *Pipeline out of the interface value.
-func (c *Client) Pipe(width int) (Pipe, error) {
-	p, err := c.NewPipeline(width)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Expect hints the total number of commands this pipeline will carry,
-// preallocating the reply accumulator in one shot. Calling it is never
-// required and a low hint only costs the regrowth it failed to avoid.
-func (p *Pipeline) Expect(total int) {
-	if total > cap(p.replies) {
-		grown := make([]Reply, len(p.replies), total)
-		copy(grown, p.replies)
-		p.replies = grown
-	}
 }
 
 // Send enqueues a command, flushing automatically at the width bound.
@@ -615,8 +567,8 @@ func (p *Pipeline) Send(cmd string, args ...[]byte) error {
 }
 
 func (p *Pipeline) flush() error {
-	// First flush with no Expect hint: size the accumulator for what is
-	// in flight, the best lower bound available.
+	// Size the accumulator for what is in flight, the best lower bound
+	// available.
 	if p.replies == nil {
 		p.replies = make([]Reply, 0, p.queued)
 	}

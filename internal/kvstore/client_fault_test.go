@@ -2,6 +2,7 @@ package kvstore_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -39,6 +40,19 @@ func retryOpts() kvstore.Options {
 		RetryBackoff: time.Millisecond,
 		MaxBackoff:   10 * time.Millisecond,
 	}
+}
+
+// dbsize round-trips DBSIZE, the probe a keyless command makes, and
+// returns its integer reply.
+func dbsize(c *kvstore.Client) (int64, error) {
+	rep, err := c.Do("DBSIZE")
+	if err != nil {
+		return 0, err
+	}
+	if rep.Type != kvstore.Integer {
+		return 0, fmt.Errorf("DBSIZE reply %+v, want an integer", rep)
+	}
+	return rep.Int, nil
 }
 
 // TestClientSurvivesMisbehavingStore drives idempotent commands
@@ -79,8 +93,8 @@ func TestClientSurvivesMisbehavingStore(t *testing.T) {
 			if err := c.Set("k2", []byte("w")); err != nil {
 				t.Fatalf("Set after recovery: %v", err)
 			}
-			if err := c.Ping(); err != nil {
-				t.Fatalf("Ping after recovery: %v", err)
+			if n, err := dbsize(c); err != nil || n != 2 {
+				t.Fatalf("DBSIZE after recovery = %d, %v; want 2", n, err)
 			}
 		})
 	}
@@ -138,7 +152,7 @@ func TestHungServerOpsBounded(t *testing.T) {
 		"LLEN":   func() error { _, err := c.LLen("l"); return err },
 		"LRANGE": func() error { return c.LRangeChunked("l", 64, func([][]byte) error { return nil }) },
 		"DEL":    func() error { _, err := c.Del("k"); return err },
-		"PING":   func() error { return c.Ping() },
+		"DBSIZE": func() error { _, err := dbsize(c); return err },
 	}
 	for name, op := range ops {
 		start := time.Now()
@@ -172,7 +186,7 @@ func TestDoPreservesPipelinedReplies(t *testing.T) {
 	}
 	defer c.Close()
 
-	p, err := c.NewPipeline(16)
+	p, err := c.Pipe("a", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +236,11 @@ func TestSendArmsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if _, err := dbsize(c); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(opTimeout + 70*time.Millisecond) // the Ping's deadline is now in the past
-	p, err := c.NewPipeline(16)
+	time.Sleep(opTimeout + 70*time.Millisecond) // the DBSIZE's deadline is now in the past
+	p, err := c.Pipe("big", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +294,7 @@ func TestClosedClientStaysClosed(t *testing.T) {
 		"Get":       func() error { _, err := c.Get("k"); return err },
 		"Incr":      func() error { _, err := c.Incr("n"); return err },
 		"Del":       func() error { _, err := c.Del("k"); return err },
-		"Ping":      c.Ping,
+		"DBSIZE":    func() error { _, err := dbsize(c); return err },
 		"Send":      func() error { return c.Send("GET", []byte("k")) },
 		"FlushInto": func() error { _, err := c.FlushInto(nil); return err },
 	}
@@ -305,7 +319,7 @@ func TestClosedClientStaysClosed(t *testing.T) {
 	}
 	// A pipeline created before Close still holds the pooled connection
 	// — the command racing Close.
-	p, err := cc.Pipe(4)
+	p, err := cc.Pipe("k", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +334,10 @@ func TestClosedClientStaysClosed(t *testing.T) {
 		t.Errorf("Send on a pooled connection after ClusterClient.Close: %v, want ErrClientClosed", err)
 	}
 	pooledOps := map[string]func() error{
-		"Get":  func() error { _, err := cc.Get("k"); return err },
-		"Del":  func() error { _, err := cc.Del("k"); return err },
-		"Ping": cc.Ping,
+		"Get": func() error { _, err := cc.Get("k"); return err },
+		"Del": func() error { _, err := cc.Del("k"); return err },
 		"Pipe": func() error {
-			p, err := cc.Pipe(4)
+			p, err := cc.Pipe("k", 4)
 			if err != nil {
 				return err
 			}

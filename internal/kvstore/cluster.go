@@ -20,7 +20,8 @@ import (
 // and repaired lazily: a MOVED reply rewrites the one slot it names, a
 // missing owner triggers a full refresh. The typed one-key commands are
 // the embedded set Client shares, routed by doKey; the multi-key DEL is
-// split by owner.
+// split by owner. A pipeline writes one list, so Pipe hands out the
+// pipeline of that list's owner.
 type ClusterClient struct {
 	keyed
 
@@ -139,15 +140,6 @@ func parseSlots(rep Reply) ([]SlotRange, error) {
 	return out, nil
 }
 
-// Slots returns the client's current view of the slot map as maximal
-// contiguous ranges.
-func (cc *ClusterClient) Slots() []SlotRange {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	t := slotTable{owner: cc.owner}
-	return t.ranges()
-}
-
 // clientFor returns (dialing on demand) the pooled connection to addr;
 // after Close it returns ErrClientClosed and dials nothing.
 func (cc *ClusterClient) clientFor(addr string) (*Client, error) {
@@ -191,27 +183,6 @@ func (cc *ClusterClient) setOwner(slot int, addr string) {
 	cc.mu.Lock()
 	cc.owner[slot] = addr
 	cc.mu.Unlock()
-}
-
-// anyClient returns a connection to any cluster node (for keyless
-// commands), preferring the owner of slot 0's neighborhood.
-func (cc *ClusterClient) anyClient() (*Client, error) {
-	cc.mu.Lock()
-	var addr string
-	for _, a := range cc.owner {
-		if a != "" {
-			addr = a
-			break
-		}
-	}
-	cc.mu.Unlock()
-	if addr == "" {
-		if len(cc.seeds) == 0 {
-			return nil, fmt.Errorf("kvstore: no cluster nodes known")
-		}
-		addr = cc.seeds[0]
-	}
-	return cc.clientFor(addr)
 }
 
 // doKey routes one single-slot command to its owner, chasing MOVED
@@ -280,73 +251,58 @@ func (cc *ClusterClient) doKey(key, cmd string, args [][]byte, win *CommandBuffe
 }
 
 // Del removes keys across their owners, returning how many existed.
+// Each owner's DEL is routed like a one-key command, so a redirect
+// repairs the table: a writer that starts a re-issued batch with DEL
+// finds the slot's owner again.
 func (cc *ClusterClient) Del(keys ...string) (int64, error) {
 	groups, err := cc.groupByOwner(keys)
 	if err != nil {
 		return 0, err
 	}
 	var n int64
-	for addr, group := range groups {
-		c, err := cc.clientFor(addr)
+	for _, group := range groups {
+		args := make([][]byte, len(group))
+		for i, k := range group {
+			args[i] = []byte(k)
+		}
+		rep, err := cc.doKey(group[0], "DEL", args, nil)
+		if err == nil {
+			err = rep.Err()
+		}
 		if err != nil {
 			return n, err
 		}
-		m, err := c.Del(group...)
-		n += m
-		if err != nil {
-			return n, err
-		}
+		n += rep.Int
 	}
 	return n, nil
 }
 
-// groupByOwner splits keys by owner address, refreshing the table once
-// if any slot is unassigned.
+// groupByOwner splits keys by owner address.
 func (cc *ClusterClient) groupByOwner(keys []string) (map[string][]string, error) {
-	for attempt := 0; ; attempt++ {
-		groups := make(map[string][]string)
-		stale := false
-		for _, k := range keys {
-			addr := cc.ownerOf(SlotForKey(k))
-			if addr == "" {
-				stale = true
-				break
-			}
-			groups[addr] = append(groups[addr], k)
-		}
-		if !stale {
-			return groups, nil
-		}
-		if attempt > 0 {
-			return nil, fmt.Errorf("kvstore: hash slot unassigned after refresh")
-		}
-		if err := cc.refresh(); err != nil {
+	groups := make(map[string][]string)
+	for _, k := range keys {
+		addr, err := cc.resolve(SlotForKey(k))
+		if err != nil {
 			return nil, err
 		}
+		groups[addr] = append(groups[addr], k)
 	}
+	return groups, nil
 }
 
-// Ping round-trips every known node.
-func (cc *ClusterClient) Ping() error {
-	pinged := false
-	for _, r := range cc.Slots() {
-		c, err := cc.clientFor(r.Addr)
-		if err != nil {
-			return err
-		}
-		if err := c.Ping(); err != nil {
-			return err
-		}
-		pinged = true
+// resolve returns slot's owner, refreshing the table once if it is
+// unknown.
+func (cc *ClusterClient) resolve(slot int) (string, error) {
+	if addr := cc.ownerOf(slot); addr != "" {
+		return addr, nil
 	}
-	if !pinged {
-		c, err := cc.anyClient()
-		if err != nil {
-			return err
-		}
-		return c.Ping()
+	if err := cc.refresh(); err != nil {
+		return "", err
 	}
-	return nil
+	if addr := cc.ownerOf(slot); addr != "" {
+		return addr, nil
+	}
+	return "", fmt.Errorf("kvstore: hash slot %d unassigned", slot)
 }
 
 // Close closes every pooled connection; later commands, through the
@@ -366,119 +322,18 @@ func (cc *ClusterClient) Close() error {
 	return err
 }
 
-// Pipe returns a cluster pipeline: commands are routed to per-owner
-// pipelines as they are sent, and Finish merges every reply back into
-// global send order.
-func (cc *ClusterClient) Pipe(width int) (Pipe, error) {
-	if width < 1 {
-		return nil, fmt.Errorf("kvstore: pipeline width %d, need ≥ 1", width)
+// Pipe returns a pipeline on the connection to key's owner. Every
+// command sent through it must name key's slot: a reply that carries a
+// MOVED redirect fails the batch, and the writer re-issues it from its
+// DEL, which repairs the table.
+func (cc *ClusterClient) Pipe(key string, width int) (*Pipeline, error) {
+	addr, err := cc.resolve(SlotForKey(key))
+	if err != nil {
+		return nil, err
 	}
-	return &ClusterPipeline{cc: cc, width: width, pipes: make(map[string]*Pipeline)}, nil
-}
-
-// ClusterPipeline fans a pipelined batch out across slot owners while
-// preserving reply order: each command is enqueued on its owner's
-// pipeline and the owner is recorded in a send-order ledger; Finish
-// collects each node's replies (in that node's send order) and merges
-// them back by the ledger. A MOVED reply in the results repairs the
-// slot table for the next batch; the command itself is not re-executed
-// — the caller sees the redirect error and re-issues the batch, the
-// same contract as a broken-connection pipeline retry.
-type ClusterPipeline struct {
-	cc    *ClusterClient
-	width int
-	pipes map[string]*Pipeline
-	order []string // owner addr per command, in send order
-	hint  int
-}
-
-// Expect hints the batch's total command count; each owner pipeline is
-// seeded with the full hint (an upper bound — regrowth avoided at the
-// cost of over-allocation proportional to node count).
-func (cp *ClusterPipeline) Expect(total int) {
-	cp.hint = total
-	for _, p := range cp.pipes {
-		p.Expect(total)
+	c, err := cc.clientFor(addr)
+	if err != nil {
+		return nil, err
 	}
-	if total > cap(cp.order) {
-		grown := make([]string, len(cp.order), total)
-		copy(grown, cp.order)
-		cp.order = grown
-	}
-}
-
-// Send routes one command to its key's owner pipeline. Keyless
-// commands are rejected — there is no single node whose reply could
-// take a deterministic position in the merged order.
-func (cp *ClusterPipeline) Send(cmd string, args ...[]byte) error {
-	if cmdTable[lookupCmd(cmd)].keys == noKeys || len(args) == 0 {
-		return fmt.Errorf("kvstore: cluster pipeline cannot route keyless command %s", cmd)
-	}
-	slot := slotForKeyBytes(args[0])
-	addr := cp.cc.ownerOf(slot)
-	if addr == "" {
-		if err := cp.cc.refresh(); err != nil {
-			return err
-		}
-		if addr = cp.cc.ownerOf(slot); addr == "" {
-			return fmt.Errorf("kvstore: hash slot %d unassigned", slot)
-		}
-	}
-	p, ok := cp.pipes[addr]
-	if !ok {
-		c, err := cp.cc.clientFor(addr)
-		if err != nil {
-			return err
-		}
-		if p, err = c.NewPipeline(cp.width); err != nil {
-			return err
-		}
-		if cp.hint > 0 {
-			p.Expect(cp.hint)
-		}
-		cp.pipes[addr] = p
-	}
-	if err := p.Send(cmd, args...); err != nil {
-		return err
-	}
-	cp.order = append(cp.order, addr)
-	return nil
-}
-
-// Finish drains every owner pipeline and merges the replies back into
-// global send order. The returned slice belongs to the caller.
-func (cp *ClusterPipeline) Finish() ([]Reply, error) {
-	results := make(map[string][]Reply, len(cp.pipes))
-	var firstErr error
-	for addr, p := range cp.pipes {
-		reps, err := p.Finish()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		results[addr] = reps
-	}
-	out := make([]Reply, 0, len(cp.order))
-	cursor := make(map[string]int, len(results))
-	for _, addr := range cp.order {
-		reps := results[addr]
-		i := cursor[addr]
-		if i >= len(reps) {
-			// A node's pipeline died mid-batch: its tail is gone.
-			if firstErr == nil {
-				firstErr = fmt.Errorf("kvstore: cluster pipeline lost replies from %s", addr)
-			}
-			break
-		}
-		if s, to, ok := parseMoved(reps[i]); ok {
-			cp.cc.moved.Inc()
-			cp.cc.setOwner(s, to)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("kvstore: pipelined command redirected (MOVED %d %s); re-issue the batch", s, to)
-			}
-		}
-		out = append(out, reps[i])
-		cursor[addr] = i + 1
-	}
-	cp.order = cp.order[:0]
-	return out, firstErr
+	return c.Pipe(key, width)
 }

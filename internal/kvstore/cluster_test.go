@@ -3,23 +3,23 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"pareto/internal/telemetry"
 )
 
-// startCluster stands up n in-process slot-partitioned servers: each
-// Listens first (so its advertised address is its real one), then the
-// even SplitSlots map is installed on every node. Returns the node
-// addresses in slot order.
+// startCluster stands up n in-process slot-partitioned servers, each
+// with its own telemetry registry: each Listens first (so its
+// advertised address is its real one), then the even SplitSlots map is
+// installed on every node. Returns the node addresses in slot order.
 func startCluster(t *testing.T, n int) ([]string, []*Server) {
 	t.Helper()
 	servers := make([]*Server, n)
 	addrs := make([]string, n)
 	for i := range servers {
 		srv := NewServer(nil)
+		srv.SetTelemetry(telemetry.NewRegistry())
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -51,8 +51,11 @@ func TestClusterClientRoutesAcrossNodes(t *testing.T) {
 	addrs, servers := startCluster(t, 3)
 	cc := dialClusterTest(t, addrs[:1], Options{}) // one seed primes the whole map
 
-	if got := cc.Slots(); len(got) != 3 {
-		t.Fatalf("Slots() = %+v, want 3 ranges", got)
+	cc.mu.Lock()
+	primed := (&slotTable{owner: cc.owner}).ranges()
+	cc.mu.Unlock()
+	if want := SplitSlots(addrs); fmt.Sprint(primed) != fmt.Sprint(want) {
+		t.Fatalf("slot table %+v, want %+v", primed, want)
 	}
 	// Write enough keys that every node certainly owns some.
 	const n = 60
@@ -87,9 +90,6 @@ func TestClusterClientRoutesAcrossNodes(t *testing.T) {
 	}
 	if _, err := cc.Get("route:missing"); !errors.Is(err, ErrNil) {
 		t.Errorf("missing key error = %v, want ErrNil", err)
-	}
-	if err := cc.Ping(); err != nil {
-		t.Errorf("cluster Ping: %v", err)
 	}
 }
 
@@ -159,90 +159,91 @@ func TestClusterMultiKeySplit(t *testing.T) {
 	}
 }
 
-func TestClusterPipelineMergesInSendOrder(t *testing.T) {
-	addrs, _ := startCluster(t, 3)
+// TestClusterPipeWritesToItsKeysOwner: cc.Pipe(key, w) is the pipeline
+// of key's owner, so its RPUSHes reach that node and no other. With the
+// slot pointed at the wrong node the batch's replies carry MOVED, and a
+// re-issue that starts with DEL, as both writers do, lands on the owner.
+func TestClusterPipeWritesToItsKeysOwner(t *testing.T) {
+	addrs, servers := startCluster(t, 3)
 	cc := dialClusterTest(t, addrs[:1], Options{})
+	const key, n = "pipe:list", 10
+	slot := SlotForKey(key)
+	owner := cc.ownerOf(slot)
 
-	p, err := cc.Pipe(8)
+	// write is both writers' shape: DEL, then one pipeline of RPUSHes,
+	// each reply the list's new length.
+	write := func() {
+		t.Helper()
+		if _, err := cc.Del(key); err != nil {
+			t.Fatal(err)
+		}
+		p, err := cc.Pipe(key, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := p.Send("RPUSH", []byte(key), []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reps, err := p.Finish()
+		if err != nil || len(reps) != n {
+			t.Fatalf("Finish = %d replies, %v; want %d", len(reps), err, n)
+		}
+		for i, rep := range reps {
+			if rep.Type != Integer || rep.Int != int64(i+1) {
+				t.Fatalf("RPUSH %d reply %+v, want length %d", i, rep, i+1)
+			}
+		}
+		// A node publishes a batch's counts before it reads the next
+		// command, so this reply follows the RPUSH counts.
+		if got, err := cc.LLen(key); err != nil || got != n {
+			t.Fatalf("LLen = %d, %v; want %d", got, err, n)
+		}
+	}
+
+	write()
+	for i, srv := range servers {
+		want := int64(0)
+		if addrs[i] == owner {
+			want = n
+		}
+		if got := srv.telemetry.Snapshot().Counters[`kv_server_commands_total{cmd="rpush"}`]; got != want {
+			t.Errorf("node %s counted %d RPUSHes, want %d", addrs[i], got, want)
+		}
+	}
+
+	var wrong string
+	for _, a := range addrs {
+		if a != owner {
+			wrong = a
+			break
+		}
+	}
+	cc.setOwner(slot, wrong)
+	p, err := cc.Pipe(key, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 50
-	p.Expect(2 * n)
-	for i := 0; i < n; i++ {
-		key := []byte(fmt.Sprintf("pl:%d", i))
-		if err := p.Send("SET", key, []byte(fmt.Sprintf("pv%d", i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Send("GET", key); err != nil {
+	for i := 0; i < 3; i++ {
+		if err := p.Send("RPUSH", []byte(key), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	reps, err := p.Finish()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(reps) != 3 {
+		t.Fatalf("misrouted Finish = %d replies, %v; want 3", len(reps), err)
 	}
-	if len(reps) != 2*n {
-		t.Fatalf("%d replies, want %d", len(reps), 2*n)
-	}
-	// Send order interleaves SET/GET per key; the merged replies must
-	// line up even though they came back from three different nodes.
-	for i := 0; i < n; i++ {
-		if reps[2*i].Err() != nil {
-			t.Fatalf("SET %d: %v", i, reps[2*i].Err())
-		}
-		want := fmt.Sprintf("pv%d", i)
-		if got := string(reps[2*i+1].Bulk); got != want {
-			t.Fatalf("reply %d = %q, want %q (cross-node merge out of order)", 2*i+1, got, want)
+	for i, rep := range reps {
+		if s, to, ok := parseMoved(rep); !ok || s != slot || to != owner {
+			t.Fatalf("misrouted RPUSH %d reply %+v, want MOVED %d %s", i, rep, slot, owner)
 		}
 	}
-	// Keyless commands cannot take a position in the merged order.
-	if err := p.Send("PING"); err == nil {
-		t.Error("keyless Send on a cluster pipeline must error")
-	}
-}
-
-func TestClusterPipelineMovedSurfacesError(t *testing.T) {
-	addrs, _ := startCluster(t, 2)
-	cc := dialClusterTest(t, addrs, Options{})
-
-	key := "plmoved:x"
-	slot := SlotForKey(key)
-	owner := cc.ownerOf(slot)
-	wrong := addrs[0]
-	if wrong == owner {
-		wrong = addrs[1]
-	}
-	cc.setOwner(slot, wrong)
-
-	p, err := cc.Pipe(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Send("SET", []byte(key), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.Finish()
-	if err == nil || !strings.Contains(err.Error(), "MOVED") {
-		t.Fatalf("Finish after misrouted pipeline = %v, want MOVED error", err)
-	}
-	// The redirect repaired the table: re-issuing the batch succeeds.
+	// The DEL's redirect repairs the table, so the re-issue's pipeline
+	// is the owner's.
+	write()
 	if repaired := cc.ownerOf(slot); repaired != owner {
-		t.Fatalf("table not repaired: %s, want %s", repaired, owner)
-	}
-	p2, err := cc.Pipe(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Send("SET", []byte(key), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Finish(); err != nil {
-		t.Fatalf("re-issued batch: %v", err)
-	}
-	got, err := cc.Get(key)
-	if err != nil || string(got) != "v" {
-		t.Fatalf("Get after re-issue = %q, %v", got, err)
+		t.Fatalf("table after the re-issue points %d at %s, want %s", slot, repaired, owner)
 	}
 }
 

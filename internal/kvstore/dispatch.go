@@ -13,7 +13,6 @@ type cmdID uint8
 
 const (
 	cmdNone cmdID = iota
-	cmdPing
 	cmdSet
 	cmdGet
 	cmdDel
@@ -30,13 +29,13 @@ const (
 )
 
 // keyArgs says which arguments of a command are keys — what the
-// cluster slot check must own and what a routing client hashes.
+// cluster slot check must own and what a routing client hashes. The
+// zero value is keyless: the command always runs locally.
 type keyArgs uint8
 
 const (
-	noKeys  keyArgs = iota // keyless: always local, routed to any node
-	oneKey                 // args[0] is the key, the rest is payload
-	allKeys                // every argument is a key (DEL)
+	oneKey  keyArgs = iota + 1 // args[0] is the key, the rest is payload
+	allKeys                    // every argument is a key (DEL)
 )
 
 // count returns how many of a command's n arguments are keys: the
@@ -67,7 +66,6 @@ type cmdSpec struct {
 
 var cmdTable = [numCmdIDs]cmdSpec{
 	cmdNone:    {class: "other"},
-	cmdPing:    {name: "PING", class: "ping", idempotent: true},
 	cmdSet:     {name: "SET", class: "set", writes: true, idempotent: true, keys: oneKey},
 	cmdGet:     {name: "GET", class: "get", idempotent: true, keys: oneKey},
 	cmdDel:     {name: "DEL", class: "del", writes: true, idempotent: true, keys: allKeys},

@@ -53,7 +53,7 @@ func TestLookupCmdFoldsCase(t *testing.T) {
 		strings.Repeat("G", maxCmdNameLen),   // fits the fold buffer, matches nothing
 		strings.Repeat("G", maxCmdNameLen+1), // too long, no panic
 		"GETT", "GE",                         // near misses
-		"MSET", "MGET", // cut: an old AOF holding one fails replay loudly
+		"MSET", "MGET", "PING", // cut: an old AOF holding one fails replay loudly
 		"REPLSYNC", "REPLPING", "REPLACK", "REPLINFO", "REPLTAKEOVER", "REPLICAOF", // cut with replication
 	} {
 		if got := lookupCmd(cmd); got != cmdNone {
@@ -158,7 +158,7 @@ func TestKeyArgStride(t *testing.T) {
 		spec := cmdTable[id]
 		w, keyed := want[spec.name]
 		if !keyed {
-			w = noKeys // PING, DBSIZE, INFO, CLUSTER, unknown
+			w = 0 // keyless: DBSIZE, INFO, CLUSTER, unknown
 		}
 		if spec.keys != w {
 			t.Errorf("%q: keys = %d, want %d", spec.name, spec.keys, w)
@@ -174,7 +174,7 @@ func TestCmdWritesClassification(t *testing.T) {
 	}
 	idempotent := map[string]bool{
 		"GET": true, "SET": true, "DEL": true, "LLEN": true, "LRANGE": true,
-		"PING": true, "DBSIZE": true,
+		"DBSIZE": true,
 	}
 	for id := cmdNone; id < numCmdIDs; id++ {
 		spec := cmdTable[id]
@@ -210,7 +210,7 @@ func TestCmdClass(t *testing.T) {
 	}
 	// Every label the table carries, and no other.
 	for _, l := range []string{"get", "set", "del", "incr", "rpush", "llen", "lrange",
-		"ping", "dbsize", "info", "other"} {
+		"dbsize", "info", "other"} {
 		if !labels[l] {
 			t.Errorf("label %q lost", l)
 		}

@@ -149,11 +149,6 @@ func unknownCmd(cmd string) Reply { return errReply("ERR unknown command '" + cm
 // classification, cluster-slot checks, and AOF logging.
 func (e *Engine) doID(id cmdID, cmd string, args [][]byte) Reply {
 	switch id {
-	case cmdPing:
-		if len(args) != 0 {
-			return wrongArgs("ping")
-		}
-		return Reply{Type: SimpleString, Str: "PONG"}
 	case cmdSet:
 		if len(args) != 2 {
 			return wrongArgs("set")

@@ -9,7 +9,7 @@ import (
 
 // Start a store, write a partition as a list with a pipelined batch,
 // and fetch it back in LRANGE windows.
-func ExampleClient_NewPipeline() {
+func ExampleClient_Pipe() {
 	srv := kvstore.NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -22,7 +22,7 @@ func ExampleClient_NewPipeline() {
 	}
 	defer c.Close()
 
-	p, err := c.NewPipeline(64)
+	p, err := c.Pipe("partition:0", 64)
 	if err != nil {
 		panic(err)
 	}

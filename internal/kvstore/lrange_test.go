@@ -88,7 +88,7 @@ func TestLRangeFramingMatchesWriteReply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := WriteCommand(w, "PING"); err != nil {
+	if err := WriteCommand(w, "DBSIZE"); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -113,8 +113,8 @@ func TestLRangeFramingMatchesWriteReply(t *testing.T) {
 			t.Fatalf("Engine.Do LRANGE %q = %v, want %v", c.args, do, c.want)
 		}
 	}
-	if line, err := r.ReadString('\n'); err != nil || line != "+PONG\r\n" {
-		t.Fatalf("after the LRANGE replies: %q, %v; want +PONG", line, err)
+	if line, err := r.ReadString('\n'); err != nil || line != ":2\r\n" {
+		t.Fatalf("after the LRANGE replies: %q, %v; want :2 (keys l and s)", line, err)
 	}
 }
 

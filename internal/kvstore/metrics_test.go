@@ -41,7 +41,7 @@ func TestServerTelemetry(t *testing.T) {
 		t.Fatalf("NOSUCH reply: %v", rep)
 	}
 	// One pipelined batch of 10 SETs.
-	p, err := c.NewPipeline(16)
+	p, err := c.Pipe("k", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestClientTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if _, err := dbsize(c); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the server; stand up a replacement and repoint the dialer.
@@ -217,12 +217,12 @@ func TestClientTelemetry(t *testing.T) {
 	mu.Lock()
 	target = addr2
 	mu.Unlock()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping after failover: %v", err)
+	if n, err := dbsize(c); err != nil || n != 0 {
+		t.Fatalf("DBSIZE after failover = %d, %v; want 0 from the fresh store", n, err)
 	}
 	// Pipeline depth: 5 queued commands flushed at once.
 	for i := 0; i < 5; i++ {
-		if err := c.Send("PING"); err != nil {
+		if err := c.Send("DBSIZE"); err != nil {
 			t.Fatal(err)
 		}
 	}

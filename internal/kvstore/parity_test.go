@@ -17,7 +17,7 @@ type storeClient interface {
 	LRangeFrom(key string, start, window int64, fn func(batch [][]byte) error) (int64, error)
 }
 
-// kvScript runs one fixed sequence touching every KV and Pipe method
+// kvScript runs one fixed sequence touching every KV and Pipeline method
 // and returns a transcript of every result and error.
 func kvScript(kv storeClient) []string {
 	var log []string
@@ -68,13 +68,11 @@ func kvScript(kv storeClient) []string {
 	note("LLen on a string (WRONGTYPE)", n, err)
 	n, err = kv.LRangeFrom("s", 0, 2, window)
 	note("LRangeFrom on a string (WRONGTYPE)", n, err)
-	note("Ping", nil, kv.Ping())
 
-	_, err = kv.Pipe(0)
+	_, err = kv.Pipe("p", 0)
 	note("Pipe bad width", nil, err)
-	p, err := kv.Pipe(2)
+	p, err := kv.Pipe("p", 2)
 	note("Pipe", nil, err)
-	p.Expect(5)
 	note("Send SET", nil, p.Send("SET", []byte("p"), []byte("piped")))
 	note("Send GET", nil, p.Send("GET", []byte("p")))
 	note("Send RPUSH", nil, p.Send("RPUSH", []byte("l"), []byte("f")))

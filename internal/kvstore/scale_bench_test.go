@@ -44,7 +44,7 @@ func BenchmarkServerPipelinedSetGet(b *testing.B) {
 			return
 		}
 		defer c.Close()
-		p, err := c.NewPipeline(pipeWidth)
+		p, err := c.Pipe("", pipeWidth)
 		if err != nil {
 			b.Error(err)
 			return

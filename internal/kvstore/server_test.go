@@ -33,11 +33,24 @@ func dialTest(t *testing.T, addr string) *Client {
 	return c
 }
 
+// dbsize round-trips DBSIZE, the probe a keyless command makes, and
+// returns its integer reply.
+func dbsize(c *Client) (int64, error) {
+	rep, err := c.Do("DBSIZE")
+	if err != nil {
+		return 0, err
+	}
+	if rep.Type != Integer {
+		return 0, fmt.Errorf("DBSIZE reply %+v, want an integer", rep)
+	}
+	return rep.Int, nil
+}
+
 func TestServerBasicRoundtrip(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dialTest(t, addr)
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
+	if n, err := dbsize(c); err != nil || n != 0 {
+		t.Fatalf("DBSIZE of an empty store = %d, %v", n, err)
 	}
 	if err := c.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -134,7 +147,7 @@ func TestServerPipelining(t *testing.T) {
 func TestServerPipelineWidthWrapper(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dialTest(t, addr)
-	p, err := c.NewPipeline(16)
+	p, err := c.Pipe("pl", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +167,7 @@ func TestServerPipelineWidthWrapper(t *testing.T) {
 	if reps[n-1].Int != n {
 		t.Errorf("final length %d, want %d", reps[n-1].Int, n)
 	}
-	if _, err := c.NewPipeline(0); err == nil {
+	if _, err := c.Pipe("pl", 0); err == nil {
 		t.Error("zero-width pipeline accepted")
 	}
 }

@@ -96,11 +96,11 @@ func BenchmarkReadReply(b *testing.B) {
 }
 
 // runPipelined drives one command per op through a width-128 pipeline,
-// finishing every batch the way the shipping paths do: Expect, Send,
-// Finish, replies owned by the caller.
+// finishing every batch the way the shipping paths do: Send, Finish,
+// replies owned by the caller.
 func runPipelined(b *testing.B, c *Client, send func(p *Pipeline, i int) error) {
 	b.Helper()
-	p, err := c.NewPipeline(128)
+	p, err := c.Pipe("", 128)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,7 +110,6 @@ func runPipelined(b *testing.B, c *Client, send func(p *Pipeline, i int) error) 
 		if b.N-done < n {
 			n = b.N - done
 		}
-		p.Expect(n)
 		for j := 0; j < n; j++ {
 			if err := send(p, done+j); err != nil {
 				b.Fatal(err)
@@ -189,7 +188,7 @@ func BenchmarkRPUSHBatched(b *testing.B) {
 	if _, err := c.Del(string(key)); err != nil {
 		b.Fatal(err)
 	}
-	p, err := c.NewPipeline(128)
+	p, err := c.Pipe(string(key), 128)
 	if err != nil {
 		b.Fatal(err)
 	}

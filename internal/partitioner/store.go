@@ -194,7 +194,7 @@ func (k *KVStore) WritePartition(id int, records [][]byte) error {
 	if _, err := c.Del(k.key(id)); err != nil {
 		return fmt.Errorf("partitioner: clearing partition %d: %w", id, err)
 	}
-	p, err := c.Pipe(k.width)
+	p, err := c.Pipe(k.key(id), k.width)
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,8 @@ import (
 // do not. A method is referenced when a non-test selector resolves to
 // it (type-checked, so another type's method of the same name is not
 // it), or when it satisfies a method of an interface a non-test file
-// declares and its type, or a type embedding it, implements.
+// declares and its type, or a type embedding it, implements, and a
+// non-test selector calls that interface method.
 // A test-support package — one that _test.go files import and no
 // non-test file does, such as faultnet — is not covered: all of it is
 // test code kept in a package so that several packages' tests share
@@ -241,6 +242,8 @@ func (c *checkedFiles) surface() *surfaceScan {
 		}
 	}
 
+	// calledIface holds the interface methods a non-test selector names.
+	calledIface := map[*types.Func]bool{}
 	useMethod := func(fn *types.Func) {
 		if k, ok := methodKeys[fn.Origin()]; ok {
 			s.used[k] = true
@@ -249,43 +252,6 @@ func (c *checkedFiles) surface() *surfaceScan {
 	for _, name := range stdlibInterfaceMethods {
 		for _, k := range methods[name] {
 			s.used[k] = true
-		}
-	}
-	// Interface satisfaction: every non-test interface against every
-	// named type a non-test file declares, the method that satisfies
-	// each of its methods looked up through embedding.
-	var ifaces []*types.Interface
-	var named []*types.Named
-	for _, p := range c.nonTest {
-		ast.Inspect(p.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.InterfaceType:
-				if it, ok := info.Types[n].Type.(*types.Interface); ok && it.NumMethods() > 0 {
-					ifaces = append(ifaces, it)
-				}
-			case *ast.TypeSpec:
-				if tn, ok := info.Defs[n.Name].(*types.TypeName); ok && !tn.IsAlias() {
-					if nt, ok := tn.Type().(*types.Named); ok && !types.IsInterface(nt) && nt.TypeParams().Len() == 0 {
-						named = append(named, nt)
-					}
-				}
-			}
-			return true
-		})
-	}
-	for _, nt := range named {
-		ptr := types.NewPointer(nt)
-		mset := types.NewMethodSet(ptr)
-		for _, it := range ifaces {
-			if !types.Implements(ptr, it) {
-				continue
-			}
-			for i := 0; i < it.NumMethods(); i++ {
-				m := it.Method(i)
-				if fn, ok := mset.Lookup(m.Pkg(), m.Name()).Obj().(*types.Func); ok {
-					useMethod(fn)
-				}
-			}
 		}
 	}
 	for _, p := range c.nonTest {
@@ -318,6 +284,9 @@ func (c *checkedFiles) surface() *surfaceScan {
 					if sel := info.Selections[n]; sel != nil && sel.Obj() != selfMethod {
 						if fn, ok := sel.Obj().(*types.Func); ok {
 							useMethod(fn)
+							if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+								calledIface[fn.Origin()] = true
+							}
 						}
 					}
 					walk(n.X)
@@ -361,6 +330,46 @@ func (c *checkedFiles) surface() *surfaceScan {
 							walk(v)
 						}
 					}
+				}
+			}
+		}
+	}
+	// Interface satisfaction: every non-test interface against every
+	// named type a non-test file declares, the method that satisfies
+	// each of its called methods looked up through embedding.
+	var ifaces []*types.Interface
+	var named []*types.Named
+	for _, p := range c.nonTest {
+		ast.Inspect(p.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				if it, ok := info.Types[n].Type.(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			case *ast.TypeSpec:
+				if tn, ok := info.Defs[n.Name].(*types.TypeName); ok && !tn.IsAlias() {
+					if nt, ok := tn.Type().(*types.Named); ok && !types.IsInterface(nt) && nt.TypeParams().Len() == 0 {
+						named = append(named, nt)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, nt := range named {
+		ptr := types.NewPointer(nt)
+		mset := types.NewMethodSet(ptr)
+		for _, it := range ifaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if !calledIface[m.Origin()] {
+					continue
+				}
+				if fn, ok := mset.Lookup(m.Pkg(), m.Name()).Obj().(*types.Func); ok {
+					useMethod(fn)
 				}
 			}
 		}
@@ -589,6 +598,8 @@ type T struct{}
 
 func (T) Run() {}
 
+func (T) Stop() {}
+
 func (T) Lonely() {}
 
 func (t T) Again() { t.Again() }
@@ -625,7 +636,10 @@ import (
 	"pareto/internal/a"
 )
 
-type Runner interface{ Run() }
+type Runner interface {
+	Run()
+	Stop()
+}
 
 type Greeter interface{ Hello() }
 
@@ -639,6 +653,7 @@ func Orphan() {}
 
 func Drive(r Runner, l net.Listener) {
 	a.Called()
+	r.Run()
 	Orphan()
 	_ = a.Table
 	_ = l.Addr()
@@ -715,7 +730,8 @@ func TestSurfaceScanRule(t *testing.T) {
 		{"a.Called", false, "b calls a.Called through its import table"},
 		{"a.helper", false, "called by name inside its own package"},
 		{"a.FromCmd", false, "a command outside internal/ is a caller"},
-		{"a.T.Run", false, "no selector names it, but b.Runner declares a method Run"},
+		{"a.T.Run", false, "no selector names it, but a.T implements b.Runner and b calls Runner.Run"},
+		{"a.T.Stop", true, "a.T implements b.Runner, but nothing calls Runner.Stop"},
 		{"a.T", false, "its methods' receivers name it"},
 		{"a.Table", false, "b reads a.Table"},
 		{"b.Orphan", false, "b calls its own Orphan"},
@@ -751,6 +767,7 @@ func TestSurfaceAllowListGoesStale(t *testing.T) {
 		"a.Orphan": "r", "a.orphanHelper": "r", "a.loop": "r", "a.T.Again": "r",
 		"a.T.Lonely": "r", "a.OnlyTested": "r", "a.unusedConst": "r",
 		"a.T.Listener": "r", "a.T.Addr": "r", "a.T.Get": "r", "a.Base.Idle": "r", "dead.Gone": "r",
+		"a.T.Stop": "r",
 	}
 	if v := s.violations(all); len(v) != 0 {
 		t.Fatalf("every callerless declaration is excused, yet: %q", v)
